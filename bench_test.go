@@ -103,10 +103,10 @@ func BenchmarkE5SteeringSetup(b *testing.B) {
 }
 
 // BenchmarkE6ClickDataPlane measures packet throughput through chains of
-// Click VNFs across the scheduler drivers (single-threaded,
-// goroutine-per-task, work-stealing multithreaded, fused) including the
-// fused driver's ablation rows; the reported metric is the headline
-// fused configuration, which is always the table's final row.
+// Click VNFs across the drivers (single-threaded, work-stealing
+// multithreaded, fused, fused with two RSS shards); the reported metric
+// is the headline fused configuration, which is always the table's final
+// row.
 func BenchmarkE6ClickDataPlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, 2000)
@@ -196,8 +196,7 @@ func BenchmarkE8ServiceCreation(b *testing.B) {
 }
 
 // BenchmarkE9DeployThroughput measures concurrent service deployment
-// across the realization/steering ablation (sequential vs parallel VNF
-// setup, per-path vs batched steering).
+// under sequential and parallel VNF realization.
 func BenchmarkE9DeployThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E9DeployThroughput([]int{1, 4, 8}, 4)
@@ -205,7 +204,7 @@ func BenchmarkE9DeployThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 		tbl.Render(tableOut())
-		b.ReportMetric(lastFloat(tbl, 4), "svc/s@8conc-par-batch")
+		b.ReportMetric(lastFloat(tbl, tbl.Col("svc_per_s")), "svc/s@8conc-par")
 	}
 }
 
@@ -239,8 +238,7 @@ func BenchmarkE11SelfHealing(b *testing.B) {
 }
 
 // BenchmarkE12Admission measures the admission hot path on fat-tree
-// views, ablating the serialized/legacy pipeline vs optimistic
-// copy-on-write admission and cold vs cached path routing.
+// views with cold and cached path routing.
 func BenchmarkE12Admission(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E12Admission([]int{4, 8}, []int{16}, 3)
@@ -248,7 +246,7 @@ func BenchmarkE12Admission(b *testing.B) {
 			b.Fatal(err)
 		}
 		tbl.Render(tableOut())
-		b.ReportMetric(lastFloat(tbl, 6), "adm/s@8k-opt-cached")
+		b.ReportMetric(lastFloat(tbl, tbl.Col("adm_per_s")), "adm/s@8k-cached")
 	}
 }
 

@@ -1,6 +1,6 @@
-// Command escape-bench regenerates the evaluation tables of
-// EXPERIMENTS.md (E1–E13): workload generation, parameter sweeps,
-// baselines and result tables in one binary.
+// Command escape-bench regenerates the evaluation tables of README's
+// "Experiments" section (every id in experiments.Registry): workload
+// generation, parameter sweeps and result tables in one binary.
 //
 // Usage:
 //
@@ -12,11 +12,11 @@
 //	escape-bench -e e10 -e10domains 4 -e10chain 3
 //	escape-bench -e e11 -e11kills 1,2 -e11chain 4
 //	escape-bench -e e12 -e12k 8,12 -e12conc 16,64
-//	escape-bench -e e13 -e13tenants 8 -e13intents 4 -e13json BENCH_E13.json
-//	escape-bench -e e14 -e14json BENCH_E14.json           # flowsim smoke
+//	escape-bench -e e13 -e13tenants 8 -e13intents 4 -json BENCH_E13.json
+//	escape-bench -e e14 -json BENCH_E14.json              # flowsim smoke
 //	escape-bench -e e14 -e14full                          # 100k switches, 1M services
 //	escape-bench -e e14 -e14regions 10 -e14sw 200 -e14services 5000
-//	escape-bench -e e14 -e14workers 8 -e14json BENCH_E14.json   # parallel player + determinism gate
+//	escape-bench -e e14 -e14workers 8 -json BENCH_E14.json      # parallel player + determinism gate
 //	escape-bench -quick          # reduced parameters (CI-friendly)
 //	escape-bench -e e12 -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -35,35 +35,34 @@ import (
 	"escape/internal/substrate"
 )
 
-// parseE6Drivers maps a comma-separated driver list ("single,per-task,
-// multi,fused" or "all") to click driver modes.
+// parseE6Drivers maps a comma-separated driver list ("single,multi,fused"
+// or "all") to click driver modes.
 func parseE6Drivers(s string) ([]click.DriverMode, error) {
 	if s == "" || s == "all" {
-		return nil, nil // E6ClickDataPlane defaults to all four
+		return nil, nil // E6ClickDataPlane defaults to all three
 	}
 	var out []click.DriverMode
 	for _, name := range strings.Split(s, ",") {
 		switch strings.TrimSpace(strings.ToLower(name)) {
 		case "single":
 			out = append(out, click.SingleThreaded)
-		case "per-task":
-			out = append(out, click.GoroutinePerTask)
 		case "multi":
 			out = append(out, click.MultiThreaded)
 		case "fused":
 			out = append(out, click.Fused)
 		default:
-			return nil, fmt.Errorf("unknown E6 driver %q (want single, per-task, multi, fused)", name)
+			return nil, fmt.Errorf("unknown E6 driver %q (want single, multi, fused)", name)
 		}
 	}
 	return out, nil
 }
 
 func main() {
-	which := flag.String("e", "all", "comma-separated experiments (e1..e11) or 'all'")
+	reg := experiments.Registry()
+	which := flag.String("e", "all", fmt.Sprintf("comma-separated experiments (%s..%s) or 'all'", reg[0].ID, reg[len(reg)-1].ID))
+	jsonOut := flag.String("json", "", "write the selected experiment's table as JSON (CI artifact) to this file; needs exactly one -e id")
 	sizes := flag.String("sizes", "", "override E3 node counts, comma-separated")
-	e6drv := flag.String("e6drivers", "all", "E6 scheduler ablation subset: single,per-task,multi,fused or 'all'")
-	e6json := flag.String("e6json", "", "write E6 rows as JSON (BENCH_E6.json CI artifact) to this file")
+	e6drv := flag.String("e6drivers", "all", "E6 driver subset: single,multi,fused or 'all'")
 	e9conc := flag.String("e9conc", "", "override E9 concurrent-deploy counts, comma-separated")
 	e9chain := flag.Int("e9chain", 4, "E9 chain length (NFs per service)")
 	e10domains := flag.Int("e10domains", 3, "E10 number of orchestration domains")
@@ -76,7 +75,6 @@ func main() {
 	e13tenants := flag.Int("e13tenants", 4, "E13 concurrent tenants")
 	e13intents := flag.Int("e13intents", 6, "E13 intents per tenant")
 	e13chain := flag.Int("e13chain", 2, "E13 chain length (NFs per intent)")
-	e13json := flag.String("e13json", "", "write E13 rows as JSON (BENCH_E13.json CI artifact) to this file")
 	e14full := flag.Bool("e14full", false, "E14 headline scale: 100k switches, 1M services (minutes, several GB)")
 	e14regions := flag.Int("e14regions", 0, "override E14 region count")
 	e14sw := flag.Int("e14sw", 0, "override E14 switches per region")
@@ -84,7 +82,6 @@ func main() {
 	e14faults := flag.Int("e14faults", 4, "E14 backbone link fail/heal pairs per cell")
 	e14procs := flag.String("e14procs", "", "E14 arrival-process subset (diurnal,flash,pareto), default all")
 	e14workers := flag.Int("e14workers", 0, "E14 parallel-player worker count (adds a workers=N row per cell; fails if any parallel report diverges from serial)")
-	e14json := flag.String("e14json", "", "write E14 rows as JSON (BENCH_E14.json CI artifact) to this file")
 	quick := flag.Bool("quick", false, "reduced parameter sets")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
@@ -109,13 +106,16 @@ func main() {
 
 	selected := map[string]bool{}
 	if *which == "all" {
-		for i := 1; i <= 14; i++ {
-			selected[fmt.Sprintf("e%d", i)] = true
+		for _, r := range reg {
+			selected[r.ID] = true
 		}
 	} else {
 		for _, e := range strings.Split(*which, ",") {
 			selected[strings.TrimSpace(strings.ToLower(e))] = true
 		}
+	}
+	if *jsonOut != "" && len(selected) != 1 {
+		fatal(fmt.Errorf("-json writes one table: select exactly one experiment with -e (got %d)", len(selected)))
 	}
 
 	e3sizes := []int{10, 50, 100, 200, 400}
@@ -241,37 +241,23 @@ func main() {
 			fatal(fmt.Errorf("%s: %w", e.id, err))
 		}
 		tbl.Render(os.Stdout)
-		if e.id == "e6" && *e6json != "" {
-			if err := experiments.WriteE6JSON(tbl, *e6json); err != nil {
-				fatal(fmt.Errorf("e6json: %w", err))
-			}
-			fmt.Fprintf(os.Stderr, "escape-bench: wrote %s\n", *e6json)
-		}
-		if e.id == "e13" && *e13json != "" {
-			if err := experiments.WriteE13JSON(tbl, *e13json); err != nil {
-				fatal(fmt.Errorf("e13json: %w", err))
-			}
-			fmt.Fprintf(os.Stderr, "escape-bench: wrote %s\n", *e13json)
-		}
 		if e.id == "e14" {
 			// The parallel-determinism gate: any workers>1 row whose
 			// report diverged from the serial replay is a correctness
 			// failure, not a perf observation.
-			rows, err := experiments.E14JSON(tbl)
-			if err != nil {
-				fatal(fmt.Errorf("e14: %w", err))
-			}
-			for _, r := range rows {
-				if !r.ParallelMatch {
-					fatal(fmt.Errorf("e14: %s workers=%d parallel report diverged from serial (parallel_match=false)", r.Process, r.Workers))
+			match := tbl.Col("par_match")
+			for _, r := range tbl.Rows {
+				if r[match] != "true" {
+					fatal(fmt.Errorf("e14: %s workers=%s parallel report diverged from serial (par_match=%s)",
+						r[tbl.Col("proc")], r[tbl.Col("workers")], r[match]))
 				}
 			}
-			if *e14json != "" {
-				if err := experiments.WriteE14JSON(tbl, *e14json); err != nil {
-					fatal(fmt.Errorf("e14json: %w", err))
-				}
-				fmt.Fprintf(os.Stderr, "escape-bench: wrote %s\n", *e14json)
+		}
+		if *jsonOut != "" {
+			if err := tbl.WriteJSON(*jsonOut); err != nil {
+				fatal(fmt.Errorf("-json: %w", err))
 			}
+			fmt.Fprintf(os.Stderr, "escape-bench: wrote %s\n", *jsonOut)
 		}
 		ran++
 	}

@@ -85,7 +85,7 @@ func TestQuickstartEndToEnd(t *testing.T) {
 
 // TestScaleExampleEndToEnd runs the scale example (small parameters):
 // high-concurrency optimistic admission on a fat-tree view, throughput
-// against the serialized baseline, exact view restore.
+// with cold and cached paths, exact view restore.
 func TestScaleExampleEndToEnd(t *testing.T) {
 	gobin := goTool(t)
 	cmd := exec.Command(gobin, "run", "./examples/scale", "-k", "4", "-conc", "8", "-n", "64")
@@ -107,8 +107,8 @@ func TestScaleExampleEndToEnd(t *testing.T) {
 		t.Fatalf("scale example failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"serialized baseline:",
-		"optimistic+cached:",
+		"cold paths:",
+		"cached paths:",
 		"admission stats:",
 		"view restored exactly after release",
 	} {

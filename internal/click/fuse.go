@@ -114,31 +114,27 @@ func (r *Router) compileFused() {
 	if shards < 1 {
 		shards = 1
 	}
-	if !r.opts.NoFusion {
-		for _, n := range r.order {
-			src, ok := r.elems[n].(fusedSource)
-			if !ok || consumed[n] {
-				continue
-			}
-			b := src.base()
-			if b.NOut() != 1 || b.ResolvedOut(0) != Push || b.outs[0].elem == nil {
-				continue
-			}
-			r.buildPipeline(n, src, consumed, shards)
+	for _, n := range r.order {
+		src, ok := r.elems[n].(fusedSource)
+		if !ok || consumed[n] {
+			continue
 		}
+		b := src.base()
+		if b.NOut() != 1 || b.ResolvedOut(0) != Push || b.outs[0].elem == nil {
+			continue
+		}
+		r.buildPipeline(n, src, consumed, shards)
 	}
-	// Ring conversion for queues no pipeline claimed (and, under
-	// NoFusion, for every eligible queue): producers still push under the
-	// queue's mutex — serialized, so a single-producer ring stays safe —
-	// while the single consumer dequeues lock-free via PullInBatch.
-	if !r.opts.NoRing {
-		for _, n := range r.order {
-			q, ok := r.elems[n].(*Queue)
-			if !ok || q.lf != nil || q.fusedThrough || q.NIn() != 1 {
-				continue
-			}
-			q.enableRing(false, false)
+	// Ring conversion for queues no pipeline claimed: producers still
+	// push under the queue's mutex — serialized, so a single-producer
+	// ring stays safe — while the single consumer dequeues lock-free via
+	// PullInBatch.
+	for _, n := range r.order {
+		q, ok := r.elems[n].(*Queue)
+		if !ok || q.lf != nil || q.fusedThrough || q.NIn() != 1 {
+			continue
 		}
+		q.enableRing(false, false)
 	}
 	for _, te := range r.tasks {
 		if !consumed[te.name] {
@@ -194,7 +190,7 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 
 		// Terminator: an eligible Queue becomes the pipeline's lock-free
 		// sink ring (MPSC under sharding, SPSC otherwise).
-		if q, ok := cur.(*Queue); ok && q.NIn() == 1 && !r.opts.NoRing {
+		if q, ok := cur.(*Queue); ok && q.NIn() == 1 {
 			q.enableRing(shards > 1, true)
 			fusedNames = append(fusedNames, cn)
 			sink = func(ps []*Packet) { q.PushBatch(0, ps) }

@@ -8,9 +8,9 @@
 //     batched handoff (PushBatch) on hot push paths,
 //   - a parser for the Click configuration language subset ESCAPE uses
 //     (declarations, connections, anonymous elements, port specifiers),
-//   - three scheduler drivers: SingleThreaded (Click's userlevel driver,
-//     default), GoroutinePerTask (scheduling ablation), and MultiThreaded
-//     (N workers with work-stealing, Click SMP style),
+//   - three drivers: SingleThreaded (Click's userlevel driver, default),
+//     MultiThreaded (N workers with work-stealing, Click SMP style) and
+//     Fused (run-to-completion pipelines over lock-free rings, fuse.go),
 //   - a pooled packet allocator (NewPacket/Clone draw from a sync.Pool,
 //     Kill reclaims),
 //   - read/write handlers on every element, and

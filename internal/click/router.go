@@ -21,9 +21,6 @@ const (
 	// SingleThreaded matches Click's userlevel driver: one goroutine runs
 	// all tasks round-robin.
 	SingleThreaded DriverMode = iota
-	// GoroutinePerTask runs each task in its own goroutine; it exists for
-	// the E6 scheduling ablation (maximum goroutines, no balancing).
-	GoroutinePerTask
 	// MultiThreaded runs tasks on N workers (Options.Workers, default
 	// GOMAXPROCS capped at the task count) with work-stealing: an idle
 	// worker migrates tasks from a loaded one, so a chain's receive and
@@ -41,8 +38,6 @@ const (
 // String names the driver mode as used in experiment tables.
 func (m DriverMode) String() string {
 	switch m {
-	case GoroutinePerTask:
-		return "per-task"
 	case MultiThreaded:
 		return "multi"
 	case Fused:
@@ -69,13 +64,6 @@ type Options struct {
 	// flow always lands on one shard (per-flow order preserved). Default 1
 	// (no sharding).
 	Shards int
-	// NoFusion, under the Fused driver, disables chain fusion while still
-	// converting eligible Queues to lock-free rings: the E6 ablation knob
-	// isolating what fusion itself buys.
-	NoFusion bool
-	// NoRing, under the Fused driver, keeps Queues on their mutex-guarded
-	// storage: the E6 ablation knob isolating what lock-free rings buy.
-	NoRing bool
 }
 
 // Router is an instantiated, wired Click element graph: one VNF instance.
@@ -359,8 +347,6 @@ func (r *Router) Run(ctx context.Context) {
 	}()
 
 	switch r.opts.Driver {
-	case GoroutinePerTask:
-		r.runGoroutinePerTask(ctx)
 	case MultiThreaded:
 		r.runMultiThreaded(ctx)
 	case Fused:
@@ -415,34 +401,6 @@ func (r *Router) runSingleThreaded(ctx context.Context) {
 // allocations-per-packet budget. Callers re-check ctx on the next loop
 // iteration, so cancellation latency is bounded by the sleep.
 func idleSleep() { time.Sleep(200 * time.Microsecond) }
-
-func (r *Router) runGoroutinePerTask(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, te := range r.tasks {
-		wg.Add(1)
-		go func(te taskEntry) {
-			defer wg.Done()
-			idleSpins := 0
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				if runLocked(te, te.eb) {
-					idleSpins = 0
-					continue
-				}
-				idleSpins++
-				if idleSpins > 16 {
-					idleSleep()
-				}
-			}
-		}(te)
-	}
-	r.tickUntilDone(ctx)
-	wg.Wait()
-}
 
 // tickUntilDone delivers periodic ticks until ctx is cancelled; the
 // multi-goroutine drivers run it on the Run goroutine.

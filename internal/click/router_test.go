@@ -181,31 +181,6 @@ func parseInt(s string, out *int) (int, error) {
 	return n, nil
 }
 
-func TestGoroutinePerTaskDriver(t *testing.T) {
-	r, err := NewRouter("t", `
-		src :: InfiniteSource(LIMIT 200);
-		q :: Queue(500);
-		c :: Counter;
-		src -> q;
-		q -> Unqueue -> c -> Discard;
-	`, Options{Driver: GoroutinePerTask})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go r.Run(ctx)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if readUint(t, r, "c.count") == "200" {
-			r.Stop()
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("c.count = %s, want 200", readUint(t, r, "c.count"))
-}
-
 func TestFromDeviceToDevice(t *testing.T) {
 	in := NewChanDevice("eth0", 64)
 	out := NewChanDevice("eth1", 64)

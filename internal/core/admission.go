@@ -7,21 +7,6 @@ import (
 	"escape/internal/sg"
 )
 
-// AdmissionMode selects how AdmitAndCommit orders concurrent admissions.
-type AdmissionMode int32
-
-const (
-	// AdmitOptimistic (the default) runs mappers lock-free against a
-	// pinned epoch of the view, then validates and commits only the
-	// resources the mapping touches; a validation conflict re-maps on
-	// fresher state. Concurrent deploys that don't contend for the same
-	// capacity never serialize.
-	AdmitOptimistic AdmissionMode = iota
-	// AdmitSerialized is the classic global critical section: map +
-	// commit under one mutex. The E12 baseline.
-	AdmitSerialized
-)
-
 // admitOptimisticRetries bounds lock-free re-mapping before an admitter
 // falls back to the serialization mutex (it still validates there:
 // optimistic winners don't hold that mutex).
@@ -60,40 +45,20 @@ func (rv *ResourceView) AdmissionStats() AdmissionStats {
 	}
 }
 
-// SetAdmissionMode switches the admission protocol (E12 ablates
-// serialized against optimistic).
-func (rv *ResourceView) SetAdmissionMode(m AdmissionMode) { rv.mode.Store(int32(m)) }
-
-// GetAdmissionMode reports the active admission protocol.
-func (rv *ResourceView) GetAdmissionMode() AdmissionMode {
-	return AdmissionMode(rv.mode.Load())
-}
-
 // AdmitAndCommit runs one admission cycle — map the graph, then commit
 // the mapping — such that a successful return means the committed
 // resources were actually free: parallel Deploys can never oversubscribe
 // the view. Mapping failures commit nothing.
 //
-// In AdmitOptimistic mode (default) the mapper runs lock-free against a
-// pinned epoch; validate-and-commit then re-checks, under the view's
-// short write lock, only the EEs and links the mapping touches — against
-// the current epoch, including exclusion masks that landed after the
-// snapshot. On conflict the admission re-maps on fresher state, and
-// after admitOptimisticRetries conflicts it serializes with the other
-// fallen-back admitters. In AdmitSerialized mode the whole cycle holds
-// one global mutex (the pre-E12 behavior, kept as the measurable
-// baseline).
+// The mapper runs lock-free against a pinned epoch; validate-and-commit
+// then re-checks, under the view's short write lock, only the EEs and
+// links the mapping touches — against the current epoch, including
+// exclusion masks that landed after the snapshot. Concurrent deploys
+// that don't contend for the same capacity never serialize. On conflict
+// the admission re-maps on fresher state, and after
+// admitOptimisticRetries conflicts it serializes with the other
+// fallen-back admitters.
 func (rv *ResourceView) AdmitAndCommit(m Mapper, g *sg.Graph) (*Mapping, error) {
-	if rv.GetAdmissionMode() == AdmitSerialized {
-		// The critical section orders serialized admitters, but
-		// optimistic heals (AdmitHeal) validate under rv.mu only, so
-		// even here the commit must be validated — an unconditional
-		// Commit could land on top of a heal that moved placements
-		// after this admitter's snapshot.
-		rv.admitMu.Lock()
-		defer rv.admitMu.Unlock()
-		return rv.mapValidateCommit(m, g)
-	}
 	for attempt := 0; attempt < admitOptimisticRetries; attempt++ {
 		mapping, err := m.Map(g, rv)
 		if err != nil {

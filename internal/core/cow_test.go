@@ -261,21 +261,69 @@ func TestConcurrentHealAdmitMaskEpochs(t *testing.T) {
 	}
 }
 
-// TestSerializedModeStillWorks pins the E12 baseline mode.
-func TestSerializedModeStillWorks(t *testing.T) {
-	rv := ringView(4, 2, 2048, 0)
-	rv.SetAdmissionMode(AdmitSerialized)
-	if rv.GetAdmissionMode() != AdmitSerialized {
-		t.Fatal("mode did not stick")
+// rivalMapper is a Mapper that loses the optimistic race on purpose: for
+// its first admitOptimisticRetries calls it maps a twin of the request
+// on the same epoch and commits it between computing the caller's
+// mapping and returning it, so the caller's tryCommit finds its EE
+// already full.
+type rivalMapper struct {
+	Mapper
+	committed []*Mapping
+}
+
+func (r *rivalMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
+	m, err := r.Mapper.Map(g, rv)
+	if err != nil || len(r.committed) >= admitOptimisticRetries {
+		return m, err
 	}
-	cpu0, _, _ := capsSnapshot(rv)
-	m, err := rv.AdmitAndCommit(&GreedyMapper{Catalog: catalog.Default()}, cowChain("ser", 2, 0.25, 32))
+	twin := *g
+	twin.Name = fmt.Sprintf("rival%d", len(r.committed))
+	rival, err := r.Mapper.Map(&twin, rv)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
+	if ok, err := rv.TryCommitMapping(rival); !ok || err != nil {
+		return nil, fmt.Errorf("rival commit: ok=%v err=%v", ok, err)
+	}
+	r.committed = append(r.committed, rival)
+	return m, nil
+}
+
+// TestOptimisticRetriesExhaustedFallsBackToAdmitMu drives the one path
+// nothing else reaches: an admitter that loses validation
+// admitOptimisticRetries times in a row serializes on admitMu, still
+// validates there, and succeeds once the contention stops.
+func TestOptimisticRetriesExhaustedFallsBackToAdmitMu(t *testing.T) {
+	// Each EE fits exactly one 1-NF chain, so a committed rival always
+	// invalidates the mapping computed on the same epoch; 12 EEs leave
+	// room for the 8 rivals plus the admission itself.
+	rv := ringView(12, 0.25, 32, 0)
+	cpu0, mem0, bw0 := capsSnapshot(rv)
+	mapper := &rivalMapper{Mapper: &KSPMapper{Catalog: catalog.Default()}}
+
+	m, err := rv.AdmitAndCommit(mapper, cowChain("victim", 1, 0.25, 32))
+	if err != nil {
+		t.Fatalf("admission after fallback: %v", err)
+	}
+	if len(mapper.committed) != admitOptimisticRetries {
+		t.Fatalf("rival committed %d times, want %d", len(mapper.committed), admitOptimisticRetries)
+	}
+	want := AdmissionStats{
+		Admitted:            uint64(admitOptimisticRetries) + 1, // every rival + the victim
+		Conflicts:           uint64(admitOptimisticRetries),
+		SerializedFallbacks: 1,
+	}
+	if got := rv.AdmissionStats(); got != want {
+		t.Errorf("AdmissionStats = %+v, want %+v", got, want)
+	}
+	checkNoOversubscription(t, m, rv)
+
 	rv.Release(m)
-	cpu1, _, _ := capsSnapshot(rv)
-	if !reflect.DeepEqual(cpu0, cpu1) {
-		t.Error("serialized commit/release did not restore state")
+	for _, rival := range mapper.committed {
+		rv.Release(rival)
+	}
+	cpu1, mem1, bw1 := capsSnapshot(rv)
+	if !reflect.DeepEqual(cpu0, cpu1) || !reflect.DeepEqual(mem0, mem1) || !reflect.DeepEqual(bw0, bw1) {
+		t.Errorf("view not exactly restored after fallback admission:\n cpu %v → %v", cpu0, cpu1)
 	}
 }

@@ -49,9 +49,6 @@ type TopoSpec struct {
 	RealizeWorkers int
 	// SessionsPerEE sizes the per-EE NETCONF session pool.
 	SessionsPerEE int
-	// PerPathSteering installs paths one barrier round per SG link
-	// instead of batched per service (E9 ablation).
-	PerPathSteering bool
 }
 
 // Environment is a running ESCAPE instance: emulated network, controller
@@ -147,15 +144,14 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 	}
 
 	orch, err := New(Config{
-		Controller:      ctrl,
-		Steering:        st,
-		Catalog:         cat,
-		View:            view,
-		Agents:          agentAddrs,
-		Mapper:          spec.Mapper,
-		RealizeWorkers:  spec.RealizeWorkers,
-		SessionsPerEE:   spec.SessionsPerEE,
-		PerPathSteering: spec.PerPathSteering,
+		Controller:     ctrl,
+		Steering:       st,
+		Catalog:        cat,
+		View:           view,
+		Agents:         agentAddrs,
+		Mapper:         spec.Mapper,
+		RealizeWorkers: spec.RealizeWorkers,
+		SessionsPerEE:  spec.SessionsPerEE,
 	})
 	if err != nil {
 		cleanup()

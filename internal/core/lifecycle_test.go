@@ -302,10 +302,9 @@ func TestTeardownDisconnectsSwitchPorts(t *testing.T) {
 	}
 }
 
-func TestSequentialAndPerPathModesStillDeploy(t *testing.T) {
+func TestSequentialRealizationStillDeploys(t *testing.T) {
 	spec := demoSpec()
 	spec.RealizeWorkers = 1
-	spec.PerPathSteering = true
 	env := startEnv(t, spec)
 	svc, err := env.Orch.Deploy(sapGraph("seq", "monitor", "monitor"))
 	if err != nil {

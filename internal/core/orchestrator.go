@@ -38,14 +38,11 @@ type Config struct {
 	// RealizeWorkers bounds cross-EE parallelism during VNF realization:
 	// each EE's NF sequence always runs in order, but up to this many
 	// EEs are driven at once. 0 = GOMAXPROCS; 1 = the sequential
-	// baseline (E9's ablation).
+	// baseline (E9's "seq" rows).
 	RealizeWorkers int
 	// SessionsPerEE sizes the NETCONF session pool per EE (default 1:
 	// strict per-EE serialization of management RPCs).
 	SessionsPerEE int
-	// PerPathSteering reverts to one install+barrier round per SG link
-	// (E9's ablation) instead of batching a service's paths per switch.
-	PerPathSteering bool
 }
 
 // Orchestrator is the orchestration layer: Deploy maps a service graph
@@ -440,8 +437,7 @@ func (o *Orchestrator) realizeNF(svc *Service, g *sg.Graph, mapping *Mapping, nf
 }
 
 // steer expands every SG link into a concrete path and installs the
-// whole set in one batched push (or link by link in PerPathSteering
-// mode, the E9 ablation).
+// whole set in one batched push.
 func (o *Orchestrator) steer(svc *Service, g *sg.Graph, mapping *Mapping) error {
 	// Cancel at the phase boundary on shutdown (the deploy rolls back).
 	if o.closing.Load() {
@@ -460,15 +456,6 @@ func (o *Orchestrator) steer(svc *Service, g *sg.Graph, mapping *Mapping) error 
 			return err
 		}
 		paths = append(paths, *path)
-	}
-	if o.cfg.PerPathSteering {
-		for _, p := range paths {
-			if _, err := o.cfg.Steering.InstallPath(p); err != nil {
-				return fmt.Errorf("core: steering %q: %w", p.ID, err)
-			}
-			svc.paths = append(svc.paths, p.ID)
-		}
-		return nil
 	}
 	if _, err := o.cfg.Steering.InstallPaths(paths); err != nil {
 		return fmt.Errorf("core: steering %q: %w", svc.Name, err)

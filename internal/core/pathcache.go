@@ -94,7 +94,7 @@ func (rv *ResourceView) EnablePathCache(k int) {
 }
 
 // DisablePathCache reverts ShortestFeasiblePath to a live BFS per route
-// (the E12 "cold" ablation).
+// (E12's "cold" cells; the path-cache tests' reference engine).
 func (rv *ResourceView) DisablePathCache() { rv.paths.Store(nil) }
 
 // PathCacheStats reports the engine's counters (zero value when the

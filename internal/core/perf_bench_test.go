@@ -38,28 +38,16 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 func BenchmarkAdmitAndCommit(b *testing.B) {
-	modes := []struct {
-		name string
-		mode AdmissionMode
-	}{
-		{"serialized", AdmitSerialized},
-		{"optimistic", AdmitOptimistic},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) {
-			rv := ringView(32, 1<<16, 1<<30, 0)
-			rv.SetAdmissionMode(m.mode)
-			mapper := &KSPMapper{Catalog: catalog.Default()}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				mp, err := rv.AdmitAndCommit(mapper, cowChain(fmt.Sprintf("b%d", i), 3, 0.25, 32))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rv.Release(mp)
-			}
-		})
+	rv := ringView(32, 1<<16, 1<<30, 0)
+	mapper := &KSPMapper{Catalog: catalog.Default()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mp, err := rv.AdmitAndCommit(mapper, cowChain(fmt.Sprintf("b%d", i), 3, 0.25, 32))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rv.Release(mp)
 	}
 }
 

@@ -71,11 +71,9 @@ type ResourceView struct {
 	mu    sync.Mutex
 	state atomic.Pointer[viewState]
 
-	// admitMu serializes admissions in AdmitSerialized mode (the E12
-	// baseline) and acts as the contention fallback for optimistic
-	// admitters that keep losing validation.
+	// admitMu is the contention fallback: optimistic admitters that keep
+	// losing validation serialize on it (see AdmitAndCommit).
 	admitMu sync.Mutex
-	mode    atomic.Int32
 
 	stats admissionCounters
 
@@ -93,10 +91,6 @@ type ResourceView struct {
 	// paths is the shared cached path engine (nil = disabled, every
 	// route is a live BFS).
 	paths atomic.Pointer[pathCache]
-
-	// legacy restores the pre-E12 admission cost model (see
-	// SetLegacyBaseline).
-	legacy atomic.Bool
 
 	// hopDist memoizes HopDistances per source switch (raw topology,
 	// mask-free — safe to cache forever).
@@ -577,44 +571,14 @@ func (rv *ResourceView) buildTopoIndex() {
 	})
 }
 
-// SetLegacyBaseline toggles the pre-E12 admission cost model: Snapshot
-// eagerly materializes every EE and capacitated link (O(network) per
-// admission) and linkBetween/neighbors scan the flat link list instead
-// of the adjacency index, exactly as the pipeline worked before the
-// copy-on-write refactor. Results are identical — only the cost model
-// changes. E12 runs its serialized cells in this mode so the refactor
-// is measured against what it replaced.
-func (rv *ResourceView) SetLegacyBaseline(on bool) { rv.legacy.Store(on) }
-
 // linkBetween finds the resource link joining two switches, or nil.
 func (rv *ResourceView) linkBetween(a, b string) *LinkRes {
-	if rv.legacy.Load() {
-		for _, l := range rv.Links {
-			if (l.A == a && l.B == b) || (l.A == b && l.B == a) {
-				return l
-			}
-		}
-		return nil
-	}
 	rv.buildTopoIndex()
 	return rv.linkIdx[mkLinkKey(a, b)]
 }
 
-// neighbors returns adjacent switch names (shared slice: do not mutate
-// unless in legacy mode, where each call builds a fresh slice).
+// neighbors returns adjacent switch names (shared slice: do not mutate).
 func (rv *ResourceView) neighbors(sw string) []string {
-	if rv.legacy.Load() {
-		var out []string
-		for _, l := range rv.Links {
-			if l.A == sw {
-				out = append(out, l.B)
-			} else if l.B == sw {
-				out = append(out, l.A)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
 	rv.buildTopoIndex()
 	return rv.adj[sw]
 }
@@ -638,12 +602,9 @@ type Capacities struct {
 }
 
 // Snapshot pins the current epoch: an O(1) copy-on-write view of free
-// capacities plus the exclusion mask of the moment. In legacy-baseline
-// mode the snapshot is instead materialized eagerly for every EE and
-// capacitated link — the pre-refactor O(network) copy E12 measures
-// against.
+// capacities plus the exclusion mask of the moment.
 func (rv *ResourceView) Snapshot() *Capacities {
-	c := &Capacities{
+	return &Capacities{
 		rv:     rv,
 		st:     rv.state.Load(),
 		cpu:    map[string]float64{},
@@ -652,25 +613,6 @@ func (rv *ResourceView) Snapshot() *Capacities {
 		exclEE: map[string]bool{},
 		exclLk: map[linkKey]bool{},
 	}
-	if rv.legacy.Load() {
-		for name, ee := range rv.EEs {
-			c.cpu[name] = ee.CPU - c.st.cpu(name)
-			c.mem[name] = ee.Mem - c.st.mem(name)
-			if c.st.excludedEE(name) {
-				c.exclEE[name] = true
-			}
-		}
-		for _, l := range rv.Links {
-			k := mkLinkKey(l.A, l.B)
-			if l.Bandwidth > 0 {
-				c.bw[k] = l.Bandwidth - c.st.bw(k)
-			}
-			if c.st.excludedLink(k) {
-				c.exclLk[k] = true
-			}
-		}
-	}
-	return c
 }
 
 // Clone copies the overlay (backtracking mappers fork state): O(touched),

@@ -45,11 +45,10 @@ type Spec struct {
 	// DeployWorkers bounds cross-domain delegation parallelism
 	// (0 = GOMAXPROCS).
 	DeployWorkers int
-	// RealizeWorkers / SessionsPerEE / PerPathSteering pass through to
-	// every domain orchestrator (see core.Config).
-	RealizeWorkers  int
-	SessionsPerEE   int
-	PerPathSteering bool
+	// RealizeWorkers / SessionsPerEE pass through to every domain
+	// orchestrator (see core.Config).
+	RealizeWorkers int
+	SessionsPerEE  int
 }
 
 // Environment is a running multi-domain ESCAPE instance. The embedded
@@ -157,11 +156,10 @@ func StartEnvironment(spec Spec) (*Environment, error) {
 	// Flatten into one physical TopoSpec: gateway trunks are ordinary
 	// links at the infrastructure layer.
 	flat := core.TopoSpec{
-		Hosts:           map[string]string{},
-		EEs:             map[string]core.EESpec{},
-		RealizeWorkers:  spec.RealizeWorkers,
-		SessionsPerEE:   spec.SessionsPerEE,
-		PerPathSteering: spec.PerPathSteering,
+		Hosts:          map[string]string{},
+		EEs:            map[string]core.EESpec{},
+		RealizeWorkers: spec.RealizeWorkers,
+		SessionsPerEE:  spec.SessionsPerEE,
 	}
 	for _, d := range spec.Domains {
 		flat.Switches = append(flat.Switches, d.Switches...)
@@ -283,15 +281,14 @@ func buildHierarchy(spec Spec, env *core.Environment) (*GlobalOrchestrator, erro
 			mapper = spec.DomainMapper
 		}
 		orch, err := core.New(core.Config{
-			Controller:      env.Ctrl,
-			Steering:        env.Steering,
-			Catalog:         env.Catalog,
-			View:            views[d.Name],
-			Agents:          agents,
-			Mapper:          mapper,
-			RealizeWorkers:  spec.RealizeWorkers,
-			SessionsPerEE:   spec.SessionsPerEE,
-			PerPathSteering: spec.PerPathSteering,
+			Controller:     env.Ctrl,
+			Steering:       env.Steering,
+			Catalog:        env.Catalog,
+			View:           views[d.Name],
+			Agents:         agents,
+			Mapper:         mapper,
+			RealizeWorkers: spec.RealizeWorkers,
+			SessionsPerEE:  spec.SessionsPerEE,
 		})
 		if err != nil {
 			return nil, err

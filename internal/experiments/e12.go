@@ -14,42 +14,18 @@ import (
 )
 
 // E12 — scale-out admission. The admission hot path (Snapshot → Map →
-// validate+commit) runs against fat-tree resource views of increasing
-// size (netem.BuildFatTree, no emulation started: E12 measures the
-// control plane, not the data plane), sweeping concurrency and ablating
-// the two tentpole mechanisms:
-//
-//   - admission protocol: serialized (the global map+commit critical
-//     section) vs optimistic (lock-free mapping against a pinned
-//     copy-on-write epoch, validate-and-commit, retry on conflict);
-//   - path engine: cold (live BFS per route) vs cached (precomputed
-//     k-shortest candidates per attach-switch pair).
+// validate+commit: lock-free mapping against a pinned copy-on-write
+// epoch, retry on conflict) runs against fat-tree resource views of
+// increasing size (netem.BuildFatTree, no emulation started: E12
+// measures the control plane, not the data plane), sweeping concurrency
+// and the path engine: cold (live BFS per route) vs cached (precomputed
+// k-shortest candidates per attach-switch pair).
 //
 // Reported per cell: wall time, admission throughput, per-admission
 // latency percentiles, validation conflicts, and path-cache hit rate.
 // After every cell all mappings are released and the view must restore
 // exactly — the copy-on-write bookkeeping invariant — or the experiment
 // fails.
-
-// e12Mode is one ablation cell. "ser" cells run the full pre-refactor
-// pipeline — global critical section, eager O(network) snapshot copies
-// and linear topology scans (core.SetLegacyBaseline) — so the refactor
-// is measured against exactly what it replaced; "opt" cells run the new
-// optimistic protocol over copy-on-write epochs.
-type e12Mode struct {
-	admit  string // "ser" (legacy pipeline) | "opt" (optimistic + COW)
-	paths  string // "cold" | "cached"
-	mode   core.AdmissionMode
-	legacy bool
-	cached bool
-}
-
-var e12Modes = []e12Mode{
-	{admit: "ser", paths: "cold", mode: core.AdmitSerialized, legacy: true},
-	{admit: "ser", paths: "cached", mode: core.AdmitSerialized, legacy: true, cached: true},
-	{admit: "opt", paths: "cold", mode: core.AdmitOptimistic},
-	{admit: "opt", paths: "cached", mode: core.AdmitOptimistic, cached: true},
-}
 
 // e12TotalAdmissions is the per-cell workload size (split across
 // workers).
@@ -125,8 +101,8 @@ func e12Graph(name string, rng *rand.Rand, saps []string, chainLen int) *sg.Grap
 	return g
 }
 
-// E12Admission sweeps fat-tree size × concurrency × admission protocol ×
-// path engine and reports admission throughput and latency.
+// E12Admission sweeps fat-tree size × concurrency × path engine and
+// reports admission throughput and latency.
 func E12Admission(ks, concs []int, chainLen int) (*Table, error) {
 	if len(ks) == 0 {
 		ks = []int{4, 8, 12}
@@ -139,47 +115,32 @@ func E12Admission(ks, concs []int, chainLen int) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "E12",
-		Title:   fmt.Sprintf("Admission throughput vs fat-tree size × concurrency (chains of %d NFs; protocol × path-engine ablation)", chainLen),
-		Columns: []string{"k", "sw", "conc", "admit", "paths", "total_ms", "adm_per_s", "p50_ms", "p99_ms", "conflicts", "hit_pct"},
+		Title:   fmt.Sprintf("Admission throughput vs fat-tree size × concurrency (chains of %d NFs; cold vs cached paths)", chainLen),
+		Columns: []string{"k", "sw", "conc", "paths", "total_ms", "adm_per_s", "p50_ms", "p99_ms", "conflicts", "hit_pct"},
 		Notes: []string{
-			"shape check: opt+cached ≥ 3× ser+cold adm_per_s at the largest k × conc cell",
+			"cold = live BFS per route; cached = precomputed k-shortest candidates per attach-switch pair",
 			"every cell releases all mappings and must restore the exact initial view (COW invariant)",
 		},
 	}
-	var baseline, best float64
 	for _, k := range ks {
 		for _, conc := range concs {
-			for _, mode := range e12Modes {
-				rate, err := e12Run(t, k, conc, chainLen, mode)
-				if err != nil {
+			for _, paths := range []string{"cold", "cached"} {
+				if err := e12Run(t, k, conc, chainLen, paths); err != nil {
 					return nil, err
-				}
-				if k == ks[len(ks)-1] && conc == concs[len(concs)-1] {
-					switch {
-					case mode.admit == "ser" && mode.paths == "cold":
-						baseline = rate
-					case mode.admit == "opt" && mode.paths == "cached":
-						best = rate
-					}
 				}
 			}
 		}
-	}
-	if baseline > 0 && best > 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("measured opt+cached speedup over ser+cold at largest cell: %.1f×", best/baseline))
 	}
 	return t, nil
 }
 
 // e12Run measures one cell on a fresh view.
-func e12Run(t *Table, k, conc, chainLen int, mode e12Mode) (float64, error) {
+func e12Run(t *Table, k, conc, chainLen int, paths string) error {
 	rv, saps, err := e12View(k, chainLen)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	rv.SetAdmissionMode(mode.mode)
-	rv.SetLegacyBaseline(mode.legacy)
-	if mode.cached {
+	if paths == "cached" {
 		rv.EnablePathCache(0)
 	} else {
 		rv.DisablePathCache()
@@ -209,8 +170,8 @@ func e12Run(t *Table, k, conc, chainLen int, mode e12Mode) (float64, error) {
 				m, err := rv.AdmitAndCommit(mapper, g)
 				latencies[idx] = time.Since(t0)
 				if err != nil {
-					errs[w] = fmt.Errorf("experiments: E12 admit %d/%d (k=%d %s+%s): %w",
-						w, i, k, mode.admit, mode.paths, err)
+					errs[w] = fmt.Errorf("experiments: E12 admit %d/%d (k=%d %s): %w",
+						w, i, k, paths, err)
 					return
 				}
 				mappings[idx] = m
@@ -221,7 +182,7 @@ func e12Run(t *Table, k, conc, chainLen int, mode e12Mode) (float64, error) {
 	wall := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
-			return 0, err
+			return err
 		}
 	}
 
@@ -240,12 +201,12 @@ func e12Run(t *Table, k, conc, chainLen int, mode e12Mode) (float64, error) {
 	for _, ee := range rv.EENames() {
 		cpu, mem := rv.Committed(ee)
 		if cpu != 0 || mem != 0 {
-			return 0, fmt.Errorf("experiments: E12 view not restored: EE %s has %.3f CPU / %d mem committed after release", ee, cpu, mem)
+			return fmt.Errorf("experiments: E12 view not restored: EE %s has %.3f CPU / %d mem committed after release", ee, cpu, mem)
 		}
 	}
 	for _, l := range rv.Links {
 		if bw := rv.CommittedBW(l.A, l.B); bw != 0 {
-			return 0, fmt.Errorf("experiments: E12 view not restored: link %s–%s has %.0f bw committed after release", l.A, l.B, bw)
+			return fmt.Errorf("experiments: E12 view not restored: link %s–%s has %.0f bw committed after release", l.A, l.B, bw)
 		}
 	}
 
@@ -260,12 +221,12 @@ func e12Run(t *Table, k, conc, chainLen int, mode e12Mode) (float64, error) {
 		hitPct = 100 * float64(pcs.Hits) / float64(lookups)
 	}
 	t.AddRow(fmt.Sprint(k), fmt.Sprint(len(rv.Switches)), fmt.Sprint(conc),
-		mode.admit, mode.paths,
+		paths,
 		ms(wall),
 		fmt.Sprintf("%.0f", rate),
 		ms(percentile(latencies, 50)),
 		ms(percentile(latencies, 99)),
 		fmt.Sprint(stats.Conflicts),
 		fmt.Sprintf("%.0f", hitPct))
-	return rate, nil
+	return nil
 }

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -54,34 +56,48 @@ func TestE14QuickShape(t *testing.T) {
 	if len(tb.Rows) != 6 {
 		t.Fatalf("rows %d, want 6 (serial + parallel per arrival process)", len(tb.Rows))
 	}
-	rows, err := E14JSON(tb)
-	if err != nil {
-		t.Fatal(err)
+	cell := func(r []string, col string) string {
+		t.Helper()
+		c := tb.Col(col)
+		if c < 0 {
+			t.Fatalf("E14 table has no %q column: %v", col, tb.Columns)
+		}
+		return r[c]
+	}
+	num := func(r []string, col string) float64 {
+		t.Helper()
+		v, err := strconv.ParseFloat(cell(r, col), 64)
+		if err != nil {
+			t.Fatalf("E14 %s cell %q: %v", col, cell(r, col), err)
+		}
+		return v
 	}
 	seen := map[string]bool{}
-	for _, r := range rows {
-		seen[r.Process] = true
-		if r.Workers != 1 && r.Workers != 2 {
-			t.Fatalf("%s: unexpected workers %d", r.Process, r.Workers)
+	for _, r := range tb.Rows {
+		proc := cell(r, "proc")
+		seen[proc] = true
+		if w := cell(r, "workers"); w != "1" && w != "2" {
+			t.Fatalf("%s: unexpected workers %s", proc, w)
 		}
-		if !r.ParallelMatch {
-			t.Fatalf("%s (workers=%d): parallel report diverged from serial", r.Process, r.Workers)
+		if cell(r, "par_match") != "true" {
+			t.Fatalf("%s (workers=%s): parallel report diverged from serial", proc, cell(r, "workers"))
 		}
-		if r.Admitted == 0 {
-			t.Fatalf("%s: no admissions: %+v", r.Process, r)
+		admitted, rejected := num(r, "admitted"), num(r, "rejected")
+		if admitted == 0 {
+			t.Fatalf("%s: no admissions: %v", proc, r)
 		}
-		if r.Admitted+r.Rejected != r.Services {
-			t.Fatalf("%s: admitted %d + rejected %d != services %d",
-				r.Process, r.Admitted, r.Rejected, r.Services)
+		if admitted+rejected != num(r, "services") {
+			t.Fatalf("%s: admitted %v + rejected %v != services %v",
+				proc, admitted, rejected, num(r, "services"))
 		}
-		if r.PeakActive <= 0 || r.PeakActive > r.Admitted {
-			t.Fatalf("%s: peak_active %d out of range", r.Process, r.PeakActive)
+		if peak := num(r, "peak_act"); peak <= 0 || peak > admitted {
+			t.Fatalf("%s: peak_act %v out of range", proc, peak)
 		}
-		if r.DeliveredPct <= 0 || r.DeliveredPct > 100 {
-			t.Fatalf("%s: delivered_pct %v out of range", r.Process, r.DeliveredPct)
+		if dlv := num(r, "dlv_pct"); dlv <= 0 || dlv > 100 {
+			t.Fatalf("%s: dlv_pct %v out of range", proc, dlv)
 		}
-		if r.HealMoves == 0 && r.Rerouted > 0 {
-			t.Fatalf("%s: rerouted without heal moves: %+v", r.Process, r)
+		if num(r, "heal_mv") == 0 && num(r, "rerouted") > 0 {
+			t.Fatalf("%s: rerouted without heal moves: %v", proc, r)
 		}
 	}
 	for _, p := range []string{"diurnal", "flash", "pareto"} {
@@ -90,11 +106,36 @@ func TestE14QuickShape(t *testing.T) {
 		}
 	}
 
+	// The JSON artifact round-trips with typed cells.
 	path := filepath.Join(t.TempDir(), "BENCH_E14.json")
-	if err := WriteE14JSON(tb, path); err != nil {
+	if err := tb.WriteJSON(path); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := os.Stat(path); err != nil || st.Size() == 0 {
-		t.Fatalf("artifact not written: %v", err)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		ID      string
+		Title   string
+		Columns []string
+		Rows    []map[string]any
+	}
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if art.ID != tb.ID || art.Title != tb.Title || !reflect.DeepEqual(art.Columns, tb.Columns) || len(art.Rows) != len(tb.Rows) {
+		t.Fatalf("artifact header diverged from table: %+v", art)
+	}
+	for i, r := range art.Rows {
+		if r["proc"] != cell(tb.Rows[i], "proc") {
+			t.Errorf("row %d proc = %v (string cell must stay a string)", i, r["proc"])
+		}
+		if r["admitted"] != num(tb.Rows[i], "admitted") {
+			t.Errorf("row %d admitted = %v (%T), want number %v", i, r["admitted"], r["admitted"], num(tb.Rows[i], "admitted"))
+		}
+		if r["par_match"] != true {
+			t.Errorf("row %d par_match = %v (%T), want boolean true", i, r["par_match"], r["par_match"])
+		}
 	}
 }

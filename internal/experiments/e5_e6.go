@@ -164,10 +164,10 @@ func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.
 	return rings[0], rings[L], routers, nil
 }
 
-// E6Drivers is the default scheduler ablation set: Click's single-threaded
-// userlevel driver, the goroutine-per-task ablation, the work-stealing
-// multithreaded (SMP) driver, and the fused run-to-completion driver.
-var E6Drivers = []click.DriverMode{click.SingleThreaded, click.GoroutinePerTask, click.MultiThreaded, click.Fused}
+// E6Drivers is the default driver set: Click's single-threaded userlevel
+// driver, the work-stealing multithreaded (SMP) driver, and the fused
+// run-to-completion driver.
+var E6Drivers = []click.DriverMode{click.SingleThreaded, click.MultiThreaded, click.Fused}
 
 // e6Variant is one measured row: a label and the router options behind it.
 type e6Variant struct {
@@ -176,8 +176,7 @@ type e6Variant struct {
 }
 
 // e6Variants expands the driver list into measured rows. The Fused driver
-// contributes its ablations first — rings without fusion, fusion without
-// rings, fusion+rings with RSS sharding — and the full fast path last, so
+// contributes its RSS-sharded row first and the plain fast path last, so
 // the table's final row is the headline configuration.
 func e6Variants(drivers []click.DriverMode) []e6Variant {
 	var vs []e6Variant
@@ -187,8 +186,6 @@ func e6Variants(drivers []click.DriverMode) []e6Variant {
 			continue
 		}
 		vs = append(vs,
-			e6Variant{label: "fused-nofusion", opts: click.Options{Driver: click.Fused, NoFusion: true}},
-			e6Variant{label: "fused-noring", opts: click.Options{Driver: click.Fused, NoRing: true}},
 			e6Variant{label: "fused+rss2", opts: click.Options{Driver: click.Fused, Shards: 2}},
 			e6Variant{label: "fused", opts: click.Options{Driver: click.Fused}},
 		)
@@ -198,8 +195,8 @@ func e6Variants(drivers []click.DriverMode) []e6Variant {
 
 // E6ClickDataPlane pushes frames through chains of Click VNFs and
 // reports throughput, per-packet latency and steady-state allocations,
-// across the scheduler ablation (pass an explicit driver subset to
-// narrow it; the Fused driver expands into its own ablation rows).
+// across the drivers (pass an explicit driver subset to narrow it; the
+// Fused driver also gets a two-shard RSS row).
 func E6ClickDataPlane(lengths []int, frameSizes []int, packets int, drivers ...click.DriverMode) (*Table, error) {
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 4, 8}

@@ -11,22 +11,18 @@ import (
 	"escape/internal/sg"
 )
 
-// e9Mode is one cell of the orchestration ablation: how VNF realization
-// is scheduled and how steering rules are pushed.
+// e9Mode is one cell of the orchestration sweep: how VNF realization is
+// scheduled (steering is always one batched push per service).
 type e9Mode struct {
-	realize  string // "seq" | "par"
-	steering string // "path" | "batch"
-	workers  int    // Config.RealizeWorkers (1 = sequential)
-	perPath  bool   // Config.PerPathSteering
+	realize string // "seq" | "par"
+	workers int    // Config.RealizeWorkers (1 = sequential)
 }
 
-// e9Modes is the ablation sweep: the sequential baseline (one NF RPC at
-// a time, one barrier round per SG link), parallel realization alone,
-// and the full concurrent engine with batched steering.
+// e9Modes compares the sequential baseline (one EE driven at a time)
+// with the concurrent realization engine.
 var e9Modes = []e9Mode{
-	{realize: "seq", steering: "path", workers: 1, perPath: true},
-	{realize: "par", steering: "path", workers: 0, perPath: true},
-	{realize: "par", steering: "batch", workers: 0, perPath: false},
+	{realize: "seq", workers: 1},
+	{realize: "par", workers: 0},
 }
 
 // e9Topo builds the multi-tenant topology for N concurrent services:
@@ -51,9 +47,8 @@ func e9Topo(n, chainLen int, mode e9Mode) core.TopoSpec {
 			"ee3": {Switch: "s2", CPU: cpu, Mem: mem},
 			"ee4": {Switch: "s2", CPU: cpu, Mem: mem},
 		},
-		Trunks:          []core.TrunkSpec{{A: "s1", B: "s2"}},
-		RealizeWorkers:  mode.workers,
-		PerPathSteering: mode.perPath,
+		Trunks:         []core.TrunkSpec{{A: "s1", B: "s2"}},
+		RealizeWorkers: mode.workers,
 	}
 }
 
@@ -88,10 +83,10 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 }
 
 // E9DeployThroughput measures the orchestration control plane under
-// concurrent load: N goroutines each deploy one chain at once, ablating
-// sequential vs parallel VNF realization and per-path vs batched
-// steering. Reported per cell: total wall time, deploy throughput,
-// per-deploy latency percentiles, and concurrent-undeploy wall time.
+// concurrent load: N goroutines each deploy one chain at once, under
+// sequential and parallel VNF realization. Reported per cell: total wall
+// time, deploy throughput, per-deploy latency percentiles, and
+// concurrent-undeploy wall time.
 func E9DeployThroughput(concurrencies []int, chainLen int) (*Table, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{1, 2, 4, 8, 16}
@@ -101,10 +96,11 @@ func E9DeployThroughput(concurrencies []int, chainLen int) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "E9",
-		Title:   fmt.Sprintf("Deploy throughput vs concurrency (chains of %d NFs; realization × steering ablation)", chainLen),
-		Columns: []string{"conc", "realize", "steering", "total_ms", "svc_per_s", "p50_ms", "p95_ms", "undeploy_ms"},
+		Title:   fmt.Sprintf("Deploy throughput vs concurrency (chains of %d NFs; sequential vs parallel realization)", chainLen),
+		Columns: []string{"conc", "realize", "total_ms", "svc_per_s", "p50_ms", "p95_ms", "undeploy_ms"},
 		Notes: []string{
-			"shape check: par+batch beats seq+path on svc_per_s, widening with concurrency",
+			"seq drives one EE at a time (RealizeWorkers 1); par drives up to GOMAXPROCS EEs at once",
+			"steering is one batched InstallPaths push per service in every cell",
 			"admission is optimistic (lock-free map, validate-and-commit): no run may oversubscribe the view",
 		},
 	}
@@ -149,8 +145,8 @@ func e9Run(t *Table, n, chainLen int, mode e9Mode) error {
 	total := time.Since(start)
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("experiments: E9 deploy %d (conc=%d %s+%s): %w",
-				i, n, mode.realize, mode.steering, err)
+			return fmt.Errorf("experiments: E9 deploy %d (conc=%d %s): %w",
+				i, n, mode.realize, err)
 		}
 	}
 	for _, g := range graphs {
@@ -179,7 +175,7 @@ func e9Run(t *Table, n, chainLen int, mode e9Mode) error {
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	t.AddRow(fmt.Sprint(n), mode.realize, mode.steering,
+	t.AddRow(fmt.Sprint(n), mode.realize,
 		ms(total),
 		fmt.Sprintf("%.1f", float64(n)/total.Seconds()),
 		ms(percentile(latencies, 50)),

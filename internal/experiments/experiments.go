@@ -1,12 +1,16 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in EXPERIMENTS.md (E1–E11), each returning a Table with
-// the same rows the evaluation reports. cmd/escape-bench prints them;
-// bench_test.go wraps them in testing.B benchmarks.
+// per experiment of README's "Experiments" section (Registry lists
+// them), each returning a Table with the same rows the evaluation
+// reports. cmd/escape-bench prints them; bench_test.go wraps them in
+// testing.B benchmarks.
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -62,6 +66,60 @@ func (t *Table) Render(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
+}
+
+// Col returns the index of the named column, or -1.
+func (t *Table) Col(name string) int {
+	for i, c := range t.Columns {
+		if c == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// jsonCell types one rendered cell: integers and floats become JSON
+// numbers, true/false and yes/no booleans, anything else (labels, the
+// "-" placeholder of inapplicable cells) stays a string.
+func jsonCell(cell string) any {
+	if n, err := strconv.ParseInt(cell, 10, 64); err == nil {
+		return n
+	}
+	if f, err := strconv.ParseFloat(cell, 64); err == nil {
+		return f
+	}
+	switch cell {
+	case "true", "yes":
+		return true
+	case "false", "no":
+		return false
+	}
+	return cell
+}
+
+// WriteJSON writes the table as the machine-readable CI artifact:
+// {id, title, columns, rows: [{column: value}]}.
+func (t *Table) WriteJSON(path string) error {
+	rows := make([]map[string]any, len(t.Rows))
+	for i, r := range t.Rows {
+		if len(r) != len(t.Columns) {
+			return fmt.Errorf("experiments: %s row %d has %d cells for %d columns", t.ID, i, len(r), len(t.Columns))
+		}
+		rows[i] = make(map[string]any, len(r))
+		for c, cell := range r {
+			rows[i][t.Columns[c]] = jsonCell(cell)
+		}
+	}
+	data, err := json.MarshalIndent(struct {
+		ID      string           `json:"id"`
+		Title   string           `json:"title"`
+		Columns []string         `json:"columns"`
+		Rows    []map[string]any `json:"rows"`
+	}{t.ID, t.Title, t.Columns, rows}, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // ms formats a duration in milliseconds with 2 decimals.

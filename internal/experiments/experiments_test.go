@@ -89,12 +89,12 @@ func TestE6ClickDataPlane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 6) // 2 lengths × 1 size × 3 drivers
+	renderOK(t, tbl, 8) // 2 lengths × 1 size × 4 driver rows
 	seen := map[string]bool{}
 	for _, row := range tbl.Rows {
 		seen[row[2]] = true
 	}
-	for _, d := range []string{"single", "per-task", "multi"} {
+	for _, d := range []string{"single", "multi", "fused+rss2", "fused"} {
 		if !seen[d] {
 			t.Errorf("driver %s missing from E6 ablation", d)
 		}
@@ -150,12 +150,12 @@ func TestE9DeployThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 3) // 1 concurrency × 3 modes
+	renderOK(t, tbl, 2) // 1 concurrency × 2 modes
 	modes := map[string]bool{}
 	for _, row := range tbl.Rows {
-		modes[row[1]+"+"+row[2]] = true
+		modes[row[1]] = true
 	}
-	for _, m := range []string{"seq+path", "par+path", "par+batch"} {
+	for _, m := range []string{"seq", "par"} {
 		if !modes[m] {
 			t.Errorf("mode %s missing from E9 ablation", m)
 		}

@@ -125,19 +125,20 @@ type Network struct {
 	links   []*Link
 	started bool
 
-	nextIP   uint32
-	nextMAC  uint32
+	nextIP uint32
+	// nextMAC is atomic: ports are created under per-node locks only, so
+	// ConnectVNFs on different EEs allocate concurrently.
+	nextMAC  atomic.Uint32
 	nextDPID uint64
 }
 
 // New creates an empty network.
 func New(name string, opts Options) *Network {
 	return &Network{
-		name:    name,
-		opts:    opts,
-		nodes:   map[string]Node{},
-		nextIP:  1, // 10.0.0.1
-		nextMAC: 1,
+		name:   name,
+		opts:   opts,
+		nodes:  map[string]Node{},
+		nextIP: 1, // 10.0.0.1
 	}
 }
 
@@ -217,8 +218,7 @@ func (n *Network) allocIP() netip.Addr {
 }
 
 func (n *Network) allocMAC() [6]byte {
-	m := n.nextMAC
-	n.nextMAC++
+	m := n.nextMAC.Add(1) // first MAC is 02:00:00:00:00:01
 	return [6]byte{0x02, 0x00, byte(m >> 24), byte(m >> 16), byte(m >> 8), byte(m)}
 }
 

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -427,5 +429,56 @@ func TestControllerTCPMode(t *testing.T) {
 	defer n.Stop()
 	if len(ctrl.Connections()) != 1 {
 		t.Errorf("connections = %d", len(ctrl.Connections()))
+	}
+}
+
+// TestConcurrentConnectVNFDistinctMACs connects VNF devices on two EEs
+// at once: every port in the network draws from one MAC counter, so under
+// -race this pins that the counter is synchronized, and the assertion
+// pins that no two ports were handed the same address.
+func TestConcurrentConnectVNFDistinctMACs(t *testing.T) {
+	const devsPerEE = 16
+	n := New("t", Options{})
+	defer n.Stop()
+	if _, err := n.AddSwitch("s1"); err != nil {
+		t.Fatal(err)
+	}
+	devs := make([]string, devsPerEE)
+	for i := range devs {
+		devs[i] = fmt.Sprintf("d%d", i)
+	}
+	var wg sync.WaitGroup
+	for _, name := range []string{"ee1", "ee2"} {
+		ee, err := n.AddEE(name, EEConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "Idle -> Discard;", Devices: devs}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range devs {
+				if _, err := ee.ConnectVNF(n, "v", d, "s1", LinkConfig{}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	seen := map[[6]byte]string{}
+	for _, l := range n.Links() {
+		for _, p := range []*Port{l.A, l.B} {
+			if other, dup := seen[p.MAC]; dup {
+				t.Errorf("ports %s and %s share MAC %x", other, p.Name, p.MAC)
+			}
+			seen[p.MAC] = p.Name
+		}
+	}
+	if want := 2 * 2 * devsPerEE; len(seen) != want {
+		t.Errorf("%d distinct MACs, want %d (one per link end)", len(seen), want)
 	}
 }
