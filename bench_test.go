@@ -103,10 +103,9 @@ func BenchmarkE5SteeringSetup(b *testing.B) {
 }
 
 // BenchmarkE6ClickDataPlane measures packet throughput through chains of
-// Click VNFs across the drivers (single-threaded, work-stealing
-// multithreaded, fused, fused with two RSS shards); the reported metric
-// is the headline fused configuration, which is always the table's final
-// row.
+// Click VNFs under both drivers (single-threaded, fused); the reported
+// metric is the headline fused configuration, which is always the
+// table's final row.
 func BenchmarkE6ClickDataPlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, 2000)
@@ -144,17 +143,6 @@ func BenchmarkSPSCRingBatch(b *testing.B) {
 	_ = out
 }
 
-// BenchmarkMPSCRing measures the multi-producer ring used for RSS shard
-// fan-in, uncontended (contention behavior is covered by the -race tests).
-func BenchmarkMPSCRing(b *testing.B) {
-	r := click.NewMPSCRing[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Enqueue(i)
-		r.Dequeue()
-	}
-}
-
 // BenchmarkFusedChain pushes frames through one VNF running a 4-element
 // forwarding chain (FromDevice → Counter → Queue → ToDevice) compiled to
 // a fused run-to-completion pipeline, end to end through ring devices.
@@ -164,7 +152,7 @@ func BenchmarkFusedChain(b *testing.B) {
 		packets = 2000
 	}
 	tbl := &experiments.Table{Columns: []string{"chain_len", "frame_B", "driver", "kpps", "us_per_pkt", "allocs_pkt"}}
-	if err := experiments.E6Cell(tbl, 1, 64, packets, "fused", click.Options{Driver: click.Fused}); err != nil {
+	if err := experiments.E6Cell(tbl, 1, 64, packets, click.Fused); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportMetric(lastFloat(tbl, 3), "kpps")

@@ -7,7 +7,6 @@
 //	escape-bench                 # all experiments, default parameters
 //	escape-bench -e e3,e4        # a subset
 //	escape-bench -e e3 -sizes 10,100,400
-//	escape-bench -e e6 -e6drivers single,multi
 //	escape-bench -e e9 -e9conc 4,8,16 -e9chain 3
 //	escape-bench -e e10 -e10domains 4 -e10chain 3
 //	escape-bench -e e11 -e11kills 1,2 -e11chain 4
@@ -30,39 +29,15 @@ import (
 	"strconv"
 	"strings"
 
-	"escape/internal/click"
 	"escape/internal/experiments"
 	"escape/internal/substrate"
 )
-
-// parseE6Drivers maps a comma-separated driver list ("single,multi,fused"
-// or "all") to click driver modes.
-func parseE6Drivers(s string) ([]click.DriverMode, error) {
-	if s == "" || s == "all" {
-		return nil, nil // E6ClickDataPlane defaults to all three
-	}
-	var out []click.DriverMode
-	for _, name := range strings.Split(s, ",") {
-		switch strings.TrimSpace(strings.ToLower(name)) {
-		case "single":
-			out = append(out, click.SingleThreaded)
-		case "multi":
-			out = append(out, click.MultiThreaded)
-		case "fused":
-			out = append(out, click.Fused)
-		default:
-			return nil, fmt.Errorf("unknown E6 driver %q (want single, multi, fused)", name)
-		}
-	}
-	return out, nil
-}
 
 func main() {
 	reg := experiments.Registry()
 	which := flag.String("e", "all", fmt.Sprintf("comma-separated experiments (%s..%s) or 'all'", reg[0].ID, reg[len(reg)-1].ID))
 	jsonOut := flag.String("json", "", "write the selected experiment's table as JSON (CI artifact) to this file; needs exactly one -e id")
 	sizes := flag.String("sizes", "", "override E3 node counts, comma-separated")
-	e6drv := flag.String("e6drivers", "all", "E6 driver subset: single,multi,fused or 'all'")
 	e9conc := flag.String("e9conc", "", "override E9 concurrent-deploy counts, comma-separated")
 	e9chain := flag.Int("e9chain", 4, "E9 chain length (NFs per service)")
 	e10domains := flag.Int("e10domains", 3, "E10 number of orchestration domains")
@@ -99,19 +74,19 @@ func main() {
 		}
 	}
 
-	e6drivers, err := parseE6Drivers(*e6drv)
-	if err != nil {
-		fatal(err)
+	known := map[string]bool{}
+	for _, r := range reg {
+		known[r.ID] = true
 	}
-
-	selected := map[string]bool{}
-	if *which == "all" {
-		for _, r := range reg {
-			selected[r.ID] = true
-		}
-	} else {
+	selected := known
+	if *which != "all" {
+		selected = map[string]bool{}
 		for _, e := range strings.Split(*which, ",") {
-			selected[strings.TrimSpace(strings.ToLower(e))] = true
+			id := strings.TrimSpace(strings.ToLower(e))
+			if !known[id] {
+				fatal(fmt.Errorf("unknown experiment %q in -e %s (want %s..%s or 'all')", id, *which, reg[0].ID, reg[len(reg)-1].ID))
+			}
+			selected[id] = true
 		}
 	}
 	if *jsonOut != "" && len(selected) != 1 {
@@ -184,7 +159,7 @@ func main() {
 		{"e4", func() (*experiments.Table, error) { return experiments.E4Mapping(e4[0], e4[1], e4[2]) }},
 		{"e5", func() (*experiments.Table, error) { return experiments.E5Steering(e5) }},
 		{"e6", func() (*experiments.Table, error) {
-			return experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, e6pkts, e6drivers...)
+			return experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, e6pkts)
 		}},
 		{"e7", func() (*experiments.Table, error) { return experiments.E7NETCONF(e7) }},
 		{"e8", func() (*experiments.Table, error) { return experiments.E8ServiceCreation(e8) }},
@@ -231,7 +206,14 @@ func main() {
 			return experiments.E14ScaleSim(cfg)
 		}},
 	}
-	ran := 0
+	if len(all) != len(reg) {
+		fatal(fmt.Errorf("run list has %d experiments, experiments.Registry() %d", len(all), len(reg)))
+	}
+	for i, e := range all {
+		if e.id != reg[i].ID {
+			fatal(fmt.Errorf("run list entry %d is %s, experiments.Registry() has %s", i, e.id, reg[i].ID))
+		}
+	}
 	for _, e := range all {
 		if !selected[e.id] {
 			continue
@@ -259,7 +241,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "escape-bench: wrote %s\n", *jsonOut)
 		}
-		ran++
 	}
 	if *cpuprofile != "" {
 		pprof.StopCPUProfile()
@@ -274,9 +255,6 @@ func main() {
 			fatal(err)
 		}
 		f.Close()
-	}
-	if ran == 0 {
-		fatal(fmt.Errorf("no experiments selected (-e %s)", *which))
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 //
 // The packet/byte counters here are atomics rather than plain fields
 // guarded by the element mutex: the fused driver runs these elements'
-// FusedAction hooks outside any lock (possibly from several RSS shard
-// workers at once), and handler reads race those updates. Atomics keep
-// both paths safe without re-introducing a lock on the hot path.
+// FusedAction hooks outside any lock, and handler reads race those
+// updates. Atomics keep both paths safe without re-introducing a lock on
+// the hot path.
 
 func init() {
 	RegisterElement("Counter", func() Element { return &Counter{} })

@@ -22,12 +22,11 @@ func init() {
 // Queues have two storage modes. The default is the mutex-guarded slice
 // ring: every access runs under the element lock acquired by the caller.
 // Under the Fused driver, the fuse compiler switches eligible queues to
-// a lock-free ring (SPSC for a single fused producer, MPSC for RSS
-// shard fan-in): producers enqueue and the single consumer dequeues with
-// atomic ring operations only, and counters become atomics so handler
-// reads stay race-free. Ring capacity rounds up to a power of two, and
-// the capacity write handler is rejected while a ring is active (resizing
-// a lock-free ring in place is not).
+// a lock-free SPSC ring: the producer enqueues and the single consumer
+// dequeues with atomic ring operations only, and counters are atomics so
+// handler reads stay race-free. Ring capacity rounds up to a power of
+// two, and the capacity write handler is rejected while a ring is active
+// (resizing a lock-free ring in place is not).
 //
 // Configuration: Queue([CAPACITY]). Handlers: length, capacity (rw),
 // drops, highwater (r), reset_counts (w).
@@ -40,15 +39,11 @@ type Queue struct {
 	highwater atomic.Int64
 
 	// lf, when non-nil, replaces the slice ring (fused fast path).
-	// lfUnlocked marks queues whose producer is a fused pipeline that
-	// enqueues without taking the element lock; InjectPush must be
-	// rejected for those (it would be a second, unsynchronized producer
-	// on an SPSC ring). fusedThrough marks queues a pipeline fused
-	// straight through: bursts run to the downstream sink in the
-	// pipeline goroutine and the queue itself never stores a packet, so
-	// its capacity is inert and resize writes are rejected.
-	lf           packetRing
-	lfUnlocked   bool
+	// fusedThrough marks queues a pipeline fused straight through: bursts
+	// run to the downstream sink in the pipeline goroutine and the queue
+	// itself never stores a packet, so its capacity is inert and resize
+	// writes are rejected.
+	lf           *SPSCRing[*Packet]
 	fusedThrough bool
 }
 
@@ -76,27 +71,15 @@ func (q *Queue) Configure(r *Router, args []string) error {
 }
 
 // enableRing switches the queue from the mutex-guarded slice ring to a
-// lock-free ring, migrating any already-queued packets. mpsc selects the
-// multi-producer variant (RSS shard fan-in); unlocked records that the
-// producer side will enqueue without holding the element lock. Called by
-// the fuse compiler before the router starts, never while traffic flows.
-func (q *Queue) enableRing(mpsc, unlocked bool) {
-	var r packetRing
-	if mpsc {
-		r = NewMPSCRing[*Packet](q.capacity)
-	} else {
-		r = NewSPSCRing[*Packet](q.capacity)
-	}
+// lock-free ring, migrating any already-queued packets. Called by the
+// fuse compiler before the router starts, never while traffic flows.
+func (q *Queue) enableRing() {
+	r := NewSPSCRing[*Packet](q.capacity)
 	for q.n > 0 {
-		p := q.ring[q.head]
-		q.ring[q.head] = nil
-		q.head = (q.head + 1) % q.capacity
-		q.n--
-		r.Enqueue(p)
+		r.Enqueue(q.Pull(0))
 	}
 	q.ring = nil
 	q.lf = r
-	q.lfUnlocked = unlocked
 }
 
 // Len reports the number of queued packets.
@@ -206,14 +189,18 @@ func (q *Queue) Handlers() []Handler {
 				if q.lf != nil || q.fusedThrough {
 					return fmt.Errorf("cannot resize a lock-free queue while the fused driver is running")
 				}
-				// Rebuild ring preserving contents that fit.
+				// Rebuild ring preserving the oldest contents that fit; the
+				// rest are tail drops like any push into a full queue.
 				nr := make([]*Packet, c)
-				keep := q.n
-				if keep > c {
-					keep = c
-				}
-				for i := 0; i < keep; i++ {
-					nr[i] = q.ring[(q.head+i)%q.capacity]
+				keep := min(q.n, c)
+				for i := 0; i < q.n; i++ {
+					p := q.ring[(q.head+i)%q.capacity]
+					if i < keep {
+						nr[i] = p
+					} else {
+						q.drops.Add(1)
+						p.Kill()
+					}
 				}
 				q.ring, q.head, q.n, q.capacity = nr, 0, keep, c
 				return nil

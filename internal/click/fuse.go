@@ -9,10 +9,7 @@ package click
 // Discard or push-mode ToDevice, or — when the chain hits an element the
 // compiler cannot prove safe — a locked PushOutBatch back onto the
 // ordinary path). One goroutine executes the whole pipeline per burst
-// with no per-element locking and no scheduler handoffs; with
-// Options.Shards > 1 the ingest goroutine scatters bursts over RSS flow
-// shards by 5-tuple hash and a worker per shard runs the transform chain,
-// so each flow stays on one shard and per-flow order is preserved.
+// with no per-element locking and no scheduler handoffs.
 //
 // Eligibility is conservative. A chain extends through an element only if
 // the element opted in (implements Fusible), has exactly one wired input
@@ -20,23 +17,20 @@ package click
 // is not already owned by another pipeline. Everything else — fan-in,
 // fan-out, pull segments, stateful-shared elements like Print, elements
 // mutable through control sockets in ways atomics cannot cover — stays on
-// the locked per-element path, which the same router keeps running via
-// the leftover work-stealing pool.
+// the locked per-element path, which the same router keeps running on
+// the Run goroutine's task loop.
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
-
-	"escape/internal/pkt"
 )
 
 // Fusible marks an element whose per-packet transform may run inside a
-// fused run-to-completion segment: outside the element lock, possibly
-// from several RSS shard workers at once. Implementations must keep all
-// state touched by FusedAction atomic or immutable-after-Configure.
+// fused run-to-completion segment: outside the element lock, concurrently
+// with handler access. Implementations must keep all state touched by
+// FusedAction atomic or immutable-after-Configure.
 // Return nil to drop the packet — the implementation must Kill it.
 type Fusible interface {
 	Element
@@ -99,21 +93,16 @@ type fusedPipeline struct {
 	src    fusedSource
 	stages []fusedStage
 	sink   func([]*Packet)
-	shards int
 	stats  *pipeStats
 }
 
 // compileFused runs at the end of router construction under the Fused
 // driver. It builds pipelines from every eligible source, switches
 // eligible Queues to lock-free rings, and collects every task it did not
-// consume into fusedLeftover for the locked work-stealing pool.
+// consume into fusedLeftover for the locked task loop.
 func (r *Router) compileFused() {
 	r.fusedElems = map[string]bool{}
 	consumed := map[string]bool{}
-	shards := r.opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
 	for _, n := range r.order {
 		src, ok := r.elems[n].(fusedSource)
 		if !ok || consumed[n] {
@@ -123,7 +112,7 @@ func (r *Router) compileFused() {
 		if b.NOut() != 1 || b.ResolvedOut(0) != Push || b.outs[0].elem == nil {
 			continue
 		}
-		r.buildPipeline(n, src, consumed, shards)
+		r.buildPipeline(n, src, consumed)
 	}
 	// Ring conversion for queues no pipeline claimed: producers still
 	// push under the queue's mutex — serialized, so a single-producer
@@ -134,7 +123,7 @@ func (r *Router) compileFused() {
 		if !ok || q.lf != nil || q.fusedThrough || q.NIn() != 1 {
 			continue
 		}
-		q.enableRing(false, false)
+		q.enableRing()
 	}
 	for _, te := range r.tasks {
 		if !consumed[te.name] {
@@ -147,7 +136,7 @@ func (r *Router) compileFused() {
 // single-in/single-out elements until it reaches a terminator. It always
 // succeeds: a chain that hits an ineligible element simply terminates
 // with a locked PushOutBatch from the last fused element.
-func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string]bool, shards int) {
+func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string]bool) {
 	var stages []fusedStage
 	visited := map[string]bool{name: true}
 	last := src.base() // base of the last element fused into the chain
@@ -171,9 +160,8 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		// through: bursts run to the device inside the pipeline
 		// goroutine, the queue never stores a packet (drops move to the
 		// sink's device, where a full TX ring drops anyway), and the
-		// sink's scheduler task is consumed. Single pipeline only — the
-		// sink's device may itself be SPSC.
-		if q, ok := cur.(*Queue); ok && shards == 1 && q.NIn() == 1 && q.NOut() == 1 {
+		// sink's scheduler task is consumed.
+		if q, ok := cur.(*Queue); ok && q.NIn() == 1 && q.NOut() == 1 {
 			if next := q.base().outs[0].elem; next != nil {
 				if fs, ok := next.(fusedSink); ok {
 					nb := fs.base()
@@ -189,17 +177,17 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		}
 
 		// Terminator: an eligible Queue becomes the pipeline's lock-free
-		// sink ring (MPSC under sharding, SPSC otherwise).
+		// sink ring.
 		if q, ok := cur.(*Queue); ok && q.NIn() == 1 {
-			q.enableRing(shards > 1, true)
+			q.enableRing()
 			fusedNames = append(fusedNames, cn)
 			sink = func(ps []*Packet) { q.PushBatch(0, ps) }
 			break
 		}
 
-		// Terminator: a lock-free-capable sink, safe only with a single
-		// pipeline goroutine (ToDevice's device may itself be SPSC).
-		if fs, ok := cur.(fusedSink); ok && cb.NIn() == 1 && shards == 1 {
+		// Terminator: a lock-free-capable sink; this pipeline's goroutine
+		// is its only caller (ToDevice's device may itself be SPSC).
+		if fs, ok := cur.(fusedSink); ok && cb.NIn() == 1 {
 			fusedNames = append(fusedNames, cn)
 			sink = fs.FusedDeliver
 			break
@@ -228,8 +216,7 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 
 	if sink == nil {
 		// Conservative fallback: hand the burst to the ineligible element
-		// through the ordinary locked path. Safe under sharding too — the
-		// neighbour's mutex serializes the shard workers.
+		// through the ordinary locked path.
 		lb := last
 		sink = func(ps []*Packet) { lb.PushOutBatch(0, ps) }
 	}
@@ -239,7 +226,6 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		src:    src,
 		stages: stages,
 		sink:   sink,
-		shards: shards,
 		stats:  &pipeStats{},
 	}
 	r.fused = append(r.fused, fp)
@@ -290,10 +276,6 @@ func (fp *fusedPipeline) process(ps []*Packet) []*Packet {
 }
 
 func (fp *fusedPipeline) run(ctx context.Context) {
-	if fp.shards > 1 {
-		fp.runSharded(ctx)
-		return
-	}
 	buf := make([]*Packet, 0, fusedBurst)
 	idleSpins := 0
 	for {
@@ -324,97 +306,4 @@ func (fp *fusedPipeline) run(ctx context.Context) {
 		fp.stats.batches.Add(1)
 		fp.stats.busyNs.Add(uint64(time.Since(start).Nanoseconds()))
 	}
-}
-
-// runSharded is the RSS mode: this goroutine ingests and scatters bursts
-// over per-shard SPSC rings by 5-tuple flow hash; one worker per shard
-// runs the transform chain and the sink. A full shard ring exerts
-// backpressure (the ingest spins) rather than dropping, so drops happen
-// only where they always did — at the sink queue or device.
-func (fp *fusedPipeline) runSharded(ctx context.Context) {
-	n := fp.shards
-	rings := make([]*SPSCRing[*Packet], n)
-	for i := range rings {
-		rings[i] = NewSPSCRing[*Packet](1024)
-	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(ring *SPSCRing[*Packet]) {
-			defer wg.Done()
-			buf := make([]*Packet, 0, fusedBurst)
-			idleSpins := 0
-			for {
-				select {
-				case <-ctx.Done():
-					// Best-effort drain so queued packets return to the pool.
-					for {
-						p, ok := ring.Dequeue()
-						if !ok {
-							return
-						}
-						p.Kill()
-					}
-				default:
-				}
-				buf = ring.DequeueBatch(buf[:0], fusedBurst)
-				if len(buf) == 0 {
-					idleSpins++
-					if idleSpins > 16 {
-						idleSleep()
-					} else {
-						runtime.Gosched()
-					}
-					continue
-				}
-				idleSpins = 0
-				start := time.Now()
-				c := len(buf)
-				if out := fp.process(buf); len(out) > 0 {
-					fp.sink(out)
-				}
-				fp.stats.packets.Add(uint64(c))
-				fp.stats.batches.Add(1)
-				fp.stats.busyNs.Add(uint64(time.Since(start).Nanoseconds()))
-			}
-		}(rings[i])
-	}
-
-	buf := make([]*Packet, 0, fusedBurst)
-	idleSpins := 0
-ingest:
-	for {
-		select {
-		case <-ctx.Done():
-			break ingest
-		default:
-		}
-		buf = fp.src.FusedIngest(buf[:0])
-		if len(buf) == 0 {
-			idleSpins++
-			if idleSpins > 16 {
-				idleSleep()
-			} else {
-				runtime.Gosched()
-			}
-			continue
-		}
-		idleSpins = 0
-		for i, p := range buf {
-			ring := rings[pkt.FlowHash(p.Data())%uint32(n)]
-			for !ring.Enqueue(p) {
-				select {
-				case <-ctx.Done():
-					for _, rest := range buf[i:] {
-						rest.Kill()
-					}
-					break ingest
-				default:
-				}
-				runtime.Gosched()
-			}
-		}
-	}
-	wg.Wait()
 }

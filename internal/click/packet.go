@@ -8,8 +8,7 @@
 //     batched handoff (PushBatch) on hot push paths,
 //   - a parser for the Click configuration language subset ESCAPE uses
 //     (declarations, connections, anonymous elements, port specifiers),
-//   - three drivers: SingleThreaded (Click's userlevel driver, default),
-//     MultiThreaded (N workers with work-stealing, Click SMP style) and
+//   - two drivers: SingleThreaded (Click's userlevel driver, default) and
 //     Fused (run-to-completion pipelines over lock-free rings, fuse.go),
 //   - a pooled packet allocator (NewPacket/Clone draw from a sync.Pool,
 //     Kill reclaims),
@@ -21,10 +20,9 @@
 // Concurrency: there is no global router lock. Each element carries its
 // own mutex (see Base), acquired by whoever invokes the element — the
 // neighbour on PushOut/PullIn, the driver around RunTask and ticks, the
-// router around handler access. Under the MultiThreaded driver this gives
-// per-element serialization: an 8-element chain split across tasks runs on
-// as many cores as there are tasks, with Queues as the natural
-// thread-crossing points, while handler reads stay race-free.
+// router around handler access, InjectPush on behalf of external traffic
+// tools. Handler reads and injected pushes therefore stay race-free against
+// a running driver.
 //
 // A standard element library (Queue, Classifier, Counter, Tee, EtherEncap,
 // CheckIPHeader, …) lives in this package; ESCAPE's VNF-specific elements

@@ -4,14 +4,12 @@ import (
 	"sync/atomic"
 )
 
-// Lock-free bounded rings used by the fused data-plane fast path: the
-// SPSC ring carries single-producer/single-consumer handoffs (RSS shard
-// rings, RingDevice boundaries, fused Queue segments the compiler proved
-// single-producer), the MPSC ring carries fan-in points (RSS workers
-// converging on one Queue). Head and tail live on their own cache lines
-// so the producer and consumer cores never false-share, and both rings
-// support batch operations so a burst costs one pair of atomic
-// publishes instead of one per packet.
+// The lock-free bounded ring used by the fused data-plane fast path: it
+// carries single-producer/single-consumer handoffs (RingDevice
+// boundaries, fused Queue segments the compiler proved single-producer).
+// Head and tail live on their own cache lines so the producer and
+// consumer cores never false-share, and batch operations make a burst
+// cost one pair of atomic publishes instead of one per packet.
 
 // ringMinCap keeps degenerate capacities usable; capacities round up to
 // the next power of two so index masking replaces modulo.
@@ -145,131 +143,3 @@ func (r *SPSCRing[T]) DequeueBatch(buf []T, max int) []T {
 	r.head.Store(h + n)
 	return buf
 }
-
-// mpscCell carries a per-slot sequence number (Vyukov bounded-queue
-// scheme): seq == pos means the slot is free for the producer claiming
-// position pos, seq == pos+1 means it holds that position's value.
-type mpscCell[T any] struct {
-	seq atomic.Uint64
-	v   T
-}
-
-// MPSCRing is a bounded multi-producer single-consumer queue: any number
-// of goroutines may enqueue concurrently, one consumes. Per-producer
-// FIFO order is preserved (a producer's own elements dequeue in the
-// order it enqueued them), which is what keeps per-flow packet order
-// intact when RSS workers fan into one Queue. The zero value is not
-// usable; call NewMPSCRing.
-type MPSCRing[T any] struct {
-	mask  uint64
-	cells []mpscCell[T]
-	_     [40]byte
-
-	tail atomic.Uint64 // shared producer cursor (CAS-claimed)
-	_    [56]byte
-
-	head atomic.Uint64 // consumer cursor
-	_    [56]byte
-}
-
-// NewMPSCRing returns an MPSC ring holding at least capacity elements
-// (rounded up to a power of two).
-func NewMPSCRing[T any](capacity int) *MPSCRing[T] {
-	c := ceilPow2(capacity)
-	r := &MPSCRing[T]{mask: uint64(c - 1), cells: make([]mpscCell[T], c)}
-	for i := range r.cells {
-		r.cells[i].seq.Store(uint64(i))
-	}
-	return r
-}
-
-// Cap returns the ring capacity.
-func (r *MPSCRing[T]) Cap() int { return len(r.cells) }
-
-// Len reports an estimate of the number of queued elements.
-func (r *MPSCRing[T]) Len() int {
-	n := int(r.tail.Load()) - int(r.head.Load())
-	if n < 0 {
-		// A producer can have claimed a slot it has not yet filled;
-		// clamp rather than report nonsense.
-		return 0
-	}
-	return n
-}
-
-// Enqueue appends v and reports whether there was room. Lock-free: a
-// producer losing a CAS race retries against the advanced cursor.
-func (r *MPSCRing[T]) Enqueue(v T) bool {
-	for {
-		pos := r.tail.Load()
-		cell := &r.cells[pos&r.mask]
-		seq := cell.seq.Load()
-		switch {
-		case seq == pos:
-			if r.tail.CompareAndSwap(pos, pos+1) {
-				cell.v = v
-				cell.seq.Store(pos + 1)
-				return true
-			}
-		case seq < pos:
-			return false // slot still holds an unconsumed lap: full
-		}
-		// seq > pos: another producer claimed pos; reload and retry.
-	}
-}
-
-// EnqueueBatch appends elements of ps until the ring fills and returns
-// how many were taken.
-func (r *MPSCRing[T]) EnqueueBatch(ps []T) int {
-	for i, v := range ps {
-		if !r.Enqueue(v) {
-			return i
-		}
-	}
-	return len(ps)
-}
-
-// Dequeue removes and returns the oldest element. Consumer side only.
-func (r *MPSCRing[T]) Dequeue() (v T, ok bool) {
-	pos := r.head.Load()
-	cell := &r.cells[pos&r.mask]
-	if cell.seq.Load() != pos+1 {
-		return v, false
-	}
-	var zero T
-	v = cell.v
-	cell.v = zero
-	cell.seq.Store(pos + r.mask + 1) // mark free for the next lap
-	r.head.Store(pos + 1)
-	return v, true
-}
-
-// DequeueBatch appends up to max elements to buf and returns the
-// extended slice. Consumer side only.
-func (r *MPSCRing[T]) DequeueBatch(buf []T, max int) []T {
-	for i := 0; i < max; i++ {
-		v, ok := r.Dequeue()
-		if !ok {
-			break
-		}
-		buf = append(buf, v)
-	}
-	return buf
-}
-
-// packetRing abstracts the two ring flavours where the Queue element and
-// the fused pipelines need to treat them uniformly. Batch granularity
-// keeps the dynamic dispatch off the per-packet path.
-type packetRing interface {
-	Enqueue(p *Packet) bool
-	EnqueueBatch(ps []*Packet) int
-	Dequeue() (*Packet, bool)
-	DequeueBatch(buf []*Packet, max int) []*Packet
-	Len() int
-	Cap() int
-}
-
-var (
-	_ packetRing = (*SPSCRing[*Packet])(nil)
-	_ packetRing = (*MPSCRing[*Packet])(nil)
-)

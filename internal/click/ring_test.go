@@ -87,86 +87,5 @@ func TestSPSCRingCapRounding(t *testing.T) {
 		if got := NewSPSCRing[int](tc.ask).Cap(); got != tc.want {
 			t.Errorf("NewSPSCRing(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
 		}
-		if got := NewMPSCRing[int](tc.ask).Cap(); got != tc.want {
-			t.Errorf("NewMPSCRing(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
-		}
-	}
-}
-
-// TestMPSCRingConcurrentProducers runs several producers against one
-// consumer and checks per-producer FIFO order plus exact totals — the
-// property RSS sharding relies on for per-flow ordering.
-func TestMPSCRingConcurrentProducers(t *testing.T) {
-	const (
-		producers = 4
-		perProd   = 5000
-	)
-	type item struct{ prod, seq int }
-	r := NewMPSCRing[item](64)
-	var wg sync.WaitGroup
-	for pr := 0; pr < producers; pr++ {
-		wg.Add(1)
-		go func(pr int) {
-			defer wg.Done()
-			for i := 0; i < perProd; i++ {
-				for !r.Enqueue(item{pr, i}) {
-					runtime.Gosched()
-				}
-			}
-		}(pr)
-	}
-	nextSeq := make([]int, producers)
-	got := 0
-	buf := make([]item, 0, 32)
-	for got < producers*perProd {
-		buf = r.DequeueBatch(buf[:0], 32)
-		for _, it := range buf {
-			if it.seq != nextSeq[it.prod] {
-				t.Fatalf("producer %d: got seq %d, want %d", it.prod, it.seq, nextSeq[it.prod])
-			}
-			nextSeq[it.prod]++
-			got++
-		}
-	}
-	wg.Wait()
-	if r.Len() != 0 {
-		t.Fatalf("ring not empty after drain: len=%d", r.Len())
-	}
-	for pr, n := range nextSeq {
-		if n != perProd {
-			t.Fatalf("producer %d delivered %d items, want %d", pr, n, perProd)
-		}
-	}
-}
-
-// TestMPSCRingFullAndEmpty checks the boundary conditions single-threaded.
-func TestMPSCRingFullAndEmpty(t *testing.T) {
-	r := NewMPSCRing[int](8)
-	for i := 0; i < 8; i++ {
-		if !r.Enqueue(i) {
-			t.Fatalf("Enqueue %d on non-full ring failed", i)
-		}
-	}
-	if r.Enqueue(99) {
-		t.Fatal("Enqueue on full ring succeeded")
-	}
-	if got := r.Len(); got != 8 {
-		t.Fatalf("Len() = %d, want 8", got)
-	}
-	for i := 0; i < 8; i++ {
-		v, ok := r.Dequeue()
-		if !ok || v != i {
-			t.Fatalf("Dequeue = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if _, ok := r.Dequeue(); ok {
-		t.Fatal("Dequeue on empty ring reported ok")
-	}
-	// Slots must be reusable after a full cycle.
-	if !r.Enqueue(42) {
-		t.Fatal("Enqueue after full drain failed")
-	}
-	if v, ok := r.Dequeue(); !ok || v != 42 {
-		t.Fatalf("Dequeue = %d,%v, want 42,true", v, ok)
 	}
 }

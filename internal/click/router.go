@@ -3,11 +3,9 @@ package click
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -15,32 +13,23 @@ import (
 type DriverMode int
 
 // Driver modes. Element code is always serialized per element (see Base);
-// the modes differ only in how many goroutines run tasks and how tasks
-// are distributed over them.
+// scheduler tasks always run round-robin on the Run goroutine (runTasks).
 const (
 	// SingleThreaded matches Click's userlevel driver: one goroutine runs
 	// all tasks round-robin.
 	SingleThreaded DriverMode = iota
-	// MultiThreaded runs tasks on N workers (Options.Workers, default
-	// GOMAXPROCS capped at the task count) with work-stealing: an idle
-	// worker migrates tasks from a loaded one, so a chain's receive and
-	// transmit sides run on different cores — Click's SMP driver.
-	MultiThreaded
 	// Fused compiles loop-free single-consumer push chains into
 	// run-to-completion pipelines at init (see fuse.go): one goroutine per
 	// pipeline executes source → transforms → sink with no per-element
-	// locking or scheduling, eligible Queues switch to lock-free rings,
-	// and Options.Shards spreads a pipeline over RSS flow shards. Elements
-	// the compiler cannot prove safe fall back to the locked task path.
+	// locking or scheduling, and eligible Queues switch to lock-free
+	// rings. Elements the compiler cannot prove safe stay on the locked
+	// task path, which the Run goroutine drives.
 	Fused
 )
 
 // String names the driver mode as used in experiment tables.
 func (m DriverMode) String() string {
-	switch m {
-	case MultiThreaded:
-		return "multi"
-	case Fused:
+	if m == Fused {
 		return "fused"
 	}
 	return "single"
@@ -53,18 +42,10 @@ type Options struct {
 	Devices map[string]Device
 	// Driver selects the scheduling mode; default SingleThreaded.
 	Driver DriverMode
-	// Workers sets the MultiThreaded worker count; default GOMAXPROCS,
-	// capped at the number of tasks. Under Fused it sizes the worker pool
-	// for leftover (non-fused) tasks. Ignored by the other drivers.
-	Workers int
-	// TickInterval is the period for Ticker elements; default 10ms.
-	TickInterval time.Duration
-	// Shards, under the Fused driver, runs each fused pipeline as Shards
-	// parallel workers fed by an RSS-style 5-tuple hash at ingress, so one
-	// flow always lands on one shard (per-flow order preserved). Default 1
-	// (no sharding).
-	Shards int
 }
+
+// tickInterval is the period of Ticker callbacks.
+const tickInterval = 10 * time.Millisecond
 
 // Router is an instantiated, wired Click element graph: one VNF instance.
 type Router struct {
@@ -107,9 +88,6 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 
 // NewRouterFromConfig is NewRouter for pre-parsed configurations.
 func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error) {
-	if opts.TickInterval <= 0 {
-		opts.TickInterval = 10 * time.Millisecond
-	}
 	r := &Router{name: name, opts: opts, elems: map[string]Element{}, stopped: make(chan struct{})}
 
 	// Instantiate and configure.
@@ -346,13 +324,10 @@ func (r *Router) Run(ctx context.Context) {
 		close(r.stopped)
 	}()
 
-	switch r.opts.Driver {
-	case MultiThreaded:
-		r.runMultiThreaded(ctx)
-	case Fused:
+	if r.opts.Driver == Fused {
 		r.runFused(ctx)
-	default:
-		r.runSingleThreaded(ctx)
+	} else {
+		r.runTasks(ctx, r.tasks)
 	}
 }
 
@@ -364,9 +339,22 @@ func runLocked(te taskEntry, eb *Base) bool {
 	return worked
 }
 
-func (r *Router) runSingleThreaded(ctx context.Context) {
-	ticker := time.NewTicker(r.opts.TickInterval)
+// runTasks is the one task loop: it delivers ticks and runs tasks
+// round-robin on the calling goroutine until ctx is cancelled. With no
+// tasks it only waits on the ticker and ctx.
+func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
+	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
+	if len(tasks) == 0 {
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case now := <-ticker.C:
+				r.tick(now)
+			}
+		}
+	}
 	idleSpins := 0
 	for {
 		select {
@@ -377,7 +365,7 @@ func (r *Router) runSingleThreaded(ctx context.Context) {
 		default:
 		}
 		worked := false
-		for _, te := range r.tasks {
+		for _, te := range tasks {
 			if runLocked(te, te.eb) {
 				worked = true
 			}
@@ -402,150 +390,10 @@ func (r *Router) runSingleThreaded(ctx context.Context) {
 // iteration, so cancellation latency is bounded by the sleep.
 func idleSleep() { time.Sleep(200 * time.Microsecond) }
 
-// tickUntilDone delivers periodic ticks until ctx is cancelled; the
-// multi-goroutine drivers run it on the Run goroutine.
-func (r *Router) tickUntilDone(ctx context.Context) {
-	ticker := time.NewTicker(r.opts.TickInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case now := <-ticker.C:
-			r.tick(now)
-		}
-	}
-}
-
-// mtTask is a scheduler task under the MultiThreaded driver. The claimed
-// flag keeps two workers from piling up on one task's element lock; the
-// element lock itself (runLocked) is the correctness boundary.
-type mtTask struct {
-	te      taskEntry
-	claimed atomic.Bool
-}
-
-// mtWorker owns a mutable slice of tasks. Work-stealing migrates tasks
-// between workers, so the slice is mutex-guarded; workers snapshot it
-// into a scratch buffer each pass.
-type mtWorker struct {
-	mu    sync.Mutex
-	tasks []*mtTask
-}
-
-func (w *mtWorker) snapshot(buf []*mtTask) []*mtTask {
-	w.mu.Lock()
-	buf = append(buf[:0], w.tasks...)
-	w.mu.Unlock()
-	return buf
-}
-
-// stealFrom moves roughly half of victim's tasks to w and reports whether
-// anything moved. Locks are taken in (victim, thief) order one at a time,
-// never nested.
-func (w *mtWorker) stealFrom(victim *mtWorker) bool {
-	victim.mu.Lock()
-	n := len(victim.tasks) / 2
-	if n == 0 {
-		victim.mu.Unlock()
-		return false
-	}
-	stolen := append([]*mtTask(nil), victim.tasks[len(victim.tasks)-n:]...)
-	victim.tasks = victim.tasks[:len(victim.tasks)-n]
-	victim.mu.Unlock()
-	w.mu.Lock()
-	w.tasks = append(w.tasks, stolen...)
-	w.mu.Unlock()
-	return true
-}
-
-// runMultiThreaded shards tasks round-robin over N workers. Each worker
-// loops over its own tasks; a worker whose pass found no runnable work
-// steals half of another worker's tasks before backing off, so load
-// follows the traffic regardless of the initial shard.
-func (r *Router) runMultiThreaded(ctx context.Context) {
-	var wg sync.WaitGroup
-	spawnTaskWorkers(ctx, r.tasks, r.opts.Workers, &wg)
-	r.tickUntilDone(ctx)
-	wg.Wait()
-}
-
-// spawnTaskWorkers starts the work-stealing worker pool over tasks,
-// registering each worker goroutine with wg. Spawns nothing when tasks is
-// empty. MultiThreaded runs the whole task list through it; Fused runs
-// the leftover (non-fused) tasks through it.
-func spawnTaskWorkers(ctx context.Context, tasks []taskEntry, nw int, wg *sync.WaitGroup) {
-	if nw <= 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw > len(tasks) {
-		nw = len(tasks)
-	}
-	if nw == 0 {
-		return
-	}
-	workers := make([]*mtWorker, nw)
-	for i := range workers {
-		workers[i] = &mtWorker{}
-	}
-	for i, te := range tasks {
-		w := workers[i%nw]
-		w.tasks = append(w.tasks, &mtTask{te: te})
-	}
-	for i := 0; i < nw; i++ {
-		wg.Add(1)
-		go func(self int) {
-			defer wg.Done()
-			w := workers[self]
-			var scratch []*mtTask
-			idleSpins := 0
-			victim := self
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				default:
-				}
-				worked := false
-				scratch = w.snapshot(scratch)
-				for _, t := range scratch {
-					if !t.claimed.CompareAndSwap(false, true) {
-						continue // another worker is running it right now
-					}
-					did := runLocked(t.te, t.te.eb)
-					t.claimed.Store(false)
-					if did {
-						worked = true
-					}
-				}
-				if worked {
-					idleSpins = 0
-					continue
-				}
-				// Idle: try to take over load from the other workers
-				// (deterministic round-robin victim selection), then back
-				// off like the other drivers.
-				for tries := 0; tries < nw-1; tries++ {
-					victim = (victim + 1) % nw
-					if victim == self {
-						victim = (victim + 1) % nw
-					}
-					if w.stealFrom(workers[victim]) {
-						break
-					}
-				}
-				idleSpins++
-				if idleSpins > 16 {
-					idleSleep()
-				}
-			}
-		}(i)
-	}
-}
-
-// runFused starts one goroutine per compiled pipeline (or per shard when
-// RSS sharding is on) plus a work-stealing pool for every task the
-// compiler left on the locked path.
+// runFused starts one goroutine per compiled pipeline and runs every
+// task the compiler left on the locked path on this goroutine, so each
+// leftover task — and with it every ring Queue's pull side — has exactly
+// one consumer.
 func (r *Router) runFused(ctx context.Context) {
 	var wg sync.WaitGroup
 	for _, fp := range r.fused {
@@ -555,8 +403,7 @@ func (r *Router) runFused(ctx context.Context) {
 			fp.run(ctx)
 		}(fp)
 	}
-	spawnTaskWorkers(ctx, r.fusedLeftover, r.opts.Workers, &wg)
-	r.tickUntilDone(ctx)
+	r.runTasks(ctx, r.fusedLeftover)
 	wg.Wait()
 }
 

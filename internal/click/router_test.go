@@ -97,6 +97,40 @@ func TestQueueDropsAndLength(t *testing.T) {
 	}
 }
 
+// TestQueueShrinkDropsTail shrinks a queue below its length through the
+// capacity write handler: the packets that no longer fit are tail drops
+// (counted, killed), and the oldest survive in order.
+func TestQueueShrinkDropsTail(t *testing.T) {
+	r, err := NewRouter("t", `q :: Queue(16); q -> Unqueue -> Discard;`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := r.InjectPush("q", 0, NewPacket([]byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.WriteHandler("q.capacity", "4"); err != nil {
+		t.Fatal(err)
+	}
+	if v := readUint(t, r, "q.length"); v != "4" {
+		t.Errorf("q.length = %s, want 4", v)
+	}
+	if v := readUint(t, r, "q.drops"); v != "6" {
+		t.Errorf("q.drops = %s, want 6", v)
+	}
+	q := r.Element("q").(*Queue)
+	for i := 0; i < 4; i++ {
+		p := q.Pull(0)
+		if p == nil || p.Data()[0] != byte(i) {
+			t.Fatalf("pull %d returned %v, want the packet tagged %d", i, p, i)
+		}
+	}
+	if p := q.Pull(0); p != nil {
+		t.Errorf("fifth pull returned a packet, want an empty queue")
+	}
+}
+
 func TestDriverDrainsQueue(t *testing.T) {
 	r, err := NewRouter("t", `
 		q :: Queue(100);

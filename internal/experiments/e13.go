@@ -63,11 +63,13 @@ func e13Start(dataDir string, tenants, intentsPer, chainLen int) (*e13Stack, err
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	backend := &api.CoreBackend{Orch: env.Orch}
 	rec := &api.Reconciler{Store: store, Backend: backend, Workers: 4, Resync: 250 * time.Millisecond, Log: quiet}
-	rec.Start()
+	// NewServer seeds the quota gate with the stored tenants; the
+	// reconciler must not admit replayed intents before that.
 	srv := api.NewServer(api.ServerConfig{
 		Store: store, Backend: backend, Reconciler: rec, Gate: gate,
 		Catalog: catalog.Default(), AdminToken: "root", Log: quiet,
 	})
+	rec.Start()
 	return &e13Stack{env: env, store: store, gate: gate, rec: rec, ts: httptest.NewServer(srv.Handler())}, nil
 }
 

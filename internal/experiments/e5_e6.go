@@ -143,7 +143,7 @@ func E5Steering(lengths []int) (*Table, error) {
 // drivers run over the same devices via the BatchRecver path, so the E6
 // driver comparison isolates scheduling and locking rather than device
 // overhead.
-func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.SPSCRing[[]byte], []*click.Router, error) {
+func chainOfRouters(L int, driver click.DriverMode) (*click.SPSCRing[[]byte], *click.SPSCRing[[]byte], []*click.Router, error) {
 	rings := make([]*click.SPSCRing[[]byte], L+1)
 	for i := range rings {
 		rings[i] = click.NewSPSCRing[[]byte](4096)
@@ -152,10 +152,9 @@ func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.
 	for i := 0; i < L; i++ {
 		in := &click.RingDevice{Name: "in", In: rings[i]}
 		out := &click.RingDevice{Name: "out", Out: rings[i+1]}
-		o := opts
-		o.Devices = map[string]click.Device{"in": in, "out": out}
 		r, err := click.NewRouter(fmt.Sprintf("vnf%d", i),
-			`FromDevice(in) -> cnt :: Counter -> Queue(4096) -> ToDevice(out);`, o)
+			`FromDevice(in) -> cnt :: Counter -> Queue(4096) -> ToDevice(out);`,
+			click.Options{Driver: driver, Devices: map[string]click.Device{"in": in, "out": out}})
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -164,40 +163,11 @@ func chainOfRouters(L int, opts click.Options) (*click.SPSCRing[[]byte], *click.
 	return rings[0], rings[L], routers, nil
 }
 
-// E6Drivers is the default driver set: Click's single-threaded userlevel
-// driver, the work-stealing multithreaded (SMP) driver, and the fused
-// run-to-completion driver.
-var E6Drivers = []click.DriverMode{click.SingleThreaded, click.MultiThreaded, click.Fused}
-
-// e6Variant is one measured row: a label and the router options behind it.
-type e6Variant struct {
-	label string
-	opts  click.Options
-}
-
-// e6Variants expands the driver list into measured rows. The Fused driver
-// contributes its RSS-sharded row first and the plain fast path last, so
-// the table's final row is the headline configuration.
-func e6Variants(drivers []click.DriverMode) []e6Variant {
-	var vs []e6Variant
-	for _, d := range drivers {
-		if d != click.Fused {
-			vs = append(vs, e6Variant{label: d.String(), opts: click.Options{Driver: d}})
-			continue
-		}
-		vs = append(vs,
-			e6Variant{label: "fused+rss2", opts: click.Options{Driver: click.Fused, Shards: 2}},
-			e6Variant{label: "fused", opts: click.Options{Driver: click.Fused}},
-		)
-	}
-	return vs
-}
-
 // E6ClickDataPlane pushes frames through chains of Click VNFs and
-// reports throughput, per-packet latency and steady-state allocations,
-// across the drivers (pass an explicit driver subset to narrow it; the
-// Fused driver also gets a two-shard RSS row).
-func E6ClickDataPlane(lengths []int, frameSizes []int, packets int, drivers ...click.DriverMode) (*Table, error) {
+// reports throughput, per-packet latency and steady-state allocations
+// under both drivers; fused is each cell's last row, so the table's
+// final row is the headline configuration.
+func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, error) {
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 4, 8}
 	}
@@ -207,37 +177,26 @@ func E6ClickDataPlane(lengths []int, frameSizes []int, packets int, drivers ...c
 	if packets <= 0 {
 		packets = 2000
 	}
-	if len(drivers) == 0 {
-		drivers = E6Drivers
-	}
 	t := &Table{
 		ID:      "E6",
 		Title:   fmt.Sprintf("Click data plane: %d frames through VNF chains", packets),
 		Columns: []string{"chain_len", "frame_B", "driver", "kpps", "us_per_pkt", "allocs_pkt"},
 		Notes: []string{
 			"shape check: throughput falls ~1/L in chain length",
-			"multi runs each VNF's RX and TX sides on separate workers (per-element locks)",
 			"fused compiles each VNF to a run-to-completion pipeline over lock-free rings (allocs_pkt ~0)",
 			"allocs_pkt counts heap allocations per forwarded packet in the post-warmup phase",
 		},
 	}
 	for _, L := range lengths {
 		for _, size := range frameSizes {
-			for _, v := range e6Variants(drivers) {
-				if err := e6Run(t, L, size, packets, v); err != nil {
+			for _, d := range []click.DriverMode{click.SingleThreaded, click.Fused} {
+				if err := E6Cell(t, L, size, packets, d); err != nil {
 					return nil, err
 				}
 			}
 		}
 	}
 	return t, nil
-}
-
-// E6Cell measures one (chain length, frame size, driver options) cell and
-// appends the row to t. The unit benchmarks reuse it to run a single
-// configuration without the full matrix.
-func E6Cell(t *Table, L, size, packets int, label string, opts click.Options) error {
-	return e6Run(t, L, size, packets, e6Variant{label: label, opts: opts})
 }
 
 // e6InflightCap bounds packets in flight across the whole chain. It is
@@ -248,8 +207,7 @@ func E6Cell(t *Table, L, size, packets int, label string, opts click.Options) er
 const e6InflightCap = 1024
 
 // e6Trace builds the flow-diverse traffic template: 64 UDP flows with
-// distinct source ports (so RSS sharding has something to hash), padded
-// or trimmed to the requested frame size.
+// distinct source ports, padded or trimmed to the requested frame size.
 func e6Trace(size int) [][]byte {
 	const flows = 64
 	src := netip.MustParseAddr("10.0.0.1")
@@ -327,11 +285,13 @@ func e6Pump(entry, exit *click.SPSCRing[[]byte], templates [][]byte, free *[][]b
 	return nil
 }
 
-// e6Run measures one (chain length, frame size, variant) cell: a warmup
-// pass populates pools and rings, then the measured pass reports
-// throughput, per-packet time, and heap allocations per packet.
-func e6Run(t *Table, L, size, packets int, v e6Variant) error {
-	entry, exit, routers, err := chainOfRouters(L, v.opts)
+// E6Cell measures one (chain length, frame size, driver) cell and appends
+// the row to t: a warmup pass populates pools and rings, then the measured
+// pass reports throughput, per-packet time, and heap allocations per
+// packet. The unit benchmarks reuse it to run a single configuration
+// without the full matrix.
+func E6Cell(t *Table, L, size, packets int, driver click.DriverMode) error {
+	entry, exit, routers, err := chainOfRouters(L, driver)
 	if err != nil {
 		return err
 	}
@@ -344,13 +304,13 @@ func e6Run(t *Table, L, size, packets int, v e6Variant) error {
 	free := make([][]byte, 0, e6InflightCap)
 	deadline := time.Now().Add(30 * time.Second)
 	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (warmup, driver=%s, L=%d)", err, v.label, L)
+		return fmt.Errorf("%w (warmup, driver=%s, L=%d)", err, driver, L)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (driver=%s, L=%d)", err, v.label, L)
+		return fmt.Errorf("%w (driver=%s, L=%d)", err, driver, L)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -361,7 +321,7 @@ func e6Run(t *Table, L, size, packets int, v e6Variant) error {
 	kpps := float64(packets) / elapsed.Seconds() / 1000
 	perPkt := elapsed / time.Duration(packets)
 	allocsPerPkt := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
-	t.AddRow(fmt.Sprint(L), fmt.Sprint(size), v.label,
+	t.AddRow(fmt.Sprint(L), fmt.Sprint(size), driver.String(),
 		fmt.Sprintf("%.1f", kpps), us(perPkt), fmt.Sprintf("%.2f", allocsPerPkt))
 	return nil
 }

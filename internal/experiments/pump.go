@@ -25,14 +25,6 @@ func pumpFrame(src, dst *netem.Host, frame []byte, payload string, timeout time.
 	defer retry.Stop()
 	for time.Now().Before(deadline) {
 		src.Send(frame)
-		// Re-arm the reused timer: stop and drain first so a stale
-		// expiry from the previous iteration cannot fire immediately.
-		if !retry.Stop() {
-			select {
-			case <-retry.C:
-			default:
-			}
-		}
 		retry.Reset(retransmit)
 		select {
 		case rx := <-dst.Recv():

@@ -145,31 +145,26 @@ func (p *pipe) lose() bool {
 	return float64(z>>11)/(1<<53) < p.cfg.Loss
 }
 
-// waitTimer arms the goroutine's reused (drained) timer for d and waits.
-// It reports false when the pipe stops first. The timer is drained again
-// on return, so the next Reset cannot observe a stale expiry.
+// waitTimer arms the goroutine's reused timer for d and waits. It reports
+// false when the pipe stops first. Reset never delivers an expiry armed
+// before it (Go ≥ 1.23), so nothing is drained between waits.
 func (p *pipe) waitTimer(t *time.Timer, d time.Duration) bool {
 	t.Reset(d)
 	select {
 	case <-p.stop:
-		if !t.Stop() {
-			<-t.C
-		}
 		return false
 	case <-t.C:
 		return true
 	}
 }
 
-// newDrainedTimer returns a stopped, drained timer ready for waitTimer's
-// Reset: one per pipe goroutine, reused for every frame, where the
-// previous per-frame time.After allocated a fresh timer (plus channel)
-// for every serialized and every delayed frame.
-func newDrainedTimer() *time.Timer {
+// newStoppedTimer returns a stopped timer ready for waitTimer's Reset:
+// one per pipe goroutine, reused for every frame, where a per-frame
+// time.After would allocate a fresh timer (plus channel) for every
+// serialized and every delayed frame.
+func newStoppedTimer() *time.Timer {
 	t := time.NewTimer(time.Hour)
-	if !t.Stop() {
-		<-t.C
-	}
+	t.Stop()
 	return t
 }
 
@@ -187,7 +182,7 @@ func (p *pipe) start() {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			t := newDrainedTimer()
+			t := newStoppedTimer()
 			defer t.Stop()
 			for {
 				select {
@@ -209,7 +204,7 @@ func (p *pipe) start() {
 	p.wg.Add(1)
 	go func() {
 		defer p.wg.Done()
-		t := newDrainedTimer()
+		t := newStoppedTimer()
 		defer t.Stop()
 		for {
 			select {

@@ -126,49 +126,3 @@ func PopVLAN(frame []byte) ([]byte, error) {
 	out = append(out, frame[16:]...)
 	return out, nil
 }
-
-// FlowHash computes a symmetric 5-tuple hash over a raw Ethernet frame
-// without allocating: the RSS-style shard selector for the fused
-// data-plane driver. Both directions of a flow hash identically (fields
-// are XOR-folded before mixing), VLAN-tagged IPv4 is handled, and
-// non-IPv4 frames fall back to a MAC-pair hash so every frame lands on a
-// deterministic shard. Frames too short to classify hash to 0.
-func FlowHash(frame []byte) uint32 {
-	const prime = 16777619
-	if len(frame) < 14 {
-		return 0
-	}
-	l3 := 14
-	et := uint16(frame[12])<<8 | uint16(frame[13])
-	if EtherType(et) == EtherTypeVLAN {
-		if len(frame) < 18 {
-			return 0
-		}
-		et = uint16(frame[16])<<8 | uint16(frame[17])
-		l3 = 18
-	}
-	if EtherType(et) == EtherTypeIPv4 && len(frame) >= l3+20 {
-		ihl := int(frame[l3]&0x0f) * 4
-		proto := frame[l3+9]
-		h := uint32(2166136261)
-		// XOR src/dst address bytes so a flow and its reverse collapse
-		// to the same shard (needed for stateful VNFs).
-		for i := 0; i < 4; i++ {
-			h = h*prime + uint32(frame[l3+12+i]^frame[l3+16+i])
-		}
-		h = h*prime + uint32(proto)
-		if (IPProtocol(proto) == IPProtoTCP || IPProtocol(proto) == IPProtoUDP) &&
-			ihl >= 20 && len(frame) >= l3+ihl+4 {
-			sp := uint16(frame[l3+ihl])<<8 | uint16(frame[l3+ihl+1])
-			dp := uint16(frame[l3+ihl+2])<<8 | uint16(frame[l3+ihl+3])
-			h = h*prime + uint32(sp^dp)
-		}
-		return h
-	}
-	// Non-IPv4: hash the MAC pair symmetrically.
-	h := uint32(2166136261)
-	for i := 0; i < 6; i++ {
-		h = h*prime + uint32(frame[i]^frame[6+i])
-	}
-	return h
-}

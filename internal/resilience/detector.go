@@ -246,10 +246,7 @@ func (d *Detector) probeLoop(ee, addr string) {
 	// One probe-deadline timer for the lifetime of the loop, re-armed per
 	// probe: a long soak otherwise allocates a fresh time.After timer
 	// every tick for every EE.
-	deadline := time.NewTimer(time.Hour)
-	if !deadline.Stop() {
-		<-deadline.C
-	}
+	deadline := time.NewTimer(d.cfg.ProbeTimeout)
 	defer deadline.Stop()
 	var client *vnfagent.Client
 	defer func() {
@@ -316,8 +313,8 @@ func (d *Detector) probeLoop(ee, addr string) {
 // has no read timeout, so a wedged-but-connected agent would otherwise
 // block this loop forever (and with it Stop's wg.Wait). On timeout the
 // session is closed, which also unblocks the in-flight read so the
-// helper goroutine exits. The caller owns deadline (stopped and drained
-// between probes) so each tick re-arms one timer instead of allocating.
+// helper goroutine exits. The caller owns deadline so each tick re-arms
+// one timer instead of allocating.
 func (d *Detector) probe(client *vnfagent.Client, deadline *time.Timer) error {
 	done := make(chan error, 1)
 	go func() {
@@ -327,9 +324,6 @@ func (d *Detector) probe(client *vnfagent.Client, deadline *time.Timer) error {
 	deadline.Reset(d.cfg.ProbeTimeout)
 	select {
 	case err := <-done:
-		if !deadline.Stop() {
-			<-deadline.C
-		}
 		return err
 	case <-deadline.C:
 		client.Close()

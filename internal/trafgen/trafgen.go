@@ -80,9 +80,6 @@ func (p *Pinger) Ping(dstIP netip.Addr, dstMAC pkt.MAC, count int, interval, tim
 	// One reply-deadline timer reused across all echo sequences: Reset
 	// per probe instead of a fresh time.After allocation per iteration.
 	deadline := time.NewTimer(timeout)
-	if !deadline.Stop() {
-		<-deadline.C
-	}
 	defer deadline.Stop()
 	for seq := 1; seq <= count; seq++ {
 		frame, err := pkt.BuildICMPEcho(p.Host.MAC(), dstMAC, p.Host.IP(), dstIP,
@@ -96,7 +93,7 @@ func (p *Pinger) Ping(dstIP netip.Addr, dstMAC pkt.MAC, count int, interval, tim
 		}
 		stats.Sent++
 		deadline.Reset(timeout)
-		got, expired := false, false
+		got := false
 		for !got {
 			select {
 			case rx := <-p.Host.Recv():
@@ -116,11 +113,8 @@ func (p *Pinger) Ping(dstIP netip.Addr, dstMAC pkt.MAC, count int, interval, tim
 				stats.AvgRTT += rtt
 				got = true
 			case <-deadline.C:
-				got, expired = true, true // lost
+				got = true // lost
 			}
-		}
-		if !expired && !deadline.Stop() {
-			<-deadline.C // drain so the next Reset starts clean
 		}
 		if seq < count {
 			time.Sleep(interval)
