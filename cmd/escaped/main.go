@@ -86,9 +86,8 @@ func main() {
 		Workers: *workers,
 		Resync:  *resync,
 	}
-	rec.Start()
-	defer rec.Stop()
-
+	// NewServer seeds the quota gate with the stored tenants; the
+	// reconciler must not admit replayed intents before that.
 	srv := api.NewServer(api.ServerConfig{
 		Store:      store,
 		Backend:    backend,
@@ -102,6 +101,8 @@ func main() {
 		Burst:      *burst,
 		Log:        log,
 	})
+	rec.Start()
+	defer rec.Stop()
 	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
 
 	done := make(chan error, 1)

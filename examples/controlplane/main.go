@@ -58,11 +58,13 @@ func start(dataDir string) (*stack, error) {
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 	backend := &api.CoreBackend{Orch: env.Orch}
 	rec := &api.Reconciler{Store: store, Backend: backend, Workers: 2, Log: quiet}
-	rec.Start()
+	// NewServer seeds the quota gate with the stored tenants; the
+	// reconciler must not admit replayed intents before that.
 	srv := api.NewServer(api.ServerConfig{
 		Store: store, Backend: backend, Reconciler: rec, Gate: gate,
 		Catalog: catalog.Default(), AdminToken: "root", Log: quiet,
 	})
+	rec.Start()
 	return &stack{env: env, store: store, gate: gate, rec: rec, ts: httptest.NewServer(srv.Handler())}, nil
 }
 

@@ -84,7 +84,8 @@ func startControlPlane(t *testing.T, dir string, n int) *controlPlane {
 		Backoff: 20 * time.Millisecond,
 		Log:     discardLog(),
 	}
-	rec.Start()
+	// The daemon's order: NewServer seeds the quota gate with the stored
+	// tenants, and only then may the reconciler admit replayed intents.
 	srv := NewServer(ServerConfig{
 		Store:      store,
 		Backend:    &CoreBackend{Orch: env.Orch},
@@ -93,6 +94,7 @@ func startControlPlane(t *testing.T, dir string, n int) *controlPlane {
 		AdminToken: "root",
 		Log:        discardLog(),
 	})
+	rec.Start()
 	return &controlPlane{env: env, store: store, gate: gate, rec: rec, ts: httptest.NewServer(srv.Handler())}
 }
 
@@ -114,6 +116,32 @@ func (cp *controlPlane) crash(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	f.Close()
+}
+
+// awaitRunning waits for reconciliation to re-admit acme/svc0..n-1.
+func (cp *controlPlane) awaitRunning(t *testing.T, n int) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		all := true
+		for i := 0; i < n; i++ {
+			if !cp.rec.Backend.Running(fmt.Sprintf("acme/svc%d", i)) {
+				all = false
+				break
+			}
+		}
+		if all {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	cp.rec.AwaitIdle(10 * time.Second)
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("acme/svc%d", i)
+		if !cp.rec.Backend.Running(id) {
+			t.Fatalf("intent %s did not converge after recovery (last error: %s)", id, cp.rec.LastError(id))
+		}
+	}
 }
 
 func (cp *controlPlane) stop() {
@@ -184,28 +212,7 @@ func TestCrashRecoveryRestoresExactView(t *testing.T) {
 		t.Fatal("tenant token lost across crash")
 	}
 
-	// Reconciliation re-admits every surviving intent.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		all := true
-		for i := 0; i < n; i++ {
-			if !cp2.rec.Backend.Running(fmt.Sprintf("acme/svc%d", i)) {
-				all = false
-				break
-			}
-		}
-		if all {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cp2.rec.AwaitIdle(10 * time.Second)
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("acme/svc%d", i)
-		if !cp2.rec.Backend.Running(id) {
-			t.Fatalf("intent %s did not converge after recovery (last error: %s)", id, cp2.rec.LastError(id))
-		}
-	}
+	cp2.awaitRunning(t, n)
 
 	fp2 := cp2.env.View.Fingerprint()
 	ep2 := cp2.env.View.Epoch()
@@ -219,6 +226,45 @@ func TestCrashRecoveryRestoresExactView(t *testing.T) {
 	if cpu2 != cpu1 || mem2 != mem1 || bw2 != bw1 || svc2 != svc1 {
 		t.Errorf("recovered quota usage = (%v,%v,%v,%v), want (%v,%v,%v,%v)",
 			cpu2, mem2, bw2, svc2, cpu1, mem1, bw1, svc1)
+	}
+}
+
+// TestCrashRecoveryKeepsQuotaMetered fills a tenant's quota, crashes, and
+// restarts: the intents the reconciler re-admits from the WAL must be
+// charged to the tenant exactly as before the crash, so the quota still
+// refuses one more. A reconciler started before the gate knows the stored
+// tenants admits them unmetered — usage reads zero and the extra intent
+// gets in.
+func TestCrashRecoveryKeepsQuotaMetered(t *testing.T) {
+	dir := t.TempDir()
+	const n = 3
+
+	cp1 := startControlPlane(t, dir, n+1)
+	tok := createTenant(t, cp1.ts.URL, "root", "acme", Quota{Services: n})
+	for i := 0; i < n; i++ {
+		if resp, body := doJSON(t, "POST", cp1.ts.URL+"/v1/intents?wait=30s", tok,
+			map[string]any{"graph": recoveryGraph(t, i)}); resp.StatusCode != http.StatusOK || body["running"] != true {
+			cp1.stop()
+			t.Fatalf("deploy %d: %d %v", i, resp.StatusCode, body)
+		}
+	}
+	cpu1, mem1, bw1, svc1 := cp1.gate.Usage("acme")
+	if svc1 != n {
+		cp1.stop()
+		t.Fatalf("gate tracks %d services before crash, want %d", svc1, n)
+	}
+	cp1.crash(t, dir)
+
+	cp2 := startControlPlane(t, dir, n+1)
+	defer cp2.stop()
+	cp2.awaitRunning(t, n)
+	if cpu2, mem2, bw2, svc2 := cp2.gate.Usage("acme"); cpu2 != cpu1 || mem2 != mem1 || bw2 != bw1 || svc2 != svc1 {
+		t.Errorf("recovered quota usage = (%v,%v,%v,%v), want (%v,%v,%v,%v)",
+			cpu2, mem2, bw2, svc2, cpu1, mem1, bw1, svc1)
+	}
+	if resp, body := doJSON(t, "POST", cp2.ts.URL+"/v1/intents?wait=30s", tok,
+		map[string]any{"graph": recoveryGraph(t, n)}); resp.StatusCode != http.StatusForbidden {
+		t.Errorf("intent %d past a quota of %d services: %d %v, want 403", n+1, n, resp.StatusCode, body)
 	}
 }
 

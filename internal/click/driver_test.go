@@ -27,17 +27,47 @@ func readCount(t *testing.T, r *Router, spec string) uint64 {
 	return n
 }
 
-// waitFor polls cond until it holds or the deadline expires.
-func waitFor(t *testing.T, d time.Duration, cond func() bool, what string) {
-	t.Helper()
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
+// signal is a pass-through test element that pokes C for every packet, so a
+// test can wait for traffic instead of polling counters. It is Fusible: a
+// pipeline keeps its shape with one in it.
+type signal struct {
+	Base
+	C chan struct{}
+}
+
+func (*signal) Class() string  { return "Signal" }
+func (*signal) Spec() PortSpec { return agnostic(1, 1) }
+func (s *signal) Configure(*Router, []string) error {
+	s.C = make(chan struct{}, 1)
+	return nil
+}
+func (s *signal) SimpleAction(p *Packet) *Packet {
+	select {
+	case s.C <- struct{}{}:
+	default:
 	}
-	t.Fatalf("timed out waiting for %s", what)
+	return p
+}
+func (s *signal) FusedAction(p *Packet) *Packet { return s.SimpleAction(p) }
+
+func init() { RegisterElement("Signal", func() Element { return &signal{} }) }
+
+// waitFor blocks until cond holds, re-evaluating it whenever a packet
+// passes the router's Signal element sig and never on a timer. The chains
+// under test put sig behind everything cond reads, so the packet that makes
+// cond true pokes sig afterwards; a poke that finds the previous one
+// unconsumed loses nothing, because that one is still to be consumed.
+func waitFor(t *testing.T, d time.Duration, r *Router, sig string, cond func() bool, what string) {
+	t.Helper()
+	events := r.Element(sig).(*signal).C
+	timeout := time.After(d)
+	for !cond() {
+		select {
+		case <-events:
+		case <-timeout:
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // TestConcurrentTraffic drives a multi-element chain while external
@@ -73,6 +103,7 @@ func TestConcurrentTraffic(t *testing.T) {
 					-> q :: Queue(8192)
 					-> u :: Unqueue(BURST 16)
 					-> c2 :: Counter
+					-> sig :: Signal
 					-> Queue(8192)
 					-> ToDevice(out);
 			`, limit), Options{
@@ -122,7 +153,7 @@ func TestConcurrentTraffic(t *testing.T) {
 			wg.Wait()
 
 			const total = limit + injected
-			waitFor(t, 20*time.Second, func() bool {
+			waitFor(t, 20*time.Second, r, "sig", func() bool {
 				return readCount(t, r, "c1.count") == tc.wantC1 &&
 					readCount(t, r, "c2.count")+readCount(t, r, "q.drops") == total
 			}, "all packets to clear the chain")
@@ -153,7 +184,7 @@ func TestDriverEquivalence(t *testing.T) {
 		for _, tc := range []struct{ limit, qcap uint64 }{{5000, 1024}, {200, 500}} {
 			t.Run(fmt.Sprintf("%s/%d-through-%d", mode, tc.limit, tc.qcap), func(t *testing.T) {
 				r, err := NewRouter("eq-"+mode.String(), fmt.Sprintf(`
-					InfiniteSource(LIMIT %d) -> q :: Queue(%d) -> u :: Unqueue -> d :: Counter -> Discard;
+					InfiniteSource(LIMIT %d) -> q :: Queue(%d) -> u :: Unqueue -> d :: Counter -> sig :: Signal -> Discard;
 				`, tc.limit, tc.qcap), Options{Driver: mode})
 				if err != nil {
 					t.Fatal(err)
@@ -161,7 +192,7 @@ func TestDriverEquivalence(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
 				go r.Run(ctx)
-				waitFor(t, 20*time.Second, func() bool {
+				waitFor(t, 20*time.Second, r, "sig", func() bool {
 					return readCount(t, r, "d.count")+readCount(t, r, "q.drops") == tc.limit
 				}, mode.String()+" to account for all packets")
 				if mode == SingleThreaded || tc.qcap >= tc.limit {
@@ -186,7 +217,7 @@ func TestDriverEquivalence(t *testing.T) {
 // cancellation without waiting on traffic.
 func TestFusedFullyFusedTicksAndStops(t *testing.T) {
 	dev := NewRingDevice("dev", 1024)
-	r, err := NewRouter("allfused", `FromDevice(dev) -> c :: Counter -> Discard;`, Options{
+	r, err := NewRouter("allfused", `FromDevice(dev) -> c :: Counter -> sig :: Signal -> Discard;`, Options{
 		Driver:  Fused,
 		Devices: map[string]Device{"dev": dev},
 	})
@@ -197,8 +228,9 @@ func TestFusedFullyFusedTicksAndStops(t *testing.T) {
 		t.Fatalf("got %d pipelines and %d leftover tasks, want 1 and 0", len(r.fused), len(r.fusedLeftover))
 	}
 	go r.Run(context.Background())
-	// A non-zero rate needs two ticks with traffic counted in between.
-	waitFor(t, 10*time.Second, func() bool {
+	// A non-zero rate needs two ticks with traffic counted in between:
+	// feed a frame, wait for it to pass, look again.
+	waitFor(t, 10*time.Second, r, "sig", func() bool {
 		dev.In.Enqueue(make([]byte, 64))
 		return readUint(t, r, "c.rate") != "0.00"
 	}, "a tick to update c.rate")
@@ -220,8 +252,8 @@ func TestFusedLeftoverAndPipelineProgress(t *testing.T) {
 	const limit = 1000
 	dev := NewRingDevice("dev", 1024)
 	r, err := NewRouter("mixed", fmt.Sprintf(`
-		FromDevice(dev) -> pc :: Counter -> Discard;
-		RatedSource(RATE 5000, LIMIT %d) -> lc :: Counter -> Discard;
+		FromDevice(dev) -> pc :: Counter -> psig :: Signal -> Discard;
+		RatedSource(RATE 5000, LIMIT %d) -> lc :: Counter -> lsig :: Signal -> Discard;
 	`, limit), Options{
 		Driver:  Fused,
 		Devices: map[string]Device{"dev": dev},
@@ -238,7 +270,7 @@ func TestFusedLeftoverAndPipelineProgress(t *testing.T) {
 
 	var fed uint64
 	overlapped := false
-	waitFor(t, 20*time.Second, func() bool {
+	waitFor(t, 20*time.Second, r, "lsig", func() bool {
 		if dev.In.Enqueue(make([]byte, 64)) {
 			fed++
 		}
@@ -248,7 +280,7 @@ func TestFusedLeftoverAndPipelineProgress(t *testing.T) {
 		}
 		return lc == limit
 	}, "the leftover source to finish")
-	waitFor(t, 10*time.Second, func() bool {
+	waitFor(t, 10*time.Second, r, "psig", func() bool {
 		return readCount(t, r, "pc.count") == fed
 	}, "the pipeline to drain what it was fed")
 	if !overlapped {

@@ -16,6 +16,8 @@ func TestTimedSourceEmitsPeriodically(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go r.Run(ctx)
+	// The sleep is the assertion: it is the window the emissions are
+	// counted over.
 	time.Sleep(120 * time.Millisecond)
 	r.Stop()
 	n := counterCount(t, r, "c")
@@ -49,6 +51,8 @@ func TestBandwidthShaperLimitsBytes(t *testing.T) {
 	defer cancel()
 	go r.Run(ctx)
 	pushN(t, r, "q", 100)
+	// The sleep is the assertion: what the shaper lets through is counted
+	// over this window.
 	time.Sleep(200 * time.Millisecond)
 	mid := counterCount(t, r, "sink")
 	// At 10KB/s ≈ 156 pkt/s, 200ms ≈ 31 packets (+1500B initial burst ≈ 23).
@@ -111,31 +115,31 @@ func TestQueueCapacityResizePreservesContents(t *testing.T) {
 }
 
 func TestInfiniteSourceActiveHandler(t *testing.T) {
-	r := mustRouter(t, `
+	out := NewChanDevice("out", 1)
+	r, err := NewRouter("t", `
 		src :: InfiniteSource(BURST 4);
 		c :: Counter;
-		src -> c -> Discard;
-	`)
+		src -> c -> ToDevice(out);
+	`, Options{Devices: map[string]Device{"out": out}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := r.WriteHandler("src.active", "false"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go r.Run(ctx)
-	time.Sleep(20 * time.Millisecond)
-	if n := counterCount(t, r, "c"); n != 0 {
-		t.Errorf("inactive source emitted %d", n)
+	// The timed wait is the assertion: the device stays silent.
+	select {
+	case <-out.Out:
+		t.Errorf("inactive source emitted %d", counterCount(t, r, "c"))
+	case <-time.After(20 * time.Millisecond):
 	}
 	if err := r.WriteHandler("src.active", "true"); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for counterCount(t, r, "c") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("reactivated source emitted nothing")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	recvFrame(t, out.Out, "the reactivated source to emit")
 	r.Stop()
 }
 
@@ -194,7 +198,11 @@ func TestVLANEncapValidation(t *testing.T) {
 }
 
 func TestUptimeAndDoubleRun(t *testing.T) {
-	r := mustRouter(t, `InfiniteSource(LIMIT 1) -> Discard;`)
+	out := NewChanDevice("out", 1)
+	r, err := NewRouter("t", `InfiniteSource(LIMIT 1) -> ToDevice(out);`, Options{Devices: map[string]Device{"out": out}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Uptime() != 0 {
 		t.Error("uptime before run")
 	}
@@ -202,7 +210,7 @@ func TestUptimeAndDoubleRun(t *testing.T) {
 	defer cancel()
 	go r.Run(ctx)
 	go r.Run(ctx) // second Run must be a no-op, not a panic
-	time.Sleep(20 * time.Millisecond)
+	recvFrame(t, out.Out, "the driver to start")
 	if r.Uptime() <= 0 {
 		t.Error("uptime not advancing")
 	}

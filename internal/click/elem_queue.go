@@ -327,6 +327,15 @@ func (u *RatedUnqueue) RunTask() bool {
 	return worked
 }
 
+// NextDeadline implements Deadliner. With a whole token in the bucket the
+// element waits for its upstream Queue, not for time.
+func (u *RatedUnqueue) NextDeadline() (time.Time, bool) {
+	if u.tokens >= 1 {
+		return time.Time{}, false
+	}
+	return refillAt(u.last, u.tokens, u.ratePPS), true
+}
+
 // Handlers implements HandlerProvider.
 func (u *RatedUnqueue) Handlers() []Handler {
 	return []Handler{
@@ -400,6 +409,15 @@ func (s *BandwidthShaper) Pull(port int) *Packet {
 	s.count++
 	s.bytes += uint64(p.Len())
 	return p
+}
+
+// NextDeadline implements Deadliner: when the byte bucket is back above
+// zero. With tokens to spend the shaper waits for its upstream Queue.
+func (s *BandwidthShaper) NextDeadline() (time.Time, bool) {
+	if s.tokens >= 1 {
+		return time.Time{}, false
+	}
+	return refillAt(s.last, s.tokens, s.rateBps), true
 }
 
 // Handlers implements HandlerProvider.

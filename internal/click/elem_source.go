@@ -204,6 +204,15 @@ func (s *RatedSource) RunTask() bool {
 	return sent
 }
 
+// NextDeadline implements Deadliner: the instant the bucket holds the next
+// whole token, unless LIMIT is reached (then only a reset restarts it).
+func (s *RatedSource) NextDeadline() (time.Time, bool) {
+	if s.limit >= 0 && int(s.count) >= s.limit {
+		return time.Time{}, false
+	}
+	return refillAt(s.last, s.tokens, s.ratePPS), true
+}
+
 // Handlers implements HandlerProvider.
 func (s *RatedSource) Handlers() []Handler {
 	return []Handler{
@@ -287,6 +296,9 @@ func (s *TimedSource) RunTask() bool {
 	return true
 }
 
+// NextDeadline implements Deadliner.
+func (s *TimedSource) NextDeadline() (time.Time, bool) { return s.next, true }
+
 // Handlers implements HandlerProvider.
 func (s *TimedSource) Handlers() []Handler {
 	return []Handler{{Name: "count", Read: func() string { return strconv.FormatUint(s.count, 10) }}}
@@ -356,10 +368,15 @@ type FromDevice struct {
 	devName string
 	dev     Device
 	br      BatchRecver // non-nil when the device supports batched receive
+	armer   WakeArmer   // non-nil when the device signals readiness itself
 	burst   int
 	count   atomic.Uint64
 	batch   []*Packet // scratch for batched ingest
 	frames  [][]byte  // scratch for batched device receive
+	// parked is the frame the idle driver received off dev.Recv() while it
+	// was blocked (see Router.park). The next ingest emits it first, so
+	// per-device order is exact.
+	parked []byte
 }
 
 // Class implements Element.
@@ -389,10 +406,30 @@ func (f *FromDevice) Init() error {
 		return fmt.Errorf("device %q not attached to router", f.devName)
 	}
 	f.dev = dev
-	if br, ok := dev.(BatchRecver); ok {
-		f.br = br
+	f.br, _ = dev.(BatchRecver)
+	f.armer, _ = dev.(WakeArmer)
+	if dev.Recv() == nil && f.armer == nil {
+		return fmt.Errorf("device %q has neither a receive channel nor ArmWake: an idle driver could not wake on it", f.devName)
 	}
 	return nil
+}
+
+// stash hands over the frame an idle driver received on this device's
+// channel while it was blocked.
+func (f *FromDevice) stash(frame []byte) {
+	f.mu.Lock()
+	f.parked = frame
+	f.mu.Unlock()
+}
+
+// takeParked appends the stashed frame, if any, as a copied packet.
+func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
+	if f.parked == nil {
+		return buf
+	}
+	buf = append(buf, NewPacket(f.parked))
+	f.parked = nil
+	return buf
 }
 
 // RunTask implements Tasker: drain up to a burst of frames off the device,
@@ -400,9 +437,9 @@ func (f *FromDevice) Init() error {
 // are copied into pooled packets so downstream elements get headroom and
 // the device may reuse its buffers.
 func (f *FromDevice) RunTask() bool {
-	f.batch = f.batch[:0]
+	f.batch = f.takeParked(f.batch[:0])
 	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst)
+		f.frames = f.br.RecvBatch(f.frames[:0], f.burst-len(f.batch))
 		for _, frame := range f.frames {
 			f.batch = append(f.batch, NewPacket(frame))
 		}
@@ -431,31 +468,32 @@ func (f *FromDevice) RunTask() bool {
 // stamped with one clock read; channel devices fall back to the copying
 // path, which stays correct for devices that recycle buffers.
 func (f *FromDevice) FusedIngest(buf []*Packet) []*Packet {
-	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst)
-		if len(f.frames) == 0 {
-			return buf
-		}
-		now := time.Now()
-		for _, frame := range f.frames {
-			p := AdoptPacket(frame)
-			p.Timestamp = now
-			buf = append(buf, p)
-		}
-		f.count.Add(uint64(len(f.frames)))
-		return buf
-	}
 	n0 := len(buf)
-	for len(buf)-n0 < f.burst {
-		select {
-		case frame := <-f.dev.Recv():
-			buf = append(buf, NewPacket(frame))
-		default:
-			f.count.Add(uint64(len(buf) - n0))
-			return buf
+	buf = f.takeParked(buf)
+	if f.br != nil {
+		f.frames = f.br.RecvBatch(f.frames[:0], f.burst-(len(buf)-n0))
+		if len(f.frames) > 0 {
+			now := time.Now()
+			for _, frame := range f.frames {
+				p := AdoptPacket(frame)
+				p.Timestamp = now
+				buf = append(buf, p)
+			}
+		}
+	} else {
+	drain:
+		for len(buf)-n0 < f.burst {
+			select {
+			case frame := <-f.dev.Recv():
+				buf = append(buf, NewPacket(frame))
+			default:
+				break drain
+			}
 		}
 	}
-	f.count.Add(uint64(len(buf) - n0))
+	if n := len(buf) - n0; n > 0 {
+		f.count.Add(uint64(n))
+	}
 	return buf
 }
 

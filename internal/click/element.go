@@ -99,8 +99,11 @@ type Element interface {
 }
 
 // Tasker is implemented by elements needing scheduler time (Unqueue,
-// RatedSource, FromDevice, …). RunTask reports whether useful work was done,
-// which feeds the driver's idle backoff.
+// RatedSource, FromDevice, …). RunTask reports whether useful work was done:
+// after a round in which no task did any, the driver blocks (idle.go) until
+// something can have created work. A task whose work appears without a
+// frame, a handler write or an InjectPush — because time passed — must also
+// implement Deadliner, or it runs again only on the next tick.
 type Tasker interface {
 	RunTask() bool
 }

@@ -22,7 +22,6 @@ package click
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -94,6 +93,7 @@ type fusedPipeline struct {
 	stages []fusedStage
 	sink   func([]*Packet)
 	stats  *pipeStats
+	idle   *parker // what the pipeline goroutine blocks on when src is dry
 }
 
 // compileFused runs at the end of router construction under the Fused
@@ -181,7 +181,7 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		if q, ok := cur.(*Queue); ok && q.NIn() == 1 {
 			q.enableRing()
 			fusedNames = append(fusedNames, cn)
-			sink = func(ps []*Packet) { q.PushBatch(0, ps) }
+			sink = func(ps []*Packet) { q.PushBatch(0, ps); r.idle.kick() }
 			break
 		}
 
@@ -218,7 +218,7 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		// Conservative fallback: hand the burst to the ineligible element
 		// through the ordinary locked path.
 		lb := last
-		sink = func(ps []*Packet) { lb.PushOutBatch(0, ps) }
+		sink = func(ps []*Packet) { lb.PushOutBatch(0, ps); r.idle.kick() }
 	}
 
 	fp := &fusedPipeline{
@@ -227,7 +227,9 @@ func (r *Router) buildPipeline(name string, src fusedSource, consumed map[string
 		stages: stages,
 		sink:   sink,
 		stats:  &pipeStats{},
+		idle:   newParker(nil),
 	}
+	fp.idle.watch(src)
 	r.fused = append(r.fused, fp)
 	consumed[name] = true
 	for _, fn := range fusedNames {
@@ -275,9 +277,8 @@ func (fp *fusedPipeline) process(ps []*Packet) []*Packet {
 	return ps
 }
 
-func (fp *fusedPipeline) run(ctx context.Context) {
+func (fp *fusedPipeline) run(ctx context.Context, r *Router) {
 	buf := make([]*Packet, 0, fusedBurst)
-	idleSpins := 0
 	for {
 		select {
 		case <-ctx.Done():
@@ -286,17 +287,11 @@ func (fp *fusedPipeline) run(ctx context.Context) {
 		}
 		buf = fp.src.FusedIngest(buf[:0])
 		if len(buf) == 0 {
-			// Yield first (on a busy host the producer likely just needs
-			// the core), sleep only after a sustained idle stretch.
-			idleSpins++
-			if idleSpins > 16 {
-				idleSleep()
-			} else {
-				runtime.Gosched()
+			if !r.park(ctx, fp.idle, nil) {
+				return
 			}
 			continue
 		}
-		idleSpins = 0
 		start := time.Now()
 		n := len(buf)
 		if out := fp.process(buf); len(out) > 0 {

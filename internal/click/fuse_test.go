@@ -59,13 +59,20 @@ func runFuseChain(t *testing.T, opts Options, trace [][]byte) ([][]byte, *Router
 	done := make(chan struct{})
 	go func() { r.Run(ctx); close(done) }()
 
+	// Block on the egress ring the way a downstream VNF would.
 	var got [][]byte
-	deadline := time.Now().Add(10 * time.Second)
-	for len(got) < len(trace) && time.Now().Before(deadline) {
+	wake := make(chan struct{}, 1)
+	timeout := time.After(10 * time.Second)
+collect:
+	for len(got) < len(trace) {
 		before := len(got)
 		got = dev.Out.DequeueBatch(got, 64)
-		if len(got) == before {
-			time.Sleep(100 * time.Microsecond)
+		if len(got) == before && dev.Out.ArmWake(wake) {
+			select {
+			case <-wake:
+			case <-timeout:
+				break collect
+			}
 		}
 	}
 	cancel()

@@ -10,6 +10,10 @@ import (
 // Head and tail live on their own cache lines so the producer and
 // consumer cores never false-share, and batch operations make a burst
 // cost one pair of atomic publishes instead of one per packet.
+//
+// A consumer that finds the ring empty may block instead of polling:
+// ArmWake registers its wake channel, and the producer's next publish
+// signals it (see ArmWake for why no wake-up is lost).
 
 // ringMinCap keeps degenerate capacities usable; capacities round up to
 // the next power of two so index masking replaces modulo.
@@ -30,7 +34,12 @@ func ceilPow2(n int) int {
 type SPSCRing[T any] struct {
 	mask uint64
 	buf  []T
-	_    [40]byte // keep head off the buf header's line
+	// parked is the wake channel of a consumer that is blocked, or about
+	// to block, on the empty ring; nil otherwise. It shares the read-mostly
+	// line: the producer loads it on every publish, the consumer writes it
+	// only when it parks.
+	parked atomic.Pointer[chan<- struct{}]
+	_      [24]byte // keep head off this line
 
 	head atomic.Uint64 // next slot to read; owned by the consumer
 	_    [56]byte
@@ -44,9 +53,11 @@ type SPSCRing[T any] struct {
 	cachedHead uint64
 	_          [56]byte
 
-	// cachedTail is the consumer's mirror of tail.
+	// cachedTail is the consumer's mirror of tail. wakeCell boxes the
+	// channel last passed to ArmWake so that re-arming allocates nothing.
 	cachedTail uint64
-	_          [56]byte
+	wakeCell   *chan<- struct{}
+	_          [48]byte
 }
 
 // NewSPSCRing returns an SPSC ring holding at least capacity elements
@@ -77,6 +88,7 @@ func (r *SPSCRing[T]) Enqueue(v T) bool {
 	}
 	r.buf[t&r.mask] = v
 	r.tail.Store(t + 1)
+	r.signal()
 	return true
 }
 
@@ -99,8 +111,44 @@ func (r *SPSCRing[T]) EnqueueBatch(ps []T) int {
 	}
 	if n > 0 {
 		r.tail.Store(t + n)
+		r.signal()
 	}
 	return int(n)
+}
+
+// ArmWake is the consumer's step before blocking on an empty ring: it asks
+// for one non-blocking send on wake after the producer's next publish and
+// reports whether the ring is still empty. On false nothing stays armed and
+// the consumer should dequeue instead of blocking. Consumer side only.
+//
+// No wake-up is lost: the consumer stores parked and then loads tail, the
+// producer stores tail and then loads parked, and the atomics are
+// sequentially consistent, so either the consumer sees the publish here or
+// the producer sees the armed channel in signal. wake needs a buffer of at
+// least one; a signal that finds it full is dropped, the pending token
+// wakes the consumer just as well.
+func (r *SPSCRing[T]) ArmWake(wake chan<- struct{}) bool {
+	if r.wakeCell == nil || *r.wakeCell != wake {
+		w := wake
+		r.wakeCell = &w
+	}
+	r.parked.Store(r.wakeCell)
+	if r.tail.Load() != r.head.Load() {
+		r.parked.Store(nil)
+		return false
+	}
+	return true
+}
+
+// signal wakes a parked consumer after a publish: one atomic load when
+// nobody is parked, at most one send per park otherwise.
+func (r *SPSCRing[T]) signal() {
+	if w := r.parked.Load(); w != nil && r.parked.CompareAndSwap(w, nil) {
+		select {
+		case *w <- struct{}{}:
+		default:
+		}
+	}
 }
 
 // Dequeue removes and returns the oldest element. Consumer side only.

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSPSCRingOrderUnderChurn drives one producer against one consumer
@@ -88,4 +89,76 @@ func TestSPSCRingCapRounding(t *testing.T) {
 			t.Errorf("NewSPSCRing(%d).Cap() = %d, want %d", tc.ask, got, tc.want)
 		}
 	}
+}
+
+// TestSPSCRingArmWake pins both halves of the blocking protocol one step
+// at a time: a publish that came first makes ArmWake refuse, a publish that
+// comes after signals exactly once.
+func TestSPSCRingArmWake(t *testing.T) {
+	r := NewSPSCRing[int](8)
+	wake := make(chan struct{}, 1)
+
+	r.Enqueue(1)
+	if r.ArmWake(wake) {
+		t.Fatal("ArmWake armed a non-empty ring: the consumer would block on a frame that is already there")
+	}
+	r.Enqueue(2)
+	if len(wake) != 0 {
+		t.Fatal("a refused ArmWake left the ring armed")
+	}
+	r.DequeueBatch(nil, 8)
+
+	if !r.ArmWake(wake) {
+		t.Fatal("ArmWake refused an empty ring")
+	}
+	r.EnqueueBatch([]int{3, 4})
+	if len(wake) != 1 {
+		t.Fatal("publish on an armed ring did not signal")
+	}
+	<-wake
+	r.Enqueue(5)
+	if len(wake) != 0 {
+		t.Fatal("second publish signalled again without a new ArmWake")
+	}
+}
+
+// TestSPSCRingBlockingConsumer hands items over one at a time to a consumer
+// that blocks whenever it finds the ring empty: the producer publishes the
+// next item the moment it sees the previous one taken, which is the moment
+// the consumer is between finding the ring empty and arming it. Nothing
+// follows a publish until it is consumed, so a single lost wake-up leaves
+// both sides waiting and the test times out.
+func TestSPSCRingBlockingConsumer(t *testing.T) {
+	const items = 100000
+	r := NewSPSCRing[int](8)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < items; i++ {
+			r.Enqueue(i)
+			for r.Len() != 0 {
+				runtime.Gosched()
+			}
+		}
+	}()
+	wake := make(chan struct{}, 1)
+	timeout := time.After(30 * time.Second)
+	for next := 0; next < items; {
+		v, ok := r.Dequeue()
+		if !ok {
+			if r.ArmWake(wake) {
+				select {
+				case <-wake:
+				case <-timeout:
+					t.Fatalf("consumer asleep on item %d with %d in the ring: a wake-up was lost", next, r.Len())
+				}
+			}
+			continue
+		}
+		if v != next {
+			t.Fatalf("dequeued %d, want %d", v, next)
+		}
+		next++
+	}
+	<-done
 }

@@ -20,6 +20,16 @@ type BatchSender interface {
 	SendBatch(frames [][]byte) int
 }
 
+// WakeArmer is implemented by devices that have no receive channel (Recv
+// returns nil), so that a FromDevice on them can block instead of polling.
+// The driver calls ArmWake when a round of tasks found nothing to do: the
+// device must send once on wake, without blocking, when frames next become
+// available, and report whether none are pending now. On false nothing
+// stays armed and the driver runs another round instead of blocking.
+type WakeArmer interface {
+	ArmWake(wake chan<- struct{}) bool
+}
+
 // RingDevice is a Device backed by lock-free SPSC rings instead of
 // channels: the boundary between two VNFs in a chain (or between a
 // traffic harness and a VNF) becomes two atomic ring operations per
@@ -67,10 +77,16 @@ func (d *RingDevice) SendBatch(frames [][]byte) int {
 	return d.Out.EnqueueBatch(frames)
 }
 
-// Recv implements Device. A RingDevice has no receive channel — the nil
-// channel never fires inside FromDevice's select, and consumers use the
-// RecvBatch fast path instead.
+// Recv implements Device. A RingDevice has no receive channel: consumers
+// drain it through RecvBatch and block through ArmWake.
 func (d *RingDevice) Recv() <-chan []byte { return nil }
+
+// ArmWake implements WakeArmer on the In ring, so whoever enqueues there —
+// the upstream VNF's ToDevice or a harness holding the ring — wakes the
+// consumer with its publish.
+func (d *RingDevice) ArmWake(wake chan<- struct{}) bool {
+	return d.In == nil || d.In.ArmWake(wake)
+}
 
 // RecvBatch implements BatchRecver.
 func (d *RingDevice) RecvBatch(buf [][]byte, max int) [][]byte {

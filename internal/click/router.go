@@ -14,6 +14,8 @@ type DriverMode int
 
 // Driver modes. Element code is always serialized per element (see Base);
 // scheduler tasks always run round-robin on the Run goroutine (runTasks).
+// Under either mode a driver goroutine with nothing to do blocks (idle.go);
+// it never polls.
 const (
 	// SingleThreaded matches Click's userlevel driver: one goroutine runs
 	// all tasks round-robin.
@@ -59,6 +61,9 @@ type Router struct {
 	running bool
 	stopped chan struct{}
 	cancel  context.CancelFunc
+
+	// idle is the Run goroutine's parker; every fused pipeline has its own.
+	idle *parker
 
 	// Fused-driver state built by compileFused (nil otherwise).
 	fused         []*fusedPipeline
@@ -175,8 +180,20 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 			}
 		}
 	}
+	driven := r.tasks
 	if opts.Driver == Fused {
 		r.compileFused()
+		driven = r.fusedLeftover
+	}
+	var timed []Element
+	for _, n := range r.order {
+		if _, ok := r.elems[n].(Deadliner); ok {
+			timed = append(timed, r.elems[n])
+		}
+	}
+	r.idle = newParker(timed)
+	for _, te := range driven {
+		r.idle.watch(te.eb.self)
 	}
 	return r, nil
 }
@@ -298,9 +315,11 @@ func (r *Router) Device(name string) (Device, bool) {
 // Run drives the router until ctx is cancelled. It blocks; use a goroutine.
 // The driver executes scheduler tasks (sources, Unqueues, FromDevices) and
 // periodic ticks. Push processing happens synchronously inside task runs.
+// A router runs once: a second Run, concurrent or after Stop, returns at
+// once.
 func (r *Router) Run(ctx context.Context) {
 	r.mu.Lock()
-	if r.running {
+	if r.cancel != nil {
 		r.mu.Unlock()
 		return
 	}
@@ -340,22 +359,15 @@ func runLocked(te taskEntry, eb *Base) bool {
 }
 
 // runTasks is the one task loop: it delivers ticks and runs tasks
-// round-robin on the calling goroutine until ctx is cancelled. With no
-// tasks it only waits on the ticker and ctx.
+// round-robin on the calling goroutine until ctx is cancelled. A round in
+// which no task did anything parks the goroutine (see idle.go) until a
+// frame, a kick, a deadline, the tick or ctx ends the wait.
 func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
-	if len(tasks) == 0 {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case now := <-ticker.C:
-				r.tick(now)
-			}
-		}
+	if r.idle.timer != nil {
+		defer r.idle.timer.Stop()
 	}
-	idleSpins := 0
 	for {
 		select {
 		case <-ctx.Done():
@@ -370,25 +382,21 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 				worked = true
 			}
 		}
-		if worked {
-			idleSpins = 0
-			continue
-		}
-		// Idle backoff: spin a few times, then sleep briefly so an idle
-		// VNF costs ~nothing.
-		idleSpins++
-		if idleSpins > 16 {
-			idleSleep()
+		if !worked && !r.park(ctx, r.idle, ticker.C) {
+			return
 		}
 	}
 }
 
-// idleSleep briefly parks an idle driver goroutine. A plain time.Sleep
-// rather than a select on time.After: the timer variant allocates on
-// every idle event, which shows up in the fused data path's
-// allocations-per-packet budget. Callers re-check ctx on the next loop
-// iteration, so cancellation latency is bounded by the sleep.
-func idleSleep() { time.Sleep(200 * time.Microsecond) }
+// kick wakes every driver goroutine of the router. WriteHandler and
+// InjectPush call it: either can hand any task new work (a source switched
+// on, a counter reset under its LIMIT, a changed rate, a packet in a Queue).
+func (r *Router) kick() {
+	r.idle.kick()
+	for _, fp := range r.fused {
+		fp.idle.kick()
+	}
+}
 
 // runFused starts one goroutine per compiled pipeline and runs every
 // task the compiler left on the locked path on this goroutine, so each
@@ -400,7 +408,7 @@ func (r *Router) runFused(ctx context.Context) {
 		wg.Add(1)
 		go func(fp *fusedPipeline) {
 			defer wg.Done()
-			fp.run(ctx)
+			fp.run(ctx, r)
 		}(fp)
 	}
 	r.runTasks(ctx, r.fusedLeftover)
@@ -550,6 +558,7 @@ func (r *Router) WriteHandler(spec, value string) error {
 	if h.Write == nil {
 		return fmt.Errorf("click: handler %q is not writable", spec)
 	}
+	defer r.kick() // deferred first, so it runs after the unlock
 	if mu := r.lockFor(spec); mu != nil {
 		mu.Lock()
 		defer mu.Unlock()
@@ -575,5 +584,6 @@ func (r *Router) InjectPush(elem string, port int, p *Packet) error {
 	b.mu.Lock()
 	e.Push(port, p)
 	b.mu.Unlock()
+	r.kick()
 	return nil
 }

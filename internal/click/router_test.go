@@ -132,11 +132,12 @@ func TestQueueShrinkDropsTail(t *testing.T) {
 }
 
 func TestDriverDrainsQueue(t *testing.T) {
+	out := NewChanDevice("out", 64)
 	r, err := NewRouter("t", `
 		q :: Queue(100);
 		sink :: Counter;
-		q -> Unqueue -> sink -> Discard;
-	`, Options{})
+		q -> Unqueue -> sink -> ToDevice(out);
+	`, Options{Devices: map[string]Device{"out": out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,38 +145,36 @@ func TestDriverDrainsQueue(t *testing.T) {
 	defer cancel()
 	go r.Run(ctx)
 	pushN(t, r, "q", 50)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if readUint(t, r, "sink.count") == "50" {
-			r.Stop()
-			return
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 50; i++ {
+		recvFrame(t, out.Out, "the queue to drain")
 	}
-	t.Fatalf("sink.count = %s after 2s, want 50", readUint(t, r, "sink.count"))
+	r.Stop()
+	if v := readUint(t, r, "sink.count"); v != "50" {
+		t.Fatalf("sink.count = %s, want 50", v)
+	}
 }
 
 func TestInfiniteSourceLimit(t *testing.T) {
+	out := NewChanDevice("out", 128)
 	r, err := NewRouter("t", `
 		src :: InfiniteSource(LIMIT 100, BURST 7);
 		c :: Counter;
-		src -> c -> Discard;
-	`, Options{})
+		src -> c -> ToDevice(out);
+	`, Options{Devices: map[string]Device{"out": out}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go r.Run(ctx)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if readUint(t, r, "c.count") == "100" {
-			r.Stop()
-			return
-		}
-		time.Sleep(time.Millisecond)
+	for i := 0; i < 100; i++ {
+		recvFrame(t, out.Out, "the source to reach its limit")
 	}
-	t.Fatalf("c.count = %s, want 100", readUint(t, r, "c.count"))
+	r.Stop()
+	// Stop returned, so the count is final: the limit held.
+	if v := readUint(t, r, "c.count"); v != "100" {
+		t.Fatalf("c.count = %s, want 100", v)
+	}
 }
 
 func TestRatedSourceApproximatesRate(t *testing.T) {
@@ -190,6 +189,7 @@ func TestRatedSourceApproximatesRate(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go r.Run(ctx)
+	// The sleep is the assertion: it is the window the rate is read over.
 	time.Sleep(500 * time.Millisecond)
 	r.Stop()
 	v := readUint(t, r, "c.count")
@@ -352,12 +352,13 @@ func TestWriteHandlerChangesRate(t *testing.T) {
 }
 
 func TestRouterStopIdempotent(t *testing.T) {
-	r, err := NewRouter("t", `InfiniteSource(LIMIT 1) -> Discard;`, Options{})
+	out := NewChanDevice("out", 1)
+	r, err := NewRouter("t", `InfiniteSource(LIMIT 1) -> ToDevice(out);`, Options{Devices: map[string]Device{"out": out}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	go r.Run(context.Background())
-	time.Sleep(10 * time.Millisecond)
+	recvFrame(t, out.Out, "the driver to start")
 	r.Stop()
 	r.Stop() // second stop must not hang or panic
 }
