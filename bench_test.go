@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"testing"
 
-	"escape/internal/click"
 	"escape/internal/experiments"
 )
 
@@ -103,9 +102,8 @@ func BenchmarkE5SteeringSetup(b *testing.B) {
 }
 
 // BenchmarkE6ClickDataPlane measures packet throughput through chains of
-// Click VNFs under both drivers (single-threaded, fused); the reported
-// metric is the headline fused configuration, which is always the
-// table's final row.
+// Click VNFs; the reported metric is the table's final row, the longest
+// chain at the largest frame size.
 func BenchmarkE6ClickDataPlane(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tbl, err := experiments.E6ClickDataPlane([]int{1, 2, 4, 8}, []int{64, 1500}, 2000)
@@ -113,50 +111,8 @@ func BenchmarkE6ClickDataPlane(b *testing.B) {
 			b.Fatal(err)
 		}
 		tbl.Render(tableOut())
-		b.ReportMetric(lastFloat(tbl, 3), "kpps@8vnf-fused")
+		b.ReportMetric(lastFloat(tbl, 2), "kpps@8vnf")
 	}
-}
-
-// BenchmarkSPSCRing measures the lock-free single-producer ring the fused
-// driver builds queues and device boundaries on: one enqueue/dequeue pair
-// per op through a deep ring.
-func BenchmarkSPSCRing(b *testing.B) {
-	r := click.NewSPSCRing[int](1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Enqueue(i)
-		r.Dequeue()
-	}
-}
-
-// BenchmarkSPSCRingBatch measures the batched variant: one atomic publish
-// per 64-item burst.
-func BenchmarkSPSCRingBatch(b *testing.B) {
-	r := click.NewSPSCRing[int](1024)
-	in := make([]int, 64)
-	out := make([]int, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.EnqueueBatch(in)
-		out = r.DequeueBatch(out[:0], 64)
-	}
-	_ = out
-}
-
-// BenchmarkFusedChain pushes frames through one VNF running a 4-element
-// forwarding chain (FromDevice → Counter → Queue → ToDevice) compiled to
-// a fused run-to-completion pipeline, end to end through ring devices.
-func BenchmarkFusedChain(b *testing.B) {
-	packets := b.N
-	if packets < 2000 {
-		packets = 2000
-	}
-	tbl := &experiments.Table{Columns: []string{"chain_len", "frame_B", "driver", "kpps", "us_per_pkt", "allocs_pkt"}}
-	if err := experiments.E6Cell(tbl, 1, 64, packets, click.Fused); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(lastFloat(tbl, 3), "kpps")
-	b.ReportMetric(lastFloat(tbl, 5), "allocs/pkt")
 }
 
 // BenchmarkE7NETCONFControl measures vnf_starter RPC latency against

@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -60,7 +61,12 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"escaped_recovered_wal_records", "WAL records replayed at startup", m.RecoveredRecords.Load()},
 	}
 	for _, r := range rows {
-		if err := p("# HELP %s %s\n# TYPE %s gauge\n%s %v\n", r.name, r.help, r.name, r.name, r.val); err != nil {
+		// The naming convention is the type: only a counter ends in _total.
+		typ := "gauge"
+		if strings.HasSuffix(r.name, "_total") {
+			typ = "counter"
+		}
+		if err := p("# HELP %s %s\n# TYPE %s %s\n%s %v\n", r.name, r.help, r.name, typ, r.name, r.val); err != nil {
 			return n, err
 		}
 	}

@@ -141,3 +141,37 @@ func TestControlSocketCloseUnblocksClients(t *testing.T) {
 		t.Error("read succeeded after server close")
 	}
 }
+
+// TestControlSocketQueueCapacityBound: a capacity no machine could allocate,
+// written over the TCP port, is refused; the router keeps running with the
+// queue it had.
+func TestControlSocketQueueCapacityBound(t *testing.T) {
+	out := NewChanDevice("out", 8)
+	r := startRouter(t, `q :: Queue(16) -> ToDevice(out);`, out)
+	cs, err := NewControlSocket(r, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cs.Close() })
+	cl, err := DialControl(cs.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	for _, v := range []string{"99999999999", fmt.Sprint(maxQueueCapacity + 1), "0", "-1"} {
+		if err := cl.Write("q.capacity", v); err == nil {
+			t.Errorf("WRITE q.capacity %s succeeded", v)
+		}
+	}
+	if v, err := cl.Read("q.capacity"); err != nil || v != "16" {
+		t.Errorf("q.capacity = %q, %v after refused writes, want 16", v, err)
+	}
+	if err := cl.Write("q.capacity", "32"); err != nil {
+		t.Errorf("WRITE q.capacity 32: %v", err)
+	}
+	if err := r.InjectPush("q", 0, NewPacket(make([]byte, 60))); err != nil {
+		t.Fatal(err)
+	}
+	recvFrame(t, out.Out, "a frame through the queue after the refused writes")
+}

@@ -137,10 +137,8 @@ func parseClassifierPattern(s string) (classifierPattern, error) {
 type Classifier struct {
 	Base
 	patterns []classifierPattern
-	// counts/drops are atomics: the fused driver runs FusedAction without
-	// the element lock, racing handler reads.
-	counts []uint64
-	drops  atomic.Uint64
+	counts   []uint64
+	drops    atomic.Uint64
 }
 
 // Class implements Element.
@@ -177,20 +175,6 @@ func (c *Classifier) Push(port int, p *Packet) {
 	}
 	c.drops.Add(1)
 	p.Kill()
-}
-
-// FusedAction implements Fusible for the single-output case (the fuse
-// compiler only fuses elements with exactly one wired output): a match
-// forwards, a miss drops. Patterns are immutable after Configure and the
-// counters are atomic.
-func (c *Classifier) FusedAction(p *Packet) *Packet {
-	if c.patterns[0].match(p.Data()) {
-		atomic.AddUint64(&c.counts[0], 1)
-		return p
-	}
-	c.drops.Add(1)
-	p.Kill()
-	return nil
 }
 
 // Handlers implements HandlerProvider.

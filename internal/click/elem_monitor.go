@@ -10,12 +10,6 @@ import (
 )
 
 // Monitoring and annotation elements.
-//
-// The packet/byte counters here are atomics rather than plain fields
-// guarded by the element mutex: the fused driver runs these elements'
-// FusedAction hooks outside any lock, and handler reads race those
-// updates. Atomics keep both paths safe without re-introducing a lock on
-// the hot path.
 
 func init() {
 	RegisterElement("Counter", func() Element { return &Counter{} })
@@ -51,22 +45,6 @@ func (c *Counter) SimpleAction(p *Packet) *Packet {
 	c.count.Add(1)
 	c.bytes.Add(uint64(p.Len()))
 	return p
-}
-
-// FusedAction implements Fusible: counting is atomic, so the element is
-// safe inside a lock-free run-to-completion segment.
-func (c *Counter) FusedAction(p *Packet) *Packet { return c.SimpleAction(p) }
-
-// FusedBatch implements FusedBatcher: one pair of atomic adds covers the
-// whole burst.
-func (c *Counter) FusedBatch(ps []*Packet) []*Packet {
-	var bytes uint64
-	for _, p := range ps {
-		bytes += uint64(p.Len())
-	}
-	c.count.Add(uint64(len(ps)))
-	c.bytes.Add(bytes)
-	return ps
 }
 
 // Tick implements Ticker: EWMA rate update (α=0.5 per tick).
@@ -118,9 +96,7 @@ func (c *Counter) Handlers() []Handler {
 // Click prints to stderr; so do we by default.
 var PrintWriter io.Writer = os.Stderr
 
-// Print logs a one-line summary of each passing packet. It stays off the
-// fused fast path on purpose: its output stream is shared mutable state
-// that the per-element lock serializes.
+// Print logs a one-line summary of each passing packet.
 //
 // Configuration: Print([LABEL][, MAXLENGTH n]).
 type Print struct {
@@ -203,9 +179,6 @@ func (pt *Paint) SimpleAction(p *Packet) *Packet {
 	return p
 }
 
-// FusedAction implements Fusible: the color is immutable after Configure.
-func (pt *Paint) FusedAction(p *Packet) *Packet { return pt.SimpleAction(p) }
-
 // SetTimestamp overwrites the packet timestamp with the current time.
 type SetTimestamp struct{ Base }
 
@@ -220,6 +193,3 @@ func (*SetTimestamp) SimpleAction(p *Packet) *Packet {
 	p.Timestamp = time.Now()
 	return p
 }
-
-// FusedAction implements Fusible: the element is stateless.
-func (st *SetTimestamp) FusedAction(p *Packet) *Packet { return st.SimpleAction(p) }

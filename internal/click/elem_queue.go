@@ -17,19 +17,11 @@ func init() {
 }
 
 // Queue stores packets in FIFO order: push input, pull output. Packets
-// pushed into a full queue are dropped (tail drop).
+// pushed into a full queue are dropped (tail drop). Storage is a slice
+// ring; every access runs under the element lock acquired by the caller.
 //
-// Queues have two storage modes. The default is the mutex-guarded slice
-// ring: every access runs under the element lock acquired by the caller.
-// Under the Fused driver, the fuse compiler switches eligible queues to
-// a lock-free SPSC ring: the producer enqueues and the single consumer
-// dequeues with atomic ring operations only, and counters are atomics so
-// handler reads stay race-free. Ring capacity rounds up to a power of
-// two, and the capacity write handler is rejected while a ring is active
-// (resizing a lock-free ring in place is not).
-//
-// Configuration: Queue([CAPACITY]). Handlers: length, capacity (rw),
-// drops, highwater (r), reset_counts (w).
+// Configuration: Queue([CAPACITY]), CAPACITY at most maxQueueCapacity.
+// Handlers: length, capacity (rw), drops, highwater (r), reset_counts (w).
 type Queue struct {
 	Base
 	ring      []*Packet
@@ -37,14 +29,19 @@ type Queue struct {
 	capacity  int
 	drops     atomic.Uint64
 	highwater atomic.Int64
+}
 
-	// lf, when non-nil, replaces the slice ring (fused fast path).
-	// fusedThrough marks queues a pipeline fused straight through: bursts
-	// run to the downstream sink in the pipeline goroutine and the queue
-	// itself never stores a packet, so its capacity is inert and resize
-	// writes are rejected.
-	lf           *SPSCRing[*Packet]
-	fusedThrough bool
+// maxQueueCapacity bounds Queue(N) and the capacity write handler. Both
+// arrive from outside the program — a NETCONF-delivered config, the
+// ControlSocket TCP port — and the ring is allocated up front.
+const maxQueueCapacity = 1 << 20
+
+// checkQueueCapacity validates a capacity from a config or a handler write.
+func checkQueueCapacity(c int) error {
+	if c <= 0 || c > maxQueueCapacity {
+		return fmt.Errorf("capacity %d out of range 1..%d", c, maxQueueCapacity)
+	}
+	return nil
 }
 
 // Class implements Element.
@@ -62,54 +59,19 @@ func (q *Queue) Configure(r *Router, args []string) error {
 	if err != nil {
 		return err
 	}
-	if cap_ <= 0 {
-		return fmt.Errorf("capacity must be positive")
+	if err := checkQueueCapacity(cap_); err != nil {
+		return err
 	}
 	q.capacity = cap_
 	q.ring = make([]*Packet, cap_)
 	return nil
 }
 
-// enableRing switches the queue from the mutex-guarded slice ring to a
-// lock-free ring, migrating any already-queued packets. Called by the
-// fuse compiler before the router starts, never while traffic flows.
-func (q *Queue) enableRing() {
-	r := NewSPSCRing[*Packet](q.capacity)
-	for q.n > 0 {
-		r.Enqueue(q.Pull(0))
-	}
-	q.ring = nil
-	q.lf = r
-}
-
 // Len reports the number of queued packets.
-func (q *Queue) Len() int {
-	if q.lf != nil {
-		return q.lf.Len()
-	}
-	return q.n
-}
-
-// noteDepth updates the high-water mark. The read-max-store is racy in
-// ring mode, but the mark is a statistic: a lost update costs at most a
-// slightly stale watermark, never a wrong packet.
-func (q *Queue) noteDepth(n int64) {
-	if n > q.highwater.Load() {
-		q.highwater.Store(n)
-	}
-}
+func (q *Queue) Len() int { return q.n }
 
 // Push implements Element.
 func (q *Queue) Push(port int, p *Packet) {
-	if q.lf != nil {
-		if !q.lf.Enqueue(p) {
-			q.drops.Add(1)
-			p.Kill()
-			return
-		}
-		q.noteDepth(int64(q.lf.Len()))
-		return
-	}
 	if q.n == q.capacity {
 		q.drops.Add(1)
 		p.Kill()
@@ -117,24 +79,14 @@ func (q *Queue) Push(port int, p *Packet) {
 	}
 	q.ring[(q.head+q.n)%q.capacity] = p
 	q.n++
-	q.noteDepth(int64(q.n))
+	if n := int64(q.n); n > q.highwater.Load() {
+		q.highwater.Store(n)
+	}
 }
 
 // PushBatch implements Element: the whole burst is enqueued under the one
-// lock acquisition the caller already holds (or, in ring mode, with one
-// atomic publish for the whole burst).
+// lock acquisition the caller already holds.
 func (q *Queue) PushBatch(port int, ps []*Packet) {
-	if q.lf != nil {
-		taken := q.lf.EnqueueBatch(ps)
-		if taken < len(ps) {
-			q.drops.Add(uint64(len(ps) - taken))
-			for _, p := range ps[taken:] {
-				p.Kill()
-			}
-		}
-		q.noteDepth(int64(q.lf.Len()))
-		return
-	}
 	for _, p := range ps {
 		q.Push(port, p)
 	}
@@ -142,10 +94,6 @@ func (q *Queue) PushBatch(port int, ps []*Packet) {
 
 // Pull implements Element.
 func (q *Queue) Pull(port int) *Packet {
-	if q.lf != nil {
-		p, _ := q.lf.Dequeue()
-		return p
-	}
 	if q.n == 0 {
 		return nil
 	}
@@ -158,23 +106,11 @@ func (q *Queue) Pull(port int) *Packet {
 
 // PullBatch implements batchPuller: dequeue up to max packets in one call.
 func (q *Queue) PullBatch(port, max int, buf []*Packet) []*Packet {
-	if q.lf != nil {
-		return q.lf.DequeueBatch(buf, max-len(buf))
-	}
 	for len(buf) < max && q.n > 0 {
 		buf = append(buf, q.Pull(port))
 	}
 	return buf
 }
-
-// UnlockedPullBatch implements unlockedBatchPuller: in ring mode the
-// single consumer may dequeue without the element lock.
-func (q *Queue) UnlockedPullBatch(port, max int, buf []*Packet) []*Packet {
-	return q.lf.DequeueBatch(buf, max-len(buf))
-}
-
-// pullLockFree implements unlockedBatchPuller.
-func (q *Queue) pullLockFree() bool { return q.lf != nil }
 
 // Handlers implements HandlerProvider.
 func (q *Queue) Handlers() []Handler {
@@ -183,11 +119,11 @@ func (q *Queue) Handlers() []Handler {
 		{Name: "capacity", Read: func() string { return strconv.Itoa(q.capacity) },
 			Write: func(v string) error {
 				c, err := strconv.Atoi(v)
-				if err != nil || c <= 0 {
+				if err != nil {
 					return fmt.Errorf("bad capacity %q", v)
 				}
-				if q.lf != nil || q.fusedThrough {
-					return fmt.Errorf("cannot resize a lock-free queue while the fused driver is running")
+				if err := checkQueueCapacity(c); err != nil {
+					return err
 				}
 				// Rebuild ring preserving the oldest contents that fit; the
 				// rest are tail drops like any push into a full queue.

@@ -42,8 +42,8 @@ func (*InfiniteSource) Spec() PortSpec { return pushPorts(0, 1) }
 // Configure implements Element.
 func (s *InfiniteSource) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
-	length, err := ca.KeyInt("LENGTH", 64)
-	if err != nil {
+	var err error
+	if s.data, err = sourceData(ca); err != nil {
 		return err
 	}
 	if s.limit, err = ca.KeyInt("LIMIT", -1); err != nil {
@@ -55,13 +55,28 @@ func (s *InfiniteSource) Configure(r *Router, args []string) error {
 	if s.burst <= 0 {
 		return fmt.Errorf("BURST must be positive")
 	}
-	if d := ca.Pos(0, ""); d != "" {
-		s.data = []byte(Unquote(d))
-	} else {
-		s.data = make([]byte, length)
-	}
 	s.active.Store(true)
 	return nil
+}
+
+// maxSourceLength bounds a source's LENGTH: no Ethernet frame is longer,
+// and the value arrives in a NETCONF-delivered config.
+const maxSourceLength = 1 << 16
+
+// sourceData is the packet a source emits: the DATA argument when given,
+// LENGTH zero bytes (default 64) otherwise.
+func sourceData(ca *ConfArgs) ([]byte, error) {
+	length, err := ca.KeyInt("LENGTH", 64)
+	if err != nil {
+		return nil, err
+	}
+	if length < 0 || length > maxSourceLength {
+		return nil, fmt.Errorf("LENGTH %d out of range 0..%d", length, maxSourceLength)
+	}
+	if d := ca.Pos(0, ""); d != "" {
+		return []byte(Unquote(d)), nil
+	}
+	return make([]byte, length), nil
 }
 
 // pending reports how many packets the source may emit right now.
@@ -92,24 +107,6 @@ func (s *InfiniteSource) RunTask() bool {
 		s.count.Add(1)
 	}
 	return true
-}
-
-// FusedIngest implements the fused driver's source hook: generate a
-// burst without the element lock. All mutable state (count, active) is
-// atomic.
-func (s *InfiniteSource) FusedIngest(buf []*Packet) []*Packet {
-	n := s.pending()
-	if n <= 0 {
-		return buf
-	}
-	now := time.Now()
-	for i := 0; i < n; i++ {
-		p := NewPacket(s.data)
-		p.Timestamp = now
-		buf = append(buf, p)
-	}
-	s.count.Add(uint64(n))
-	return buf
 }
 
 // Handlers implements HandlerProvider.
@@ -162,16 +159,8 @@ func (s *RatedSource) Configure(r *Router, args []string) error {
 	if s.limit, err = ca.KeyInt("LIMIT", -1); err != nil {
 		return err
 	}
-	length, err := ca.KeyInt("LENGTH", 64)
-	if err != nil {
-		return err
-	}
-	if d := ca.Pos(0, ""); d != "" {
-		s.data = []byte(Unquote(d))
-	} else {
-		s.data = make([]byte, length)
-	}
-	return nil
+	s.data, err = sourceData(ca)
+	return err
 }
 
 // Init implements Initializer.
@@ -343,11 +332,6 @@ func (d *Discard) PushBatch(port int, ps []*Packet) {
 	}
 }
 
-// FusedDeliver implements the fused driver's sink hook: reclaiming a
-// burst touches only the pool and the atomic counter, so no lock is
-// needed.
-func (d *Discard) FusedDeliver(ps []*Packet) { d.PushBatch(0, ps) }
-
 // Handlers implements HandlerProvider.
 func (d *Discard) Handlers() []Handler {
 	return []Handler{
@@ -356,23 +340,16 @@ func (d *Discard) Handlers() []Handler {
 	}
 }
 
-// FromDevice injects frames arriving on a Device into the graph. When
-// the device supports batched receive (BatchRecver), bursts are drained
-// in one call; the regular drivers still copy each frame into a pooled
-// packet with headroom, while the fused driver adopts the frames
-// zero-copy (see FusedIngest).
+// FromDevice injects frames arriving on a Device into the graph.
 //
 // Configuration: FromDevice(DEVNAME[, BURST n]). Handlers: count (r).
 type FromDevice struct {
 	Base
 	devName string
 	dev     Device
-	br      BatchRecver // non-nil when the device supports batched receive
-	armer   WakeArmer   // non-nil when the device signals readiness itself
 	burst   int
 	count   atomic.Uint64
 	batch   []*Packet // scratch for batched ingest
-	frames  [][]byte  // scratch for batched device receive
 	// parked is the frame the idle driver received off dev.Recv() while it
 	// was blocked (see Router.park). The next ingest emits it first, so
 	// per-device order is exact.
@@ -406,10 +383,8 @@ func (f *FromDevice) Init() error {
 		return fmt.Errorf("device %q not attached to router", f.devName)
 	}
 	f.dev = dev
-	f.br, _ = dev.(BatchRecver)
-	f.armer, _ = dev.(WakeArmer)
-	if dev.Recv() == nil && f.armer == nil {
-		return fmt.Errorf("device %q has neither a receive channel nor ArmWake: an idle driver could not wake on it", f.devName)
+	if dev.Recv() == nil {
+		return fmt.Errorf("device %q has no receive channel: an idle driver could not wake on it", f.devName)
 	}
 	return nil
 }
@@ -438,20 +413,13 @@ func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
 // the device may reuse its buffers.
 func (f *FromDevice) RunTask() bool {
 	f.batch = f.takeParked(f.batch[:0])
-	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst-len(f.batch))
-		for _, frame := range f.frames {
+drain:
+	for len(f.batch) < f.burst {
+		select {
+		case frame := <-f.dev.Recv():
 			f.batch = append(f.batch, NewPacket(frame))
-		}
-	} else {
-	drain:
-		for len(f.batch) < f.burst {
-			select {
-			case frame := <-f.dev.Recv():
-				f.batch = append(f.batch, NewPacket(frame))
-			default:
-				break drain
-			}
+		default:
+			break drain
 		}
 	}
 	if len(f.batch) == 0 {
@@ -460,41 +428,6 @@ func (f *FromDevice) RunTask() bool {
 	f.count.Add(uint64(len(f.batch)))
 	f.PushOutBatch(0, f.batch)
 	return true
-}
-
-// FusedIngest implements the fused driver's source hook: drain a burst
-// without the element lock. BatchRecver frames are adopted zero-copy
-// (their ownership transferred with RecvBatch) and the whole burst is
-// stamped with one clock read; channel devices fall back to the copying
-// path, which stays correct for devices that recycle buffers.
-func (f *FromDevice) FusedIngest(buf []*Packet) []*Packet {
-	n0 := len(buf)
-	buf = f.takeParked(buf)
-	if f.br != nil {
-		f.frames = f.br.RecvBatch(f.frames[:0], f.burst-(len(buf)-n0))
-		if len(f.frames) > 0 {
-			now := time.Now()
-			for _, frame := range f.frames {
-				p := AdoptPacket(frame)
-				p.Timestamp = now
-				buf = append(buf, p)
-			}
-		}
-	} else {
-	drain:
-		for len(buf)-n0 < f.burst {
-			select {
-			case frame := <-f.dev.Recv():
-				buf = append(buf, NewPacket(frame))
-			default:
-				break drain
-			}
-		}
-	}
-	if n := len(buf) - n0; n > 0 {
-		f.count.Add(uint64(n))
-	}
-	return buf
 }
 
 // Handlers implements HandlerProvider.
@@ -514,13 +447,11 @@ type ToDevice struct {
 	Base
 	devName  string
 	dev      Device
-	bs       BatchSender // non-nil when dev supports batched transmit
 	burst    int
 	pullMode bool
 	count    atomic.Uint64
 	drops    atomic.Uint64
 	batch    []*Packet // scratch for batched drain
-	frames   [][]byte  // scratch for batched transmit
 }
 
 // Class implements Element.
@@ -552,7 +483,6 @@ func (t *ToDevice) Init() error {
 		return fmt.Errorf("device %q not attached to router", t.devName)
 	}
 	t.dev = dev
-	t.bs, _ = dev.(BatchSender)
 	// Pull mode when processing negotiation resolved our input to pull
 	// (a Queue somewhere upstream, possibly through agnostic elements).
 	t.pullMode = t.ResolvedIn(0) == Pull
@@ -564,7 +494,9 @@ func (t *ToDevice) Push(port int, p *Packet) { t.send(p) }
 
 // PushBatch implements Element.
 func (t *ToDevice) PushBatch(port int, ps []*Packet) {
-	t.sendBatch(ps)
+	for _, p := range ps {
+		t.send(p)
+	}
 }
 
 // RunTask implements Tasker: drain a burst from the upstream Queue under
@@ -577,36 +509,8 @@ func (t *ToDevice) RunTask() bool {
 	if len(t.batch) == 0 {
 		return false
 	}
-	t.sendBatch(t.batch)
+	t.PushBatch(0, t.batch)
 	return true
-}
-
-// sendBatch transmits a burst: one BatchSender call when the device
-// supports it (a single atomic publish on a RingDevice), per-frame Send
-// otherwise. Frames the device did not accept are counted as drops.
-func (t *ToDevice) sendBatch(ps []*Packet) {
-	if t.bs == nil {
-		for _, p := range ps {
-			t.send(p)
-		}
-		return
-	}
-	t.frames = t.frames[:0]
-	for _, p := range ps {
-		t.frames = append(t.frames, p.Data())
-	}
-	n := t.bs.SendBatch(t.frames)
-	t.count.Add(uint64(n))
-	for _, p := range ps[:n] {
-		p.Detach()
-		p.Kill()
-	}
-	if n < len(ps) {
-		t.drops.Add(uint64(len(ps) - n))
-		for _, p := range ps[n:] {
-			p.Kill()
-		}
-	}
 }
 
 // send transmits and reclaims the packet. On success the device owns the
@@ -621,13 +525,6 @@ func (t *ToDevice) send(p *Packet) {
 	t.count.Add(1)
 	p.Detach()
 	p.Kill()
-}
-
-// FusedDeliver implements the fused driver's sink hook for push-mode
-// ToDevice: transmission touches only the device and atomic counters, so
-// a single pipeline may deliver bursts without the element lock.
-func (t *ToDevice) FusedDeliver(ps []*Packet) {
-	t.sendBatch(ps)
 }
 
 // Handlers implements HandlerProvider.

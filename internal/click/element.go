@@ -138,7 +138,7 @@ type HandlerProvider interface {
 // Concurrency model: every element owns a small mutex. Element code
 // (Push/Pull/RunTask/Tick/handlers) always runs with its element's mutex
 // held — the caller acquires it: PushOut/PullIn lock the neighbour before
-// invoking it, the drivers lock a task's element around RunTask, and the
+// invoking it, the driver locks a task's element around RunTask, and the
 // router locks an element around handler reads/writes and ticks. Locks
 // nest along a push or pull chain in flow order, so loop-free
 // configurations (the only kind that terminate at all) cannot deadlock,
@@ -327,26 +327,13 @@ type batchPuller interface {
 	PullBatch(port, max int, buf []*Packet) []*Packet
 }
 
-// unlockedBatchPuller is implemented by pull outputs whose storage is a
-// lock-free ring with a single consumer (Queue in ring mode): the consumer
-// may dequeue without taking the element lock at all. pullLockFree gates
-// the fast path so the same element type still works in locked mode.
-type unlockedBatchPuller interface {
-	UnlockedPullBatch(port, max int, buf []*Packet) []*Packet
-	pullLockFree() bool
-}
-
 // PullInBatch pulls up to max packets from input port i into buf (reused
-// across calls by the caller), acquiring the upstream lock once — or not
-// at all when the upstream is a lock-free ring queue.
+// across calls by the caller), acquiring the upstream lock once.
 func (b *Base) PullInBatch(i, max int, buf []*Packet) []*Packet {
 	if i >= len(b.ins) || b.ins[i].elem == nil {
 		return buf
 	}
 	in := b.ins[i]
-	if up, ok := in.elem.(unlockedBatchPuller); ok && up.pullLockFree() {
-		return up.UnlockedPullBatch(in.port, max, buf)
-	}
 	sb := in.elem.base()
 	sb.mu.Lock()
 	if bp, ok := in.elem.(batchPuller); ok {

@@ -1,19 +1,17 @@
 package click
 
-// The idle state of a driver goroutine. Click's userlevel driver blocks in
-// select() on its device fds when no task has work; so does this one. When
-// a full round of tasks reports nothing done, the goroutine parks in one
+// The idle state of the driver. Click's userlevel driver blocks in select()
+// on its device fds when no task has work; so does this one. When a full
+// round of tasks reports nothing done, the Run goroutine parks in one
 // blocking select (Router.park) over
 //
 //   - ctx, so Stop returns at once;
-//   - the tick, on the Run goroutine;
-//   - the receive channel of each ingress FromDevice it drives: the frame
-//     that ends the wait is stashed on that FromDevice and is the first one
-//     its next run emits, so order and counts are exact;
-//   - its wake channel, kicked by whatever creates work from outside the
-//     goroutine: WriteHandler and InjectPush (every parker of the router),
-//     a fused pipeline that delivered a burst towards a task on the Run
-//     goroutine, and a WakeArmer device whose producer published frames;
+//   - the tick;
+//   - the receive channel of each ingress FromDevice: the frame that ends
+//     the wait is stashed on that FromDevice and is the first one its next
+//     run emits, so order and counts are exact;
+//   - its wake channel, kicked by whatever creates work from another
+//     goroutine: WriteHandler, the ControlSocket and InjectPush;
 //   - one timer armed to the earliest Deadliner deadline.
 //
 // Nothing here polls, and no mutex is held while blocked.
@@ -46,19 +44,18 @@ func refillAt(last time.Time, tokens, rate float64) time.Time {
 // which allocates per wait and is kept off the common path for that reason.
 const parkArity = 4
 
-// parker is what one driver goroutine blocks on when idle.
+// parker is what the driver goroutine blocks on when idle.
 type parker struct {
-	wake   chan struct{} // cap 1: a kick that finds it full is already pending
-	chans  []*FromDevice // ingress on devices with a receive channel
-	armers []*FromDevice // ingress on WakeArmer devices
-	recv   [parkArity]<-chan []byte
-	timed  []Element            // Deadliners, Run goroutine only
-	timer  *time.Timer          // non-nil iff len(timed) > 0
-	many   []reflect.SelectCase // built on first use when len(chans) > parkArity
+	wake  chan struct{} // cap 1: a kick that finds it full is already pending
+	chans []*FromDevice // ingress devices
+	recv  [parkArity]<-chan []byte
+	timed []Element            // Deadliners
+	timer *time.Timer          // non-nil iff len(timed) > 0
+	many  []reflect.SelectCase // built on first use when len(chans) > parkArity
 }
 
-// newParker builds the idle state of a driver goroutine that must wake for
-// the given Deadliners; watch adds the elements it drives.
+// newParker builds the idle state of a driver that must wake for the given
+// Deadliners; watch adds the tasks it runs.
 func newParker(timed []Element) *parker {
 	pk := &parker{wake: make(chan struct{}, 1), timed: timed}
 	if len(timed) > 0 {
@@ -75,15 +72,10 @@ func (pk *parker) watch(e Element) {
 	if !ok {
 		return
 	}
-	if f.armer != nil {
-		pk.armers = append(pk.armers, f)
+	if len(pk.chans) < parkArity {
+		pk.recv[len(pk.chans)] = f.dev.Recv()
 	}
-	if c := f.dev.Recv(); c != nil {
-		if len(pk.chans) < parkArity {
-			pk.recv[len(pk.chans)] = c
-		}
-		pk.chans = append(pk.chans, f)
-	}
+	pk.chans = append(pk.chans, f)
 }
 
 // kick makes the parker's goroutine run another round. It never blocks and
@@ -109,15 +101,10 @@ func (pk *parker) nextDeadline() (at time.Time, ok bool) {
 	return at, ok
 }
 
-// park blocks the calling driver goroutine until something may have created
-// work for it and reports false once ctx is done. tick is the Run
-// goroutine's ticker channel, nil for pipeline goroutines.
-func (r *Router) park(ctx context.Context, pk *parker, tick <-chan time.Time) bool {
-	for _, f := range pk.armers {
-		if !f.armer.ArmWake(pk.wake) {
-			return true // frames were published after the round that found none
-		}
-	}
+// park blocks the driver goroutine until something may have created work
+// for it and reports false once ctx is done.
+func (r *Router) park(ctx context.Context, tick <-chan time.Time) bool {
+	pk := r.idle
 	var deadline <-chan time.Time
 	if at, ok := pk.nextDeadline(); ok {
 		d := time.Until(at)
@@ -128,7 +115,7 @@ func (r *Router) park(ctx context.Context, pk *parker, tick <-chan time.Time) bo
 		deadline = pk.timer.C
 	}
 	if len(pk.chans) > parkArity {
-		return r.parkMany(ctx, pk, tick, deadline)
+		return r.parkMany(ctx, tick, deadline)
 	}
 	select {
 	case <-ctx.Done():
@@ -150,7 +137,8 @@ func (r *Router) park(ctx context.Context, pk *parker, tick <-chan time.Time) bo
 }
 
 // parkMany is park's select for more than parkArity device channels.
-func (r *Router) parkMany(ctx context.Context, pk *parker, tick, deadline <-chan time.Time) bool {
+func (r *Router) parkMany(ctx context.Context, tick, deadline <-chan time.Time) bool {
+	pk := r.idle
 	const fixed = 4 // ctx, tick, wake, deadline
 	if pk.many == nil {
 		pk.many = make([]reflect.SelectCase, fixed, fixed+len(pk.chans))

@@ -39,15 +39,13 @@ func init() {
 	RegisterElement("IdleProbe", func() Element { return &idleProbe{} })
 }
 
-var bothDrivers = []DriverMode{SingleThreaded, Fused}
-
-func buildRouter(t *testing.T, mode DriverMode, config string, devs ...Device) *Router {
+func buildRouter(t *testing.T, config string, devs ...Device) *Router {
 	t.Helper()
 	m := map[string]Device{}
 	for _, d := range devs {
 		m[d.DeviceName()] = d
 	}
-	r, err := NewRouter("idle", config, Options{Driver: mode, Devices: m})
+	r, err := NewRouter("idle", config, Options{Devices: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +53,9 @@ func buildRouter(t *testing.T, mode DriverMode, config string, devs ...Device) *
 }
 
 // startRouter builds and runs a router and stops it with the test.
-func startRouter(t *testing.T, mode DriverMode, config string, devs ...Device) *Router {
+func startRouter(t *testing.T, config string, devs ...Device) *Router {
 	t.Helper()
-	r := buildRouter(t, mode, config, devs...)
+	r := buildRouter(t, config, devs...)
 	go r.Run(context.Background())
 	t.Cleanup(r.Stop)
 	return r
@@ -101,33 +99,31 @@ func promptly(t *testing.T, n, maxSlow int, event func(i int)) {
 // TestIdleDriverBlocks: with nothing arriving the driver runs about one
 // round per tick, and Stop from the parked state does not wait for one.
 func TestIdleDriverBlocks(t *testing.T) {
-	for _, mode := range bothDrivers {
-		t.Run(mode.String(), func(t *testing.T) {
-			const routers = 5
-			var rs []*Router
-			for i := 0; i < routers; i++ {
-				r := buildRouter(t, mode, `probe :: IdleProbe; FromDevice(in) -> Discard;`, NewChanDevice("in", 8))
-				go r.Run(context.Background())
-				rs = append(rs, r)
+	t.Run("single", func(t *testing.T) {
+		const routers = 5
+		var rs []*Router
+		for i := 0; i < routers; i++ {
+			r := buildRouter(t, `probe :: IdleProbe; FromDevice(in) -> Discard;`, NewChanDevice("in", 8))
+			go r.Run(context.Background())
+			rs = append(rs, r)
+		}
+		// The sleep is the assertion: 200 ms in which nothing happens.
+		time.Sleep(200 * time.Millisecond)
+		stops := make([]time.Duration, routers)
+		for i, r := range rs {
+			probe := r.Element("probe").(*idleProbe)
+			if runs, ticks := probe.runs.Load(), probe.ticks.Load(); runs > ticks+4 || ticks < 5 {
+				t.Errorf("idle driver ran %d rounds over %d ticks in 200 ms, want about one round per tick", runs, ticks)
 			}
-			// The sleep is the assertion: 200 ms in which nothing happens.
-			time.Sleep(200 * time.Millisecond)
-			stops := make([]time.Duration, routers)
-			for i, r := range rs {
-				probe := r.Element("probe").(*idleProbe)
-				if runs, ticks := probe.runs.Load(), probe.ticks.Load(); runs > ticks+4 || ticks < 5 {
-					t.Errorf("idle driver ran %d rounds over %d ticks in 200 ms, want about one round per tick", runs, ticks)
-				}
-				start := time.Now()
-				r.Stop()
-				stops[i] = time.Since(start)
-			}
-			sort.Slice(stops, func(i, j int) bool { return stops[i] < stops[j] })
-			if med := stops[routers/2]; med > slowAfter {
-				t.Errorf("Stop from the parked state took %v (median of %v)", med, stops)
-			}
-		})
-	}
+			start := time.Now()
+			r.Stop()
+			stops[i] = time.Since(start)
+		}
+		sort.Slice(stops, func(i, j int) bool { return stops[i] < stops[j] })
+		if med := stops[routers/2]; med > slowAfter {
+			t.Errorf("Stop from the parked state took %v (median of %v)", med, stops)
+		}
+	})
 }
 
 // TestIdleWakeSources: everything that can hand a parked driver work wakes
@@ -135,71 +131,46 @@ func TestIdleDriverBlocks(t *testing.T) {
 func TestIdleWakeSources(t *testing.T) {
 	const n, maxSlow = 40, 4
 	frame := make([]byte, 60)
-	for _, mode := range bothDrivers {
-		t.Run(mode.String()+"/device-channel", func(t *testing.T) {
-			in, out := NewChanDevice("in", 8), NewChanDevice("out", 8)
-			startRouter(t, mode, `FromDevice(in) -> ToDevice(out);`, in, out)
-			promptly(t, n, maxSlow, func(int) {
-				in.In <- frame
-				recvFrame(t, out.Out, "forwarded frame")
-			})
-		})
-		t.Run(mode.String()+"/inject-push", func(t *testing.T) {
-			out := NewChanDevice("out", 8)
-			r := startRouter(t, mode, `q :: Queue(16) -> Unqueue -> ToDevice(out);`, out)
-			promptly(t, n, maxSlow, func(int) {
-				if err := r.InjectPush("q", 0, NewPacket(frame)); err != nil {
-					t.Fatal(err)
-				}
-				recvFrame(t, out.Out, "injected packet")
-			})
-		})
-		t.Run(mode.String()+"/source-active", func(t *testing.T) {
-			out := NewChanDevice("out", 8)
-			r := startRouter(t, mode, `src :: InfiniteSource(LIMIT 1, BURST 1) -> ToDevice(out);`, out)
-			recvFrame(t, out.Out, "first packet")
-			promptly(t, n, maxSlow, func(int) {
-				for _, w := range [][2]string{{"src.active", "false"}, {"src.reset", ""}, {"src.active", "true"}} {
-					if err := r.WriteHandler(w[0], w[1]); err != nil {
-						t.Fatal(err)
-					}
-				}
-				recvFrame(t, out.Out, "packet after active true")
-			})
-		})
-		t.Run(mode.String()+"/rated-source-reset", func(t *testing.T) {
-			out := NewChanDevice("out", 8)
-			r := startRouter(t, mode, `src :: RatedSource(RATE 100000, LIMIT 1) -> ToDevice(out);`, out)
-			recvFrame(t, out.Out, "first packet")
-			promptly(t, n, maxSlow, func(int) {
-				if err := r.WriteHandler("src.reset", ""); err != nil {
-					t.Fatal(err)
-				}
-				recvFrame(t, out.Out, "packet after reset")
-			})
-		})
-		t.Run(mode.String()+"/ring-device", func(t *testing.T) {
-			in, out := NewRingDevice("in", 64), NewChanDevice("out", 8)
-			startRouter(t, mode, `FromDevice(in) -> ToDevice(out);`, in, out)
-			promptly(t, n, maxSlow, func(int) {
-				if !in.In.Enqueue(frame) {
-					t.Fatal("ring full")
-				}
-				recvFrame(t, out.Out, "frame off the ring")
-			})
-		})
-	}
-	// A pipeline goroutine delivers into a ring Queue whose consumer, a
-	// pull-mode ToDevice behind a Counter, is a task of the Run goroutine.
-	t.Run("fused/pipeline-to-leftover", func(t *testing.T) {
+	t.Run("single/device-channel", func(t *testing.T) {
 		in, out := NewChanDevice("in", 8), NewChanDevice("out", 8)
-		r := startRouter(t, Fused, `FromDevice(in) -> Queue(16) -> Counter -> ToDevice(out);`, in, out)
-		if len(r.fused) != 1 || len(r.fusedLeftover) != 1 {
-			t.Fatalf("want one pipeline and one leftover task, got %d and %d", len(r.fused), len(r.fusedLeftover))
-		}
+		startRouter(t, `FromDevice(in) -> ToDevice(out);`, in, out)
 		promptly(t, n, maxSlow, func(int) {
 			in.In <- frame
-			recvFrame(t, out.Out, "frame through the ring queue")
+			recvFrame(t, out.Out, "forwarded frame")
+		})
+	})
+	t.Run("single/inject-push", func(t *testing.T) {
+		out := NewChanDevice("out", 8)
+		r := startRouter(t, `q :: Queue(16) -> Unqueue -> ToDevice(out);`, out)
+		promptly(t, n, maxSlow, func(int) {
+			if err := r.InjectPush("q", 0, NewPacket(frame)); err != nil {
+				t.Fatal(err)
+			}
+			recvFrame(t, out.Out, "injected packet")
+		})
+	})
+	t.Run("single/source-active", func(t *testing.T) {
+		out := NewChanDevice("out", 8)
+		r := startRouter(t, `src :: InfiniteSource(LIMIT 1, BURST 1) -> ToDevice(out);`, out)
+		recvFrame(t, out.Out, "first packet")
+		promptly(t, n, maxSlow, func(int) {
+			for _, w := range [][2]string{{"src.active", "false"}, {"src.reset", ""}, {"src.active", "true"}} {
+				if err := r.WriteHandler(w[0], w[1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			recvFrame(t, out.Out, "packet after active true")
+		})
+	})
+	t.Run("single/rated-source-reset", func(t *testing.T) {
+		out := NewChanDevice("out", 8)
+		r := startRouter(t, `src :: RatedSource(RATE 100000, LIMIT 1) -> ToDevice(out);`, out)
+		recvFrame(t, out.Out, "first packet")
+		promptly(t, n, maxSlow, func(int) {
+			if err := r.WriteHandler("src.reset", ""); err != nil {
+				t.Fatal(err)
+			}
+			recvFrame(t, out.Out, "packet after reset")
 		})
 	})
 }
@@ -222,66 +193,48 @@ func spinFor(d time.Duration) {
 // binaries delays about one goroutine hand-off in a hundred that much.
 func TestIdleNoLostWakeup(t *testing.T) {
 	const n = 1000
-	for _, mode := range bothDrivers {
-		for _, ring := range []bool{false, true} {
-			name := mode.String() + "/chan"
-			if ring {
-				name = mode.String() + "/ring"
-			}
-			t.Run(name, func(t *testing.T) {
-				out := NewChanDevice("out", 8)
-				var send func(seq int)
-				if ring {
-					in := NewRingDevice("in", 64)
-					startRouter(t, mode, `FromDevice(in) -> ToDevice(out);`, in, out)
-					send = func(seq int) { in.In.Enqueue([]byte{byte(seq >> 8), byte(seq)}) }
-				} else {
-					in := NewChanDevice("in", 8)
-					startRouter(t, mode, `FromDevice(in) -> ToDevice(out);`, in, out)
-					send = func(seq int) { in.In <- []byte{byte(seq >> 8), byte(seq)} }
+	t.Run("single/chan", func(t *testing.T) {
+		in, out := NewChanDevice("in", 8), NewChanDevice("out", 8)
+		startRouter(t, `FromDevice(in) -> ToDevice(out);`, in, out)
+		send := func(seq int) { in.In <- []byte{byte(seq >> 8), byte(seq)} }
+		rng := rand.New(rand.NewSource(1))
+		promptly(t, n, n/50, func(i int) {
+			send(2 * i)
+			spinFor(time.Duration(rng.Intn(10000)) * time.Nanosecond)
+			send(2*i + 1)
+			for seq := 2 * i; seq <= 2*i+1; seq++ {
+				f := recvFrame(t, out.Out, fmt.Sprintf("frame %d", seq))
+				if got := int(f[0])<<8 | int(f[1]); got != seq {
+					t.Fatalf("frame %d came out as %d", seq, got)
 				}
-				rng := rand.New(rand.NewSource(1))
-				promptly(t, n, n/50, func(i int) {
-					send(2 * i)
-					spinFor(time.Duration(rng.Intn(10000)) * time.Nanosecond)
-					send(2*i + 1)
-					for seq := 2 * i; seq <= 2*i+1; seq++ {
-						f := recvFrame(t, out.Out, fmt.Sprintf("frame %d", seq))
-						if got := int(f[0])<<8 | int(f[1]); got != seq {
-							t.Fatalf("frame %d came out as %d", seq, got)
-						}
-					}
-				})
-			})
-		}
-	}
+			}
+		})
+	})
 }
 
 // TestIdleManyIngressDevices: a router with more ingress channels than the
 // park select names directly serves every one of them, in order.
 func TestIdleManyIngressDevices(t *testing.T) {
 	const devs = parkArity + 3
-	for _, mode := range bothDrivers {
-		t.Run(mode.String(), func(t *testing.T) {
-			var cfg strings.Builder
-			var all []Device
-			var ins, outs []*ChanDevice
-			for i := 0; i < devs; i++ {
-				in, out := NewChanDevice(fmt.Sprintf("in%d", i), 8), NewChanDevice(fmt.Sprintf("out%d", i), 8)
-				ins, outs = append(ins, in), append(outs, out)
-				all = append(all, in, out)
-				fmt.Fprintf(&cfg, "FromDevice(in%d) -> ToDevice(out%d);\n", i, i)
+	t.Run("single", func(t *testing.T) {
+		var cfg strings.Builder
+		var all []Device
+		var ins, outs []*ChanDevice
+		for i := 0; i < devs; i++ {
+			in, out := NewChanDevice(fmt.Sprintf("in%d", i), 8), NewChanDevice(fmt.Sprintf("out%d", i), 8)
+			ins, outs = append(ins, in), append(outs, out)
+			all = append(all, in, out)
+			fmt.Fprintf(&cfg, "FromDevice(in%d) -> ToDevice(out%d);\n", i, i)
+		}
+		startRouter(t, cfg.String(), all...)
+		promptly(t, 10*devs, devs, func(i int) {
+			d := i % devs
+			ins[d].In <- []byte{byte(i)}
+			if f := recvFrame(t, outs[d].Out, fmt.Sprintf("frame on device %d", d)); f[0] != byte(i) {
+				t.Fatalf("device %d forwarded frame %d, want %d", d, f[0], i)
 			}
-			startRouter(t, mode, cfg.String(), all...)
-			promptly(t, 10*devs, devs, func(i int) {
-				d := i % devs
-				ins[d].In <- []byte{byte(i)}
-				if f := recvFrame(t, outs[d].Out, fmt.Sprintf("frame on device %d", d)); f[0] != byte(i) {
-					t.Fatalf("device %d forwarded frame %d, want %d", d, f[0], i)
-				}
-			})
 		})
-	}
+	})
 }
 
 // collect receives n frames and returns the arrival time of each. The tick
@@ -365,39 +318,37 @@ func assertNoSpin(t *testing.T, probe *idleProbe, packets int64) {
 // TestDeadlineSources: time-gated sources fire on their deadlines — at
 // their rate, not on the tick and not by spinning.
 func TestDeadlineSources(t *testing.T) {
-	for _, mode := range bothDrivers {
-		// 200 packets at 1000 pps: 200 ms.
-		t.Run(mode.String()+"/rated-source", func(t *testing.T) {
-			out := NewChanDevice("out", 256)
-			r := buildRouter(t, mode, `probe :: IdleProbe; RatedSource(RATE 1000, LIMIT 200) -> ToDevice(out);`, out)
-			probe := r.Element("probe").(*idleProbe)
-			start := time.Now()
-			go r.Run(context.Background())
-			defer r.Stop()
-			at := collect(t, out.Out, 200)
-			if el := at[199].Sub(start); el < 150*time.Millisecond {
-				t.Errorf("200 packets at 1000 pps took %v", el)
-			}
-			assertOnSchedule(t, at, 0, time.Millisecond)
-			assertNotOnTick(t, at, 0)
-			assertNoSpin(t, probe, 200)
-		})
-		// One packet per 5 ms: 20 in 100 ms, neither 10 nor in pairs.
-		t.Run(mode.String()+"/timed-source", func(t *testing.T) {
-			out := NewChanDevice("out", 64)
-			startRouter(t, mode, `TimedSource(5ms) -> ToDevice(out);`, out)
-			at := collect(t, out.Out, 40)
-			assertOnSchedule(t, at, 0, 5*time.Millisecond)
-			gaps := make([]time.Duration, len(at)-1)
-			for i := range gaps {
-				gaps[i] = at[i+1].Sub(at[i])
-			}
-			sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-			if med := gaps[len(gaps)/2]; med < 3750*time.Microsecond || med > 6250*time.Microsecond {
-				t.Errorf("median gap between TimedSource(5ms) packets is %v, want 5 ms ± 25 %%", med)
-			}
-		})
-	}
+	// 200 packets at 1000 pps: 200 ms.
+	t.Run("single/rated-source", func(t *testing.T) {
+		out := NewChanDevice("out", 256)
+		r := buildRouter(t, `probe :: IdleProbe; RatedSource(RATE 1000, LIMIT 200) -> ToDevice(out);`, out)
+		probe := r.Element("probe").(*idleProbe)
+		start := time.Now()
+		go r.Run(context.Background())
+		defer r.Stop()
+		at := collect(t, out.Out, 200)
+		if el := at[199].Sub(start); el < 150*time.Millisecond {
+			t.Errorf("200 packets at 1000 pps took %v", el)
+		}
+		assertOnSchedule(t, at, 0, time.Millisecond)
+		assertNotOnTick(t, at, 0)
+		assertNoSpin(t, probe, 200)
+	})
+	// One packet per 5 ms: 20 in 100 ms, neither 10 nor in pairs.
+	t.Run("single/timed-source", func(t *testing.T) {
+		out := NewChanDevice("out", 64)
+		startRouter(t, `TimedSource(5ms) -> ToDevice(out);`, out)
+		at := collect(t, out.Out, 40)
+		assertOnSchedule(t, at, 0, 5*time.Millisecond)
+		gaps := make([]time.Duration, len(at)-1)
+		for i := range gaps {
+			gaps[i] = at[i+1].Sub(at[i])
+		}
+		sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
+		if med := gaps[len(gaps)/2]; med < 3750*time.Microsecond || med > 6250*time.Microsecond {
+			t.Errorf("median gap between TimedSource(5ms) packets is %v, want 5 ms ± 25 %%", med)
+		}
+	})
 }
 
 // TestDeadlineShapers: a backlog behind RatedUnqueue or BandwidthShaper
@@ -410,24 +361,22 @@ func TestDeadlineShapers(t *testing.T) {
 		{"rated-unqueue", `q :: Queue(1000) -> RatedUnqueue(RATE 2000) -> ToDevice(out);`},
 		{"bandwidth-shaper", `q :: Queue(1000) -> BandwidthShaper(2000000) -> ToDevice(out);`},
 	} {
-		for _, mode := range bothDrivers {
-			t.Run(mode.String()+"/"+tc.name, func(t *testing.T) {
-				out := NewChanDevice("out", backlog) // holds the initial burst: a full device drops
-				r := buildRouter(t, mode, `probe :: IdleProbe; `+tc.config, out)
-				probe := r.Element("probe").(*idleProbe)
-				// Queued before Run, so no kick inflates the round count.
-				for i := 0; i < backlog; i++ {
-					if err := r.InjectPush("q", 0, NewPacket(make([]byte, 1000))); err != nil {
-						t.Fatal(err)
-					}
+		t.Run("single/"+tc.name, func(t *testing.T) {
+			out := NewChanDevice("out", backlog) // holds the initial burst: a full device drops
+			r := buildRouter(t, `probe :: IdleProbe; `+tc.config, out)
+			probe := r.Element("probe").(*idleProbe)
+			// Queued before Run, so no kick inflates the round count.
+			for i := 0; i < backlog; i++ {
+				if err := r.InjectPush("q", 0, NewPacket(make([]byte, 1000))); err != nil {
+					t.Fatal(err)
 				}
-				go r.Run(context.Background())
-				defer r.Stop()
-				at := collect(t, out.Out, backlog)
-				assertOnSchedule(t, at, burst, time.Second/2000)
-				assertNotOnTick(t, at, burst)
-				assertNoSpin(t, probe, backlog)
-			})
-		}
+			}
+			go r.Run(context.Background())
+			defer r.Stop()
+			at := collect(t, out.Out, backlog)
+			assertOnSchedule(t, at, burst, time.Second/2000)
+			assertNotOnTick(t, at, burst)
+			assertNoSpin(t, probe, backlog)
+		})
 	}
 }

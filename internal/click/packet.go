@@ -8,8 +8,9 @@
 //     batched handoff (PushBatch) on hot push paths,
 //   - a parser for the Click configuration language subset ESCAPE uses
 //     (declarations, connections, anonymous elements, port specifiers),
-//   - two drivers: SingleThreaded (Click's userlevel driver, default) and
-//     Fused (run-to-completion pipelines over lock-free rings, fuse.go),
+//   - one driver, Click's userlevel one: a single goroutine runs every
+//     scheduler task round-robin and blocks in a select on the router's
+//     devices when none has work (idle.go),
 //   - a pooled packet allocator (NewPacket/Clone draw from a sync.Pool,
 //     Kill reclaims),
 //   - read/write handlers on every element, and
@@ -81,23 +82,6 @@ func NewPacket(data []byte) *Packet {
 	copy(p.buf[headroom:], data)
 	p.off = headroom
 	p.Timestamp = time.Now()
-	p.Paint = 0
-	p.Mark = 0
-	return p
-}
-
-// AdoptPacket wraps frame in a Packet without copying: the packet takes
-// ownership of the slice itself, so the caller must not touch frame
-// afterwards. Adopted packets carry no headroom (Prepend falls back to an
-// allocating copy) and a zero Timestamp — the fused ingest path stamps
-// whole bursts with one time.Now() call instead of one per packet. Use it
-// only with frames whose ownership genuinely transfers (BatchRecver
-// devices); for shared or device-retained buffers use NewPacket.
-func AdoptPacket(frame []byte) *Packet {
-	p := packetPool.Get().(*Packet)
-	p.buf = frame
-	p.off = 0
-	p.Timestamp = time.Time{}
 	p.Paint = 0
 	p.Mark = 0
 	return p

@@ -9,42 +9,16 @@ import (
 	"time"
 )
 
-// DriverMode selects how scheduler tasks execute.
-type DriverMode int
-
-// Driver modes. Element code is always serialized per element (see Base);
-// scheduler tasks always run round-robin on the Run goroutine (runTasks).
-// Under either mode a driver goroutine with nothing to do blocks (idle.go);
-// it never polls.
-const (
-	// SingleThreaded matches Click's userlevel driver: one goroutine runs
-	// all tasks round-robin.
-	SingleThreaded DriverMode = iota
-	// Fused compiles loop-free single-consumer push chains into
-	// run-to-completion pipelines at init (see fuse.go): one goroutine per
-	// pipeline executes source → transforms → sink with no per-element
-	// locking or scheduling, and eligible Queues switch to lock-free
-	// rings. Elements the compiler cannot prove safe stay on the locked
-	// task path, which the Run goroutine drives.
-	Fused
-)
-
-// String names the driver mode as used in experiment tables.
-func (m DriverMode) String() string {
-	if m == Fused {
-		return "fused"
-	}
-	return "single"
-}
-
 // Options tune router construction.
 type Options struct {
 	// Devices maps device names (FromDevice/ToDevice arguments) to Device
 	// implementations.
 	Devices map[string]Device
-	// Driver selects the scheduling mode; default SingleThreaded.
-	Driver DriverMode
 }
+
+// maxPorts bounds the ports of one element. Switch(N), Tee(N) and their kin
+// take N from the config, and wiring allocates every port up front.
+const maxPorts = 1 << 12
 
 // tickInterval is the period of Ticker callbacks.
 const tickInterval = 10 * time.Millisecond
@@ -62,13 +36,8 @@ type Router struct {
 	stopped chan struct{}
 	cancel  context.CancelFunc
 
-	// idle is the Run goroutine's parker; every fused pipeline has its own.
+	// idle is what the Run goroutine blocks on when no task has work.
 	idle *parker
-
-	// Fused-driver state built by compileFused (nil otherwise).
-	fused         []*fusedPipeline
-	fusedLeftover []taskEntry
-	fusedElems    map[string]bool // elements owned by a pipeline; InjectPush rejected
 
 	// stats
 	startedAt time.Time
@@ -111,6 +80,9 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 		b.config = d.Args
 		if err := e.Configure(r, d.Args); err != nil {
 			return nil, fmt.Errorf("click: %s :: %s: %w", d.Name, d.Class, err)
+		}
+		if s := e.Spec(); s.NIn > maxPorts || s.NOut > maxPorts {
+			return nil, fmt.Errorf("click: %s :: %s: %d inputs and %d outputs, at most %d each", d.Name, d.Class, s.NIn, s.NOut, maxPorts)
 		}
 		r.elems[d.Name] = e
 		r.order = append(r.order, d.Name)
@@ -180,11 +152,6 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 			}
 		}
 	}
-	driven := r.tasks
-	if opts.Driver == Fused {
-		r.compileFused()
-		driven = r.fusedLeftover
-	}
 	var timed []Element
 	for _, n := range r.order {
 		if _, ok := r.elems[n].(Deadliner); ok {
@@ -192,7 +159,7 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 		}
 	}
 	r.idle = newParker(timed)
-	for _, te := range driven {
+	for _, te := range r.tasks {
 		r.idle.watch(te.eb.self)
 	}
 	return r, nil
@@ -343,11 +310,7 @@ func (r *Router) Run(ctx context.Context) {
 		close(r.stopped)
 	}()
 
-	if r.opts.Driver == Fused {
-		r.runFused(ctx)
-	} else {
-		r.runTasks(ctx, r.tasks)
-	}
+	r.runTasks(ctx, r.tasks)
 }
 
 // runLocked executes one task run with the task element's lock held.
@@ -382,38 +345,16 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 				worked = true
 			}
 		}
-		if !worked && !r.park(ctx, r.idle, ticker.C) {
+		if !worked && !r.park(ctx, ticker.C) {
 			return
 		}
 	}
 }
 
-// kick wakes every driver goroutine of the router. WriteHandler and
-// InjectPush call it: either can hand any task new work (a source switched
-// on, a counter reset under its LIMIT, a changed rate, a packet in a Queue).
-func (r *Router) kick() {
-	r.idle.kick()
-	for _, fp := range r.fused {
-		fp.idle.kick()
-	}
-}
-
-// runFused starts one goroutine per compiled pipeline and runs every
-// task the compiler left on the locked path on this goroutine, so each
-// leftover task — and with it every ring Queue's pull side — has exactly
-// one consumer.
-func (r *Router) runFused(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, fp := range r.fused {
-		wg.Add(1)
-		go func(fp *fusedPipeline) {
-			defer wg.Done()
-			fp.run(ctx, r)
-		}(fp)
-	}
-	r.runTasks(ctx, r.fusedLeftover)
-	wg.Wait()
-}
+// kick makes the driver run another round. WriteHandler and InjectPush call
+// it: either can hand any task new work (a source switched on, a counter
+// reset under its LIMIT, a changed rate, a packet in a Queue).
+func (r *Router) kick() { r.idle.kick() }
 
 // Ticker elements receive periodic time callbacks (rate estimators).
 type Ticker interface {
@@ -568,17 +509,11 @@ func (r *Router) WriteHandler(spec, value string) error {
 
 // InjectPush pushes a packet into a named element's input port from outside
 // the driver (tests, traffic tools). It serializes on the element's lock,
-// exactly like an upstream neighbour would. Elements owned by a fused
-// pipeline are rejected: the pipeline runs them without that lock, so an
-// injected push would race it (and a lock-free SPSC queue would gain a
-// second producer).
+// exactly like an upstream neighbour would.
 func (r *Router) InjectPush(elem string, port int, p *Packet) error {
 	e, ok := r.elems[elem]
 	if !ok {
 		return fmt.Errorf("click: no element %q", elem)
-	}
-	if r.fusedElems[elem] {
-		return fmt.Errorf("click: element %q is fused into a run-to-completion pipeline; InjectPush would race it", elem)
 	}
 	b := e.base()
 	b.mu.Lock()

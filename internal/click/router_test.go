@@ -36,6 +36,11 @@ func TestRouterBuildErrors(t *testing.T) {
 		{"s :: InfiniteSource; q :: Queue; s -> q[0]; q -> Discard; Idle -> q;", "connected twice"},
 		{"s :: InfiniteSource; d :: Discard; s[3] -> d;", "output port"},
 		{"q :: Queue(0); InfiniteSource -> q -> Unqueue -> Discard;", "capacity"},
+		{"q :: Queue(1048577); InfiniteSource -> q -> Unqueue -> Discard;", "out of range"},
+		{"q :: Queue(99999999999); InfiniteSource -> q -> Unqueue -> Discard;", "out of range"},
+		{"InfiniteSource(LENGTH -1) -> Discard;", "LENGTH -1 out of range"},
+		{"RatedSource(LENGTH 99999999999) -> Discard;", "out of range"},
+		{"InfiniteSource -> s :: Switch(999999999999); s[0] -> Discard;", "at most"},
 		// push output directly into pull input
 		{"s :: InfiniteSource; u :: Unqueue; s -> u; u -> Discard;", "push/pull conflict"},
 	}

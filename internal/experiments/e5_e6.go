@@ -136,37 +136,37 @@ func E5Steering(lengths []int) (*Table, error) {
 	return t, nil
 }
 
-// chainOfRouters builds L Click forwarder VNFs connected in series via
-// shared lock-free frame rings (RingDevice) and returns the entry ring,
-// exit ring and the routers. Ring boundaries are what lets the fused
-// driver move frames through the whole chain zero-copy; the locked
-// drivers run over the same devices via the BatchRecver path, so the E6
-// driver comparison isolates scheduling and locking rather than device
-// overhead.
-func chainOfRouters(L int, driver click.DriverMode) (*click.SPSCRing[[]byte], *click.SPSCRing[[]byte], []*click.Router, error) {
-	rings := make([]*click.SPSCRing[[]byte], L+1)
-	for i := range rings {
-		rings[i] = click.NewSPSCRing[[]byte](4096)
+// e6DeviceDepth is the channel depth of every VNF boundary: what netem.EE
+// gives a deployed VNF's devices.
+const e6DeviceDepth = 1024
+
+// chainOfRouters builds L Click forwarder VNFs connected in series over
+// click.ChanDevice — the device shape netem.EE hands a deployed VNF — and
+// returns the entry channel, the exit channel and the routers. The left
+// VNF's Out channel is the right VNF's In.
+func chainOfRouters(L int) (chan<- []byte, <-chan []byte, []*click.Router, error) {
+	chans := make([]chan []byte, L+1)
+	for i := range chans {
+		chans[i] = make(chan []byte, e6DeviceDepth)
 	}
 	routers := make([]*click.Router, L)
 	for i := 0; i < L; i++ {
-		in := &click.RingDevice{Name: "in", In: rings[i]}
-		out := &click.RingDevice{Name: "out", Out: rings[i+1]}
+		in := &click.ChanDevice{Name: "in", In: chans[i]}
+		out := &click.ChanDevice{Name: "out", Out: chans[i+1]}
 		r, err := click.NewRouter(fmt.Sprintf("vnf%d", i),
 			`FromDevice(in) -> cnt :: Counter -> Queue(4096) -> ToDevice(out);`,
-			click.Options{Driver: driver, Devices: map[string]click.Device{"in": in, "out": out}})
+			click.Options{Devices: map[string]click.Device{"in": in, "out": out}})
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		routers[i] = r
 	}
-	return rings[0], rings[L], routers, nil
+	return chans[0], chans[L], routers, nil
 }
 
-// E6ClickDataPlane pushes frames through chains of Click VNFs and
-// reports throughput, per-packet latency and steady-state allocations
-// under both drivers; fused is each cell's last row, so the table's
-// final row is the headline configuration.
+// E6ClickDataPlane pushes frames through chains of Click VNFs and reports
+// throughput, per-packet latency and steady-state allocations, one row per
+// (chain length, frame size) cell.
 func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, error) {
 	if len(lengths) == 0 {
 		lengths = []int{1, 2, 4, 8}
@@ -180,19 +180,16 @@ func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, err
 	t := &Table{
 		ID:      "E6",
 		Title:   fmt.Sprintf("Click data plane: %d frames through VNF chains", packets),
-		Columns: []string{"chain_len", "frame_B", "driver", "kpps", "us_per_pkt", "allocs_pkt"},
+		Columns: []string{"chain_len", "frame_B", "kpps", "us_per_pkt", "allocs_pkt"},
 		Notes: []string{
 			"shape check: throughput falls ~1/L in chain length",
-			"fused compiles each VNF to a run-to-completion pipeline over lock-free rings (allocs_pkt ~0)",
-			"allocs_pkt counts heap allocations per forwarded packet in the post-warmup phase",
+			"allocs_pkt counts heap allocations per forwarded packet in the post-warmup phase: one frame buffer per VNF hop",
 		},
 	}
 	for _, L := range lengths {
 		for _, size := range frameSizes {
-			for _, d := range []click.DriverMode{click.SingleThreaded, click.Fused} {
-				if err := E6Cell(t, L, size, packets, d); err != nil {
-					return nil, err
-				}
+			if err := E6Cell(t, L, size, packets); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -200,11 +197,10 @@ func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, err
 }
 
 // e6InflightCap bounds packets in flight across the whole chain. It is
-// below every queue and ring capacity (4096), so backpressure lives at
-// the harness and no queue tail-drops mid-measurement; it also pins the
-// packet pool's working set, which is what makes the post-warmup
-// allocation count a steady-state number.
-const e6InflightCap = 1024
+// below every device and queue capacity, so backpressure lives at the
+// harness and nothing tail-drops mid-measurement: every frame sent comes
+// out.
+const e6InflightCap = e6DeviceDepth / 2
 
 // e6Trace builds the flow-diverse traffic template: 64 UDP flows with
 // distinct source ports, padded or trimmed to the requested frame size.
@@ -233,65 +229,38 @@ func e6Trace(size int) [][]byte {
 	return out
 }
 
-// e6Pump drives n packets through the chain from a single goroutine:
-// frames recycle through a free list (the ring path returns the very
-// buffers we sent, so steady state allocates nothing), the inflight cap
-// provides backpressure, and the deadline catches stalls. Bursts go in
-// through one EnqueueBatch publish, and recycled frames skip the
-// template copy — the chain forwards them unmodified, so they are still
-// valid flow frames; only freshly allocated buffers get stamped.
-func e6Pump(entry, exit *click.SPSCRing[[]byte], templates [][]byte, free *[][]byte, size, n int, deadline time.Time) error {
+// e6Pump drives n packets through the chain from a single goroutine. It
+// sends the template frames themselves — FromDevice copies what it reads
+// off a device, so the harness allocates nothing — up to the inflight cap,
+// then blocks for the next frame off the exit; stall fires when the chain
+// stopped delivering.
+func e6Pump(entry chan<- []byte, exit <-chan []byte, templates [][]byte, size, n int, stall <-chan time.Time) error {
 	sent, recvd := 0, 0
-	drain := make([][]byte, 0, 256)
-	batch := make([][]byte, 0, 256)
-	empty := 0
 	for recvd < n {
-		batch = batch[:0]
-		for sent+len(batch) < n && sent+len(batch)-recvd < e6InflightCap && len(batch) < 256 {
-			var f []byte
-			if fl := *free; len(fl) > 0 {
-				f = fl[len(fl)-1]
-				*free = fl[:len(fl)-1]
-			} else {
-				f = make([]byte, size)
-				copy(f, templates[(sent+len(batch))%len(templates)])
+		var tx chan<- []byte // nil, so never ready, when the window is closed
+		if sent < n && sent-recvd < e6InflightCap {
+			tx = entry
+		}
+		select {
+		case tx <- templates[sent%len(templates)]:
+			sent++
+		case f := <-exit:
+			if len(f) != size {
+				return fmt.Errorf("experiments: E6 frame %d came out %d bytes long, sent %d", recvd, len(f), size)
 			}
-			batch = append(batch, f)
+			recvd++
+		case <-stall:
+			return fmt.Errorf("experiments: E6 stalled at %d/%d", recvd, n)
 		}
-		if len(batch) > 0 {
-			acc := entry.EnqueueBatch(batch)
-			sent += acc
-			*free = append(*free, batch[acc:]...)
-		}
-		drain = exit.DequeueBatch(drain[:0], 256)
-		if len(drain) == 0 {
-			// The deadline check costs a clock read; amortize it over
-			// many empty polls so it stays out of the measured path.
-			empty++
-			if empty%1024 == 0 && time.Now().After(deadline) {
-				return fmt.Errorf("experiments: E6 stalled at %d/%d", recvd, n)
-			}
-			runtime.Gosched()
-			continue
-		}
-		empty = 0
-		for _, f := range drain {
-			if len(f) == size {
-				*free = append(*free, f)
-			}
-		}
-		recvd += len(drain)
 	}
 	return nil
 }
 
-// E6Cell measures one (chain length, frame size, driver) cell and appends
-// the row to t: a warmup pass populates pools and rings, then the measured
-// pass reports throughput, per-packet time, and heap allocations per
-// packet. The unit benchmarks reuse it to run a single configuration
-// without the full matrix.
-func E6Cell(t *Table, L, size, packets int, driver click.DriverMode) error {
-	entry, exit, routers, err := chainOfRouters(L, driver)
+// E6Cell measures one (chain length, frame size) cell and appends the row
+// to t: a warmup pass populates the packet pool, then the measured pass
+// reports throughput, per-packet time, and heap allocations per packet.
+func E6Cell(t *Table, L, size, packets int) error {
+	entry, exit, routers, err := chainOfRouters(L)
 	if err != nil {
 		return err
 	}
@@ -301,16 +270,16 @@ func E6Cell(t *Table, L, size, packets int, driver click.DriverMode) error {
 		go r.Run(ctx)
 	}
 	templates := e6Trace(size)
-	free := make([][]byte, 0, e6InflightCap)
-	deadline := time.Now().Add(30 * time.Second)
-	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (warmup, driver=%s, L=%d)", err, driver, L)
+	stall := time.NewTimer(30 * time.Second)
+	defer stall.Stop()
+	if err := e6Pump(entry, exit, templates, size, packets, stall.C); err != nil {
+		return fmt.Errorf("%w (warmup, L=%d)", err, L)
 	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	start := time.Now()
-	if err := e6Pump(entry, exit, templates, &free, size, packets, deadline); err != nil {
-		return fmt.Errorf("%w (driver=%s, L=%d)", err, driver, L)
+	if err := e6Pump(entry, exit, templates, size, packets, stall.C); err != nil {
+		return fmt.Errorf("%w (L=%d)", err, L)
 	}
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&m1)
@@ -321,7 +290,7 @@ func E6Cell(t *Table, L, size, packets int, driver click.DriverMode) error {
 	kpps := float64(packets) / elapsed.Seconds() / 1000
 	perPkt := elapsed / time.Duration(packets)
 	allocsPerPkt := float64(m1.Mallocs-m0.Mallocs) / float64(packets)
-	t.AddRow(fmt.Sprint(L), fmt.Sprint(size), driver.String(),
+	t.AddRow(fmt.Sprint(L), fmt.Sprint(size),
 		fmt.Sprintf("%.1f", kpps), us(perPkt), fmt.Sprintf("%.2f", allocsPerPkt))
 	return nil
 }

@@ -84,15 +84,24 @@ func TestE5Steering(t *testing.T) {
 	renderOK(t, tbl, 8) // 2 lengths × 2 modes × 2 transports
 }
 
+// TestE6ClickDataPlane: E6 over ChanDevice chains delivers every frame —
+// a cell whose pump does not get all of them back is an error — and has one
+// row per (chain_len, frame_B) cell, with no driver column.
 func TestE6ClickDataPlane(t *testing.T) {
-	tbl, err := E6ClickDataPlane([]int{1, 2}, []int{64}, 200)
+	tbl, err := E6ClickDataPlane([]int{1, 4}, []int{64, 1500}, 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 4) // 2 lengths × 1 size × 2 drivers
-	for i, row := range tbl.Rows {
-		if want := []string{"single", "fused"}[i%2]; row[2] != want {
-			t.Errorf("E6 row %d is driver %s, want %s", i, row[2], want)
+	renderOK(t, tbl, 4) // 2 lengths × 2 sizes
+	if len(tbl.Rows) != 4 {
+		t.Fatalf("E6 has %d rows, want one per cell: 4", len(tbl.Rows))
+	}
+	if got, want := strings.Join(tbl.Columns, ","), "chain_len,frame_B,kpps,us_per_pkt,allocs_pkt"; got != want {
+		t.Errorf("E6 columns are %s, want %s", got, want)
+	}
+	for i, want := range [][2]string{{"1", "64"}, {"1", "1500"}, {"4", "64"}, {"4", "1500"}} {
+		if row := tbl.Rows[i]; row[0] != want[0] || row[1] != want[1] {
+			t.Errorf("E6 row %d is cell (%s, %s), want (%s, %s)", i, row[0], row[1], want[0], want[1])
 		}
 	}
 }

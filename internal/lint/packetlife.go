@@ -110,10 +110,8 @@ func packetCreation(info *types.Info, stmt ast.Stmt) (*types.Var, *ast.CallExpr)
 	return nil, nil
 }
 
-// packetCreationCall reports whether e is exactly a click.NewPacket,
-// click.AdoptPacket or Packet.Clone call. AdoptPacket is the fused fast
-// path's zero-copy constructor: it takes a pool struct just like
-// NewPacket, so abandoning the result strands pool state the same way.
+// packetCreationCall reports whether e is exactly a click.NewPacket or
+// Packet.Clone call.
 func packetCreationCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -123,8 +121,7 @@ func packetCreationCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	if obj == nil {
 		return nil
 	}
-	if isPkgFunc(obj, "click", "NewPacket") || isPkgFunc(obj, "click", "AdoptPacket") ||
-		isMethod(obj, "click", "Packet", "Clone") {
+	if isPkgFunc(obj, "click", "NewPacket") || isMethod(obj, "click", "Packet", "Clone") {
 		return call
 	}
 	return nil

@@ -140,44 +140,33 @@ func suppressed(data []byte, miss bool) {
 	p.Kill()
 }
 
-// --- Fused fast-path patterns -------------------------------------------
+// --- Burst patterns -----------------------------------------------------
 //
-// The fused driver adopts device frames zero-copy (AdoptPacket) and hands
-// bursts between pipeline stages as slices; ownership rules are identical
-// to NewPacket.
+// Batched ingest and transmit hand packets around as slices; ownership
+// rules are the same.
 
-// Adopted packets strand a pool struct when abandoned, exactly like
-// allocated ones.
-func adoptLeak(frame []byte, miss bool) {
-	p := click.AdoptPacket(frame) // want `packet p may leak`
-	if miss {
-		return
-	}
-	p.Kill()
-}
-
-// The fused ingest idiom: adopt a received frame and append it to the
-// burst — the append is a store handoff.
-func fusedIngestOK(frames [][]byte, burst []*click.Packet) []*click.Packet {
+// The ingest idiom: wrap a received frame and append it to the burst — the
+// append is a store handoff.
+func ingestAppendOK(frames [][]byte, burst []*click.Packet) []*click.Packet {
 	for _, f := range frames {
-		p := click.AdoptPacket(f)
+		p := click.NewPacket(f)
 		burst = append(burst, p)
 	}
 	return burst
 }
 
-// A fused stage that drops must Kill before compacting the packet out of
+// A transform that drops must Kill before compacting the packet out of
 // the burst; reading a header first does not consume it.
-func fusedStageDropWithoutKill(frame []byte, drop bool) *click.Packet {
-	p := click.AdoptPacket(frame) // want `packet p may leak`
+func dropWithoutKill(frame []byte, drop bool) *click.Packet {
+	p := click.NewPacket(frame) // want `packet p may leak`
 	if drop && p.Len() < 64 {
 		return nil
 	}
 	return p
 }
 
-func fusedStageDropWithKill(frame []byte, drop bool) *click.Packet {
-	p := click.AdoptPacket(frame)
+func dropWithKill(frame []byte, drop bool) *click.Packet {
+	p := click.NewPacket(frame)
 	if drop && p.Len() < 64 {
 		p.Kill()
 		return nil
@@ -185,14 +174,10 @@ func fusedStageDropWithKill(frame []byte, drop bool) *click.Packet {
 	return p
 }
 
-// The fused sink idiom: take over the buffer for the device, release the
+// The transmit idiom: take over the buffer for the device, release the
 // struct — Detach then Kill, both consumptions.
-func fusedSinkOK(frame []byte, tx func([]byte)) {
-	p := click.AdoptPacket(frame)
+func sinkDetachOK(frame []byte, tx func([]byte)) {
+	p := click.NewPacket(frame)
 	tx(p.Detach())
 	p.Kill()
-}
-
-func adoptDiscarded(frame []byte) {
-	click.AdoptPacket(frame) // want `packet created and discarded`
 }
