@@ -329,8 +329,9 @@ func (fw *Firewall) Configure(r *click.Router, args []string) error {
 
 // SimpleAction implements the per-packet transform.
 func (fw *Firewall) SimpleAction(p *click.Packet) *click.Packet {
+	v := click.ParseFrame(p.Data())
 	for _, r := range fw.rules {
-		if r.filter(p.Data()) {
+		if r.filter(&v) {
 			r.hits++
 			if r.allow {
 				fw.passed++

@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -188,9 +189,6 @@ func (c *Classifier) Handlers() []Handler {
 	return hs
 }
 
-// ipPredicate is a compiled IPClassifier expression.
-type ipPredicate func(s pkt.Summary, ip *pkt.IPv4, srcPort, dstPort uint16, haveL4 bool) bool
-
 // IPClassifier classifies by a tcpdump-like expression subset:
 //
 //	primitives: ip, arp, icmp, tcp, udp, "src host A", "dst host A",
@@ -201,7 +199,7 @@ type ipPredicate func(s pkt.Summary, ip *pkt.IPv4, srcPort, dstPort uint16, have
 type IPClassifier struct {
 	Base
 	exprs  []string
-	preds  []ipPredicate
+	preds  []FrameFilter
 	counts []uint64
 	drops  uint64
 }
@@ -218,7 +216,7 @@ func (c *IPClassifier) Configure(r *Router, args []string) error {
 		return fmt.Errorf("IPClassifier needs at least one expression")
 	}
 	for _, a := range args {
-		p, err := compileIPExpr(a)
+		p, err := CompileFilter(a)
 		if err != nil {
 			return err
 		}
@@ -229,14 +227,18 @@ func (c *IPClassifier) Configure(r *Router, args []string) error {
 	return nil
 }
 
-func compileIPExpr(expr string) (ipPredicate, error) {
+// CompileFilter compiles an IPClassifier-style expression ("udp and dst
+// port 53", "src host 10.0.0.1", "-") into a predicate over a parsed
+// frame. It is the extension hook ESCAPE's catalog elements (Firewall)
+// use to share the classifier language.
+func CompileFilter(expr string) (FrameFilter, error) {
 	expr = strings.TrimSpace(expr)
 	if expr == "-" || expr == "true" || expr == "any" || expr == "" {
-		return func(pkt.Summary, *pkt.IPv4, uint16, uint16, bool) bool { return true }, nil
+		return func(*FrameView) bool { return true }, nil
 	}
-	var orTerms []ipPredicate
+	var orTerms []FrameFilter
 	for _, orPart := range strings.Split(expr, " or ") {
-		var andTerms []ipPredicate
+		var andTerms []FrameFilter
 		toks := strings.Fields(orPart)
 		for i := 0; i < len(toks); i++ {
 			if toks[i] == "and" {
@@ -262,14 +264,10 @@ func compileIPExpr(expr string) (ipPredicate, error) {
 					}
 					andTerms = append(andTerms, p)
 				} else {
-					andTerms = append(andTerms, func(s pkt.Summary, ip *pkt.IPv4, _, _ uint16, _ bool) bool {
-						return ip != nil
-					})
+					andTerms = append(andTerms, func(v *FrameView) bool { return v.ip != nil })
 				}
 			case "arp":
-				andTerms = append(andTerms, func(s pkt.Summary, ip *pkt.IPv4, _, _ uint16, _ bool) bool {
-					return s.EtherType == pkt.EtherTypeARP
-				})
+				andTerms = append(andTerms, func(v *FrameView) bool { return v.sum.EtherType == pkt.EtherTypeARP })
 			case "icmp", "tcp", "udp":
 				p, err := protoPredicate(toks[i])
 				if err != nil {
@@ -281,19 +279,24 @@ func compileIPExpr(expr string) (ipPredicate, error) {
 				if i >= len(toks) {
 					return nil, fmt.Errorf("ipclassifier: missing host address in %q", expr)
 				}
-				addr := toks[i]
+				// Anything but a canonical dotted quad matches no packet,
+				// as when the rendered addresses were compared as strings.
+				addr, _ := netip.ParseAddr(toks[i])
+				if addr.String() != toks[i] {
+					addr = netip.Addr{}
+				}
 				d := dir
-				andTerms = append(andTerms, func(s pkt.Summary, ip *pkt.IPv4, _, _ uint16, _ bool) bool {
-					if ip == nil {
+				andTerms = append(andTerms, func(v *FrameView) bool {
+					if v.ip == nil {
 						return false
 					}
 					switch d {
 					case "src":
-						return ip.Src.String() == addr
+						return v.ip.Src == addr
 					case "dst":
-						return ip.Dst.String() == addr
+						return v.ip.Dst == addr
 					default:
-						return ip.Src.String() == addr || ip.Dst.String() == addr
+						return v.ip.Src == addr || v.ip.Dst == addr
 					}
 				})
 			case "port":
@@ -307,17 +310,17 @@ func compileIPExpr(expr string) (ipPredicate, error) {
 				}
 				want := uint16(n)
 				d := dir
-				andTerms = append(andTerms, func(s pkt.Summary, ip *pkt.IPv4, sp, dp uint16, haveL4 bool) bool {
-					if !haveL4 {
+				andTerms = append(andTerms, func(v *FrameView) bool {
+					if !v.haveL4 {
 						return false
 					}
 					switch d {
 					case "src":
-						return sp == want
+						return v.sport == want
 					case "dst":
-						return dp == want
+						return v.dport == want
 					default:
-						return sp == want || dp == want
+						return v.sport == want || v.dport == want
 					}
 				})
 			default:
@@ -328,18 +331,18 @@ func compileIPExpr(expr string) (ipPredicate, error) {
 			return nil, fmt.Errorf("ipclassifier: empty term in %q", expr)
 		}
 		and := andTerms
-		orTerms = append(orTerms, func(s pkt.Summary, ip *pkt.IPv4, sp, dp uint16, l4 bool) bool {
+		orTerms = append(orTerms, func(v *FrameView) bool {
 			for _, t := range and {
-				if !t(s, ip, sp, dp, l4) {
+				if !t(v) {
 					return false
 				}
 			}
 			return true
 		})
 	}
-	return func(s pkt.Summary, ip *pkt.IPv4, sp, dp uint16, l4 bool) bool {
+	return func(v *FrameView) bool {
 		for _, t := range orTerms {
-			if t(s, ip, sp, dp, l4) {
+			if t(v) {
 				return true
 			}
 		}
@@ -347,7 +350,7 @@ func compileIPExpr(expr string) (ipPredicate, error) {
 	}, nil
 }
 
-func protoPredicate(name string) (ipPredicate, error) {
+func protoPredicate(name string) (FrameFilter, error) {
 	var want pkt.IPProtocol
 	switch name {
 	case "icmp":
@@ -359,24 +362,14 @@ func protoPredicate(name string) (ipPredicate, error) {
 	default:
 		return nil, fmt.Errorf("ipclassifier: unknown protocol %q", name)
 	}
-	return func(s pkt.Summary, ip *pkt.IPv4, _, _ uint16, _ bool) bool {
-		return ip != nil && ip.Protocol == want
-	}, nil
+	return func(v *FrameView) bool { return v.ip != nil && v.ip.Protocol == want }, nil
 }
 
 // Push implements Element.
 func (c *IPClassifier) Push(port int, p *Packet) {
-	dec := pkt.Decode(p.Data())
-	s, _ := pkt.Summarize(p.Data())
-	ip := dec.IPv4Layer()
-	var sp, dp uint16
-	haveL4 := false
-	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
-		sp, dp = ft.SrcPort, ft.DstPort
-		haveL4 = ft.Proto == pkt.IPProtoTCP || ft.Proto == pkt.IPProtoUDP
-	}
+	v := ParseFrame(p.Data())
 	for i, pred := range c.preds {
-		if pred(s, ip, sp, dp, haveL4) {
+		if pred(&v) {
 			c.counts[i]++
 			c.PushOut(i, p)
 			return

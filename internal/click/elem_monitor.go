@@ -179,7 +179,8 @@ func (pt *Paint) SimpleAction(p *Packet) *Packet {
 	return p
 }
 
-// SetTimestamp overwrites the packet timestamp with the current time.
+// SetTimestamp stamps the packet with the current time; until one does,
+// Packet.Timestamp is zero.
 type SetTimestamp struct{ Base }
 
 // Class implements Element.

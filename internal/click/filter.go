@@ -4,28 +4,28 @@ import (
 	"escape/internal/pkt"
 )
 
-// FrameFilter reports whether a frame matches a compiled expression.
-type FrameFilter func(frame []byte) bool
-
-// CompileFilter compiles an IPClassifier-style expression ("udp and dst
-// port 53", "src host 10.0.0.1", "-") into a frame predicate. It is the
-// extension hook ESCAPE's catalog elements (Firewall, DPI) use to share
-// the classifier language.
-func CompileFilter(expr string) (FrameFilter, error) {
-	pred, err := compileIPExpr(expr)
-	if err != nil {
-		return nil, err
-	}
-	return func(frame []byte) bool {
-		dec := pkt.Decode(frame)
-		s, _ := pkt.Summarize(frame)
-		ip := dec.IPv4Layer()
-		var sp, dp uint16
-		haveL4 := false
-		if ft, ok := pkt.ExtractFiveTuple(dec); ok {
-			sp, dp = ft.SrcPort, ft.DstPort
-			haveL4 = ft.Proto == pkt.IPProtoTCP || ft.Proto == pkt.IPProtoUDP
-		}
-		return pred(s, ip, sp, dp, haveL4)
-	}, nil
+// FrameView is one frame parsed once for any number of filters: what a
+// compiled classifier expression can test.
+type FrameView struct {
+	sum          pkt.Summary
+	ip           *pkt.IPv4 // nil unless the frame carries a decodable IPv4 header
+	sport, dport uint16
+	haveL4       bool // TCP or UDP: sport and dport are ports
 }
+
+// ParseFrame parses frame for FrameFilters to test. The view aliases
+// frame and is good only while the bytes stay put.
+func ParseFrame(frame []byte) FrameView {
+	dec := pkt.Decode(frame)
+	v := FrameView{ip: dec.IPv4Layer()}
+	v.sum, _ = pkt.Summarize(frame)
+	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
+		v.sport, v.dport = ft.SrcPort, ft.DstPort
+		v.haveL4 = ft.Proto == pkt.IPProtoTCP || ft.Proto == pkt.IPProtoUDP
+	}
+	return v
+}
+
+// FrameFilter reports whether a parsed frame matches a compiled
+// expression (see CompileFilter).
+type FrameFilter func(*FrameView) bool

@@ -48,8 +48,8 @@ const headroom = 32
 type Packet struct {
 	buf []byte
 	off int
-	// Timestamp records when the packet entered the router (FromDevice /
-	// source element); SetTimestamp overwrites it.
+	// Timestamp is zero until a SetTimestamp element stamps the packet:
+	// creating one reads no clock. Clone copies it.
 	Timestamp time.Time
 	// Paint is Click's paint annotation, set by Paint and read by
 	// PaintSwitch.
@@ -68,9 +68,9 @@ const maxPooledBuf = 16 << 10
 // it and should Kill it; a forgotten Kill merely falls back to GC.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// NewPacket wraps a copy of data in a Packet stamped with the current
-// time. The packet comes from a pool fed by Kill, so steady-state
-// processing with balanced Kill calls allocates nothing.
+// NewPacket wraps a copy of data in a Packet with zero annotations. The
+// packet comes from a pool fed by Kill, so steady-state processing with
+// balanced Kill calls allocates nothing.
 func NewPacket(data []byte) *Packet {
 	p := packetPool.Get().(*Packet)
 	need := headroom + len(data)
@@ -81,7 +81,7 @@ func NewPacket(data []byte) *Packet {
 	}
 	copy(p.buf[headroom:], data)
 	p.off = headroom
-	p.Timestamp = time.Now()
+	p.Timestamp = time.Time{}
 	p.Paint = 0
 	p.Mark = 0
 	return p

@@ -130,6 +130,21 @@ func (h *Host) input(p *Port, frame []byte) {
 // autoRespond implements the minimal host stack. It reports true when the
 // frame was consumed.
 func (h *Host) autoRespond(p *Port, frame []byte) bool {
+	// Nearly every delivered frame is neither ARP nor ICMP: tell from the
+	// envelope and the protocol byte, and decode only those two.
+	s, err := pkt.Summarize(frame)
+	if err != nil {
+		return false
+	}
+	if s.EtherType != pkt.EtherTypeARP {
+		l3 := 14
+		if s.VLANID >= 0 {
+			l3 = 18
+		}
+		if s.EtherType != pkt.EtherTypeIPv4 || len(frame) < l3+20 || frame[l3+9] != byte(pkt.IPProtoICMP) {
+			return false
+		}
+	}
 	dec := pkt.Decode(frame)
 	if a, ok := dec.Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {
 		if a.Op == pkt.ARPRequest && a.TargetIP == p.IP {

@@ -194,6 +194,29 @@ func TestSubsumes(t *testing.T) {
 	if subsumes(p1, p2) || subsumes(p2, p1) {
 		t.Error("disjoint matches subsume each other")
 	}
+	// Address prefixes: the shorter (broader) one subsumes the longer.
+	s16, s24 := matchNWSrc("10.0.0.0", 16), matchNWSrc("10.0.0.0", 24)
+	d16, d24 := matchNW("10.0.0.0", 16, nwDstShift), matchNW("10.0.0.0", 24, nwDstShift)
+	for _, tc := range []struct {
+		name string
+		a, b openflow.Match
+		want bool
+	}{
+		{"src /24 vs /16", s24, s16, false},
+		{"src /16 vs /24", s16, s24, true},
+		{"src equal prefixes", s24, s24, true},
+		{"src wildcard vs /16", all, s16, true},
+		{"src /16 vs wildcard", s16, all, false},
+		{"dst /24 vs /16", d24, d16, false},
+		{"dst /16 vs /24", d16, d24, true},
+		{"dst equal prefixes", d16, d16, true},
+		{"both wildcarded", all, all, true},
+		{"src /16 vs dst /16", s16, d16, false},
+	} {
+		if got := subsumes(tc.a, tc.b); got != tc.want {
+			t.Errorf("%s: subsumes = %v, want %v", tc.name, got, tc.want)
+		}
+	}
 }
 
 // Property: Lookup always returns the highest-priority matching entry.

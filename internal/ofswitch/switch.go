@@ -223,16 +223,17 @@ func (s *Switch) Input(no uint16, frame []byte) {
 	s.applyActions(entry.Actions, frame, no)
 }
 
-// applyActions runs an action list on a frame arriving on inPort.
+// applyActions runs an action list on a frame arriving on inPort. It
+// borrows frame: the caller may go on using it (a sender re-sending its
+// buffer, a PACKET_OUT body), and set-field actions write in place, so the
+// list works on one private copy.
 func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort uint16) {
-	// Copy once: set-field actions mutate, and the same underlying frame
-	// may be queued elsewhere.
 	work := make([]byte, len(frame))
 	copy(work, frame)
-	for _, a := range actions {
+	for i, a := range actions {
 		switch act := a.(type) {
 		case openflow.ActionOutput:
-			s.output(act.Port, work, inPort, act.MaxLen)
+			s.output(act.Port, work, inPort, act.MaxLen, i == len(actions)-1)
 		case openflow.ActionSetVLAN:
 			if out, err := pkt.PushVLAN(work, act.VLAN); err == nil {
 				work = out
@@ -251,16 +252,25 @@ func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort ui
 	}
 }
 
-// output transmits work out of an (possibly special) port.
-func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16) {
-	// Each transmission gets its own copy: downstream consumers own it.
-	send := func(p *Port) {
+// output transmits work out of an (possibly special) port. Port.Transmit
+// gives its frame away — downstream consumers own it — so every
+// transmission gets a copy of work, except that the last action of a list
+// naming a single port (how every steering rule ends) hands over work
+// itself: nothing reads it afterwards.
+func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16, last bool) {
+	send := func(p *Port, giveWork bool) {
+		if p == nil {
+			return
+		}
 		if p.linkDown.Load() {
 			p.txDropped.Add(1)
 			return
 		}
-		frame := make([]byte, len(work))
-		copy(frame, work)
+		frame := work
+		if !giveWork {
+			frame = make([]byte, len(work))
+			copy(frame, work)
+		}
 		p.txPackets.Add(1)
 		p.txBytes.Add(uint64(len(frame)))
 		p.Transmit(frame)
@@ -272,13 +282,6 @@ func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16) 
 			limit = len(work)
 		}
 		s.packetToControllerRaw(work[:limit], len(work), inPort, openflow.ReasonAction, openflow.NoBuffer)
-	case port == openflow.PortInPort:
-		s.mu.RLock()
-		p := s.ports[inPort]
-		s.mu.RUnlock()
-		if p != nil {
-			send(p)
-		}
 	case port == openflow.PortFlood, port == openflow.PortAll:
 		s.mu.RLock()
 		targets := make([]*Port, 0, len(s.ports))
@@ -289,15 +292,16 @@ func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16) 
 		}
 		s.mu.RUnlock()
 		for _, p := range targets {
-			send(p)
+			send(p, false)
 		}
-	case port < openflow.PortMax:
+	case port == openflow.PortInPort, port < openflow.PortMax:
+		if port == openflow.PortInPort {
+			port = inPort
+		}
 		s.mu.RLock()
 		p := s.ports[port]
 		s.mu.RUnlock()
-		if p != nil {
-			send(p)
-		}
+		send(p, last)
 	}
 }
 

@@ -1,6 +1,7 @@
 package ofswitch
 
 import (
+	"bytes"
 	"net"
 	"net/netip"
 	"testing"
@@ -362,4 +363,91 @@ func TestAddPortValidation(t *testing.T) {
 func TestInputOnUnknownPortIgnored(t *testing.T) {
 	s, _ := testSwitch(t, 1)
 	s.Input(99, testFrame(t, 80)) // must not panic
+}
+
+// installRule adds a steering-style entry for frames arriving on port 1.
+func installRule(s *Switch, actions ...openflow.Action) {
+	s.Table().Add(&FlowEntry{Match: matchInPort(1), Priority: 10, Actions: actions})
+}
+
+// TestInputBorrowsFrameReceiversOwnTheirs pins the frame-ownership rule of
+// the datapath: Switch.Input leaves its caller's frame as it found it —
+// set-field actions included — and every Port.Transmit gets a slice of its
+// own, whether it is the action list's work copy or a copy of that.
+func TestInputBorrowsFrameReceiversOwnTheirs(t *testing.T) {
+	newMAC := pkt.MAC{2, 9, 9, 9, 9, 9}
+	setDL := openflow.ActionSetDL{Dst: true, MAC: newMAC}
+	for _, tc := range []struct {
+		name    string
+		actions []openflow.Action
+		out     map[int]pkt.MAC // receiving port → destination MAC it must see
+	}{
+		{"set-field then last output", []openflow.Action{setDL, openflow.ActionOutput{Port: 2}}, map[int]pkt.MAC{2: newMAC}},
+		{"output, set-field, output", []openflow.Action{openflow.ActionOutput{Port: 2}, setDL, openflow.ActionOutput{Port: 3}},
+			map[int]pkt.MAC{2: fmac2, 3: newMAC}},
+		{"flood", []openflow.Action{openflow.ActionOutput{Port: openflow.PortFlood}}, map[int]pkt.MAC{2: fmac2, 3: fmac2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, chans := testSwitch(t, 3)
+			installRule(s, tc.actions...)
+			frame := testFrame(t, 80)
+			orig := append([]byte(nil), frame...)
+			s.Input(1, frame)
+			if !bytes.Equal(frame, orig) {
+				t.Fatalf("Input changed its caller's frame:\n got %x\nwant %x", frame, orig)
+			}
+			var got [][]byte
+			for port, dst := range tc.out {
+				select {
+				case f := <-chans[port]:
+					if sum, _ := pkt.Summarize(f); sum.Dst != dst {
+						t.Errorf("port %d saw dl_dst %s, want %s", port, sum.Dst, dst)
+					}
+					got = append(got, f)
+				default:
+					t.Fatalf("port %d received nothing", port)
+				}
+			}
+			// Scribbling over one receiver's frame reaches neither the
+			// other receivers' nor the sender's.
+			others := make([][]byte, len(got))
+			for i, f := range got {
+				others[i] = append([]byte(nil), f...)
+			}
+			for i := range got[0] {
+				got[0][i] ^= 0xff
+			}
+			for i := 1; i < len(got); i++ {
+				if !bytes.Equal(got[i], others[i]) {
+					t.Errorf("receiver %d shares storage with receiver 0", i)
+				}
+			}
+			if !bytes.Equal(frame, orig) {
+				t.Error("a receiver shares storage with the sender's frame")
+			}
+		})
+	}
+}
+
+// TestForwardedFrameCostsOneAllocation: through a steering rule — match,
+// one output — a frame costs the work copy and nothing else.
+func TestForwardedFrameCostsOneAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := New("s1", 42, Config{})
+	t.Cleanup(s.Stop)
+	for no := uint16(1); no <= 2; no++ {
+		if err := s.AddPort(&Port{No: no, Transmit: func([]byte) {}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	installRule(s, openflow.ActionOutput{Port: 2})
+	frame := testFrame(t, 80)
+	if n := testing.AllocsPerRun(200, func() { s.Input(1, frame) }); n > 1 {
+		t.Errorf("one forwarded frame costs %v allocations, want ≤ 1", n)
+	}
+	if st := s.PortStats()[1]; st.TxPackets < 200 {
+		t.Errorf("port 2 transmitted %d frames", st.TxPackets)
+	}
 }

@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -110,8 +111,8 @@ func getAddr4(b []byte) netip.Addr {
 	return netip.AddrFrom4(v)
 }
 
-// nwSrcBits returns the number of wildcarded low bits for NW src (0..32).
-func (m Match) nwSrcBits() int {
+// NWSrcBits returns the number of wildcarded low bits for NW src (0..32).
+func (m Match) NWSrcBits() int {
 	n := int(m.Wildcards >> wildNWSrcShift & 0x3f)
 	if n > 32 {
 		n = 32
@@ -119,7 +120,8 @@ func (m Match) nwSrcBits() int {
 	return n
 }
 
-func (m Match) nwDstBits() int {
+// NWDstBits is NWSrcBits for NW dst.
+func (m Match) NWDstBits() int {
 	n := int(m.Wildcards >> wildNWDstShift & 0x3f)
 	if n > 32 {
 		n = 32
@@ -144,37 +146,70 @@ type PacketFields struct {
 	TPDst   uint16
 }
 
-// ExtractFields parses frame into the matchable field set.
+var errNoEthernet = errors.New("openflow: frame has no Ethernet header")
+
+// ExtractFields parses frame into the matchable field set. It walks the
+// pkt layer decoders on stack values — the datapath calls it once per
+// frame per switch, so it allocates nothing — and reads what pkt.Decode
+// would: a layer that fails to decode ends the walk and the fields of the
+// layers before it stand.
 func ExtractFields(frame []byte, inPort uint16) (PacketFields, error) {
 	f := PacketFields{InPort: inPort, DLVLAN: VLANNone}
-	dec := pkt.Decode(frame)
-	eth := dec.Ethernet()
-	if eth == nil {
-		return f, fmt.Errorf("openflow: frame has no Ethernet header")
+	var eth pkt.Ethernet
+	if eth.DecodeFromBytes(frame) != nil {
+		return f, errNoEthernet
 	}
 	f.DLSrc = eth.Src
 	f.DLDst = eth.Dst
 	f.DLType = uint16(eth.EtherType)
-	if v, ok := dec.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); ok {
+	next, rest := eth.NextLayerType(), eth.Payload()
+	if next == pkt.LayerTypeVLAN {
+		var v pkt.VLAN
+		if v.DecodeFromBytes(rest) != nil {
+			return f, nil
+		}
 		f.DLVLAN = v.ID
 		f.VLANPCP = v.Priority
 		f.DLType = uint16(v.EtherType)
+		next, rest = v.NextLayerType(), v.Payload()
 	}
-	if ip := dec.IPv4Layer(); ip != nil {
+	switch next {
+	case pkt.LayerTypeARP:
+		// OpenFlow 1.0 matches ARP IPs through NW fields and opcode
+		// through NWProto.
+		var a pkt.ARP
+		if a.DecodeFromBytes(rest) == nil {
+			f.NWProto = uint8(a.Op)
+			f.NWSrc = a.SenderIP
+			f.NWDst = a.TargetIP
+		}
+	case pkt.LayerTypeIPv4:
+		var ip pkt.IPv4
+		if ip.DecodeFromBytes(rest) != nil {
+			return f, nil
+		}
 		f.NWTOS = ip.TOS
 		f.NWProto = uint8(ip.Protocol)
 		f.NWSrc = ip.Src
 		f.NWDst = ip.Dst
-	} else if a, ok := dec.Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {
-		// OpenFlow 1.0 matches ARP IPs through NW fields and opcode
-		// through NWProto.
-		f.NWProto = uint8(a.Op)
-		f.NWSrc = a.SenderIP
-		f.NWDst = a.TargetIP
-	}
-	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
-		f.TPSrc = ft.SrcPort
-		f.TPDst = ft.DstPort
+		// As pkt.ExtractFiveTuple: ICMP echo ident/seq stand in for ports.
+		switch rest = ip.Payload(); ip.NextLayerType() {
+		case pkt.LayerTypeUDP:
+			var u pkt.UDP
+			if u.DecodeFromBytes(rest) == nil {
+				f.TPSrc, f.TPDst = u.SrcPort, u.DstPort
+			}
+		case pkt.LayerTypeTCP:
+			var t pkt.TCP
+			if t.DecodeFromBytes(rest) == nil {
+				f.TPSrc, f.TPDst = t.SrcPort, t.DstPort
+			}
+		case pkt.LayerTypeICMP:
+			var ic pkt.ICMP
+			if ic.DecodeFromBytes(rest) == nil {
+				f.TPSrc, f.TPDst = ic.Ident, ic.Seq
+			}
+		}
 	}
 	return f, nil
 }
@@ -206,10 +241,10 @@ func (m Match) Matches(f PacketFields) bool {
 	if w&WildNWProto == 0 && m.NWProto != f.NWProto {
 		return false
 	}
-	if !cidrMatch(m.NWSrc, f.NWSrc, m.nwSrcBits()) {
+	if !cidrMatch(m.NWSrc, f.NWSrc, m.NWSrcBits()) {
 		return false
 	}
-	if !cidrMatch(m.NWDst, f.NWDst, m.nwDstBits()) {
+	if !cidrMatch(m.NWDst, f.NWDst, m.NWDstBits()) {
 		return false
 	}
 	if w&WildTPSrc == 0 && m.TPSrc != f.TPSrc {
@@ -245,8 +280,8 @@ func (m Match) Specificity() int {
 			n++
 		}
 	}
-	n += 32 - m.nwSrcBits()
-	n += 32 - m.nwDstBits()
+	n += 32 - m.NWSrcBits()
+	n += 32 - m.NWDstBits()
 	return n
 }
 
@@ -272,11 +307,11 @@ func (m Match) String() string {
 	if w&WildNWProto == 0 {
 		parts = append(parts, fmt.Sprintf("nw_proto=%d", m.NWProto))
 	}
-	if m.nwSrcBits() < 32 {
-		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", m.NWSrc, 32-m.nwSrcBits()))
+	if m.NWSrcBits() < 32 {
+		parts = append(parts, fmt.Sprintf("nw_src=%s/%d", m.NWSrc, 32-m.NWSrcBits()))
 	}
-	if m.nwDstBits() < 32 {
-		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", m.NWDst, 32-m.nwDstBits()))
+	if m.NWDstBits() < 32 {
+		parts = append(parts, fmt.Sprintf("nw_dst=%s/%d", m.NWDst, 32-m.NWDstBits()))
 	}
 	if w&WildTPSrc == 0 {
 		parts = append(parts, fmt.Sprintf("tp_src=%d", m.TPSrc))
