@@ -1,10 +1,9 @@
 // Scale drives the scale-out admission pipeline: it builds a k-ary
-// fat-tree resource view (the data-center substrate of E12, no emulation
-// started — this exercises the control plane), then admits service
-// chains from many goroutines at once through the optimistic
-// validate-and-commit protocol, prints admission throughput with cold
-// (live BFS) and cached paths, and verifies the copy-on-write view
-// restores exactly after releasing everything.
+// fat-tree resource view (no emulation started — this exercises the
+// control plane), then admits service chains from many goroutines at
+// once through the optimistic validate-and-commit protocol, prints
+// admission throughput and path-cache counters, and verifies the
+// copy-on-write view restores exactly after releasing everything.
 //
 //	go run ./examples/scale [-k 8] [-conc 64] [-n 2000] [-chain 3]
 package main
@@ -118,7 +117,7 @@ func run(rv *core.ResourceView, saps []string, n, conc, chain int) time.Duration
 func main() {
 	k := flag.Int("k", 8, "fat-tree arity (even)")
 	conc := flag.Int("conc", 64, "concurrent admitters")
-	n := flag.Int("n", 2000, "total admissions per path engine")
+	n := flag.Int("n", 2000, "total admissions")
 	chain := flag.Int("chain", 3, "NFs per chain")
 	flag.Parse()
 
@@ -127,25 +126,15 @@ func main() {
 		*k, len(rv.Switches), len(rv.EEs), len(rv.SAPs), len(rv.Links))
 
 	total := *n / *conc * *conc
-	// Cold paths: every route is a live BFS over the fat-tree.
-	rv.DisablePathCache()
-	cold := run(rv, saps, *n, *conc, *chain)
-	fmt.Printf("cold paths:   %d admissions in %v (%.0f adm/s)\n",
-		total, cold.Round(time.Millisecond), float64(total)/cold.Seconds())
-
-	// Cached paths: precomputed k-shortest candidates per attach-switch
-	// pair, shared by every admitter.
-	rv.EnablePathCache(0)
-	cached := run(rv, saps, *n, *conc, *chain)
-	fmt.Printf("cached paths: %d admissions in %v (%.0f adm/s)\n",
-		total, cached.Round(time.Millisecond), float64(total)/cached.Seconds())
+	wall := run(rv, saps, *n, *conc, *chain)
+	fmt.Printf("admitted %d chains in %v (%.0f adm/s)\n",
+		total, wall.Round(time.Millisecond), float64(total)/wall.Seconds())
 
 	st := rv.AdmissionStats()
 	pcs := rv.PathCacheStats()
 	fmt.Printf("admission stats: %d admitted, %d conflicts, %d serialized fallbacks\n",
 		st.Admitted, st.Conflicts, st.SerializedFallbacks)
 	fmt.Printf("path cache: %d hits, %d misses, %d fallbacks\n", pcs.Hits, pcs.Misses, pcs.Fallbacks)
-	fmt.Printf("cached over cold: %.1f×\n", cold.Seconds()/cached.Seconds())
 
 	// The copy-on-write invariant: everything released, exact restore.
 	for _, ee := range rv.EENames() {

@@ -85,7 +85,7 @@ func TestQuickstartEndToEnd(t *testing.T) {
 
 // TestScaleExampleEndToEnd runs the scale example (small parameters):
 // high-concurrency optimistic admission on a fat-tree view, throughput
-// with cold and cached paths, exact view restore.
+// and path-cache counters, exact view restore.
 func TestScaleExampleEndToEnd(t *testing.T) {
 	gobin := goTool(t)
 	cmd := exec.Command(gobin, "run", "./examples/scale", "-k", "4", "-conc", "8", "-n", "64")
@@ -107,9 +107,9 @@ func TestScaleExampleEndToEnd(t *testing.T) {
 		t.Fatalf("scale example failed: %v\n%s", err, out)
 	}
 	for _, want := range []string{
-		"cold paths:",
-		"cached paths:",
+		"admitted 64 chains",
 		"admission stats:",
+		"path cache:",
 		"view restored exactly after release",
 	} {
 		if !strings.Contains(string(out), want) {

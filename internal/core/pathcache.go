@@ -8,9 +8,9 @@ import (
 	"time"
 )
 
-// defaultPathCacheK is how many candidate routes the path engine keeps
-// per switch pair.
-const defaultPathCacheK = 4
+// pathCacheK is how many candidate routes the path engine keeps per
+// switch pair.
+const pathCacheK = 4
 
 // pairKey is a normalized (a < b) switch pair.
 type pairKey struct{ a, b string }
@@ -57,8 +57,6 @@ type pathEntry struct {
 // EE masks never touch the cache: they affect placement, not
 // switch-level routing.
 type pathCache struct {
-	k int
-
 	mu      sync.Mutex
 	entries map[pairKey]*pathEntry
 	users   map[linkKey]map[pairKey]bool // link → entries routing over it
@@ -79,31 +77,16 @@ type PathCacheStats struct {
 	Hits, Misses, Fallbacks, Invalidated uint64
 }
 
-// EnablePathCache (re)installs the cached path engine with up to k
-// candidates per switch pair (k ≤ 0 selects the default). Any previous
-// cache contents are dropped.
-func (rv *ResourceView) EnablePathCache(k int) {
-	if k <= 0 {
-		k = defaultPathCacheK
-	}
-	rv.paths.Store(&pathCache{
-		k:       k,
+func newPathCache() *pathCache {
+	return &pathCache{
 		entries: map[pairKey]*pathEntry{},
 		users:   map[linkKey]map[pairKey]bool{},
-	})
+	}
 }
 
-// DisablePathCache reverts ShortestFeasiblePath to a live BFS per route
-// (E12's "cold" cells; the path-cache tests' reference engine).
-func (rv *ResourceView) DisablePathCache() { rv.paths.Store(nil) }
-
-// PathCacheStats reports the engine's counters (zero value when the
-// cache is disabled).
+// PathCacheStats reports the engine's counters.
 func (rv *ResourceView) PathCacheStats() PathCacheStats {
-	pc := rv.paths.Load()
-	if pc == nil {
-		return PathCacheStats{}
-	}
+	pc := rv.paths
 	return PathCacheStats{
 		Hits:        pc.hits.Load(),
 		Misses:      pc.misses.Load(),
@@ -160,7 +143,7 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw float64, maxDelay tim
 		}
 		tried = len(routes)
 		pc.mu.Lock()
-		if len(e.routes) == tried && !e.exhausted && tried < pc.k {
+		if len(e.routes) == tried && !e.exhausted && tried < pathCacheK {
 			pc.extend(c.rv, key, e)
 		}
 		routes, delays = e.routes, e.delays

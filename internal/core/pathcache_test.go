@@ -2,43 +2,174 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
+	"time"
+
+	"escape/internal/netem"
+	"escape/internal/sg"
 )
 
 // The cached path engine suite: cached lookups must be hop-equivalent to
 // the live BFS, survive bandwidth pressure by falling through candidates,
-// and invalidate exactly on link fail/heal transitions.
+// and invalidate exactly on link fail/heal transitions. The reference
+// engine is (*Capacities).bfsPath, queried on the same snapshot.
 
 func TestCachedRoutesHopEquivalentToBFS(t *testing.T) {
-	cached := ringView(10, 1, 1024, 1e6)
-	cold := ringView(10, 1, 1024, 1e6)
-	cold.DisablePathCache()
-
+	rv := ringView(10, 1, 1024, 1e6)
+	caps := rv.Snapshot()
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			if i == j {
 				continue
 			}
 			a, b := ringName(i), ringName(j)
-			rc := cached.Snapshot().ShortestFeasiblePath(a, b, 1000, 0)
-			rb := cold.Snapshot().ShortestFeasiblePath(a, b, 1000, 0)
+			rc := caps.ShortestFeasiblePath(a, b, 1000, 0)
+			rb := caps.bfsPath(a, b, 1000, 0)
 			if (rc == nil) != (rb == nil) {
-				t.Fatalf("%s→%s: cached=%v cold=%v", a, b, rc, rb)
+				t.Fatalf("%s→%s: cached=%v bfs=%v", a, b, rc, rb)
 			}
 			if rc != nil && len(rc) != len(rb) {
-				t.Errorf("%s→%s: cached %d hops (%v), cold %d hops (%v)", a, b, len(rc)-1, rc, len(rb)-1, rb)
+				t.Errorf("%s→%s: cached %d hops (%v), bfs %d hops (%v)", a, b, len(rc)-1, rc, len(rb)-1, rb)
 			}
 			if rc != nil && (rc[0] != a || rc[len(rc)-1] != b) {
 				t.Errorf("%s→%s: cached route endpoints wrong: %v", a, b, rc)
 			}
 		}
 	}
-	if st := cached.PathCacheStats(); st.Hits == 0 {
+	if st := rv.PathCacheStats(); st.Hits == 0 {
 		t.Errorf("no cache hits recorded: %+v", st)
 	}
-	if st := cold.PathCacheStats(); st != (PathCacheStats{}) {
-		t.Errorf("disabled cache recorded activity: %+v", st)
+}
+
+// fatTreeView is a k-ary fat-tree resource view (no EEs: routing only).
+func fatTreeView(t *testing.T, k int) *ResourceView {
+	t.Helper()
+	n := netem.New("pathcache", netem.Options{})
+	if err := netem.BuildFatTree(n, k); err != nil {
+		t.Fatal(err)
+	}
+	rv, err := BuildResourceView(n, map[string]string{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rv
+}
+
+// TestPathCacheDifferentialAgainstBFS drives seeded random histories —
+// bandwidth reservations and releases, link masks and unmasks, random
+// delay bounds — on a ring and a k=4 fat-tree, and at every step demands
+// that the cached engine and bfsPath agree on the same snapshot: same
+// nil-ness, same hop count, and every cached hop fits. Link delays are
+// uniform so a delay bound is a hop bound and bfsPath's first-arrival
+// delay pruning is exact; with mixed delays it can prune a feasible
+// equal-hop route the cache finds, and the comparison would test that
+// approximation instead of the cache.
+func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
+	const (
+		steps   = 600
+		linkCap = 10.0
+		delay   = time.Millisecond
+	)
+	for _, tc := range []struct {
+		name string
+		rv   *ResourceView
+	}{
+		{"ring", ringView(10, 1, 1024, 0)},
+		{"fattree-k4", fatTreeView(t, 4)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rv := tc.rv
+			for _, l := range rv.Links {
+				l.Bandwidth, l.Delay = linkCap, delay
+			}
+			switches := make([]string, 0, len(rv.Switches))
+			for s := range rv.Switches {
+				switches = append(switches, s)
+			}
+			sort.Strings(switches)
+			rng := rand.New(rand.NewSource(25))
+			var held []*Mapping
+			var masked []int // indexes into rv.Links
+			unroutable := 0
+
+			for step := 0; step < steps; step++ {
+				var maxDelay time.Duration // 0 = unbounded
+				if rng.Intn(3) > 0 {
+					maxDelay = time.Duration(1+rng.Intn(6)) * delay
+				}
+				caps := rv.Snapshot()
+				var cached []string
+				var bw float64
+				for q := 0; q < 4; q++ {
+					a := switches[rng.Intn(len(switches))]
+					b := switches[rng.Intn(len(switches))]
+					for b == a {
+						b = switches[rng.Intn(len(switches))]
+					}
+					bw = float64(rng.Intn(5)) // 0 = no bandwidth demand
+					cached = caps.ShortestFeasiblePath(a, b, bw, maxDelay)
+					ref := caps.bfsPath(a, b, bw, maxDelay)
+					if (cached == nil) != (ref == nil) {
+						t.Fatalf("step %d %s→%s bw=%v delay≤%v: cached=%v bfs=%v", step, a, b, bw, maxDelay, cached, ref)
+					}
+					if cached == nil {
+						unroutable++
+						continue
+					}
+					if len(cached) != len(ref) {
+						t.Fatalf("step %d %s→%s bw=%v delay≤%v: cached %d hops %v, bfs %d hops %v",
+							step, a, b, bw, maxDelay, len(cached)-1, cached, len(ref)-1, ref)
+					}
+					if cached[0] != a || cached[len(cached)-1] != b {
+						t.Fatalf("step %d: cached route %v does not join %s→%s", step, cached, a, b)
+					}
+					for j := 0; j+1 < len(cached); j++ {
+						if !caps.linkFits(cached[j], cached[j+1], bw) {
+							t.Fatalf("step %d: cached route %v hop %s–%s does not fit bw=%v", step, cached, cached[j], cached[j+1], bw)
+						}
+					}
+					if maxDelay > 0 && time.Duration(len(cached)-1)*delay > maxDelay {
+						t.Fatalf("step %d: cached route %v exceeds delay bound %v", step, cached, maxDelay)
+					}
+				}
+
+				switch op := rng.Intn(10); {
+				case op < 4: // reserve the last route found
+					if cached != nil && bw > 0 {
+						g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: bw}}}
+						m := &Mapping{Graph: g, Routes: map[string][]string{"l": cached}}
+						rv.Commit(m)
+						held = append(held, m)
+					}
+				case op < 8: // release a random reservation
+					if len(held) > 0 {
+						i := rng.Intn(len(held))
+						rv.Release(held[i])
+						held = append(held[:i], held[i+1:]...)
+					}
+				case op < 9: // mask a random link (at most three at once)
+					i := rng.Intn(len(rv.Links))
+					if len(masked) < 3 && !rv.ExcludedLink(rv.Links[i].A, rv.Links[i].B) {
+						rv.ExcludeLink(rv.Links[i].A, rv.Links[i].B)
+						masked = append(masked, i)
+					}
+				default: // unmask a random masked link
+					if len(masked) > 0 {
+						j := rng.Intn(len(masked))
+						l := rv.Links[masked[j]]
+						rv.UnexcludeLink(l.A, l.B)
+						masked = append(masked[:j], masked[j+1:]...)
+					}
+				}
+			}
+			st := rv.PathCacheStats()
+			if st.Hits == 0 || st.Invalidated == 0 || unroutable == 0 {
+				t.Errorf("history did not exercise hits, invalidations and unroutable queries: %d unroutable, %+v", unroutable, st)
+			}
+		})
 	}
 }
 

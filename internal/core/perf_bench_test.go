@@ -13,8 +13,9 @@ import (
 //	go test -run '^$' -bench . -benchtime 1x ./internal/core
 //
 // BenchmarkSnapshot pins the O(1) copy-on-write claim, ablating view
-// size; BenchmarkAdmitAndCommit ablates serialized vs optimistic;
-// BenchmarkRouteLinks ablates the cached path engine against live BFS.
+// size; BenchmarkAdmitAndCommit times one optimistic admit + release;
+// BenchmarkRouteLinks times a chain's routes through the cached path
+// engine against bfsPath, the live BFS, on the same snapshot.
 
 func BenchmarkSnapshot(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
@@ -52,30 +53,48 @@ func BenchmarkAdmitAndCommit(b *testing.B) {
 }
 
 func BenchmarkRouteLinks(b *testing.B) {
-	for _, cached := range []bool{false, true} {
-		name := "cold"
-		if cached {
-			name = "cached"
+	rv := ringView(64, 1<<16, 1<<30, 0)
+	g := cowChain("route", 4, 0.25, 32)
+	mc, err := newMapContext(g, rv, catalog.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	placements := map[string]string{}
+	for i, nf := range mc.nfsInChainOrder() {
+		placements[nf.ID] = fmt.Sprintf("ee%02d", (i*16)%64) // spread across the ring
+	}
+	// The chain's hops as (src, dst) attach switches; same-switch hops
+	// need no route from either engine.
+	var hops [][2]string
+	for _, l := range g.Links {
+		src, err := mc.attachSwitch(l.Src.Node, placements)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rv := ringView(64, 1<<16, 1<<30, 0)
-			if !cached {
-				rv.DisablePathCache()
-			}
-			g := cowChain("route", 4, 0.25, 32)
-			mc, err := newMapContext(g, rv, catalog.Default())
-			if err != nil {
-				b.Fatal(err)
-			}
-			placements := map[string]string{}
-			for i, nf := range mc.nfsInChainOrder() {
-				placements[nf.ID] = fmt.Sprintf("ee%02d", (i*16)%64) // spread across the ring
-			}
+		dst, err := mc.attachSwitch(l.Dst.Node, placements)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if src != dst {
+			hops = append(hops, [2]string{src, dst})
+		}
+	}
+	for _, engine := range []struct {
+		name  string
+		route func(c *Capacities, a, b string) []string
+	}{
+		{"cold", func(c *Capacities, a, b string) []string { return c.bfsPath(a, b, 0, 0) }},
+		{"cached", func(c *Capacities, a, b string) []string { return c.ShortestFeasiblePath(a, b, 0, 0) }},
+	} {
+		b.Run(engine.name, func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := mc.routeLinks(placements, rv.Snapshot()); err != nil {
-					b.Fatal(err)
+				caps := rv.Snapshot()
+				for _, h := range hops {
+					if engine.route(caps, h[0], h[1]) == nil {
+						b.Fatalf("no route %s→%s", h[0], h[1])
+					}
 				}
 			}
 		})

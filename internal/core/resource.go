@@ -88,9 +88,8 @@ type ResourceView struct {
 	eeNamesOnce sync.Once
 	eeNames     []string
 
-	// paths is the shared cached path engine (nil = disabled, every
-	// route is a live BFS).
-	paths atomic.Pointer[pathCache]
+	// paths is the shared cached path engine.
+	paths *pathCache
 
 	// hopDist memoizes HopDistances per source switch (raw topology,
 	// mask-free — safe to cache forever).
@@ -392,13 +391,13 @@ func (rv *ResourceView) publish(fill func(*mutation)) *viewState {
 }
 
 // NewResourceView returns an empty view; populate the topology fields and
-// start mapping, or use BuildResourceView. The cached path engine is on
-// by default (DisablePathCache reverts to per-route BFS).
+// start mapping, or use BuildResourceView.
 func NewResourceView() *ResourceView {
 	rv := &ResourceView{
 		Switches: map[string]uint64{},
 		EEs:      map[string]*EERes{},
 		SAPs:     map[string]*SAPRes{},
+		paths:    newPathCache(),
 	}
 	rv.state.Store(&viewState{base: &viewBase{
 		cpu:      map[string]float64{},
@@ -407,7 +406,6 @@ func NewResourceView() *ResourceView {
 		exclEE:   map[string]bool{},
 		exclLink: map[linkKey]bool{},
 	}})
-	rv.EnablePathCache(defaultPathCacheK)
 	return rv
 }
 
@@ -457,12 +455,10 @@ func (rv *ResourceView) setLinkMask(k linkKey, masked bool) {
 	}
 	rv.publish(func(m *mutation) { m.setExclLink(k, masked) })
 	rv.mu.Unlock()
-	if pc := rv.paths.Load(); pc != nil {
-		if masked {
-			pc.onLinkMasked(k)
-		} else {
-			pc.onLinkUnmasked(k)
-		}
+	if masked {
+		rv.paths.onLinkMasked(k)
+	} else {
+		rv.paths.onLinkUnmasked(k)
 	}
 }
 
@@ -536,7 +532,7 @@ func (rv *ResourceView) EENames() []string {
 // topology index, the EE set is frozen from the first mapping onward, so
 // the sort runs once instead of per NF per admission (mappers scan it in
 // their placement loops — the former per-call alloc+sort showed up at
-// E12/E14 admission rates). Callers must not mutate the result.
+// E14 / admit_scale admission rates). Callers must not mutate the result.
 func (rv *ResourceView) eeNamesShared() []string {
 	rv.eeNamesOnce.Do(func() {
 		out := make([]string, 0, len(rv.EEs))
@@ -775,23 +771,22 @@ func (c *Capacities) creditPath(route []string, bw float64) {
 // ShortestFeasiblePath finds the minimum-hop switch route from a to b
 // whose every link has bw headroom and whose total propagation delay is
 // within maxDelay (0 = unbounded). Returns nil when no route exists.
-// With the path cache enabled the candidates come precomputed per switch
-// pair and only feasibility is checked; a live BFS is the fallback when
-// no cached candidate fits.
+// The candidates come precomputed per switch pair from the path cache and
+// only feasibility is checked; a live BFS is the fallback when no cached
+// candidate fits.
 func (c *Capacities) ShortestFeasiblePath(a, b string, bw float64, maxDelay time.Duration) []string {
 	if a == b {
 		return []string{a}
 	}
-	if pc := c.rv.paths.Load(); pc != nil {
-		if route, ok := pc.lookup(c, a, b, bw, maxDelay); ok {
-			return route
-		}
+	if route, ok := c.rv.paths.lookup(c, a, b, bw, maxDelay); ok {
+		return route
 	}
 	return c.bfsPath(a, b, bw, maxDelay)
 }
 
 // bfsPath is the uncached search: breadth-first over the adjacency index
-// with feasibility and delay pruning inline.
+// with feasibility and delay pruning inline. It is the cache's fallback
+// and the reference engine the path-cache tests compare against.
 func (c *Capacities) bfsPath(a, b string, bw float64, maxDelay time.Duration) []string {
 	type state struct {
 		sw    string

@@ -15,11 +15,15 @@ func TestExperimentsDeterministic(t *testing.T) {
 	for _, reg := range Registry() {
 		reg := reg
 		t.Run(reg.ID, func(t *testing.T) {
-			a, err := reg.Quick()
+			p, err := reg.With(true, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := reg.Run(p)
 			if err != nil {
 				t.Fatalf("first run: %v", err)
 			}
-			b, err := reg.Quick()
+			b, err := reg.Run(p)
 			if err != nil {
 				t.Fatalf("second run: %v", err)
 			}

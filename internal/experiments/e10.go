@@ -90,15 +90,6 @@ func e10Pump(env *domain.Environment, src, dst, payload string) error {
 // hops, and a stitching proof: one tenant's traffic pumped end to end
 // with the steered packet counters read back.
 func E10MultiDomain(nDomains, chainLen, conc int) (*Table, error) {
-	if nDomains <= 0 {
-		nDomains = 3
-	}
-	if chainLen <= 0 {
-		chainLen = 3
-	}
-	if conc <= 0 {
-		conc = 4
-	}
 	t := &Table{
 		ID: "E10",
 		Title: fmt.Sprintf("Multi-domain orchestration: %d domains, %d-NF chains, %d concurrent tenants (hierarchical vs flat)",

@@ -155,15 +155,6 @@ type e11Cell struct {
 // mode) and reports detection latency, healing latency p50/p95, loss
 // window and migration size, flat vs hierarchical.
 func E11SelfHealing(kills []int, chainLen, conc int) (*Table, error) {
-	if len(kills) == 0 {
-		kills = []int{1, 2}
-	}
-	if chainLen <= 0 {
-		chainLen = 3
-	}
-	if conc <= 0 {
-		conc = 4
-	}
 	t := &Table{
 		ID: "E11",
 		Title: fmt.Sprintf("Self-healing service chains: %d-NF chains, %d tenants, EE kills and a trunk kill under live traffic (flat vs hierarchical)",

@@ -179,15 +179,6 @@ func yesno(ok bool) string {
 // restarted, timing WAL-replay recovery against a cold start that has
 // to re-create every tenant and re-POST every intent.
 func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
-	if tenants <= 0 {
-		tenants = 4
-	}
-	if intentsPer <= 0 {
-		intentsPer = 6
-	}
-	if chainLen <= 0 {
-		chainLen = 2
-	}
 	tbl := &Table{
 		ID: "E13",
 		Title: fmt.Sprintf("Control-plane churn + crash recovery: %d tenants × %d intents, %d-NF chains",

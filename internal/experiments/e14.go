@@ -9,24 +9,29 @@ import (
 )
 
 // E14 — operator-scale orchestration on the flow-level substrate. The
-// E9/E11/E12-class workload (admission churn, mid-life link failures
-// with healing, capacity pressure) runs against internal/flowsim
-// instead of packet emulation: the same KSP mapper, the same
-// copy-on-write admission protocol and the same AdmitHeal path decide
-// everything, while the substrate models links analytically — which is
-// what lets one cell hold 100k switches and a million concurrent
-// services where netem tops out around fat-tree k=12.
+// E9/E11-class workload (admission churn, mid-life link failures with
+// healing, capacity pressure) runs against internal/flowsim instead of
+// packet emulation: the same KSP mapper, the same copy-on-write
+// admission protocol and the same AdmitHeal path decide everything,
+// while the substrate models links analytically — which is what lets
+// one cell hold 100k switches and a million concurrent services where
+// netem tops out around fat-tree k=12.
 //
-// Every decision/traffic metric derives from virtual time and
-// deterministic iteration: two runs of the same configuration produce
-// bit-identical rows (TestE14BitIdentical) in every column except the
-// two that measure the machine rather than the model — wall_ms and
-// speedup. With Workers > 1 each cell runs twice (serial, then the
-// parallel player on a fresh simulator and view) and the parallel
-// row's par_match column asserts the two reports were bit-identical.
+// Every column derives from virtual time and deterministic iteration:
+// two runs of the same configuration produce bit-identical tables
+// (TestE14BitIdentical). How fast the machine plays a trace is
+// bench/'s admit_scale workload, not a column here.
 
-// E14Config sizes one run. The zero value is replaced by quick-mode
-// defaults; cmd/escape-bench exposes the full-scale knobs.
+// E14 workload constants: chains of two NFs arriving over one virtual
+// hour at 1 Mb/s each, trace seed 14.
+const (
+	e14ChainLen = 2
+	e14Horizon  = time.Hour
+	e14Rate     = 1e6
+	e14Seed     = 14
+)
+
+// E14Config sizes one run; the registry's "e14" entry holds its values.
 type E14Config struct {
 	// Topology: Regions × SwitchesPerRegion switches (see
 	// substrate.ScaleSpec), SAPs/EEs per region bound the attachment
@@ -35,127 +40,52 @@ type E14Config struct {
 	SwitchesPerRegion int
 	SAPsPerRegion     int
 	EEsPerRegion      int
-	// Workload: Services arrivals over Horizon (virtual), holding for
+	// Workload: Services arrivals over the horizon, holding for
 	// MeanLifetime. Lifetimes ≫ horizon pile services up toward
 	// "Services concurrent".
 	Services     int
-	ChainLen     int
-	Horizon      time.Duration
 	MeanLifetime time.Duration
-	// Rate is the per-flow offered load; LinkBW the per-SG-link demand.
-	Rate   float64
+	// LinkBW is the per-SG-link demand.
 	LinkBW float64
 	// Faults injects this many link fail/heal pairs per cell (healing
 	// re-steers affected services through core.AdmitHeal).
 	Faults int
-	Seed   int64
-	// Workers > 1 additionally replays every cell through the parallel
-	// scenario player (substrate.PlayOptions.Workers) on a fresh
-	// simulator and view, emitting a second row per cell with the
-	// measured wall-clock speedup and a parallel_match bit asserting
-	// the parallel report is bit-identical to the serial one. 0 or 1 =
-	// serial rows only.
-	Workers int
-	// Processes selects the arrival-process cells (default all three).
+	// Processes selects the arrival-process cells.
 	Processes []substrate.ArrivalProcess
-}
-
-func (c E14Config) withDefaults() E14Config {
-	if c.Regions <= 0 {
-		c.Regions = 2
-	}
-	if c.SwitchesPerRegion <= 0 {
-		c.SwitchesPerRegion = 32
-	}
-	if c.SAPsPerRegion <= 0 {
-		c.SAPsPerRegion = 4
-	}
-	if c.EEsPerRegion <= 0 {
-		c.EEsPerRegion = 3
-	}
-	if c.Services <= 0 {
-		c.Services = 60
-	}
-	if c.ChainLen <= 0 {
-		c.ChainLen = 2
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = time.Hour
-	}
-	if c.MeanLifetime <= 0 {
-		c.MeanLifetime = 4 * c.Horizon
-	}
-	if c.Rate <= 0 {
-		c.Rate = 1e6
-	}
-	if c.LinkBW <= 0 {
-		c.LinkBW = 1e6
-	}
-	if c.Seed == 0 {
-		c.Seed = 14
-	}
-	if len(c.Processes) == 0 {
-		c.Processes = []substrate.ArrivalProcess{
-			substrate.Diurnal, substrate.FlashCrowd, substrate.HeavyTailed,
-		}
-	}
-	return c
-}
-
-// E14FullScale is the headline configuration: 100 regions × 1000
-// switches = 100k switches, one million services held concurrent by
-// long lifetimes. Takes minutes and several GB; run via
-// `escape-bench -e e14 -e14full` (CI runs the quick cell instead).
-func E14FullScale() E14Config {
-	return E14Config{
-		Regions: 100, SwitchesPerRegion: 1000,
-		SAPsPerRegion: 10, EEsPerRegion: 8,
-		Services: 1_000_000, ChainLen: 2,
-		Horizon: time.Hour, MeanLifetime: 50 * time.Hour,
-		Rate: 1e6, LinkBW: 100e3,
-		// Two backbone faults, not more: each fault window holds an
-		// exclusion mask that cold-starts the path cache, and at 1M
-		// arrivals a horizon blanketed by fault windows turns every
-		// admission into a fresh 100k-switch KSP run.
-		Faults: 2, Seed: 14,
-	}
 }
 
 // E14ScaleSim runs one cell per arrival process and reports the
 // decision and traffic outcomes.
 func E14ScaleSim(cfg E14Config) (*Table, error) {
-	cfg = cfg.withDefaults()
 	params := substrate.ScaleParams{
 		Regions: cfg.Regions, SwitchesPerRegion: cfg.SwitchesPerRegion,
 		SAPsPerRegion: cfg.SAPsPerRegion, EEsPerRegion: cfg.EEsPerRegion,
 		BackboneBW: 1e12, RegionBW: 400e9, AccessBW: 100e9,
 		// Size EEs so compute never rejects: E14 studies bandwidth
 		// pressure and healing at scale, not bin-packing.
-		EECPU: float64(cfg.Services*cfg.ChainLen) * 0.125 / float64(cfg.Regions*cfg.EEsPerRegion) * 4,
-		EEMem: cfg.Services * cfg.ChainLen * 32 / (cfg.Regions * cfg.EEsPerRegion) * 4,
+		EECPU: float64(cfg.Services*e14ChainLen) * 0.125 / float64(cfg.Regions*cfg.EEsPerRegion) * 4,
+		EEMem: cfg.Services * e14ChainLen * 32 / (cfg.Regions * cfg.EEsPerRegion) * 4,
 	}
 	spec := substrate.ScaleSpec(params)
 
 	t := &Table{
 		ID: "E14",
 		Title: fmt.Sprintf("Flow-level substrate at %d switches: admission + healing under realistic arrivals (%d services, chains of %d)",
-			cfg.Regions*cfg.SwitchesPerRegion, cfg.Services, cfg.ChainLen),
+			cfg.Regions*cfg.SwitchesPerRegion, cfg.Services, e14ChainLen),
 		Columns: []string{"proc", "sw", "links", "saps", "ees", "services",
 			"admitted", "rejected", "heal_mv", "rerouted", "peak_act",
-			"dlv_pct", "max_util", "overload", "virt_h",
-			"workers", "par_match", "wall_ms", "speedup"},
+			"dlv_pct", "max_util", "overload", "virt_h"},
 		Notes: []string{
-			"model metrics virtual-time derived: same config + seed ⇒ bit-identical rows (wall_ms/speedup measure the machine)",
-			"same mapper/admission/heal code as E9/E11/E12 — only the substrate is analytic",
-			"par_match: the parallel player's report is bit-identical to the serial one for this cell",
+			"virtual-time derived: same config + seed ⇒ bit-identical rows",
+			"same mapper/admission/heal code as E9/E11 — only the substrate is analytic",
 		},
 	}
 
 	for _, proc := range cfg.Processes {
 		events := substrate.GenerateWorkload(substrate.WorkloadParams{
-			Seed: cfg.Seed, Process: proc, Services: cfg.Services,
-			Horizon: cfg.Horizon, MeanLifetime: cfg.MeanLifetime,
-			ChainLen: cfg.ChainLen, Rate: cfg.Rate,
+			Seed: e14Seed, Process: proc, Services: cfg.Services,
+			Horizon: e14Horizon, MeanLifetime: cfg.MeanLifetime,
+			ChainLen: e14ChainLen, Rate: e14Rate,
 			SAPs: spec.SAPNames(), PairPool: 4096,
 		})
 		if cfg.Faults > 0 {
@@ -167,74 +97,37 @@ func E14ScaleSim(cfg E14Config) (*Table, error) {
 				backbone = backbone[:cfg.Regions]
 			}
 			events = substrate.WithLinkFaults(events, backbone, cfg.Faults,
-				cfg.Seed+1, cfg.Horizon, cfg.Horizon/20)
+				e14Seed+1, e14Horizon, e14Horizon/20)
 		}
-
-		serial, err := runE14Cell(spec, events, cfg, 1)
-		if err != nil {
+		if err := e14Cell(t, spec, events, cfg, string(proc)); err != nil {
 			return nil, err
-		}
-		addE14Row(t, spec, cfg, string(proc), serial, 1, true, 1.0)
-		t.Notes = append(t.Notes, fmt.Sprintf("%s serial wall: %v", proc, serial.wall.Round(time.Millisecond)))
-
-		if cfg.Workers > 1 {
-			par, err := runE14Cell(spec, events, cfg, cfg.Workers)
-			if err != nil {
-				return nil, err
-			}
-			match := serial.rep.Equal(par.rep)
-			speedup := 0.0
-			if par.wall > 0 {
-				speedup = float64(serial.wall) / float64(par.wall)
-			}
-			addE14Row(t, spec, cfg, string(proc), par, cfg.Workers, match, speedup)
-			t.Notes = append(t.Notes, fmt.Sprintf("%s parallel wall (%d workers): %v", proc, cfg.Workers, par.wall.Round(time.Millisecond)))
 		}
 	}
 	return t, nil
 }
 
-// e14Cell is one play of one cell's trace: the report, the link-level
-// observations, the virtual duration and the wall clock spent inside
-// PlayScenario (topology/trace construction excluded — both runs share
-// them).
-type e14Cell struct {
-	rep  *substrate.PlayReport
-	lrep flowsim.LinkReport
-	vdur time.Duration
-	wall time.Duration
-}
-
-// runE14Cell plays one trace on a fresh simulator and view with the
-// given worker count.
-func runE14Cell(spec *substrate.TopoSpec, events []substrate.ScenarioEvent, cfg E14Config, workers int) (*e14Cell, error) {
+// e14Cell plays one cell's trace on a fresh simulator and view and adds
+// its row.
+func e14Cell(t *Table, spec *substrate.TopoSpec, events []substrate.ScenarioEvent, cfg E14Config, proc string) error {
 	sim, err := flowsim.New(spec, flowsim.Options{})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := sim.Start(); err != nil {
-		return nil, err
+		return err
 	}
+	defer sim.Stop()
 	rv, err := sim.View()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	wall := time.Now()
 	rep, err := substrate.PlayScenario(sim, rv, substrate.DefaultMapper(), events, substrate.PlayOptions{
-		Traffic: true, HealOnFault: true, LinkBW: cfg.LinkBW, Workers: workers,
+		Traffic: true, HealOnFault: true, LinkBW: cfg.LinkBW,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	elapsed := time.Since(wall)
 	lrep := sim.Report()
-	vdur := sim.Now()
-	sim.Stop()
-	return &e14Cell{rep: rep, lrep: lrep, vdur: vdur, wall: elapsed}, nil
-}
-
-// addE14Row renders one cell run as a table row.
-func addE14Row(t *Table, spec *substrate.TopoSpec, cfg E14Config, proc string, c *e14Cell, workers int, match bool, speedup float64) {
 	t.AddRow(
 		proc,
 		fmt.Sprintf("%d", len(spec.Switches)),
@@ -242,18 +135,15 @@ func addE14Row(t *Table, spec *substrate.TopoSpec, cfg E14Config, proc string, c
 		fmt.Sprintf("%d", len(spec.Hosts)),
 		fmt.Sprintf("%d", len(spec.EEs)),
 		fmt.Sprintf("%d", cfg.Services),
-		fmt.Sprintf("%d", c.rep.Admitted),
-		fmt.Sprintf("%d", c.rep.Rejected),
-		fmt.Sprintf("%d", c.rep.HealMoves),
-		fmt.Sprintf("%d", c.rep.Rerouted),
-		fmt.Sprintf("%d", c.rep.PeakActive),
-		fmt.Sprintf("%.3f", c.rep.DeliveredPct()),
-		fmt.Sprintf("%.3f", c.lrep.MaxUtilization),
-		fmt.Sprintf("%d", c.lrep.Overloaded),
-		fmt.Sprintf("%.2f", c.vdur.Hours()),
-		fmt.Sprintf("%d", workers),
-		fmt.Sprintf("%t", match),
-		fmt.Sprintf("%.1f", float64(c.wall)/float64(time.Millisecond)),
-		fmt.Sprintf("%.2f", speedup),
+		fmt.Sprintf("%d", rep.Admitted),
+		fmt.Sprintf("%d", rep.Rejected),
+		fmt.Sprintf("%d", rep.HealMoves),
+		fmt.Sprintf("%d", rep.Rerouted),
+		fmt.Sprintf("%d", rep.PeakActive),
+		fmt.Sprintf("%.3f", rep.DeliveredPct()),
+		fmt.Sprintf("%.3f", lrep.MaxUtilization),
+		fmt.Sprintf("%d", lrep.Overloaded),
+		fmt.Sprintf("%.2f", sim.Now().Hours()),
 	)
+	return nil
 }

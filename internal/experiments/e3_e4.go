@@ -16,9 +16,6 @@ import (
 // linear topology (n switches + n hosts), starts it with an l2_learning
 // controller over in-process pipes, then tears it down.
 func E3Scale(sizes []int) (*Table, error) {
-	if len(sizes) == 0 {
-		sizes = []int{10, 50, 100, 200, 400}
-	}
 	t := &Table{
 		ID:      "E3",
 		Title:   "Emulation scale-up: linear topology build+start+stop time vs node count",
@@ -81,15 +78,6 @@ func e4View(nSw int, eeCPU float64) *core.ResourceView {
 // many sequential requests each admits before the first rejection
 // (acceptance under load), and the path stretch of accepted mappings.
 func E4Mapping(nSwitches int, chainLen int, requests int) (*Table, error) {
-	if nSwitches <= 0 {
-		nSwitches = 16
-	}
-	if chainLen <= 0 {
-		chainLen = 3
-	}
-	if requests <= 0 {
-		requests = 40
-	}
 	cat := catalog.Default()
 	// The registry keeps E4 and the conformance suite on the same mapper
 	// set; only bound the optimal reference's search budget.

@@ -78,9 +78,6 @@ func e5Hops(n *netem.Network, nSwitches int) []steering.Hop {
 // lengths and the design ablations (VLAN vs per-hop rules, pipe vs TCP
 // control channel).
 func E5Steering(lengths []int) (*Table, error) {
-	if len(lengths) == 0 {
-		lengths = []int{1, 2, 4, 8}
-	}
 	t := &Table{
 		ID:      "E5",
 		Title:   "Steering setup vs path length (mode × transport ablation)",
@@ -168,15 +165,6 @@ func chainOfRouters(L int) (chan<- []byte, <-chan []byte, []*click.Router, error
 // throughput, per-packet latency and steady-state allocations, one row per
 // (chain length, frame size) cell.
 func E6ClickDataPlane(lengths []int, frameSizes []int, packets int) (*Table, error) {
-	if len(lengths) == 0 {
-		lengths = []int{1, 2, 4, 8}
-	}
-	if len(frameSizes) == 0 {
-		frameSizes = []int{64, 512, 1500}
-	}
-	if packets <= 0 {
-		packets = 2000
-	}
 	t := &Table{
 		ID:      "E6",
 		Title:   fmt.Sprintf("Click data plane: %d frames through VNF chains", packets),

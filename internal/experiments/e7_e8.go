@@ -15,9 +15,6 @@ import (
 // latency, and the full initiate→connect→start cycle for growing VNF
 // counts on one agent.
 func E7NETCONF(counts []int) (*Table, error) {
-	if len(counts) == 0 {
-		counts = []int{1, 8, 32, 64}
-	}
 	t := &Table{
 		ID:      "E7",
 		Title:   "NETCONF management: vnf_starter RPC latency vs hosted VNFs",
@@ -100,9 +97,6 @@ func E7NETCONF(counts []int) (*Table, error) {
 // E8ServiceCreation measures end-to-end on-demand service creation
 // (Deploy wall time with per-phase breakdown) against chain length.
 func E8ServiceCreation(chainLens []int) (*Table, error) {
-	if len(chainLens) == 0 {
-		chainLens = []int{1, 2, 4, 8}
-	}
 	t := &Table{
 		ID:      "E8",
 		Title:   "On-demand service creation time vs chain length",

@@ -88,12 +88,6 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 // time, deploy throughput, per-deploy latency percentiles, and
 // concurrent-undeploy wall time.
 func E9DeployThroughput(concurrencies []int, chainLen int) (*Table, error) {
-	if len(concurrencies) == 0 {
-		concurrencies = []int{1, 2, 4, 8, 16}
-	}
-	if chainLen <= 0 {
-		chainLen = 4
-	}
 	t := &Table{
 		ID:      "E9",
 		Title:   fmt.Sprintf("Deploy throughput vs concurrency (chains of %d NFs; sequential vs parallel realization)", chainLen),

@@ -1,8 +1,7 @@
 // Package experiments implements the reproduction harness: one function
 // per experiment of README's "Experiments" section (Registry lists
-// them), each returning a Table with the same rows the evaluation
-// reports. cmd/escape-bench prints them; bench_test.go wraps them in
-// testing.B benchmarks.
+// them with their parameters), each returning a Table with the same rows
+// the evaluation reports. cmd/escape-bench prints them.
 package experiments
 
 import (
@@ -66,16 +65,6 @@ func (t *Table) Render(w io.Writer) {
 	for _, n := range t.Notes {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
-}
-
-// Col returns the index of the named column, or -1.
-func (t *Table) Col(name string) int {
-	for i, c := range t.Columns {
-		if c == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // jsonCell types one rendered cell: integers and floats become JSON

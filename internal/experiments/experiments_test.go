@@ -2,14 +2,17 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 // The experiment functions are exercised with small parameters: these
 // tests assert that each harness runs end to end and produces the
-// expected table shape; the real measurement runs live in bench_test.go
-// and cmd/escape-bench.
+// expected table shape; full-size runs are cmd/escape-bench's.
 
 func renderOK(t *testing.T, tbl *Table, wantRows int) {
 	t.Helper()
@@ -21,6 +24,51 @@ func renderOK(t *testing.T, tbl *Table, wantRows int) {
 	out := buf.String()
 	if !strings.Contains(out, tbl.ID) || !strings.Contains(out, tbl.Columns[0]) {
 		t.Errorf("render output malformed:\n%s", out)
+	}
+}
+
+// TestTableWriteJSON round-trips the CI artifact format on a synthetic
+// table: integer and float cells become JSON numbers, true/yes become
+// booleans, labels and the "-" placeholder stay strings, and a row whose
+// width does not match the columns is refused.
+func TestTableWriteJSON(t *testing.T) {
+	tb := &Table{
+		ID: "EX", Title: "synthetic",
+		Columns: []string{"label", "count", "ratio", "flag", "answer", "missing"},
+	}
+	tb.AddRow("diurnal", "42", "99.125", "true", "yes", "-")
+	tb.AddRow("flash", "-7", "0.5", "false", "no", "n/a")
+	path := filepath.Join(t.TempDir(), "table.json")
+	if err := tb.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		ID      string
+		Title   string
+		Columns []string
+		Rows    []map[string]any
+	}
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.ID != tb.ID || got.Title != tb.Title || !reflect.DeepEqual(got.Columns, tb.Columns) {
+		t.Fatalf("artifact header diverged from table: %+v", got)
+	}
+	want := []map[string]any{
+		{"label": "diurnal", "count": 42.0, "ratio": 99.125, "flag": true, "answer": true, "missing": "-"},
+		{"label": "flash", "count": -7.0, "ratio": 0.5, "flag": false, "answer": false, "missing": "n/a"},
+	}
+	if !reflect.DeepEqual(got.Rows, want) {
+		t.Fatalf("rows decoded as\n%#v\nwant\n%#v", got.Rows, want)
+	}
+
+	tb.AddRow("short", "1")
+	if err := tb.WriteJSON(path); err == nil {
+		t.Fatal("WriteJSON accepted a row narrower than the columns")
 	}
 }
 

@@ -55,8 +55,6 @@ type Sim struct {
 	flows map[string]*simFlow
 	ees   map[string]bool // crashed set
 	evch  chan substrate.Event
-
-	batch *batchState // non-nil once BeginBatch switched on deferred mode
 }
 
 // simLink is one direction of a spec link as a fluid server.
@@ -74,9 +72,6 @@ type simLink struct {
 	delayAccum float64       // ∫ W dt, seconds²
 
 	maxRho float64 // peak utilization observed
-
-	ops   []linkOp // batch mode: deferred operations, in trace order
-	shard int      // batch mode: deterministic shard assignment
 }
 
 type simFlow struct {
@@ -88,8 +83,6 @@ type simFlow struct {
 	snapLog   []float64
 	snapDown  []time.Duration
 	snapDelay []float64
-
-	stop *flowStops // batch mode: stop-time integral records
 }
 
 // New builds a simulator over the spec.
@@ -233,12 +226,8 @@ func (s *Sim) FailLink(a, b string) error {
 		return err
 	}
 	for _, l := range []*simLink{fwd, rev} {
-		if s.batch != nil {
-			s.enqueue(l, linkOp{at: s.now, kind: opDown})
-		} else {
-			l.settle(s.now, s.opts)
-			l.down = true
-		}
+		l.settle(s.now, s.opts)
+		l.down = true
 	}
 	s.emit(substrate.Event{Kind: substrate.LinkDown, A: a, B: b})
 	return nil
@@ -250,12 +239,8 @@ func (s *Sim) HealLink(a, b string) error {
 		return err
 	}
 	for _, l := range []*simLink{fwd, rev} {
-		if s.batch != nil {
-			s.enqueue(l, linkOp{at: s.now, kind: opUp})
-		} else {
-			l.settle(s.now, s.opts)
-			l.down = false
-		}
+		l.settle(s.now, s.opts)
+		l.down = false
 	}
 	s.emit(substrate.Event{Kind: substrate.LinkUp, A: a, B: b})
 	return nil
@@ -314,20 +299,6 @@ func (s *Sim) StartFlow(spec substrate.FlowSpec) error {
 		f.links = append(f.links, l)
 		f.prop += l.prop
 	}
-	if s.batch != nil {
-		// Deferred: queue the rate charge per hop; the flush worker takes
-		// the integral snapshots right after applying it, exactly where
-		// the serial loop below does.
-		n := len(f.links)
-		f.snapLog = make([]float64, n)
-		f.snapDown = make([]time.Duration, n)
-		f.snapDelay = make([]float64, n)
-		for i, l := range f.links {
-			s.enqueue(l, linkOp{at: s.now, kind: opStart, rate: spec.Rate, f: f, idx: int32(i)})
-		}
-		s.flows[spec.ID] = f
-		return nil
-	}
 	for _, l := range f.links {
 		l.addRate(s.now, spec.Rate, s.opts)
 		f.snapLog = append(f.snapLog, l.logAccum)
@@ -342,16 +313,9 @@ func (s *Sim) StartFlow(spec substrate.FlowSpec) error {
 // flow's delivered bits and mean delay from the integral deltas over
 // its lifetime.
 func (s *Sim) StopFlow(id string) (substrate.FlowStats, error) {
-	if s.batch != nil {
-		// Synchronous stop during batch mode: apply everything queued so
-		// far, then fall through to the exact serial arithmetic.
-		if err := s.FlushBatch(); err != nil {
-			return substrate.FlowStats{}, err
-		}
-	}
 	f := s.flows[id]
 	if f == nil {
-		return substrate.FlowStats{}, errNoFlow(id)
+		return substrate.FlowStats{}, fmt.Errorf("flowsim: no flow %q", id)
 	}
 	delete(s.flows, id)
 
@@ -401,9 +365,6 @@ type LinkReport struct {
 
 // Report scans the links in deterministic (sorted-key) order.
 func (s *Sim) Report() LinkReport {
-	if s.batch != nil {
-		s.FlushBatch() // maxRho updates live in queued addRate ops
-	}
 	keys := make([][2]string, 0, len(s.links))
 	for k := range s.links {
 		keys = append(keys, k)

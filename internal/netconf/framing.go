@@ -29,6 +29,10 @@ const BaseNS = "urn:ietf:params:xml:ns:netconf:base:1.0"
 
 var eomDelimiter = []byte("]]>]]>")
 
+// maxMessage bounds one framed message in either framing: the reader
+// refuses a peer's message before buffering more than this.
+const maxMessage = 16 << 20
+
 // framer reads and writes NETCONF messages with either end-of-message or
 // chunked framing. Hello messages always use EOM; the session upgrades to
 // chunked after both peers advertise base:1.1 (RFC 6242 §4.1).
@@ -92,8 +96,8 @@ func (f *framer) readEOM() ([]byte, error) {
 			msg := buf.Bytes()[:buf.Len()-len(eomDelimiter)]
 			return bytes.TrimSpace(append([]byte(nil), msg...)), nil
 		}
-		if buf.Len() > 16<<20 {
-			return nil, fmt.Errorf("netconf: message exceeds 16MB without EOM")
+		if buf.Len() > maxMessage {
+			return nil, fmt.Errorf("netconf: message exceeds %d bytes without EOM", maxMessage)
 		}
 	}
 }
@@ -134,14 +138,18 @@ func (f *framer) readChunked() ([]byte, error) {
 			}
 		}
 		n, err := strconv.Atoi(string(lenBuf))
-		if err != nil || n <= 0 || n > 16<<20 {
+		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("netconf: bad chunk length %q", lenBuf)
 		}
-		chunk := make([]byte, n)
-		if _, err := io.ReadFull(f.r, chunk); err != nil {
+		if buf.Len()+n > maxMessage {
+			return nil, fmt.Errorf("netconf: chunked message exceeds %d bytes", maxMessage)
+		}
+		if _, err := io.CopyN(&buf, f.r, int64(n)); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return nil, err
 		}
-		buf.Write(chunk)
 	}
 }
 

@@ -17,6 +17,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("\n##\n"), true)                  // empty message
 	f.Add([]byte("\n#0\n\n##\n"), true)            // invalid zero chunk
 	f.Add([]byte("\n#99999999999\n"), true)        // oversized length
+	f.Add([]byte("\n#3\nabc\n#16777214\n"), true)  // chunks summing past maxMessage
 	f.Add([]byte("]]>]]>"), false)
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, chunked bool) {

@@ -273,6 +273,44 @@ func TestChunkedFramingErrors(t *testing.T) {
 	}
 }
 
+// TestChunkedFramingBoundsMessage: every chunk may be under the cap while
+// their sum is not; the reader refuses the chunk that would cross
+// maxMessage before buffering it, and a multi-chunk message under the cap
+// reads back unchanged.
+func TestChunkedFramingBoundsMessage(t *testing.T) {
+	read := func(raw []byte) ([]byte, error) {
+		f := newFramer(struct {
+			*bytes.Buffer
+		}{bytes.NewBuffer(raw)})
+		f.upgrade()
+		return f.ReadMessage()
+	}
+	chunk := func(data []byte) []byte {
+		return append([]byte(fmt.Sprintf("\n#%d\n", len(data))), data...)
+	}
+
+	nine := bytes.Repeat([]byte("x"), 9<<20)
+	over := append(append(chunk(nine), chunk(nine)...), "\n##\n"...)
+	if _, err := read(over); err == nil {
+		t.Fatal("two 9 MB chunks (18 MB message) accepted")
+	}
+
+	var want, raw []byte
+	for i := 0; i < 3; i++ {
+		part := bytes.Repeat([]byte{'a' + byte(i)}, 5<<20)
+		want = append(want, part...)
+		raw = append(raw, chunk(part)...)
+	}
+	raw = append(raw, "\n##\n"...)
+	got, err := read(raw)
+	if err != nil {
+		t.Fatalf("15 MB in three chunks: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("multi-chunk message under the cap changed in transit")
+	}
+}
+
 // Property: both framings round-trip arbitrary XML-ish payloads that do
 // not contain the EOM delimiter.
 func TestQuickFramingRoundTrip(t *testing.T) {

@@ -36,8 +36,8 @@
 // different materialization depth than a serial run would. Candidate
 // lookup is first-feasible over a deterministic candidate sequence, so
 // divergence needs a stale-mask candidate surviving a transition —
-// never observed in practice; E14's parallel_match bit re-proves
-// bit-identity empirically on every row of every run.
+// never observed in practice; the workers-1/2/8 equality tests and
+// admit_scale's correctness check re-prove bit-identity empirically.
 package substrate
 
 import (
@@ -51,8 +51,8 @@ import (
 )
 
 // Equal reports whether two play reports are bit-identical — the
-// parallel_match criterion E14 asserts between serial and parallel
-// runs of one trace.
+// criterion the parallel-player tests and admit_scale assert between
+// serial and parallel runs of one trace.
 func (r *PlayReport) Equal(o *PlayReport) bool {
 	return reflect.DeepEqual(r, o)
 }
@@ -109,9 +109,6 @@ type parallelPlayer struct {
 	activeRate map[string]float64
 	downLinks  map[[2]string]bool
 	sc         *playScratch
-
-	batcher FlowBatcher
-	stops   []*DeferredStats // per-departure stat handles, in trace order
 }
 
 // playParallel plays the trace with opts.Workers speculative workers.
@@ -128,10 +125,6 @@ func playParallel(sub Substrate, rv *core.ResourceView, mapper core.Mapper, even
 	}
 	p.jobs = make(chan *pjob, p.window)
 	p.done = make(chan *pjob, p.window)
-	if b, ok := sub.(FlowBatcher); ok && opts.Traffic {
-		p.batcher = b
-		b.BeginBatch(opts.Workers)
-	}
 	var wg sync.WaitGroup
 	for w := 0; w < opts.Workers; w++ {
 		wg.Add(1)
@@ -142,18 +135,6 @@ func playParallel(sub Substrate, rv *core.ResourceView, mapper core.Mapper, even
 	wg.Wait()
 	if err != nil {
 		return nil, err
-	}
-	if p.batcher != nil {
-		if err := p.batcher.FlushBatch(); err != nil {
-			return nil, err
-		}
-	}
-	// Fold traffic stats in departure (trace) order — the serial
-	// player's exact accumulation order, on bit-identical per-flow
-	// stats.
-	for _, h := range p.stops {
-		p.rep.OfferedBits += h.Stats.OfferedBits
-		p.rep.DeliveredBits += h.Stats.DeliveredBits
 	}
 	return p.rep, nil
 }
@@ -276,11 +257,12 @@ func (p *parallelPlayer) run() error {
 				continue // arrival was rejected
 			}
 			if p.opts.Traffic {
-				h, err := p.stopFlow(ev.Service)
+				st, err := p.sub.StopFlow(ev.Service)
 				if err != nil {
 					return err
 				}
-				p.stops = append(p.stops, h)
+				p.rep.OfferedBits += st.OfferedBits
+				p.rep.DeliveredBits += st.DeliveredBits
 			}
 			p.rv.Release(m)
 			p.ft.applyMapping(m, -1)
@@ -315,19 +297,6 @@ func (p *parallelPlayer) run() error {
 		}
 	}
 	return nil
-}
-
-// stopFlow ends a flow, deferring the stat resolution to the batcher
-// when the substrate supports it.
-func (p *parallelPlayer) stopFlow(id string) (*DeferredStats, error) {
-	if p.batcher != nil {
-		return p.batcher.StopFlowDeferred(id)
-	}
-	st, err := p.sub.StopFlow(id)
-	if err != nil {
-		return nil, err
-	}
-	return &DeferredStats{Stats: st}, nil
 }
 
 // healParallel is the parallel counterpart of healAffected: heal plans

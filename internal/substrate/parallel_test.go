@@ -11,9 +11,8 @@ import (
 // The parallel-player determinism suite: the same seeded trace played
 // at workers=1, 2 and 8 must produce bit-identical PlayReports —
 // decisions, heal deltas, traffic integrals, everything — on fresh
-// simulator/view instances each time. Shard-boundary flows come for
-// free from the cross-region SAP pairs of ScaleSpec; the fault cases
-// exercise mid-trace heals (mask transitions) under speculation.
+// simulator/view instances each time. The fault cases exercise
+// mid-trace heals (mask transitions) under speculation.
 
 // scaleTrace builds a small multi-region cell and a churny trace with
 // optional backbone faults.

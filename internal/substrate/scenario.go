@@ -601,7 +601,7 @@ func copyRoutes(m map[string][]string) map[string][]string {
 }
 
 // DefaultMapper is the mapper scenario runs use unless overridden: KSP
-// with the default catalog, the same algorithm E12 measures.
+// with the default catalog, the orchestrator's default algorithm.
 func DefaultMapper() core.Mapper {
 	return &core.KSPMapper{Catalog: catalog.Default()}
 }

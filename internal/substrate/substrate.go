@@ -199,33 +199,6 @@ type Substrate interface {
 	StopFlow(id string) (FlowStats, error)
 }
 
-// DeferredStats is the handle a FlowBatcher returns for a deferred
-// stop: Stats is valid after the next FlushBatch.
-type DeferredStats struct {
-	Stats FlowStats
-}
-
-// FlowBatcher is the optional fast path a Substrate may implement for
-// the parallel scenario player: traffic and fault calls between
-// FlushBatch barriers may be applied lazily (and, at flush, in
-// parallel), as long as the flushed state and every DeferredStats are
-// bit-identical to what the synchronous calls would have produced in
-// the same order. flowsim.Sim implements it; packet-level backends
-// (netem) stay synchronous and are driven through the plain Substrate
-// surface.
-type FlowBatcher interface {
-	// BeginBatch enables deferred accounting with the given flush
-	// worker count (idempotent; workers retunes on later calls).
-	BeginBatch(workers int)
-	// StopFlowDeferred removes the flow (existence checked
-	// synchronously, like StopFlow) and resolves its stats at the next
-	// FlushBatch.
-	StopFlowDeferred(id string) (*DeferredStats, error)
-	// FlushBatch applies every deferred operation and fills in every
-	// handle issued since the previous flush.
-	FlushBatch() error
-}
-
 // ViewFromSpec derives the orchestrator's resource view directly from a
 // spec, without realizing an emulated network: switches get sequential
 // DPIDs, links and hosts get ports numbered in declaration order
