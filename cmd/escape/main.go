@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -23,7 +24,6 @@ import (
 	"escape/internal/experiments"
 	"escape/internal/mgmt"
 	"escape/internal/sg"
-	"escape/internal/steering"
 	"escape/internal/trafgen"
 	"escape/internal/viz"
 	"escape/internal/vnfagent"
@@ -82,28 +82,32 @@ type topoFile struct {
 	Hosts    map[string]string      `json:"hosts"`
 	EEs      map[string]core.EESpec `json:"ees"`
 	Trunks   []core.TrunkSpec       `json:"trunks"`
-	Steering string                 `json:"steering,omitempty"` // "vlan"|"per-hop"
 }
 
+// loadTopo reads a topology file. A key the format does not have, at any
+// depth, is an error naming it: a misspelt key must not quietly deploy a
+// different topology.
 func loadTopo(path string) (core.TopoSpec, error) {
-	var tf topoFile
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return core.TopoSpec{}, err
 	}
-	if err := json.Unmarshal(data, &tf); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var tf topoFile
+	if err := dec.Decode(&tf); err != nil {
 		return core.TopoSpec{}, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	spec := core.TopoSpec{
+	if _, err := dec.Token(); err != io.EOF {
+		return core.TopoSpec{}, fmt.Errorf("parsing %s: data after the topology object", path)
+	}
+	return core.TopoSpec{
 		Switches: tf.Switches,
 		Hosts:    tf.Hosts,
 		EEs:      tf.EEs,
 		Trunks:   tf.Trunks,
-	}
-	if tf.Steering == "per-hop" {
-		spec.Mode = steering.ModePerHop
-	}
-	return spec, nil
+	}, nil
 }
 
 func pickMapper(name string, cat *catalog.Catalog) (core.Mapper, error) {

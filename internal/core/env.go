@@ -37,18 +37,8 @@ type TopoSpec struct {
 	Trunks []TrunkSpec
 	// HostLink shapes host-switch links (zero = unshaped).
 	HostLink netem.LinkConfig
-	// Mode selects the steering rule style.
-	Mode steering.Mode
 	// Mapper overrides the default (KSP) algorithm.
 	Mapper Mapper
-	// ControllerTCP switches the OpenFlow transport from in-process
-	// pipes to TCP (E5 ablation).
-	ControllerTCP bool
-	// RealizeWorkers bounds cross-EE realization parallelism
-	// (Config.RealizeWorkers; 1 = sequential baseline).
-	RealizeWorkers int
-	// SessionsPerEE sizes the per-EE NETCONF session pool.
-	SessionsPerEE int
 }
 
 // Environment is a running ESCAPE instance: emulated network, controller
@@ -68,18 +58,10 @@ type Environment struct {
 // StartEnvironment builds and starts everything described by spec.
 func StartEnvironment(spec TopoSpec) (*Environment, error) {
 	ctrl := pox.NewController()
-	st := steering.New(ctrl, spec.Mode)
+	st := steering.New(ctrl)
 	ctrl.Register(pox.NewL2Learning())
 	ctrl.Register(st)
-
-	mode := netem.ControllerPipe
-	if spec.ControllerTCP {
-		if err := ctrl.ListenAndServe("127.0.0.1:0"); err != nil {
-			return nil, err
-		}
-		mode = netem.ControllerTCP
-	}
-	n := netem.New("escape", netem.Options{Controller: ctrl, Mode: mode})
+	n := netem.New("escape", netem.Options{Controller: ctrl})
 
 	cleanup := func() {
 		n.Stop()
@@ -144,14 +126,12 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 	}
 
 	orch, err := New(Config{
-		Controller:     ctrl,
-		Steering:       st,
-		Catalog:        cat,
-		View:           view,
-		Agents:         agentAddrs,
-		Mapper:         spec.Mapper,
-		RealizeWorkers: spec.RealizeWorkers,
-		SessionsPerEE:  spec.SessionsPerEE,
+		Controller: ctrl,
+		Steering:   st,
+		Catalog:    cat,
+		View:       view,
+		Agents:     agentAddrs,
+		Mapper:     spec.Mapper,
 	})
 	if err != nil {
 		cleanup()

@@ -301,22 +301,3 @@ func TestTeardownDisconnectsSwitchPorts(t *testing.T) {
 		client.Close()
 	}
 }
-
-func TestSequentialRealizationStillDeploys(t *testing.T) {
-	spec := demoSpec()
-	spec.RealizeWorkers = 1
-	env := startEnv(t, spec)
-	svc, err := env.Orch.Deploy(sapGraph("seq", "monitor", "monitor"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if svc.State() != StateRunning {
-		t.Errorf("state = %s", svc.State())
-	}
-	if err := env.Orch.Undeploy("seq"); err != nil {
-		t.Fatal(err)
-	}
-	if env.Steering.ActivePaths() != 0 {
-		t.Errorf("paths leaked: %d", env.Steering.ActivePaths())
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,8 +22,8 @@ import (
 type Config struct {
 	// Controller provides switch connections for steering.
 	Controller *pox.Controller
-	// Steering installs chain paths (created by the caller so examples
-	// can pick the mode).
+	// Steering installs chain paths. The caller creates it and registers
+	// it with Controller, which dispatches its events.
 	Steering *steering.Steering
 	// Catalog resolves NF types.
 	Catalog *catalog.Catalog
@@ -35,14 +34,6 @@ type Config struct {
 	Agents map[string]string
 	// Mapper selects the mapping algorithm (default KSPMapper).
 	Mapper Mapper
-	// RealizeWorkers bounds cross-EE parallelism during VNF realization:
-	// each EE's NF sequence always runs in order, but up to this many
-	// EEs are driven at once. 0 = GOMAXPROCS; 1 = the sequential
-	// baseline (E9's "seq" rows).
-	RealizeWorkers int
-	// SessionsPerEE sizes the NETCONF session pool per EE (default 1:
-	// strict per-EE serialization of management RPCs).
-	SessionsPerEE int
 }
 
 // Orchestrator is the orchestration layer: Deploy maps a service graph
@@ -112,12 +103,6 @@ func New(cfg Config) (*Orchestrator, error) {
 	if cfg.Mapper == nil {
 		cfg.Mapper = &KSPMapper{Catalog: cfg.Catalog}
 	}
-	if cfg.RealizeWorkers <= 0 {
-		cfg.RealizeWorkers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.SessionsPerEE <= 0 {
-		cfg.SessionsPerEE = 1
-	}
 	return &Orchestrator{
 		cfg:      cfg,
 		pools:    map[string]*vnfagent.Pool{},
@@ -141,7 +126,7 @@ func (o *Orchestrator) SetMapper(m Mapper) {
 }
 
 // pool returns the NETCONF session pool for an EE, creating it lazily.
-// Sessions are dialed inside Pool.Do, never under o.mu, so a slow or
+// The session is dialed inside Pool.Do, never under o.mu, so a slow or
 // dead agent cannot stall deploys targeting other EEs.
 func (o *Orchestrator) pool(ee string) (*vnfagent.Pool, error) {
 	o.mu.Lock()
@@ -153,7 +138,7 @@ func (o *Orchestrator) pool(ee string) (*vnfagent.Pool, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: no management address for EE %q", ee)
 	}
-	p := vnfagent.NewPool(addr, o.cfg.SessionsPerEE)
+	p := vnfagent.NewPool(addr)
 	o.pools[ee] = p
 	return p, nil
 }
@@ -323,10 +308,10 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 }
 
 // realize drives the per-NF initiate/connect/start sequence for every
-// placement: one worker per EE (so each EE sees its NFs strictly in
-// order on one management session) with cross-EE parallelism bounded by
-// RealizeWorkers. The first error stops remaining work; already-realized
-// NFs stay recorded in svc.NFs for the caller's rollback.
+// placement: one goroutine per touched EE, so each EE sees its NFs
+// strictly in order on its one management session while EEs proceed in
+// parallel. The first error stops remaining work; already-realized NFs
+// stay recorded in svc.NFs for the caller's rollback.
 func (o *Orchestrator) realize(svc *Service, g *sg.Graph, mapping *Mapping) error {
 	groups := map[string][]string{}
 	for nfID, ee := range mapping.Placements {
@@ -339,7 +324,6 @@ func (o *Orchestrator) realize(svc *Service, g *sg.Graph, mapping *Mapping) erro
 	}
 	sort.Strings(eeNames)
 
-	sem := make(chan struct{}, o.cfg.RealizeWorkers)
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
@@ -358,8 +342,6 @@ func (o *Orchestrator) realize(svc *Service, g *sg.Graph, mapping *Mapping) erro
 		wg.Add(1)
 		go func(ee string, nfIDs []string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			for _, nfID := range nfIDs {
 				if stop.Load() {
 					return

@@ -9,7 +9,6 @@ import (
 	"escape/internal/netem"
 	"escape/internal/pkt"
 	"escape/internal/sg"
-	"escape/internal/steering"
 )
 
 // demoSpec is the canonical two-switch, two-EE test topology:
@@ -286,33 +285,6 @@ func TestChainFlowStats(t *testing.T) {
 	if _, _, err := env.Orch.ChainFlowStats("ghost"); err == nil {
 		t.Error("stats for unknown service succeeded")
 	}
-}
-
-func TestEnvironmentTCPModeAndPerHop(t *testing.T) {
-	spec := demoSpec()
-	spec.ControllerTCP = true
-	spec.Mode = steering.ModePerHop
-	env := startEnv(t, spec)
-	if env.Steering.Mode() != steering.ModePerHop {
-		t.Error("steering mode not applied")
-	}
-	if _, err := env.Orch.Deploy(sapGraph("tcp-mode", "monitor")); err != nil {
-		t.Fatal(err)
-	}
-	h1 := env.Host("h1")
-	h2 := env.Host("h2")
-	h2.SetAutoRespond(false)
-	frame, _ := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 2, []byte("x"))
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		h1.Send(frame)
-		select {
-		case <-h2.Recv():
-			return
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-	t.Fatal("traffic did not flow in TCP/per-hop mode")
 }
 
 func TestBuildResourceViewFromEmulation(t *testing.T) {

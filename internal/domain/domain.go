@@ -96,7 +96,6 @@ type GlobalOrchestrator struct {
 	gateways  map[gwKey]string  // directed crossing → exit pseudo-SAP id
 	sapDomain map[string]string // real SAP id → owning domain
 	tags      *tagAllocator
-	workers   int
 
 	mu       sync.Mutex
 	services map[string]*GlobalService
@@ -262,13 +261,10 @@ func (g *GlobalOrchestrator) Deploy(graph *sg.Graph) (*GlobalService, error) {
 		wg    sync.WaitGroup
 		subMu sync.Mutex
 	)
-	sem := make(chan struct{}, g.workers)
 	for i, d := range doms {
 		wg.Add(1)
 		go func(i int, d string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			svc, err := g.domains[d].Orch.Deploy(plan.subs[d])
 			if err != nil {
 				errs[i] = fmt.Errorf("domain: delegating %q to %s: %w", graph.Name, d, err)

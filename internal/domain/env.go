@@ -2,7 +2,6 @@ package domain
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
@@ -42,13 +41,6 @@ type Spec struct {
 	// DomainMapper overrides the per-domain mapping algorithm (default
 	// KSPMapper).
 	DomainMapper core.Mapper
-	// DeployWorkers bounds cross-domain delegation parallelism
-	// (0 = GOMAXPROCS).
-	DeployWorkers int
-	// RealizeWorkers / SessionsPerEE pass through to every domain
-	// orchestrator (see core.Config).
-	RealizeWorkers int
-	SessionsPerEE  int
 }
 
 // Environment is a running multi-domain ESCAPE instance. The embedded
@@ -156,10 +148,8 @@ func StartEnvironment(spec Spec) (*Environment, error) {
 	// Flatten into one physical TopoSpec: gateway trunks are ordinary
 	// links at the infrastructure layer.
 	flat := core.TopoSpec{
-		Hosts:          map[string]string{},
-		EEs:            map[string]core.EESpec{},
-		RealizeWorkers: spec.RealizeWorkers,
-		SessionsPerEE:  spec.SessionsPerEE,
+		Hosts: map[string]string{},
+		EEs:   map[string]core.EESpec{},
 	}
 	for _, d := range spec.Domains {
 		flat.Switches = append(flat.Switches, d.Switches...)
@@ -192,17 +182,12 @@ func StartEnvironment(spec Spec) (*Environment, error) {
 // buildHierarchy derives per-domain views, domain orchestrators and the
 // global orchestrator from a started flat environment.
 func buildHierarchy(spec Spec, env *core.Environment) (*GlobalOrchestrator, error) {
-	workers := spec.DeployWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	g := &GlobalOrchestrator{
 		mapper:    spec.GlobalMapper,
 		domains:   map[string]*Domain{},
 		gateways:  map[gwKey]string{},
 		sapDomain: map[string]string{},
 		tags:      newTagAllocator(),
-		workers:   workers,
 		services:  map[string]*GlobalService{},
 	}
 	if g.mapper == nil {
@@ -276,19 +261,13 @@ func buildHierarchy(spec Spec, env *core.Environment) (*GlobalOrchestrator, erro
 		for ee := range d.EEs {
 			agents[ee] = env.Agents[ee].Addr()
 		}
-		var mapper core.Mapper
-		if spec.DomainMapper != nil {
-			mapper = spec.DomainMapper
-		}
 		orch, err := core.New(core.Config{
-			Controller:     env.Ctrl,
-			Steering:       env.Steering,
-			Catalog:        env.Catalog,
-			View:           views[d.Name],
-			Agents:         agents,
-			Mapper:         mapper,
-			RealizeWorkers: spec.RealizeWorkers,
-			SessionsPerEE:  spec.SessionsPerEE,
+			Controller: env.Ctrl,
+			Steering:   env.Steering,
+			Catalog:    env.Catalog,
+			View:       views[d.Name],
+			Agents:     agents,
+			Mapper:     spec.DomainMapper,
 		})
 		if err != nil {
 			return nil, err

@@ -14,123 +14,82 @@ import (
 	"escape/internal/steering"
 )
 
-// lineEnv builds h1—s1—s2—…—sN—h2 with the steering component.
-func lineEnv(nSwitches int, mode steering.Mode, tcp bool) (*netem.Network, *pox.Controller, *steering.Steering, error) {
-	ctrl := pox.NewController()
-	st := steering.New(ctrl, mode)
-	ctrl.Register(st)
-	netMode := netem.ControllerPipe
-	if tcp {
-		if err := ctrl.ListenAndServe("127.0.0.1:0"); err != nil {
-			return nil, nil, nil, err
-		}
-		netMode = netem.ControllerTCP
-	}
-	n := netem.New("e5", netem.Options{Controller: ctrl, Mode: netMode})
-	for i := 1; i <= nSwitches; i++ {
-		if _, err := n.AddSwitch(fmt.Sprintf("s%d", i)); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	n.AddHost("h1")
-	n.AddHost("h2")
-	// h1 on s1 port 1; trunks si:2→si+1:1 …; h2 appended last.
-	if _, err := n.AddLink("h1", "s1", netem.LinkConfig{}); err != nil {
-		return nil, nil, nil, err
-	}
-	for i := 1; i < nSwitches; i++ {
-		if _, err := n.AddLink(fmt.Sprintf("s%d", i), fmt.Sprintf("s%d", i+1), netem.LinkConfig{}); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if _, err := n.AddLink(fmt.Sprintf("s%d", nSwitches), "h2", netem.LinkConfig{}); err != nil {
-		return nil, nil, nil, err
-	}
-	if err := n.Start(); err != nil {
-		return nil, nil, nil, err
-	}
-	return n, ctrl, st, nil
-}
-
-// e5Hops builds the port-level path across the line topology.
-func e5Hops(n *netem.Network, nSwitches int) []steering.Hop {
-	hops := make([]steering.Hop, nSwitches)
-	for i := 1; i <= nSwitches; i++ {
-		sw := n.Node(fmt.Sprintf("s%d", i)).(*netem.SwitchNode)
-		var in, out uint16
-		switch {
-		case nSwitches == 1:
-			in, out = 1, 2
-		case i == 1:
-			in, out = 1, 2
-		case i == nSwitches:
-			in, out = 1, 2
-		default:
-			in, out = 1, 2
-		}
-		hops[i-1] = steering.Hop{DPID: sw.DPID(), InPort: in, OutPort: out}
-	}
-	return hops
-}
-
-// E5Steering measures chain-path installation: rule count, install
-// latency (including barriers) and first-packet latency, across path
-// lengths and the design ablations (VLAN vs per-hop rules, pipe vs TCP
-// control channel).
+// E5Steering measures chain-path installation across path lengths: rule
+// count, install latency (including barriers) and first-packet latency.
 func E5Steering(lengths []int) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
-		Title:   "Steering setup vs path length (mode × transport ablation)",
-		Columns: []string{"switches", "mode", "transport", "rules", "install_ms", "first_pkt_ms"},
-		Notes:   []string{"shape check: install latency grows linearly with path length; TCP ≳ pipe"},
+		Title:   "Steering setup vs path length",
+		Columns: []string{"switches", "rules", "install_ms", "first_pkt_ms"},
+		Notes:   []string{"shape check: install latency grows linearly with path length"},
 	}
 	for _, L := range lengths {
-		for _, mode := range []steering.Mode{steering.ModeVLAN, steering.ModePerHop} {
-			for _, tcp := range []bool{false, true} {
-				n, ctrl, st, err := lineEnv(L, mode, tcp)
-				if err != nil {
-					return nil, err
-				}
-				hops := e5Hops(n, L)
-				t0 := time.Now()
-				inst, err := st.InstallPath(steering.Path{ID: "p", Hops: hops})
-				install := time.Since(t0)
-				if err != nil {
-					n.Stop()
-					ctrl.Close()
-					return nil, err
-				}
-				h1 := n.Node("h1").(*netem.Host)
-				h2 := n.Node("h2").(*netem.Host)
-				h2.SetAutoRespond(false)
-				frame, _ := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 2, []byte("x"))
-				t1 := time.Now()
-				h1.Send(frame)
-				var firstPkt time.Duration
-				select {
-				case <-h2.Recv():
-					firstPkt = time.Since(t1)
-				case <-time.After(5 * time.Second):
-					n.Stop()
-					ctrl.Close()
-					return nil, fmt.Errorf("experiments: E5 L=%d frame lost", L)
-				}
-				modeName := "vlan"
-				if mode == steering.ModePerHop {
-					modeName = "per-hop"
-				}
-				transport := "pipe"
-				if tcp {
-					transport = "tcp"
-				}
-				t.AddRow(fmt.Sprint(L), modeName, transport,
-					fmt.Sprint(inst.RuleCount), ms(install), ms(firstPkt))
-				n.Stop()
-				ctrl.Close()
-			}
+		if err := e5Run(t, L); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
+}
+
+// e5Run builds a fresh line h1—s1—…—sL—h2 (every switch takes the frame
+// in on port 1 and sends it out on port 2), installs one path along it,
+// sends one frame through and appends the row. Whatever it built is
+// stopped when it returns, on error too.
+func e5Run(t *Table, L int) error {
+	ctrl := pox.NewController()
+	st := steering.New(ctrl)
+	ctrl.Register(st)
+	n := netem.New("e5", netem.Options{Controller: ctrl})
+	defer func() {
+		n.Stop()
+		ctrl.Close()
+	}()
+	line := []string{"h1"}
+	hops := make([]steering.Hop, L)
+	for i := range hops {
+		sw, err := n.AddSwitch(fmt.Sprintf("s%d", i+1))
+		if err != nil {
+			return err
+		}
+		line = append(line, sw.NodeName())
+		hops[i] = steering.Hop{DPID: sw.DPID(), InPort: 1, OutPort: 2}
+	}
+	line = append(line, "h2")
+	h1, err := n.AddHost("h1")
+	if err != nil {
+		return err
+	}
+	h2, err := n.AddHost("h2")
+	if err != nil {
+		return err
+	}
+	for i := 1; i < len(line); i++ {
+		if _, err := n.AddLink(line[i-1], line[i], netem.LinkConfig{}); err != nil {
+			return err
+		}
+	}
+	if err := n.Start(); err != nil {
+		return err
+	}
+	t0 := time.Now()
+	inst, err := st.InstallPath(steering.Path{ID: "p", Hops: hops})
+	install := time.Since(t0)
+	if err != nil {
+		return err
+	}
+	h2.SetAutoRespond(false)
+	frame, _ := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 2, []byte("x"))
+	t1 := time.Now()
+	h1.Send(frame)
+	var firstPkt time.Duration
+	select {
+	case <-h2.Recv():
+		firstPkt = time.Since(t1)
+	case <-time.After(5 * time.Second):
+		return fmt.Errorf("experiments: E5 L=%d frame lost", L)
+	}
+	t.AddRow(fmt.Sprint(L), fmt.Sprint(inst.RuleCount), ms(install), ms(firstPkt))
+	return nil
 }
 
 // e6DeviceDepth is the channel depth of every VNF boundary: what netem.EE

@@ -11,24 +11,10 @@ import (
 	"escape/internal/sg"
 )
 
-// e9Mode is one cell of the orchestration sweep: how VNF realization is
-// scheduled (steering is always one batched push per service).
-type e9Mode struct {
-	realize string // "seq" | "par"
-	workers int    // Config.RealizeWorkers (1 = sequential)
-}
-
-// e9Modes compares the sequential baseline (one EE driven at a time)
-// with the concurrent realization engine.
-var e9Modes = []e9Mode{
-	{realize: "seq", workers: 1},
-	{realize: "par", workers: 0},
-}
-
 // e9Topo builds the multi-tenant topology for N concurrent services:
 // two switches, four EEs (two per switch) sized to host every chain, and
 // one SAP pair per service so chains do not share ingress ports.
-func e9Topo(n, chainLen int, mode e9Mode) core.TopoSpec {
+func e9Topo(n, chainLen int) core.TopoSpec {
 	// monitor NFs default to 0.1 CPU / 32 MB; spread over 4 EEs with
 	// generous headroom so admission never rejects.
 	cpu := float64(n*chainLen)*0.1/4 + 1
@@ -47,8 +33,7 @@ func e9Topo(n, chainLen int, mode e9Mode) core.TopoSpec {
 			"ee3": {Switch: "s2", CPU: cpu, Mem: mem},
 			"ee4": {Switch: "s2", CPU: cpu, Mem: mem},
 		},
-		Trunks:         []core.TrunkSpec{{A: "s1", B: "s2"}},
-		RealizeWorkers: mode.workers,
+		Trunks: []core.TrunkSpec{{A: "s1", B: "s2"}},
 	}
 }
 
@@ -83,34 +68,31 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 }
 
 // E9DeployThroughput measures the orchestration control plane under
-// concurrent load: N goroutines each deploy one chain at once, under
-// sequential and parallel VNF realization. Reported per cell: total wall
-// time, deploy throughput, per-deploy latency percentiles, and
-// concurrent-undeploy wall time.
+// concurrent load: N goroutines each deploy one chain at once. Reported
+// per concurrency: total wall time, deploy throughput, per-deploy latency
+// percentiles, and concurrent-undeploy wall time.
 func E9DeployThroughput(concurrencies []int, chainLen int) (*Table, error) {
 	t := &Table{
 		ID:      "E9",
-		Title:   fmt.Sprintf("Deploy throughput vs concurrency (chains of %d NFs; sequential vs parallel realization)", chainLen),
-		Columns: []string{"conc", "realize", "total_ms", "svc_per_s", "p50_ms", "p95_ms", "undeploy_ms"},
+		Title:   fmt.Sprintf("Deploy throughput vs concurrency (chains of %d NFs)", chainLen),
+		Columns: []string{"conc", "total_ms", "svc_per_s", "p50_ms", "p95_ms", "undeploy_ms"},
 		Notes: []string{
-			"seq drives one EE at a time (RealizeWorkers 1); par drives up to GOMAXPROCS EEs at once",
-			"steering is one batched InstallPaths push per service in every cell",
+			"realization drives every EE a service touches at once, each EE's NFs in order on its one NETCONF session",
+			"steering is one batched InstallPaths push per service",
 			"admission is optimistic (lock-free map, validate-and-commit): no run may oversubscribe the view",
 		},
 	}
 	for _, n := range concurrencies {
-		for _, mode := range e9Modes {
-			if err := e9Run(t, n, chainLen, mode); err != nil {
-				return nil, err
-			}
+		if err := e9Run(t, n, chainLen); err != nil {
+			return nil, err
 		}
 	}
 	return t, nil
 }
 
-// e9Run measures one (concurrency, mode) cell on a fresh environment.
-func e9Run(t *Table, n, chainLen int, mode e9Mode) error {
-	env, err := core.StartEnvironment(e9Topo(n, chainLen, mode))
+// e9Run measures one concurrency on a fresh environment.
+func e9Run(t *Table, n, chainLen int) error {
+	env, err := core.StartEnvironment(e9Topo(n, chainLen))
 	if err != nil {
 		return err
 	}
@@ -139,8 +121,7 @@ func e9Run(t *Table, n, chainLen int, mode e9Mode) error {
 	total := time.Since(start)
 	for i, err := range errs {
 		if err != nil {
-			return fmt.Errorf("experiments: E9 deploy %d (conc=%d %s): %w",
-				i, n, mode.realize, err)
+			return fmt.Errorf("experiments: E9 deploy %d (conc=%d): %w", i, n, err)
 		}
 	}
 	for _, g := range graphs {
@@ -169,7 +150,7 @@ func e9Run(t *Table, n, chainLen int, mode e9Mode) error {
 	}
 
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	t.AddRow(fmt.Sprint(n), mode.realize,
+	t.AddRow(fmt.Sprint(n),
 		ms(total),
 		fmt.Sprintf("%.1f", float64(n)/total.Seconds()),
 		ms(percentile(latencies, 50)),

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -124,12 +125,25 @@ func TestE4Mapping(t *testing.T) {
 	}
 }
 
+// TestE5Steering: one row per path length, and every switch on the path
+// holds exactly one steering rule for it.
 func TestE5Steering(t *testing.T) {
-	tbl, err := E5Steering([]int{1, 2})
+	tbl, err := E5Steering([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 8) // 2 lengths × 2 modes × 2 transports
+	renderOK(t, tbl, 3)
+	if got, want := strings.Join(tbl.Columns, ","), "switches,rules,install_ms,first_pkt_ms"; got != want {
+		t.Errorf("E5 columns are %s, want %s", got, want)
+	}
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("E5 has %d rows, want one per length: 3", len(tbl.Rows))
+	}
+	for i, row := range tbl.Rows {
+		if want := fmt.Sprint(i + 1); row[0] != want || row[1] != want {
+			t.Errorf("E5 row %d: switches %s rules %s, want %s and %s", i, row[0], row[1], want, want)
+		}
+	}
 }
 
 // TestE6ClickDataPlane: E6 over ChanDevice chains delivers every frame —
@@ -198,19 +212,22 @@ func TestE10MultiDomain(t *testing.T) {
 	}
 }
 
+// TestE9DeployThroughput: one row per concurrency, in sweep order.
 func TestE9DeployThroughput(t *testing.T) {
-	tbl, err := E9DeployThroughput([]int{2}, 2)
+	tbl, err := E9DeployThroughput([]int{1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	renderOK(t, tbl, 2) // 1 concurrency × 2 modes
-	modes := map[string]bool{}
-	for _, row := range tbl.Rows {
-		modes[row[1]] = true
+	renderOK(t, tbl, 2)
+	if got, want := strings.Join(tbl.Columns, ","), "conc,total_ms,svc_per_s,p50_ms,p95_ms,undeploy_ms"; got != want {
+		t.Errorf("E9 columns are %s, want %s", got, want)
 	}
-	for _, m := range []string{"seq", "par"} {
-		if !modes[m] {
-			t.Errorf("mode %s missing from E9 ablation", m)
+	if len(tbl.Rows) != 2 {
+		t.Fatalf("E9 has %d rows, want one per concurrency: 2", len(tbl.Rows))
+	}
+	for i, want := range []string{"1", "2"} {
+		if tbl.Rows[i][0] != want {
+			t.Errorf("E9 row %d is conc %s, want %s", i, tbl.Rows[i][0], want)
 		}
 	}
 }

@@ -92,26 +92,11 @@ func (p *Port) Peer() *Port {
 	return l.A
 }
 
-// ControllerMode selects the switch↔controller transport.
-type ControllerMode int
-
-// Controller transports: in-process pipes (fast, default) or TCP via the
-// controller's listener (realistic). E5's ablation compares them.
-const (
-	ControllerPipe ControllerMode = iota
-	ControllerTCP
-)
-
 // Options configure a Network.
 type Options struct {
 	// Controller receives switch connections at Start. Nil = data plane
 	// only (no OpenFlow; switches drop on table miss).
 	Controller *pox.Controller
-	// Mode selects pipe vs TCP transport (TCP requires the controller to
-	// be listening already).
-	Mode ControllerMode
-	// DefaultLink shapes links created without an explicit config.
-	DefaultLink LinkConfig
 }
 
 // Network is an emulated topology.
@@ -255,8 +240,8 @@ func (n *Network) AddEE(name string, cfg EEConfig) (*EE, error) {
 	return ee, nil
 }
 
-// AddLink connects two nodes with cfg (zero LinkConfig inherits
-// Options.DefaultLink). Ports are allocated on both nodes. It may be
+// AddLink connects two nodes with cfg (the zero LinkConfig is an
+// unshaped link). Ports are allocated on both nodes. It may be
 // called before or after Start: ESCAPE's orchestrator wires VNF ports into
 // switches at deployment time.
 func (n *Network) AddLink(a, b string, cfg LinkConfig) (*Link, error) {
@@ -269,9 +254,6 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) (*Link, error) {
 	}
 	if nb == nil {
 		return nil, fmt.Errorf("netem: unknown node %q", b)
-	}
-	if cfg == (LinkConfig{}) {
-		cfg = n.opts.DefaultLink
 	}
 	pa, err := na.newPort(n)
 	if err != nil {
@@ -330,23 +312,12 @@ func (n *Network) Start() error {
 	return n.opts.Controller.WaitForSwitches(len(switches), waitForSwitchesTimeout)
 }
 
+// connectSwitch joins a switch to the controller over an in-process
+// net.Pipe: both ends speak the same OpenFlow bytes a TCP channel would.
 func (n *Network) connectSwitch(s *SwitchNode) error {
-	switch n.opts.Mode {
-	case ControllerTCP:
-		addr := n.opts.Controller.Addr()
-		if addr == nil {
-			return fmt.Errorf("netem: controller is not listening (TCP mode)")
-		}
-		conn, err := net.Dial("tcp", addr.String())
-		if err != nil {
-			return fmt.Errorf("netem: dialing controller: %w", err)
-		}
-		return s.sw.ConnectController(conn)
-	default:
-		cside, sside := net.Pipe()
-		go n.opts.Controller.Serve(cside)
-		return s.sw.ConnectController(sside)
-	}
+	cside, sside := net.Pipe()
+	go n.opts.Controller.Serve(cside)
+	return s.sw.ConnectController(sside)
 }
 
 // Stop closes every link pipe, switch and EE.

@@ -412,26 +412,6 @@ func TestStartTwiceFails(t *testing.T) {
 	}
 }
 
-func TestControllerTCPMode(t *testing.T) {
-	ctrl := pox.NewController()
-	ctrl.Register(pox.NewL2Learning())
-	if err := ctrl.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	n := New("t", Options{Controller: ctrl, Mode: ControllerTCP})
-	if err := BuildSingle(n, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	if len(ctrl.Connections()) != 1 {
-		t.Errorf("connections = %d", len(ctrl.Connections()))
-	}
-}
-
 // TestConcurrentConnectVNFDistinctMACs connects VNF devices on two EEs
 // at once: every port in the network draws from one MAC counter, so under
 // -race this pins that the counter is synchronized, and the assertion

@@ -184,7 +184,7 @@ type SwitchNode struct {
 func newSwitchNode(name string, dpid uint64) *SwitchNode {
 	return &SwitchNode{
 		name: name,
-		sw:   ofswitch.New(name, dpid, ofswitch.Config{BufferSlots: 256}),
+		sw:   ofswitch.New(name, dpid),
 	}
 }
 

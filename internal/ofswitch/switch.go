@@ -57,23 +57,21 @@ func (p *Port) Stats() openflow.PortStats {
 	}
 }
 
-// Config tunes switch behaviour.
-type Config struct {
-	// MissSendLen is how many bytes of a table-miss packet to embed in
-	// PACKET_IN when buffering (OpenFlow default 128).
-	MissSendLen int
-	// BufferSlots is the packet buffer size for PACKET_IN buffer ids;
-	// 0 disables buffering (full frames in every PACKET_IN).
-	BufferSlots int
-	// SweepInterval is the flow-timeout sweep period (default 100ms).
-	SweepInterval time.Duration
-}
+const (
+	// missSendLen is how many bytes of a buffered table-miss packet
+	// PACKET_IN embeds (the OpenFlow default).
+	missSendLen = 128
+	// bufferSlots is the size of the packet buffer behind PACKET_IN
+	// buffer ids, reclaimed ring-style.
+	bufferSlots = 256
+	// sweepInterval is the flow-timeout sweep period.
+	sweepInterval = 100 * time.Millisecond
+)
 
 // Switch is an OpenFlow 1.0 datapath.
 type Switch struct {
 	name string
 	dpid uint64
-	cfg  Config
 
 	mu    sync.RWMutex
 	ports map[uint16]*Port
@@ -102,20 +100,10 @@ type bufferedPacket struct {
 }
 
 // New creates a switch with the given datapath id.
-func New(name string, dpid uint64, cfg Config) *Switch {
-	if cfg.MissSendLen <= 0 {
-		cfg.MissSendLen = 128
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = 100 * time.Millisecond
-	}
-	if cfg.BufferSlots < 0 {
-		cfg.BufferSlots = 0
-	}
+func New(name string, dpid uint64) *Switch {
 	s := &Switch{
 		name:    name,
 		dpid:    dpid,
-		cfg:     cfg,
 		ports:   map[uint16]*Port{},
 		buffers: map[uint32]bufferedPacket{},
 		stopCh:  make(chan struct{}),
@@ -305,25 +293,22 @@ func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16, 
 	}
 }
 
-// packetToController emits PACKET_IN, buffering the frame when enabled.
+// packetToController buffers the frame and emits PACKET_IN carrying its
+// buffer id and at most missSendLen bytes of it.
 func (s *Switch) packetToController(frame []byte, inPort uint16, reason uint8) {
-	bufID := openflow.NoBuffer
+	s.bufMu.Lock()
+	// Reclaim a slot ring-style.
+	id := s.nextBuf
+	s.nextBuf = (s.nextBuf + 1) % bufferSlots
+	stored := make([]byte, len(frame))
+	copy(stored, frame)
+	s.buffers[id] = bufferedPacket{frame: stored, inPort: inPort}
+	s.bufMu.Unlock()
 	data := frame
-	if s.cfg.BufferSlots > 0 {
-		s.bufMu.Lock()
-		// Reclaim a slot ring-style.
-		id := s.nextBuf
-		s.nextBuf = (s.nextBuf + 1) % uint32(s.cfg.BufferSlots)
-		stored := make([]byte, len(frame))
-		copy(stored, frame)
-		s.buffers[id] = bufferedPacket{frame: stored, inPort: inPort}
-		s.bufMu.Unlock()
-		bufID = id
-		if len(frame) > s.cfg.MissSendLen {
-			data = frame[:s.cfg.MissSendLen]
-		}
+	if len(frame) > missSendLen {
+		data = frame[:missSendLen]
 	}
-	s.packetToControllerRaw(data, len(frame), inPort, reason, bufID)
+	s.packetToControllerRaw(data, len(frame), inPort, reason, id)
 }
 
 func (s *Switch) packetToControllerRaw(data []byte, totalLen int, inPort uint16, reason uint8, bufID uint32) {
@@ -367,7 +352,7 @@ func (s *Switch) flowRemoved(e *FlowEntry, reason uint8) {
 }
 
 func (s *Switch) sweepLoop() {
-	ticker := time.NewTicker(s.cfg.SweepInterval)
+	ticker := time.NewTicker(sweepInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -531,7 +516,7 @@ func (s *Switch) handleMessage(msg openflow.Message, h openflow.Header) {
 		sort.Slice(ports, func(i, j int) bool { return ports[i].PortNo < ports[j].PortNo })
 		s.sendXID(&openflow.FeaturesReply{
 			DatapathID: s.dpid,
-			NBuffers:   uint32(s.cfg.BufferSlots),
+			NBuffers:   bufferSlots,
 			NTables:    1,
 			Ports:      ports,
 		}, h.XID)

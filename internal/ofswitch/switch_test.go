@@ -17,7 +17,7 @@ func tip(s string) netip.Addr { return netip.MustParseAddr(s) }
 // per-port channels.
 func testSwitch(t *testing.T, nPorts int) (*Switch, []chan []byte) {
 	t.Helper()
-	s := New("s1", 42, Config{BufferSlots: 16})
+	s := New("s1", 42)
 	t.Cleanup(s.Stop)
 	chans := make([]chan []byte, nPorts+1) // 1-based
 	for i := 1; i <= nPorts; i++ {
@@ -120,7 +120,7 @@ func TestTableMissSendsPacketIn(t *testing.T) {
 	if int(pi.TotalLen) != len(frame) {
 		t.Errorf("total len = %d, want %d", pi.TotalLen, len(frame))
 	}
-	// Buffered: data truncated to MissSendLen, buffer id valid.
+	// Buffered: data truncated to missSendLen, buffer id valid.
 	if pi.BufferID == openflow.NoBuffer {
 		t.Error("expected buffered packet-in")
 	}
@@ -340,7 +340,7 @@ func TestFlowRemovedNotification(t *testing.T) {
 }
 
 func TestAddPortValidation(t *testing.T) {
-	s := New("s1", 1, Config{})
+	s := New("s1", 1)
 	defer s.Stop()
 	if err := s.AddPort(&Port{No: 1}); err == nil {
 		t.Error("port without transmit accepted")
@@ -435,7 +435,7 @@ func TestForwardedFrameCostsOneAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s := New("s1", 42, Config{})
+	s := New("s1", 42)
 	t.Cleanup(s.Stop)
 	for no := uint16(1); no <= 2; no++ {
 		if err := s.AddPort(&Port{No: no, Transmit: func([]byte) {}}); err != nil {

@@ -60,14 +60,14 @@ type Controller struct {
 	mu         sync.RWMutex
 	components []Component
 	conns      map[uint64]*Connection
-	ln         net.Listener
-	closed     atomic.Bool
-	wg         sync.WaitGroup
+	// connsChanged is closed, and replaced, whenever conns changes:
+	// WaitForSwitches blocks on it instead of polling.
+	connsChanged chan struct{}
 }
 
 // NewController returns a controller with no components.
 func NewController() *Controller {
-	return &Controller{conns: map[uint64]*Connection{}}
+	return &Controller{conns: map[uint64]*Connection{}, connsChanged: make(chan struct{})}
 }
 
 // Register adds a component. Registration order is dispatch order.
@@ -90,49 +90,10 @@ func (ct *Controller) Component(name string) Component {
 	return nil
 }
 
-// ListenAndServe accepts switch connections on addr ("127.0.0.1:6633" or
-// ":0"). It returns once listening; accepted connections are handshaked in
-// goroutines.
-func (ct *Controller) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("pox: listen: %w", err)
-	}
-	ct.mu.Lock()
-	ct.ln = ln
-	ct.mu.Unlock()
-	ct.wg.Add(1)
-	go func() {
-		defer ct.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			ct.wg.Add(1)
-			go func() {
-				defer ct.wg.Done()
-				_ = ct.Serve(conn)
-			}()
-		}
-	}()
-	return nil
-}
-
-// Addr returns the listener address, or nil when not listening.
-func (ct *Controller) Addr() net.Addr {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	if ct.ln == nil {
-		return nil
-	}
-	return ct.ln.Addr()
-}
-
 // Serve performs the controller-side handshake on an established conn
-// (TCP or in-process net.Pipe) and runs its event loop until the
-// connection dies. It blocks: callers that need concurrency use a
-// goroutine (ListenAndServe does).
+// (netem hands it one end of an in-process net.Pipe per switch) and runs
+// its event loop until the connection dies, returning the error that
+// ended it. It blocks: callers run it in a goroutine.
 func (ct *Controller) Serve(conn net.Conn) error {
 	c := &Connection{ctrl: ct, conn: conn, pending: map[uint32]chan openflow.Message{}}
 	if err := c.handshake(); err != nil {
@@ -141,19 +102,18 @@ func (ct *Controller) Serve(conn net.Conn) error {
 	}
 	ct.mu.Lock()
 	ct.conns[c.dpid] = c
+	ct.connsChangedLocked()
 	ct.mu.Unlock()
 	ct.dispatchConnectionUp(c)
 	err := c.readLoop()
 	ct.mu.Lock()
 	if ct.conns[c.dpid] == c {
 		delete(ct.conns, c.dpid)
+		ct.connsChangedLocked()
 	}
 	ct.mu.Unlock()
 	ct.dispatchConnectionDown(c)
 	conn.Close()
-	if ct.closed.Load() {
-		return nil
-	}
 	return err
 }
 
@@ -176,29 +136,37 @@ func (ct *Controller) Connections() []*Connection {
 	return out
 }
 
+// connsChangedLocked wakes every WaitForSwitches caller. ct.mu must be
+// held for writing.
+func (ct *Controller) connsChangedLocked() {
+	close(ct.connsChanged)
+	ct.connsChanged = make(chan struct{})
+}
+
 // WaitForSwitches blocks until n switches are connected or the timeout
-// elapses.
+// elapses. It wakes when Serve registers or drops a connection.
 func (ct *Controller) WaitForSwitches(n int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
 		ct.mu.RLock()
-		have := len(ct.conns)
+		have, changed := len(ct.conns), ct.connsChanged
 		ct.mu.RUnlock()
 		if have >= n {
 			return nil
 		}
-		time.Sleep(time.Millisecond)
+		select {
+		case <-changed:
+		case <-timer.C:
+			return fmt.Errorf("pox: %d switches did not connect within %v", n, timeout)
+		}
 	}
-	return fmt.Errorf("pox: %d switches did not connect within %v", n, timeout)
 }
 
-// Close stops the listener and closes every switch connection.
+// Close closes every switch connection; each Serve returns once its
+// connection dies.
 func (ct *Controller) Close() {
-	ct.closed.Store(true)
 	ct.mu.Lock()
-	if ct.ln != nil {
-		ct.ln.Close()
-	}
 	conns := make([]*Connection, 0, len(ct.conns))
 	for _, c := range ct.conns {
 		conns = append(conns, c)
@@ -207,7 +175,6 @@ func (ct *Controller) Close() {
 	for _, c := range conns {
 		c.conn.Close()
 	}
-	ct.wg.Wait()
 }
 
 func (ct *Controller) snapshotComponents() []Component {

@@ -32,7 +32,7 @@ func newRig(t *testing.T, components ...Component) *rig {
 	for _, c := range components {
 		r.ctrl.Register(c)
 	}
-	r.sw = ofswitch.New("s1", 1, ofswitch.Config{BufferSlots: 16})
+	r.sw = ofswitch.New("s1", 1)
 	t.Cleanup(r.sw.Stop)
 	r.out = make([]chan []byte, 3)
 	for i := uint16(1); i <= 2; i++ {
@@ -243,30 +243,45 @@ func (d *downWatcher) HandleConnectionDown(c *Connection) {
 	}
 }
 
-func TestListenAndServeTCP(t *testing.T) {
+// TestWaitForSwitchesWakesOnConnect: a waiter that is already blocked
+// when the switches connect is woken by Serve's registration, not by its
+// timeout, and does not return while fewer than n switches are up.
+func TestWaitForSwitchesWakesOnConnect(t *testing.T) {
 	ctrl := NewController()
-	l2 := NewL2Learning()
-	ctrl.Register(l2)
-	if err := ctrl.ListenAndServe("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
 	defer ctrl.Close()
-
-	sw := ofswitch.New("s1", 9, ofswitch.Config{})
-	defer sw.Stop()
-	sw.AddPort(&ofswitch.Port{No: 1, Transmit: func([]byte) {}})
-	conn, err := net.Dial("tcp", ctrl.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+	started := make(chan struct{})
+	waited := make(chan error, 1)
+	go func() {
+		close(started)
+		waited <- ctrl.WaitForSwitches(2, time.Minute)
+	}()
+	<-started
+	connect := func(dpid uint64) {
+		sw := ofswitch.New("s", dpid)
+		t.Cleanup(sw.Stop)
+		cside, sside := net.Pipe()
+		go ctrl.Serve(cside)
+		if err := sw.ConnectController(sside); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := sw.ConnectController(conn); err != nil {
-		t.Fatal(err)
+	connect(1)
+	select {
+	case err := <-waited:
+		t.Fatalf("WaitForSwitches(2) returned with one switch connecting: %v", err)
+	default:
 	}
-	if err := ctrl.WaitForSwitches(1, 2*time.Second); err != nil {
-		t.Fatal(err)
+	connect(2)
+	select {
+	case err := <-waited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("WaitForSwitches was not woken by the switches connecting")
 	}
-	if c := ctrl.Connection(9); c == nil {
-		t.Fatal("switch not registered over TCP")
+	if n := len(ctrl.Connections()); n != 2 {
+		t.Errorf("connections = %d, want 2", n)
 	}
 }
 

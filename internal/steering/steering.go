@@ -2,14 +2,11 @@
 // component that installs flow entries realizing mapped service chains.
 // Each SG-link segment (SAP→VNF, VNF→VNF, VNF→SAP) becomes a concrete
 // port-level path across one or more switches; the steering module tags
-// the segment's traffic with a dedicated VLAN at the ingress switch,
-// forwards by (VLAN, in-port) at transit switches and strips the tag at
-// the egress switch, so chained traffic never interferes with ordinary
-// forwarding or with other chains.
-//
-// A per-hop exact mode (match on in-port only, no VLAN) exists as the
-// ablation documented in the README ("Steering modes"): cheaper rules,
-// but correct only when paths do not share ports.
+// a multi-hop segment's traffic with a dedicated VLAN at the ingress
+// switch, forwards by (VLAN, in-port) at transit switches and strips the
+// tag at the egress switch, so chained traffic never interferes with
+// ordinary forwarding or with other chains. A single-hop segment needs no
+// tag: its one rule matches on the in-port alone.
 //
 // Paths install one at a time (InstallPath) or batched (InstallPaths):
 // the batch groups every flow-mod per switch and ends with a single
@@ -25,17 +22,6 @@ import (
 	"escape/internal/openflow"
 	"escape/internal/pox"
 	"escape/internal/sg"
-)
-
-// Mode selects the steering rule style.
-type Mode int
-
-// Steering modes.
-const (
-	// ModeVLAN tags each segment with a dedicated VLAN id (default).
-	ModeVLAN Mode = iota
-	// ModePerHop installs port-based rules without tagging.
-	ModePerHop
 )
 
 // Hop is one switch traversal of a concrete path.
@@ -81,7 +67,7 @@ const MaxSegmentVLAN uint16 = sg.MinStitchTag - 1
 // Installed is a handle to an installed path, used for teardown.
 type Installed struct {
 	Path Path
-	VLAN uint16 // 0 in per-hop mode
+	VLAN uint16 // 0 for a single-hop path
 	// RuleCount is the number of flow entries installed.
 	RuleCount int
 }
@@ -89,7 +75,6 @@ type Installed struct {
 // Steering is the controller component.
 type Steering struct {
 	ctrl *pox.Controller
-	mode Mode
 
 	mu       sync.Mutex
 	nextVLAN uint16
@@ -98,15 +83,12 @@ type Steering struct {
 }
 
 // New creates the steering component bound to a controller.
-func New(ctrl *pox.Controller, mode Mode) *Steering {
-	return &Steering{ctrl: ctrl, mode: mode, nextVLAN: 100, active: map[string]*Installed{}}
+func New(ctrl *pox.Controller) *Steering {
+	return &Steering{ctrl: ctrl, nextVLAN: 100, active: map[string]*Installed{}}
 }
 
 // ComponentName implements pox.Component.
 func (*Steering) ComponentName() string { return "steering" }
-
-// Mode reports the configured rule style.
-func (s *Steering) Mode() Mode { return s.mode }
 
 // ActivePaths reports the number of installed paths.
 func (s *Steering) ActivePaths() int {
@@ -160,7 +142,7 @@ func (s *Steering) register(paths []Path) ([]*Installed, error) {
 	}
 	for _, p := range paths {
 		var vlan uint16
-		if s.mode == ModeVLAN && len(p.Hops) > 1 {
+		if len(p.Hops) > 1 {
 			var err error
 			if vlan, err = s.allocVLAN(); err != nil {
 				undo()
@@ -362,7 +344,7 @@ type switchMod struct {
 	fm   *openflow.FlowMod
 }
 
-// flowMods builds the per-hop rules realizing one path.
+// flowMods builds the rules realizing one path, one per hop.
 func flowMods(inst *Installed, command uint16) []switchMod {
 	p := inst.Path
 	mods := make([]switchMod, 0, len(p.Hops))
@@ -373,19 +355,17 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 		}
 		match.Wildcards &^= openflow.WildInPort
 		match.InPort = hop.InPort
-		var actions []openflow.Action
+		// A VLAN is allocated only for multi-hop paths, so a tagged
+		// path's first and last hops are distinct rules.
+		actions := []openflow.Action{openflow.ActionOutput{Port: hop.OutPort}}
 		if inst.VLAN != 0 {
-			first := i == 0
-			last := i == len(p.Hops)-1
-			switch {
-			case first && last:
-				actions = []openflow.Action{openflow.ActionOutput{Port: hop.OutPort}}
-			case first:
+			switch i {
+			case 0:
 				actions = []openflow.Action{
 					openflow.ActionSetVLAN{VLAN: inst.VLAN},
 					openflow.ActionOutput{Port: hop.OutPort},
 				}
-			case last:
+			case len(p.Hops) - 1:
 				match.Wildcards &^= openflow.WildDLVLAN
 				match.DLVLAN = inst.VLAN
 				actions = []openflow.Action{
@@ -395,10 +375,7 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 			default:
 				match.Wildcards &^= openflow.WildDLVLAN
 				match.DLVLAN = inst.VLAN
-				actions = []openflow.Action{openflow.ActionOutput{Port: hop.OutPort}}
 			}
-		} else {
-			actions = []openflow.Action{openflow.ActionOutput{Port: hop.OutPort}}
 		}
 		if i == 0 && p.IngressVLAN != 0 {
 			// Stitch ingress: only traffic carrying the upstream domain's

@@ -11,10 +11,10 @@ import (
 
 // twoSwitchNet: h1—s1—s2—h2 with a controller running steering (+ a
 // packet-in blackhole so unsteered traffic just dies).
-func twoSwitchNet(t *testing.T, mode Mode) (*netem.Network, *Steering) {
+func twoSwitchNet(t *testing.T) (*netem.Network, *Steering) {
 	t.Helper()
 	ctrl := pox.NewController()
-	st := New(ctrl, mode)
+	st := New(ctrl)
 	ctrl.Register(st)
 	n := netem.New("t", netem.Options{Controller: ctrl})
 	for _, name := range []string{"s1", "s2"} {
@@ -49,7 +49,7 @@ func dpid(n *netem.Network, name string) uint64 {
 }
 
 func TestInstallPathForwardsAcrossSwitches(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	inst, err := st.InstallPath(Path{
 		ID: "l1",
 		Hops: []Hop{
@@ -89,35 +89,8 @@ func TestInstallPathForwardsAcrossSwitches(t *testing.T) {
 	}
 }
 
-func TestPerHopModeForwards(t *testing.T) {
-	n, st := twoSwitchNet(t, ModePerHop)
-	inst, err := st.InstallPath(Path{
-		ID: "l1",
-		Hops: []Hop{
-			{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2},
-			{DPID: dpid(n, "s2"), InPort: 1, OutPort: 2},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.VLAN != 0 {
-		t.Error("per-hop mode allocated a VLAN")
-	}
-	h1 := n.Node("h1").(*netem.Host)
-	h2 := n.Node("h2").(*netem.Host)
-	h2.SetAutoRespond(false)
-	frame, _ := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 7, 8, nil)
-	h1.Send(frame)
-	select {
-	case <-h2.Recv():
-	case <-time.After(2 * time.Second):
-		t.Fatal("per-hop steered frame never arrived")
-	}
-}
-
 func TestRemovePathStopsTraffic(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	_, err := st.InstallPath(Path{
 		ID: "l1",
 		Hops: []Hop{
@@ -150,22 +123,47 @@ func TestRemovePathStopsTraffic(t *testing.T) {
 	}
 }
 
+// TestSingleHopPathNoVLAN: a one-hop path is one untagged in-port rule.
+// Two of them, one per switch, carry h1's frame to h2 with no tag pushed
+// anywhere on the way.
 func TestSingleHopPathNoVLAN(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
-	inst, err := st.InstallPath(Path{
-		ID:   "local",
-		Hops: []Hop{{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
+	n, st := twoSwitchNet(t)
+	for _, p := range []Path{
+		{ID: "s1-local", Hops: []Hop{{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2}}},
+		{ID: "s2-local", Hops: []Hop{{DPID: dpid(n, "s2"), InPort: 1, OutPort: 2}}},
+	} {
+		inst, err := st.InstallPath(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inst.VLAN != 0 {
+			t.Errorf("single-hop path %s allocated VLAN %d", p.ID, inst.VLAN)
+		}
+		if inst.RuleCount != 1 {
+			t.Errorf("single-hop path %s installed %d rules, want 1", p.ID, inst.RuleCount)
+		}
 	}
-	if inst.VLAN != 0 {
-		t.Error("single-hop path allocated a VLAN")
+	h1 := n.Node("h1").(*netem.Host)
+	h2 := n.Node("h2").(*netem.Host)
+	h2.SetAutoRespond(false)
+	frame, _ := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 7, 8, []byte("untagged"))
+	h1.Send(frame)
+	select {
+	case rx := <-h2.Recv():
+		sum, err := pkt.Summarize(rx.Frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.VLANID != -1 {
+			t.Errorf("frame arrived tagged with VLAN %d", sum.VLANID)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("frame over two single-hop paths never arrived")
 	}
 }
 
 func TestInstallErrors(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	if _, err := st.InstallPath(Path{ID: "empty"}); err == nil {
 		t.Error("empty path accepted")
 	}
@@ -182,7 +180,7 @@ func TestInstallErrors(t *testing.T) {
 }
 
 func TestVLANReuseAfterRemove(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	mk := func(id string) Path {
 		return Path{ID: id, Hops: []Hop{
 			{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2},
@@ -206,7 +204,7 @@ func TestVLANReuseAfterRemove(t *testing.T) {
 }
 
 func TestInstallPathsBatch(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	mk := func(id string, in uint16) Path {
 		return Path{ID: id, Hops: []Hop{
 			{DPID: dpid(n, "s1"), InPort: in, OutPort: 2},
@@ -251,7 +249,7 @@ func TestInstallPathsBatch(t *testing.T) {
 }
 
 func TestInstallPathsRollsBackOnError(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	good := Path{ID: "good", Hops: []Hop{{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2}}}
 	bad := Path{ID: "bad", Hops: []Hop{{DPID: 0xdead, InPort: 1, OutPort: 2}}}
 	if _, err := st.InstallPaths([]Path{good, bad}); err == nil {
@@ -267,7 +265,7 @@ func TestInstallPathsRollsBackOnError(t *testing.T) {
 }
 
 func TestInstallPathsRejectsBatchDuplicates(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	p := Path{ID: "dup", Hops: []Hop{{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2}}}
 	if _, err := st.InstallPaths([]Path{p, p}); err == nil {
 		t.Error("duplicate ids within a batch accepted")
@@ -283,7 +281,7 @@ func TestInstallPathsRejectsBatchDuplicates(t *testing.T) {
 func TestTwoChainsIsolatedByVLAN(t *testing.T) {
 	// Both chains share the s1→s2 trunk but exit different ports on s2.
 	ctrl := pox.NewController()
-	st := New(ctrl, ModeVLAN)
+	st := New(ctrl)
 	ctrl.Register(st)
 	n := netem.New("t", netem.Options{Controller: ctrl})
 	n.AddSwitch("s1")
@@ -352,7 +350,7 @@ func TestTwoChainsIsolatedByVLAN(t *testing.T) {
 // tag — exactly how internal/domain hands a chain from one orchestration
 // domain to the next. The frame must arrive at h2 untagged.
 func TestStitchedPathsHandOff(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	const tag = 4094
 	// Egress half: s1 tags outbound trunk traffic.
 	if _, err := st.InstallPath(Path{
@@ -395,7 +393,7 @@ func TestStitchedPathsHandOff(t *testing.T) {
 // TestStitchIngressFiltersUntagged: traffic without the upstream tag must
 // not enter a stitched ingress path even on the right port.
 func TestStitchIngressFiltersUntagged(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	if _, err := st.InstallPath(Path{
 		ID:          "ingress-only",
 		Hops:        []Hop{{DPID: dpid(n, "s2"), InPort: 1, OutPort: 2}},
@@ -425,7 +423,7 @@ func TestStitchIngressFiltersUntagged(t *testing.T) {
 // TestStitchTransitSegment exercises both tags on one single-switch path:
 // match+consume the inbound tag, retag for the next domain.
 func TestStitchTransitSegment(t *testing.T) {
-	n, st := twoSwitchNet(t, ModeVLAN)
+	n, st := twoSwitchNet(t)
 	if _, err := st.InstallPath(Path{
 		ID:          "transit",
 		Hops:        []Hop{{DPID: dpid(n, "s1"), InPort: 2, OutPort: 1}},

@@ -8,50 +8,43 @@ import (
 	"escape/internal/netconf"
 )
 
-// Pool maintains up to Size concurrent NETCONF sessions to one agent.
-// The orchestrator keeps one pool per EE: with the default size of 1
-// every management RPC against that EE serializes (the strict per-EE
-// ordering the realization fan-out relies on), while deploys touching
-// different EEs proceed in parallel on their own sessions. Sessions are
-// dialed lazily on first use and reused across borrows; a session whose
-// call fails at the transport layer is discarded instead of being
-// returned to the pool.
+// Pool is the one NETCONF session the orchestrator keeps to one agent.
+// Every management RPC against that EE serializes on it (the strict
+// per-EE ordering the realization fan-out relies on), while deploys
+// touching different EEs proceed in parallel on their own pools. The
+// session is dialed lazily on first use and reused across borrows; a
+// session whose call fails at the transport layer is discarded and the
+// next borrow dials a fresh one.
 type Pool struct {
-	addr   string
-	tokens chan struct{}
+	addr  string
+	token chan struct{} // capacity 1: one borrower at a time
 
 	mu     sync.Mutex
-	idle   []*Client
+	idle   *Client // nil until dialed, while borrowed, or after a broken call
 	closed bool
 }
 
-// NewPool creates a pool of at most size sessions (size < 1 means 1).
-func NewPool(addr string, size int) *Pool {
-	if size < 1 {
-		size = 1
-	}
-	return &Pool{addr: addr, tokens: make(chan struct{}, size)}
+// NewPool creates the pool for the agent at addr.
+func NewPool(addr string) *Pool {
+	return &Pool{addr: addr, token: make(chan struct{}, 1)}
 }
 
-// Do borrows a session (dialing one when none is idle), runs f with it
-// and returns the session to the pool. At most Size invocations run
-// concurrently; excess callers block. f's error is passed through: an
-// application-level rpc-error keeps the session pooled, any other error
-// is treated as a broken transport and closes the session.
+// Do borrows the session (dialing it when there is none), runs f with it
+// and returns it to the pool. Concurrent callers block until the session
+// is free. f's error is passed through: an application-level rpc-error
+// keeps the session, any other error is treated as a broken transport
+// and closes it.
 func (p *Pool) Do(f func(*Client) error) error {
-	p.tokens <- struct{}{}
-	defer func() { <-p.tokens }()
+	p.token <- struct{}{}
+	defer func() { <-p.token }()
 
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return fmt.Errorf("vnfagent: pool for %s is closed", p.addr)
 	}
-	var c *Client
-	if n := len(p.idle); n > 0 {
-		c = p.idle[n-1]
-		p.idle = p.idle[:n-1]
-	}
+	c := p.idle
+	p.idle = nil
 	p.mu.Unlock()
 
 	if c == nil {
@@ -71,7 +64,7 @@ func (p *Pool) Do(f func(*Client) error) error {
 		c.Close()
 		return err
 	}
-	p.idle = append(p.idle, c)
+	p.idle = c
 	p.mu.Unlock()
 	return err
 }
@@ -88,15 +81,15 @@ func isRPCError(err error) bool {
 // from a broken transport or failed dial (unreachable agent).
 func IsRPCError(err error) bool { return isRPCError(err) }
 
-// Close closes every idle session and marks the pool closed; borrowed
-// sessions are closed as they are returned.
+// Close closes the idle session and marks the pool closed; a borrowed
+// session is closed as it is returned.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	idle := p.idle
+	c := p.idle
 	p.idle = nil
 	p.closed = true
 	p.mu.Unlock()
-	for _, c := range idle {
+	if c != nil {
 		c.Close()
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPoolSerializesAtSizeOne(t *testing.T) {
 	_, agent, _ := newAgentClient(t)
-	p := NewPool(agent.Addr(), 1)
+	p := NewPool(agent.Addr())
 	defer p.Close()
 	var inFlight, maxInFlight atomic.Int32
 	var wg sync.WaitGroup
@@ -36,36 +36,16 @@ func TestPoolSerializesAtSizeOne(t *testing.T) {
 	}
 }
 
-func TestPoolParallelSessions(t *testing.T) {
-	_, agent, _ := newAgentClient(t)
-	p := NewPool(agent.Addr(), 3)
-	defer p.Close()
-	var wg sync.WaitGroup
-	errs := make([]error, 12)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = p.Do(func(c *Client) error {
-				_, err := c.GetVNFInfo()
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("call %d: %v", i, err)
-		}
-	}
-}
-
 func TestPoolKeepsSessionAcrossRPCError(t *testing.T) {
 	_, agent, _ := newAgentClient(t)
-	p := NewPool(agent.Addr(), 1)
+	p := NewPool(agent.Addr())
 	defer p.Close()
 	// An rpc-error (unknown VNF) must not poison the pooled session.
-	err := p.Do(func(c *Client) error { return c.StopVNF("ghost") })
+	var first *Client
+	err := p.Do(func(c *Client) error {
+		first = c
+		return c.StopVNF("ghost")
+	})
 	if err == nil {
 		t.Fatal("stopVNF of unknown id succeeded")
 	}
@@ -73,6 +53,9 @@ func TestPoolKeepsSessionAcrossRPCError(t *testing.T) {
 		t.Fatalf("expected rpc-error, got %v", err)
 	}
 	if err := p.Do(func(c *Client) error {
+		if c != first {
+			t.Error("the pool dialed a new session after an rpc-error")
+		}
 		_, err := c.GetVNFInfo()
 		return err
 	}); err != nil {
@@ -81,7 +64,7 @@ func TestPoolKeepsSessionAcrossRPCError(t *testing.T) {
 }
 
 func TestPoolDialErrorAndClose(t *testing.T) {
-	p := NewPool("127.0.0.1:1", 1) // nothing listens here
+	p := NewPool("127.0.0.1:1") // nothing listens here
 	if err := p.Do(func(c *Client) error { return nil }); err == nil {
 		t.Error("Do against dead address succeeded")
 	}
@@ -93,7 +76,7 @@ func TestPoolDialErrorAndClose(t *testing.T) {
 
 func TestPoolWrappedRPCErrorStaysPooled(t *testing.T) {
 	_, agent, _ := newAgentClient(t)
-	p := NewPool(agent.Addr(), 1)
+	p := NewPool(agent.Addr())
 	defer p.Close()
 	err := p.Do(func(c *Client) error {
 		if err := c.StopVNF("ghost"); err != nil {
