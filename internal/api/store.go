@@ -326,13 +326,6 @@ func (s *Store) snapshotLocked() error {
 	return nil
 }
 
-// PutTenant durably creates or updates a tenant.
-func (s *Store) PutTenant(t *Tenant) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.appendLocked(&walRecord{Op: "tenant", Tenant: t})
-}
-
 // Tenants lists tenants sorted by name.
 func (s *Store) Tenants() []*Tenant {
 	s.mu.Lock()

@@ -98,7 +98,7 @@ func (h *HeaderCompressor) SimpleAction(p *click.Packet) *click.Packet {
 		h.passthru++
 		return p
 	}
-	ft, _ := pkt.ExtractFiveTuple(dec)
+	ft := pkt.FiveTuple{Proto: pkt.IPProtoUDP, Src: ip.Src, Dst: ip.Dst, SrcPort: udp.SrcPort, DstPort: udp.DstPort}
 	h.mu.Lock()
 	ctx, known := h.contexts[ft]
 	if !known {
@@ -287,6 +287,7 @@ type Firewall struct {
 	rules   []*fwRule
 	passed  uint64
 	dropped uint64
+	hdr     pkt.Headers // the packet being filtered, kept off the heap
 }
 
 // Class implements click.Element.
@@ -329,9 +330,9 @@ func (fw *Firewall) Configure(r *click.Router, args []string) error {
 
 // SimpleAction implements the per-packet transform.
 func (fw *Firewall) SimpleAction(p *click.Packet) *click.Packet {
-	v := click.ParseFrame(p.Data())
+	fw.hdr, _ = pkt.Parse(p.Data())
 	for _, r := range fw.rules {
-		if r.filter(&v) {
+		if r.filter(&fw.hdr) {
 			r.hits++
 			if r.allow {
 				fw.passed++
@@ -412,8 +413,8 @@ func (n *NAT) Configure(r *click.Router, args []string) error {
 // Push implements click.Element.
 func (n *NAT) Push(port int, p *click.Packet) {
 	frame := p.Data()
-	dec := pkt.Decode(frame)
-	ft, ok := pkt.ExtractFiveTuple(dec)
+	h, _ := pkt.Parse(frame)
+	ft, ok := h.FiveTuple()
 	if !ok || (ft.Proto != pkt.IPProtoUDP && ft.Proto != pkt.IPProtoTCP) {
 		// Non-translatable traffic passes straight through.
 		n.PushOut(port, p)
@@ -596,13 +597,9 @@ func (lb *LoadBalancer) Configure(r *click.Router, args []string) error {
 
 // SimpleAction implements the per-packet transform.
 func (lb *LoadBalancer) SimpleAction(p *click.Packet) *click.Packet {
-	dec := pkt.Decode(p.Data())
-	ip := dec.IPv4Layer()
-	if ip == nil || ip.Dst != lb.vip {
-		return p
-	}
-	ft, ok := pkt.ExtractFiveTuple(dec)
-	if !ok {
+	h, _ := pkt.Parse(p.Data())
+	ft, ok := h.FiveTuple()
+	if !ok || ft.Dst != lb.vip {
 		return p
 	}
 	lb.mu.Lock()

@@ -131,8 +131,9 @@ func TestFirewallVerdicts(t *testing.T) {
 	}
 }
 
-// TestFirewallParsesOncePerPacket: 16 rules cost one parse, not 16 — the
-// allocations of a packet do not grow with the rule count.
+// TestFirewallParsesOncePerPacket: 16 rules cost one parse, not 16, and
+// the parse (pkt.Parse) allocates nothing: with the packet pool warm, a
+// packet through the benchmark's rule set costs no allocation at all.
 func TestFirewallParsesOncePerPacket(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -145,7 +146,7 @@ func TestFirewallParsesOncePerPacket(t *testing.T) {
 			t.Fatal("benchmark frame denied")
 		}
 		p.Kill()
-	}); n > 8 {
-		t.Errorf("a packet through 16 rules costs %v allocations, want ≤ 8", n)
+	}); n != 0 {
+		t.Errorf("a packet through 16 rules costs %v allocations, want 0", n)
 	}
 }

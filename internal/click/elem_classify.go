@@ -202,6 +202,7 @@ type IPClassifier struct {
 	preds  []FrameFilter
 	counts []uint64
 	drops  uint64
+	hdr    pkt.Headers // the packet being classified, kept off the heap
 }
 
 // Class implements Element.
@@ -234,7 +235,7 @@ func (c *IPClassifier) Configure(r *Router, args []string) error {
 func CompileFilter(expr string) (FrameFilter, error) {
 	expr = strings.TrimSpace(expr)
 	if expr == "-" || expr == "true" || expr == "any" || expr == "" {
-		return func(*FrameView) bool { return true }, nil
+		return func(*pkt.Headers) bool { return true }, nil
 	}
 	var orTerms []FrameFilter
 	for _, orPart := range strings.Split(expr, " or ") {
@@ -264,10 +265,10 @@ func CompileFilter(expr string) (FrameFilter, error) {
 					}
 					andTerms = append(andTerms, p)
 				} else {
-					andTerms = append(andTerms, func(v *FrameView) bool { return v.ip != nil })
+					andTerms = append(andTerms, func(h *pkt.Headers) bool { return h.IsIPv4() })
 				}
 			case "arp":
-				andTerms = append(andTerms, func(v *FrameView) bool { return v.sum.EtherType == pkt.EtherTypeARP })
+				andTerms = append(andTerms, func(h *pkt.Headers) bool { return h.DLType == uint16(pkt.EtherTypeARP) })
 			case "icmp", "tcp", "udp":
 				p, err := protoPredicate(toks[i])
 				if err != nil {
@@ -286,17 +287,17 @@ func CompileFilter(expr string) (FrameFilter, error) {
 					addr = netip.Addr{}
 				}
 				d := dir
-				andTerms = append(andTerms, func(v *FrameView) bool {
-					if v.ip == nil {
+				andTerms = append(andTerms, func(h *pkt.Headers) bool {
+					if !h.IsIPv4() {
 						return false
 					}
 					switch d {
 					case "src":
-						return v.ip.Src == addr
+						return h.NWSrc == addr
 					case "dst":
-						return v.ip.Dst == addr
+						return h.NWDst == addr
 					default:
-						return v.ip.Src == addr || v.ip.Dst == addr
+						return h.NWSrc == addr || h.NWDst == addr
 					}
 				})
 			case "port":
@@ -310,17 +311,19 @@ func CompileFilter(expr string) (FrameFilter, error) {
 				}
 				want := uint16(n)
 				d := dir
-				andTerms = append(andTerms, func(v *FrameView) bool {
-					if !v.haveL4 {
+				andTerms = append(andTerms, func(h *pkt.Headers) bool {
+					// A TCP or UDP packet has ports; they read 0 when its
+					// header did not decode (a non-first fragment).
+					if p := pkt.IPProtocol(h.NWProto); !h.IsIPv4() || p != pkt.IPProtoTCP && p != pkt.IPProtoUDP {
 						return false
 					}
 					switch d {
 					case "src":
-						return v.sport == want
+						return h.TPSrc == want
 					case "dst":
-						return v.dport == want
+						return h.TPDst == want
 					default:
-						return v.sport == want || v.dport == want
+						return h.TPSrc == want || h.TPDst == want
 					}
 				})
 			default:
@@ -331,18 +334,18 @@ func CompileFilter(expr string) (FrameFilter, error) {
 			return nil, fmt.Errorf("ipclassifier: empty term in %q", expr)
 		}
 		and := andTerms
-		orTerms = append(orTerms, func(v *FrameView) bool {
+		orTerms = append(orTerms, func(h *pkt.Headers) bool {
 			for _, t := range and {
-				if !t(v) {
+				if !t(h) {
 					return false
 				}
 			}
 			return true
 		})
 	}
-	return func(v *FrameView) bool {
+	return func(h *pkt.Headers) bool {
 		for _, t := range orTerms {
-			if t(v) {
+			if t(h) {
 				return true
 			}
 		}
@@ -362,14 +365,14 @@ func protoPredicate(name string) (FrameFilter, error) {
 	default:
 		return nil, fmt.Errorf("ipclassifier: unknown protocol %q", name)
 	}
-	return func(v *FrameView) bool { return v.ip != nil && v.ip.Protocol == want }, nil
+	return func(h *pkt.Headers) bool { return h.IsIPv4() && pkt.IPProtocol(h.NWProto) == want }, nil
 }
 
 // Push implements Element.
 func (c *IPClassifier) Push(port int, p *Packet) {
-	v := ParseFrame(p.Data())
+	c.hdr, _ = pkt.Parse(p.Data())
 	for i, pred := range c.preds {
-		if pred(&v) {
+		if pred(&c.hdr) {
 			c.counts[i]++
 			c.PushOut(i, p)
 			return
@@ -561,9 +564,9 @@ func (s *HashSwitch) Configure(r *Router, args []string) error {
 
 // Push implements Element.
 func (s *HashSwitch) Push(port int, p *Packet) {
-	dec := pkt.Decode(p.Data())
+	hdr, err := pkt.Parse(p.Data())
 	var h uint32
-	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
+	if ft, ok := hdr.FiveTuple(); ok {
 		// Symmetric FNV-ish mix so both flow directions share an output.
 		a := ft.Src.As4()
 		b := ft.Dst.As4()
@@ -572,9 +575,9 @@ func (s *HashSwitch) Push(port int, p *Packet) {
 		}
 		h = h*16777619 + uint32(ft.SrcPort^ft.DstPort)
 		h = h*16777619 + uint32(ft.Proto)
-	} else if eth := dec.Ethernet(); eth != nil {
+	} else if err == nil {
 		for i := 0; i < 6; i++ {
-			h = h*16777619 + uint32(eth.Src[i]^eth.Dst[i])
+			h = h*16777619 + uint32(hdr.DLSrc[i]^hdr.DLDst[i])
 		}
 	}
 	s.PushOut(int(h%uint32(s.nout)), p)

@@ -173,14 +173,6 @@ func (b *Base) ResolvedIn(i int) Processing {
 	return Push
 }
 
-// ResolvedOut reports the negotiated processing of output port i.
-func (b *Base) ResolvedOut(i int) Processing {
-	if i < len(b.outProc) {
-		return b.outProc[i]
-	}
-	return Push
-}
-
 type inPort struct {
 	elem Element // upstream element (for pull)
 	port int     // upstream output port index

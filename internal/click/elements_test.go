@@ -326,12 +326,12 @@ func TestEtherEncap(t *testing.T) {
 	`)
 	p := NewPacket([]byte("payload"))
 	r.InjectPush("e", 0, p)
-	s, err := pkt.Summarize(p.Data())
+	h, err := pkt.Parse(p.Data())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.EtherType != pkt.EtherTypeIPv4 || s.Src != tmac1 || s.Dst != tmac2 {
-		t.Errorf("summary = %+v", s)
+	if h.DLType != uint16(pkt.EtherTypeIPv4) || h.DLSrc != tmac1 || h.DLDst != tmac2 {
+		t.Errorf("headers = %+v", h)
 	}
 	if p.Len() != 14+7 {
 		t.Errorf("len = %d", p.Len())

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"escape/internal/catalog"
@@ -73,18 +75,22 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 			return nil, err
 		}
 	}
-	for host, sw := range spec.Hosts {
+	// Hosts and EEs are wired in name order, so one spec gives every host
+	// the same switch port, IP and MAC on every run.
+	for _, host := range slices.Sorted(maps.Keys(spec.Hosts)) {
 		if _, err := n.AddHost(host); err != nil {
 			cleanup()
 			return nil, err
 		}
-		if _, err := n.AddLink(host, sw, spec.HostLink); err != nil {
+		if _, err := n.AddLink(host, spec.Hosts[host], spec.HostLink); err != nil {
 			cleanup()
 			return nil, err
 		}
 	}
+	eeNames := slices.Sorted(maps.Keys(spec.EEs))
 	eeSwitch := map[string]string{}
-	for name, ee := range spec.EEs {
+	for _, name := range eeNames {
+		ee := spec.EEs[name]
 		if _, err := n.AddEE(name, netem.EEConfig{CPU: ee.CPU, Mem: ee.Mem}); err != nil {
 			cleanup()
 			return nil, err
@@ -112,7 +118,7 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 	cat := catalog.Default()
 	agents := map[string]*vnfagent.Agent{}
 	agentAddrs := map[string]string{}
-	for name := range spec.EEs {
+	for _, name := range eeNames {
 		ee := n.Node(name).(*netem.EE)
 		a := vnfagent.New(ee, n, cat)
 		// The dedicated control network: every agent management endpoint

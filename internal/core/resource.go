@@ -91,7 +91,7 @@ type ResourceView struct {
 	// paths is the shared cached path engine.
 	paths *pathCache
 
-	// hopDist memoizes HopDistances per source switch (raw topology,
+	// hopDist memoizes BFS hop counts per source switch (raw topology,
 	// mask-free — safe to cache forever).
 	hopMu   sync.Mutex
 	hopDist map[string]map[string]int
@@ -680,16 +680,6 @@ func (c *Capacities) freeBW(k linkKey, capacity float64) float64 {
 	return v
 }
 
-// FreeBW reports the free bandwidth between two adjacent switches and
-// whether the link is capacitated (uncapacitated links report 0, false).
-func (c *Capacities) FreeBW(a, b string) (float64, bool) {
-	l := c.rv.linkBetween(a, b)
-	if l == nil || l.Bandwidth <= 0 {
-		return 0, false
-	}
-	return c.freeBW(mkLinkKey(a, b), l.Bandwidth), true
-}
-
 // ExcludedEE reports whether an EE is masked in this view (epoch mask or
 // local overlay).
 func (c *Capacities) ExcludedEE(ee string) bool {
@@ -827,22 +817,10 @@ func (c *Capacities) bfsPath(a, b string, bw float64, maxDelay time.Duration) []
 	return nil
 }
 
-// HopDistances computes BFS hop counts from a source switch (heuristic
-// mappers use these as distance estimates, ignoring capacity). Results
-// are memoized per source — the raw topology is immutable — and returned
-// as a fresh copy.
-func (rv *ResourceView) HopDistances(from string) map[string]int {
-	cached := rv.hopDistancesShared(from)
-	out := make(map[string]int, len(cached))
-	for k, v := range cached {
-		out[k] = v
-	}
-	return out
-}
-
-// hopDistancesShared returns the memoized distance map itself — the
-// in-package mappers treat it as read-only, saving an O(switches) copy
-// per placement step on the admission hot path.
+// hopDistancesShared returns BFS hop counts from a source switch, the
+// heuristic mappers' distance estimate (capacity ignored). The map is the
+// memoized one itself: callers treat it as read-only, saving an
+// O(switches) copy per placement step on the admission hot path.
 func (rv *ResourceView) hopDistancesShared(from string) map[string]int {
 	rv.hopMu.Lock()
 	cached := rv.hopDist[from]

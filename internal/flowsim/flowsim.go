@@ -353,9 +353,6 @@ func (s *Sim) StopFlow(id string) (substrate.FlowStats, error) {
 	return st, nil
 }
 
-// ActiveFlows reports how many flows are currently charged.
-func (s *Sim) ActiveFlows() int { return len(s.flows) }
-
 // LinkReport summarizes link-level observations for the whole run.
 type LinkReport struct {
 	Links          int     // directed links

@@ -51,14 +51,6 @@ func (s *Server) Handle(rpcName string, h RPCHandler) {
 	s.handlers[rpcName] = h
 }
 
-// Datastore returns the running config tree (callers must not mutate
-// concurrently with sessions; use for test inspection).
-func (s *Server) Datastore() *yang.Data {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.datastore
-}
-
 // ListenAndServe starts accepting sessions on addr ("127.0.0.1:0").
 func (s *Server) ListenAndServe(addr string) error {
 	ln, err := net.Listen("tcp", addr)

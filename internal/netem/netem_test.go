@@ -147,31 +147,14 @@ func TestLinearTopologyEndToEnd(t *testing.T) {
 	}
 }
 
-func TestTreeTopologyShape(t *testing.T) {
-	n := New("t", Options{})
-	if err := BuildTree(n, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	if got := len(n.NodeNames(KindSwitch)); got != 3 {
-		t.Errorf("switches = %d, want 3", got)
-	}
-	if got := len(n.NodeNames(KindHost)); got != 4 {
-		t.Errorf("hosts = %d, want 4", got)
-	}
-	if got := len(n.Links()); got != 6 {
-		t.Errorf("links = %d, want 6", got)
-	}
-}
-
 func TestBuildGeneratorsValidate(t *testing.T) {
 	n := New("t", Options{})
 	defer n.Stop()
 	if err := BuildSingle(n, 0); err == nil {
 		t.Error("single(0) accepted")
 	}
-	if err := BuildTree(n, 0, 2); err == nil {
-		t.Error("tree depth 0 accepted")
+	if err := BuildLinear(n, 0); err == nil {
+		t.Error("linear(0) accepted")
 	}
 }
 

@@ -131,19 +131,10 @@ func (h *Host) input(p *Port, frame []byte) {
 // frame was consumed.
 func (h *Host) autoRespond(p *Port, frame []byte) bool {
 	// Nearly every delivered frame is neither ARP nor ICMP: tell from the
-	// envelope and the protocol byte, and decode only those two.
-	s, err := pkt.Summarize(frame)
-	if err != nil {
+	// parsed headers, and decode only those two for the reply.
+	hdr, err := pkt.Parse(frame)
+	if err != nil || hdr.DLType != uint16(pkt.EtherTypeARP) && !(hdr.IsIPv4() && hdr.NWProto == uint8(pkt.IPProtoICMP)) {
 		return false
-	}
-	if s.EtherType != pkt.EtherTypeARP {
-		l3 := 14
-		if s.VLANID >= 0 {
-			l3 = 18
-		}
-		if s.EtherType != pkt.EtherTypeIPv4 || len(frame) < l3+20 || frame[l3+9] != byte(pkt.IPProtoICMP) {
-			return false
-		}
 	}
 	dec := pkt.Decode(frame)
 	if a, ok := dec.Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {

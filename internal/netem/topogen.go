@@ -5,8 +5,8 @@ import (
 )
 
 // Topology generators mirroring Mininet's built-in topologies
-// (--topo single/linear/tree), used by the scale experiments (E3) and the
-// examples.
+// (--topo single/linear) plus a k-ary fat-tree, used by the scale
+// experiments (E3) and the examples.
 
 // BuildSingle creates one switch with n hosts: h1..hn — s1.
 func BuildSingle(net_ *Network, n int) error {
@@ -108,86 +108,4 @@ func BuildFatTree(net_ *Network, k int) error {
 		}
 	}
 	return nil
-}
-
-// BuildMultiDomain creates d domains of swPer switches each (a linear
-// chain d<i>s1—…—d<i>s<swPer> with hostsPer hosts per switch, named
-// d<i>s<j>h<m>), joined into a ring of gateway trunks: each domain's last
-// switch connects to the next domain's first (for d == 2, one trunk).
-// It returns the gateway trunk endpoint pairs so a caller building a
-// domain.Spec-style hierarchy knows where the boundaries are.
-func BuildMultiDomain(net_ *Network, d, swPer, hostsPer int) ([][2]string, error) {
-	if d < 1 || swPer < 1 || hostsPer < 0 {
-		return nil, fmt.Errorf("netem: multi-domain needs ≥1 domain, ≥1 switch, ≥0 hosts")
-	}
-	sw := func(i, j int) string { return fmt.Sprintf("d%ds%d", i, j) }
-	for i := 0; i < d; i++ {
-		for j := 1; j <= swPer; j++ {
-			if _, err := net_.AddSwitch(sw(i, j)); err != nil {
-				return nil, err
-			}
-			if j > 1 {
-				if _, err := net_.AddLink(sw(i, j-1), sw(i, j), LinkConfig{}); err != nil {
-					return nil, err
-				}
-			}
-			for m := 1; m <= hostsPer; m++ {
-				h := fmt.Sprintf("%sh%d", sw(i, j), m)
-				if _, err := net_.AddHost(h); err != nil {
-					return nil, err
-				}
-				if _, err := net_.AddLink(h, sw(i, j), LinkConfig{}); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	var gws [][2]string
-	for i := 0; i < d; i++ {
-		next := (i + 1) % d
-		if next == i || (d == 2 && i == 1) {
-			break // no self-trunk; for two domains one trunk suffices
-		}
-		a, b := sw(i, swPer), sw(next, 1)
-		if _, err := net_.AddLink(a, b, LinkConfig{}); err != nil {
-			return nil, err
-		}
-		gws = append(gws, [2]string{a, b})
-	}
-	return gws, nil
-}
-
-// BuildTree creates a full fanout-ary switch tree of the given depth with
-// hosts at the leaves (Mininet's --topo tree,depth,fanout).
-func BuildTree(net_ *Network, depth, fanout int) error {
-	if depth < 1 || fanout < 1 {
-		return fmt.Errorf("netem: tree topology needs depth ≥1 and fanout ≥1")
-	}
-	var hostSeq, swSeq int
-	var build func(level int) (string, error)
-	build = func(level int) (string, error) {
-		if level == depth {
-			hostSeq++
-			name := fmt.Sprintf("h%d", hostSeq)
-			_, err := net_.AddHost(name)
-			return name, err
-		}
-		swSeq++
-		name := fmt.Sprintf("s%d", swSeq)
-		if _, err := net_.AddSwitch(name); err != nil {
-			return "", err
-		}
-		for i := 0; i < fanout; i++ {
-			child, err := build(level + 1)
-			if err != nil {
-				return "", err
-			}
-			if _, err := net_.AddLink(name, child, LinkConfig{}); err != nil {
-				return "", err
-			}
-		}
-		return name, nil
-	}
-	_, err := build(0)
-	return err
 }

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"fmt"
 	"testing"
 
 	"escape/internal/pox"
@@ -56,52 +55,5 @@ func TestBuildFatTreeRejectsOddK(t *testing.T) {
 		if err := BuildFatTree(n, k); err == nil {
 			t.Errorf("k=%d accepted", k)
 		}
-	}
-}
-
-func TestBuildMultiDomain(t *testing.T) {
-	const d, swPer, hostsPer = 3, 2, 1
-	var gws [][2]string
-	n := buildAndStart(t, func(n *Network) error {
-		var err error
-		gws, err = BuildMultiDomain(n, d, swPer, hostsPer)
-		return err
-	})
-	if sw := countKind(n, KindSwitch); sw != d*swPer {
-		t.Errorf("switches = %d, want %d", sw, d*swPer)
-	}
-	if h := countKind(n, KindHost); h != d*swPer*hostsPer {
-		t.Errorf("hosts = %d, want %d", h, d*swPer*hostsPer)
-	}
-	// 3 domains form a full ring of gateway trunks.
-	if len(gws) != 3 {
-		t.Fatalf("gateways = %v, want 3 trunks", gws)
-	}
-	for _, gw := range gws {
-		found := false
-		for _, l := range n.Links() {
-			a, b := l.A.Node.NodeName(), l.B.Node.NodeName()
-			if (a == gw[0] && b == gw[1]) || (a == gw[1] && b == gw[0]) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("gateway trunk %v missing from topology", gw)
-		}
-	}
-}
-
-func TestBuildMultiDomainTrunkCounts(t *testing.T) {
-	for _, tc := range []struct{ d, trunks int }{{1, 0}, {2, 1}, {4, 4}} {
-		ctrl := pox.NewController()
-		n := New(fmt.Sprintf("md%d", tc.d), Options{Controller: ctrl})
-		gws, err := BuildMultiDomain(n, tc.d, 1, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(gws) != tc.trunks {
-			t.Errorf("d=%d: %d gateway trunks, want %d", tc.d, len(gws), tc.trunks)
-		}
-		ctrl.Close()
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"escape/internal/openflow"
+	"escape/internal/pkt"
 )
 
 // FlowEntry is one flow-table entry. Once added, an entry is immutable —
@@ -146,12 +147,12 @@ func (t *FlowTable) Lookup(f openflow.PacketFields, frameLen int) *FlowEntry {
 // every packet matching b also matches a. Used by non-strict
 // MODIFY/DELETE.
 func subsumes(a, b openflow.Match) bool {
-	probe := openflow.PacketFields{
-		InPort: b.InPort, DLSrc: b.DLSrc, DLDst: b.DLDst, DLVLAN: b.DLVLAN,
+	probe := openflow.PacketFields{InPort: b.InPort, Headers: pkt.Headers{
+		DLSrc: b.DLSrc, DLDst: b.DLDst, DLVLAN: b.DLVLAN,
 		VLANPCP: b.DLVLANPCP, DLType: b.DLType, NWTOS: b.NWTOS,
 		NWProto: b.NWProto, NWSrc: b.NWSrc, NWDst: b.NWDst,
 		TPSrc: b.TPSrc, TPDst: b.TPDst,
-	}
+	}}
 	// a must match b's concrete fields, and a may not be stricter than b
 	// on any field b wildcards — for the two address prefixes, not longer.
 	if !a.Matches(probe) || a.NWSrcBits() < b.NWSrcBits() || a.NWDstBits() < b.NWDstBits() {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"escape/internal/openflow"
+	"escape/internal/pkt"
 )
 
 // refFlowTable is the flow table as it was before lookups went lock-free —
@@ -248,10 +249,10 @@ func TestFlowTableMatchesReferenceModel(t *testing.T) {
 				ft.Add(&e)
 				ref.Add(&e2)
 			case op < 7: // packet
-				f := openflow.PacketFields{
-					InPort: uint16(1 + rng.Intn(4)), DLVLAN: openflow.VLANNone, DLType: 0x0800,
+				f := openflow.PacketFields{InPort: uint16(1 + rng.Intn(4)), Headers: pkt.Headers{
+					DLVLAN: openflow.VLANNone, DLType: 0x0800,
 					NWSrc: tip(srcs[rng.Intn(len(srcs))]), NWDst: tip("10.9.9.9"),
-				}
+				}}
 				size := 60 + rng.Intn(1400)
 				got, want := ft.Lookup(f, size), ref.Lookup(f, size)
 				if (got == nil) != (want == nil) || got != nil && got.Cookie != want.Cookie {

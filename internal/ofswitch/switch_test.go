@@ -229,12 +229,12 @@ func TestVLANActions(t *testing.T) {
 	s.Input(1, testFrame(t, 80))
 	select {
 	case out := <-chans[2]:
-		sum, err := pkt.Summarize(out)
+		h, err := pkt.Parse(out)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.VLANID != 77 {
-			t.Errorf("vlan = %d, want 77", sum.VLANID)
+		if h.DLVLAN != 77 {
+			t.Errorf("vlan = %d, want 77", h.DLVLAN)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no output")
@@ -400,8 +400,8 @@ func TestInputBorrowsFrameReceiversOwnTheirs(t *testing.T) {
 			for port, dst := range tc.out {
 				select {
 				case f := <-chans[port]:
-					if sum, _ := pkt.Summarize(f); sum.Dst != dst {
-						t.Errorf("port %d saw dl_dst %s, want %s", port, sum.Dst, dst)
+					if h, _ := pkt.Parse(f); h.DLDst != dst {
+						t.Errorf("port %d saw dl_dst %s, want %s", port, h.DLDst, dst)
 					}
 					got = append(got, f)
 				default:

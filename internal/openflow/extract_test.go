@@ -9,11 +9,12 @@ import (
 	"escape/internal/pkt"
 )
 
-// extractFieldsRef is ExtractFields as it was when it called pkt.Decode:
-// the oracle the allocation-free layer walk must agree with on every
-// input.
+// extractFieldsRef is ExtractFields as it was when it called pkt.Decode,
+// with the header offsets read off the decoded layers: the oracle the
+// allocation-free walk in pkt.Parse must agree with on every input.
 func extractFieldsRef(frame []byte, inPort uint16) (PacketFields, error) {
-	f := PacketFields{InPort: inPort, DLVLAN: VLANNone}
+	f := PacketFields{InPort: inPort}
+	f.DLVLAN = VLANNone
 	dec := pkt.Decode(frame)
 	eth := dec.Ethernet()
 	if eth == nil {
@@ -22,24 +23,32 @@ func extractFieldsRef(frame []byte, inPort uint16) (PacketFields, error) {
 	f.DLSrc = eth.Src
 	f.DLDst = eth.Dst
 	f.DLType = uint16(eth.EtherType)
+	l3 := uint16(14)
 	if v, ok := dec.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); ok {
 		f.DLVLAN = v.ID
 		f.VLANPCP = v.Priority
 		f.DLType = uint16(v.EtherType)
+		l3 = 18
 	}
 	if ip := dec.IPv4Layer(); ip != nil {
 		f.NWTOS = ip.TOS
 		f.NWProto = uint8(ip.Protocol)
 		f.NWSrc = ip.Src
 		f.NWDst = ip.Dst
+		f.L3 = l3
+		l4 := l3 + 20 + uint16(len(ip.Options))
+		// The transport ports; ICMP echo ident and seq stand in for them.
+		if u, ok := dec.Layer(pkt.LayerTypeUDP).(*pkt.UDP); ok {
+			f.TPSrc, f.TPDst, f.L4 = u.SrcPort, u.DstPort, l4
+		} else if tc, ok := dec.Layer(pkt.LayerTypeTCP).(*pkt.TCP); ok {
+			f.TPSrc, f.TPDst, f.L4 = tc.SrcPort, tc.DstPort, l4
+		} else if ic, ok := dec.Layer(pkt.LayerTypeICMP).(*pkt.ICMP); ok {
+			f.TPSrc, f.TPDst, f.L4 = ic.Ident, ic.Seq, l4
+		}
 	} else if a, ok := dec.Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {
 		f.NWProto = uint8(a.Op)
 		f.NWSrc = a.SenderIP
 		f.NWDst = a.TargetIP
-	}
-	if ft, ok := pkt.ExtractFiveTuple(dec); ok {
-		f.TPSrc = ft.SrcPort
-		f.TPDst = ft.DstPort
 	}
 	return f, nil
 }
@@ -158,8 +167,9 @@ func steer(rng *rand.Rand, frame []byte) []byte {
 }
 
 // TestExtractFieldsMatchesDecodeReference is the behaviour-parity check of
-// the layer walk: over a million steered random frames it returns the
-// PacketFields and the error/no-error outcome pkt.Decode led to.
+// pkt.Parse through its OpenFlow wrapper: over a million steered random
+// frames it returns the PacketFields, header offsets included, and the
+// error/no-error outcome pkt.Decode led to.
 func TestExtractFieldsMatchesDecodeReference(t *testing.T) {
 	n := 1 << 20
 	if testing.Short() || raceEnabled {

@@ -2,7 +2,6 @@ package openflow
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -32,7 +31,7 @@ const (
 )
 
 // VLANNone in DLVLAN means "untagged" (OFP_VLAN_NONE).
-const VLANNone uint16 = 0xffff
+const VLANNone = pkt.VLANNone
 
 // Match is the OpenFlow 1.0 12-tuple match structure.
 type Match struct {
@@ -132,86 +131,15 @@ func (m Match) NWDstBits() int {
 // PacketFields is everything from a frame a Match can test, extracted once
 // by the datapath.
 type PacketFields struct {
-	InPort  uint16
-	DLSrc   pkt.MAC
-	DLDst   pkt.MAC
-	DLVLAN  uint16 // VLANNone when untagged
-	VLANPCP uint8
-	DLType  uint16
-	NWTOS   uint8
-	NWProto uint8
-	NWSrc   netip.Addr
-	NWDst   netip.Addr
-	TPSrc   uint16
-	TPDst   uint16
+	InPort uint16
+	pkt.Headers
 }
 
-var errNoEthernet = errors.New("openflow: frame has no Ethernet header")
-
-// ExtractFields parses frame into the matchable field set. It walks the
-// pkt layer decoders on stack values — the datapath calls it once per
-// frame per switch, so it allocates nothing — and reads what pkt.Decode
-// would: a layer that fails to decode ends the walk and the fields of the
-// layers before it stand.
+// ExtractFields parses frame into the matchable field set (see pkt.Parse:
+// one walk, no allocation). The error is a frame with no Ethernet header.
 func ExtractFields(frame []byte, inPort uint16) (PacketFields, error) {
-	f := PacketFields{InPort: inPort, DLVLAN: VLANNone}
-	var eth pkt.Ethernet
-	if eth.DecodeFromBytes(frame) != nil {
-		return f, errNoEthernet
-	}
-	f.DLSrc = eth.Src
-	f.DLDst = eth.Dst
-	f.DLType = uint16(eth.EtherType)
-	next, rest := eth.NextLayerType(), eth.Payload()
-	if next == pkt.LayerTypeVLAN {
-		var v pkt.VLAN
-		if v.DecodeFromBytes(rest) != nil {
-			return f, nil
-		}
-		f.DLVLAN = v.ID
-		f.VLANPCP = v.Priority
-		f.DLType = uint16(v.EtherType)
-		next, rest = v.NextLayerType(), v.Payload()
-	}
-	switch next {
-	case pkt.LayerTypeARP:
-		// OpenFlow 1.0 matches ARP IPs through NW fields and opcode
-		// through NWProto.
-		var a pkt.ARP
-		if a.DecodeFromBytes(rest) == nil {
-			f.NWProto = uint8(a.Op)
-			f.NWSrc = a.SenderIP
-			f.NWDst = a.TargetIP
-		}
-	case pkt.LayerTypeIPv4:
-		var ip pkt.IPv4
-		if ip.DecodeFromBytes(rest) != nil {
-			return f, nil
-		}
-		f.NWTOS = ip.TOS
-		f.NWProto = uint8(ip.Protocol)
-		f.NWSrc = ip.Src
-		f.NWDst = ip.Dst
-		// As pkt.ExtractFiveTuple: ICMP echo ident/seq stand in for ports.
-		switch rest = ip.Payload(); ip.NextLayerType() {
-		case pkt.LayerTypeUDP:
-			var u pkt.UDP
-			if u.DecodeFromBytes(rest) == nil {
-				f.TPSrc, f.TPDst = u.SrcPort, u.DstPort
-			}
-		case pkt.LayerTypeTCP:
-			var t pkt.TCP
-			if t.DecodeFromBytes(rest) == nil {
-				f.TPSrc, f.TPDst = t.SrcPort, t.DstPort
-			}
-		case pkt.LayerTypeICMP:
-			var ic pkt.ICMP
-			if ic.DecodeFromBytes(rest) == nil {
-				f.TPSrc, f.TPDst = ic.Ident, ic.Seq
-			}
-		}
-	}
-	return f, nil
+	h, err := pkt.Parse(frame)
+	return PacketFields{InPort: inPort, Headers: h}, err
 }
 
 // Matches reports whether the fields satisfy the match.

@@ -20,67 +20,100 @@ func (ft FiveTuple) String() string {
 	return fmt.Sprintf("p%d %s:%d>%s:%d", ft.Proto, ft.Src, ft.SrcPort, ft.Dst, ft.DstPort)
 }
 
-// Reverse returns the tuple with endpoints swapped.
-func (ft FiveTuple) Reverse() FiveTuple {
-	return FiveTuple{Proto: ft.Proto, Src: ft.Dst, Dst: ft.Src, SrcPort: ft.DstPort, DstPort: ft.SrcPort}
+// VLANNone in Headers.DLVLAN marks an untagged frame (OpenFlow 1.0's
+// OFP_VLAN_NONE).
+const VLANNone uint16 = 0xffff
+
+// Headers is one frame's header fields as Parse reads them: the OpenFlow
+// 1.0 twelve-tuple less the ingress port, plus where the IPv4 and
+// transport headers start, so a rewriter need not walk the frame again.
+type Headers struct {
+	DLSrc, DLDst MAC
+	DLVLAN       uint16 // VLANNone when untagged
+	VLANPCP      uint8
+	DLType       uint16 // the EtherType after any VLAN tag
+	// NWTOS, NWProto, NWSrc and NWDst are the IPv4 header's fields, or,
+	// as OpenFlow 1.0 matches ARP, the opcode and the sender and target
+	// addresses.
+	NWTOS        uint8
+	NWProto      uint8
+	NWSrc, NWDst netip.Addr
+	// TPSrc and TPDst are the UDP or TCP ports, or the ICMP ident and
+	// sequence number.
+	TPSrc, TPDst uint16
+	// L3 and L4 are the offsets in the frame of the IPv4 header and of the
+	// UDP, TCP or ICMP header; 0 when that header did not decode.
+	L3, L4 uint16
 }
 
-// ExtractFiveTuple pulls the transport flow out of a decoded packet.
-// ok is false for non-IP packets. ICMP packets yield ports (Ident, Seq)=
-// (SrcPort, DstPort) so that echo streams group naturally.
-func ExtractFiveTuple(p *Packet) (ft FiveTuple, ok bool) {
-	ip := p.IPv4Layer()
-	if ip == nil {
+// IsIPv4 reports whether an IPv4 header decoded: NW* are its fields.
+func (h *Headers) IsIPv4() bool { return h.L3 != 0 }
+
+// FiveTuple returns the transport flow; ok is false unless an IPv4 header
+// decoded. The ports are zero when the transport header did not decode
+// (a non-first fragment, a truncated segment).
+func (h *Headers) FiveTuple() (ft FiveTuple, ok bool) {
+	if !h.IsIPv4() {
 		return ft, false
 	}
-	ft.Proto = ip.Protocol
-	ft.Src = ip.Src
-	ft.Dst = ip.Dst
-	switch l := p.Layer(LayerTypeUDP); {
-	case l != nil:
-		u := l.(*UDP)
-		ft.SrcPort, ft.DstPort = u.SrcPort, u.DstPort
-	default:
-		if l := p.Layer(LayerTypeTCP); l != nil {
-			t := l.(*TCP)
-			ft.SrcPort, ft.DstPort = t.SrcPort, t.DstPort
-		} else if l := p.Layer(LayerTypeICMP); l != nil {
-			ic := l.(*ICMP)
-			ft.SrcPort, ft.DstPort = ic.Ident, ic.Seq
-		}
-	}
-	return ft, true
+	return FiveTuple{Proto: IPProtocol(h.NWProto), Src: h.NWSrc, Dst: h.NWDst, SrcPort: h.TPSrc, DstPort: h.TPDst}, true
 }
 
-// Summary of addressing information commonly needed by the emulator and
-// switches without a full decode: destination/source MAC, VLAN ID (or -1),
-// and EtherType after VLAN.
-type Summary struct {
-	Dst, Src  MAC
-	VLANID    int // -1 if untagged
-	EtherType EtherType
-}
-
-// Summarize performs a minimal parse of the Ethernet (+optional single VLAN)
-// envelope. It avoids allocating layer structs on hot paths.
-func Summarize(frame []byte) (Summary, error) {
-	var s Summary
-	if len(frame) < 14 {
-		return s, ErrTooShort
+// Parse walks frame's headers once on stack values and allocates nothing;
+// the datapath calls it for every frame at every switch and VNF. It reads
+// what Decode would: a header that fails to decode ends the walk and the
+// fields of the headers before it stand. The only error is a frame too
+// short for an Ethernet header.
+func Parse(frame []byte) (Headers, error) {
+	h := Headers{DLVLAN: VLANNone}
+	var eth Ethernet
+	if err := eth.DecodeFromBytes(frame); err != nil {
+		return h, err
 	}
-	copy(s.Dst[:], frame[0:6])
-	copy(s.Src[:], frame[6:12])
-	et := EtherType(uint16(frame[12])<<8 | uint16(frame[13]))
-	s.VLANID = -1
-	if et == EtherTypeVLAN {
-		if len(frame) < 18 {
-			return s, ErrTooShort
+	h.DLSrc, h.DLDst, h.DLType = eth.Src, eth.Dst, uint16(eth.EtherType)
+	next, rest := eth.NextLayerType(), eth.Payload()
+	if next == LayerTypeVLAN {
+		var v VLAN
+		if v.DecodeFromBytes(rest) != nil {
+			return h, nil
 		}
-		s.VLANID = int(uint16(frame[14])<<8|uint16(frame[15])) & 0x0fff
-		et = EtherType(uint16(frame[16])<<8 | uint16(frame[17]))
+		h.DLVLAN, h.VLANPCP, h.DLType = v.ID, v.Priority, uint16(v.EtherType)
+		next, rest = v.NextLayerType(), v.Payload()
 	}
-	s.EtherType = et
-	return s, nil
+	switch next {
+	case LayerTypeARP:
+		var a ARP
+		if a.DecodeFromBytes(rest) == nil {
+			h.NWProto, h.NWSrc, h.NWDst = uint8(a.Op), a.SenderIP, a.TargetIP
+		}
+	case LayerTypeIPv4:
+		var ip IPv4
+		if ip.DecodeFromBytes(rest) != nil {
+			return h, nil
+		}
+		l3 := len(frame) - len(rest)
+		l4 := uint16(l3 + 20 + len(ip.Options))
+		h.L3 = uint16(l3)
+		h.NWTOS, h.NWProto, h.NWSrc, h.NWDst = ip.TOS, uint8(ip.Protocol), ip.Src, ip.Dst
+		switch rest = ip.Payload(); ip.NextLayerType() {
+		case LayerTypeUDP:
+			var u UDP
+			if u.DecodeFromBytes(rest) == nil {
+				h.TPSrc, h.TPDst, h.L4 = u.SrcPort, u.DstPort, l4
+			}
+		case LayerTypeTCP:
+			var t TCP
+			if t.DecodeFromBytes(rest) == nil {
+				h.TPSrc, h.TPDst, h.L4 = t.SrcPort, t.DstPort, l4
+			}
+		case LayerTypeICMP:
+			var ic ICMP
+			if ic.DecodeFromBytes(rest) == nil {
+				h.TPSrc, h.TPDst, h.L4 = ic.Ident, ic.Seq, l4
+			}
+		}
+	}
+	return h, nil
 }
 
 // PushVLAN returns a copy of frame with an 802.1Q tag carrying id inserted

@@ -2,6 +2,7 @@ package pkt
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net/netip"
 )
@@ -21,54 +22,6 @@ func updateChecksum16(cs, old, new_ uint16) uint16 {
 	return ^uint16(sum)
 }
 
-// frameOffsets locates the IPv4 header and transport header inside frame.
-type frameOffsets struct {
-	ip    int // offset of IPv4 header, -1 when not IP
-	ihl   int
-	proto IPProtocol
-	trans int // offset of transport header, -1 when absent/fragment
-}
-
-func locate(frame []byte) (frameOffsets, error) {
-	off := frameOffsets{ip: -1, trans: -1}
-	if len(frame) < 14 {
-		return off, ErrTooShort
-	}
-	et := EtherType(binary.BigEndian.Uint16(frame[12:14]))
-	l3 := 14
-	if et == EtherTypeVLAN {
-		if len(frame) < 18 {
-			return off, ErrTooShort
-		}
-		et = EtherType(binary.BigEndian.Uint16(frame[16:18]))
-		l3 = 18
-	}
-	if et != EtherTypeIPv4 {
-		return off, nil
-	}
-	if len(frame) < l3+20 {
-		return off, ErrTooShort
-	}
-	off.ip = l3
-	off.ihl = int(frame[l3]&0xf) * 4
-	if off.ihl < 20 || len(frame) < l3+off.ihl {
-		return off, fmt.Errorf("pkt: bad IHL")
-	}
-	off.proto = IPProtocol(frame[l3+9])
-	fragOff := binary.BigEndian.Uint16(frame[l3+6:l3+8]) & 0x1fff
-	if fragOff == 0 && (off.proto == IPProtoUDP || off.proto == IPProtoTCP) {
-		t := l3 + off.ihl
-		need := 8
-		if off.proto == IPProtoTCP {
-			need = 20
-		}
-		if len(frame) >= t+need {
-			off.trans = t
-		}
-	}
-	return off, nil
-}
-
 // SetDLAddr rewrites the destination (dst=true) or source MAC address.
 func SetDLAddr(frame []byte, dst bool, mac MAC) error {
 	if len(frame) < 14 {
@@ -82,40 +35,68 @@ func SetDLAddr(frame []byte, dst bool, mac MAC) error {
 	return nil
 }
 
+var errNotIPv4 = errors.New("pkt: frame is not IPv4")
+
+// parseIPv4 parses frame for a rewriter that needs an IPv4 header.
+func parseIPv4(frame []byte) (Headers, error) {
+	h, err := Parse(frame)
+	if err == nil && !h.IsIPv4() {
+		err = errNotIPv4
+	}
+	return h, err
+}
+
+// transportChecksum returns the offset of the UDP or TCP checksum, or -1
+// when no UDP or TCP header decoded.
+func transportChecksum(h *Headers) int {
+	if h.L4 == 0 {
+		return -1
+	}
+	switch IPProtocol(h.NWProto) {
+	case IPProtoUDP:
+		return int(h.L4) + 6
+	case IPProtoTCP:
+		return int(h.L4) + 16
+	}
+	return -1
+}
+
+// updateTransportChecksum folds old → new_ into the UDP/TCP checksum, if
+// the frame has one; a UDP checksum of zero (none computed) stays zero.
+func updateTransportChecksum(frame []byte, h *Headers, old, new_ uint16) {
+	csOff := transportChecksum(h)
+	if csOff < 0 {
+		return
+	}
+	tcs := binary.BigEndian.Uint16(frame[csOff : csOff+2])
+	if !(IPProtocol(h.NWProto) == IPProtoUDP && tcs == 0) {
+		binary.BigEndian.PutUint16(frame[csOff:csOff+2], updateChecksum16(tcs, old, new_))
+	}
+}
+
 // SetNWAddr rewrites the IPv4 destination (dst=true) or source address,
 // fixing the IP header checksum and any UDP/TCP checksum.
 func SetNWAddr(frame []byte, dst bool, addr netip.Addr) error {
 	if !addr.Is4() {
 		return fmt.Errorf("pkt: SetNWAddr wants an IPv4 address")
 	}
-	off, err := locate(frame)
+	h, err := parseIPv4(frame)
 	if err != nil {
 		return err
 	}
-	if off.ip < 0 {
-		return fmt.Errorf("pkt: frame is not IPv4")
-	}
-	fieldOff := off.ip + 12
+	ip := int(h.L3)
+	fieldOff := ip + 12
 	if dst {
-		fieldOff = off.ip + 16
+		fieldOff = ip + 16
 	}
 	na := addr.As4()
 	for i := 0; i < 4; i += 2 {
 		old := binary.BigEndian.Uint16(frame[fieldOff+i : fieldOff+i+2])
 		new_ := binary.BigEndian.Uint16(na[i : i+2])
-		// IP header checksum.
-		ipcs := binary.BigEndian.Uint16(frame[off.ip+10 : off.ip+12])
-		binary.BigEndian.PutUint16(frame[off.ip+10:off.ip+12], updateChecksum16(ipcs, old, new_))
-		// Transport checksum covers the pseudo-header.
-		if off.trans >= 0 {
-			csOff := transportChecksumOffset(off)
-			if csOff > 0 {
-				tcs := binary.BigEndian.Uint16(frame[csOff : csOff+2])
-				if !(off.proto == IPProtoUDP && tcs == 0) { // UDP zero = no checksum
-					binary.BigEndian.PutUint16(frame[csOff:csOff+2], updateChecksum16(tcs, old, new_))
-				}
-			}
-		}
+		ipcs := binary.BigEndian.Uint16(frame[ip+10 : ip+12])
+		binary.BigEndian.PutUint16(frame[ip+10:ip+12], updateChecksum16(ipcs, old, new_))
+		// The transport checksum covers the pseudo-header.
+		updateTransportChecksum(frame, &h, old, new_)
 		binary.BigEndian.PutUint16(frame[fieldOff+i:fieldOff+i+2], new_)
 	}
 	return nil
@@ -124,53 +105,35 @@ func SetNWAddr(frame []byte, dst bool, addr netip.Addr) error {
 // SetTPPort rewrites the destination (dst=true) or source UDP/TCP port,
 // fixing the transport checksum.
 func SetTPPort(frame []byte, dst bool, port uint16) error {
-	off, err := locate(frame)
+	h, err := Parse(frame)
 	if err != nil {
 		return err
 	}
-	if off.trans < 0 {
+	if transportChecksum(&h) < 0 {
 		return fmt.Errorf("pkt: frame has no rewritable transport header")
 	}
-	fieldOff := off.trans
+	fieldOff := int(h.L4)
 	if dst {
 		fieldOff += 2
 	}
 	old := binary.BigEndian.Uint16(frame[fieldOff : fieldOff+2])
-	csOff := transportChecksumOffset(off)
-	if csOff > 0 {
-		tcs := binary.BigEndian.Uint16(frame[csOff : csOff+2])
-		if !(off.proto == IPProtoUDP && tcs == 0) {
-			binary.BigEndian.PutUint16(frame[csOff:csOff+2], updateChecksum16(tcs, old, port))
-		}
-	}
+	updateTransportChecksum(frame, &h, old, port)
 	binary.BigEndian.PutUint16(frame[fieldOff:fieldOff+2], port)
 	return nil
 }
 
-func transportChecksumOffset(off frameOffsets) int {
-	switch off.proto {
-	case IPProtoUDP:
-		return off.trans + 6
-	case IPProtoTCP:
-		return off.trans + 16
-	}
-	return -1
-}
-
 // SetNWTOS rewrites the IPv4 TOS byte, fixing the header checksum.
 func SetNWTOS(frame []byte, tos uint8) error {
-	off, err := locate(frame)
+	h, err := parseIPv4(frame)
 	if err != nil {
 		return err
 	}
-	if off.ip < 0 {
-		return fmt.Errorf("pkt: frame is not IPv4")
-	}
+	ip := int(h.L3)
 	// TOS shares a 16-bit word with version/IHL.
-	old := binary.BigEndian.Uint16(frame[off.ip : off.ip+2])
-	frame[off.ip+1] = tos
-	new_ := binary.BigEndian.Uint16(frame[off.ip : off.ip+2])
-	ipcs := binary.BigEndian.Uint16(frame[off.ip+10 : off.ip+12])
-	binary.BigEndian.PutUint16(frame[off.ip+10:off.ip+12], updateChecksum16(ipcs, old, new_))
+	old := binary.BigEndian.Uint16(frame[ip : ip+2])
+	frame[ip+1] = tos
+	new_ := binary.BigEndian.Uint16(frame[ip : ip+2])
+	ipcs := binary.BigEndian.Uint16(frame[ip+10 : ip+12])
+	binary.BigEndian.PutUint16(frame[ip+10:ip+12], updateChecksum16(ipcs, old, new_))
 	return nil
 }

@@ -4,13 +4,18 @@
 // OpenFlow switches (internal/ofswitch) and through Click element graphs
 // (internal/click) are real byte slices in standard wire format. This
 // package provides the layer types (Ethernet, VLAN, ARP, IPv4, ICMP, UDP,
-// TCP), decoding, serialization and flow-key extraction.
+// TCP), decoding, serialization, header parsing and in-place rewriting.
 //
 // The design follows the layered decoder idiom popularised by gopacket: a
 // decoded Packet holds a stack of Layer values, each layer exposes its
 // header fields, and SerializeLayers builds wire bytes from a layer stack.
-// Everything here is allocation-conscious but favours clarity: ESCAPE is a
-// prototyping environment, not a line-rate forwarder.
+// Decode serves whoever needs layers — to build a reply, print a frame or
+// read a payload. The per-frame path (the switch's flow lookup, Click's
+// classifiers, l2_learning, the host stack, the Set* rewriters) reads
+// headers through Parse instead: the same layer decoders walked once on
+// stack values into a Headers, reading exactly what Decode would and
+// allocating nothing. ESCAPE is a prototyping environment, not a
+// line-rate forwarder, but that path runs for every frame at every hop.
 package pkt
 
 import (

@@ -197,17 +197,17 @@ func TestPushPopVLAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Summarize(tagged)
+	h, err := Parse(tagged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.VLANID != 42 || s.EtherType != EtherTypeIPv4 {
-		t.Fatalf("summary after push = %+v", s)
+	if h.DLVLAN != 42 || h.DLType != uint16(EtherTypeIPv4) || h.L3 != 18 {
+		t.Fatalf("headers after push = %+v", h)
 	}
 	// Re-push rewrites in place (OF 1.0 semantics).
 	retag, _ := PushVLAN(tagged, 43)
-	if s2, _ := Summarize(retag); s2.VLANID != 43 {
-		t.Fatalf("retag = %+v", s2)
+	if h2, _ := Parse(retag); h2.DLVLAN != 43 {
+		t.Fatalf("retag = %+v", h2)
 	}
 	if len(retag) != len(tagged) {
 		t.Fatalf("retag changed length %d != %d", len(retag), len(tagged))
@@ -252,27 +252,27 @@ func TestDecodeGarbage(t *testing.T) {
 	}
 }
 
-func TestFiveTupleExtractReverse(t *testing.T) {
+func TestHeadersFiveTuple(t *testing.T) {
 	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 4000, 5000, nil)
-	ft, ok := ExtractFiveTuple(Decode(frame))
-	if !ok {
-		t.Fatal("no five-tuple")
+	h, err := Parse(frame)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ft.Src != ip1 || ft.DstPort != 5000 {
-		t.Fatalf("tuple = %v", ft)
-	}
-	r := ft.Reverse()
-	if r.Src != ip2 || r.SrcPort != 5000 || r.DstPort != 4000 {
-		t.Fatalf("reverse = %v", r)
-	}
-	if r.Reverse() != ft {
-		t.Error("double reverse != identity")
+	ft, ok := h.FiveTuple()
+	want := FiveTuple{Proto: IPProtoUDP, Src: ip1, Dst: ip2, SrcPort: 4000, DstPort: 5000}
+	if !ok || ft != want {
+		t.Fatalf("tuple = %v, %v; want %v", ft, ok, want)
 	}
 }
 
+// An ARP frame's NW fields hold its opcode and addresses: no five-tuple.
 func TestFiveTupleNonIP(t *testing.T) {
 	frame, _ := BuildARPRequest(mac1, ip1, ip2)
-	if _, ok := ExtractFiveTuple(Decode(frame)); ok {
+	h, err := Parse(frame)
+	if err != nil || h.NWProto != uint8(ARPRequest) || h.NWSrc != ip1 {
+		t.Fatalf("arp headers = %+v, %v", h, err)
+	}
+	if _, ok := h.FiveTuple(); ok {
 		t.Error("five-tuple from ARP frame")
 	}
 }
@@ -342,8 +342,8 @@ func TestQuickVLANPushPop(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s, err := Summarize(tagged)
-		if err != nil || s.VLANID != int(id) {
+		h, err := Parse(tagged)
+		if err != nil || h.DLVLAN != id {
 			return false
 		}
 		popped, err := PopVLAN(tagged)
@@ -381,14 +381,34 @@ func TestQuickChecksumResidue(t *testing.T) {
 	}
 }
 
-func TestSummarizeUntagged(t *testing.T) {
+func TestParseUntagged(t *testing.T) {
 	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, nil)
-	s, err := Summarize(frame)
+	h, err := Parse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.VLANID != -1 || s.EtherType != EtherTypeIPv4 || s.Src != mac1 {
-		t.Fatalf("summary = %+v", s)
+	if h.DLVLAN != VLANNone || h.DLType != uint16(EtherTypeIPv4) || h.DLSrc != mac1 || h.L3 != 14 || h.L4 != 34 {
+		t.Fatalf("headers = %+v", h)
+	}
+}
+
+// TestParseAllocatesNothing pins the per-frame cost every switch traversal
+// and every filtering VNF pays.
+func TestParseAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	udp, _ := BuildUDP(mac1, mac2, ip1, ip2, 4000, 5000, make([]byte, 64))
+	tagged, _ := PushVLAN(udp, 7)
+	arp, _ := BuildARPRequest(mac1, ip1, ip2)
+	for name, frame := range map[string][]byte{"udp": udp, "vlan": tagged, "arp": arp} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := Parse(frame); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s: Parse allocates %v objects per frame, want 0", name, n)
+		}
 	}
 }
 
@@ -413,11 +433,11 @@ func BenchmarkDecodeUDP(b *testing.B) {
 	}
 }
 
-func BenchmarkSummarize(b *testing.B) {
+func BenchmarkParse(b *testing.B) {
 	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 4000, 5000, make([]byte, 64))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Summarize(frame); err != nil {
+		if _, err := Parse(frame); err != nil {
 			b.Fatal(err)
 		}
 	}

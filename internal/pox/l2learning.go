@@ -57,7 +57,7 @@ func (l *L2Learning) Learned(dpid uint64, mac pkt.MAC) (uint16, bool) {
 
 // HandlePacketIn implements PacketInHandler.
 func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
-	sum, err := pkt.Summarize(pi.Data)
+	fields, err := openflow.ExtractFields(pi.Data, pi.InPort)
 	if err != nil {
 		return
 	}
@@ -67,11 +67,11 @@ func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 		table = map[pkt.MAC]uint16{}
 		l.tables[c.DPID()] = table
 	}
-	table[sum.Src] = pi.InPort
-	outPort, known := table[sum.Dst]
+	table[fields.DLSrc] = pi.InPort
+	outPort, known := table[fields.DLDst]
 	l.mu.Unlock()
 
-	if sum.Dst.IsMulticast() || !known {
+	if fields.DLDst.IsMulticast() || !known {
 		// Flood; do not install state for broadcast/unknown. A send
 		// failure means the connection is going down and readLoop will
 		// surface it; there is no learning state to unwind.
@@ -89,10 +89,6 @@ func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 	}
 	// Install the forward entry and release the (possibly buffered)
 	// packet through it.
-	fields, err := openflow.ExtractFields(pi.Data, pi.InPort)
-	if err != nil {
-		return
-	}
 	match := openflow.ExactMatch(fields)
 	if err := c.SendFlowMod(&openflow.FlowMod{
 		Match:       match,

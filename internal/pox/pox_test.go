@@ -215,6 +215,23 @@ func TestL2LearningBroadcastAlwaysFloods(t *testing.T) {
 	}
 }
 
+// A tagged frame cut inside its VLAN tag still carries the Ethernet header
+// l2_learning reads, as pkt.Decode sees it: the source is learned and the
+// frame flooded rather than ignored.
+func TestL2LearningLearnsFromFrameCutInsideVLANTag(t *testing.T) {
+	l2 := NewL2Learning()
+	r := newRig(t, l2)
+	tagged, err := pkt.PushVLAN(frameAB(t), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.sw.Input(1, tagged[:16])
+	expectFrame(t, r.out[2], "flooded 16-byte tagged frame")
+	if p, ok := l2.Learned(1, hmacA); !ok || p != 1 {
+		t.Fatalf("A not learned: %v %v", p, ok)
+	}
+}
+
 func TestConnectionDownEvent(t *testing.T) {
 	down := make(chan uint64, 1)
 	comp := &downWatcher{ch: down}

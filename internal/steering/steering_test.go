@@ -74,12 +74,12 @@ func TestInstallPathForwardsAcrossSwitches(t *testing.T) {
 	select {
 	case rx := <-h2.Recv():
 		// The tag must be stripped at the egress switch.
-		sum, err := pkt.Summarize(rx.Frame)
+		hdr, err := pkt.Parse(rx.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.VLANID != -1 {
-			t.Errorf("frame arrived still tagged with VLAN %d", sum.VLANID)
+		if hdr.DLVLAN != pkt.VLANNone {
+			t.Errorf("frame arrived still tagged with VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("steered frame never arrived")
@@ -150,12 +150,12 @@ func TestSingleHopPathNoVLAN(t *testing.T) {
 	h1.Send(frame)
 	select {
 	case rx := <-h2.Recv():
-		sum, err := pkt.Summarize(rx.Frame)
+		hdr, err := pkt.Parse(rx.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.VLANID != -1 {
-			t.Errorf("frame arrived tagged with VLAN %d", sum.VLANID)
+		if hdr.DLVLAN != pkt.VLANNone {
+			t.Errorf("frame arrived tagged with VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("frame over two single-hop paths never arrived")
@@ -375,12 +375,12 @@ func TestStitchedPathsHandOff(t *testing.T) {
 	h1.Send(frame)
 	select {
 	case rx := <-h2.Recv():
-		sum, err := pkt.Summarize(rx.Frame)
+		hdr, err := pkt.Parse(rx.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum.VLANID != -1 {
-			t.Errorf("stitch tag leaked to the host: VLAN %d", sum.VLANID)
+		if hdr.DLVLAN != pkt.VLANNone {
+			t.Errorf("stitch tag leaked to the host: VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("stitched frame never arrived")
@@ -449,13 +449,13 @@ func TestStitchTransitSegment(t *testing.T) {
 	h2.Send(frame)
 	select {
 	case rx := <-h1.Recv():
-		sum, err := pkt.Summarize(rx.Frame)
+		hdr, err := pkt.Parse(rx.Frame)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The transit segment re-tagged for the (pretend) next domain.
-		if sum.VLANID != 3002 {
-			t.Errorf("frame left transit with VLAN %d, want 3002", sum.VLANID)
+		if hdr.DLVLAN != 3002 {
+			t.Errorf("frame left transit with VLAN %d, want 3002", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("transit frame never arrived")

@@ -78,8 +78,8 @@ func FatTreeSpec(k int, trunkBW float64, eeCPU float64, eeMem int) *TopoSpec {
 
 // MultiDomainSpec builds d star domains of swPer switches joined by a
 // gateway chain (domain i's s1 trunks to domain i+1's s1), one host per
-// non-gateway switch and one EE per switch — the shape
-// netem.BuildMultiDomain gives the domain-stitching experiments.
+// non-gateway switch and one EE per switch — the shape of the
+// domain-stitching experiments.
 // Gateways returns the inter-domain trunk endpoint pairs in order.
 func MultiDomainSpec(d, swPer int, trunkBW float64, eeCPU float64, eeMem int) (*TopoSpec, [][2]string) {
 	spec := &TopoSpec{Name: fmt.Sprintf("multidomain-%d", d)}
@@ -138,18 +138,6 @@ type ScaleParams struct {
 	// EECPU/EEMem size each EE.
 	EECPU float64
 	EEMem int
-}
-
-// DefaultScaleParams returns the E14 full-scale shape: 100 regions ×
-// 1000 switches = 100k switches, 10 SAPs and 8 EEs per region (1000
-// SAPs, 800 EEs — bounded attachment sets), terabit backbone.
-func DefaultScaleParams() ScaleParams {
-	return ScaleParams{
-		Regions: 100, SwitchesPerRegion: 1000,
-		SAPsPerRegion: 10, EEsPerRegion: 8,
-		BackboneBW: 1e12, RegionBW: 400e9, AccessBW: 100e9,
-		EECPU: 1 << 20, EEMem: 1 << 30,
-	}
 }
 
 // ScaleSpec builds the operator-scale hierarchy: region r's switches

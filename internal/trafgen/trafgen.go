@@ -196,33 +196,6 @@ type Sink struct {
 	Port uint16
 }
 
-// Collect consumes frames for the given duration and reports what
-// arrived.
-func (s *Sink) Collect(d time.Duration) LoadReport {
-	var rep LoadReport
-	start := time.Now()
-	deadline := time.NewTimer(d)
-	defer deadline.Stop()
-	for {
-		select {
-		case rx := <-s.Host.Recv():
-			dec := pkt.Decode(rx.Frame)
-			u, ok := dec.Layer(pkt.LayerTypeUDP).(*pkt.UDP)
-			if !ok {
-				continue
-			}
-			if s.Port != 0 && u.DstPort != s.Port {
-				continue
-			}
-			rep.Packets++
-			rep.Bytes += len(rx.Frame)
-		case <-deadline.C:
-			rep.Duration = time.Since(start)
-			return rep
-		}
-	}
-}
-
 // CollectN consumes frames until n matching UDP frames arrived or the
 // timeout expired.
 func (s *Sink) CollectN(n int, timeout time.Duration) LoadReport {
