@@ -11,15 +11,12 @@ package api
 
 import (
 	"escape/internal/core"
-	"escape/internal/domain"
 	"escape/internal/sg"
 )
 
 // Backend is the slice of an orchestrator the control plane needs: the
 // reconciler deploys and undeploys through it and probes actual state
-// with Running/Deployed. Both the single-domain core orchestrator and
-// the hierarchical global orchestrator satisfy it via the adapters
-// below.
+// with Running/Deployed, and reacts to its lifecycle events.
 type Backend interface {
 	// Deploy realizes a service graph end to end.
 	Deploy(g *sg.Graph) error
@@ -34,17 +31,13 @@ type Backend interface {
 	// Services lists deployed service names (the reconciler's orphan
 	// sweep walks it).
 	Services() []string
-}
-
-// EventSource is the optional drift-detection hook: a backend that
-// publishes lifecycle events lets the reconciler react to failures
-// (e.g. a heal that gave up) instead of waiting for the next resync.
-type EventSource interface {
+	// Subscribe streams lifecycle events, so the reconciler reacts to
+	// drift (e.g. a heal that gave up) without waiting for the next
+	// resync. The returned func cancels the stream.
 	Subscribe(buf int) (<-chan core.Event, func())
 }
 
-// CoreBackend adapts *core.Orchestrator. It also implements
-// EventSource, so reconcilers over it get event-driven drift detection.
+// CoreBackend adapts *core.Orchestrator.
 type CoreBackend struct {
 	Orch *core.Orchestrator
 }
@@ -68,26 +61,3 @@ func (b *CoreBackend) Services() []string { return b.Orch.Services() }
 func (b *CoreBackend) Subscribe(buf int) (<-chan core.Event, func()) {
 	return b.Orch.Subscribe(buf)
 }
-
-// DomainBackend adapts the hierarchical *domain.GlobalOrchestrator.
-// The global layer has no lifecycle event stream, so drift detection
-// over it falls back to resync-only.
-type DomainBackend struct {
-	Global *domain.GlobalOrchestrator
-}
-
-func (b *DomainBackend) Deploy(g *sg.Graph) error {
-	_, err := b.Global.Deploy(g)
-	return err
-}
-
-func (b *DomainBackend) Undeploy(name string) error { return b.Global.Undeploy(name) }
-
-func (b *DomainBackend) Deployed(name string) bool { return b.Global.Service(name) != nil }
-
-func (b *DomainBackend) Running(name string) bool {
-	svc := b.Global.Service(name)
-	return svc != nil && svc.Running()
-}
-
-func (b *DomainBackend) Services() []string { return b.Global.Services() }

@@ -16,11 +16,12 @@ import (
 // idempotent, so duplicate enqueues are harmless. At most one worker
 // touches a given intent at a time (keyed in-flight map); an enqueue
 // that lands mid-run marks the intent for a re-run instead of racing.
-// Drift is detected two ways: lifecycle events from the backend (when
-// it is an EventSource) enqueue the affected service immediately, and
-// a periodic resync — one reused Ticker, not a timer per iteration —
-// re-enqueues everything and sweeps orphaned backend services whose
-// intent is gone.
+// Drift is detected two ways: lifecycle events from the backend
+// enqueue the affected service immediately, and a periodic resync —
+// one reused Ticker, not a timer per iteration — re-enqueues
+// everything and sweeps orphaned backend services whose intent is
+// gone. Every finished run closes the settle channel, which
+// is what Await blocks on instead of a clock.
 type Reconciler struct {
 	Store   *Store
 	Backend Backend
@@ -44,14 +45,16 @@ type Reconciler struct {
 	attempts  map[string]int
 	lastErr   map[string]string
 	stopped   bool
+	// settled is closed (and dropped, for the next waiter to replace)
+	// after every reconcile run; nil while nobody waits.
+	settled chan struct{}
 
 	kick chan struct{}
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
 
-// Start launches the workers, the resync loop and (when the backend
-// publishes lifecycle events) the drift watcher.
+// Start launches the workers, the resync loop and the drift watcher.
 func (r *Reconciler) Start() {
 	if r.Workers <= 0 {
 		r.Workers = 4
@@ -83,11 +86,9 @@ func (r *Reconciler) Start() {
 	}
 	r.wg.Add(1)
 	go r.resyncLoop()
-	if src, ok := r.Backend.(EventSource); ok {
-		events, cancel := src.Subscribe(256)
-		r.wg.Add(1)
-		go r.driftLoop(events, cancel)
-	}
+	events, cancel := r.Backend.Subscribe(256)
+	r.wg.Add(1)
+	go r.driftLoop(events, cancel)
 	r.EnqueueAll()
 }
 
@@ -145,24 +146,43 @@ func (r *Reconciler) LastError(id string) string {
 	return r.lastErr[id]
 }
 
+// Await blocks until cond holds or the timeout passes, reporting
+// whether it held. cond is re-checked after every reconcile run, so it
+// should read state that runs follow: the store, LastError, or the
+// backend, whose lifecycle events and the resync both enqueue runs.
+func (r *Reconciler) Await(timeout time.Duration, cond func() bool) bool {
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		// Take the channel before checking, so a run that settles in
+		// between closes the one this waiter blocks on.
+		r.mu.Lock()
+		if r.settled == nil {
+			r.settled = make(chan struct{})
+		}
+		settled := r.settled
+		r.mu.Unlock()
+		if cond() {
+			return true
+		}
+		select {
+		case <-settled:
+		case <-timer.C:
+			return cond()
+		}
+	}
+}
+
 // AwaitIdle blocks until no intent is queued or in flight (or the
 // timeout passes), reporting whether the controller went idle. Backoff
 // requeues count as pending work only once they fire, so callers
 // should pair this with a check of their own convergence condition.
 func (r *Reconciler) AwaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for {
+	return r.Await(timeout, func() bool {
 		r.mu.Lock()
-		idle := len(r.queued) == 0 && len(r.inflight) == 0
-		r.mu.Unlock()
-		if idle {
-			return true
-		}
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		defer r.mu.Unlock()
+		return len(r.queued) == 0 && len(r.inflight) == 0
+	})
 }
 
 // take claims the lowest queued ID (sorted order keeps single-worker
@@ -184,7 +204,8 @@ func (r *Reconciler) take() (string, bool) {
 	return id, true
 }
 
-// finish releases an ID, re-queueing it when an enqueue landed mid-run.
+// finish releases an ID, re-queueing it when an enqueue landed mid-run,
+// and wakes every Await.
 func (r *Reconciler) finish(id string) {
 	r.mu.Lock()
 	delete(r.inflight, id)
@@ -194,6 +215,10 @@ func (r *Reconciler) finish(id string) {
 		r.queued[id] = true
 	}
 	r.Metrics.ReconcileBacklog.Store(int64(len(r.queued) + len(r.inflight)))
+	if r.settled != nil {
+		close(r.settled)
+		r.settled = nil
+	}
 	r.mu.Unlock()
 	if again {
 		select {

@@ -121,20 +121,14 @@ func (cp *controlPlane) crash(t *testing.T, dir string) {
 // awaitRunning waits for reconciliation to re-admit acme/svc0..n-1.
 func (cp *controlPlane) awaitRunning(t *testing.T, n int) {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		all := true
+	cp.rec.Await(60*time.Second, func() bool {
 		for i := 0; i < n; i++ {
 			if !cp.rec.Backend.Running(fmt.Sprintf("acme/svc%d", i)) {
-				all = false
-				break
+				return false
 			}
 		}
-		if all {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+		return true
+	})
 	cp.rec.AwaitIdle(10 * time.Second)
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("acme/svc%d", i)
@@ -300,11 +294,9 @@ func TestCrashMidReconcileConverges(t *testing.T) {
 
 	cp2 := startControlPlane(t, dir, n)
 	defer cp2.stop()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) &&
-		!(cp2.rec.Backend.Running("acme/svc0") && cp2.rec.Backend.Running("acme/svc1")) {
-		time.Sleep(10 * time.Millisecond)
-	}
+	cp2.rec.Await(60*time.Second, func() bool {
+		return cp2.rec.Backend.Running("acme/svc0") && cp2.rec.Backend.Running("acme/svc1")
+	})
 	for _, id := range []string{"acme/svc0", "acme/svc1"} {
 		if !cp2.rec.Backend.Running(id) {
 			t.Errorf("%s not converged after mid-reconcile crash (last error: %s)", id, cp2.rec.LastError(id))

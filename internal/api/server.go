@@ -53,7 +53,8 @@ type Server struct {
 }
 
 // NewServer builds the server and loads stored tenants into the quota
-// gate (the recovery half of tenant durability).
+// gate (the recovery half of tenant durability). cfg.Reconciler is
+// required: the handlers enqueue through it and ?wait blocks on it.
 func NewServer(cfg ServerConfig) *Server {
 	if cfg.Metrics == nil {
 		cfg.Metrics = &Metrics{}
@@ -276,11 +277,11 @@ type intentStatus struct {
 }
 
 func (s *Server) status(in *Intent) intentStatus {
-	st := intentStatus{Intent: in, Running: s.cfg.Backend.Running(in.ID)}
-	if s.cfg.Reconciler != nil {
-		st.LastError = s.cfg.Reconciler.LastError(in.ID)
+	return intentStatus{
+		Intent:    in,
+		Running:   s.cfg.Backend.Running(in.ID),
+		LastError: s.cfg.Reconciler.LastError(in.ID),
 	}
-	return st
 }
 
 // graphDemandOf estimates a graph's aggregate demand for the advisory
@@ -414,14 +415,13 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 		return
 	}
 	s.cfg.Metrics.IntentsAdmitted.Add(1)
-	if s.cfg.Reconciler != nil {
-		s.cfg.Reconciler.Enqueue(id)
-	}
+	s.cfg.Reconciler.Enqueue(id)
 	s.finishIntent(w, r, stored, http.StatusAccepted)
 }
 
 // finishIntent replies with the intent's status, optionally blocking
-// (?wait=<dur>) until the reconciler converged it or the wait expired.
+// (?wait=<dur>) until the reconciler converged or failed it, or the wait
+// expired.
 func (s *Server) finishIntent(w http.ResponseWriter, r *http.Request, in *Intent, code int) {
 	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
@@ -433,16 +433,10 @@ func (s *Server) finishIntent(w http.ResponseWriter, r *http.Request, in *Intent
 		// POSTs from one tenant must not starve every other tenant's
 		// requests out of the bounded queue for up to 2 minutes.
 		releaseSlot(r)
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-			if s.cfg.Backend.Running(in.ID) {
-				break
-			}
-			if s.cfg.Reconciler != nil && s.cfg.Reconciler.LastError(in.ID) != "" {
-				break
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		rec := s.cfg.Reconciler
+		rec.Await(d, func() bool {
+			return s.cfg.Backend.Running(in.ID) || rec.LastError(in.ID) != ""
+		})
 		code = http.StatusOK
 	}
 	writeJSON(w, code, s.status(in))
@@ -480,8 +474,6 @@ func (s *Server) handleDeleteIntent(w http.ResponseWriter, r *http.Request, t *T
 		writeErr(w, http.StatusInternalServerError, "persist: "+err.Error())
 		return
 	}
-	if s.cfg.Reconciler != nil {
-		s.cfg.Reconciler.Enqueue(id)
-	}
+	s.cfg.Reconciler.Enqueue(id)
 	writeJSON(w, http.StatusAccepted, s.status(&upd))
 }

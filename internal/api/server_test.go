@@ -68,6 +68,9 @@ func (b *fakeBackend) Services() []string {
 	return out
 }
 
+// Subscribe publishes nothing: drift over the fake is found by resync.
+func (b *fakeBackend) Subscribe(int) (<-chan core.Event, func()) { return nil, func() {} }
+
 func (b *fakeBackend) deployCount() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -212,10 +215,9 @@ func TestIntentDeployIdempotencyAndDelete(t *testing.T) {
 	if resp, _ := doJSON(t, "DELETE", ts.URL+"/v1/intents/web", tok, nil); resp.StatusCode != http.StatusAccepted {
 		t.Errorf("delete: %d, want 202", resp.StatusCode)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && (fb.Running("acme/web") || rec.Store.Intent("acme/web") != nil) {
-		time.Sleep(5 * time.Millisecond)
-	}
+	rec.Await(5*time.Second, func() bool {
+		return !fb.Running("acme/web") && rec.Store.Intent("acme/web") == nil
+	})
 	if fb.Running("acme/web") {
 		t.Error("service still running after delete")
 	}
@@ -296,6 +298,9 @@ func (pendingBackend) Undeploy(string) error  { return nil }
 func (pendingBackend) Deployed(string) bool   { return false }
 func (pendingBackend) Running(string) bool    { return false }
 func (pendingBackend) Services() []string     { return nil }
+func (pendingBackend) Subscribe(int) (<-chan core.Event, func()) {
+	return nil, func() {}
+}
 
 // TestWaitedPOSTReleasesQueueSlot pins the cross-tenant starvation
 // fix: a POST blocked in ?wait must give its admission-queue slot back
@@ -465,20 +470,14 @@ func TestReconcilerRetriesAndDriftRepair(t *testing.T) {
 		t.Fatal("post")
 	}
 	// The deploy fails and is retried with backoff; last_error surfaces.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) && rec.LastError("acme/web") == "" {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if rec.LastError("acme/web") == "" {
+	running := func(id string) func() bool { return func() bool { return fb.Running(id) } }
+	if !rec.Await(5*time.Second, func() bool { return rec.LastError("acme/web") != "" }) {
 		t.Fatal("no last_error recorded for failing deploy")
 	}
 	fb.mu.Lock()
 	fb.failing = false
 	fb.mu.Unlock()
-	for time.Now().Before(deadline) && !fb.Running("acme/web") {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !fb.Running("acme/web") {
+	if !rec.Await(5*time.Second, running("acme/web")) {
 		t.Fatal("reconciler never converged after substrate recovered")
 	}
 
@@ -487,10 +486,7 @@ func TestReconcilerRetriesAndDriftRepair(t *testing.T) {
 	fb.mu.Lock()
 	delete(fb.running, "acme/web")
 	fb.mu.Unlock()
-	for time.Now().Before(deadline) && !fb.Running("acme/web") {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !fb.Running("acme/web") {
+	if !rec.Await(5*time.Second, running("acme/web")) {
 		t.Fatal("drift not repaired by resync")
 	}
 
@@ -498,10 +494,7 @@ func TestReconcilerRetriesAndDriftRepair(t *testing.T) {
 	fb.mu.Lock()
 	fb.running["acme/ghost"] = true
 	fb.mu.Unlock()
-	for time.Now().Before(deadline) && fb.Running("acme/ghost") {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if fb.Running("acme/ghost") {
+	if !rec.Await(5*time.Second, func() bool { return !fb.Running("acme/ghost") }) {
 		t.Fatal("orphaned service not swept")
 	}
 }

@@ -93,34 +93,48 @@ func TestSubscribeChurnDuringTransitions(t *testing.T) {
 	}
 }
 
-func TestWatchChurnWithAbandonedWatchers(t *testing.T) {
+func TestSubscribeWithAbandonedSubscribers(t *testing.T) {
 	env := startEnv(t, demoSpec())
-	svc, err := env.Orch.Deploy(sapGraph("watched", "monitor"))
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	// A mix of draining and abandoned watchers attached while transitions
-	// fire: drainers must observe the terminal state, abandoners must not
-	// wedge or crash the engine.
+	// Abandoned subscribers never drain: once their buffers fill, events
+	// to them drop, and the engine must neither wedge nor crash.
 	const drainers, abandoners = 8, 8
+	for i := 0; i < abandoners; i++ {
+		_, cancel := env.Orch.Subscribe(1)
+		defer cancel()
+	}
+	// Drainers follow one service, filtered out of the shared stream,
+	// until its terminal state.
 	var wg sync.WaitGroup
 	terminal := make(chan ServiceState, drainers)
 	for i := 0; i < drainers; i++ {
+		events, cancel := env.Orch.Subscribe(64)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var last ServiceState
-			for ev := range svc.Watch() {
-				last = ev.State
+			defer cancel()
+			for ev := range events {
+				if ev.Service == "watched" && ev.State.Terminal() {
+					terminal <- ev.State
+					return
+				}
 			}
-			terminal <- last
 		}()
 	}
-	for i := 0; i < abandoners; i++ {
-		_ = svc.Watch() // never drained: events drop, channel closes at terminal
-	}
 
+	if _, err := env.Orch.Deploy(sapGraph("watched", "monitor")); err != nil {
+		t.Fatal(err)
+	}
+	// Two more full lifecycles overflow every abandoned buffer.
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprintf("filler-%d", i)
+		if _, err := env.Orch.Deploy(sapGraph(name, "monitor")); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.Orch.Undeploy(name); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if err := env.Orch.Undeploy("watched"); err != nil {
 		t.Fatal(err)
 	}
@@ -129,22 +143,12 @@ func TestWatchChurnWithAbandonedWatchers(t *testing.T) {
 	select {
 	case <-waitDone:
 	case <-time.After(5 * time.Second):
-		t.Fatal("draining watchers never saw the channel close")
+		t.Fatal("draining subscribers never saw the terminal state")
 	}
 	close(terminal)
 	for st := range terminal {
 		if st != StateRemoved {
-			t.Errorf("drainer's last state = %s, want Removed", st)
+			t.Errorf("drainer's terminal state = %s, want Removed", st)
 		}
-	}
-
-	// A watcher attached after the terminal state gets it immediately.
-	select {
-	case ev := <-svc.Watch():
-		if ev.State != StateRemoved {
-			t.Errorf("late watcher got %s", ev.State)
-		}
-	case <-time.After(time.Second):
-		t.Error("late watcher got nothing")
 	}
 }

@@ -81,7 +81,7 @@ func canTransition(from, to ServiceState) bool {
 	return false
 }
 
-// Event is one lifecycle transition, delivered to watchers.
+// Event is one lifecycle transition, delivered to subscribers.
 type Event struct {
 	Service string
 	State   ServiceState
@@ -90,17 +90,16 @@ type Event struct {
 	Time time.Time
 }
 
-// lifecycle holds a service's observable state and its watchers.
+// lifecycle holds a service's observable state.
 type lifecycle struct {
-	mu       sync.Mutex
-	state    ServiceState
-	err      error
-	watchers []chan Event
+	mu    sync.Mutex
+	state ServiceState
+	err   error
 }
 
-// watchBuffer holds a full Pending→…→terminal walk, so a watcher that
-// drains at its leisure still sees every transition.
-const watchBuffer = 8
+// minSubBuffer holds a full Pending→…→terminal walk, so a subscriber
+// that drains at its leisure still sees every transition of a service.
+const minSubBuffer = 8
 
 // State returns the service's current lifecycle state.
 func (svc *Service) State() ServiceState {
@@ -116,32 +115,12 @@ func (svc *Service) Err() error {
 	return svc.lc.err
 }
 
-// Watch subscribes to this service's subsequent lifecycle transitions.
-// The channel is buffered for a complete lifecycle and closed after a
-// terminal state is delivered; a watcher that never drains may miss
-// events beyond the buffer.
-func (svc *Service) Watch() <-chan Event {
-	ch := make(chan Event, watchBuffer)
-	svc.lc.mu.Lock()
-	if svc.lc.state.Terminal() {
-		ev := Event{Service: svc.Name, State: svc.lc.state, Err: svc.lc.err, Time: time.Now()}
-		svc.lc.mu.Unlock()
-		ch <- ev
-		close(ch)
-		return ch
-	}
-	svc.lc.watchers = append(svc.lc.watchers, ch)
-	svc.lc.mu.Unlock()
-	return ch
-}
-
-// setState advances a service's state machine and notifies service
-// watchers plus orchestrator-level subscribers. Illegal transitions are
-// refused (the state machine never goes backwards) and reported as
-// false — currently informational only: Heal and Undeploy serialize on
-// svc.opMu rather than racing this edge. Deliveries happen under the
-// respective locks: sends are non-blocking, and holding the lock is what
-// makes a concurrent terminal close (watchers) or cancel (subscribers)
+// setState advances a service's state machine and notifies the
+// orchestrator's subscribers. Illegal transitions are refused (the state
+// machine never goes backwards) and reported as false — currently
+// informational only: Heal and Undeploy serialize on svc.opMu rather
+// than racing this edge. Delivery happens under subMu: sends are
+// non-blocking, and holding the lock is what makes a concurrent cancel
 // unable to interleave between snapshot and send — the
 // send-on-closed-channel race.
 func (o *Orchestrator) setState(svc *Service, to ServiceState, cause error) bool {
@@ -155,25 +134,13 @@ func (o *Orchestrator) setState(svc *Service, to ServiceState, cause error) bool
 		svc.lc.err = cause
 	}
 	ev := Event{Service: svc.Name, State: to, Err: svc.lc.err, Time: time.Now()}
-	for _, ch := range svc.lc.watchers {
-		select {
-		case ch <- ev:
-		default: // watcher stopped draining; drop rather than block deploys
-		}
-		if to.Terminal() {
-			close(ch)
-		}
-	}
-	if to.Terminal() {
-		svc.lc.watchers = nil
-	}
 	svc.lc.mu.Unlock()
 
 	o.subMu.Lock()
 	for _, ch := range o.subs {
 		select {
 		case ch <- ev:
-		default:
+		default: // subscriber stopped draining; drop rather than block deploys
 		}
 	}
 	o.subMu.Unlock()
@@ -181,12 +148,12 @@ func (o *Orchestrator) setState(svc *Service, to ServiceState, cause error) bool
 }
 
 // Subscribe returns a channel receiving every lifecycle event of every
-// service (buffered with buf slots, minimum watchBuffer) and a cancel
+// service (buffered with buf slots, minimum minSubBuffer) and a cancel
 // function that unsubscribes and closes it. Events are dropped, never
 // blocked on, when the subscriber lags.
 func (o *Orchestrator) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < watchBuffer {
-		buf = watchBuffer
+	if buf < minSubBuffer {
+		buf = minSubBuffer
 	}
 	ch := make(chan Event, buf)
 	o.subMu.Lock()

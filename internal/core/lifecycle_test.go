@@ -58,27 +58,24 @@ func TestLifecycleWalksAllStates(t *testing.T) {
 	}
 }
 
-func TestWatchDeliversTerminalAndCloses(t *testing.T) {
+func TestSubscribeDeliversTerminal(t *testing.T) {
 	env := startEnv(t, demoSpec())
 	svc, err := env.Orch.Deploy(sapGraph("w", "monitor"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch := svc.Watch()
+	// A subscriber attached to a running service sees its next
+	// transition, the terminal one, and nothing of its past.
+	events, cancel := env.Orch.Subscribe(8)
+	defer cancel()
 	if err := env.Orch.Undeploy("w"); err != nil {
 		t.Fatal(err)
 	}
-	ev, ok := <-ch
-	if !ok || ev.State != StateRemoved {
-		t.Fatalf("watch event = %+v ok=%v, want Removed", ev, ok)
+	if got := collectStates(t, events, "w"); len(got) != 1 || got[0] != StateRemoved {
+		t.Fatalf("events after subscribe = %v, want [Removed]", got)
 	}
-	if _, ok := <-ch; ok {
-		t.Error("watch channel not closed after terminal state")
-	}
-	// Watching an already-terminal service yields the state immediately.
-	ch2 := svc.Watch()
-	if ev := <-ch2; ev.State != StateRemoved {
-		t.Errorf("late watch got %s", ev.State)
+	if got := svc.State(); got != StateRemoved {
+		t.Errorf("state after undeploy = %s", got)
 	}
 }
 

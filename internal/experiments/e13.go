@@ -126,25 +126,22 @@ func e13Graph(t, i, intentsPer, chainLen int) map[string]any {
 	return map[string]any{"graph": json.RawMessage(raw)}
 }
 
-// e13AwaitRunning polls until every tenant service is running.
+// e13AwaitRunning blocks until every tenant service is running.
 func (s *e13Stack) e13AwaitRunning(tenants, intentsPer int, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		all := true
-		for t := 0; t < tenants && all; t++ {
+	allRunning := func() bool {
+		for t := 0; t < tenants; t++ {
 			for i := 0; i < intentsPer; i++ {
 				if !s.rec.Backend.Running(api.ServiceName(e13TenantName(t), fmt.Sprintf("svc%d", i))) {
-					all = false
-					break
+					return false
 				}
 			}
 		}
-		if all {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
 	}
-	return fmt.Errorf("experiments: E13 convergence timed out after %s", timeout)
+	if !s.rec.Await(timeout, allRunning) {
+		return fmt.Errorf("experiments: E13 convergence timed out after %s", timeout)
+	}
+	return nil
 }
 
 // e13UsageMatch checks the quota gate's committed totals against the
@@ -267,10 +264,7 @@ func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 			id := api.ServiceName(e13TenantName(t), "svc0")
 			code, d, err := s.e13Call("DELETE", "/v1/intents/svc0", tokens[t], nil)
 			record(code, http.StatusAccepted, d, err, "DELETE intent")
-			deadline := time.Now().Add(time.Minute)
-			for time.Now().Before(deadline) && s.store.Intent(id) != nil {
-				time.Sleep(5 * time.Millisecond)
-			}
+			s.rec.Await(time.Minute, func() bool { return s.store.Intent(id) == nil })
 			code, d, err = s.e13Call("POST", "/v1/intents", tokens[t], e13Graph(t, 0, intentsPer, chainLen))
 			record(code, http.StatusAccepted, d, err, "re-POST intent")
 		}(t)

@@ -44,6 +44,9 @@ type Healer struct {
 
 	mu      sync.Mutex
 	records []HealRecord
+	// settled is closed (and dropped, for the next waiter to replace)
+	// after every Run loop iteration; nil while nobody waits.
+	settled chan struct{}
 
 	done chan struct{}
 }
@@ -95,6 +98,12 @@ func (h *Healer) Run() {
 				h.sweep(Fault{Kind: Resweep, Time: time.Now()})
 			}
 		}
+		h.mu.Lock()
+		if h.settled != nil {
+			close(h.settled)
+			h.settled = nil
+		}
+		h.mu.Unlock()
 	}
 }
 
@@ -133,17 +142,32 @@ func (h *Healer) Records() []HealRecord {
 
 // WaitIdle blocks until no Running/Healing service is affected by the
 // currently-detected faults, or the timeout elapses. Returns true when
-// the system quiesced.
+// the system quiesced. The condition is re-checked after every Run loop
+// iteration: each fault, lifecycle event and resweep tick ends one.
 func (h *Healer) WaitIdle(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		affected := h.cfg.Orch.AffectedServices(h.cfg.Detector.EEIsDown, h.cfg.Detector.LinkIsDown)
-		if len(affected) == 0 {
+	idle := func() bool {
+		return len(h.cfg.Orch.AffectedServices(h.cfg.Detector.EEIsDown, h.cfg.Detector.LinkIsDown)) == 0
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	for {
+		h.mu.Lock()
+		if h.settled == nil {
+			h.settled = make(chan struct{})
+		}
+		settled := h.settled
+		h.mu.Unlock()
+		if idle() {
 			return true
 		}
-		time.Sleep(2 * time.Millisecond)
+		select {
+		case <-settled:
+		case <-h.done:
+			return idle()
+		case <-timer.C:
+			return idle()
+		}
 	}
-	return false
 }
 
 // anyFaultActive reports whether the detector currently believes any
