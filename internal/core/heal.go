@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"escape/internal/steering"
-	"escape/internal/vnfagent"
 )
 
 // HealPlan is the delta between a failed mapping and its healed
@@ -387,7 +386,7 @@ func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func
 	staleDeps := map[*DeployedNF]bool{}
 	healing := false
 
-	// cleanupReplaced best-effort stops the instances this transaction
+	// cleanupReplaced best-effort releases the instances this transaction
 	// abandoned: the originals on the dead EEs plus stale intermediates
 	// from retry targets. It runs on the success path AND on failure —
 	// teardown only walks svc.NFs (the newest deps), so without this an
@@ -413,7 +412,7 @@ func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func
 				replaced = append(replaced, dep)
 			}
 		}
-		o.stopDeployedNFs(replaced)
+		_ = o.releaseNFs(svc.Name, replaced)
 	}
 	fail := func(err error) (*HealReport, error) {
 		if svc.State() == StateRunning {
@@ -545,41 +544,6 @@ func (o *Orchestrator) failService(svc *Service, cause error) {
 	o.teardown(svc)
 	o.unregister(svc)
 	o.setState(svc, StateFailed, cause)
-}
-
-// stopDeployedNFs stops and disconnects a set of already-replaced NFs,
-// tolerating unreachable agents (their EE is usually the thing that
-// died).
-func (o *Orchestrator) stopDeployedNFs(deps []*DeployedNF) {
-	byEE := map[string][]*DeployedNF{}
-	for _, dep := range deps {
-		if dep != nil {
-			byEE[dep.EE] = append(byEE[dep.EE], dep)
-		}
-	}
-	for ee, list := range byEE {
-		sort.Slice(list, func(i, j int) bool { return list[i].VNFID < list[j].VNFID })
-		pool, err := o.pool(ee)
-		if err != nil {
-			continue
-		}
-		_ = pool.Do(func(client *vnfagent.Client) error {
-			for _, dep := range list {
-				if dep.Control != "" {
-					_ = client.StopVNF(dep.VNFID)
-				}
-				devs := make([]string, 0, len(dep.SwPorts))
-				for dev := range dep.SwPorts {
-					devs = append(devs, dev)
-				}
-				sort.Strings(devs)
-				for _, dev := range devs {
-					_ = client.DisconnectVNF(dep.VNFID, dev)
-				}
-			}
-			return nil
-		})
-	}
 }
 
 // WithPlan derives the healed mapping: a fresh Mapping with the plan's

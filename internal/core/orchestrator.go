@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -555,24 +557,58 @@ func (o *Orchestrator) Undeploy(name string) error {
 }
 
 // teardown rolls a (possibly partially deployed) service out of the
-// infrastructure: paths removed in one batch, then per EE — in parallel
-// across EEs — every started VNF is stopped and every connected device
-// is disconnected, releasing the EE's switch ports. Finally the mapping's
-// resources return to the view. Teardown always runs to completion and
-// must work against a broken substrate: VNF-management failures
-// (unreachable agents, crashed EEs — exactly what strands a service in
-// Realizing/Steering when an EE dies mid-deploy) are skipped and logged
-// rather than returned, since a dead EE's VNFs and ports are gone with
-// it. Steering errors are still reported (the first one is returned),
-// but a disconnected switch no longer fails the batch or leaks its
-// VLAN/tag ids (see Steering.RemovePaths).
+// infrastructure: paths removed in one batch, then its NFs released
+// (releaseNFs), then the mapping's resources returned to the view.
+// Teardown always runs to completion and must work against a broken
+// substrate (see releaseNFs). Steering errors are still reported (the
+// first one is returned), but a disconnected switch no longer fails the
+// batch or leaks its VLAN/tag ids (see Steering.RemovePaths).
 func (o *Orchestrator) teardown(svc *Service) error {
+	var firstErr error
+	if len(svc.paths) > 0 {
+		firstErr = o.cfg.Steering.RemovePaths(svc.paths)
+		svc.paths = nil
+	}
+
+	svc.nfMu.Lock()
+	deps := make([]*DeployedNF, 0, len(svc.NFs))
+	for _, dep := range svc.NFs {
+		deps = append(deps, dep)
+	}
+	svc.nfMu.Unlock()
+	if err := o.releaseNFs(svc.Name, deps); firstErr == nil {
+		firstErr = err
+	}
+
+	if m := svc.mapping(); m != nil {
+		o.cfg.View.Release(m)
+	}
+	return firstErr
+}
+
+// releaseNFs undoes realizeNF for a set of NFs, per EE in parallel across
+// EEs: every initiated VNF is stopped — one that never started too, so it
+// stops holding EE capacity — and every connected device is disconnected,
+// which removes its link and switch port; the agent then forgets the VNF.
+// VNF-management failures from unreachable agents or crashed EEs (exactly
+// what strands a service in Realizing/Steering when an EE dies mid-deploy)
+// are skipped and logged rather than returned, since a dead EE's VNFs and
+// ports are gone with it; the first ordinary rpc-error from a healthy
+// agent is returned, since that VNF may still be running.
+func (o *Orchestrator) releaseNFs(service string, deps []*DeployedNF) error {
 	var (
 		errMu    sync.Mutex
 		firstErr error
 	)
-	record := func(err error) {
+	skip := func(err error) {
+		log.Printf("core: releasing %q: skipping unreachable agent step: %v", service, err)
+	}
+	handleMgmt := func(err error) {
 		if err == nil {
+			return
+		}
+		if !vnfagent.IsRPCError(err) || netconf.IsUnavailable(err) {
+			skip(err)
 			return
 		}
 		errMu.Lock()
@@ -581,45 +617,16 @@ func (o *Orchestrator) teardown(svc *Service) error {
 		}
 		errMu.Unlock()
 	}
-	skip := func(err error) {
-		if err != nil {
-			log.Printf("core: teardown %q: skipping unreachable agent step: %v", svc.Name, err)
-		}
-	}
-	// Management errors split two ways: an unreachable agent (dial or
-	// transport failure) or a crashed EE (rpc-error tagged
-	// resource-unavailable) means the VNFs and ports are gone with the
-	// failure — skip-and-log; an ordinary rpc-error from a healthy agent
-	// is a real teardown failure and is reported, since the VNF may
-	// actually still be running.
-	handleMgmt := func(err error) {
-		if err == nil {
-			return
-		}
-		if vnfagent.IsRPCError(err) && !netconf.IsUnavailable(err) {
-			record(err)
-			return
-		}
-		skip(err)
-	}
 
-	if len(svc.paths) > 0 {
-		record(o.cfg.Steering.RemovePaths(svc.paths))
-		svc.paths = nil
-	}
-
-	svc.nfMu.Lock()
 	byEE := map[string][]*DeployedNF{}
-	for _, dep := range svc.NFs {
-		byEE[dep.EE] = append(byEE[dep.EE], dep)
+	for _, dep := range deps {
+		if dep != nil {
+			byEE[dep.EE] = append(byEE[dep.EE], dep)
+		}
 	}
-	svc.nfMu.Unlock()
-	for _, deps := range byEE {
-		sort.Slice(deps, func(i, j int) bool { return deps[i].VNFID < deps[j].VNFID })
-	}
-
 	var wg sync.WaitGroup
 	for ee, deps := range byEE {
+		sort.Slice(deps, func(i, j int) bool { return deps[i].VNFID < deps[j].VNFID })
 		wg.Add(1)
 		go func(ee string, deps []*DeployedNF) {
 			defer wg.Done()
@@ -630,10 +637,10 @@ func (o *Orchestrator) teardown(svc *Service) error {
 			}
 			// The closure returns its first error so Pool.Do can tell a
 			// broken transport (session discarded) from an rpc-error
-			// (session stays pooled); teardown itself still runs every
-			// remaining step. Per-step errors are classified inline; the
-			// Do return only matters when the closure never ran (dial
-			// failure = unreachable agent).
+			// (session stays pooled); every remaining step still runs.
+			// Per-step errors are classified inline; the Do return only
+			// matters when the closure never ran (dial failure =
+			// unreachable agent).
 			ran := false
 			err = pool.Do(func(client *vnfagent.Client) error {
 				ran = true
@@ -645,15 +652,8 @@ func (o *Orchestrator) teardown(svc *Service) error {
 					}
 				}
 				for _, dep := range deps {
-					if dep.Control != "" { // started
-						keep(client.StopVNF(dep.VNFID))
-					}
-					devs := make([]string, 0, len(dep.SwPorts))
-					for dev := range dep.SwPorts {
-						devs = append(devs, dev)
-					}
-					sort.Strings(devs)
-					for _, dev := range devs {
+					keep(client.StopVNF(dep.VNFID))
+					for _, dev := range slices.Sorted(maps.Keys(dep.SwPorts)) {
 						keep(client.DisconnectVNF(dep.VNFID, dev))
 					}
 				}
@@ -665,10 +665,6 @@ func (o *Orchestrator) teardown(svc *Service) error {
 		}(ee, deps)
 	}
 	wg.Wait()
-
-	if m := svc.mapping(); m != nil {
-		o.cfg.View.Release(m)
-	}
 	return firstErr
 }
 

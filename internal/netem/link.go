@@ -28,6 +28,7 @@ type Link struct {
 	cfg  LinkConfig
 	ab   *pipe // A→B
 	ba   *pipe // B→A
+	net  *Network
 }
 
 // Config returns the link's shaping parameters.
@@ -88,8 +89,9 @@ type pipe struct {
 	drops   atomic.Uint64
 	down    atomic.Bool // failed link: drop everything
 
-	wg   sync.WaitGroup
-	stop chan struct{}
+	wg       sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once // a removed link may be closed again by Network.Stop
 }
 
 func newPipe(cfg LinkConfig, deliver func([]byte), seedSalt int64) *pipe {
@@ -236,7 +238,7 @@ func (p *pipe) start() {
 }
 
 func (p *pipe) close() {
-	close(p.stop)
+	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
 }
 

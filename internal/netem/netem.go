@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"net/netip"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -263,7 +264,7 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) (*Link, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netem: adding port on %s: %w", b, err)
 	}
-	l := &Link{A: pa, B: pb, cfg: cfg}
+	l := &Link{A: pa, B: pb, cfg: cfg, net: n}
 	l.ab = newPipe(cfg, func(f []byte) { pb.recv(f) }, 1)
 	l.ba = newPipe(cfg, func(f []byte) { pa.recv(f) }, 2)
 	pa.link.Store(l)
@@ -278,6 +279,33 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) (*Link, error) {
 		l.ba.start()
 	}
 	return l, nil
+}
+
+// removeLink undoes AddLink: the link leaves the topology, both ports
+// lose their cable (frames sent on them are dropped, as on an unplugged
+// NIC), both pipes stop, and a switch endpoint's port is deleted with a
+// PORT_STATUS delete to the controller. Removing a link twice is a no-op.
+func (n *Network) removeLink(l *Link) {
+	n.mu.Lock()
+	i := slices.Index(n.links, l)
+	if i >= 0 {
+		n.links = slices.Delete(n.links, i, i+1)
+	}
+	n.mu.Unlock()
+	if i < 0 {
+		return
+	}
+	for _, p := range []*Port{l.A, l.B} {
+		p.pipe.Store(nil)
+		p.link.Store(nil)
+	}
+	l.ab.close()
+	l.ba.close()
+	for _, p := range []*Port{l.A, l.B} {
+		if sn, ok := p.Node.(*SwitchNode); ok {
+			sn.removePort(p.No)
+		}
+	}
 }
 
 // Start launches link pipes and connects every switch to the controller.

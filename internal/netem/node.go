@@ -168,14 +168,18 @@ type SwitchNode struct {
 	name string
 	sw   *ofswitch.Switch
 
-	mu       sync.Mutex
-	nextPort uint16
+	mu sync.Mutex
+	// used holds the port numbers in use. A new port takes the lowest free
+	// one, so the numbers of removed links are handed out again and a
+	// switch never runs out of them under connect/disconnect churn.
+	used map[uint16]bool
 }
 
 func newSwitchNode(name string, dpid uint64) *SwitchNode {
 	return &SwitchNode{
 		name: name,
 		sw:   ofswitch.New(name, dpid),
+		used: map[uint16]bool{},
 	}
 }
 
@@ -196,9 +200,11 @@ func (s *SwitchNode) Close() { s.sw.Stop() }
 
 func (s *SwitchNode) newPort(n *Network) (*Port, error) {
 	s.mu.Lock()
-	s.nextPort++
-	no := s.nextPort
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	no := uint16(1)
+	for s.used[no] {
+		no++
+	}
 	p := &Port{
 		Name: fmt.Sprintf("%s-eth%d", s.name, no),
 		Node: s,
@@ -215,9 +221,18 @@ func (s *SwitchNode) newPort(n *Network) (*Port, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.used[no] = true
 	// Link → datapath.
 	p.recv = func(frame []byte) { s.sw.Input(no, frame) }
 	return p, nil
+}
+
+// removePort deletes a port from the datapath and frees its number.
+func (s *SwitchNode) removePort(no uint16) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sw.RemovePort(no)
+	delete(s.used, no)
 }
 
 // IsolationMode selects how VNF processes are isolated inside an EE,
@@ -303,20 +318,33 @@ func (v *VNF) State() VNFState {
 	return v.state
 }
 
-// stopLocked halts a running VNF: control socket closed, driver
-// cancelled, router stopped, state Stopped. Callers hold v.mu. The one
-// stop protocol shared by StopVNF, Crash and the StartVNF crash-undo.
+// stopLocked moves a VNF to Stopped; a running one first has its control
+// socket closed, driver cancelled and router stopped. Callers hold v.mu.
+// The one stop protocol shared by StopVNF, Crash and the StartVNF
+// crash-undo.
 func (v *VNF) stopLocked() {
-	if v.state != VNFRunning {
-		return
+	if v.state == VNFRunning {
+		if v.control != nil {
+			v.control.Close()
+			v.control = nil
+		}
+		v.cancel()
+		v.router.Stop()
 	}
-	if v.control != nil {
-		v.control.Close()
-		v.control = nil
-	}
-	v.cancel()
-	v.router.Stop()
 	v.state = VNFStopped
+}
+
+// connected reports whether any of the VNF's devices is wired to a port.
+func (v *VNF) connected() bool {
+	for _, d := range v.devices {
+		d.mu.Lock()
+		p := d.port
+		d.mu.Unlock()
+		if p != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Router exposes the Click router (nil until started).
@@ -363,6 +391,21 @@ func (d *eeDevice) Send(frame []byte) error {
 	return nil
 }
 
+// unplug detaches the device and removes the link ConnectVNF made for it,
+// switch port included. A device that is not connected is left alone.
+func (d *eeDevice) unplug() {
+	d.mu.Lock()
+	p := d.port
+	d.port = nil
+	d.mu.Unlock()
+	if p == nil {
+		return
+	}
+	if l := p.link.Load(); l != nil {
+		l.net.removeLink(l)
+	}
+}
+
 // EE is a VNF container (execution environment): Mininet-host-plus-cgroups
 // in the original, a resource-accounted Click hosting environment here.
 type EE struct {
@@ -389,9 +432,9 @@ func (e *EE) checkAliveLocked() error {
 }
 
 // Crash kills the container: every hosted VNF dies instantly (routers
-// stopped, devices detached — their switch ports go dark) and every
-// subsequent management operation fails with ErrCrashed until Restart.
-// The netem fault-injection entry point for EE failures.
+// stopped, devices detached, their links and switch ports removed) and
+// every subsequent management operation fails with ErrCrashed until
+// Restart. The netem fault-injection entry point for EE failures.
 func (e *EE) Crash() {
 	e.mu.Lock()
 	if e.crashed {
@@ -405,9 +448,7 @@ func (e *EE) Crash() {
 	e.mu.Unlock()
 	for _, v := range vnfs {
 		for _, dev := range v.devices {
-			dev.mu.Lock()
-			dev.port = nil
-			dev.mu.Unlock()
+			dev.unplug()
 		}
 		v.mu.Lock()
 		v.stopLocked()
@@ -577,26 +618,32 @@ func (e *EE) ConnectVNF(n *Network, vnfName, devName, switchName string, cfg Lin
 	if eePort.Node != Node(e) {
 		eePort, swPort = swPort, eePort
 	}
-	dev.mu.Lock()
-	dev.port = eePort
-	dev.mu.Unlock()
-	// Re-check liveness (mirrors StartVNF): a Crash that interleaved with
-	// the link creation already detached this EE's devices — undo the
-	// wiring so a crashed EE cannot hand out a "connected" port.
+	// Wire the device only if the VNF is still there (mirrors StartVNF): a
+	// Crash, or a stop that released the VNF, may have interleaved with
+	// the link creation. Under e.mu, so Crash and the release check see
+	// either no port or this one.
 	e.mu.Lock()
 	crashed := e.crashed
-	e.mu.Unlock()
-	if crashed {
+	alive := !crashed && e.vnfs[vnfName] == v
+	if alive {
 		dev.mu.Lock()
-		dev.port = nil
+		dev.port = eePort
 		dev.mu.Unlock()
-		return 0, fmt.Errorf("%w: %s", ErrCrashed, e.name)
+	}
+	e.mu.Unlock()
+	if !alive {
+		n.removeLink(link)
+		if crashed {
+			return 0, fmt.Errorf("%w: %s", ErrCrashed, e.name)
+		}
+		return 0, fmt.Errorf("netem: VNF %q left %s while connecting", vnfName, e.name)
 	}
 	return swPort.No, nil
 }
 
-// DisconnectVNF detaches a device from its port (frames are dropped until
-// reconnected). The disconnectVNF RPC.
+// DisconnectVNF detaches a device and removes the link ConnectVNF made,
+// switch port included. The disconnectVNF RPC. A stopped VNF whose last
+// device this was is released (see releaseLocked).
 func (e *EE) DisconnectVNF(vnfName, devName string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -611,10 +658,21 @@ func (e *EE) DisconnectVNF(vnfName, devName string) error {
 	if dev == nil {
 		return fmt.Errorf("netem: VNF %q has no device %q", vnfName, devName)
 	}
-	dev.mu.Lock()
-	dev.port = nil
-	dev.mu.Unlock()
+	dev.unplug()
+	e.releaseLocked(v)
 	return nil
+}
+
+// releaseLocked removes v from the EE once it is stopped and none of its
+// devices is connected: the inverse of InitVNF, completed by whichever of
+// StopVNF and DisconnectVNF comes last. Nothing — admission, VNFNames,
+// getVNFInfo — pays for a released VNF any more. An initialized VNF
+// stays while disconnected: it may still be connected again and
+// started. Callers hold e.mu.
+func (e *EE) releaseLocked(v *VNF) {
+	if v.State() == VNFStopped && !v.connected() && e.vnfs[v.Spec.Name] == v {
+		delete(e.vnfs, v.Spec.Name)
+	}
 }
 
 // newPort binds the next pending ConnectVNF device: frames arriving from
@@ -702,7 +760,9 @@ func (e *EE) startVNFLocked(v *VNF, name string) error {
 	return nil
 }
 
-// StopVNF halts a running VNF and releases its resources. The stopVNF RPC.
+// StopVNF halts a running or initialized VNF and releases its CPU and
+// memory; once no device is connected either, the VNF leaves the EE
+// (see releaseLocked). Stopping a stopped VNF fails. The stopVNF RPC.
 func (e *EE) StopVNF(name string) error {
 	e.mu.Lock()
 	if err := e.checkAliveLocked(); err != nil {
@@ -715,23 +775,21 @@ func (e *EE) StopVNF(name string) error {
 		return fmt.Errorf("netem: no VNF %q in %s", name, e.name)
 	}
 	v.mu.Lock()
-	running := v.state == VNFRunning
-	if running {
-		v.stopLocked()
-	}
+	stopped := v.state == VNFStopped
+	v.stopLocked()
 	v.mu.Unlock()
-	if !running {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if stopped {
 		// A Crash interleaving after the admission check stops the VNF
-		// itself; report the crash, not a confusing "not running" (the
+		// itself; report the crash, not a confusing "already stopped" (the
 		// crash error is tolerated by teardown, a generic one is not).
-		e.mu.Lock()
-		crashed := e.crashed
-		e.mu.Unlock()
-		if crashed {
+		if e.crashed {
 			return fmt.Errorf("%w: %s", ErrCrashed, e.name)
 		}
-		return fmt.Errorf("netem: VNF %q is not running", name)
+		return fmt.Errorf("netem: VNF %q is already stopped", name)
 	}
+	e.releaseLocked(v)
 	return nil
 }
 

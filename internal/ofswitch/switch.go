@@ -145,6 +145,23 @@ func (s *Switch) AddPort(p *Port) error {
 	return nil
 }
 
+// RemovePort unregisters a port and announces a PORT_STATUS delete, the
+// inverse of AddPort. Unknown ports are ignored. Flow entries naming the
+// port stay: removing them is the controller's business, as in OpenFlow.
+func (s *Switch) RemovePort(no uint16) {
+	s.mu.Lock()
+	p := s.ports[no]
+	delete(s.ports, no)
+	s.mu.Unlock()
+	if p == nil {
+		return
+	}
+	s.sendAsync(&openflow.PortStatus{
+		Reason: openflow.PortReasonDelete,
+		Desc:   p.phyPort(),
+	})
+}
+
 // SetPortLinkState flips a port's carrier and announces the change to the
 // controller as a PORT_STATUS MODIFY — the OpenFlow signal failure
 // detectors subscribe to. Unknown ports are ignored. Idempotent: only an

@@ -360,6 +360,35 @@ func TestAddPortValidation(t *testing.T) {
 	}
 }
 
+// TestRemovePortAnnouncesDelete: RemovePort is AddPort's inverse — the
+// port leaves the switch (and its number may be added again), and the
+// controller hears a PORT_STATUS delete for it. Unknown ports are ignored.
+func TestRemovePortAnnouncesDelete(t *testing.T) {
+	s, _ := testSwitch(t, 2)
+	conn := fakeController(t, s)
+	s.RemovePort(2)
+	msg := mustRead(t, conn)
+	ps, ok := msg.(*openflow.PortStatus)
+	if !ok {
+		t.Fatalf("got %s", msg.MsgType())
+	}
+	if ps.Reason != openflow.PortReasonDelete || ps.Desc.PortNo != 2 {
+		t.Errorf("port status = %+v", ps)
+	}
+	if s.PortCount() != 1 {
+		t.Errorf("ports = %d, want 1", s.PortCount())
+	}
+	s.RemovePort(2)  // already gone: no second announcement
+	s.RemovePort(99) // never existed
+	if err := s.AddPort(&Port{No: 2, Transmit: func([]byte) {}}); err != nil {
+		t.Fatalf("re-adding a removed port number: %v", err)
+	}
+	msg = mustRead(t, conn)
+	if ps, ok := msg.(*openflow.PortStatus); !ok || ps.Reason != openflow.PortReasonAdd || ps.Desc.PortNo != 2 {
+		t.Errorf("after re-add got %#v, want PORT_STATUS add of port 2", msg)
+	}
+}
+
 func TestInputOnUnknownPortIgnored(t *testing.T) {
 	s, _ := testSwitch(t, 1)
 	s.Input(99, testFrame(t, 80)) // must not panic

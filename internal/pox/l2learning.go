@@ -47,6 +47,23 @@ func (l *L2Learning) HandleConnectionDown(c *Connection) {
 	l.mu.Unlock()
 }
 
+// HandlePortStatus implements PortStatusHandler: bindings learned on a
+// deleted port are forgotten, so a port that later reuses its number
+// starts with none.
+func (l *L2Learning) HandlePortStatus(c *Connection, ps *openflow.PortStatus) {
+	if ps.Reason != openflow.PortReasonDelete {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	table := l.tables[c.DPID()]
+	for mac, port := range table {
+		if port == ps.Desc.PortNo {
+			delete(table, mac)
+		}
+	}
+}
+
 // Learned reports the learned port for a MAC on a datapath.
 func (l *L2Learning) Learned(dpid uint64, mac pkt.MAC) (uint16, bool) {
 	l.mu.Lock()

@@ -232,6 +232,33 @@ func TestL2LearningLearnsFromFrameCutInsideVLANTag(t *testing.T) {
 	}
 }
 
+// TestL2LearningPortReuseInheritsNoBinding: a deleted port's learned
+// bindings go with it, so a new port that reuses the number does not
+// receive traffic meant for whoever sat behind the old one.
+func TestL2LearningPortReuseInheritsNoBinding(t *testing.T) {
+	l2 := NewL2Learning()
+	r := newRig(t, l2)
+	r.sw.Input(1, frameAB(t))
+	expectFrame(t, r.out[2], "flooded A→B frame")
+	r.sw.Input(2, frameBA(t))
+	expectFrame(t, r.out[1], "B→A frame")
+	if _, ok := l2.Learned(1, hmacB); !ok {
+		t.Fatal("B not learned on port 2")
+	}
+	r.sw.RemovePort(2)
+	// The delete is announced asynchronously: a barrier after it orders
+	// its handling before the check.
+	if err := r.ctrl.Connection(1).Barrier(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if p, ok := l2.Learned(1, hmacB); ok {
+		t.Errorf("B still bound to port %d after the port was deleted", p)
+	}
+	if p, ok := l2.Learned(1, hmacA); !ok || p != 1 {
+		t.Errorf("A's binding on the surviving port lost: %v %v", p, ok)
+	}
+}
+
 func TestConnectionDownEvent(t *testing.T) {
 	down := make(chan uint64, 1)
 	comp := &downWatcher{ch: down}

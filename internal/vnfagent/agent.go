@@ -242,14 +242,12 @@ func (a *Agent) rpcStart(_ *netconf.Session, in *yang.Data) (*yang.Data, error) 
 
 func (a *Agent) rpcStop(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {
 	id := in.ChildText("vnf_id")
-	if err := a.ee.StopVNF(id); err != nil {
+	err := a.ee.StopVNF(id)
+	a.forgetReleased(id)
+	if err != nil {
 		return nil, eeErr(err)
 	}
-	v := a.ee.VNF(id)
-	if v == nil { // EE crashed between stop and readback
-		return nil, fmt.Errorf("%w: VNF %q vanished", netconf.ErrUnavailable, id)
-	}
-	return yang.NewData("output").AddLeaf("status", v.State().String()), nil
+	return yang.NewData("output").AddLeaf("status", netem.VNFStopped.String()), nil
 }
 
 func (a *Agent) rpcConnect(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {
@@ -273,15 +271,28 @@ func (a *Agent) rpcConnect(_ *netconf.Session, in *yang.Data) (*yang.Data, error
 func (a *Agent) rpcDisconnect(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {
 	id := in.ChildText("vnf_id")
 	dev := in.ChildText("vnf_port")
-	if err := a.ee.DisconnectVNF(id, dev); err != nil {
-		return nil, eeErr(err)
+	err := a.ee.DisconnectVNF(id, dev)
+	if err == nil {
+		a.mu.Lock()
+		if rec := a.records[id]; rec != nil {
+			delete(rec.switches, dev)
+		}
+		a.mu.Unlock()
+	}
+	a.forgetReleased(id)
+	return nil, eeErr(err)
+}
+
+// forgetReleased drops a VNF's record once the VNF has left the EE
+// (released after stop and disconnect, or lost in a crash), so the agent
+// keeps records of live VNFs only.
+func (a *Agent) forgetReleased(id string) {
+	if a.ee.VNF(id) != nil {
+		return
 	}
 	a.mu.Lock()
-	if rec := a.records[id]; rec != nil {
-		delete(rec.switches, dev)
-	}
+	delete(a.records, id)
 	a.mu.Unlock()
-	return nil, nil
 }
 
 func (a *Agent) rpcGetInfo(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {

@@ -191,6 +191,68 @@ func TestAgentDataPlaneThroughVNF(t *testing.T) {
 	}
 }
 
+// TestReapedVNFLeavesGetVNFInfo: stop plus disconnect of every connected
+// port releases a VNF — getVNFInfo lists live VNFs only, the agent drops
+// its record, and the EE's capacity and switch ports are back. A VNF that
+// never started stops (and is released) too.
+func TestReapedVNFLeavesGetVNFInfo(t *testing.T) {
+	n, agent, client := newAgentClient(t)
+	s1 := n.Node("s1").(*netem.SwitchNode).Switch()
+	ports0 := s1.PortCount()
+
+	live, err := client.InitiateVNF("simpleForwarder", map[string]string{"cpu": "0.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone, err := client.InitiateVNF("simpleForwarder", map[string]string{"cpu": "0.5"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []string{"in", "out"} {
+		if _, err := client.ConnectVNF(gone, dev, "s1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := client.StartVNF(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := client.StopVNF(gone); err != nil {
+		t.Fatal(err)
+	}
+	for _, dev := range []string{"in", "out"} {
+		if err := client.DisconnectVNF(gone, dev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	infos, err := client.GetVNFInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].ID != live {
+		t.Errorf("getVNFInfo = %+v, want only %s", infos, live)
+	}
+	agent.mu.Lock()
+	_, kept := agent.records[gone]
+	agent.mu.Unlock()
+	if kept {
+		t.Error("agent kept the record of a released VNF")
+	}
+	if got := s1.PortCount(); got != ports0 {
+		t.Errorf("switch ports = %d, want %d", got, ports0)
+	}
+
+	// Stopping the never-started, never-connected VNF releases it at once.
+	if err := client.StopVNF(live); err != nil {
+		t.Fatalf("stopping an initialized VNF: %v", err)
+	}
+	if infos, _ := client.GetVNFInfo(); len(infos) != 0 {
+		t.Errorf("getVNFInfo after stop = %+v, want none", infos)
+	}
+	if got := agent.EE().AvailableCPU(); got != 4 {
+		t.Errorf("available CPU = %v, want 4", got)
+	}
+}
+
 func TestDisconnectVNFOverNETCONF(t *testing.T) {
 	_, _, client := newAgentClient(t)
 	id, _ := client.InitiateVNF("simpleForwarder", nil)
