@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"escape/internal/catalog"
+	"escape/internal/core"
 	"escape/internal/sg"
 )
 
@@ -284,52 +285,28 @@ func (s *Server) status(in *Intent) intentStatus {
 	}
 }
 
-// graphDemandOf estimates a graph's aggregate demand for the advisory
-// pre-check (catalog defaults applied; requirement-raised bandwidth is
-// only known after mapping, so this can under- but never over-count).
-func graphDemandOf(g *sg.Graph, cat *catalog.Catalog) (cpu float64, mem int, bw float64) {
-	for _, nf := range g.NFs {
-		c, m := nf.CPU, nf.Mem
-		if cat != nil {
-			if t, err := cat.Lookup(nf.Type); err == nil {
-				if c == 0 {
-					c = t.DefaultCPU
-				}
-				if m == 0 {
-					m = t.DefaultMem
-				}
-			}
-		}
-		cpu += c
-		mem += m
-	}
-	for _, l := range g.Links {
-		bw += l.Bandwidth
-	}
-	return cpu, mem, bw
-}
-
 // precheckQuota rejects requests that already cannot fit the tenant's
-// quota, before any durable state is written. The commit gate remains
-// the authoritative enforcement point.
+// quota, before any durable state is written. The graph's demand is
+// estimated with catalog defaults applied; requirement-raised bandwidth
+// is only known after mapping, so the estimate can under- but never
+// over-count. The commit gate remains the authoritative enforcement
+// point.
 func (s *Server) precheckQuota(t *Tenant, g *sg.Graph) error {
 	if s.cfg.Gate == nil {
 		return nil
 	}
-	cpu, mem, bw := graphDemandOf(g, s.cfg.Catalog)
-	uCPU, uMem, uBW, uSvc := s.cfg.Gate.Usage(t.Name)
-	q := t.Quota
-	switch {
-	case q.CPU > 0 && uCPU+cpu > q.CPU+1e-9:
-		return &QuotaError{Tenant: t.Name, Dim: "cpu", Want: uCPU + cpu, Limit: q.CPU}
-	case q.Mem > 0 && uMem+mem > q.Mem:
-		return &QuotaError{Tenant: t.Name, Dim: "mem", Want: float64(uMem + mem), Limit: float64(q.Mem)}
-	case q.BW > 0 && uBW+bw > q.BW+1e-9:
-		return &QuotaError{Tenant: t.Name, Dim: "bw", Want: uBW + bw, Limit: q.BW}
-	case q.Services > 0 && uSvc+1 > q.Services:
-		return &QuotaError{Tenant: t.Name, Dim: "services", Want: float64(uSvc + 1), Limit: float64(q.Services)}
+	var u usage
+	u.cpu, u.mem, u.bw, u.services = s.cfg.Gate.Usage(t.Name)
+	d := usage{services: 1}
+	for _, nf := range g.NFs {
+		cpu, mem := core.NFDemand(s.cfg.Catalog, nf)
+		d.cpu += cpu
+		d.mem += mem
 	}
-	return nil
+	for _, l := range g.Links {
+		d.bw += l.Bandwidth
+	}
+	return t.Quota.check(t.Name, u, d)
 }
 
 func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Tenant) {

@@ -106,6 +106,25 @@ type usage struct {
 	services int
 }
 
+// check is the one quota comparison, shared by the API's advisory
+// pre-check and the commit gate: it reports the first dimension in which
+// usage u plus demand d passes the quota. Usage is a float sum of
+// graph demands, so CPU and bandwidth compare with a tolerance for its
+// association residue.
+func (q Quota) check(tenant string, u, d usage) error {
+	switch {
+	case q.CPU > 0 && u.cpu+d.cpu > q.CPU+1e-9:
+		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + d.cpu, Limit: q.CPU}
+	case q.Mem > 0 && u.mem+d.mem > q.Mem:
+		return &QuotaError{Tenant: tenant, Dim: "mem", Want: float64(u.mem + d.mem), Limit: float64(q.Mem)}
+	case q.BW > 0 && u.bw+d.bw > q.BW+1e-9:
+		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + d.bw, Limit: q.BW}
+	case q.Services > 0 && u.services+d.services > q.Services:
+		return &QuotaError{Tenant: tenant, Dim: "services", Want: float64(u.services + d.services), Limit: float64(q.Services)}
+	}
+	return nil
+}
+
 // QuotaGate enforces per-tenant quotas at the only place that cannot
 // be raced past: the resource view's commit step. Admit runs under the
 // view's commit lock after capacity validation and before the epoch is
@@ -177,29 +196,20 @@ func (qg *QuotaGate) Admit(m *core.Mapping) error {
 	if t == nil {
 		return nil
 	}
-	cpu, mem, bw := m.GraphDemand()
+	d := usage{services: 1}
+	d.cpu, d.mem, d.bw = m.GraphDemand()
 	u := qg.used[tenant]
 	if u == nil {
 		u = &usage{}
 		qg.used[tenant] = u
 	}
-	q := t.Quota
-	if q.CPU > 0 && u.cpu+cpu > q.CPU+1e-9 {
-		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + cpu, Limit: q.CPU}
+	if err := t.Quota.check(tenant, *u, d); err != nil {
+		return err
 	}
-	if q.Mem > 0 && u.mem+mem > q.Mem {
-		return &QuotaError{Tenant: tenant, Dim: "mem", Want: float64(u.mem + mem), Limit: float64(q.Mem)}
-	}
-	if q.BW > 0 && u.bw+bw > q.BW+1e-9 {
-		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + bw, Limit: q.BW}
-	}
-	if q.Services > 0 && u.services+1 > q.Services {
-		return &QuotaError{Tenant: tenant, Dim: "services", Want: float64(u.services + 1), Limit: float64(q.Services)}
-	}
-	u.cpu += cpu
-	u.mem += mem
-	u.bw += bw
-	u.services++
+	u.cpu += d.cpu
+	u.mem += d.mem
+	u.bw += d.bw
+	u.services += d.services
 	return nil
 }
 

@@ -55,54 +55,42 @@ func (rv *ResourceView) AdmissionStats() AdmissionStats {
 // links the mapping touches — against the current epoch, including
 // exclusion masks that landed after the snapshot. Concurrent deploys
 // that don't contend for the same capacity never serialize. On conflict
-// the admission re-maps on fresher state, and after
-// admitOptimisticRetries conflicts it serializes with the other
-// fallen-back admitters.
+// the admission re-maps on fresher state (see retry).
 func (rv *ResourceView) AdmitAndCommit(m Mapper, g *sg.Graph) (*Mapping, error) {
-	for attempt := 0; attempt < admitOptimisticRetries; attempt++ {
-		mapping, err := m.Map(g, rv)
-		if err != nil {
-			return nil, err
+	var mapping *Mapping
+	err := rv.retry("admitting", g.Name, func() (bool, error) {
+		var err error
+		if mapping, err = m.Map(g, rv); err != nil {
+			return false, err
 		}
-		ok, err := rv.tryCommit(mapping)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			rv.stats.admitted.Add(1)
-			return mapping, nil
-		}
-		rv.stats.conflicts.Add(1)
+		return rv.TryCommitMapping(mapping)
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Pathological contention: serialize with the other fallen-back
-	// admitters (still validated — optimistic winners commit without
-	// admitMu).
-	rv.stats.fallbacks.Add(1)
-	rv.admitMu.Lock()
-	defer rv.admitMu.Unlock()
-	return rv.mapValidateCommit(m, g)
+	return mapping, nil
 }
 
-// mapValidateCommit runs bounded map → validate → commit rounds under
-// admitMu (held by the caller).
-func (rv *ResourceView) mapValidateCommit(m Mapper, g *sg.Graph) (*Mapping, error) {
-	for attempt := 0; attempt < admitFallbackRetries; attempt++ {
-		mapping, err := m.Map(g, rv)
-		if err != nil {
-			return nil, err
+// retry is the one optimistic retry loop, behind AdmitAndCommit and
+// AdmitHeal. attempt computes a candidate lock-free on a fresh epoch and
+// tries to publish it, reporting false with a nil error on a validation
+// conflict. After admitOptimisticRetries conflicts the caller serializes
+// with the other fallen-back admitters on admitMu — still validating, as
+// optimistic winners never take admitMu — for at most
+// admitFallbackRetries more attempts.
+func (rv *ResourceView) retry(what, name string, attempt func() (bool, error)) error {
+	for i := 0; i < admitOptimisticRetries+admitFallbackRetries; i++ {
+		if i == admitOptimisticRetries {
+			rv.stats.fallbacks.Add(1)
+			rv.admitMu.Lock()
+			defer rv.admitMu.Unlock()
 		}
-		ok, err := rv.tryCommit(mapping)
-		if err != nil {
-			return nil, err
+		if ok, err := attempt(); ok || err != nil {
+			return err
 		}
-		if ok {
-			rv.stats.admitted.Add(1)
-			return mapping, nil
-		}
-		rv.stats.conflicts.Add(1)
 	}
-	return nil, fmt.Errorf("core: admitting %q: %d consecutive validation conflicts (extreme contention or mask churn)",
-		g.Name, admitFallbackRetries)
+	return fmt.Errorf("core: %s %q: %d consecutive validation conflicts (extreme contention or mask churn)",
+		what, name, admitFallbackRetries)
 }
 
 // TryCommitMapping validates and commits an externally computed mapping
@@ -112,81 +100,150 @@ func (rv *ResourceView) mapValidateCommit(m Mapper, g *sg.Graph) (*Mapping, erro
 // (the caller should re-map, typically via AdmitAndCommit); a non-nil
 // error is a permanent commit-gate rejection.
 func (rv *ResourceView) TryCommitMapping(m *Mapping) (bool, error) {
-	ok, err := rv.tryCommit(m)
-	if ok {
-		rv.stats.admitted.Add(1)
-	} else if err == nil {
-		rv.stats.conflicts.Add(1)
-	}
-	return ok, err
+	return rv.tryPublish(mappingDelta(m, 1), m)
 }
 
-// tryCommit validates a mapping against the current epoch — only the
-// resources it touches — and publishes the commit if everything still
-// fits. A false return with nil error is a validation conflict (re-map
-// and retry); a non-nil error is a permanent commit-gate rejection (e.g.
-// a tenant over quota) that retrying cannot fix. The float tolerance
-// mirrors the conformance suite's.
-func (rv *ResourceView) tryCommit(m *Mapping) (bool, error) {
+// delta is one signed change to the committed accounting: a mapping's
+// demands added (Commit, admission) or returned (Release), or a heal
+// plan's moves — old placements and routes out, new ones in. Built
+// outside the view lock, published as one epoch.
+type delta struct {
+	ee   map[string]eeChange
+	link map[linkKey]linkChange
+}
+
+// eeChange is one EE's part of a delta; recv marks an EE that receives
+// an NF, which must exist and be unmasked.
+type eeChange struct {
+	cpu  int64
+	mem  int
+	recv bool
+}
+
+// linkChange is one link's part of a delta; onRoute marks a link on a
+// new route, which must exist and be unmasked.
+type linkChange struct {
+	bw      int64
+	onRoute bool
+}
+
+// place adds (sign +1) or removes (-1) one NF's compute on an EE.
+func (d *delta) place(ee string, cpu float64, mem int, sign int) {
+	if d.ee == nil {
+		d.ee = map[string]eeChange{}
+	}
+	c := d.ee[ee]
+	c.cpu += int64(sign) * cpuUnits(cpu)
+	c.mem += sign * mem
+	c.recv = c.recv || sign > 0
+	d.ee[ee] = c
+}
+
+// route adds (sign +1) or removes (-1) one SG link's bandwidth along a
+// switch route.
+func (d *delta) route(route []string, bw float64, sign int) {
+	if sign < 0 && bw <= 0 {
+		return
+	}
+	for i := 0; i+1 < len(route); i++ {
+		if d.link == nil {
+			d.link = map[linkKey]linkChange{}
+		}
+		k := mkLinkKey(route[i], route[i+1])
+		c := d.link[k]
+		if bw > 0 {
+			c.bw += int64(sign) * bwUnits(bw)
+		}
+		c.onRoute = c.onRoute || sign > 0
+		d.link[k] = c
+	}
+}
+
+// mappingDelta is a mapping's whole demand with the given sign.
+func mappingDelta(m *Mapping, sign int) *delta {
+	d := &delta{}
+	for nfID, ee := range m.Placements {
+		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
+		d.place(ee, cpu, mem, sign)
+	}
+	for linkID, route := range m.Routes {
+		if l := m.Graph.Link(linkID); l != nil {
+			d.route(route, m.linkDemand(l), sign)
+		}
+	}
+	return d
+}
+
+// healDelta is a heal plan's moves: each moved NF's compute leaves its
+// old EE for its new one, each re-routed SG link's bandwidth leaves its
+// old route for its new one.
+func healDelta(m *Mapping, plan *HealPlan) *delta {
+	d := &delta{}
+	for nfID, newEE := range plan.Moved {
+		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
+		d.place(plan.OldEE[nfID], cpu, mem, -1)
+		d.place(newEE, cpu, mem, 1)
+	}
+	for linkID, newRoute := range plan.Routes {
+		bw := m.linkDemand(m.Graph.Link(linkID))
+		d.route(plan.OldRoutes[linkID], bw, -1)
+		d.route(newRoute, bw, 1)
+	}
+	return d
+}
+
+// fitsEpoch reports whether d can publish on epoch cur: every EE
+// receiving an NF exists and is unmasked, every link on a new route
+// exists and is unmasked, and every positive net change fits (links
+// without capacity take any bandwidth). Only receiving EEs and new-route
+// links gain anything, so pure releases are never checked. Caller holds
+// rv.mu.
+func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
+	for name, c := range d.ee {
+		if !c.recv {
+			continue
+		}
+		res, r := rv.EEs[name], cur.ee(name)
+		if res == nil || r.masked ||
+			c.cpu > 0 && !fits(cpuUnits(res.CPU)-r.cpu, c.cpu) ||
+			c.mem > 0 && !fits(int64(res.Mem-r.mem), int64(c.mem)) {
+			return false
+		}
+	}
+	for k, c := range d.link {
+		if !c.onRoute {
+			continue
+		}
+		l, r := rv.linkIdx[k], cur.link(k)
+		if l == nil || r.masked ||
+			c.bw > 0 && l.Bandwidth > 0 && !fits(bwUnits(l.Bandwidth)-r.bw, c.bw) {
+			return false
+		}
+	}
+	return true
+}
+
+// tryPublish is the one validate-and-publish, for admissions and heals:
+// it validates d against the current epoch — only the resources it
+// touches — and publishes it as one epoch if everything still fits. A
+// false return with nil error is a validation conflict (re-map or
+// re-plan and retry). admit is the mapping being admitted, nil for a
+// heal: the commit gate vets admissions only, and its non-nil error is a
+// permanent rejection that retrying cannot fix.
+func (rv *ResourceView) tryPublish(d *delta, admit *Mapping) (bool, error) {
 	rv.buildTopoIndex()
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	cur := rv.state.Load()
-
-	cpuAdd := map[string]float64{}
-	memAdd := map[string]int{}
-	for nfID, ee := range m.Placements {
-		cpu, mem := m.nfDemand(m.Graph.NF(nfID))
-		cpuAdd[ee] += cpu
-		memAdd[ee] += mem
+	if !rv.fitsEpoch(rv.state.Load(), d) {
+		rv.stats.conflicts.Add(1)
+		return false, nil
 	}
-	bwAdd := map[linkKey]float64{}
-	linksUsed := map[linkKey]bool{}
-	for linkID, route := range m.Routes {
-		l := m.Graph.Link(linkID)
-		if l == nil {
-			continue
-		}
-		bw := m.linkDemand(l)
-		for i := 0; i+1 < len(route); i++ {
-			k := mkLinkKey(route[i], route[i+1])
-			linksUsed[k] = true
-			if bw > 0 {
-				if lr := rv.linkBetween(route[i], route[i+1]); lr != nil && lr.Bandwidth > 0 {
-					bwAdd[k] += bw
-				}
-			}
-		}
-	}
-
-	for ee, add := range cpuAdd {
-		res := rv.EEs[ee]
-		if res == nil || cur.excludedEE(ee) {
-			return false, nil
-		}
-		if cur.cpu(ee)+add > res.CPU+1e-9 || cur.mem(ee)+memAdd[ee] > res.Mem {
-			return false, nil
-		}
-	}
-	for k := range linksUsed {
-		if cur.excludedLink(k) {
-			return false, nil
-		}
-		if rv.linkIdx[k] == nil {
-			return false, nil
-		}
-	}
-	for k, add := range bwAdd {
-		if cur.bw(k)+add > rv.linkIdx[k].Bandwidth+1e-9 {
-			return false, nil
-		}
-	}
-
-	if rv.gate != nil {
-		if err := rv.gate.Admit(m); err != nil {
+	if admit != nil && rv.gate != nil {
+		if err := rv.gate.Admit(admit); err != nil {
 			return false, err
 		}
 	}
-	rv.publish(func(mu *mutation) { applyMapping(mu, m, 1) })
+	rv.publish(func(mu *mutation) { mu.add(d) })
+	rv.stats.admitted.Add(1)
 	return true, nil
 }

@@ -134,11 +134,15 @@ func capsSnapshot(rv *ResourceView) (map[string]float64, map[string]int, map[lin
 	bw := map[linkKey]float64{}
 	for _, l := range rv.Links {
 		if l.Bandwidth > 0 {
-			k := mkLinkKey(l.A, l.B)
-			bw[k] = c.freeBW(k, l.Bandwidth)
+			bw[mkLinkKey(l.A, l.B)] = freeLinkBW(c, l)
 		}
 	}
 	return cpu, mem, bw
+}
+
+// freeLinkBW reads a capacitated link's free bandwidth in a snapshot.
+func freeLinkBW(c *Capacities, l *LinkRes) float64 {
+	return bwFloat(c.linkFree(mkLinkKey(l.A, l.B)).bw)
 }
 
 // checkNoOversubscription verifies EE and link budgets against raw
@@ -148,7 +152,7 @@ func checkNoOversubscription(t *testing.T, m *Mapping, rv *ResourceView) {
 	cpuUsed := map[string]float64{}
 	memUsed := map[string]int{}
 	for nfID, ee := range m.Placements {
-		cpu, mem := m.nfDemand(m.Graph.NF(nfID))
+		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		cpuUsed[ee] += cpu
 		memUsed[ee] += mem
 	}
@@ -252,5 +256,29 @@ func TestMapperConformance(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestExactDecimalFit: decimal demands that add up to exactly an EE's
+// capacity fit. Three catalog monitors (0.1 CPU, 32 MB each) fill a
+// 0.3 CPU / 96 MB EE; in float64, 0.1+0.1+0.1 > 0.3.
+func TestExactDecimalFit(t *testing.T) {
+	for _, m := range RegisteredMappers(catalog.Default()) {
+		t.Run(m.MapperName(), func(t *testing.T) {
+			rv := syntheticView(3, map[string]EESpec{
+				"ee1": {Switch: "sw2", CPU: 0.3, Mem: 96},
+			}, 0, 0)
+			mapping, err := rv.AdmitAndCommit(m, sg.NewChainGraph("mon3", "monitor", "monitor", "monitor"))
+			if err != nil {
+				t.Fatalf("three 0.1-CPU monitors on a 0.3-CPU EE: %v", err)
+			}
+			if cpu, mem := rv.Committed("ee1"); cpu != 0.3 || mem != 96 {
+				t.Errorf("committed (%v, %d), want (0.3, 96)", cpu, mem)
+			}
+			rv.Release(mapping)
+			if cpu, mem := rv.Committed("ee1"); cpu != 0 || mem != 0 {
+				t.Errorf("after release (%v, %d), want (0, 0)", cpu, mem)
+			}
+		})
 	}
 }

@@ -181,7 +181,7 @@ func TestOptimisticAdmissionExactCapacity(t *testing.T) {
 	}
 	for _, ee := range rv.EENames() {
 		cpu, _ := rv.Committed(ee)
-		if cpu > rv.EEs[ee].CPU+1e-9 {
+		if cpu > rv.EEs[ee].CPU {
 			t.Errorf("EE %s oversubscribed: %.2f committed", ee, cpu)
 		}
 	}
@@ -264,7 +264,7 @@ func TestConcurrentHealAdmitMaskEpochs(t *testing.T) {
 // rivalMapper is a Mapper that loses the optimistic race on purpose: for
 // its first admitOptimisticRetries calls it maps a twin of the request
 // on the same epoch and commits it between computing the caller's
-// mapping and returning it, so the caller's tryCommit finds its EE
+// mapping and returning it, so the caller's validation finds its EE
 // already full.
 type rivalMapper struct {
 	Mapper

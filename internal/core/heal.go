@@ -42,42 +42,33 @@ func (p *HealPlan) Empty() bool {
 // for the placement search even when the caller has not excluded them
 // view-wide.
 func (rv *ResourceView) AdmitHeal(m *Mapping, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealPlan, error) {
-	for attempt := 0; attempt < admitOptimisticRetries; attempt++ {
-		plan, err := rv.planHeal(m, eeDown, linkDown)
-		if err != nil {
-			return nil, err
+	var plan *HealPlan
+	err := rv.retry("healing", m.Graph.Name, func() (bool, error) {
+		var err error
+		if plan, err = rv.PlanHeal(m, eeDown, linkDown); err != nil {
+			return false, err
 		}
-		if plan.Empty() {
-			return plan, nil
-		}
-		if rv.tryCommitHeal(m, plan) {
-			rv.stats.admitted.Add(1)
-			return plan, nil
-		}
-		rv.stats.conflicts.Add(1)
+		return rv.TryCommitHealPlan(m, plan), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Contention fallback, as in AdmitAndCommit: serialize with other
-	// fallen-back admitters but keep validating, with a bounded budget
-	// (mask churn can conflict a plan without anyone admitting).
-	rv.stats.fallbacks.Add(1)
-	rv.admitMu.Lock()
-	defer rv.admitMu.Unlock()
-	for attempt := 0; attempt < admitFallbackRetries; attempt++ {
-		plan, err := rv.planHeal(m, eeDown, linkDown)
-		if err != nil {
-			return nil, err
-		}
-		if plan.Empty() {
-			return plan, nil
-		}
-		if rv.tryCommitHeal(m, plan) {
-			rv.stats.admitted.Add(1)
-			return plan, nil
-		}
-		rv.stats.conflicts.Add(1)
+	return plan, nil
+}
+
+// TryCommitHealPlan validates and publishes a previously computed
+// healing delta against the current epoch: releases of the abandoned
+// placements and routes and reservations of their replacements land as
+// one epoch. Empty plans trivially succeed. A false return is a
+// validation conflict — a target EE got masked, or a concurrent
+// admission took the capacity — and the caller should re-plan on fresher
+// state (typically via AdmitHeal).
+func (rv *ResourceView) TryCommitHealPlan(m *Mapping, plan *HealPlan) bool {
+	if plan.Empty() {
+		return true
 	}
-	return nil, fmt.Errorf("core: healing %q: %d consecutive validation conflicts (extreme contention or mask churn)",
-		m.Graph.Name, admitFallbackRetries)
+	ok, _ := rv.tryPublish(healDelta(m, plan), nil) // no gate for heals, so no error
+	return ok
 }
 
 // PlanHeal computes a healing delta lock-free against a pinned epoch
@@ -86,27 +77,6 @@ func (rv *ResourceView) AdmitHeal(m *Mapping, eeDown func(string) bool, linkDown
 // concurrently and merge them in deterministic order through
 // TryCommitHealPlan.
 func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealPlan, error) {
-	return rv.planHeal(m, eeDown, linkDown)
-}
-
-// TryCommitHealPlan validates and publishes a previously computed
-// healing delta against the current epoch. Empty plans trivially
-// succeed. A false return is a validation conflict: the caller should
-// re-plan on fresher state (typically via AdmitHeal).
-func (rv *ResourceView) TryCommitHealPlan(m *Mapping, plan *HealPlan) bool {
-	if plan.Empty() {
-		return true
-	}
-	if rv.tryCommitHeal(m, plan) {
-		rv.stats.admitted.Add(1)
-		return true
-	}
-	rv.stats.conflicts.Add(1)
-	return false
-}
-
-// planHeal computes the healing delta lock-free against a pinned epoch.
-func (rv *ResourceView) planHeal(m *Mapping, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealPlan, error) {
 	plan := &HealPlan{
 		Moved:     map[string]string{},
 		OldEE:     map[string]string{},
@@ -155,8 +125,9 @@ func (rv *ResourceView) planHeal(m *Mapping, eeDown func(string) bool, linkDown 
 	// bandwidth of its own old routes (freed compute on a dead EE is
 	// masked anyway and not added back).
 	for linkID := range reroute {
-		bw := m.linkDemand(m.Graph.Link(linkID))
-		caps.creditPath(m.Routes[linkID], bw)
+		if bw := m.linkDemand(m.Graph.Link(linkID)); bw > 0 {
+			caps.takePath(m.Routes[linkID], -bw)
+		}
 	}
 
 	// Re-place moved NFs: deterministic first fit over surviving EEs.
@@ -168,7 +139,7 @@ func (rv *ResourceView) planHeal(m *Mapping, eeDown func(string) bool, linkDown 
 	eeNames := rv.eeNamesShared()
 	for _, nfID := range movedIDs {
 		nf := m.Graph.NF(nfID)
-		cpu, mem := m.nfDemand(nf)
+		cpu, mem := NFDemand(m.Catalog, nf)
 		placed := false
 		for _, ee := range eeNames {
 			if !caps.FitsEE(ee, cpu, mem) {
@@ -230,103 +201,6 @@ func (rv *ResourceView) planHeal(m *Mapping, eeDown func(string) bool, linkDown 
 	}
 
 	return plan, nil
-}
-
-// tryCommitHeal validates a healing delta against the current epoch and
-// publishes it if every touched resource still fits: releases of the
-// abandoned placements/routes and reservations of their replacements
-// land as one epoch. A target EE that got masked, or capacity consumed
-// by a concurrent admission, fails validation and forces a re-plan.
-func (rv *ResourceView) tryCommitHeal(m *Mapping, plan *HealPlan) bool {
-	rv.buildTopoIndex()
-	rv.mu.Lock()
-	defer rv.mu.Unlock()
-	cur := rv.state.Load()
-
-	// Net compute deltas: -old EE, +new EE per moved NF.
-	cpuDelta := map[string]float64{}
-	memDelta := map[string]int{}
-	for nfID, newEE := range plan.Moved {
-		cpu, mem := m.nfDemand(m.Graph.NF(nfID))
-		cpuDelta[plan.OldEE[nfID]] -= cpu
-		memDelta[plan.OldEE[nfID]] -= mem
-		cpuDelta[newEE] += cpu
-		memDelta[newEE] += mem
-		res := rv.EEs[newEE]
-		if res == nil || cur.excludedEE(newEE) {
-			return false
-		}
-	}
-	// Net bandwidth deltas: -old routes, +new routes per re-routed link.
-	bwDelta := map[linkKey]float64{}
-	newLinks := map[linkKey]bool{}
-	for linkID, newRoute := range plan.Routes {
-		bw := m.linkDemand(m.Graph.Link(linkID))
-		for i := 0; i+1 < len(newRoute); i++ {
-			k := mkLinkKey(newRoute[i], newRoute[i+1])
-			newLinks[k] = true
-			if bw > 0 && rv.linkIdx[k] != nil && rv.linkIdx[k].Bandwidth > 0 {
-				bwDelta[k] += bw
-			}
-		}
-		if bw > 0 {
-			for i, route := 0, plan.OldRoutes[linkID]; i+1 < len(route); i++ {
-				k := mkLinkKey(route[i], route[i+1])
-				if rv.linkIdx[k] != nil && rv.linkIdx[k].Bandwidth > 0 {
-					bwDelta[k] -= bw
-				}
-			}
-		}
-	}
-
-	for ee, d := range cpuDelta {
-		if d <= 0 && memDelta[ee] <= 0 {
-			continue // pure release always fits
-		}
-		res := rv.EEs[ee]
-		if res == nil {
-			return false
-		}
-		if cur.cpu(ee)+d > res.CPU+1e-9 || cur.mem(ee)+memDelta[ee] > res.Mem {
-			return false
-		}
-	}
-	for k := range newLinks {
-		if cur.excludedLink(k) || rv.linkIdx[k] == nil {
-			return false
-		}
-	}
-	for k, d := range bwDelta {
-		if d <= 0 {
-			continue
-		}
-		if cur.bw(k)+d > rv.linkIdx[k].Bandwidth+1e-9 {
-			return false
-		}
-	}
-
-	rv.publish(func(mu *mutation) {
-		for nfID, newEE := range plan.Moved {
-			cpu, mem := m.nfDemand(m.Graph.NF(nfID))
-			mu.addCPU(plan.OldEE[nfID], -cpu)
-			mu.addMem(plan.OldEE[nfID], -mem)
-			mu.addCPU(newEE, cpu)
-			mu.addMem(newEE, mem)
-		}
-		for linkID, newRoute := range plan.Routes {
-			bw := m.linkDemand(m.Graph.Link(linkID))
-			if bw <= 0 {
-				continue
-			}
-			for i, route := 0, plan.OldRoutes[linkID]; i+1 < len(route); i++ {
-				mu.addBW(mkLinkKey(route[i], route[i+1]), -bw)
-			}
-			for i := 0; i+1 < len(newRoute); i++ {
-				mu.addBW(mkLinkKey(newRoute[i], newRoute[i+1]), bw)
-			}
-		}
-	})
-	return true
 }
 
 // HealReport summarizes one completed healing transaction.

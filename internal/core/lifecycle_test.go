@@ -191,7 +191,7 @@ func TestConcurrentDeploysCannotOversubscribe(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	if cpu, mem := env.View.Committed("ee1"); cpu > 1e-9 || cpu < -1e-9 || mem != 0 {
+	if cpu, mem := env.View.Committed("ee1"); cpu != 0 || mem != 0 {
 		t.Errorf("resources leaked after undeploy: %v CPU / %d mem", cpu, mem)
 	}
 }
@@ -261,7 +261,7 @@ func TestDeployUndeployChurn(t *testing.T) {
 		t.Errorf("paths left after churn: %d", env.Steering.ActivePaths())
 	}
 	for _, ee := range []string{"ee1", "ee2"} {
-		if cpu, mem := env.View.Committed(ee); cpu > 1e-9 || cpu < -1e-9 || mem != 0 {
+		if cpu, mem := env.View.Committed(ee); cpu != 0 || mem != 0 {
 			t.Errorf("%s leaked %v CPU / %d mem", ee, cpu, mem)
 		}
 	}

@@ -36,16 +36,11 @@ func (m *Mapping) linkDemand(l *sg.Link) float64 {
 	return l.Bandwidth
 }
 
-// nfDemand resolves an NF's CPU/mem demand (SG override or catalog
-// default).
-func (m *Mapping) nfDemand(nf *sg.NF) (float64, int) {
-	return nfDemandWith(m.Catalog, nf)
-}
-
-// nfDemandWith is the one defaulting rule for NF resource demands,
-// shared by mapping-time placement and commit/release accounting so the
-// two can never diverge.
-func nfDemandWith(cat *catalog.Catalog, nf *sg.NF) (float64, int) {
+// NFDemand is the one defaulting rule for NF resource demands (the SG's
+// own CPU/mem, else the catalog type's defaults), shared by mapping-time
+// placement, commit/release accounting and the control plane's quota
+// pre-check so they can never diverge.
+func NFDemand(cat *catalog.Catalog, nf *sg.NF) (float64, int) {
 	cpu, mem := nf.CPU, nf.Mem
 	if cat != nil {
 		if t, err := cat.Lookup(nf.Type); err == nil {
@@ -68,7 +63,7 @@ func nfDemandWith(cat *catalog.Catalog, nf *sg.NF) (float64, int) {
 func (m *Mapping) GraphDemand() (cpu float64, mem int, bw float64) {
 	for nfID := range m.Placements {
 		if nf := m.Graph.NF(nfID); nf != nil {
-			c, mm := m.nfDemand(nf)
+			c, mm := NFDemand(m.Catalog, nf)
 			cpu += c
 			mem += mm
 		}
@@ -212,10 +207,6 @@ func (mc *mapContext) checkE2E(routes map[string][]string) error {
 		}
 	}
 	return nil
-}
-
-func (mc *mapContext) demand(nf *sg.NF) (float64, int) {
-	return nfDemandWith(mc.cat, nf)
 }
 
 // attachSwitch resolves the switch a node (SAP or placed NF) attaches to.

@@ -58,7 +58,7 @@ func checkMappingValid(t *testing.T, m *Mapping, rv *ResourceView) {
 	cpuUsed := map[string]float64{}
 	memUsed := map[string]int{}
 	for nfID, ee := range m.Placements {
-		cpu, mem := m.nfDemand(m.Graph.NF(nfID))
+		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		cpuUsed[ee] += cpu
 		memUsed[ee] += mem
 	}

@@ -40,7 +40,7 @@ func (gm *GreedyMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 	}
 	placements := map[string]string{}
 	for _, nf := range mc.nfsInChainOrder() {
-		cpu, mem := mc.demand(nf)
+		cpu, mem := NFDemand(mc.cat, nf)
 		placed := false
 		for _, ee := range rv.eeNamesShared() {
 			if mc.caps.FitsEE(ee, cpu, mem) {
@@ -89,7 +89,7 @@ func (rm *RandomMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 		placements := map[string]string{}
 		ok := true
 		for _, nf := range mc.nfsInChainOrder() {
-			cpu, mem := mc.demand(nf)
+			cpu, mem := NFDemand(mc.cat, nf)
 			var candidates []string
 			for _, ee := range rv.eeNamesShared() {
 				if mc.caps.FitsEE(ee, cpu, mem) {
@@ -172,7 +172,7 @@ func (bm *BacktrackMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) 
 			return
 		}
 		nf := nfs[idx]
-		cpu, mem := mc.demand(nf)
+		cpu, mem := NFDemand(mc.cat, nf)
 		for _, ee := range ees {
 			if !caps.FitsEE(ee, cpu, mem) {
 				continue
@@ -243,7 +243,7 @@ func (km *KSPMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 				prevSwitch = rv.EEs[ee].Switch
 				continue
 			}
-			cpu, mem := mc.demand(nf)
+			cpu, mem := NFDemand(mc.cat, nf)
 			distFromPrev := rv.hopDistancesShared(prevSwitch)
 			bestEE := ""
 			bestScore := int(^uint(0) >> 1)
@@ -276,7 +276,7 @@ func (km *KSPMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 		if _, done := placements[nf.ID]; done {
 			continue
 		}
-		cpu, mem := mc.demand(nf)
+		cpu, mem := NFDemand(mc.cat, nf)
 		placed := false
 		for _, ee := range rv.eeNamesShared() {
 			if mc.caps.FitsEE(ee, cpu, mem) {

@@ -381,7 +381,7 @@ func (o *Orchestrator) realizeNF(svc *Service, g *sg.Graph, mapping *Mapping, nf
 	for k, v := range nf.Params {
 		options[k] = v
 	}
-	cpu, mem := mapping.nfDemand(nf)
+	cpu, mem := NFDemand(mapping.Catalog, nf)
 	options["cpu"] = fmt.Sprintf("%g", cpu)
 	options["mem"] = fmt.Sprint(mem)
 	return pool.Do(func(client *vnfagent.Client) error {

@@ -13,8 +13,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,27 +138,55 @@ func mkLinkKey(a, b string) linkKey {
 	return linkKey{a, b}
 }
 
-// viewBase holds fully materialized committed state: the bottom of a
-// copy-on-write chain. Maps only carry touched keys (absent = zero
-// committed / unmasked). Immutable once published.
-type viewBase struct {
-	cpu      map[string]float64
-	mem      map[string]int
-	bw       map[linkKey]float64
-	exclEE   map[string]bool
-	exclLink map[linkKey]bool
+// Units. Inside the view CPU is counted in micro-cores and bandwidth in
+// bit/s, both int64, so committed sums are exact in any order: a release
+// restores the previous value bit for bit, and a pre-summed delta
+// publishes the same value as its parts added one by one. The float64
+// fields and results of the public API convert here and nowhere else.
+const microCores = 1e6
+
+func cpuUnits(cpu float64) int64 { return int64(math.Round(cpu * microCores)) }
+func cpuFloat(u int64) float64   { return float64(u) / microCores }
+func bwUnits(bw float64) int64   { return int64(math.Round(bw)) }
+func bwFloat(u int64) float64    { return float64(u) }
+
+// fits is the view's one capacity predicate, shared by the mappers'
+// FitsEE and linkFits and by commit validation: a demand fits when it
+// does not exceed what is free. No tolerance: the units are exact.
+func fits(free, demand int64) bool { return demand <= free }
+
+// eeRec is one EE's accounting record. In an epoch it holds the
+// committed CPU and memory; in a Capacities overlay, the free CPU and
+// memory net of the overlay's own reservations. The zero value is
+// nothing committed, unmasked.
+type eeRec struct {
+	cpu    int64 // micro-cores
+	mem    int
+	masked bool
 }
 
-// viewDelta is one epoch's O(touched) overlay: absolute committed
-// values (not increments) for the keys the epoch changed, so resolution
-// stops at the newest hit. Immutable once published.
+// linkRec is one link's accounting record: committed (epoch) or free
+// (overlay) bandwidth in bit/s, and the mask.
+type linkRec struct {
+	bw     int64
+	masked bool
+}
+
+// viewBase holds fully materialized committed state: the bottom of a
+// copy-on-write chain. Maps only carry non-zero records (absent = zero
+// committed, unmasked). Immutable once published.
+type viewBase struct {
+	ee   map[string]eeRec
+	link map[linkKey]linkRec
+}
+
+// viewDelta is one epoch's O(touched) overlay: whole records (not
+// increments) for the resources the epoch changed, so resolution stops at
+// the newest hit. Immutable once published.
 type viewDelta struct {
-	parent   *viewDelta
-	cpu      map[string]float64
-	mem      map[string]int
-	bw       map[linkKey]float64
-	exclEE   map[string]bool
-	exclLink map[linkKey]bool
+	parent *viewDelta
+	ee     map[string]eeRec
+	link   map[linkKey]linkRec
 }
 
 // viewState is one immutable epoch of the view: base plus a delta chain.
@@ -176,49 +204,22 @@ type viewState struct {
 // O(touched/compactDepth) per commit).
 const compactDepth = 64
 
-func (s *viewState) cpu(ee string) float64 {
+func (s *viewState) ee(name string) eeRec {
 	for d := s.delta; d != nil; d = d.parent {
-		if v, ok := d.cpu[ee]; ok {
-			return v
+		if r, ok := d.ee[name]; ok {
+			return r
 		}
 	}
-	return s.base.cpu[ee]
+	return s.base.ee[name]
 }
 
-func (s *viewState) mem(ee string) int {
+func (s *viewState) link(k linkKey) linkRec {
 	for d := s.delta; d != nil; d = d.parent {
-		if v, ok := d.mem[ee]; ok {
-			return v
+		if r, ok := d.link[k]; ok {
+			return r
 		}
 	}
-	return s.base.mem[ee]
-}
-
-func (s *viewState) bw(k linkKey) float64 {
-	for d := s.delta; d != nil; d = d.parent {
-		if v, ok := d.bw[k]; ok {
-			return v
-		}
-	}
-	return s.base.bw[k]
-}
-
-func (s *viewState) excludedEE(ee string) bool {
-	for d := s.delta; d != nil; d = d.parent {
-		if v, ok := d.exclEE[ee]; ok {
-			return v
-		}
-	}
-	return s.base.exclEE[ee]
-}
-
-func (s *viewState) excludedLink(k linkKey) bool {
-	for d := s.delta; d != nil; d = d.parent {
-		if v, ok := d.exclLink[k]; ok {
-			return v
-		}
-	}
-	return s.base.exclLink[k]
+	return s.base.link[k]
 }
 
 // maskedLinks returns the effective link-mask set of this epoch.
@@ -226,156 +227,118 @@ func (s *viewState) maskedLinks() map[linkKey]bool {
 	out := map[linkKey]bool{}
 	seen := map[linkKey]bool{}
 	for d := s.delta; d != nil; d = d.parent {
-		for k, v := range d.exclLink {
+		for k, r := range d.link {
 			if !seen[k] {
 				seen[k] = true
-				if v {
+				if r.masked {
 					out[k] = true
 				}
 			}
 		}
 	}
-	for k, v := range s.base.exclLink {
-		if !seen[k] && v {
+	for k, r := range s.base.link {
+		if !seen[k] && r.masked {
 			out[k] = true
 		}
 	}
 	return out
 }
 
-// compact folds the delta chain into a fresh base, dropping zero-valued
-// and unmasked entries so long-lived views don't accrete dead keys.
+// compact folds the delta chain into a fresh base, dropping zero records
+// so long-lived views don't accrete dead keys.
 func (s *viewState) compact() *viewBase {
 	var chain []*viewDelta
 	for d := s.delta; d != nil; d = d.parent {
 		chain = append(chain, d)
 	}
 	nb := &viewBase{
-		cpu:      make(map[string]float64, len(s.base.cpu)),
-		mem:      make(map[string]int, len(s.base.mem)),
-		bw:       make(map[linkKey]float64, len(s.base.bw)),
-		exclEE:   make(map[string]bool, len(s.base.exclEE)),
-		exclLink: make(map[linkKey]bool, len(s.base.exclLink)),
+		ee:   make(map[string]eeRec, len(s.base.ee)),
+		link: make(map[linkKey]linkRec, len(s.base.link)),
 	}
-	for k, v := range s.base.cpu {
-		nb.cpu[k] = v
+	fold := func(ee map[string]eeRec, link map[linkKey]linkRec) {
+		for k, r := range ee {
+			if r == (eeRec{}) {
+				delete(nb.ee, k)
+			} else {
+				nb.ee[k] = r
+			}
+		}
+		for k, r := range link {
+			if r == (linkRec{}) {
+				delete(nb.link, k)
+			} else {
+				nb.link[k] = r
+			}
+		}
 	}
-	for k, v := range s.base.mem {
-		nb.mem[k] = v
-	}
-	for k, v := range s.base.bw {
-		nb.bw[k] = v
-	}
-	for k, v := range s.base.exclEE {
-		nb.exclEE[k] = v
-	}
-	for k, v := range s.base.exclLink {
-		nb.exclLink[k] = v
-	}
+	fold(s.base.ee, s.base.link)
 	for i := len(chain) - 1; i >= 0; i-- { // oldest first
-		d := chain[i]
-		for k, v := range d.cpu {
-			nb.cpu[k] = v
-		}
-		for k, v := range d.mem {
-			nb.mem[k] = v
-		}
-		for k, v := range d.bw {
-			nb.bw[k] = v
-		}
-		for k, v := range d.exclEE {
-			nb.exclEE[k] = v
-		}
-		for k, v := range d.exclLink {
-			nb.exclLink[k] = v
-		}
-	}
-	for k, v := range nb.cpu {
-		if v == 0 {
-			delete(nb.cpu, k)
-		}
-	}
-	for k, v := range nb.mem {
-		if v == 0 {
-			delete(nb.mem, k)
-		}
-	}
-	for k, v := range nb.bw {
-		if v == 0 {
-			delete(nb.bw, k)
-		}
-	}
-	for k, v := range nb.exclEE {
-		if !v {
-			delete(nb.exclEE, k)
-		}
-	}
-	for k, v := range nb.exclLink {
-		if !v {
-			delete(nb.exclLink, k)
-		}
+		fold(chain[i].ee, chain[i].link)
 	}
 	return nb
 }
 
 // mutation builds one epoch's delta against the pre-mutation state.
 // Delta maps allocate lazily: reads of a nil map are legal, so an epoch
-// that touches no masks carries no mask maps (smaller live heap for the
+// that touches no links carries no link map (smaller live heap for the
 // GC to scan across the delta chain).
 type mutation struct {
 	cur *viewState
 	d   *viewDelta
 }
 
-func (m *mutation) addCPU(ee string, v float64) {
-	if prev, ok := m.d.cpu[ee]; ok {
-		m.d.cpu[ee] = prev + v
-		return
+func (m *mutation) ee(name string) eeRec {
+	if r, ok := m.d.ee[name]; ok {
+		return r
 	}
-	if m.d.cpu == nil {
-		m.d.cpu = map[string]float64{}
-	}
-	m.d.cpu[ee] = m.cur.cpu(ee) + v
+	return m.cur.ee(name)
 }
 
-func (m *mutation) addMem(ee string, v int) {
-	if prev, ok := m.d.mem[ee]; ok {
-		m.d.mem[ee] = prev + v
-		return
+func (m *mutation) setEE(name string, r eeRec) {
+	if m.d.ee == nil {
+		m.d.ee = map[string]eeRec{}
 	}
-	if m.d.mem == nil {
-		m.d.mem = map[string]int{}
-	}
-	m.d.mem[ee] = m.cur.mem(ee) + v
+	m.d.ee[name] = r
 }
 
-func (m *mutation) addBW(k linkKey, v float64) {
-	if prev, ok := m.d.bw[k]; ok {
-		m.d.bw[k] = prev + v
-		return
+func (m *mutation) link(k linkKey) linkRec {
+	if r, ok := m.d.link[k]; ok {
+		return r
 	}
-	if m.d.bw == nil {
-		m.d.bw = map[linkKey]float64{}
-	}
-	m.d.bw[k] = m.cur.bw(k) + v
+	return m.cur.link(k)
 }
 
-func (m *mutation) setExclEE(ee string, v bool) {
-	if m.d.exclEE == nil {
-		m.d.exclEE = map[string]bool{}
+func (m *mutation) setLink(k linkKey, r linkRec) {
+	if m.d.link == nil {
+		m.d.link = map[linkKey]linkRec{}
 	}
-	m.d.exclEE[ee] = v
+	m.d.link[k] = r
 }
 
-func (m *mutation) setExclLink(k linkKey, v bool) {
-	if m.d.exclLink == nil {
-		m.d.exclLink = map[linkKey]bool{}
+// add folds a signed delta into the epoch being built (entries that only
+// carry a validation mark change nothing and are skipped).
+func (m *mutation) add(d *delta) {
+	for name, c := range d.ee {
+		if c.cpu == 0 && c.mem == 0 {
+			continue
+		}
+		r := m.ee(name)
+		r.cpu += c.cpu
+		r.mem += c.mem
+		m.setEE(name, r)
 	}
-	m.d.exclLink[k] = v
+	for k, c := range d.link {
+		if c.bw == 0 {
+			continue
+		}
+		r := m.link(k)
+		r.bw += c.bw
+		m.setLink(k, r)
+	}
 }
 
 // publish appends one epoch: fill runs against the pre-mutation state
-// and writes absolute values for the touched keys. Caller holds rv.mu.
+// and writes whole records for the touched resources. Caller holds rv.mu.
 func (rv *ResourceView) publish(fill func(*mutation)) *viewState {
 	cur := rv.state.Load()
 	d := &viewDelta{parent: cur.delta}
@@ -399,13 +362,7 @@ func NewResourceView() *ResourceView {
 		SAPs:     map[string]*SAPRes{},
 		paths:    newPathCache(),
 	}
-	rv.state.Store(&viewState{base: &viewBase{
-		cpu:      map[string]float64{},
-		mem:      map[string]int{},
-		bw:       map[linkKey]float64{},
-		exclEE:   map[string]bool{},
-		exclLink: map[linkKey]bool{},
-	}})
+	rv.state.Store(&viewState{base: &viewBase{ee: map[string]eeRec{}, link: map[linkKey]linkRec{}}})
 	return rv
 }
 
@@ -431,10 +388,12 @@ func (rv *ResourceView) UnexcludeEE(name string) { rv.setEEMask(name, false) }
 func (rv *ResourceView) setEEMask(name string, masked bool) {
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	if rv.state.Load().excludedEE(name) == masked {
+	r := rv.state.Load().ee(name)
+	if r.masked == masked {
 		return
 	}
-	rv.publish(func(m *mutation) { m.setExclEE(name, masked) })
+	r.masked = masked
+	rv.publish(func(m *mutation) { m.setEE(name, r) })
 }
 
 // ExcludeLink masks the link between two switches out of route finding.
@@ -449,11 +408,13 @@ func (rv *ResourceView) UnexcludeLink(a, b string) { rv.setLinkMask(mkLinkKey(a,
 
 func (rv *ResourceView) setLinkMask(k linkKey, masked bool) {
 	rv.mu.Lock()
-	if rv.state.Load().excludedLink(k) == masked {
+	r := rv.state.Load().link(k)
+	if r.masked == masked {
 		rv.mu.Unlock()
 		return
 	}
-	rv.publish(func(m *mutation) { m.setExclLink(k, masked) })
+	r.masked = masked
+	rv.publish(func(m *mutation) { m.setLink(k, r) })
 	rv.mu.Unlock()
 	if masked {
 		rv.paths.onLinkMasked(k)
@@ -464,12 +425,12 @@ func (rv *ResourceView) setLinkMask(k linkKey, masked bool) {
 
 // ExcludedEE reports whether an EE is currently masked out.
 func (rv *ResourceView) ExcludedEE(name string) bool {
-	return rv.state.Load().excludedEE(name)
+	return rv.state.Load().ee(name).masked
 }
 
 // ExcludedLink reports whether the link between two switches is masked.
 func (rv *ResourceView) ExcludedLink(a, b string) bool {
-	return rv.state.Load().excludedLink(mkLinkKey(a, b))
+	return rv.state.Load().link(mkLinkKey(a, b)).masked
 }
 
 // BuildResourceView scans an emulated network: switches and host-switch
@@ -590,24 +551,20 @@ type Capacities struct {
 	rv *ResourceView
 	st *viewState
 
-	cpu    map[string]float64 // resolved free CPU (overlay ∪ memo)
-	mem    map[string]int
-	bw     map[linkKey]float64
-	exclEE map[string]bool // local additional masks (heal planning)
-	exclLk map[linkKey]bool
+	// The overlay: one record per touched resource holding its free
+	// capacity and its mask (epoch mask or view-local exclusion).
+	ee   map[string]eeRec
+	link map[linkKey]linkRec
 }
 
 // Snapshot pins the current epoch: an O(1) copy-on-write view of free
 // capacities plus the exclusion mask of the moment.
 func (rv *ResourceView) Snapshot() *Capacities {
 	return &Capacities{
-		rv:     rv,
-		st:     rv.state.Load(),
-		cpu:    map[string]float64{},
-		mem:    map[string]int{},
-		bw:     map[linkKey]float64{},
-		exclEE: map[string]bool{},
-		exclLk: map[linkKey]bool{},
+		rv:   rv,
+		st:   rv.state.Load(),
+		ee:   map[string]eeRec{},
+		link: map[linkKey]linkRec{},
 	}
 }
 
@@ -616,144 +573,122 @@ func (rv *ResourceView) Snapshot() *Capacities {
 // immutable epoch.
 func (c *Capacities) Clone() *Capacities {
 	nc := &Capacities{
-		rv:     c.rv,
-		st:     c.st,
-		cpu:    make(map[string]float64, len(c.cpu)),
-		mem:    make(map[string]int, len(c.mem)),
-		bw:     make(map[linkKey]float64, len(c.bw)),
-		exclEE: make(map[string]bool, len(c.exclEE)),
-		exclLk: make(map[linkKey]bool, len(c.exclLk)),
+		rv:   c.rv,
+		st:   c.st,
+		ee:   make(map[string]eeRec, len(c.ee)),
+		link: make(map[linkKey]linkRec, len(c.link)),
 	}
-	for k, v := range c.cpu {
-		nc.cpu[k] = v
+	for k, r := range c.ee {
+		nc.ee[k] = r
 	}
-	for k, v := range c.mem {
-		nc.mem[k] = v
-	}
-	for k, v := range c.bw {
-		nc.bw[k] = v
-	}
-	for k := range c.exclEE {
-		nc.exclEE[k] = true
-	}
-	for k := range c.exclLk {
-		nc.exclLk[k] = true
+	for k, r := range c.link {
+		nc.link[k] = r
 	}
 	return nc
 }
 
-// FreeCPU resolves an EE's free CPU net of this view's own reservations.
-func (c *Capacities) FreeCPU(ee string) float64 {
-	if v, ok := c.cpu[ee]; ok {
-		return v
+// eeFree resolves an EE's overlay record: free compute net of this
+// view's reservations (zero for an EE the view doesn't know) and mask.
+func (c *Capacities) eeFree(name string) eeRec {
+	if r, ok := c.ee[name]; ok {
+		return r
 	}
-	res := c.rv.EEs[ee]
-	if res == nil {
-		return 0
+	r := c.st.ee(name)
+	if res := c.rv.EEs[name]; res != nil {
+		r.cpu, r.mem = cpuUnits(res.CPU)-r.cpu, res.Mem-r.mem
+	} else {
+		r.cpu, r.mem = 0, 0
 	}
-	v := res.CPU - c.st.cpu(ee)
-	c.cpu[ee] = v
-	return v
+	c.ee[name] = r
+	return r
 }
+
+// linkFree resolves a link's overlay record: free bandwidth of a
+// capacitated link net of this view's reservations, and mask.
+func (c *Capacities) linkFree(k linkKey) linkRec {
+	if r, ok := c.link[k]; ok {
+		return r
+	}
+	r := c.st.link(k)
+	if l := c.rv.linkBetween(k.a, k.b); l != nil {
+		r.bw = bwUnits(l.Bandwidth) - r.bw
+	}
+	c.link[k] = r
+	return r
+}
+
+// FreeCPU resolves an EE's free CPU net of this view's own reservations.
+func (c *Capacities) FreeCPU(ee string) float64 { return cpuFloat(c.eeFree(ee).cpu) }
 
 // FreeMem resolves an EE's free memory net of this view's reservations.
-func (c *Capacities) FreeMem(ee string) int {
-	if v, ok := c.mem[ee]; ok {
-		return v
-	}
-	res := c.rv.EEs[ee]
-	if res == nil {
-		return 0
-	}
-	v := res.Mem - c.st.mem(ee)
-	c.mem[ee] = v
-	return v
-}
-
-// freeBW resolves a capacitated link's free bandwidth.
-func (c *Capacities) freeBW(k linkKey, capacity float64) float64 {
-	if v, ok := c.bw[k]; ok {
-		return v
-	}
-	v := capacity - c.st.bw(k)
-	c.bw[k] = v
-	return v
-}
+func (c *Capacities) FreeMem(ee string) int { return c.eeFree(ee).mem }
 
 // ExcludedEE reports whether an EE is masked in this view (epoch mask or
 // local overlay).
-func (c *Capacities) ExcludedEE(ee string) bool {
-	return c.exclEE[ee] || c.st.excludedEE(ee)
-}
+func (c *Capacities) ExcludedEE(ee string) bool { return c.eeFree(ee).masked }
 
 // ExcludeEE adds a view-local EE mask (healing plans mask freshly failed
 // EEs without publishing a view-wide epoch).
-func (c *Capacities) ExcludeEE(ee string) { c.exclEE[ee] = true }
+func (c *Capacities) ExcludeEE(ee string) {
+	r := c.eeFree(ee)
+	r.masked = true
+	c.ee[ee] = r
+}
 
 // ExcludeLink adds a view-local link mask.
-func (c *Capacities) ExcludeLink(a, b string) { c.exclLk[mkLinkKey(a, b)] = true }
-
-func (c *Capacities) excludedLink(k linkKey) bool {
-	return c.exclLk[k] || c.st.excludedLink(k)
+func (c *Capacities) ExcludeLink(a, b string) {
+	k := mkLinkKey(a, b)
+	r := c.linkFree(k)
+	r.masked = true
+	c.link[k] = r
 }
 
 // FitsEE reports whether an EE has the demanded headroom. Excluded
 // (failed) EEs never fit.
 func (c *Capacities) FitsEE(ee string, cpu float64, mem int) bool {
-	if c.ExcludedEE(ee) {
-		return false
-	}
-	return c.FreeCPU(ee) >= cpu && c.FreeMem(ee) >= mem
+	r := c.eeFree(ee)
+	return !r.masked && fits(r.cpu, cpuUnits(cpu)) && fits(int64(r.mem), int64(mem))
 }
 
-// TakeEE reserves compute on an EE.
+// TakeEE reserves compute on an EE (negative demands give it back).
 func (c *Capacities) TakeEE(ee string, cpu float64, mem int) {
-	c.cpu[ee] = c.FreeCPU(ee) - cpu
-	c.mem[ee] = c.FreeMem(ee) - mem
+	r := c.eeFree(ee)
+	r.cpu -= cpuUnits(cpu)
+	r.mem -= mem
+	c.ee[ee] = r
 }
 
 // linkFits reports whether the link between two adjacent switches has bw
 // headroom (uncapacitated links always fit). Excluded (failed) links
 // never fit, which is what keeps re-routed paths off dead trunks.
 func (c *Capacities) linkFits(a, b string, bw float64) bool {
-	k := mkLinkKey(a, b)
-	if c.excludedLink(k) {
-		return false
-	}
 	l := c.rv.linkBetween(a, b)
 	if l == nil {
+		return false
+	}
+	r := c.linkFree(mkLinkKey(a, b))
+	if r.masked {
 		return false
 	}
 	if l.Bandwidth <= 0 || bw <= 0 {
 		return true
 	}
-	return c.freeBW(k, l.Bandwidth) >= bw
+	return fits(r.bw, bwUnits(bw))
 }
 
-// takePath reserves bandwidth along a switch route.
+// takePath reserves bandwidth along a switch route; a negative bw gives
+// it back (healing virtually releases the routes it abandons so
+// replacements can reuse their capacity).
 func (c *Capacities) takePath(route []string, bw float64) {
-	if bw <= 0 {
+	if bw == 0 {
 		return
 	}
 	for i := 0; i+1 < len(route); i++ {
-		k := mkLinkKey(route[i], route[i+1])
 		if l := c.rv.linkBetween(route[i], route[i+1]); l != nil && l.Bandwidth > 0 {
-			c.bw[k] = c.freeBW(k, l.Bandwidth) - bw
-		}
-	}
-}
-
-// creditPath returns bandwidth along a route to this view (healing
-// virtually releases the routes it abandons so replacements can reuse
-// their capacity).
-func (c *Capacities) creditPath(route []string, bw float64) {
-	if bw <= 0 {
-		return
-	}
-	for i := 0; i+1 < len(route); i++ {
-		k := mkLinkKey(route[i], route[i+1])
-		if l := c.rv.linkBetween(route[i], route[i+1]); l != nil && l.Bandwidth > 0 {
-			c.bw[k] = c.freeBW(k, l.Bandwidth) + bw
+			k := mkLinkKey(route[i], route[i+1])
+			r := c.linkFree(k)
+			r.bw -= bwUnits(bw)
+			c.link[k] = r
 		}
 	}
 }
@@ -859,58 +794,36 @@ func (rv *ResourceView) hopDistancesShared(from string) map[string]int {
 // remains for callers that have already established feasibility (tests,
 // tools replaying known-good mappings).
 func (rv *ResourceView) Commit(m *Mapping) {
+	d := mappingDelta(m, 1)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	rv.publish(func(mu *mutation) { applyMapping(mu, m, 1) })
+	rv.publish(func(mu *mutation) { mu.add(d) })
 }
 
-// Release returns a mapping's resources to the view (teardown). The
-// committed state returns exactly to its pre-Commit value in one new
-// epoch.
+// Release returns a mapping's resources to the view (teardown): the
+// same delta as Commit, negated. The committed state returns exactly to
+// its pre-Commit value in one new epoch.
 func (rv *ResourceView) Release(m *Mapping) {
+	d := mappingDelta(m, -1)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	rv.publish(func(mu *mutation) { applyMapping(mu, m, -1) })
+	rv.publish(func(mu *mutation) { mu.add(d) })
 	if rv.gate != nil {
 		rv.gate.Released(m)
-	}
-}
-
-// applyMapping folds a mapping's demands into a mutation with the given
-// sign (+1 commit, -1 release).
-func applyMapping(mu *mutation, m *Mapping, sign float64) {
-	for nfID, ee := range m.Placements {
-		nf := m.Graph.NF(nfID)
-		cpu, mem := m.nfDemand(nf)
-		mu.addCPU(ee, sign*cpu)
-		mu.addMem(ee, int(sign)*mem)
-	}
-	for linkID, route := range m.Routes {
-		l := m.Graph.Link(linkID)
-		if l == nil {
-			continue
-		}
-		bw := m.linkDemand(l)
-		if bw <= 0 {
-			continue
-		}
-		for i := 0; i+1 < len(route); i++ {
-			mu.addBW(mkLinkKey(route[i], route[i+1]), sign*bw)
-		}
 	}
 }
 
 // Committed reports the currently committed compute on one EE (test and
 // invariant-checking hook: committed never exceeds EERes capacity).
 func (rv *ResourceView) Committed(ee string) (cpu float64, mem int) {
-	s := rv.state.Load()
-	return s.cpu(ee), s.mem(ee)
+	r := rv.state.Load().ee(ee)
+	return cpuFloat(r.cpu), r.mem
 }
 
 // CommittedBW reports the committed bandwidth on the link between two
 // switches.
 func (rv *ResourceView) CommittedBW(a, b string) float64 {
-	return rv.state.Load().bw(mkLinkKey(a, b))
+	return bwFloat(rv.state.Load().link(mkLinkKey(a, b)).bw)
 }
 
 // Fingerprint digests the committed state of the current epoch — per-EE
@@ -923,13 +836,14 @@ func (rv *ResourceView) Fingerprint() string {
 	s := rv.state.Load()
 	h := sha256.New()
 	for _, ee := range rv.eeNamesShared() {
-		if v := s.cpu(ee); v != 0 {
-			fmt.Fprintf(h, "cpu %s %s\n", ee, strconv.FormatFloat(v, 'g', -1, 64))
+		r := s.ee(ee)
+		if r.cpu != 0 {
+			fmt.Fprintf(h, "cpu %s %d\n", ee, r.cpu)
 		}
-		if v := s.mem(ee); v != 0 {
-			fmt.Fprintf(h, "mem %s %d\n", ee, v)
+		if r.mem != 0 {
+			fmt.Fprintf(h, "mem %s %d\n", ee, r.mem)
 		}
-		if s.excludedEE(ee) {
+		if r.masked {
 			fmt.Fprintf(h, "excl-ee %s\n", ee)
 		}
 	}
@@ -949,10 +863,11 @@ func (rv *ResourceView) Fingerprint() string {
 		return keys[i].b < keys[j].b
 	})
 	for _, k := range keys {
-		if v := s.bw(k); v != 0 {
-			fmt.Fprintf(h, "bw %s %s %s\n", k.a, k.b, strconv.FormatFloat(v, 'g', -1, 64))
+		r := s.link(k)
+		if r.bw != 0 {
+			fmt.Fprintf(h, "bw %s %s %d\n", k.a, k.b, r.bw)
 		}
-		if s.excludedLink(k) {
+		if r.masked {
 			fmt.Fprintf(h, "excl-link %s %s\n", k.a, k.b)
 		}
 	}

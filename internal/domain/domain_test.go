@@ -2,7 +2,6 @@ package domain
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 	"time"
@@ -129,9 +128,7 @@ func TestDeploySpansThreeDomains(t *testing.T) {
 		t.Errorf("undeploy leaked %d steering paths", n)
 	}
 	for _, d := range env.Global.Domains() {
-		// Commit/Release sum float demands in map order, so an exact-zero
-		// check would trip over ~1e-17 association residue.
-		if cpu, mem := env.Global.AbstractView().Committed(d); math.Abs(cpu) > 1e-9 || mem != 0 {
+		if cpu, mem := env.Global.AbstractView().Committed(d); cpu != 0 || mem != 0 {
 			t.Errorf("abstract view still holds %f CPU / %d mem in %s", cpu, mem, d)
 		}
 	}
@@ -209,9 +206,7 @@ func TestDomainAdmissionRollback(t *testing.T) {
 		t.Fatal("deploy succeeded past domain-level admission")
 	}
 	for _, d := range env.Global.Domains() {
-		// Commit/Release sum float demands in map order, so an exact-zero
-		// check would trip over ~1e-17 association residue.
-		if cpu, mem := env.Global.AbstractView().Committed(d); math.Abs(cpu) > 1e-9 || mem != 0 {
+		if cpu, mem := env.Global.AbstractView().Committed(d); cpu != 0 || mem != 0 {
 			t.Errorf("rollback left %f CPU / %d mem committed in %s", cpu, mem, d)
 		}
 	}

@@ -17,7 +17,9 @@ import (
 //  2. Published epoch state (anything reached through a viewState) is
 //     immutable. Writes belong on a fresh viewDelta/viewBase before
 //     publication; writing through a viewState mutates an epoch other
-//     goroutines are reading lock-free.
+//     goroutines are reading lock-free. The per-resource records are
+//     stored by value, so every write to an epoch map is an index
+//     assignment or a delete, which is what this rule matches.
 //  3. Methods documented to return shared storage (neighbors,
 //     hopDistancesShared) hand out aliases into memoized structures;
 //     mutating, deleting from, appending to or sorting them corrupts
@@ -31,12 +33,13 @@ var EpochPin = &Analyzer{
 
 // invalidators are the ResourceView methods that advance the epoch.
 var invalidators = map[string]bool{
-	"Commit":         true,
-	"Release":        true,
-	"tryCommit":      true,
-	"tryCommitHeal":  true,
-	"AdmitAndCommit": true,
-	"AdmitHeal":      true,
+	"Commit":            true,
+	"Release":           true,
+	"tryPublish":        true,
+	"TryCommitMapping":  true,
+	"TryCommitHealPlan": true,
+	"AdmitAndCommit":    true,
+	"AdmitHeal":         true,
 }
 
 // sharedReturns are methods returning aliases into shared storage.

@@ -9,12 +9,18 @@ import "sort"
 
 type Mapping struct{}
 
+type eeRec struct {
+	cpu    int64
+	mem    int
+	masked bool
+}
+
 type viewBase struct {
-	cpu map[string]float64
+	ee map[string]eeRec
 }
 
 type viewDelta struct {
-	cpu map[string]float64
+	ee map[string]eeRec
 }
 
 // viewState is one published, immutable epoch.
@@ -36,10 +42,13 @@ type ResourceView struct {
 	state *viewState
 }
 
-func (rv *ResourceView) Snapshot() *Capacities        { return &Capacities{st: rv.state} }
-func (rv *ResourceView) Commit(m *Mapping)            {}
-func (rv *ResourceView) Release(m *Mapping)           {}
-func (rv *ResourceView) tryCommit(m *Mapping) bool    { return true }
+func (rv *ResourceView) Snapshot() *Capacities      { return &Capacities{st: rv.state} }
+func (rv *ResourceView) Commit(m *Mapping)          {}
+func (rv *ResourceView) Release(m *Mapping)         {}
+func (rv *ResourceView) tryPublish(m *Mapping) bool { return true }
+func (rv *ResourceView) TryCommitMapping(m *Mapping) (bool, error) {
+	return true, nil
+}
 func (rv *ResourceView) AdmitAndCommit(m *Mapping)    {}
 func (rv *ResourceView) neighbors(sw string) []string { return nil }
 func (rv *ResourceView) hopDistancesShared() map[string]int {
@@ -49,25 +58,25 @@ func (rv *ResourceView) hopDistancesShared() map[string]int {
 // --- rule 2: published epochs are immutable ---
 
 func writesThroughPublishedState(rv *ResourceView, st *viewState) {
-	st.base.cpu["ee1"] = 4            // want `write through a published viewState epoch`
-	st.delta.cpu["ee1"]++             // want `write through a published viewState epoch`
-	delete(rv.state.delta.cpu, "ee2") // want `write through a published viewState epoch`
+	st.base.ee["ee1"] = eeRec{cpu: 4}  // want `write through a published viewState epoch`
+	st.delta.ee["ee1"] = eeRec{mem: 1} // want `write through a published viewState epoch`
+	delete(rv.state.delta.ee, "ee2")   // want `write through a published viewState epoch`
 }
 
 // Regression: the PR 5 aliasing bug wrote through the pin's epoch
 // pointer instead of building a fresh delta.
 func writesThroughPinState(caps *Capacities) {
-	caps.st.base.cpu["ee1"] = 4 // want `write through a published viewState epoch`
+	caps.st.base.ee["ee1"] = eeRec{masked: true} // want `write through a published viewState epoch`
 }
 
 // The legal shape: mutate a fresh, unpublished delta/base, then publish
 // the assembled state in one shot.
 func legalPublish(rv *ResourceView) {
-	d := &viewDelta{cpu: map[string]float64{}}
-	d.cpu["ee1"] = 4
-	nb := &viewBase{cpu: map[string]float64{}}
-	nb.cpu["ee1"] = 8
-	delete(nb.cpu, "ee2")
+	d := &viewDelta{ee: map[string]eeRec{}}
+	d.ee["ee1"] = eeRec{cpu: 4}
+	nb := &viewBase{ee: map[string]eeRec{}}
+	nb.ee["ee1"] = eeRec{cpu: 8}
+	delete(nb.ee, "ee2")
 	rv.state = &viewState{epoch: 1, base: nb, delta: d}
 }
 

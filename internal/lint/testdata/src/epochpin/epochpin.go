@@ -23,6 +23,15 @@ func staleAfterRelease(rv *core.ResourceView, m *core.Mapping) {
 	use(caps.CPU) // want `snapshot pin caps is stale`
 }
 
+// A validated commit of a mapping computed elsewhere advances the epoch
+// just the same.
+func staleAfterTryCommit(rv *core.ResourceView, m *core.Mapping) {
+	caps := rv.Snapshot()
+	if ok, _ := rv.TryCommitMapping(m); ok {
+		use(caps) // want `snapshot pin caps is stale`
+	}
+}
+
 func refreshedAfterCommit(rv *core.ResourceView, m *core.Mapping) {
 	caps := rv.Snapshot()
 	use(caps)

@@ -350,6 +350,27 @@ func TestEEAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestEEAdmitsExactDecimalFill: VNFs whose decimal CPU demands add up to
+// exactly the EE's capacity are admitted (in float64, 0.1+0.1+0.1 > 0.3),
+// and nothing beyond it.
+func TestEEAdmitsExactDecimalFill(t *testing.T) {
+	n := New("t", Options{})
+	ee, _ := n.AddEE("ee1", EEConfig{CPU: 0.3, Mem: 96, Isolation: IsolationCGroup})
+	defer n.Stop()
+	for i := 0; i < 3; i++ {
+		spec := VNFSpec{Name: fmt.Sprintf("mon%d", i), ClickConfig: "Idle -> Discard;", CPU: 0.1, Mem: 32}
+		if _, err := ee.InitVNF(spec); err != nil {
+			t.Fatalf("VNF %d of three 0.1-CPU VNFs on a 0.3-CPU EE: %v", i, err)
+		}
+	}
+	if got := ee.AvailableCPU(); got != 0 {
+		t.Errorf("available CPU = %v, want 0", got)
+	}
+	if _, err := ee.InitVNF(VNFSpec{Name: "mon3", ClickConfig: "Idle -> Discard;", CPU: 0.1}); err == nil {
+		t.Error("VNF admitted past a full EE")
+	}
+}
+
 func TestEEInvalidOperations(t *testing.T) {
 	n := New("t", Options{})
 	n.AddSwitch("s1")

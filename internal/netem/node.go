@@ -3,6 +3,7 @@ package netem
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/netip"
 	"sync"
 	"time"
@@ -494,17 +495,23 @@ func (e *EE) Config() EEConfig { return e.cfg }
 func (e *EE) AvailableCPU() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.availableCPULocked()
+	return float64(e.availableCPULocked()) / 1e6
 }
 
-func (e *EE) availableCPULocked() float64 {
-	used := 0.0
+// microCores converts a CPU share to the integer micro-cores EE admission
+// counts in, the units of the orchestrator's resource view: VNFs whose
+// decimal demands exactly fill the EE (three 0.1 on 0.3) are admitted
+// here too, in whatever order they arrive.
+func microCores(cpu float64) int64 { return int64(math.Round(cpu * 1e6)) }
+
+func (e *EE) availableCPULocked() int64 {
+	used := int64(0)
 	for _, v := range e.vnfs {
 		if v.State() != VNFStopped {
-			used += v.Spec.CPU
+			used += microCores(v.Spec.CPU)
 		}
 	}
-	return e.cfg.CPU - used
+	return microCores(e.cfg.CPU) - used
 }
 
 func (e *EE) availableMemLocked() int {
@@ -536,9 +543,9 @@ func (e *EE) InitVNF(spec VNFSpec) (*VNF, error) {
 		return nil, fmt.Errorf("netem: VNF %q already exists in %s", spec.Name, e.name)
 	}
 	if e.cfg.Isolation == IsolationCGroup {
-		if spec.CPU > e.availableCPULocked() {
+		if avail := e.availableCPULocked(); microCores(spec.CPU) > avail {
 			return nil, fmt.Errorf("netem: EE %s out of CPU (%.2f requested, %.2f available)",
-				e.name, spec.CPU, e.availableCPULocked())
+				e.name, spec.CPU, float64(avail)/1e6)
 		}
 		if spec.Mem > e.availableMemLocked() {
 			return nil, fmt.Errorf("netem: EE %s out of memory (%d requested, %d available)",

@@ -199,7 +199,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Errorf("orphaned steering paths after drain: %d", got)
 	}
 	for _, ee := range ees {
-		if cpu, mem := env.View.Committed(ee); cpu > 1e-9 || cpu < -1e-9 || mem != 0 {
+		if cpu, mem := env.View.Committed(ee); cpu != 0 || mem != 0 {
 			t.Errorf("%s not restored: %v cpu / %d mem still committed", ee, cpu, mem)
 		}
 	}

@@ -9,14 +9,15 @@
 // state only through threshold predicates — "does EE e fit one more
 // NF", "does link l carry one more demand", and the commit validation
 // checks. Demands are uniform per run (PlayOptions.NFCPU/NFMem/LinkBW;
-// chainGraph sets them explicitly on every NF and SG link), so every
-// predicate the mapper, heal planner or commit validator can evaluate
-// has the form free ≥ k·unit or used + k·unit > cap for small k. The
-// committer — the only goroutine that publishes view changes — mirrors
-// every commit and release into a shadow account and bumps a flip
-// counter whenever any touched resource crosses any of those
-// thresholds (k = 0..K, K sized for the deepest stacking one admission
-// or heal can cause). A speculative job records the flip counter at
+// chainGraph sets them explicitly on every NF and SG link), and core has
+// one exact fit predicate (demand ≤ free, in integer units) for mappers
+// and validation alike, so every predicate the mapper, heal planner or
+// commit validator can evaluate is free ≥ k·unit or its complement, for
+// small k. The committer — the only goroutine that publishes view
+// changes — mirrors every commit and release into a shadow account and
+// bumps a flip counter whenever any touched resource crosses any of
+// those thresholds (k = 0..K, K sized for the deepest stacking one
+// admission or heal can cause). A speculative job records the flip counter at
 // enqueue; if it is unchanged at merge time, every predicate was
 // constant across the job's whole speculation window, so the
 // speculative result provably equals what the serial player would have
@@ -42,6 +43,7 @@ package substrate
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -343,7 +345,7 @@ func (p *parallelPlayer) healParallel() error {
 		var plan *core.HealPlan
 		if p.ft.flips == j.flipAt {
 			if j.err != nil {
-				continue // serial planHeal would fail identically: keep broken route
+				continue // serial PlanHeal would fail identically: keep broken route
 			}
 			if j.plan.Empty() {
 				continue
@@ -390,27 +392,31 @@ func maxChainLen(events []ScenarioEvent) int {
 }
 
 // flipTracker is the committer's shadow account of the view's committed
-// state, watching the predicate thresholds the mapper and heal planner
-// can observe. flips increments whenever any touched resource crosses
-// any threshold k·unit (k = 0..kMax) in either predicate family —
-// feasibility (free ≥ k·unit) or commit validation (used + k·unit >
-// cap, with the validator's float tolerance). Exactness rests on the
-// run's uniform demands: every committed quantity is an integer
-// multiple of the unit, so predicate discontinuities sit exactly on
-// the tracked thresholds.
+// state, watching the predicate thresholds the mapper, heal planner and
+// commit validator can observe: flips increments whenever any touched
+// resource crosses any threshold free ≥ k·unit (k = 0..kMax). The shadow
+// counts in the view's own exact units (micro-cores, MB, bit/s), so the
+// thresholds sit exactly where core's predicate flips. Exactness rests
+// on the run's uniform demands: every committed quantity is an integer
+// multiple of the unit.
 type flipTracker struct {
 	rv      *core.ResourceView
-	cpuUnit float64
-	memUnit int
-	bwUnit  float64
+	cpuUnit int64
+	memUnit int64
+	bwUnit  int64
 	kMax    int
 	flips   uint64
 
-	cpuUsed map[string]float64
-	memUsed map[string]int
-	bwUsed  map[[2]string]float64
-	bwCap   map[[2]string]float64 // capacitated physical links only
+	cpuUsed map[string]int64
+	memUsed map[string]int64
+	bwUsed  map[[2]string]int64
+	bwCap   map[[2]string]int64 // capacitated physical links only
 }
+
+// microCores and bitsPerSec convert the way the view converts CPU and
+// bandwidth into its integer units.
+func microCores(cpu float64) int64 { return int64(math.Round(cpu * 1e6)) }
+func bitsPerSec(bw float64) int64  { return int64(math.Round(bw)) }
 
 // newFlipTracker seeds the shadow from the view's current committed
 // state (normally zero: E14 plays each trace on a fresh view).
@@ -424,123 +430,102 @@ func newFlipTracker(rv *core.ResourceView, opts PlayOptions, maxChain int) *flip
 		k = 8
 	}
 	if k > 63 {
-		k = 63 // signature masks are uint64
+		k = 63 // signatures are uint64
 	}
 	ft := &flipTracker{
-		rv: rv, cpuUnit: opts.NFCPU, memUnit: opts.NFMem, bwUnit: opts.LinkBW,
+		rv:      rv,
+		cpuUnit: microCores(opts.NFCPU), memUnit: int64(opts.NFMem), bwUnit: bitsPerSec(opts.LinkBW),
 		kMax:    k,
-		cpuUsed: map[string]float64{}, memUsed: map[string]int{},
-		bwUsed: map[[2]string]float64{}, bwCap: map[[2]string]float64{},
+		cpuUsed: map[string]int64{}, memUsed: map[string]int64{},
+		bwUsed: map[[2]string]int64{}, bwCap: map[[2]string]int64{},
 	}
 	for name := range rv.EEs {
 		cpu, mem := rv.Committed(name)
-		ft.cpuUsed[name] = cpu
-		ft.memUsed[name] = mem
+		ft.cpuUsed[name] = microCores(cpu)
+		ft.memUsed[name] = int64(mem)
 	}
 	for _, l := range rv.Links {
 		if l.Bandwidth > 0 {
 			key := linkKeyOf(l.A, l.B)
-			ft.bwCap[key] = l.Bandwidth
-			ft.bwUsed[key] = rv.CommittedBW(l.A, l.B)
+			ft.bwCap[key] = bitsPerSec(l.Bandwidth)
+			ft.bwUsed[key] = bitsPerSec(rv.CommittedBW(l.A, l.B))
 		}
 	}
 	return ft
 }
 
-// sigFloat is the threshold signature of one float resource: bit k of
-// fits is free ≥ k·unit, bit k of valid is used + k·unit > cap + 1e-9
-// (the commit validator's tolerance).
-func sigFloat(used, cap, unit float64, kMax int) (fits, valid uint64) {
+// sig is the threshold signature of one resource: bit k is free ≥ k·unit.
+// Core's validation check (used + k·unit > cap) is the complement of bit
+// k, so it needs no signature of its own.
+func sig(free, unit int64, kMax int) (s uint64) {
 	for k := 0; k <= kMax; k++ {
-		d := float64(k) * unit
-		if cap-used >= d {
-			fits |= 1 << uint(k)
-		}
-		if used+d > cap+1e-9 {
-			valid |= 1 << uint(k)
+		if free >= int64(k)*unit {
+			s |= 1 << uint(k)
 		}
 	}
-	return
+	return s
 }
 
-// sigMem is the integer (memory) signature; validation has no
-// tolerance, mirroring tryCommit.
-func sigMem(used, cap, unit, kMax int) (fits, valid uint64) {
-	for k := 0; k <= kMax; k++ {
-		d := k * unit
-		if cap-used >= d {
-			fits |= 1 << uint(k)
-		}
-		if used+d > cap {
-			valid |= 1 << uint(k)
-		}
-	}
-	return
-}
-
-// addCompute applies one NF's compute delta to an EE's shadow and
-// flips if any CPU or memory threshold changed sides.
-func (ft *flipTracker) addCompute(ee string, dcpu float64, dmem int) {
+// addCompute books one NF (sign +1) or its release (-1) on an EE's
+// shadow and flips if any CPU or memory threshold changed sides.
+func (ft *flipTracker) addCompute(ee string, sign int64) {
 	res := ft.rv.EEs[ee]
 	if res == nil {
 		return
 	}
+	cpuCap, memCap := microCores(res.CPU), int64(res.Mem)
 	oc, om := ft.cpuUsed[ee], ft.memUsed[ee]
-	nc, nm := oc+dcpu, om+dmem
-	ofc, ovc := sigFloat(oc, res.CPU, ft.cpuUnit, ft.kMax)
-	nfc, nvc := sigFloat(nc, res.CPU, ft.cpuUnit, ft.kMax)
-	ofm, ovm := sigMem(om, res.Mem, ft.memUnit, ft.kMax)
-	nfm, nvm := sigMem(nm, res.Mem, ft.memUnit, ft.kMax)
-	if ofc != nfc || ovc != nvc || ofm != nfm || ovm != nvm {
+	nc, nm := oc+sign*ft.cpuUnit, om+sign*ft.memUnit
+	if sig(cpuCap-oc, ft.cpuUnit, ft.kMax) != sig(cpuCap-nc, ft.cpuUnit, ft.kMax) ||
+		sig(memCap-om, ft.memUnit, ft.kMax) != sig(memCap-nm, ft.memUnit, ft.kMax) {
 		ft.flips++
 	}
 	ft.cpuUsed[ee], ft.memUsed[ee] = nc, nm
 }
 
-// addBW applies one route hop's bandwidth delta. Uncapacitated links
-// never appear in any predicate and are not tracked.
-func (ft *flipTracker) addBW(key [2]string, d float64) {
+// addBW books one SG link's demand (sign +1) or its release (-1) on a
+// route hop. Uncapacitated links never appear in any predicate and are
+// not tracked.
+func (ft *flipTracker) addBW(key [2]string, sign int64) {
 	cap, ok := ft.bwCap[key]
 	if !ok {
 		return
 	}
 	o := ft.bwUsed[key]
-	n := o + d
-	of, ov := sigFloat(o, cap, ft.bwUnit, ft.kMax)
-	nf, nv := sigFloat(n, cap, ft.bwUnit, ft.kMax)
-	if of != nf || ov != nv {
+	n := o + sign*ft.bwUnit
+	if sig(cap-o, ft.bwUnit, ft.kMax) != sig(cap-n, ft.bwUnit, ft.kMax) {
 		ft.flips++
 	}
 	ft.bwUsed[key] = n
 }
 
-// applyMapping mirrors core's applyMapping into the shadow (sign +1
-// commit, -1 release). Demands are the run's uniform units by
-// construction (chainGraph sets them explicitly on every NF and link).
-func (ft *flipTracker) applyMapping(m *core.Mapping, sign float64) {
+// applyMapping mirrors a mapping's commit (sign +1) or release (-1) into
+// the shadow. Demands are the run's uniform units by construction
+// (chainGraph sets them explicitly on every NF and link).
+func (ft *flipTracker) applyMapping(m *core.Mapping, sign int64) {
 	for _, ee := range m.Placements {
-		ft.addCompute(ee, sign*ft.cpuUnit, int(sign)*ft.memUnit)
+		ft.addCompute(ee, sign)
 	}
 	for _, route := range m.Routes {
 		for i := 0; i+1 < len(route); i++ {
-			ft.addBW(linkKeyOf(route[i], route[i+1]), sign*ft.bwUnit)
+			ft.addBW(linkKeyOf(route[i], route[i+1]), sign)
 		}
 	}
 }
 
-// applyHeal mirrors tryCommitHeal's published deltas into the shadow.
+// applyHeal mirrors a published heal plan into the shadow.
 func (ft *flipTracker) applyHeal(plan *core.HealPlan) {
 	for nfID, newEE := range plan.Moved {
-		ft.addCompute(plan.OldEE[nfID], -ft.cpuUnit, -ft.memUnit)
-		ft.addCompute(newEE, ft.cpuUnit, ft.memUnit)
+		ft.addCompute(plan.OldEE[nfID], -1)
+		ft.addCompute(newEE, 1)
 	}
 	for linkID, newRoute := range plan.Routes {
 		old := plan.OldRoutes[linkID]
 		for i := 0; i+1 < len(old); i++ {
-			ft.addBW(linkKeyOf(old[i], old[i+1]), -ft.bwUnit)
+			ft.addBW(linkKeyOf(old[i], old[i+1]), -1)
 		}
 		for i := 0; i+1 < len(newRoute); i++ {
-			ft.addBW(linkKeyOf(newRoute[i], newRoute[i+1]), ft.bwUnit)
+			ft.addBW(linkKeyOf(newRoute[i], newRoute[i+1]), 1)
 		}
 	}
 }
