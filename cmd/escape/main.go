@@ -226,7 +226,7 @@ func printCatalog() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-20s cpu=%.1f mem=%dMB ports=%v\n    %s\n",
+		fmt.Printf("  %-20s cpu=%v mem=%dMB ports=%v\n    %s\n",
 			name, t.DefaultCPU, t.DefaultMem, t.Ports, t.Description)
 	}
 	return nil

@@ -137,7 +137,7 @@ func main() {
 
 	fp := s.env.View.Fingerprint()
 	cpu, mem, _, svcs := s.gate.Usage("acme")
-	fmt.Printf("\ncommitted before crash: %.1f cpu / %d MB over %d service(s)\nview fingerprint %s…\n",
+	fmt.Printf("\ncommitted before crash: %v cpu / %d MB over %d service(s)\nview fingerprint %s…\n",
 		cpu, mem, svcs, fp[:16])
 
 	fmt.Println("\n== kill -9: no flush, no teardown ==")

@@ -41,15 +41,7 @@ func (cm *ConsolidationMapper) Map(g *sg.Graph, rv *core.ResourceView) (*core.Ma
 	placements := map[string]string{}
 	mapping := &core.Mapping{Graph: g, Catalog: cm.Catalog}
 	for _, nf := range g.NFs {
-		cpu, mem := nf.CPU, nf.Mem
-		if t, err := cm.Catalog.Lookup(nf.Type); err == nil {
-			if cpu == 0 {
-				cpu = t.DefaultCPU
-			}
-			if mem == 0 {
-				mem = t.DefaultMem
-			}
-		}
+		cpu, mem := core.NFDemand(cm.Catalog, nf)
 		placed := false
 		for _, ee := range order {
 			if caps.FitsEE(ee, cpu, mem) {
@@ -77,7 +69,8 @@ func (cm *ConsolidationMapper) Map(g *sg.Graph, rv *core.ResourceView) (*core.Ma
 		if err != nil {
 			return nil, err
 		}
-		route := caps.ShortestFeasiblePath(src, dst, l.Bandwidth, l.MaxDelay)
+		bw, _ := sg.BWOf(l.Bandwidth)
+		route := caps.ShortestFeasiblePath(src, dst, bw, l.MaxDelay)
 		if route == nil {
 			return nil, fmt.Errorf("consolidate: no path for link %q", l.ID)
 		}

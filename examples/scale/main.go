@@ -139,7 +139,7 @@ func main() {
 	// The copy-on-write invariant: everything released, exact restore.
 	for _, ee := range rv.EENames() {
 		if cpu, mem := rv.Committed(ee); cpu != 0 || mem != 0 {
-			log.Fatalf("view not restored: %s has %.3f cpu / %d mem committed", ee, cpu, mem)
+			log.Fatalf("view not restored: %s has %v cpu / %d mem committed", ee, cpu, mem)
 		}
 	}
 	fmt.Println("view restored exactly after release (epoch", rv.Epoch(), ")")

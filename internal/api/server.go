@@ -249,6 +249,10 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "tenant name must be non-empty and contain no '/' or spaces")
 		return
 	}
+	if err := req.Quota.validate(); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad quota: "+err.Error())
+		return
+	}
 	t, err := s.cfg.Store.CreateTenant(req.Name, req.Quota)
 	if err != nil {
 		writeErr(w, http.StatusConflict, err.Error())
@@ -304,7 +308,8 @@ func (s *Server) precheckQuota(t *Tenant, g *sg.Graph) error {
 		d.mem += mem
 	}
 	for _, l := range g.Links {
-		d.bw += l.Bandwidth
+		bw, _ := sg.BWOf(l.Bandwidth) // sg.FromJSON has range-checked it
+		d.bw += bw
 	}
 	return t.Quota.check(t.Name, u, d)
 }

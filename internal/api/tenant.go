@@ -98,31 +98,42 @@ func newToken() string {
 	return "tok_" + hex.EncodeToString(b[:])
 }
 
-// usage is one tenant's live committed demand.
+// usage is one tenant's live committed demand, in GraphDemand's units.
 type usage struct {
-	cpu      float64
+	cpu      sg.CPU
 	mem      int
-	bw       float64
+	bw       sg.BW
 	services int
 }
 
 // check is the one quota comparison, shared by the API's advisory
 // pre-check and the commit gate: it reports the first dimension in which
-// usage u plus demand d passes the quota. Usage is a float sum of
-// graph demands, so CPU and bandwidth compare with a tolerance for its
-// association residue.
+// usage u plus demand d passes the quota. Quotas round to usage's exact
+// units, so the sums compare without a tolerance.
 func (q Quota) check(tenant string, u, d usage) error {
+	cpu, _ := sg.CPUOf(q.CPU)
+	bw, _ := sg.BWOf(q.BW)
 	switch {
-	case q.CPU > 0 && u.cpu+d.cpu > q.CPU+1e-9:
-		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + d.cpu, Limit: q.CPU}
+	case q.CPU > 0 && u.cpu+d.cpu > cpu:
+		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + d.cpu, Limit: cpu}
 	case q.Mem > 0 && u.mem+d.mem > q.Mem:
-		return &QuotaError{Tenant: tenant, Dim: "mem", Want: float64(u.mem + d.mem), Limit: float64(q.Mem)}
-	case q.BW > 0 && u.bw+d.bw > q.BW+1e-9:
-		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + d.bw, Limit: q.BW}
+		return &QuotaError{Tenant: tenant, Dim: "mem", Want: u.mem + d.mem, Limit: q.Mem}
+	case q.BW > 0 && u.bw+d.bw > bw:
+		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + d.bw, Limit: bw}
 	case q.Services > 0 && u.services+d.services > q.Services:
-		return &QuotaError{Tenant: tenant, Dim: "services", Want: float64(u.services + d.services), Limit: float64(q.Services)}
+		return &QuotaError{Tenant: tenant, Dim: "services", Want: u.services + d.services, Limit: q.Services}
 	}
 	return nil
+}
+
+// validate rejects a quota no usage can be measured against: a negative
+// or out-of-range amount.
+func (q Quota) validate() error {
+	if _, err := sg.CPUOf(q.CPU); err != nil || q.Mem < 0 || q.Services < 0 {
+		return fmt.Errorf("api: quota %+v is negative or out of range", q)
+	}
+	_, err := sg.BWOf(q.BW)
+	return err
 }
 
 // QuotaGate enforces per-tenant quotas at the only place that cannot
@@ -162,7 +173,7 @@ func (qg *QuotaGate) Tenant(name string) *Tenant {
 }
 
 // Usage reports a tenant's committed demand.
-func (qg *QuotaGate) Usage(name string) (cpu float64, mem int, bw float64, services int) {
+func (qg *QuotaGate) Usage(name string) (cpu sg.CPU, mem int, bw sg.BW, services int) {
 	qg.mu.Lock()
 	defer qg.mu.Unlock()
 	if u := qg.used[name]; u != nil {
@@ -176,12 +187,12 @@ func (qg *QuotaGate) Usage(name string) (cpu float64, mem int, bw float64, servi
 type QuotaError struct {
 	Tenant string
 	Dim    string // "cpu" | "mem" | "bw" | "services"
-	Want   float64
-	Limit  float64
+	Want   any    // in the dimension's unit: sg.CPU, MB, sg.BW, services
+	Limit  any
 }
 
 func (e *QuotaError) Error() string {
-	return fmt.Sprintf("api: tenant %q over %s quota (want %g, limit %g)", e.Tenant, e.Dim, e.Want, e.Limit)
+	return fmt.Sprintf("api: tenant %q over %s quota (want %v, limit %v)", e.Tenant, e.Dim, e.Want, e.Limit)
 }
 
 // Admit implements core.CommitGate.
@@ -230,7 +241,4 @@ func (qg *QuotaGate) Released(m *core.Mapping) {
 	u.mem -= mem
 	u.bw -= bw
 	u.services--
-	if u.services <= 0 && u.mem <= 0 {
-		delete(qg.used, tenant) // drop float residue with the last service
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"escape/internal/sg"
 )
 
 // VNFType is one catalog entry: a named, parameterized VNF template.
@@ -16,8 +18,8 @@ type VNFType struct {
 	// (the SG mapper connects them to switches in this order).
 	Ports []string
 	// DefaultCPU/DefaultMem are resource demands when the SG does not
-	// override them.
-	DefaultCPU float64
+	// override them (100_000 micro-cores is 0.1 core).
+	DefaultCPU sg.CPU
 	DefaultMem int
 	// Params documents accepted template parameters with defaults.
 	Params map[string]string
@@ -89,7 +91,7 @@ func Default() *Catalog {
 		Description: "Forwards frames between its two ports, counting traffic.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"rx.count", "tx.count"},
-		DefaultCPU:  0.1, DefaultMem: 32,
+		DefaultCPU:  100_000, DefaultMem: 32,
 		Params: map[string]string{"QUEUE": "1000"},
 		render: func(p map[string]string) (string, error) {
 			return fmt.Sprintf(
@@ -102,7 +104,7 @@ func Default() *Catalog {
 		Description: "Toy ROHC: compresses IPv4/UDP headers into per-flow contexts.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"comp.compressed", "comp.contexts", "rx.count", "tx.count"},
-		DefaultCPU:  0.2, DefaultMem: 64,
+		DefaultCPU:  200_000, DefaultMem: 64,
 		Params: map[string]string{"REFRESH": "64"},
 		render: func(p map[string]string) (string, error) {
 			return fmt.Sprintf(
@@ -115,7 +117,7 @@ func Default() *Catalog {
 		Description: "Restores frames compressed by headerCompressor.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"decomp.restored", "decomp.unknown_context", "rx.count", "tx.count"},
-		DefaultCPU:  0.2, DefaultMem: 64,
+		DefaultCPU:  200_000, DefaultMem: 64,
 		Params: map[string]string{},
 		render: func(p map[string]string) (string, error) {
 			return "FromDevice(in) -> rx :: Counter -> decomp :: HeaderDecompressor -> Queue(1000) -> tx :: Counter -> ToDevice(out);", nil
@@ -126,7 +128,7 @@ func Default() *Catalog {
 		Description: "Stateless ACL, first match wins, implicit deny.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"fw.passed", "fw.dropped", "tx.count"},
-		DefaultCPU:  0.2, DefaultMem: 64,
+		DefaultCPU:  200_000, DefaultMem: 64,
 		Params: map[string]string{"RULES": "allow -"},
 		render: func(p map[string]string) (string, error) {
 			rules := strings.TrimSpace(p["RULES"])
@@ -143,7 +145,7 @@ func Default() *Catalog {
 		Description: "Symmetric NAPT rewriting outbound flows to a public address.",
 		Ports:       []string{"in", "out", "rin", "rout"},
 		Monitors:    []string{"nat.translations", "nat.dropped"},
-		DefaultCPU:  0.3, DefaultMem: 96,
+		DefaultCPU:  300_000, DefaultMem: 96,
 		Params: map[string]string{"PUBLIC": "192.0.2.1"},
 		render: func(p map[string]string) (string, error) {
 			return fmt.Sprintf(`
@@ -160,7 +162,7 @@ func Default() *Catalog {
 		Description: "Counts (optionally drops) packets carrying a payload signature.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"dpi.matches", "dpi.total", "tx.count"},
-		DefaultCPU:  0.4, DefaultMem: 128,
+		DefaultCPU:  400_000, DefaultMem: 128,
 		Params: map[string]string{"SIGNATURE": "attack", "DROP": "false"},
 		render: func(p map[string]string) (string, error) {
 			return fmt.Sprintf(
@@ -173,7 +175,7 @@ func Default() *Catalog {
 		Description: "Sticky least-loaded L3 load balancer for a VIP.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"lb.flows", "tx.count"},
-		DefaultCPU:  0.3, DefaultMem: 96,
+		DefaultCPU:  300_000, DefaultMem: 96,
 		Params: map[string]string{"VIP": "10.0.0.100", "BACKENDS": "10.0.1.1,10.0.1.2"},
 		render: func(p map[string]string) (string, error) {
 			backends := strings.ReplaceAll(p["BACKENDS"], ",", ", ")
@@ -187,7 +189,7 @@ func Default() *Catalog {
 		Description: "Token-bucket policer built from Queue + RatedUnqueue.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"rx.count", "tx.count", "shaper.count"},
-		DefaultCPU:  0.1, DefaultMem: 32,
+		DefaultCPU:  100_000, DefaultMem: 32,
 		Params: map[string]string{"RATE": "1000", "QUEUE": "100"},
 		render: func(p map[string]string) (string, error) {
 			return fmt.Sprintf(
@@ -200,7 +202,7 @@ func Default() *Catalog {
 		Description: "Transparent monitor exposing counters and rate handlers.",
 		Ports:       []string{"in", "out"},
 		Monitors:    []string{"cnt.count", "cnt.rate", "cnt.byte_count"},
-		DefaultCPU:  0.1, DefaultMem: 32,
+		DefaultCPU:  100_000, DefaultMem: 32,
 		Params: map[string]string{},
 		render: func(p map[string]string) (string, error) {
 			return "FromDevice(in) -> cnt :: Counter -> Queue(1000) -> ToDevice(out);", nil

@@ -115,7 +115,7 @@ type delta struct {
 // eeChange is one EE's part of a delta; recv marks an EE that receives
 // an NF, which must exist and be unmasked.
 type eeChange struct {
-	cpu  int64
+	cpu  sg.CPU
 	mem  int
 	recv bool
 }
@@ -123,17 +123,17 @@ type eeChange struct {
 // linkChange is one link's part of a delta; onRoute marks a link on a
 // new route, which must exist and be unmasked.
 type linkChange struct {
-	bw      int64
+	bw      sg.BW
 	onRoute bool
 }
 
 // place adds (sign +1) or removes (-1) one NF's compute on an EE.
-func (d *delta) place(ee string, cpu float64, mem int, sign int) {
+func (d *delta) place(ee string, cpu sg.CPU, mem int, sign int) {
 	if d.ee == nil {
 		d.ee = map[string]eeChange{}
 	}
 	c := d.ee[ee]
-	c.cpu += int64(sign) * cpuUnits(cpu)
+	c.cpu += sg.CPU(sign) * cpu
 	c.mem += sign * mem
 	c.recv = c.recv || sign > 0
 	d.ee[ee] = c
@@ -141,7 +141,7 @@ func (d *delta) place(ee string, cpu float64, mem int, sign int) {
 
 // route adds (sign +1) or removes (-1) one SG link's bandwidth along a
 // switch route.
-func (d *delta) route(route []string, bw float64, sign int) {
+func (d *delta) route(route []string, bw sg.BW, sign int) {
 	if sign < 0 && bw <= 0 {
 		return
 	}
@@ -152,7 +152,7 @@ func (d *delta) route(route []string, bw float64, sign int) {
 		k := mkLinkKey(route[i], route[i+1])
 		c := d.link[k]
 		if bw > 0 {
-			c.bw += int64(sign) * bwUnits(bw)
+			c.bw += sg.BW(sign) * bw
 		}
 		c.onRoute = c.onRoute || sign > 0
 		d.link[k] = c
@@ -205,8 +205,8 @@ func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
 		}
 		res, r := rv.EEs[name], cur.ee(name)
 		if res == nil || r.masked ||
-			c.cpu > 0 && !fits(cpuUnits(res.CPU)-r.cpu, c.cpu) ||
-			c.mem > 0 && !fits(int64(res.Mem-r.mem), int64(c.mem)) {
+			c.cpu > 0 && !fits(capCPU(res)-r.cpu, c.cpu) ||
+			c.mem > 0 && !fits(res.Mem-r.mem, c.mem) {
 			return false
 		}
 	}
@@ -216,7 +216,7 @@ func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
 		}
 		l, r := rv.linkIdx[k], cur.link(k)
 		if l == nil || r.masked ||
-			c.bw > 0 && l.Bandwidth > 0 && !fits(bwUnits(l.Bandwidth)-r.bw, c.bw) {
+			c.bw > 0 && l.Bandwidth > 0 && !fits(capBW(l)-r.bw, c.bw) {
 			return false
 		}
 	}

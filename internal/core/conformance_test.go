@@ -16,9 +16,8 @@ import (
 // capacity snapshot after a Commit+Release round trip, and place
 // deterministically for a fixed input.
 //
-// Resource demands in the scenarios are exact binary fractions (0.25,
-// 0.5, …) so float accounting round-trips bit-exactly and snapshots can
-// be compared with DeepEqual.
+// The view counts in integer units, so snapshots round-trip bit-exactly
+// and can be compared with DeepEqual.
 
 // confScenario is one cell row of the conformance matrix.
 type confScenario struct {
@@ -123,33 +122,28 @@ func confScenarios() []confScenario {
 // capsSnapshot materializes the comparable part of a Capacities
 // snapshot (the copy-on-write view resolves lazily, so tests walk the
 // full topology to get DeepEqual-able maps).
-func capsSnapshot(rv *ResourceView) (map[string]float64, map[string]int, map[linkKey]float64) {
+func capsSnapshot(rv *ResourceView) (map[string]sg.CPU, map[string]int, map[linkKey]sg.BW) {
 	c := rv.Snapshot()
-	cpu := map[string]float64{}
+	cpu := map[string]sg.CPU{}
 	mem := map[string]int{}
 	for name := range rv.EEs {
 		cpu[name] = c.FreeCPU(name)
 		mem[name] = c.FreeMem(name)
 	}
-	bw := map[linkKey]float64{}
+	bw := map[linkKey]sg.BW{}
 	for _, l := range rv.Links {
 		if l.Bandwidth > 0 {
-			bw[mkLinkKey(l.A, l.B)] = freeLinkBW(c, l)
+			bw[mkLinkKey(l.A, l.B)] = c.linkFree(mkLinkKey(l.A, l.B)).bw
 		}
 	}
 	return cpu, mem, bw
-}
-
-// freeLinkBW reads a capacitated link's free bandwidth in a snapshot.
-func freeLinkBW(c *Capacities, l *LinkRes) float64 {
-	return bwFloat(c.linkFree(mkLinkKey(l.A, l.B)).bw)
 }
 
 // checkNoOversubscription verifies EE and link budgets against raw
 // capacities.
 func checkNoOversubscription(t *testing.T, m *Mapping, rv *ResourceView) {
 	t.Helper()
-	cpuUsed := map[string]float64{}
+	cpuUsed := map[string]sg.CPU{}
 	memUsed := map[string]int{}
 	for nfID, ee := range m.Placements {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
@@ -161,12 +155,12 @@ func checkNoOversubscription(t *testing.T, m *Mapping, rv *ResourceView) {
 			t.Errorf("placement on unknown EE %q", ee)
 			continue
 		}
-		if used > rv.EEs[ee].CPU+1e-9 || memUsed[ee] > rv.EEs[ee].Mem {
-			t.Errorf("EE %q oversubscribed: %.3f/%.3f CPU, %d/%d mem",
+		if used > capCPU(rv.EEs[ee]) || memUsed[ee] > rv.EEs[ee].Mem {
+			t.Errorf("EE %q oversubscribed: %v/%v CPU, %d/%d mem",
 				ee, used, rv.EEs[ee].CPU, memUsed[ee], rv.EEs[ee].Mem)
 		}
 	}
-	bwUsed := map[linkKey]float64{}
+	bwUsed := map[linkKey]sg.BW{}
 	for _, l := range m.Graph.Links {
 		route := m.Routes[l.ID]
 		if len(route) == 0 {
@@ -187,8 +181,8 @@ func checkNoOversubscription(t *testing.T, m *Mapping, rv *ResourceView) {
 	}
 	for k, used := range bwUsed {
 		lr := rv.linkBetween(k.a, k.b)
-		if lr.Bandwidth > 0 && used > lr.Bandwidth+1e-9 {
-			t.Errorf("link %s–%s oversubscribed: %.0f/%.0f", k.a, k.b, used, lr.Bandwidth)
+		if lr.Bandwidth > 0 && used > capBW(lr) {
+			t.Errorf("link %s–%s oversubscribed: %d/%.0f", k.a, k.b, used, lr.Bandwidth)
 		}
 	}
 }
@@ -272,7 +266,7 @@ func TestExactDecimalFit(t *testing.T) {
 			if err != nil {
 				t.Fatalf("three 0.1-CPU monitors on a 0.3-CPU EE: %v", err)
 			}
-			if cpu, mem := rv.Committed("ee1"); cpu != 0.3 || mem != 96 {
+			if cpu, mem := rv.Committed("ee1"); cpu != 300_000 || mem != 96 {
 				t.Errorf("committed (%v, %d), want (0.3, 96)", cpu, mem)
 			}
 			rv.Release(mapping)
@@ -280,5 +274,22 @@ func TestExactDecimalFit(t *testing.T) {
 				t.Errorf("after release (%v, %d), want (0, 0)", cpu, mem)
 			}
 		})
+	}
+}
+
+// TestOutOfRangeDemandRefused: an NF demand beyond int64 micro-cores is
+// refused by every mapper and leaves the view as it was.
+func TestOutOfRangeDemandRefused(t *testing.T) {
+	for _, m := range RegisteredMappers(catalog.Default()) {
+		rv := syntheticView(3, map[string]EESpec{"ee1": {Switch: "sw2", CPU: 4, Mem: 1024}}, 0, 0)
+		before := rv.Fingerprint()
+		g := sg.NewChainGraph("huge", "monitor")
+		g.NFs[0].CPU = 1e300
+		if _, err := rv.AdmitAndCommit(m, g); err == nil {
+			t.Errorf("%s admitted a 1e300-CPU NF", m.MapperName())
+		}
+		if cpu, _ := rv.Committed("ee1"); rv.Fingerprint() != before {
+			t.Errorf("%s: view changed, ee1 committed %v", m.MapperName(), cpu)
+		}
 	}
 }

@@ -106,10 +106,10 @@ func TestMaskTransitionsAreEpochs(t *testing.T) {
 	if pre.ExcludedEE("ee01") {
 		t.Fatal("pinned pre-mask snapshot sees the mask")
 	}
-	if pre.FitsEE("ee01", 0.5, 128) != true {
+	if pre.FitsEE("ee01", 500_000, 128) != true {
 		t.Fatal("pinned snapshot should still fit ee01")
 	}
-	if rv.Snapshot().FitsEE("ee01", 0.5, 128) {
+	if rv.Snapshot().FitsEE("ee01", 500_000, 128) {
 		t.Fatal("fresh snapshot must not fit a masked EE")
 	}
 
@@ -181,8 +181,8 @@ func TestOptimisticAdmissionExactCapacity(t *testing.T) {
 	}
 	for _, ee := range rv.EENames() {
 		cpu, _ := rv.Committed(ee)
-		if cpu > rv.EEs[ee].CPU {
-			t.Errorf("EE %s oversubscribed: %.2f committed", ee, cpu)
+		if cpu > capCPU(rv.EEs[ee]) {
+			t.Errorf("EE %s oversubscribed: %v committed", ee, cpu)
 		}
 	}
 	for _, m := range wins {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -151,7 +152,7 @@ func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown 
 			break
 		}
 		if !placed {
-			return nil, fmt.Errorf("core: healing %q: no surviving EE fits NF %q (%.2f cpu, %d mem)",
+			return nil, fmt.Errorf("core: healing %q: no surviving EE fits NF %q (%v cpu, %d mem)",
 				m.Graph.Name, nfID, cpu, mem)
 		}
 	}
@@ -428,13 +429,8 @@ func (m *Mapping) WithPlan(plan *HealPlan) *Mapping {
 		Graph:      m.Graph,
 		Placements: make(map[string]string, len(m.Placements)),
 		Routes:     make(map[string][]string, len(m.Routes)),
+		Demands:    maps.Clone(m.Demands),
 		Catalog:    m.Catalog,
-	}
-	if m.Demands != nil {
-		nm.Demands = make(map[string]float64, len(m.Demands))
-		for k, v := range m.Demands {
-			nm.Demands[k] = v
-		}
 	}
 	for nfID, ee := range m.Placements {
 		nm.Placements[nfID] = ee

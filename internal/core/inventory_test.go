@@ -49,7 +49,7 @@ func spreadChain(name string) *sg.Graph {
 type inventory struct {
 	VNFs   map[string][]string // EE → sorted VNF names
 	Info   map[string][]string // agent → VNF ids getVNFInfo lists
-	CPU    map[string]float64  // EE → AvailableCPU
+	CPU    map[string]sg.CPU   // EE → AvailableCPU
 	Links  int
 	Ports  map[string]int // switch → PortCount
 	Tables map[string]int // switch → flow-table length
@@ -58,7 +58,7 @@ type inventory struct {
 func takeInventory(t *testing.T, env *Environment, clients map[string]*vnfagent.Client) inventory {
 	t.Helper()
 	inv := inventory{
-		VNFs: map[string][]string{}, Info: map[string][]string{}, CPU: map[string]float64{},
+		VNFs: map[string][]string{}, Info: map[string][]string{}, CPU: map[string]sg.CPU{},
 		Ports: map[string]int{}, Tables: map[string]int{},
 		Links: len(env.Net.Links()),
 	}

@@ -14,21 +14,19 @@ import (
 
 // The reference ledger: plain maps, updated by hand beside a ResourceView
 // that is driven only through its public mutations, and compared with it
-// after every step. Demands are binary fractions (0.125, 0.25 CPU; 1e6
-// bit/s), so the ledger's own float sums are exact and every comparison
-// is ==.
+// after every step, in sg's exact units, so every comparison is ==.
 
 type ledger struct {
-	cpu      map[string]float64
+	cpu      map[string]sg.CPU
 	mem      map[string]int
-	bw       map[linkKey]float64
+	bw       map[linkKey]sg.BW
 	exclEE   map[string]bool
 	exclLink map[linkKey]bool
 }
 
 func newLedger() *ledger {
 	return &ledger{
-		cpu: map[string]float64{}, mem: map[string]int{}, bw: map[linkKey]float64{},
+		cpu: map[string]sg.CPU{}, mem: map[string]int{}, bw: map[linkKey]sg.BW{},
 		exclEE: map[string]bool{}, exclLink: map[linkKey]bool{},
 	}
 }
@@ -56,19 +54,20 @@ func (l *ledger) clone() *ledger {
 // apply books a mapping (sign +1) or its release (-1). The ledger graphs
 // carry explicit demands, so it reads them straight off the graph rather
 // than through the view's own demand resolution.
-func (l *ledger) apply(m *Mapping, sign float64) {
+func (l *ledger) apply(m *Mapping, sign int) {
 	for nfID, ee := range m.Placements {
 		nf := m.Graph.NF(nfID)
-		l.cpu[ee] += sign * nf.CPU
-		l.mem[ee] += int(sign) * nf.Mem
+		cpu, _ := sg.CPUOf(nf.CPU)
+		l.cpu[ee] += sg.CPU(sign) * cpu
+		l.mem[ee] += sign * nf.Mem
 	}
 	for linkID, route := range m.Routes {
-		bw := m.Graph.Link(linkID).Bandwidth
+		bw, _ := sg.BWOf(m.Graph.Link(linkID).Bandwidth)
 		if bw <= 0 {
 			continue
 		}
 		for i := 0; i+1 < len(route); i++ {
-			l.bw[mkLinkKey(route[i], route[i+1])] += sign * bw
+			l.bw[mkLinkKey(route[i], route[i+1])] += sg.BW(sign) * bw
 		}
 	}
 }
@@ -96,7 +95,7 @@ func checkLedger(t *testing.T, rv *ResourceView, want *ledger, where string) {
 		if got := rv.ExcludedEE(ee); got != want.exclEE[ee] {
 			t.Fatalf("%s: EE %s excluded %v, ledger %v", where, ee, got, want.exclEE[ee])
 		}
-		if res := rv.EEs[ee]; cpu > res.CPU || mem > res.Mem {
+		if res := rv.EEs[ee]; cpu > capCPU(res) || mem > res.Mem {
 			t.Fatalf("%s: EE %s oversubscribed: (%v, %d) of (%v, %d)", where, ee, cpu, mem, res.CPU, res.Mem)
 		}
 	}
@@ -109,7 +108,7 @@ func checkLedger(t *testing.T, rv *ResourceView, want *ledger, where string) {
 		if got := rv.ExcludedLink(l.A, l.B); got != want.exclLink[k] {
 			t.Fatalf("%s: link %s–%s excluded %v, ledger %v", where, l.A, l.B, got, want.exclLink[k])
 		}
-		if l.Bandwidth > 0 && bw > l.Bandwidth {
+		if l.Bandwidth > 0 && bw > capBW(l) {
 			t.Fatalf("%s: link %s–%s oversubscribed: %v of %v", where, l.A, l.B, bw, l.Bandwidth)
 		}
 	}
@@ -121,7 +120,7 @@ func checkPin(t *testing.T, rv *ResourceView, pin *Capacities, before *ledger, w
 	t.Helper()
 	for _, ee := range rv.EENames() {
 		res := rv.EEs[ee]
-		if got, want := pin.FreeCPU(ee), res.CPU-before.cpu[ee]; got != want {
+		if got, want := pin.FreeCPU(ee), capCPU(res)-before.cpu[ee]; got != want {
 			t.Fatalf("%s: pinned free CPU of %s moved: %v, pinned %v", where, ee, got, want)
 		}
 		if got, want := pin.FreeMem(ee), res.Mem-before.mem[ee]; got != want {
@@ -137,7 +136,7 @@ func checkPin(t *testing.T, rv *ResourceView, pin *Capacities, before *ledger, w
 			t.Fatalf("%s: pinned mask of %s–%s moved: %v", where, l.A, l.B, got)
 		}
 		if l.Bandwidth > 0 {
-			if got, want := freeLinkBW(pin, l), l.Bandwidth-before.bw[k]; got != want {
+			if got, want := pin.linkFree(k).bw, capBW(l)-before.bw[k]; got != want {
 				t.Fatalf("%s: pinned free bandwidth of %s–%s moved: %v, pinned %v", where, l.A, l.B, got, want)
 			}
 		}

@@ -112,7 +112,7 @@ func TestMidDeployFailureRollsBackToFailedWithCause(t *testing.T) {
 	spec := demoSpec()
 	env := startEnv(t, spec)
 	ee2 := env.Net.Node("ee2").(*netem.EE)
-	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "Idle -> Discard;", CPU: 3.9, Mem: 2000}); err != nil {
+	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "Idle -> Discard;", CPU: 3_900_000, Mem: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	events, cancel := env.Orch.Subscribe(32)
@@ -177,7 +177,7 @@ func TestConcurrentDeploysCannotOversubscribe(t *testing.T) {
 		t.Errorf("admitted %d deploys, capacity fits exactly 3", ok)
 	}
 	cpu, _ := env.View.Committed("ee1")
-	if cpu > 1.0 {
+	if cpu > 1_000_000 {
 		t.Errorf("view oversubscribed: %v CPU committed of 1.0", cpu)
 	}
 	if got := len(env.Orch.Services()); got != ok {

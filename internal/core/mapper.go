@@ -21,27 +21,27 @@ type Mapping struct {
 	// Demands is the effective bandwidth demand per SG link id (link
 	// demand raised by sub-graph requirements); nil falls back to the
 	// links' own Bandwidth fields.
-	Demands map[string]float64
+	Demands map[string]sg.BW
 	// Catalog resolves NF types for resource demands.
 	Catalog *catalog.Catalog
 }
 
 // linkDemand resolves the committed bandwidth for one SG link.
-func (m *Mapping) linkDemand(l *sg.Link) float64 {
-	if m.Demands != nil {
-		if d, ok := m.Demands[l.ID]; ok {
-			return d
-		}
+func (m *Mapping) linkDemand(l *sg.Link) sg.BW {
+	if d, ok := m.Demands[l.ID]; ok {
+		return d
 	}
-	return l.Bandwidth
+	bw, _ := sg.BWOf(l.Bandwidth) // sg.Validate has range-checked it
+	return bw
 }
 
 // NFDemand is the one defaulting rule for NF resource demands (the SG's
 // own CPU/mem, else the catalog type's defaults), shared by mapping-time
 // placement, commit/release accounting and the control plane's quota
 // pre-check so they can never diverge.
-func NFDemand(cat *catalog.Catalog, nf *sg.NF) (float64, int) {
-	cpu, mem := nf.CPU, nf.Mem
+func NFDemand(cat *catalog.Catalog, nf *sg.NF) (sg.CPU, int) {
+	cpu, _ := sg.CPUOf(nf.CPU) // sg.Validate has range-checked it
+	mem := nf.Mem
 	if cat != nil {
 		if t, err := cat.Lookup(nf.Type); err == nil {
 			if cpu == 0 {
@@ -60,7 +60,7 @@ func NFDemand(cat *catalog.Catalog, nf *sg.NF) (float64, int) {
 // over every SG link's effective demand. It is placement-independent —
 // healing moves a service without changing it — which is what makes it
 // the right unit for per-tenant quota accounting (see CommitGate).
-func (m *Mapping) GraphDemand() (cpu float64, mem int, bw float64) {
+func (m *Mapping) GraphDemand() (cpu sg.CPU, mem int, bw sg.BW) {
 	for nfID := range m.Placements {
 		if nf := m.Graph.NF(nfID); nf != nil {
 			c, mm := NFDemand(m.Catalog, nf)
@@ -108,7 +108,7 @@ type mapContext struct {
 	caps *Capacities
 	// demands is the effective bandwidth demand per SG link id: the
 	// link's own demand raised by any end-to-end requirement covering it.
-	demands map[string]float64
+	demands map[string]sg.BW
 	// reqChains pairs each sub-graph requirement with the chains it
 	// governs (for post-routing delay checks).
 	reqChains []reqChain
@@ -147,9 +147,9 @@ func newMapContext(g *sg.Graph, rv *ResourceView, cat *catalog.Catalog) (*mapCon
 	if len(rv.EEs) == 0 && len(g.NFs) > 0 {
 		return nil, fmt.Errorf("core: no EEs available")
 	}
-	mc := &mapContext{g: g, rv: rv, cat: cat, caps: rv.Snapshot(), demands: map[string]float64{}}
+	mc := &mapContext{g: g, rv: rv, cat: cat, caps: rv.Snapshot(), demands: map[string]sg.BW{}}
 	for _, l := range g.Links {
-		mc.demands[l.ID] = l.Bandwidth
+		mc.demands[l.ID], _ = sg.BWOf(l.Bandwidth) // validated above
 	}
 	if len(g.Reqs) > 0 {
 		chains, err := mc.chainList()
@@ -164,11 +164,9 @@ func newMapContext(g *sg.Graph, rv *ResourceView, cat *catalog.Catalog) (*mapCon
 				}
 				matched = true
 				mc.reqChains = append(mc.reqChains, reqChain{req: r, chain: c})
-				if r.Bandwidth > 0 {
+				if bw, _ := sg.BWOf(r.Bandwidth); bw > 0 {
 					for _, l := range c.Links {
-						if r.Bandwidth > mc.demands[l.ID] {
-							mc.demands[l.ID] = r.Bandwidth
-						}
+						mc.demands[l.ID] = max(mc.demands[l.ID], bw)
 					}
 				}
 			}
@@ -240,7 +238,7 @@ func (mc *mapContext) routeLinks(placements map[string]string, caps *Capacities)
 		bw := mc.demands[l.ID]
 		route := caps.ShortestFeasiblePath(src, dst, bw, l.MaxDelay)
 		if route == nil {
-			return nil, fmt.Errorf("core: no feasible path for link %q (%s→%s, bw=%.0f, delay≤%v)",
+			return nil, fmt.Errorf("core: no feasible path for link %q (%s→%s, bw=%d, delay≤%v)",
 				l.ID, src, dst, bw, l.MaxDelay)
 		}
 		caps.takePath(route, bw)

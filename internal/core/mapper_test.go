@@ -55,7 +55,7 @@ func checkMappingValid(t *testing.T, m *Mapping, rv *ResourceView) {
 		}
 	}
 	// Per-EE demand within capacity.
-	cpuUsed := map[string]float64{}
+	cpuUsed := map[string]sg.CPU{}
 	memUsed := map[string]int{}
 	for nfID, ee := range m.Placements {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
@@ -63,8 +63,8 @@ func checkMappingValid(t *testing.T, m *Mapping, rv *ResourceView) {
 		memUsed[ee] += mem
 	}
 	for ee, used := range cpuUsed {
-		if used > rv.EEs[ee].CPU+1e-9 {
-			t.Errorf("EE %q CPU oversubscribed: %.2f > %.2f", ee, used, rv.EEs[ee].CPU)
+		if used > capCPU(rv.EEs[ee]) {
+			t.Errorf("EE %q CPU oversubscribed: %v > %v", ee, used, rv.EEs[ee].CPU)
 		}
 		if memUsed[ee] > rv.EEs[ee].Mem {
 			t.Errorf("EE %q memory oversubscribed", ee)

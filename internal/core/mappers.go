@@ -51,7 +51,7 @@ func (gm *GreedyMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 			}
 		}
 		if !placed {
-			return nil, fmt.Errorf("core: greedy: no EE fits NF %q (cpu=%.2f mem=%d)", nf.ID, cpu, mem)
+			return nil, fmt.Errorf("core: greedy: no EE fits NF %q (cpu=%v mem=%d)", nf.ID, cpu, mem)
 		}
 	}
 	routes, err := mc.routeLinks(placements, mc.caps)

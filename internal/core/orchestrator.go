@@ -382,7 +382,7 @@ func (o *Orchestrator) realizeNF(svc *Service, g *sg.Graph, mapping *Mapping, nf
 		options[k] = v
 	}
 	cpu, mem := NFDemand(mapping.Catalog, nf)
-	options["cpu"] = fmt.Sprintf("%g", cpu)
+	options["cpu"] = cpu.String()
 	options["mem"] = fmt.Sprint(mem)
 	return pool.Do(func(client *vnfagent.Client) error {
 		vnfID, err := client.InitiateVNF(nf.Type, options)

@@ -136,7 +136,7 @@ func TestDeployChainEndToEnd(t *testing.T) {
 	}
 	for _, eeName := range []string{"ee1", "ee2"} {
 		ee := env.Net.Node(eeName).(*netem.EE)
-		if got, want := ee.AvailableCPU(), 4.0; got != want {
+		if got, want := ee.AvailableCPU(), sg.CPU(4_000_000); got != want {
 			t.Errorf("%s CPU after undeploy = %v, want %v", eeName, got, want)
 		}
 	}
@@ -203,7 +203,7 @@ func TestDeployRejectsInfeasible(t *testing.T) {
 	if env.Steering.ActivePaths() != 0 {
 		t.Error("paths leaked")
 	}
-	if got := env.Net.Node("ee1").(*netem.EE).AvailableCPU(); got != 0.1 {
+	if got := env.Net.Node("ee1").(*netem.EE).AvailableCPU(); got != 100_000 {
 		t.Errorf("CPU leaked: %v", got)
 	}
 }

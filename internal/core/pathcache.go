@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"escape/internal/sg"
 )
 
 // pathCacheK is how many candidate routes the path engine keeps per
@@ -102,7 +104,7 @@ func (rv *ResourceView) PathCacheStats() PathCacheStats {
 // order, a feasible candidate is also a minimum-hop feasible route.
 // Returns (nil, false) when no candidate exists — the caller falls back
 // to BFS.
-func (pc *pathCache) lookup(c *Capacities, a, b string, bw float64, maxDelay time.Duration) ([]string, bool) {
+func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) ([]string, bool) {
 	key, reversed := mkPairKey(a, b)
 	pc.mu.Lock()
 	e := pc.entries[key]

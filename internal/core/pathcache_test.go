@@ -102,14 +102,14 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 				}
 				caps := rv.Snapshot()
 				var cached []string
-				var bw float64
+				var bw sg.BW
 				for q := 0; q < 4; q++ {
 					a := switches[rng.Intn(len(switches))]
 					b := switches[rng.Intn(len(switches))]
 					for b == a {
 						b = switches[rng.Intn(len(switches))]
 					}
-					bw = float64(rng.Intn(5)) // 0 = no bandwidth demand
+					bw = sg.BW(rng.Intn(5)) // 0 = no bandwidth demand
 					cached = caps.ShortestFeasiblePath(a, b, bw, maxDelay)
 					ref := caps.bfsPath(a, b, bw, maxDelay)
 					if (cached == nil) != (ref == nil) {
@@ -139,7 +139,7 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 				switch op := rng.Intn(10); {
 				case op < 4: // reserve the last route found
 					if cached != nil && bw > 0 {
-						g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: bw}}}
+						g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: float64(bw)}}}
 						m := &Mapping{Graph: g, Routes: map[string][]string{"l": cached}}
 						rv.Commit(m)
 						held = append(held, m)

@@ -13,13 +13,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"escape/internal/netem"
+	"escape/internal/sg"
 )
 
 // EERes describes one VNF container in the resource view.
@@ -138,29 +138,23 @@ func mkLinkKey(a, b string) linkKey {
 	return linkKey{a, b}
 }
 
-// Units. Inside the view CPU is counted in micro-cores and bandwidth in
-// bit/s, both int64, so committed sums are exact in any order: a release
-// restores the previous value bit for bit, and a pre-summed delta
-// publishes the same value as its parts added one by one. The float64
-// fields and results of the public API convert here and nowhere else.
-const microCores = 1e6
-
-func cpuUnits(cpu float64) int64 { return int64(math.Round(cpu * microCores)) }
-func cpuFloat(u int64) float64   { return float64(u) / microCores }
-func bwUnits(bw float64) int64   { return int64(math.Round(bw)) }
-func bwFloat(u int64) float64    { return float64(u) }
-
 // fits is the view's one capacity predicate, shared by the mappers'
-// FitsEE and linkFits and by commit validation: a demand fits when it
-// does not exceed what is free. No tolerance: the units are exact.
-func fits(free, demand int64) bool { return demand <= free }
+// FitsEE and linkFits and by commit validation. The view counts in sg.CPU
+// and sg.BW, so sums are exact in any order (a release restores the
+// previous value bit for bit) and fits needs no tolerance.
+func fits[T ~int64 | ~int](free, demand T) bool { return demand <= free }
+
+// capCPU and capBW are an EE's and a link's capacity in the view's units;
+// one out of range counts as none.
+func capCPU(res *EERes) sg.CPU { c, _ := sg.CPUOf(res.CPU); return c }
+func capBW(l *LinkRes) sg.BW   { b, _ := sg.BWOf(l.Bandwidth); return b }
 
 // eeRec is one EE's accounting record. In an epoch it holds the
 // committed CPU and memory; in a Capacities overlay, the free CPU and
 // memory net of the overlay's own reservations. The zero value is
 // nothing committed, unmasked.
 type eeRec struct {
-	cpu    int64 // micro-cores
+	cpu    sg.CPU
 	mem    int
 	masked bool
 }
@@ -168,7 +162,7 @@ type eeRec struct {
 // linkRec is one link's accounting record: committed (epoch) or free
 // (overlay) bandwidth in bit/s, and the mask.
 type linkRec struct {
-	bw     int64
+	bw     sg.BW
 	masked bool
 }
 
@@ -595,7 +589,7 @@ func (c *Capacities) eeFree(name string) eeRec {
 	}
 	r := c.st.ee(name)
 	if res := c.rv.EEs[name]; res != nil {
-		r.cpu, r.mem = cpuUnits(res.CPU)-r.cpu, res.Mem-r.mem
+		r.cpu, r.mem = capCPU(res)-r.cpu, res.Mem-r.mem
 	} else {
 		r.cpu, r.mem = 0, 0
 	}
@@ -611,14 +605,14 @@ func (c *Capacities) linkFree(k linkKey) linkRec {
 	}
 	r := c.st.link(k)
 	if l := c.rv.linkBetween(k.a, k.b); l != nil {
-		r.bw = bwUnits(l.Bandwidth) - r.bw
+		r.bw = capBW(l) - r.bw
 	}
 	c.link[k] = r
 	return r
 }
 
 // FreeCPU resolves an EE's free CPU net of this view's own reservations.
-func (c *Capacities) FreeCPU(ee string) float64 { return cpuFloat(c.eeFree(ee).cpu) }
+func (c *Capacities) FreeCPU(ee string) sg.CPU { return c.eeFree(ee).cpu }
 
 // FreeMem resolves an EE's free memory net of this view's reservations.
 func (c *Capacities) FreeMem(ee string) int { return c.eeFree(ee).mem }
@@ -645,15 +639,15 @@ func (c *Capacities) ExcludeLink(a, b string) {
 
 // FitsEE reports whether an EE has the demanded headroom. Excluded
 // (failed) EEs never fit.
-func (c *Capacities) FitsEE(ee string, cpu float64, mem int) bool {
+func (c *Capacities) FitsEE(ee string, cpu sg.CPU, mem int) bool {
 	r := c.eeFree(ee)
-	return !r.masked && fits(r.cpu, cpuUnits(cpu)) && fits(int64(r.mem), int64(mem))
+	return !r.masked && fits(r.cpu, cpu) && fits(r.mem, mem)
 }
 
 // TakeEE reserves compute on an EE (negative demands give it back).
-func (c *Capacities) TakeEE(ee string, cpu float64, mem int) {
+func (c *Capacities) TakeEE(ee string, cpu sg.CPU, mem int) {
 	r := c.eeFree(ee)
-	r.cpu -= cpuUnits(cpu)
+	r.cpu -= cpu
 	r.mem -= mem
 	c.ee[ee] = r
 }
@@ -661,7 +655,7 @@ func (c *Capacities) TakeEE(ee string, cpu float64, mem int) {
 // linkFits reports whether the link between two adjacent switches has bw
 // headroom (uncapacitated links always fit). Excluded (failed) links
 // never fit, which is what keeps re-routed paths off dead trunks.
-func (c *Capacities) linkFits(a, b string, bw float64) bool {
+func (c *Capacities) linkFits(a, b string, bw sg.BW) bool {
 	l := c.rv.linkBetween(a, b)
 	if l == nil {
 		return false
@@ -673,13 +667,13 @@ func (c *Capacities) linkFits(a, b string, bw float64) bool {
 	if l.Bandwidth <= 0 || bw <= 0 {
 		return true
 	}
-	return fits(r.bw, bwUnits(bw))
+	return fits(r.bw, bw)
 }
 
 // takePath reserves bandwidth along a switch route; a negative bw gives
 // it back (healing virtually releases the routes it abandons so
 // replacements can reuse their capacity).
-func (c *Capacities) takePath(route []string, bw float64) {
+func (c *Capacities) takePath(route []string, bw sg.BW) {
 	if bw == 0 {
 		return
 	}
@@ -687,7 +681,7 @@ func (c *Capacities) takePath(route []string, bw float64) {
 		if l := c.rv.linkBetween(route[i], route[i+1]); l != nil && l.Bandwidth > 0 {
 			k := mkLinkKey(route[i], route[i+1])
 			r := c.linkFree(k)
-			r.bw -= bwUnits(bw)
+			r.bw -= bw
 			c.link[k] = r
 		}
 	}
@@ -699,7 +693,7 @@ func (c *Capacities) takePath(route []string, bw float64) {
 // The candidates come precomputed per switch pair from the path cache and
 // only feasibility is checked; a live BFS is the fallback when no cached
 // candidate fits.
-func (c *Capacities) ShortestFeasiblePath(a, b string, bw float64, maxDelay time.Duration) []string {
+func (c *Capacities) ShortestFeasiblePath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
 	if a == b {
 		return []string{a}
 	}
@@ -712,7 +706,7 @@ func (c *Capacities) ShortestFeasiblePath(a, b string, bw float64, maxDelay time
 // bfsPath is the uncached search: breadth-first over the adjacency index
 // with feasibility and delay pruning inline. It is the cache's fallback
 // and the reference engine the path-cache tests compare against.
-func (c *Capacities) bfsPath(a, b string, bw float64, maxDelay time.Duration) []string {
+func (c *Capacities) bfsPath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
 	type state struct {
 		sw    string
 		delay time.Duration
@@ -815,15 +809,15 @@ func (rv *ResourceView) Release(m *Mapping) {
 
 // Committed reports the currently committed compute on one EE (test and
 // invariant-checking hook: committed never exceeds EERes capacity).
-func (rv *ResourceView) Committed(ee string) (cpu float64, mem int) {
+func (rv *ResourceView) Committed(ee string) (cpu sg.CPU, mem int) {
 	r := rv.state.Load().ee(ee)
-	return cpuFloat(r.cpu), r.mem
+	return r.cpu, r.mem
 }
 
 // CommittedBW reports the committed bandwidth on the link between two
 // switches.
-func (rv *ResourceView) CommittedBW(a, b string) float64 {
-	return bwFloat(rv.state.Load().link(mkLinkKey(a, b)).bw)
+func (rv *ResourceView) CommittedBW(a, b string) sg.BW {
+	return rv.state.Load().link(mkLinkKey(a, b)).bw
 }
 
 // Fingerprint digests the committed state of the current epoch — per-EE

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"testing"
 
@@ -95,7 +94,7 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 	env.Orch.Shutdown()
 	wg.Wait()
 
-	var wantCPU float64
+	var wantCPU sg.CPU
 	var wantMem int
 	running := 0
 	for i := 0; i < n; i++ {
@@ -127,16 +126,14 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 		t.Log("shutdown cancelled every deploy (allowed, but weakens the test)")
 	}
 
-	var gotCPU float64
+	var gotCPU sg.CPU
 	var gotMem int
 	for _, ee := range env.View.EENames() {
 		cpu, mem := env.View.Committed(ee)
 		gotCPU += cpu
 		gotMem += mem
 	}
-	// The view's committed values are exact; only this test's own float
-	// sums across EEs may associate differently.
-	if math.Abs(gotCPU-wantCPU) > 1e-9 || gotMem != wantMem {
+	if gotCPU != wantCPU || gotMem != wantMem {
 		t.Errorf("committed after drain = (%v cpu, %d mem), want (%v, %d): cancelled deploys leaked resources",
 			gotCPU, gotMem, wantCPU, wantMem)
 	}

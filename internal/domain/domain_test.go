@@ -129,7 +129,7 @@ func TestDeploySpansThreeDomains(t *testing.T) {
 	}
 	for _, d := range env.Global.Domains() {
 		if cpu, mem := env.Global.AbstractView().Committed(d); cpu != 0 || mem != 0 {
-			t.Errorf("abstract view still holds %f CPU / %d mem in %s", cpu, mem, d)
+			t.Errorf("abstract view still holds %v CPU / %d mem in %s", cpu, mem, d)
 		}
 	}
 }
@@ -207,7 +207,7 @@ func TestDomainAdmissionRollback(t *testing.T) {
 	}
 	for _, d := range env.Global.Domains() {
 		if cpu, mem := env.Global.AbstractView().Committed(d); cpu != 0 || mem != 0 {
-			t.Errorf("rollback left %f CPU / %d mem committed in %s", cpu, mem, d)
+			t.Errorf("rollback left %v CPU / %d mem committed in %s", cpu, mem, d)
 		}
 	}
 	if n := env.Steering.ActivePaths(); n != 0 {

@@ -112,10 +112,8 @@ func (g *GlobalOrchestrator) split(graph *sg.Graph, am *core.Mapping) (plan *dep
 				l.ID, route, srcDom, dstDom)
 		}
 		bw := l.Bandwidth
-		if am.Demands != nil {
-			if d, ok := am.Demands[l.ID]; ok {
-				bw = d
-			}
+		if d, ok := am.Demands[l.ID]; ok {
+			bw = float64(d)
 		}
 		if len(route) == 1 {
 			// Entirely intra-domain: the link survives as-is.

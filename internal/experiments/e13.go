@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -150,11 +149,11 @@ func (s *e13Stack) e13AwaitRunning(tenants, intentsPer int, timeout time.Duratio
 // fingerprint + epoch equality check lives in the api recovery test,
 // where reconciliation is forced single-threaded.
 func (s *e13Stack) e13UsageMatch(tenants, intentsPer, chainLen int) bool {
-	wantCPU := float64(intentsPer*chainLen) * 0.1
-	wantMem := intentsPer * chainLen * 32
+	mon, _ := catalog.Default().Lookup("monitor")
+	nfs := intentsPer * chainLen
 	for t := 0; t < tenants; t++ {
 		cpu, mem, _, svcs := s.gate.Usage(e13TenantName(t))
-		if math.Abs(cpu-wantCPU) > 1e-9 || mem != wantMem || svcs != intentsPer {
+		if cpu != sg.CPU(nfs)*mon.DefaultCPU || mem != nfs*mon.DefaultMem || svcs != intentsPer {
 			return false
 		}
 	}

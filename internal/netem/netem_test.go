@@ -252,13 +252,13 @@ func TestEEVNFLifecycle(t *testing.T) {
 		Name:        "fwd1",
 		ClickConfig: `FromDevice(in) -> cnt :: Counter -> Queue(64) -> ToDevice(out);`,
 		Devices:     []string{"in", "out"},
-		CPU:         0.5, Mem: 128,
+		CPU:         500_000, Mem: 128,
 		ControlSocket: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ee.AvailableCPU() != 1.5 {
+	if ee.AvailableCPU() != 1_500_000 {
 		t.Errorf("available CPU = %v", ee.AvailableCPU())
 	}
 
@@ -324,7 +324,7 @@ func TestEEVNFLifecycle(t *testing.T) {
 	if err := ee.StopVNF("fwd1"); err != nil {
 		t.Fatal(err)
 	}
-	if ee.AvailableCPU() != 2 {
+	if ee.AvailableCPU() != 2_000_000 {
 		t.Errorf("CPU not released: %v", ee.AvailableCPU())
 	}
 	if err := ee.StopVNF("fwd1"); err == nil {
@@ -336,13 +336,13 @@ func TestEEAdmissionControl(t *testing.T) {
 	n := New("t", Options{})
 	ee, _ := n.AddEE("ee1", EEConfig{CPU: 1, Mem: 256, Isolation: IsolationCGroup})
 	defer n.Stop()
-	if _, err := ee.InitVNF(VNFSpec{Name: "big", ClickConfig: "Idle -> Discard;", CPU: 2}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "big", ClickConfig: "Idle -> Discard;", CPU: 2_000_000}); err == nil {
 		t.Error("over-CPU VNF admitted")
 	}
 	if _, err := ee.InitVNF(VNFSpec{Name: "bigmem", ClickConfig: "Idle -> Discard;", Mem: 512}); err == nil {
 		t.Error("over-memory VNF admitted")
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "Idle -> Discard;", CPU: 0.5, Mem: 128}); err != nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "Idle -> Discard;", CPU: 500_000, Mem: 128}); err != nil {
 		t.Error(err)
 	}
 	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "Idle -> Discard;"}); err == nil {
@@ -358,7 +358,7 @@ func TestEEAdmitsExactDecimalFill(t *testing.T) {
 	ee, _ := n.AddEE("ee1", EEConfig{CPU: 0.3, Mem: 96, Isolation: IsolationCGroup})
 	defer n.Stop()
 	for i := 0; i < 3; i++ {
-		spec := VNFSpec{Name: fmt.Sprintf("mon%d", i), ClickConfig: "Idle -> Discard;", CPU: 0.1, Mem: 32}
+		spec := VNFSpec{Name: fmt.Sprintf("mon%d", i), ClickConfig: "Idle -> Discard;", CPU: 100_000, Mem: 32}
 		if _, err := ee.InitVNF(spec); err != nil {
 			t.Fatalf("VNF %d of three 0.1-CPU VNFs on a 0.3-CPU EE: %v", i, err)
 		}
@@ -366,7 +366,7 @@ func TestEEAdmitsExactDecimalFill(t *testing.T) {
 	if got := ee.AvailableCPU(); got != 0 {
 		t.Errorf("available CPU = %v, want 0", got)
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "mon3", ClickConfig: "Idle -> Discard;", CPU: 0.1}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "mon3", ClickConfig: "Idle -> Discard;", CPU: 100_000}); err == nil {
 		t.Error("VNF admitted past a full EE")
 	}
 }

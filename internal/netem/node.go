@@ -3,7 +3,6 @@ package netem
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/netip"
 	"sync"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"escape/internal/click"
 	"escape/internal/ofswitch"
 	"escape/internal/pkt"
+	"escape/internal/sg"
 )
 
 const waitForSwitchesTimeout = 5 * time.Second
@@ -268,7 +268,7 @@ type VNFSpec struct {
 	// Devices lists the FromDevice/ToDevice names the config references.
 	Devices []string
 	// CPU/Mem are the resource demands charged against the EE.
-	CPU float64
+	CPU sg.CPU
 	Mem int
 	// ControlSocket starts a ClickControl server for monitoring when true.
 	ControlSocket bool
@@ -491,37 +491,26 @@ func (*EE) Kind() NodeKind { return KindEE }
 // Config returns the EE's capacity.
 func (e *EE) Config() EEConfig { return e.cfg }
 
-// AvailableCPU returns uncommitted CPU capacity.
-func (e *EE) AvailableCPU() float64 {
+// AvailableCPU returns uncommitted CPU capacity, counted as the
+// orchestrator counts it (sg.CPU), so exact decimal fills fit here too.
+func (e *EE) AvailableCPU() sg.CPU {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return float64(e.availableCPULocked()) / 1e6
+	cpu, _ := e.availableLocked()
+	return cpu
 }
 
-// microCores converts a CPU share to the integer micro-cores EE admission
-// counts in, the units of the orchestrator's resource view: VNFs whose
-// decimal demands exactly fill the EE (three 0.1 on 0.3) are admitted
-// here too, in whatever order they arrive.
-func microCores(cpu float64) int64 { return int64(math.Round(cpu * 1e6)) }
-
-func (e *EE) availableCPULocked() int64 {
-	used := int64(0)
+// availableLocked is the capacity not held by INITIALIZED or RUNNING VNFs.
+func (e *EE) availableLocked() (cpu sg.CPU, mem int) {
+	cpu, _ = sg.CPUOf(e.cfg.CPU)
+	mem = e.cfg.Mem
 	for _, v := range e.vnfs {
 		if v.State() != VNFStopped {
-			used += microCores(v.Spec.CPU)
+			cpu -= v.Spec.CPU
+			mem -= v.Spec.Mem
 		}
 	}
-	return microCores(e.cfg.CPU) - used
-}
-
-func (e *EE) availableMemLocked() int {
-	used := 0
-	for _, v := range e.vnfs {
-		if v.State() != VNFStopped {
-			used += v.Spec.Mem
-		}
-	}
-	return e.cfg.Mem - used
+	return cpu, mem
 }
 
 // InitVNF creates a VNF in the INITIALIZED state: resources are admitted
@@ -543,13 +532,12 @@ func (e *EE) InitVNF(spec VNFSpec) (*VNF, error) {
 		return nil, fmt.Errorf("netem: VNF %q already exists in %s", spec.Name, e.name)
 	}
 	if e.cfg.Isolation == IsolationCGroup {
-		if avail := e.availableCPULocked(); microCores(spec.CPU) > avail {
-			return nil, fmt.Errorf("netem: EE %s out of CPU (%.2f requested, %.2f available)",
-				e.name, spec.CPU, float64(avail)/1e6)
+		cpu, mem := e.availableLocked()
+		if spec.CPU > cpu {
+			return nil, fmt.Errorf("netem: EE %s out of CPU (%v requested, %v available)", e.name, spec.CPU, cpu)
 		}
-		if spec.Mem > e.availableMemLocked() {
-			return nil, fmt.Errorf("netem: EE %s out of memory (%d requested, %d available)",
-				e.name, spec.Mem, e.availableMemLocked())
+		if spec.Mem > mem {
+			return nil, fmt.Errorf("netem: EE %s out of memory (%d requested, %d available)", e.name, spec.Mem, mem)
 		}
 	}
 	v := &VNF{Spec: spec, state: VNFInitialized, devices: map[string]*eeDevice{}}

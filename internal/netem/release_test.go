@@ -31,7 +31,7 @@ func initForwarder(t *testing.T, ee *EE, name string) {
 		Name:        name,
 		ClickConfig: `FromDevice(in) -> Queue(64) -> ToDevice(out);`,
 		Devices:     []string{"in", "out"},
-		CPU:         0.5, Mem: 128,
+		CPU:         500_000, Mem: 128,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestReapStoppedDisconnectedVNF(t *testing.T) {
 	if err := ee.StopVNF("v2"); err == nil {
 		t.Error("stopping a released VNF succeeded")
 	}
-	if got := ee.AvailableCPU(); got != 2 {
+	if got := ee.AvailableCPU(); got != 2_000_000 {
 		t.Errorf("available CPU = %v, want 2", got)
 	}
 	if got := s1.Switch().PortCount(); got != ports0 {

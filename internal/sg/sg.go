@@ -156,8 +156,9 @@ func (g *Graph) Validate() error {
 		if prev, dup := ids[n.ID]; dup {
 			return fmt.Errorf("sg: id %q used by both %s and NF", n.ID, prev)
 		}
-		if n.CPU < 0 || n.Mem < 0 {
-			return fmt.Errorf("sg: NF %q has negative resources", n.ID)
+		// A CPU demand, unlike a capacity, must be whole micro-cores.
+		if c, err := CPUOf(n.CPU); err != nil || float64(c)/1e6 != n.CPU || n.Mem < 0 {
+			return fmt.Errorf("sg: NF %q has negative resources or a cpu %v not in whole micro-cores within int64", n.ID, n.CPU)
 		}
 		ids[n.ID] = "NF"
 	}
@@ -186,8 +187,8 @@ func (g *Graph) Validate() error {
 		if l.Src.Node == l.Dst.Node {
 			return fmt.Errorf("sg: link %q is a self-loop on %q", l.ID, l.Src.Node)
 		}
-		if l.Bandwidth < 0 || l.MaxDelay < 0 {
-			return fmt.Errorf("sg: link %q has negative requirements", l.ID)
+		if _, err := BWOf(l.Bandwidth); err != nil || l.MaxDelay < 0 {
+			return fmt.Errorf("sg: link %q has negative requirements or a bandwidth %v beyond int64", l.ID, l.Bandwidth)
 		}
 		for _, tag := range []uint16{l.IngressTag, l.EgressTag} {
 			if tag != 0 && (tag < MinStitchTag || tag > MaxStitchTag) {
@@ -213,8 +214,8 @@ func (g *Graph) Validate() error {
 		if g.SAP(r.From) == nil || g.SAP(r.To) == nil {
 			return fmt.Errorf("sg: requirement %q endpoints must be SAPs", r.ID)
 		}
-		if r.MaxDelay < 0 || r.Bandwidth < 0 {
-			return fmt.Errorf("sg: requirement %q has negative values", r.ID)
+		if _, err := BWOf(r.Bandwidth); err != nil || r.MaxDelay < 0 {
+			return fmt.Errorf("sg: requirement %q has negative values or a bandwidth %v beyond int64", r.ID, r.Bandwidth)
 		}
 		if r.MaxDelay == 0 && r.Bandwidth == 0 {
 			return fmt.Errorf("sg: requirement %q constrains nothing", r.ID)

@@ -1,6 +1,7 @@
 package sg
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -58,6 +59,16 @@ func TestValidateErrors(t *testing.T) {
 		{func(g *Graph) { g.Links[0].Dst.Port = "" }, "needs a port"},
 		{func(g *Graph) { g.Links[1].ID = "l1" }, "duplicate link id"},
 		{func(g *Graph) { g.Links[0].Bandwidth = -5 }, "negative requirements"},
+		{func(g *Graph) { g.NFs[0].CPU = 1e300 }, "whole micro-cores"},
+		{func(g *Graph) { g.NFs[0].CPU = math.NaN() }, "whole micro-cores"},
+		{func(g *Graph) { g.NFs[0].CPU = math.Inf(1) }, "whole micro-cores"},
+		{func(g *Graph) { g.NFs[0].CPU = 0.1234567 }, "whole micro-cores"},
+		{func(g *Graph) { g.NFs[0].CPU = 1e-7 }, "whole micro-cores"},
+		{func(g *Graph) { g.Links[0].Bandwidth = 1e300 }, "beyond int64"},
+		{func(g *Graph) { g.Links[0].Bandwidth = math.Inf(1) }, "beyond int64"},
+		{func(g *Graph) {
+			g.Reqs = []*Requirement{{ID: "r", From: "sap1", To: "sap2", Bandwidth: math.NaN()}}
+		}, "beyond int64"},
 		{func(g *Graph) { g.SAPs = append(g.SAPs, &SAP{ID: "lonely"}) }, "not connected"},
 		{func(g *Graph) {
 			g.Links[0].Src = Endpoint{Node: "nf1", Port: "x"}

@@ -43,7 +43,6 @@ package substrate
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"sort"
 	"sync"
@@ -401,22 +400,17 @@ func maxChainLen(events []ScenarioEvent) int {
 // multiple of the unit.
 type flipTracker struct {
 	rv      *core.ResourceView
-	cpuUnit int64
+	cpuUnit sg.CPU
 	memUnit int64
-	bwUnit  int64
+	bwUnit  sg.BW
 	kMax    int
 	flips   uint64
 
-	cpuUsed map[string]int64
+	cpuUsed map[string]sg.CPU
 	memUsed map[string]int64
-	bwUsed  map[[2]string]int64
-	bwCap   map[[2]string]int64 // capacitated physical links only
+	bwUsed  map[[2]string]sg.BW
+	bwCap   map[[2]string]sg.BW // capacitated physical links only
 }
-
-// microCores and bitsPerSec convert the way the view converts CPU and
-// bandwidth into its integer units.
-func microCores(cpu float64) int64 { return int64(math.Round(cpu * 1e6)) }
-func bitsPerSec(bw float64) int64  { return int64(math.Round(bw)) }
 
 // newFlipTracker seeds the shadow from the view's current committed
 // state (normally zero: E14 plays each trace on a fresh view).
@@ -433,22 +427,22 @@ func newFlipTracker(rv *core.ResourceView, opts PlayOptions, maxChain int) *flip
 		k = 63 // signatures are uint64
 	}
 	ft := &flipTracker{
-		rv:      rv,
-		cpuUnit: microCores(opts.NFCPU), memUnit: int64(opts.NFMem), bwUnit: bitsPerSec(opts.LinkBW),
-		kMax:    k,
-		cpuUsed: map[string]int64{}, memUsed: map[string]int64{},
-		bwUsed: map[[2]string]int64{}, bwCap: map[[2]string]int64{},
+		rv: rv, memUnit: int64(opts.NFMem), kMax: k,
+		cpuUsed: map[string]sg.CPU{}, memUsed: map[string]int64{},
+		bwUsed: map[[2]string]sg.BW{}, bwCap: map[[2]string]sg.BW{},
 	}
+	ft.cpuUnit, _ = sg.CPUOf(opts.NFCPU)
+	ft.bwUnit, _ = sg.BWOf(opts.LinkBW)
 	for name := range rv.EEs {
 		cpu, mem := rv.Committed(name)
-		ft.cpuUsed[name] = microCores(cpu)
+		ft.cpuUsed[name] = cpu
 		ft.memUsed[name] = int64(mem)
 	}
 	for _, l := range rv.Links {
 		if l.Bandwidth > 0 {
 			key := linkKeyOf(l.A, l.B)
-			ft.bwCap[key] = bitsPerSec(l.Bandwidth)
-			ft.bwUsed[key] = bitsPerSec(rv.CommittedBW(l.A, l.B))
+			ft.bwCap[key], _ = sg.BWOf(l.Bandwidth)
+			ft.bwUsed[key] = rv.CommittedBW(l.A, l.B)
 		}
 	}
 	return ft
@@ -457,9 +451,9 @@ func newFlipTracker(rv *core.ResourceView, opts PlayOptions, maxChain int) *flip
 // sig is the threshold signature of one resource: bit k is free ≥ k·unit.
 // Core's validation check (used + k·unit > cap) is the complement of bit
 // k, so it needs no signature of its own.
-func sig(free, unit int64, kMax int) (s uint64) {
+func sig[T ~int64](free, unit T, kMax int) (s uint64) {
 	for k := 0; k <= kMax; k++ {
-		if free >= int64(k)*unit {
+		if free >= T(k)*unit {
 			s |= 1 << uint(k)
 		}
 	}
@@ -473,9 +467,10 @@ func (ft *flipTracker) addCompute(ee string, sign int64) {
 	if res == nil {
 		return
 	}
-	cpuCap, memCap := microCores(res.CPU), int64(res.Mem)
+	cpuCap, _ := sg.CPUOf(res.CPU)
+	memCap := int64(res.Mem)
 	oc, om := ft.cpuUsed[ee], ft.memUsed[ee]
-	nc, nm := oc+sign*ft.cpuUnit, om+sign*ft.memUnit
+	nc, nm := oc+sg.CPU(sign)*ft.cpuUnit, om+sign*ft.memUnit
 	if sig(cpuCap-oc, ft.cpuUnit, ft.kMax) != sig(cpuCap-nc, ft.cpuUnit, ft.kMax) ||
 		sig(memCap-om, ft.memUnit, ft.kMax) != sig(memCap-nm, ft.memUnit, ft.kMax) {
 		ft.flips++
@@ -492,7 +487,7 @@ func (ft *flipTracker) addBW(key [2]string, sign int64) {
 		return
 	}
 	o := ft.bwUsed[key]
-	n := o + sign*ft.bwUnit
+	n := o + sg.BW(sign)*ft.bwUnit
 	if sig(cap-o, ft.bwUnit, ft.kMax) != sig(cap-n, ft.bwUnit, ft.kMax) {
 		ft.flips++
 	}

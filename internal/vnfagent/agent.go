@@ -22,6 +22,7 @@ import (
 	"escape/internal/catalog"
 	"escape/internal/netconf"
 	"escape/internal/netem"
+	"escape/internal/sg"
 	"escape/internal/yang"
 )
 
@@ -178,14 +179,14 @@ func (a *Agent) rpcInitiate(_ *netconf.Session, in *yang.Data) (*yang.Data, erro
 		return nil, err
 	}
 	params := map[string]string{}
-	var cpu float64
+	var cpu sg.CPU
 	var mem int
 	for _, opt := range in.ChildrenNamed("option") {
 		name, value := opt.ChildText("name"), opt.ChildText("value")
 		switch name {
 		case "cpu":
-			if cpu, err = strconv.ParseFloat(value, 64); err != nil {
-				return nil, fmt.Errorf("bad cpu option %q", value)
+			if cpu, err = sg.ParseCPU(value); err != nil {
+				return nil, fmt.Errorf("bad cpu option: %w", err)
 			}
 		case "mem":
 			if mem, err = strconv.Atoi(value); err != nil {
@@ -317,7 +318,7 @@ func (a *Agent) stateProvider() *yang.Data {
 		entry := yang.NewData("vnf").
 			AddLeaf("id", name).
 			AddLeaf("status", v.State().String()).
-			AddLeaf("cpu", strconv.FormatFloat(v.Spec.CPU, 'f', -1, 64)).
+			AddLeaf("cpu", v.Spec.CPU.String()).
 			AddLeaf("mem", strconv.Itoa(v.Spec.Mem))
 		if rec := a.records[name]; rec != nil {
 			entry.AddLeaf("type", rec.vnfType)

@@ -69,7 +69,7 @@ func TestVNFFullLifecycleOverNETCONF(t *testing.T) {
 	if !strings.Contains(id, "simpleForwarder") {
 		t.Errorf("vnf id = %q", id)
 	}
-	if agent.EE().AvailableCPU() != 3.5 {
+	if agent.EE().AvailableCPU() != 3_500_000 {
 		t.Errorf("available cpu = %v", agent.EE().AvailableCPU())
 	}
 
@@ -146,6 +146,28 @@ func TestAgentRPCErrors(t *testing.T) {
 	// Resource admission surfaces over NETCONF.
 	if _, err := client.InitiateVNF("simpleForwarder", map[string]string{"cpu": "99"}); err == nil {
 		t.Error("over-capacity VNF accepted")
+	}
+}
+
+// TestAgentRejectsNonDecimalCPU: a cpu option that is not a decimal64 of
+// whole micro-cores is an rpc-error and charges the EE nothing.
+func TestAgentRejectsNonDecimalCPU(t *testing.T) {
+	_, agent, client := newAgentClient(t)
+	before := agent.EE().AvailableCPU()
+	for _, cpu := range []string{"NaN", "+Inf", "1e300", "0x1p-2", "1e-7", "0.1234567", "-0.5", ".5"} {
+		if id, err := client.InitiateVNF("monitor", map[string]string{"cpu": cpu}); err == nil {
+			t.Errorf("cpu %q accepted as VNF %s", cpu, id)
+		}
+		if got := agent.EE().AvailableCPU(); got != before {
+			t.Fatalf("cpu %q moved AvailableCPU %v → %v", cpu, before, got)
+		}
+	}
+	if _, err := client.InitiateVNF("monitor", map[string]string{"cpu": "0.000001"}); err != nil {
+		t.Errorf("one micro-core refused: %v", err)
+	}
+	infos, err := client.GetVNFInfo()
+	if err != nil || len(infos) != 1 || infos[0].CPU != "0.000001" {
+		t.Errorf("state = %+v, %v; want one VNF of cpu 0.000001", infos, err)
 	}
 }
 
@@ -248,7 +270,7 @@ func TestReapedVNFLeavesGetVNFInfo(t *testing.T) {
 	if infos, _ := client.GetVNFInfo(); len(infos) != 0 {
 		t.Errorf("getVNFInfo after stop = %+v, want none", infos)
 	}
-	if got := agent.EE().AvailableCPU(); got != 4 {
+	if got := agent.EE().AvailableCPU(); got != 4_000_000 {
 		t.Errorf("available CPU = %v, want 4", got)
 	}
 }

@@ -9,6 +9,7 @@ package yang
 
 import (
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 )
@@ -126,7 +127,7 @@ func checkLeafValue(n *Node, text string) error {
 			return fmt.Errorf("leaf %q: %q is not a uint32", n.Name, text)
 		}
 	case TypeDecimal64:
-		if _, err := strconv.ParseFloat(text, 64); err != nil {
+		if !decimal64.MatchString(text) {
 			return fmt.Errorf("leaf %q: %q is not a decimal64", n.Name, text)
 		}
 	case TypeBoolean:
@@ -143,6 +144,10 @@ func checkLeafValue(n *Node, text string) error {
 	}
 	return nil
 }
+
+// decimal64 is the lexical form of RFC 7950 §9.3.1: an optional sign,
+// digits, then optionally "." and digits. No exponent, NaN or Inf.
+var decimal64 = regexp.MustCompile(`^[+-]?[0-9]+(\.[0-9]+)?$`)
 
 // ValidateData checks a data tree against a schema child set: every
 // element must be modeled, leaves must type-check, mandatory children must

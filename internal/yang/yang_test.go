@@ -114,7 +114,8 @@ func TestLeafTypeChecks(t *testing.T) {
 		{TypeInt32, []string{"0", "-5", "2147483647"}, []string{"x", "2147483648", "1.5"}},
 		{TypeUint32, []string{"0", "4294967295"}, []string{"-1", "abc"}},
 		{TypeBoolean, []string{"true", "false"}, []string{"TRUE", "1", "yes"}},
-		{TypeDecimal64, []string{"1.5", "-2", "0"}, []string{"one"}},
+		{TypeDecimal64, []string{"1.5", "-2", "0", "+0.000001", "007.50"},
+			[]string{"one", "NaN", "Inf", "1e3", "0x1p-2", ".5", "1.", "", "+", "-.5", "1.2.3", " 1"}},
 	}
 	for _, c := range cases {
 		n := &Node{Name: "x", Kind: KindLeaf, Type: c.typ}
