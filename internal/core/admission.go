@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"escape/internal/sg"
@@ -100,21 +101,24 @@ func (rv *ResourceView) retry(what, name string, attempt func() (bool, error)) e
 // (the caller should re-map, typically via AdmitAndCommit); a non-nil
 // error is a permanent commit-gate rejection.
 func (rv *ResourceView) TryCommitMapping(m *Mapping) (bool, error) {
-	return rv.tryPublish(mappingDelta(m, 1), m)
+	return rv.tryPublish(rv.mappingDelta(m, 1), m)
 }
 
 // delta is one signed change to the committed accounting: a mapping's
 // demands added (Commit, admission) or returned (Release), or a heal
 // plan's moves — old placements and routes out, new ones in. Built
-// outside the view lock, published as one epoch.
+// outside the view lock, by record ID (see topoIndex), and published as
+// one epoch.
 type delta struct {
-	ee   map[string]eeChange
-	link map[linkKey]linkChange
+	ix   *topoIndex
+	ee   []eeChange
+	link []linkChange
 }
 
 // eeChange is one EE's part of a delta; recv marks an EE that receives
 // an NF, which must exist and be unmasked.
 type eeChange struct {
+	id   int32
 	cpu  sg.CPU
 	mem  int
 	recv bool
@@ -123,20 +127,23 @@ type eeChange struct {
 // linkChange is one link's part of a delta; onRoute marks a link on a
 // new route, which must exist and be unmasked.
 type linkChange struct {
+	id      int32
 	bw      sg.BW
 	onRoute bool
 }
 
 // place adds (sign +1) or removes (-1) one NF's compute on an EE.
 func (d *delta) place(ee string, cpu sg.CPU, mem int, sign int) {
-	if d.ee == nil {
-		d.ee = map[string]eeChange{}
+	id := d.ix.eeRef(ee, true)
+	i := slices.IndexFunc(d.ee, func(c eeChange) bool { return c.id == id })
+	if i < 0 {
+		i = len(d.ee)
+		d.ee = append(d.ee, eeChange{id: id})
 	}
-	c := d.ee[ee]
+	c := &d.ee[i]
 	c.cpu += sg.CPU(sign) * cpu
 	c.mem += sign * mem
 	c.recv = c.recv || sign > 0
-	d.ee[ee] = c
 }
 
 // route adds (sign +1) or removes (-1) one SG link's bandwidth along a
@@ -146,22 +153,23 @@ func (d *delta) route(route []string, bw sg.BW, sign int) {
 		return
 	}
 	for i := 0; i+1 < len(route); i++ {
-		if d.link == nil {
-			d.link = map[linkKey]linkChange{}
+		id := d.ix.linkRef(route[i], route[i+1], true)
+		j := slices.IndexFunc(d.link, func(c linkChange) bool { return c.id == id })
+		if j < 0 {
+			j = len(d.link)
+			d.link = append(d.link, linkChange{id: id})
 		}
-		k := mkLinkKey(route[i], route[i+1])
-		c := d.link[k]
+		c := &d.link[j]
 		if bw > 0 {
 			c.bw += sg.BW(sign) * bw
 		}
 		c.onRoute = c.onRoute || sign > 0
-		d.link[k] = c
 	}
 }
 
 // mappingDelta is a mapping's whole demand with the given sign.
-func mappingDelta(m *Mapping, sign int) *delta {
-	d := &delta{}
+func (rv *ResourceView) mappingDelta(m *Mapping, sign int) *delta {
+	d := &delta{ix: rv.topo()}
 	for nfID, ee := range m.Placements {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		d.place(ee, cpu, mem, sign)
@@ -177,8 +185,8 @@ func mappingDelta(m *Mapping, sign int) *delta {
 // healDelta is a heal plan's moves: each moved NF's compute leaves its
 // old EE for its new one, each re-routed SG link's bandwidth leaves its
 // old route for its new one.
-func healDelta(m *Mapping, plan *HealPlan) *delta {
-	d := &delta{}
+func (rv *ResourceView) healDelta(m *Mapping, plan *HealPlan) *delta {
+	d := &delta{ix: rv.topo()}
 	for nfID, newEE := range plan.Moved {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		d.place(plan.OldEE[nfID], cpu, mem, -1)
@@ -199,22 +207,22 @@ func healDelta(m *Mapping, plan *HealPlan) *delta {
 // links gain anything, so pure releases are never checked. Caller holds
 // rv.mu.
 func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
-	for name, c := range d.ee {
+	for _, c := range d.ee {
 		if !c.recv {
 			continue
 		}
-		res, r := rv.EEs[name], cur.ee(name)
+		res, r := d.ix.eeRes(rv, c.id), cur.ee.at(c.id)
 		if res == nil || r.masked ||
 			c.cpu > 0 && !fits(capCPU(res)-r.cpu, c.cpu) ||
 			c.mem > 0 && !fits(res.Mem-r.mem, c.mem) {
 			return false
 		}
 	}
-	for k, c := range d.link {
+	for _, c := range d.link {
 		if !c.onRoute {
 			continue
 		}
-		l, r := rv.linkIdx[k], cur.link(k)
+		l, r := d.ix.linkRes(c.id), cur.link.at(c.id)
 		if l == nil || r.masked ||
 			c.bw > 0 && l.Bandwidth > 0 && !fits(capBW(l)-r.bw, c.bw) {
 			return false
@@ -231,7 +239,6 @@ func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
 // heal: the commit gate vets admissions only, and its non-nil error is a
 // permanent rejection that retrying cannot fix.
 func (rv *ResourceView) tryPublish(d *delta, admit *Mapping) (bool, error) {
-	rv.buildTopoIndex()
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	if !rv.fitsEpoch(rv.state.Load(), d) {

@@ -12,7 +12,7 @@ import (
 
 // The versioned copy-on-write view suite: epochs advance monotonically
 // (one per mutation), Release restores the exact pre-Commit state across
-// compaction boundaries, exclusion masks are epoch transitions pinned
+// many epochs, exclusion masks are epoch transitions pinned
 // snapshots don't see, and optimistic admission under contention admits
 // exactly what the capacity allows.
 
@@ -55,13 +55,13 @@ func cowChain(name string, nfs int, cpu float64, mem int) *sg.Graph {
 	return g
 }
 
-func TestEpochPerMutationAndExactRestoreAcrossCompaction(t *testing.T) {
+func TestEpochPerMutationAndExactRestoreAcrossManyEpochs(t *testing.T) {
 	rv := ringView(8, 64, 1<<20, 0)
 	cpu0, mem0, bw0 := capsSnapshot(rv)
 	ep0 := rv.Epoch()
 
 	mapper := &KSPMapper{Catalog: catalog.Default()}
-	n := 2*compactDepth + 5 // cross at least two compaction boundaries
+	n := 133 // many epochs, each sharing the record chunks it did not touch
 	var mappings []*Mapping
 	for i := 0; i < n; i++ {
 		m, err := rv.AdmitAndCommit(mapper, cowChain(fmt.Sprintf("svc%d", i), 2, 0.25, 32))

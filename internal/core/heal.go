@@ -68,7 +68,7 @@ func (rv *ResourceView) TryCommitHealPlan(m *Mapping, plan *HealPlan) bool {
 	if plan.Empty() {
 		return true
 	}
-	ok, _ := rv.tryPublish(healDelta(m, plan), nil) // no gate for heals, so no error
+	ok, _ := rv.tryPublish(rv.healDelta(m, plan), nil) // no gate for heals, so no error
 	return ok
 }
 

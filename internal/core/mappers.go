@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"escape/internal/catalog"
@@ -222,6 +223,7 @@ func (km *KSPMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
+	ix := rv.topo()
 	placements := map[string]string{}
 	for _, chain := range chains {
 		if len(chain.Nodes) < 2 {
@@ -245,30 +247,30 @@ func (km *KSPMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) {
 			}
 			cpu, mem := NFDemand(mc.cat, nf)
 			distFromPrev := rv.hopDistancesShared(prevSwitch)
-			bestEE := ""
-			bestScore := int(^uint(0) >> 1)
-			for _, ee := range rv.eeNamesShared() {
-				if !mc.caps.FitsEE(ee, cpu, mem) {
-					continue
-				}
-				sw := rv.EEs[ee].Switch
-				dp, ok1 := distFromPrev[sw]
-				dd, ok2 := distToDst[sw]
-				if !ok1 || !ok2 {
-					continue // disconnected EE
-				}
-				score := dp + dd
-				if score < bestScore {
-					bestScore = score
-					bestEE = ee
-				}
-			}
-			if bestEE == "" {
+			if distFromPrev == nil || distToDst == nil {
 				return nil, fmt.Errorf("core: ksp: no reachable EE fits NF %q", node)
 			}
-			mc.caps.TakeEE(bestEE, cpu, mem)
-			placements[node] = bestEE
-			prevSwitch = rv.EEs[bestEE].Switch
+			bestEE := int32(-1)
+			bestScore := int32(math.MaxInt32)
+			for ee, sw := range ix.eeSw {
+				if !mc.caps.fitsEE(int32(ee), cpu, mem) {
+					continue
+				}
+				dp, dd := distFromPrev[sw], distToDst[sw]
+				if dp < 0 || dd < 0 {
+					continue // disconnected EE
+				}
+				if score := dp + dd; score < bestScore {
+					bestScore = score
+					bestEE = int32(ee)
+				}
+			}
+			if bestEE < 0 {
+				return nil, fmt.Errorf("core: ksp: no reachable EE fits NF %q", node)
+			}
+			mc.caps.takeEE(bestEE, cpu, mem)
+			placements[node] = ix.eeNames[bestEE]
+			prevSwitch = ix.ees[bestEE].Switch
 		}
 	}
 	// NFs outside any chain fall back to greedy placement.

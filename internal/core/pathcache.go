@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,10 +15,11 @@ import (
 // switch pair.
 const pathCacheK = 4
 
-// pairKey is a normalized (a < b) switch pair.
-type pairKey struct{ a, b string }
+// pairKey is a normalized (a < b) switch-ID pair. IDs follow sorted
+// names, so the normalization is the same as by name.
+type pairKey struct{ a, b int32 }
 
-func mkPairKey(a, b string) (pairKey, bool) {
+func mkPairKey(a, b int32) (pairKey, bool) {
 	if a > b {
 		return pairKey{b, a}, true // reversed
 	}
@@ -33,14 +35,25 @@ func mkPairKey(a, b string) (pairKey, bool) {
 // masks in force at creation (so an unmask can invalidate exactly the
 // entries that routed around the failure).
 type pathEntry struct {
-	routes  [][]string
+	routes  [][]string // switch names, for the caller
+	nodes   [][]int32  // the same routes as switch IDs
+	links   [][]int32  // link IDs along each route
 	delays  []time.Duration
-	avoided map[linkKey]bool
+	avoided []int32 // ascending link IDs
 
 	// Yen extension state.
-	pool      [][]string
+	pool      []candidate
 	seenSig   map[string]bool
 	exhausted bool
+}
+
+// candidate is a pooled Yen alternative and its signature: the route's
+// switch names joined with ">". The pool sorts on the signature, not on
+// IDs or names element by element, which order "s1>…" and "s10>…"
+// differently.
+type candidate struct {
+	nodes []int32
+	sig   string
 }
 
 // pathCache is the shared cached path engine: candidates per
@@ -61,7 +74,7 @@ type pathEntry struct {
 type pathCache struct {
 	mu      sync.Mutex
 	entries map[pairKey]*pathEntry
-	users   map[linkKey]map[pairKey]bool // link → entries routing over it
+	users   map[int32]map[pairKey]bool // link ID → entries routing over it
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -82,7 +95,7 @@ type PathCacheStats struct {
 func newPathCache() *pathCache {
 	return &pathCache{
 		entries: map[pairKey]*pathEntry{},
-		users:   map[linkKey]map[pairKey]bool{},
+		users:   map[int32]map[pairKey]bool{},
 	}
 }
 
@@ -105,7 +118,13 @@ func (rv *ResourceView) PathCacheStats() PathCacheStats {
 // Returns (nil, false) when no candidate exists — the caller falls back
 // to BFS.
 func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) ([]string, bool) {
-	key, reversed := mkPairKey(a, b)
+	ia, ok := c.ix.swID[a]
+	ib, ok2 := c.ix.swID[b]
+	if !ok || !ok2 {
+		pc.fallbacks.Add(1)
+		return nil, false
+	}
+	key, reversed := mkPairKey(ia, ib)
 	pc.mu.Lock()
 	e := pc.entries[key]
 	if e == nil {
@@ -113,42 +132,34 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 		e = pc.newEntry(c.rv, key)
 		pc.entries[key] = e
 	}
-	routes, delays := e.routes, e.delays
+	routes, links, delays := e.routes, e.links, e.delays
 	pc.mu.Unlock()
 
 	tried := 0
 	for {
+	candidates:
 		for i := tried; i < len(routes); i++ {
-			route := routes[i]
 			if maxDelay > 0 && delays[i] > maxDelay {
 				continue
 			}
-			feasible := true
-			for j := 0; j+1 < len(route); j++ {
-				if !c.linkFits(route[j], route[j+1], bw) {
-					feasible = false
-					break
+			for _, l := range links[i] {
+				if !c.linkFitsID(l, bw) {
+					continue candidates
 				}
-			}
-			if !feasible {
-				continue
 			}
 			pc.hits.Add(1)
-			out := make([]string, len(route))
-			copy(out, route)
+			out := slices.Clone(routes[i])
 			if reversed {
-				for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-					out[l], out[r] = out[r], out[l]
-				}
+				slices.Reverse(out)
 			}
 			return out, true
 		}
 		tried = len(routes)
 		pc.mu.Lock()
 		if len(e.routes) == tried && !e.exhausted && tried < pathCacheK {
-			pc.extend(c.rv, key, e)
+			pc.extend(c.ix, key, e)
 		}
-		routes, delays = e.routes, e.delays
+		routes, links, delays = e.routes, e.links, e.delays
 		pc.mu.Unlock()
 		if len(routes) == tried {
 			break // exhausted (or capped at k) with nothing feasible
@@ -158,37 +169,53 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 	return nil, false
 }
 
-// bfsAvoiding is a deterministic BFS over the frozen adjacency index,
-// skipping masked/banned links and banned nodes.
-func bfsAvoiding(rv *ResourceView, src, dst string, masked, bannedEdges map[linkKey]bool, bannedNodes map[string]bool) []string {
+// bfsAvoiding is a deterministic BFS over the frozen index from src to
+// dst, skipping masked and banned links and banned switches. The sets
+// are small, so they become per-call flags by iterating them, never the
+// whole link list.
+func bfsAvoiding(ix *topoIndex, src, dst int32, masked, bannedLinks, bannedNodes []int32) []int32 {
 	if src == dst {
-		return []string{src}
+		return []int32{src}
 	}
-	prev := map[string]string{}
-	seen := map[string]bool{src: true}
-	queue := []string{src}
+	blocked := make([]bool, len(ix.links))
+	for _, set := range [][]int32{masked, bannedLinks} {
+		for _, l := range set {
+			if int(l) < len(blocked) { // a masked pair outside the index is no link
+				blocked[l] = true
+			}
+		}
+	}
+	// prev holds a switch's predecessor + 1: 0 is unseen, and a banned
+	// switch counts as seen.
+	prev := make([]int32, len(ix.swName))
+	for _, n := range bannedNodes {
+		prev[n] = -1
+	}
+	prev[src] = src + 1
+	queue := []int32{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range rv.adj[cur] {
-			if seen[nb] || bannedNodes[nb] {
+		for _, e := range ix.adj[cur] {
+			if prev[e.to] != 0 || blocked[e.link] {
 				continue
 			}
-			k := mkLinkKey(cur, nb)
-			if masked[k] || bannedEdges[k] {
-				continue
-			}
-			seen[nb] = true
-			prev[nb] = cur
-			if nb == dst {
-				route := []string{dst}
-				for at := dst; at != src; {
-					at = prev[at]
-					route = append([]string{at}, route...)
+			prev[e.to] = cur + 1
+			if e.to == dst {
+				hops := 0
+				for at := dst; at != src; at = prev[at] - 1 {
+					hops++
 				}
-				return route
+				route := make([]int32, hops+1)
+				for at := dst; ; at = prev[at] - 1 {
+					route[hops] = at
+					if at == src {
+						return route
+					}
+					hops--
+				}
 			}
-			queue = append(queue, nb)
+			queue = append(queue, e.to)
 		}
 	}
 	return nil
@@ -197,45 +224,53 @@ func bfsAvoiding(rv *ResourceView, src, dst string, masked, bannedEdges map[link
 // newEntry creates an entry with its first (shortest) candidate — one
 // BFS, the same work the uncached path would do. Caller holds pc.mu.
 func (pc *pathCache) newEntry(rv *ResourceView, key pairKey) *pathEntry {
-	rv.buildTopoIndex()
-	masked := rv.state.Load().maskedLinks()
+	ix := rv.topo()
+	masked := rv.state.Load().masked
 	e := &pathEntry{avoided: masked, seenSig: map[string]bool{}}
-	first := bfsAvoiding(rv, key.a, key.b, masked, nil, nil)
+	first := bfsAvoiding(ix, key.a, key.b, masked, nil, nil)
 	if first == nil {
 		e.exhausted = true
 		return e
 	}
-	e.seenSig[strings.Join(first, ">")] = true
-	pc.accept(rv, key, e, first)
+	e.seenSig[routeSig(ix, first)] = true
+	pc.accept(ix, key, e, first)
 	return e
+}
+
+// routeSig is a route's signature: its switch names joined with ">".
+func routeSig(ix *topoIndex, route []int32) string {
+	var sb strings.Builder
+	for i, n := range route {
+		if i > 0 {
+			sb.WriteByte('>')
+		}
+		sb.WriteString(ix.swName[n])
+	}
+	return sb.String()
 }
 
 // extend appends the next-shortest loopless alternative (Yen's spur
 // step from the last accepted route, candidates pooled across rounds),
 // or marks the entry exhausted. Caller holds pc.mu.
-func (pc *pathCache) extend(rv *ResourceView, key pairKey, e *pathEntry) {
-	last := e.routes[len(e.routes)-1]
+func (pc *pathCache) extend(ix *topoIndex, key pairKey, e *pathEntry) {
+	last := e.nodes[len(e.nodes)-1]
 	for i := 0; i+1 < len(last); i++ {
 		root := last[:i+1]
-		banned := map[linkKey]bool{}
-		for _, p := range e.routes {
-			if len(p) > i+1 && equalRoute(p[:i+1], root) {
-				banned[mkLinkKey(p[i], p[i+1])] = true
+		var banned []int32
+		for j, p := range e.nodes {
+			if len(p) > i+1 && slices.Equal(p[:i+1], root) {
+				banned = append(banned, e.links[j][i])
 			}
 		}
-		bannedNodes := map[string]bool{}
-		for _, n := range root[:len(root)-1] {
-			bannedNodes[n] = true
-		}
-		tail := bfsAvoiding(rv, last[i], key.b, e.avoided, banned, bannedNodes)
+		tail := bfsAvoiding(ix, last[i], key.b, e.avoided, banned, root[:len(root)-1])
 		if tail == nil {
 			continue
 		}
-		full := append(append([]string{}, root...), tail[1:]...)
-		sig := strings.Join(full, ">")
+		full := append(slices.Clone(root), tail[1:]...)
+		sig := routeSig(ix, full)
 		if !e.seenSig[sig] {
 			e.seenSig[sig] = true
-			e.pool = append(e.pool, full)
+			e.pool = append(e.pool, candidate{nodes: full, sig: sig})
 		}
 	}
 	if len(e.pool) == 0 {
@@ -243,57 +278,50 @@ func (pc *pathCache) extend(rv *ResourceView, key pairKey, e *pathEntry) {
 		return
 	}
 	sort.Slice(e.pool, func(x, y int) bool {
-		if len(e.pool[x]) != len(e.pool[y]) {
-			return len(e.pool[x]) < len(e.pool[y])
+		if len(e.pool[x].nodes) != len(e.pool[y].nodes) {
+			return len(e.pool[x].nodes) < len(e.pool[y].nodes)
 		}
-		return strings.Join(e.pool[x], ">") < strings.Join(e.pool[y], ">")
+		return e.pool[x].sig < e.pool[y].sig
 	})
-	next := e.pool[0]
+	next := e.pool[0].nodes
 	e.pool = e.pool[1:]
-	pc.accept(rv, key, e, next)
+	pc.accept(ix, key, e, next)
 }
 
-// accept records one candidate route: delay precomputed, reverse index
-// updated. Caller holds pc.mu.
-func (pc *pathCache) accept(rv *ResourceView, key pairKey, e *pathEntry, route []string) {
+// accept records one candidate route: names, link IDs and delay
+// precomputed, reverse index updated. Caller holds pc.mu.
+func (pc *pathCache) accept(ix *topoIndex, key pairKey, e *pathEntry, route []int32) {
+	names := make([]string, len(route))
+	links := make([]int32, len(route)-1)
 	var total time.Duration
-	for j := 0; j+1 < len(route); j++ {
-		k := mkLinkKey(route[j], route[j+1])
-		if l := rv.linkIdx[k]; l != nil {
-			total += l.Delay
+	for j, n := range route {
+		names[j] = ix.swName[n]
+		if j+1 < len(route) {
+			l := ix.linkOf(n, route[j+1])
+			links[j] = l
+			total += ix.links[l].Delay
+			if pc.users[l] == nil {
+				pc.users[l] = map[pairKey]bool{}
+			}
+			pc.users[l][key] = true
 		}
-		if pc.users[k] == nil {
-			pc.users[k] = map[pairKey]bool{}
-		}
-		pc.users[k][key] = true
 	}
-	e.routes = append(e.routes, route)
+	e.routes = append(e.routes, names)
+	e.nodes = append(e.nodes, route)
+	e.links = append(e.links, links)
 	e.delays = append(e.delays, total)
-}
-
-func equalRoute(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // dropEntry removes an entry and unregisters it from the reverse index,
 // so a later rebuild of the same pair cannot be spuriously invalidated
 // by links only its dead predecessor crossed. Caller holds pc.mu.
 func (pc *pathCache) dropEntry(key pairKey, e *pathEntry) {
-	for _, route := range e.routes {
-		for i := 0; i+1 < len(route); i++ {
-			lk := mkLinkKey(route[i], route[i+1])
-			if set := pc.users[lk]; set != nil {
+	for _, links := range e.links {
+		for _, l := range links {
+			if set := pc.users[l]; set != nil {
 				delete(set, key)
 				if len(set) == 0 {
-					delete(pc.users, lk)
+					delete(pc.users, l)
 				}
 			}
 		}
@@ -305,25 +333,25 @@ func (pc *pathCache) dropEntry(key pairKey, e *pathEntry) {
 // onLinkMasked drops exactly the entries whose candidates cross the
 // failed link (targeted invalidation: a failure touches only the pairs
 // routing over it).
-func (pc *pathCache) onLinkMasked(k linkKey) {
+func (pc *pathCache) onLinkMasked(l int32) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for key := range pc.users[k] {
+	for key := range pc.users[l] {
 		if e, ok := pc.entries[key]; ok {
 			pc.dropEntry(key, e)
 		}
 	}
-	delete(pc.users, k)
+	delete(pc.users, l)
 }
 
 // onLinkUnmasked drops the entries that were computed while the link was
 // down: their candidates routed around it and may now be longer than
 // necessary.
-func (pc *pathCache) onLinkUnmasked(k linkKey) {
+func (pc *pathCache) onLinkUnmasked(l int32) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	for key, e := range pc.entries {
-		if e.avoided[k] {
+		if _, found := slices.BinarySearch(e.avoided, l); found {
 			pc.dropEntry(key, e)
 		}
 	}

@@ -60,18 +60,14 @@ func fatTreeView(t *testing.T, k int) *ResourceView {
 
 // TestPathCacheDifferentialAgainstBFS drives seeded random histories —
 // bandwidth reservations and releases, link masks and unmasks, random
-// delay bounds — on a ring and a k=4 fat-tree, and at every step demands
-// that the cached engine and bfsPath agree on the same snapshot: same
-// nil-ness, same hop count, and every cached hop fits. Link delays are
-// uniform so a delay bound is a hop bound and bfsPath's first-arrival
-// delay pruning is exact; with mixed delays it can prune a feasible
-// equal-hop route the cache finds, and the comparison would test that
-// approximation instead of the cache.
+// delay bounds over mixed link delays — on a ring and a k=4 fat-tree,
+// and at every step demands that the cached engine and bfsPath agree on
+// the same snapshot: same nil-ness, same hop count, and every cached hop
+// fits, within the delay bound.
 func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 	const (
 		steps   = 600
 		linkCap = 10.0
-		delay   = time.Millisecond
 	)
 	for _, tc := range []struct {
 		name string
@@ -82,15 +78,15 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rv := tc.rv
+			rng := rand.New(rand.NewSource(25))
 			for _, l := range rv.Links {
-				l.Bandwidth, l.Delay = linkCap, delay
+				l.Bandwidth, l.Delay = linkCap, time.Duration(1+rng.Intn(4))*time.Millisecond
 			}
 			switches := make([]string, 0, len(rv.Switches))
 			for s := range rv.Switches {
 				switches = append(switches, s)
 			}
 			sort.Strings(switches)
-			rng := rand.New(rand.NewSource(25))
 			var held []*Mapping
 			var masked []int // indexes into rv.Links
 			unroutable := 0
@@ -98,7 +94,7 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 			for step := 0; step < steps; step++ {
 				var maxDelay time.Duration // 0 = unbounded
 				if rng.Intn(3) > 0 {
-					maxDelay = time.Duration(1+rng.Intn(6)) * delay
+					maxDelay = time.Duration(1+rng.Intn(12)) * time.Millisecond
 				}
 				caps := rv.Snapshot()
 				var cached []string
@@ -126,13 +122,15 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 					if cached[0] != a || cached[len(cached)-1] != b {
 						t.Fatalf("step %d: cached route %v does not join %s→%s", step, cached, a, b)
 					}
+					var d time.Duration
 					for j := 0; j+1 < len(cached); j++ {
 						if !caps.linkFits(cached[j], cached[j+1], bw) {
 							t.Fatalf("step %d: cached route %v hop %s–%s does not fit bw=%v", step, cached, cached[j], cached[j+1], bw)
 						}
+						d += rv.linkBetween(cached[j], cached[j+1]).Delay
 					}
-					if maxDelay > 0 && time.Duration(len(cached)-1)*delay > maxDelay {
-						t.Fatalf("step %d: cached route %v exceeds delay bound %v", step, cached, maxDelay)
+					if maxDelay > 0 && d > maxDelay {
+						t.Fatalf("step %d: cached route %v takes %v, over the delay bound %v", step, cached, d, maxDelay)
 					}
 				}
 
@@ -170,6 +168,37 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 				t.Errorf("history did not exercise hits, invalidations and unroutable queries: %d unroutable, %+v", unroutable, st)
 			}
 		})
+	}
+}
+
+// TestBFSDelayBoundIsExact: a switch first reached over a slow link
+// must be re-entered when a route over more hops reaches it sooner, or
+// the only route within the bound is lost. a–b is 4 ms, a–c, c–b and b–d
+// 1 ms each: a-b-d takes 5 ms, a-c-b-d 3 ms.
+func TestBFSDelayBoundIsExact(t *testing.T) {
+	rv := NewResourceView()
+	for i, s := range []string{"a", "b", "c", "d"} {
+		rv.Switches[s] = uint64(i + 1)
+	}
+	for _, l := range []struct {
+		a, b string
+		ms   time.Duration
+	}{{"a", "b", 4}, {"a", "c", 1}, {"c", "b", 1}, {"b", "d", 1}} {
+		rv.Links = append(rv.Links, &LinkRes{A: l.a, B: l.b, Delay: l.ms * time.Millisecond})
+	}
+	caps := rv.Snapshot()
+	bound := 4500 * time.Microsecond
+	if got, want := caps.bfsPath("a", "d", 0, bound), []string{"a", "c", "b", "d"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bfsPath a→d within %v: %v, want %v", bound, got, want)
+	}
+	if got, want := caps.bfsPath("a", "d", 0, 0), []string{"a", "b", "d"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bfsPath a→d unbounded: %v, want the 2-hop %v", got, want)
+	}
+	if got := caps.bfsPath("a", "d", 0, 2500*time.Microsecond); got != nil {
+		t.Errorf("bfsPath a→d within 2.5ms: %v, want none", got)
+	}
+	if got, want := caps.ShortestFeasiblePath("a", "d", 0, bound), []string{"a", "c", "b", "d"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("ShortestFeasiblePath a→d within %v: %v, want %v", bound, got, want)
 	}
 }
 

@@ -14,14 +14,15 @@ import (
 //
 // BenchmarkSnapshot pins the O(1) copy-on-write claim, ablating view
 // size; BenchmarkAdmitAndCommit times one optimistic admit + release;
-// BenchmarkRouteLinks times a chain's routes through the cached path
-// engine against bfsPath, the live BFS, on the same snapshot.
+// BenchmarkAdmitReject times one admission that places its NFs and then
+// fails to route; BenchmarkRouteLinks times a chain's routes through the
+// cached path engine against bfsPath, the live BFS, on the same snapshot.
 
 func BenchmarkSnapshot(b *testing.B) {
 	for _, n := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("switches=%d", n), func(b *testing.B) {
 			rv := ringView(n, 64, 1<<20, 0)
-			// Deepen the committed state so resolution walks real deltas.
+			// Commit first, so FreeCPU resolves a record an epoch wrote.
 			mapper := &KSPMapper{Catalog: catalog.Default()}
 			for i := 0; i < 40; i++ {
 				if _, err := rv.AdmitAndCommit(mapper, cowChain(fmt.Sprintf("s%d", i), 2, 0.25, 32)); err != nil {
@@ -49,6 +50,26 @@ func BenchmarkAdmitAndCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		rv.Release(mp)
+	}
+}
+
+// BenchmarkAdmitReject: the ring's links are too thin for the chain, so
+// KSP places every NF and then routing fails on bandwidth; each attempt
+// checks all k cached candidates and runs the live search before the
+// admission is rejected.
+func BenchmarkAdmitReject(b *testing.B) {
+	rv := ringView(32, 1<<16, 1<<30, 1e6)
+	mapper := &KSPMapper{Catalog: catalog.Default()}
+	g := cowChain("reject", 3, 0.25, 32)
+	for _, l := range g.Links {
+		l.Bandwidth = 2e6
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rv.AdmitAndCommit(mapper, g); err == nil {
+			b.Fatal("admitted a chain no link can carry")
+		}
 	}
 }
 

@@ -13,6 +13,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,10 +57,11 @@ type LinkRes struct {
 // starts; substrate failures mask resources out of the view rather
 // than removing them. Committed accounting is versioned copy-on-write:
 // every mutation (Commit, Release, mask transition, heal delta)
-// publishes a new immutable epoch consisting of the previous epoch plus
-// an O(touched) delta, so Snapshot is O(1), mappers run lock-free
-// against a pinned epoch, and concurrent admissions validate and commit
-// only the resources their mapping touches (see AdmitAndCommit).
+// publishes a new immutable epoch that copies only the record chunks it
+// touches and shares the rest, so Snapshot is O(1), a record resolves in
+// O(1) against any epoch, mappers run lock-free against a pinned epoch,
+// and concurrent admissions validate and commit only the resources their
+// mapping touches (see AdmitAndCommit).
 type ResourceView struct {
 	Switches map[string]uint64 // name → dpid
 	EEs      map[string]*EERes
@@ -77,24 +80,17 @@ type ResourceView struct {
 
 	stats admissionCounters
 
-	// topoOnce builds the adjacency/link indexes on first use: the
-	// topology is frozen from the first mapping onward.
+	// topoOnce freezes the topology into ix on first use (see topoIndex).
 	topoOnce sync.Once
-	adj      map[string][]string
-	linkIdx  map[linkKey]*LinkRes
-
-	// eeNamesOnce freezes the sorted EE-name list on first mapper use
-	// (same lifecycle as the topology index).
-	eeNamesOnce sync.Once
-	eeNames     []string
+	ix       *topoIndex
 
 	// paths is the shared cached path engine.
 	paths *pathCache
 
-	// hopDist memoizes BFS hop counts per source switch (raw topology,
+	// hopDist memoizes BFS hop counts by source switch ID (raw topology,
 	// mask-free — safe to cache forever).
 	hopMu   sync.Mutex
-	hopDist map[string]map[string]int
+	hopDist [][]int32
 
 	// gate, when set, vets every validated commit and observes every
 	// release (multi-tenant quota accounting layered on the view). Read
@@ -139,7 +135,7 @@ func mkLinkKey(a, b string) linkKey {
 }
 
 // fits is the view's one capacity predicate, shared by the mappers'
-// FitsEE and linkFits and by commit validation. The view counts in sg.CPU
+// FitsEE and linkFitsID and by commit validation. The view counts in sg.CPU
 // and sg.BW, so sums are exact in any order (a release restores the
 // previous value bit for bit) and fits needs no tolerance.
 func fits[T ~int64 | ~int](free, demand T) bool { return demand <= free }
@@ -166,185 +162,55 @@ type linkRec struct {
 	masked bool
 }
 
-// viewBase holds fully materialized committed state: the bottom of a
-// copy-on-write chain. Maps only carry non-zero records (absent = zero
-// committed, unmasked). Immutable once published.
-type viewBase struct {
-	ee   map[string]eeRec
-	link map[linkKey]linkRec
-}
-
-// viewDelta is one epoch's O(touched) overlay: whole records (not
-// increments) for the resources the epoch changed, so resolution stops at
-// the newest hit. Immutable once published.
-type viewDelta struct {
-	parent *viewDelta
-	ee     map[string]eeRec
-	link   map[linkKey]linkRec
-}
-
-// viewState is one immutable epoch of the view: base plus a delta chain.
-// Snapshot pins a viewState; mappers resolve committed values against it
-// without locks while newer epochs are published.
+// viewState is one immutable epoch of the view: every EE's and link's
+// record by ID (see topoIndex), in chunks shared with the epochs before
+// it. Snapshot pins a viewState; mappers resolve committed values against
+// it without locks while newer epochs are published.
 type viewState struct {
 	epoch uint64
-	base  *viewBase
-	delta *viewDelta
-	depth int
+	ee    records[eeRec]
+	link  records[linkRec]
+	// masked lists the masked links' IDs in ascending order; epochs share
+	// it until a link mask transition.
+	masked []int32
 }
 
-// compactDepth bounds the delta chain: when an epoch would exceed it the
-// chain is folded into a fresh base (O(touched keys overall), amortized
-// O(touched/compactDepth) per commit).
-const compactDepth = 64
-
-func (s *viewState) ee(name string) eeRec {
-	for d := s.delta; d != nil; d = d.parent {
-		if r, ok := d.ee[name]; ok {
-			return r
-		}
-	}
-	return s.base.ee[name]
-}
-
-func (s *viewState) link(k linkKey) linkRec {
-	for d := s.delta; d != nil; d = d.parent {
-		if r, ok := d.link[k]; ok {
-			return r
-		}
-	}
-	return s.base.link[k]
-}
-
-// maskedLinks returns the effective link-mask set of this epoch.
-func (s *viewState) maskedLinks() map[linkKey]bool {
-	out := map[linkKey]bool{}
-	seen := map[linkKey]bool{}
-	for d := s.delta; d != nil; d = d.parent {
-		for k, r := range d.link {
-			if !seen[k] {
-				seen[k] = true
-				if r.masked {
-					out[k] = true
-				}
-			}
-		}
-	}
-	for k, r := range s.base.link {
-		if !seen[k] && r.masked {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// compact folds the delta chain into a fresh base, dropping zero records
-// so long-lived views don't accrete dead keys.
-func (s *viewState) compact() *viewBase {
-	var chain []*viewDelta
-	for d := s.delta; d != nil; d = d.parent {
-		chain = append(chain, d)
-	}
-	nb := &viewBase{
-		ee:   make(map[string]eeRec, len(s.base.ee)),
-		link: make(map[linkKey]linkRec, len(s.base.link)),
-	}
-	fold := func(ee map[string]eeRec, link map[linkKey]linkRec) {
-		for k, r := range ee {
-			if r == (eeRec{}) {
-				delete(nb.ee, k)
-			} else {
-				nb.ee[k] = r
-			}
-		}
-		for k, r := range link {
-			if r == (linkRec{}) {
-				delete(nb.link, k)
-			} else {
-				nb.link[k] = r
-			}
-		}
-	}
-	fold(s.base.ee, s.base.link)
-	for i := len(chain) - 1; i >= 0; i-- { // oldest first
-		fold(chain[i].ee, chain[i].link)
-	}
-	return nb
-}
-
-// mutation builds one epoch's delta against the pre-mutation state.
-// Delta maps allocate lazily: reads of a nil map are legal, so an epoch
-// that touches no links carries no link map (smaller live heap for the
-// GC to scan across the delta chain).
+// mutation builds one epoch against the pre-mutation state.
 type mutation struct {
-	cur *viewState
-	d   *viewDelta
-}
-
-func (m *mutation) ee(name string) eeRec {
-	if r, ok := m.d.ee[name]; ok {
-		return r
-	}
-	return m.cur.ee(name)
-}
-
-func (m *mutation) setEE(name string, r eeRec) {
-	if m.d.ee == nil {
-		m.d.ee = map[string]eeRec{}
-	}
-	m.d.ee[name] = r
-}
-
-func (m *mutation) link(k linkKey) linkRec {
-	if r, ok := m.d.link[k]; ok {
-		return r
-	}
-	return m.cur.link(k)
-}
-
-func (m *mutation) setLink(k linkKey, r linkRec) {
-	if m.d.link == nil {
-		m.d.link = map[linkKey]linkRec{}
-	}
-	m.d.link[k] = r
+	ee     recordsEdit[eeRec]
+	link   recordsEdit[linkRec]
+	masked []int32
 }
 
 // add folds a signed delta into the epoch being built (entries that only
 // carry a validation mark change nothing and are skipped).
 func (m *mutation) add(d *delta) {
-	for name, c := range d.ee {
+	for _, c := range d.ee {
 		if c.cpu == 0 && c.mem == 0 {
 			continue
 		}
-		r := m.ee(name)
+		r := m.ee.get(c.id)
 		r.cpu += c.cpu
 		r.mem += c.mem
-		m.setEE(name, r)
+		m.ee.set(c.id, r)
 	}
-	for k, c := range d.link {
+	for _, c := range d.link {
 		if c.bw == 0 {
 			continue
 		}
-		r := m.link(k)
+		r := m.link.get(c.id)
 		r.bw += c.bw
-		m.setLink(k, r)
+		m.link.set(c.id, r)
 	}
 }
 
 // publish appends one epoch: fill runs against the pre-mutation state
 // and writes whole records for the touched resources. Caller holds rv.mu.
-func (rv *ResourceView) publish(fill func(*mutation)) *viewState {
+func (rv *ResourceView) publish(fill func(*mutation)) {
 	cur := rv.state.Load()
-	d := &viewDelta{parent: cur.delta}
-	fill(&mutation{cur: cur, d: d})
-	next := &viewState{epoch: cur.epoch + 1, base: cur.base, delta: d, depth: cur.depth + 1}
-	if next.depth >= compactDepth {
-		next.base = next.compact()
-		next.delta = nil
-		next.depth = 0
-	}
-	rv.state.Store(next)
-	return next
+	m := &mutation{ee: recordsEdit[eeRec]{prev: cur.ee}, link: recordsEdit[linkRec]{prev: cur.link}, masked: cur.masked}
+	fill(m)
+	rv.state.Store(&viewState{epoch: cur.epoch + 1, ee: m.ee.result(), link: m.link.result(), masked: m.masked})
 }
 
 // NewResourceView returns an empty view; populate the topology fields and
@@ -356,7 +222,7 @@ func NewResourceView() *ResourceView {
 		SAPs:     map[string]*SAPRes{},
 		paths:    newPathCache(),
 	}
-	rv.state.Store(&viewState{base: &viewBase{ee: map[string]eeRec{}, link: map[linkKey]linkRec{}}})
+	rv.state.Store(&viewState{})
 	return rv
 }
 
@@ -380,51 +246,76 @@ func (rv *ResourceView) ExcludeEE(name string) { rv.setEEMask(name, true) }
 func (rv *ResourceView) UnexcludeEE(name string) { rv.setEEMask(name, false) }
 
 func (rv *ResourceView) setEEMask(name string, masked bool) {
+	ix := rv.topo()
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
-	r := rv.state.Load().ee(name)
+	id := ix.eeRef(name, masked)
+	if id < 0 {
+		return // an unknown name is unmasked already
+	}
+	r := rv.state.Load().ee.at(id)
 	if r.masked == masked {
 		return
 	}
 	r.masked = masked
-	rv.publish(func(m *mutation) { m.setEE(name, r) })
+	rv.publish(func(m *mutation) { m.ee.set(id, r) })
 }
 
 // ExcludeLink masks the link between two switches out of route finding.
 // The transition is one epoch; the cached path engine drops exactly the
 // entries whose candidates cross the failed link.
-func (rv *ResourceView) ExcludeLink(a, b string) { rv.setLinkMask(mkLinkKey(a, b), true) }
+func (rv *ResourceView) ExcludeLink(a, b string) { rv.setLinkMask(a, b, true) }
 
 // UnexcludeLink lifts a link mask. Entries computed while the link was
 // down may be missing now-shorter paths, so the path cache drops every
 // entry that avoided this link.
-func (rv *ResourceView) UnexcludeLink(a, b string) { rv.setLinkMask(mkLinkKey(a, b), false) }
+func (rv *ResourceView) UnexcludeLink(a, b string) { rv.setLinkMask(a, b, false) }
 
-func (rv *ResourceView) setLinkMask(k linkKey, masked bool) {
+func (rv *ResourceView) setLinkMask(a, b string, masked bool) {
+	ix := rv.topo()
 	rv.mu.Lock()
-	r := rv.state.Load().link(k)
+	id := ix.linkRef(a, b, masked)
+	if id < 0 {
+		rv.mu.Unlock()
+		return // an unknown pair is unmasked already
+	}
+	cur := rv.state.Load()
+	r := cur.link.at(id)
 	if r.masked == masked {
 		rv.mu.Unlock()
 		return
 	}
 	r.masked = masked
-	rv.publish(func(m *mutation) { m.setLink(k, r) })
+	rv.publish(func(m *mutation) {
+		m.link.set(id, r)
+		m.masked = toggled(cur.masked, id, masked)
+	})
 	rv.mu.Unlock()
 	if masked {
-		rv.paths.onLinkMasked(k)
+		rv.paths.onLinkMasked(id)
 	} else {
-		rv.paths.onLinkUnmasked(k)
+		rv.paths.onLinkUnmasked(id)
 	}
+}
+
+// toggled returns a copy of the ascending ID list with id added or
+// removed.
+func toggled(ids []int32, id int32, add bool) []int32 {
+	i, _ := slices.BinarySearch(ids, id)
+	if add {
+		return slices.Insert(slices.Clone(ids), i, id)
+	}
+	return slices.Delete(slices.Clone(ids), i, i+1)
 }
 
 // ExcludedEE reports whether an EE is currently masked out.
 func (rv *ResourceView) ExcludedEE(name string) bool {
-	return rv.state.Load().ee(name).masked
+	return rv.state.Load().ee.at(rv.topo().eeRef(name, false)).masked
 }
 
 // ExcludedLink reports whether the link between two switches is masked.
 func (rv *ResourceView) ExcludedLink(a, b string) bool {
-	return rv.state.Load().link(mkLinkKey(a, b)).masked
+	return rv.state.Load().link.at(rv.topo().linkRef(a, b, false)).masked
 }
 
 // BuildResourceView scans an emulated network: switches and host-switch
@@ -477,194 +368,161 @@ func BuildResourceView(n *netem.Network, eeSwitch map[string]string) (*ResourceV
 // EENames returns sorted EE names (deterministic mapper iteration). The
 // caller owns the returned slice.
 func (rv *ResourceView) EENames() []string {
-	shared := rv.eeNamesShared()
-	out := make([]string, len(shared))
-	copy(out, shared)
-	return out
+	return slices.Clone(rv.eeNamesShared())
 }
 
-// eeNamesShared returns the memoized sorted EE-name list. Like the
-// topology index, the EE set is frozen from the first mapping onward, so
-// the sort runs once instead of per NF per admission (mappers scan it in
-// their placement loops — the former per-call alloc+sort showed up at
-// E14 / admit_scale admission rates). Callers must not mutate the result.
-func (rv *ResourceView) eeNamesShared() []string {
-	rv.eeNamesOnce.Do(func() {
-		out := make([]string, 0, len(rv.EEs))
-		for n := range rv.EEs {
-			out = append(out, n)
-		}
-		sort.Strings(out)
-		rv.eeNames = out
-	})
-	return rv.eeNames
-}
-
-// buildTopoIndex freezes the topology into an adjacency list (sorted
-// neighbor names, deduplicated) and a link index. Built once, on first
-// mapping use.
-func (rv *ResourceView) buildTopoIndex() {
-	rv.topoOnce.Do(func() {
-		rv.adj = map[string][]string{}
-		rv.linkIdx = map[linkKey]*LinkRes{}
-		for _, l := range rv.Links {
-			k := mkLinkKey(l.A, l.B)
-			if _, dup := rv.linkIdx[k]; dup {
-				continue // parallel links collapse, as in the flat scan before
-			}
-			rv.linkIdx[k] = l
-			rv.adj[l.A] = append(rv.adj[l.A], l.B)
-			rv.adj[l.B] = append(rv.adj[l.B], l.A)
-		}
-		for _, nbs := range rv.adj {
-			sort.Strings(nbs)
-		}
-	})
-}
+// eeNamesShared returns the frozen sorted EE-name list, which is also
+// the EE ID order. Like the rest of the topology, the EE set is frozen
+// from the first mapping onward, so the sort runs once instead of per NF
+// per admission. Callers must not mutate the result.
+func (rv *ResourceView) eeNamesShared() []string { return rv.topo().eeNames }
 
 // linkBetween finds the resource link joining two switches, or nil.
 func (rv *ResourceView) linkBetween(a, b string) *LinkRes {
-	rv.buildTopoIndex()
-	return rv.linkIdx[mkLinkKey(a, b)]
-}
-
-// neighbors returns adjacent switch names (shared slice: do not mutate).
-func (rv *ResourceView) neighbors(sw string) []string {
-	rv.buildTopoIndex()
-	return rv.adj[sw]
+	ix := rv.topo()
+	if id := ix.linkByName(a, b); id >= 0 {
+		return ix.links[id]
+	}
+	return nil
 }
 
 // Capacities is a mapper's working view of free resources: a pinned
 // immutable epoch of the ResourceView plus a local copy-on-write overlay
 // holding the mapper's own tentative reservations and (for healing) extra
-// exclusions. Snapshot is O(1); reads resolve lazily against the epoch
-// and memoize; writes touch only the overlay, so Clone is O(touched) —
-// backtracking mappers fork freely. Excluded (failed) EEs and links never
-// fit, whatever their nominal headroom.
+// exclusions. Snapshot is O(1); reads resolve against the epoch in O(1);
+// writes touch only the overlay, so Clone is O(touched) — backtracking
+// mappers fork freely. Excluded (failed) EEs and links never fit,
+// whatever their nominal headroom.
 type Capacities struct {
 	rv *ResourceView
+	ix *topoIndex
 	st *viewState
 
-	// The overlay: one record per touched resource holding its free
-	// capacity and its mask (epoch mask or view-local exclusion).
-	ee   map[string]eeRec
-	link map[linkKey]linkRec
+	// The overlay, by record ID: one record per resource this view wrote,
+	// holding its free capacity and its mask (epoch mask or view-local
+	// exclusion).
+	ee   map[int32]eeRec
+	link map[int32]linkRec
 }
 
 // Snapshot pins the current epoch: an O(1) copy-on-write view of free
 // capacities plus the exclusion mask of the moment.
 func (rv *ResourceView) Snapshot() *Capacities {
-	return &Capacities{
-		rv:   rv,
-		st:   rv.state.Load(),
-		ee:   map[string]eeRec{},
-		link: map[linkKey]linkRec{},
-	}
+	return &Capacities{rv: rv, ix: rv.topo(), st: rv.state.Load()}
 }
 
 // Clone copies the overlay (backtracking mappers fork state): O(touched),
-// not O(network) — both views resolve untouched keys against the same
+// not O(network) — both views resolve untouched records against the same
 // immutable epoch.
 func (c *Capacities) Clone() *Capacities {
-	nc := &Capacities{
-		rv:   c.rv,
-		st:   c.st,
-		ee:   make(map[string]eeRec, len(c.ee)),
-		link: make(map[linkKey]linkRec, len(c.link)),
-	}
-	for k, r := range c.ee {
-		nc.ee[k] = r
-	}
-	for k, r := range c.link {
-		nc.link[k] = r
-	}
-	return nc
+	return &Capacities{rv: c.rv, ix: c.ix, st: c.st, ee: maps.Clone(c.ee), link: maps.Clone(c.link)}
 }
 
 // eeFree resolves an EE's overlay record: free compute net of this
 // view's reservations (zero for an EE the view doesn't know) and mask.
-func (c *Capacities) eeFree(name string) eeRec {
-	if r, ok := c.ee[name]; ok {
+func (c *Capacities) eeFree(id int32) eeRec {
+	if r, ok := c.ee[id]; ok {
 		return r
 	}
-	r := c.st.ee(name)
-	if res := c.rv.EEs[name]; res != nil {
+	if id < 0 {
+		return eeRec{}
+	}
+	r := c.st.ee.at(id)
+	if res := c.ix.eeRes(c.rv, id); res != nil {
 		r.cpu, r.mem = capCPU(res)-r.cpu, res.Mem-r.mem
 	} else {
 		r.cpu, r.mem = 0, 0
 	}
-	c.ee[name] = r
 	return r
 }
 
-// linkFree resolves a link's overlay record: free bandwidth of a
+func (c *Capacities) setEE(id int32, r eeRec) {
+	if c.ee == nil {
+		c.ee = map[int32]eeRec{}
+	}
+	c.ee[id] = r
+}
+
+// linkFreeID resolves a link's overlay record: free bandwidth of a
 // capacitated link net of this view's reservations, and mask.
-func (c *Capacities) linkFree(k linkKey) linkRec {
-	if r, ok := c.link[k]; ok {
+func (c *Capacities) linkFreeID(id int32) linkRec {
+	if r, ok := c.link[id]; ok {
 		return r
 	}
-	r := c.st.link(k)
-	if l := c.rv.linkBetween(k.a, k.b); l != nil {
+	if id < 0 {
+		return linkRec{}
+	}
+	r := c.st.link.at(id)
+	if l := c.ix.linkRes(id); l != nil {
 		r.bw = capBW(l) - r.bw
 	}
-	c.link[k] = r
 	return r
+}
+
+func (c *Capacities) setLink(id int32, r linkRec) {
+	if c.link == nil {
+		c.link = map[int32]linkRec{}
+	}
+	c.link[id] = r
 }
 
 // FreeCPU resolves an EE's free CPU net of this view's own reservations.
-func (c *Capacities) FreeCPU(ee string) sg.CPU { return c.eeFree(ee).cpu }
+func (c *Capacities) FreeCPU(ee string) sg.CPU { return c.eeFree(c.ix.eeRef(ee, false)).cpu }
 
 // FreeMem resolves an EE's free memory net of this view's reservations.
-func (c *Capacities) FreeMem(ee string) int { return c.eeFree(ee).mem }
+func (c *Capacities) FreeMem(ee string) int { return c.eeFree(c.ix.eeRef(ee, false)).mem }
 
 // ExcludedEE reports whether an EE is masked in this view (epoch mask or
 // local overlay).
-func (c *Capacities) ExcludedEE(ee string) bool { return c.eeFree(ee).masked }
+func (c *Capacities) ExcludedEE(ee string) bool { return c.eeFree(c.ix.eeRef(ee, false)).masked }
 
 // ExcludeEE adds a view-local EE mask (healing plans mask freshly failed
 // EEs without publishing a view-wide epoch).
 func (c *Capacities) ExcludeEE(ee string) {
-	r := c.eeFree(ee)
+	id := c.ix.eeRef(ee, true)
+	r := c.eeFree(id)
 	r.masked = true
-	c.ee[ee] = r
+	c.setEE(id, r)
 }
 
 // ExcludeLink adds a view-local link mask.
 func (c *Capacities) ExcludeLink(a, b string) {
-	k := mkLinkKey(a, b)
-	r := c.linkFree(k)
+	id := c.ix.linkRef(a, b, true)
+	r := c.linkFreeID(id)
 	r.masked = true
-	c.link[k] = r
+	c.setLink(id, r)
 }
 
 // FitsEE reports whether an EE has the demanded headroom. Excluded
 // (failed) EEs never fit.
 func (c *Capacities) FitsEE(ee string, cpu sg.CPU, mem int) bool {
-	r := c.eeFree(ee)
+	return c.fitsEE(c.ix.eeRef(ee, false), cpu, mem)
+}
+
+func (c *Capacities) fitsEE(id int32, cpu sg.CPU, mem int) bool {
+	r := c.eeFree(id)
 	return !r.masked && fits(r.cpu, cpu) && fits(r.mem, mem)
 }
 
 // TakeEE reserves compute on an EE (negative demands give it back).
-func (c *Capacities) TakeEE(ee string, cpu sg.CPU, mem int) {
-	r := c.eeFree(ee)
+func (c *Capacities) TakeEE(ee string, cpu sg.CPU, mem int) { c.takeEE(c.ix.eeRef(ee, true), cpu, mem) }
+
+func (c *Capacities) takeEE(id int32, cpu sg.CPU, mem int) {
+	r := c.eeFree(id)
 	r.cpu -= cpu
 	r.mem -= mem
-	c.ee[ee] = r
+	c.setEE(id, r)
 }
 
-// linkFits reports whether the link between two adjacent switches has bw
-// headroom (uncapacitated links always fit). Excluded (failed) links
-// never fit, which is what keeps re-routed paths off dead trunks.
-func (c *Capacities) linkFits(a, b string, bw sg.BW) bool {
-	l := c.rv.linkBetween(a, b)
-	if l == nil {
-		return false
-	}
-	r := c.linkFree(mkLinkKey(a, b))
+// linkFitsID reports whether a link of the frozen index has bw headroom
+// (uncapacitated links always fit). Excluded (failed) links never fit,
+// which is what keeps re-routed paths off dead trunks.
+func (c *Capacities) linkFitsID(id int32, bw sg.BW) bool {
+	r := c.linkFreeID(id)
 	if r.masked {
 		return false
 	}
-	if l.Bandwidth <= 0 || bw <= 0 {
+	if bw <= 0 || c.ix.links[id].Bandwidth <= 0 {
 		return true
 	}
 	return fits(r.bw, bw)
@@ -678,11 +536,10 @@ func (c *Capacities) takePath(route []string, bw sg.BW) {
 		return
 	}
 	for i := 0; i+1 < len(route); i++ {
-		if l := c.rv.linkBetween(route[i], route[i+1]); l != nil && l.Bandwidth > 0 {
-			k := mkLinkKey(route[i], route[i+1])
-			r := c.linkFree(k)
+		if id := c.ix.linkByName(route[i], route[i+1]); id >= 0 && c.ix.links[id].Bandwidth > 0 {
+			r := c.linkFreeID(id)
 			r.bw -= bw
-			c.link[k] = r
+			c.setLink(id, r)
 		}
 	}
 }
@@ -691,8 +548,8 @@ func (c *Capacities) takePath(route []string, bw sg.BW) {
 // whose every link has bw headroom and whose total propagation delay is
 // within maxDelay (0 = unbounded). Returns nil when no route exists.
 // The candidates come precomputed per switch pair from the path cache and
-// only feasibility is checked; a live BFS is the fallback when no cached
-// candidate fits.
+// only feasibility is checked; a live search is the fallback when no
+// cached candidate fits.
 func (c *Capacities) ShortestFeasiblePath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
 	if a == b {
 		return []string{a}
@@ -703,81 +560,103 @@ func (c *Capacities) ShortestFeasiblePath(a, b string, bw sg.BW, maxDelay time.D
 	return c.bfsPath(a, b, bw, maxDelay)
 }
 
-// bfsPath is the uncached search: breadth-first over the adjacency index
+// bfsPath is the uncached search: breadth-first over the frozen index
 // with feasibility and delay pruning inline. It is the cache's fallback
 // and the reference engine the path-cache tests compare against.
+//
+// Without a delay bound it is plain BFS: a switch is entered once, on its
+// first arrival. With one, a switch reached again at a later hop level is
+// re-entered when it arrives with strictly lower delay than every earlier
+// arrival (a Pareto label on hops and delay), so a route over more hops
+// that meets the bound is not lost behind a shorter one that breaks it.
 func (c *Capacities) bfsPath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
-	type state struct {
-		sw    string
-		delay time.Duration
+	src, ok := c.ix.swID[a]
+	dst, ok2 := c.ix.swID[b]
+	if !ok || !ok2 {
+		return nil
 	}
-	prev := map[string]string{}
-	seen := map[string]bool{a: true}
-	queue := []state{{sw: a}}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, nb := range c.rv.neighbors(cur.sw) {
-			if seen[nb] {
+	type label struct {
+		sw, from int32 // from indexes labels; -1 at the source
+		delay    time.Duration
+	}
+	n := len(c.ix.swName)
+	reached := make([]bool, n)
+	best := make([]time.Duration, n) // lowest arrival delay per switch
+	labels := []label{{sw: src, from: -1}}
+	reached[src] = true
+	for head := 0; head < len(labels); head++ {
+		cur := labels[head]
+		for _, e := range c.ix.adj[cur.sw] {
+			nd := cur.delay + c.ix.links[e.link].Delay
+			if reached[e.to] && (maxDelay <= 0 || nd >= best[e.to]) {
 				continue
 			}
-			if !c.linkFits(cur.sw, nb, bw) {
+			if !c.linkFitsID(e.link, bw) {
 				continue
 			}
-			l := c.rv.linkBetween(cur.sw, nb)
-			nd := cur.delay + l.Delay
 			if maxDelay > 0 && nd > maxDelay {
 				continue
 			}
-			seen[nb] = true
-			prev[nb] = cur.sw
-			if nb == b {
-				// Reconstruct.
-				route := []string{b}
-				for at := b; at != a; {
-					at = prev[at]
-					route = append([]string{at}, route...)
+			reached[e.to], best[e.to] = true, nd
+			labels = append(labels, label{sw: e.to, from: int32(head), delay: nd})
+			if e.to == dst {
+				hops := 0
+				for at := len(labels) - 1; labels[at].from >= 0; at = int(labels[at].from) {
+					hops++
+				}
+				route := make([]string, hops+1)
+				for at := len(labels) - 1; at >= 0; at = int(labels[at].from) {
+					route[hops] = c.ix.swName[labels[at].sw]
+					hops--
 				}
 				return route
 			}
-			queue = append(queue, state{sw: nb, delay: nd})
 		}
 	}
 	return nil
 }
 
-// hopDistancesShared returns BFS hop counts from a source switch, the
-// heuristic mappers' distance estimate (capacity ignored). The map is the
-// memoized one itself: callers treat it as read-only, saving an
+// hopDistancesShared returns BFS hop counts by switch ID from a source
+// switch, -1 where unreachable, or nil for a switch outside the index:
+// the heuristic mappers' distance estimate (capacity ignored). The slice
+// is the memoized one itself: callers treat it as read-only, saving an
 // O(switches) copy per placement step on the admission hot path.
-func (rv *ResourceView) hopDistancesShared(from string) map[string]int {
+func (rv *ResourceView) hopDistancesShared(from string) []int32 {
+	ix := rv.topo()
+	src, ok := ix.swID[from]
+	if !ok {
+		return nil
+	}
 	rv.hopMu.Lock()
-	cached := rv.hopDist[from]
+	if rv.hopDist == nil {
+		rv.hopDist = make([][]int32, len(ix.swName))
+	}
+	cached := rv.hopDist[src]
 	rv.hopMu.Unlock()
 	if cached != nil {
 		return cached
 	}
-	dist := map[string]int{from: 0}
-	queue := []string{from}
+	dist := make([]int32, len(ix.swName))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[src] = 0
+	queue := []int32{src}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		for _, nb := range rv.neighbors(cur) {
-			if _, ok := dist[nb]; ok {
-				continue
+		for _, e := range ix.adj[cur] {
+			if dist[e.to] < 0 {
+				dist[e.to] = dist[cur] + 1
+				queue = append(queue, e.to)
 			}
-			dist[nb] = dist[cur] + 1
-			queue = append(queue, nb)
 		}
 	}
 	rv.hopMu.Lock()
-	if rv.hopDist == nil {
-		rv.hopDist = map[string]map[string]int{}
-	}
-	if prior := rv.hopDist[from]; prior != nil {
-		dist = prior // a racing computation won; share one map
+	if prior := rv.hopDist[src]; prior != nil {
+		dist = prior // a racing computation won; share one slice
 	} else {
-		rv.hopDist[from] = dist
+		rv.hopDist[src] = dist
 	}
 	rv.hopMu.Unlock()
 	return dist
@@ -788,7 +667,7 @@ func (rv *ResourceView) hopDistancesShared(from string) map[string]int {
 // remains for callers that have already established feasibility (tests,
 // tools replaying known-good mappings).
 func (rv *ResourceView) Commit(m *Mapping) {
-	d := mappingDelta(m, 1)
+	d := rv.mappingDelta(m, 1)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	rv.publish(func(mu *mutation) { mu.add(d) })
@@ -798,7 +677,7 @@ func (rv *ResourceView) Commit(m *Mapping) {
 // same delta as Commit, negated. The committed state returns exactly to
 // its pre-Commit value in one new epoch.
 func (rv *ResourceView) Release(m *Mapping) {
-	d := mappingDelta(m, -1)
+	d := rv.mappingDelta(m, -1)
 	rv.mu.Lock()
 	defer rv.mu.Unlock()
 	rv.publish(func(mu *mutation) { mu.add(d) })
@@ -810,14 +689,14 @@ func (rv *ResourceView) Release(m *Mapping) {
 // Committed reports the currently committed compute on one EE (test and
 // invariant-checking hook: committed never exceeds EERes capacity).
 func (rv *ResourceView) Committed(ee string) (cpu sg.CPU, mem int) {
-	r := rv.state.Load().ee(ee)
+	r := rv.state.Load().ee.at(rv.topo().eeRef(ee, false))
 	return r.cpu, r.mem
 }
 
 // CommittedBW reports the committed bandwidth on the link between two
 // switches.
 func (rv *ResourceView) CommittedBW(a, b string) sg.BW {
-	return rv.state.Load().link(mkLinkKey(a, b)).bw
+	return rv.state.Load().link.at(rv.topo().linkRef(a, b, false)).bw
 }
 
 // Fingerprint digests the committed state of the current epoch — per-EE
@@ -828,9 +707,10 @@ func (rv *ResourceView) CommittedBW(a, b string) sg.BW {
 // assert it restored exactly the committed view it lost.
 func (rv *ResourceView) Fingerprint() string {
 	s := rv.state.Load()
+	ix := rv.topo()
 	h := sha256.New()
-	for _, ee := range rv.eeNamesShared() {
-		r := s.ee(ee)
+	for id, ee := range ix.eeNames {
+		r := s.ee.at(int32(id))
 		if r.cpu != 0 {
 			fmt.Fprintf(h, "cpu %s %d\n", ee, r.cpu)
 		}
@@ -857,7 +737,7 @@ func (rv *ResourceView) Fingerprint() string {
 		return keys[i].b < keys[j].b
 	})
 	for _, k := range keys {
-		r := s.link(k)
+		r := s.link.at(ix.linkRef(k.a, k.b, false))
 		if r.bw != 0 {
 			fmt.Fprintf(h, "bw %s %s %d\n", k.a, k.b, r.bw)
 		}

@@ -15,19 +15,19 @@ import (
 //     used — re-Snapshot instead. Using stale capacities is how a
 //     double-spend admission slips through.
 //  2. Published epoch state (anything reached through a viewState) is
-//     immutable. Writes belong on a fresh viewDelta/viewBase before
-//     publication; writing through a viewState mutates an epoch other
-//     goroutines are reading lock-free. The per-resource records are
-//     stored by value, so every write to an epoch map is an index
-//     assignment or a delete, which is what this rule matches.
-//  3. Methods documented to return shared storage (neighbors,
+//     immutable. Writes belong on fresh record chunks before publication;
+//     writing through a viewState mutates an epoch other goroutines are
+//     reading lock-free. The rule matches every assignment, increment and
+//     delete whose target is reached through a viewState: an index, a
+//     field of an array element, or a field of the state itself.
+//  3. Methods documented to return shared storage (eeNamesShared,
 //     hopDistancesShared) hand out aliases into memoized structures;
 //     mutating, deleting from, appending to or sorting them corrupts
 //     every other reader. Copy first.
 var EpochPin = &Analyzer{
 	Name: "epochpin",
 	Doc: "ResourceView snapshot pins must not outlive a commit on their " +
-		"view; published epoch maps and shared returns are read-only",
+		"view; published epoch records and shared returns are read-only",
 	Run: runEpochPin,
 }
 
@@ -44,7 +44,7 @@ var invalidators = map[string]bool{
 
 // sharedReturns are methods returning aliases into shared storage.
 var sharedReturns = map[string]bool{
-	"neighbors":          true,
+	"eeNamesShared":      true,
 	"hopDistancesShared": true,
 }
 
@@ -279,24 +279,23 @@ func baseIdent(e ast.Expr) *ast.Ident {
 
 // --- rule 2: writes through published epoch state ---
 
-// checkEpochWrites flags map writes and deletes whose access chain
-// passes through a core.viewState: that is published, immutable epoch
-// data.
+// checkEpochWrites flags writes and deletes whose target is reached
+// through a core.viewState: that is published, immutable epoch data.
 func checkEpochWrites(pass *Pass, f *ast.File) {
 	info := pass.Info
 	report := func(pos token.Pos) {
-		pass.Reportf(pos, "write through a published viewState epoch; epochs are immutable once published — build a fresh delta/base and publish it")
+		pass.Reportf(pos, "write through a published viewState epoch; epochs are immutable once published — build fresh records and publish them")
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && chainHasViewState(info, ix.X) {
+				if holder := writeHolder(lhs); holder != nil && chainHasViewState(info, holder) {
 					report(lhs.Pos())
 				}
 			}
 		case *ast.IncDecStmt:
-			if ix, ok := ast.Unparen(n.X).(*ast.IndexExpr); ok && chainHasViewState(info, ix.X) {
+			if holder := writeHolder(n.X); holder != nil && chainHasViewState(info, holder) {
 				report(n.Pos())
 			}
 		case *ast.CallExpr:
@@ -308,6 +307,21 @@ func checkEpochWrites(pass *Pass, f *ast.File) {
 		}
 		return true
 	})
+}
+
+// writeHolder is the value an assignment to target writes into: the
+// indexed map, slice or array, the struct of a field, the pointee. A bare
+// identifier rebinds a variable and writes into nothing.
+func writeHolder(target ast.Expr) ast.Expr {
+	switch t := ast.Unparen(target).(type) {
+	case *ast.IndexExpr:
+		return t.X
+	case *ast.SelectorExpr:
+		return t.X
+	case *ast.StarExpr:
+		return t.X
+	}
+	return nil
 }
 
 // chainHasViewState reports whether e or any prefix of its selector

@@ -15,19 +15,21 @@ type eeRec struct {
 	masked bool
 }
 
-type viewBase struct {
-	ee map[string]eeRec
+// records is one epoch's records by ID, in copy-on-write chunks.
+type records struct {
+	chunks []*[32]eeRec
 }
 
-type viewDelta struct {
-	ee map[string]eeRec
+// recordsEdit builds the next epoch's records on fresh chunks.
+type recordsEdit struct {
+	prev, next records
 }
 
 // viewState is one published, immutable epoch.
 type viewState struct {
-	epoch uint64
-	base  *viewBase
-	delta *viewDelta
+	epoch  uint64
+	ee     records
+	masked []int32
 }
 
 // Capacities is a snapshot pin of one epoch.
@@ -49,8 +51,8 @@ func (rv *ResourceView) tryPublish(m *Mapping) bool { return true }
 func (rv *ResourceView) TryCommitMapping(m *Mapping) (bool, error) {
 	return true, nil
 }
-func (rv *ResourceView) AdmitAndCommit(m *Mapping)    {}
-func (rv *ResourceView) neighbors(sw string) []string { return nil }
+func (rv *ResourceView) AdmitAndCommit(m *Mapping) {}
+func (rv *ResourceView) eeNamesShared() []string   { return nil }
 func (rv *ResourceView) hopDistancesShared() map[string]int {
 	return nil
 }
@@ -58,42 +60,42 @@ func (rv *ResourceView) hopDistancesShared() map[string]int {
 // --- rule 2: published epochs are immutable ---
 
 func writesThroughPublishedState(rv *ResourceView, st *viewState) {
-	st.base.ee["ee1"] = eeRec{cpu: 4}  // want `write through a published viewState epoch`
-	st.delta.ee["ee1"] = eeRec{mem: 1} // want `write through a published viewState epoch`
-	delete(rv.state.delta.ee, "ee2")   // want `write through a published viewState epoch`
+	st.ee.chunks[0][1] = eeRec{cpu: 4}     // want `write through a published viewState epoch`
+	rv.state.ee.chunks[1] = nil            // want `write through a published viewState epoch`
+	st.masked[0]++                         // want `write through a published viewState epoch`
+	rv.state.ee.chunks[0][2].masked = true // want `write through a published viewState epoch`
 }
 
 // Regression: the PR 5 aliasing bug wrote through the pin's epoch
-// pointer instead of building a fresh delta.
+// pointer instead of building fresh records.
 func writesThroughPinState(caps *Capacities) {
-	caps.st.base.ee["ee1"] = eeRec{masked: true} // want `write through a published viewState epoch`
+	caps.st.ee.chunks[0][0] = eeRec{masked: true} // want `write through a published viewState epoch`
 }
 
-// The legal shape: mutate a fresh, unpublished delta/base, then publish
-// the assembled state in one shot.
+// The legal shape: write fresh chunks of an unpublished edit, then
+// publish the assembled state in one shot.
 func legalPublish(rv *ResourceView) {
-	d := &viewDelta{ee: map[string]eeRec{}}
-	d.ee["ee1"] = eeRec{cpu: 4}
-	nb := &viewBase{ee: map[string]eeRec{}}
-	nb.ee["ee1"] = eeRec{cpu: 8}
-	delete(nb.ee, "ee2")
-	rv.state = &viewState{epoch: 1, base: nb, delta: d}
+	e := &recordsEdit{prev: rv.state.ee}
+	e.next.chunks = append([]*[32]eeRec(nil), e.prev.chunks...)
+	e.next.chunks[0] = new([32]eeRec)
+	e.next.chunks[0][1] = eeRec{cpu: 4}
+	rv.state = &viewState{epoch: 1, ee: e.next}
 }
 
 // --- rule 3: shared returns are read-only ---
 
 func mutatesSharedReturns(rv *ResourceView) {
-	ns := rv.neighbors("sw1")
-	ns[0] = "sw9"          // want `mutating result of neighbors`
-	ns = append(ns, "sw2") // want `append on result of neighbors`
-	sort.Strings(ns)       // want `sorting result of neighbors in place`
+	ns := rv.eeNamesShared()
+	ns[0] = "sw9"          // want `mutating result of eeNamesShared`
+	ns = append(ns, "sw2") // want `append on result of eeNamesShared`
+	sort.Strings(ns)       // want `sorting result of eeNamesShared in place`
 	hd := rv.hopDistancesShared()
 	hd["sw1"] = 3     // want `mutating result of hopDistancesShared`
 	delete(hd, "sw2") // want `delete on result of hopDistancesShared`
 }
 
 func copiesBeforeMutating(rv *ResourceView) {
-	ns := rv.neighbors("sw1")
+	ns := rv.eeNamesShared()
 	cp := append([]string(nil), ns...)
 	cp[0] = "sw9"
 	sort.Strings(cp)
