@@ -71,6 +71,7 @@ func TestCommandLineErrors(t *testing.T) {
 		{[]string{"-e", "e3,e4", "-p", "sizes=3"}, "exactly one experiment"},
 		{[]string{"-e", "e3,e4", "-json", "x.json"}, "exactly one experiment"},
 		{[]string{"-e", "e99"}, `unknown experiment "e99"`},
+		{[]string{"-e", "e10"}, `unknown experiment "e10"`},
 		{[]string{"-e", "e12"}, `unknown experiment "e12"`},
 		{[]string{"-sizes", "10"}, "not defined"}, // per-experiment flags are -p keys now
 		{[]string{"-e", "e3", "extra"}, "unexpected arguments"},

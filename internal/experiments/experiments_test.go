@@ -184,34 +184,6 @@ func TestE8ServiceCreation(t *testing.T) {
 	renderOK(t, tbl, 2)
 }
 
-func TestE10MultiDomain(t *testing.T) {
-	tbl, err := E10MultiDomain(3, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renderOK(t, tbl, 6) // 3 spans × 2 modes
-	modes := map[string]bool{}
-	for _, row := range tbl.Rows {
-		modes[row[1]] = true
-		if row[8] == "0" {
-			t.Errorf("span %s %s: stitched flow counters read 0 packets", row[0], row[1])
-		}
-	}
-	for _, m := range []string{"hier", "flat"} {
-		if !modes[m] {
-			t.Errorf("mode %s missing from E10 ablation", m)
-		}
-	}
-	// The widest span must actually cross ≥2 gateways (3 domains).
-	last := tbl.Rows[len(tbl.Rows)-1]
-	if last[0] != "3" {
-		t.Fatalf("last row span = %s", last[0])
-	}
-	if last[6] == "0" {
-		t.Error("span-3 chain reports zero inter-domain hops")
-	}
-}
-
 // TestE9DeployThroughput: one row per concurrency, in sweep order.
 func TestE9DeployThroughput(t *testing.T) {
 	tbl, err := E9DeployThroughput([]int{1, 2}, 2)

@@ -186,19 +186,6 @@ func Registry() []Registered {
 			},
 		},
 		{
-			ID:     "e10",
-			Params: Params{"domains": "3", "chain": "3", "conc": "4"},
-			Quick:  Params{"chain": "2", "conc": "2"},
-			Run: func(p Params) (*Table, error) {
-				ps := &parser{p: p}
-				domains, chain, conc := ps.int("domains"), ps.int("chain"), ps.int("conc")
-				if ps.err != nil {
-					return nil, ps.err
-				}
-				return E10MultiDomain(domains, chain, conc)
-			},
-		},
-		{
 			ID:     "e11",
 			Params: Params{"kills": "1,2", "chain": "3", "conc": "4"},
 			Quick:  Params{"kills": "1", "chain": "2", "conc": "2"},

@@ -81,18 +81,6 @@ func (p *Port) Send(frame []byte) {
 	}
 }
 
-// Peer returns the other end of the attached link, or nil.
-func (p *Port) Peer() *Port {
-	l := p.link.Load()
-	if l == nil {
-		return nil
-	}
-	if l.A == p {
-		return l.B
-	}
-	return l.A
-}
-
 // Options configure a Network.
 type Options struct {
 	// Controller receives switch connections at Start. Nil = data plane

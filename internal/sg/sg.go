@@ -55,20 +55,22 @@ type Link struct {
 	Bandwidth float64 `json:"bandwidth,omitempty"`
 	// MaxDelay bounds the one-way latency of the mapped path (0 = none).
 	MaxDelay time.Duration `json:"max_delay,omitempty"`
-	// IngressTag/EgressTag stitch this link to an adjacent orchestration
-	// domain (internal/domain): a non-zero IngressTag means the link's
-	// traffic arrives carrying that VLAN id (matched and consumed at the
-	// first hop), a non-zero EgressTag means the traffic must leave tagged
-	// with that id (pushed at the last hop). Zero on ordinary links.
+	// IngressTag/EgressTag stitch this link to traffic outside the
+	// service, with tags the tenant chooses: a non-zero IngressTag means
+	// the link's traffic arrives carrying that VLAN id (matched and
+	// consumed at the first hop), a non-zero EgressTag means the traffic
+	// must leave tagged with that id (pushed at the last hop). Zero on
+	// ordinary links.
 	IngressTag uint16 `json:"ingress_tag,omitempty"`
 	EgressTag  uint16 `json:"egress_tag,omitempty"`
 }
 
 // Stitch tags live in [MinStitchTag, MaxStitchTag]: the 802.1Q range
-// reserved for inter-domain handoffs. Ids below MinStitchTag belong to
-// the steering layer's segment-VLAN allocator (steering.MaxSegmentVLAN =
-// MinStitchTag-1), so a user-supplied tag can never collide with an
-// allocator-assigned one.
+// reserved for tenant handoffs. Nothing allocates them; the tenant sets
+// them on its graph, and the api holds each tenant to its own block of
+// the range. Ids below MinStitchTag belong to the steering layer's
+// segment-VLAN allocator (steering.MaxSegmentVLAN = MinStitchTag-1), so
+// a tenant's tag can never collide with an allocator-assigned one.
 const (
 	MinStitchTag = 3000
 	MaxStitchTag = 4094

@@ -40,13 +40,13 @@ type Path struct {
 	// means "everything arriving on the ingress port" (ESCAPE's
 	// port-based classification). InPort is always overridden.
 	Match openflow.Match
-	// IngressVLAN, when non-zero, stitches this path to an upstream
-	// orchestration domain: the first hop additionally matches that VLAN
-	// id and consumes the tag (multi-domain chains share gateway trunks,
-	// so in-port alone cannot tell services apart there).
+	// IngressVLAN, when non-zero, stitches this path to upstream traffic:
+	// the first hop additionally matches that VLAN id and consumes the
+	// tag (a port shared by several tenants' handoffs cannot tell their
+	// services apart by in-port alone).
 	IngressVLAN uint16
 	// EgressVLAN, when non-zero, tags traffic leaving the last hop with
-	// that VLAN id, handing the service off to a downstream domain.
+	// that VLAN id, handing the service off downstream.
 	EgressVLAN uint16
 }
 
@@ -57,11 +57,10 @@ type Path struct {
 const PrioritySteering uint16 = 30000
 
 // MaxSegmentVLAN caps the segment-VLAN allocator: ids above it are
-// reserved for multi-domain stitch tags (sg.Link.IngressTag/EgressTag,
-// validated into [sg.MinStitchTag, sg.MaxStitchTag]; internal/domain
-// allocates downward from the top), so segment VLANs and stitch tags can
-// never collide and cross-tenant mis-steering by id reuse is
-// structurally impossible.
+// reserved for stitch tags (sg.Link.IngressTag/EgressTag, set by the
+// tenant and validated into [sg.MinStitchTag, sg.MaxStitchTag]), so
+// segment VLANs and stitch tags can never collide and cross-tenant
+// mis-steering by id reuse is structurally impossible.
 const MaxSegmentVLAN uint16 = sg.MinStitchTag - 1
 
 // Installed is a handle to an installed path, used for teardown.
@@ -378,8 +377,8 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 			}
 		}
 		if i == 0 && p.IngressVLAN != 0 {
-			// Stitch ingress: only traffic carrying the upstream domain's
-			// tag enters, and the tag is consumed here — either rewritten
+			// Stitch ingress: only traffic carrying the upstream tag
+			// enters, and the tag is consumed here — either rewritten
 			// by this path's own SetVLAN or stripped explicitly.
 			match.Wildcards &^= openflow.WildDLVLAN
 			match.DLVLAN = p.IngressVLAN
@@ -388,8 +387,8 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 			}
 		}
 		if i == len(p.Hops)-1 && p.EgressVLAN != 0 {
-			// Stitch egress: tag the frame for the downstream domain just
-			// before it leaves on the gateway port.
+			// Stitch egress: tag the frame for downstream just before
+			// it leaves on the last hop's out port.
 			out := actions[len(actions)-1]
 			actions = append(actions[:len(actions)-1],
 				openflow.ActionSetVLAN{VLAN: p.EgressVLAN}, out)

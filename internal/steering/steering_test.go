@@ -347,8 +347,8 @@ func TestTwoChainsIsolatedByVLAN(t *testing.T) {
 
 // TestStitchedPathsHandOff splits the h1→h2 forwarding into two
 // independently installed paths joined at the s1–s2 trunk by a stitch
-// tag — exactly how internal/domain hands a chain from one orchestration
-// domain to the next. The frame must arrive at h2 untagged.
+// tag, the way a tenant's EgressTag on one chain hands traffic to
+// another chain's IngressTag. The frame must arrive at h2 untagged.
 func TestStitchedPathsHandOff(t *testing.T) {
 	n, st := twoSwitchNet(t)
 	const tag = 4094

@@ -184,9 +184,9 @@ func TestConformanceHealInducedResteering(t *testing.T) {
 
 // TestConformanceMultiDomainStitching maps chains spanning three
 // domains and compares the gateway-trunk crossing sequences plus the
-// deterministic VLAN stitch-tag assignment across substrates: the
-// domain layer stitches chains at exactly these crossings, so equal
-// crossings + equal allocation order ⇒ equal tags.
+// deterministic VLAN stitch-tag assignment across substrates: a tag
+// per crossing, so equal crossings + equal allocation order ⇒ equal
+// tags.
 func TestConformanceMultiDomainStitching(t *testing.T) {
 	spec, gateways := substrate.MultiDomainSpec(3, 3, 1e9, 64, 1<<16)
 	events := substrate.GenerateWorkload(substrate.WorkloadParams{
@@ -212,8 +212,8 @@ func TestConformanceMultiDomainStitching(t *testing.T) {
 	}
 }
 
-// stitchTags derives per-service VLAN stitch tags the way the domain
-// layer would: walk services in sorted order, find each route's gateway
+// stitchTags derives per-service VLAN stitch tags, one per gateway
+// crossing: walk services in sorted order, find each route's gateway
 // trunk crossings in chain order, and assign tags sequentially from
 // sg.MinStitchTag.
 func stitchTags(rep *substrate.PlayReport, gateways [][2]string) map[string][]uint16 {

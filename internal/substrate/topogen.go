@@ -78,8 +78,8 @@ func FatTreeSpec(k int, trunkBW float64, eeCPU float64, eeMem int) *TopoSpec {
 
 // MultiDomainSpec builds d star domains of swPer switches joined by a
 // gateway chain (domain i's s1 trunks to domain i+1's s1), one host per
-// non-gateway switch and one EE per switch — the shape of the
-// domain-stitching experiments.
+// non-gateway switch and one EE per switch: chains that cross gateway
+// trunks, the conformance suite's stitching case.
 // Gateways returns the inter-domain trunk endpoint pairs in order.
 func MultiDomainSpec(d, swPer int, trunkBW float64, eeCPU float64, eeMem int) (*TopoSpec, [][2]string) {
 	spec := &TopoSpec{Name: fmt.Sprintf("multidomain-%d", d)}
