@@ -26,8 +26,10 @@ type ServerConfig struct {
 	Reconciler *Reconciler
 	Gate       *QuotaGate
 	Metrics    *Metrics
-	// Catalog enables the advisory fast-path quota pre-check on POST
-	// (the authoritative check is the commit gate).
+	// Catalog enables two checks on POST: the advisory fast-path quota
+	// pre-check (the authoritative check is the commit gate), and the
+	// NF parameter check, which renders each NF's Click config as its
+	// agent would.
 	Catalog *catalog.Catalog
 	// AdminToken authorizes tenant management. Empty disables the
 	// tenant-management endpoints entirely.
@@ -314,6 +316,26 @@ func (s *Server) precheckQuota(t *Tenant, g *sg.Graph) error {
 	return t.Quota.check(t.Name, u, d)
 }
 
+// checkParams renders the Click config of every NF whose type the catalog
+// knows, so that a parameter its VNF template refuses is a 400 before the
+// intent is stored, not a deploy that fails on every retry. Unknown types
+// are left to the deploy, as before.
+func (s *Server) checkParams(g *sg.Graph) error {
+	if s.cfg.Catalog == nil {
+		return nil
+	}
+	for _, nf := range g.NFs {
+		typ, err := s.cfg.Catalog.Lookup(nf.Type)
+		if err != nil {
+			continue
+		}
+		if _, err := typ.Render(nf.Params); err != nil {
+			return fmt.Errorf("nf %s: %w", nf.ID, err)
+		}
+	}
+	return nil
+}
+
 func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req postIntentReq
 	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
@@ -335,6 +357,10 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 	}
 	if err := t.CheckGraphTags(g); err != nil {
 		writeErr(w, http.StatusForbidden, err.Error())
+		return
+	}
+	if err := s.checkParams(g); err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	service := g.Name

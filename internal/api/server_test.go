@@ -514,3 +514,30 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestPostRefusesBadNFParams: an NF parameter the VNF template refuses is
+// a 400, and the intent is never stored.
+func TestPostRefusesBadNFParams(t *testing.T) {
+	srv, ts, _, _ := testServer(t, ServerConfig{Catalog: catalog.Default()})
+	tok := createTenant(t, ts.URL, "root", "acme", Quota{Services: 5})
+	g := sg.NewChainGraph("evil", "simpleForwarder")
+	g.NFs[0].Params = map[string]string{"QUEUE": "1000) -> Counter -> ToDevice(out); FromDevice(in) -> Queue(1"}
+	raw, err := g.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := doJSON(t, "POST", ts.URL+"/v1/intents", tok, map[string]any{"graph": json.RawMessage(raw)})
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST with an injected QUEUE: %d %v, want 400", resp.StatusCode, body)
+	}
+	if in := srv.cfg.Store.Intent(ServiceName("acme", "evil")); in != nil {
+		t.Errorf("refused intent was stored: %+v", in)
+	}
+	g.NFs[0].Params = map[string]string{"QUEUE": "64"}
+	if raw, err = g.ToJSON(); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := doJSON(t, "POST", ts.URL+"/v1/intents", tok, map[string]any{"graph": json.RawMessage(raw)}); resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST with QUEUE 64: %d %v", resp.StatusCode, body)
+	}
+}

@@ -2,7 +2,10 @@ package catalog
 
 import (
 	"fmt"
+	"math"
+	"net/netip"
 	"sort"
+	"strconv"
 	"strings"
 
 	"escape/internal/sg"
@@ -31,7 +34,10 @@ type VNFType struct {
 }
 
 // Render produces the Click configuration for this type with the given
-// parameters (missing ones default per Params).
+// parameters (missing ones default per Params). Parameter values come from
+// tenants and are pasted into the template, so each must pass its
+// parameter's check first: a value that could close the element's argument
+// list and wire elements of its own is refused.
 func (t *VNFType) Render(params map[string]string) (string, error) {
 	merged := map[string]string{}
 	for k, v := range t.Params {
@@ -43,7 +49,88 @@ func (t *VNFType) Render(params map[string]string) (string, error) {
 		}
 		merged[k] = v
 	}
+	for k, v := range merged {
+		check, ok := paramChecks[k]
+		if !ok {
+			return "", fmt.Errorf("catalog: %s parameter %q has no check", t.Name, k)
+		}
+		if err := check(v); err != nil {
+			return "", fmt.Errorf("catalog: %s parameter %s=%q: %w", t.Name, k, v, err)
+		}
+	}
 	return t.render(merged)
+}
+
+// paramChecks holds the kind of every template parameter, by name.
+var paramChecks = map[string]func(string) error{
+	"QUEUE":     isInteger,
+	"REFRESH":   isInteger,
+	"RATE":      isNumber,
+	"PUBLIC":    isIPv4,
+	"VIP":       isIPv4,
+	"BACKENDS":  isIPv4List,
+	"DROP":      isBool,
+	"RULES":     isArgText(""),
+	"SIGNATURE": isArgText(","),
+}
+
+func isInteger(v string) error {
+	if _, err := strconv.Atoi(v); err != nil {
+		return fmt.Errorf("not an integer")
+	}
+	return nil
+}
+
+func isNumber(v string) error {
+	if f, err := strconv.ParseFloat(v, 64); err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("not a finite number")
+	}
+	return nil
+}
+
+func isIPv4(v string) error {
+	if a, err := netip.ParseAddr(v); err != nil || !a.Is4() {
+		return fmt.Errorf("not an IPv4 address")
+	}
+	return nil
+}
+
+func isIPv4List(v string) error {
+	for _, a := range strings.Split(v, ",") {
+		if isIPv4(strings.TrimSpace(a)) != nil {
+			return fmt.Errorf("not a comma-separated list of IPv4 addresses")
+		}
+	}
+	return nil
+}
+
+// isBool accepts the words DPI's DROP reads as a boolean.
+func isBool(v string) error {
+	switch strings.ToLower(v) {
+	case "true", "false", "1", "0", "yes", "no":
+		return nil
+	}
+	return fmt.Errorf("not a boolean")
+}
+
+// clickStructure is every character sequence the Click lexer or argument
+// splitter reads as structure rather than as argument text.
+var clickStructure = []string{"(", ")", ";", `"`, `\`, "\n", "\r", "->", "::", "//", "/*"}
+
+// isArgText checks free text pasted into an element's argument list: it
+// may contain nothing in clickStructure, nor any of also.
+func isArgText(also string) func(string) error {
+	return func(v string) error {
+		for _, s := range clickStructure {
+			if strings.Contains(v, s) {
+				return fmt.Errorf("contains %q", s)
+			}
+		}
+		if i := strings.IndexAny(v, also); i >= 0 {
+			return fmt.Errorf("contains %q", v[i:i+1])
+		}
+		return nil
+	}
 }
 
 // Catalog is a set of VNF types. The zero value is unusable; use New or

@@ -399,3 +399,119 @@ func strconvOrZero(s string) int {
 	n, _ := strconv.Atoi(s)
 	return n
 }
+
+// TestRenderRefusesInjectedParams: a parameter value that would close the
+// element's argument list and wire elements of its own, or that is not of
+// its parameter's kind, is refused before it reaches a Click config.
+func TestRenderRefusesInjectedParams(t *testing.T) {
+	for _, c := range []struct{ typ, param, value string }{
+		{"simpleForwarder", "QUEUE", "1000) -> Unqueue -> Discard; src :: InfiniteSource(LIMIT -1) -> Queue(1"},
+		{"dpi", "SIGNATURE", `x", DROP false) -> Discard; s :: InfiniteSource(LIMIT -1) -> d2 :: DPI(SIGNATURE "y`},
+		{"simpleForwarder", "QUEUE", "10, 5"},
+		{"headerCompressor", "REFRESH", "64); x :: Counter"},
+		{"ratelimiter", "RATE", "NaN"},
+		{"ratelimiter", "RATE", "1000) -> Counter -> ToDevice(out"},
+		{"nat", "PUBLIC", "192.0.2.1); FromDevice(x) -> ToDevice(y"},
+		{"nat", "PUBLIC", "::1"},
+		{"loadbalancer", "VIP", "10.0.0.100, 10.0.0.7"},
+		{"loadbalancer", "BACKENDS", "10.0.1.1,10.0.1.2) -> Counter -> ToDevice(out"},
+		{"loadbalancer", "BACKENDS", ""},
+		{"dpi", "DROP", "true) -> ToDevice(out"},
+		{"dpi", "SIGNATURE", "a,b"},
+		{"firewall", "RULES", "allow -) -> ToDevice(out); FromDevice(x) -> Firewall(allow -"},
+		{"firewall", "RULES", "allow -\nx :: Counter"},
+		{"firewall", "RULES", `allow - // comment`},
+		{"firewall", "RULES", "allow -; deny -"},
+		{"firewall", "RULES", "allow src host 1.2.3.4 -> deny -"},
+		{"firewall", "RULES", "allow x::y"},
+		{"firewall", "RULES", `allow \ -`},
+		{"firewall", "RULES", "allow /* - */"},
+	} {
+		typ, err := Default().Lookup(c.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err := typ.Render(map[string]string{c.param: c.value}); err == nil {
+			t.Errorf("%s with %s=%q rendered:\n%s", c.typ, c.param, c.value, cfg)
+		}
+	}
+}
+
+// TestRenderAcceptsUsedParams: every parameter value the examples, the
+// tests and the benchmark deploy still renders.
+func TestRenderAcceptsUsedParams(t *testing.T) {
+	var benchRules []string
+	for i := 1; i <= 15; i++ {
+		benchRules = append(benchRules, "deny src host 10.250.0."+strconv.Itoa(i))
+	}
+	for _, c := range []struct {
+		typ    string
+		params map[string]string
+	}{
+		{"headerCompressor", map[string]string{"REFRESH": "128"}},
+		{"headerCompressor", map[string]string{"REFRESH": "4"}},
+		{"loadbalancer", map[string]string{"VIP": "10.99.0.1", "BACKENDS": "10.99.1.1,10.99.1.2"}},
+		{"loadbalancer", map[string]string{"VIP": "10.0.0.100", "BACKENDS": "10.0.1.1, 10.0.1.2"}},
+		{"firewall", map[string]string{"RULES": "allow icmp, allow udp, deny -"}},
+		{"firewall", map[string]string{"RULES": "deny udp and dst port 23, allow udp, deny -"}},
+		{"firewall", map[string]string{"RULES": "allow udp, deny -"}},
+		{"firewall", map[string]string{"RULES": "deny -"}},
+		{"firewall", map[string]string{"RULES": strings.Join(benchRules, ", ") + ", allow -"}},
+		{"dpi", map[string]string{"SIGNATURE": "attack", "DROP": "true"}},
+		{"dpi", map[string]string{"SIGNATURE": "attack", "DROP": "false"}},
+		{"nat", map[string]string{"PUBLIC": "192.0.2.99"}},
+		{"ratelimiter", map[string]string{"RATE": "50", "QUEUE": "1000"}},
+		{"ratelimiter", map[string]string{"RATE": "0.5"}},
+	} {
+		typ, err := Default().Lookup(c.typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := typ.Render(c.params)
+		if err != nil {
+			t.Errorf("%s with %v: %v", c.typ, c.params, err)
+			continue
+		}
+		devs := map[string]click.Device{}
+		for _, p := range typ.Ports {
+			devs[p] = click.NewChanDevice(p, 1)
+		}
+		if _, err := click.NewRouter(c.typ, cfg, click.Options{Devices: devs}); err != nil {
+			t.Errorf("%s with %v does not build: %v", c.typ, c.params, err)
+		}
+	}
+}
+
+// TestEveryClickClassIsDeployed: the Click element classes are exactly the
+// ones the catalog's types deploy. A class with no catalog type to deploy
+// it is code no intent can reach.
+func TestEveryClickClassIsDeployed(t *testing.T) {
+	c := Default()
+	deployed := map[string]bool{}
+	for _, name := range c.Names() {
+		typ, _ := c.Lookup(name)
+		src, err := typ.Render(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := click.Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, d := range cfg.Decls {
+			deployed[d.Class] = true
+		}
+	}
+	registered := map[string]bool{}
+	for _, class := range click.ElementClasses() {
+		registered[class] = true
+		if !deployed[class] {
+			t.Errorf("element class %s is registered, but no catalog type deploys it", class)
+		}
+	}
+	for class := range deployed {
+		if !registered[class] {
+			t.Errorf("a catalog type deploys %s, which is not registered", class)
+		}
+	}
+}

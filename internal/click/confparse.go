@@ -8,7 +8,7 @@ import (
 )
 
 // Click configuration arguments mix positional values with KEYWORD value
-// pairs ("RatedSource(RATE 1000, LIMIT 5000)"). ConfArgs splits a
+// pairs ("DPI(SIGNATURE attack, DROP true)"). ConfArgs splits a
 // pre-split argument list into both forms and offers typed accessors with
 // defaults, mirroring Click's cp_va_kparse.
 
@@ -16,13 +16,12 @@ import (
 type ConfArgs struct {
 	Positional []string
 	Keywords   map[string]string
-	used       map[string]bool
 }
 
 // ParseArgs classifies args into positional and keyword arguments. A
 // keyword argument is an ALL-CAPS word followed by whitespace and a value.
 func ParseArgs(args []string) *ConfArgs {
-	ca := &ConfArgs{Keywords: map[string]string{}, used: map[string]bool{}}
+	ca := &ConfArgs{Keywords: map[string]string{}}
 	for _, a := range args {
 		a = strings.TrimSpace(a)
 		if a == "" {
@@ -75,7 +74,6 @@ func (ca *ConfArgs) PosInt(i int, def int) (int, error) {
 // Key returns keyword kw, or def when absent.
 func (ca *ConfArgs) Key(kw, def string) string {
 	if v, ok := ca.Keywords[kw]; ok {
-		ca.used[kw] = true
 		return v
 	}
 	return def
@@ -87,26 +85,11 @@ func (ca *ConfArgs) KeyInt(kw string, def int) (int, error) {
 	if !ok {
 		return def, nil
 	}
-	ca.used[kw] = true
 	n, err := strconv.Atoi(v)
 	if err != nil {
 		return 0, fmt.Errorf("%s: %q is not an integer", kw, v)
 	}
 	return n, nil
-}
-
-// KeyFloat returns keyword kw as a float64.
-func (ca *ConfArgs) KeyFloat(kw string, def float64) (float64, error) {
-	v, ok := ca.Keywords[kw]
-	if !ok {
-		return def, nil
-	}
-	ca.used[kw] = true
-	f, err := strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, fmt.Errorf("%s: %q is not a number", kw, v)
-	}
-	return f, nil
 }
 
 // KeyBool returns keyword kw as a bool (true/false/1/0).
@@ -115,7 +98,6 @@ func (ca *ConfArgs) KeyBool(kw string, def bool) (bool, error) {
 	if !ok {
 		return def, nil
 	}
-	ca.used[kw] = true
 	switch strings.ToLower(v) {
 	case "true", "1", "yes":
 		return true, nil
@@ -125,7 +107,7 @@ func (ca *ConfArgs) KeyBool(kw string, def bool) (bool, error) {
 	return false, fmt.Errorf("%s: %q is not a boolean", kw, v)
 }
 
-// Unquote strips matched double quotes from a DATA-style argument.
+// Unquote strips matched double quotes from a string argument.
 func Unquote(s string) string {
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
 		return s[1 : len(s)-1]

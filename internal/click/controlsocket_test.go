@@ -11,9 +11,8 @@ import (
 func newCSRouter(t *testing.T) (*Router, *ControlSocket) {
 	t.Helper()
 	r := mustRouter(t, `
-		src :: RatedSource(RATE 100, LIMIT 0);
-		c :: Counter;
-		src -> c -> Discard;
+		FromDevice(in) -> c :: Counter -> q :: Queue(16);
+		q -> ru :: RatedUnqueue(RATE 100) -> ToDevice(out);
 	`)
 	cs, err := NewControlSocket(r, "127.0.0.1:0")
 	if err != nil {
@@ -42,10 +41,10 @@ func TestControlSocketReadWrite(t *testing.T) {
 	if v, _ = cl.Read("c.count"); v != "3" {
 		t.Errorf("count = %q", v)
 	}
-	if err := cl.Write("src.rate", "500"); err != nil {
+	if err := cl.Write("ru.rate", "500"); err != nil {
 		t.Fatal(err)
 	}
-	if v, _ = cl.Read("src.rate"); v != "500" {
+	if v, _ = cl.Read("ru.rate"); v != "500" {
 		t.Errorf("rate = %q", v)
 	}
 }
@@ -146,8 +145,8 @@ func TestControlSocketCloseUnblocksClients(t *testing.T) {
 // written over the TCP port, is refused; the router keeps running with the
 // queue it had.
 func TestControlSocketQueueCapacityBound(t *testing.T) {
-	out := NewChanDevice("out", 8)
-	r := startRouter(t, `q :: Queue(16) -> ToDevice(out);`, out)
+	in, out := NewChanDevice("in", 8), NewChanDevice("out", 8)
+	r := startRouter(t, `FromDevice(in) -> q :: Queue(16) -> ToDevice(out);`, in, out)
 	cs, err := NewControlSocket(r, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -170,8 +169,6 @@ func TestControlSocketQueueCapacityBound(t *testing.T) {
 	if err := cl.Write("q.capacity", "32"); err != nil {
 		t.Errorf("WRITE q.capacity 32: %v", err)
 	}
-	if err := r.InjectPush("q", 0, NewPacket(make([]byte, 60))); err != nil {
-		t.Fatal(err)
-	}
+	in.In <- make([]byte, 60)
 	recvFrame(t, out.Out, "a frame through the queue after the refused writes")
 }

@@ -69,34 +69,32 @@ func waitFor(t *testing.T, d time.Duration, r *Router, sig string, cond func() b
 }
 
 // TestConcurrentTraffic drives a multi-element chain while external
-// goroutines inject packets and poll handlers. Run under -race this
-// exercises the per-element locking model: source task, Unqueue task,
-// ToDevice drain, handler reads and injected pushes all overlap. Packet
+// goroutines feed its device and poll handlers. Run under -race this
+// exercises the per-element locking model: the FromDevice, RatedUnqueue
+// and ToDevice tasks, handler reads and device senders all overlap. Packet
 // conservation is asserted at the end.
 func TestConcurrentTraffic(t *testing.T) {
-	const limit = 20000
-	const injectors = 4
-	const perInjector = 500
-	const injected = injectors * perInjector
-	const total = limit + injected
+	const senders = 5
+	const perSender = 4400
+	const total = senders * perSender
 
 	t.Run("single", func(t *testing.T) {
-		out := NewChanDevice("out", 64)
+		in, out := NewChanDevice("in", 256), NewChanDevice("out", 64)
 		// Consume out frames forever so ToDevice never stalls.
 		go func() {
 			for range out.Out {
 			}
 		}()
-		r, err := NewRouter("traffic", fmt.Sprintf(`
-			src :: InfiniteSource(LIMIT %d, BURST 32)
+		r, err := NewRouter("traffic", `
+			FromDevice(in)
 				-> c1 :: Counter
 				-> q :: Queue(8192)
-				-> u :: Unqueue(BURST 16)
+				-> u :: RatedUnqueue(RATE 1000000000)
 				-> c2 :: Counter
 				-> sig :: Signal
 				-> Queue(8192)
 				-> ToDevice(out);
-		`, limit), Options{Devices: map[string]Device{"out": out}})
+		`, Options{Devices: map[string]Device{"in": in, "out": out}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,20 +103,17 @@ func TestConcurrentTraffic(t *testing.T) {
 		go r.Run(ctx)
 
 		var wg sync.WaitGroup
-		for i := 0; i < injectors; i++ {
+		for i := 0; i < senders; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				frame := make([]byte, 64)
-				for j := 0; j < perInjector; j++ {
-					if err := r.InjectPush("c1", 0, NewPacket(frame)); err != nil {
-						t.Error(err)
-						return
-					}
+				for j := 0; j < perSender; j++ {
+					in.In <- frame
 				}
 			}()
 		}
-		// Handler readers run concurrently with the driver and injectors.
+		// Handler readers run concurrently with the driver and senders.
 		stopPoll := make(chan struct{})
 		var pollWG sync.WaitGroup
 		for i := 0; i < 2; i++ {
@@ -157,22 +152,32 @@ func TestConcurrentTraffic(t *testing.T) {
 	})
 }
 
-// TestDriverEquivalence runs a source→queue→sink chain and asserts packet
-// conservation: every generated packet is either delivered or accounted as
-// a queue tail drop — and, because the round-robin driver strictly
-// interleaves the source and drain tasks, none is dropped.
+// TestDriverEquivalence runs a device→queue→device chain and asserts packet
+// conservation: every frame sent is either delivered or accounted as a
+// queue tail drop — and, because the round-robin driver strictly
+// interleaves the FromDevice and ToDevice tasks, each moving at most a
+// burst per round, none is dropped.
 func TestDriverEquivalence(t *testing.T) {
 	for _, tc := range []struct{ limit, qcap uint64 }{{5000, 1024}, {200, 500}} {
 		t.Run(fmt.Sprintf("single/%d-through-%d", tc.limit, tc.qcap), func(t *testing.T) {
+			in, out := NewChanDevice("in", 64), NewChanDevice("out", 64)
+			go func() {
+				for range out.Out {
+				}
+			}()
 			r, err := NewRouter("eq", fmt.Sprintf(`
-				InfiniteSource(LIMIT %d) -> q :: Queue(%d) -> u :: Unqueue -> d :: Counter -> sig :: Signal -> Discard;
-			`, tc.limit, tc.qcap), Options{})
+				FromDevice(in) -> q :: Queue(%d) -> d :: Counter -> sig :: Signal -> ToDevice(out);
+			`, tc.qcap), Options{Devices: map[string]Device{"in": in, "out": out}})
 			if err != nil {
 				t.Fatal(err)
 			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			go r.Run(ctx)
+			frame := make([]byte, 64)
+			for i := uint64(0); i < tc.limit; i++ {
+				in.In <- frame
+			}
 			waitFor(t, 20*time.Second, r, "sig", func() bool {
 				return readCount(t, r, "d.count")+readCount(t, r, "q.drops") == tc.limit
 			}, "all packets to be accounted for")

@@ -2,18 +2,17 @@ package click
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
 )
 
-// Queueing and shaping elements.
+// Queueing and rate-limiting elements.
 
 func init() {
 	RegisterElement("Queue", func() Element { return &Queue{} })
-	RegisterElement("Unqueue", func() Element { return &Unqueue{} })
 	RegisterElement("RatedUnqueue", func() Element { return &RatedUnqueue{} })
-	RegisterElement("BandwidthShaper", func() Element { return &BandwidthShaper{} })
 }
 
 // Queue stores packets in FIFO order: push input, pull output. Packets
@@ -151,60 +150,9 @@ func (q *Queue) Handlers() []Handler {
 	}
 }
 
-// Unqueue actively pulls packets from its input and pushes them downstream,
-// converting a pull path back to a push path.
-//
-// Configuration: Unqueue([BURST n]).
-type Unqueue struct {
-	Base
-	burst int
-	count atomic.Uint64
-	batch []*Packet // scratch for batched pull→push handoff
-}
-
-// Class implements Element.
-func (*Unqueue) Class() string { return "Unqueue" }
-
-// Spec implements Element.
-func (*Unqueue) Spec() PortSpec {
-	return PortSpec{NIn: 1, NOut: 1, In: []Processing{Pull}, Out: []Processing{Push}}
-}
-
-// Configure implements Element.
-func (u *Unqueue) Configure(r *Router, args []string) error {
-	ca := ParseArgs(args)
-	var err error
-	if u.burst, err = ca.KeyInt("BURST", 32); err != nil {
-		return err
-	}
-	if b, err2 := ca.PosInt(0, u.burst); err2 == nil {
-		u.burst = b
-	}
-	if u.burst <= 0 {
-		return fmt.Errorf("BURST must be positive")
-	}
-	return nil
-}
-
-// RunTask implements Tasker: one batched pull from upstream, one batched
-// push downstream — two lock acquisitions per burst instead of two per
-// packet.
-func (u *Unqueue) RunTask() bool {
-	u.batch = u.PullInBatch(0, u.burst, u.batch[:0])
-	if len(u.batch) == 0 {
-		return false
-	}
-	u.count.Add(uint64(len(u.batch)))
-	u.PushOutBatch(0, u.batch)
-	return true
-}
-
-// Handlers implements HandlerProvider.
-func (u *Unqueue) Handlers() []Handler {
-	return []Handler{{Name: "count", Read: func() string { return strconv.FormatUint(u.count.Load(), 10) }}}
-}
-
-// RatedUnqueue is Unqueue limited to RATE packets per second.
+// RatedUnqueue actively pulls packets from its input and pushes them
+// downstream, converting a pull path back to a push path, at most RATE
+// packets per second (a token bucket).
 //
 // Configuration: RatedUnqueue(RATE). Handlers: rate (rw), count (r).
 type RatedUnqueue struct {
@@ -227,12 +175,21 @@ func (*RatedUnqueue) Spec() PortSpec {
 func (u *RatedUnqueue) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
 	rate := ca.Key("RATE", ca.Pos(0, "10"))
-	f, err := strconv.ParseFloat(rate, 64)
-	if err != nil || f <= 0 {
+	f, err := parseRate(rate)
+	if err != nil {
 		return fmt.Errorf("bad RATE %q", rate)
 	}
 	u.ratePPS = f
 	return nil
+}
+
+// parseRate reads a packet rate: a finite number above zero.
+func parseRate(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil || !(f > 0) || math.IsInf(f, 1) {
+		return 0, fmt.Errorf("rate %q is not a positive finite number", s)
+	}
+	return f, nil
 }
 
 // Init implements Initializer.
@@ -263,13 +220,14 @@ func (u *RatedUnqueue) RunTask() bool {
 	return worked
 }
 
-// NextDeadline implements Deadliner. With a whole token in the bucket the
+// NextDeadline implements Deadliner: the instant the bucket, refilling
+// since last, holds one whole token. With a whole token in the bucket the
 // element waits for its upstream Queue, not for time.
 func (u *RatedUnqueue) NextDeadline() (time.Time, bool) {
 	if u.tokens >= 1 {
 		return time.Time{}, false
 	}
-	return refillAt(u.last, u.tokens, u.ratePPS), true
+	return u.last.Add(time.Duration((1 - u.tokens) / u.ratePPS * float64(time.Second))), true
 }
 
 // Handlers implements HandlerProvider.
@@ -278,89 +236,12 @@ func (u *RatedUnqueue) Handlers() []Handler {
 		{Name: "count", Read: func() string { return strconv.FormatUint(u.count, 10) }},
 		{Name: "rate", Read: func() string { return strconv.FormatFloat(u.ratePPS, 'f', -1, 64) },
 			Write: func(v string) error {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil || f <= 0 {
-					return fmt.Errorf("bad rate %q", v)
+				f, err := parseRate(v)
+				if err != nil {
+					return err
 				}
 				u.ratePPS = f
 				return nil
 			}},
-	}
-}
-
-// BandwidthShaper sits on a pull path and releases at most RATE bytes per
-// second: a byte-granularity token bucket, Click's BandwidthShaper.
-//
-// Configuration: BandwidthShaper(RATE bytes/s).
-type BandwidthShaper struct {
-	Base
-	rateBps float64 // bytes per second
-	tokens  float64
-	last    time.Time
-	count   uint64
-	bytes   uint64
-}
-
-// Class implements Element.
-func (*BandwidthShaper) Class() string { return "BandwidthShaper" }
-
-// Spec implements Element.
-func (*BandwidthShaper) Spec() PortSpec { return pullPorts(1, 1) }
-
-// Configure implements Element.
-func (s *BandwidthShaper) Configure(r *Router, args []string) error {
-	ca := ParseArgs(args)
-	rate := ca.Key("RATE", ca.Pos(0, "125000"))
-	f, err := strconv.ParseFloat(rate, 64)
-	if err != nil || f <= 0 {
-		return fmt.Errorf("bad RATE %q", rate)
-	}
-	s.rateBps = f
-	return nil
-}
-
-// Init implements Initializer.
-func (s *BandwidthShaper) Init() error {
-	s.last = time.Now()
-	s.tokens = 1500 // allow the first MTU immediately
-	return nil
-}
-
-// Pull implements Element.
-func (s *BandwidthShaper) Pull(port int) *Packet {
-	now := time.Now()
-	s.tokens += now.Sub(s.last).Seconds() * s.rateBps
-	s.last = now
-	if max := s.rateBps / 10; s.tokens > max && max >= 1500 {
-		s.tokens = max
-	}
-	if s.tokens < 1 {
-		return nil
-	}
-	p := s.PullIn(0)
-	if p == nil {
-		return nil
-	}
-	s.tokens -= float64(p.Len())
-	s.count++
-	s.bytes += uint64(p.Len())
-	return p
-}
-
-// NextDeadline implements Deadliner: when the byte bucket is back above
-// zero. With tokens to spend the shaper waits for its upstream Queue.
-func (s *BandwidthShaper) NextDeadline() (time.Time, bool) {
-	if s.tokens >= 1 {
-		return time.Time{}, false
-	}
-	return refillAt(s.last, s.tokens, s.rateBps), true
-}
-
-// Handlers implements HandlerProvider.
-func (s *BandwidthShaper) Handlers() []Handler {
-	return []Handler{
-		{Name: "count", Read: func() string { return strconv.FormatUint(s.count, 10) }},
-		{Name: "byte_count", Read: func() string { return strconv.FormatUint(s.bytes, 10) }},
-		{Name: "rate", Read: func() string { return strconv.FormatFloat(s.rateBps, 'f', -1, 64) }},
 	}
 }

@@ -49,9 +49,6 @@ func agnostic(nin, nout int) PortSpec {
 func pushPorts(nin, nout int) PortSpec {
 	return PortSpec{NIn: nin, NOut: nout, In: []Processing{Push}, Out: []Processing{Push}}
 }
-func pullPorts(nin, nout int) PortSpec {
-	return PortSpec{NIn: nin, NOut: nout, In: []Processing{Pull}, Out: []Processing{Pull}}
-}
 
 func (s PortSpec) in(i int) Processing {
 	if len(s.In) == 0 {
@@ -92,18 +89,18 @@ type Element interface {
 	// PushBatch hands several packets to input port in one call so hot
 	// paths acquire the element lock once per burst instead of once per
 	// packet. The default (Base) implementation loops over Push; elements
-	// with cheap batch semantics (Queue, ToDevice, Discard) override it.
+	// with cheap batch semantics (Queue, ToDevice) override it.
 	PushBatch(port int, ps []*Packet)
 
 	base() *Base
 }
 
-// Tasker is implemented by elements needing scheduler time (Unqueue,
-// RatedSource, FromDevice, …). RunTask reports whether useful work was done:
-// after a round in which no task did any, the driver blocks (idle.go) until
-// something can have created work. A task whose work appears without a
-// frame, a handler write or an InjectPush — because time passed — must also
-// implement Deadliner, or it runs again only on the next tick.
+// Tasker is implemented by elements needing scheduler time (FromDevice,
+// RatedUnqueue, ToDevice behind a Queue). RunTask reports whether useful
+// work was done: after a round in which no task did any, the driver blocks
+// (idle.go) until something can have created work. A task whose work
+// appears without a frame or a handler write — because time passed — must
+// also implement Deadliner, or it runs again only on the next tick.
 type Tasker interface {
 	RunTask() bool
 }
@@ -143,8 +140,8 @@ type HandlerProvider interface {
 // nest along a push or pull chain in flow order, so loop-free
 // configurations (the only kind that terminate at all) cannot deadlock,
 // and two tasks traversing overlapping chains serialize only on the
-// elements they share. Pull-then-push converters (Unqueue) never hold the
-// upstream and downstream locks simultaneously.
+// elements they share. Pull-then-push converters (RatedUnqueue) never hold
+// the upstream and downstream locks simultaneously.
 type Base struct {
 	name   string
 	router *Router
@@ -279,8 +276,8 @@ func (b *Base) PushOut(i int, p *Packet) {
 }
 
 // PushOutBatch sends a burst to output port i under a single acquisition
-// of the downstream element's lock. Hot sections (FromDevice ingest,
-// Unqueue drain) use it to amortize per-element locking.
+// of the downstream element's lock. FromDevice ingest and SimpleAction
+// bursts use it to amortize per-element locking.
 func (b *Base) PushOutBatch(i int, ps []*Packet) {
 	if len(ps) == 0 {
 		return
@@ -342,9 +339,3 @@ func (b *Base) PullInBatch(i, max int, buf []*Packet) []*Packet {
 	sb.mu.Unlock()
 	return buf
 }
-
-// NOut returns the number of wired output ports.
-func (b *Base) NOut() int { return len(b.outs) }
-
-// NIn returns the number of wired input ports.
-func (b *Base) NIn() int { return len(b.ins) }

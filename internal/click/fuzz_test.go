@@ -10,13 +10,13 @@ import (
 
 // parserCorpus is what parser_test.go parses, good and bad.
 var parserCorpus = []string{
-	"// a small chain\nsrc :: InfiniteSource(LIMIT 10);\nq :: Queue(100);\nsink :: Discard;\nsrc -> q;",
+	"// a small chain\nsrc :: FromDevice(in);\nq :: Queue(100);\nsink :: ToDevice(out);\nsrc -> q -> sink;",
 	"q1, q2, q3 :: Queue(7);",
-	"c :: Classifier(12/0806, -);\na :: Discard; b :: Discard;\nin :: InfiniteSource;\nin -> c;\nc[0] -> a;\nc[1] -> b;",
-	"a :: InfiniteSource; b :: InfiniteSource;\nm :: Mux2; // fictional\na -> [0]m;\nb -> [1]m;",
-	"InfiniteSource(LIMIT 5) -> Counter -> Discard;",
-	"q :: Queue;\nInfiniteSource -> q -> Unqueue -> Discard;",
-	"/* block\n   comment */\na :: Discard; // line comment",
+	"nat :: NAT(PUBLIC 192.0.2.1);\nFromDevice(in) -> [0]nat;\nnat[0] -> Queue -> ToDevice(out);\nFromDevice(rin) -> [1]nat;\nnat[1] -> Queue -> ToDevice(rout);",
+	"a :: FromDevice(in); b :: FromDevice(out);\nm :: Mux2; // fictional\na -> [0]m;\nb -> [1]m;",
+	"FromDevice(in) -> Counter -> ToDevice(out);",
+	"q :: Queue;\nFromDevice(in) -> q -> RatedUnqueue(RATE 100) -> ToDevice(out);",
+	"/* block\n   comment */\na :: Counter; // line comment",
 	"a ::;",
 	"a :: Queue(",
 	"a -> ;",
@@ -28,7 +28,7 @@ var parserCorpus = []string{
 	"$ :: Queue;",
 	"justaname;",
 	"a :: Queue;\nb ::;\n",
-	`src :: RatedSource("hello, world", RATE 100, LIMIT 0); src -> Print(x, MAXLENGTH 8) -> Discard;`,
+	`FromDevice(in) -> dpi :: DPI(SIGNATURE "hello, world", DROP true) -> Queue(8) -> ToDevice(out, BURST 8);`,
 }
 
 // FuzzParseConfig fuzzes the path a NETCONF-delivered VNF config takes:
@@ -64,6 +64,6 @@ func FuzzParseConfig(f *testing.F) {
 			click.ParseArgs(d.Args)
 		}
 		devs := map[string]click.Device{"in": click.NewChanDevice("in", 1), "out": click.NewChanDevice("out", 1)}
-		_, _ = click.NewRouterFromConfig("fuzz", cfg, click.Options{Devices: devs})
+		_, _ = click.NewRouter("fuzz", src, click.Options{Devices: devs})
 	})
 }

@@ -11,8 +11,8 @@
 //   - one driver, Click's userlevel one: a single goroutine runs every
 //     scheduler task round-robin and blocks in a select on the router's
 //     devices when none has work (idle.go),
-//   - a pooled packet allocator (NewPacket/Clone draw from a sync.Pool,
-//     Kill reclaims),
+//   - a pooled packet allocator (NewPacket draws from a sync.Pool, Kill
+//     reclaims),
 //   - read/write handlers on every element, and
 //   - a ControlSocket server speaking Click's ClickControl/1.3 protocol so
 //     monitoring tools (ESCAPE's Clicky substitute, internal/mgmt) can poll
@@ -21,76 +21,49 @@
 // Concurrency: there is no global router lock. Each element carries its
 // own mutex (see Base), acquired by whoever invokes the element — the
 // neighbour on PushOut/PullIn, the driver around RunTask and ticks, the
-// router around handler access, InjectPush on behalf of external traffic
-// tools. Handler reads and injected pushes therefore stay race-free against
-// a running driver.
+// router around handler access. Handler reads and writes therefore stay
+// race-free against a running driver.
 //
-// A standard element library (Queue, Classifier, Counter, Tee, EtherEncap,
-// CheckIPHeader, …) lives in this package; ESCAPE's VNF-specific elements
-// (HeaderCompressor, Firewall, NAT, …) are registered by internal/catalog
-// through the extensible element registry.
+// The package defines the five element classes the VNF catalog's
+// templates wire around their own: FromDevice, ToDevice, Counter, Queue
+// and RatedUnqueue. ESCAPE's VNF-specific elements (HeaderCompressor,
+// Firewall, NAT, …) are registered by internal/catalog through the
+// element registry. A class belongs here only while a catalog type
+// deploys it.
 package click
 
 import (
-	"fmt"
 	"sync"
-	"time"
 )
 
-// headroom is reserved in front of new packet buffers so encapsulating
-// elements (EtherEncap, VLANEncap) can usually prepend without copying —
-// the same trick Click's packet class uses.
-const headroom = 32
-
-// Packet is the unit of data flowing between elements. The payload is a
-// full Ethernet frame in wire format (see internal/pkt). Internally a
-// packet owns a buffer with headroom so Strip/Unstrip/Prepend are O(1).
+// Packet is the unit of data flowing between elements: a full Ethernet
+// frame in wire format (see internal/pkt) in a packet-owned buffer.
 type Packet struct {
 	buf []byte
-	off int
-	// Timestamp is zero until a SetTimestamp element stamps the packet:
-	// creating one reads no clock. Clone copies it.
-	Timestamp time.Time
-	// Paint is Click's paint annotation, set by Paint and read by
-	// PaintSwitch.
-	Paint uint8
-	// Mark is a general-purpose 32-bit annotation (Click's user anno
-	// space, condensed).
-	Mark uint32
 }
 
 // maxPooledBuf caps the buffer size retained by the packet pool so one
 // jumbo frame does not pin memory for the lifetime of the pool entry.
 const maxPooledBuf = 16 << 10
 
-// packetPool recycles Packet structs and their buffers. NewPacket and
-// Clone draw from it; Kill returns to it. Elements that drop a packet own
-// it and should Kill it; a forgotten Kill merely falls back to GC.
+// packetPool recycles Packet structs and their buffers. NewPacket draws
+// from it; Kill returns to it. Elements that drop a packet own it and
+// should Kill it; a forgotten Kill merely falls back to GC.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// NewPacket wraps a copy of data in a Packet with zero annotations. The
-// packet comes from a pool fed by Kill, so steady-state processing with
-// balanced Kill calls allocates nothing.
+// NewPacket wraps a copy of data in a Packet. The packet comes from a pool
+// fed by Kill, so steady-state processing with balanced Kill calls
+// allocates nothing.
 func NewPacket(data []byte) *Packet {
 	p := packetPool.Get().(*Packet)
-	need := headroom + len(data)
-	if cap(p.buf) < need {
-		p.buf = make([]byte, need)
-	} else {
-		p.buf = p.buf[:need]
-	}
-	copy(p.buf[headroom:], data)
-	p.off = headroom
-	p.Timestamp = time.Time{}
-	p.Paint = 0
-	p.Mark = 0
+	p.SetData(data)
 	return p
 }
 
 // Kill releases the packet back to the allocator pool. The caller must
 // own the packet and must not touch it afterwards: Kill is the terminal
-// operation of every drop path (tail drop, classifier miss, Discard) and
-// of ToDevice after the frame has been detached.
+// operation of every drop path (tail drop, firewall deny, …) and of
+// ToDevice after the frame has been detached.
 func (p *Packet) Kill() {
 	if p == nil {
 		return
@@ -106,76 +79,29 @@ func (p *Packet) Kill() {
 // implementations may retain the frame, so ToDevice detaches rather than
 // letting the pool recycle storage a device still references.
 func (p *Packet) Detach() []byte {
-	d := p.buf[p.off:]
+	d := p.buf
 	p.buf = nil
-	p.off = 0
 	return d
 }
 
 // Data returns the current frame bytes. The slice aliases packet-owned
-// storage: elements may mutate it in place but must use SetData/Prepend to
-// change its length upward.
-func (p *Packet) Data() []byte { return p.buf[p.off:] }
+// storage: elements may mutate it in place but must use SetData to change
+// its length.
+func (p *Packet) Data() []byte { return p.buf }
 
 // Len returns the frame length in bytes.
-func (p *Packet) Len() int { return len(p.buf) - p.off }
+func (p *Packet) Len() int { return len(p.buf) }
 
-// SetData replaces the frame bytes entirely (fresh headroom). The packet's
-// existing buffer is reused when large enough; data may alias the current
-// frame (copy has memmove semantics).
+// SetData replaces the frame bytes entirely. The packet's existing buffer
+// is reused when large enough; data may alias the current frame (copy has
+// memmove semantics).
 func (p *Packet) SetData(data []byte) {
-	need := headroom + len(data)
-	if cap(p.buf) >= need {
-		p.buf = p.buf[:need]
+	if cap(p.buf) >= len(data) {
+		p.buf = p.buf[:len(data)]
 	} else {
-		p.buf = make([]byte, need)
+		p.buf = make([]byte, len(data))
 	}
-	copy(p.buf[headroom:], data)
-	p.off = headroom
-}
-
-// Strip removes n bytes from the front of the frame.
-func (p *Packet) Strip(n int) error {
-	if n < 0 || n > p.Len() {
-		return fmt.Errorf("click: strip %d of %d bytes", n, p.Len())
-	}
-	p.off += n
-	return nil
-}
-
-// Unstrip restores n previously stripped bytes (they remain in the buffer
-// until overwritten by Prepend/SetData).
-func (p *Packet) Unstrip(n int) error {
-	if n < 0 || n > p.off {
-		return fmt.Errorf("click: unstrip %d with only %d stripped", n, p.off)
-	}
-	p.off -= n
-	return nil
-}
-
-// Prepend grows the frame by len(b) at the front, copying b in. It reuses
-// headroom when available.
-func (p *Packet) Prepend(b []byte) {
-	if len(b) <= p.off {
-		p.off -= len(b)
-		copy(p.buf[p.off:], b)
-		return
-	}
-	nb := make([]byte, headroom+len(b)+p.Len())
-	copy(nb[headroom:], b)
-	copy(nb[headroom+len(b):], p.Data())
-	p.buf = nb
-	p.off = headroom
-}
-
-// Clone deep-copies the packet (used by Tee). The clone carries its own
-// fresh headroom.
-func (p *Packet) Clone() *Packet {
-	q := NewPacket(p.Data())
-	q.Timestamp = p.Timestamp
-	q.Paint = p.Paint
-	q.Mark = p.Mark
-	return q
+	copy(p.buf, data)
 }
 
 // Device is the boundary between a Click graph and the outside world.

@@ -10,12 +10,11 @@ import (
 // generates and its catalog uses:
 //
 //	// comments and /* comments */
-//	src :: RatedSource(RATE 1000);
+//	nat :: NAT(PUBLIC 192.0.2.1);
 //	q1, q2 :: Queue(200);                  // multi-declaration
-//	c :: Classifier(12/0806, 12/0800, -);
-//	src -> q1;
-//	c[0] -> arpr;                          // output port specifier
-//	in -> Counter -> [1]mux;               // anonymous elements, input port
+//	FromDevice(in) -> Counter -> [0]nat;   // anonymous elements, input port
+//	nat[1] -> q2;                          // output port specifier
+//	q2 -> shaper :: RatedUnqueue(RATE 1000) -> ToDevice(out);
 //
 // Unsupported constructs (elementclass, require, #define) produce parse
 // errors naming the construct, so misuse is diagnosed rather than silently
@@ -76,11 +75,10 @@ const (
 )
 
 type lexer struct {
-	src        []rune
-	pos        int
-	line, col  int
-	peekedTok  *token
-	parenIsArg bool
+	src       []rune
+	pos       int
+	line, col int
+	peekedTok *token
 }
 
 func newLexer(src string) *lexer {
@@ -192,8 +190,8 @@ func (lx *lexer) lex() (token, error) {
 			lx.advance()
 			return token{kind: tokArrow, text: "->", line: line, col: col}, nil
 		}
-		// A lone '-' is a valid Classifier argument but those are inside
-		// parens; at statement level it is an error.
+		// A lone '-' is a valid argument (Firewall's "allow -") but those
+		// are inside parens; at statement level it is an error.
 		return token{}, lx.errf(line, col, "unexpected '-'")
 	case r == ',':
 		lx.advance()
@@ -246,9 +244,9 @@ func (lx *lexer) lex() (token, error) {
 	return token{}, lx.errf(line, col, "unexpected character %q", string(r))
 }
 
-// SplitArgs splits a Click argument string on top-level commas, trimming
+// splitArgs splits a Click argument string on top-level commas, trimming
 // whitespace: "RATE 10, LIMIT 5, BURST (1,2)" → ["RATE 10","LIMIT 5","BURST (1,2)"].
-func SplitArgs(s string) []string {
+func splitArgs(s string) []string {
 	var out []string
 	depth := 0
 	start := 0
@@ -487,7 +485,7 @@ func (p *parser) endpoint() (endpointRef, error) {
 	case t.kind == tokArgs:
 		// Anonymous element: Class(args) in connection position.
 		p.lx.next()
-		ref = p.makeAnon(ref, nameTok.text, SplitArgs(t.text))
+		ref = p.makeAnon(ref, nameTok.text, splitArgs(t.text))
 	case !p.declared[ref.name] && isClassName(ref.name):
 		// A bare undeclared uppercase name is an anonymous instance of
 		// that class (Click convention: classes are capitalized).
@@ -557,7 +555,7 @@ func (p *parser) optionalArgs() ([]string, error) {
 		return nil, nil
 	}
 	p.lx.next()
-	return SplitArgs(t.text), nil
+	return splitArgs(t.text), nil
 }
 
 func (p *parser) expectSemi() error {

@@ -9,9 +9,9 @@ import (
 func TestParseDeclAndConn(t *testing.T) {
 	cfg, err := Parse(`
 		// a small chain
-		src :: InfiniteSource(LIMIT 10);
+		src :: FromDevice(in, BURST 10);
 		q :: Queue(100);
-		sink :: Discard;
+		sink :: ToDevice(out);
 		src -> q;
 	`)
 	if err != nil {
@@ -20,7 +20,7 @@ func TestParseDeclAndConn(t *testing.T) {
 	if len(cfg.Decls) != 3 {
 		t.Fatalf("decls = %d, want 3", len(cfg.Decls))
 	}
-	if cfg.Decls[0].Class != "InfiniteSource" || cfg.Decls[0].Args[0] != "LIMIT 10" {
+	if cfg.Decls[0].Class != "FromDevice" || cfg.Decls[0].Args[1] != "BURST 10" {
 		t.Errorf("decl[0] = %+v", cfg.Decls[0])
 	}
 	if len(cfg.Conns) != 1 || cfg.Conns[0].From != "src" || cfg.Conns[0].To != "q" {
@@ -45,12 +45,12 @@ func TestParseMultiDecl(t *testing.T) {
 
 func TestParseChainWithPorts(t *testing.T) {
 	cfg, err := Parse(`
-		c :: Classifier(12/0806, -);
-		a :: Discard; b :: Discard;
-		in :: InfiniteSource;
-		in -> c;
-		c[0] -> a;
-		c[1] -> b;
+		n :: NAT(PUBLIC 192.0.2.1);
+		a :: ToDevice(out); b :: ToDevice(rout);
+		in :: FromDevice(in);
+		in -> n;
+		n[0] -> a;
+		n[1] -> b;
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +65,7 @@ func TestParseChainWithPorts(t *testing.T) {
 
 func TestParseInputPortSpecifier(t *testing.T) {
 	cfg, err := Parse(`
-		a :: InfiniteSource; b :: InfiniteSource;
+		a :: FromDevice(in); b :: FromDevice(rin);
 		m :: Mux2; // fictional, parser does not resolve classes
 		a -> [0]m;
 		b -> [1]m;
@@ -79,7 +79,7 @@ func TestParseInputPortSpecifier(t *testing.T) {
 }
 
 func TestParseAnonymousElements(t *testing.T) {
-	cfg, err := Parse(`InfiniteSource(LIMIT 5) -> Counter -> Discard;`)
+	cfg, err := Parse(`FromDevice(in) -> Counter -> ToDevice(out);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestParseAnonymousElements(t *testing.T) {
 func TestParseMixedAnonymousAndNamed(t *testing.T) {
 	cfg, err := Parse(`
 		q :: Queue;
-		InfiniteSource -> q -> Unqueue -> Discard;
+		FromDevice(in) -> q -> RatedUnqueue -> ToDevice(out);
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +120,7 @@ func TestParseComments(t *testing.T) {
 	cfg, err := Parse(`
 		/* block
 		   comment */
-		a :: Discard; // line comment
+		a :: Counter; // line comment
 	`)
 	if err != nil {
 		t.Fatal(err)
@@ -182,14 +182,14 @@ func TestSplitArgs(t *testing.T) {
 		{"a,", []string{"a", ""}},
 	}
 	for _, c := range cases {
-		got := SplitArgs(c.in)
+		got := splitArgs(c.in)
 		if len(got) != len(c.want) {
-			t.Errorf("SplitArgs(%q) = %#v, want %#v", c.in, got, c.want)
+			t.Errorf("splitArgs(%q) = %#v, want %#v", c.in, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("SplitArgs(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
+				t.Errorf("splitArgs(%q)[%d] = %q, want %q", c.in, i, got[i], c.want[i])
 			}
 		}
 	}
@@ -242,11 +242,11 @@ func TestQuickParseGeneratedChains(t *testing.T) {
 	f := func(n uint8) bool {
 		hops := int(n%5) + 1
 		var sb strings.Builder
-		sb.WriteString("src :: InfiniteSource;\nsrc")
+		sb.WriteString("src :: FromDevice(in);\nsrc")
 		for i := 0; i < hops; i++ {
 			sb.WriteString(" -> Counter")
 		}
-		sb.WriteString(" -> Discard;\n")
+		sb.WriteString(" -> ToDevice(out);\n")
 		cfg, err := Parse(sb.String())
 		if err != nil {
 			return false

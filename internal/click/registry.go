@@ -37,8 +37,8 @@ func newElement(class string) (Element, error) {
 	return ctor(), nil
 }
 
-// ElementClasses returns the sorted list of registered classes (the VNF
-// catalog and docs tooling list them).
+// ElementClasses returns the sorted list of registered classes. The
+// catalog's tests hold it equal to the classes its types deploy.
 func ElementClasses() []string {
 	registryMu.RLock()
 	defer registryMu.RUnlock()

@@ -3,7 +3,6 @@ package click
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -15,10 +14,6 @@ type Options struct {
 	// implementations.
 	Devices map[string]Device
 }
-
-// maxPorts bounds the ports of one element. Switch(N), Tee(N) and their kin
-// take N from the config, and wiring allocates every port up front.
-const maxPorts = 1 << 12
 
 // tickInterval is the period of Ticker callbacks.
 const tickInterval = 10 * time.Millisecond
@@ -38,9 +33,6 @@ type Router struct {
 
 	// idle is what the Run goroutine blocks on when no task has work.
 	idle *parker
-
-	// stats
-	startedAt time.Time
 }
 
 type taskEntry struct {
@@ -57,11 +49,6 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewRouterFromConfig(name, cfg, opts)
-}
-
-// NewRouterFromConfig is NewRouter for pre-parsed configurations.
-func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error) {
 	r := &Router{name: name, opts: opts, elems: map[string]Element{}, stopped: make(chan struct{})}
 
 	// Instantiate and configure.
@@ -80,9 +67,6 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 		b.config = d.Args
 		if err := e.Configure(r, d.Args); err != nil {
 			return nil, fmt.Errorf("click: %s :: %s: %w", d.Name, d.Class, err)
-		}
-		if s := e.Spec(); s.NIn > maxPorts || s.NOut > maxPorts {
-			return nil, fmt.Errorf("click: %s :: %s: %d inputs and %d outputs, at most %d each", d.Name, d.Class, s.NIn, s.NOut, maxPorts)
 		}
 		r.elems[d.Name] = e
 		r.order = append(r.order, d.Name)
@@ -120,8 +104,7 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 
 	// Validate: outputs must be connected (a push into nowhere loses
 	// packets; a pull output nobody drains is dead config). Unconnected
-	// inputs are permitted — they simply never receive traffic, and
-	// external injection (InjectPush, tests, traffic tools) targets them.
+	// inputs are permitted — they simply never receive traffic.
 	for _, n := range r.order {
 		e := r.elems[n]
 		s := e.Spec()
@@ -158,9 +141,8 @@ func NewRouterFromConfig(name string, cfg *Config, opts Options) (*Router, error
 			timed = append(timed, r.elems[n])
 		}
 	}
-	r.idle = newParker(timed)
-	for _, te := range r.tasks {
-		r.idle.watch(te.eb.self)
+	if r.idle, err = newParker(timed, r.tasks); err != nil {
+		return nil, err
 	}
 	return r, nil
 }
@@ -280,8 +262,8 @@ func (r *Router) Device(name string) (Device, bool) {
 }
 
 // Run drives the router until ctx is cancelled. It blocks; use a goroutine.
-// The driver executes scheduler tasks (sources, Unqueues, FromDevices) and
-// periodic ticks. Push processing happens synchronously inside task runs.
+// The driver executes scheduler tasks (FromDevices, RatedUnqueues, pulling
+// ToDevices) and periodic ticks. Push processing happens synchronously inside task runs.
 // A router runs once: a second Run, concurrent or after Stop, returns at
 // once.
 func (r *Router) Run(ctx context.Context) {
@@ -291,7 +273,6 @@ func (r *Router) Run(ctx context.Context) {
 		return
 	}
 	r.running = true
-	r.startedAt = time.Now()
 	ctx, r.cancel = context.WithCancel(ctx)
 	r.mu.Unlock()
 
@@ -351,9 +332,8 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 	}
 }
 
-// kick makes the driver run another round. WriteHandler and InjectPush call
-// it: either can hand any task new work (a source switched on, a counter
-// reset under its LIMIT, a changed rate, a packet in a Queue).
+// kick makes the driver run another round. WriteHandler calls it: a write
+// can hand a task new work (a raised RatedUnqueue rate, for one).
 func (r *Router) kick() { r.idle.kick() }
 
 // Ticker elements receive periodic time callbacks (rate estimators).
@@ -385,31 +365,7 @@ func (r *Router) Stop() {
 	<-r.stopped
 }
 
-// Uptime reports time since Run, zero when never started.
-func (r *Router) Uptime() time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.startedAt.IsZero() {
-		return 0
-	}
-	return time.Since(r.startedAt)
-}
-
 // --- Handlers ---
-
-// HandlerNames lists "element.handler" strings for every handler on every
-// element, sorted. Router-level handlers appear without an element prefix.
-func (r *Router) HandlerNames() []string {
-	var out []string
-	for _, n := range r.order {
-		for _, h := range r.elementHandlers(r.elems[n]) {
-			out = append(out, n+"."+h.Name)
-		}
-	}
-	out = append(out, "config", "list", "version")
-	sort.Strings(out)
-	return out
-}
 
 func (r *Router) elementHandlers(e Element) []Handler {
 	b := e.base()
@@ -490,7 +446,7 @@ func (r *Router) ReadHandler(spec string) (string, error) {
 	return h.Read(), nil
 }
 
-// WriteHandler invokes a write handler ("queue.reset", "source.rate 500").
+// WriteHandler invokes a write handler ("q.capacity 64", "shaper.rate 500").
 func (r *Router) WriteHandler(spec, value string) error {
 	h, err := r.findHandler(spec)
 	if err != nil {
@@ -505,20 +461,4 @@ func (r *Router) WriteHandler(spec, value string) error {
 		defer mu.Unlock()
 	}
 	return h.Write(value)
-}
-
-// InjectPush pushes a packet into a named element's input port from outside
-// the driver (tests, traffic tools). It serializes on the element's lock,
-// exactly like an upstream neighbour would.
-func (r *Router) InjectPush(elem string, port int, p *Packet) error {
-	e, ok := r.elems[elem]
-	if !ok {
-		return fmt.Errorf("click: no element %q", elem)
-	}
-	b := e.base()
-	b.mu.Lock()
-	e.Push(port, p)
-	b.mu.Unlock()
-	r.kick()
-	return nil
 }

@@ -65,7 +65,7 @@ func TestDeployRollsBackStartedVNFs(t *testing.T) {
 	// Exhaust ee2's real capacity behind the orchestrator's back
 	// (demoSpec EEs have 4 CPU each).
 	ee2 := env.Net.Node("ee2").(*netem.EE)
-	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "Idle -> Discard;", CPU: 3_900_000, Mem: 2000}); err != nil {
+	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 3_900_000, Mem: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	// Force a placement that needs both EEs: two NFs, each too big for

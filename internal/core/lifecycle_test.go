@@ -112,7 +112,7 @@ func TestMidDeployFailureRollsBackToFailedWithCause(t *testing.T) {
 	spec := demoSpec()
 	env := startEnv(t, spec)
 	ee2 := env.Net.Node("ee2").(*netem.EE)
-	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "Idle -> Discard;", CPU: 3_900_000, Mem: 2000}); err != nil {
+	if _, err := ee2.InitVNF(netem.VNFSpec{Name: "squatter", ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 3_900_000, Mem: 2000}); err != nil {
 		t.Fatal(err)
 	}
 	events, cancel := env.Orch.Subscribe(32)

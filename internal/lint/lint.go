@@ -9,7 +9,7 @@
 // The analyzers (see their files for the invariant and the historical
 // bug class that motivated each):
 //
-//   - packetlife: every click.NewPacket/Clone must reach Kill, Detach
+//   - packetlife: every click.NewPacket must reach Kill, Detach
 //     or a downstream handoff on all control-flow paths (the pooled
 //     allocator leak class from the PR 1 drop paths).
 //   - sendunderlock: no blocking channel operation or blocking

@@ -6,11 +6,10 @@ import (
 )
 
 // PacketLife enforces the pooled-packet ownership discipline from
-// internal/click: every packet obtained from click.NewPacket or
-// (*Packet).Clone must, on every control-flow path, either be released
-// back to the pool (Kill), have its buffer taken over (Detach), or be
-// handed off downstream (passed to a call, sent on a channel, returned,
-// stored, or captured). A path on which the packet is simply abandoned
+// internal/click: every packet obtained from click.NewPacket must, on
+// every control-flow path, either be released back to the pool (Kill),
+// have its buffer taken over (Detach), or be handed off downstream (passed
+// to a call, sent on a channel, returned, stored, or captured). A path on which the packet is simply abandoned
 // strands a pool buffer — the leak class the PR 1 drop paths hit, where
 // an early return on a filter miss skipped the Kill.
 var PacketLife = &Analyzer{
@@ -110,8 +109,7 @@ func packetCreation(info *types.Info, stmt ast.Stmt) (*types.Var, *ast.CallExpr)
 	return nil, nil
 }
 
-// packetCreationCall reports whether e is exactly a click.NewPacket or
-// Packet.Clone call.
+// packetCreationCall reports whether e is exactly a click.NewPacket call.
 func packetCreationCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok {
@@ -121,7 +119,7 @@ func packetCreationCall(info *types.Info, e ast.Expr) *ast.CallExpr {
 	if obj == nil {
 		return nil
 	}
-	if isPkgFunc(obj, "click", "NewPacket") || isMethod(obj, "click", "Packet", "Clone") {
+	if isPkgFunc(obj, "click", "NewPacket") {
 		return call
 	}
 	return nil

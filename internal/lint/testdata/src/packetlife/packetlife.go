@@ -66,22 +66,6 @@ func deferredKill(data []byte, miss bool) {
 	use(p.Len())
 }
 
-// Clone is a fresh allocation with its own lifetime: cloning does not
-// consume the original, and the clone itself must be consumed.
-func cloneLeak(p *click.Packet, miss bool) {
-	q := p.Clone() // want `packet q may leak`
-	if miss {
-		return
-	}
-	q.Kill()
-}
-
-func cloneBothConsumed(p *click.Packet) {
-	q := p.Clone()
-	q.Kill()
-	p.Kill()
-}
-
 // A read (field access, Length) is not a consumption; the packet still
 // leaks on the fall-through path.
 func readIsNotConsumption(data []byte) int {

@@ -1,6 +1,7 @@
 package mgmt
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -8,14 +9,13 @@ import (
 	"escape/internal/click"
 )
 
-// newVNF starts a Click router with a counter and a control socket.
+// newVNF builds a Click router with a counter, a rate limiter and a
+// control socket.
 func newVNF(t *testing.T, name string) (*click.Router, string) {
 	t.Helper()
-	r, err := click.NewRouter(name, `
-		src :: RatedSource(RATE 100, LIMIT 0);
-		c :: Counter;
-		src -> c -> Discard;
-	`, click.Options{})
+	in, out := click.NewChanDevice("in", 16), click.NewChanDevice("out", 16)
+	r, err := click.NewRouter(name, `FromDevice(in) -> c :: Counter -> Queue(16) -> shaper :: RatedUnqueue(RATE 100) -> ToDevice(out);`,
+		click.Options{Devices: map[string]click.Device{"in": in, "out": out}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,18 @@ func TestMonitorPollsHandlers(t *testing.T) {
 	if !ok || s.Err != nil || s.Value != "0" {
 		t.Fatalf("sample = %+v ok=%v", s, ok)
 	}
-	// Push traffic, poll again: value moves.
+	// Forward traffic, poll again: value moves.
+	go r.Run(context.Background())
+	t.Cleanup(r.Stop)
+	in, _ := r.Device("in")
+	out, _ := r.Device("out")
 	for i := 0; i < 7; i++ {
-		r.InjectPush("c", 0, click.NewPacket(make([]byte, 10)))
+		in.(*click.ChanDevice).In <- make([]byte, 10)
+		select {
+		case <-out.(*click.ChanDevice).Out:
+		case <-time.After(5 * time.Second):
+			t.Fatal("frame not forwarded")
+		}
 	}
 	m.PollOnce()
 	s, _ = m.Latest("svc/nf1", "c.count")
@@ -81,10 +90,10 @@ func TestMonitorBackgroundLoop(t *testing.T) {
 func TestMonitorDashboard(t *testing.T) {
 	_, addr := newVNF(t, "vnf1")
 	m := NewMonitor(time.Hour, 5)
-	m.Add(Target{Name: "svc/nf1", Control: addr, Handlers: []string{"c.count", "src.rate"}})
+	m.Add(Target{Name: "svc/nf1", Control: addr, Handlers: []string{"c.count", "shaper.rate"}})
 	m.PollOnce()
 	dash := m.Dashboard()
-	for _, want := range []string{"VNF HANDLER", "svc/nf1 c.count", "svc/nf1 src.rate", "100"} {
+	for _, want := range []string{"VNF HANDLER", "svc/nf1 c.count", "svc/nf1 shaper.rate", "100"} {
 		if !strings.Contains(dash, want) {
 			t.Errorf("dashboard missing %q:\n%s", want, dash)
 		}

@@ -8,8 +8,8 @@
 // Differences from Mininet are deliberate and documented in DESIGN.md:
 // instead of network namespaces and veth pairs, nodes are goroutines and
 // links are queue-backed in-process pipes carrying real Ethernet frames;
-// instead of cgroups, EEs enforce a CPU-share resource model when the
-// cgroup isolation mode is selected.
+// instead of cgroups, EEs admit VNFs against their CPU and memory
+// capacity.
 package netem
 
 import (

@@ -334,18 +334,18 @@ func TestEEVNFLifecycle(t *testing.T) {
 
 func TestEEAdmissionControl(t *testing.T) {
 	n := New("t", Options{})
-	ee, _ := n.AddEE("ee1", EEConfig{CPU: 1, Mem: 256, Isolation: IsolationCGroup})
+	ee, _ := n.AddEE("ee1", EEConfig{CPU: 1, Mem: 256})
 	defer n.Stop()
-	if _, err := ee.InitVNF(VNFSpec{Name: "big", ClickConfig: "Idle -> Discard;", CPU: 2_000_000}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "big", ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 2_000_000}); err == nil {
 		t.Error("over-CPU VNF admitted")
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "bigmem", ClickConfig: "Idle -> Discard;", Mem: 512}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "bigmem", ClickConfig: "FromDevice(in) -> ToDevice(out);", Mem: 512}); err == nil {
 		t.Error("over-memory VNF admitted")
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "Idle -> Discard;", CPU: 500_000, Mem: 128}); err != nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 500_000, Mem: 128}); err != nil {
 		t.Error(err)
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "Idle -> Discard;"}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "ok", ClickConfig: "FromDevice(in) -> ToDevice(out);"}); err == nil {
 		t.Error("duplicate VNF admitted")
 	}
 }
@@ -355,10 +355,10 @@ func TestEEAdmissionControl(t *testing.T) {
 // and nothing beyond it.
 func TestEEAdmitsExactDecimalFill(t *testing.T) {
 	n := New("t", Options{})
-	ee, _ := n.AddEE("ee1", EEConfig{CPU: 0.3, Mem: 96, Isolation: IsolationCGroup})
+	ee, _ := n.AddEE("ee1", EEConfig{CPU: 0.3, Mem: 96})
 	defer n.Stop()
 	for i := 0; i < 3; i++ {
-		spec := VNFSpec{Name: fmt.Sprintf("mon%d", i), ClickConfig: "Idle -> Discard;", CPU: 100_000, Mem: 32}
+		spec := VNFSpec{Name: fmt.Sprintf("mon%d", i), ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 100_000, Mem: 32}
 		if _, err := ee.InitVNF(spec); err != nil {
 			t.Fatalf("VNF %d of three 0.1-CPU VNFs on a 0.3-CPU EE: %v", i, err)
 		}
@@ -366,7 +366,7 @@ func TestEEAdmitsExactDecimalFill(t *testing.T) {
 	if got := ee.AvailableCPU(); got != 0 {
 		t.Errorf("available CPU = %v, want 0", got)
 	}
-	if _, err := ee.InitVNF(VNFSpec{Name: "mon3", ClickConfig: "Idle -> Discard;", CPU: 100_000}); err == nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "mon3", ClickConfig: "FromDevice(in) -> ToDevice(out);", CPU: 100_000}); err == nil {
 		t.Error("VNF admitted past a full EE")
 	}
 }
@@ -382,7 +382,7 @@ func TestEEInvalidOperations(t *testing.T) {
 	if _, err := ee.ConnectVNF(n, "ghost", "in", "s1", LinkConfig{}); err == nil {
 		t.Error("connecting unknown VNF succeeded")
 	}
-	ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> Discard;", Devices: []string{"in"}})
+	ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> ToDevice(in);", Devices: []string{"in"}})
 	if _, err := ee.ConnectVNF(n, "v", "nope", "s1", LinkConfig{}); err == nil {
 		t.Error("connecting unknown device succeeded")
 	}
@@ -437,7 +437,7 @@ func TestConcurrentConnectVNFDistinctMACs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "Idle -> Discard;", Devices: devs}); err != nil {
+		if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> ToDevice(out);", Devices: devs}); err != nil {
 			t.Fatal(err)
 		}
 		wg.Add(1)

@@ -236,27 +236,12 @@ func (s *SwitchNode) removePort(no uint16) {
 	delete(s.used, no)
 }
 
-// IsolationMode selects how VNF processes are isolated inside an EE,
-// mirroring ESCAPE's configurable cgroup-based isolation.
-type IsolationMode int
-
-// Isolation modes. The cgroups analogue is the default, as in ESCAPE.
-const (
-	// IsolationCGroup enforces the EE's CPU/memory budget (admission
-	// control on InitVNF), the cgroups analogue.
-	IsolationCGroup IsolationMode = iota
-	// IsolationNone starts the VNF with no resource enforcement.
-	IsolationNone
-)
-
 // EEConfig sizes a VNF container.
 type EEConfig struct {
 	// CPU is the compute capacity in cores.
 	CPU float64
 	// Mem is the memory capacity in MB.
 	Mem int
-	// Isolation selects the enforcement mode (default IsolationCGroup).
-	Isolation IsolationMode
 }
 
 // VNFSpec describes a VNF to instantiate inside an EE.
@@ -531,14 +516,12 @@ func (e *EE) InitVNF(spec VNFSpec) (*VNF, error) {
 	if _, dup := e.vnfs[spec.Name]; dup {
 		return nil, fmt.Errorf("netem: VNF %q already exists in %s", spec.Name, e.name)
 	}
-	if e.cfg.Isolation == IsolationCGroup {
-		cpu, mem := e.availableLocked()
-		if spec.CPU > cpu {
-			return nil, fmt.Errorf("netem: EE %s out of CPU (%v requested, %v available)", e.name, spec.CPU, cpu)
-		}
-		if spec.Mem > mem {
-			return nil, fmt.Errorf("netem: EE %s out of memory (%d requested, %d available)", e.name, spec.Mem, mem)
-		}
+	cpu, mem := e.availableLocked()
+	if spec.CPU > cpu {
+		return nil, fmt.Errorf("netem: EE %s out of CPU (%v requested, %v available)", e.name, spec.CPU, cpu)
+	}
+	if spec.Mem > mem {
+		return nil, fmt.Errorf("netem: EE %s out of memory (%d requested, %d available)", e.name, spec.Mem, mem)
 	}
 	v := &VNF{Spec: spec, state: VNFInitialized, devices: map[string]*eeDevice{}}
 	for _, d := range spec.Devices {

@@ -148,7 +148,7 @@ func TestReapOnCrashRemovesLinksAndPorts(t *testing.T) {
 // no live port holds.
 func TestPortReuseTakesLowestFree(t *testing.T) {
 	n, ee, _ := releaseNet(t)
-	if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "Idle -> Discard;", Devices: []string{"a", "b", "c"}}); err != nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> ToDevice(out);", Devices: []string{"a", "b", "c"}}); err != nil {
 		t.Fatal(err)
 	}
 	var got []uint16
@@ -177,7 +177,7 @@ func TestPortReuseSurvivesPortSpaceChurn(t *testing.T) {
 	const cycles = 70_000 // > openflow.PortMax - 1 = 65 279 numbers
 	n, ee, s1 := releaseNet(t)
 	ports0 := s1.Switch().PortCount()
-	if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "Idle -> Discard;", Devices: []string{"in"}}); err != nil {
+	if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> ToDevice(out);", Devices: []string{"in"}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range cycles {

@@ -129,7 +129,7 @@ func NewNetem(spec *TopoSpec, opts NetemOptions) (*NetemSubstrate, error) {
 }
 
 // Network exposes the underlying emulation for callers that need the
-// full packet-level API (steering setup, pcap capture).
+// full packet-level API (hosts, links, switches).
 func (s *NetemSubstrate) Network() *netem.Network { return s.net }
 
 func (s *NetemSubstrate) Name() string    { return "netem" }

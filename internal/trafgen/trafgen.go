@@ -1,8 +1,7 @@
 // Package trafgen provides the "standard tools to send and inspect live
 // traffic" of the demo walkthrough (step 4), implemented against the
-// emulated network: an ICMP ping client, a UDP load generator and sink
-// (iperf-like), and pcap capture in the standard file format so captures
-// are inspectable with real tooling.
+// emulated network: an ICMP ping client and a UDP load generator and sink
+// (iperf-like).
 package trafgen
 
 import (

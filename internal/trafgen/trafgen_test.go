@@ -1,10 +1,8 @@
 package trafgen
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"escape/internal/netem"
@@ -129,119 +127,6 @@ func TestLoadGenRatePacing(t *testing.T) {
 	// 100 packets at 1000 pps ≈ 100ms.
 	if rep.Duration < 50*time.Millisecond {
 		t.Errorf("run finished in %v, pacing not applied", rep.Duration)
-	}
-}
-
-func TestPcapRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	pw, err := NewPcapWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, _ := pkt.BuildUDP(pkt.NthMAC(1), pkt.NthMAC(2), mustIP("10.0.0.1"), mustIP("10.0.0.2"), 1, 2, []byte("one"))
-	f2, _ := pkt.BuildARPRequest(pkt.NthMAC(1), mustIP("10.0.0.1"), mustIP("10.0.0.2"))
-	ts := time.Unix(1700000000, 123456000)
-	if err := pw.WriteFrame(ts, f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pw.WriteFrame(ts.Add(time.Second), f2); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := ReadPcap(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	if !bytes.Equal(recs[0].Frame, f1) || !bytes.Equal(recs[1].Frame, f2) {
-		t.Error("frames corrupted in pcap round trip")
-	}
-	if recs[0].Timestamp.Unix() != 1700000000 {
-		t.Errorf("timestamp = %v", recs[0].Timestamp)
-	}
-	// The frames decode after the round trip.
-	if pkt.Decode(recs[0].Frame).Layer(pkt.LayerTypeUDP) == nil {
-		t.Error("UDP frame no longer decodes")
-	}
-}
-
-func TestReadPcapErrors(t *testing.T) {
-	if _, err := ReadPcap(bytes.NewReader([]byte("short"))); err == nil {
-		t.Error("short header accepted")
-	}
-	bad := make([]byte, 24)
-	if _, err := ReadPcap(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic accepted")
-	}
-}
-
-func TestCaptureFromHost(t *testing.T) {
-	_, h1, h2 := twoHostNet(t)
-	h2.SetAutoRespond(false)
-	var buf bytes.Buffer
-	done := make(chan int, 1)
-	go func() {
-		n, _ := Capture(h2, &buf, 300*time.Millisecond)
-		done <- n
-	}()
-	time.Sleep(20 * time.Millisecond) // let capture attach
-	lg := &LoadGen{Host: h1, DstIP: h2.IP(), DstMAC: h2.MAC(), DstPort: 5, Size: 100}
-	if _, err := lg.Run(5); err != nil {
-		t.Fatal(err)
-	}
-	n := <-done
-	if n < 5 {
-		t.Fatalf("captured %d frames, want ≥5", n)
-	}
-	recs, err := ReadPcap(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != n {
-		t.Errorf("read %d records, writer counted %d", len(recs), n)
-	}
-}
-
-// Property: pcap round trip preserves arbitrary frame bytes.
-func TestQuickPcapRoundTrip(t *testing.T) {
-	f := func(frames [][]byte) bool {
-		if len(frames) > 20 {
-			frames = frames[:20]
-		}
-		var buf bytes.Buffer
-		pw, err := NewPcapWriter(&buf)
-		if err != nil {
-			return false
-		}
-		for _, fr := range frames {
-			if len(fr) > int(pcapSnapLen) {
-				fr = fr[:pcapSnapLen]
-			}
-			if err := pw.WriteFrame(time.Unix(1, 0), fr); err != nil {
-				return false
-			}
-		}
-		recs, err := ReadPcap(&buf)
-		if err != nil {
-			return false
-		}
-		if len(recs) != len(frames) {
-			return false
-		}
-		for i := range recs {
-			want := frames[i]
-			if len(want) > int(pcapSnapLen) {
-				want = want[:pcapSnapLen]
-			}
-			if !bytes.Equal(recs[i].Frame, want) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 

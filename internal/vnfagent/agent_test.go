@@ -147,6 +147,10 @@ func TestAgentRPCErrors(t *testing.T) {
 	if _, err := client.InitiateVNF("simpleForwarder", map[string]string{"cpu": "99"}); err == nil {
 		t.Error("over-capacity VNF accepted")
 	}
+	// So does a parameter the catalog template refuses.
+	if _, err := client.InitiateVNF("simpleForwarder", map[string]string{"QUEUE": "10, 5"}); err == nil {
+		t.Error("VNF with QUEUE \"10, 5\" accepted")
+	}
 }
 
 // TestAgentRejectsNonDecimalCPU: a cpu option that is not a decimal64 of
