@@ -7,7 +7,7 @@
 //	escape-bench                                 # every experiment, full-run parameters
 //	escape-bench -quick                          # CI-sized: what TestExperimentsDeterministic runs
 //	escape-bench -e e3,e4                        # a subset
-//	escape-bench -e e9 -p conc=8,32 -p chain=6   # override parameters of one experiment
+//	escape-bench -e e11 -p kills=1,3 -p chain=6  # override parameters of one experiment
 //	escape-bench -e e14 -quick -json BENCH_E14.json
 //	escape-bench -e e11 -cpuprofile cpu.out -memprofile mem.out
 package main

@@ -37,14 +37,14 @@ func TestQuickIsRegistryQuick(t *testing.T) {
 }
 
 func TestParamOverrides(t *testing.T) {
-	pl, err := parseArgs([]string{"-e", "e9", "-p", "conc=8,32", "-p", "chain=6"})
+	pl, err := parseArgs([]string{"-e", "e11", "-p", "kills=1,3", "-p", "chain=6"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.jobs) != 1 || pl.jobs[0].reg.ID != "e9" {
-		t.Fatalf("jobs %+v, want e9 alone", pl.jobs)
+	if len(pl.jobs) != 1 || pl.jobs[0].reg.ID != "e11" {
+		t.Fatalf("jobs %+v, want e11 alone", pl.jobs)
 	}
-	if want := (experiments.Params{"conc": "8,32", "chain": "6"}); !reflect.DeepEqual(pl.jobs[0].params, want) {
+	if want := (experiments.Params{"kills": "1,3", "chain": "6", "conc": "4"}); !reflect.DeepEqual(pl.jobs[0].params, want) {
 		t.Fatalf("params %v, want %v", pl.jobs[0].params, want)
 	}
 	// -quick sizes first, -p wins over it.
@@ -73,6 +73,8 @@ func TestCommandLineErrors(t *testing.T) {
 		{[]string{"-e", "e99"}, `unknown experiment "e99"`},
 		{[]string{"-e", "e10"}, `unknown experiment "e10"`},
 		{[]string{"-e", "e12"}, `unknown experiment "e12"`},
+		{[]string{"-e", "e6"}, `unknown experiment "e6"`},
+		{[]string{"-e", "e9"}, `unknown experiment "e9"`},
 		{[]string{"-sizes", "10"}, "not defined"}, // per-experiment flags are -p keys now
 		{[]string{"-e", "e3", "extra"}, "unexpected arguments"},
 	} {
@@ -93,9 +95,9 @@ func TestBadParamValuesFailBeforeRunning(t *testing.T) {
 	}{
 		{[]string{"-e", "e3", "-p", "sizes=10,x"}, "sizes"},
 		{[]string{"-e", "e3", "-p", "sizes=0"}, "sizes"},
-		{[]string{"-e", "e9", "-p", "chain=-1"}, "chain"},
-		{[]string{"-e", "e9", "-p", "chain=2,3"}, "chain"},
-		{[]string{"-e", "e6", "-p", "packets="}, "packets"},
+		{[]string{"-e", "e11", "-p", "chain=-1"}, "chain"},
+		{[]string{"-e", "e11", "-p", "chain=2,3"}, "chain"},
+		{[]string{"-e", "e13", "-p", "intents="}, "intents"},
 		{[]string{"-e", "e14", "-p", "services=0"}, "services"},
 		{[]string{"-e", "e14", "-p", "procs=diurnal,weekly"}, "procs"},
 	} {

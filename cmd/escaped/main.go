@@ -103,7 +103,7 @@ func main() {
 	})
 	rec.Start()
 	defer rec.Stop()
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*listen, srv.Handler())
 
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
@@ -126,6 +126,30 @@ func main() {
 			log.Error("http server", "err", err)
 			os.Exit(1)
 		}
+	}
+}
+
+// Limits of the public listener. A peer has readHeaderTimeout to send
+// its request line and headers, which may total maxHeaderBytes; a
+// keep-alive connection idle for idleTimeout is closed. Request bodies
+// are capped by the API handlers. There is no write timeout: a
+// ?wait=30s POST legitimately holds its response that long.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer builds the daemon's public HTTP server, so that a peer
+// that stops mid-request cannot hold a connection and its goroutine
+// forever.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }
 

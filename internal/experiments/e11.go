@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -183,6 +184,22 @@ func e11AddRow(t *Table, fault string, k int, c *e11Cell) {
 		fmt.Sprint(c.sent),
 		fmt.Sprint(c.lost),
 		fmt.Sprint(c.healedPk))
+}
+
+// percentile returns the p-th percentile (0–100) of sorted durations
+// using the nearest-rank method.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }
 
 // e11Victims picks the EEs to kill: those hosting NFs first (sorted),

@@ -3,13 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -81,29 +81,33 @@ func (s *e13Stack) crash() {
 	s.store.Close()
 }
 
-// e13Call performs one authenticated API round trip.
-func (s *e13Stack) e13Call(method, path, token string, body any) (int, time.Duration, error) {
+// e13Call performs one authenticated intent write. The API acknowledges
+// every write E13 makes (POST, DELETE) with 202 Accepted; any other
+// status is an error.
+func (s *e13Stack) e13Call(method, path, token string, body any) error {
 	var rd io.Reader
 	if body != nil {
 		b, err := json.Marshal(body)
 		if err != nil {
-			return 0, 0, err
+			return err
 		}
 		rd = bytes.NewReader(b)
 	}
 	req, err := http.NewRequest(method, s.ts.URL+path, rd)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	req.Header.Set("Authorization", "Bearer "+token)
-	t0 := time.Now()
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		return 0, 0, err
+		return err
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode, time.Since(t0), nil
+	if resp.StatusCode != http.StatusAccepted {
+		return fmt.Errorf("experiments: E13 %s %s returned %d, want %d", method, path, resp.StatusCode, http.StatusAccepted)
+	}
+	return nil
 }
 
 func e13TenantName(t int) string { return fmt.Sprintf("t%d", t) }
@@ -160,6 +164,39 @@ func (s *e13Stack) e13UsageMatch(tenants, intentsPer, chainLen int) bool {
 	return true
 }
 
+// e13Populate creates every tenant, then POSTs every tenant's intents,
+// one goroutine per tenant, and returns the tenants' tokens: the load
+// the churn phase starts from and the work a cold start has to redo.
+func (s *e13Stack) e13Populate(tenants, intentsPer, chainLen int) ([]string, error) {
+	tokens := make([]string, tenants)
+	for t := range tokens {
+		quota := api.Quota{
+			CPU:      float64(intentsPer*chainLen) * 0.1,
+			Mem:      intentsPer * chainLen * 32,
+			Services: intentsPer,
+		}
+		tn, err := s.store.CreateTenant(e13TenantName(t), quota)
+		if err != nil {
+			return nil, err
+		}
+		s.gate.SetTenant(tn)
+		tokens[t] = tn.Token
+	}
+	errs := make([]error, tenants)
+	var wg sync.WaitGroup
+	for t := range tokens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < intentsPer && errs[t] == nil; i++ {
+				errs[t] = s.e13Call("POST", "/v1/intents", tokens[t], e13Graph(t, i, intentsPer, chainLen))
+			}
+		}()
+	}
+	wg.Wait()
+	return tokens, errors.Join(errs...)
+}
+
 // yesno renders a stable label cell for a boolean check.
 func yesno(ok bool) string {
 	if ok {
@@ -168,25 +205,38 @@ func yesno(ok bool) string {
 	return "no"
 }
 
-// E13ControlPlane measures the escaped control plane under concurrent
+// E13ControlPlane runs the escaped control plane under concurrent
 // tenant churn and across a crash: tenants POST, DELETE and re-POST
 // durable intents through the HTTP API while the reconciler converges
 // the substrate; then the whole stack is killed without cleanup and
 // restarted, timing WAL-replay recovery against a cold start that has
-// to re-create every tenant and re-POST every intent.
+// to re-create every tenant and re-POST every intent. Every row checks
+// that the recovered view matches the intent set.
 func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 	tbl := &Table{
 		ID: "E13",
 		Title: fmt.Sprintf("Control-plane churn + crash recovery: %d tenants × %d intents, %d-NF chains",
 			tenants, intentsPer, chainLen),
-		Columns: []string{"phase", "tenants", "intents", "api_p50_ms", "api_p99_ms", "reconcile_lag_ms", "recover_ms", "view_match"},
+		Columns: []string{"phase", "tenants", "intents", "recover_ms", "view_match"},
 		Notes: []string{
 			"churn: concurrent POST of every intent, then DELETE + re-POST of each tenant's first intent",
 			"view_match: per-tenant committed quota totals equal the catalog demand of the intent set",
 			"recover_ms: wal-replay restarts from the log with zero API traffic; cold-start re-creates tenants and re-POSTs every intent",
 		},
 	}
-	total := tenants * intentsPer
+	addRow := func(s *e13Stack, phase, recoverMS string) {
+		tbl.AddRow(phase, fmt.Sprint(tenants), fmt.Sprint(tenants*intentsPer), recoverMS,
+			yesno(s.e13UsageMatch(tenants, intentsPer, chainLen)))
+	}
+	settle := func(s *e13Stack, err error) error {
+		if err == nil {
+			err = s.e13AwaitRunning(tenants, intentsPer, 2*time.Minute)
+		}
+		if err != nil {
+			s.crash()
+		}
+		return err
+	}
 
 	dataDir, err := os.MkdirTemp("", "escape-e13")
 	if err != nil {
@@ -194,92 +244,37 @@ func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 	}
 	defer os.RemoveAll(dataDir)
 
-	// Phase 1: churn. Tenants are created up front, then every tenant
-	// drives its own intents concurrently with the others.
+	// Phase 1: churn. Every tenant's intents go in concurrently with the
+	// others'; then every tenant deletes its first intent and posts it
+	// back, which leaves forget-then-put records in the WAL that the
+	// wal-replay phase has to replay.
 	s, err := e13Start(dataDir, tenants, intentsPer, chainLen)
 	if err != nil {
 		return nil, err
 	}
-	tokens := make([]string, tenants)
-	for t := 0; t < tenants; t++ {
-		quota := api.Quota{
-			CPU:      float64(intentsPer*chainLen) * 0.1,
-			Mem:      intentsPer * chainLen * 32,
-			Services: intentsPer,
-		}
-		tn, err := s.store.CreateTenant(e13TenantName(t), quota)
-		if err != nil {
-			s.crash()
-			return nil, err
-		}
-		s.gate.SetTenant(tn)
-		tokens[t] = tn.Token
+	tokens, err := s.e13Populate(tenants, intentsPer, chainLen)
+	if err := settle(s, err); err != nil {
+		return nil, err
 	}
-
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		firstErr  error
-	)
-	record := func(code, want int, d time.Duration, err error, what string) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err == nil && code != want {
-			err = fmt.Errorf("experiments: E13 %s returned %d, want %d", what, code, want)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		latencies = append(latencies, d)
-	}
+	errs := make([]error, tenants)
 	var wg sync.WaitGroup
-	for t := 0; t < tenants; t++ {
+	for t := range tokens {
 		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			for i := 0; i < intentsPer; i++ {
-				code, d, err := s.e13Call("POST", "/v1/intents", tokens[t], e13Graph(t, i, intentsPer, chainLen))
-				record(code, http.StatusAccepted, d, err, "POST intent")
-			}
-		}(t)
-	}
-	wg.Wait()
-	postsDone := time.Now()
-	if firstErr == nil {
-		firstErr = s.e13AwaitRunning(tenants, intentsPer, 2*time.Minute)
-	}
-	lag := time.Since(postsDone)
-	if firstErr != nil {
-		s.crash()
-		return nil, firstErr
-	}
-
-	// Churn proper: every tenant deletes its first intent and posts it
-	// back while the other tenants do the same.
-	for t := 0; t < tenants; t++ {
-		wg.Add(1)
-		go func(t int) {
+		go func() {
 			defer wg.Done()
 			id := api.ServiceName(e13TenantName(t), "svc0")
-			code, d, err := s.e13Call("DELETE", "/v1/intents/svc0", tokens[t], nil)
-			record(code, http.StatusAccepted, d, err, "DELETE intent")
+			if errs[t] = s.e13Call("DELETE", "/v1/intents/svc0", tokens[t], nil); errs[t] != nil {
+				return
+			}
 			s.rec.Await(time.Minute, func() bool { return s.store.Intent(id) == nil })
-			code, d, err = s.e13Call("POST", "/v1/intents", tokens[t], e13Graph(t, 0, intentsPer, chainLen))
-			record(code, http.StatusAccepted, d, err, "re-POST intent")
-		}(t)
+			errs[t] = s.e13Call("POST", "/v1/intents", tokens[t], e13Graph(t, 0, intentsPer, chainLen))
+		}()
 	}
 	wg.Wait()
-	if firstErr == nil {
-		firstErr = s.e13AwaitRunning(tenants, intentsPer, 2*time.Minute)
+	if err := settle(s, errors.Join(errs...)); err != nil {
+		return nil, err
 	}
-	if firstErr != nil {
-		s.crash()
-		return nil, firstErr
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	tbl.AddRow("churn", fmt.Sprint(tenants), fmt.Sprint(total),
-		ms(percentile(latencies, 50)), ms(percentile(latencies, 99)),
-		ms(lag), "-", yesno(s.e13UsageMatch(tenants, intentsPer, chainLen)))
+	addRow(s, "churn", "-")
 
 	// Phase 2: kill -9 and WAL-replay recovery on the same data dir.
 	s.crash()
@@ -288,13 +283,10 @@ func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.e13AwaitRunning(tenants, intentsPer, 2*time.Minute); err != nil {
-		s.crash()
+	if err := settle(s, nil); err != nil {
 		return nil, err
 	}
-	replayMS := time.Since(t0)
-	tbl.AddRow("wal-replay", fmt.Sprint(tenants), fmt.Sprint(total),
-		"-", "-", "-", ms(replayMS), yesno(s.e13UsageMatch(tenants, intentsPer, chainLen)))
+	addRow(s, "wal-replay", ms(time.Since(t0)))
 	s.crash()
 
 	// Phase 3: cold-start baseline on an empty data dir — the work the
@@ -309,36 +301,11 @@ func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	for t := 0; t < tenants; t++ {
-		quota := api.Quota{
-			CPU:      float64(intentsPer*chainLen) * 0.1,
-			Mem:      intentsPer * chainLen * 32,
-			Services: intentsPer,
-		}
-		tn, err := s.store.CreateTenant(e13TenantName(t), quota)
-		if err != nil {
-			s.crash()
-			return nil, err
-		}
-		s.gate.SetTenant(tn)
-		for i := 0; i < intentsPer; i++ {
-			code, _, err := s.e13Call("POST", "/v1/intents", tn.Token, e13Graph(t, i, intentsPer, chainLen))
-			if err == nil && code != http.StatusAccepted {
-				err = fmt.Errorf("experiments: E13 cold-start POST returned %d", code)
-			}
-			if err != nil {
-				s.crash()
-				return nil, err
-			}
-		}
-	}
-	if err := s.e13AwaitRunning(tenants, intentsPer, 2*time.Minute); err != nil {
-		s.crash()
+	_, err = s.e13Populate(tenants, intentsPer, chainLen)
+	if err := settle(s, err); err != nil {
 		return nil, err
 	}
-	coldMS := time.Since(t0)
-	tbl.AddRow("cold-start", fmt.Sprint(tenants), fmt.Sprint(total),
-		"-", "-", "-", ms(coldMS), yesno(s.e13UsageMatch(tenants, intentsPer, chainLen)))
+	addRow(s, "cold-start", ms(time.Since(t0)))
 	s.crash()
 	return tbl, nil
 }

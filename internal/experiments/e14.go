@@ -9,7 +9,7 @@ import (
 )
 
 // E14 — operator-scale orchestration on the flow-level substrate. The
-// E9/E11-class workload (admission churn, mid-life link failures with
+// E11-class workload (admission churn, mid-life link failures with
 // healing, capacity pressure) runs against internal/flowsim instead of
 // packet emulation: the same KSP mapper, the same copy-on-write
 // admission protocol and the same AdmitHeal path decide everything,

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// quickE14 runs E14 with the registry's quick parameters.
-func quickE14(t *testing.T) *Table {
+// quickRun runs experiment id with the registry's quick parameters.
+func quickRun(t *testing.T, id string) *Table {
 	t.Helper()
 	for _, r := range Registry() {
-		if r.ID != "e14" {
+		if r.ID != id {
 			continue
 		}
 		p, err := r.With(true, nil)
@@ -23,7 +23,7 @@ func quickE14(t *testing.T) *Table {
 		}
 		return tb
 	}
-	t.Fatal("Registry has no e14")
+	t.Fatalf("Registry has no %s", id)
 	return nil
 }
 
@@ -32,7 +32,7 @@ func quickE14(t *testing.T) *Table {
 // purely from virtual time, so two runs of the same parameters must
 // produce byte-equal tables, every column included.
 func TestE14BitIdentical(t *testing.T) {
-	a, b := quickE14(t), quickE14(t)
+	a, b := quickRun(t, "e14"), quickRun(t, "e14")
 	if !reflect.DeepEqual(a.Columns, b.Columns) || len(a.Rows) != len(b.Rows) {
 		t.Fatalf("table shape diverged:\n%v (%d rows)\n%v (%d rows)", a.Columns, len(a.Rows), b.Columns, len(b.Rows))
 	}
@@ -52,7 +52,7 @@ func TestE14BitIdentical(t *testing.T) {
 // TestE14QuickShape checks the quick cell does real work on all three
 // arrival processes, one row each.
 func TestE14QuickShape(t *testing.T) {
-	tb := quickE14(t)
+	tb := quickRun(t, "e14")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows %d, want 3 (one per arrival process)", len(tb.Rows))
 	}

@@ -20,13 +20,8 @@ func demoTopo() core.TopoSpec {
 			"ee1": {Switch: "s1", CPU: 8, Mem: 8192},
 			"ee2": {Switch: "s2", CPU: 8, Mem: 8192},
 		},
-		Trunks: TrunkOf("s1", "s2"),
+		Trunks: []core.TrunkSpec{{A: "s1", B: "s2"}},
 	}
-}
-
-// TrunkOf builds a single unshaped trunk spec (helper for tests).
-func TrunkOf(a, b string) []core.TrunkSpec {
-	return []core.TrunkSpec{{A: a, B: b}}
 }
 
 // demoGraph builds a chain graph bound to the h1/h2 SAPs.

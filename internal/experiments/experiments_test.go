@@ -146,28 +146,6 @@ func TestE5Steering(t *testing.T) {
 	}
 }
 
-// TestE6ClickDataPlane: E6 over ChanDevice chains delivers every frame —
-// a cell whose pump does not get all of them back is an error — and has one
-// row per (chain_len, frame_B) cell, with no driver column.
-func TestE6ClickDataPlane(t *testing.T) {
-	tbl, err := E6ClickDataPlane([]int{1, 4}, []int{64, 1500}, 3000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	renderOK(t, tbl, 4) // 2 lengths × 2 sizes
-	if len(tbl.Rows) != 4 {
-		t.Fatalf("E6 has %d rows, want one per cell: 4", len(tbl.Rows))
-	}
-	if got, want := strings.Join(tbl.Columns, ","), "chain_len,frame_B,kpps,us_per_pkt,allocs_pkt"; got != want {
-		t.Errorf("E6 columns are %s, want %s", got, want)
-	}
-	for i, want := range [][2]string{{"1", "64"}, {"1", "1500"}, {"4", "64"}, {"4", "1500"}} {
-		if row := tbl.Rows[i]; row[0] != want[0] || row[1] != want[1] {
-			t.Errorf("E6 row %d is cell (%s, %s), want (%s, %s)", i, row[0], row[1], want[0], want[1])
-		}
-	}
-}
-
 func TestE7NETCONF(t *testing.T) {
 	tbl, err := E7NETCONF([]int{1, 4})
 	if err != nil {
@@ -184,22 +162,24 @@ func TestE8ServiceCreation(t *testing.T) {
 	renderOK(t, tbl, 2)
 }
 
-// TestE9DeployThroughput: one row per concurrency, in sweep order.
-func TestE9DeployThroughput(t *testing.T) {
-	tbl, err := E9DeployThroughput([]int{1, 2}, 2)
-	if err != nil {
-		t.Fatal(err)
+// TestE13ControlPlane: at the quick parameters E13 has its three phases
+// in order, and the recovered view matches the intent set after each.
+func TestE13ControlPlane(t *testing.T) {
+	tbl := quickRun(t, "e13")
+	renderOK(t, tbl, 3)
+	if got, want := strings.Join(tbl.Columns, ","), "phase,tenants,intents,recover_ms,view_match"; got != want {
+		t.Errorf("E13 columns are %s, want %s", got, want)
 	}
-	renderOK(t, tbl, 2)
-	if got, want := strings.Join(tbl.Columns, ","), "conc,total_ms,svc_per_s,p50_ms,p95_ms,undeploy_ms"; got != want {
-		t.Errorf("E9 columns are %s, want %s", got, want)
+	if len(tbl.Rows) != 3 {
+		t.Fatalf("E13 has %d rows, want one per phase: 3", len(tbl.Rows))
 	}
-	if len(tbl.Rows) != 2 {
-		t.Fatalf("E9 has %d rows, want one per concurrency: 2", len(tbl.Rows))
-	}
-	for i, want := range []string{"1", "2"} {
-		if tbl.Rows[i][0] != want {
-			t.Errorf("E9 row %d is conc %s, want %s", i, tbl.Rows[i][0], want)
+	for i, phase := range []string{"churn", "wal-replay", "cold-start"} {
+		row := tbl.Rows[i]
+		if row[0] != phase {
+			t.Errorf("E13 row %d is phase %s, want %s", i, row[0], phase)
+		}
+		if match := row[len(row)-1]; match != "yes" {
+			t.Errorf("E13 %s: view_match %s, want yes", row[0], match)
 		}
 	}
 }

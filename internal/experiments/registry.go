@@ -89,7 +89,7 @@ func (ps *parser) fail(key, want string) {
 	}
 }
 
-// Registry lists every experiment (E1–E11, E13, E14).
+// Registry lists every experiment (E1–E5, E7, E8, E11, E13, E14).
 func Registry() []Registered {
 	return []Registered{
 		{ID: "e1", Run: func(Params) (*Table, error) { return E1Architecture() }},
@@ -134,19 +134,6 @@ func Registry() []Registered {
 			},
 		},
 		{
-			ID:     "e6",
-			Params: Params{"lengths": "1,2,4,8", "frames": "64,1500", "packets": "2000"},
-			Quick:  Params{"lengths": "1,2", "frames": "64", "packets": "200"},
-			Run: func(p Params) (*Table, error) {
-				ps := &parser{p: p}
-				lengths, frames, packets := ps.ints("lengths"), ps.ints("frames"), ps.int("packets")
-				if ps.err != nil {
-					return nil, ps.err
-				}
-				return E6ClickDataPlane(lengths, frames, packets)
-			},
-		},
-		{
 			ID:     "e7",
 			Params: Params{"vnfs": "1,8,32,64"},
 			Quick:  Params{"vnfs": "1,4"},
@@ -170,19 +157,6 @@ func Registry() []Registered {
 					return nil, ps.err
 				}
 				return E8ServiceCreation(lengths)
-			},
-		},
-		{
-			ID:     "e9",
-			Params: Params{"conc": "1,2,4,8,16", "chain": "4"},
-			Quick:  Params{"conc": "2", "chain": "2"},
-			Run: func(p Params) (*Table, error) {
-				ps := &parser{p: p}
-				conc, chain := ps.ints("conc"), ps.int("chain")
-				if ps.err != nil {
-					return nil, ps.err
-				}
-				return E9DeployThroughput(conc, chain)
 			},
 		},
 		{
