@@ -399,15 +399,12 @@ func (o *Orchestrator) migrate(svc *Service, mapping *Mapping, moved map[string]
 	}
 	ees := make([]string, 0, len(byEE))
 	for ee := range byEE {
-		sort.Strings(byEE[ee])
 		ees = append(ees, ee)
 	}
 	sort.Strings(ees)
 	for _, ee := range ees {
-		for _, nfID := range byEE[ee] {
-			if err := o.realizeNF(svc, svc.Graph, mapping, nfID, ee); err != nil {
-				return ee, fmt.Errorf("migrating %q to %q: %w", nfID, ee, err)
-			}
+		if err := o.realizeEE(svc, mapping, ee, byEE[ee], nil); err != nil {
+			return ee, fmt.Errorf("migrating %v to %q: %w", byEE[ee], ee, err)
 		}
 	}
 	return "", nil

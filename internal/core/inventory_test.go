@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"reflect"
@@ -84,11 +83,41 @@ func takeInventory(t *testing.T, env *Environment, clients map[string]*vnfagent.
 	return inv
 }
 
-// failingAgents fronts every agent of env with a NETCONF server that
-// passes RPCs through unchanged except the second connectVNF it sees,
-// which fails, and returns an orchestrator over env's view, steering and
-// catalog that manages the EEs through them.
+// failingAgents fronts every agent of env with a proxy that fails the
+// second connectVNF each agent sees (see proxiedAgents).
 func failingAgents(t *testing.T, env *Environment) *Orchestrator {
+	t.Helper()
+	return proxiedAgents(t, env, refuseNth("connectVNF", 2))
+}
+
+// refuseNth is a proxiedAgents intercept that refuses the nth rpc of
+// the given name each agent sees.
+func refuseNth(rpc string, n int) func(ee, name string) error {
+	var (
+		mu   sync.Mutex
+		seen = map[string]int{}
+	)
+	return func(ee, name string) error {
+		if name != rpc {
+			return nil
+		}
+		mu.Lock()
+		seen[ee]++
+		k := seen[ee]
+		mu.Unlock()
+		if k == n {
+			return fmt.Errorf("injected %s failure", rpc)
+		}
+		return nil
+	}
+}
+
+// proxiedAgents fronts every agent of env with a NETCONF server that
+// passes RPCs through unchanged unless intercept, called with the EE's
+// name and the rpc's name before the rpc is passed on, returns an error,
+// which the proxy replies with instead. It returns an orchestrator over
+// env's view, steering and catalog that manages the EEs through them.
+func proxiedAgents(t *testing.T, env *Environment, intercept func(ee, rpc string) error) *Orchestrator {
 	t.Helper()
 	addrs := map[string]string{}
 	for name, agent := range env.Agents {
@@ -96,21 +125,11 @@ func failingAgents(t *testing.T, env *Environment) *Orchestrator {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var (
-			mu       sync.Mutex
-			connects int
-		)
 		srv := netconf.NewServer(vnfagent.Module())
 		for _, rpc := range []string{"initiateVNF", "startVNF", "stopVNF", "connectVNF", "disconnectVNF", "getVNFInfo"} {
 			srv.Handle(rpc, func(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {
-				if rpc == "connectVNF" {
-					mu.Lock()
-					connects++
-					n := connects
-					mu.Unlock()
-					if n == 2 {
-						return nil, errors.New("injected connectVNF failure")
-					}
+				if err := intercept(name, rpc); err != nil {
+					return nil, err
 				}
 				reply, err := client.Call(in)
 				if err != nil {

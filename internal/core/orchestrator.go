@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log"
@@ -18,6 +19,7 @@ import (
 	"escape/internal/sg"
 	"escape/internal/steering"
 	"escape/internal/vnfagent"
+	"escape/internal/yang"
 )
 
 // Config wires an Orchestrator to its collaborators.
@@ -292,7 +294,7 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 	// fanned out across EEs.
 	o.setState(svc, StateRealizing, nil)
 	t1 := time.Now()
-	if err := o.realize(svc, g, mapping); err != nil {
+	if err := o.realize(svc, mapping); err != nil {
 		return fail(err)
 	}
 	svc.PhaseDurations["vnf-setup"] = time.Since(t1)
@@ -309,115 +311,180 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 	return svc, nil
 }
 
-// realize drives the per-NF initiate/connect/start sequence for every
-// placement: one goroutine per touched EE, so each EE sees its NFs
-// strictly in order on its one management session while EEs proceed in
-// parallel. The first error stops remaining work; already-realized NFs
-// stay recorded in svc.NFs for the caller's rollback.
-func (o *Orchestrator) realize(svc *Service, g *sg.Graph, mapping *Mapping) error {
+// realize runs realizeEE for every EE the mapping places NFs on: one
+// goroutine per touched EE, so EEs proceed in parallel while each sees
+// its NFs' waves in order on its one management session. The first
+// error cancels the others at their next wave, as does a shutdown, so
+// the service can never be left stuck in Realizing; NFs already
+// initiated stay recorded in svc.NFs for the caller's rollback.
+func (o *Orchestrator) realize(svc *Service, mapping *Mapping) error {
 	groups := map[string][]string{}
 	for nfID, ee := range mapping.Placements {
 		groups[ee] = append(groups[ee], nfID)
 	}
-	eeNames := make([]string, 0, len(groups))
-	for ee, nfIDs := range groups {
-		sort.Strings(nfIDs)
-		eeNames = append(eeNames, ee)
-	}
-	sort.Strings(eeNames)
-
 	var (
 		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
-		stop     atomic.Bool
+		cancel   atomic.Bool
 	)
-	record := func(err error) {
-		stop.Store(true)
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-	for _, ee := range eeNames {
+	for ee, nfIDs := range groups {
 		wg.Add(1)
-		go func(ee string, nfIDs []string) {
+		go func() {
 			defer wg.Done()
-			for _, nfID := range nfIDs {
-				if stop.Load() {
-					return
-				}
-				// A shutdown cancels mid-realization: the deploy fails
-				// here and rolls back via teardown, so the service can
-				// never be left stuck in Realizing.
-				if o.closing.Load() {
-					record(fmt.Errorf("core: realizing %q: %w", svc.Name, ErrShuttingDown))
-					return
-				}
-				if err := o.realizeNF(svc, g, mapping, nfID, ee); err != nil {
-					record(err)
-					return
-				}
+			err := o.realizeEE(svc, mapping, ee, nfIDs, &cancel)
+			if err == nil || errors.Is(err, errSiblingFailed) {
+				return
 			}
-		}(ee, groups[ee])
+			cancel.Store(true)
+			errMu.Lock()
+			if firstErr == nil {
+				firstErr = err
+			}
+			errMu.Unlock()
+		}()
 	}
 	wg.Wait()
 	return firstErr
 }
 
-// realizeNF runs one NF's full management sequence on a borrowed session.
-func (o *Orchestrator) realizeNF(svc *Service, g *sg.Graph, mapping *Mapping, nfID, eeName string) error {
+// errSiblingFailed cancels an EE's realization once another EE's failed;
+// realize reports the sibling's error instead.
+var errSiblingFailed = errors.New("core: realization cancelled by a failed sibling EE")
+
+// realizeEE realizes nfIDs on one EE over one borrowed session, in three
+// pipelined waves: every initiateVNF, then every connectVNF, then every
+// startVNF, each wave one netconf flight. Every VNF initiated and every
+// device connected is recorded in svc.NFs before the wave's first
+// failure is returned, so a rollback releases it.
+//
+// cancel is shared by the EEs of one deploy's fan-out; heal's migration,
+// which nothing cancels, passes nil. It is checked before each wave,
+// together with shutdown, and set as soon as this EE fails, before its
+// session is released, so siblings stop at their next wave. A
+// cancellation is carried out of the borrow rather than returned from
+// it, since Pool.Do closes the session on any error that is not an
+// rpc-error.
+func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, nfIDs []string, cancel *atomic.Bool) error {
 	pool, err := o.pool(eeName)
 	if err != nil {
 		return err
 	}
-	nf := g.NF(nfID)
-	typ, err := o.cfg.Catalog.Lookup(nf.Type)
-	if err != nil {
-		return err
-	}
-	options := map[string]string{}
-	for k, v := range nf.Params {
-		options[k] = v
-	}
-	cpu, mem := NFDemand(mapping.Catalog, nf)
-	options["cpu"] = cpu.String()
-	options["mem"] = fmt.Sprint(mem)
-	return pool.Do(func(client *vnfagent.Client) error {
-		vnfID, err := client.InitiateVNF(nf.Type, options)
+	sort.Strings(nfIDs)
+	nfs := make([]*sg.NF, len(nfIDs))
+	devs := make([][]string, len(nfIDs)) // every catalog port, so unused directions exist too
+	initiates := make([]*yang.Data, len(nfIDs))
+	for i, nfID := range nfIDs {
+		nf := svc.Graph.NF(nfID)
+		typ, err := o.cfg.Catalog.Lookup(nf.Type)
 		if err != nil {
-			return fmt.Errorf("core: initiateVNF %q on %q: %w", nfID, eeName, err)
+			return err
 		}
-		dep := &DeployedNF{NF: nf, EE: eeName, VNFID: vnfID, SwPorts: map[string]uint16{}}
-		svc.nfMu.Lock()
-		svc.NFs[nfID] = dep
-		svc.nfMu.Unlock()
-		// Connect every device the SG references (plus the catalog's
-		// port list so unused directions still exist).
-		needed := map[string]bool{}
-		for _, p := range typ.Ports {
-			needed[p] = true
+		options := maps.Clone(nf.Params)
+		if options == nil {
+			options = map[string]string{}
 		}
-		devs := make([]string, 0, len(needed))
-		for dev := range needed {
-			devs = append(devs, dev)
+		cpu, mem := NFDemand(mapping.Catalog, nf)
+		options["cpu"] = cpu.String()
+		options["mem"] = fmt.Sprint(mem)
+		nfs[i], devs[i] = nf, slices.Sorted(slices.Values(typ.Ports))
+		initiates[i] = vnfagent.InitiateVNFOp(nf.Type, options)
+	}
+	sw := o.cfg.View.EEs[eeName].Switch
+
+	var cancelErr error
+	proceed := func() bool {
+		switch {
+		case cancel == nil:
+		case o.closing.Load():
+			cancelErr = fmt.Errorf("core: realizing %q: %w", svc.Name, ErrShuttingDown)
+		case cancel.Load():
+			cancelErr = errSiblingFailed
 		}
-		sort.Strings(devs)
-		for _, dev := range devs {
-			port, err := client.ConnectVNF(vnfID, dev, o.cfg.View.EEs[eeName].Switch)
+		return cancelErr == nil
+	}
+	// settle is a wave's outcome: a broken transport first, since it
+	// decides whether Pool.Do keeps the session, then the first refusal.
+	settle := func(flightErr, firstErr error) error {
+		if flightErr != nil && !vnfagent.IsRPCError(flightErr) {
+			return fmt.Errorf("core: realizing on %q: %w", eeName, flightErr)
+		}
+		return firstErr
+	}
+	waves := func(client *vnfagent.Client) error {
+		if !proceed() {
+			return nil
+		}
+		var firstErr error
+		replies, flightErr := client.Calls(initiates...)
+		deps := make([]*DeployedNF, 0, len(replies))
+		depDevs := make([][]string, 0, len(replies))
+		for i, reply := range replies {
+			vnfID, err := vnfagent.InitiatedVNF(reply)
 			if err != nil {
-				return fmt.Errorf("core: connectVNF %s/%s: %w", nfID, dev, err)
+				firstErr = cmp.Or(firstErr, fmt.Errorf("core: initiateVNF %q on %q: %w", nfIDs[i], eeName, err))
+				continue
 			}
-			dep.SwPorts[dev] = port
+			dep := &DeployedNF{NF: nfs[i], EE: eeName, VNFID: vnfID, SwPorts: map[string]uint16{}}
+			deps, depDevs = append(deps, dep), append(depDevs, devs[i])
+			svc.nfMu.Lock()
+			svc.NFs[nfIDs[i]] = dep
+			svc.nfMu.Unlock()
 		}
-		control, err := client.StartVNF(vnfID)
-		if err != nil {
-			return fmt.Errorf("core: startVNF %q: %w", nfID, err)
+		if err := settle(flightErr, firstErr); err != nil || !proceed() {
+			return err
 		}
-		dep.Control = control
-		return nil
+
+		type device struct {
+			dep *DeployedNF
+			dev string
+		}
+		var (
+			devices []device
+			ops     []*yang.Data
+		)
+		for k, dep := range deps {
+			for _, dev := range depDevs[k] {
+				devices = append(devices, device{dep, dev})
+				ops = append(ops, vnfagent.ConnectVNFOp(dep.VNFID, dev, sw))
+			}
+		}
+		replies, flightErr = client.Calls(ops...)
+		for i, reply := range replies {
+			port, err := vnfagent.ConnectedPort(reply)
+			if err != nil {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("core: connectVNF %s/%s: %w", devices[i].dep.NF.ID, devices[i].dev, err))
+				continue
+			}
+			devices[i].dep.SwPorts[devices[i].dev] = port
+		}
+		if err := settle(flightErr, firstErr); err != nil || !proceed() {
+			return err
+		}
+
+		ops = ops[:0]
+		for _, dep := range deps {
+			ops = append(ops, vnfagent.StartVNFOp(dep.VNFID))
+		}
+		replies, flightErr = client.Calls(ops...)
+		for i, reply := range replies {
+			control, err := vnfagent.StartedVNF(reply)
+			if err != nil {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("core: startVNF %q: %w", deps[i].NF.ID, err))
+				continue
+			}
+			deps[i].Control = control
+		}
+		return settle(flightErr, firstErr)
+	}
+	err = pool.Do(func(client *vnfagent.Client) error {
+		err := waves(client)
+		if err != nil && cancel != nil {
+			cancel.Store(true)
+		}
+		return err
 	})
+	return cmp.Or(err, cancelErr)
 }
 
 // steer expands every SG link into a concrete path and installs the
@@ -586,7 +653,7 @@ func (o *Orchestrator) teardown(svc *Service) error {
 	return firstErr
 }
 
-// releaseNFs undoes realizeNF for a set of NFs, per EE in parallel across
+// releaseNFs undoes realizeEE for a set of NFs, per EE in parallel across
 // EEs: every initiated VNF is stopped — one that never started too, so it
 // stops holding EE capacity — and every connected device is disconnected,
 // which removes its link and switch port; the agent then forgets the VNF.
@@ -635,29 +702,30 @@ func (o *Orchestrator) releaseNFs(service string, deps []*DeployedNF) error {
 				skip(err)
 				return
 			}
-			// The closure returns its first error so Pool.Do can tell a
-			// broken transport (session discarded) from an rpc-error
-			// (session stays pooled); every remaining step still runs.
-			// Per-step errors are classified inline; the Do return only
-			// matters when the closure never ran (dial failure =
-			// unreachable agent).
+			// One flight carries every stop and disconnect; each reply is
+			// classified on its own. The closure returns the flight's
+			// error so Pool.Do can tell a broken transport (session
+			// discarded) from an rpc-error (session stays pooled); its
+			// return only matters here when the closure never ran (dial
+			// failure = unreachable agent).
 			ran := false
 			err = pool.Do(func(client *vnfagent.Client) error {
 				ran = true
-				var sessErr error
-				keep := func(err error) {
-					handleMgmt(err)
-					if sessErr == nil {
-						sessErr = err
-					}
-				}
+				var ops []*yang.Data
 				for _, dep := range deps {
-					keep(client.StopVNF(dep.VNFID))
+					ops = append(ops, vnfagent.StopVNFOp(dep.VNFID))
 					for _, dev := range slices.Sorted(maps.Keys(dep.SwPorts)) {
-						keep(client.DisconnectVNF(dep.VNFID, dev))
+						ops = append(ops, vnfagent.DisconnectVNFOp(dep.VNFID, dev))
 					}
 				}
-				return sessErr
+				replies, err := client.Calls(ops...)
+				for _, reply := range replies {
+					handleMgmt(netconf.ReplyError(reply))
+				}
+				if err != nil && !vnfagent.IsRPCError(err) {
+					skip(err)
+				}
+				return err
 			})
 			if err != nil && !ran {
 				skip(err)

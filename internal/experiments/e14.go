@@ -77,7 +77,7 @@ func E14ScaleSim(cfg E14Config) (*Table, error) {
 			"dlv_pct", "max_util", "overload", "virt_h"},
 		Notes: []string{
 			"virtual-time derived: same config + seed ⇒ bit-identical rows",
-			"same mapper/admission/heal code as E9/E11 — only the substrate is analytic",
+			"same mapper/admission/heal code as E11 — only the substrate is analytic",
 		},
 	}
 

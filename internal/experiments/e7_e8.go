@@ -101,7 +101,7 @@ func E8ServiceCreation(chainLens []int) (*Table, error) {
 		ID:      "E8",
 		Title:   "On-demand service creation time vs chain length",
 		Columns: []string{"chain_len", "total_ms", "map_ms", "vnf_setup_ms", "steering_ms", "teardown_ms"},
-		Notes:   []string{"shape check: total grows linearly, dominated by vnf-setup (NETCONF) per NF"},
+		Notes:   []string{"shape check: total grows with chain length, dominated by vnf-setup (NETCONF): three pipelined waves per EE, EE-side work per NF"},
 	}
 	for _, L := range chainLens {
 		spec := demoTopo()

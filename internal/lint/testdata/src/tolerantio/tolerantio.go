@@ -3,7 +3,10 @@
 // only evidence that a switch or agent is dead.
 package tolerantio
 
-import "vnfagent"
+import (
+	"netconf"
+	"vnfagent"
+)
 
 // Regression: the silent-discard teardown — every Stop error vanished,
 // so a half-dead EE looked cleanly undeployed.
@@ -50,4 +53,28 @@ func poolDiscard(p *vnfagent.Pool) {
 func suppressedDiscard(c *vnfagent.Client, id string) {
 	//lint:ignore tolerantio stop is advisory on this demo path
 	c.StopVNF(id)
+}
+
+// Regression: a release flight whose error is dropped loses every
+// stop's outcome at once, and Pool.Do can no longer tell a broken
+// session from a refusal.
+func releaseFlight(c *vnfagent.Client, ids []string) {
+	var ops []*netconf.Data
+	for _, id := range ids {
+		ops = append(ops, vnfagent.StopVNFOp(id))
+	}
+	c.Calls(ops...) // want `error from control-plane call Client.Calls silently discarded`
+}
+
+func bareFlight(c *netconf.Client, op *netconf.Data) {
+	c.Calls(op, op) // want `error from control-plane call Client.Calls silently discarded`
+}
+
+// A flight whose replies are classified one by one is handled.
+func classifiedFlight(c *vnfagent.Client, ops []*netconf.Data) error {
+	replies, err := c.Calls(ops...)
+	for _, reply := range replies {
+		_ = netconf.ReplyError(reply)
+	}
+	return err
 }

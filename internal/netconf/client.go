@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 	"sync"
 	"time"
 
@@ -65,17 +66,105 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 // Call sends one RPC operation and returns the rpc-reply element.
 // rpc-error replies surface as Go errors.
 func (c *Client) Call(op *yang.Data) (*yang.Data, error) {
+	replies, err := c.Calls(op)
+	if err != nil {
+		return nil, err
+	}
+	return replies[0], nil
+}
+
+// Calls sends ops as one pipelined flight (RFC 6241 §4.5): every <rpc>
+// is framed into the session's write buffer, which is flushed once at
+// the end (a flight larger than the buffer also leaves as it fills),
+// and the server answers them in order. The replies are read in request
+// order, each checked against its request's message-id, and returned
+// one per op — all of them unless the transport failed, then the ones
+// read before the failure. Each op's outcome stays in its reply
+// (ReplyError).
+//
+// The error is non-nil whenever the transport failed or any reply is an
+// <rpc-error>; in the second case it is the first reply's *RPCError, so
+// callers such as vnfagent.Pool still tell a refused operation (session
+// healthy) from a broken session. A transport failure closes the
+// connection, since the session's framing is lost with it.
+func (c *Client) Calls(ops ...*yang.Data) ([]*yang.Data, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.messageID++
-	rpc := yang.NewData("rpc").
-		SetAttr("xmlns", BaseNS).
-		SetAttr("message-id", fmt.Sprint(c.messageID)).
-		Add(op)
-	if err := c.fr.WriteMessage([]byte(rpc.XML())); err != nil {
+	first := c.messageID + 1
+	c.messageID += len(ops)
+	write := func() error {
+		for i, op := range ops {
+			rpc := yang.NewData("rpc").
+				SetAttr("xmlns", BaseNS).
+				SetAttr("message-id", strconv.Itoa(first+i)).
+				Add(op)
+			if err := c.fr.writeFrame([]byte(rpc.XML())); err != nil {
+				return err
+			}
+		}
+		return c.fr.w.Flush()
+	}
+	// The server writes replies while the flight is still arriving, so a
+	// flight of more than one rpc is written beside the reads: were both
+	// sides blocked writing into full socket buffers, neither would read.
+	// A write failure closes the connection to fail the reads with it.
+	var wrote chan error
+	if len(ops) > 1 {
+		wrote = make(chan error, 1)
+		go func() {
+			err := write()
+			if err != nil {
+				c.conn.Close()
+			}
+			wrote <- err
+		}()
+	} else if err := write(); err != nil {
+		c.conn.Close()
 		return nil, fmt.Errorf("netconf: sending rpc: %w", err)
 	}
-	raw, err := c.fr.ReadMessage()
+	// A failed read closes the connection, which also unblocks a writer
+	// the peer has stopped reading.
+	replies, err := c.fr.readReplies(first, len(ops))
+	if err != nil {
+		c.conn.Close()
+	}
+	if wrote != nil {
+		// The wait is bounded: the reads saw every reply, or failed and
+		// closed the connection under the writer.
+		//lint:ignore sendunderlock the flight's own writer, bounded as above; c.mu must cover it so flights never interleave
+		if werr := <-wrote; werr != nil && err == nil {
+			err = fmt.Errorf("netconf: sending rpc: %w", werr)
+		}
+	}
+	if err != nil {
+		return replies, err
+	}
+	for _, reply := range replies {
+		if err := ReplyError(reply); err != nil {
+			return replies, err
+		}
+	}
+	return replies, nil
+}
+
+// readReplies reads the replies to n rpcs numbered from first on, up to
+// the first transport failure: a broken connection, an unparsable reply
+// or one answering another request.
+func (f *framer) readReplies(first, n int) ([]*yang.Data, error) {
+	replies := make([]*yang.Data, 0, n)
+	for i := range n {
+		reply, err := f.readReply(strconv.Itoa(first + i))
+		if err != nil {
+			return replies, err
+		}
+		replies = append(replies, reply)
+	}
+	return replies, nil
+}
+
+// readReply reads the rpc-reply to the rpc with message-id id.
+func (f *framer) readReply(id string) (*yang.Data, error) {
+	raw, err := f.ReadMessage()
 	if err != nil {
 		return nil, fmt.Errorf("netconf: reading reply: %w", err)
 	}
@@ -86,15 +175,25 @@ func (c *Client) Call(op *yang.Data) (*yang.Data, error) {
 	if reply.Name != "rpc-reply" {
 		return nil, fmt.Errorf("netconf: expected rpc-reply, got <%s>", reply.Name)
 	}
-	if e := reply.Child("rpc-error"); e != nil {
-		return nil, &RPCError{
-			Type:     e.ChildText("error-type"),
-			Tag:      e.ChildText("error-tag"),
-			Severity: e.ChildText("error-severity"),
-			Message:  e.ChildText("error-message"),
-		}
+	if got := reply.Attr("message-id"); got != id {
+		return nil, fmt.Errorf("netconf: reply carries message-id %q, want %q", got, id)
 	}
 	return reply, nil
+}
+
+// ReplyError returns the *RPCError an rpc-reply carries, or nil when
+// the operation succeeded.
+func ReplyError(reply *yang.Data) error {
+	e := reply.Child("rpc-error")
+	if e == nil {
+		return nil
+	}
+	return &RPCError{
+		Type:     e.ChildText("error-type"),
+		Tag:      e.ChildText("error-tag"),
+		Severity: e.ChildText("error-severity"),
+		Message:  e.ChildText("error-message"),
+	}
 }
 
 // RPCError is a structured <rpc-error> reply.

@@ -51,6 +51,15 @@ func (f *framer) upgrade() { f.chunked = true }
 
 // WriteMessage frames and flushes one message.
 func (f *framer) WriteMessage(msg []byte) error {
+	if err := f.writeFrame(msg); err != nil {
+		return err
+	}
+	return f.w.Flush()
+}
+
+// writeFrame frames one message into the write buffer without flushing
+// it, so a pipelined flight of messages leaves in one write.
+func (f *framer) writeFrame(msg []byte) error {
 	if f.chunked {
 		// ␊#<len>␊<data> … ␊##␊ — chunk-size must be ≥1 (RFC 6242 §4.2),
 		// so an empty message is just the end-of-chunks marker.
@@ -62,18 +71,14 @@ func (f *framer) WriteMessage(msg []byte) error {
 				return err
 			}
 		}
-		if _, err := f.w.WriteString("\n##\n"); err != nil {
-			return err
-		}
-		return f.w.Flush()
+		_, err := f.w.WriteString("\n##\n")
+		return err
 	}
 	if _, err := f.w.Write(msg); err != nil {
 		return err
 	}
-	if _, err := f.w.Write(eomDelimiter); err != nil {
-		return err
-	}
-	return f.w.Flush()
+	_, err := f.w.Write(eomDelimiter)
+	return err
 }
 
 // ReadMessage reads one framed message.

@@ -353,15 +353,50 @@ func DialClient(addr string) (*Client, error) {
 	return &Client{Client: c}, nil
 }
 
-// InitiateVNF creates a VNF of a catalog type; options may carry template
-// parameters plus "cpu"/"mem" resource overrides.
-func (c *Client) InitiateVNF(vnfType string, options map[string]string) (string, error) {
+// The vnf_starter request builders and reply readers. A builder returns
+// the operation element for Call or for one slot of a pipelined Calls
+// flight; a reader takes that operation's rpc-reply and returns its
+// output, or the rpc-error the reply carries. stopVNF and disconnectVNF
+// reply with their outcome only, which netconf.ReplyError reads.
+
+// InitiateVNFOp builds initiateVNF for a catalog type; options may carry
+// template parameters plus "cpu"/"mem" resource overrides.
+func InitiateVNFOp(vnfType string, options map[string]string) *yang.Data {
 	op := yang.NewData("initiateVNF").AddLeaf("vnf_type", vnfType)
 	for name, value := range options {
 		op.Add(yang.NewData("option").AddLeaf("name", name).AddLeaf("value", value))
 	}
-	reply, err := c.Call(op)
-	if err != nil {
+	return op
+}
+
+// StartVNFOp builds startVNF.
+func StartVNFOp(vnfID string) *yang.Data {
+	return yang.NewData("startVNF").AddLeaf("vnf_id", vnfID)
+}
+
+// StopVNFOp builds stopVNF.
+func StopVNFOp(vnfID string) *yang.Data {
+	return yang.NewData("stopVNF").AddLeaf("vnf_id", vnfID)
+}
+
+// ConnectVNFOp builds connectVNF, attaching a VNF device to a switch.
+func ConnectVNFOp(vnfID, vnfPort, switchID string) *yang.Data {
+	return yang.NewData("connectVNF").
+		AddLeaf("vnf_id", vnfID).
+		AddLeaf("vnf_port", vnfPort).
+		AddLeaf("switch_id", switchID)
+}
+
+// DisconnectVNFOp builds disconnectVNF, detaching a VNF device.
+func DisconnectVNFOp(vnfID, vnfPort string) *yang.Data {
+	return yang.NewData("disconnectVNF").
+		AddLeaf("vnf_id", vnfID).
+		AddLeaf("vnf_port", vnfPort)
+}
+
+// InitiatedVNF reads an initiateVNF reply: the new VNF's id.
+func InitiatedVNF(reply *yang.Data) (string, error) {
+	if err := netconf.ReplyError(reply); err != nil {
 		return "", err
 	}
 	id := findLeaf(reply, "vnf_id")
@@ -371,30 +406,18 @@ func (c *Client) InitiateVNF(vnfType string, options map[string]string) (string,
 	return id, nil
 }
 
-// StartVNF starts a VNF and returns its monitoring (ClickControl)
-// address.
-func (c *Client) StartVNF(vnfID string) (control string, err error) {
-	reply, err := c.Call(yang.NewData("startVNF").AddLeaf("vnf_id", vnfID))
-	if err != nil {
+// StartedVNF reads a startVNF reply: the VNF's monitoring
+// (ClickControl) address.
+func StartedVNF(reply *yang.Data) (control string, err error) {
+	if err := netconf.ReplyError(reply); err != nil {
 		return "", err
 	}
 	return findLeaf(reply, "control"), nil
 }
 
-// StopVNF stops a VNF.
-func (c *Client) StopVNF(vnfID string) error {
-	_, err := c.Call(yang.NewData("stopVNF").AddLeaf("vnf_id", vnfID))
-	return err
-}
-
-// ConnectVNF attaches a VNF device to a switch, returning the switch port
-// number.
-func (c *Client) ConnectVNF(vnfID, vnfPort, switchID string) (uint16, error) {
-	reply, err := c.Call(yang.NewData("connectVNF").
-		AddLeaf("vnf_id", vnfID).
-		AddLeaf("vnf_port", vnfPort).
-		AddLeaf("switch_id", switchID))
-	if err != nil {
+// ConnectedPort reads a connectVNF reply: the switch port number.
+func ConnectedPort(reply *yang.Data) (uint16, error) {
+	if err := netconf.ReplyError(reply); err != nil {
 		return 0, err
 	}
 	n, err := strconv.ParseUint(findLeaf(reply, "port"), 10, 16)
@@ -404,11 +427,45 @@ func (c *Client) ConnectVNF(vnfID, vnfPort, switchID string) (uint16, error) {
 	return uint16(n), nil
 }
 
+// InitiateVNF creates a VNF of a catalog type; options may carry template
+// parameters plus "cpu"/"mem" resource overrides.
+func (c *Client) InitiateVNF(vnfType string, options map[string]string) (string, error) {
+	reply, err := c.Call(InitiateVNFOp(vnfType, options))
+	if err != nil {
+		return "", err
+	}
+	return InitiatedVNF(reply)
+}
+
+// StartVNF starts a VNF and returns its monitoring (ClickControl)
+// address.
+func (c *Client) StartVNF(vnfID string) (control string, err error) {
+	reply, err := c.Call(StartVNFOp(vnfID))
+	if err != nil {
+		return "", err
+	}
+	return StartedVNF(reply)
+}
+
+// StopVNF stops a VNF.
+func (c *Client) StopVNF(vnfID string) error {
+	_, err := c.Call(StopVNFOp(vnfID))
+	return err
+}
+
+// ConnectVNF attaches a VNF device to a switch, returning the switch port
+// number.
+func (c *Client) ConnectVNF(vnfID, vnfPort, switchID string) (uint16, error) {
+	reply, err := c.Call(ConnectVNFOp(vnfID, vnfPort, switchID))
+	if err != nil {
+		return 0, err
+	}
+	return ConnectedPort(reply)
+}
+
 // DisconnectVNF detaches a VNF device.
 func (c *Client) DisconnectVNF(vnfID, vnfPort string) error {
-	_, err := c.Call(yang.NewData("disconnectVNF").
-		AddLeaf("vnf_id", vnfID).
-		AddLeaf("vnf_port", vnfPort))
+	_, err := c.Call(DisconnectVNFOp(vnfID, vnfPort))
 	return err
 }
 

@@ -1,10 +1,15 @@
 package vnfagent
 
 import (
+	"bufio"
 	"fmt"
+	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"escape/internal/netconf"
 )
 
 func TestPoolSerializesAtSizeOne(t *testing.T) {
@@ -86,5 +91,71 @@ func TestPoolWrappedRPCErrorStaysPooled(t *testing.T) {
 	})
 	if !isRPCError(err) {
 		t.Fatalf("wrapped rpc-error not recognized: %v", err)
+	}
+}
+
+// misnumberingAgent speaks NETCONF 1.0 (end-of-message framing) and
+// answers every rpc with an <ok/> carrying message-id 0. Each accepted
+// connection gets the next session id.
+func misnumberingAgent(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	const eom = "]]>]]>"
+	readMessage := func(r *bufio.Reader) error {
+		var msg strings.Builder
+		for !strings.HasSuffix(msg.String(), eom) {
+			s, err := r.ReadString('>')
+			if err != nil {
+				return err
+			}
+			msg.WriteString(s)
+		}
+		return nil
+	}
+	go func() {
+		for session := 1; ; session++ {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				fmt.Fprintf(conn, `<hello xmlns="%s"><capabilities><capability>%s</capability></capabilities><session-id>%d</session-id></hello>%s`,
+					netconf.BaseNS, netconf.CapBase10, session, eom)
+				r := bufio.NewReader(conn)
+				for readMessage(r) == nil {
+					fmt.Fprintf(conn, `<rpc-reply xmlns="%s" message-id="0"><ok/></rpc-reply>%s`, netconf.BaseNS, eom)
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestPoolDiscardsMisnumberedSession: a reply answering another request
+// means the session's replies no longer line up with its requests, so
+// the borrow fails as a broken transport and the next one redials.
+func TestPoolDiscardsMisnumberedSession(t *testing.T) {
+	p := NewPool(misnumberingAgent(t))
+	defer p.Close()
+	var first string
+	err := p.Do(func(c *Client) error {
+		first = c.SessionID
+		return c.StopVNF("v1")
+	})
+	if err == nil || isRPCError(err) {
+		t.Fatalf("borrow error = %v, want a transport error", err)
+	}
+	if err := p.Do(func(c *Client) error {
+		if c.SessionID == first {
+			t.Errorf("the pool kept session %s after a misnumbered reply", first)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
