@@ -7,6 +7,7 @@
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"net/netip"
@@ -507,7 +508,7 @@ func (d *DPI) Configure(r *click.Router, args []string) error {
 // SimpleAction implements the per-packet transform.
 func (d *DPI) SimpleAction(p *click.Packet) *click.Packet {
 	d.total++
-	if containsBytes(p.Data(), d.signature) {
+	if bytes.Contains(p.Data(), d.signature) {
 		d.matches++
 		if d.drop {
 			p.Kill()
@@ -515,24 +516,6 @@ func (d *DPI) SimpleAction(p *click.Packet) *click.Packet {
 		}
 	}
 	return p
-}
-
-func containsBytes(haystack, needle []byte) bool {
-	if len(needle) == 0 || len(haystack) < len(needle) {
-		return false
-	}
-	for i := 0; i+len(needle) <= len(haystack); i++ {
-		j := 0
-		for ; j < len(needle); j++ {
-			if haystack[i+j] != needle[j] {
-				break
-			}
-		}
-		if j == len(needle) {
-			return true
-		}
-	}
-	return false
 }
 
 // Handlers implements click.HandlerProvider.

@@ -73,7 +73,7 @@ func (f *FromDevice) stash(frame []byte) {
 	f.mu.Unlock()
 }
 
-// takeParked appends the stashed frame, if any, as a copied packet.
+// takeParked appends the stashed frame, if any, as a packet that owns it.
 func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
 	if f.parked == nil {
 		return buf
@@ -84,8 +84,8 @@ func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
 }
 
 // RunTask implements Tasker: drain up to a burst of frames off the device,
-// then hand the whole batch downstream under one lock acquisition. Frames
-// are copied into pooled packets, so the device may reuse its buffers.
+// then hand the whole batch downstream under one lock acquisition. Each
+// frame becomes a pooled packet that owns it: the device hands it over.
 func (f *FromDevice) RunTask() bool {
 	f.batch = f.takeParked(f.batch[:0])
 drain:
@@ -191,17 +191,14 @@ func (t *ToDevice) RunTask() bool {
 	return true
 }
 
-// send transmits and reclaims the packet. On success the device owns the
-// frame bytes, so only the struct is recycled (Detach); on error the
-// device retained nothing and the whole packet returns to the pool.
+// send hands the packet's frame to the device, which owns it from then
+// on, and recycles the packet struct.
 func (t *ToDevice) send(p *Packet) {
 	if err := t.dev.Send(p.Data()); err != nil {
 		t.drops.Add(1)
-		p.Kill()
-		return
+	} else {
+		t.count.Add(1)
 	}
-	t.count.Add(1)
-	p.Detach()
 	p.Kill()
 }
 

@@ -129,3 +129,43 @@ func TestElementConfigString(t *testing.T) {
 		t.Errorf("config not numeric: %q", v)
 	}
 }
+
+// TestRouterOwnsFrameDeviceToDevice pins the one-buffer rule through a
+// graph: FromDevice wraps the frame a device hands it without copying,
+// and ToDevice hands that same buffer to the output device, on a push
+// path and through a Queue.
+func TestRouterOwnsFrameDeviceToDevice(t *testing.T) {
+	for _, config := range []string{
+		`FromDevice(in) -> Counter -> ToDevice(out);`,
+		`FromDevice(in) -> Queue(16) -> Counter -> ToDevice(out);`,
+	} {
+		r := mustRouter(t, config)
+		ctx, cancel := context.WithCancel(context.Background())
+		go r.Run(ctx)
+		frame := make([]byte, 60)
+		chanDev(r, "in").In <- frame
+		select {
+		case f := <-chanDev(r, "out").Out:
+			if len(f) != len(frame) || &f[0] != &frame[0] {
+				t.Errorf("%s: the output device got a copy, want the buffer handed in", config)
+			}
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s: the frame did not come out", config)
+		}
+		cancel()
+		r.Stop()
+	}
+}
+
+// TestNewPacketOwnsFrame: NewPacket wraps the frame it is given, so a
+// packet drawn from the pool after a Kill holds that frame, not a copy of
+// it and not its predecessor's.
+func TestNewPacketOwnsFrame(t *testing.T) {
+	NewPacket(make([]byte, 64)).Kill()
+	frame := make([]byte, 8)
+	p := NewPacket(frame)
+	defer p.Kill()
+	if p.Len() != 8 || &p.Data()[0] != &frame[0] {
+		t.Error("NewPacket did not take the frame it was given")
+	}
+}

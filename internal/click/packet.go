@@ -11,8 +11,8 @@
 //   - one driver, Click's userlevel one: a single goroutine runs every
 //     scheduler task round-robin and blocks in a select on the router's
 //     devices when none has work (idle.go),
-//   - a pooled packet allocator (NewPacket draws from a sync.Pool, Kill
-//     reclaims),
+//   - a pooled packet allocator (NewPacket draws a struct from a
+//     sync.Pool and takes the frame it is given, Kill reclaims the struct),
 //   - read/write handlers on every element, and
 //   - a ControlSocket server speaking Click's ClickControl/1.3 protocol so
 //     monitoring tools (ESCAPE's Clicky substitute, internal/mgmt) can poll
@@ -42,46 +42,32 @@ type Packet struct {
 	buf []byte
 }
 
-// maxPooledBuf caps the buffer size retained by the packet pool so one
-// jumbo frame does not pin memory for the lifetime of the pool entry.
-const maxPooledBuf = 16 << 10
-
-// packetPool recycles Packet structs and their buffers. NewPacket draws
-// from it; Kill returns to it. Elements that drop a packet own it and
-// should Kill it; a forgotten Kill merely falls back to GC.
+// packetPool recycles Packet structs; a frame's buffer moves on with the
+// frame. NewPacket draws from it; Kill returns to it. Elements that drop
+// a packet own it and should Kill it; a forgotten Kill merely falls back
+// to GC.
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// NewPacket wraps a copy of data in a Packet. The packet comes from a pool
-// fed by Kill, so steady-state processing with balanced Kill calls
-// allocates nothing.
+// NewPacket wraps data in a Packet, which takes ownership of it: the
+// caller must not touch data afterwards. The struct comes from a pool fed
+// by Kill, so steady-state processing with balanced Kill calls allocates
+// nothing.
 func NewPacket(data []byte) *Packet {
 	p := packetPool.Get().(*Packet)
-	p.SetData(data)
+	p.buf = data
 	return p
 }
 
 // Kill releases the packet back to the allocator pool. The caller must
 // own the packet and must not touch it afterwards: Kill is the terminal
 // operation of every drop path (tail drop, firewall deny, …) and of
-// ToDevice after the frame has been detached.
+// ToDevice once the device has taken the frame.
 func (p *Packet) Kill() {
 	if p == nil {
 		return
 	}
-	if cap(p.buf) > maxPooledBuf {
-		p.buf = nil
-	}
-	packetPool.Put(p)
-}
-
-// Detach removes and returns the frame bytes, leaving the packet empty.
-// Use it before Kill when the bytes outlive the packet — Device.Send
-// implementations may retain the frame, so ToDevice detaches rather than
-// letting the pool recycle storage a device still references.
-func (p *Packet) Detach() []byte {
-	d := p.buf
 	p.buf = nil
-	return d
+	packetPool.Put(p)
 }
 
 // Data returns the current frame bytes. The slice aliases packet-owned
@@ -92,17 +78,9 @@ func (p *Packet) Data() []byte { return p.buf }
 // Len returns the frame length in bytes.
 func (p *Packet) Len() int { return len(p.buf) }
 
-// SetData replaces the frame bytes entirely. The packet's existing buffer
-// is reused when large enough; data may alias the current frame (copy has
-// memmove semantics).
-func (p *Packet) SetData(data []byte) {
-	if cap(p.buf) >= len(data) {
-		p.buf = p.buf[:len(data)]
-	} else {
-		p.buf = make([]byte, len(data))
-	}
-	copy(p.buf, data)
-}
+// SetData replaces the frame with data, which the packet takes ownership
+// of; data may alias the current frame.
+func (p *Packet) SetData(data []byte) { p.buf = data }
 
 // Device is the boundary between a Click graph and the outside world.
 // FromDevice reads frames from a Device, ToDevice writes frames to it.
@@ -110,10 +88,9 @@ func (p *Packet) SetData(data []byte) {
 type Device interface {
 	// DeviceName identifies the device inside a VNF ("eth0", "in", …).
 	DeviceName() string
-	// Send transmits a frame out of the VNF. On success the device takes
-	// ownership of frame and may retain it (ToDevice detaches the buffer
-	// from its packet before sending); on error the frame must not be
-	// retained, so the caller can recycle it.
+	// Send transmits a frame out of the VNF and takes ownership of it,
+	// whether it succeeds or not: ToDevice never touches a frame it has
+	// sent.
 	Send(frame []byte) error
 	// Recv returns the channel of frames arriving at the VNF. The channel
 	// is never closed while the device is attached.

@@ -148,6 +148,17 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.append(condStmt(s.X))
 		b.jump(head)
 		b.cur = head
+		if s.Key != nil || s.Value != nil {
+			// Each time round, the head binds the iteration variables
+			// afresh: a synthetic assignment with no right-hand side.
+			rebind := &ast.AssignStmt{Tok: token.ASSIGN, TokPos: s.For}
+			for _, e := range []ast.Expr{s.Key, s.Value} {
+				if e != nil {
+					rebind.Lhs = append(rebind.Lhs, e)
+				}
+			}
+			b.append(rebind)
+		}
 		b.jump(after)
 		bodyB := b.newBlock()
 		b.jump(bodyB)

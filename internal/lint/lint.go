@@ -9,9 +9,11 @@
 // The analyzers (see their files for the invariant and the historical
 // bug class that motivated each):
 //
-//   - packetlife: every click.NewPacket must reach Kill, Detach
-//     or a downstream handoff on all control-flow paths (the pooled
-//     allocator leak class from the PR 1 drop paths).
+//   - packetlife: every click.NewPacket must reach Kill or a
+//     downstream handoff on all control-flow paths (the pooled
+//     allocator leak class from the PR 1 drop paths), and a frame
+//     handed to Port.Transmit, Device.Send, netem Port.Send or
+//     Switch.Input is not read or written again by its sender.
 //   - sendunderlock: no blocking channel operation or blocking
 //     control-plane I/O while holding a sync.Mutex/RWMutex (the
 //     send-on-closed-channel and net.Pipe deadlock class from PR 4).

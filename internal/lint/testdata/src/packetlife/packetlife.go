@@ -1,7 +1,7 @@
-// Corpus for the packetlife analyzer. The bad cases reproduce the PR 1
-// pooled-allocator leak class: a packet obtained from the pool is
-// abandoned on some control-flow path instead of reaching Kill, Detach
-// or a downstream handoff.
+// Corpus for the packetlife analyzer's packet half. The bad cases
+// reproduce the PR 1 pooled-allocator leak class: a packet obtained from
+// the pool is abandoned on some control-flow path instead of reaching
+// Kill or a downstream handoff. frames.go holds the frame half.
 package packetlife
 
 import "escape/internal/click"
@@ -30,11 +30,6 @@ func killedOnAllPaths(data []byte, miss bool) {
 func handoffAsArgument(data []byte) {
 	p := click.NewPacket(data)
 	use(p)
-}
-
-func detached(data []byte) []byte {
-	p := click.NewPacket(data)
-	return p.Detach()
 }
 
 func returned(data []byte) *click.Packet {
@@ -158,10 +153,10 @@ func dropWithKill(frame []byte, drop bool) *click.Packet {
 	return p
 }
 
-// The transmit idiom: take over the buffer for the device, release the
-// struct — Detach then Kill, both consumptions.
-func sinkDetachOK(frame []byte, tx func([]byte)) {
+// The transmit idiom: the device takes the frame, the struct goes back to
+// the pool.
+func sinkKillOK(frame []byte, tx func([]byte)) {
 	p := click.NewPacket(frame)
-	tx(p.Detach())
+	tx(p.Data())
 	p.Kill()
 }

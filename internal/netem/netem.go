@@ -72,9 +72,9 @@ type Port struct {
 	recv func(frame []byte)
 }
 
-// Send transmits a frame out of this port (towards the link peer).
-// Frames sent before the link is wired are dropped, like a NIC with no
-// cable.
+// Send transmits a frame out of this port (towards the link peer) and
+// takes ownership of it: the receiving node owns it next. Frames sent
+// before the link is wired are dropped, like a NIC with no cable.
 func (p *Port) Send(frame []byte) {
 	if pp := p.pipe.Load(); pp != nil {
 		pp.send(frame)

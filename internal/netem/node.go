@@ -15,7 +15,7 @@ import (
 
 const waitForSwitchesTimeout = 5 * time.Second
 
-// RxFrame is a frame delivered to a host port.
+// RxFrame is a frame delivered to a host port. Its receiver owns Frame.
 type RxFrame struct {
 	Port  *Port
 	Frame []byte
@@ -104,13 +104,16 @@ func (h *Host) Recv() <-chan RxFrame {
 	return h.rx
 }
 
-// Send transmits a frame out of the host's first port.
+// Send transmits a frame out of the host's first port. Like a NIC's DMA,
+// it copies frame once into a network-owned buffer, with room for an
+// 802.1Q tag, and that buffer is the frame all the way along the path: the
+// caller keeps frame and may rewrite it for the next send.
 func (h *Host) Send(frame []byte) error {
 	p := h.Port(0)
 	if p == nil {
 		return fmt.Errorf("netem: host %s has no ports", h.name)
 	}
-	p.Send(frame)
+	p.Send(append(make([]byte, 0, len(frame)+4), frame...))
 	return nil
 }
 

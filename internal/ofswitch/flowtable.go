@@ -130,6 +130,11 @@ func (t *FlowTable) Add(e *FlowEntry) {
 // Lookup returns the highest-priority entry matching fields and updates
 // its counters, or nil on table miss.
 func (t *FlowTable) Lookup(f openflow.PacketFields, frameLen int) *FlowEntry {
+	return t.lookup(&f, frameLen)
+}
+
+// lookup is Lookup on the datapath's own fields, which it does not copy.
+func (t *FlowTable) lookup(f *openflow.PacketFields, frameLen int) *FlowEntry {
 	for _, e := range t.load() {
 		if e.Match.Matches(f) {
 			e.live.packets.Add(1)
@@ -155,7 +160,7 @@ func subsumes(a, b openflow.Match) bool {
 	}}
 	// a must match b's concrete fields, and a may not be stricter than b
 	// on any field b wildcards — for the two address prefixes, not longer.
-	if !a.Matches(probe) || a.NWSrcBits() < b.NWSrcBits() || a.NWDstBits() < b.NWDstBits() {
+	if !a.Matches(&probe) || a.NWSrcBits() < b.NWSrcBits() || a.NWDstBits() < b.NWDstBits() {
 		return false
 	}
 	wildOnly := func(bit uint32) bool { return b.Wildcards&bit == 0 || a.Wildcards&bit != 0 }

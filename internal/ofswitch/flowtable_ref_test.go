@@ -57,7 +57,7 @@ func (t *refFlowTable) Lookup(f openflow.PacketFields, frameLen int) *FlowEntry 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, e := range t.entries {
-		if e.Match.Matches(f) {
+		if e.Match.Matches(&f) {
 			e.Packets++
 			e.Bytes += uint64(frameLen)
 			e.LastUsed = t.now()

@@ -3,7 +3,7 @@ package ofswitch
 import (
 	"fmt"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -18,8 +18,9 @@ type Port struct {
 	No     uint16
 	HWAddr pkt.MAC
 	Name   string
-	// Transmit sends a frame out of this port. Must be non-blocking or
-	// fast; netem link queues satisfy this.
+	// Transmit sends a frame out of this port and takes ownership of it:
+	// the switch never touches a frame it has transmitted. Must be
+	// non-blocking or fast; netem link queues satisfy this.
 	Transmit func(frame []byte)
 
 	rxPackets, txPackets atomic.Uint64
@@ -73,9 +74,12 @@ type Switch struct {
 	name string
 	dpid uint64
 
-	mu    sync.RWMutex
-	ports map[uint16]*Port
-	table *FlowTable
+	// ports is the port table indexed by port number (nil where no port
+	// is): an immutable snapshot that AddPort and RemovePort republish
+	// whole under portMu, so every reader takes one atomic load.
+	portMu sync.Mutex
+	ports  atomic.Pointer[[]*Port]
+	table  *FlowTable
 
 	connMu sync.Mutex // guards conn and outbox swap
 	conn   net.Conn
@@ -104,10 +108,10 @@ func New(name string, dpid uint64) *Switch {
 	s := &Switch{
 		name:    name,
 		dpid:    dpid,
-		ports:   map[uint16]*Port{},
 		buffers: map[uint32]bufferedPacket{},
 		stopCh:  make(chan struct{}),
 	}
+	s.ports.Store(&[]*Port{})
 	s.table = NewFlowTable(s.flowRemoved)
 	go s.sweepLoop()
 	return s
@@ -118,6 +122,18 @@ func (s *Switch) Name() string { return s.name }
 
 // DPID returns the datapath id.
 func (s *Switch) DPID() uint64 { return s.dpid }
+
+// portTable returns the current port snapshot. It is never written: a
+// change publishes a new one.
+func (s *Switch) portTable() []*Port { return *s.ports.Load() }
+
+// port returns port no, or nil.
+func (s *Switch) port(no uint16) *Port {
+	if ps := s.portTable(); int(no) < len(ps) {
+		return ps[no]
+	}
+	return nil
+}
 
 // Table exposes the flow table (tests, stats, debugging).
 func (s *Switch) Table() *FlowTable { return s.table }
@@ -131,13 +147,17 @@ func (s *Switch) AddPort(p *Port) error {
 	if p.No == 0 || p.No >= openflow.PortMax {
 		return fmt.Errorf("ofswitch: invalid port number %d", p.No)
 	}
-	s.mu.Lock()
-	if _, dup := s.ports[p.No]; dup {
-		s.mu.Unlock()
+	s.portMu.Lock()
+	old := s.portTable()
+	if int(p.No) < len(old) && old[p.No] != nil {
+		s.portMu.Unlock()
 		return fmt.Errorf("ofswitch: duplicate port %d", p.No)
 	}
-	s.ports[p.No] = p
-	s.mu.Unlock()
+	next := make([]*Port, max(len(old), int(p.No)+1))
+	copy(next, old)
+	next[p.No] = p
+	s.ports.Store(&next)
+	s.portMu.Unlock()
 	s.sendAsync(&openflow.PortStatus{
 		Reason: openflow.PortReasonAdd,
 		Desc:   p.phyPort(),
@@ -149,10 +169,14 @@ func (s *Switch) AddPort(p *Port) error {
 // inverse of AddPort. Unknown ports are ignored. Flow entries naming the
 // port stay: removing them is the controller's business, as in OpenFlow.
 func (s *Switch) RemovePort(no uint16) {
-	s.mu.Lock()
-	p := s.ports[no]
-	delete(s.ports, no)
-	s.mu.Unlock()
+	s.portMu.Lock()
+	p := s.port(no)
+	if p != nil {
+		next := slices.Clone(s.portTable())
+		next[no] = nil
+		s.ports.Store(&next)
+	}
+	s.portMu.Unlock()
 	if p == nil {
 		return
 	}
@@ -167,9 +191,7 @@ func (s *Switch) RemovePort(no uint16) {
 // detectors subscribe to. Unknown ports are ignored. Idempotent: only an
 // actual state change is announced.
 func (s *Switch) SetPortLinkState(no uint16, down bool) {
-	s.mu.RLock()
-	p := s.ports[no]
-	s.mu.RUnlock()
+	p := s.port(no)
 	if p == nil || p.linkDown.Swap(down) == down {
 		return
 	}
@@ -181,29 +203,32 @@ func (s *Switch) SetPortLinkState(no uint16, down bool) {
 
 // PortCount reports the number of ports.
 func (s *Switch) PortCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.ports)
+	n := 0
+	for _, p := range s.portTable() {
+		if p != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // PortStats snapshots all port counters ordered by port number.
 func (s *Switch) PortStats() []openflow.PortStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]openflow.PortStats, 0, len(s.ports))
-	for _, p := range s.ports {
-		out = append(out, p.Stats())
+	var out []openflow.PortStats
+	for _, p := range s.portTable() {
+		if p != nil {
+			out = append(out, p.Stats())
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].PortNo < out[j].PortNo })
 	return out
 }
 
-// Input is the data-plane entry point: a frame arrived on port no. It is
-// called by netem link delivery goroutines.
+// Input is the data-plane entry point: frame arrived on port no. Input
+// owns frame: it edits it in place and hands it on to the output port, so
+// the caller must not touch it afterwards. It is called by netem link
+// delivery goroutines.
 func (s *Switch) Input(no uint16, frame []byte) {
-	s.mu.RLock()
-	port := s.ports[no]
-	s.mu.RUnlock()
+	port := s.port(no)
 	if port == nil {
 		return
 	}
@@ -219,7 +244,7 @@ func (s *Switch) Input(no uint16, frame []byte) {
 		port.rxDropped.Add(1)
 		return
 	}
-	entry := s.table.Lookup(fields, len(frame))
+	entry := s.table.lookup(&fields, len(frame))
 	if entry == nil {
 		s.TableMisses.Add(1)
 		s.packetToController(frame, no, openflow.ReasonNoMatch)
@@ -228,86 +253,76 @@ func (s *Switch) Input(no uint16, frame []byte) {
 	s.applyActions(entry.Actions, frame, no)
 }
 
-// applyActions runs an action list on a frame arriving on inPort. It
-// borrows frame: the caller may go on using it (a sender re-sending its
-// buffer, a PACKET_OUT body), and set-field actions write in place, so the
-// list works on one private copy.
+// applyActions runs an action list on frame, which arrived on inPort. It
+// owns frame: set-field actions edit it in place, and the list's last
+// output hands it on.
 func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort uint16) {
-	work := make([]byte, len(frame))
-	copy(work, frame)
 	for i, a := range actions {
 		switch act := a.(type) {
 		case openflow.ActionOutput:
-			s.output(act.Port, work, inPort, act.MaxLen, i == len(actions)-1)
+			s.output(act.Port, frame, inPort, act.MaxLen, i == len(actions)-1)
 		case openflow.ActionSetVLAN:
-			if out, err := pkt.PushVLAN(work, act.VLAN); err == nil {
-				work = out
+			if out, err := pkt.PushVLAN(frame, act.VLAN); err == nil {
+				frame = out
 			}
 		case openflow.ActionStripVLAN:
-			if out, err := pkt.PopVLAN(work); err == nil {
-				work = out
+			if out, err := pkt.PopVLAN(frame); err == nil {
+				frame = out
 			}
 		case openflow.ActionSetDL:
-			pkt.SetDLAddr(work, act.Dst, act.MAC)
+			pkt.SetDLAddr(frame, act.Dst, act.MAC)
 		case openflow.ActionSetNW:
-			pkt.SetNWAddr(work, act.Dst, act.Addr)
+			pkt.SetNWAddr(frame, act.Dst, act.Addr)
 		case openflow.ActionSetTP:
-			pkt.SetTPPort(work, act.Dst, act.Port)
+			pkt.SetTPPort(frame, act.Dst, act.Port)
 		}
 	}
 }
 
-// output transmits work out of an (possibly special) port. Port.Transmit
-// gives its frame away — downstream consumers own it — so every
-// transmission gets a copy of work, except that the last action of a list
-// naming a single port (how every steering rule ends) hands over work
-// itself: nothing reads it afterwards.
-func (s *Switch) output(port uint16, work []byte, inPort uint16, maxLen uint16, last bool) {
-	send := func(p *Port, giveWork bool) {
-		if p == nil {
-			return
-		}
-		if p.linkDown.Load() {
-			p.txDropped.Add(1)
-			return
-		}
-		frame := work
-		if !giveWork {
-			frame = make([]byte, len(work))
-			copy(frame, work)
-		}
-		p.txPackets.Add(1)
-		p.txBytes.Add(uint64(len(frame)))
-		p.Transmit(frame)
-	}
+// output transmits frame out of an (possibly special) port. Port.Transmit
+// takes its frame, so the last action of a list naming a single port (how
+// every steering rule ends) hands over frame itself; an earlier output,
+// whose frame later actions go on editing, and every FLOOD or ALL target
+// get a copy.
+func (s *Switch) output(port uint16, frame []byte, inPort uint16, maxLen uint16, last bool) {
 	switch {
 	case port == openflow.PortController:
 		limit := int(maxLen)
-		if limit <= 0 || limit > len(work) {
-			limit = len(work)
+		if limit <= 0 || limit > len(frame) {
+			limit = len(frame)
 		}
-		s.packetToControllerRaw(work[:limit], len(work), inPort, openflow.ReasonAction, openflow.NoBuffer)
+		s.packetToControllerRaw(frame[:limit], len(frame), inPort, openflow.ReasonAction, openflow.NoBuffer)
 	case port == openflow.PortFlood, port == openflow.PortAll:
-		s.mu.RLock()
-		targets := make([]*Port, 0, len(s.ports))
-		for no, p := range s.ports {
-			if no != inPort {
-				targets = append(targets, p)
+		for no, p := range s.portTable() {
+			if uint16(no) != inPort {
+				transmit(p, frame, true)
 			}
-		}
-		s.mu.RUnlock()
-		for _, p := range targets {
-			send(p, false)
 		}
 	case port == openflow.PortInPort, port < openflow.PortMax:
 		if port == openflow.PortInPort {
 			port = inPort
 		}
-		s.mu.RLock()
-		p := s.ports[port]
-		s.mu.RUnlock()
-		send(p, last)
+		transmit(s.port(port), frame, !last)
 	}
+}
+
+// transmit sends frame out of p, which takes it; with copyFrame p gets a
+// copy instead, for a caller that goes on using frame. A nil or down port
+// drops.
+func transmit(p *Port, frame []byte, copyFrame bool) {
+	if p == nil {
+		return
+	}
+	if p.linkDown.Load() {
+		p.txDropped.Add(1)
+		return
+	}
+	if copyFrame {
+		frame = slices.Clone(frame)
+	}
+	p.txPackets.Add(1)
+	p.txBytes.Add(uint64(len(frame)))
+	p.Transmit(frame)
 }
 
 // packetToController buffers the frame and emits PACKET_IN carrying its
@@ -524,13 +539,12 @@ func (s *Switch) handleMessage(msg openflow.Message, h openflow.Header) {
 	case *openflow.EchoRequest:
 		s.sendXID(&openflow.EchoReply{Data: m.Data}, h.XID)
 	case *openflow.FeaturesRequest:
-		s.mu.RLock()
-		ports := make([]openflow.PhyPort, 0, len(s.ports))
-		for _, p := range s.ports {
-			ports = append(ports, p.phyPort())
+		var ports []openflow.PhyPort
+		for _, p := range s.portTable() {
+			if p != nil {
+				ports = append(ports, p.phyPort())
+			}
 		}
-		s.mu.RUnlock()
-		sort.Slice(ports, func(i, j int) bool { return ports[i].PortNo < ports[j].PortNo })
 		s.sendXID(&openflow.FeaturesReply{
 			DatapathID: s.dpid,
 			NBuffers:   bufferSlots,
@@ -614,10 +628,7 @@ func (s *Switch) handleStats(m *openflow.StatsRequest, h openflow.Header) {
 		if m.PortNo == openflow.PortNone {
 			reply.Ports = s.PortStats()
 		} else {
-			s.mu.RLock()
-			p := s.ports[m.PortNo]
-			s.mu.RUnlock()
-			if p != nil {
+			if p := s.port(m.PortNo); p != nil {
 				reply.Ports = []openflow.PortStats{p.Stats()}
 			}
 		}

@@ -399,84 +399,143 @@ func installRule(s *Switch, actions ...openflow.Action) {
 	s.Table().Add(&FlowEntry{Match: matchInPort(1), Priority: 10, Actions: actions})
 }
 
-// TestInputBorrowsFrameReceiversOwnTheirs pins the frame-ownership rule of
-// the datapath: Switch.Input leaves its caller's frame as it found it —
-// set-field actions included — and every Port.Transmit gets a slice of its
-// own, whether it is the action list's work copy or a copy of that.
-func TestInputBorrowsFrameReceiversOwnTheirs(t *testing.T) {
+// TestInputOwnsFrameReceiversOwnTheirs pins the frame-ownership rule of
+// the datapath: Switch.Input takes its caller's frame, edits it in place
+// and hands that one buffer to the list's final single-port output; an
+// earlier output and every FLOOD target get a copy. Every receiver gets
+// storage of its own.
+func TestInputOwnsFrameReceiversOwnTheirs(t *testing.T) {
 	newMAC := pkt.MAC{2, 9, 9, 9, 9, 9}
 	setDL := openflow.ActionSetDL{Dst: true, MAC: newMAC}
 	for _, tc := range []struct {
 		name    string
 		actions []openflow.Action
 		out     map[int]pkt.MAC // receiving port → destination MAC it must see
+		handed  int             // the port handed the caller's buffer, 0 for none
 	}{
-		{"set-field then last output", []openflow.Action{setDL, openflow.ActionOutput{Port: 2}}, map[int]pkt.MAC{2: newMAC}},
+		{"set-field then last output", []openflow.Action{setDL, openflow.ActionOutput{Port: 2}}, map[int]pkt.MAC{2: newMAC}, 2},
 		{"output, set-field, output", []openflow.Action{openflow.ActionOutput{Port: 2}, setDL, openflow.ActionOutput{Port: 3}},
-			map[int]pkt.MAC{2: fmac2, 3: newMAC}},
-		{"flood", []openflow.Action{openflow.ActionOutput{Port: openflow.PortFlood}}, map[int]pkt.MAC{2: fmac2, 3: fmac2}},
+			map[int]pkt.MAC{2: fmac2, 3: newMAC}, 3},
+		{"flood", []openflow.Action{openflow.ActionOutput{Port: openflow.PortFlood}}, map[int]pkt.MAC{2: fmac2, 3: fmac2}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, chans := testSwitch(t, 3)
 			installRule(s, tc.actions...)
 			frame := testFrame(t, 80)
-			orig := append([]byte(nil), frame...)
 			s.Input(1, frame)
-			if !bytes.Equal(frame, orig) {
-				t.Fatalf("Input changed its caller's frame:\n got %x\nwant %x", frame, orig)
-			}
-			var got [][]byte
+			got := map[int][]byte{}
 			for port, dst := range tc.out {
 				select {
 				case f := <-chans[port]:
 					if h, _ := pkt.Parse(f); h.DLDst != dst {
 						t.Errorf("port %d saw dl_dst %s, want %s", port, h.DLDst, dst)
 					}
-					got = append(got, f)
+					if handed := &f[0] == &frame[0]; handed != (port == tc.handed) {
+						t.Errorf("port %d got the caller's buffer: %v, want %v", port, handed, port == tc.handed)
+					}
+					got[port] = f
 				default:
 					t.Fatalf("port %d received nothing", port)
 				}
 			}
-			// Scribbling over one receiver's frame reaches neither the
-			// other receivers' nor the sender's.
-			others := make([][]byte, len(got))
-			for i, f := range got {
-				others[i] = append([]byte(nil), f...)
-			}
-			for i := range got[0] {
-				got[0][i] ^= 0xff
-			}
-			for i := 1; i < len(got); i++ {
-				if !bytes.Equal(got[i], others[i]) {
-					t.Errorf("receiver %d shares storage with receiver 0", i)
+			// Scribbling over one receiver's frame reaches no other's.
+			for port, f := range got {
+				want := map[int][]byte{}
+				for other, g := range got {
+					want[other] = append([]byte(nil), g...)
 				}
-			}
-			if !bytes.Equal(frame, orig) {
-				t.Error("a receiver shares storage with the sender's frame")
+				for i := range f {
+					f[i] ^= 0xff
+				}
+				for other, g := range got {
+					if other != port && !bytes.Equal(g, want[other]) {
+						t.Errorf("receiver %d shares storage with receiver %d", other, port)
+					}
+				}
 			}
 		})
 	}
 }
 
-// TestForwardedFrameCostsOneAllocation: through a steering rule — match,
-// one output — a frame costs the work copy and nothing else.
-func TestForwardedFrameCostsOneAllocation(t *testing.T) {
+// TestForwardedFrameAllocatesNothing: through a steered two-switch path —
+// match, tag push and output at the first switch, match, tag pop and
+// output at the second — a frame costs no allocation: it is edited in
+// place and handed on.
+func TestForwardedFrameAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s := New("s1", 42)
-	t.Cleanup(s.Stop)
-	for no := uint16(1); no <= 2; no++ {
-		if err := s.AddPort(&Port{No: no, Transmit: func([]byte) {}}); err != nil {
+	s1, s2 := New("s1", 42), New("s2", 43)
+	t.Cleanup(s1.Stop)
+	t.Cleanup(s2.Stop)
+	var delivered []byte
+	for _, p := range []struct {
+		s        *Switch
+		no       uint16
+		transmit func([]byte)
+	}{
+		{s1, 1, func([]byte) {}},
+		{s1, 2, func(f []byte) { s2.Input(1, f) }},
+		{s2, 1, func([]byte) {}},
+		{s2, 2, func(f []byte) { delivered = f }},
+	} {
+		if err := p.s.AddPort(&Port{No: p.no, Transmit: p.transmit}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	installRule(s, openflow.ActionOutput{Port: 2})
-	frame := testFrame(t, 80)
-	if n := testing.AllocsPerRun(200, func() { s.Input(1, frame) }); n > 1 {
-		t.Errorf("one forwarded frame costs %v allocations, want ≤ 1", n)
+	installRule(s1, openflow.ActionSetVLAN{VLAN: 7}, openflow.ActionOutput{Port: 2})
+	installRule(s2, openflow.ActionStripVLAN{}, openflow.ActionOutput{Port: 2})
+	// The frame has the tag room netem.Host.Send gives it. It comes back
+	// untagged in the same buffer, so the next run may send it again.
+	orig := testFrame(t, 80)
+	frame := append(make([]byte, 0, len(orig)+4), orig...)
+	if n := testing.AllocsPerRun(200, func() { s1.Input(1, frame) }); n != 0 {
+		t.Errorf("one forwarded frame costs %v allocations, want 0", n)
 	}
-	if st := s.PortStats()[1]; st.TxPackets < 200 {
-		t.Errorf("port 2 transmitted %d frames", st.TxPackets)
+	if !bytes.Equal(delivered, orig) || &delivered[0] != &frame[0] {
+		t.Errorf("delivered %x in a buffer of its own, want %x in the sent one", delivered, orig)
+	}
+	if st := s2.PortStats()[1]; st.TxPackets < 200 {
+		t.Errorf("s2 port 2 transmitted %d frames", st.TxPackets)
+	}
+}
+
+// TestFloodWhilePortsChurn: the port table is a snapshot readers load
+// without a lock, so a FLOOD from the datapath may run while AddPort and
+// RemovePort republish it. Every flood still reaches the fixed port
+// beside the in-port, intact; run it under -race.
+func TestFloodWhilePortsChurn(t *testing.T) {
+	s, chans := testSwitch(t, 2)
+	installRule(s, openflow.ActionOutput{Port: openflow.PortFlood})
+	done := make(chan struct{})
+	churned := make(chan struct{})
+	go func() {
+		defer close(churned)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			no := uint16(3 + i%8)
+			if err := s.AddPort(&Port{No: no, Transmit: func([]byte) {}}); err != nil {
+				t.Error(err)
+				return
+			}
+			s.RemovePort(no)
+		}
+	}()
+	orig := testFrame(t, 80)
+	for i := 0; i < 2000; i++ {
+		s.Input(1, append([]byte(nil), orig...))
+		f := <-chans[2]
+		if !bytes.Equal(f, orig) {
+			t.Fatalf("flood %d delivered %x, want %x", i, f, orig)
+		}
+	}
+	close(done)
+	<-churned
+	if n := s.PortCount(); n != 2 {
+		t.Errorf("%d ports after the churn, want 2", n)
 	}
 }

@@ -142,8 +142,10 @@ func ExtractFields(frame []byte, inPort uint16) (PacketFields, error) {
 	return PacketFields{InPort: inPort, Headers: h}, err
 }
 
-// Matches reports whether the fields satisfy the match.
-func (m Match) Matches(f PacketFields) bool {
+// Matches reports whether the fields satisfy the match. Both sides are
+// passed by pointer: a flow-table lookup tests one frame's fields against
+// every entry, and neither struct is copied per entry.
+func (m *Match) Matches(f *PacketFields) bool {
 	w := m.Wildcards
 	if w&WildInPort == 0 && m.InPort != f.InPort {
 		return false

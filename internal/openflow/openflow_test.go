@@ -227,22 +227,22 @@ func TestMatchExtractAndMatch(t *testing.T) {
 	if f.InPort != 5 || f.DLType != 0x0800 || f.NWProto != 17 || f.TPDst != 2000 || f.DLVLAN != VLANNone {
 		t.Fatalf("fields = %+v", f)
 	}
-	if !MatchAll().Matches(f) {
+	if all := MatchAll(); !all.Matches(&f) {
 		t.Error("wildcard match failed")
 	}
 	em := ExactMatch(f)
-	if !em.Matches(f) {
+	if !em.Matches(&f) {
 		t.Error("exact match failed against own fields")
 	}
 	// A different in_port must break the exact match.
 	f2 := f
 	f2.InPort = 6
-	if em.Matches(f2) {
+	if em.Matches(&f2) {
 		t.Error("exact match ignored in_port")
 	}
 	// Wildcarding in_port restores the match.
 	em.Wildcards |= WildInPort
-	if !em.Matches(f2) {
+	if !em.Matches(&f2) {
 		t.Error("wildcarded in_port still compared")
 	}
 }
@@ -260,11 +260,11 @@ func TestMatchVLANAndARP(t *testing.T) {
 	m := MatchAll()
 	m.Wildcards &^= WildDLVLAN
 	m.DLVLAN = 42
-	if !m.Matches(f) {
+	if !m.Matches(&f) {
 		t.Error("vlan match failed")
 	}
 	m.DLVLAN = 43
-	if m.Matches(f) {
+	if m.Matches(&f) {
 		t.Error("wrong vlan matched")
 	}
 	// ARP fields land in NW slots.
@@ -285,12 +285,12 @@ func TestMatchCIDR(t *testing.T) {
 	m.NWDst = netip.MustParseAddr("10.0.0.0")
 	frame, _ := pkt.BuildUDP(omac1, omac2, oip1, netip.MustParseAddr("10.0.0.99"), 1, 2, nil)
 	f, _ := ExtractFields(frame, 1)
-	if !m.Matches(f) {
+	if !m.Matches(&f) {
 		t.Error("CIDR /24 did not match in-subnet address")
 	}
 	frame2, _ := pkt.BuildUDP(omac1, omac2, oip1, netip.MustParseAddr("10.0.1.1"), 1, 2, nil)
 	f2, _ := ExtractFields(frame2, 1)
-	if m.Matches(f2) {
+	if m.Matches(&f2) {
 		t.Error("CIDR /24 matched out-of-subnet address")
 	}
 }
@@ -360,7 +360,7 @@ func TestQuickExactMatchReflexive(t *testing.T) {
 			return false
 		}
 		m := ExactMatch(fields)
-		return m.Matches(fields)
+		return m.Matches(&fields)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

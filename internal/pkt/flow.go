@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -116,46 +117,46 @@ func Parse(frame []byte) (Headers, error) {
 	return h, nil
 }
 
-// PushVLAN returns a copy of frame with an 802.1Q tag carrying id inserted
-// after the Ethernet header. If the frame is already tagged the existing tag
-// is rewritten instead (OpenFlow 1.0 SET_VLAN semantics).
+// PushVLAN tags frame with 802.1Q VLAN id in place and returns the
+// tagged frame. Like append, the result shares frame's storage when its
+// capacity has room for the 4-byte tag and is a fresh buffer otherwise, so
+// the caller must use the result and give up frame. If the frame is
+// already tagged only the tag's VID is rewritten, keeping its PCP and DEI
+// (OpenFlow 1.0 SET_VLAN_VID semantics).
 func PushVLAN(frame []byte, id uint16) ([]byte, error) {
 	if len(frame) < 14 {
 		return nil, ErrTooShort
 	}
-	et := uint16(frame[12])<<8 | uint16(frame[13])
-	if EtherType(et) == EtherTypeVLAN {
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		out[14] = byte(id >> 8 & 0x0f)
-		out[15] = byte(id)
-		return out, nil
+	if EtherType(binary.BigEndian.Uint16(frame[12:14])) == EtherTypeVLAN {
+		if len(frame) < 16 {
+			return nil, ErrTooShort
+		}
+		frame[14] = frame[14]&0xf0 | byte(id>>8&0x0f)
+		frame[15] = byte(id)
+		return frame, nil
 	}
-	out := make([]byte, 0, len(frame)+4)
-	out = append(out, frame[:12]...)
-	out = append(out, byte(EtherTypeVLAN>>8), byte(EtherTypeVLAN&0xff))
-	out = append(out, byte(id>>8&0x0f), byte(id))
-	out = append(out, frame[12:]...)
-	return out, nil
+	n := len(frame)
+	frame = append(frame, 0, 0, 0, 0)
+	copy(frame[16:], frame[12:n])
+	binary.BigEndian.PutUint16(frame[12:14], uint16(EtherTypeVLAN))
+	binary.BigEndian.PutUint16(frame[14:16], id&0x0fff)
+	return frame, nil
 }
 
-// PopVLAN returns a copy of frame with its outermost 802.1Q tag removed.
-// Untagged frames are returned unchanged (copied).
+// PopVLAN removes frame's outermost 802.1Q tag in place and returns the
+// shortened frame, which shares frame's storage from its first byte on: a
+// later PushVLAN grows it back into the same capacity. Untagged frames
+// are returned as they are.
 func PopVLAN(frame []byte) ([]byte, error) {
 	if len(frame) < 14 {
 		return nil, ErrTooShort
 	}
-	et := uint16(frame[12])<<8 | uint16(frame[13])
-	if EtherType(et) != EtherTypeVLAN {
-		out := make([]byte, len(frame))
-		copy(out, frame)
-		return out, nil
+	if EtherType(binary.BigEndian.Uint16(frame[12:14])) != EtherTypeVLAN {
+		return frame, nil
 	}
 	if len(frame) < 18 {
 		return nil, ErrTooShort
 	}
-	out := make([]byte, 0, len(frame)-4)
-	out = append(out, frame[:12]...)
-	out = append(out, frame[16:]...)
-	return out, nil
+	copy(frame[12:], frame[16:])
+	return frame[:len(frame)-4], nil
 }

@@ -226,6 +226,88 @@ func TestPushPopVLAN(t *testing.T) {
 	}
 }
 
+// TestSetVLANKeepsPriority: retagging a tagged frame replaces only the
+// VID (OpenFlow 1.0 SET_VLAN_VID); the PCP and DEI bits stay.
+func TestSetVLANKeepsPriority(t *testing.T) {
+	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, []byte("data"))
+	tagged, err := SerializeLayers(
+		&Ethernet{Src: mac1, Dst: mac2, EtherType: EtherTypeVLAN},
+		&VLAN{Priority: 5, DropElig: true, ID: 42, EtherType: EtherTypeIPv4},
+		Raw(frame[14:]),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retag, err := PushVLAN(tagged, 0x123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, ok := Decode(retag).Layer(LayerTypeVLAN).(*VLAN)
+	if !ok || v.ID != 0x123 || v.Priority != 5 || !v.DropElig {
+		t.Fatalf("retagged frame carries %+v, want VID 0x123, PCP 5, DEI set", v)
+	}
+}
+
+// TestVLANPushPopInPlace pins the append-like contract: with tag room in
+// its capacity a frame is tagged and untagged in its own buffer, however
+// often, and a pop keeps the buffer's front so the next push fits again.
+func TestVLANPushPopInPlace(t *testing.T) {
+	orig, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, make([]byte, 1400))
+	frame := append(make([]byte, 0, len(orig)+4), orig...)
+	for i := 0; i < 3; i++ {
+		tagged, err := PushVLAN(frame, uint16(10+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &tagged[0] != &frame[0] || len(tagged) != len(orig)+4 {
+			t.Fatalf("round %d: push moved the frame or grew it to %d bytes", i, len(tagged))
+		}
+		if h, _ := Parse(tagged); h.DLVLAN != uint16(10+i) || h.L3 != 18 {
+			t.Fatalf("round %d: tagged headers %+v", i, h)
+		}
+		popped, err := PopVLAN(tagged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &popped[0] != &frame[0] || cap(popped) != cap(frame) || !bytes.Equal(popped, orig) {
+			t.Fatalf("round %d: pop gave %d/%d bytes in another place or changed them", i, len(popped), cap(popped))
+		}
+		frame = popped
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		tagged, _ := PushVLAN(frame, 7)
+		frame, _ = PopVLAN(tagged)
+	}); n != 0 {
+		t.Errorf("a tag push and pop cost %v allocations, want 0", n)
+	}
+}
+
+// TestPushVLANWithoutRoomCopies: a frame with no spare capacity is tagged
+// in a fresh buffer, as append grows, and the original stays as it was.
+func TestPushVLANWithoutRoomCopies(t *testing.T) {
+	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, []byte("data"))
+	frame = frame[:len(frame):len(frame)]
+	orig := append([]byte(nil), frame...)
+	tagged, err := PushVLAN(frame, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, orig) {
+		t.Error("push into a full buffer changed the original")
+	}
+	if h, _ := Parse(tagged); h.DLVLAN != 9 {
+		t.Errorf("tagged headers %+v", h)
+	}
+	for _, short := range [][]byte{orig[:13], {0: 0, 12: 0x81, 13: 0x00}} {
+		if _, err := PushVLAN(short, 1); err == nil {
+			t.Errorf("push on a %d-byte frame succeeded", len(short))
+		}
+	}
+}
+
 func TestDecodeTruncated(t *testing.T) {
 	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, []byte("0123456789"))
 	for _, cut := range []int{1, 10, 15, 22, 35} {
