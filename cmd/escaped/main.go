@@ -41,7 +41,7 @@ func main() {
 		rate       = flag.Float64("rate", 50, "per-tenant request rate limit (req/s, 0 = off)")
 		burst      = flag.Float64("burst", 100, "per-tenant rate-limit burst")
 		workers    = flag.Int("reconcile-workers", 4, "concurrent reconcile actions")
-		resync     = flag.Duration("resync", 2*time.Second, "full reconciliation resync period")
+		resync     = flag.Duration("resync", 2*time.Second, "period of the reconciler's orphan sweep")
 		ees        = flag.Int("ees", 2, "embedded topology: number of VNF containers")
 		eeCPU      = flag.Float64("ee-cpu", 8, "CPU capacity per EE")
 		eeMem      = flag.Int("ee-mem", 4096, "memory capacity per EE (MB)")

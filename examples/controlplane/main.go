@@ -151,9 +151,8 @@ func main() {
 	defer s2.crash()
 	n, torn := s2.store.Replayed()
 	fmt.Printf("replayed %d WAL records (torn tail: %v)\n", n, torn)
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) && !s2.rec.Backend.Running("acme/web") {
-		time.Sleep(10 * time.Millisecond)
+	if !s2.rec.Await(60*time.Second, func() bool { return s2.rec.Backend.Running("acme/web") }) {
+		log.Fatal("acme/web not running again within 60s of the restart")
 	}
 	fp2 := s2.env.View.Fingerprint()
 	fmt.Printf("acme/web running again; fingerprint match after recovery: %v\n", fp == fp2)

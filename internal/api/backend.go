@@ -16,7 +16,7 @@ import (
 
 // Backend is the slice of an orchestrator the control plane needs: the
 // reconciler deploys and undeploys through it and probes actual state
-// with Running/Deployed, and reacts to its lifecycle events.
+// with Running/Deployed, and reacts to its lifecycle transitions.
 type Backend interface {
 	// Deploy realizes a service graph end to end.
 	Deploy(g *sg.Graph) error
@@ -31,10 +31,11 @@ type Backend interface {
 	// Services lists deployed service names (the reconciler's orphan
 	// sweep walks it).
 	Services() []string
-	// Subscribe streams lifecycle events, so the reconciler reacts to
-	// drift (e.g. a heal that gave up) without waiting for the next
-	// resync. The returned func cancels the stream.
-	Subscribe(buf int) (<-chan core.Event, func())
+	// OnTransition calls fn on every lifecycle transition, so the
+	// reconciler reacts to drift (e.g. a heal that gave up) as it
+	// happens. fn must not block (see core.Orchestrator.OnTransition).
+	// The returned func cancels the registration.
+	OnTransition(fn func(core.Event)) (cancel func())
 }
 
 // CoreBackend adapts *core.Orchestrator.
@@ -58,6 +59,4 @@ func (b *CoreBackend) Running(name string) bool {
 
 func (b *CoreBackend) Services() []string { return b.Orch.Services() }
 
-func (b *CoreBackend) Subscribe(buf int) (<-chan core.Event, func()) {
-	return b.Orch.Subscribe(buf)
-}
+func (b *CoreBackend) OnTransition(fn func(core.Event)) func() { return b.Orch.OnTransition(fn) }

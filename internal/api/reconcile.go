@@ -16,12 +16,14 @@ import (
 // idempotent, so duplicate enqueues are harmless. At most one worker
 // touches a given intent at a time (keyed in-flight map); an enqueue
 // that lands mid-run marks the intent for a re-run instead of racing.
-// Drift is detected two ways: lifecycle events from the backend
-// enqueue the affected service immediately, and a periodic resync —
-// one reused Ticker, not a timer per iteration — re-enqueues
-// everything and sweeps orphaned backend services whose intent is
-// gone. Every finished run closes the settle channel, which
-// is what Await blocks on instead of a clock.
+// Drift wakes it: the backend calls back on every lifecycle transition,
+// and a transition of a tenant-owned service enqueues that service.
+// Enqueue is a set insert plus a one-slot kick, so no transition is
+// lost however far the workers lag: any number of transitions of one
+// service coalesce into one run, which reads the current state. A
+// periodic sweep — one reused Ticker — enqueues orphaned backend
+// services whose intent is gone. Every finished run closes the settle
+// channel, which is what Await blocks on instead of a clock.
 type Reconciler struct {
 	Store   *Store
 	Backend Backend
@@ -31,7 +33,7 @@ type Reconciler struct {
 	// crash-recovery test pins it to 1 for a deterministic replay
 	// order.
 	Workers int
-	// Resync is the full re-enqueue period (default 2s).
+	// Resync is the orphan-sweep period (default 2s).
 	Resync time.Duration
 	// Backoff is the base retry delay after a failed action; it doubles
 	// per consecutive failure up to 32x (default 50ms).
@@ -49,12 +51,14 @@ type Reconciler struct {
 	// after every reconcile run; nil while nobody waits.
 	settled chan struct{}
 
-	kick chan struct{}
-	stop chan struct{}
-	wg   sync.WaitGroup
+	kick       chan struct{}
+	stop       chan struct{}
+	wg         sync.WaitGroup
+	unregister func()
 }
 
-// Start launches the workers, the resync loop and the drift watcher.
+// Start launches the workers and the orphan sweep, registers for the
+// backend's transitions and enqueues every stored intent.
 func (r *Reconciler) Start() {
 	if r.Workers <= 0 {
 		r.Workers = 4
@@ -86,10 +90,14 @@ func (r *Reconciler) Start() {
 	}
 	r.wg.Add(1)
 	go r.resyncLoop()
-	events, cancel := r.Backend.Subscribe(256)
-	r.wg.Add(1)
-	go r.driftLoop(events, cancel)
-	r.EnqueueAll()
+	r.unregister = r.Backend.OnTransition(func(ev core.Event) {
+		if TenantOf(ev.Service) != "" {
+			r.Enqueue(ev.Service)
+		}
+	})
+	for _, in := range r.Store.Intents("") {
+		r.Enqueue(in.ID)
+	}
 }
 
 // Stop halts the controller; in-flight actions finish first.
@@ -101,6 +109,7 @@ func (r *Reconciler) Stop() {
 	}
 	r.stopped = true
 	r.mu.Unlock()
+	r.unregister()
 	close(r.stop)
 	r.wg.Wait()
 }
@@ -131,13 +140,6 @@ func (r *Reconciler) Enqueue(id string) {
 	}
 }
 
-// EnqueueAll schedules every stored intent.
-func (r *Reconciler) EnqueueAll() {
-	for _, in := range r.Store.Intents("") {
-		r.Enqueue(in.ID)
-	}
-}
-
 // LastError reports the most recent reconcile failure for an intent
 // ("" when the last action succeeded).
 func (r *Reconciler) LastError(id string) string {
@@ -149,7 +151,7 @@ func (r *Reconciler) LastError(id string) string {
 // Await blocks until cond holds or the timeout passes, reporting
 // whether it held. cond is re-checked after every reconcile run, so it
 // should read state that runs follow: the store, LastError, or the
-// backend, whose lifecycle events and the resync both enqueue runs.
+// backend, whose lifecycle transitions enqueue runs.
 func (r *Reconciler) Await(timeout time.Duration, cond func() bool) bool {
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
@@ -247,8 +249,10 @@ func (r *Reconciler) worker() {
 	}
 }
 
-// resyncLoop periodically re-enqueues all intents and sweeps orphaned
-// tenant services. One Ticker for the life of the loop.
+// resyncLoop periodically sweeps orphaned tenant services: a backend
+// service with a tenant prefix but no intent must go (its intent was
+// deleted and forgotten, or predates a store wipe). One Ticker for the
+// life of the loop.
 func (r *Reconciler) resyncLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.Resync)
@@ -258,36 +262,10 @@ func (r *Reconciler) resyncLoop() {
 		case <-r.stop:
 			return
 		case <-tick.C:
-			r.EnqueueAll()
-			// Orphan sweep: a backend service with a tenant prefix but no
-			// intent must go (its intent was deleted and forgotten, or
-			// predates a store wipe).
 			for _, name := range r.Backend.Services() {
 				if TenantOf(name) != "" && r.Store.Intent(name) == nil {
 					r.Enqueue(name)
 				}
-			}
-		}
-	}
-}
-
-// driftLoop reacts to backend lifecycle events: any transition of a
-// tenant-owned service re-evaluates its intent, so failures (a heal
-// that gave up, a deploy cancelled by shutdown) are retried without
-// waiting for resync, and convergence is observed promptly.
-func (r *Reconciler) driftLoop(events <-chan core.Event, cancel func()) {
-	defer r.wg.Done()
-	defer cancel()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case ev, ok := <-events:
-			if !ok {
-				return
-			}
-			if TenantOf(ev.Service) != "" {
-				r.Enqueue(ev.Service)
 			}
 		}
 	}
@@ -322,11 +300,15 @@ func (r *Reconciler) converged(id string) {
 	}
 }
 
-// failed records a reconcile error and schedules the retry.
+// failed records a reconcile error and schedules the retry. The failed
+// action's own transitions (a deploy's Pending→Failed) marked the intent
+// for a re-run; the backoff retry replaces that re-run, or every failure
+// would retry at once.
 func (r *Reconciler) failed(id string, err error) {
 	r.Metrics.ReconcileErrors.Add(1)
 	r.mu.Lock()
 	r.lastErr[id] = err.Error()
+	delete(r.rerun, id)
 	r.mu.Unlock()
 	r.Log.Warn("reconcile failed", "intent", id, "err", err)
 	r.requeueAfter(id, r.backoffDelay(id))

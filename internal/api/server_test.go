@@ -19,34 +19,73 @@ import (
 )
 
 // fakeBackend converges instantly: Deploy marks the service running.
+// Like core, it announces the transitions it makes — Running after a
+// deploy, Failed after a failed one, Removed after an undeploy — to
+// every OnTransition callback, so drift made through it wakes the
+// reconciler directly.
 type fakeBackend struct {
 	mu      sync.Mutex
 	running map[string]bool
 	deploys int
 	failing bool
+
+	fnMu   sync.Mutex
+	fns    map[int]func(core.Event)
+	nextFn int
 }
 
-func newFakeBackend() *fakeBackend { return &fakeBackend{running: map[string]bool{}} }
+func newFakeBackend() *fakeBackend {
+	return &fakeBackend{running: map[string]bool{}, fns: map[int]func(core.Event){}}
+}
 
 func (b *fakeBackend) Deploy(g *sg.Graph) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.deploys++
 	if b.failing {
+		b.mu.Unlock()
+		b.announce(g.Name, core.StateFailed)
 		return fmt.Errorf("fake: substrate down")
 	}
 	b.running[g.Name] = true
+	b.mu.Unlock()
+	b.announce(g.Name, core.StateRunning)
 	return nil
 }
 
 func (b *fakeBackend) Undeploy(name string) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
 	if !b.running[name] {
+		b.mu.Unlock()
 		return fmt.Errorf("fake: %q not deployed", name)
 	}
 	delete(b.running, name)
+	b.mu.Unlock()
+	b.announce(name, core.StateRemoved)
 	return nil
+}
+
+// announce calls every registered callback, under fnMu as core calls
+// them under its subscriber lock.
+func (b *fakeBackend) announce(name string, st core.ServiceState) {
+	ev := core.Event{Service: name, State: st, Time: time.Now()}
+	b.fnMu.Lock()
+	defer b.fnMu.Unlock()
+	for _, fn := range b.fns {
+		fn(ev)
+	}
+}
+
+func (b *fakeBackend) OnTransition(fn func(core.Event)) func() {
+	b.fnMu.Lock()
+	defer b.fnMu.Unlock()
+	id := b.nextFn
+	b.nextFn++
+	b.fns[id] = fn
+	return func() {
+		b.fnMu.Lock()
+		defer b.fnMu.Unlock()
+		delete(b.fns, id)
+	}
 }
 
 func (b *fakeBackend) Deployed(name string) bool { return b.Running(name) }
@@ -67,9 +106,6 @@ func (b *fakeBackend) Services() []string {
 	sort.Strings(out)
 	return out
 }
-
-// Subscribe publishes nothing: drift over the fake is found by resync.
-func (b *fakeBackend) Subscribe(int) (<-chan core.Event, func()) { return nil, func() {} }
 
 func (b *fakeBackend) deployCount() int {
 	b.mu.Lock()
@@ -298,8 +334,8 @@ func (pendingBackend) Undeploy(string) error  { return nil }
 func (pendingBackend) Deployed(string) bool   { return false }
 func (pendingBackend) Running(string) bool    { return false }
 func (pendingBackend) Services() []string     { return nil }
-func (pendingBackend) Subscribe(int) (<-chan core.Event, func()) {
-	return nil, func() {}
+func (pendingBackend) OnTransition(func(core.Event)) func() {
+	return func() {}
 }
 
 // TestWaitedPOSTReleasesQueueSlot pins the cross-tenant starvation
@@ -481,13 +517,13 @@ func TestReconcilerRetriesAndDriftRepair(t *testing.T) {
 		t.Fatal("reconciler never converged after substrate recovered")
 	}
 
-	// Drift: the service vanishes out from under the controller; the
-	// resync loop redeploys it.
-	fb.mu.Lock()
-	delete(fb.running, "acme/web")
-	fb.mu.Unlock()
+	// Drift: the service is torn down under the controller; its Removed
+	// transition wakes the reconciler, which redeploys it.
+	if err := fb.Undeploy("acme/web"); err != nil {
+		t.Fatal(err)
+	}
 	if !rec.Await(5*time.Second, running("acme/web")) {
-		t.Fatal("drift not repaired by resync")
+		t.Fatal("drift not repaired")
 	}
 
 	// Orphan: a tenant-prefixed service with no intent is swept.

@@ -37,11 +37,10 @@ func TestWaitedPOSTReturnsOnSettle(t *testing.T) {
 }
 
 // healBackend is a fakeBackend whose services can be put into a heal
-// (deployed but not running) and whose lifecycle events the test emits
-// by hand, the way core publishes them.
+// (deployed but not running), announcing Healing and Running the way
+// core does.
 type healBackend struct {
 	*fakeBackend
-	events chan core.Event
 
 	mu      sync.Mutex
 	healing map[string]bool
@@ -61,7 +60,7 @@ func (b *healBackend) setHealing(name string, on bool) {
 	if on {
 		st = core.StateHealing
 	}
-	b.events <- core.Event{Service: name, State: st, Time: time.Now()}
+	b.announce(name, st)
 }
 
 func (b *healBackend) Deployed(name string) bool {
@@ -72,12 +71,10 @@ func (b *healBackend) Running(name string) bool {
 	return b.fakeBackend.Running(name) && !b.isHealing(name)
 }
 
-func (b *healBackend) Subscribe(int) (<-chan core.Event, func()) { return b.events, func() {} }
-
 // TestAwaitWakesOnDrift pins that a heal-driven Healing→Running
-// transition wakes a waiter with no new POST: the lifecycle event
-// reaches driftLoop, which enqueues a run whose settle wakes Await.
-// Resync and backoff are an hour, so nothing else could.
+// transition wakes a waiter with no new POST: the backend's transition
+// callback enqueues a run whose settle wakes Await. Resync and backoff
+// are an hour, so nothing else could.
 func TestAwaitWakesOnDrift(t *testing.T) {
 	store, err := OpenStore(t.TempDir())
 	if err != nil {
@@ -96,7 +93,7 @@ func TestAwaitWakesOnDrift(t *testing.T) {
 	if _, _, err := store.UpsertIntent(in, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	hb := &healBackend{fakeBackend: newFakeBackend(), events: make(chan core.Event, 8), healing: map[string]bool{}}
+	hb := &healBackend{fakeBackend: newFakeBackend(), healing: map[string]bool{}}
 	rec := &Reconciler{Store: store, Backend: hb, Workers: 1, Resync: time.Hour, Backoff: time.Hour, Log: discardLog()}
 	rec.Start()
 	t.Cleanup(rec.Stop)

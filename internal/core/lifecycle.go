@@ -115,14 +115,13 @@ func (svc *Service) Err() error {
 	return svc.lc.err
 }
 
-// setState advances a service's state machine and notifies the
-// orchestrator's subscribers. Illegal transitions are refused (the state
-// machine never goes backwards) and reported as false — currently
-// informational only: Heal and Undeploy serialize on svc.opMu rather
-// than racing this edge. Delivery happens under subMu: sends are
-// non-blocking, and holding the lock is what makes a concurrent cancel
-// unable to interleave between snapshot and send — the
-// send-on-closed-channel race.
+// setState advances a service's state machine and calls the
+// orchestrator's transition callbacks. Illegal transitions are refused
+// (the state machine never goes backwards) and reported as false —
+// currently informational only: Heal and Undeploy serialize on
+// svc.opMu rather than racing this edge. Callbacks run under subMu, so
+// a concurrent cancel cannot interleave with a delivery: once cancel
+// returns, its callback is never called again.
 func (o *Orchestrator) setState(svc *Service, to ServiceState, cause error) bool {
 	svc.lc.mu.Lock()
 	if !canTransition(svc.lc.state, to) {
@@ -137,36 +136,61 @@ func (o *Orchestrator) setState(svc *Service, to ServiceState, cause error) bool
 	svc.lc.mu.Unlock()
 
 	o.subMu.Lock()
-	for _, ch := range o.subs {
-		select {
-		case ch <- ev:
-		default: // subscriber stopped draining; drop rather than block deploys
-		}
+	for _, fn := range o.subs {
+		fn(ev)
 	}
 	o.subMu.Unlock()
 	return true
 }
 
+// OnTransition registers fn to be called with every lifecycle
+// transition of every service, synchronously, on the goroutine that
+// made the transition, and returns a cancel function. fn must not block
+// and must not call OnTransition or a cancel function: it runs under
+// the orchestrator's subscriber lock, in the deploy's own path. The
+// intended shape is a wake: mark the service dirty, poke a one-slot
+// channel, and let the consumer read current state (Service.State) when
+// it gets round to it — no transition can be lost that way, however far
+// the consumer lags. Cancel is idempotent.
+func (o *Orchestrator) OnTransition(fn func(Event)) (cancel func()) {
+	id := o.addSub(fn)
+	return func() { o.dropSub(id) }
+}
+
 // Subscribe returns a channel receiving every lifecycle event of every
 // service (buffered with buf slots, minimum minSubBuffer) and a cancel
 // function that unsubscribes and closes it. Events are dropped, never
-// blocked on, when the subscriber lags.
+// blocked on, when the subscriber lags; a consumer that must not miss a
+// change uses OnTransition and reads state instead.
 func (o *Orchestrator) Subscribe(buf int) (<-chan Event, func()) {
-	if buf < minSubBuffer {
-		buf = minSubBuffer
-	}
-	ch := make(chan Event, buf)
-	o.subMu.Lock()
-	id := o.nextSub
-	o.nextSub++
-	o.subs[id] = ch
-	o.subMu.Unlock()
+	ch := make(chan Event, max(buf, minSubBuffer))
+	id := o.addSub(func(ev Event) {
+		select {
+		case ch <- ev:
+		default:
+		}
+	})
 	return ch, func() {
-		o.subMu.Lock()
-		if _, ok := o.subs[id]; ok {
-			delete(o.subs, id)
+		if o.dropSub(id) {
 			close(ch)
 		}
-		o.subMu.Unlock()
 	}
+}
+
+func (o *Orchestrator) addSub(fn func(Event)) int {
+	o.subMu.Lock()
+	defer o.subMu.Unlock()
+	id := o.nextSub
+	o.nextSub++
+	o.subs[id] = fn
+	return id
+}
+
+// dropSub removes a callback, reporting whether it was registered.
+func (o *Orchestrator) dropSub(id int) bool {
+	o.subMu.Lock()
+	defer o.subMu.Unlock()
+	_, ok := o.subs[id]
+	delete(o.subs, id)
+	return ok
 }

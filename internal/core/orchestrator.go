@@ -50,7 +50,7 @@ type Orchestrator struct {
 	services map[string]*Service
 
 	subMu   sync.Mutex
-	subs    map[int]chan Event
+	subs    map[int]func(Event)
 	nextSub int
 
 	// closing flips once on Shutdown: new operations fail fast and
@@ -111,7 +111,7 @@ func New(cfg Config) (*Orchestrator, error) {
 		cfg:      cfg,
 		pools:    map[string]*vnfagent.Pool{},
 		services: map[string]*Service{},
-		subs:     map[int]chan Event{},
+		subs:     map[int]func(Event){},
 	}, nil
 }
 

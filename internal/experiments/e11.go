@@ -154,7 +154,7 @@ func E11SelfHealing(kills []int, chainLen, conc int) (*Table, error) {
 			chainLen, conc),
 		Columns: []string{"fault", "kills", "detect_ms", "heal_p50_ms", "heal_p95_ms", "moved_nfs", "sent_pkts", "lost_pkts", "healed_pkts"},
 		Notes: []string{
-			"detect_ms: injection → detector event (worst case over kills); heal latency: Healing → Running per affected service",
+			"detect_ms: injection → detector transition (worst case over kills); heal latency: Healing → Running per affected service",
 			"lost_pkts: sent minus delivered over the whole run — bounded by the detection+healing window",
 			"healed_pkts: steered-flow counter delta after healing, proving the migrated chain forwards",
 		},
@@ -329,11 +329,16 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 	// Wall-clock measurement window: a pre-fault traffic baseline.
 	time.Sleep(20 * time.Millisecond)
 
-	// Subscribe before injecting, so no heal transition is missed. A lost
-	// event could be the last one the wait needs, so the buffer holds a
-	// Healing→Running pair per service for several retried heals.
-	events, unsubscribe := env.Orch.Subscribe(16 * conc)
-	defer unsubscribe()
+	// Register before injecting: every transition pokes a one-slot wake,
+	// and the wait re-reads every service, so none can be missed.
+	wake := make(chan struct{}, 1)
+	cancel := env.Orch.OnTransition(func(core.Event) {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
+	})
+	defer cancel()
 	injected := map[string]time.Time{}
 	var linkInject time.Time
 	victims := map[string]bool{}
@@ -354,12 +359,12 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 		env.Net.FindLink("s1", "s2").Fail()
 	}
 
-	// Wait for complete healing, re-checking on every lifecycle event.
+	// Wait for complete healing, re-checking after every transition.
 	deadline := time.NewTimer(e11HealTimeout)
 	defer deadline.Stop()
 	for !e11Healed(svcs, fault, victims) {
 		select {
-		case <-events:
+		case <-wake:
 		case <-deadline.C:
 			states := map[string]string{}
 			for _, svc := range svcs {

@@ -23,56 +23,6 @@ import (
 	"escape/internal/vnfagent"
 )
 
-// FaultKind classifies a detector event.
-type FaultKind int
-
-// Fault kinds.
-const (
-	// EEDown: an execution environment stopped answering its NETCONF
-	// liveness probes (crashed container or dead agent).
-	EEDown FaultKind = iota
-	// EEUp: a down EE answers probes again.
-	EEUp
-	// LinkDown: a switch-to-switch link lost carrier (PORT_STATUS).
-	LinkDown
-	// LinkUp: a down link's carrier returned.
-	LinkUp
-	// Resweep is not a detected fault: it labels heal records produced
-	// by the healer's safety re-sweeps (periodic, or on a service
-	// reaching Running while faults are active) rather than by a
-	// specific detector event.
-	Resweep
-)
-
-// String implements fmt.Stringer.
-func (k FaultKind) String() string {
-	switch k {
-	case EEDown:
-		return "ee-down"
-	case EEUp:
-		return "ee-up"
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case Resweep:
-		return "re-sweep"
-	}
-	return "unknown"
-}
-
-// Fault is one detected substrate state change.
-type Fault struct {
-	Kind FaultKind
-	// EE names the container (EEDown/EEUp).
-	EE string
-	// A, B name the link's switches (LinkDown/LinkUp), in sorted order.
-	A, B string
-	// Time is the detection timestamp: E11's detection-latency metric is
-	// Time minus the injection instant.
-	Time time.Time
-}
-
 // DetectorConfig wires a Detector to the substrate it watches.
 type DetectorConfig struct {
 	// View resolves dpids and link endpoints.
@@ -93,13 +43,16 @@ type DetectorConfig struct {
 	FailThreshold int
 }
 
-// Detector watches EE liveness and link state and publishes Fault events.
-// Register it with the pox controller to receive PORT_STATUS events, and
-// Start it to begin NETCONF probing.
+// Detector watches EE liveness and link state. Its down-state maps are
+// the truth: every transition pokes Changed, and the reader re-reads
+// them (EEIsDown, LinkIsDown) rather than consuming a message per
+// fault, so a burst of transitions coalesces into one wake and none is
+// lost. Register it with the pox controller to receive PORT_STATUS
+// events, and Start it to begin NETCONF probing.
 type Detector struct {
 	cfg DetectorConfig
 
-	events chan Fault
+	changed chan struct{}
 
 	mu         sync.Mutex
 	eeDown     map[string]bool
@@ -110,7 +63,6 @@ type Detector struct {
 	stopCh     chan struct{}
 	stopped    bool
 	wg         sync.WaitGroup
-	dropped    int
 }
 
 // NewDetector builds a detector over a resource view and agent map.
@@ -126,7 +78,7 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	}
 	d := &Detector{
 		cfg:        cfg,
-		events:     make(chan Fault, 1024),
+		changed:    make(chan struct{}, 1),
 		eeDown:     map[string]bool{},
 		eeDownAt:   map[string]time.Time{},
 		linkDown:   map[[2]string]bool{},
@@ -143,8 +95,21 @@ func NewDetector(cfg DetectorConfig) *Detector {
 // ComponentName implements pox.Component.
 func (*Detector) ComponentName() string { return "failure-detector" }
 
-// Events returns the fault stream. It is closed by Stop.
-func (d *Detector) Events() <-chan Fault { return d.events }
+// Changed returns a one-slot channel that receives after a down-state
+// transition, coalescing with any wake still pending. Stop closes it.
+func (d *Detector) Changed() <-chan struct{} { return d.changed }
+
+// changedLocked pokes Changed; d.mu is held, which orders it against
+// Stop's close.
+func (d *Detector) changedLocked() {
+	if d.stopped {
+		return
+	}
+	select {
+	case d.changed <- struct{}{}:
+	default: // a wake is pending; its reader will see this change too
+	}
+}
 
 // EEIsDown reports the detector's current belief about one EE.
 func (d *Detector) EEIsDown(ee string) bool {
@@ -162,8 +127,8 @@ func (d *Detector) LinkIsDown(a, b string) bool {
 
 // EEDownSince returns the detection timestamp of an EE's current down
 // state (false when the EE is not considered down). Experiments measure
-// detection latency from it — exact even when the triggering fault
-// event produced no heal record.
+// detection latency from it — exact even when one sweep healed this
+// fault together with others.
 func (d *Detector) EEDownSince(ee string) (time.Time, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -198,10 +163,10 @@ func (d *Detector) Start() {
 	}
 }
 
-// Stop halts probing and closes the event stream. The stream close
-// happens under the same lock emit sends under: a PORT_STATUS delivered
-// by the pox read loop concurrently with Stop either lands before the
-// close or is discarded — never a send on a closed channel.
+// Stop halts probing and closes Changed. The close happens under the
+// lock every poke is made under: a PORT_STATUS delivered by the pox
+// read loop concurrently with Stop either pokes before the close or
+// not at all.
 func (d *Detector) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -209,30 +174,10 @@ func (d *Detector) Stop() {
 		return
 	}
 	d.stopped = true
+	close(d.changed)
 	d.mu.Unlock()
 	close(d.stopCh)
 	d.wg.Wait()
-	d.mu.Lock()
-	close(d.events)
-	d.mu.Unlock()
-}
-
-// emit publishes a fault; a saturated subscriber just drops it — the
-// healer re-reads detector state on every sweep, so a lost duplicate is
-// harmless (drops are counted for tests). Sends happen under d.mu so
-// Stop's channel close cannot interleave.
-func (d *Detector) emit(f Fault) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.stopped {
-		d.dropped++
-		return
-	}
-	select {
-	case d.events <- f:
-	default:
-		d.dropped++
-	}
 }
 
 // probeLoop probes one EE's agent over NETCONF: getVNFInfo doubles as
@@ -281,14 +226,11 @@ func (d *Detector) probeLoop(ee, addr string) {
 		if ok {
 			strikes = 0
 			d.mu.Lock()
-			wasDown := d.eeDown[ee]
-			if wasDown {
+			if d.eeDown[ee] {
 				d.eeDown[ee] = false
+				d.changedLocked()
 			}
 			d.mu.Unlock()
-			if wasDown {
-				d.emit(Fault{Kind: EEUp, EE: ee, Time: time.Now()})
-			}
 			continue
 		}
 		strikes++
@@ -297,15 +239,12 @@ func (d *Detector) probeLoop(ee, addr string) {
 		}
 		now := time.Now()
 		d.mu.Lock()
-		wasDown := d.eeDown[ee]
-		if !wasDown {
+		if !d.eeDown[ee] {
 			d.eeDown[ee] = true
 			d.eeDownAt[ee] = now
+			d.changedLocked()
 		}
 		d.mu.Unlock()
-		if !wasDown {
-			d.emit(Fault{Kind: EEDown, EE: ee, Time: now})
-		}
 	}
 }
 
@@ -353,22 +292,14 @@ func (d *Detector) HandlePortStatus(c *pox.Connection, ps *openflow.PortStatus) 
 	down := ps.Desc.LinkDown()
 	now := time.Now()
 	d.mu.Lock()
-	changed := d.linkDown[key] != down
-	if changed {
+	if d.linkDown[key] != down {
 		d.linkDown[key] = down
 		if down {
 			d.linkDownAt[key] = now
 		}
+		d.changedLocked()
 	}
 	d.mu.Unlock()
-	if !changed {
-		return
-	}
-	kind := LinkUp
-	if down {
-		kind = LinkDown
-	}
-	d.emit(Fault{Kind: kind, A: key[0], B: key[1], Time: now})
 }
 
 // linkAt resolves (switch, port) to the inter-switch resource link using

@@ -10,10 +10,8 @@ import (
 // HealRecord documents one healing attempt on one service.
 type HealRecord struct {
 	Service string
-	// Fault is the event that triggered the attempt.
-	Fault Fault
 	// Start/End bound the healing transaction; End-Start is the healing
-	// latency E11 reports, Fault.Time-injection the detection latency.
+	// latency E11 reports.
 	Start, End time.Time
 	// Moved maps migrated NF ids to their new EEs.
 	Moved map[string]string
@@ -31,14 +29,15 @@ type HealerConfig struct {
 	// View is masked on failures (ExcludeEE/ExcludeLink) so future
 	// admissions avoid dead resources, and unmasked on recovery.
 	View *core.ResourceView
-	// Detector supplies fault events and the current down-state the
-	// remap excludes.
+	// Detector supplies the current down-state the remap excludes, and
+	// wakes the healer when it changes.
 	Detector *Detector
 }
 
-// Healer is the healing controller: it subscribes to the orchestrator's
-// lifecycle events and the detector's fault stream, and drives every
-// affected Running service through Healing back to Running.
+// Healer is the healing controller: woken by the detector's Changed and
+// by services reaching Running, it re-reads the detector's down-state
+// and drives every affected Running service through Healing back to
+// Running.
 type Healer struct {
 	cfg HealerConfig
 
@@ -57,46 +56,37 @@ func NewHealer(cfg HealerConfig) *Healer {
 	return &Healer{cfg: cfg, done: make(chan struct{})}
 }
 
-// resweepInterval paces the safety re-sweep while faults are active.
-const resweepInterval = 200 * time.Millisecond
-
-// Run consumes faults until the detector's event stream closes
-// (Detector.Stop). The orchestrator subscription covers the race where a
-// service maps onto an EE in the instant before its failure is masked:
-// when such a service reaches Running during an active fault, the
-// Running event triggers a re-sweep. Because that subscription is lossy
-// under churn (setState drops events for laggards, and Run is busy
-// inside sweeps), a periodic safety re-sweep runs as long as any fault
-// is active — no affected service can stay stranded on a dead resource
-// behind a dropped event.
+// Run heals until the detector stops (Detector.Stop closes Changed).
+// It wakes on two one-slot channels: the detector's Changed, and its
+// own, which an OnTransition callback pokes whenever a service reaches
+// Running — that covers a service mapped onto an EE in the instant
+// before the EE's failure was masked. Each wake aligns the view's masks
+// with the detector and, while any fault is active, sweeps. A wake
+// reads current state and pokes coalesce, so changes that land while a
+// sweep runs leave one wake pending and none is lost.
 func (h *Healer) Run() {
-	orchEvents, cancel := h.cfg.Orch.Subscribe(256)
-	defer cancel()
 	defer close(h.done)
-	ticker := time.NewTicker(resweepInterval)
-	defer ticker.Stop()
+	running := make(chan struct{}, 1)
+	cancel := h.cfg.Orch.OnTransition(func(ev core.Event) {
+		if ev.State == core.StateRunning {
+			select {
+			case running <- struct{}{}:
+			default:
+			}
+		}
+	})
+	defer cancel()
 	for {
 		select {
-		case f, ok := <-h.cfg.Detector.Events():
+		case _, ok := <-h.cfg.Detector.Changed():
 			if !ok {
 				return
 			}
-			h.handleFault(f)
-		case ev, ok := <-orchEvents:
-			if !ok {
-				return
-			}
-			if ev.State == core.StateRunning && h.anyFaultActive() {
-				h.sweep(Fault{Kind: Resweep, Time: time.Now()})
-			}
-		case <-ticker.C:
-			// Masks and heals both re-derive from detector state here, so
-			// a fault event lost to the (bounded) stream can strand
-			// neither a masked-out healthy EE nor an affected service.
-			h.reconcileMasks()
-			if h.anyFaultActive() {
-				h.sweep(Fault{Kind: Resweep, Time: time.Now()})
-			}
+		case <-running:
+		}
+		h.reconcileMasks()
+		if h.anyFaultActive() {
+			h.sweep()
 		}
 		h.mu.Lock()
 		if h.settled != nil {
@@ -108,10 +98,9 @@ func (h *Healer) Run() {
 }
 
 // reconcileMasks aligns the view's exclusion masks with the detector's
-// current belief. The event-driven path (handleFault) reacts instantly;
-// this periodic pass is the lossless backstop — in particular a dropped
-// EEUp/LinkUp event must not leave a healthy resource masked out of
-// admission forever.
+// current belief: masked while down, unmasked once back. It is the only
+// path that masks or unmasks, so a recovery can never leave a healthy
+// resource masked out of admission.
 func (h *Healer) reconcileMasks() {
 	d := h.cfg.Detector
 	for ee := range d.cfg.Agents {
@@ -143,7 +132,8 @@ func (h *Healer) Records() []HealRecord {
 // WaitIdle blocks until no Running/Healing service is affected by the
 // currently-detected faults, or the timeout elapses. Returns true when
 // the system quiesced. The condition is re-checked after every Run loop
-// iteration: each fault, lifecycle event and resweep tick ends one.
+// iteration: each detector change and each service reaching Running
+// ends one.
 func (h *Healer) WaitIdle(timeout time.Duration) bool {
 	idle := func() bool {
 		return len(h.cfg.Orch.AffectedServices(h.cfg.Detector.EEIsDown, h.cfg.Detector.LinkIsDown)) == 0
@@ -189,26 +179,10 @@ func (h *Healer) anyFaultActive() bool {
 	return false
 }
 
-// handleFault masks/unmasks the view and heals on down events.
-func (h *Healer) handleFault(f Fault) {
-	switch f.Kind {
-	case EEDown:
-		h.cfg.View.ExcludeEE(f.EE)
-		h.sweep(f)
-	case EEUp:
-		h.cfg.View.UnexcludeEE(f.EE)
-	case LinkDown:
-		h.cfg.View.ExcludeLink(f.A, f.B)
-		h.sweep(f)
-	case LinkUp:
-		h.cfg.View.UnexcludeLink(f.A, f.B)
-	}
-}
-
 // sweep heals every service the currently-down resources touch, in
 // parallel, and records the outcomes. The down-predicates re-read the
 // detector, so one sweep also covers faults that arrived while it ran.
-func (h *Healer) sweep(trigger Fault) {
+func (h *Healer) sweep() {
 	eeDown := h.cfg.Detector.EEIsDown
 	linkDown := h.cfg.Detector.LinkIsDown
 	affected := h.cfg.Orch.AffectedServices(eeDown, linkDown)
@@ -221,7 +195,6 @@ func (h *Healer) sweep(trigger Fault) {
 			report, err := h.cfg.Orch.Heal(name, eeDown, linkDown)
 			rec := HealRecord{
 				Service: name,
-				Fault:   trigger,
 				Start:   start,
 				End:     time.Now(),
 				Err:     err,

@@ -51,7 +51,7 @@ func startResilient(t *testing.T, spec core.TopoSpec) (*core.Environment, *Detec
 	healer := NewHealer(HealerConfig{Orch: env.Orch, View: env.View, Detector: det})
 	go healer.Run()
 	t.Cleanup(func() {
-		det.Stop() // closes the event stream, which ends healer.Run
+		det.Stop() // closes Changed, which ends healer.Run
 		<-healer.Done()
 	})
 	return env, det, healer
