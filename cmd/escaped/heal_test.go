@@ -1,0 +1,292 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"escape/internal/core"
+	"escape/internal/netem"
+	"escape/internal/pkt"
+	"escape/internal/sg"
+)
+
+// healBound is how long the daemon may take, with no client request, to
+// bring an intent back to Running after a fault (or to give up on it).
+const healBound = 5 * time.Second
+
+// triangle is three switches in a ring — every single trunk failure
+// leaves a detour — with one EE per switch and a host pair on s1 and s2.
+func triangle() core.TopoSpec {
+	return core.TopoSpec{
+		Switches: []string{"s1", "s2", "s3"},
+		Hosts:    map[string]string{"h1": "s1", "h2": "s2"},
+		EEs: map[string]core.EESpec{
+			"ee1": {Switch: "s1", CPU: 4, Mem: 2048},
+			"ee2": {Switch: "s2", CPU: 4, Mem: 2048},
+			"ee3": {Switch: "s3", CPU: 4, Mem: 2048},
+		},
+		Trunks: []core.TrunkSpec{{A: "s1", B: "s2"}, {A: "s1", B: "s3"}, {A: "s2", B: "s3"}},
+	}
+}
+
+// healFixture is a daemon over spec behind a test HTTP server, with a
+// tenant "acme" whose intent "web" (h1 → monitor → monitor → h2) is
+// Running.
+type healFixture struct {
+	t     *testing.T
+	d     *daemon
+	url   string
+	token string
+}
+
+const webID = "acme/web"
+
+func startHealFixture(t *testing.T, spec core.TopoSpec) *healFixture {
+	t.Helper()
+	d, err := startDaemon(spec, daemonConfig{
+		dataDir:    t.TempDir(),
+		adminToken: "root",
+		queueSlots: 8,
+		workers:    2,
+		resync:     2 * time.Second,
+		log:        slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.close)
+	ts := httptest.NewServer(d.handler)
+	t.Cleanup(ts.Close)
+	f := &healFixture{t: t, d: d, url: ts.URL}
+
+	var tenant struct{ Token string }
+	f.do("POST", "/v1/tenants", "root", map[string]any{"name": "acme"}, http.StatusCreated, &tenant)
+	f.token = tenant.Token
+
+	g := sg.NewChainGraph("web", "monitor", "monitor")
+	g.SAPs[0].ID, g.SAPs[1].ID = "h1", "h2"
+	g.Links[0].Src.Node = "h1"
+	g.Links[len(g.Links)-1].Dst.Node = "h2"
+	raw, err := g.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st intentState
+	f.do("POST", "/v1/intents?wait=30s", f.token, map[string]json.RawMessage{"graph": raw}, http.StatusOK, &st)
+	if !st.Running {
+		t.Fatalf("intent not running after a waited POST: %+v", st)
+	}
+	return f
+}
+
+// intentState is the part of GET /v1/intents/{service} these tests read.
+type intentState struct {
+	Running   bool   `json:"running"`
+	LastError string `json:"last_error"`
+}
+
+// do sends one JSON request and decodes the reply into out.
+func (f *healFixture) do(method, path, token string, body any, wantCode int, out any) {
+	f.t.Helper()
+	var rd io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			f.t.Fatal(err)
+		}
+		rd = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, f.url+path, rd)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != wantCode {
+		f.t.Fatalf("%s %s: %d %s, want %d", method, path, resp.StatusCode, raw, wantCode)
+	}
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			f.t.Fatalf("%s %s: %v in %s", method, path, err, raw)
+		}
+	}
+}
+
+// intent reads the intent's status over the API.
+func (f *healFixture) intent() intentState {
+	f.t.Helper()
+	var st intentState
+	f.do("GET", "/v1/intents/web", f.token, nil, http.StatusOK, &st)
+	return st
+}
+
+// metric reads one sample of the daemon's /metrics exposition.
+func (f *healFixture) metric(name string) float64 {
+	f.t.Helper()
+	resp, err := http.Get(f.url + "/metrics")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	for _, line := range strings.Split(string(raw), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				f.t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	f.t.Fatalf("metric %s missing from:\n%s", name, raw)
+	return 0
+}
+
+// awaitHealed waits, with no client request, until the intent reads
+// Running with no last_error over the API and its service is clear of
+// the fault; then it checks that a frame crosses the chain end to end.
+func (f *healFixture) awaitHealed(clear func(*core.Service) bool) {
+	f.t.Helper()
+	start := time.Now()
+	if !f.d.rec.Await(healBound, func() bool {
+		svc := f.d.env.Orch.Service(webID)
+		return svc != nil && svc.State() == core.StateRunning && clear(svc) && f.d.rec.LastError(webID) == ""
+	}) {
+		state := "not deployed"
+		if svc := f.d.env.Orch.Service(webID); svc != nil {
+			state = fmt.Sprintf("%s placements=%v routes=%v", svc.State(), svc.Placements(), svc.Routes())
+		}
+		f.t.Fatalf("intent not healed within %v: %s, last_error %q", healBound, state, f.d.rec.LastError(webID))
+	}
+	if st := f.intent(); !st.Running || st.LastError != "" {
+		f.t.Fatalf("healed intent reads %+v over the API", st)
+	}
+	if !pump(f.t, f.d.env, "healed", healBound-time.Since(start)) {
+		f.t.Fatalf("no frame crossed the healed chain within %v of the fault", healBound)
+	}
+	if n := f.metric("escaped_heals_total"); n < 1 {
+		f.t.Errorf("escaped_heals_total = %v after a heal, want ≥ 1", n)
+	}
+}
+
+// TestDaemonHealsEECrash: crashing the EE that hosts the intent's first
+// NF moves the NF off it, and the chain carries traffic again.
+func TestDaemonHealsEECrash(t *testing.T) {
+	f := startHealFixture(t, triangle())
+	victim := f.d.env.Orch.Service(webID).Placements()["nf1"]
+	f.d.env.Net.Node(victim).(*netem.EE).Crash()
+	f.awaitHealed(func(svc *core.Service) bool {
+		for _, ee := range svc.Placements() {
+			if ee == victim {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// TestDaemonHealsTrunkFailure: failing a trunk the intent's routes cross
+// re-routes them over the detour.
+func TestDaemonHealsTrunkFailure(t *testing.T) {
+	f := startHealFixture(t, triangle())
+	var a, b string
+	for _, route := range f.d.env.Orch.Service(webID).Routes() {
+		if len(route) > 1 {
+			a, b = route[0], route[1]
+			break
+		}
+	}
+	if a == "" {
+		t.Fatal("a chain from s1 to s2 crosses no trunk")
+	}
+	f.d.env.Net.FindLink(a, b).Fail()
+	f.awaitHealed(func(svc *core.Service) bool {
+		for _, route := range svc.Routes() {
+			for i := 0; i+1 < len(route); i++ {
+				if route[i] == a && route[i+1] == b || route[i] == b && route[i+1] == a {
+					return false
+				}
+			}
+		}
+		return true
+	})
+}
+
+// TestDaemonHealFailsThenRedeploys: with one EE and no room elsewhere, a
+// crash leaves the intent down with a heal: error and the substrate
+// exactly restored; once the EE restarts, the intent runs again with no
+// client request.
+func TestDaemonHealFailsThenRedeploys(t *testing.T) {
+	spec := triangle()
+	spec.EEs = map[string]core.EESpec{"ee1": {Switch: "s1", CPU: 4, Mem: 2048}}
+	f := startHealFixture(t, spec)
+	ee := f.d.env.Net.Node("ee1").(*netem.EE)
+	ee.Crash()
+	// The redeploy retries that follow overwrite last_error, so the
+	// heal's own error is read at the run that reported it.
+	if !f.d.rec.Await(healBound, func() bool {
+		return strings.HasPrefix(f.d.rec.LastError(webID), "heal:")
+	}) {
+		t.Fatalf("no heal: error within %v; last_error %q", healBound, f.d.rec.LastError(webID))
+	}
+	if st := f.intent(); st.Running || st.LastError == "" {
+		t.Errorf("unhealable intent reads %+v over the API, want not running with an error", st)
+	}
+	if n := f.metric("escaped_heal_failures_total"); n < 1 {
+		t.Errorf("escaped_heal_failures_total = %v after a heal gave up, want ≥ 1", n)
+	}
+	if n := f.d.env.Steering.ActivePaths(); n != 0 {
+		t.Errorf("%d steering paths left after the heal gave up", n)
+	}
+	if cpu, mem := f.d.env.View.Committed("ee1"); cpu != 0 || mem != 0 {
+		t.Errorf("ee1 still committed %v cpu / %d mem after the heal gave up", cpu, mem)
+	}
+
+	ee.Restart()
+	if !f.d.rec.Await(healBound, func() bool {
+		return f.d.rec.Backend.Running(webID) && f.d.rec.LastError(webID) == ""
+	}) {
+		t.Fatalf("intent not running within %v of the EE's restart; last_error %q", healBound, f.d.rec.LastError(webID))
+	}
+	if st := f.intent(); !st.Running || st.LastError != "" {
+		t.Fatalf("redeployed intent reads %+v over the API", st)
+	}
+}
+
+// pump sends UDP frames h1→h2 until one arrives or timeout passes.
+func pump(t *testing.T, env *core.Environment, payload string, timeout time.Duration) bool {
+	t.Helper()
+	h1, h2 := env.Host("h1"), env.Host("h2")
+	h2.SetAutoRespond(false)
+	frame, err := pkt.BuildUDP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 7000, 7001, []byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		h1.Send(frame)
+		select {
+		case rx := <-h2.Recv():
+			dec := pkt.Decode(rx.Frame)
+			if u, ok := dec.Layer(pkt.LayerTypeUDP).(*pkt.UDP); ok && string(u.Payload()) == payload {
+				return true
+			}
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	return false
+}

@@ -6,6 +6,13 @@
 // acked; on restart the daemon replays the log and the reconciliation
 // controller re-admits every surviving intent into a fresh substrate.
 //
+// The daemon heals: a failure detector probes every EE over NETCONF and
+// hears link state over OpenFlow PORT_STATUS, masks what fails out of
+// the resource view, and wakes the reconciler, which moves each Running
+// intent off the masked EEs and links. An intent that cannot be healed
+// is torn down, reports why in last_error, and is redeployed once
+// capacity returns.
+//
 // Quick start:
 //
 //	escaped -listen 127.0.0.1:8642 -data /var/lib/escaped -admin-token root
@@ -30,6 +37,7 @@ import (
 	"escape/internal/api"
 	"escape/internal/catalog"
 	"escape/internal/core"
+	"escape/internal/resilience"
 )
 
 func main() {
@@ -54,56 +62,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	env, err := core.StartEnvironment(daemonTopo(*ees, *eeCPU, *eeMem, *hosts))
-	if err != nil {
-		log.Error("starting environment", "err", err)
-		os.Exit(1)
-	}
-	defer env.Close()
-
-	gate := api.NewQuotaGate()
-	env.View.SetCommitGate(gate)
-
-	store, err := api.OpenStore(*dataDir)
-	if err != nil {
-		log.Error("opening store", "err", err)
-		os.Exit(1)
-	}
-	defer store.Close()
-	metrics := &api.Metrics{}
-	if n, torn := store.Replayed(); n > 0 || torn {
-		metrics.RecoveredRecords.Store(uint64(n))
-		log.Info("recovered durable state", "wal_records", n, "torn_tail_dropped", torn,
-			"intents", len(store.Intents("")), "tenants", len(store.Tenants()))
-	}
-
-	backend := &api.CoreBackend{Orch: env.Orch}
-	rec := &api.Reconciler{
-		Store:   store,
-		Backend: backend,
-		Metrics: metrics,
-		Log:     log,
-		Workers: *workers,
-		Resync:  *resync,
-	}
-	// NewServer seeds the quota gate with the stored tenants; the
-	// reconciler must not admit replayed intents before that.
-	srv := api.NewServer(api.ServerConfig{
-		Store:      store,
-		Backend:    backend,
-		Reconciler: rec,
-		Gate:       gate,
-		Metrics:    metrics,
-		Catalog:    catalog.Default(),
-		AdminToken: *adminToken,
-		QueueSlots: *queueSlots,
-		Rate:       *rate,
-		Burst:      *burst,
-		Log:        log,
+	d, err := startDaemon(daemonTopo(*ees, *eeCPU, *eeMem, *hosts), daemonConfig{
+		dataDir:    *dataDir,
+		adminToken: *adminToken,
+		queueSlots: *queueSlots,
+		rate:       *rate,
+		burst:      *burst,
+		workers:    *workers,
+		resync:     *resync,
+		log:        log,
 	})
-	rec.Start()
-	defer rec.Stop()
-	httpSrv := newHTTPServer(*listen, srv.Handler())
+	if err != nil {
+		log.Error("starting", "err", err)
+		os.Exit(1)
+	}
+	defer d.close()
+	httpSrv := newHTTPServer(*listen, d.handler)
 
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.ListenAndServe() }()
@@ -117,16 +91,107 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		httpSrv.Shutdown(ctx)
 		cancel()
-		rec.Stop()
-		if err := store.Snapshot(); err != nil {
-			log.Warn("final snapshot failed", "err", err)
-		}
 	case err := <-done:
 		if !errors.Is(err, http.ErrServerClosed) {
 			log.Error("http server", "err", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// daemonConfig is what the flags set beside the topology.
+type daemonConfig struct {
+	dataDir, adminToken string
+	queueSlots          int
+	rate, burst         float64
+	workers             int
+	resync              time.Duration
+	log                 *slog.Logger
+}
+
+// daemon is the running control plane: an embedded environment, the
+// durable store, the failure detector, the reconciler and the API.
+type daemon struct {
+	env     *core.Environment
+	store   *api.Store
+	det     *resilience.Detector
+	rec     *api.Reconciler
+	handler http.Handler
+}
+
+// startDaemon wires the control plane over spec in dependency order —
+// environment, store, detector, reconciler, server — and starts the
+// detector and the reconciler.
+func startDaemon(spec core.TopoSpec, cfg daemonConfig) (*daemon, error) {
+	env, err := core.StartEnvironment(spec)
+	if err != nil {
+		return nil, fmt.Errorf("starting environment: %w", err)
+	}
+	gate := api.NewQuotaGate()
+	env.View.SetCommitGate(gate)
+
+	store, err := api.OpenStore(cfg.dataDir)
+	if err != nil {
+		env.Close()
+		return nil, fmt.Errorf("opening store: %w", err)
+	}
+	metrics := &api.Metrics{}
+	if n, torn := store.Replayed(); n > 0 || torn {
+		metrics.RecoveredRecords.Store(uint64(n))
+		cfg.log.Info("recovered durable state", "wal_records", n, "torn_tail_dropped", torn,
+			"intents", len(store.Intents("")), "tenants", len(store.Tenants()))
+	}
+
+	agents := map[string]string{}
+	for name, a := range env.Agents {
+		agents[name] = a.Addr()
+	}
+	det := resilience.NewDetector(resilience.DetectorConfig{View: env.View, Agents: agents})
+	env.Ctrl.Register(det)
+	det.Start()
+
+	backend := &api.CoreBackend{Orch: env.Orch}
+	rec := &api.Reconciler{
+		Store:   store,
+		Backend: backend,
+		Metrics: metrics,
+		Log:     cfg.log,
+		Faults:  det.Changed(),
+		Workers: cfg.workers,
+		Resync:  cfg.resync,
+	}
+	// NewServer seeds the quota gate with the stored tenants; the
+	// reconciler must not admit replayed intents before that.
+	srv := api.NewServer(api.ServerConfig{
+		Store:      store,
+		Backend:    backend,
+		Reconciler: rec,
+		Gate:       gate,
+		Metrics:    metrics,
+		Catalog:    catalog.Default(),
+		AdminToken: cfg.adminToken,
+		QueueSlots: cfg.queueSlots,
+		Rate:       cfg.rate,
+		Burst:      cfg.burst,
+		Log:        cfg.log,
+	})
+	rec.Start()
+	return &daemon{env: env, store: store, det: det, rec: rec, handler: srv.Handler()}, nil
+}
+
+// close stops the reconciler (in-flight actions finish), then the
+// detector — before the environment, whose agents dying at shutdown
+// would otherwise read as EE crashes and start heals on a closing
+// substrate — and writes a final snapshot before closing the store and
+// the environment.
+func (d *daemon) close() {
+	d.rec.Stop()
+	d.det.Stop()
+	if err := d.store.Snapshot(); err != nil {
+		d.rec.Log.Warn("final snapshot failed", "err", err)
+	}
+	d.store.Close()
+	d.env.Close()
 }
 
 // Limits of the public listener. A peer has readHeaderTimeout to send

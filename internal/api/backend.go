@@ -15,8 +15,8 @@ import (
 )
 
 // Backend is the slice of an orchestrator the control plane needs: the
-// reconciler deploys and undeploys through it and probes actual state
-// with Running/Deployed, and reacts to its lifecycle transitions.
+// reconciler deploys, heals and undeploys through it, probes actual
+// state with Running/Deployed, and reacts to its lifecycle transitions.
 type Backend interface {
 	// Deploy realizes a service graph end to end.
 	Deploy(g *sg.Graph) error
@@ -28,13 +28,19 @@ type Backend interface {
 	Deployed(name string) bool
 	// Running reports whether the service is fully up and steered.
 	Running(name string) bool
+	// Heal moves a Running service off the EEs and links its substrate
+	// has masked as failed, and does nothing to a service that touches
+	// none. A heal that gives up leaves the service Failed and
+	// unregistered, and returns why.
+	Heal(name string) error
 	// Services lists deployed service names (the reconciler's orphan
 	// sweep walks it).
 	Services() []string
 	// OnTransition calls fn on every lifecycle transition, so the
-	// reconciler reacts to drift (e.g. a heal that gave up) as it
-	// happens. fn must not block (see core.Orchestrator.OnTransition).
-	// The returned func cancels the registration.
+	// reconciler reacts to drift (a heal's Healing and Running, a heal
+	// that gave up and left the service Failed) as it happens. fn must
+	// not block (see core.Orchestrator.OnTransition). The returned func
+	// cancels the registration.
 	OnTransition(fn func(core.Event)) (cancel func())
 }
 
@@ -55,6 +61,11 @@ func (b *CoreBackend) Deployed(name string) bool { return b.Orch.Service(name) !
 func (b *CoreBackend) Running(name string) bool {
 	svc := b.Orch.Service(name)
 	return svc != nil && svc.State() == core.StateRunning
+}
+
+func (b *CoreBackend) Heal(name string) error {
+	_, err := b.Orch.Heal(name)
+	return err
 }
 
 func (b *CoreBackend) Services() []string { return b.Orch.Services() }

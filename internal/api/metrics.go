@@ -24,8 +24,10 @@ type Metrics struct {
 
 	ReconcileRuns    atomic.Uint64 // reconcile attempts (deploy/undeploy actions)
 	ReconcileErrors  atomic.Uint64
-	ReconcileLagNS   atomic.Int64 // last intent-update→converged latency
-	ReconcileBacklog atomic.Int64 // intents currently out of convergence
+	ReconcileLagNS   atomic.Int64  // last intent-update→converged latency
+	ReconcileBacklog atomic.Int64  // intents currently out of convergence
+	Heals            atomic.Uint64 // services that entered Healing
+	HealFailures     atomic.Uint64 // heals that gave up (service Failed)
 
 	RecoveredRecords atomic.Uint64 // WAL records replayed at boot
 }
@@ -58,6 +60,8 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 		{"escaped_reconcile_errors_total", "reconcile actions that failed", m.ReconcileErrors.Load()},
 		{"escaped_reconcile_lag_seconds", "latest intent-to-converged latency", float64(m.ReconcileLagNS.Load()) / 1e9},
 		{"escaped_reconcile_backlog", "intents not yet converged", m.ReconcileBacklog.Load()},
+		{"escaped_heals_total", "services that entered Healing after a substrate fault", m.Heals.Load()},
+		{"escaped_heal_failures_total", "heals that gave up and left the service Failed", m.HealFailures.Load()},
 		{"escaped_recovered_wal_records", "WAL records replayed at startup", m.RecoveredRecords.Load()},
 	}
 	for _, r := range rows {

@@ -20,6 +20,8 @@ func TestMetricsExposition(t *testing.T) {
 		"escaped_quota_rejections_total":        "counter",
 		"escaped_reconcile_runs_total":          "counter",
 		"escaped_reconcile_errors_total":        "counter",
+		"escaped_heals_total":                   "counter",
+		"escaped_heal_failures_total":           "counter",
 		"escaped_queue_depth":                   "gauge",
 		"escaped_reconcile_lag_seconds":         "gauge",
 		"escaped_reconcile_backlog":             "gauge",
@@ -28,6 +30,8 @@ func TestMetricsExposition(t *testing.T) {
 	var m Metrics
 	m.RequestsTotal.Add(7)
 	m.QueueDepth.Store(3)
+	m.Heals.Add(2)
+	m.HealFailures.Add(1)
 	var buf bytes.Buffer
 	if _, err := m.WriteTo(&buf); err != nil {
 		t.Fatal(err)
@@ -61,7 +65,9 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metric %s is exposed but not listed in this test", name)
 		}
 	}
-	if !strings.Contains(buf.String(), "\nescaped_requests_total 7\n") || !strings.Contains(buf.String(), "\nescaped_queue_depth 3\n") {
-		t.Errorf("values missing from the exposition:\n%s", buf.String())
+	for _, sample := range []string{"escaped_requests_total 7", "escaped_queue_depth 3", "escaped_heals_total 2", "escaped_heal_failures_total 1"} {
+		if !strings.Contains(buf.String(), "\n"+sample+"\n") {
+			t.Errorf("sample %q missing from the exposition:\n%s", sample, buf.String())
+		}
 	}
 }

@@ -18,17 +18,25 @@ import (
 // that lands mid-run marks the intent for a re-run instead of racing.
 // Drift wakes it: the backend calls back on every lifecycle transition,
 // and a transition of a tenant-owned service enqueues that service.
-// Enqueue is a set insert plus a one-slot kick, so no transition is
-// lost however far the workers lag: any number of transitions of one
-// service coalesce into one run, which reads the current state. A
-// periodic sweep — one reused Ticker — enqueues orphaned backend
-// services whose intent is gone. Every finished run closes the settle
-// channel, which is what Await blocks on instead of a clock.
+// Faults wake it too: each receive from Faults enqueues every stored
+// intent, so that a Running service on a newly masked EE or link heals
+// and a Failed one retries as soon as capacity returns. Enqueue is a
+// set insert plus a one-slot kick, so no transition is lost however
+// far the workers lag: any number of transitions of one service
+// coalesce into one run, which reads the current state. A periodic
+// sweep — one reused Ticker — enqueues orphaned backend services whose
+// intent is gone. Every finished run closes the settle channel, which
+// is what Await blocks on instead of a clock.
 type Reconciler struct {
 	Store   *Store
 	Backend Backend
 	Metrics *Metrics
 	Log     *slog.Logger
+	// Faults wakes the reconciler after a substrate fault or recovery
+	// changed the backend's masks (resilience.Detector.Changed); nil when
+	// nothing watches the substrate. Its close is not an error: the
+	// reconciler just stops listening.
+	Faults <-chan struct{}
 	// Workers bounds concurrent reconcile actions (default 4). The
 	// crash-recovery test pins it to 1 for a deterministic replay
 	// order.
@@ -91,10 +99,19 @@ func (r *Reconciler) Start() {
 	r.wg.Add(1)
 	go r.resyncLoop()
 	r.unregister = r.Backend.OnTransition(func(ev core.Event) {
-		if TenantOf(ev.Service) != "" {
-			r.Enqueue(ev.Service)
+		if TenantOf(ev.Service) == "" {
+			return
 		}
+		if ev.State == core.StateHealing {
+			r.Metrics.Heals.Add(1)
+		}
+		r.Enqueue(ev.Service)
 	})
+	r.enqueueAll()
+}
+
+// enqueueAll schedules every stored intent.
+func (r *Reconciler) enqueueAll() {
 	for _, in := range r.Store.Intents("") {
 		r.Enqueue(in.ID)
 	}
@@ -252,15 +269,23 @@ func (r *Reconciler) worker() {
 // resyncLoop periodically sweeps orphaned tenant services: a backend
 // service with a tenant prefix but no intent must go (its intent was
 // deleted and forgotten, or predates a store wipe). One Ticker for the
-// life of the loop.
+// life of the loop. It also turns each Faults wake into a run of every
+// intent.
 func (r *Reconciler) resyncLoop() {
 	defer r.wg.Done()
 	tick := time.NewTicker(r.Resync)
 	defer tick.Stop()
+	faults := r.Faults
 	for {
 		select {
 		case <-r.stop:
 			return
+		case _, ok := <-faults:
+			if !ok {
+				faults = nil // closed: a nil channel is never ready
+				continue
+			}
+			r.enqueueAll()
 		case <-tick.C:
 			for _, name := range r.Backend.Services() {
 				if TenantOf(name) != "" && r.Store.Intent(name) == nil {
@@ -345,8 +370,16 @@ func (r *Reconciler) reconcileOne(id string) {
 		return
 	}
 
-	// Desired: run.
+	// Desired: run. A Running service touching a masked EE or link is
+	// drift too: Heal moves it off them (and is a no-op otherwise). A
+	// heal that gave up left the service Failed and unregistered, so the
+	// backoff retry is an ordinary redeploy around the masks.
 	if running {
+		if err := r.Backend.Heal(id); err != nil {
+			r.Metrics.HealFailures.Add(1)
+			r.failed(id, fmt.Errorf("heal: %w", err))
+			return
+		}
 		r.converged(id)
 		return
 	}

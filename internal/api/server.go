@@ -363,19 +363,12 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	service := g.Name
-	g.Name = ServiceName(t.Name, service)
-	canon, err := g.ToJSON()
+	in, err := NewIntent(t.Name, g)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	_, canonRaw, hash, err := CanonicalGraph(canon)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	id := g.Name
+	id, hash := in.ID, in.Hash
 
 	// Idempotency fast path: the same desired graph is acknowledged, not
 	// re-admitted — no second intent, no second quota reservation. The
@@ -398,14 +391,6 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 		return
 	}
 
-	in := &Intent{
-		ID:      id,
-		Tenant:  t.Name,
-		Service: service,
-		Graph:   canonRaw,
-		Hash:    hash,
-		Desired: DesiredRun,
-	}
 	stored, idem, err := s.cfg.Store.UpsertIntent(in, time.Now())
 	if errors.Is(err, ErrIntentConflict) {
 		// A concurrent POST of a different graph won the race for the ID.

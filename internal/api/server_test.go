@@ -88,6 +88,9 @@ func (b *fakeBackend) OnTransition(fn func(core.Event)) func() {
 	}
 }
 
+// Heal finds nothing to heal: the fake has no substrate to fail.
+func (b *fakeBackend) Heal(string) error { return nil }
+
 func (b *fakeBackend) Deployed(name string) bool { return b.Running(name) }
 
 func (b *fakeBackend) Running(name string) bool {
@@ -333,6 +336,7 @@ func (pendingBackend) Deploy(*sg.Graph) error { return nil }
 func (pendingBackend) Undeploy(string) error  { return nil }
 func (pendingBackend) Deployed(string) bool   { return false }
 func (pendingBackend) Running(string) bool    { return false }
+func (pendingBackend) Heal(string) error      { return nil }
 func (pendingBackend) Services() []string     { return nil }
 func (pendingBackend) OnTransition(func(core.Event)) func() {
 	return func() {}

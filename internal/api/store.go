@@ -72,6 +72,23 @@ func CanonicalGraph(raw []byte) (*sg.Graph, json.RawMessage, string, error) {
 	return g, canon, hex.EncodeToString(sum[:]), nil
 }
 
+// NewIntent builds a tenant's intent to run g, renaming g to its
+// backend service name (ServiceName(tenant, g.Name)), which is the
+// intent's ID.
+func NewIntent(tenant string, g *sg.Graph) (*Intent, error) {
+	service := g.Name
+	g.Name = ServiceName(tenant, service)
+	raw, err := g.ToJSON()
+	if err != nil {
+		return nil, err
+	}
+	_, canon, hash, err := CanonicalGraph(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &Intent{ID: g.Name, Tenant: tenant, Service: service, Graph: canon, Hash: hash, Desired: DesiredRun}, nil
+}
+
 // walRecord is one append-only log entry. Exactly one of the payload
 // fields is set, selected by Op.
 type walRecord struct {

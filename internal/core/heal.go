@@ -218,22 +218,26 @@ type HealReport struct {
 }
 
 // Heal runs the self-healing transaction for one Running service hit by
-// a substrate failure: Running → Healing, delta re-map with the failed
-// EEs/links excluded (AdmitHeal), migration of only the affected NFs
-// (initiate/connect/start on the new EEs; untouched NFs keep their
-// placement and flows), atomic re-steering of the changed paths (batched
-// remove+install per switch, stitch tags preserved), then back to
-// Running.
+// a substrate failure, which the view's exclusion masks record
+// (ExcludedEE, ExcludedLink): Running → Healing, delta re-map with the
+// masked EEs/links excluded (AdmitHeal), migration of only the affected
+// NFs (initiate/connect/start on the new EEs; untouched NFs keep their
+// placement and flows), atomic re-steering of the changed paths
+// (batched remove+install per switch, stitch tags preserved), then back
+// to Running. A service whose mapping touches no masked resource is
+// left alone: Heal returns (nil, nil) after one walk over the mapping,
+// without serializing against the service's other operations.
 //
 // Migration races detection: a chosen target EE may itself have just
-// died without the detector knowing yet. A migration failure therefore
-// marks its target as down and re-plans, up to one attempt per EE; only
-// when no feasible re-mapping exists — or every retry is exhausted — is
-// the service torn down to Failed with the cause.
+// died before its mask landed. A migration failure therefore treats its
+// target as down for the rest of the transaction and re-plans, up to
+// one attempt per EE; only when no feasible re-mapping exists — or
+// every retry is exhausted — is the service torn down to Failed with
+// the cause.
 //
 // Heal and Undeploy serialize per service, so a service can never be
 // torn down mid-migration.
-func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealReport, error) {
+func (o *Orchestrator) Heal(name string) (*HealReport, error) {
 	if err := o.beginOp(); err != nil {
 		return nil, err
 	}
@@ -241,6 +245,10 @@ func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func
 	svc := o.Service(name)
 	if svc == nil {
 		return nil, fmt.Errorf("core: service %q not deployed", name)
+	}
+	view := o.cfg.View
+	if m := svc.mapping(); m == nil || !touchesMasked(view, m) {
+		return nil, nil
 	}
 	svc.opMu.Lock()
 	defer svc.opMu.Unlock()
@@ -251,9 +259,9 @@ func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func
 	current := svc.mapping()
 
 	// alsoDown accumulates EEs that refused a migration this transaction
-	// (crashed after the last detector verdict): re-plans exclude them.
+	// (crashed before their mask landed): re-plans exclude them.
 	alsoDown := map[string]bool{}
-	down := func(ee string) bool { return eeDown(ee) || alsoDown[ee] }
+	down := func(ee string) bool { return view.ExcludedEE(ee) || alsoDown[ee] }
 
 	totalMoved := map[string]string{}
 	rerouted := map[string]bool{}
@@ -297,9 +305,9 @@ func (o *Orchestrator) Heal(name string, eeDown func(string) bool, linkDown func
 		cleanupReplaced()
 		return nil, err
 	}
-	maxAttempts := len(o.cfg.View.EEs) + 1
+	maxAttempts := len(view.EEs) + 1
 	for attempt := 0; ; attempt++ {
-		plan, err := o.cfg.View.AdmitHeal(current, down, linkDown)
+		plan, err := view.AdmitHeal(current, down, view.ExcludedLink)
 		if err != nil {
 			// No feasible healing: the service cannot keep running.
 			return fail(fmt.Errorf("core: healing %q: %w", name, err))
@@ -444,46 +452,20 @@ func (m *Mapping) WithPlan(plan *HealPlan) *Mapping {
 	return nm
 }
 
-// AffectedServices lists (sorted) the Running or Healing services whose
-// current mapping touches a failed EE or routes across a failed link:
-// the healing controller's work list.
-func (o *Orchestrator) AffectedServices(eeDown func(string) bool, linkDown func(a, b string) bool) []string {
-	o.mu.Lock()
-	svcs := make([]*Service, 0, len(o.services))
-	for _, svc := range o.services {
-		svcs = append(svcs, svc)
-	}
-	o.mu.Unlock()
-	var out []string
-	for _, svc := range svcs {
-		if st := svc.State(); st != StateRunning && st != StateHealing {
-			continue
-		}
-		m := svc.mapping()
-		if m == nil {
-			continue
-		}
-		hit := false
-		for _, ee := range m.Placements {
-			if eeDown(ee) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			for _, route := range m.Routes {
-				for i := 0; i+1 < len(route) && !hit; i++ {
-					hit = linkDown(route[i], route[i+1])
-				}
-				if hit {
-					break
-				}
-			}
-		}
-		if hit {
-			out = append(out, svc.Name)
+// touchesMasked reports whether a mapping places an NF on a masked EE
+// or routes across a masked link.
+func touchesMasked(view *ResourceView, m *Mapping) bool {
+	for _, ee := range m.Placements {
+		if view.ExcludedEE(ee) {
+			return true
 		}
 	}
-	sort.Strings(out)
-	return out
+	for _, route := range m.Routes {
+		for i := 0; i+1 < len(route); i++ {
+			if view.ExcludedLink(route[i], route[i+1]) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -204,7 +204,6 @@ func TestChurnRestoresInventory(t *testing.T) {
 	clients := agentClients(t, env)
 	failing := failingAgents(t, env)
 	before := takeInventory(t, env, clients)
-	noLinkDown := func(a, b string) bool { return false }
 
 	for i := range cycles {
 		name := fmt.Sprintf("churn%d", i)
@@ -220,7 +219,8 @@ func TestChurnRestoresInventory(t *testing.T) {
 			}
 			victim := svc.Placements()["nf1"]
 			env.Net.Node(victim).(*netem.EE).Crash()
-			rep, err := env.Orch.Heal(name, func(ee string) bool { return ee == victim }, noLinkDown)
+			env.View.ExcludeEE(victim)
+			rep, err := env.Orch.Heal(name)
 			if err != nil {
 				t.Fatalf("cycle %d: heal: %v", i, err)
 			}
@@ -231,6 +231,7 @@ func TestChurnRestoresInventory(t *testing.T) {
 				t.Fatalf("cycle %d: %v", i, err)
 			}
 			env.Net.Node(victim).(*netem.EE).Restart()
+			env.View.UnexcludeEE(victim)
 		default:
 			if _, err := env.Orch.Deploy(spreadChain(name)); err != nil {
 				t.Fatalf("cycle %d: %v", i, err)

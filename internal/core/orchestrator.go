@@ -160,7 +160,7 @@ type DeployedNF struct {
 // Mapping, NFs and PhaseDurations are safe to read once the service has
 // left the corresponding phase (Deploy returns a fully Running service);
 // note that healing replaces Mapping and the affected NFs entries — use
-// Placements/Routes for a race-free snapshot while healers may run.
+// Placements/Routes for a race-free snapshot while a heal may run.
 type Service struct {
 	Name  string
 	Graph *sg.Graph
@@ -211,7 +211,7 @@ func (svc *Service) Placements() map[string]string {
 
 // Routes snapshots the current SG-link→switch-route assignment (nil
 // until Mapped); healing may re-route, so use this instead of reading
-// Mapping.Routes while a healer runs.
+// Mapping.Routes while a heal may run.
 func (svc *Service) Routes() map[string][]string {
 	m := svc.mapping()
 	if m == nil {

@@ -236,10 +236,11 @@ func (rv *ResourceView) Epoch() uint64 {
 
 // ExcludeEE masks an EE out of the view: mapping and healing treat it as
 // gone until UnexcludeEE. Idempotent (a no-op publishes no epoch). Mask
-// ownership: when a resilience healer is attached to this view, it
-// continuously reconciles the masks with its failure detector's belief —
-// masks set by other callers (e.g. a manual drain) will be reverted
-// unless the detector also considers the resource down.
+// ownership: a resilience detector watching this view masks an EE when
+// it declares it down and unmasks it when it declares it back, at its
+// own transitions only — a mask set by another caller (e.g. a manual
+// drain) stays until that caller lifts it or the detector sees the EE
+// recover.
 func (rv *ResourceView) ExcludeEE(name string) { rv.setEEMask(name, true) }
 
 // UnexcludeEE lifts an EE mask (failure healed).

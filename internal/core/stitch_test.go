@@ -82,8 +82,8 @@ func TestStitchTagsSteeredAndKeptAcrossHeal(t *testing.T) {
 	checkStitched("deployed", 2)
 
 	env.Net.FindLink("s1", "s2").Fail()
-	trunkDown := func(a, b string) bool { return a == "s1" && b == "s2" || a == "s2" && b == "s1" }
-	rep, err := env.Orch.Heal("stitched", func(string) bool { return false }, trunkDown)
+	env.View.ExcludeLink("s1", "s2")
+	rep, err := env.Orch.Heal("stitched")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,16 @@ package experiments
 
 import (
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"escape/internal/api"
 	"escape/internal/core"
 	"escape/internal/netem"
 	"escape/internal/pkt"
@@ -16,13 +20,14 @@ import (
 )
 
 // E11 — self-healing service chains. Chains carry live traffic while
-// 1..K EEs (or a trunk link) are killed; the resilience layer detects
-// the failures (NETCONF liveness + OpenFlow PORT_STATUS), transitions
-// the affected services into Healing, migrates only the hit NFs, and
-// re-steers the changed paths. Reported per cell: worst-case detection
-// latency, healing-latency percentiles, packets sent vs lost during the
-// run, NFs migrated, and the steered-flow counter delta proving live
-// traffic after healing.
+// 1..K EEs (or a trunk link) are killed; the resilience detector
+// notices the failures (NETCONF liveness + OpenFlow PORT_STATUS) and
+// masks them in the view, and the reconciler over the chains' intents
+// transitions the affected services into Healing, migrates only the hit
+// NFs, and re-steers the changed paths. Reported per cell: worst-case
+// detection latency, healing-latency percentiles, packets sent vs lost
+// during the run, NFs migrated, and the steered-flow counter delta
+// proving live traffic after healing.
 
 const (
 	e11HealTimeout = 30 * time.Second
@@ -220,32 +225,9 @@ func e11Victims(kills int, placedEEs map[string]bool, allEEs []string) []string 
 	return victims
 }
 
-// e11Collect derives heal latency, migration and traffic metrics from
-// healer records and traffic counters.
-func e11Collect(records []resilience.HealRecord, tr *e11Traffic) *e11Cell {
-	cell := &e11Cell{}
-	for _, rec := range records {
-		if rec.Err != nil {
-			continue
-		}
-		if len(rec.Moved) == 0 && len(rec.Rerouted) == 0 {
-			continue
-		}
-		cell.heals = append(cell.heals, rec.End.Sub(rec.Start))
-		cell.moved += len(rec.Moved)
-	}
-	cell.sent = tr.sent.Load()
-	delivered := tr.delivered.Load()
-	if cell.sent > delivered {
-		cell.lost = cell.sent - delivered
-	}
-	return cell
-}
-
 // e11Detect computes the worst-case detection latency straight from the
 // detector's transition timestamps: every injected fault yields its
-// sample even when a single sweep healed several faults at once (so its
-// later triggers produced no heal records).
+// sample even when one heal covered several faults at once.
 func e11Detect(det *resilience.Detector, injected map[string]time.Time, linkInject time.Time) time.Duration {
 	var worst time.Duration
 	for ee, t0 := range injected {
@@ -263,9 +245,10 @@ func e11Detect(det *resilience.Detector, injected map[string]time.Time, linkInje
 
 // e11Healed reports whether every service is Running and clear of every
 // killed resource: off the victim EEs, or off the s1—s2 trunk.
-func e11Healed(svcs []*core.Service, fault string, victims map[string]bool) bool {
-	for _, svc := range svcs {
-		if svc.State() != core.StateRunning {
+func e11Healed(orch *core.Orchestrator, names []string, fault string, victims map[string]bool) bool {
+	for _, name := range names {
+		svc := orch.Service(name)
+		if svc == nil || svc.State() != core.StateRunning {
 			return false
 		}
 		if fault == "ee" {
@@ -287,13 +270,25 @@ func e11Healed(svcs []*core.Service, fault string, victims map[string]bool) bool
 	return true
 }
 
-// e11Run measures one (kills, fault) cell on a fresh environment.
+// e11Run measures one (kills, fault) cell on a fresh environment, healed
+// the way escaped heals: the detector masks failed EEs and links in the
+// view, and a reconciler over the chains' intents heals them.
 func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 	env, err := core.StartEnvironment(e11Spec(conc, chainLen, kills))
 	if err != nil {
 		return nil, err
 	}
 	defer env.Close()
+	dataDir, err := os.MkdirTemp("", "escape-e11")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dataDir)
+	store, err := api.OpenStore(dataDir)
+	if err != nil {
+		return nil, err
+	}
+	defer store.Close()
 	agents := map[string]string{}
 	for name, a := range env.Agents {
 		agents[name] = a.Addr()
@@ -302,22 +297,45 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 		View:          env.View,
 		Agents:        agents,
 		ProbeInterval: 5 * time.Millisecond,
-		FailThreshold: 2,
 	})
 	env.Ctrl.Register(det)
 	det.Start()
-	healer := resilience.NewHealer(resilience.HealerConfig{Orch: env.Orch, View: env.View, Detector: det})
-	go healer.Run()
-	defer func() { det.Stop(); <-healer.Done() }()
+	defer det.Stop()
+	rec := &api.Reconciler{
+		Store:   store,
+		Backend: &api.CoreBackend{Orch: env.Orch},
+		Faults:  det.Changed(),
+		Workers: conc,
+		Log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+	rec.Start()
+	defer rec.Stop()
 
-	svcs := make([]*core.Service, conc)
+	names := make([]string, conc)
 	pairs := make([][2]string, conc)
-	for i := range svcs {
-		g := e11Graph(fmt.Sprintf("e11-%s-%d-%d", fault, kills, i), i, chainLen)
-		if svcs[i], err = env.Orch.Deploy(g); err != nil {
+	for i := range names {
+		g := e11Graph(fmt.Sprintf("%s-%d-%d", fault, kills, i), i, chainLen)
+		pairs[i] = [2]string{g.SAPs[0].ID, g.SAPs[1].ID}
+		in, err := api.NewIntent("e11", g)
+		if err != nil {
 			return nil, err
 		}
-		pairs[i] = [2]string{g.SAPs[0].ID, g.SAPs[1].ID}
+		if _, _, err := store.UpsertIntent(in, time.Now()); err != nil {
+			return nil, err
+		}
+		names[i] = in.ID
+		rec.Enqueue(in.ID)
+	}
+	running := func() bool {
+		for _, name := range names {
+			if svc := env.Orch.Service(name); svc == nil || svc.State() != core.StateRunning {
+				return false
+			}
+		}
+		return true
+	}
+	if !rec.Await(e11HealTimeout, running) {
+		return nil, fmt.Errorf("chains not running within %v: %s", e11HealTimeout, rec.LastError(names[0]))
 	}
 
 	tr, err := startE11Traffic(env, pairs)
@@ -329,27 +347,40 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 	// Wall-clock measurement window: a pre-fault traffic baseline.
 	time.Sleep(20 * time.Millisecond)
 
-	// Register before injecting: every transition pokes a one-slot wake,
-	// and the wait re-reads every service, so none can be missed.
-	wake := make(chan struct{}, 1)
-	cancel := env.Orch.OnTransition(func(core.Event) {
-		select {
-		case wake <- struct{}{}:
-		default:
+	// Heal latency is Healing → Running per service, from the transition
+	// times; register before injecting so that no heal is missed.
+	var mu sync.Mutex
+	healingAt := map[string]time.Time{}
+	var heals []time.Duration
+	cancel := env.Orch.OnTransition(func(ev core.Event) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.State {
+		case core.StateHealing:
+			healingAt[ev.Service] = ev.Time
+		case core.StateRunning:
+			if t0, ok := healingAt[ev.Service]; ok {
+				heals = append(heals, ev.Time.Sub(t0))
+				delete(healingAt, ev.Service)
+			}
 		}
 	})
 	defer cancel()
+	placed := make([]map[string]string, len(names))
+	for i, name := range names {
+		placed[i] = env.Orch.Service(name).Placements()
+	}
 	injected := map[string]time.Time{}
 	var linkInject time.Time
 	victims := map[string]bool{}
 	if fault == "ee" {
-		placed := map[string]bool{}
-		for _, svc := range svcs {
-			for _, ee := range svc.Placements() {
-				placed[ee] = true
+		hosting := map[string]bool{}
+		for _, p := range placed {
+			for _, ee := range p {
+				hosting[ee] = true
 			}
 		}
-		for _, ee := range e11Victims(kills, placed, env.View.EENames()) {
+		for _, ee := range e11Victims(kills, hosting, env.View.EENames()) {
 			victims[ee] = true
 			injected[ee] = time.Now()
 			env.Net.Node(ee).(*netem.EE).Crash()
@@ -359,30 +390,26 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 		env.Net.FindLink("s1", "s2").Fail()
 	}
 
-	// Wait for complete healing, re-checking after every transition.
-	deadline := time.NewTimer(e11HealTimeout)
-	defer deadline.Stop()
-	for !e11Healed(svcs, fault, victims) {
-		select {
-		case <-wake:
-		case <-deadline.C:
-			states := map[string]string{}
-			for _, svc := range svcs {
-				states[svc.Name] = fmt.Sprintf("%s placements=%v", svc.State(), svc.Placements())
+	if !rec.Await(e11HealTimeout, func() bool { return e11Healed(env.Orch, names, fault, victims) }) {
+		states := map[string]string{}
+		for _, name := range names {
+			if svc := env.Orch.Service(name); svc != nil {
+				states[name] = fmt.Sprintf("%s placements=%v", svc.State(), svc.Placements())
+			} else {
+				states[name] = "gone: " + rec.LastError(name)
 			}
-			return nil, fmt.Errorf("services did not heal within %v: %v; heal records: %+v",
-				e11HealTimeout, states, healer.Records())
 		}
+		return nil, fmt.Errorf("services did not heal within %v: %v", e11HealTimeout, states)
 	}
 
 	// Live steered traffic after healing, proved by flow counters.
-	before, _, err := env.Orch.ChainFlowStats(svcs[0].Name)
+	before, _, err := env.Orch.ChainFlowStats(names[0])
 	if err != nil {
 		return nil, err
 	}
 	// Wall-clock measurement window: the post-heal counter delta.
 	time.Sleep(20 * time.Millisecond)
-	after, _, err := env.Orch.ChainFlowStats(svcs[0].Name)
+	after, _, err := env.Orch.ChainFlowStats(names[0])
 	if err != nil {
 		return nil, err
 	}
@@ -392,14 +419,27 @@ func e11Run(kills int, fault string, chainLen, conc int) (*e11Cell, error) {
 
 	stopTraffic()
 	stopTraffic = func() {}
-	cell := e11Collect(healer.Records(), tr)
-	cell.detect = e11Detect(det, injected, linkInject)
-	cell.healedPk = after - before
+	cell := &e11Cell{detect: e11Detect(det, injected, linkInject), healedPk: after - before, sent: tr.sent.Load()}
+	if delivered := tr.delivered.Load(); cell.sent > delivered {
+		cell.lost = cell.sent - delivered
+	}
+	mu.Lock()
+	cell.heals = heals
+	mu.Unlock()
+	for i, name := range names {
+		for nfID, ee := range env.Orch.Service(name).Placements() {
+			if placed[i][nfID] != ee {
+				cell.moved++
+			}
+		}
+	}
 
-	// Determinism-suite hygiene: tear everything down.
-	for _, svc := range svcs {
-		if err := env.Orch.Undeploy(svc.Name); err != nil {
-			return nil, fmt.Errorf("undeploy %s after heal: %w", svc.Name, err)
+	// Determinism-suite hygiene: stop the reconciler (it would redeploy
+	// the intents) and tear everything down.
+	rec.Stop()
+	for _, name := range names {
+		if err := env.Orch.Undeploy(name); err != nil {
+			return nil, fmt.Errorf("undeploy %s after heal: %w", name, err)
 		}
 	}
 	if env.Steering.ActivePaths() != 0 {

@@ -3,6 +3,7 @@ package ofswitch
 import (
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"reflect"
 	"sort"
 	"sync"
@@ -194,102 +195,134 @@ func comparable(es []FlowEntry) []FlowEntry {
 	return es
 }
 
+// flowModel drives the snapshot table and the reference model through
+// the same operations on a shared fake clock, collecting the
+// FLOW_REMOVED each reports.
+type flowModel struct {
+	clock           time.Time
+	ft              *FlowTable
+	ref             *refFlowTable
+	gotRem, wantRem []removal
+}
+
+func newFlowModel() *flowModel {
+	m := &flowModel{clock: time.Unix(1_700_000_000, 0)}
+	now := func() time.Time { return m.clock }
+	m.ft = NewFlowTable(func(e *FlowEntry, r uint8) {
+		m.gotRem = append(m.gotRem, removal{e.Cookie, r, e.Packets, e.Bytes})
+	})
+	m.ft.now = now
+	m.ref = &refFlowTable{now: now, removed: func(e *FlowEntry, r uint8) {
+		m.wantRem = append(m.wantRem, removal{e.Cookie, r, e.Packets, e.Bytes})
+	}}
+	return m
+}
+
+// The values an operation's choice bytes pick from.
+var (
+	modelMatches = []openflow.Match{
+		openflow.MatchAll(), matchInPort(1), matchInPort(2), matchInPort(3),
+		matchNWSrc("10.0.0.0", 8), matchNWSrc("10.0.0.0", 16), matchNWSrc("10.0.0.0", 24),
+		matchNWSrc("10.0.1.0", 24), matchNWSrc("10.0.0.1", 32),
+	}
+	modelPrios = []uint16{1, 5, 5, 7, 100}
+	modelIdles = []time.Duration{0, 0, 10 * time.Second, 30 * time.Second}
+	modelHards = []time.Duration{0, 0, 20 * time.Second, 60 * time.Second}
+	modelSrcs  = []netip.Addr{tip("10.0.0.1"), tip("10.0.0.2"), tip("10.0.1.1"), tip("10.1.0.1"), tip("192.168.0.1")}
+)
+
+// flowOpBytes is how many choice bytes one operation takes: clock
+// advance, kind, match, priority, flags, timeouts, packet, frame size.
+const flowOpBytes = 8
+
+// step advances the clock and applies operation n, decoded from
+// flowOpBytes choice bytes, to both tables: ADD (3 in 10), packet lookup
+// (4), MODIFY (1), DELETE (1) or sweep (1), the flow-mods strict or
+// loose. It then compares what the two returned, the removals so far,
+// Entries() — order included — and the aggregate over the operation's
+// match, and describes the first disagreement.
+func (m *flowModel) step(n int, c []byte) error {
+	m.clock = m.clock.Add(time.Duration(c[0]) * 16 * time.Millisecond)
+	match := modelMatches[int(c[2])%len(modelMatches)]
+	prio := modelPrios[int(c[3])%len(modelPrios)]
+	strict := c[4]&1 == 0
+	switch op := c[1] % 10; {
+	case op < 3: // ADD
+		e := FlowEntry{
+			Match: match, Priority: prio, Cookie: uint64(n + 1),
+			IdleTimeout: modelIdles[c[5]%4], HardTimeout: modelHards[c[5]>>2%4],
+			Actions: []openflow.Action{openflow.ActionOutput{Port: uint16(n)}},
+		}
+		if c[4]&2 != 0 {
+			e.Flags = openflow.FlagSendFlowRem
+		}
+		if c[4]>>2%8 == 0 { // a copied entry brings counters along
+			e.Packets, e.Bytes = 3, 300
+		}
+		e2 := e
+		m.ft.Add(&e)
+		m.ref.Add(&e2)
+	case op < 7: // packet
+		f := openflow.PacketFields{InPort: uint16(1 + c[6]%4), Headers: pkt.Headers{
+			DLVLAN: openflow.VLANNone, DLType: 0x0800,
+			NWSrc: modelSrcs[int(c[6]>>2)%len(modelSrcs)], NWDst: tip("10.9.9.9"),
+		}}
+		size := 60 + int(c[7])*1400/256
+		got, want := m.ft.Lookup(f, size), m.ref.Lookup(f, size)
+		if (got == nil) != (want == nil) || got != nil && got.Cookie != want.Cookie {
+			return fmt.Errorf("lookup chose %+v, reference %+v", got, want)
+		}
+		if got != nil && !reflect.DeepEqual(got.Actions, want.Actions) {
+			return fmt.Errorf("lookup actions %v, reference %v", got.Actions, want.Actions)
+		}
+	case op == 7: // MODIFY
+		acts := []openflow.Action{openflow.ActionOutput{Port: uint16(1000 + n)}}
+		if got, want := m.ft.Modify(match, prio, acts, strict), m.ref.Modify(match, prio, acts, strict); got != want {
+			return fmt.Errorf("modify(strict=%v) touched %d, reference %d", strict, got, want)
+		}
+	case op == 8: // DELETE
+		if got, want := m.ft.Delete(match, prio, strict), m.ref.Delete(match, prio, strict); got != want {
+			return fmt.Errorf("delete(strict=%v) removed %d, reference %d", strict, got, want)
+		}
+	default:
+		if got, want := m.ft.Sweep(m.clock), m.ref.Sweep(m.clock); got != want {
+			return fmt.Errorf("sweep evicted %d, reference %d", got, want)
+		}
+	}
+	if !reflect.DeepEqual(m.gotRem, m.wantRem) {
+		return fmt.Errorf("removals %+v, reference %+v", m.gotRem, m.wantRem)
+	}
+	got, want := comparable(m.ft.Entries()), comparable(m.ref.Entries())
+	if !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("entries\n got %+v\nwant %+v", got, want)
+	}
+	if agg, refAgg := m.ft.Aggregate(match), m.ref.Aggregate(match); agg != refAgg {
+		return fmt.Errorf("aggregate %+v, reference %+v", agg, refAgg)
+	}
+	if m.ft.Len() != len(want) {
+		return fmt.Errorf("len %d, reference %d", m.ft.Len(), len(want))
+	}
+	return nil
+}
+
 // TestFlowTableMatchesReferenceModel drives the snapshot table and the
 // locked linear-scan table through the same seeded random histories on a
 // shared fake clock: every lookup picks the same entry, every flow-mod and
 // sweep reports the same count, the same victims leave with the same
 // reasons and counters, and Entries() agree — order included — throughout.
 func TestFlowTableMatchesReferenceModel(t *testing.T) {
-	matches := []openflow.Match{
-		openflow.MatchAll(), matchInPort(1), matchInPort(2), matchInPort(3),
-		matchNWSrc("10.0.0.0", 8), matchNWSrc("10.0.0.0", 16), matchNWSrc("10.0.0.0", 24),
-		matchNWSrc("10.0.1.0", 24), matchNWSrc("10.0.0.1", 32),
-	}
-	prios := []uint16{1, 5, 5, 7, 100}
-	idles := []time.Duration{0, 0, 10 * time.Second, 30 * time.Second}
-	hards := []time.Duration{0, 0, 20 * time.Second, 60 * time.Second}
-	srcs := []string{"10.0.0.1", "10.0.0.2", "10.0.1.1", "10.1.0.1", "192.168.0.1"}
-
 	reasons := map[uint8]int{}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		clock := time.Unix(1_700_000_000, 0)
-		now := func() time.Time { return clock }
-		var gotRem, wantRem []removal
-		ft := NewFlowTable(func(e *FlowEntry, r uint8) {
-			gotRem = append(gotRem, removal{e.Cookie, r, e.Packets, e.Bytes})
-		})
-		ft.now = now
-		ref := &refFlowTable{now: now, removed: func(e *FlowEntry, r uint8) {
-			wantRem = append(wantRem, removal{e.Cookie, r, e.Packets, e.Bytes})
-		}}
-		fail := func(step int, format string, args ...any) {
-			t.Helper()
-			t.Fatalf("seed %d step %d: %s", seed, step, fmt.Sprintf(format, args...))
-		}
+		m := newFlowModel()
+		var c [flowOpBytes]byte
 		for step := 0; step < 400; step++ {
-			clock = clock.Add(time.Duration(rng.Intn(4000)) * time.Millisecond)
-			m := matches[rng.Intn(len(matches))]
-			prio := prios[rng.Intn(len(prios))]
-			strict := rng.Intn(2) == 0
-			switch op := rng.Intn(10); {
-			case op < 3: // ADD
-				e := FlowEntry{
-					Match: m, Priority: prio, Cookie: uint64(step + 1),
-					IdleTimeout: idles[rng.Intn(len(idles))], HardTimeout: hards[rng.Intn(len(hards))],
-					Actions: []openflow.Action{openflow.ActionOutput{Port: uint16(step)}},
-				}
-				if rng.Intn(2) == 0 {
-					e.Flags = openflow.FlagSendFlowRem
-				}
-				if rng.Intn(8) == 0 { // a copied entry brings counters along
-					e.Packets, e.Bytes = 3, 300
-				}
-				e2 := e
-				ft.Add(&e)
-				ref.Add(&e2)
-			case op < 7: // packet
-				f := openflow.PacketFields{InPort: uint16(1 + rng.Intn(4)), Headers: pkt.Headers{
-					DLVLAN: openflow.VLANNone, DLType: 0x0800,
-					NWSrc: tip(srcs[rng.Intn(len(srcs))]), NWDst: tip("10.9.9.9"),
-				}}
-				size := 60 + rng.Intn(1400)
-				got, want := ft.Lookup(f, size), ref.Lookup(f, size)
-				if (got == nil) != (want == nil) || got != nil && got.Cookie != want.Cookie {
-					fail(step, "lookup chose %+v, reference %+v", got, want)
-				}
-				if got != nil && !reflect.DeepEqual(got.Actions, want.Actions) {
-					fail(step, "lookup actions %v, reference %v", got.Actions, want.Actions)
-				}
-			case op == 7: // MODIFY
-				acts := []openflow.Action{openflow.ActionOutput{Port: uint16(1000 + step)}}
-				if got, want := ft.Modify(m, prio, acts, strict), ref.Modify(m, prio, acts, strict); got != want {
-					fail(step, "modify(strict=%v) touched %d, reference %d", strict, got, want)
-				}
-			case op == 8: // DELETE
-				if got, want := ft.Delete(m, prio, strict), ref.Delete(m, prio, strict); got != want {
-					fail(step, "delete(strict=%v) removed %d, reference %d", strict, got, want)
-				}
-			default:
-				if got, want := ft.Sweep(clock), ref.Sweep(clock); got != want {
-					fail(step, "sweep evicted %d, reference %d", got, want)
-				}
-			}
-			if !reflect.DeepEqual(gotRem, wantRem) {
-				fail(step, "removals %+v, reference %+v", gotRem, wantRem)
-			}
-			got, want := comparable(ft.Entries()), comparable(ref.Entries())
-			if !reflect.DeepEqual(got, want) {
-				fail(step, "entries\n got %+v\nwant %+v", got, want)
-			}
-			if agg, refAgg := ft.Aggregate(m), ref.Aggregate(m); agg != refAgg {
-				fail(step, "aggregate %+v, reference %+v", agg, refAgg)
-			}
-			if ft.Len() != len(want) {
-				fail(step, "len %d, reference %d", ft.Len(), len(want))
+			rng.Read(c[:])
+			if err := m.step(step, c[:]); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
 		}
-		for _, r := range wantRem {
+		for _, r := range m.wantRem {
 			reasons[r.reason]++
 		}
 	}
@@ -298,6 +331,26 @@ func TestFlowTableMatchesReferenceModel(t *testing.T) {
 			t.Errorf("the histories produced %d removals with reason %d: too few to compare", reasons[r], r)
 		}
 	}
+}
+
+// FuzzFlowTable is the reference-model comparison over fuzzed histories:
+// the input is read flowOpBytes at a time, each chunk one operation.
+func FuzzFlowTable(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, ops := range []int{1, 16, 64} {
+		seed := make([]byte, ops*flowOpBytes)
+		rng.Read(seed)
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m := newFlowModel()
+		for n := 0; len(data) >= flowOpBytes && n < 512; n++ {
+			if err := m.step(n, data[:flowOpBytes]); err != nil {
+				t.Fatalf("step %d: %v", n, err)
+			}
+			data = data[flowOpBytes:]
+		}
+	})
 }
 
 // TestFlowTableConcurrentCounters: lookups racing flow-mods lose no count.

@@ -16,10 +16,10 @@ import (
 // Chaos soak: a randomized, seeded fault schedule — EE crashes and
 // restarts, link flaps on the redundant trunks, concurrent deploys and
 // undeploys — against the self-healing stack, checked at the end against
-// hard invariants: the system still deploys and forwards traffic, no
-// orphaned steering paths or ports, the ResourceView exactly restored
-// after undeploying everything, and (under -race, as CI runs it) no data
-// races or deadlocks. The seed comes from ESCAPE_CHAOS_SEED when set and
+// hard invariants: every base intent runs again, the system still
+// deploys and forwards traffic, no orphaned steering paths or ports, the
+// ResourceView exactly restored after undeploying everything, and (under
+// -race, as CI runs it) no data races or deadlocks. The seed comes from ESCAPE_CHAOS_SEED when set and
 // is logged on failure so any run reproduces.
 
 // chaosSeed resolves the schedule seed (env override for reproduction).
@@ -34,7 +34,7 @@ func chaosSeed(t *testing.T) int64 {
 	return 7
 }
 
-// chaosSpec: a switch triangle with two EEs per switch, so the healer
+// chaosSpec: a switch triangle with two EEs per switch, so a heal
 // always has somewhere to go while at most two EEs are down.
 func chaosSpec() core.TopoSpec {
 	spec := core.TopoSpec{
@@ -60,16 +60,17 @@ func TestChaosSoak(t *testing.T) {
 	}()
 	rng := rand.New(rand.NewSource(seed))
 
-	env, det, healer := startResilient(t, chaosSpec())
+	env, _, rec := startResilient(t, chaosSpec())
 	ees := []string{"ee1", "ee2", "ee3", "ee4", "ee5", "ee6"}
 	trunks := [][2]string{{"s1", "s2"}, {"s1", "s3"}, {"s2", "s3"}}
 
-	// A base population the schedule shoots at.
+	// A base population of intents the schedule shoots at; the churn
+	// beside them is deployed directly, so nothing heals it.
 	const baseServices = 3
+	var base []string
 	for i := 0; i < baseServices; i++ {
-		if _, err := env.Orch.Deploy(chainGraph(fmt.Sprintf("base-%d", i), "monitor", "monitor")); err != nil {
-			t.Fatalf("seed deploy %d: %v", i, err)
-		}
+		id, _ := runIntent(t, env, rec, chainGraph(fmt.Sprintf("base-%d", i), "monitor", "monitor"))
+		base = append(base, id)
 	}
 
 	rounds := 12
@@ -131,47 +132,34 @@ func TestChaosSoak(t *testing.T) {
 		env.Net.FindLink(trunks[i][0], trunks[i][1]).Heal()
 	}
 	churnWG.Wait()
-	if !healer.WaitIdle(20 * time.Second) {
-		t.Fatalf("system never quiesced; records=%+v", healer.Records())
-	}
-	// The detector must observe every recovery and lift every mask.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		clean := true
+	// Invariant: the detector observes every recovery and lifts every
+	// mask, and every base intent runs again — healed through the
+	// schedule, or redeployed after a heal that gave up.
+	settled := func() bool {
 		for _, ee := range ees {
-			if det.EEIsDown(ee) || env.View.ExcludedEE(ee) {
-				clean = false
+			if env.View.ExcludedEE(ee) {
+				return false
 			}
 		}
 		for _, tr := range trunks {
-			if det.LinkIsDown(tr[0], tr[1]) || env.View.ExcludedLink(tr[0], tr[1]) {
-				clean = false
+			if env.View.ExcludedLink(tr[0], tr[1]) {
+				return false
 			}
 		}
-		if clean {
-			break
+		for _, id := range base {
+			if !rec.Backend.Running(id) || rec.LastError(id) != "" {
+				return false
+			}
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("masks/exclusions not lifted after all faults healed")
-		}
-		time.Sleep(5 * time.Millisecond)
+		return true
 	}
-
-	// Invariant: a base service is either still Running (healed through
-	// the schedule) or was cleanly failed and unregistered — never stuck
-	// in between. At least the leak invariants below hold regardless.
-	survivors := 0
-	for i := 0; i < baseServices; i++ {
-		name := fmt.Sprintf("base-%d", i)
-		svc := env.Orch.Service(name)
-		if svc == nil {
-			continue // torn down after an unhealable double fault
+	if !rec.Await(20*time.Second, settled) {
+		for _, id := range base {
+			t.Logf("%s: running=%v last error %q", id, rec.Backend.Running(id), rec.LastError(id))
 		}
-		waitState(t, svc, core.StateRunning, 10*time.Second)
-		survivors++
+		t.Fatal("masks not lifted or base intents not running after all faults healed")
 	}
-	t.Logf("chaos soak: %d/%d base services survived, %d heal records",
-		survivors, baseServices, len(healer.Records()))
+	t.Logf("chaos soak: %d heals, %d heal failures", rec.Metrics.Heals.Load(), rec.Metrics.HealFailures.Load())
 
 	// Invariant: the healed substrate still deploys fresh chains and
 	// forwards traffic end to end.
@@ -184,16 +172,16 @@ func TestChaosSoak(t *testing.T) {
 
 	// Invariant: undeploying everything leaves zero steering paths and an
 	// exactly-restored resource view (no orphaned flows, ports or
-	// reservations).
-	deadline = time.Now().Add(15 * time.Second)
-	for len(env.Orch.Services()) > 0 {
-		for _, name := range env.Orch.Services() {
-			_ = env.Orch.Undeploy(name)
+	// reservations). The reconciler stops first, or it would redeploy the
+	// base intents.
+	rec.Stop()
+	for _, name := range env.Orch.Services() {
+		if err := env.Orch.Undeploy(name); err != nil {
+			t.Errorf("drain: %v", err)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("services would not drain: %v", env.Orch.Services())
-		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if left := env.Orch.Services(); len(left) > 0 {
+		t.Errorf("services left after the drain: %v", left)
 	}
 	if got := env.Steering.ActivePaths(); got != 0 {
 		t.Errorf("orphaned steering paths after drain: %d", got)

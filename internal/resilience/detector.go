@@ -1,13 +1,16 @@
-// Package resilience is ESCAPE's self-healing layer: a failure detector
-// watching the substrate (EE liveness over the NETCONF management plane,
-// switch link state over OpenFlow PORT_STATUS) and a healing controller
-// that re-maps and migrates the affected slice of every Running service
-// chain — only the NFs and paths a failure actually touched — through
-// the orchestrator's Healing lifecycle state.
+// Package resilience is a failure detector that marks the view: it
+// watches the substrate (EE liveness over the NETCONF management plane,
+// switch link state over OpenFlow PORT_STATUS) and, at each transition,
+// masks the failed EE or link out of the core.ResourceView — or lifts
+// the mask on recovery — and pokes Changed. The view's masks are the one
+// record of faults: admission avoids masked resources, and
+// core.Orchestrator.Heal moves a Running service off the ones its
+// mapping touches. The control plane's reconciler wakes on Changed and
+// heals; nothing here acts on a service.
 //
 // The original ESCAPE assumes a fault-free substrate; dynamic
-// re-chaining under failures is the open problem this layer closes for
-// the reproduction: experiment E11 kills EEs and links mid-traffic and
+// re-chaining under failures is the open problem this closes for the
+// reproduction: experiment E11 kills EEs and links mid-traffic and
 // measures detection latency, healing latency and the loss window.
 package resilience
 
@@ -25,7 +28,8 @@ import (
 
 // DetectorConfig wires a Detector to the substrate it watches.
 type DetectorConfig struct {
-	// View resolves dpids and link endpoints.
+	// View resolves dpids and link endpoints, and carries the masks the
+	// detector sets.
 	View *core.ResourceView
 	// Agents maps EE names to their NETCONF management addresses (the
 	// same control network the orchestrator uses).
@@ -33,22 +37,25 @@ type DetectorConfig struct {
 	// ProbeInterval is the EE liveness probe period (default 25ms — the
 	// emulated management plane answers in microseconds).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one liveness RPC (default 500ms): an agent
-	// that accepts connections but never answers is exactly the wedge a
-	// liveness detector must catch, and the NETCONF client itself has no
-	// read deadline.
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures mark an EE
-	// down (default 2: one flap is not a funeral).
-	FailThreshold int
 }
 
-// Detector watches EE liveness and link state. Its down-state maps are
-// the truth: every transition pokes Changed, and the reader re-reads
-// them (EEIsDown, LinkIsDown) rather than consuming a message per
-// fault, so a burst of transitions coalesces into one wake and none is
-// lost. Register it with the pox controller to receive PORT_STATUS
-// events, and Start it to begin NETCONF probing.
+const (
+	// failThreshold is how many consecutive probe failures mark an EE
+	// down: one flap is not a funeral.
+	failThreshold = 2
+	// probeTimeout bounds one liveness RPC: an agent that accepts
+	// connections but never answers is exactly the wedge a liveness
+	// detector must catch, and the NETCONF client itself has no read
+	// deadline.
+	probeTimeout = 500 * time.Millisecond
+)
+
+// Detector watches EE liveness and link state. Every transition masks
+// or unmasks the view and then pokes Changed, both under the detector's
+// lock, so a reader woken by Changed finds the view's masks already
+// agreeing with the detector; a burst of transitions coalesces into one
+// wake and none is lost. Register it with the pox controller to receive
+// PORT_STATUS events, and Start it to begin NETCONF probing.
 type Detector struct {
 	cfg DetectorConfig
 
@@ -70,12 +77,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = 25 * time.Millisecond
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 500 * time.Millisecond
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 2
-	}
 	d := &Detector{
 		cfg:        cfg,
 		changed:    make(chan struct{}, 1),
@@ -96,7 +97,8 @@ func NewDetector(cfg DetectorConfig) *Detector {
 func (*Detector) ComponentName() string { return "failure-detector" }
 
 // Changed returns a one-slot channel that receives after a down-state
-// transition, coalescing with any wake still pending. Stop closes it.
+// transition (whose mask is already set or lifted), coalescing with any
+// wake still pending. Stop closes it.
 func (d *Detector) Changed() <-chan struct{} { return d.changed }
 
 // changedLocked pokes Changed; d.mu is held, which orders it against
@@ -111,23 +113,9 @@ func (d *Detector) changedLocked() {
 	}
 }
 
-// EEIsDown reports the detector's current belief about one EE.
-func (d *Detector) EEIsDown(ee string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.eeDown[ee]
-}
-
-// LinkIsDown reports the detector's current belief about one link.
-func (d *Detector) LinkIsDown(a, b string) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.linkDown[linkID(a, b)]
-}
-
 // EEDownSince returns the detection timestamp of an EE's current down
 // state (false when the EE is not considered down). Experiments measure
-// detection latency from it — exact even when one sweep healed this
+// detection latency from it — exact even when one heal covered this
 // fault together with others.
 func (d *Detector) EEDownSince(ee string) (time.Time, bool) {
 	d.mu.Lock()
@@ -182,8 +170,9 @@ func (d *Detector) Stop() {
 
 // probeLoop probes one EE's agent over NETCONF: getVNFInfo doubles as
 // the liveness RPC (a crashed EE answers with an error, a dead agent
-// does not answer at all). State flips after FailThreshold consecutive
-// failures, and back on the first success.
+// does not answer at all). State flips after failThreshold consecutive
+// failures, and back on the first success; each flip masks or unmasks
+// the EE in the view.
 func (d *Detector) probeLoop(ee, addr string) {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.cfg.ProbeInterval)
@@ -191,7 +180,7 @@ func (d *Detector) probeLoop(ee, addr string) {
 	// One probe-deadline timer for the lifetime of the loop, re-armed per
 	// probe: a long soak otherwise allocates a fresh time.After timer
 	// every tick for every EE.
-	deadline := time.NewTimer(d.cfg.ProbeTimeout)
+	deadline := time.NewTimer(probeTimeout)
 	defer deadline.Stop()
 	var client *vnfagent.Client
 	defer func() {
@@ -228,13 +217,14 @@ func (d *Detector) probeLoop(ee, addr string) {
 			d.mu.Lock()
 			if d.eeDown[ee] {
 				d.eeDown[ee] = false
+				d.cfg.View.UnexcludeEE(ee)
 				d.changedLocked()
 			}
 			d.mu.Unlock()
 			continue
 		}
 		strikes++
-		if strikes < d.cfg.FailThreshold {
+		if strikes < failThreshold {
 			continue
 		}
 		now := time.Now()
@@ -242,6 +232,7 @@ func (d *Detector) probeLoop(ee, addr string) {
 		if !d.eeDown[ee] {
 			d.eeDown[ee] = true
 			d.eeDownAt[ee] = now
+			d.cfg.View.ExcludeEE(ee)
 			d.changedLocked()
 		}
 		d.mu.Unlock()
@@ -260,20 +251,21 @@ func (d *Detector) probe(client *vnfagent.Client, deadline *time.Timer) error {
 		_, err := client.GetVNFInfo()
 		done <- err
 	}()
-	deadline.Reset(d.cfg.ProbeTimeout)
+	deadline.Reset(probeTimeout)
 	select {
 	case err := <-done:
 		return err
 	case <-deadline.C:
 		client.Close()
 		<-done // reaped: the closed conn fails the pending read
-		return fmt.Errorf("resilience: liveness probe timed out after %v", d.cfg.ProbeTimeout)
+		return fmt.Errorf("resilience: liveness probe timed out after %v", probeTimeout)
 	}
 }
 
 // HandlePortStatus implements pox.PortStatusHandler: a MODIFY carrying
 // link-down state on a port that belongs to an inter-switch link marks
-// that link down (both ends report; the transition is deduplicated).
+// that link down and masks it in the view, and link-up state lifts both
+// (both ends report; the transition is deduplicated).
 func (d *Detector) HandlePortStatus(c *pox.Connection, ps *openflow.PortStatus) {
 	if ps.Reason != openflow.PortReasonModify {
 		return
@@ -296,6 +288,9 @@ func (d *Detector) HandlePortStatus(c *pox.Connection, ps *openflow.PortStatus) 
 		d.linkDown[key] = down
 		if down {
 			d.linkDownAt[key] = now
+			d.cfg.View.ExcludeLink(lr.A, lr.B)
+		} else {
+			d.cfg.View.UnexcludeLink(lr.A, lr.B)
 		}
 		d.changedLocked()
 	}

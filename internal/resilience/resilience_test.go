@@ -1,9 +1,13 @@
 package resilience
 
 import (
+	"io"
+	"log/slog"
+	"strings"
 	"testing"
 	"time"
 
+	"escape/internal/api"
 	"escape/internal/core"
 	"escape/internal/netem"
 	"escape/internal/pkt"
@@ -28,14 +32,20 @@ func triSpec() core.TopoSpec {
 	}
 }
 
-// startResilient boots an environment with detector and healer attached.
-func startResilient(t *testing.T, spec core.TopoSpec) (*core.Environment, *Detector, *Healer) {
+// startResilient boots an environment with a detector and, over a
+// store of intents, a reconciler that heals: the loop escaped runs.
+func startResilient(t *testing.T, spec core.TopoSpec) (*core.Environment, *Detector, *api.Reconciler) {
 	t.Helper()
 	env, err := core.StartEnvironment(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(env.Close)
+	store, err := api.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
 	agents := map[string]string{}
 	for name, a := range env.Agents {
 		agents[name] = a.Addr()
@@ -44,17 +54,65 @@ func startResilient(t *testing.T, spec core.TopoSpec) (*core.Environment, *Detec
 		View:          env.View,
 		Agents:        agents,
 		ProbeInterval: 5 * time.Millisecond,
-		FailThreshold: 2,
 	})
 	env.Ctrl.Register(det)
 	det.Start()
-	healer := NewHealer(HealerConfig{Orch: env.Orch, View: env.View, Detector: det})
-	go healer.Run()
-	t.Cleanup(func() {
-		det.Stop() // closes Changed, which ends healer.Run
-		<-healer.Done()
-	})
-	return env, det, healer
+	t.Cleanup(det.Stop)
+	rec := &api.Reconciler{
+		Store:   store,
+		Backend: &api.CoreBackend{Orch: env.Orch},
+		Faults:  det.Changed(),
+		Log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+	rec.Start()
+	t.Cleanup(rec.Stop) // before det.Stop and env.Close: cleanups run last-in first-out
+	return env, det, rec
+}
+
+// runIntent stores g as an intent of tenant "t" and waits for the
+// reconciler to bring it up; it returns the intent's ID (the service's
+// name) and the service.
+func runIntent(t *testing.T, env *core.Environment, rec *api.Reconciler, g *sg.Graph) (string, *core.Service) {
+	t.Helper()
+	in, err := api.NewIntent("t", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := rec.Store.UpsertIntent(in, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	rec.Enqueue(in.ID)
+	if !rec.Await(10*time.Second, func() bool { return rec.Backend.Running(in.ID) }) {
+		t.Fatalf("intent %s never ran: %s", in.ID, rec.LastError(in.ID))
+	}
+	return in.ID, env.Orch.Service(in.ID)
+}
+
+// removeIntent marks an intent removed and waits for the reconciler to
+// tear its service down and forget it.
+func removeIntent(t *testing.T, env *core.Environment, rec *api.Reconciler, id string) {
+	t.Helper()
+	in := *rec.Store.Intent(id)
+	in.Desired = api.DesiredRemoved
+	if err := rec.Store.PutIntent(&in, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	rec.Enqueue(id)
+	if !rec.Await(10*time.Second, func() bool { return rec.Store.Intent(id) == nil && env.Orch.Service(id) == nil }) {
+		t.Fatalf("intent %s never went: %s", id, rec.LastError(id))
+	}
+}
+
+// crossesTrunk reports whether a service routes over the a–b trunk.
+func crossesTrunk(svc *core.Service, a, b string) bool {
+	for _, route := range svc.Routes() {
+		for i := 0; i+1 < len(route); i++ {
+			if (route[i] == a && route[i+1] == b) || (route[i] == b && route[i+1] == a) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // chainGraph builds an h1→NFs→h2 chain.
@@ -91,25 +149,9 @@ func pump(t *testing.T, env *core.Environment, payload string, timeout time.Dura
 	return false
 }
 
-// waitState polls a service for a lifecycle state.
-func waitState(t *testing.T, svc *core.Service, want core.ServiceState, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		if svc.State() == want {
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatalf("service %s stuck in %s, want %s", svc.Name, svc.State(), want)
-}
-
 func TestEECrashHealsServiceOntoSurvivingEE(t *testing.T) {
-	env, det, healer := startResilient(t, triSpec())
-	svc, err := env.Orch.Deploy(chainGraph("web", "monitor", "monitor"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, _, rec := startResilient(t, triSpec())
+	id, svc := runIntent(t, env, rec, chainGraph("web", "monitor", "monitor"))
 	if !pump(t, env, "before", 5*time.Second) {
 		t.Fatal("chain carried no traffic before the failure")
 	}
@@ -118,49 +160,39 @@ func TestEECrashHealsServiceOntoSurvivingEE(t *testing.T) {
 	victim := svc.Placements()["nf1"]
 	env.Net.Node(victim).(*netem.EE).Crash()
 
-	// The detector must notice, the healer must migrate, and the chain
-	// must return to Running with nf1 off the dead EE.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("service never healed: state=%s placements=%v", svc.State(), svc.Placements())
-		}
-		p := svc.Placements()
-		if svc.State() == core.StateRunning && p["nf1"] != victim && det.EEIsDown(victim) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	// The detector must mask the EE, the reconciler must heal the intent,
+	// and the chain must return to Running with nf1 off the dead EE.
+	if !rec.Await(10*time.Second, func() bool {
+		svc := env.Orch.Service(id)
+		return env.View.ExcludedEE(victim) && svc != nil && svc.State() == core.StateRunning && svc.Placements()["nf1"] != victim
+	}) {
+		t.Fatalf("service never healed: state=%s placements=%v", svc.State(), svc.Placements())
+	}
+	if svc != env.Orch.Service(id) {
+		t.Fatal("the intent was redeployed, not healed in place")
 	}
 	// Live stitched traffic after healing, verified by flow counters.
-	before, _, err := env.Orch.ChainFlowStats("web")
+	before, _, err := env.Orch.ChainFlowStats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !pump(t, env, "after-heal", 5*time.Second) {
 		t.Fatal("healed chain carries no traffic")
 	}
-	after, _, err := env.Orch.ChainFlowStats("web")
+	after, _, err := env.Orch.ChainFlowStats(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if after <= before {
 		t.Errorf("steered counters did not advance across healing: %d → %d", before, after)
 	}
-	// The healer recorded the migration.
-	found := false
-	for _, rec := range healer.Records() {
-		if rec.Service == "web" && rec.Err == nil && len(rec.Moved) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no successful heal record: %+v", healer.Records())
+	// The reconciler counted the heal, and it succeeded.
+	if n, failed := rec.Metrics.Heals.Load(), rec.Metrics.HealFailures.Load(); n < 1 || failed != 0 || rec.LastError(id) != "" {
+		t.Errorf("%d heals, %d failures, last error %q; want a clean heal", n, failed, rec.LastError(id))
 	}
 
 	// Teardown after healing releases everything, dead EE included.
-	if err := env.Orch.Undeploy("web"); err != nil {
-		t.Fatalf("undeploy after heal: %v", err)
-	}
+	removeIntent(t, env, rec, id)
 	if env.Steering.ActivePaths() != 0 {
 		t.Errorf("paths leaked: %d", env.Steering.ActivePaths())
 	}
@@ -172,72 +204,54 @@ func TestEECrashHealsServiceOntoSurvivingEE(t *testing.T) {
 }
 
 func TestLinkFailureReroutesAroundDeadTrunk(t *testing.T) {
-	env, det, _ := startResilient(t, triSpec())
-	svc, err := env.Orch.Deploy(chainGraph("rr", "monitor"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	usesTrunk := func(a, b string) bool {
-		for _, route := range svc.Routes() {
-			for i := 0; i+1 < len(route); i++ {
-				if (route[i] == a && route[i+1] == b) || (route[i] == b && route[i+1] == a) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if !usesTrunk("s1", "s2") {
+	env, _, rec := startResilient(t, triSpec())
+	id, svc := runIntent(t, env, rec, chainGraph("rr", "monitor"))
+	if !crossesTrunk(svc, "s1", "s2") {
 		t.Skipf("mapping avoided s1–s2 (routes=%v); nothing to fail", svc.Routes())
 	}
 
 	env.Net.FindLink("s1", "s2").Fail()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatalf("never rerouted: state=%s routes=%v", svc.State(), svc.Routes())
-		}
-		if det.LinkIsDown("s1", "s2") && svc.State() == core.StateRunning && !usesTrunk("s1", "s2") {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !rec.Await(10*time.Second, func() bool {
+		return env.View.ExcludedLink("s1", "s2") && svc.State() == core.StateRunning && !crossesTrunk(svc, "s1", "s2")
+	}) {
+		t.Fatalf("never rerouted: state=%s routes=%v", svc.State(), svc.Routes())
 	}
 	if !pump(t, env, "detour", 5*time.Second) {
 		t.Fatal("no traffic over the healed detour")
 	}
+	if n := rec.Metrics.Heals.Load(); n < 1 {
+		t.Errorf("%d heals counted after a reroute", n)
+	}
 
 	// Healing the link must lift the view mask (next deploys may use it).
 	env.Net.FindLink("s1", "s2").Heal()
-	deadline = time.Now().Add(5 * time.Second)
-	for env.View.ExcludedLink("s1", "s2") {
-		if time.Now().After(deadline) {
-			t.Fatal("link exclusion never lifted after Heal")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !rec.Await(5*time.Second, func() bool { return !env.View.ExcludedLink("s1", "s2") }) {
+		t.Fatal("link exclusion never lifted after Heal")
 	}
-	if err := env.Orch.Undeploy("rr"); err != nil {
-		t.Fatal(err)
-	}
+	removeIntent(t, env, rec, id)
 }
 
 func TestHealFailsToFailedWhenNoCapacitySurvives(t *testing.T) {
 	spec := triSpec()
 	spec.EEs = map[string]core.EESpec{"ee1": {Switch: "s1", CPU: 1, Mem: 512}}
-	env, _, _ := startResilient(t, spec)
-	svc, err := env.Orch.Deploy(chainGraph("doomed", "monitor"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	env, _, rec := startResilient(t, spec)
+	id, svc := runIntent(t, env, rec, chainGraph("doomed", "monitor"))
 	env.Net.Node("ee1").(*netem.EE).Crash()
-	waitState(t, svc, core.StateFailed, 10*time.Second)
-	if svc.Err() == nil {
-		t.Error("Failed service carries no cause")
+	// The reconciler's redeploy retries overwrite last_error, so the
+	// heal's own error is read at the run that reported it.
+	if !rec.Await(10*time.Second, func() bool {
+		return strings.HasPrefix(rec.LastError(id), "heal:") && env.Orch.Service(id) == nil
+	}) {
+		t.Fatalf("heal never gave up: state=%s registered=%v last error %q",
+			svc.State(), env.Orch.Service(id) != nil, rec.LastError(id))
+	}
+	if svc.State() != core.StateFailed || svc.Err() == nil {
+		t.Errorf("given-up service is %s with cause %v, want Failed with a cause", svc.State(), svc.Err())
+	}
+	if n := rec.Metrics.HealFailures.Load(); n < 1 {
+		t.Errorf("%d heal failures counted", n)
 	}
 	// Everything was torn down and released.
-	if env.Orch.Service("doomed") != nil {
-		t.Error("failed service still registered")
-	}
 	if env.Steering.ActivePaths() != 0 {
 		t.Errorf("paths leaked: %d", env.Steering.ActivePaths())
 	}
@@ -247,27 +261,25 @@ func TestHealFailsToFailedWhenNoCapacitySurvives(t *testing.T) {
 }
 
 func TestEERestartLiftsExclusion(t *testing.T) {
-	env, det, _ := startResilient(t, triSpec())
+	env, det, rec := startResilient(t, triSpec())
+	// A running intent gives every fault wake a reconcile run, which is
+	// what Await re-checks on.
+	runIntent(t, env, rec, chainGraph("bystander", "monitor"))
 	ee := env.Net.Node("ee1").(*netem.EE)
 	ee.Crash()
-	deadline := time.Now().Add(5 * time.Second)
-	for !det.EEIsDown("ee1") {
-		if time.Now().After(deadline) {
-			t.Fatal("crash never detected")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !rec.Await(5*time.Second, func() bool {
+		_, down := det.EEDownSince("ee1")
+		return down && env.View.ExcludedEE("ee1")
+	}) {
+		t.Fatal("crash never detected and masked")
 	}
 	ee.Restart()
-	deadline = time.Now().Add(5 * time.Second)
-	for det.EEIsDown("ee1") || env.View.ExcludedEE("ee1") {
-		if time.Now().After(deadline) {
-			t.Fatalf("recovery never detected (down=%v excl=%v)",
-				det.EEIsDown("ee1"), env.View.ExcludedEE("ee1"))
-		}
-		time.Sleep(2 * time.Millisecond)
+	if !rec.Await(5*time.Second, func() bool {
+		_, down := det.EEDownSince("ee1")
+		return !down && !env.View.ExcludedEE("ee1")
+	}) {
+		t.Fatalf("recovery never detected (excluded=%v)", env.View.ExcludedEE("ee1"))
 	}
 	// A fresh deploy may use the recovered EE again.
-	if _, err := env.Orch.Deploy(chainGraph("back", "monitor")); err != nil {
-		t.Fatalf("deploy after recovery: %v", err)
-	}
+	runIntent(t, env, rec, chainGraph("back", "monitor"))
 }

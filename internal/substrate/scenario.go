@@ -281,8 +281,8 @@ type PlayOptions struct {
 	NFMem  int
 	LinkBW float64
 	// HealOnFault re-steers affected services through
-	// core.AdmitHeal when a FaultLink event fires — the Healer decision
-	// path, driven identically on every substrate.
+	// core.AdmitHeal when a FaultLink event fires — the decision path of
+	// Orchestrator.Heal, driven identically on every substrate.
 	HealOnFault bool
 	// Workers > 1 plays the trace through the parallel pipeline:
 	// admission mapping and heal planning speculate concurrently on a
@@ -438,7 +438,7 @@ func playSerial(sub Substrate, rv *core.ResourceView, mapper core.Mapper, events
 
 // healAffected re-steers every active service whose route crosses a down
 // link, in sorted service order (determinism), through the same
-// AdmitHeal path the resilience healer uses. On success the active set
+// AdmitHeal path Orchestrator.Heal uses. On success the active set
 // is updated to the healed mapping — the heal commit released the old
 // placements and committed the new ones, so the departure-time Release
 // (and the re-steered flow route) must follow the healed mapping, not

@@ -4,7 +4,7 @@
 // emulator; the Substrate interface names exactly what they actually
 // consume — a topology realized into a core.ResourceView, traffic
 // generation and measurement, fault injection, and link/EE state events —
-// so the same Mapper/Orchestrator/Healer code paths can run unchanged
+// so the same Mapper/Orchestrator code paths can run unchanged
 // against either the packet emulator (NetemSubstrate) or the analytic
 // flow-level simulator (internal/flowsim), which trades per-frame
 // fidelity for 100k-switch / 1M-service scale.
