@@ -201,6 +201,20 @@ func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown 
 		plan.OldRoutes[linkID] = m.Routes[linkID]
 	}
 
+	// The healed routes must still meet the graph's end-to-end
+	// requirements, which its mapper checked: a heal that breaks one gives
+	// up, so the service is redeployed through its mapper instead.
+	if len(m.Graph.Reqs) > 0 {
+		mc, err := newMapContext(m.Graph, rv, m.Catalog)
+		if err != nil {
+			return nil, fmt.Errorf("core: healing %q: %w", m.Graph.Name, err)
+		}
+		routes := maps.Clone(m.Routes)
+		maps.Copy(routes, plan.Routes)
+		if err := mc.checkE2E(routes); err != nil {
+			return nil, fmt.Errorf("core: healing %q: %w", m.Graph.Name, err)
+		}
+	}
 	return plan, nil
 }
 

@@ -61,8 +61,11 @@ type candidate struct {
 // mapContext.routeLinks → Capacities.ShortestFeasiblePath. Feasibility
 // (bandwidth headroom, view-local masks, delay bounds) is checked at
 // lookup time against the caller's Capacities overlay, so correctness
-// never depends on invalidation; invalidation keeps the candidates
-// *good* under failures:
+// never depends on invalidation. When no known candidate fits, one live
+// search (bfsPath) on the same overlay decides the query before the
+// entry grows: a query it finds no route for is rejected at once, so an
+// infeasible query costs one search and never extends the entry.
+// Invalidation keeps the candidates *good* under failures:
 //
 //   - link masked (failure): drop exactly the entries whose candidates
 //     cross the dead link — fresh candidates will route around it;
@@ -84,10 +87,11 @@ type pathCache struct {
 
 // PathCacheStats is a snapshot of the path engine's counters. Hits and
 // Fallbacks partition lookups: every lookup is served from cached
-// candidates (hit) or falls back to a live BFS (no candidate feasible).
-// Misses counts candidate-set creations (cold pairs) and Invalidated
-// entries dropped by mask transitions; both are capacity/churn gauges,
-// not lookup outcomes.
+// candidates (hit) or answered by its one live search (fallback): a
+// reject, or the search's route when none of the pair's up to
+// pathCacheK candidates fits. Misses counts candidate-set creations
+// (cold pairs) and Invalidated entries dropped by mask transitions; both
+// are capacity/churn gauges, not lookup outcomes.
 type PathCacheStats struct {
 	Hits, Misses, Fallbacks, Invalidated uint64
 }
@@ -111,18 +115,23 @@ func (rv *ResourceView) PathCacheStats() PathCacheStats {
 }
 
 // lookup serves one route query: the first known candidate passing the
-// caller's feasibility overlay wins; when all known candidates fail the
-// entry is extended by the next-shortest alternative until exhausted.
-// Because candidates enumerate shortest paths in nondecreasing hop
-// order, a feasible candidate is also a minimum-hop feasible route.
-// Returns (nil, false) when no candidate exists — the caller falls back
-// to BFS.
-func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) ([]string, bool) {
+// caller's feasibility overlay wins. When all known candidates fail, one
+// live search (bfsPath) runs on the same overlay before anything else:
+// if it finds no route, no candidate can be feasible either, and the
+// query is rejected without growing the entry. Otherwise the entry is
+// extended by the next-shortest alternative until one fits, the entry
+// holds pathCacheK candidates or it is exhausted; then the search's
+// route is the answer. Because candidates enumerate shortest paths in
+// nondecreasing hop order, a feasible candidate is also a minimum-hop
+// feasible route. Candidate order depends only on the entry's masks, not
+// on when it grows, so skipping extension on infeasible queries changes
+// no later answer.
+func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) []string {
 	ia, ok := c.ix.swID[a]
 	ib, ok2 := c.ix.swID[b]
 	if !ok || !ok2 {
 		pc.fallbacks.Add(1)
-		return nil, false
+		return nil
 	}
 	key, reversed := mkPairKey(ia, ib)
 	pc.mu.Lock()
@@ -135,6 +144,7 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 	routes, links, delays := e.routes, e.links, e.delays
 	pc.mu.Unlock()
 
+	var found []string // the live search's route, once it has run
 	tried := 0
 	for {
 	candidates:
@@ -152,9 +162,14 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 			if reversed {
 				slices.Reverse(out)
 			}
-			return out, true
+			return out
 		}
 		tried = len(routes)
+		if found == nil {
+			if found = c.bfsPath(a, b, bw, maxDelay); found == nil {
+				break // no feasible route: a reject, proved by one search
+			}
+		}
 		pc.mu.Lock()
 		if len(e.routes) == tried && !e.exhausted && tried < pathCacheK {
 			pc.extend(c.ix, key, e)
@@ -166,48 +181,95 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 		}
 	}
 	pc.fallbacks.Add(1)
-	return nil, false
+	return found
+}
+
+// searchScratch is one search's working memory, reused across searches
+// through its index's pool. Marks are generation-stamped: a search bumps
+// gen instead of clearing O(switches + links) arrays, and an entry of
+// prev or best is meaningful only where seen carries the current gen.
+type searchScratch struct {
+	gen     uint32
+	seen    []uint32        // by switch ID: gen once reached (or banned)
+	blocked []uint32        // by link ID: gen when masked or banned
+	prev    []int32         // by switch ID: predecessor (bfsAvoiding)
+	best    []time.Duration // by switch ID: lowest arrival delay (bfsPath)
+	queue   []int32         // bfsAvoiding's frontier
+	labels  []label         // bfsPath's arrivals, in BFS order
+}
+
+// label is one bfsPath arrival: a switch, the label it came from (an
+// index into the labels; -1 at the source) and its delay from the source.
+type label struct {
+	sw, from int32
+	delay    time.Duration
+}
+
+// scratch takes a search's working memory from the index's pool, sized
+// to the index with every mark stale. Searches in flight at the same
+// time each hold their own; the caller hands it back with
+// ix.pool.Put.
+func (ix *topoIndex) scratch() *searchScratch {
+	s, _ := ix.pool.Get().(*searchScratch)
+	if s == nil {
+		n := len(ix.swName)
+		s = &searchScratch{
+			seen:    make([]uint32, n),
+			blocked: make([]uint32, len(ix.links)),
+			prev:    make([]int32, n),
+			best:    make([]time.Duration, n),
+		}
+	}
+	if s.gen++; s.gen == 0 { // wrapped: an old stamp could read as current
+		clear(s.seen)
+		clear(s.blocked)
+		s.gen = 1
+	}
+	return s
+}
+
+// block marks links as unusable for the current search; an ID outside
+// the index (a masked pair the index does not hold) is no link.
+func (s *searchScratch) block(links []int32) {
+	for _, l := range links {
+		if int(l) < len(s.blocked) {
+			s.blocked[l] = s.gen
+		}
+	}
 }
 
 // bfsAvoiding is a deterministic BFS over the frozen index from src to
 // dst, skipping masked and banned links and banned switches. The sets
-// are small, so they become per-call flags by iterating them, never the
-// whole link list.
+// are small, so they become marks by iterating them, never the whole
+// link list; the marks live in pooled scratch, so the returned route is
+// the search's only allocation.
 func bfsAvoiding(ix *topoIndex, src, dst int32, masked, bannedLinks, bannedNodes []int32) []int32 {
 	if src == dst {
 		return []int32{src}
 	}
-	blocked := make([]bool, len(ix.links))
-	for _, set := range [][]int32{masked, bannedLinks} {
-		for _, l := range set {
-			if int(l) < len(blocked) { // a masked pair outside the index is no link
-				blocked[l] = true
-			}
-		}
-	}
-	// prev holds a switch's predecessor + 1: 0 is unseen, and a banned
-	// switch counts as seen.
-	prev := make([]int32, len(ix.swName))
+	s := ix.scratch()
+	defer ix.pool.Put(s)
+	s.block(masked)
+	s.block(bannedLinks)
 	for _, n := range bannedNodes {
-		prev[n] = -1
+		s.seen[n] = s.gen // a banned switch counts as seen
 	}
-	prev[src] = src + 1
-	queue := []int32{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	s.seen[src] = s.gen
+	s.queue = append(s.queue[:0], src)
+	for head := 0; head < len(s.queue); head++ {
+		cur := s.queue[head]
 		for _, e := range ix.adj[cur] {
-			if prev[e.to] != 0 || blocked[e.link] {
+			if s.seen[e.to] == s.gen || s.blocked[e.link] == s.gen {
 				continue
 			}
-			prev[e.to] = cur + 1
+			s.seen[e.to], s.prev[e.to] = s.gen, cur
 			if e.to == dst {
 				hops := 0
-				for at := dst; at != src; at = prev[at] - 1 {
+				for at := dst; at != src; at = s.prev[at] {
 					hops++
 				}
 				route := make([]int32, hops+1)
-				for at := dst; ; at = prev[at] - 1 {
+				for at := dst; ; at = s.prev[at] {
 					route[hops] = at
 					if at == src {
 						return route
@@ -215,7 +277,7 @@ func bfsAvoiding(ix *topoIndex, src, dst int32, masked, bannedLinks, bannedNodes
 					hops--
 				}
 			}
-			queue = append(queue, e.to)
+			s.queue = append(s.queue, e.to)
 		}
 	}
 	return nil

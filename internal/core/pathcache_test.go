@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -220,6 +222,171 @@ func TestPathCacheFallsThroughCandidatesUnderPressure(t *testing.T) {
 	if r := caps.ShortestFeasiblePath(ringName(0), ringName(2), 1000, 0); r != nil {
 		t.Fatalf("expected no route, got %v", r)
 	}
+}
+
+// TestPathCacheRejectGrowsNoEntry: a query no route can satisfy is
+// answered by the one live search without growing its entry, a feasible
+// query that needs a new candidate still grows it, and every lookup is
+// counted as exactly one hit or one fallback.
+func TestPathCacheRejectGrowsNoEntry(t *testing.T) {
+	rv := ringView(6, 1, 1024, 1e6)
+	caps := rv.Snapshot()
+	a, b := ringName(0), ringName(2)
+	ix := rv.topo()
+	key, _ := mkPairKey(ix.swID[a], ix.swID[b])
+	candidates := func() int {
+		rv.paths.mu.Lock()
+		defer rv.paths.mu.Unlock()
+		return len(rv.paths.entries[key].routes)
+	}
+	lookups := 0
+	route := func(from, to string) []string {
+		lookups++
+		return caps.ShortestFeasiblePath(from, to, 1000, 0)
+	}
+
+	short := route(a, b)
+	if len(short) != 3 || candidates() != 1 {
+		t.Fatalf("cold lookup: route %v and %d candidates, want the 2-hop route and 1", short, candidates())
+	}
+	caps.takePath(short, 1e6)
+	detour := caps.bfsPath(a, b, 1000, 0)
+	caps.takePath(detour, 1e6)
+	for i := 0; i < 3; i++ {
+		if r := route(a, b); r != nil {
+			t.Fatalf("saturated ring routed %v", r)
+		}
+		if n := candidates(); n != 1 {
+			t.Fatalf("reject %d grew the entry to %d candidates", i, n)
+		}
+	}
+	if r := route("nowhere", b); r != nil {
+		t.Fatalf("unknown switch routed %v", r)
+	}
+
+	// Free the detour: the next lookup needs the second candidate.
+	caps = rv.Snapshot()
+	caps.takePath(short, 1e6)
+	if r := route(a, b); !slices.Equal(r, detour) || candidates() != 2 {
+		t.Fatalf("detour lookup: route %v and %d candidates, want %v and 2", r, candidates(), detour)
+	}
+
+	st := rv.PathCacheStats()
+	if st.Hits+st.Fallbacks != uint64(lookups) {
+		t.Errorf("%d lookups counted as %d hits + %d fallbacks", lookups, st.Hits, st.Fallbacks)
+	}
+	if st.Fallbacks != 4 {
+		t.Errorf("fallbacks = %d, want the 3 rejects and the unknown switch", st.Fallbacks)
+	}
+}
+
+// TestPathSearchAllocatesOnlyItsRoute: warmed searches take their marks,
+// delays, queue and labels from pooled scratch, so the route they return
+// is their one allocation.
+func TestPathSearchAllocatesOnlyItsRoute(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rv := regionView(4, 30)
+	for _, l := range rv.Links {
+		l.Bandwidth, l.Delay = 10, time.Millisecond
+	}
+	ix := rv.topo()
+	caps := rv.Snapshot()
+	a, b := "r0s7", "r2s23"
+	src, dst := ix.swID[a], ix.swID[b]
+	bannedLinks := []int32{ix.linkByName("r0s5", "r0s6")}
+	bannedNodes := []int32{ix.swID["r1s0"]}
+	for _, search := range []struct {
+		name string
+		run  func() bool
+	}{
+		{"bfsPath", func() bool { return caps.bfsPath(a, b, 1, 40*time.Millisecond) != nil }},
+		{"bfsAvoiding", func() bool { return bfsAvoiding(ix, src, dst, nil, bannedLinks, bannedNodes) != nil }},
+	} {
+		if !search.run() { // also warms the pool
+			t.Fatalf("%s found no route %s→%s", search.name, a, b)
+		}
+		if n := testing.AllocsPerRun(200, func() { search.run() }); n != 1 {
+			t.Errorf("%s: %v allocations per search, want 1 (the route)", search.name, n)
+		}
+	}
+}
+
+// TestPathEngineConcurrentSearches runs bfsPath, bfsAvoiding and cached
+// lookups from several goroutines at once on one view, and requires each
+// to answer what the same query answers on an identical view alone:
+// searches in flight must never share scratch.
+func TestPathEngineConcurrentSearches(t *testing.T) {
+	build := func() *ResourceView {
+		rv := regionView(3, 12)
+		rng := rand.New(rand.NewSource(41))
+		for _, l := range rv.Links {
+			l.Bandwidth, l.Delay = 10, time.Duration(1+rng.Intn(3))*time.Millisecond
+			if rng.Intn(3) == 0 { // leave a third of the links nearly full
+				g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: 9}}}
+				rv.Commit(&Mapping{Graph: g, Routes: map[string][]string{"l": {l.A, l.B}}})
+			}
+		}
+		return rv
+	}
+	type query struct {
+		a, b     string
+		bw       sg.BW
+		maxDelay time.Duration
+		banned   []int32
+	}
+	type answer struct{ path, avoid, cached []string }
+	ask := func(rv *ResourceView, caps *Capacities, q query) answer {
+		ix := rv.topo()
+		var avoid []string
+		for _, id := range bfsAvoiding(ix, ix.swID[q.a], ix.swID[q.b], nil, q.banned, nil) {
+			avoid = append(avoid, ix.swName[id])
+		}
+		return answer{
+			path:   caps.bfsPath(q.a, q.b, q.bw, q.maxDelay),
+			avoid:  avoid,
+			cached: caps.ShortestFeasiblePath(q.a, q.b, q.bw, q.maxDelay),
+		}
+	}
+
+	alone := build()
+	switches := slices.Clone(alone.topo().swName)
+	rng := rand.New(rand.NewSource(42))
+	queries := make([]query, 300)
+	for i := range queries {
+		q := query{a: switches[rng.Intn(len(switches))], b: switches[rng.Intn(len(switches))], bw: sg.BW(rng.Intn(3))}
+		if rng.Intn(2) == 0 {
+			q.maxDelay = time.Duration(2+rng.Intn(10)) * time.Millisecond
+		}
+		for n := rng.Intn(3); n > 0; n-- {
+			q.banned = append(q.banned, int32(rng.Intn(len(alone.Links))))
+		}
+		queries[i] = q
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		want[i] = ask(alone, alone.Snapshot(), q)
+	}
+
+	shared := build()
+	caps := shared.Snapshot()
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := range queries {
+				i := (k + w*len(queries)/workers) % len(queries)
+				if got := ask(shared, caps, queries[i]); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("worker %d query %+v: %+v, alone %+v", w, queries[i], got, want[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestPathCacheInvalidationOnFailAndHeal(t *testing.T) {

@@ -55,8 +55,8 @@ func BenchmarkAdmitAndCommit(b *testing.B) {
 
 // BenchmarkAdmitReject: the ring's links are too thin for the chain, so
 // KSP places every NF and then routing fails on bandwidth; each attempt
-// checks all k cached candidates and runs the live search before the
-// admission is rejected.
+// checks the pair's known candidates, and one live search (bfsPath)
+// finding no route proves the reject without growing the entry.
 func BenchmarkAdmitReject(b *testing.B) {
 	rv := ringView(32, 1<<16, 1<<30, 1e6)
 	mapper := &KSPMapper{Catalog: catalog.Default()}

@@ -147,6 +147,11 @@ func regionView(regions, perRegion int) *ResourceView {
 // Pareto search does not: there bfsPath must equal the reference without
 // a bound, and under one it must find a route whenever the reference
 // does, over no more hops, within the bound.
+//
+// A saturated history first reserves most links down to zero or one
+// unit of headroom, so most queries with a demand find no route: the
+// searches then mostly end empty, with stale marks left behind for the
+// next search to ignore.
 func TestPathEngineDifferentialAgainstReference(t *testing.T) {
 	const steps = 300
 	for _, topo := range []struct {
@@ -157,14 +162,26 @@ func TestPathEngineDifferentialAgainstReference(t *testing.T) {
 		{"fattree-k4", func() *ResourceView { return fatTreeView(t, 4) }},
 		{"regions", func() *ResourceView { return regionView(3, 12) }},
 	} {
-		for _, mixed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/mixed-delays=%v", topo.name, mixed), func(t *testing.T) {
+		for _, mode := range []struct {
+			mixed     bool
+			saturated string
+		}{{false, ""}, {true, ""}, {false, "/saturated"}, {true, "/saturated"}} {
+			mixed := mode.mixed
+			t.Run(fmt.Sprintf("%s/mixed-delays=%v%s", topo.name, mixed, mode.saturated), func(t *testing.T) {
 				rv := topo.build()
 				rng := rand.New(rand.NewSource(32))
 				for _, l := range rv.Links {
 					l.Bandwidth, l.Delay = 10, time.Millisecond
 					if mixed {
 						l.Delay = time.Duration(1+rng.Intn(4)) * time.Millisecond
+					}
+				}
+				if mode.saturated != "" {
+					for _, l := range rv.Links {
+						if rng.Intn(10) > 0 {
+							g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: float64(10 - rng.Intn(2))}}}
+							rv.Commit(&Mapping{Graph: g, Routes: map[string][]string{"l": {l.A, l.B}}})
+						}
 					}
 				}
 				adj := refAdjacency(rv)
@@ -266,6 +283,9 @@ func TestPathEngineDifferentialAgainstReference(t *testing.T) {
 				}
 				if found == 0 {
 					t.Fatal("history found no route at all")
+				}
+				if mode.saturated != "" && 2*found > steps {
+					t.Fatalf("saturated history routed %d of %d queries: most should find none", found, steps)
 				}
 			})
 		}

@@ -123,3 +123,42 @@ func TestRequirementDeployEndToEnd(t *testing.T) {
 		t.Error("microsecond bound over a 2ms trunk deployed")
 	}
 }
+
+// TestHealRequirementRefusedByAdmitHeal: a heal must not commit what the
+// service's mapper would refuse. On a 5 ms line sw1–sw2–sw3 with a spur
+// sw1–sw4, a 2-NF chain sap1(sw1)→sap2(sw3) bounded at 12 ms maps onto
+// ee1 on sw1 (10 ms). With ee1 masked, the only survivor is ee2 on the
+// spur, 20 ms end to end: AdmitHeal must refuse, naming the requirement,
+// and leave the view as it was.
+func TestHealRequirementRefusedByAdmitHeal(t *testing.T) {
+	ees := map[string]EESpec{
+		"ee1": {Switch: "sw1", CPU: 4, Mem: 4096},
+		"ee2": {Switch: "sw4", CPU: 4, Mem: 4096},
+	}
+	for _, mapper := range allMappers() {
+		rv := syntheticView(3, ees, 0, 5*time.Millisecond)
+		rv.Switches["sw4"] = 4
+		rv.Links = append(rv.Links, &LinkRes{A: "sw1", B: "sw4", PortA: 12, PortB: 10, Delay: 5 * time.Millisecond})
+		m, err := rv.AdmitAndCommit(mapper, reqGraph(12*time.Millisecond, 0))
+		if err != nil {
+			t.Fatalf("%s: %v", mapper.MapperName(), err)
+		}
+		for nf, ee := range m.Placements {
+			if ee != "ee1" {
+				t.Fatalf("%s: NF %s placed on %s, want ee1", mapper.MapperName(), nf, ee)
+			}
+		}
+		rv.ExcludeEE("ee1")
+		before := rv.Snapshot().FreeCPU("ee2")
+		plan, err := rv.AdmitHeal(m, rv.ExcludedEE, rv.ExcludedLink)
+		if err == nil {
+			t.Fatalf("%s: heal committed moves %v and routes %v past a 12ms bound", mapper.MapperName(), plan.Moved, plan.Routes)
+		}
+		if !strings.Contains(err.Error(), `requirement "r1"`) {
+			t.Errorf("%s: heal refused without naming the requirement: %v", mapper.MapperName(), err)
+		}
+		if after := rv.Snapshot().FreeCPU("ee2"); after != before {
+			t.Errorf("%s: refused heal changed ee2's free CPU %v → %v", mapper.MapperName(), before, after)
+		}
+	}
+}

@@ -549,21 +549,20 @@ func (c *Capacities) takePath(route []string, bw sg.BW) {
 // whose every link has bw headroom and whose total propagation delay is
 // within maxDelay (0 = unbounded). Returns nil when no route exists.
 // The candidates come precomputed per switch pair from the path cache and
-// only feasibility is checked; a live search is the fallback when no
-// cached candidate fits.
+// only feasibility is checked; when no cached candidate fits, the cache's
+// one live search answers, and a reject costs exactly that search.
 func (c *Capacities) ShortestFeasiblePath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
 	if a == b {
 		return []string{a}
 	}
-	if route, ok := c.rv.paths.lookup(c, a, b, bw, maxDelay); ok {
-		return route
-	}
-	return c.bfsPath(a, b, bw, maxDelay)
+	return c.rv.paths.lookup(c, a, b, bw, maxDelay)
 }
 
 // bfsPath is the uncached search: breadth-first over the frozen index
-// with feasibility and delay pruning inline. It is the cache's fallback
-// and the reference engine the path-cache tests compare against.
+// with feasibility and delay pruning inline. It is the path cache's live
+// search (the one search that proves a reject) and the reference engine
+// the path-cache tests compare against. Its marks, delays and labels
+// live in pooled scratch, so the returned route is its only allocation.
 //
 // Without a delay bound it is plain BFS: a switch is entered once, on its
 // first arrival. With one, a switch reached again at a later hop level is
@@ -576,20 +575,15 @@ func (c *Capacities) bfsPath(a, b string, bw sg.BW, maxDelay time.Duration) []st
 	if !ok || !ok2 {
 		return nil
 	}
-	type label struct {
-		sw, from int32 // from indexes labels; -1 at the source
-		delay    time.Duration
-	}
-	n := len(c.ix.swName)
-	reached := make([]bool, n)
-	best := make([]time.Duration, n) // lowest arrival delay per switch
-	labels := []label{{sw: src, from: -1}}
-	reached[src] = true
-	for head := 0; head < len(labels); head++ {
-		cur := labels[head]
+	s := c.ix.scratch()
+	defer c.ix.pool.Put(s)
+	s.seen[src], s.best[src] = s.gen, 0
+	s.labels = append(s.labels[:0], label{sw: src, from: -1})
+	for head := 0; head < len(s.labels); head++ {
+		cur := s.labels[head]
 		for _, e := range c.ix.adj[cur.sw] {
 			nd := cur.delay + c.ix.links[e.link].Delay
-			if reached[e.to] && (maxDelay <= 0 || nd >= best[e.to]) {
+			if s.seen[e.to] == s.gen && (maxDelay <= 0 || nd >= s.best[e.to]) {
 				continue
 			}
 			if !c.linkFitsID(e.link, bw) {
@@ -598,16 +592,16 @@ func (c *Capacities) bfsPath(a, b string, bw sg.BW, maxDelay time.Duration) []st
 			if maxDelay > 0 && nd > maxDelay {
 				continue
 			}
-			reached[e.to], best[e.to] = true, nd
-			labels = append(labels, label{sw: e.to, from: int32(head), delay: nd})
+			s.seen[e.to], s.best[e.to] = s.gen, nd
+			s.labels = append(s.labels, label{sw: e.to, from: int32(head), delay: nd})
 			if e.to == dst {
 				hops := 0
-				for at := len(labels) - 1; labels[at].from >= 0; at = int(labels[at].from) {
+				for at := len(s.labels) - 1; s.labels[at].from >= 0; at = int(s.labels[at].from) {
 					hops++
 				}
 				route := make([]string, hops+1)
-				for at := len(labels) - 1; at >= 0; at = int(labels[at].from) {
-					route[hops] = c.ix.swName[labels[at].sw]
+				for at := len(s.labels) - 1; at >= 0; at = int(s.labels[at].from) {
+					route[hops] = c.ix.swName[s.labels[at].sw]
 					hops--
 				}
 				return route

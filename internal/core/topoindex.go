@@ -37,6 +37,9 @@ type topoIndex struct {
 	xmu   sync.Mutex
 	xee   extraIDs[string]
 	xlink extraIDs[linkKey]
+
+	// pool holds the path searches' reusable *searchScratch.
+	pool sync.Pool
 }
 
 // extraIDs numbers the names outside the frozen index, past its IDs.

@@ -21,6 +21,10 @@ type LinkConfig struct {
 	LossSeed int64
 }
 
+// shaped reports whether the link serializes or delays frames; an
+// unshaped link delivers inline.
+func (c LinkConfig) shaped() bool { return c.Bandwidth > 0 || c.Delay > 0 }
+
 // Link is a full-duplex connection between two ports, realized as two
 // independent simplex pipes.
 type Link struct {
@@ -94,15 +98,19 @@ type pipe struct {
 	stopOnce sync.Once // a removed link may be closed again by Network.Stop
 }
 
+// newPipe makes one direction of a link. Only a shaped pipe gets an
+// egress queue: an unshaped one delivers inline and never queues.
 func newPipe(cfg LinkConfig, deliver func([]byte), seedSalt int64) *pipe {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 512
 	}
 	p := &pipe{
 		cfg:     cfg,
-		queue:   make(chan []byte, cfg.QueueLen),
 		deliver: deliver,
 		stop:    make(chan struct{}),
+	}
+	if cfg.shaped() {
+		p.queue = make(chan []byte, cfg.QueueLen)
 	}
 	p.lossState.Store(uint64(cfg.LossSeed ^ seedSalt))
 	return p
@@ -118,7 +126,7 @@ func (p *pipe) send(frame []byte) {
 	// Fast path: unshaped link with empty queue delivers inline, avoiding
 	// a goroutine hop. This keeps large emulations (E3) cheap while
 	// shaped links still get full queue semantics.
-	if p.cfg.Bandwidth <= 0 && p.cfg.Delay <= 0 {
+	if !p.cfg.shaped() {
 		p.packets.Add(1)
 		p.bytes.Add(uint64(len(frame)))
 		p.deliver(frame)
@@ -173,7 +181,7 @@ func newStoppedTimer() *time.Timer {
 // start launches the transmission goroutine for shaped pipes. Unshaped
 // pipes deliver inline and need no goroutine.
 func (p *pipe) start() {
-	if p.cfg.Bandwidth <= 0 && p.cfg.Delay <= 0 {
+	if !p.cfg.shaped() {
 		return
 	}
 	// Stage 1: serialization (token bucket at Bandwidth).

@@ -158,6 +158,32 @@ func TestBuildGeneratorsValidate(t *testing.T) {
 	}
 }
 
+// TestUnshapedLinkHasNoQueue: an unshaped link delivers inline in both
+// directions, so AddLink gives its pipes no egress queue; a shaped link
+// keeps one of the configured depth.
+func TestUnshapedLinkHasNoQueue(t *testing.T) {
+	n := New("t", Options{})
+	for _, h := range []string{"h1", "h2", "h3"} {
+		if _, err := n.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, err := n.AddLink("h1", "h2", LinkConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.ab.queue != nil || plain.ba.queue != nil {
+		t.Errorf("unshaped link allocated egress queues of %d and %d slots", cap(plain.ab.queue), cap(plain.ba.queue))
+	}
+	shaped, err := n.AddLink("h2", "h3", LinkConfig{Delay: time.Millisecond, QueueLen: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(shaped.ab.queue) != 8 || cap(shaped.ba.queue) != 8 {
+		t.Errorf("shaped link queues hold %d and %d slots, want 8", cap(shaped.ab.queue), cap(shaped.ba.queue))
+	}
+}
+
 func TestShapedLinkDelay(t *testing.T) {
 	n := New("t", Options{})
 	h1, _ := n.AddHost("h1")
