@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,8 +40,8 @@ func triangle() core.TopoSpec {
 }
 
 // healFixture is a daemon over spec behind a test HTTP server, with a
-// tenant "acme" whose intent "web" (h1 → monitor → monitor → h2) is
-// Running.
+// tenant "acme" whose intent "web" (h1 → monitor → monitor → h2, nf1
+// and nf2) is Running.
 type healFixture struct {
 	t     *testing.T
 	d     *daemon
@@ -51,6 +52,13 @@ type healFixture struct {
 const webID = "acme/web"
 
 func startHealFixture(t *testing.T, spec core.TopoSpec) *healFixture {
+	t.Helper()
+	return startHealFixtureWith(t, spec, func(*sg.Graph) {})
+}
+
+// startHealFixtureWith is startHealFixture with the intent's graph
+// edited by edit before it is posted.
+func startHealFixtureWith(t *testing.T, spec core.TopoSpec, edit func(*sg.Graph)) *healFixture {
 	t.Helper()
 	d, err := startDaemon(spec, daemonConfig{
 		dataDir:    t.TempDir(),
@@ -76,6 +84,7 @@ func startHealFixture(t *testing.T, spec core.TopoSpec) *healFixture {
 	g.SAPs[0].ID, g.SAPs[1].ID = "h1", "h2"
 	g.Links[0].Src.Node = "h1"
 	g.Links[len(g.Links)-1].Dst.Node = "h2"
+	edit(g)
 	raw, err := g.ToJSON()
 	if err != nil {
 		t.Fatal(err)
@@ -264,6 +273,62 @@ func TestDaemonHealFailsThenRedeploys(t *testing.T) {
 	}
 	if st := f.intent(); !st.Running || st.LastError != "" {
 		t.Fatalf("redeployed intent reads %+v over the API", st)
+	}
+}
+
+// TestDaemonHealKeepsDelayRequirement: a heal must not commit what the
+// intent's mapper would refuse. On a 5 ms line sw1–sw2–sw3 with a spur
+// sw1–sw4, the intent h1(sw1) → h2(sw3) bounded at 12 ms runs on ee1 on
+// sw1 (10 ms). Once ee1 crashes, the only survivor is ee2 on the spur,
+// 20 ms end to end: the heal gives up naming the requirement, and the
+// intent never runs on ee2.
+func TestDaemonHealKeepsDelayRequirement(t *testing.T) {
+	trunk := func(a, b string) core.TrunkSpec { return core.TrunkSpec{A: a, B: b, Delay: 5 * time.Millisecond} }
+	spec := core.TopoSpec{
+		Switches: []string{"sw1", "sw2", "sw3", "sw4"},
+		Hosts:    map[string]string{"h1": "sw1", "h2": "sw3"},
+		EEs: map[string]core.EESpec{
+			"ee1": {Switch: "sw1", CPU: 4, Mem: 2048},
+			"ee2": {Switch: "sw4", CPU: 4, Mem: 2048},
+		},
+		Trunks: []core.TrunkSpec{trunk("sw1", "sw2"), trunk("sw2", "sw3"), trunk("sw1", "sw4")},
+	}
+	f := startHealFixtureWith(t, spec, func(g *sg.Graph) {
+		g.Reqs = []*sg.Requirement{{ID: "r1", From: "h1", To: "h2", MaxDelay: 12 * time.Millisecond}}
+	})
+	for nf, ee := range f.d.env.Orch.Service(webID).Placements() {
+		if ee != "ee1" {
+			t.Fatalf("NF %s runs on %s, want ee1 (the only placement within 12 ms)", nf, ee)
+		}
+	}
+	// Every later Running transition of the intent is a heal or redeploy
+	// onto ee2, the only EE left once ee1 is down.
+	var runs atomic.Int32
+	cancel := f.d.env.Orch.OnTransition(func(ev core.Event) {
+		if ev.Service == webID && ev.State == core.StateRunning {
+			runs.Add(1)
+		}
+	})
+	defer cancel()
+
+	f.d.env.Net.Node("ee1").(*netem.EE).Crash()
+	// The redeploy retries that follow overwrite last_error, so it is
+	// read at the run that reported it.
+	if !f.d.rec.Await(healBound, func() bool {
+		return strings.Contains(f.d.rec.LastError(webID), `requirement "r1"`)
+	}) {
+		state := "not deployed"
+		if svc := f.d.env.Orch.Service(webID); svc != nil {
+			state = fmt.Sprintf("%s placements=%v", svc.State(), svc.Placements())
+		}
+		t.Fatalf("no error naming requirement \"r1\" within %v: %s, last_error %q",
+			healBound, state, f.d.rec.LastError(webID))
+	}
+	if n := runs.Load(); n != 0 {
+		t.Fatalf("intent reported Running %d times after ee1 crashed: it ran on ee2, past its 12 ms bound", n)
+	}
+	if st := f.intent(); st.Running {
+		t.Errorf("intent reads %+v over the API with ee1 down, want not running", st)
 	}
 }
 

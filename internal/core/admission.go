@@ -167,9 +167,23 @@ func (d *delta) route(route []string, bw sg.BW, sign int) {
 	}
 }
 
+// newDelta returns an empty delta with room for ees EE and hops link
+// changes.
+func (rv *ResourceView) newDelta(ees, hops int) *delta {
+	return &delta{ix: rv.topo(), ee: make([]eeChange, 0, ees), link: make([]linkChange, 0, hops)}
+}
+
+// routeHops counts the link hops of some switch routes.
+func routeHops(routes map[string][]string) (n int) {
+	for _, r := range routes {
+		n += max(len(r)-1, 0)
+	}
+	return n
+}
+
 // mappingDelta is a mapping's whole demand with the given sign.
 func (rv *ResourceView) mappingDelta(m *Mapping, sign int) *delta {
-	d := &delta{ix: rv.topo()}
+	d := rv.newDelta(len(m.Placements), routeHops(m.Routes))
 	for nfID, ee := range m.Placements {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		d.place(ee, cpu, mem, sign)
@@ -186,7 +200,7 @@ func (rv *ResourceView) mappingDelta(m *Mapping, sign int) *delta {
 // old EE for its new one, each re-routed SG link's bandwidth leaves its
 // old route for its new one.
 func (rv *ResourceView) healDelta(m *Mapping, plan *HealPlan) *delta {
-	d := &delta{ix: rv.topo()}
+	d := rv.newDelta(2*len(plan.Moved), routeHops(plan.OldRoutes)+routeHops(plan.Routes))
 	for nfID, newEE := range plan.Moved {
 		cpu, mem := NFDemand(m.Catalog, m.Graph.NF(nfID))
 		d.place(plan.OldEE[nfID], cpu, mem, -1)
@@ -203,18 +217,19 @@ func (rv *ResourceView) healDelta(m *Mapping, plan *HealPlan) *delta {
 // fitsEpoch reports whether d can publish on epoch cur: every EE
 // receiving an NF exists and is unmasked, every link on a new route
 // exists and is unmasked, and every positive net change fits (links
-// without capacity take any bandwidth). Only receiving EEs and new-route
-// links gain anything, so pure releases are never checked. Caller holds
-// rv.mu.
+// without capacity take any bandwidth), against the capacities the index
+// froze. Only receiving EEs and new-route links gain anything, so pure
+// releases are never checked. Caller holds rv.mu.
 func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
 	for _, c := range d.ee {
 		if !c.recv {
 			continue
 		}
-		res, r := d.ix.eeRes(rv, c.id), cur.ee.at(c.id)
-		if res == nil || r.masked ||
-			c.cpu > 0 && !fits(capCPU(res)-r.cpu, c.cpu) ||
-			c.mem > 0 && !fits(res.Mem-r.mem, c.mem) {
+		capa, ok := d.ix.eeCapOf(rv, c.id)
+		r := cur.ee.at(c.id)
+		if !ok || r.masked ||
+			c.cpu > 0 && !fits(capa.cpu-r.cpu, c.cpu) ||
+			c.mem > 0 && !fits(capa.mem-r.mem, c.mem) {
 			return false
 		}
 	}
@@ -222,9 +237,11 @@ func (rv *ResourceView) fitsEpoch(cur *viewState, d *delta) bool {
 		if !c.onRoute {
 			continue
 		}
-		l, r := d.ix.linkRes(c.id), cur.link.at(c.id)
-		if l == nil || r.masked ||
-			c.bw > 0 && l.Bandwidth > 0 && !fits(capBW(l)-r.bw, c.bw) {
+		if !d.ix.frozenLink(c.id) {
+			return false
+		}
+		capa, r := d.ix.lcap[c.id], cur.link.at(c.id)
+		if r.masked || c.bw > 0 && capa.capped && !fits(capa.bw-r.bw, c.bw) {
 			return false
 		}
 	}

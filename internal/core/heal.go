@@ -41,7 +41,10 @@ func (p *HealPlan) Empty() bool {
 // placements released, new ones committed); on error nothing changed.
 // The failed EEs/links themselves are additionally masked view-locally
 // for the placement search even when the caller has not excluded them
-// view-wide.
+// view-wide. The predicates are read for what the plan touches: eeDown
+// for every EE, linkDown for the hops of the mapping's routes and for
+// each link the re-routing search then looks at, once per plan — never
+// for every link of the view.
 func (rv *ResourceView) AdmitHeal(m *Mapping, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealPlan, error) {
 	var plan *HealPlan
 	err := rv.retry("healing", m.Graph.Name, func() (bool, error) {
@@ -76,7 +79,9 @@ func (rv *ResourceView) TryCommitHealPlan(m *Mapping, plan *HealPlan) bool {
 // without committing it: the speculative half of AdmitHeal, exposed so
 // the parallel scenario player can plan heals for many services
 // concurrently and merge them in deterministic order through
-// TryCommitHealPlan.
+// TryCommitHealPlan. It reads eeDown and linkDown as AdmitHeal does:
+// linkDown lazily, from inside the plan's route searches, so concurrent
+// plans may call it concurrently and it must not block.
 func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown func(a, b string) bool) (*HealPlan, error) {
 	plan := &HealPlan{
 		Moved:     map[string]string{},
@@ -117,11 +122,9 @@ func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown 
 			caps.ExcludeEE(ee)
 		}
 	}
-	for _, l := range rv.Links {
-		if linkDown(l.A, l.B) {
-			caps.ExcludeLink(l.A, l.B)
-		}
-	}
+	// A link linkDown reports down is masked for the search too, but asked
+	// about only when the plan reads it, not for every link of the view.
+	caps.linkDown = linkDown
 	// Virtually release what the delta abandons, so healing can reuse the
 	// bandwidth of its own old routes (freed compute on a dead EE is
 	// masked anyway and not added back).
@@ -191,12 +194,12 @@ func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown 
 			return nil, err
 		}
 		bw := m.linkDemand(l)
-		route := caps.ShortestFeasiblePath(src, dst, bw, l.MaxDelay)
+		route, ids := caps.shortestFeasible(src, dst, bw, l.MaxDelay)
 		if route == nil {
 			return nil, fmt.Errorf("core: healing %q: no surviving path for link %q (%s→%s)",
 				m.Graph.Name, linkID, src, dst)
 		}
-		caps.takePath(route, bw)
+		caps.takeLinks(ids, bw)
 		plan.Routes[linkID] = route
 		plan.OldRoutes[linkID] = m.Routes[linkID]
 	}
@@ -467,16 +470,23 @@ func (m *Mapping) WithPlan(plan *HealPlan) *Mapping {
 }
 
 // touchesMasked reports whether a mapping places an NF on a masked EE
-// or routes across a masked link.
+// or routes across a masked link. The link check reads one epoch: when
+// it masks no link the routes are not walked, and otherwise each hop is
+// resolved to its ID and read there.
 func touchesMasked(view *ResourceView, m *Mapping) bool {
 	for _, ee := range m.Placements {
 		if view.ExcludedEE(ee) {
 			return true
 		}
 	}
+	st := view.state.Load()
+	if len(st.masked) == 0 {
+		return false
+	}
+	ix := view.topo()
 	for _, route := range m.Routes {
 		for i := 0; i+1 < len(route); i++ {
-			if view.ExcludedLink(route[i], route[i+1]) {
+			if st.link.at(ix.linkRef(route[i], route[i+1], false)).masked {
 				return true
 			}
 		}

@@ -2,7 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"escape/internal/catalog"
@@ -220,12 +221,18 @@ func (mc *mapContext) attachSwitch(node string, placements map[string]string) (s
 }
 
 // routeLinks routes every SG link over caps given complete placements,
-// reserving bandwidth as it goes. Links are routed in sorted id order for
-// determinism.
+// reserving bandwidth as it goes, by the link IDs the path engine hands
+// back with each route. Links are routed in sorted id order for
+// determinism (a graph whose links are already in that order is not
+// copied).
 func (mc *mapContext) routeLinks(placements map[string]string, caps *Capacities) (map[string][]string, error) {
-	links := append([]*sg.Link(nil), mc.g.Links...)
-	sort.Slice(links, func(i, j int) bool { return links[i].ID < links[j].ID })
-	routes := map[string][]string{}
+	links := mc.g.Links
+	byID := func(a, b *sg.Link) int { return strings.Compare(a.ID, b.ID) }
+	if !slices.IsSortedFunc(links, byID) {
+		links = slices.Clone(links)
+		slices.SortFunc(links, byID)
+	}
+	routes := make(map[string][]string, len(links))
 	for _, l := range links {
 		src, err := mc.attachSwitch(l.Src.Node, placements)
 		if err != nil {
@@ -236,12 +243,12 @@ func (mc *mapContext) routeLinks(placements map[string]string, caps *Capacities)
 			return nil, err
 		}
 		bw := mc.demands[l.ID]
-		route := caps.ShortestFeasiblePath(src, dst, bw, l.MaxDelay)
+		route, ids := caps.shortestFeasible(src, dst, bw, l.MaxDelay)
 		if route == nil {
 			return nil, fmt.Errorf("core: no feasible path for link %q (%s→%s, bw=%d, delay≤%v)",
 				l.ID, src, dst, bw, l.MaxDelay)
 		}
-		caps.takePath(route, bw)
+		caps.takeLinks(ids, bw)
 		routes[l.ID] = route
 	}
 	if err := mc.checkE2E(routes); err != nil {

@@ -58,7 +58,7 @@ type candidate struct {
 
 // pathCache is the shared cached path engine: candidates per
 // (attach-switch pair), consumed by every registered mapper through
-// mapContext.routeLinks → Capacities.ShortestFeasiblePath. Feasibility
+// mapContext.routeLinks → Capacities.shortestFeasible. Feasibility
 // (bandwidth headroom, view-local masks, delay bounds) is checked at
 // lookup time against the caller's Capacities overlay, so correctness
 // never depends on invalidation. When no known candidate fits, one live
@@ -114,8 +114,12 @@ func (rv *ResourceView) PathCacheStats() PathCacheStats {
 	}
 }
 
-// lookup serves one route query: the first known candidate passing the
-// caller's feasibility overlay wins. When all known candidates fail, one
+// lookup serves one route query, answering the route together with its
+// link IDs in hop order, so the caller reserves by ID without resolving
+// a hop again: the first known candidate passing the caller's
+// feasibility overlay wins, and hands back the entry's own link IDs
+// (reversed into a copy when the query runs against the pair's order),
+// which the caller only reads. When all known candidates fail, one
 // live search (bfsPath) runs on the same overlay before anything else:
 // if it finds no route, no candidate can be feasible either, and the
 // query is rejected without growing the entry. Otherwise the entry is
@@ -125,13 +129,14 @@ func (rv *ResourceView) PathCacheStats() PathCacheStats {
 // nondecreasing hop order, a feasible candidate is also a minimum-hop
 // feasible route. Candidate order depends only on the entry's masks, not
 // on when it grows, so skipping extension on infeasible queries changes
-// no later answer.
-func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) []string {
+// no later answer. The live search's route is resolved to link IDs once,
+// when it is the answer.
+func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.Duration) ([]string, []int32) {
 	ia, ok := c.ix.swID[a]
 	ib, ok2 := c.ix.swID[b]
 	if !ok || !ok2 {
 		pc.fallbacks.Add(1)
-		return nil
+		return nil, nil
 	}
 	key, reversed := mkPairKey(ia, ib)
 	pc.mu.Lock()
@@ -158,11 +163,13 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 				}
 			}
 			pc.hits.Add(1)
-			out := slices.Clone(routes[i])
+			out, ids := slices.Clone(routes[i]), links[i]
 			if reversed {
 				slices.Reverse(out)
+				ids = slices.Clone(ids)
+				slices.Reverse(ids)
 			}
-			return out
+			return out, ids
 		}
 		tried = len(routes)
 		if found == nil {
@@ -181,7 +188,7 @@ func (pc *pathCache) lookup(c *Capacities, a, b string, bw sg.BW, maxDelay time.
 		}
 	}
 	pc.fallbacks.Add(1)
-	return found
+	return found, c.ix.routeIDs(found)
 }
 
 // searchScratch is one search's working memory, reused across searches

@@ -24,7 +24,10 @@ import (
 	"escape/internal/sg"
 )
 
-// EERes describes one VNF container in the resource view.
+// EERes describes one VNF container in the resource view. Its CPU and
+// Mem are read once, when the view freezes its topology on first use (a
+// mapping, snapshot, commit, mask or mask query; see topoIndex): set
+// them before that, and do not change them after.
 type EERes struct {
 	Name string
 	CPU  float64
@@ -41,7 +44,9 @@ type SAPRes struct {
 	Port   uint16
 }
 
-// LinkRes is one undirected switch-to-switch link.
+// LinkRes is one undirected switch-to-switch link. Like an EE's
+// capacity, its Bandwidth is read once, when the view freezes its
+// topology.
 type LinkRes struct {
 	A, B         string // switch names
 	PortA, PortB uint16
@@ -141,7 +146,8 @@ func mkLinkKey(a, b string) linkKey {
 func fits[T ~int64 | ~int](free, demand T) bool { return demand <= free }
 
 // capCPU and capBW are an EE's and a link's capacity in the view's units;
-// one out of range counts as none.
+// one out of range counts as none. The index converts each frozen EE and
+// link once (see topoIndex).
 func capCPU(res *EERes) sg.CPU { c, _ := sg.CPUOf(res.CPU); return c }
 func capBW(l *LinkRes) sg.BW   { b, _ := sg.BWOf(l.Bandwidth); return b }
 
@@ -404,6 +410,14 @@ type Capacities struct {
 	// exclusion).
 	ee   map[int32]eeRec
 	link map[int32]linkRec
+
+	// linkDown, when set (a heal plan's view), also masks every frozen
+	// link it reports down. It is asked lazily, the first time the view
+	// reads a link its overlay has not written, and its answers are kept
+	// in downMemo (two bits per link ID: asked, down), so a plan asks
+	// about each link it looks at at most once and never about the rest.
+	linkDown func(a, b string) bool
+	downMemo []uint64
 }
 
 // Snapshot pins the current epoch: an O(1) copy-on-write view of free
@@ -416,7 +430,8 @@ func (rv *ResourceView) Snapshot() *Capacities {
 // not O(network) — both views resolve untouched records against the same
 // immutable epoch.
 func (c *Capacities) Clone() *Capacities {
-	return &Capacities{rv: c.rv, ix: c.ix, st: c.st, ee: maps.Clone(c.ee), link: maps.Clone(c.link)}
+	return &Capacities{rv: c.rv, ix: c.ix, st: c.st, ee: maps.Clone(c.ee), link: maps.Clone(c.link),
+		linkDown: c.linkDown, downMemo: slices.Clone(c.downMemo)}
 }
 
 // eeFree resolves an EE's overlay record: free compute net of this
@@ -429,8 +444,8 @@ func (c *Capacities) eeFree(id int32) eeRec {
 		return eeRec{}
 	}
 	r := c.st.ee.at(id)
-	if res := c.ix.eeRes(c.rv, id); res != nil {
-		r.cpu, r.mem = capCPU(res)-r.cpu, res.Mem-r.mem
+	if capa, ok := c.ix.eeCapOf(c.rv, id); ok {
+		r.cpu, r.mem = capa.cpu-r.cpu, capa.mem-r.mem
 	} else {
 		r.cpu, r.mem = 0, 0
 	}
@@ -445,7 +460,8 @@ func (c *Capacities) setEE(id int32, r eeRec) {
 }
 
 // linkFreeID resolves a link's overlay record: free bandwidth of a
-// capacitated link net of this view's reservations, and mask.
+// frozen link net of this view's reservations, and mask (the epoch's, a
+// view-local exclusion, or linkDown's answer).
 func (c *Capacities) linkFreeID(id int32) linkRec {
 	if r, ok := c.link[id]; ok {
 		return r
@@ -454,10 +470,32 @@ func (c *Capacities) linkFreeID(id int32) linkRec {
 		return linkRec{}
 	}
 	r := c.st.link.at(id)
-	if l := c.ix.linkRes(id); l != nil {
-		r.bw = capBW(l) - r.bw
+	if c.ix.frozenLink(id) {
+		r.bw = c.ix.lcap[id].bw - r.bw
+		if !r.masked && c.linkDown != nil {
+			r.masked = c.reportedDown(id)
+		}
 	}
 	return r
+}
+
+// reportedDown asks linkDown about a frozen link, once per view.
+func (c *Capacities) reportedDown(id int32) bool {
+	if c.downMemo == nil {
+		c.downMemo = make([]uint64, (2*len(c.ix.links)+63)/64)
+	}
+	w, shift := id/32, uint(id%32)*2
+	if m := c.downMemo[w] >> shift; m&1 != 0 {
+		return m&2 != 0
+	}
+	l := c.ix.links[id]
+	down := c.linkDown(l.A, l.B)
+	m := uint64(1)
+	if down {
+		m = 3
+	}
+	c.downMemo[w] |= m << shift
+	return down
 }
 
 func (c *Capacities) setLink(id int32, r linkRec) {
@@ -523,25 +561,44 @@ func (c *Capacities) linkFitsID(id int32, bw sg.BW) bool {
 	if r.masked {
 		return false
 	}
-	if bw <= 0 || c.ix.links[id].Bandwidth <= 0 {
+	if bw <= 0 || !c.ix.lcap[id].capped {
 		return true
 	}
 	return fits(r.bw, bw)
 }
 
-// takePath reserves bandwidth along a switch route; a negative bw gives
-// it back (healing virtually releases the routes it abandons so
-// replacements can reuse their capacity).
+// takeLinks reserves bw along a route of frozen link IDs, as the path
+// engine hands them out; a negative bw gives it back.
+func (c *Capacities) takeLinks(links []int32, bw sg.BW) {
+	if bw == 0 {
+		return
+	}
+	for _, id := range links {
+		c.takeLink(id, bw)
+	}
+}
+
+// takePath is takeLinks along a switch-name route, resolving each hop; a
+// pair that is no frozen link is skipped. Healing gives back the routes
+// it abandons this way, since a mapping keeps its routes as names only.
 func (c *Capacities) takePath(route []string, bw sg.BW) {
 	if bw == 0 {
 		return
 	}
 	for i := 0; i+1 < len(route); i++ {
-		if id := c.ix.linkByName(route[i], route[i+1]); id >= 0 && c.ix.links[id].Bandwidth > 0 {
-			r := c.linkFreeID(id)
-			r.bw -= bw
-			c.setLink(id, r)
+		if id := c.ix.linkByName(route[i], route[i+1]); id >= 0 {
+			c.takeLink(id, bw)
 		}
+	}
+}
+
+// takeLink reserves bw on one frozen link; an uncapacitated link keeps
+// no reservation.
+func (c *Capacities) takeLink(id int32, bw sg.BW) {
+	if c.ix.lcap[id].capped {
+		r := c.linkFreeID(id)
+		r.bw -= bw
+		c.setLink(id, r)
 	}
 }
 
@@ -550,10 +607,20 @@ func (c *Capacities) takePath(route []string, bw sg.BW) {
 // within maxDelay (0 = unbounded). Returns nil when no route exists.
 // The candidates come precomputed per switch pair from the path cache and
 // only feasibility is checked; when no cached candidate fits, the cache's
-// one live search answers, and a reject costs exactly that search.
+// one live search answers, and a reject costs exactly that search. The
+// mappers' routeLinks and heal planning call shortestFeasible instead,
+// which also hands back the route's link IDs.
 func (c *Capacities) ShortestFeasiblePath(a, b string, bw sg.BW, maxDelay time.Duration) []string {
+	route, _ := c.shortestFeasible(a, b, bw, maxDelay)
+	return route
+}
+
+// shortestFeasible is ShortestFeasiblePath with the route's link IDs, in
+// hop order, for takeLinks to reserve by ID. The IDs may be the path
+// engine's own: callers only read them.
+func (c *Capacities) shortestFeasible(a, b string, bw sg.BW, maxDelay time.Duration) ([]string, []int32) {
 	if a == b {
-		return []string{a}
+		return []string{a}, nil
 	}
 	return c.rv.paths.lookup(c, a, b, bw, maxDelay)
 }

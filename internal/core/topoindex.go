@@ -4,6 +4,8 @@ import (
 	"slices"
 	"sort"
 	"sync"
+
+	"escape/internal/sg"
 )
 
 // topoIndex is the frozen topology in dense integer form, built once on
@@ -17,6 +19,10 @@ import (
 // rv.Links with parallel links collapsed onto the first; EE IDs follow
 // sorted EE names.
 //
+// Capacities freeze with the topology: each frozen EE's and link's
+// capacity is converted to view units (sg.CPU, sg.BW) once, here, and
+// every capacity check reads the stored value.
+//
 // Names outside the frozen index — an EE or link that is not part of the
 // topology the index was built from — still carry records: a write gives
 // such a name the next extra ID past the frozen ones, and its capacity
@@ -27,10 +33,12 @@ type topoIndex struct {
 	adj    [][]edge // by switch ID, sorted by neighbour
 
 	links []*LinkRes // by link ID
+	lcap  []linkCap  // by link ID
 
 	eeID    map[string]int32
 	eeNames []string // by EE ID: the sorted EE names
 	ees     []*EERes // by EE ID
+	ecap    []eeCap  // by EE ID
 	eeSw    []int32  // attach switch ID by EE ID
 
 	// xmu guards the extra IDs of names outside the frozen index.
@@ -68,6 +76,20 @@ func (x *extraIDs[K]) ref(k K, frozen int, add bool) int32 {
 
 // edge is one adjacency entry: the neighbour and the link reaching it.
 type edge struct{ to, link int32 }
+
+// eeCap is an EE's capacity in view units.
+type eeCap struct {
+	cpu sg.CPU
+	mem int
+}
+
+// linkCap is a link's bandwidth capacity in view units. capped is false
+// for an uncapacitated link (Bandwidth ≤ 0), which takes any bandwidth;
+// a positive Bandwidth that rounds to 0 bit/s stays capped.
+type linkCap struct {
+	bw     sg.BW
+	capped bool
+}
 
 // topo returns the frozen index, building it on first use.
 func (rv *ResourceView) topo() *topoIndex {
@@ -110,6 +132,7 @@ func buildTopoIndex(rv *ResourceView) *topoIndex {
 		seen[k] = true
 		id := int32(len(ix.links))
 		ix.links = append(ix.links, l)
+		ix.lcap = append(ix.lcap, linkCap{bw: capBW(l), capped: l.Bandwidth > 0})
 		a, b := ix.swID[l.A], ix.swID[l.B]
 		ix.adj[a] = append(ix.adj[a], edge{b, id})
 		ix.adj[b] = append(ix.adj[b], edge{a, id})
@@ -124,6 +147,7 @@ func buildTopoIndex(rv *ResourceView) *topoIndex {
 	for i, n := range ix.eeNames {
 		ix.eeID[n] = int32(i)
 		ix.ees = append(ix.ees, rv.EEs[n])
+		ix.ecap = append(ix.ecap, eeCap{cpu: capCPU(rv.EEs[n]), mem: rv.EEs[n].Mem})
 		ix.eeSw = append(ix.eeSw, ix.swID[rv.EEs[n].Switch])
 	}
 	return ix
@@ -152,6 +176,19 @@ func (ix *topoIndex) linkByName(a, b string) int32 {
 	return ix.linkOf(ia, ib)
 }
 
+// routeIDs resolves a switch route's hops to their link IDs (nil for no
+// route). Every hop of a route the path engine found is a frozen link.
+func (ix *topoIndex) routeIDs(route []string) []int32 {
+	if len(route) < 2 {
+		return nil
+	}
+	ids := make([]int32, len(route)-1)
+	for i := range ids {
+		ids[i] = ix.linkByName(route[i], route[i+1])
+	}
+	return ids
+}
+
 // eeRef resolves an EE name to its record ID. A name outside the frozen
 // index gets an extra ID when add is set, and -1 otherwise.
 func (ix *topoIndex) eeRef(name string, add bool) int32 {
@@ -174,25 +211,26 @@ func (ix *topoIndex) linkRef(a, b string, add bool) int32 {
 	return ix.xlink.ref(mkLinkKey(a, b), len(ix.links), add)
 }
 
-// eeRes returns an EE's resource record: the frozen one, or for an extra
-// ID whatever rv.EEs holds under its name now (nil for none).
-func (ix *topoIndex) eeRes(rv *ResourceView, id int32) *EERes {
-	if int(id) < len(ix.ees) {
-		return ix.ees[id]
+// eeCapOf returns an EE's capacity and whether the EE exists: the frozen
+// capacity, or for an extra ID that of whatever rv.EEs holds under its
+// name now.
+func (ix *topoIndex) eeCapOf(rv *ResourceView, id int32) (eeCap, bool) {
+	if int(id) < len(ix.ecap) {
+		return ix.ecap[id], true
 	}
 	ix.xmu.Lock()
 	name := ix.xee.names[int(id)-len(ix.ees)]
 	ix.xmu.Unlock()
-	return rv.EEs[name]
+	res := rv.EEs[name]
+	if res == nil {
+		return eeCap{}, false
+	}
+	return eeCap{cpu: capCPU(res), mem: res.Mem}, true
 }
 
-// linkRes returns a link's resource record, nil for an extra ID.
-func (ix *topoIndex) linkRes(id int32) *LinkRes {
-	if int(id) < len(ix.links) {
-		return ix.links[id]
-	}
-	return nil
-}
+// frozenLink reports whether a link ID is one of the frozen index's: an
+// extra ID is no link and has no capacity.
+func (ix *topoIndex) frozenLink(id int32) bool { return id >= 0 && int(id) < len(ix.lcap) }
 
 // recChunk is how many records one copy-on-write chunk holds.
 const recChunk = 32

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"escape/internal/sg"
@@ -72,5 +73,54 @@ func TestRecordsOutsideFrozenIndex(t *testing.T) {
 	rv.Release(m)
 	if cpu, mem := rv.Committed("late"); cpu != 0 || mem != 0 || rv.CommittedBW(ringName(0), "nowhere") != 0 {
 		t.Fatal("release did not restore the late EE and the non-link")
+	}
+}
+
+// TestFrozenCapacitiesMatchUnits: the index converts each EE's and
+// link's capacity to view units once, exactly as sg.CPUOf and sg.BWOf
+// do; a link without capacity takes any bandwidth, and one whose
+// positive capacity rounds to 0 bit/s takes none.
+func TestFrozenCapacitiesMatchUnits(t *testing.T) {
+	rv := ringView(6, 1, 1024, 0)
+	for i, cpu := range []float64{0.1, 1.5, 0.3333333, 2.0000005, 1e-7, 7} {
+		rv.EEs[fmt.Sprintf("ee%02d", i)].CPU = cpu
+	}
+	for i, bw := range []float64{0, 0.4, 1e6 + 0.6, 10e9, 1.5, 0} {
+		rv.Links[i].Bandwidth = bw
+	}
+	ix := rv.topo()
+	for id, res := range ix.ees {
+		want, _ := sg.CPUOf(res.CPU)
+		if got := ix.ecap[id]; got.cpu != want || got.mem != res.Mem {
+			t.Errorf("EE %s frozen as %+v, want cpu %d mem %d", res.Name, got, want, res.Mem)
+		}
+	}
+	caps := rv.Snapshot()
+	huge := sg.BW(1) << 60
+	for id, l := range ix.links {
+		want, _ := sg.BWOf(l.Bandwidth)
+		if got := ix.lcap[id]; got.bw != want || got.capped != (l.Bandwidth > 0) {
+			t.Errorf("link %s–%s (%v bit/s) frozen as %+v, want bw %d capped %v",
+				l.A, l.B, l.Bandwidth, got, want, l.Bandwidth > 0)
+		}
+		if fits := caps.linkFits(l.A, l.B, huge); fits != (l.Bandwidth <= 0) {
+			t.Errorf("link %s–%s (%v bit/s): %d bit/s fits = %v", l.A, l.B, l.Bandwidth, huge, fits)
+		}
+	}
+	if caps.linkFits(rv.Links[1].A, rv.Links[1].B, 1) {
+		t.Error("a link of 0.4 bit/s takes 1 bit/s")
+	}
+
+	// An uncapacitated link takes any bandwidth at commit as well, and
+	// keeps no reservation.
+	g := &sg.Graph{Links: []*sg.Link{{ID: "l", Bandwidth: float64(huge)}}}
+	m := &Mapping{Graph: g, Routes: map[string][]string{"l": {rv.Links[0].A, rv.Links[0].B}}}
+	if ok, _ := rv.TryCommitMapping(m); !ok {
+		t.Fatal("an uncapacitated link refused a commit")
+	}
+	caps = rv.Snapshot()
+	caps.takePath(m.Routes["l"], huge)
+	if !caps.linkFits(rv.Links[0].A, rv.Links[0].B, huge) {
+		t.Error("an uncapacitated link stopped fitting after a reservation")
 	}
 }

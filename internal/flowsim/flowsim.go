@@ -77,12 +77,17 @@ type simLink struct {
 type simFlow struct {
 	spec  substrate.FlowSpec
 	start time.Duration
-	links []*simLink
+	hops  []flowHop
 	prop  time.Duration
+}
 
-	snapLog   []float64
-	snapDown  []time.Duration
-	snapDelay []float64
+// flowHop is one directed link of a flow's route and the link's
+// integrals when the flow started.
+type flowHop struct {
+	l     *simLink
+	log   float64
+	down  time.Duration
+	delay float64
 }
 
 // New builds a simulator over the spec.
@@ -286,7 +291,7 @@ func (s *Sim) StartFlow(spec substrate.FlowSpec) error {
 	if spec.FrameSize <= 0 {
 		spec.FrameSize = s.opts.FrameSize
 	}
-	f := &simFlow{spec: spec, start: s.now}
+	f := &simFlow{spec: spec, start: s.now, hops: make([]flowHop, 0, max(len(spec.Route)-1, 0))}
 	for i := 1; i < len(spec.Route); i++ {
 		a, b := spec.Route[i-1], spec.Route[i]
 		if a == b {
@@ -296,14 +301,13 @@ func (s *Sim) StartFlow(spec substrate.FlowSpec) error {
 		if l == nil {
 			return fmt.Errorf("flowsim: flow %q route crosses unknown link %s-%s", spec.ID, a, b)
 		}
-		f.links = append(f.links, l)
+		f.hops = append(f.hops, flowHop{l: l})
 		f.prop += l.prop
 	}
-	for _, l := range f.links {
-		l.addRate(s.now, spec.Rate, s.opts)
-		f.snapLog = append(f.snapLog, l.logAccum)
-		f.snapDown = append(f.snapDown, l.downAccum)
-		f.snapDelay = append(f.snapDelay, l.delayAccum)
+	for i := range f.hops {
+		h := &f.hops[i]
+		h.l.addRate(s.now, spec.Rate, s.opts)
+		h.log, h.down, h.delay = h.l.logAccum, h.l.downAccum, h.l.delayAccum
 	}
 	s.flows[spec.ID] = f
 	return nil
@@ -323,11 +327,12 @@ func (s *Sim) StopFlow(id string) (substrate.FlowStats, error) {
 	lifeSec := life.Seconds()
 	var logSum, delaySum float64
 	var downSum time.Duration
-	for i, l := range f.links {
+	for _, h := range f.hops {
+		l := h.l
 		l.settle(s.now, s.opts)
-		logSum += l.logAccum - f.snapLog[i]
-		delaySum += l.delayAccum - f.snapDelay[i]
-		downSum += l.downAccum - f.snapDown[i]
+		logSum += l.logAccum - h.log
+		delaySum += l.delayAccum - h.delay
+		downSum += l.downAccum - h.down
 		l.addRate(s.now, -f.spec.Rate, s.opts)
 	}
 	st := substrate.FlowStats{

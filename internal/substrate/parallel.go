@@ -108,7 +108,7 @@ type parallelPlayer struct {
 	rep        *PlayReport
 	active     map[string]*core.Mapping
 	activeRate map[string]float64
-	downLinks  map[[2]string]bool
+	down       downLinks
 	sc         *playScratch
 }
 
@@ -121,8 +121,7 @@ func playParallel(sub Substrate, rv *core.ResourceView, mapper core.Mapper, even
 		pending: map[int]*pjob{},
 		rep:     &PlayReport{Decisions: map[string]*Decision{}},
 		active:  map[string]*core.Mapping{}, activeRate: map[string]float64{},
-		downLinks: map[[2]string]bool{},
-		sc:        &playScratch{},
+		sc: &playScratch{},
 	}
 	p.jobs = make(chan *pjob, p.window)
 	p.done = make(chan *pjob, p.window)
@@ -277,7 +276,7 @@ func (p *parallelPlayer) run() error {
 				return err
 			}
 			p.rv.ExcludeLink(ev.A, ev.B)
-			p.downLinks[linkKeyOf(ev.A, ev.B)] = true
+			p.down.add(ev.A, ev.B)
 			if p.opts.HealOnFault {
 				if err := p.healParallel(); err != nil {
 					return err
@@ -291,7 +290,7 @@ func (p *parallelPlayer) run() error {
 				return err
 			}
 			p.rv.UnexcludeLink(ev.A, ev.B)
-			delete(p.downLinks, linkKeyOf(ev.A, ev.B))
+			p.down.remove(ev.A, ev.B)
 			if p.la <= i {
 				p.la = i + 1
 			}
@@ -304,7 +303,7 @@ func (p *parallelPlayer) run() error {
 // for all affected services speculate concurrently, then merge in
 // sorted service order with the same flip check as admissions.
 func (p *parallelPlayer) healParallel() error {
-	linkDown := func(a, b string) bool { return p.downLinks[linkKeyOf(a, b)] }
+	linkDown := p.down.has // binds the list as it is now
 	names := p.sc.names[:0]
 	for name := range p.active {
 		names = append(names, name)
@@ -313,7 +312,7 @@ func (p *parallelPlayer) healParallel() error {
 	p.sc.names = names
 	work := make([]string, 0, len(names))
 	for _, name := range names {
-		if routesCross(p.active[name], linkDown) {
+		if routesCross(p.active[name], p.down) {
 			work = append(work, name)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -364,7 +365,7 @@ func playSerial(sub Substrate, rv *core.ResourceView, mapper core.Mapper, events
 	rep := &PlayReport{Decisions: map[string]*Decision{}}
 	active := map[string]*core.Mapping{}
 	activeRate := map[string]float64{}
-	downLinks := map[[2]string]bool{}
+	var down downLinks
 	sc := &playScratch{}
 
 	for i := range events {
@@ -419,9 +420,9 @@ func playSerial(sub Substrate, rv *core.ResourceView, mapper core.Mapper, events
 				return nil, err
 			}
 			rv.ExcludeLink(ev.A, ev.B)
-			downLinks[linkKeyOf(ev.A, ev.B)] = true
+			down.add(ev.A, ev.B)
 			if opts.HealOnFault {
-				if err := healAffected(sub, rv, active, activeRate, downLinks, rep, opts, sc); err != nil {
+				if err := healAffected(sub, rv, active, activeRate, down, rep, opts, sc); err != nil {
 					return nil, err
 				}
 			}
@@ -430,7 +431,7 @@ func playSerial(sub Substrate, rv *core.ResourceView, mapper core.Mapper, events
 				return nil, err
 			}
 			rv.UnexcludeLink(ev.A, ev.B)
-			delete(downLinks, linkKeyOf(ev.A, ev.B))
+			down.remove(ev.A, ev.B)
 		}
 	}
 	return rep, nil
@@ -443,8 +444,7 @@ func playSerial(sub Substrate, rv *core.ResourceView, mapper core.Mapper, events
 // placements and committed the new ones, so the departure-time Release
 // (and the re-steered flow route) must follow the healed mapping, not
 // the broken one.
-func healAffected(sub Substrate, rv *core.ResourceView, active map[string]*core.Mapping, activeRate map[string]float64, downLinks map[[2]string]bool, rep *PlayReport, opts PlayOptions, sc *playScratch) error {
-	linkDown := func(a, b string) bool { return downLinks[linkKeyOf(a, b)] }
+func healAffected(sub Substrate, rv *core.ResourceView, active map[string]*core.Mapping, activeRate map[string]float64, down downLinks, rep *PlayReport, opts PlayOptions, sc *playScratch) error {
 	names := sc.names[:0]
 	for name := range active {
 		names = append(names, name)
@@ -453,10 +453,10 @@ func healAffected(sub Substrate, rv *core.ResourceView, active map[string]*core.
 	sc.names = names
 	for _, name := range names {
 		m := active[name]
-		if !routesCross(m, linkDown) {
+		if !routesCross(m, down) {
 			continue
 		}
-		plan, err := rv.AdmitHeal(m, func(string) bool { return false }, linkDown)
+		plan, err := rv.AdmitHeal(m, func(string) bool { return false }, down.has)
 		if err != nil {
 			continue // unhealable: service keeps its broken route
 		}
@@ -538,16 +538,18 @@ func FlowRoute(m *core.Mapping) []string {
 }
 
 // flowRouteWith is FlowRoute with a reusable sort buffer. The returned
-// route is freshly allocated (substrates retain it in the flow spec);
-// only the id scratch is recycled.
+// route is freshly allocated once, at its largest size (substrates retain
+// it in the flow spec); only the id scratch is recycled.
 func flowRouteWith(m *core.Mapping, sc *playScratch) []string {
 	ids := sc.ids[:0]
-	for id := range m.Routes {
+	n := 0
+	for id, route := range m.Routes {
 		ids = append(ids, id)
+		n += len(route)
 	}
 	sort.Strings(ids)
 	sc.ids = ids
-	var out []string
+	out := make([]string, 0, n)
 	for _, id := range ids {
 		for _, sw := range m.Routes[id] {
 			if len(out) > 0 && out[len(out)-1] == sw {
@@ -564,12 +566,45 @@ func flowEndpoints(m *core.Mapping) (src, dst string) {
 	return m.Graph.SAPs[0].ID, m.Graph.SAPs[1].ID
 }
 
+// downLinks is the links a player has seen fail and not yet repaired,
+// as normalized switch-name pairs. Only a handful are down at a time, so
+// checking a hop compares names against the list instead of hashing
+// them.
+type downLinks [][2]string
+
+func (d *downLinks) add(a, b string) {
+	if k := linkKeyOf(a, b); !slices.Contains(*d, k) {
+		*d = append(*d, k)
+	}
+}
+
+// remove drops a repaired link. It builds a new list, so a plan still
+// holding the old one reads it unchanged.
+func (d *downLinks) remove(a, b string) {
+	k := linkKeyOf(a, b)
+	*d = slices.DeleteFunc(slices.Clone(*d), func(x [2]string) bool { return x == k })
+}
+
+// has reports whether the link between a and b is down: the players'
+// linkDown predicate for AdmitHeal and PlanHeal.
+func (d downLinks) has(a, b string) bool {
+	for _, k := range d {
+		if k[0] == a && k[1] == b || k[0] == b && k[1] == a {
+			return true
+		}
+	}
+	return false
+}
+
 // routesCross reports whether any route hop of the mapping crosses a
 // down link.
-func routesCross(m *core.Mapping, linkDown func(a, b string) bool) bool {
+func routesCross(m *core.Mapping, down downLinks) bool {
+	if len(down) == 0 {
+		return false
+	}
 	for _, route := range m.Routes {
 		for i := 1; i < len(route); i++ {
-			if linkDown(route[i-1], route[i]) {
+			if down.has(route[i-1], route[i]) {
 				return true
 			}
 		}
