@@ -3,21 +3,27 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"escape/internal/core"
+	"escape/internal/netconf"
 	"escape/internal/netem"
 	"escape/internal/pkt"
 	"escape/internal/sg"
+	"escape/internal/vnfagent"
+	"escape/internal/yang"
 )
 
 // healBound is how long the daemon may take, with no client request, to
@@ -43,11 +49,15 @@ func triangle() core.TopoSpec {
 // tenant "acme" whose intent "web" (h1 → monitor → monitor → h2, nf1
 // and nf2) is Running.
 type healFixture struct {
-	t     *testing.T
-	d     *daemon
-	url   string
-	token string
+	t         *testing.T
+	d         *daemon
+	url       string
+	token     string
+	closeOnce sync.Once
 }
+
+// close closes the daemon once; a test may close it early to time it.
+func (f *healFixture) close() { f.closeOnce.Do(f.d.close) }
 
 const webID = "acme/web"
 
@@ -71,30 +81,38 @@ func startHealFixtureWith(t *testing.T, spec core.TopoSpec, edit func(*sg.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(d.close)
+	f := &healFixture{t: t, d: d}
+	t.Cleanup(f.close)
 	ts := httptest.NewServer(d.handler)
 	t.Cleanup(ts.Close)
-	f := &healFixture{t: t, d: d, url: ts.URL}
+	f.url = ts.URL
 
 	var tenant struct{ Token string }
 	f.do("POST", "/v1/tenants", "root", map[string]any{"name": "acme"}, http.StatusCreated, &tenant)
 	f.token = tenant.Token
 
 	g := sg.NewChainGraph("web", "monitor", "monitor")
+	edit(g)
+	f.run(g)
+	return f
+}
+
+// run posts g, with its SAPs renamed h1 and h2, as an intent of "acme"
+// and waits for it to run.
+func (f *healFixture) run(g *sg.Graph) {
+	f.t.Helper()
 	g.SAPs[0].ID, g.SAPs[1].ID = "h1", "h2"
 	g.Links[0].Src.Node = "h1"
 	g.Links[len(g.Links)-1].Dst.Node = "h2"
-	edit(g)
 	raw, err := g.ToJSON()
 	if err != nil {
-		t.Fatal(err)
+		f.t.Fatal(err)
 	}
 	var st intentState
 	f.do("POST", "/v1/intents?wait=30s", f.token, map[string]json.RawMessage{"graph": raw}, http.StatusOK, &st)
 	if !st.Running {
-		t.Fatalf("intent not running after a waited POST: %+v", st)
+		f.t.Fatalf("intent %s not running after a waited POST: %+v", g.Name, st)
 	}
-	return f
 }
 
 // intentState is the part of GET /v1/intents/{service} these tests read.
@@ -354,4 +372,101 @@ func pump(t *testing.T, env *core.Environment, payload string, timeout time.Dura
 		}
 	}
 	return false
+}
+
+// mgmtBound is the NETCONF client's per-RPC deadline (netconf's
+// rpcBound): the longest one management call may take.
+const mgmtBound = 2 * time.Second
+
+// hangAgent replaces ee's agent with one that accepts sessions and
+// answers hello on the same address but never answers a vnf_starter
+// rpc. Closing the old agent drops the sessions open to it, so every
+// later call dials the hung one.
+func hangAgent(t *testing.T, env *core.Environment, ee string) {
+	t.Helper()
+	addr := env.Agents[ee].Addr()
+	env.Agents[ee].Close()
+	hang := make(chan struct{})
+	hung := netconf.NewServer(vnfagent.Module())
+	for _, rpc := range []string{"initiateVNF", "startVNF", "stopVNF", "connectVNF", "disconnectVNF", "getVNFInfo"} {
+		hung.Handle(rpc, func(*netconf.Session, *yang.Data) (*yang.Data, error) {
+			<-hang
+			return nil, errors.New("released after the test")
+		})
+	}
+	if err := hung.ListenAndServe(addr); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		close(hang) // before Close, which waits on the blocked handlers
+		hung.Close()
+	})
+}
+
+// TestDaemonHungAgent: after its intents deploy, the agent of the EE
+// under "web" hangs. With no client request, the detector masks that EE
+// (its probes miss the client's deadline), "web" heals off it or reports
+// a last_error, "side", on a healthy EE, stays Running where it was, and
+// the daemon still closes within 2 × mgmtBound.
+func TestDaemonHungAgent(t *testing.T) {
+	f := startHealFixture(t, triangle())
+	side := sg.NewChainGraph("side", "monitor")
+	side.NFs[0].CPU = 3.9 // too big for the EE that hosts "web"
+	f.run(side)
+	orch := f.d.env.Orch
+	victim := orch.Service(webID).Placements()["nf1"]
+	sideSvc := orch.Service("acme/side")
+	sidePlaced := sideSvc.Placements()
+	if sidePlaced["nf1"] == victim {
+		t.Fatalf("side shares %s with web; the test needs it on a healthy EE", victim)
+	}
+
+	hangAgent(t, f.d.env, victim)
+	onVictim := func(svc *core.Service) bool {
+		for _, ee := range svc.Placements() {
+			if ee == victim {
+				return true
+			}
+		}
+		return false
+	}
+	const settleBound = 4 * mgmtBound
+	if !f.d.rec.Await(settleBound, func() bool {
+		if !f.d.env.View.ExcludedEE(victim) {
+			return false
+		}
+		for _, id := range orch.Services() {
+			if svc := orch.Service(id); svc != nil && svc.State() == core.StateRunning && onVictim(svc) {
+				return false
+			}
+		}
+		web := orch.Service(webID)
+		healed := web != nil && web.State() == core.StateRunning && f.d.rec.LastError(webID) == ""
+		return healed || f.d.rec.LastError(webID) != ""
+	}) {
+		state := "not deployed"
+		if svc := orch.Service(webID); svc != nil {
+			state = fmt.Sprintf("%s placements=%v", svc.State(), svc.Placements())
+		}
+		t.Fatalf("within %v: %s masked=%v, web %s, last_error %q", settleBound,
+			victim, f.d.env.View.ExcludedEE(victim), state, f.d.rec.LastError(webID))
+	}
+	if svc := orch.Service("acme/side"); svc != sideSvc || svc.State() != core.StateRunning ||
+		!reflect.DeepEqual(svc.Placements(), sidePlaced) || f.d.rec.LastError("acme/side") != "" {
+		t.Errorf("side, on healthy %s, did not stay Running in place", sidePlaced["nf1"])
+	}
+	t.Logf("web: running=%v last_error %q", f.d.rec.Backend.Running(webID), f.d.rec.LastError(webID))
+
+	start := time.Now()
+	closed := make(chan struct{})
+	go func() {
+		f.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Logf("daemon closed in %v", time.Since(start))
+	case <-time.After(2 * mgmtBound):
+		t.Fatalf("daemon close still blocked after %v with a hung agent", 2*mgmtBound)
+	}
 }

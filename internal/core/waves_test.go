@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"escape/internal/netem"
 	"escape/internal/vnfagent"
@@ -183,6 +184,65 @@ func TestSiblingFailureKeepsSession(t *testing.T) {
 	}
 	if got := session(); got != first {
 		t.Errorf("ee1's session changed from %s to %s: the cancelled realization closed it", first, got)
+	}
+	if after := takeInventory(t, env, clients); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed deploy left the infrastructure changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
+// mgmtBound is the NETCONF client's per-RPC deadline (netconf's
+// rpcBound): the longest one management call may take.
+const mgmtBound = 2 * time.Second
+
+// TestHungAgentFailsDeployWithinBound: the agent answers hello but
+// never answers initiateVNF. The one-rpc initiate flight fails at the
+// client's deadline, the deploy rolls back to the inventory it found,
+// and a Shutdown that lands while the flight hangs returns with it.
+func TestHungAgentFailsDeployWithinBound(t *testing.T) {
+	env := startEnv(t, oneEESpec())
+	clients := agentClients(t, env)
+	before := takeInventory(t, env, clients)
+	var (
+		hang    = make(chan struct{})
+		entered = make(chan struct{})
+		enter   sync.Once
+	)
+	orch := proxiedAgents(t, env, func(_, rpc string) error {
+		if rpc != "initiateVNF" {
+			return nil
+		}
+		enter.Do(func() { close(entered) })
+		<-hang
+		return errors.New("released after the test")
+	})
+	t.Cleanup(func() { close(hang) }) // runs before proxiedAgents' cleanups
+
+	start := time.Now()
+	deployed := make(chan error, 1)
+	go func() {
+		_, err := orch.Deploy(sapGraph("hung", "monitor"))
+		deployed <- err
+	}()
+	<-entered
+	shut := make(chan struct{})
+	go func() {
+		orch.Shutdown()
+		close(shut)
+	}()
+	limit := time.After(mgmtBound + time.Second)
+	select {
+	case err := <-deployed:
+		if err == nil {
+			t.Fatal("deploy succeeded through a hung agent")
+		}
+		t.Logf("deploy failed after %v: %v", time.Since(start), err)
+	case <-limit:
+		t.Fatalf("deploy still blocked on a hung agent after %v (bound %v)", time.Since(start), mgmtBound)
+	}
+	select {
+	case <-shut:
+	case <-limit:
+		t.Fatalf("Shutdown still blocked after %v (bound %v)", time.Since(start), mgmtBound)
 	}
 	if after := takeInventory(t, env, clients); !reflect.DeepEqual(after, before) {
 		t.Errorf("failed deploy left the infrastructure changed:\nbefore %+v\nafter  %+v", before, after)

@@ -53,8 +53,6 @@ type Sim struct {
 
 	links map[[2]string]*simLink // directed: key is [from, to]
 	flows map[string]*simFlow
-	ees   map[string]bool // crashed set
-	evch  chan substrate.Event
 }
 
 // simLink is one direction of a spec link as a fluid server.
@@ -106,8 +104,6 @@ func New(spec *substrate.TopoSpec, opts Options) (*Sim, error) {
 		opts:  opts,
 		links: make(map[[2]string]*simLink, 2*len(spec.Links)),
 		flows: map[string]*simFlow{},
-		ees:   map[string]bool{},
-		evch:  make(chan substrate.Event, 1024),
 	}
 	for _, l := range spec.Links {
 		fwd := &simLink{cap: l.Bandwidth, prop: l.Delay, loss: l.Loss}
@@ -208,14 +204,6 @@ func (l *simLink) addRate(now time.Duration, delta float64, opts Options) {
 	}
 }
 
-func (s *Sim) emit(ev substrate.Event) {
-	ev.At = s.now
-	select {
-	case s.evch <- ev:
-	default:
-	}
-}
-
 func (s *Sim) linkPair(a, b string) (*simLink, *simLink, error) {
 	fwd := s.links[[2]string{a, b}]
 	rev := s.links[[2]string{b, a}]
@@ -234,7 +222,6 @@ func (s *Sim) FailLink(a, b string) error {
 		l.settle(s.now, s.opts)
 		l.down = true
 	}
-	s.emit(substrate.Event{Kind: substrate.LinkDown, A: a, B: b})
 	return nil
 }
 
@@ -247,38 +234,8 @@ func (s *Sim) HealLink(a, b string) error {
 		l.settle(s.now, s.opts)
 		l.down = false
 	}
-	s.emit(substrate.Event{Kind: substrate.LinkUp, A: a, B: b})
 	return nil
 }
-
-func (s *Sim) CrashEE(name string) error {
-	if !s.knownEE(name) {
-		return fmt.Errorf("flowsim: no EE %q", name)
-	}
-	s.ees[name] = true
-	s.emit(substrate.Event{Kind: substrate.EEDown, EE: name})
-	return nil
-}
-
-func (s *Sim) RestartEE(name string) error {
-	if !s.knownEE(name) {
-		return fmt.Errorf("flowsim: no EE %q", name)
-	}
-	delete(s.ees, name)
-	s.emit(substrate.Event{Kind: substrate.EEUp, EE: name})
-	return nil
-}
-
-func (s *Sim) knownEE(name string) bool {
-	for _, e := range s.spec.EEs {
-		if e.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Sim) Events() <-chan substrate.Event { return s.evch }
 
 // StartFlow charges the flow's rate against every directed link of its
 // route and snapshots the link integrals, so StopFlow can compute the

@@ -190,26 +190,3 @@ func TestUnknownRouteRejected(t *testing.T) {
 		t.Fatal("route over unknown link must fail")
 	}
 }
-
-func TestEECrashRestartEvents(t *testing.T) {
-	s := mustSim(t, lineSpec(10e6, 0))
-	if err := s.CrashEE("ee-s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RestartEE("ee-s1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CrashEE("ghost"); err == nil {
-		t.Fatal("unknown EE must fail")
-	}
-	for _, want := range []substrate.EventKind{substrate.EEDown, substrate.EEUp} {
-		select {
-		case ev := <-s.Events():
-			if ev.Kind != want {
-				t.Fatalf("event %v, want %v", ev.Kind, want)
-			}
-		default:
-			t.Fatalf("missing %v event", want)
-		}
-	}
-}

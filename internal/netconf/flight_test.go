@@ -101,7 +101,7 @@ func misnumberingServer(t *testing.T) string {
 }
 
 func TestCallsRejectsMisnumberedReply(t *testing.T) {
-	c, err := Dial(misnumberingServer(t), 2*time.Second)
+	c, err := Dial(misnumberingServer(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestCallsLargeFlight(t *testing.T) {
 		small(conn)
 		srv.ServeConn(conn)
 	}()
-	c, err := Dial(ln.Addr().String(), 2*time.Second)
+	c, err := Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

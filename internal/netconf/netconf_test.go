@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"escape/internal/yang"
 )
@@ -18,7 +17,7 @@ func newServerClient(t *testing.T, srv *Server) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	c, err := Dial(srv.Addr().String(), 2*time.Second)
+	c, err := Dial(srv.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +180,7 @@ func TestMultipleConcurrentSessions(t *testing.T) {
 	defer srv.Close()
 	ids := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		c, err := Dial(srv.Addr().String(), 2*time.Second)
+		c, err := Dial(srv.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +354,7 @@ func TestDialFailure(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	if _, err := Dial(ln.Addr().String(), time.Second); err == nil {
+	if _, err := Dial(ln.Addr().String()); err == nil {
 		t.Error("dial to broken server succeeded")
 	}
 }

@@ -15,7 +15,6 @@
 package resilience
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -35,20 +34,16 @@ type DetectorConfig struct {
 	// same control network the orchestrator uses).
 	Agents map[string]string
 	// ProbeInterval is the EE liveness probe period (default 25ms — the
-	// emulated management plane answers in microseconds).
+	// emulated management plane answers in microseconds). A probe is one
+	// getVNFInfo call, bounded by the NETCONF client's per-RPC deadline:
+	// a probe of a hung agent fails at that bound, and its EE is marked
+	// down within failThreshold × (ProbeInterval + bound).
 	ProbeInterval time.Duration
 }
 
-const (
-	// failThreshold is how many consecutive probe failures mark an EE
-	// down: one flap is not a funeral.
-	failThreshold = 2
-	// probeTimeout bounds one liveness RPC: an agent that accepts
-	// connections but never answers is exactly the wedge a liveness
-	// detector must catch, and the NETCONF client itself has no read
-	// deadline.
-	probeTimeout = 500 * time.Millisecond
-)
+// failThreshold is how many consecutive probe failures mark an EE down:
+// one flap is not a funeral.
+const failThreshold = 2
 
 // Detector watches EE liveness and link state. Every transition masks
 // or unmasks the view and then pokes Changed, both under the detector's
@@ -151,10 +146,11 @@ func (d *Detector) Start() {
 	}
 }
 
-// Stop halts probing and closes Changed. The close happens under the
-// lock every poke is made under: a PORT_STATUS delivered by the pox
-// read loop concurrently with Stop either pokes before the close or
-// not at all.
+// Stop halts probing and closes Changed. It returns once every prober
+// has finished its probe in flight, which the NETCONF client bounds
+// even against a hung agent. The close happens under the lock every
+// poke is made under: a PORT_STATUS delivered by the pox read loop
+// concurrently with Stop either pokes before the close or not at all.
 func (d *Detector) Stop() {
 	d.mu.Lock()
 	if d.stopped {
@@ -177,11 +173,6 @@ func (d *Detector) probeLoop(ee, addr string) {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.cfg.ProbeInterval)
 	defer ticker.Stop()
-	// One probe-deadline timer for the lifetime of the loop, re-armed per
-	// probe: a long soak otherwise allocates a fresh time.After timer
-	// every tick for every EE.
-	deadline := time.NewTimer(probeTimeout)
-	defer deadline.Stop()
 	var client *vnfagent.Client
 	defer func() {
 		if client != nil {
@@ -195,19 +186,27 @@ func (d *Detector) probeLoop(ee, addr string) {
 			return
 		case <-ticker.C:
 		}
+		// A probe that outlasted the interval leaves a tick pending beside
+		// a Stop: stop wins, so Stop waits for one probe at most.
+		select {
+		case <-d.stopCh:
+			return
+		default:
+		}
 		ok := false
 		if client == nil {
 			client, _ = vnfagent.DialClient(addr)
 		}
 		if client != nil {
-			if err := d.probe(client, deadline); err == nil {
+			if _, err := client.GetVNFInfo(); err == nil {
 				ok = true
 			} else if !vnfagent.IsRPCError(err) {
-				// Broken transport (or wedged agent, closed by probe):
-				// redial next round. An rpc-error (the crashed-EE
-				// liveness signal) keeps the healthy session — redialing
-				// every probe tick would churn a dial+hello handshake
-				// per interval for the whole down period.
+				// Broken transport (or a hung agent, whose missed
+				// deadline broke it): redial next round. An rpc-error
+				// (the crashed-EE liveness signal) keeps the healthy
+				// session — redialing every probe tick would churn a
+				// dial+hello handshake per interval for the whole down
+				// period.
 				client.Close()
 				client = nil
 			}
@@ -236,29 +235,6 @@ func (d *Detector) probeLoop(ee, addr string) {
 			d.changedLocked()
 		}
 		d.mu.Unlock()
-	}
-}
-
-// probe runs one liveness RPC with a hard deadline: the NETCONF client
-// has no read timeout, so a wedged-but-connected agent would otherwise
-// block this loop forever (and with it Stop's wg.Wait). On timeout the
-// session is closed, which also unblocks the in-flight read so the
-// helper goroutine exits. The caller owns deadline so each tick re-arms
-// one timer instead of allocating.
-func (d *Detector) probe(client *vnfagent.Client, deadline *time.Timer) error {
-	done := make(chan error, 1)
-	go func() {
-		_, err := client.GetVNFInfo()
-		done <- err
-	}()
-	deadline.Reset(probeTimeout)
-	select {
-	case err := <-done:
-		return err
-	case <-deadline.C:
-		client.Close()
-		<-done // reaped: the closed conn fails the pending read
-		return fmt.Errorf("resilience: liveness probe timed out after %v", probeTimeout)
 	}
 }
 

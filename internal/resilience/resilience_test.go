@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"errors"
 	"io"
 	"log/slog"
 	"strings"
@@ -9,9 +10,12 @@ import (
 
 	"escape/internal/api"
 	"escape/internal/core"
+	"escape/internal/netconf"
 	"escape/internal/netem"
 	"escape/internal/pkt"
 	"escape/internal/sg"
+	"escape/internal/vnfagent"
+	"escape/internal/yang"
 )
 
 // triSpec is the resilience test substrate: a switch triangle (so every
@@ -282,4 +286,68 @@ func TestEERestartLiftsExclusion(t *testing.T) {
 	}
 	// A fresh deploy may use the recovered EE again.
 	runIntent(t, env, rec, chainGraph("back", "monitor"))
+}
+
+// mgmtBound is the NETCONF client's per-RPC deadline (netconf's
+// rpcBound): the longest one management call may take.
+const mgmtBound = 2 * time.Second
+
+// TestHungAgentIsMasked: ee1's agent answers hello and never replies.
+// Its probes fail at the client's deadline, so the detector masks ee1
+// within failThreshold × (ProbeInterval + mgmtBound), the healthy EEs
+// stay unmasked, and Stop returns once the probe in flight gives up.
+func TestHungAgentIsMasked(t *testing.T) {
+	env, err := core.StartEnvironment(triSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(env.Close)
+	hang := make(chan struct{})
+	hung := netconf.NewServer(vnfagent.Module())
+	hung.Handle("getVNFInfo", func(*netconf.Session, *yang.Data) (*yang.Data, error) {
+		<-hang
+		return nil, errors.New("released")
+	})
+	if err := hung.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	agents := map[string]string{"ee1": hung.Addr().String()}
+	for _, ee := range []string{"ee2", "ee3"} {
+		agents[ee] = env.Agents[ee].Addr()
+	}
+	const interval = 500 * time.Millisecond
+	det := NewDetector(DetectorConfig{View: env.View, Agents: agents, ProbeInterval: interval})
+	t.Cleanup(det.Stop)
+	t.Cleanup(func() { // runs first: a failed test's Stop then finds the probe released
+		close(hang) // before Close, which waits on the blocked handler
+		hung.Close()
+	})
+	start := time.Now()
+	det.Start()
+
+	limit := time.After(failThreshold * (interval + mgmtBound))
+	for !env.View.ExcludedEE("ee1") {
+		select {
+		case <-det.Changed():
+		case <-limit:
+			t.Fatalf("hung agent's EE not masked within %v", failThreshold*(interval+mgmtBound))
+		}
+	}
+	t.Logf("hung ee1 masked %v after Start", time.Since(start))
+	for _, ee := range []string{"ee2", "ee3"} {
+		if env.View.ExcludedEE(ee) {
+			t.Errorf("healthy %s masked", ee)
+		}
+	}
+
+	stopped := make(chan struct{})
+	go func() {
+		det.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(mgmtBound + time.Second):
+		t.Fatalf("Stop still blocked after %v with a probe of the hung agent in flight", mgmtBound+time.Second)
+	}
 }

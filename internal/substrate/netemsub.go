@@ -45,7 +45,6 @@ type NetemSubstrate struct {
 	net  *netem.Network
 	ees  map[string]string // EE name → switch (for View)
 
-	events  chan Event
 	started time.Time
 	vnow    time.Duration // monotonic scenario time reached via AdvanceTo
 
@@ -90,13 +89,12 @@ func NewNetem(spec *TopoSpec, opts NetemOptions) (*NetemSubstrate, error) {
 	}
 	n := netem.New(spec.Name, netem.Options{Controller: opts.Controller})
 	s := &NetemSubstrate{
-		spec:   spec,
-		opts:   opts,
-		net:    n,
-		ees:    map[string]string{},
-		events: make(chan Event, 1024),
-		flows:  map[string]*netemFlow{},
-		sinks:  map[string]*netemSink{},
+		spec:  spec,
+		opts:  opts,
+		net:   n,
+		ees:   map[string]string{},
+		flows: map[string]*netemFlow{},
+		sinks: map[string]*netemSink{},
 	}
 	for _, name := range spec.Switches {
 		if _, err := n.AddSwitch(name); err != nil {
@@ -196,21 +194,12 @@ func (s *NetemSubstrate) AdvanceTo(t time.Duration) {
 	s.vnow = t
 }
 
-func (s *NetemSubstrate) emit(ev Event) {
-	ev.At = s.Now()
-	select {
-	case s.events <- ev:
-	default: // lossy like the detector's event stream
-	}
-}
-
 func (s *NetemSubstrate) FailLink(a, b string) error {
 	l := s.net.FindLink(a, b)
 	if l == nil {
 		return fmt.Errorf("substrate: no link %s-%s", a, b)
 	}
 	l.Fail()
-	s.emit(Event{Kind: LinkDown, A: a, B: b})
 	return nil
 }
 
@@ -220,31 +209,8 @@ func (s *NetemSubstrate) HealLink(a, b string) error {
 		return fmt.Errorf("substrate: no link %s-%s", a, b)
 	}
 	l.Heal()
-	s.emit(Event{Kind: LinkUp, A: a, B: b})
 	return nil
 }
-
-func (s *NetemSubstrate) CrashEE(name string) error {
-	ee, ok := s.net.Node(name).(*netem.EE)
-	if !ok {
-		return fmt.Errorf("substrate: no EE %q", name)
-	}
-	ee.Crash()
-	s.emit(Event{Kind: EEDown, EE: name})
-	return nil
-}
-
-func (s *NetemSubstrate) RestartEE(name string) error {
-	ee, ok := s.net.Node(name).(*netem.EE)
-	if !ok {
-		return fmt.Errorf("substrate: no EE %q", name)
-	}
-	ee.Restart()
-	s.emit(Event{Kind: EEUp, EE: name})
-	return nil
-}
-
-func (s *NetemSubstrate) Events() <-chan Event { return s.events }
 
 // flowPort derives a per-flow UDP destination port from the flow count
 // (sinks demultiplex on it).

@@ -82,42 +82,6 @@ func (s *TopoSpec) Validate() error {
 	return nil
 }
 
-// EventKind classifies substrate state transitions, mirroring the fault
-// kinds the resilience detector reports.
-type EventKind int
-
-const (
-	LinkDown EventKind = iota
-	LinkUp
-	EEDown
-	EEUp
-)
-
-func (k EventKind) String() string {
-	switch k {
-	case LinkDown:
-		return "link-down"
-	case LinkUp:
-		return "link-up"
-	case EEDown:
-		return "ee-down"
-	case EEUp:
-		return "ee-up"
-	default:
-		return "unknown"
-	}
-}
-
-// Event is one substrate state transition. A/B name the link endpoints
-// for link events; EE names the execution environment for EE events. At
-// is substrate time (virtual for simulators).
-type Event struct {
-	Kind EventKind
-	EE   string
-	A, B string
-	At   time.Duration
-}
-
 // FlowSpec describes one service flow to generate: constant-rate traffic
 // from SrcSAP to DstSAP along the mapped switch Route.
 type FlowSpec struct {
@@ -185,13 +149,9 @@ type Substrate interface {
 	// until substrate time reaches t. Monotonic; past times are a no-op.
 	AdvanceTo(t time.Duration)
 
-	// Fault injection. Each call emits the matching Event.
+	// Fault injection: cut and restore a link.
 	FailLink(a, b string) error
 	HealLink(a, b string) error
-	CrashEE(name string) error
-	RestartEE(name string) error
-	// Events streams state transitions (buffered; drops when full).
-	Events() <-chan Event
 
 	// Traffic: StartFlow begins generating, StopFlow ends it and
 	// reports what the flow experienced.

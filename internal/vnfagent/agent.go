@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"escape/internal/catalog"
 	"escape/internal/netconf"
@@ -25,9 +24,6 @@ import (
 	"escape/internal/sg"
 	"escape/internal/yang"
 )
-
-// dialTimeout bounds management-plane connection setup.
-const dialTimeout = 5 * time.Second
 
 // Module returns the vnf_starter YANG module modeling the agent's RPCs
 // and operational state.
@@ -344,9 +340,10 @@ type Client struct {
 	*netconf.Client
 }
 
-// DialClient connects to an agent.
+// DialClient connects to an agent; connect and hello share the NETCONF
+// client's per-RPC bound.
 func DialClient(addr string) (*Client, error) {
-	c, err := netconf.Dial(addr, dialTimeout)
+	c, err := netconf.Dial(addr)
 	if err != nil {
 		return nil, err
 	}

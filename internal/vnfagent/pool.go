@@ -33,7 +33,10 @@ func NewPool(addr string) *Pool {
 // and returns it to the pool. Concurrent callers block until the session
 // is free. f's error is passed through: an application-level rpc-error
 // keeps the session, any other error is treated as a broken transport
-// and closes it.
+// and closes it. That includes a flight that missed the NETCONF client's
+// per-RPC deadline on a hung agent, so a borrow holds the session for at
+// most the dial and the bounded flights f sends, and the next borrow
+// dials afresh.
 func (p *Pool) Do(f func(*Client) error) error {
 	p.token <- struct{}{}
 	defer func() { <-p.token }()
@@ -54,7 +57,7 @@ func (p *Pool) Do(f func(*Client) error) error {
 		}
 	}
 	err := f(c)
-	if err != nil && !isRPCError(err) {
+	if err != nil && !IsRPCError(err) {
 		c.Close()
 		return err
 	}
@@ -69,17 +72,15 @@ func (p *Pool) Do(f func(*Client) error) error {
 	return err
 }
 
-// isRPCError reports whether err is (or wraps) a NETCONF <rpc-error>:
-// the session survived and carried a well-formed reply.
-func isRPCError(err error) bool {
+// IsRPCError reports whether err is (or wraps) a NETCONF <rpc-error>:
+// the session survived and carried a well-formed reply. Callers use it
+// to tell an application-level refusal from a healthy agent apart from a
+// broken transport, a missed deadline or a failed dial (unreachable or
+// hung agent).
+func IsRPCError(err error) bool {
 	var re *netconf.RPCError
 	return errors.As(err, &re)
 }
-
-// IsRPCError is the exported form of isRPCError: callers use it to tell
-// an application-level refusal from a healthy agent (rpc-error) apart
-// from a broken transport or failed dial (unreachable agent).
-func IsRPCError(err error) bool { return isRPCError(err) }
 
 // Close closes the idle session and marks the pool closed; a borrowed
 // session is closed as it is returned.

@@ -54,7 +54,7 @@ func TestPoolKeepsSessionAcrossRPCError(t *testing.T) {
 	if err == nil {
 		t.Fatal("stopVNF of unknown id succeeded")
 	}
-	if !isRPCError(err) {
+	if !IsRPCError(err) {
 		t.Fatalf("expected rpc-error, got %v", err)
 	}
 	if err := p.Do(func(c *Client) error {
@@ -89,7 +89,7 @@ func TestPoolWrappedRPCErrorStaysPooled(t *testing.T) {
 		}
 		return nil
 	})
-	if !isRPCError(err) {
+	if !IsRPCError(err) {
 		t.Fatalf("wrapped rpc-error not recognized: %v", err)
 	}
 }
@@ -147,7 +147,7 @@ func TestPoolDiscardsMisnumberedSession(t *testing.T) {
 		first = c.SessionID
 		return c.StopVNF("v1")
 	})
-	if err == nil || isRPCError(err) {
+	if err == nil || IsRPCError(err) {
 		t.Fatalf("borrow error = %v, want a transport error", err)
 	}
 	if err := p.Do(func(c *Client) error {
