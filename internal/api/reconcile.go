@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"escape/internal/core"
+	"escape/internal/sg"
 )
 
 // Reconciler converges actual orchestrator state toward the store's
@@ -388,7 +389,9 @@ func (r *Reconciler) reconcileOne(id string) {
 		r.requeueAfter(id, r.Backoff)
 		return
 	}
-	g, _, _, err := CanonicalGraph(in.Graph)
+	// The stored graph is canonical already (NewIntent), so decoding it
+	// gives the graph CanonicalGraph would.
+	g, err := sg.FromJSON(in.Graph)
 	if err != nil {
 		// A graph that no longer parses is permanently broken; surface
 		// it on the intent and stop retrying.

@@ -313,8 +313,8 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 
 // realize runs realizeEE for every EE the mapping places NFs on: one
 // goroutine per touched EE, so EEs proceed in parallel while each sees
-// its NFs' waves in order on its one management session. The first
-// error cancels the others at their next wave, as does a shutdown, so
+// its NFs' flights in order on its one management session. The first
+// error cancels the others at their next flight, as does a shutdown, so
 // the service can never be left stuck in Realizing; NFs already
 // initiated stay recorded in svc.NFs for the caller's rollback.
 func (o *Orchestrator) realize(svc *Service, mapping *Mapping) error {
@@ -352,16 +352,20 @@ func (o *Orchestrator) realize(svc *Service, mapping *Mapping) error {
 // realize reports the sibling's error instead.
 var errSiblingFailed = errors.New("core: realization cancelled by a failed sibling EE")
 
-// realizeEE realizes nfIDs on one EE over one borrowed session, in three
-// pipelined waves: every initiateVNF, then every connectVNF, then every
-// startVNF, each wave one netconf flight. Every VNF initiated and every
-// device connected is recorded in svc.NFs before the wave's first
-// failure is returned, so a rollback releases it.
+// realizeEE realizes nfIDs on one EE over one borrowed session, in two
+// pipelined netconf flights: every initiateVNF, then every connectVNF
+// followed by every startVNF. startVNF needs only the vnf_id the first
+// flight returned, and the agent runs a flight in order (RFC 6241 §4.5),
+// so it still sees initiate, connect, start for each VNF. A refused
+// connect does not hold back the starts behind it in its flight; the
+// rollback stops those VNFs as it stops every initiated one. Every VNF
+// initiated and every device connected is recorded in svc.NFs before
+// the first failure is returned, so a rollback releases it.
 //
 // cancel is shared by the EEs of one deploy's fan-out; heal's migration,
-// which nothing cancels, passes nil. It is checked before each wave,
+// which nothing cancels, passes nil. It is checked before each flight,
 // together with shutdown, and set as soon as this EE fails, before its
-// session is released, so siblings stop at their next wave. A
+// session is released, so siblings stop at their next flight. A
 // cancellation is carried out of the borrow rather than returned from
 // it, since Pool.Do closes the session on any error that is not an
 // rpc-error.
@@ -403,7 +407,7 @@ func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, 
 		}
 		return cancelErr == nil
 	}
-	// settle is a wave's outcome: a broken transport first, since it
+	// settle is a flight's outcome: a broken transport first, since it
 	// decides whether Pool.Do keeps the session, then the first refusal.
 	settle := func(flightErr, firstErr error) error {
 		if flightErr != nil && !vnfagent.IsRPCError(flightErr) {
@@ -411,7 +415,7 @@ func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, 
 		}
 		return firstErr
 	}
-	waves := func(client *vnfagent.Client) error {
+	flights := func(client *vnfagent.Client) error {
 		if !proceed() {
 			return nil
 		}
@@ -449,36 +453,32 @@ func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, 
 				ops = append(ops, vnfagent.ConnectVNFOp(dep.VNFID, dev, sw))
 			}
 		}
-		replies, flightErr = client.Calls(ops...)
-		for i, reply := range replies {
-			port, err := vnfagent.ConnectedPort(reply)
-			if err != nil {
-				firstErr = cmp.Or(firstErr, fmt.Errorf("core: connectVNF %s/%s: %w", devices[i].dep.NF.ID, devices[i].dev, err))
-				continue
-			}
-			devices[i].dep.SwPorts[devices[i].dev] = port
-		}
-		if err := settle(flightErr, firstErr); err != nil || !proceed() {
-			return err
-		}
-
-		ops = ops[:0]
 		for _, dep := range deps {
 			ops = append(ops, vnfagent.StartVNFOp(dep.VNFID))
 		}
 		replies, flightErr = client.Calls(ops...)
 		for i, reply := range replies {
-			control, err := vnfagent.StartedVNF(reply)
-			if err != nil {
-				firstErr = cmp.Or(firstErr, fmt.Errorf("core: startVNF %q: %w", deps[i].NF.ID, err))
+			if i < len(devices) {
+				port, err := vnfagent.ConnectedPort(reply)
+				if err != nil {
+					firstErr = cmp.Or(firstErr, fmt.Errorf("core: connectVNF %s/%s: %w", devices[i].dep.NF.ID, devices[i].dev, err))
+					continue
+				}
+				devices[i].dep.SwPorts[devices[i].dev] = port
 				continue
 			}
-			deps[i].Control = control
+			dep := deps[i-len(devices)]
+			control, err := vnfagent.StartedVNF(reply)
+			if err != nil {
+				firstErr = cmp.Or(firstErr, fmt.Errorf("core: startVNF %q: %w", dep.NF.ID, err))
+				continue
+			}
+			dep.Control = control
 		}
 		return settle(flightErr, firstErr)
 	}
 	err = pool.Do(func(client *vnfagent.Client) error {
-		err := waves(client)
+		err := flights(client)
 		if err != nil && cancel != nil {
 			cancel.Store(true)
 		}

@@ -76,6 +76,52 @@ func TestWaveFailedStartRestoresInventory(t *testing.T) {
 	}
 }
 
+// TestWaveRefusedConnectStopsStarted: the second connectVNF of the merged
+// connect-and-start flight is refused. The startVNFs behind it in the
+// flight still run, every one of them, and the rollback then stops all
+// three VNFs and disconnects what was connected, leaving the inventory
+// exactly as the deploy found it.
+func TestWaveRefusedConnectStopsStarted(t *testing.T) {
+	env := startEnv(t, oneEESpec())
+	clients := agentClients(t, env)
+	before := takeInventory(t, env, clients)
+	var (
+		mu   sync.Mutex
+		rpcs []string
+	)
+	refuse := refuseNth("connectVNF", 2)
+	orch := proxiedAgents(t, env, func(ee, rpc string) error {
+		mu.Lock()
+		rpcs = append(rpcs, rpc)
+		mu.Unlock()
+		return refuse(ee, rpc)
+	})
+	_, err := orch.Deploy(sapGraph("no-connect", "monitor", "monitor", "monitor"))
+	if err == nil || !strings.Contains(err.Error(), "injected connectVNF failure") {
+		t.Fatalf("deploy error = %v, want the injected connectVNF failure", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	starts, stops, lastStart := 0, 0, -1
+	for i, r := range rpcs {
+		switch r {
+		case "startVNF":
+			starts, lastStart = starts+1, i
+		case "stopVNF":
+			stops++
+		}
+	}
+	if starts != 3 {
+		t.Errorf("%d startVNFs reached the agent, want the flight's 3: %v", starts, rpcs)
+	}
+	if stops != 3 || slices.Index(rpcs, "stopVNF") < lastStart {
+		t.Errorf("the rollback sent %d stopVNFs, want 3, all after the starts: %v", stops, rpcs)
+	}
+	if after := takeInventory(t, env, clients); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed deploy left the infrastructure changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+}
+
 // TestWaveRPCCounts pins the management cost of a 3-NF, 2-port chain on
 // one EE: 12 RPCs to deploy, in the order of the three waves, and 9 to
 // undeploy — the same RPCs the vnf_starter model always took.

@@ -91,11 +91,15 @@ func (c *Client) Call(op *yang.Data) (*yang.Data, error) {
 // Calls sends ops as one pipelined flight (RFC 6241 §4.5): every <rpc>
 // is framed into the session's write buffer, which is flushed once at
 // the end (a flight larger than the buffer also leaves as it fills),
-// and the server answers them in order. The replies are read in request
-// order, each checked against its request's message-id, and returned
-// one per op — all of them unless the transport failed, then the ones
-// read before the failure. Each op's outcome stays in its reply
-// (ReplyError).
+// and the server runs and answers them in order. A refused op does not
+// stop the ops behind it: each runs after the one before it has been
+// answered, whatever that answer was, so a flight may carry an op that
+// depends on an earlier one's effect only where the caller undoes it
+// after a refusal (realization puts startVNF behind connectVNF). The
+// replies are read in request order, each checked against its
+// request's message-id, and returned one per op — all of them unless
+// the transport failed, then the ones read before the failure. Each
+// op's outcome stays in its reply (ReplyError).
 //
 // The flight is bounded where it is sent: its last reply must arrive
 // within len(ops) × rpcBound of the call, or the session's deadline

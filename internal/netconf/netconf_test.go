@@ -358,3 +358,41 @@ func TestDialFailure(t *testing.T) {
 		t.Error("dial to broken server succeeded")
 	}
 }
+
+// TestReplyEchoesEscapedMessageID: the server echoes a message-id that
+// needs escaping into a reply that parses and carries it unchanged. The
+// peer's rpc is written raw, since the id arrives escaped on the wire.
+func TestReplyEchoesEscapedMessageID(t *testing.T) {
+	srv := NewServer()
+	if err := srv.ListenAndServe("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fr := newFramer(conn)
+	if _, err := fr.ReadMessage(); err != nil {
+		t.Fatalf("reading the server's hello: %v", err)
+	}
+	hello := `<hello xmlns="` + BaseNS + `"><capabilities><capability>` + CapBase10 + `</capability></capabilities></hello>`
+	if err := fr.WriteMessage([]byte(hello)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.WriteMessage([]byte(`<rpc message-id="a&amp;b&lt;c" xmlns="` + BaseNS + `"><get/></rpc>`)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := fr.ReadMessage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reply, err := yang.ParseXML(string(raw))
+	if err != nil {
+		t.Fatalf("the reply %q does not parse: %v", raw, err)
+	}
+	if got := reply.Attr("message-id"); got != "a&b<c" {
+		t.Errorf("the reply carries message-id %q, want %q", got, "a&b<c")
+	}
+}
