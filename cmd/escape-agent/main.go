@@ -44,14 +44,13 @@ func main() {
 func run(listen string, cpu float64, mem int) error {
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	n := netem.New("agent-infra", netem.Options{Controller: ctrl})
-	if _, err := n.AddSwitch("s1"); err != nil {
-		return err
-	}
-	ee, err := n.AddEE("ee1", netem.EEConfig{CPU: cpu, Mem: mem})
+	n, err := netem.Build(&netem.Topo{Name: "agent-infra", Switches: []string{"s1"}, EEs: []netem.EESpec{
+		{Name: "ee1", Switch: "s1", CPU: cpu, Mem: mem},
+	}}, netem.Options{Controller: ctrl})
 	if err != nil {
 		return err
 	}
+	ee := n.Node("ee1").(*netem.EE)
 	if err := n.Start(); err != nil {
 		return err
 	}

@@ -12,10 +12,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -75,41 +73,6 @@ func runDemo() error {
 	return nil
 }
 
-// topoFile is the JSON topology format (MiniEdit's "resources and
-// topology" pane).
-type topoFile struct {
-	Switches []string               `json:"switches"`
-	Hosts    map[string]string      `json:"hosts"`
-	EEs      map[string]core.EESpec `json:"ees"`
-	Trunks   []core.TrunkSpec       `json:"trunks"`
-}
-
-// loadTopo reads a topology file. A key the format does not have, at any
-// depth, is an error naming it: a misspelt key must not quietly deploy a
-// different topology.
-func loadTopo(path string) (core.TopoSpec, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return core.TopoSpec{}, err
-	}
-	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
-	var tf topoFile
-	if err := dec.Decode(&tf); err != nil {
-		return core.TopoSpec{}, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return core.TopoSpec{}, fmt.Errorf("parsing %s: data after the topology object", path)
-	}
-	return core.TopoSpec{
-		Switches: tf.Switches,
-		Hosts:    tf.Hosts,
-		EEs:      tf.EEs,
-		Trunks:   tf.Trunks,
-	}, nil
-}
-
 func pickMapper(name string, cat *catalog.Catalog) (core.Mapper, error) {
 	switch name {
 	case "", "ksp":
@@ -133,7 +96,7 @@ func runService(args []string, mapOnly bool) error {
 	if *topoPath == "" || *sgPath == "" {
 		return fmt.Errorf("run/map need -topo and -sg")
 	}
-	spec, err := loadTopo(*topoPath)
+	spec, err := core.LoadTopo(*topoPath)
 	if err != nil {
 		return err
 	}
@@ -152,6 +115,25 @@ func runService(args []string, mapOnly bool) error {
 	}
 	spec.Mapper = mapper
 
+	if mapOnly { // a dry run: the view is derived, nothing is emulated
+		view, err := core.ViewFromSpec(spec.Topo())
+		if err != nil {
+			return err
+		}
+		mapping, err := mapper.Map(graph, view)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("mapper %s: %d NFs placed, total route hops %d\n",
+			mapper.MapperName(), len(mapping.Placements), mapping.TotalHops())
+		for nf, ee := range mapping.Placements {
+			fmt.Printf("  %-12s → %s (switch %s)\n", nf, ee, view.EEs[ee].Switch)
+		}
+		fmt.Println("\n# Graphviz DOT of the mapping:")
+		fmt.Print(viz.MappingDOT(mapping))
+		return nil
+	}
+
 	env, err := core.StartEnvironment(spec)
 	if err != nil {
 		return err
@@ -159,21 +141,6 @@ func runService(args []string, mapOnly bool) error {
 	defer env.Close()
 	fmt.Printf("environment up: %d switches, %d EEs, %d SAPs\n",
 		len(env.View.Switches), len(env.View.EEs), len(env.View.SAPs))
-
-	if mapOnly {
-		mapping, err := mapper.Map(graph, env.View)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("mapper %s: %d NFs placed, total route hops %d\n",
-			mapper.MapperName(), len(mapping.Placements), mapping.TotalHops())
-		for nf, ee := range mapping.Placements {
-			fmt.Printf("  %-12s → %s (switch %s)\n", nf, ee, env.View.EEs[ee].Switch)
-		}
-		fmt.Println("\n# Graphviz DOT of the mapping:")
-		fmt.Print(viz.MappingDOT(mapping))
-		return nil
-	}
 
 	svc, err := env.Orch.Deploy(graph)
 	if err != nil {

@@ -26,7 +26,7 @@ func TestLoadTopoValid(t *testing.T) {
   "ees": {"ee1": {"switch": "s1", "cpu": 2, "mem": 512}},
   "trunks": [{"a": "s1", "b": "s2", "bandwidth": 1e9}]
 }`)
-	spec, err := loadTopo(path)
+	spec, err := core.LoadTopo(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestLoadTopoRejectsUnknownKeys(t *testing.T) {
 		{"misspelt trunk field", `{"switches": ["s1", "s2"], "trunks": [{"a": "s1", "bb": "s2"}]}`, "bb"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := loadTopo(writeTopo(t, tc.body))
+			_, err := core.LoadTopo(writeTopo(t, tc.body))
 			if err == nil {
 				t.Fatal("topology with an unknown key loaded")
 			}
@@ -64,7 +64,7 @@ func TestLoadTopoRejectsUnknownKeys(t *testing.T) {
 }
 
 func TestLoadTopoRejectsTrailingData(t *testing.T) {
-	if _, err := loadTopo(writeTopo(t, `{"switches": ["s1"]} {"switches": ["s2"]}`)); err == nil {
+	if _, err := core.LoadTopo(writeTopo(t, `{"switches": ["s1"]} {"switches": ["s2"]}`)); err == nil {
 		t.Error("topology followed by a second object loaded")
 	}
 }

@@ -13,7 +13,8 @@
 // is torn down, reports why in last_error, and is redeployed once
 // capacity returns.
 //
-// Quick start:
+// Quick start (-topo FILE runs on a topology file in the format escape
+// run reads instead of the embedded two-switch topology):
 //
 //	escaped -listen 127.0.0.1:8642 -data /var/lib/escaped -admin-token root
 //	curl -H 'Authorization: Bearer root' -d '{"name":"acme","quota":{"cpu":4}}' \
@@ -50,10 +51,7 @@ func main() {
 		burst      = flag.Float64("burst", 100, "per-tenant rate-limit burst")
 		workers    = flag.Int("reconcile-workers", 4, "concurrent reconcile actions")
 		resync     = flag.Duration("resync", 2*time.Second, "period of the reconciler's orphan sweep")
-		ees        = flag.Int("ees", 2, "embedded topology: number of VNF containers")
-		eeCPU      = flag.Float64("ee-cpu", 8, "CPU capacity per EE")
-		eeMem      = flag.Int("ee-mem", 4096, "memory capacity per EE (MB)")
-		hosts      = flag.Int("hosts", 8, "host (SAP) pairs in the embedded topology")
+		topoPath   = flag.String("topo", "", "topology JSON file, in escape run's format (default: the embedded two-switch topology)")
 	)
 	flag.Parse()
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -62,7 +60,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	d, err := startDaemon(daemonTopo(*ees, *eeCPU, *eeMem, *hosts), daemonConfig{
+	spec, err := loadTopology(*topoPath)
+	if err != nil {
+		log.Error("loading topology", "err", err)
+		os.Exit(2)
+	}
+	d, err := startDaemon(spec, daemonConfig{
 		dataDir:    *dataDir,
 		adminToken: *adminToken,
 		queueSlots: *queueSlots,
@@ -218,25 +221,27 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// daemonTopo builds the embedded two-switch topology: EEs split across
-// the switches, host pairs h{i}a/h{i}b as the tenants' SAPs.
-func daemonTopo(ees int, cpu float64, mem, hostPairs int) core.TopoSpec {
-	spec := core.TopoSpec{
-		Switches: []string{"s1", "s2"},
-		Hosts:    map[string]string{},
-		EEs:      map[string]core.EESpec{},
-		Trunks:   []core.TrunkSpec{{A: "s1", B: "s2"}},
+// embeddedTopo is the topology the daemon runs without -topo: switches
+// s1 and s2 joined by one trunk, one EE of 8 CPU / 4096 MB on each, and
+// host pairs h<i>a on s1 and h<i>b on s2 as the tenants' SAPs.
+var embeddedTopo = core.TopoSpec{
+	Switches: []string{"s1", "s2"},
+	Hosts: map[string]string{
+		"h0a": "s1", "h1a": "s1", "h2a": "s1", "h3a": "s1", "h4a": "s1", "h5a": "s1", "h6a": "s1", "h7a": "s1",
+		"h0b": "s2", "h1b": "s2", "h2b": "s2", "h3b": "s2", "h4b": "s2", "h5b": "s2", "h6b": "s2", "h7b": "s2",
+	},
+	EEs: map[string]core.EESpec{
+		"ee1": {Switch: "s1", CPU: 8, Mem: 4096},
+		"ee2": {Switch: "s2", CPU: 8, Mem: 4096},
+	},
+	Trunks: []core.TrunkSpec{{A: "s1", B: "s2"}},
+}
+
+// loadTopology reads the topology file at path, or returns embeddedTopo
+// when path is empty.
+func loadTopology(path string) (core.TopoSpec, error) {
+	if path == "" {
+		return embeddedTopo, nil
 	}
-	for i := 0; i < ees; i++ {
-		sw := "s1"
-		if i%2 == 1 {
-			sw = "s2"
-		}
-		spec.EEs[fmt.Sprintf("ee%d", i+1)] = core.EESpec{Switch: sw, CPU: cpu, Mem: mem}
-	}
-	for i := 0; i < hostPairs; i++ {
-		spec.Hosts[fmt.Sprintf("h%da", i)] = "s1"
-		spec.Hosts[fmt.Sprintf("h%db", i)] = "s2"
-	}
-	return spec
+	return core.LoadTopo(path)
 }

@@ -5,6 +5,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -59,5 +62,39 @@ func TestHalfWrittenRequestIsClosed(t *testing.T) {
 	}
 	if srv.IdleTimeout <= 0 || srv.MaxHeaderBytes <= 0 {
 		t.Errorf("idle timeout %v, header cap %d: want both set", srv.IdleTimeout, srv.MaxHeaderBytes)
+	}
+}
+
+// TestDaemonRunsFileTopology: -topo starts the daemon on a topology file
+// in escape run's format, whose one EE then serves an intent, and a file
+// with a key the format lacks is refused before anything starts.
+func TestDaemonRunsFileTopology(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "line.json")
+	if err := os.WriteFile(good, []byte(`{
+  "switches": ["a", "b", "c"],
+  "hosts": {"h1": "a", "h2": "c"},
+  "ees": {"box": {"switch": "b", "cpu": 2, "mem": 1024}},
+  "trunks": [{"a": "a", "b": "b"}, {"a": "b", "b": "c", "bandwidth": 1e9}]
+}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := loadTopology(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := startHealFixture(t, spec)
+	for nf, ee := range f.d.env.Orch.Service(webID).Placements() {
+		if ee != "box" {
+			t.Errorf("NF %s runs on %s, want box, the file's only EE", nf, ee)
+		}
+	}
+
+	bad := filepath.Join(dir, "misspelt.json")
+	if err := os.WriteFile(bad, []byte(`{"switches": ["s1"], "ees": {"ee1": {"switch": "s1", "cpus": 2}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loadTopology(bad); err == nil || !strings.Contains(err.Error(), `"cpus"`) {
+		t.Errorf("topology with an unknown key: err = %v, want one naming \"cpus\"", err)
 	}
 }

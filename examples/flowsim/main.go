@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"escape/internal/flowsim"
+	"escape/internal/netem"
 	"escape/internal/substrate"
 )
 
@@ -43,7 +44,10 @@ func main() {
 	// realize the same fat-tree spec and replay the same trace; the
 	// decisions must match because both expose the same ResourceView to
 	// the same mapper.
-	spec := substrate.FatTreeSpec(4, 10e9, 64, 1<<16)
+	spec, err := netem.FatTree(4, netem.Sizing{TrunkBW: 10e9, EECPU: 64, EEMem: 1 << 16})
+	if err != nil {
+		log.Fatal(err)
+	}
 	events := substrate.GenerateWorkload(substrate.WorkloadParams{
 		Seed: 7, Process: substrate.FlashCrowd, Services: 40,
 		Horizon: time.Hour, MeanLifetime: 30 * time.Minute,

@@ -1,6 +1,6 @@
-// Scale drives the scale-out admission pipeline: it builds a k-ary
-// fat-tree resource view (no emulation started — this exercises the
-// control plane), then admits service chains from many goroutines at
+// Scale drives the scale-out admission pipeline: it derives a k-ary
+// fat-tree resource view from its description (nothing is emulated —
+// this exercises the control plane), then admits service chains from many goroutines at
 // once through the optimistic validate-and-commit protocol, prints
 // admission throughput and path-cache counters, and verifies the
 // copy-on-write view restores exactly after releasing everything.
@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -22,38 +21,6 @@ import (
 	"escape/internal/netem"
 	"escape/internal/sg"
 )
-
-func buildView(k, n, chain int) (*core.ResourceView, []string) {
-	net_ := netem.New("scale", netem.Options{})
-	if err := netem.BuildFatTree(net_, k); err != nil {
-		log.Fatal(err)
-	}
-	cpu := float64(n*chain)*0.125 + 1
-	mem := n*chain*32 + 256
-	eeSwitch := map[string]string{}
-	for p := 0; p < k; p++ {
-		for j := 1; j <= k/2; j++ {
-			edge := fmt.Sprintf("p%de%d", p, j)
-			if _, err := net_.AddEE("ee-"+edge, netem.EEConfig{CPU: cpu, Mem: mem}); err != nil {
-				log.Fatal(err)
-			}
-			eeSwitch["ee-"+edge] = edge
-		}
-	}
-	rv, err := core.BuildResourceView(net_, eeSwitch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, l := range rv.Links {
-		l.Bandwidth = 10e9
-	}
-	saps := make([]string, 0, len(rv.SAPs))
-	for id := range rv.SAPs {
-		saps = append(saps, id)
-	}
-	sort.Strings(saps)
-	return rv, saps
-}
 
 func chainGraph(name string, rng *rand.Rand, saps []string, chain int) *sg.Graph {
 	src := saps[rng.Intn(len(saps))]
@@ -121,7 +88,15 @@ func main() {
 	chain := flag.Int("chain", 3, "NFs per chain")
 	flag.Parse()
 
-	rv, saps := buildView(*k, *n, *chain)
+	topo, err := netem.FatTree(*k, netem.Sizing{TrunkBW: 10e9, EECPU: float64(*n**chain)*0.125 + 1, EEMem: *n**chain*32 + 256})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rv, err := core.ViewFromSpec(topo)
+	if err != nil {
+		log.Fatal(err)
+	}
+	saps := topo.SAPNames()
 	fmt.Printf("fat-tree k=%d: %d switches, %d EEs, %d SAPs, %d links\n",
 		*k, len(rv.Switches), len(rv.EEs), len(rv.SAPs), len(rv.Links))
 

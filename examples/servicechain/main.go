@@ -15,7 +15,6 @@ import (
 
 	"escape/internal/core"
 	"escape/internal/mgmt"
-	"escape/internal/netem"
 	"escape/internal/sg"
 	"escape/internal/trafgen"
 )
@@ -49,18 +48,8 @@ func main() {
 	fmt.Printf("deployed %q: compressor on %s, decompressor on %s\n",
 		svc.Name, svc.NFs["nf1"].EE, svc.NFs["nf2"].EE)
 
-	// Find the trunk link to account bytes crossing the carrier segment.
-	var trunk *netem.Link
-	for _, l := range env.Net.Links() {
-		a, b := l.A.Node.NodeName(), l.B.Node.NodeName()
-		if (a == "s1" && b == "s2") || (a == "s2" && b == "s1") {
-			trunk = l
-			break
-		}
-	}
-	if trunk == nil {
-		log.Fatal("trunk link not found")
-	}
+	// The trunk link accounts bytes crossing the carrier segment.
+	trunk := env.Net.FindLink("s1", "s2")
 	before := trunk.Stats()
 
 	// Offer small-payload UDP (headers dominate → compression pays off).

@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"maps"
+	"os"
 	"slices"
 	"time"
 
@@ -27,20 +32,71 @@ type TrunkSpec struct {
 	Delay     time.Duration
 }
 
-// TopoSpec declares a complete test topology: ESCAPE's "define VNF
-// containers and the rest of the topology" demo step as a value.
+// TopoSpec declares a complete test topology keyed by name: ESCAPE's
+// "define VNF containers and the rest of the topology" demo step as a
+// value, and the JSON topology file LoadTopo reads (MiniEdit's
+// "resources and topology" pane).
 type TopoSpec struct {
-	Switches []string
+	Switches []string `json:"switches"`
 	// Hosts maps host (SAP) names to their switch.
-	Hosts map[string]string
+	Hosts map[string]string `json:"hosts"`
 	// EEs maps container names to placement and sizing.
-	EEs map[string]EESpec
+	EEs map[string]EESpec `json:"ees"`
 	// Trunks are switch-to-switch links.
-	Trunks []TrunkSpec
-	// HostLink shapes host-switch links (zero = unshaped).
-	HostLink netem.LinkConfig
+	Trunks []TrunkSpec `json:"trunks"`
 	// Mapper overrides the default (KSP) algorithm.
-	Mapper Mapper
+	Mapper Mapper `json:"-"`
+}
+
+// Topo sorts the spec into the ordered description netem.Build and
+// ViewFromSpec read: switches and trunks as declared, hosts and EEs in
+// name order, so one spec gives every host the same switch port, IP and
+// MAC on every run.
+func (spec TopoSpec) Topo() *netem.Topo {
+	t := &netem.Topo{Name: "escape", Switches: spec.Switches}
+	for _, tr := range spec.Trunks {
+		t.Links = append(t.Links, netem.LinkSpec{A: tr.A, B: tr.B, Bandwidth: tr.Bandwidth, Delay: tr.Delay})
+	}
+	for _, host := range slices.Sorted(maps.Keys(spec.Hosts)) {
+		t.Hosts = append(t.Hosts, netem.HostSpec{Name: host, Switch: spec.Hosts[host]})
+	}
+	for _, name := range slices.Sorted(maps.Keys(spec.EEs)) {
+		ee := spec.EEs[name]
+		t.EEs = append(t.EEs, netem.EESpec{Name: name, Switch: ee.Switch, CPU: ee.CPU, Mem: ee.Mem})
+	}
+	return t
+}
+
+// LoadTopo reads a topology file. A key the format does not have, at any
+// depth, is an error naming it: a misspelt key must not quietly deploy a
+// different topology. So is data after the topology object, and a
+// topology whose description does not validate.
+func LoadTopo(path string) (TopoSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return TopoSpec{}, err
+	}
+	spec, err := parseTopo(data)
+	if err != nil {
+		return TopoSpec{}, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	return spec, nil
+}
+
+func parseTopo(data []byte) (TopoSpec, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var spec TopoSpec
+	if err := dec.Decode(&spec); err != nil {
+		return TopoSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return TopoSpec{}, errors.New("data after the topology object")
+	}
+	if err := spec.Topo().Validate(); err != nil {
+		return TopoSpec{}, err
+	}
+	return spec, nil
 }
 
 // Environment is a running ESCAPE instance: emulated network, controller
@@ -59,58 +115,25 @@ type Environment struct {
 
 // StartEnvironment builds and starts everything described by spec.
 func StartEnvironment(spec TopoSpec) (*Environment, error) {
+	topo := spec.Topo()
+	view, err := ViewFromSpec(topo)
+	if err != nil {
+		return nil, err
+	}
 	ctrl := pox.NewController()
 	st := steering.New(ctrl)
 	ctrl.Register(pox.NewL2Learning())
 	ctrl.Register(st)
-	n := netem.New("escape", netem.Options{Controller: ctrl})
-
+	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
+	if err != nil {
+		ctrl.Close()
+		return nil, err
+	}
 	cleanup := func() {
 		n.Stop()
 		ctrl.Close()
 	}
-	for _, sw := range spec.Switches {
-		if _, err := n.AddSwitch(sw); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	// Hosts and EEs are wired in name order, so one spec gives every host
-	// the same switch port, IP and MAC on every run.
-	for _, host := range slices.Sorted(maps.Keys(spec.Hosts)) {
-		if _, err := n.AddHost(host); err != nil {
-			cleanup()
-			return nil, err
-		}
-		if _, err := n.AddLink(host, spec.Hosts[host], spec.HostLink); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
-	eeNames := slices.Sorted(maps.Keys(spec.EEs))
-	eeSwitch := map[string]string{}
-	for _, name := range eeNames {
-		ee := spec.EEs[name]
-		if _, err := n.AddEE(name, netem.EEConfig{CPU: ee.CPU, Mem: ee.Mem}); err != nil {
-			cleanup()
-			return nil, err
-		}
-		eeSwitch[name] = ee.Switch
-	}
-	for _, tr := range spec.Trunks {
-		cfg := netem.LinkConfig{Bandwidth: tr.Bandwidth, Delay: tr.Delay}
-		if _, err := n.AddLink(tr.A, tr.B, cfg); err != nil {
-			cleanup()
-			return nil, err
-		}
-	}
 	if err := n.Start(); err != nil {
-		cleanup()
-		return nil, err
-	}
-
-	view, err := BuildResourceView(n, eeSwitch)
-	if err != nil {
 		cleanup()
 		return nil, err
 	}
@@ -118,17 +141,16 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 	cat := catalog.Default()
 	agents := map[string]*vnfagent.Agent{}
 	agentAddrs := map[string]string{}
-	for _, name := range eeNames {
-		ee := n.Node(name).(*netem.EE)
-		a := vnfagent.New(ee, n, cat)
+	for _, e := range topo.EEs {
+		a := vnfagent.New(n.Node(e.Name).(*netem.EE), n, cat)
 		// The dedicated control network: every agent management endpoint
 		// is reachable out-of-band from the orchestrator.
 		if err := a.ListenAndServe("127.0.0.1:0"); err != nil {
 			cleanup()
-			return nil, fmt.Errorf("core: starting agent for %q: %w", name, err)
+			return nil, fmt.Errorf("core: starting agent for %q: %w", e.Name, err)
 		}
-		agents[name] = a
-		agentAddrs[name] = a.Addr()
+		agents[e.Name] = a
+		agentAddrs[e.Name] = a.Addr()
 	}
 
 	orch, err := New(Config{

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -284,22 +283,5 @@ func TestChainFlowStats(t *testing.T) {
 	}
 	if _, _, err := env.Orch.ChainFlowStats("ghost"); err == nil {
 		t.Error("stats for unknown service succeeded")
-	}
-}
-
-func TestBuildResourceViewFromEmulation(t *testing.T) {
-	env := startEnv(t, demoSpec())
-	rv := env.View
-	if len(rv.Switches) != 2 || len(rv.EEs) != 2 || len(rv.SAPs) != 2 {
-		t.Fatalf("view shape: %d switches %d EEs %d SAPs", len(rv.Switches), len(rv.EEs), len(rv.SAPs))
-	}
-	if rv.SAPs["h1"].Switch != "s1" || rv.SAPs["h2"].Switch != "s2" {
-		t.Errorf("SAP bindings = %+v", rv.SAPs)
-	}
-	if len(rv.Links) != 1 || rv.linkBetween("s1", "s2") == nil {
-		t.Errorf("links = %+v", rv.Links)
-	}
-	if strings.Count(strings.Join(rv.EENames(), ","), "ee") != 2 {
-		t.Errorf("EE names = %v", rv.EENames())
 	}
 }

@@ -49,11 +49,11 @@ func TestCachedRoutesHopEquivalentToBFS(t *testing.T) {
 // fatTreeView is a k-ary fat-tree resource view (no EEs: routing only).
 func fatTreeView(t *testing.T, k int) *ResourceView {
 	t.Helper()
-	n := netem.New("pathcache", netem.Options{})
-	if err := netem.BuildFatTree(n, k); err != nil {
+	topo, err := netem.FatTree(k, netem.Sizing{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	rv, err := BuildResourceView(n, map[string]string{})
+	rv, err := ViewFromSpec(topo)
 	if err != nil {
 		t.Fatal(err)
 	}

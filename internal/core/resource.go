@@ -220,7 +220,7 @@ func (rv *ResourceView) publish(fill func(*mutation)) {
 }
 
 // NewResourceView returns an empty view; populate the topology fields and
-// start mapping, or use BuildResourceView.
+// start mapping, or use ViewFromSpec.
 func NewResourceView() *ResourceView {
 	rv := &ResourceView{
 		Switches: map[string]uint64{},
@@ -325,49 +325,37 @@ func (rv *ResourceView) ExcludedLink(a, b string) bool {
 	return rv.state.Load().link.at(rv.topo().linkRef(a, b, false)).masked
 }
 
-// BuildResourceView scans an emulated network: switches and host-switch
-// attachments are discovered from topology links (each host becomes the
-// SAP named like itself), EEs from eeSwitch (EE name → attachment
-// switch), and inter-switch links with their configured shaping.
-func BuildResourceView(n *netem.Network, eeSwitch map[string]string) (*ResourceView, error) {
+// ViewFromSpec derives the orchestrator's resource view from a topology
+// description without building anything: it numbers the way netem.Build
+// does (switches get datapath ids 1, 2, … in declaration order; ports go
+// to switch-switch links first, then to host attachments), so the view
+// names exactly the DPIDs and ports of the network Build makes. Each
+// host becomes the SAP named like itself.
+func ViewFromSpec(t *netem.Topo) (*ResourceView, error) {
+	if err := t.Validate(); err != nil {
+		return nil, err
+	}
 	rv := NewResourceView()
-	for _, node := range n.Nodes() {
-		if s, ok := node.(*netem.SwitchNode); ok {
-			rv.Switches[s.NodeName()] = s.DPID()
-		}
+	for i, name := range t.Switches {
+		rv.Switches[name] = uint64(i + 1)
 	}
-	for eeName, swName := range eeSwitch {
-		ee, ok := n.Node(eeName).(*netem.EE)
-		if !ok {
-			return nil, fmt.Errorf("core: %q is not an EE", eeName)
-		}
-		if _, ok := rv.Switches[swName]; !ok {
-			return nil, fmt.Errorf("core: EE %q attached to unknown switch %q", eeName, swName)
-		}
-		cfg := ee.Config()
-		rv.EEs[eeName] = &EERes{Name: eeName, CPU: cfg.CPU, Mem: cfg.Mem, Switch: swName}
+	nextPort := make(map[string]uint16, len(t.Switches))
+	port := func(sw string) uint16 {
+		nextPort[sw]++
+		return nextPort[sw]
 	}
-	for _, l := range n.Links() {
-		an, bn := l.A.Node, l.B.Node
-		switch {
-		case an.Kind() == netem.KindSwitch && bn.Kind() == netem.KindSwitch:
-			cfg := l.Config()
-			rv.Links = append(rv.Links, &LinkRes{
-				A: an.NodeName(), B: bn.NodeName(),
-				PortA: l.A.No, PortB: l.B.No,
-				Bandwidth: cfg.Bandwidth, Delay: cfg.Delay,
-			})
-		case an.Kind() == netem.KindHost && bn.Kind() == netem.KindSwitch:
-			rv.SAPs[an.NodeName()] = &SAPRes{
-				ID: an.NodeName(), Host: an.NodeName(),
-				Switch: bn.NodeName(), Port: l.B.No,
-			}
-		case an.Kind() == netem.KindSwitch && bn.Kind() == netem.KindHost:
-			rv.SAPs[bn.NodeName()] = &SAPRes{
-				ID: bn.NodeName(), Host: bn.NodeName(),
-				Switch: an.NodeName(), Port: l.A.No,
-			}
-		}
+	for _, l := range t.Links {
+		rv.Links = append(rv.Links, &LinkRes{
+			A: l.A, B: l.B,
+			PortA: port(l.A), PortB: port(l.B),
+			Bandwidth: l.Bandwidth, Delay: l.Delay,
+		})
+	}
+	for _, h := range t.Hosts {
+		rv.SAPs[h.Name] = &SAPRes{ID: h.Name, Host: h.Name, Switch: h.Switch, Port: port(h.Switch)}
+	}
+	for _, e := range t.EEs {
+		rv.EEs[e.Name] = &EERes{Name: e.Name, CPU: e.CPU, Mem: e.Mem, Switch: e.Switch}
 	}
 	return rv, nil
 }

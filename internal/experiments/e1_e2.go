@@ -10,7 +10,7 @@ import (
 	"escape/internal/sg"
 )
 
-// demoTopo is the canonical demo topology shared by E1/E2/E5/E8:
+// demoTopo is the canonical demo topology shared by E1/E2/E8:
 // h1—s1—s2—h2 with one EE per switch.
 func demoTopo() core.TopoSpec {
 	return core.TopoSpec{

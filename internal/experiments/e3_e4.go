@@ -25,9 +25,13 @@ func E3Scale(sizes []int) (*Table, error) {
 	for _, n := range sizes {
 		ctrl := pox.NewController()
 		ctrl.Register(pox.NewL2Learning())
-		net_ := netem.New("scale", netem.Options{Controller: ctrl})
 		t0 := time.Now()
-		if err := netem.BuildLinear(net_, n); err != nil {
+		topo, err := netem.Linear(n, netem.Sizing{})
+		if err != nil {
+			return nil, err
+		}
+		net_, err := netem.Build(topo, netem.Options{Controller: ctrl})
+		if err != nil {
 			return nil, err
 		}
 		build := time.Since(t0)
@@ -52,26 +56,17 @@ func E3Scale(sizes []int) (*Table, error) {
 
 // e4View builds the E4 substrate: a ring of nSw switches with SAPs on
 // opposite sides and one EE on every second switch.
-func e4View(nSw int, eeCPU float64) *core.ResourceView {
-	rv := core.NewResourceView()
+func e4View(nSw int, eeCPU float64) (*core.ResourceView, error) {
 	name := func(i int) string { return fmt.Sprintf("sw%02d", i) }
+	topo := &netem.Topo{Hosts: []netem.HostSpec{{Name: "sap1", Switch: name(0)}, {Name: "sap2", Switch: name(nSw / 2)}}}
 	for i := 0; i < nSw; i++ {
-		rv.Switches[name(i)] = uint64(i + 1)
+		topo.Switches = append(topo.Switches, name(i))
+		topo.Links = append(topo.Links, netem.LinkSpec{A: name(i), B: name((i + 1) % nSw), Bandwidth: 100e6})
+		if i%2 == 0 {
+			topo.EEs = append(topo.EEs, netem.EESpec{Name: fmt.Sprintf("ee%02d", i), Switch: name(i), CPU: eeCPU, Mem: 4096})
+		}
 	}
-	for i := 0; i < nSw; i++ {
-		rv.Links = append(rv.Links, &core.LinkRes{
-			A: name(i), B: name((i + 1) % nSw),
-			PortA: 10, PortB: 11,
-			Bandwidth: 100e6,
-		})
-	}
-	rv.SAPs["sap1"] = &core.SAPRes{ID: "sap1", Switch: name(0), Port: 1}
-	rv.SAPs["sap2"] = &core.SAPRes{ID: "sap2", Switch: name(nSw / 2), Port: 1}
-	for i := 0; i < nSw; i += 2 {
-		ee := fmt.Sprintf("ee%02d", i)
-		rv.EEs[ee] = &core.EERes{Name: ee, CPU: eeCPU, Mem: 4096, Switch: name(i)}
-	}
-	return rv
+	return core.ViewFromSpec(topo)
 }
 
 // E4Mapping compares the mapping algorithms: per-request latency, how
@@ -101,7 +96,10 @@ func E4Mapping(nSwitches int, chainLen int, requests int) (*Table, error) {
 		types[i] = "monitor" // 0.1 CPU each
 	}
 	for _, m := range mappers {
-		rv := e4View(nSwitches, 1.0)
+		rv, err := e4View(nSwitches, 1.0)
+		if err != nil {
+			return nil, err
+		}
 		accepted := 0
 		firstReject := -1
 		var totalTime time.Duration

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"escape/internal/core"
 	"escape/internal/netem"
 	"escape/internal/pkt"
 	"escape/internal/pox"
@@ -27,46 +28,48 @@ func E5Steering(lengths []int) (*Table, error) {
 	return t, nil
 }
 
-// e5Run builds a fresh line h1—s1—…—sL—h2 (every switch takes the frame
-// in on port 1 and sends it out on port 2), installs one path along it,
-// sends one frame through and appends the row. Whatever it built is
-// stopped when it returns, on error too.
+// e5Run builds a fresh line h1—s1—…—sL—h2, installs one path along it,
+// taking each switch's in and out ports from the derived view, sends one
+// frame through and appends the row. Whatever it built is stopped when
+// it returns, on error too.
 func e5Run(t *Table, L int) error {
+	topo := &netem.Topo{Name: "e5", Hosts: []netem.HostSpec{
+		{Name: "h1", Switch: "s1"}, {Name: "h2", Switch: fmt.Sprintf("s%d", L)},
+	}}
+	for i := 1; i <= L; i++ {
+		topo.Switches = append(topo.Switches, fmt.Sprintf("s%d", i))
+		if i > 1 {
+			topo.Links = append(topo.Links, netem.LinkSpec{A: topo.Switches[i-2], B: topo.Switches[i-1]})
+		}
+	}
+	view, err := core.ViewFromSpec(topo)
+	if err != nil {
+		return err
+	}
+	hops := make([]steering.Hop, L)
+	in := view.SAPs["h1"].Port
+	for i, sw := range topo.Switches {
+		hops[i] = steering.Hop{DPID: view.Switches[sw], InPort: in}
+		if i < len(view.Links) { // topo.Links[i] joins this switch to the next
+			hops[i].OutPort, in = view.Links[i].PortA, view.Links[i].PortB
+		} else {
+			hops[i].OutPort = view.SAPs["h2"].Port
+		}
+	}
+
 	ctrl := pox.NewController()
+	defer ctrl.Close()
 	st := steering.New(ctrl)
 	ctrl.Register(st)
-	n := netem.New("e5", netem.Options{Controller: ctrl})
-	defer func() {
-		n.Stop()
-		ctrl.Close()
-	}()
-	line := []string{"h1"}
-	hops := make([]steering.Hop, L)
-	for i := range hops {
-		sw, err := n.AddSwitch(fmt.Sprintf("s%d", i+1))
-		if err != nil {
-			return err
-		}
-		line = append(line, sw.NodeName())
-		hops[i] = steering.Hop{DPID: sw.DPID(), InPort: 1, OutPort: 2}
-	}
-	line = append(line, "h2")
-	h1, err := n.AddHost("h1")
+	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
 	if err != nil {
 		return err
 	}
-	h2, err := n.AddHost("h2")
-	if err != nil {
-		return err
-	}
-	for i := 1; i < len(line); i++ {
-		if _, err := n.AddLink(line[i-1], line[i], netem.LinkConfig{}); err != nil {
-			return err
-		}
-	}
+	defer n.Stop()
 	if err := n.Start(); err != nil {
 		return err
 	}
+	h1, h2 := n.Node("h1").(*netem.Host), n.Node("h2").(*netem.Host)
 	t0 := time.Now()
 	inst, err := st.InstallPath(steering.Path{ID: "p", Hops: hops})
 	install := time.Since(t0)

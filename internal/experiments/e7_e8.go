@@ -24,18 +24,16 @@ func E7NETCONF(counts []int) (*Table, error) {
 	for _, count := range counts {
 		ctrl := pox.NewController()
 		ctrl.Register(pox.NewL2Learning())
-		n := netem.New("e7", netem.Options{Controller: ctrl})
-		if _, err := n.AddSwitch("s1"); err != nil {
-			return nil, err
-		}
-		ee, err := n.AddEE("ee1", netem.EEConfig{CPU: float64(count), Mem: count * 64})
+		n, err := netem.Build(&netem.Topo{Name: "e7", Switches: []string{"s1"}, EEs: []netem.EESpec{
+			{Name: "ee1", Switch: "s1", CPU: float64(count), Mem: count * 64},
+		}}, netem.Options{Controller: ctrl})
 		if err != nil {
 			return nil, err
 		}
 		if err := n.Start(); err != nil {
 			return nil, err
 		}
-		agent := vnfagent.New(ee, n, catalog.Default())
+		agent := vnfagent.New(n.Node("ee1").(*netem.EE), n, catalog.Default())
 		if err := agent.ListenAndServe("127.0.0.1:0"); err != nil {
 			return nil, err
 		}

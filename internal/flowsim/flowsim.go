@@ -114,11 +114,10 @@ func New(spec *substrate.TopoSpec, opts Options) (*Sim, error) {
 	return s, nil
 }
 
-func (s *Sim) Name() string              { return "flowsim" }
-func (s *Sim) Spec() *substrate.TopoSpec { return s.spec }
+func (s *Sim) Name() string { return "flowsim" }
 
 func (s *Sim) View() (*core.ResourceView, error) {
-	return substrate.ViewFromSpec(s.spec)
+	return core.ViewFromSpec(s.spec)
 }
 
 func (s *Sim) Start() error {

@@ -10,13 +10,14 @@ import (
 	"escape/internal/pox"
 )
 
-// newStartedNet builds and starts a network with an l2_learning controller.
-func newStartedNet(t *testing.T, build func(n *Network) error) (*Network, *pox.Controller) {
+// newStartedNet builds and starts a description with an l2_learning
+// controller.
+func newStartedNet(t *testing.T, topo *Topo) (*Network, *pox.Controller) {
 	t.Helper()
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	n := New("t", Options{Controller: ctrl})
-	if err := build(n); err != nil {
+	n, err := Build(topo, Options{Controller: ctrl})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Start(); err != nil {
@@ -84,7 +85,11 @@ func TestHostAddressing(t *testing.T) {
 }
 
 func TestPingThroughLearningSwitch(t *testing.T) {
-	n, _ := newStartedNet(t, func(n *Network) error { return BuildSingle(n, 2) })
+	topo, err := Single(2, Sizing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := newStartedNet(t, topo)
 	h1 := n.Node("h1").(*Host)
 	h2 := n.Node("h2").(*Host)
 
@@ -127,7 +132,11 @@ func TestPingThroughLearningSwitch(t *testing.T) {
 }
 
 func TestLinearTopologyEndToEnd(t *testing.T) {
-	n, _ := newStartedNet(t, func(n *Network) error { return BuildLinear(n, 3) })
+	topo, err := Linear(3, Sizing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, _ := newStartedNet(t, topo)
 	h1 := n.Node("h1").(*Host)
 	h3 := n.Node("h3").(*Host)
 	// UDP h1 → h3 across three switches: first flood reaches h3.
@@ -148,12 +157,10 @@ func TestLinearTopologyEndToEnd(t *testing.T) {
 }
 
 func TestBuildGeneratorsValidate(t *testing.T) {
-	n := New("t", Options{})
-	defer n.Stop()
-	if err := BuildSingle(n, 0); err == nil {
+	if _, err := Single(0, Sizing{}); err == nil {
 		t.Error("single(0) accepted")
 	}
-	if err := BuildLinear(n, 0); err == nil {
+	if _, err := Linear(0, Sizing{}); err == nil {
 		t.Error("linear(0) accepted")
 	}
 }
@@ -264,17 +271,16 @@ func TestLossyLinkDropsSome(t *testing.T) {
 }
 
 func TestEEVNFLifecycle(t *testing.T) {
-	n, _ := newStartedNet(t, func(n *Network) error {
-		if err := BuildSingle(n, 2); err != nil {
-			return err
-		}
-		_, err := n.AddEE("ee1", EEConfig{CPU: 2, Mem: 1024})
-		return err
-	})
+	topo, err := Single(2, Sizing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo.EEs = []EESpec{{Name: "ee1", Switch: "s1", CPU: 2, Mem: 1024}}
+	n, _ := newStartedNet(t, topo)
 	ee := n.Node("ee1").(*EE)
 
 	// initiateVNF: a simple forwarder with two devices.
-	_, err := ee.InitVNF(VNFSpec{
+	_, err = ee.InitVNF(VNFSpec{
 		Name:        "fwd1",
 		ClickConfig: `FromDevice(in) -> cnt :: Counter -> Queue(64) -> ToDevice(out);`,
 		Devices:     []string{"in", "out"},

@@ -9,18 +9,10 @@ import (
 // one EE of 2 CPU / 1024 MB.
 func releaseNet(t *testing.T) (*Network, *EE, *SwitchNode) {
 	t.Helper()
-	n, _ := newStartedNet(t, func(n *Network) error {
-		if _, err := n.AddSwitch("s1"); err != nil {
-			return err
-		}
-		if _, err := n.AddHost("h1"); err != nil {
-			return err
-		}
-		if _, err := n.AddLink("h1", "s1", LinkConfig{}); err != nil {
-			return err
-		}
-		_, err := n.AddEE("ee1", EEConfig{CPU: 2, Mem: 1024})
-		return err
+	n, _ := newStartedNet(t, &Topo{
+		Switches: []string{"s1"},
+		Hosts:    []HostSpec{{Name: "h1", Switch: "s1"}},
+		EEs:      []EESpec{{Name: "ee1", Switch: "s1", CPU: 2, Mem: 1024}},
 	})
 	return n, n.Node("ee1").(*EE), n.Node("s1").(*SwitchNode)
 }

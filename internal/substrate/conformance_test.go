@@ -1,12 +1,14 @@
 package substrate_test
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
 	"time"
 
 	"escape/internal/flowsim"
+	"escape/internal/netem"
 	"escape/internal/sg"
 	"escape/internal/substrate"
 )
@@ -89,7 +91,10 @@ func assertIdenticalDecisions(t *testing.T, nm, fs *substrate.PlayReport) {
 // TestConformanceFatTreeWorkloads plays each arrival process over a
 // small fat-tree on both substrates and requires identical decisions.
 func TestConformanceFatTreeWorkloads(t *testing.T) {
-	spec := substrate.FatTreeSpec(4, 10e9, 64, 1<<16)
+	spec, err := netem.FatTree(4, netem.Sizing{TrunkBW: 10e9, EECPU: 64, EEMem: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, proc := range []substrate.ArrivalProcess{substrate.Diurnal, substrate.FlashCrowd, substrate.HeavyTailed} {
 		events := substrate.GenerateWorkload(substrate.WorkloadParams{
 			Seed: 9, Process: proc, Services: 60,
@@ -111,7 +116,10 @@ func TestConformanceFatTreeWorkloads(t *testing.T) {
 // capacity differently).
 func TestConformanceBoundaryExactLinkFit(t *testing.T) {
 	// One inter-switch link at exactly 3 × the per-chain demand.
-	spec := substrate.LinearSpec(2, 3e6, 64, 1<<16)
+	spec, err := netem.Linear(2, netem.Sizing{TrunkBW: 3e6, EECPU: 64, EEMem: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var events []substrate.ScenarioEvent
 	for i := 0; i < 5; i++ {
 		events = append(events, substrate.ScenarioEvent{
@@ -188,7 +196,7 @@ func TestConformanceHealInducedResteering(t *testing.T) {
 // per crossing, so equal crossings + equal allocation order ⇒ equal
 // tags.
 func TestConformanceMultiDomainStitching(t *testing.T) {
-	spec, gateways := substrate.MultiDomainSpec(3, 3, 1e9, 64, 1<<16)
+	spec, gateways := multiDomainSpec(3, 3, 1e9, 64, 1<<16)
 	events := substrate.GenerateWorkload(substrate.WorkloadParams{
 		Seed: 21, Process: substrate.HeavyTailed, Services: 30,
 		Horizon: time.Minute, MeanLifetime: 30 * time.Second,
@@ -210,6 +218,45 @@ func TestConformanceMultiDomainStitching(t *testing.T) {
 	if cross == 0 {
 		t.Fatal("no chain crossed a domain boundary — stitching untested")
 	}
+}
+
+// multiDomainSpec builds d star domains of swPer switches joined by a
+// gateway chain (domain i's s1 trunks to domain i+1's s1), one host per
+// non-gateway switch and one EE per switch: chains that cross gateway
+// trunks, the stitching case. It also returns the inter-domain trunk
+// endpoint pairs in order.
+func multiDomainSpec(d, swPer int, trunkBW float64, eeCPU float64, eeMem int) (*substrate.TopoSpec, [][2]string) {
+	spec := &substrate.TopoSpec{Name: fmt.Sprintf("multidomain-%d", d)}
+	var gateways [][2]string
+	for i := 0; i < d; i++ {
+		for j := 1; j <= swPer; j++ {
+			spec.Switches = append(spec.Switches, fmt.Sprintf("d%ds%d", i, j))
+		}
+	}
+	for i := 0; i < d; i++ {
+		hub := fmt.Sprintf("d%ds1", i)
+		for j := 2; j <= swPer; j++ {
+			spec.Links = append(spec.Links, substrate.LinkSpec{
+				A: hub, B: fmt.Sprintf("d%ds%d", i, j), Bandwidth: trunkBW,
+			})
+		}
+		if i+1 < d {
+			next := fmt.Sprintf("d%ds1", i+1)
+			spec.Links = append(spec.Links, substrate.LinkSpec{A: hub, B: next, Bandwidth: trunkBW})
+			gateways = append(gateways, [2]string{hub, next})
+		}
+	}
+	for i := 0; i < d; i++ {
+		for j := 2; j <= swPer; j++ {
+			sw := fmt.Sprintf("d%ds%d", i, j)
+			spec.Hosts = append(spec.Hosts, substrate.HostSpec{Name: sw + "h1", Switch: sw})
+		}
+		for j := 1; j <= swPer; j++ {
+			sw := fmt.Sprintf("d%ds%d", i, j)
+			spec.EEs = append(spec.EEs, substrate.EESpec{Name: "ee-" + sw, Switch: sw, CPU: eeCPU, Mem: eeMem})
+		}
+	}
+	return spec, gateways
 }
 
 // stitchTags derives per-service VLAN stitch tags, one per gateway
@@ -257,7 +304,10 @@ func stitchTags(rep *substrate.PlayReport, gateways [][2]string) map[string][]ui
 // delivers ≈ everything on both backends (netem within emulation
 // jitter, flowsim exactly).
 func TestConformanceTrafficAgreesOnCleanPath(t *testing.T) {
-	spec := substrate.LinearSpec(2, 0, 8, 1024)
+	spec, err := netem.Linear(2, netem.Sizing{EECPU: 8, EEMem: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	netemSub, err := substrate.NewNetem(spec, substrate.NetemOptions{Learning: true})
 	if err != nil {

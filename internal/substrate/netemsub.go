@@ -12,28 +12,13 @@ import (
 	"escape/internal/trafgen"
 )
 
-// decodeUDPFrame extracts the UDP destination port and frame length, or
-// reports false for non-UDP traffic (ARP, stray ICMP).
-func decodeUDPFrame(frame []byte) (port uint16, n int, ok bool) {
-	u, isUDP := pkt.Decode(frame).Layer(pkt.LayerTypeUDP).(*pkt.UDP)
-	if !isUDP {
-		return 0, 0, false
-	}
-	return u.DstPort, len(frame), true
-}
-
 // NetemOptions configure the packet-emulation substrate.
 type NetemOptions struct {
-	// Controller, when non-nil, receives the switches at Start. Nil with
-	// Learning=true creates a controller running the classic l2_learning
-	// component so SAP-to-SAP flows forward without explicit steering.
-	// Nil with Learning=false runs data-plane-only (decisions-only use:
-	// the view can be built and mapped against without starting).
-	Controller *pox.Controller
-	Learning   bool
-	// TimeScale compresses scenario time: AdvanceTo(t) sleeps
-	// (t-now)/TimeScale of wall clock (default 1, real time).
-	TimeScale float64
+	// Learning runs a controller with the classic l2_learning component,
+	// so SAP-to-SAP flows forward without explicit steering. Without it
+	// the network is data-plane-only (decisions-only use: the view can be
+	// mapped against without starting).
+	Learning bool
 }
 
 // NetemSubstrate realizes a TopoSpec as a packet-level emulated network:
@@ -41,9 +26,7 @@ type NetemOptions struct {
 // high-fidelity, low-scale backend.
 type NetemSubstrate struct {
 	spec *TopoSpec
-	opts NetemOptions
 	net  *netem.Network
-	ees  map[string]string // EE name → switch (for View)
 
 	started time.Time
 	vnow    time.Duration // monotonic scenario time reached via AdvanceTo
@@ -67,74 +50,36 @@ type netemFlow struct {
 // destination port, so concurrent flows to the same host each see their
 // own counters.
 type netemSink struct {
-	stop  chan struct{}
-	done  chan struct{}
-	mu    sync.Mutex
-	pkts  map[uint16]int
-	bytes map[uint16]int
+	stop chan struct{}
+	done chan struct{}
+	mu   sync.Mutex
+	pkts map[uint16]int
 }
 
 // NewNetem realizes the spec as an emulated network (nodes and links are
 // created immediately; Start launches pipes and the controller).
 func NewNetem(spec *TopoSpec, opts NetemOptions) (*NetemSubstrate, error) {
-	if err := spec.Validate(); err != nil {
+	var ctrl *pox.Controller
+	if opts.Learning {
+		ctrl = pox.NewController()
+		ctrl.Register(pox.NewL2Learning())
+	}
+	n, err := netem.Build(spec, netem.Options{Controller: ctrl})
+	if err != nil {
 		return nil, err
 	}
-	if opts.TimeScale <= 0 {
-		opts.TimeScale = 1
-	}
-	if opts.Controller == nil && opts.Learning {
-		opts.Controller = pox.NewController()
-		opts.Controller.Register(pox.NewL2Learning())
-	}
-	n := netem.New(spec.Name, netem.Options{Controller: opts.Controller})
-	s := &NetemSubstrate{
+	return &NetemSubstrate{
 		spec:  spec,
-		opts:  opts,
 		net:   n,
-		ees:   map[string]string{},
 		flows: map[string]*netemFlow{},
 		sinks: map[string]*netemSink{},
-	}
-	for _, name := range spec.Switches {
-		if _, err := n.AddSwitch(name); err != nil {
-			return nil, err
-		}
-	}
-	// Switch-switch links before host attachments: port numbering must
-	// match ViewFromSpec (see TopoSpec doc).
-	for _, l := range spec.Links {
-		cfg := netem.LinkConfig{Bandwidth: l.Bandwidth, Delay: l.Delay, Loss: l.Loss}
-		if _, err := n.AddLink(l.A, l.B, cfg); err != nil {
-			return nil, err
-		}
-	}
-	for _, h := range spec.Hosts {
-		if _, err := n.AddHost(h.Name); err != nil {
-			return nil, err
-		}
-		if _, err := n.AddLink(h.Name, h.Switch, netem.LinkConfig{}); err != nil {
-			return nil, err
-		}
-	}
-	for _, e := range spec.EEs {
-		if _, err := n.AddEE(e.Name, netem.EEConfig{CPU: e.CPU, Mem: e.Mem}); err != nil {
-			return nil, err
-		}
-		s.ees[e.Name] = e.Switch
-	}
-	return s, nil
+	}, nil
 }
 
-// Network exposes the underlying emulation for callers that need the
-// full packet-level API (hosts, links, switches).
-func (s *NetemSubstrate) Network() *netem.Network { return s.net }
-
-func (s *NetemSubstrate) Name() string    { return "netem" }
-func (s *NetemSubstrate) Spec() *TopoSpec { return s.spec }
+func (s *NetemSubstrate) Name() string { return "netem" }
 
 func (s *NetemSubstrate) View() (*core.ResourceView, error) {
-	return core.BuildResourceView(s.net, s.ees)
+	return core.ViewFromSpec(s.spec)
 }
 
 func (s *NetemSubstrate) Start() error {
@@ -166,14 +111,13 @@ func (s *NetemSubstrate) Stop() {
 	s.net.Stop()
 }
 
-// Now reports scenario time: the wall clock scaled by TimeScale, but at
-// least the highest AdvanceTo target (so zero-duration waits still
+// Now reports scenario time: the wall clock, but at least the highest AdvanceTo target (so zero-duration waits still
 // advance the scenario clock deterministically).
 func (s *NetemSubstrate) Now() time.Duration {
 	if s.started.IsZero() {
 		return 0
 	}
-	wall := time.Duration(float64(time.Since(s.started)) * s.opts.TimeScale)
+	wall := time.Since(s.started)
 	if wall < s.vnow {
 		return s.vnow
 	}
@@ -187,7 +131,7 @@ func (s *NetemSubstrate) AdvanceTo(t time.Duration) {
 	// Decisions-only use (network never started, no traffic in flight):
 	// nothing is waiting on wall clock, so scenario time jumps.
 	if !s.started.IsZero() {
-		if d := time.Duration(float64(t-s.Now()) / s.opts.TimeScale); d > 0 {
+		if d := t - s.Now(); d > 0 {
 			time.Sleep(d)
 		}
 	}
@@ -237,10 +181,9 @@ func (s *NetemSubstrate) StartFlow(spec FlowSpec) error {
 	sink := s.sinks[spec.DstSAP]
 	if sink == nil {
 		sink = &netemSink{
-			stop:  make(chan struct{}),
-			done:  make(chan struct{}),
-			pkts:  map[uint16]int{},
-			bytes: map[uint16]int{},
+			stop: make(chan struct{}),
+			done: make(chan struct{}),
+			pkts: map[uint16]int{},
 		}
 		s.sinks[spec.DstSAP] = sink
 		go sink.run(dst)
@@ -255,9 +198,7 @@ func (s *NetemSubstrate) StartFlow(spec FlowSpec) error {
 			Host: src, DstIP: dst.IP(), DstMAC: dst.MAC(),
 			SrcPort: port, DstPort: port,
 			Size: spec.FrameSize,
-			// Emulated rate is scaled with scenario time so a compressed
-			// scenario offers the same bits per scenario-second.
-			Rate: spec.Rate / float64(spec.FrameSize*8) * s.opts.TimeScale,
+			Rate: spec.Rate / float64(spec.FrameSize*8),
 		},
 	}
 	s.flows[spec.ID] = f
@@ -291,10 +232,10 @@ func (sink *netemSink) run(h *netem.Host) {
 		case <-sink.stop:
 			return
 		case rx := <-h.Recv():
-			if port, n, ok := decodeUDPFrame(rx.Frame); ok {
+			// Flows are UDP; ARP and stray ICMP are not counted.
+			if u, ok := pkt.Decode(rx.Frame).Layer(pkt.LayerTypeUDP).(*pkt.UDP); ok {
 				sink.mu.Lock()
-				sink.pkts[port]++
-				sink.bytes[port] += n
+				sink.pkts[u.DstPort]++
 				sink.mu.Unlock()
 			}
 		}
@@ -316,11 +257,10 @@ func (s *NetemSubstrate) StopFlow(id string) (FlowStats, error) {
 	f.sink.mu.Lock()
 	pkts := f.sink.pkts[f.gen.DstPort]
 	f.sink.mu.Unlock()
-	wall := time.Since(f.startAt)
 	frameBits := float64(f.spec.FrameSize * 8)
 	return FlowStats{
 		OfferedBits:   float64(f.sent) * frameBits,
 		DeliveredBits: float64(pkts) * frameBits,
-		Duration:      time.Duration(float64(wall) * s.opts.TimeScale),
+		Duration:      time.Since(f.startAt),
 	}, nil
 }

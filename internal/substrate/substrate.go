@@ -3,84 +3,30 @@
 // and internal/experiments historically assumed the packet-level netem
 // emulator; the Substrate interface names exactly what they actually
 // consume — a topology realized into a core.ResourceView, traffic
-// generation and measurement, fault injection, and link/EE state events —
-// so the same Mapper/Orchestrator code paths can run unchanged
-// against either the packet emulator (NetemSubstrate) or the analytic
-// flow-level simulator (internal/flowsim), which trades per-frame
-// fidelity for 100k-switch / 1M-service scale.
+// generation and measurement, and link fault injection — so the same
+// Mapper/Orchestrator code paths can run unchanged against either the
+// packet emulator (NetemSubstrate) or the analytic flow-level simulator
+// (internal/flowsim), which trades per-frame fidelity for 100k-switch /
+// 1M-service scale.
 package substrate
 
 import (
-	"fmt"
-	"sort"
 	"time"
 
 	"escape/internal/core"
+	"escape/internal/netem"
 )
 
-// HostSpec attaches one SAP host to a switch.
-type HostSpec struct {
-	Name   string
-	Switch string
-}
-
-// EESpec declares one execution environment (VNF container host) with
-// its compute capacity and attachment switch.
-type EESpec struct {
-	Name   string
-	Switch string
-	CPU    float64
-	Mem    int
-}
-
-// LinkSpec is one undirected switch-to-switch link with its shaping.
-type LinkSpec struct {
-	A, B      string
-	Bandwidth float64 // bits per second; 0 = uncapacitated
-	Delay     time.Duration
-	Loss      float64
-}
-
-// TopoSpec is a substrate-neutral topology description: every substrate
-// realizes the same spec, and ViewFromSpec derives the orchestrator's
-// resource view from it directly. Order matters — ports are numbered in
-// declaration order (switch-switch links first, then host attachments),
-// matching netem's AddLink port allocation, so a spec-built emulation
-// and a spec-derived view agree on port numbers.
-type TopoSpec struct {
-	Name     string
-	Switches []string
-	Hosts    []HostSpec
-	EEs      []EESpec
-	Links    []LinkSpec
-}
-
-// Validate checks referential integrity of the spec.
-func (s *TopoSpec) Validate() error {
-	sw := make(map[string]bool, len(s.Switches))
-	for _, name := range s.Switches {
-		if sw[name] {
-			return fmt.Errorf("substrate: duplicate switch %q", name)
-		}
-		sw[name] = true
-	}
-	for _, h := range s.Hosts {
-		if !sw[h.Switch] {
-			return fmt.Errorf("substrate: host %q attaches to unknown switch %q", h.Name, h.Switch)
-		}
-	}
-	for _, e := range s.EEs {
-		if !sw[e.Switch] {
-			return fmt.Errorf("substrate: EE %q attaches to unknown switch %q", e.Name, e.Switch)
-		}
-	}
-	for _, l := range s.Links {
-		if !sw[l.A] || !sw[l.B] {
-			return fmt.Errorf("substrate: link %s-%s references unknown switch", l.A, l.B)
-		}
-	}
-	return nil
-}
+// The topology description is netem's (netem.Topo, the analogue of
+// Mininet's Topo): every substrate realizes the same description, and
+// core.ViewFromSpec derives the orchestrator's resource view from it.
+// The substrate names are aliases kept for the benchmark program.
+type (
+	TopoSpec = netem.Topo
+	HostSpec = netem.HostSpec
+	EESpec   = netem.EESpec
+	LinkSpec = netem.LinkSpec
+)
 
 // FlowSpec describes one service flow to generate: constant-rate traffic
 // from SrcSAP to DstSAP along the mapped switch Route.
@@ -132,11 +78,10 @@ func (s FlowStats) DeliveredRatio() float64 {
 type Substrate interface {
 	// Name identifies the backend ("netem", "flowsim").
 	Name() string
-	// Spec returns the realized topology description.
-	Spec() *TopoSpec
-	// View builds the orchestrator's resource view over this substrate.
-	// Placement and steering decisions derive from the view alone, which
-	// is why both substrates drive identical decisions on one spec.
+	// View derives the orchestrator's resource view from the realized
+	// description (core.ViewFromSpec). Placement and steering decisions
+	// derive from the view alone, which is why both substrates drive
+	// identical decisions on one spec.
 	View() (*core.ResourceView, error)
 	// Start launches the substrate; Stop tears it down.
 	Start() error
@@ -157,54 +102,4 @@ type Substrate interface {
 	// reports what the flow experienced.
 	StartFlow(spec FlowSpec) error
 	StopFlow(id string) (FlowStats, error)
-}
-
-// ViewFromSpec derives the orchestrator's resource view directly from a
-// spec, without realizing an emulated network: switches get sequential
-// DPIDs, links and hosts get ports numbered in declaration order
-// (switch-switch links first, then host attachments — the same order
-// BuildNetem issues AddLink calls), so the result is structurally
-// identical to core.BuildResourceView over the netem realization.
-func ViewFromSpec(spec *TopoSpec) (*core.ResourceView, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	rv := core.NewResourceView()
-	nextDPID := uint64(1)
-	for _, name := range spec.Switches {
-		rv.Switches[name] = nextDPID
-		nextDPID++
-	}
-	nextPort := make(map[string]uint16, len(spec.Switches))
-	port := func(sw string) uint16 {
-		nextPort[sw]++
-		return nextPort[sw]
-	}
-	for _, l := range spec.Links {
-		rv.Links = append(rv.Links, &core.LinkRes{
-			A: l.A, B: l.B,
-			PortA: port(l.A), PortB: port(l.B),
-			Bandwidth: l.Bandwidth, Delay: l.Delay,
-		})
-	}
-	for _, h := range spec.Hosts {
-		rv.SAPs[h.Name] = &core.SAPRes{
-			ID: h.Name, Host: h.Name,
-			Switch: h.Switch, Port: port(h.Switch),
-		}
-	}
-	for _, e := range spec.EEs {
-		rv.EEs[e.Name] = &core.EERes{Name: e.Name, CPU: e.CPU, Mem: e.Mem, Switch: e.Switch}
-	}
-	return rv, nil
-}
-
-// SAPNames returns the spec's host (SAP) names sorted.
-func (s *TopoSpec) SAPNames() []string {
-	out := make([]string, 0, len(s.Hosts))
-	for _, h := range s.Hosts {
-		out = append(out, h.Name)
-	}
-	sort.Strings(out)
-	return out
 }

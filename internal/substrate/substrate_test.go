@@ -3,76 +3,25 @@ package substrate
 import (
 	"testing"
 	"time"
+
+	"escape/internal/core"
+	"escape/internal/netem"
 )
 
-// TestViewFromSpecMatchesNetemView asserts the spec-derived view is
-// structurally identical to core.BuildResourceView over the netem
-// realization of the same spec — the property that lets an analytic
-// substrate drive the same mapping decisions as the emulator.
-func TestViewFromSpecMatchesNetemView(t *testing.T) {
-	spec := FatTreeSpec(4, 10e9, 16, 4096)
-	direct, err := ViewFromSpec(spec)
+// linear is netem's linear description of n switches.
+func linear(t *testing.T, n int, s netem.Sizing) *TopoSpec {
+	t.Helper()
+	spec, err := netem.Linear(n, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := NewNetem(spec, NetemOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	emulated, err := sub.View()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(direct.Switches) != len(emulated.Switches) {
-		t.Fatalf("switch count: %d vs %d", len(direct.Switches), len(emulated.Switches))
-	}
-	for name := range emulated.Switches {
-		if _, ok := direct.Switches[name]; !ok {
-			t.Fatalf("spec view missing switch %q", name)
-		}
-	}
-	if len(direct.SAPs) != len(emulated.SAPs) {
-		t.Fatalf("SAP count: %d vs %d", len(direct.SAPs), len(emulated.SAPs))
-	}
-	for id, em := range emulated.SAPs {
-		dr := direct.SAPs[id]
-		if dr == nil || dr.Switch != em.Switch || dr.Port != em.Port {
-			t.Fatalf("SAP %q: spec %+v vs netem %+v", id, dr, em)
-		}
-	}
-	if len(direct.EEs) != len(emulated.EEs) {
-		t.Fatalf("EE count: %d vs %d", len(direct.EEs), len(emulated.EEs))
-	}
-	for name, em := range emulated.EEs {
-		dr := direct.EEs[name]
-		if dr == nil || dr.Switch != em.Switch || dr.CPU != em.CPU || dr.Mem != em.Mem {
-			t.Fatalf("EE %q: spec %+v vs netem %+v", name, dr, em)
-		}
-	}
-	if len(direct.Links) != len(emulated.Links) {
-		t.Fatalf("link count: %d vs %d", len(direct.Links), len(emulated.Links))
-	}
-	type lk struct {
-		a, b   string
-		pa, pb uint16
-		bw     float64
-	}
-	emLinks := map[lk]bool{}
-	for _, l := range emulated.Links {
-		emLinks[lk{l.A, l.B, l.PortA, l.PortB, l.Bandwidth}] = true
-	}
-	for _, l := range direct.Links {
-		if !emLinks[lk{l.A, l.B, l.PortA, l.PortB, l.Bandwidth}] {
-			t.Fatalf("spec link %+v (ports %d/%d) not in netem view", l, l.PortA, l.PortB)
-		}
-	}
+	return spec
 }
 
 // TestNetemSubstrateTrafficSmoke runs a real packet flow end to end over
 // the emulated backend with l2_learning forwarding.
 func TestNetemSubstrateTrafficSmoke(t *testing.T) {
-	spec := LinearSpec(2, 0, 8, 1024)
+	spec := linear(t, 2, netem.Sizing{EECPU: 8, EEMem: 1024})
 	sub, err := NewNetem(spec, NetemOptions{Learning: true})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +52,7 @@ func TestNetemSubstrateTrafficSmoke(t *testing.T) {
 // TestNetemSubstrateFailHealLink verifies link fault injection reaches
 // the emulation: FailLink cuts the link and HealLink restores it.
 func TestNetemSubstrateFailHealLink(t *testing.T) {
-	spec := LinearSpec(3, 0, 8, 1024)
+	spec := linear(t, 3, netem.Sizing{EECPU: 8, EEMem: 1024})
 	sub, err := NewNetem(spec, NetemOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,13 +60,13 @@ func TestNetemSubstrateFailHealLink(t *testing.T) {
 	if err := sub.FailLink("s1", "s2"); err != nil {
 		t.Fatal(err)
 	}
-	if l := sub.Network().FindLink("s1", "s2"); l == nil || !l.Failed() {
+	if l := sub.net.FindLink("s1", "s2"); l == nil || !l.Failed() {
 		t.Fatal("link not failed in the emulation")
 	}
 	if err := sub.HealLink("s1", "s2"); err != nil {
 		t.Fatal(err)
 	}
-	if sub.Network().FindLink("s1", "s2").Failed() {
+	if sub.net.FindLink("s1", "s2").Failed() {
 		t.Fatal("link still failed in the emulation after HealLink")
 	}
 }
@@ -240,7 +189,7 @@ func TestScaleSpecShape(t *testing.T) {
 		t.Fatalf("links %d too dense for %d switches", got, len(spec.Switches))
 	}
 	// The view must be mappable end to end.
-	rv, err := ViewFromSpec(spec)
+	rv, err := core.ViewFromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

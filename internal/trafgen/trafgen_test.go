@@ -14,8 +14,12 @@ func twoHostNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	n := netem.New("t", netem.Options{Controller: ctrl})
-	if err := netem.BuildSingle(n, 2); err != nil {
+	topo, err := netem.Single(2, netem.Sizing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := n.Start(); err != nil {

@@ -15,6 +15,8 @@ package vnfagent
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -357,11 +359,12 @@ func DialClient(addr string) (*Client, error) {
 // reply with their outcome only, which netconf.ReplyError reads.
 
 // InitiateVNFOp builds initiateVNF for a catalog type; options may carry
-// template parameters plus "cpu"/"mem" resource overrides.
+// template parameters plus "cpu"/"mem" resource overrides. The options go
+// out in name order, so one request is always the same bytes.
 func InitiateVNFOp(vnfType string, options map[string]string) *yang.Data {
 	op := yang.NewData("initiateVNF").AddLeaf("vnf_type", vnfType)
-	for name, value := range options {
-		op.Add(yang.NewData("option").AddLeaf("name", name).AddLeaf("value", value))
+	for _, name := range slices.Sorted(maps.Keys(options)) {
+		op.Add(yang.NewData("option").AddLeaf("name", name).AddLeaf("value", options[name]))
 	}
 	return op
 }

@@ -18,8 +18,12 @@ func newAgentClient(t *testing.T) (*netem.Network, *Agent, *Client) {
 	t.Helper()
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	n := netem.New("t", netem.Options{Controller: ctrl})
-	if err := netem.BuildSingle(n, 2); err != nil {
+	topo, err := netem.Single(2, netem.Sizing{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ee, err := n.AddEE("ee1", netem.EEConfig{CPU: 4, Mem: 2048})
@@ -44,6 +48,26 @@ func newAgentClient(t *testing.T) (*netem.Network, *Agent, *Client) {
 		ctrl.Close()
 	})
 	return n, agent, client
+}
+
+// TestInitiateVNFOpRendersOneByteString: identical deploys put identical
+// bytes on the wire, because the options go out in name order.
+func TestInitiateVNFOpRendersOneByteString(t *testing.T) {
+	options := map[string]string{"mem": "32", "cpu": "0.5", "pattern": "x", "rate": "10", "burst": "4"}
+	want := InitiateVNFOp("monitor", options).XML()
+	for i := 0; i < 100; i++ {
+		if got := InitiateVNFOp("monitor", options).XML(); got != want {
+			t.Fatalf("render %d:\n%s\nfirst render:\n%s", i, got, want)
+		}
+	}
+	last := -1
+	for _, name := range []string{"burst", "cpu", "mem", "pattern", "rate"} {
+		at := strings.Index(want, "<name>"+name+"</name>")
+		if at <= last {
+			t.Fatalf("option %q out of name order in\n%s", name, want)
+		}
+		last = at
+	}
 }
 
 func TestModuleRendersYANG(t *testing.T) {
