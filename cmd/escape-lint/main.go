@@ -1,6 +1,9 @@
 // Command escape-lint runs the escape-lint analyzer suite over Go
 // package patterns (default ./...) and reports violations of the
-// codebase's concurrency and ownership invariants. It exits 1 when any
+// codebase's concurrency and ownership invariants, and declarations or
+// exports without a non-test caller (deadexport). deadexport counts
+// uses over the whole root module and bench/ whatever the patterns; the
+// patterns choose where findings are printed. It exits 1 when any
 // diagnostic is reported and 2 when loading or type-checking fails, so
 // CI can distinguish "found bugs" from "could not analyze".
 //
@@ -12,6 +15,9 @@
 // line above, naming the analyzer(s) and a reason:
 //
 //	//lint:ignore sendunderlock send is non-blocking by construction
+//
+// In the doc comment of a parenthesized const, var or type block the
+// directive covers the block; in the package doc comment, the file.
 package main
 
 import (
@@ -61,12 +67,17 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := lint.Load(".", patterns, nil)
+	pkgs, err := lint.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "escape-lint: %v\n", err)
 		os.Exit(2)
 	}
-	diags, err := lint.Run(pkgs, analyzers)
+	universe, err := lint.LoadModules(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "escape-lint: %v\n", err)
+		os.Exit(2)
+	}
+	diags, err := lint.Run(pkgs, universe, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "escape-lint: %v\n", err)
 		os.Exit(2)

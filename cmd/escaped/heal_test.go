@@ -432,7 +432,7 @@ func TestDaemonHungAgent(t *testing.T) {
 	}
 	const settleBound = 4 * mgmtBound
 	if !f.d.rec.Await(settleBound, func() bool {
-		if !f.d.env.View.ExcludedEE(victim) {
+		if !masked(f.d.env.View, victim) {
 			return false
 		}
 		for _, id := range orch.Services() {
@@ -449,7 +449,7 @@ func TestDaemonHungAgent(t *testing.T) {
 			state = fmt.Sprintf("%s placements=%v", svc.State(), svc.Placements())
 		}
 		t.Fatalf("within %v: %s masked=%v, web %s, last_error %q", settleBound,
-			victim, f.d.env.View.ExcludedEE(victim), state, f.d.rec.LastError(webID))
+			victim, masked(f.d.env.View, victim), state, f.d.rec.LastError(webID))
 	}
 	if svc := orch.Service("acme/side"); svc != sideSvc || svc.State() != core.StateRunning ||
 		!reflect.DeepEqual(svc.Placements(), sidePlaced) || f.d.rec.LastError("acme/side") != "" {
@@ -470,3 +470,7 @@ func TestDaemonHungAgent(t *testing.T) {
 		t.Fatalf("daemon close still blocked after %v with a hung agent", 2*mgmtBound)
 	}
 }
+
+// masked reports whether ee is masked in the view: a masked EE fits
+// nothing, not even an empty demand.
+func masked(rv *core.ResourceView, ee string) bool { return !rv.Snapshot().FitsEE(ee, 0, 0) }

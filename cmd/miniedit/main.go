@@ -1,7 +1,6 @@
 // Command miniedit is the textual stand-in for ESCAPE's MiniEdit-based
-// GUI: it creates, validates and visualizes the two artefacts the GUI
-// edits — test topologies and service graphs — as JSON files plus
-// Graphviz DOT.
+// GUI: it creates, validates and visualizes service graphs, one of the
+// two artefacts the GUI edits, as JSON files plus Graphviz DOT.
 //
 // Usage:
 //

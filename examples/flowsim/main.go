@@ -87,7 +87,7 @@ func main() {
 	big := substrate.ScaleSpec(substrate.ScaleParams{
 		Regions: *regions, SwitchesPerRegion: *sw,
 		SAPsPerRegion: 4, EEsPerRegion: 3,
-		BackboneBW: 1e12, RegionBW: 400e9, AccessBW: 100e9,
+		BackboneBW: 1e12, RegionBW: 400e9,
 		EECPU: float64(*services), EEMem: *services * 64,
 	})
 	bigEvents := substrate.GenerateWorkload(substrate.WorkloadParams{

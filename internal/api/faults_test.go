@@ -71,7 +71,7 @@ func TestFaultsWakeHealsEveryIntent(t *testing.T) {
 			return true
 		}
 	}
-	if !rec.Await(5*time.Second, healedSince(nil, ids...)) || !rec.AwaitIdle(5*time.Second) {
+	if !rec.Await(5*time.Second, healedSince(nil, ids...)) || !rec.Await(5*time.Second, idle(rec)) {
 		t.Fatalf("intents not running and healed once: heals %v", hb.counts())
 	}
 
@@ -82,12 +82,12 @@ func TestFaultsWakeHealsEveryIntent(t *testing.T) {
 	}
 
 	close(faults)
-	if !rec.AwaitIdle(5 * time.Second) {
+	if !rec.Await(5*time.Second, idle(rec)) {
 		t.Fatal("the reconciler never went idle after Faults closed")
 	}
 	base = hb.counts()
 	rec.Enqueue(ids[0])
-	if !rec.Await(5*time.Second, healedSince(base, ids[0])) || !rec.AwaitIdle(5*time.Second) {
+	if !rec.Await(5*time.Second, healedSince(base, ids[0])) || !rec.Await(5*time.Second, idle(rec)) {
 		t.Fatalf("the reconciler stopped serving after Faults closed: heals %v", hb.counts())
 	}
 	if now := hb.counts(); now[ids[1]] != base[ids[1]] || now[ids[2]] != base[ids[2]] {

@@ -110,7 +110,7 @@ func TestReconcilerLosslessUnderBlockedWorker(t *testing.T) {
 		}
 		t.Fatalf("%d of %d intents not reconciled after the worker was released", down, services)
 	}
-	if !rec.AwaitIdle(10 * time.Second) {
+	if !rec.Await(10*time.Second, idle(rec)) {
 		t.Fatal("reconciler never went idle")
 	}
 	// After the release: the parked deploy, then one deploy for each
@@ -141,10 +141,21 @@ func TestFailedDeployKeepsItsBackoff(t *testing.T) {
 	if !rec.Await(5*time.Second, func() bool { return rec.LastError("acme/web") != "" }) {
 		t.Fatal("the failing deploy left no error")
 	}
-	if !rec.AwaitIdle(5 * time.Second) {
+	if !rec.Await(5*time.Second, idle(rec)) {
 		t.Fatalf("reconciler never went idle: %d deploys, retrying without backoff", fb.deployCount())
 	}
 	if n := fb.deployCount(); n != 1 {
 		t.Errorf("%d deploys before the hour-long backoff expired, want 1", n)
+	}
+}
+
+// idle reports that no intent is queued or in flight. Backoff requeues
+// count as pending work only once they fire, so a test pairs it with a
+// check of its own convergence condition.
+func idle(r *Reconciler) func() bool {
+	return func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return len(r.queued) == 0 && len(r.inflight) == 0
 	}
 }

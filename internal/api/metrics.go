@@ -32,8 +32,8 @@ type Metrics struct {
 	RecoveredRecords atomic.Uint64 // WAL records replayed at boot
 }
 
-// ObserveLag records one convergence latency.
-func (m *Metrics) ObserveLag(d time.Duration) { m.ReconcileLagNS.Store(int64(d)) }
+// observeLag records one convergence latency.
+func (m *Metrics) observeLag(d time.Duration) { m.ReconcileLagNS.Store(int64(d)) }
 
 // WriteTo renders the Prometheus exposition text.
 func (m *Metrics) WriteTo(w io.Writer) (int64, error) {

@@ -11,9 +11,9 @@ type bucket struct {
 	last   time.Time
 }
 
-// RateLimiter throttles request admission per key (tenant name) with
+// rateLimiter throttles request admission per key (tenant name) with
 // classic token buckets. Zero rate disables limiting.
-type RateLimiter struct {
+type rateLimiter struct {
 	mu      sync.Mutex
 	rate    float64 // tokens per second
 	burst   float64
@@ -21,15 +21,15 @@ type RateLimiter struct {
 	now     func() time.Time // injectable clock for tests
 }
 
-// NewRateLimiter allows sustained rate requests/sec with bursts up to
+// newRateLimiter allows sustained rate requests/sec with bursts up to
 // burst per key.
-func NewRateLimiter(rate, burst float64) *RateLimiter {
-	return &RateLimiter{rate: rate, burst: burst, buckets: map[string]*bucket{}, now: time.Now}
+func newRateLimiter(rate, burst float64) *rateLimiter {
+	return &rateLimiter{rate: rate, burst: burst, buckets: map[string]*bucket{}, now: time.Now}
 }
 
-// Allow consumes one token for key if available. When it returns
+// allow consumes one token for key if available. When it returns
 // false, retryAfter is how long until a token will exist.
-func (rl *RateLimiter) Allow(key string) (ok bool, retryAfter time.Duration) {
+func (rl *rateLimiter) allow(key string) (ok bool, retryAfter time.Duration) {
 	if rl == nil || rl.rate <= 0 {
 		return true, 0
 	}

@@ -100,7 +100,7 @@ func (r *Reconciler) Start() {
 	r.wg.Add(1)
 	go r.resyncLoop()
 	r.unregister = r.Backend.OnTransition(func(ev core.Event) {
-		if TenantOf(ev.Service) == "" {
+		if tenantOf(ev.Service) == "" {
 			return
 		}
 		if ev.State == core.StateHealing {
@@ -193,18 +193,6 @@ func (r *Reconciler) Await(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// AwaitIdle blocks until no intent is queued or in flight (or the
-// timeout passes), reporting whether the controller went idle. Backoff
-// requeues count as pending work only once they fire, so callers
-// should pair this with a check of their own convergence condition.
-func (r *Reconciler) AwaitIdle(timeout time.Duration) bool {
-	return r.Await(timeout, func() bool {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return len(r.queued) == 0 && len(r.inflight) == 0
-	})
-}
-
 // take claims the lowest queued ID (sorted order keeps single-worker
 // replay deterministic), or reports none.
 func (r *Reconciler) take() (string, bool) {
@@ -289,7 +277,7 @@ func (r *Reconciler) resyncLoop() {
 			r.enqueueAll()
 		case <-tick.C:
 			for _, name := range r.Backend.Services() {
-				if TenantOf(name) != "" && r.Store.Intent(name) == nil {
+				if tenantOf(name) != "" && r.Store.Intent(name) == nil {
 					r.Enqueue(name)
 				}
 			}
@@ -322,7 +310,7 @@ func (r *Reconciler) converged(id string) {
 	delete(r.lastErr, id)
 	r.mu.Unlock()
 	if ok {
-		r.Metrics.ObserveLag(time.Since(first))
+		r.Metrics.observeLag(time.Since(first))
 	}
 }
 
@@ -347,7 +335,7 @@ func (r *Reconciler) reconcileOne(id string) {
 	deployed := r.Backend.Deployed(id)
 	running := r.Backend.Running(id)
 
-	if in == nil || in.Desired == DesiredRemoved {
+	if in == nil || in.Desired == desiredRemoved {
 		switch {
 		case running:
 			r.Metrics.ReconcileRuns.Add(1)

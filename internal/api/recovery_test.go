@@ -129,7 +129,7 @@ func (cp *controlPlane) awaitRunning(t *testing.T, n int) {
 		}
 		return true
 	})
-	cp.rec.AwaitIdle(10 * time.Second)
+	cp.rec.Await(10*time.Second, idle(cp.rec))
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("acme/svc%d", i)
 		if !cp.rec.Backend.Running(id) {
@@ -202,7 +202,7 @@ func TestCrashRecoveryRestoresExactView(t *testing.T) {
 	if got := len(cp2.store.Intents("acme")); got != n {
 		t.Fatalf("recovered %d intents, want %d", got, n)
 	}
-	if cp2.store.TenantByToken(tok) == nil {
+	if cp2.store.tenantByToken(tok) == nil {
 		t.Fatal("tenant token lost across crash")
 	}
 

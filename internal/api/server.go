@@ -51,7 +51,7 @@ type Server struct {
 	cfg ServerConfig
 	mux *http.ServeMux
 	sem chan struct{}
-	rl  *RateLimiter
+	rl  *rateLimiter
 	log *slog.Logger
 }
 
@@ -72,7 +72,7 @@ func NewServer(cfg ServerConfig) *Server {
 		cfg: cfg,
 		mux: http.NewServeMux(),
 		sem: make(chan struct{}, cfg.QueueSlots),
-		rl:  NewRateLimiter(cfg.Rate, cfg.Burst),
+		rl:  newRateLimiter(cfg.Rate, cfg.Burst),
 		log: cfg.Log,
 	}
 	if cfg.Gate != nil {
@@ -207,13 +207,13 @@ func (s *Server) tenant(next tenantHandler) http.HandlerFunc {
 			writeErr(w, http.StatusUnauthorized, "bearer token required")
 			return
 		}
-		t := s.cfg.Store.TenantByToken(tok)
+		t := s.cfg.Store.tenantByToken(tok)
 		if t == nil {
 			s.cfg.Metrics.AuthFailures.Add(1)
 			writeErr(w, http.StatusUnauthorized, "unknown token")
 			return
 		}
-		if ok, retry := s.rl.Allow(t.Name); !ok {
+		if ok, retry := s.rl.allow(t.Name); !ok {
 			s.cfg.Metrics.Rejected429.Add(1)
 			secs := int(retry/time.Second) + 1
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
@@ -241,9 +241,22 @@ type createTenantReq struct {
 	Quota Quota  `json:"quota"`
 }
 
+// decodeBody decodes one JSON value of at most limit bytes from body
+// into v and refuses anything but whitespace after it.
+func decodeBody(body io.Reader, limit int64, v any) error {
+	dec := json.NewDecoder(io.LimitReader(body, limit))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	var req createTenantReq
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, 1<<20, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
@@ -338,7 +351,7 @@ func (s *Server) checkParams(g *sg.Graph) error {
 
 func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req postIntentReq
-	if err := json.NewDecoder(io.LimitReader(r.Body, 4<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r.Body, 4<<20, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
@@ -355,7 +368,7 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 		writeErr(w, http.StatusBadRequest, "graph name must be non-empty and tenant-local (no '/')")
 		return
 	}
-	if err := t.CheckGraphTags(g); err != nil {
+	if err := t.checkGraphTags(g); err != nil {
 		writeErr(w, http.StatusForbidden, err.Error())
 		return
 	}
@@ -392,7 +405,7 @@ func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Ten
 	}
 
 	stored, idem, err := s.cfg.Store.UpsertIntent(in, time.Now())
-	if errors.Is(err, ErrIntentConflict) {
+	if errors.Is(err, errIntentConflict) {
 		// A concurrent POST of a different graph won the race for the ID.
 		writeErr(w, http.StatusConflict, fmt.Sprintf("intent %q exists with a different graph (delete it first)", id))
 		return
@@ -462,8 +475,8 @@ func (s *Server) handleDeleteIntent(w http.ResponseWriter, r *http.Request, t *T
 		return
 	}
 	upd := *in
-	upd.Desired = DesiredRemoved
-	if err := s.cfg.Store.PutIntent(&upd, time.Now()); err != nil {
+	upd.Desired = desiredRemoved
+	if err := s.cfg.Store.putIntent(&upd, time.Now()); err != nil {
 		writeErr(w, http.StatusInternalServerError, "persist: "+err.Error())
 		return
 	}

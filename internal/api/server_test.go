@@ -237,7 +237,7 @@ func TestIntentDeployIdempotencyAndDelete(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("idempotent re-post: %d %v", resp.StatusCode, got)
 	}
-	rec.AwaitIdle(5 * time.Second)
+	rec.Await(5*time.Second, idle(rec))
 	if n := fb.deployCount(); n != 1 {
 		t.Errorf("deploys after duplicate POST = %d, want still 1", n)
 	}
@@ -426,7 +426,7 @@ func TestQuotaGateEnforcesAtCommit(t *testing.T) {
 		t.Fatalf("first admit: %v", err)
 	}
 	err := gate.Admit(m2)
-	var qe *QuotaError
+	var qe *quotaError
 	if !errors.As(err, &qe) || qe.Dim != "services" {
 		t.Fatalf("second admit = %v, want services QuotaError", err)
 	}

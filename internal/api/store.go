@@ -23,9 +23,9 @@ type Desired string
 const (
 	// DesiredRun: the service should be deployed and running.
 	DesiredRun Desired = "run"
-	// DesiredRemoved: the service should be torn down; the intent is
+	// desiredRemoved: the service should be torn down; the intent is
 	// forgotten once the reconciler confirms it is gone.
-	DesiredRemoved Desired = "removed"
+	desiredRemoved Desired = "removed"
 )
 
 // Intent is one durable unit of desired state: a tenant's service
@@ -355,18 +355,11 @@ func (s *Store) Tenants() []*Tenant {
 	return out
 }
 
-// TenantByName returns a tenant, or nil.
-func (s *Store) TenantByName(name string) *Tenant {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tenants[name]
-}
-
-// TenantByToken resolves a bearer token, or nil. Every stored token is
+// tenantByToken resolves a bearer token, or nil. Every stored token is
 // compared in constant time, and the scan never breaks early, so
 // response timing leaks neither a prefix match nor which tenant (if
 // any) the token hit.
-func (s *Store) TenantByToken(token string) *Tenant {
+func (s *Store) tenantByToken(token string) *Tenant {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var found *Tenant
@@ -411,8 +404,8 @@ func (s *Store) CreateTenant(name string, q Quota) (*Tenant, error) {
 	return t, nil
 }
 
-// PutIntent durably upserts an intent (Seq/Updated are stamped here).
-func (s *Store) PutIntent(in *Intent, now time.Time) error {
+// putIntent durably upserts an intent (Seq/Updated are stamped here).
+func (s *Store) putIntent(in *Intent, now time.Time) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev := s.intents[in.ID]; prev != nil {
@@ -425,9 +418,9 @@ func (s *Store) PutIntent(in *Intent, now time.Time) error {
 	return s.appendLocked(&walRecord{Op: "intent", Intent: in})
 }
 
-// ErrIntentConflict reports an UpsertIntent whose ID is already held
+// errIntentConflict reports an UpsertIntent whose ID is already held
 // by a live intent with a different graph.
-var ErrIntentConflict = errors.New("api: intent exists with a different graph")
+var errIntentConflict = errors.New("api: intent exists with a different graph")
 
 // UpsertIntent performs the duplicate/conflict check and the durable
 // upsert atomically under one lock, closing the check-then-put race
@@ -436,7 +429,7 @@ var ErrIntentConflict = errors.New("api: intent exists with a different graph")
 // stored intent and whether the call was an idempotent no-op (an
 // identical live graph already held the ID); when a live intent holds
 // the ID with a different hash, the existing intent is returned
-// alongside ErrIntentConflict and nothing is written.
+// alongside errIntentConflict and nothing is written.
 func (s *Store) UpsertIntent(in *Intent, now time.Time) (*Intent, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -445,7 +438,7 @@ func (s *Store) UpsertIntent(in *Intent, now time.Time) (*Intent, bool, error) {
 			if prev.Hash == in.Hash {
 				return prev, true, nil
 			}
-			return prev, false, ErrIntentConflict
+			return prev, false, errIntentConflict
 		}
 		in.Created = prev.Created // reviving keeps the original birth time
 	}
@@ -472,7 +465,7 @@ func (s *Store) Forget(id string) error {
 }
 
 // Intent returns a copy-safe pointer to an intent, or nil. Intents are
-// treated as immutable once stored: updates go through PutIntent with
+// treated as immutable once stored: updates go through putIntent with
 // a fresh value.
 func (s *Store) Intent(id string) *Intent {
 	s.mu.Lock()

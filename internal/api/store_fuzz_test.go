@@ -52,13 +52,13 @@ func FuzzStoreReplayTruncated(f *testing.F) {
 			case 0:
 				_, err = s.CreateTenant(fmt.Sprintf("t%d", i), Quota{CPU: float64(op)})
 			case 1:
-				err = s.PutIntent(testIntent(t, "acme", svc), now)
+				err = s.putIntent(testIntent(t, "acme", svc), now)
 			case 2:
 				err = s.Forget(ServiceName("acme", svc))
 			case 3:
 				in := testIntent(t, "acme", svc)
-				in.Desired = DesiredRemoved
-				err = s.PutIntent(in, now)
+				in.Desired = desiredRemoved
+				err = s.putIntent(in, now)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -94,7 +94,7 @@ func FuzzStoreReplayTruncated(f *testing.F) {
 		if got := storeState(t, s2); got != states[whole] {
 			t.Fatalf("cut at byte %d: state after replay\n%s\nwant the first %d records'\n%s", c, got, whole, states[whole])
 		}
-		if err := s2.PutIntent(testIntent(t, "late", "after"), now); err != nil {
+		if err := s2.putIntent(testIntent(t, "late", "after"), now); err != nil {
 			t.Fatal(err)
 		}
 		want := storeState(t, s2)

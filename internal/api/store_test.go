@@ -50,7 +50,7 @@ func TestStoreReplayRoundTrip(t *testing.T) {
 	}
 	now := time.Now()
 	for _, svc := range []string{"web", "db", "cache"} {
-		if err := s.PutIntent(testIntent(t, "acme", svc), now); err != nil {
+		if err := s.putIntent(testIntent(t, "acme", svc), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestStoreReplayRoundTrip(t *testing.T) {
 	if have.Hash != want.Hash || string(have.Graph) != string(want.Graph) || have.Desired != DesiredRun {
 		t.Errorf("replayed intent diverged: %+v vs %+v", have, want)
 	}
-	t2 := s2.TenantByToken(ten.Token)
+	t2 := s2.tenantByToken(ten.Token)
 	if t2 == nil || t2.Name != "acme" || t2.Quota != ten.Quota || t2.VLANBase != ten.VLANBase {
 		t.Errorf("tenant after replay = %+v, want %+v", t2, ten)
 	}
@@ -88,10 +88,10 @@ func TestStoreTornTailDropped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutIntent(testIntent(t, "a", "one"), time.Now()); err != nil {
+	if err := s.putIntent(testIntent(t, "a", "one"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutIntent(testIntent(t, "a", "two"), time.Now()); err != nil {
+	if err := s.putIntent(testIntent(t, "a", "two"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -122,7 +122,7 @@ func TestStoreTornTailDropped(t *testing.T) {
 		t.Errorf("intents = %v, want the 2 complete ones", s2.Intents(""))
 	}
 	// The store must still accept appends after recovering a torn log.
-	if err := s2.PutIntent(testIntent(t, "a", "three"), time.Now()); err != nil {
+	if err := s2.putIntent(testIntent(t, "a", "three"), time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	s2.Close()
@@ -158,7 +158,7 @@ func TestStoreMidFileCorruptionFailsOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, svc := range []string{"one", "two", "three"} {
-		if err := s.PutIntent(testIntent(t, "a", svc), time.Now()); err != nil {
+		if err := s.putIntent(testIntent(t, "a", svc), time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,7 +194,7 @@ func TestUpsertIntentConcurrentSingleWinner(t *testing.T) {
 	defer s.Close()
 
 	// Two rival graphs race for the same ID across many goroutines:
-	// exactly one write may win; every rival must see ErrIntentConflict,
+	// exactly one write may win; every rival must see errIntentConflict,
 	// and every copy of the winner must come back as an idempotent hit.
 	a, b := testIntent(t, "acme", "web"), testIntent(t, "acme", "web")
 	b.Graph = append(json.RawMessage{}, a.Graph...)
@@ -217,7 +217,7 @@ func TestUpsertIntentConcurrentSingleWinner(t *testing.T) {
 			mu.Lock()
 			defer mu.Unlock()
 			switch {
-			case errors.Is(err, ErrIntentConflict):
+			case errors.Is(err, errIntentConflict):
 				conflicts++
 			case err != nil:
 				t.Errorf("UpsertIntent: %v", err)
@@ -254,7 +254,7 @@ func TestStoreSnapshotTruncatesWAL(t *testing.T) {
 	s.every = 4 // snapshot every 4 appends
 	now := time.Now()
 	for _, svc := range []string{"a", "b", "c", "d", "e"} {
-		if err := s.PutIntent(testIntent(t, "t", svc), now); err != nil {
+		if err := s.putIntent(testIntent(t, "t", svc), now); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -299,7 +299,7 @@ func TestVLANBlocksDisjoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, hi := ten.VLANRange()
+		lo, hi := ten.vlanRange()
 		if lo < sg.MinStitchTag || hi > sg.MaxStitchTag {
 			t.Errorf("tenant %s block [%d,%d] outside stitch range", name, lo, hi)
 		}
@@ -311,8 +311,7 @@ func TestVLANBlocksDisjoint(t *testing.T) {
 		}
 	}
 	// Tag membership follows the blocks.
-	t1 := s.TenantByName("t1")
-	t2 := s.TenantByName("t2")
+	t1, t2 := s.tenants["t1"], s.tenants["t2"]
 	if !t1.ownsTag(t1.VLANBase) || t1.ownsTag(t2.VLANBase) {
 		t.Error("ownsTag does not respect block boundaries")
 	}

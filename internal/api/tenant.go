@@ -39,9 +39,9 @@ type Tenant struct {
 	VLANBase int    `json:"vlan_base,omitempty"`
 }
 
-// VLANRange returns the tenant's [lo, hi] stitch-tag block, or (0, 0)
+// vlanRange returns the tenant's [lo, hi] stitch-tag block, or (0, 0)
 // when it has none.
-func (t *Tenant) VLANRange() (lo, hi int) {
+func (t *Tenant) vlanRange() (lo, hi int) {
 	if t.VLANBase == 0 {
 		return 0, 0
 	}
@@ -51,20 +51,20 @@ func (t *Tenant) VLANRange() (lo, hi int) {
 // ownsTag reports whether an explicit (non-zero) VLAN tag belongs to
 // the tenant's block.
 func (t *Tenant) ownsTag(tag int) bool {
-	lo, hi := t.VLANRange()
+	lo, hi := t.vlanRange()
 	return lo != 0 && tag >= lo && tag <= hi
 }
 
-// CheckGraphTags validates every explicit ingress/egress tag in g
+// checkGraphTags validates every explicit ingress/egress tag in g
 // against the tenant's VLAN block.
-func (t *Tenant) CheckGraphTags(g *sg.Graph) error {
+func (t *Tenant) checkGraphTags(g *sg.Graph) error {
 	for _, l := range g.Links {
 		for _, tag := range [2]int{int(l.IngressTag), int(l.EgressTag)} {
 			if tag == 0 {
 				continue
 			}
 			if !t.ownsTag(tag) {
-				lo, hi := t.VLANRange()
+				lo, hi := t.vlanRange()
 				if lo == 0 {
 					return fmt.Errorf("api: tenant %q has no VLAN block; explicit tag %d on link %q not allowed", t.Name, tag, l.ID)
 				}
@@ -80,9 +80,9 @@ func (t *Tenant) CheckGraphTags(g *sg.Graph) error {
 // commit to its tenant from nothing but the mapping's graph name.
 func ServiceName(tenant, service string) string { return tenant + "/" + service }
 
-// TenantOf extracts the tenant from a prefixed service name, or ""
+// tenantOf extracts the tenant from a prefixed service name, or ""
 // for untenanted (internal) services.
-func TenantOf(serviceName string) string {
+func tenantOf(serviceName string) string {
 	if i := strings.IndexByte(serviceName, '/'); i > 0 {
 		return serviceName[:i]
 	}
@@ -115,13 +115,13 @@ func (q Quota) check(tenant string, u, d usage) error {
 	bw, _ := sg.BWOf(q.BW)
 	switch {
 	case q.CPU > 0 && u.cpu+d.cpu > cpu:
-		return &QuotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + d.cpu, Limit: cpu}
+		return &quotaError{Tenant: tenant, Dim: "cpu", Want: u.cpu + d.cpu, Limit: cpu}
 	case q.Mem > 0 && u.mem+d.mem > q.Mem:
-		return &QuotaError{Tenant: tenant, Dim: "mem", Want: u.mem + d.mem, Limit: q.Mem}
+		return &quotaError{Tenant: tenant, Dim: "mem", Want: u.mem + d.mem, Limit: q.Mem}
 	case q.BW > 0 && u.bw+d.bw > bw:
-		return &QuotaError{Tenant: tenant, Dim: "bw", Want: u.bw + d.bw, Limit: bw}
+		return &quotaError{Tenant: tenant, Dim: "bw", Want: u.bw + d.bw, Limit: bw}
 	case q.Services > 0 && u.services+d.services > q.Services:
-		return &QuotaError{Tenant: tenant, Dim: "services", Want: u.services + d.services, Limit: q.Services}
+		return &quotaError{Tenant: tenant, Dim: "services", Want: u.services + d.services, Limit: q.Services}
 	}
 	return nil
 }
@@ -165,13 +165,6 @@ func (qg *QuotaGate) SetTenant(t *Tenant) {
 	qg.mu.Unlock()
 }
 
-// Tenant looks a tenant up by name.
-func (qg *QuotaGate) Tenant(name string) *Tenant {
-	qg.mu.Lock()
-	defer qg.mu.Unlock()
-	return qg.tenants[name]
-}
-
 // Usage reports a tenant's committed demand.
 func (qg *QuotaGate) Usage(name string) (cpu sg.CPU, mem int, bw sg.BW, services int) {
 	qg.mu.Lock()
@@ -184,20 +177,20 @@ func (qg *QuotaGate) Usage(name string) (cpu sg.CPU, mem int, bw sg.BW, services
 
 // ErrQuotaExceeded marks a quota rejection; the API layer maps it to
 // HTTP 403 rather than the generic mapping-failure 409.
-type QuotaError struct {
+type quotaError struct {
 	Tenant string
 	Dim    string // "cpu" | "mem" | "bw" | "services"
 	Want   any    // in the dimension's unit: sg.CPU, MB, sg.BW, services
 	Limit  any
 }
 
-func (e *QuotaError) Error() string {
+func (e *quotaError) Error() string {
 	return fmt.Sprintf("api: tenant %q over %s quota (want %v, limit %v)", e.Tenant, e.Dim, e.Want, e.Limit)
 }
 
 // Admit implements core.CommitGate.
 func (qg *QuotaGate) Admit(m *core.Mapping) error {
-	tenant := TenantOf(m.Graph.Name)
+	tenant := tenantOf(m.Graph.Name)
 	if tenant == "" {
 		return nil
 	}
@@ -226,7 +219,7 @@ func (qg *QuotaGate) Admit(m *core.Mapping) error {
 
 // Released implements core.CommitGate.
 func (qg *QuotaGate) Released(m *core.Mapping) {
-	tenant := TenantOf(m.Graph.Name)
+	tenant := tenantOf(m.Graph.Name)
 	if tenant == "" {
 		return
 	}

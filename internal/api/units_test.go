@@ -100,11 +100,14 @@ func TestUnitBoundaryLayersAgree(t *testing.T) {
 		}
 		decide["quota gate"] = gate.Admit(m) == nil
 
-		rv := core.NewResourceView()
-		rv.Switches["s1"] = 1
-		rv.EEs["ee1"] = &core.EERes{Name: "ee1", CPU: cores(t, capacity), Mem: 1 << 20, Switch: "s1"}
-		rv.SAPs["sap1"] = &core.SAPRes{ID: "sap1", Switch: "s1", Port: 1}
-		rv.SAPs["sap2"] = &core.SAPRes{ID: "sap2", Switch: "s1", Port: 2}
+		rv, err := core.ViewFromSpec(&netem.Topo{
+			Switches: []string{"s1"},
+			Hosts:    []netem.HostSpec{{Name: "sap1", Switch: "s1"}, {Name: "sap2", Switch: "s1"}},
+			EEs:      []netem.EESpec{{Name: "ee1", Switch: "s1", CPU: cores(t, capacity), Mem: 1 << 20}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		_, err = rv.AdmitAndCommit(&core.GreedyMapper{Catalog: cat}, g)
 		decide["core admission"] = err == nil
 

@@ -139,11 +139,11 @@ type Catalog struct {
 	types map[string]*VNFType
 }
 
-// New returns an empty catalog.
-func New() *Catalog { return &Catalog{types: map[string]*VNFType{}} }
+// newCatalog returns an empty catalog.
+func newCatalog() *Catalog { return &Catalog{types: map[string]*VNFType{}} }
 
-// Register adds a type; duplicate names are programmer errors.
-func (c *Catalog) Register(t *VNFType) {
+// register adds a type; duplicate names are programmer errors.
+func (c *Catalog) register(t *VNFType) {
 	if _, dup := c.types[t.Name]; dup {
 		panic(fmt.Sprintf("catalog: duplicate VNF type %q", t.Name))
 	}
@@ -172,8 +172,8 @@ func (c *Catalog) Names() []string {
 // Default returns the built-in catalog: ESCAPE's "VNF catalog, a built-in
 // set of useful VNFs implemented in Click".
 func Default() *Catalog {
-	c := New()
-	c.Register(&VNFType{
+	c := newCatalog()
+	c.register(&VNFType{
 		Name:        "simpleForwarder",
 		Description: "Forwards frames between its two ports, counting traffic.",
 		Ports:       []string{"in", "out"},
@@ -186,7 +186,7 @@ func Default() *Catalog {
 				p["QUEUE"]), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "headerCompressor",
 		Description: "Toy ROHC: compresses IPv4/UDP headers into per-flow contexts.",
 		Ports:       []string{"in", "out"},
@@ -199,7 +199,7 @@ func Default() *Catalog {
 				p["REFRESH"]), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "headerDecompressor",
 		Description: "Restores frames compressed by headerCompressor.",
 		Ports:       []string{"in", "out"},
@@ -210,7 +210,7 @@ func Default() *Catalog {
 			return "FromDevice(in) -> rx :: Counter -> decomp :: HeaderDecompressor -> Queue(1000) -> tx :: Counter -> ToDevice(out);", nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "firewall",
 		Description: "Stateless ACL, first match wins, implicit deny.",
 		Ports:       []string{"in", "out"},
@@ -227,7 +227,7 @@ func Default() *Catalog {
 				rules), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "nat",
 		Description: "Symmetric NAPT rewriting outbound flows to a public address.",
 		Ports:       []string{"in", "out", "rin", "rout"},
@@ -244,7 +244,7 @@ func Default() *Catalog {
 			`, p["PUBLIC"]), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "dpi",
 		Description: "Counts (optionally drops) packets carrying a payload signature.",
 		Ports:       []string{"in", "out"},
@@ -257,7 +257,7 @@ func Default() *Catalog {
 				p["SIGNATURE"], p["DROP"]), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "loadbalancer",
 		Description: "Sticky least-loaded L3 load balancer for a VIP.",
 		Ports:       []string{"in", "out"},
@@ -271,7 +271,7 @@ func Default() *Catalog {
 				p["VIP"], backends), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "ratelimiter",
 		Description: "Token-bucket policer built from Queue + RatedUnqueue.",
 		Ports:       []string{"in", "out"},
@@ -284,7 +284,7 @@ func Default() *Catalog {
 				p["QUEUE"], p["RATE"]), nil
 		},
 	})
-	c.Register(&VNFType{
+	c.register(&VNFType{
 		Name:        "monitor",
 		Description: "Transparent monitor exposing counters and rate handlers.",
 		Ports:       []string{"in", "out"},

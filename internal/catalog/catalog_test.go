@@ -2,7 +2,11 @@ package catalog
 
 import (
 	"context"
+	"encoding/binary"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -13,8 +17,8 @@ import (
 )
 
 var (
-	cmac1 = pkt.NthMAC(1)
-	cmac2 = pkt.NthMAC(2)
+	cmac1 = pkt.MAC{2, 0, 0, 0, 0, 1}
+	cmac2 = pkt.MAC{2, 0, 0, 0, 0, 2}
 	cip1  = netip.MustParseAddr("10.0.0.1")
 	cip2  = netip.MustParseAddr("10.0.0.2")
 )
@@ -38,7 +42,7 @@ func TestDefaultCatalogRendersAll(t *testing.T) {
 		// ports attached.
 		devs := map[string]click.Device{}
 		for _, p := range typ.Ports {
-			devs[p] = click.NewChanDevice(p, 4)
+			devs[p] = newChanDevice(p, 4)
 		}
 		if _, err := click.NewRouter(name, cfg, click.Options{Devices: devs}); err != nil {
 			t.Errorf("%s: config does not build: %v\n%s", name, err, cfg)
@@ -65,13 +69,13 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 			t.Error("no panic on duplicate registration")
 		}
 	}()
-	c := New()
-	c.Register(&VNFType{Name: "x", render: func(map[string]string) (string, error) { return "", nil }})
-	c.Register(&VNFType{Name: "x", render: func(map[string]string) (string, error) { return "", nil }})
+	c := newCatalog()
+	c.register(&VNFType{Name: "x", render: func(map[string]string) (string, error) { return "", nil }})
+	c.register(&VNFType{Name: "x", render: func(map[string]string) (string, error) { return "", nil }})
 }
 
 // runVNF builds and runs a VNF from the catalog, returning in/out devices.
-func runVNF(t *testing.T, typeName string, params map[string]string) (*click.Router, *click.ChanDevice, *click.ChanDevice) {
+func runVNF(t *testing.T, typeName string, params map[string]string) (*click.Router, *chanDevice, *chanDevice) {
 	t.Helper()
 	typ, err := Default().Lookup(typeName)
 	if err != nil {
@@ -81,12 +85,12 @@ func runVNF(t *testing.T, typeName string, params map[string]string) (*click.Rou
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := click.NewChanDevice("in", 64)
-	out := click.NewChanDevice("out", 64)
+	in := newChanDevice("in", 64)
+	out := newChanDevice("out", 64)
 	devs := map[string]click.Device{"in": in, "out": out}
 	for _, p := range typ.Ports {
 		if p != "in" && p != "out" {
-			devs[p] = click.NewChanDevice(p, 64)
+			devs[p] = newChanDevice(p, 64)
 		}
 	}
 	r, err := click.NewRouter(typeName, cfg, click.Options{Devices: devs})
@@ -99,7 +103,7 @@ func runVNF(t *testing.T, typeName string, params map[string]string) (*click.Rou
 	return r, in, out
 }
 
-func expectOut(t *testing.T, out *click.ChanDevice, what string) []byte {
+func expectOut(t *testing.T, out *chanDevice, what string) []byte {
 	t.Helper()
 	select {
 	case f := <-out.Out:
@@ -208,7 +212,7 @@ func TestFirewallRules(t *testing.T) {
 	})
 	telnet, _ := pkt.BuildUDP(cmac1, cmac2, cip1, cip2, 999, 23, nil)
 	dns, _ := pkt.BuildUDP(cmac1, cmac2, cip1, cip2, 999, 53, nil)
-	tcp, _ := pkt.BuildTCP(cmac1, cmac2, cip1, cip2, 1, 80, pkt.TCPSyn, 0, nil)
+	tcp, _ := buildTCP(cmac1, cmac2, cip1, cip2, 1, 80, pkt.TCPSyn, 0, nil)
 	in.In <- telnet
 	in.In <- dns
 	in.In <- tcp
@@ -241,8 +245,8 @@ func TestFirewallBadRules(t *testing.T) {
 		t.Fatal(err)
 	}
 	devs := map[string]click.Device{
-		"in":  click.NewChanDevice("in", 1),
-		"out": click.NewChanDevice("out", 1),
+		"in":  newChanDevice("in", 1),
+		"out": newChanDevice("out", 1),
 	}
 	if _, err := click.NewRouter("fw", cfg, click.Options{Devices: devs}); err == nil {
 		t.Error("bad rule accepted")
@@ -282,10 +286,10 @@ func TestNATTranslation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := click.NewChanDevice("in", 8)
-	out := click.NewChanDevice("out", 8)
-	rin := click.NewChanDevice("rin", 8)
-	rout := click.NewChanDevice("rout", 8)
+	in := newChanDevice("in", 8)
+	out := newChanDevice("out", 8)
+	rin := newChanDevice("rin", 8)
+	rout := newChanDevice("rout", 8)
 	r, err := click.NewRouter("nat", cfg, click.Options{Devices: map[string]click.Device{
 		"in": in, "out": out, "rin": rin, "rout": rout,
 	}})
@@ -311,7 +315,7 @@ func TestNATTranslation(t *testing.T) {
 	}
 	// IP checksum must be valid after rewrite.
 	ihl := int(outFrame[14]&0xf) * 4
-	if pkt.Checksum(outFrame[14:14+ihl]) != 0 {
+	if headerChecksum(outFrame[14:14+ihl]) != 0 {
 		t.Error("IP checksum invalid after NAT")
 	}
 
@@ -474,7 +478,7 @@ func TestRenderAcceptsUsedParams(t *testing.T) {
 		}
 		devs := map[string]click.Device{}
 		for _, p := range typ.Ports {
-			devs[p] = click.NewChanDevice(p, 1)
+			devs[p] = newChanDevice(p, 1)
 		}
 		if _, err := click.NewRouter(c.typ, cfg, click.Options{Devices: devs}); err != nil {
 			t.Errorf("%s with %v does not build: %v", c.typ, c.params, err)
@@ -494,16 +498,20 @@ func TestEveryClickClassIsDeployed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := click.Parse(src)
+		devs := map[string]click.Device{}
+		for _, p := range typ.Ports {
+			devs[p] = newChanDevice(p, 1)
+		}
+		r, err := click.NewRouter(name, src, click.Options{Devices: devs})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, d := range cfg.Decls {
-			deployed[d.Class] = true
+		for _, e := range r.ElementNames() {
+			deployed[r.Element(e).Class()] = true
 		}
 	}
 	registered := map[string]bool{}
-	for _, class := range click.ElementClasses() {
+	for _, class := range registeredClasses(t) {
 		registered[class] = true
 		if !deployed[class] {
 			t.Errorf("element class %s is registered, but no catalog type deploys it", class)
@@ -514,4 +522,88 @@ func TestEveryClickClassIsDeployed(t *testing.T) {
 			t.Errorf("a catalog type deploys %s, which is not registered", class)
 		}
 	}
+}
+
+// registeredClasses lists the element classes the non-test sources of
+// click and catalog register, in the order they appear.
+func registeredClasses(t *testing.T) []string {
+	t.Helper()
+	re := regexp.MustCompile(`RegisterElement\("(\w+)"`)
+	var classes []string
+	for _, dir := range []string{".", "../click"} {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range re.FindAllSubmatch(src, -1) {
+				classes = append(classes, string(m[1]))
+			}
+		}
+	}
+	if len(classes) == 0 {
+		t.Fatal("no RegisterElement call found")
+	}
+	return classes
+}
+
+// chanDevice is an in-memory click.Device: a test feeds In and reads Out.
+type chanDevice struct {
+	name    string
+	In, Out chan []byte
+}
+
+func newChanDevice(name string, depth int) *chanDevice {
+	return &chanDevice{name: name, In: make(chan []byte, depth), Out: make(chan []byte, depth)}
+}
+
+func (d *chanDevice) DeviceName() string { return d.name }
+
+// Send drops when Out is full, as a full NIC ring does.
+func (d *chanDevice) Send(frame []byte) error {
+	select {
+	case d.Out <- frame:
+		return nil
+	default:
+		return click.ErrDeviceFull
+	}
+}
+
+func (d *chanDevice) Recv() <-chan []byte { return d.In }
+
+// buildTCP builds an Ethernet/IPv4/TCP frame; the TCP checksum is left
+// zero.
+func buildTCP(srcMAC, dstMAC pkt.MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
+	tcp := make([]byte, 20, 20+len(payload))
+	binary.BigEndian.PutUint16(tcp[0:], srcPort)
+	binary.BigEndian.PutUint16(tcp[2:], dstPort)
+	binary.BigEndian.PutUint32(tcp[4:], seq)
+	tcp[12] = 5 << 4 // data offset: five words
+	tcp[13] = flags
+	binary.BigEndian.PutUint16(tcp[14:], 65535)
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: src, Dst: dst},
+		pkt.Raw(append(tcp, payload...)),
+	)
+}
+
+// headerChecksum is the RFC 1071 sum over an IPv4 header: zero when the
+// header's checksum field is right.
+func headerChecksum(hdr []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(hdr); i += 2 {
+		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])
+	}
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
 }

@@ -70,7 +70,7 @@ func TestDPIMatchesReference(t *testing.T) {
 		if want >= 0 && ref != (want == 1) {
 			t.Fatalf("case %d: reference says %v for %q in %q", i, ref, sig, frame)
 		}
-		d := &DPI{signature: sig}
+		d := &dpi{signature: sig}
 		if p := d.SimpleAction(click.NewPacket(frame)); p != nil {
 			p.Kill()
 		}

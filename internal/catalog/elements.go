@@ -20,12 +20,12 @@ import (
 )
 
 func init() {
-	click.RegisterElement("HeaderCompressor", func() click.Element { return &HeaderCompressor{} })
-	click.RegisterElement("HeaderDecompressor", func() click.Element { return &HeaderDecompressor{} })
-	click.RegisterElement("Firewall", func() click.Element { return &Firewall{} })
-	click.RegisterElement("NAT", func() click.Element { return &NAT{} })
-	click.RegisterElement("DPI", func() click.Element { return &DPI{} })
-	click.RegisterElement("LoadBalancer", func() click.Element { return &LoadBalancer{} })
+	click.RegisterElement("HeaderCompressor", func() click.Element { return &headerCompressor{} })
+	click.RegisterElement("HeaderDecompressor", func() click.Element { return &headerDecompressor{} })
+	click.RegisterElement("Firewall", func() click.Element { return &firewall{} })
+	click.RegisterElement("NAT", func() click.Element { return &nat{} })
+	click.RegisterElement("DPI", func() click.Element { return &dpi{} })
+	click.RegisterElement("LoadBalancer", func() click.Element { return &loadBalancer{} })
 }
 
 // compEtherType marks compressed frames (an experimental ethertype).
@@ -44,7 +44,7 @@ type flowContext struct {
 	ttl, tos       uint8
 }
 
-// HeaderCompressor implements ESCAPE's demo VNF: a toy ROHC-style
+// headerCompressor implements ESCAPE's demo VNF: a toy ROHC-style
 // UDP/IPv4 header compressor. The first packet of each flow travels as an
 // IR (initialization/refresh) packet carrying the full headers plus the
 // context id; subsequent packets carry an 8-byte compressed header
@@ -52,7 +52,7 @@ type flowContext struct {
 // untouched.
 //
 // Handlers: compressed, passthrough, contexts (r).
-type HeaderCompressor struct {
+type headerCompressor struct {
 	click.Base
 	mu       sync.Mutex
 	contexts map[pkt.FiveTuple]uint16
@@ -66,15 +66,15 @@ type HeaderCompressor struct {
 }
 
 // Class implements click.Element.
-func (*HeaderCompressor) Class() string { return "HeaderCompressor" }
+func (*headerCompressor) Class() string { return "HeaderCompressor" }
 
 // Spec implements click.Element.
-func (*HeaderCompressor) Spec() click.PortSpec {
+func (*headerCompressor) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 1, NOut: 1, In: []click.Processing{click.Agnostic}, Out: []click.Processing{click.Agnostic}}
 }
 
 // Configure implements click.Element.
-func (h *HeaderCompressor) Configure(r *click.Router, args []string) error {
+func (h *headerCompressor) Configure(r *click.Router, args []string) error {
 	ca := click.ParseArgs(args)
 	refresh, err := ca.KeyInt("REFRESH", 64)
 	if err != nil {
@@ -90,7 +90,7 @@ func (h *HeaderCompressor) Configure(r *click.Router, args []string) error {
 }
 
 // SimpleAction implements the per-packet transform.
-func (h *HeaderCompressor) SimpleAction(p *click.Packet) *click.Packet {
+func (h *headerCompressor) SimpleAction(p *click.Packet) *click.Packet {
 	frame := p.Data()
 	dec := pkt.Decode(frame)
 	ip := dec.IPv4Layer()
@@ -152,8 +152,8 @@ func (h *HeaderCompressor) SimpleAction(p *click.Packet) *click.Packet {
 	return p
 }
 
-// Handlers implements click.HandlerProvider.
-func (h *HeaderCompressor) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (h *headerCompressor) Handlers() []click.Handler {
 	return []click.Handler{
 		{Name: "compressed", Read: func() string { return strconv.FormatUint(h.compressed, 10) }},
 		{Name: "passthrough", Read: func() string { return strconv.FormatUint(h.passthru, 10) }},
@@ -165,12 +165,12 @@ func (h *HeaderCompressor) Handlers() []click.Handler {
 	}
 }
 
-// HeaderDecompressor restores frames produced by HeaderCompressor.
+// headerDecompressor restores frames produced by HeaderCompressor.
 // Packets referencing an unknown context (IR lost) are dropped and
 // counted.
 //
 // Handlers: restored, unknown_context, passthrough (r).
-type HeaderDecompressor struct {
+type headerDecompressor struct {
 	click.Base
 	mu       sync.Mutex
 	contexts map[uint16]flowContext
@@ -180,21 +180,21 @@ type HeaderDecompressor struct {
 }
 
 // Class implements click.Element.
-func (*HeaderDecompressor) Class() string { return "HeaderDecompressor" }
+func (*headerDecompressor) Class() string { return "HeaderDecompressor" }
 
 // Spec implements click.Element.
-func (*HeaderDecompressor) Spec() click.PortSpec {
+func (*headerDecompressor) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 1, NOut: 1, In: []click.Processing{click.Agnostic}, Out: []click.Processing{click.Agnostic}}
 }
 
 // Configure implements click.Element.
-func (h *HeaderDecompressor) Configure(r *click.Router, args []string) error {
+func (h *headerDecompressor) Configure(r *click.Router, args []string) error {
 	h.contexts = map[uint16]flowContext{}
 	return nil
 }
 
 // SimpleAction implements the per-packet transform.
-func (h *HeaderDecompressor) SimpleAction(p *click.Packet) *click.Packet {
+func (h *headerDecompressor) SimpleAction(p *click.Packet) *click.Packet {
 	frame := p.Data()
 	if len(frame) < 19 {
 		h.passthru++
@@ -261,8 +261,8 @@ func (h *HeaderDecompressor) SimpleAction(p *click.Packet) *click.Packet {
 	return p
 }
 
-// Handlers implements click.HandlerProvider.
-func (h *HeaderDecompressor) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (h *headerDecompressor) Handlers() []click.Handler {
 	return []click.Handler{
 		{Name: "restored", Read: func() string { return strconv.FormatUint(h.restored, 10) }},
 		{Name: "unknown_context", Read: func() string { return strconv.FormatUint(h.unknown, 10) }},
@@ -278,12 +278,12 @@ type fwRule struct {
 	hits   uint64
 }
 
-// Firewall is a stateless ACL: rules are evaluated in order, first match
+// firewall is a stateless ACL: rules are evaluated in order, first match
 // wins, unmatched packets are dropped (implicit deny).
 //
 // Configuration: Firewall(allow udp and dst port 53, deny src host
 // 10.0.0.9, allow -). Handlers: passed, dropped, rules (r).
-type Firewall struct {
+type firewall struct {
 	click.Base
 	rules   []*fwRule
 	passed  uint64
@@ -292,15 +292,15 @@ type Firewall struct {
 }
 
 // Class implements click.Element.
-func (*Firewall) Class() string { return "Firewall" }
+func (*firewall) Class() string { return "Firewall" }
 
 // Spec implements click.Element.
-func (*Firewall) Spec() click.PortSpec {
+func (*firewall) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 1, NOut: 1, In: []click.Processing{click.Agnostic}, Out: []click.Processing{click.Agnostic}}
 }
 
 // Configure implements click.Element.
-func (fw *Firewall) Configure(r *click.Router, args []string) error {
+func (fw *firewall) Configure(r *click.Router, args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("Firewall needs at least one rule")
 	}
@@ -330,7 +330,7 @@ func (fw *Firewall) Configure(r *click.Router, args []string) error {
 }
 
 // SimpleAction implements the per-packet transform.
-func (fw *Firewall) SimpleAction(p *click.Packet) *click.Packet {
+func (fw *firewall) SimpleAction(p *click.Packet) *click.Packet {
 	fw.hdr, _ = pkt.Parse(p.Data())
 	for _, r := range fw.rules {
 		if r.filter(&fw.hdr) {
@@ -349,8 +349,8 @@ func (fw *Firewall) SimpleAction(p *click.Packet) *click.Packet {
 	return nil
 }
 
-// Handlers implements click.HandlerProvider.
-func (fw *Firewall) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (fw *firewall) Handlers() []click.Handler {
 	hs := []click.Handler{
 		{Name: "passed", Read: func() string { return strconv.FormatUint(fw.passed, 10) }},
 		{Name: "dropped", Read: func() string { return strconv.FormatUint(fw.dropped, 10) }},
@@ -369,13 +369,13 @@ func (fw *Firewall) Handlers() []click.Handler {
 	return hs
 }
 
-// NAT rewrites source addresses of outbound traffic (input 0) to a public
+// nat rewrites source addresses of outbound traffic (input 0) to a public
 // address and restores inbound traffic (input 1) using a port-indexed
 // translation table — a minimal symmetric NAPT.
 //
 // Configuration: NAT(PUBLIC 192.0.2.1). Port 0: inside→outside,
 // port 1: outside→inside. Handlers: translations, dropped (r).
-type NAT struct {
+type nat struct {
 	click.Base
 	public  netip.Addr
 	mu      sync.Mutex
@@ -386,15 +386,15 @@ type NAT struct {
 }
 
 // Class implements click.Element.
-func (*NAT) Class() string { return "NAT" }
+func (*nat) Class() string { return "NAT" }
 
 // Spec implements click.Element.
-func (*NAT) Spec() click.PortSpec {
+func (*nat) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 2, NOut: 2, In: []click.Processing{click.Push}, Out: []click.Processing{click.Push}}
 }
 
 // Configure implements click.Element.
-func (n *NAT) Configure(r *click.Router, args []string) error {
+func (n *nat) Configure(r *click.Router, args []string) error {
 	ca := click.ParseArgs(args)
 	pub := ca.Key("PUBLIC", ca.Pos(0, ""))
 	if pub == "" {
@@ -412,7 +412,7 @@ func (n *NAT) Configure(r *click.Router, args []string) error {
 }
 
 // Push implements click.Element.
-func (n *NAT) Push(port int, p *click.Packet) {
+func (n *nat) Push(port int, p *click.Packet) {
 	frame := p.Data()
 	h, _ := pkt.Parse(frame)
 	ft, ok := h.FiveTuple()
@@ -457,8 +457,8 @@ func (n *NAT) Push(port int, p *click.Packet) {
 	n.PushOut(1, p)
 }
 
-// Handlers implements click.HandlerProvider.
-func (n *NAT) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (n *nat) Handlers() []click.Handler {
 	return []click.Handler{
 		{Name: "translations", Read: func() string {
 			n.mu.Lock()
@@ -469,12 +469,12 @@ func (n *NAT) Handlers() []click.Handler {
 	}
 }
 
-// DPI counts (and optionally drops) packets whose payload contains a
+// dpi counts (and optionally drops) packets whose payload contains a
 // signature string — a toy deep-packet-inspection function.
 //
 // Configuration: DPI(SIGNATURE string[, DROP true]). Handlers: matches,
 // total (r).
-type DPI struct {
+type dpi struct {
 	click.Base
 	signature []byte
 	drop      bool
@@ -483,15 +483,15 @@ type DPI struct {
 }
 
 // Class implements click.Element.
-func (*DPI) Class() string { return "DPI" }
+func (*dpi) Class() string { return "DPI" }
 
 // Spec implements click.Element.
-func (*DPI) Spec() click.PortSpec {
+func (*dpi) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 1, NOut: 1, In: []click.Processing{click.Agnostic}, Out: []click.Processing{click.Agnostic}}
 }
 
 // Configure implements click.Element.
-func (d *DPI) Configure(r *click.Router, args []string) error {
+func (d *dpi) Configure(r *click.Router, args []string) error {
 	ca := click.ParseArgs(args)
 	sig := click.Unquote(ca.Key("SIGNATURE", ca.Pos(0, "")))
 	if sig == "" {
@@ -506,7 +506,7 @@ func (d *DPI) Configure(r *click.Router, args []string) error {
 }
 
 // SimpleAction implements the per-packet transform.
-func (d *DPI) SimpleAction(p *click.Packet) *click.Packet {
+func (d *dpi) SimpleAction(p *click.Packet) *click.Packet {
 	d.total++
 	if bytes.Contains(p.Data(), d.signature) {
 		d.matches++
@@ -518,22 +518,22 @@ func (d *DPI) SimpleAction(p *click.Packet) *click.Packet {
 	return p
 }
 
-// Handlers implements click.HandlerProvider.
-func (d *DPI) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (d *dpi) Handlers() []click.Handler {
 	return []click.Handler{
 		{Name: "matches", Read: func() string { return strconv.FormatUint(d.matches, 10) }},
 		{Name: "total", Read: func() string { return strconv.FormatUint(d.total, 10) }},
 	}
 }
 
-// LoadBalancer rewrites the destination address across a backend pool:
+// loadBalancer rewrites the destination address across a backend pool:
 // flows stick to a backend (hash on the five-tuple), new flows go to the
 // least-loaded backend (per-flow count).
 //
 // Configuration: LoadBalancer(VIP 10.0.0.100, 10.0.1.1, 10.0.1.2, …).
 // Only packets addressed to the VIP are rewritten. Handlers: flows,
 // backend<i> (r).
-type LoadBalancer struct {
+type loadBalancer struct {
 	click.Base
 	vip      netip.Addr
 	backends []netip.Addr
@@ -543,15 +543,15 @@ type LoadBalancer struct {
 }
 
 // Class implements click.Element.
-func (*LoadBalancer) Class() string { return "LoadBalancer" }
+func (*loadBalancer) Class() string { return "LoadBalancer" }
 
 // Spec implements click.Element.
-func (*LoadBalancer) Spec() click.PortSpec {
+func (*loadBalancer) Spec() click.PortSpec {
 	return click.PortSpec{NIn: 1, NOut: 1, In: []click.Processing{click.Agnostic}, Out: []click.Processing{click.Agnostic}}
 }
 
 // Configure implements click.Element.
-func (lb *LoadBalancer) Configure(r *click.Router, args []string) error {
+func (lb *loadBalancer) Configure(r *click.Router, args []string) error {
 	ca := click.ParseArgs(args)
 	vip := ca.Key("VIP", "")
 	if vip == "" && len(ca.Positional) > 0 {
@@ -579,7 +579,7 @@ func (lb *LoadBalancer) Configure(r *click.Router, args []string) error {
 }
 
 // SimpleAction implements the per-packet transform.
-func (lb *LoadBalancer) SimpleAction(p *click.Packet) *click.Packet {
+func (lb *loadBalancer) SimpleAction(p *click.Packet) *click.Packet {
 	h, _ := pkt.Parse(p.Data())
 	ft, ok := h.FiveTuple()
 	if !ok || ft.Dst != lb.vip {
@@ -607,8 +607,8 @@ func (lb *LoadBalancer) SimpleAction(p *click.Packet) *click.Packet {
 	return p
 }
 
-// Handlers implements click.HandlerProvider.
-func (lb *LoadBalancer) Handlers() []click.Handler {
+// Handlers implements click's handler provider interface.
+func (lb *loadBalancer) Handlers() []click.Handler {
 	hs := []click.Handler{
 		{Name: "flows", Read: func() string {
 			lb.mu.Lock()

@@ -20,16 +20,16 @@ func benchFirewallRules() []string {
 	return append(rules, "allow -")
 }
 
-func newFirewall(t *testing.T, rules ...string) *Firewall {
+func newFirewall(t *testing.T, rules ...string) *firewall {
 	t.Helper()
-	fw := &Firewall{}
+	fw := &firewall{}
 	if err := fw.Configure(nil, rules); err != nil {
 		t.Fatal(err)
 	}
 	return fw
 }
 
-func readHandler(t *testing.T, fw *Firewall, name string) string {
+func readHandler(t *testing.T, fw *firewall, name string) string {
 	t.Helper()
 	for _, h := range fw.Handlers() {
 		if h.Name == name {
@@ -51,7 +51,7 @@ func TestFirewallVerdicts(t *testing.T) {
 		}
 		return f
 	}
-	arp, err := pkt.BuildARPRequest(cmac1, cip1, cip2)
+	arp, err := arpRequest(cmac1, cip1, cip2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,4 +149,12 @@ func TestFirewallParsesOncePerPacket(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a packet through 16 rules costs %v allocations, want 0", n)
 	}
+}
+
+// arpRequest builds a broadcast who-has query.
+func arpRequest(srcMAC pkt.MAC, srcIP, targetIP netip.Addr) ([]byte, error) {
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: pkt.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, EtherType: pkt.EtherTypeARP},
+		&pkt.ARP{Op: pkt.ARPRequest, SenderMAC: srcMAC, SenderIP: srcIP, TargetIP: targetIP},
+	)
 }

@@ -59,8 +59,8 @@ func (ca *ConfArgs) Pos(i int, def string) string {
 	return def
 }
 
-// PosInt returns positional argument i as an int.
-func (ca *ConfArgs) PosInt(i int, def int) (int, error) {
+// posInt returns positional argument i as an int.
+func (ca *ConfArgs) posInt(i int, def int) (int, error) {
 	if i >= len(ca.Positional) {
 		return def, nil
 	}

@@ -40,7 +40,6 @@ const (
 	csSyntaxError   = 501
 	csNoSuchHandler = 511
 	csHandlerError  = 520
-	csPermission    = 530
 )
 
 // NewControlSocket starts serving the router's handlers on addr
@@ -157,7 +156,7 @@ func (cs *ControlSocket) handleWrite(w io.Writer, rest string) {
 	if len(parts) > 1 {
 		value = parts[1]
 	}
-	if err := cs.router.WriteHandler(spec, value); err != nil {
+	if err := cs.router.writeHandler(spec, value); err != nil {
 		fmt.Fprintf(w, "%d %s\r\n", csHandlerError, err)
 		return
 	}

@@ -9,14 +9,14 @@ import (
 // Device elements: the graph's boundary to the VNF's ports.
 
 func init() {
-	RegisterElement("FromDevice", func() Element { return &FromDevice{} })
-	RegisterElement("ToDevice", func() Element { return &ToDevice{} })
+	RegisterElement("FromDevice", func() Element { return &fromDevice{} })
+	RegisterElement("ToDevice", func() Element { return &toDevice{} })
 }
 
-// FromDevice injects frames arriving on a Device into the graph.
+// fromDevice injects frames arriving on a Device into the graph.
 //
 // Configuration: FromDevice(DEVNAME[, BURST n]). Handlers: count (r).
-type FromDevice struct {
+type fromDevice struct {
 	Base
 	devName string
 	dev     Device
@@ -30,13 +30,13 @@ type FromDevice struct {
 }
 
 // Class implements Element.
-func (*FromDevice) Class() string { return "FromDevice" }
+func (*fromDevice) Class() string { return "FromDevice" }
 
 // Spec implements Element.
-func (*FromDevice) Spec() PortSpec { return pushPorts(0, 1) }
+func (*fromDevice) Spec() PortSpec { return pushPorts(0, 1) }
 
 // Configure implements Element.
-func (f *FromDevice) Configure(r *Router, args []string) error {
+func (f *fromDevice) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
 	f.devName = ca.Pos(0, "")
 	if f.devName == "" {
@@ -52,9 +52,9 @@ func (f *FromDevice) Configure(r *Router, args []string) error {
 	return nil
 }
 
-// Init implements Initializer.
-func (f *FromDevice) Init() error {
-	dev, ok := f.Router().Device(f.devName)
+// Init implements initializer.
+func (f *fromDevice) Init() error {
+	dev, ok := f.router.device(f.devName)
 	if !ok {
 		return fmt.Errorf("device %q not attached to router", f.devName)
 	}
@@ -67,14 +67,14 @@ func (f *FromDevice) Init() error {
 
 // stash hands over the frame an idle driver received on this device's
 // channel while it was blocked.
-func (f *FromDevice) stash(frame []byte) {
+func (f *fromDevice) stash(frame []byte) {
 	f.mu.Lock()
 	f.parked = frame
 	f.mu.Unlock()
 }
 
 // takeParked appends the stashed frame, if any, as a packet that owns it.
-func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
+func (f *fromDevice) takeParked(buf []*Packet) []*Packet {
 	if f.parked == nil {
 		return buf
 	}
@@ -83,10 +83,10 @@ func (f *FromDevice) takeParked(buf []*Packet) []*Packet {
 	return buf
 }
 
-// RunTask implements Tasker: drain up to a burst of frames off the device,
+// RunTask implements tasker: drain up to a burst of frames off the device,
 // then hand the whole batch downstream under one lock acquisition. Each
 // frame becomes a pooled packet that owns it: the device hands it over.
-func (f *FromDevice) RunTask() bool {
+func (f *fromDevice) RunTask() bool {
 	f.batch = f.takeParked(f.batch[:0])
 drain:
 	for len(f.batch) < f.burst {
@@ -101,24 +101,24 @@ drain:
 		return false
 	}
 	f.count.Add(uint64(len(f.batch)))
-	f.PushOutBatch(0, f.batch)
+	f.pushOutBatch(0, f.batch)
 	return true
 }
 
-// Handlers implements HandlerProvider.
-func (f *FromDevice) Handlers() []Handler {
+// Handlers implements handlerProvider.
+func (f *fromDevice) Handlers() []Handler {
 	return []Handler{
 		{Name: "count", Read: func() string { return strconv.FormatUint(f.count.Load(), 10) }},
 		{Name: "device", Read: func() string { return f.devName }},
 	}
 }
 
-// ToDevice transmits frames out of the graph via a Device. Its input is
+// toDevice transmits frames out of the graph via a Device. Its input is
 // agnostic: pushed frames go out immediately; when fed by a pull path
 // (Queue) it schedules a task that pulls.
 //
 // Configuration: ToDevice(DEVNAME[, BURST n]). Handlers: count, drops (r).
-type ToDevice struct {
+type toDevice struct {
 	Base
 	devName  string
 	dev      Device
@@ -130,15 +130,15 @@ type ToDevice struct {
 }
 
 // Class implements Element.
-func (*ToDevice) Class() string { return "ToDevice" }
+func (*toDevice) Class() string { return "ToDevice" }
 
 // Spec implements Element.
-func (*ToDevice) Spec() PortSpec {
+func (*toDevice) Spec() PortSpec {
 	return PortSpec{NIn: 1, NOut: 0, In: []Processing{Agnostic}}
 }
 
 // Configure implements Element.
-func (t *ToDevice) Configure(r *Router, args []string) error {
+func (t *toDevice) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
 	t.devName = ca.Pos(0, "")
 	if t.devName == "" {
@@ -154,36 +154,36 @@ func (t *ToDevice) Configure(r *Router, args []string) error {
 	return nil
 }
 
-// Init implements Initializer.
-func (t *ToDevice) Init() error {
-	dev, ok := t.Router().Device(t.devName)
+// Init implements initializer.
+func (t *toDevice) Init() error {
+	dev, ok := t.router.device(t.devName)
 	if !ok {
 		return fmt.Errorf("device %q not attached to router", t.devName)
 	}
 	t.dev = dev
 	// Pull mode when processing negotiation resolved our input to pull
 	// (a Queue somewhere upstream, possibly through agnostic elements).
-	t.pullMode = t.ResolvedIn(0) == Pull
+	t.pullMode = t.resolvedIn(0) == pull
 	return nil
 }
 
 // Push implements Element.
-func (t *ToDevice) Push(port int, p *Packet) { t.send(p) }
+func (t *toDevice) Push(port int, p *Packet) { t.send(p) }
 
 // PushBatch implements Element.
-func (t *ToDevice) PushBatch(port int, ps []*Packet) {
+func (t *toDevice) PushBatch(port int, ps []*Packet) {
 	for _, p := range ps {
 		t.send(p)
 	}
 }
 
-// RunTask implements Tasker: drain a burst from the upstream Queue under
+// RunTask implements tasker: drain a burst from the upstream Queue under
 // one lock acquisition, then transmit.
-func (t *ToDevice) RunTask() bool {
+func (t *toDevice) RunTask() bool {
 	if !t.pullMode {
 		return false
 	}
-	t.batch = t.PullInBatch(0, t.burst, t.batch[:0])
+	t.batch = t.pullInBatch(0, t.burst, t.batch[:0])
 	if len(t.batch) == 0 {
 		return false
 	}
@@ -193,7 +193,7 @@ func (t *ToDevice) RunTask() bool {
 
 // send hands the packet's frame to the device, which owns it from then
 // on, and recycles the packet struct.
-func (t *ToDevice) send(p *Packet) {
+func (t *toDevice) send(p *Packet) {
 	if err := t.dev.Send(p.Data()); err != nil {
 		t.drops.Add(1)
 	} else {
@@ -202,8 +202,8 @@ func (t *ToDevice) send(p *Packet) {
 	p.Kill()
 }
 
-// Handlers implements HandlerProvider.
-func (t *ToDevice) Handlers() []Handler {
+// Handlers implements handlerProvider.
+func (t *toDevice) Handlers() []Handler {
 	return []Handler{
 		{Name: "count", Read: func() string { return strconv.FormatUint(t.count.Load(), 10) }},
 		{Name: "drops", Read: func() string { return strconv.FormatUint(t.drops.Load(), 10) }},

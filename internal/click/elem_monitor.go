@@ -9,15 +9,15 @@ import (
 // The monitoring element.
 
 func init() {
-	RegisterElement("Counter", func() Element { return &Counter{} })
+	RegisterElement("Counter", func() Element { return &counter{} })
 }
 
-// Counter counts packets and bytes and keeps an exponentially weighted
+// counter counts packets and bytes and keeps an exponentially weighted
 // packet-rate estimate updated on router ticks. It is the handler surface
 // ESCAPE's monitoring (Clicky substitute) reads most.
 //
 // Handlers: count, byte_count, rate, bit_rate (r), reset (w).
-type Counter struct {
+type counter struct {
 	Base
 	count    atomic.Uint64
 	bytes    atomic.Uint64
@@ -29,20 +29,20 @@ type Counter struct {
 }
 
 // Class implements Element.
-func (*Counter) Class() string { return "Counter" }
+func (*counter) Class() string { return "Counter" }
 
 // Spec implements Element.
-func (*Counter) Spec() PortSpec { return agnostic(1, 1) }
+func (*counter) Spec() PortSpec { return agnostic(1, 1) }
 
 // SimpleAction implements the per-packet transform.
-func (c *Counter) SimpleAction(p *Packet) *Packet {
+func (c *counter) SimpleAction(p *Packet) *Packet {
 	c.count.Add(1)
 	c.bytes.Add(uint64(p.Len()))
 	return p
 }
 
 // Tick implements Ticker: EWMA rate update (α=0.5 per tick).
-func (c *Counter) Tick(now time.Time) {
+func (c *counter) Tick(now time.Time) {
 	cnt, byt := c.count.Load(), c.bytes.Load()
 	if c.lastTick.IsZero() {
 		c.lastTick = now
@@ -63,8 +63,8 @@ func (c *Counter) Tick(now time.Time) {
 	c.lastByte = byt
 }
 
-// Handlers implements HandlerProvider.
-func (c *Counter) Handlers() []Handler {
+// Handlers implements handlerProvider.
+func (c *counter) Handlers() []Handler {
 	return []Handler{
 		{Name: "count", Read: func() string { return strconv.FormatUint(c.count.Load(), 10) }},
 		{Name: "byte_count", Read: func() string { return strconv.FormatUint(c.bytes.Load(), 10) }},

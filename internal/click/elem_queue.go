@@ -11,17 +11,17 @@ import (
 // Queueing and rate-limiting elements.
 
 func init() {
-	RegisterElement("Queue", func() Element { return &Queue{} })
-	RegisterElement("RatedUnqueue", func() Element { return &RatedUnqueue{} })
+	RegisterElement("Queue", func() Element { return &queue{} })
+	RegisterElement("RatedUnqueue", func() Element { return &ratedUnqueue{} })
 }
 
-// Queue stores packets in FIFO order: push input, pull output. Packets
+// queue stores packets in FIFO order: push input, pull output. Packets
 // pushed into a full queue are dropped (tail drop). Storage is a slice
 // ring; every access runs under the element lock acquired by the caller.
 //
 // Configuration: Queue([CAPACITY]), CAPACITY at most maxQueueCapacity.
 // Handlers: length, capacity (rw), drops, highwater (r), reset_counts (w).
-type Queue struct {
+type queue struct {
 	Base
 	ring      []*Packet
 	head, n   int
@@ -44,17 +44,17 @@ func checkQueueCapacity(c int) error {
 }
 
 // Class implements Element.
-func (*Queue) Class() string { return "Queue" }
+func (*queue) Class() string { return "Queue" }
 
 // Spec implements Element.
-func (*Queue) Spec() PortSpec {
-	return PortSpec{NIn: 1, NOut: 1, In: []Processing{Push}, Out: []Processing{Pull}}
+func (*queue) Spec() PortSpec {
+	return PortSpec{NIn: 1, NOut: 1, In: []Processing{Push}, Out: []Processing{pull}}
 }
 
 // Configure implements Element.
-func (q *Queue) Configure(r *Router, args []string) error {
+func (q *queue) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
-	cap_, err := ca.PosInt(0, 1000)
+	cap_, err := ca.posInt(0, 1000)
 	if err != nil {
 		return err
 	}
@@ -67,10 +67,10 @@ func (q *Queue) Configure(r *Router, args []string) error {
 }
 
 // Len reports the number of queued packets.
-func (q *Queue) Len() int { return q.n }
+func (q *queue) Len() int { return q.n }
 
 // Push implements Element.
-func (q *Queue) Push(port int, p *Packet) {
+func (q *queue) Push(port int, p *Packet) {
 	if q.n == q.capacity {
 		q.drops.Add(1)
 		p.Kill()
@@ -85,14 +85,14 @@ func (q *Queue) Push(port int, p *Packet) {
 
 // PushBatch implements Element: the whole burst is enqueued under the one
 // lock acquisition the caller already holds.
-func (q *Queue) PushBatch(port int, ps []*Packet) {
+func (q *queue) PushBatch(port int, ps []*Packet) {
 	for _, p := range ps {
 		q.Push(port, p)
 	}
 }
 
 // Pull implements Element.
-func (q *Queue) Pull(port int) *Packet {
+func (q *queue) Pull(port int) *Packet {
 	if q.n == 0 {
 		return nil
 	}
@@ -104,15 +104,15 @@ func (q *Queue) Pull(port int) *Packet {
 }
 
 // PullBatch implements batchPuller: dequeue up to max packets in one call.
-func (q *Queue) PullBatch(port, max int, buf []*Packet) []*Packet {
+func (q *queue) PullBatch(port, max int, buf []*Packet) []*Packet {
 	for len(buf) < max && q.n > 0 {
 		buf = append(buf, q.Pull(port))
 	}
 	return buf
 }
 
-// Handlers implements HandlerProvider.
-func (q *Queue) Handlers() []Handler {
+// Handlers implements handlerProvider.
+func (q *queue) Handlers() []Handler {
 	return []Handler{
 		{Name: "length", Read: func() string { return strconv.Itoa(q.Len()) }},
 		{Name: "capacity", Read: func() string { return strconv.Itoa(q.capacity) },
@@ -150,12 +150,12 @@ func (q *Queue) Handlers() []Handler {
 	}
 }
 
-// RatedUnqueue actively pulls packets from its input and pushes them
+// ratedUnqueue actively pulls packets from its input and pushes them
 // downstream, converting a pull path back to a push path, at most RATE
 // packets per second (a token bucket).
 //
 // Configuration: RatedUnqueue(RATE). Handlers: rate (rw), count (r).
-type RatedUnqueue struct {
+type ratedUnqueue struct {
 	Base
 	ratePPS float64
 	tokens  float64
@@ -164,15 +164,15 @@ type RatedUnqueue struct {
 }
 
 // Class implements Element.
-func (*RatedUnqueue) Class() string { return "RatedUnqueue" }
+func (*ratedUnqueue) Class() string { return "RatedUnqueue" }
 
 // Spec implements Element.
-func (*RatedUnqueue) Spec() PortSpec {
-	return PortSpec{NIn: 1, NOut: 1, In: []Processing{Pull}, Out: []Processing{Push}}
+func (*ratedUnqueue) Spec() PortSpec {
+	return PortSpec{NIn: 1, NOut: 1, In: []Processing{pull}, Out: []Processing{Push}}
 }
 
 // Configure implements Element.
-func (u *RatedUnqueue) Configure(r *Router, args []string) error {
+func (u *ratedUnqueue) Configure(r *Router, args []string) error {
 	ca := ParseArgs(args)
 	rate := ca.Key("RATE", ca.Pos(0, "10"))
 	f, err := parseRate(rate)
@@ -192,14 +192,14 @@ func parseRate(s string) (float64, error) {
 	return f, nil
 }
 
-// Init implements Initializer.
-func (u *RatedUnqueue) Init() error {
+// Init implements initializer.
+func (u *ratedUnqueue) Init() error {
 	u.last = time.Now()
 	return nil
 }
 
-// RunTask implements Tasker.
-func (u *RatedUnqueue) RunTask() bool {
+// RunTask implements tasker.
+func (u *ratedUnqueue) RunTask() bool {
 	now := time.Now()
 	u.tokens += now.Sub(u.last).Seconds() * u.ratePPS
 	u.last = now
@@ -208,7 +208,7 @@ func (u *RatedUnqueue) RunTask() bool {
 	}
 	worked := false
 	for u.tokens >= 1 {
-		p := u.PullIn(0)
+		p := u.pullIn(0)
 		if p == nil {
 			return worked
 		}
@@ -220,18 +220,18 @@ func (u *RatedUnqueue) RunTask() bool {
 	return worked
 }
 
-// NextDeadline implements Deadliner: the instant the bucket, refilling
+// NextDeadline implements deadliner: the instant the bucket, refilling
 // since last, holds one whole token. With a whole token in the bucket the
 // element waits for its upstream Queue, not for time.
-func (u *RatedUnqueue) NextDeadline() (time.Time, bool) {
+func (u *ratedUnqueue) NextDeadline() (time.Time, bool) {
 	if u.tokens >= 1 {
 		return time.Time{}, false
 	}
 	return u.last.Add(time.Duration((1 - u.tokens) / u.ratePPS * float64(time.Second))), true
 }
 
-// Handlers implements HandlerProvider.
-func (u *RatedUnqueue) Handlers() []Handler {
+// Handlers implements handlerProvider.
+func (u *ratedUnqueue) Handlers() []Handler {
 	return []Handler{
 		{Name: "count", Read: func() string { return strconv.FormatUint(u.count, 10) }},
 		{Name: "rate", Read: func() string { return strconv.FormatFloat(u.ratePPS, 'f', -1, 64) },

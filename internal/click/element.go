@@ -19,8 +19,8 @@ const (
 	Agnostic Processing = iota
 	// Push ports have packets actively handed to them.
 	Push
-	// Pull ports have packets requested from them.
-	Pull
+	// pull ports have packets requested from them.
+	pull
 )
 
 // String returns Click's single-letter code (a/h/l).
@@ -28,7 +28,7 @@ func (p Processing) String() string {
 	switch p {
 	case Push:
 		return "h"
-	case Pull:
+	case pull:
 		return "l"
 	}
 	return "a"
@@ -95,23 +95,23 @@ type Element interface {
 	base() *Base
 }
 
-// Tasker is implemented by elements needing scheduler time (FromDevice,
+// tasker is implemented by elements needing scheduler time (FromDevice,
 // RatedUnqueue, ToDevice behind a Queue). RunTask reports whether useful
 // work was done: after a round in which no task did any, the driver blocks
 // (idle.go) until something can have created work. A task whose work
 // appears without a frame or a handler write — because time passed — must
-// also implement Deadliner, or it runs again only on the next tick.
-type Tasker interface {
+// also implement deadliner, or it runs again only on the next tick.
+type tasker interface {
 	RunTask() bool
 }
 
-// Initializer runs after the graph is wired but before the driver starts.
-type Initializer interface {
+// initializer runs after the graph is wired but before the driver starts.
+type initializer interface {
 	Init() error
 }
 
-// Closer runs at router shutdown.
-type Closer interface {
+// closer runs at router shutdown.
+type closer interface {
 	Close()
 }
 
@@ -123,9 +123,9 @@ type Handler struct {
 	Write func(value string) error
 }
 
-// HandlerProvider lets elements export handlers beyond the built-in
+// handlerProvider lets elements export handlers beyond the built-in
 // "class"/"config" pair.
-type HandlerProvider interface {
+type handlerProvider interface {
 	Handlers() []Handler
 }
 
@@ -161,9 +161,9 @@ type Base struct {
 	outProc []Processing
 }
 
-// ResolvedIn reports the negotiated processing of input port i (Push or
+// resolvedIn reports the negotiated processing of input port i (Push or
 // Pull). Valid after router construction.
-func (b *Base) ResolvedIn(i int) Processing {
+func (b *Base) resolvedIn(i int) Processing {
 	if i < len(b.inProc) {
 		return b.inProc[i]
 	}
@@ -185,11 +185,8 @@ func (b *Base) base() *Base { return b }
 // Name returns the element's instance name within its router.
 func (b *Base) Name() string { return b.name }
 
-// Router returns the router the element belongs to.
-func (b *Base) Router() *Router { return b.router }
-
-// ConfigString returns the raw configuration arguments re-joined.
-func (b *Base) ConfigString() string {
+// configString returns the raw configuration arguments re-joined.
+func (b *Base) configString() string {
 	s := ""
 	for i, a := range b.config {
 		if i > 0 {
@@ -222,7 +219,7 @@ func (b *Base) Push(port int, p *Packet) {
 // Pull is the default pull handler: pull input 0 and apply the simple
 // action.
 func (b *Base) Pull(port int) *Packet {
-	p := b.PullIn(0)
+	p := b.pullIn(0)
 	if p == nil {
 		return nil
 	}
@@ -251,7 +248,7 @@ func (b *Base) PushBatch(port int, ps []*Packet) {
 				kept = append(kept, q)
 			}
 		}
-		b.PushOutBatch(0, kept)
+		b.pushOutBatch(0, kept)
 		return
 	}
 	for _, p := range ps {
@@ -275,10 +272,10 @@ func (b *Base) PushOut(i int, p *Packet) {
 	tb.mu.Unlock()
 }
 
-// PushOutBatch sends a burst to output port i under a single acquisition
+// pushOutBatch sends a burst to output port i under a single acquisition
 // of the downstream element's lock. FromDevice ingest and SimpleAction
 // bursts use it to amortize per-element locking.
-func (b *Base) PushOutBatch(i int, ps []*Packet) {
+func (b *Base) pushOutBatch(i int, ps []*Packet) {
 	if len(ps) == 0 {
 		return
 	}
@@ -295,9 +292,9 @@ func (b *Base) PushOutBatch(i int, ps []*Packet) {
 	tb.mu.Unlock()
 }
 
-// PullIn requests a packet from whatever feeds input port i. The upstream
+// pullIn requests a packet from whatever feeds input port i. The upstream
 // element's lock is held for the duration of its Pull.
-func (b *Base) PullIn(i int) *Packet {
+func (b *Base) pullIn(i int) *Packet {
 	if i >= len(b.ins) || b.ins[i].elem == nil {
 		return nil
 	}
@@ -316,9 +313,9 @@ type batchPuller interface {
 	PullBatch(port, max int, buf []*Packet) []*Packet
 }
 
-// PullInBatch pulls up to max packets from input port i into buf (reused
+// pullInBatch pulls up to max packets from input port i into buf (reused
 // across calls by the caller), acquiring the upstream lock once.
-func (b *Base) PullInBatch(i, max int, buf []*Packet) []*Packet {
+func (b *Base) pullInBatch(i, max int, buf []*Packet) []*Packet {
 	if i >= len(b.ins) || b.ins[i].elem == nil {
 		return buf
 	}

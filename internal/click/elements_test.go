@@ -21,7 +21,7 @@ func mustRouter(t testing.TB, config string) *Router {
 
 // chanDev returns the router's ChanDevice called name.
 func chanDev(r *Router, name string) *ChanDevice {
-	d, _ := r.Device(name)
+	d, _ := r.device(name)
 	return d.(*ChanDevice)
 }
 
@@ -49,14 +49,14 @@ func TestRatedUnqueueHandlerUpdatesRate(t *testing.T) {
 	if v := readUint(t, r, "ru.rate"); v != "10" {
 		t.Errorf("rate = %s", v)
 	}
-	if err := r.WriteHandler("ru.rate", "5000"); err != nil {
+	if err := r.writeHandler("ru.rate", "5000"); err != nil {
 		t.Fatal(err)
 	}
 	if v := readUint(t, r, "ru.rate"); v != "5000" {
 		t.Errorf("rate after write = %s", v)
 	}
 	for _, bad := range []string{"zero", "0", "NaN", "+Inf"} {
-		if err := r.WriteHandler("ru.rate", bad); err == nil {
+		if err := r.writeHandler("ru.rate", bad); err == nil {
 			t.Errorf("rate %q accepted", bad)
 		}
 	}
@@ -68,20 +68,20 @@ func TestQueueCapacityResizePreservesContents(t *testing.T) {
 		q -> ToDevice(out);
 	`)
 	pushN(t, r, "q", 8)
-	if err := r.WriteHandler("q.capacity", "4"); err != nil {
+	if err := r.writeHandler("q.capacity", "4"); err != nil {
 		t.Fatal(err)
 	}
 	if v := readUint(t, r, "q.length"); v != "4" {
 		t.Errorf("length after shrink = %s", v)
 	}
-	if err := r.WriteHandler("q.capacity", "100"); err != nil {
+	if err := r.writeHandler("q.capacity", "100"); err != nil {
 		t.Fatal(err)
 	}
 	if v := readUint(t, r, "q.length"); v != "4" {
 		t.Errorf("length after grow = %s", v)
 	}
 	// Contents still drain in order.
-	q := r.Element("q").(*Queue)
+	q := r.Element("q").(*queue)
 	drained := 0
 	for q.Pull(0) != nil {
 		drained++
@@ -99,8 +99,8 @@ func TestResolvedProcessingThroughAgnosticChain(t *testing.T) {
 		a :: Counter; b :: Counter;
 		q -> a -> b -> ToDevice(out);
 	`)
-	ab := r.Element("a").(*Counter)
-	if got := ab.ResolvedIn(0); got != Pull {
+	ab := r.Element("a").(*counter)
+	if got := ab.resolvedIn(0); got != pull {
 		t.Errorf("counter resolved to %s, want l", got)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

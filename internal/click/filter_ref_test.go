@@ -2,6 +2,8 @@ package click
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -29,7 +31,7 @@ type legacyEnvelopeFields struct {
 func legacyEnvelope(frame []byte) (legacyEnvelopeFields, error) {
 	var s legacyEnvelopeFields
 	if len(frame) < 14 {
-		return s, pkt.ErrTooShort
+		return s, errTooShort
 	}
 	copy(s.Dst[:], frame[0:6])
 	copy(s.Src[:], frame[6:12])
@@ -37,7 +39,7 @@ func legacyEnvelope(frame []byte) (legacyEnvelopeFields, error) {
 	s.VLANID = -1
 	if et == pkt.EtherTypeVLAN {
 		if len(frame) < 18 {
-			return s, pkt.ErrTooShort
+			return s, errTooShort
 		}
 		s.VLANID = int(uint16(frame[14])<<8|uint16(frame[15])) & 0x0fff
 		et = pkt.EtherType(uint16(frame[16])<<8 | uint16(frame[17]))
@@ -59,9 +61,9 @@ func legacyFiveTuple(p *pkt.Packet) (ft pkt.FiveTuple, ok bool) {
 		u := l.(*pkt.UDP)
 		ft.SrcPort, ft.DstPort = u.SrcPort, u.DstPort
 	default:
-		if l := p.Layer(pkt.LayerTypeTCP); l != nil {
-			t := l.(*pkt.TCP)
-			ft.SrcPort, ft.DstPort = t.SrcPort, t.DstPort
+		if p.Layer(pkt.LayerTypeTCP) != nil { // the ports lead the header Decode accepted
+			tcp := ip.Payload()
+			ft.SrcPort, ft.DstPort = binary.BigEndian.Uint16(tcp[0:2]), binary.BigEndian.Uint16(tcp[2:4])
 		} else if l := p.Layer(pkt.LayerTypeICMP); l != nil {
 			ic := l.(*pkt.ICMP)
 			ft.SrcPort, ft.DstPort = ic.Ident, ic.Seq
@@ -288,8 +290,8 @@ func filterSeeds(t testing.TB) map[string][]byte {
 		return f
 	}
 	udp := must(pkt.BuildUDP(src, dst, a, b, 5000, 53, []byte("payload")))
-	tcp := must(pkt.BuildTCP(src, dst, a, b, 4000, 80, pkt.TCPSyn, 7, nil))
-	arp := must(pkt.BuildARPRequest(src, a, b))
+	tcp := must(buildTCP(src, dst, a, b, 4000, 80, pkt.TCPSyn, 7, nil))
+	arp := must(arpRequest(src, a, b))
 	frag := bytes.Clone(udp)
 	frag[14+6], frag[14+7] = 0x00, 0x10 // fragment offset 16
 	return map[string][]byte{
@@ -396,3 +398,5 @@ func FuzzFilterVerdicts(f *testing.F) {
 	exprs := compileExprs(f)
 	f.Fuzz(func(t *testing.T, frame []byte) { checkVerdicts(t, exprs, frame, map[string]int{}) })
 }
+
+var errTooShort = errors.New("frame too short")

@@ -12,7 +12,7 @@ package click
 //     run emits, so order and counts are exact;
 //   - its wake channel, kicked by a handler write from another goroutine
 //     (WriteHandler, the ControlSocket);
-//   - one timer armed to the earliest Deadliner deadline.
+//   - one timer armed to the earliest deadliner deadline.
 //
 // Nothing here polls, and no mutex is held while blocked.
 
@@ -22,13 +22,13 @@ import (
 	"time"
 )
 
-// Deadliner is implemented by time-gated elements (RatedUnqueue): elements
+// deadliner is implemented by time-gated elements (RatedUnqueue): elements
 // that can have work to do with no frame arriving and no handler written,
 // just because time passed. The idle driver asks each, under the element
 // lock, for the next such instant and sleeps no longer than the earliest;
 // ok false means the element is waiting for something other than time. A
 // deadline in the past makes the driver run another round at once.
-type Deadliner interface {
+type deadliner interface {
 	NextDeadline() (at time.Time, ok bool)
 }
 
@@ -40,7 +40,7 @@ const parkArity = 4
 // parker is what the driver goroutine blocks on when idle.
 type parker struct {
 	wake  chan struct{} // cap 1: a kick that finds it full is already pending
-	chans []*FromDevice // ingress devices
+	chans []*fromDevice // ingress devices
 	recv  [parkArity]<-chan []byte
 	timed []Element   // Deadliners
 	timer *time.Timer // non-nil iff len(timed) > 0
@@ -52,7 +52,7 @@ type parker struct {
 func newParker(timed []Element, tasks []taskEntry) (*parker, error) {
 	pk := &parker{wake: make(chan struct{}, 1), timed: timed}
 	for _, te := range tasks {
-		f, ok := te.eb.self.(*FromDevice)
+		f, ok := te.eb.self.(*fromDevice)
 		if !ok {
 			continue
 		}
@@ -83,7 +83,7 @@ func (pk *parker) nextDeadline() (at time.Time, ok bool) {
 	for _, e := range pk.timed {
 		b := e.base()
 		b.mu.Lock()
-		t, has := e.(Deadliner).NextDeadline()
+		t, has := e.(deadliner).NextDeadline()
 		b.mu.Unlock()
 		if has && (!ok || t.Before(at)) {
 			at, ok = t, true

@@ -165,7 +165,7 @@ func TestIdleWakeSources(t *testing.T) {
 		out := NewChanDevice("out", 8)
 		r := startRouter(t, `src :: WriteSource -> ToDevice(out);`, out)
 		promptly(t, n, maxSlow, func(int) {
-			if err := r.WriteHandler("src.emit", ""); err != nil {
+			if err := r.writeHandler("src.emit", ""); err != nil {
 				t.Fatal(err)
 			}
 			recvFrame(t, out.Out, "packet after the write")
@@ -340,7 +340,7 @@ func TestDeadlineShapers(t *testing.T) {
 		r := buildRouter(t, `probe :: IdleProbe; q :: Queue(1000) -> RatedUnqueue(RATE 2000) -> ToDevice(out);`, out)
 		probe := r.Element("probe").(*idleProbe)
 		// Queued before Run, so no wake-up inflates the round count.
-		q := r.Element("q").(*Queue)
+		q := r.Element("q").(*queue)
 		for i := 0; i < backlog; i++ {
 			q.Push(0, NewPacket(make([]byte, 1000)))
 		}

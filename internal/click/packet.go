@@ -52,6 +52,8 @@ var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 // caller must not touch data afterwards. The struct comes from a pool fed
 // by Kill, so steady-state processing with balanced Kill calls allocates
 // nothing.
+//
+//lint:ignore deadexport test seam: catalog's element tests hand packets to SimpleAction with it, and packetlife tracks its calls by this name
 func NewPacket(data []byte) *Packet {
 	p := packetPool.Get().(*Packet)
 	p.buf = data
@@ -96,32 +98,3 @@ type Device interface {
 	// is never closed while the device is attached.
 	Recv() <-chan []byte
 }
-
-// ChanDevice is an in-memory Device for tests and stand-alone VNFs.
-type ChanDevice struct {
-	Name string
-	In   chan []byte // frames for the VNF to consume
-	Out  chan []byte // frames the VNF emitted
-}
-
-// NewChanDevice returns a ChanDevice with the given buffer capacity.
-func NewChanDevice(name string, depth int) *ChanDevice {
-	return &ChanDevice{Name: name, In: make(chan []byte, depth), Out: make(chan []byte, depth)}
-}
-
-// DeviceName implements Device.
-func (d *ChanDevice) DeviceName() string { return d.Name }
-
-// Send implements Device. It drops when the out buffer is full rather than
-// blocking the driver (a full NIC ring drops too).
-func (d *ChanDevice) Send(frame []byte) error {
-	select {
-	case d.Out <- frame:
-		return nil
-	default:
-		return ErrDeviceFull
-	}
-}
-
-// Recv implements Device.
-func (d *ChanDevice) Recv() <-chan []byte { return d.In }

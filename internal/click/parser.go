@@ -20,34 +20,34 @@ import (
 // errors naming the construct, so misuse is diagnosed rather than silently
 // mis-wired.
 
-// ConfigDecl is a parsed element declaration.
-type ConfigDecl struct {
+// configDecl is a parsed element declaration.
+type configDecl struct {
 	Name  string
 	Class string
 	Args  []string
 }
 
-// ConfigConn is a parsed connection between two element ports.
-type ConfigConn struct {
+// configConn is a parsed connection between two element ports.
+type configConn struct {
 	From     string
 	FromPort int
 	To       string
 	ToPort   int
 }
 
-// Config is the parsed form of a configuration string.
-type Config struct {
-	Decls []ConfigDecl
-	Conns []ConfigConn
+// config is the parsed form of a configuration string.
+type config struct {
+	Decls []configDecl
+	Conns []configConn
 }
 
-// ParseError describes a configuration syntax error with position info.
-type ParseError struct {
+// parseError describes a configuration syntax error with position info.
+type parseError struct {
 	Line, Col int
 	Msg       string
 }
 
-func (e *ParseError) Error() string {
+func (e *parseError) Error() string {
 	return fmt.Sprintf("click: parse error at %d:%d: %s", e.Line, e.Col, e.Msg)
 }
 
@@ -69,7 +69,6 @@ const (
 	tokSemi
 	tokLBracket
 	tokRBracket
-	tokLParen
 	tokNumber
 	tokArgs // raw parenthesized argument text (lexer consumes to balance)
 )
@@ -85,8 +84,8 @@ func newLexer(src string) *lexer {
 	return &lexer{src: []rune(src), line: 1, col: 1}
 }
 
-func (lx *lexer) errf(line, col int, format string, a ...any) *ParseError {
-	return &ParseError{Line: line, Col: col, Msg: fmt.Sprintf(format, a...)}
+func (lx *lexer) errf(line, col int, format string, a ...any) *parseError {
+	return &parseError{Line: line, Col: col, Msg: fmt.Sprintf(format, a...)}
 }
 
 func (lx *lexer) advance() rune {
@@ -273,9 +272,9 @@ func splitArgs(s string) []string {
 	return out
 }
 
-// Parse parses a Click configuration string.
-func Parse(src string) (*Config, error) {
-	p := &parser{lx: newLexer(src), cfg: &Config{}, declared: map[string]bool{}}
+// parse parses a Click configuration string.
+func parse(src string) (*config, error) {
+	p := &parser{lx: newLexer(src), cfg: &config{}, declared: map[string]bool{}}
 	if err := p.run(); err != nil {
 		return nil, err
 	}
@@ -284,7 +283,7 @@ func Parse(src string) (*Config, error) {
 
 type parser struct {
 	lx       *lexer
-	cfg      *Config
+	cfg      *config
 	declared map[string]bool
 	anonSeq  int
 }
@@ -388,7 +387,7 @@ func (p *parser) statement() error {
 				return p.lx.errf(classTok.line, classTok.col, "element %q redeclared", n)
 			}
 			p.declared[n] = true
-			p.cfg.Decls = append(p.cfg.Decls, ConfigDecl{Name: n, Class: classTok.text, Args: args})
+			p.cfg.Decls = append(p.cfg.Decls, configDecl{Name: n, Class: classTok.text, Args: args})
 		}
 		return p.expectSemi()
 	}
@@ -415,7 +414,7 @@ func (p *parser) statement() error {
 		if tp < 0 {
 			tp = 0
 		}
-		p.cfg.Conns = append(p.cfg.Conns, ConfigConn{From: prev.name, FromPort: fp, To: next.name, ToPort: tp})
+		p.cfg.Conns = append(p.cfg.Conns, configConn{From: prev.name, FromPort: fp, To: next.name, ToPort: tp})
 		prev = next
 	}
 	if prev == first {
@@ -480,7 +479,7 @@ func (p *parser) endpoint() (endpointRef, error) {
 			return ref, p.lx.errf(nameTok.line, nameTok.col, "element %q redeclared", ref.name)
 		}
 		p.declared[ref.name] = true
-		p.cfg.Decls = append(p.cfg.Decls, ConfigDecl{Name: ref.name, Class: classTok.text, Args: args})
+		p.cfg.Decls = append(p.cfg.Decls, configDecl{Name: ref.name, Class: classTok.text, Args: args})
 		ref.wasDecl = true
 	case t.kind == tokArgs:
 		// Anonymous element: Class(args) in connection position.
@@ -510,7 +509,7 @@ func (p *parser) makeAnon(ref endpointRef, class string, args []string) endpoint
 	p.anonSeq++
 	name := fmt.Sprintf("%s@%d", class, p.anonSeq)
 	p.declared[name] = true
-	p.cfg.Decls = append(p.cfg.Decls, ConfigDecl{Name: name, Class: class, Args: args})
+	p.cfg.Decls = append(p.cfg.Decls, configDecl{Name: name, Class: class, Args: args})
 	ref.name = name
 	ref.wasAnon = true
 	return ref

@@ -7,7 +7,7 @@ import (
 )
 
 func TestParseDeclAndConn(t *testing.T) {
-	cfg, err := Parse(`
+	cfg, err := parse(`
 		// a small chain
 		src :: FromDevice(in, BURST 10);
 		q :: Queue(100);
@@ -29,7 +29,7 @@ func TestParseDeclAndConn(t *testing.T) {
 }
 
 func TestParseMultiDecl(t *testing.T) {
-	cfg, err := Parse(`q1, q2, q3 :: Queue(7);`)
+	cfg, err := parse(`q1, q2, q3 :: Queue(7);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestParseMultiDecl(t *testing.T) {
 }
 
 func TestParseChainWithPorts(t *testing.T) {
-	cfg, err := Parse(`
+	cfg, err := parse(`
 		n :: NAT(PUBLIC 192.0.2.1);
 		a :: ToDevice(out); b :: ToDevice(rout);
 		in :: FromDevice(in);
@@ -64,7 +64,7 @@ func TestParseChainWithPorts(t *testing.T) {
 }
 
 func TestParseInputPortSpecifier(t *testing.T) {
-	cfg, err := Parse(`
+	cfg, err := parse(`
 		a :: FromDevice(in); b :: FromDevice(rin);
 		m :: Mux2; // fictional, parser does not resolve classes
 		a -> [0]m;
@@ -79,7 +79,7 @@ func TestParseInputPortSpecifier(t *testing.T) {
 }
 
 func TestParseAnonymousElements(t *testing.T) {
-	cfg, err := Parse(`FromDevice(in) -> Counter -> ToDevice(out);`)
+	cfg, err := parse(`FromDevice(in) -> Counter -> ToDevice(out);`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestParseAnonymousElements(t *testing.T) {
 }
 
 func TestParseMixedAnonymousAndNamed(t *testing.T) {
-	cfg, err := Parse(`
+	cfg, err := parse(`
 		q :: Queue;
 		FromDevice(in) -> q -> RatedUnqueue -> ToDevice(out);
 	`)
@@ -117,7 +117,7 @@ func TestParseMixedAnonymousAndNamed(t *testing.T) {
 }
 
 func TestParseComments(t *testing.T) {
-	cfg, err := Parse(`
+	cfg, err := parse(`
 		/* block
 		   comment */
 		a :: Counter; // line comment
@@ -146,7 +146,7 @@ func TestParseErrors(t *testing.T) {
 		{"justaname;", "missing"},
 	}
 	for _, c := range cases {
-		_, err := Parse(c.src)
+		_, err := parse(c.src)
 		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error containing %q", c.src, c.wantSub)
 			continue
@@ -158,8 +158,8 @@ func TestParseErrors(t *testing.T) {
 }
 
 func TestParseErrorPosition(t *testing.T) {
-	_, err := Parse("a :: Queue;\nb ::;\n")
-	pe, ok := err.(*ParseError)
+	_, err := parse("a :: Queue;\nb ::;\n")
+	pe, ok := err.(*parseError)
 	if !ok {
 		t.Fatalf("error type %T", err)
 	}
@@ -220,7 +220,7 @@ func TestParseArgsErrors(t *testing.T) {
 		t.Error("non-integer keyword accepted")
 	}
 	ca2 := ParseArgs([]string{"xyz"})
-	if _, err := ca2.PosInt(0, 0); err == nil {
+	if _, err := ca2.posInt(0, 0); err == nil {
 		t.Error("non-integer positional accepted")
 	}
 }
@@ -228,7 +228,7 @@ func TestParseArgsErrors(t *testing.T) {
 // Property: the parser never panics on arbitrary input.
 func TestQuickParseNeverPanics(t *testing.T) {
 	f := func(src string) bool {
-		_, _ = Parse(src)
+		_, _ = parse(src)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -247,7 +247,7 @@ func TestQuickParseGeneratedChains(t *testing.T) {
 			sb.WriteString(" -> Counter")
 		}
 		sb.WriteString(" -> ToDevice(out);\n")
-		cfg, err := Parse(sb.String())
+		cfg, err := parse(sb.String())
 		if err != nil {
 			return false
 		}

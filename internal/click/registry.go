@@ -2,7 +2,6 @@ package click
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -35,17 +34,4 @@ func newElement(class string) (Element, error) {
 		return nil, fmt.Errorf("click: unknown element class %q", class)
 	}
 	return ctor(), nil
-}
-
-// ElementClasses returns the sorted list of registered classes. The
-// catalog's tests hold it equal to the classes its types deploy.
-func ElementClasses() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for c := range registry {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -37,7 +37,7 @@ type Router struct {
 
 type taskEntry struct {
 	name string
-	t    Tasker
+	t    tasker
 	eb   *Base // the task element's base, locked around RunTask
 }
 
@@ -45,7 +45,7 @@ type taskEntry struct {
 // initializes a configuration. The router does not process packets until
 // Run.
 func NewRouter(name, config string, opts Options) (*Router, error) {
-	cfg, err := Parse(config)
+	cfg, err := parse(config)
 	if err != nil {
 		return nil, err
 	}
@@ -124,12 +124,12 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 	// Gather tasks and run initializers in declaration order.
 	for _, n := range r.order {
 		e := r.elems[n]
-		if t, ok := e.(Tasker); ok {
+		if t, ok := e.(tasker); ok {
 			r.tasks = append(r.tasks, taskEntry{name: n, t: t, eb: e.base()})
 		}
 	}
 	for _, n := range r.order {
-		if ini, ok := r.elems[n].(Initializer); ok {
+		if ini, ok := r.elems[n].(initializer); ok {
 			if err := ini.Init(); err != nil {
 				return nil, fmt.Errorf("click: initializing %s: %w", n, err)
 			}
@@ -137,7 +137,7 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 	}
 	var timed []Element
 	for _, n := range r.order {
-		if _, ok := r.elems[n].(Deadliner); ok {
+		if _, ok := r.elems[n].(deadliner); ok {
 			timed = append(timed, r.elems[n])
 		}
 	}
@@ -255,8 +255,8 @@ func (r *Router) Element(name string) Element { return r.elems[name] }
 // ElementNames returns declaration-ordered element names.
 func (r *Router) ElementNames() []string { return append([]string(nil), r.order...) }
 
-// Device resolves a device name from Options.
-func (r *Router) Device(name string) (Device, bool) {
+// device resolves a device name from Options.
+func (r *Router) device(name string) (Device, bool) {
 	d, ok := r.opts.Devices[name]
 	return d, ok
 }
@@ -278,7 +278,7 @@ func (r *Router) Run(ctx context.Context) {
 
 	defer func() {
 		for _, n := range r.order {
-			if c, ok := r.elems[n].(Closer); ok {
+			if c, ok := r.elems[n].(closer); ok {
 				b := r.elems[n].base()
 				b.mu.Lock()
 				c.Close()
@@ -336,14 +336,14 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 // can hand a task new work (a raised RatedUnqueue rate, for one).
 func (r *Router) kick() { r.idle.kick() }
 
-// Ticker elements receive periodic time callbacks (rate estimators).
-type Ticker interface {
+// ticker elements receive periodic time callbacks (rate estimators).
+type ticker interface {
 	Tick(now time.Time)
 }
 
 func (r *Router) tick(now time.Time) {
 	for _, n := range r.order {
-		if tk, ok := r.elems[n].(Ticker); ok {
+		if tk, ok := r.elems[n].(ticker); ok {
 			b := r.elems[n].base()
 			b.mu.Lock()
 			tk.Tick(now)
@@ -371,10 +371,10 @@ func (r *Router) elementHandlers(e Element) []Handler {
 	b := e.base()
 	hs := []Handler{
 		{Name: "class", Read: func() string { return e.Class() }},
-		{Name: "config", Read: func() string { return b.ConfigString() }},
+		{Name: "config", Read: func() string { return b.configString() }},
 		{Name: "name", Read: func() string { return b.name }},
 	}
-	if hp, ok := e.(HandlerProvider); ok {
+	if hp, ok := e.(handlerProvider); ok {
 		hs = append(hs, hp.Handlers()...)
 	}
 	return hs
@@ -446,8 +446,8 @@ func (r *Router) ReadHandler(spec string) (string, error) {
 	return h.Read(), nil
 }
 
-// WriteHandler invokes a write handler ("q.capacity 64", "shaper.rate 500").
-func (r *Router) WriteHandler(spec, value string) error {
+// writeHandler invokes a write handler ("q.capacity 64", "shaper.rate 500").
+func (r *Router) writeHandler(spec, value string) error {
 	h, err := r.findHandler(spec)
 	if err != nil {
 		return err

@@ -94,11 +94,11 @@ func TestQueueDropsAndLength(t *testing.T) {
 // (counted, killed), and the oldest survive in order.
 func TestQueueShrinkDropsTail(t *testing.T) {
 	r := mustRouter(t, `q :: Queue(16); q -> ToDevice(out);`)
-	q := r.Element("q").(*Queue)
+	q := r.Element("q").(*queue)
 	for i := 0; i < 10; i++ {
 		q.Push(0, NewPacket([]byte{byte(i)}))
 	}
-	if err := r.WriteHandler("q.capacity", "4"); err != nil {
+	if err := r.writeHandler("q.capacity", "4"); err != nil {
 		t.Fatal(err)
 	}
 	if v := readUint(t, r, "q.length"); v != "4" {
@@ -210,7 +210,7 @@ func TestHandlerErrors(t *testing.T) {
 	if _, err := r.ReadHandler("c.nosuch"); err == nil {
 		t.Error("read of missing handler succeeded")
 	}
-	if err := r.WriteHandler("c.count", "5"); err == nil {
+	if err := r.writeHandler("c.count", "5"); err == nil {
 		t.Error("write to read-only handler succeeded")
 	}
 	if _, err := r.ReadHandler("c.reset"); err == nil {
@@ -258,7 +258,7 @@ func TestWriteHandlerChangesRate(t *testing.T) {
 	pushN(t, r, "q", 50)
 	go r.Run(context.Background())
 	defer r.Stop()
-	if err := r.WriteHandler("ru.rate", "1000000"); err != nil {
+	if err := r.writeHandler("ru.rate", "1000000"); err != nil {
 		t.Fatal(err)
 	}
 	if v := readUint(t, r, "ru.rate"); v != "1000000" {
@@ -267,7 +267,7 @@ func TestWriteHandlerChangesRate(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		recvFrame(t, chanDev(r, "out").Out, "packets released at the new rate")
 	}
-	if err := r.WriteHandler("ru.rate", "-3"); err == nil {
+	if err := r.writeHandler("ru.rate", "-3"); err == nil {
 		t.Error("negative rate accepted")
 	}
 }
@@ -280,24 +280,4 @@ func TestRouterStopIdempotent(t *testing.T) {
 	recvFrame(t, chanDev(r, "out").Out, "the driver to start")
 	r.Stop()
 	r.Stop() // second stop must not hang or panic
-}
-
-func TestElementClassesSorted(t *testing.T) {
-	classes := ElementClasses()
-	for i := 1; i < len(classes); i++ {
-		if classes[i-1] >= classes[i] {
-			t.Fatalf("classes not sorted/unique at %d: %s >= %s", i, classes[i-1], classes[i])
-		}
-	}
-	for _, want := range []string{"Counter", "FromDevice", "Queue", "RatedUnqueue", "ToDevice"} {
-		found := false
-		for _, c := range classes {
-			if c == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("class %s not registered", want)
-		}
-	}
 }

@@ -128,7 +128,7 @@ func capsSnapshot(rv *ResourceView) (map[string]sg.CPU, map[string]int, map[link
 	mem := map[string]int{}
 	for name := range rv.EEs {
 		cpu[name] = c.FreeCPU(name)
-		mem[name] = c.FreeMem(name)
+		mem[name] = c.eeFree(c.ix.eeRef(name, false)).mem
 	}
 	bw := map[linkKey]sg.BW{}
 	for _, l := range rv.Links {

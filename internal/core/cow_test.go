@@ -23,7 +23,7 @@ func ringName(i int) string { return fmt.Sprintf("r%02d", i) }
 // switch, SAP sap1 on switch 0 and sap2 on switch n/2. Binary-fraction
 // demands round-trip bit-exactly through commit/release.
 func ringView(n int, cpu float64, mem int, bw float64) *ResourceView {
-	rv := NewResourceView()
+	rv := newResourceView()
 	for i := 0; i < n; i++ {
 		rv.Switches[ringName(i)] = uint64(i + 1)
 		ee := fmt.Sprintf("ee%02d", i)
@@ -100,10 +100,10 @@ func TestMaskTransitionsAreEpochs(t *testing.T) {
 	if rv.Epoch() != ep+1 {
 		t.Fatalf("idempotent ExcludeEE published an epoch")
 	}
-	if !rv.ExcludedEE("ee01") {
+	if !rv.excludedEE("ee01") {
 		t.Fatal("ee01 not excluded")
 	}
-	if pre.ExcludedEE("ee01") {
+	if pre.eeFree(pre.ix.eeRef("ee01", false)).masked {
 		t.Fatal("pinned pre-mask snapshot sees the mask")
 	}
 	if pre.FitsEE("ee01", 500_000, 128) != true {
@@ -126,7 +126,7 @@ func TestMaskTransitionsAreEpochs(t *testing.T) {
 	if rv.Epoch() != ep+3 {
 		t.Fatalf("ExcludeLink: epoch %d, want %d", rv.Epoch(), ep+3)
 	}
-	if !rv.ExcludedLink(ringName(1), ringName(0)) {
+	if !rv.excludedLink(ringName(1), ringName(0)) {
 		t.Fatal("link mask not visible (either direction)")
 	}
 	if pre.linkFits(ringName(0), ringName(1), 0) {

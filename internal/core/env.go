@@ -153,7 +153,7 @@ func StartEnvironment(spec TopoSpec) (*Environment, error) {
 		agentAddrs[e.Name] = a.Addr()
 	}
 
-	orch, err := New(Config{
+	orch, err := newOrchestrator(config{
 		Controller: ctrl,
 		Steering:   st,
 		Catalog:    cat,
@@ -186,7 +186,7 @@ func (e *Environment) Host(name string) *netem.Host {
 // first (Shutdown): deploys still in flight cancel and roll back rather
 // than racing the substrate teardown below.
 func (e *Environment) Close() {
-	e.Orch.Shutdown()
+	e.Orch.shutdown()
 	for _, a := range e.Agents {
 		a.Close()
 	}

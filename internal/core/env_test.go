@@ -21,7 +21,7 @@ func TestStartEnvironmentAddressesHostsInNameOrder(t *testing.T) {
 			t.Errorf("%s: SAP %+v, want switch port %d", name, sap, i+1)
 		}
 		want := netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)})
-		if ip := env.Host(name).Port(0).IP; ip != want {
+		if ip := env.Host(name).IP(); ip != want {
 			t.Errorf("%s: IP %s, want %s", name, ip, want)
 		}
 	}

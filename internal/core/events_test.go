@@ -114,7 +114,7 @@ func TestSubscribeWithAbandonedSubscribers(t *testing.T) {
 			defer wg.Done()
 			defer cancel()
 			for ev := range events {
-				if ev.Service == "watched" && ev.State.Terminal() {
+				if ev.Service == "watched" && (ev.State == StateFailed || ev.State == StateRemoved) {
 					terminal <- ev.State
 					return
 				}

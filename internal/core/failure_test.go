@@ -40,7 +40,7 @@ func TestDeployFailsCleanlyWhenAgentDown(t *testing.T) {
 func TestDeployFailsCleanlyOnUnknownAgentAddress(t *testing.T) {
 	env := startEnv(t, demoSpec())
 	// Remove the management binding for both EEs.
-	orch, err := New(Config{
+	orch, err := newOrchestrator(config{
 		Controller: env.Ctrl,
 		Steering:   env.Steering,
 		Catalog:    env.Catalog,
@@ -80,7 +80,7 @@ func TestDeployRollsBackStartedVNFs(t *testing.T) {
 	// ee1 must have no running VNFs left.
 	ee1 := env.Net.Node("ee1").(*netem.EE)
 	for _, name := range ee1.VNFNames() {
-		if v := ee1.VNF(name); v.State() == netem.VNFRunning {
+		if v := ee1.VNF(name); v.State().String() == "RUNNING" {
 			t.Errorf("VNF %s still running after rollback", name)
 		}
 	}
@@ -179,7 +179,7 @@ func TestUndeployToleratesCrashedEEAndDeadAgent(t *testing.T) {
 		}
 		node := env.Net.Node(ee).(*netem.EE)
 		for _, name := range node.VNFNames() {
-			if v := node.VNF(name); v.State() == netem.VNFRunning {
+			if v := node.VNF(name); v.State().String() == "RUNNING" {
 				t.Errorf("%s VNF %s still running after undeploy", ee, name)
 			}
 		}
@@ -212,7 +212,7 @@ func TestRollbackToleratesUnreachableAgentMidDeploy(t *testing.T) {
 	}
 	ee2 := env.Net.Node("ee2").(*netem.EE)
 	for _, name := range ee2.VNFNames() {
-		if v := ee2.VNF(name); v.State() == netem.VNFRunning {
+		if v := ee2.VNF(name); v.State().String() == "RUNNING" {
 			t.Errorf("ee2 VNF %s still running after rollback", name)
 		}
 	}

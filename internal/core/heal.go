@@ -119,7 +119,7 @@ func (rv *ResourceView) PlanHeal(m *Mapping, eeDown func(string) bool, linkDown 
 	caps := rv.Snapshot()
 	for _, ee := range rv.eeNamesShared() {
 		if eeDown(ee) {
-			caps.ExcludeEE(ee)
+			caps.excludeEE(ee)
 		}
 	}
 	// A link linkDown reports down is masked for the search too, but asked
@@ -278,7 +278,7 @@ func (o *Orchestrator) Heal(name string) (*HealReport, error) {
 	// alsoDown accumulates EEs that refused a migration this transaction
 	// (crashed before their mask landed): re-plans exclude them.
 	alsoDown := map[string]bool{}
-	down := func(ee string) bool { return view.ExcludedEE(ee) || alsoDown[ee] }
+	down := func(ee string) bool { return view.excludedEE(ee) || alsoDown[ee] }
 
 	totalMoved := map[string]string{}
 	rerouted := map[string]bool{}
@@ -324,7 +324,7 @@ func (o *Orchestrator) Heal(name string) (*HealReport, error) {
 	}
 	maxAttempts := len(view.EEs) + 1
 	for attempt := 0; ; attempt++ {
-		plan, err := view.AdmitHeal(current, down, view.ExcludedLink)
+		plan, err := view.AdmitHeal(current, down, view.excludedLink)
 		if err != nil {
 			// No feasible healing: the service cannot keep running.
 			return fail(fmt.Errorf("core: healing %q: %w", name, err))
@@ -475,7 +475,7 @@ func (m *Mapping) WithPlan(plan *HealPlan) *Mapping {
 // resolved to its ID and read there.
 func touchesMasked(view *ResourceView, m *Mapping) bool {
 	for _, ee := range m.Placements {
-		if view.ExcludedEE(ee) {
+		if view.excludedEE(ee) {
 			return true
 		}
 	}

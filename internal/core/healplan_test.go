@@ -62,7 +62,7 @@ func TestPlanHealReadsOnlyTouchedLinks(t *testing.T) {
 	}
 	a, b := route[0], route[1]
 	rv.ExcludeLink(a, b)
-	warm, err := rv.PlanHeal(m, noneDown, rv.ExcludedLink)
+	warm, err := rv.PlanHeal(m, noneDown, rv.excludedLink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestPlanHealReadsOnlyTouchedLinks(t *testing.T) {
 	calls := 0
 	plan, err := rv.PlanHeal(m, noneDown, func(x, y string) bool {
 		calls++
-		return rv.ExcludedLink(x, y)
+		return rv.excludedLink(x, y)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestPlanHealAvoidsCallerOnlyDownLink(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s–%s down: %v", a, b, err)
 		}
-		if rv.ExcludedLink(a, b) {
+		if rv.excludedLink(a, b) {
 			t.Fatalf("%s–%s: the heal masked the view", a, b)
 		}
 		healed := m.WithPlan(plan)

@@ -61,7 +61,7 @@ func takeInventory(t *testing.T, env *Environment, clients map[string]*vnfagent.
 		Ports: map[string]int{}, Tables: map[string]int{},
 		Links: len(env.Net.Links()),
 	}
-	for _, name := range env.Net.NodeNames(netem.KindEE) {
+	for _, name := range env.View.EENames() {
 		ee := env.Net.Node(name).(*netem.EE)
 		inv.VNFs[name] = slices.Sorted(slices.Values(ee.VNFNames()))
 		inv.CPU[name] = ee.AvailableCPU()
@@ -76,9 +76,14 @@ func takeInventory(t *testing.T, env *Environment, clients map[string]*vnfagent.
 		inv.Info[name] = slices.Sorted(slices.Values(ids))
 	}
 	for _, name := range env.Net.NodeNames(netem.KindSwitch) {
-		sw := env.Net.Node(name).(*netem.SwitchNode).Switch()
-		inv.Ports[name] = sw.PortCount()
-		inv.Tables[name] = sw.Table().Len()
+		inv.Tables[name] = env.Net.Node(name).(*netem.SwitchNode).Switch().Table().Len()
+	}
+	for _, l := range env.Net.Links() { // a switch port per link end
+		for _, p := range []*netem.Port{l.A, l.B} {
+			if p.Node.Kind() == netem.KindSwitch {
+				inv.Ports[p.Node.NodeName()]++
+			}
+		}
 	}
 	return inv
 }
@@ -147,14 +152,14 @@ func proxiedAgents(t *testing.T, env *Environment, intercept func(ee, rpc string
 		})
 		addrs[name] = srv.Addr().String()
 	}
-	orch, err := New(Config{
+	orch, err := newOrchestrator(config{
 		Controller: env.Ctrl, Steering: env.Steering, Catalog: env.Catalog,
 		View: env.View, Agents: addrs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(orch.Shutdown)
+	t.Cleanup(orch.shutdown)
 	return orch
 }
 

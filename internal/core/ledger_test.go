@@ -92,7 +92,7 @@ func checkLedger(t *testing.T, rv *ResourceView, want *ledger, where string) {
 		if cpu != want.cpu[ee] || mem != want.mem[ee] {
 			t.Fatalf("%s: EE %s committed (%v, %d), ledger (%v, %d)", where, ee, cpu, mem, want.cpu[ee], want.mem[ee])
 		}
-		if got := rv.ExcludedEE(ee); got != want.exclEE[ee] {
+		if got := rv.excludedEE(ee); got != want.exclEE[ee] {
 			t.Fatalf("%s: EE %s excluded %v, ledger %v", where, ee, got, want.exclEE[ee])
 		}
 		if res := rv.EEs[ee]; cpu > capCPU(res) || mem > res.Mem {
@@ -105,7 +105,7 @@ func checkLedger(t *testing.T, rv *ResourceView, want *ledger, where string) {
 		if bw != want.bw[k] {
 			t.Fatalf("%s: link %s–%s committed %v, ledger %v", where, l.A, l.B, bw, want.bw[k])
 		}
-		if got := rv.ExcludedLink(l.A, l.B); got != want.exclLink[k] {
+		if got := rv.excludedLink(l.A, l.B); got != want.exclLink[k] {
 			t.Fatalf("%s: link %s–%s excluded %v, ledger %v", where, l.A, l.B, got, want.exclLink[k])
 		}
 		if l.Bandwidth > 0 && bw > capBW(l) {
@@ -123,10 +123,10 @@ func checkPin(t *testing.T, rv *ResourceView, pin *Capacities, before *ledger, w
 		if got, want := pin.FreeCPU(ee), capCPU(res)-before.cpu[ee]; got != want {
 			t.Fatalf("%s: pinned free CPU of %s moved: %v, pinned %v", where, ee, got, want)
 		}
-		if got, want := pin.FreeMem(ee), res.Mem-before.mem[ee]; got != want {
+		if got, want := pin.eeFree(pin.ix.eeRef(ee, false)).mem, res.Mem-before.mem[ee]; got != want {
 			t.Fatalf("%s: pinned free mem of %s moved: %d, pinned %d", where, ee, got, want)
 		}
-		if got := pin.ExcludedEE(ee); got != before.exclEE[ee] {
+		if got := pin.eeFree(pin.ix.eeRef(ee, false)).masked; got != before.exclEE[ee] {
 			t.Fatalf("%s: pinned mask of %s moved: %v", where, ee, got)
 		}
 	}
@@ -307,7 +307,7 @@ func TestLedgerConcurrentHistories(t *testing.T) {
 					delete(live, name)
 				default:
 					name := names[rng.Intn(len(names))]
-					if plan, err := rv.AdmitHeal(live[name], rv.ExcludedEE, rv.ExcludedLink); err == nil {
+					if plan, err := rv.AdmitHeal(live[name], rv.excludedEE, rv.excludedLink); err == nil {
 						live[name] = live[name].WithPlan(plan)
 					}
 				}

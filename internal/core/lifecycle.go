@@ -18,11 +18,11 @@ type ServiceState int
 // Lifecycle states.
 const (
 	// StatePending: the name is reserved, nothing committed yet.
-	StatePending ServiceState = iota
+	statePending ServiceState = iota
 	// StateMapped: mapping computed and resources committed atomically.
 	StateMapped
 	// StateRealizing: VNFs being initiated/connected/started over NETCONF.
-	StateRealizing
+	stateRealizing
 	// StateSteering: chain flow rules being installed.
 	StateSteering
 	// StateRunning: deployed, steered, carrying traffic.
@@ -38,9 +38,9 @@ const (
 )
 
 var stateNames = [...]string{
-	StatePending:   "Pending",
+	statePending:   "Pending",
 	StateMapped:    "Mapped",
-	StateRealizing: "Realizing",
+	stateRealizing: "Realizing",
 	StateSteering:  "Steering",
 	StateRunning:   "Running",
 	StateHealing:   "Healing",
@@ -56,16 +56,11 @@ func (s ServiceState) String() string {
 	return "Unknown"
 }
 
-// Terminal reports whether no further transitions can occur.
-func (s ServiceState) Terminal() bool {
-	return s == StateFailed || s == StateRemoved
-}
-
 // validNext is the transition relation of the lifecycle state machine.
 var validNext = map[ServiceState][]ServiceState{
-	StatePending:   {StateMapped, StateFailed},
-	StateMapped:    {StateRealizing, StateFailed},
-	StateRealizing: {StateSteering, StateFailed},
+	statePending:   {StateMapped, StateFailed},
+	StateMapped:    {stateRealizing, StateFailed},
+	stateRealizing: {StateSteering, StateFailed},
 	StateSteering:  {StateRunning, StateFailed},
 	StateRunning:   {StateHealing, StateRemoved, StateFailed},
 	StateHealing:   {StateRunning, StateRemoved, StateFailed},

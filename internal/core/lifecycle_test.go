@@ -20,7 +20,7 @@ func collectStates(t *testing.T, events <-chan Event, name string) []ServiceStat
 			continue
 		}
 		states = append(states, ev.State)
-		if ev.State.Terminal() {
+		if ev.State == StateFailed || ev.State == StateRemoved {
 			return states
 		}
 	}
@@ -46,7 +46,7 @@ func TestLifecycleWalksAllStates(t *testing.T) {
 	if got := svc.State(); got != StateRemoved {
 		t.Errorf("state after undeploy = %s", got)
 	}
-	want := []ServiceState{StateMapped, StateRealizing, StateSteering, StateRunning, StateRemoved}
+	want := []ServiceState{StateMapped, stateRealizing, StateSteering, StateRunning, StateRemoved}
 	got := collectStates(t, events, "lc")
 	if len(got) != len(want) {
 		t.Fatalf("events = %v, want %v", got, want)
@@ -126,7 +126,7 @@ func TestMidDeployFailureRollsBackToFailedWithCause(t *testing.T) {
 	}
 	var failed *Event
 	for ev := range events {
-		if ev.Service == "half" && ev.State.Terminal() {
+		if ev.Service == "half" && (ev.State == StateFailed || ev.State == StateRemoved) {
 			failed = &ev
 			break
 		}

@@ -23,7 +23,7 @@ func TestOnTransitionLosslessUnderBlockedConsumer(t *testing.T) {
 	}
 	// Ten transitions a service, ending Running, Failed or Removed.
 	walk := func(i int) []ServiceState {
-		w := []ServiceState{StateMapped, StateRealizing, StateSteering, StateRunning,
+		w := []ServiceState{StateMapped, stateRealizing, StateSteering, StateRunning,
 			StateHealing, StateRunning, StateHealing, StateRunning, StateHealing}
 		return append(w, [...]ServiceState{StateRunning, StateFailed, StateRemoved}[i%3])
 	}

@@ -13,7 +13,7 @@ import (
 // syntheticView builds a resource view directly (no emulation): a chain
 // of switches sw1—sw2—…—swN, one SAP at each end, EEs as configured.
 func syntheticView(nSwitches int, ees map[string]EESpec, linkBW float64, linkDelay time.Duration) *ResourceView {
-	rv := NewResourceView()
+	rv := newResourceView()
 	for i := 1; i <= nSwitches; i++ {
 		rv.Switches[swName(i)] = uint64(i)
 	}

@@ -160,7 +160,7 @@ func (bm *BacktrackMapper) Map(g *sg.Graph, rv *ResourceView) (*Mapping, error) 
 			// Clone is O(touched) copy-on-write — it copies only this
 			// branch's own reservations, not the whole network — so
 			// forking inside the exponential search loop is cheap.
-			routeCaps := caps.Clone()
+			routeCaps := caps.clone()
 			routes, err := mc.routeLinks(placements, routeCaps)
 			if err != nil {
 				return

@@ -22,8 +22,8 @@ import (
 	"escape/internal/yang"
 )
 
-// Config wires an Orchestrator to its collaborators.
-type Config struct {
+// config wires an Orchestrator to its collaborators.
+type config struct {
 	// Controller provides switch connections for steering.
 	Controller *pox.Controller
 	// Steering installs chain paths. The caller creates it and registers
@@ -43,7 +43,7 @@ type Config struct {
 // Orchestrator is the orchestration layer: Deploy maps a service graph
 // and realizes it through the lifecycle engine; Undeploy tears it down.
 type Orchestrator struct {
-	cfg Config
+	cfg config
 
 	mu       sync.Mutex
 	pools    map[string]*vnfagent.Pool
@@ -62,9 +62,9 @@ type Orchestrator struct {
 	inflight sync.WaitGroup
 }
 
-// ErrShuttingDown is returned by Deploy/Undeploy/Heal once Shutdown has
+// errShuttingDown is returned by Deploy/Undeploy/Heal once Shutdown has
 // begun, and is the failure cause of deploys cancelled mid-flight by it.
-var ErrShuttingDown = errors.New("core: orchestrator shutting down")
+var errShuttingDown = errors.New("core: orchestrator shutting down")
 
 // beginOp registers an in-flight operation, refusing once Shutdown has
 // started. Every success must be paired with o.inflight.Done().
@@ -72,20 +72,20 @@ func (o *Orchestrator) beginOp() error {
 	o.shutMu.Lock()
 	defer o.shutMu.Unlock()
 	if o.closing.Load() {
-		return ErrShuttingDown
+		return errShuttingDown
 	}
 	o.inflight.Add(1)
 	return nil
 }
 
-// Shutdown drains the orchestrator: subsequent Deploy/Undeploy/Heal
+// shutdown drains the orchestrator: subsequent Deploy/Undeploy/Heal
 // calls fail fast with ErrShuttingDown, deploys already in flight cancel
 // at their next phase or per-NF boundary and roll back cleanly (their
 // services end Failed with resources released — never stuck in
 // Realizing/Steering), and the management session pools close once the
 // last operation has drained. Running services keep running; their
 // committed resources stay in the view. Idempotent.
-func (o *Orchestrator) Shutdown() {
+func (o *Orchestrator) shutdown() {
 	o.shutMu.Lock()
 	already := o.closing.Swap(true)
 	o.shutMu.Unlock()
@@ -96,8 +96,8 @@ func (o *Orchestrator) Shutdown() {
 	o.Close()
 }
 
-// New creates an orchestrator.
-func New(cfg Config) (*Orchestrator, error) {
+// newOrchestrator creates an orchestrator.
+func newOrchestrator(cfg config) (*Orchestrator, error) {
 	if cfg.Controller == nil || cfg.Steering == nil || cfg.View == nil {
 		return nil, fmt.Errorf("core: config needs Controller, Steering and View")
 	}
@@ -292,7 +292,7 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 
 	// Phase 2: VNF lifecycle over NETCONF (initiate → connect → start),
 	// fanned out across EEs.
-	o.setState(svc, StateRealizing, nil)
+	o.setState(svc, stateRealizing, nil)
 	t1 := time.Now()
 	if err := o.realize(svc, mapping); err != nil {
 		return fail(err)
@@ -401,7 +401,7 @@ func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, 
 		switch {
 		case cancel == nil:
 		case o.closing.Load():
-			cancelErr = fmt.Errorf("core: realizing %q: %w", svc.Name, ErrShuttingDown)
+			cancelErr = fmt.Errorf("core: realizing %q: %w", svc.Name, errShuttingDown)
 		case cancel.Load():
 			cancelErr = errSiblingFailed
 		}
@@ -492,7 +492,7 @@ func (o *Orchestrator) realizeEE(svc *Service, mapping *Mapping, eeName string, 
 func (o *Orchestrator) steer(svc *Service, g *sg.Graph, mapping *Mapping) error {
 	// Cancel at the phase boundary on shutdown (the deploy rolls back).
 	if o.closing.Load() {
-		return fmt.Errorf("core: steering %q: %w", svc.Name, ErrShuttingDown)
+		return fmt.Errorf("core: steering %q: %w", svc.Name, errShuttingDown)
 	}
 	linkIDs := make([]string, 0, len(mapping.Routes))
 	for id := range mapping.Routes {

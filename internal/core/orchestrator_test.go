@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -115,7 +117,7 @@ func TestDeployChainEndToEnd(t *testing.T) {
 	}
 
 	// TCP should be dropped by the firewall rules.
-	tcpFrame, _ := pkt.BuildTCP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 80, pkt.TCPSyn, 0, nil)
+	tcpFrame, _ := buildTCP(h1.MAC(), h2.MAC(), h1.IP(), h2.IP(), 1, 80, pkt.TCPSyn, 0, nil)
 	h1.Send(tcpFrame)
 	select {
 	case rx := <-h2.Recv():
@@ -284,4 +286,21 @@ func TestChainFlowStats(t *testing.T) {
 	if _, _, err := env.Orch.ChainFlowStats("ghost"); err == nil {
 		t.Error("stats for unknown service succeeded")
 	}
+}
+
+// buildTCP builds an Ethernet/IPv4/TCP frame; the TCP checksum is left
+// zero.
+func buildTCP(srcMAC, dstMAC pkt.MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
+	tcp := make([]byte, 20, 20+len(payload))
+	binary.BigEndian.PutUint16(tcp[0:], srcPort)
+	binary.BigEndian.PutUint16(tcp[2:], dstPort)
+	binary.BigEndian.PutUint32(tcp[4:], seq)
+	tcp[12] = 5 << 4 // data offset: five words
+	tcp[13] = flags
+	binary.BigEndian.PutUint16(tcp[14:], 65535)
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: src, Dst: dst},
+		pkt.Raw(append(tcp, payload...)),
+	)
 }

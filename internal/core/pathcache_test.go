@@ -152,7 +152,7 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 					}
 				case op < 9: // mask a random link (at most three at once)
 					i := rng.Intn(len(rv.Links))
-					if len(masked) < 3 && !rv.ExcludedLink(rv.Links[i].A, rv.Links[i].B) {
+					if len(masked) < 3 && !rv.excludedLink(rv.Links[i].A, rv.Links[i].B) {
 						rv.ExcludeLink(rv.Links[i].A, rv.Links[i].B)
 						masked = append(masked, i)
 					}
@@ -178,7 +178,7 @@ func TestPathCacheDifferentialAgainstBFS(t *testing.T) {
 // the only route within the bound is lost. a–b is 4 ms, a–c, c–b and b–d
 // 1 ms each: a-b-d takes 5 ms, a-c-b-d 3 ms.
 func TestBFSDelayBoundIsExact(t *testing.T) {
-	rv := NewResourceView()
+	rv := newResourceView()
 	for i, s := range []string{"a", "b", "c", "d"} {
 		rv.Switches[s] = uint64(i + 1)
 	}

@@ -117,7 +117,7 @@ func refBFSAvoiding(adj map[string][]string, src, dst string, masked, bannedEdge
 // its head every 5 switches, the heads on a ring. Names like r1s1 and
 // r1s10 make name order differ from numeric order.
 func regionView(regions, perRegion int) *ResourceView {
-	rv := NewResourceView()
+	rv := newResourceView()
 	sw := func(r, i int) string { return fmt.Sprintf("r%ds%d", r, i) }
 	for r := 0; r < regions; r++ {
 		for i := 0; i < perRegion; i++ {
@@ -268,7 +268,7 @@ func TestPathEngineDifferentialAgainstReference(t *testing.T) {
 						}
 					case op < 9: // mask a link (at most three at once)
 						i := rng.Intn(len(rv.Links))
-						if len(masked) < 3 && !rv.ExcludedLink(rv.Links[i].A, rv.Links[i].B) {
+						if len(masked) < 3 && !rv.excludedLink(rv.Links[i].A, rv.Links[i].B) {
 							rv.ExcludeLink(rv.Links[i].A, rv.Links[i].B)
 							masked = append(masked, i)
 						}

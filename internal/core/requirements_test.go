@@ -150,7 +150,7 @@ func TestHealRequirementRefusedByAdmitHeal(t *testing.T) {
 		}
 		rv.ExcludeEE("ee1")
 		before := rv.Snapshot().FreeCPU("ee2")
-		plan, err := rv.AdmitHeal(m, rv.ExcludedEE, rv.ExcludedLink)
+		plan, err := rv.AdmitHeal(m, rv.excludedEE, rv.excludedLink)
 		if err == nil {
 			t.Fatalf("%s: heal committed moves %v and routes %v past a 12ms bound", mapper.MapperName(), plan.Moved, plan.Routes)
 		}

@@ -219,9 +219,9 @@ func (rv *ResourceView) publish(fill func(*mutation)) {
 	rv.state.Store(&viewState{epoch: cur.epoch + 1, ee: m.ee.result(), link: m.link.result(), masked: m.masked})
 }
 
-// NewResourceView returns an empty view; populate the topology fields and
+// newResourceView returns an empty view; populate the topology fields and
 // start mapping, or use ViewFromSpec.
-func NewResourceView() *ResourceView {
+func newResourceView() *ResourceView {
 	rv := &ResourceView{
 		Switches: map[string]uint64{},
 		EEs:      map[string]*EERes{},
@@ -315,13 +315,13 @@ func toggled(ids []int32, id int32, add bool) []int32 {
 	return slices.Delete(slices.Clone(ids), i, i+1)
 }
 
-// ExcludedEE reports whether an EE is currently masked out.
-func (rv *ResourceView) ExcludedEE(name string) bool {
+// excludedEE reports whether an EE is currently masked out.
+func (rv *ResourceView) excludedEE(name string) bool {
 	return rv.state.Load().ee.at(rv.topo().eeRef(name, false)).masked
 }
 
-// ExcludedLink reports whether the link between two switches is masked.
-func (rv *ResourceView) ExcludedLink(a, b string) bool {
+// excludedLink reports whether the link between two switches is masked.
+func (rv *ResourceView) excludedLink(a, b string) bool {
 	return rv.state.Load().link.at(rv.topo().linkRef(a, b, false)).masked
 }
 
@@ -335,7 +335,7 @@ func ViewFromSpec(t *netem.Topo) (*ResourceView, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	rv := NewResourceView()
+	rv := newResourceView()
 	for i, name := range t.Switches {
 		rv.Switches[name] = uint64(i + 1)
 	}
@@ -414,10 +414,10 @@ func (rv *ResourceView) Snapshot() *Capacities {
 	return &Capacities{rv: rv, ix: rv.topo(), st: rv.state.Load()}
 }
 
-// Clone copies the overlay (backtracking mappers fork state): O(touched),
+// clone copies the overlay (backtracking mappers fork state): O(touched),
 // not O(network) — both views resolve untouched records against the same
 // immutable epoch.
-func (c *Capacities) Clone() *Capacities {
+func (c *Capacities) clone() *Capacities {
 	return &Capacities{rv: c.rv, ix: c.ix, st: c.st, ee: maps.Clone(c.ee), link: maps.Clone(c.link),
 		linkDown: c.linkDown, downMemo: slices.Clone(c.downMemo)}
 }
@@ -496,28 +496,13 @@ func (c *Capacities) setLink(id int32, r linkRec) {
 // FreeCPU resolves an EE's free CPU net of this view's own reservations.
 func (c *Capacities) FreeCPU(ee string) sg.CPU { return c.eeFree(c.ix.eeRef(ee, false)).cpu }
 
-// FreeMem resolves an EE's free memory net of this view's reservations.
-func (c *Capacities) FreeMem(ee string) int { return c.eeFree(c.ix.eeRef(ee, false)).mem }
-
-// ExcludedEE reports whether an EE is masked in this view (epoch mask or
-// local overlay).
-func (c *Capacities) ExcludedEE(ee string) bool { return c.eeFree(c.ix.eeRef(ee, false)).masked }
-
-// ExcludeEE adds a view-local EE mask (healing plans mask freshly failed
+// excludeEE adds a view-local EE mask (healing plans mask freshly failed
 // EEs without publishing a view-wide epoch).
-func (c *Capacities) ExcludeEE(ee string) {
+func (c *Capacities) excludeEE(ee string) {
 	id := c.ix.eeRef(ee, true)
 	r := c.eeFree(id)
 	r.masked = true
 	c.setEE(id, r)
-}
-
-// ExcludeLink adds a view-local link mask.
-func (c *Capacities) ExcludeLink(a, b string) {
-	id := c.ix.linkRef(a, b, true)
-	r := c.linkFreeID(id)
-	r.masked = true
-	c.setLink(id, r)
 }
 
 // FitsEE reports whether an EE has the demanded headroom. Excluded

@@ -76,7 +76,7 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 	realizing := make(chan struct{})
 	go func() {
 		for ev := range events {
-			if ev.State == StateRealizing {
+			if ev.State == stateRealizing {
 				close(realizing)
 				return
 			}
@@ -91,7 +91,7 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 	}
 
 	<-realizing
-	env.Orch.Shutdown()
+	env.Orch.shutdown()
 	wg.Wait()
 
 	var wantCPU sg.CPU
@@ -110,7 +110,7 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 			running++
 			continue
 		}
-		if !errors.Is(deployErrs[i], ErrShuttingDown) {
+		if !errors.Is(deployErrs[i], errShuttingDown) {
 			t.Errorf("deploy %d failed with %v, want ErrShuttingDown", i, deployErrs[i])
 		}
 		// A cancelled deploy must have fully rolled back: name freed,
@@ -139,11 +139,11 @@ func TestShutdownMidDeployLeavesNoStuckService(t *testing.T) {
 	}
 
 	// Post-shutdown operations fail fast.
-	if _, err := env.Orch.Deploy(shutdownGraph(0)); !errors.Is(err, ErrShuttingDown) {
+	if _, err := env.Orch.Deploy(shutdownGraph(0)); !errors.Is(err, errShuttingDown) {
 		t.Errorf("Deploy after Shutdown: %v, want ErrShuttingDown", err)
 	}
-	if err := env.Orch.Undeploy("shut-svc0"); !errors.Is(err, ErrShuttingDown) {
+	if err := env.Orch.Undeploy("shut-svc0"); !errors.Is(err, errShuttingDown) {
 		t.Errorf("Undeploy after Shutdown: %v, want ErrShuttingDown", err)
 	}
-	env.Orch.Shutdown() // idempotent
+	env.Orch.shutdown() // idempotent
 }

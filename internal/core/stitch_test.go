@@ -68,7 +68,7 @@ func TestStitchTagsSteeredAndKeptAcrossHeal(t *testing.T) {
 		switch a := firstAction(first).(type) {
 		case openflow.ActionStripVLAN:
 		case openflow.ActionSetVLAN:
-			if a.VLAN > steering.MaxSegmentVLAN {
+			if a.VLAN >= sg.MinStitchTag {
 				t.Errorf("%s: first hop of l1 rewrites to VLAN %d, not a segment VLAN", when, a.VLAN)
 			}
 		default:

@@ -17,11 +17,9 @@ import (
 // and host attachments from the links, EEs from eeSwitch (EE name →
 // attachment switch) and the nodes' configuration.
 func scanView(n *netem.Network, eeSwitch map[string]string) (*ResourceView, error) {
-	rv := NewResourceView()
-	for _, node := range n.Nodes() {
-		if s, ok := node.(*netem.SwitchNode); ok {
-			rv.Switches[s.NodeName()] = s.DPID()
-		}
+	rv := newResourceView()
+	for _, name := range n.NodeNames(netem.KindSwitch) {
+		rv.Switches[name] = n.Node(name).(*netem.SwitchNode).DPID()
 	}
 	for eeName, swName := range eeSwitch {
 		ee, ok := n.Node(eeName).(*netem.EE)
@@ -44,12 +42,12 @@ func scanView(n *netem.Network, eeSwitch map[string]string) (*ResourceView, erro
 				PortA: l.A.No, PortB: l.B.No,
 				Bandwidth: cfg.Bandwidth, Delay: cfg.Delay,
 			})
-		case an.Kind() == netem.KindHost && bn.Kind() == netem.KindSwitch:
+		case isHost(an) && bn.Kind() == netem.KindSwitch:
 			rv.SAPs[an.NodeName()] = &SAPRes{
 				ID: an.NodeName(), Host: an.NodeName(),
 				Switch: bn.NodeName(), Port: l.B.No,
 			}
-		case an.Kind() == netem.KindSwitch && bn.Kind() == netem.KindHost:
+		case an.Kind() == netem.KindSwitch && isHost(bn):
 			rv.SAPs[bn.NodeName()] = &SAPRes{
 				ID: bn.NodeName(), Host: bn.NodeName(),
 				Switch: an.NodeName(), Port: l.A.No,
@@ -169,4 +167,10 @@ func FuzzLoadTopo(f *testing.F) {
 		defer n.Stop()
 		requireScannedView(t, n, topo, derived)
 	})
+}
+
+// isHost reports whether n is an emulated host.
+func isHost(n netem.Node) bool {
+	_, ok := n.(*netem.Host)
+	return ok
 }

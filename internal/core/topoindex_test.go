@@ -28,11 +28,11 @@ func TestRecordsOutsideFrozenIndex(t *testing.T) {
 	ep := rv.Epoch()
 	rv.ExcludeEE("ghost")
 	rv.ExcludeLink("nowhere", "r00")
-	if !rv.ExcludedEE("ghost") || !rv.ExcludedLink("r00", "nowhere") || rv.Epoch() != ep+2 {
+	if !rv.excludedEE("ghost") || !rv.excludedLink("r00", "nowhere") || rv.Epoch() != ep+2 {
 		t.Fatalf("masks on unknown names: ee %v link %v, epoch %d want %d",
-			rv.ExcludedEE("ghost"), rv.ExcludedLink("r00", "nowhere"), rv.Epoch(), ep+2)
+			rv.excludedEE("ghost"), rv.excludedLink("r00", "nowhere"), rv.Epoch(), ep+2)
 	}
-	if rv.ExcludedEE("other") || rv.ExcludedLink("r00", "r02") {
+	if rv.excludedEE("other") || rv.excludedLink("r00", "r02") {
 		t.Fatal("an unknown name reads as masked")
 	}
 	rv.UnexcludeEE("other") // unknown and unmasked: no epoch

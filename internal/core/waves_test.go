@@ -272,7 +272,7 @@ func TestHungAgentFailsDeployWithinBound(t *testing.T) {
 	<-entered
 	shut := make(chan struct{})
 	go func() {
-		orch.Shutdown()
+		orch.shutdown()
 		close(shut)
 	}()
 	limit := time.After(mgmtBound + time.Second)

@@ -148,11 +148,11 @@ type e11Cell struct {
 	healedPk uint64 // steered packets counted after healing
 }
 
-// E11SelfHealing measures the resilience subsystem: for every K in
+// e11SelfHealing measures the resilience subsystem: for every K in
 // kills it crashes K EEs under live traffic (plus one link-kill row) and
 // reports detection latency, healing latency p50/p95, loss window and
 // migration size.
-func E11SelfHealing(kills []int, chainLen, conc int) (*Table, error) {
+func e11SelfHealing(kills []int, chainLen, conc int) (*Table, error) {
 	t := &Table{
 		ID: "E11",
 		Title: fmt.Sprintf("Self-healing service chains: %d-NF chains, %d tenants, EE kills and a trunk kill under live traffic",
@@ -181,7 +181,7 @@ func E11SelfHealing(kills []int, chainLen, conc int) (*Table, error) {
 
 func e11AddRow(t *Table, fault string, k int, c *e11Cell) {
 	sort.Slice(c.heals, func(i, j int) bool { return c.heals[i] < c.heals[j] })
-	t.AddRow(fault, fmt.Sprint(k),
+	t.addRow(fault, fmt.Sprint(k),
 		ms(c.detect),
 		ms(percentile(c.heals, 50)),
 		ms(percentile(c.heals, 95)),

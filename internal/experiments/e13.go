@@ -205,14 +205,14 @@ func yesno(ok bool) string {
 	return "no"
 }
 
-// E13ControlPlane runs the escaped control plane under concurrent
+// e13ControlPlane runs the escaped control plane under concurrent
 // tenant churn and across a crash: tenants POST, DELETE and re-POST
 // durable intents through the HTTP API while the reconciler converges
 // the substrate; then the whole stack is killed without cleanup and
 // restarted, timing WAL-replay recovery against a cold start that has
 // to re-create every tenant and re-POST every intent. Every row checks
 // that the recovered view matches the intent set.
-func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
+func e13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 	tbl := &Table{
 		ID: "E13",
 		Title: fmt.Sprintf("Control-plane churn + crash recovery: %d tenants × %d intents, %d-NF chains",
@@ -225,7 +225,7 @@ func E13ControlPlane(tenants, intentsPer, chainLen int) (*Table, error) {
 		},
 	}
 	addRow := func(s *e13Stack, phase, recoverMS string) {
-		tbl.AddRow(phase, fmt.Sprint(tenants), fmt.Sprint(tenants*intentsPer), recoverMS,
+		tbl.addRow(phase, fmt.Sprint(tenants), fmt.Sprint(tenants*intentsPer), recoverMS,
 			yesno(s.e13UsageMatch(tenants, intentsPer, chainLen)))
 	}
 	settle := func(s *e13Stack, err error) error {

@@ -31,8 +31,8 @@ const (
 	e14Seed     = 14
 )
 
-// E14Config sizes one run; the registry's "e14" entry holds its values.
-type E14Config struct {
+// e14Config sizes one run; the registry's "e14" entry holds its values.
+type e14Config struct {
 	// Topology: Regions × SwitchesPerRegion switches (see
 	// substrate.ScaleSpec), SAPs/EEs per region bound the attachment
 	// sets that drive mapping cost.
@@ -54,13 +54,13 @@ type E14Config struct {
 	Processes []substrate.ArrivalProcess
 }
 
-// E14ScaleSim runs one cell per arrival process and reports the
+// e14ScaleSim runs one cell per arrival process and reports the
 // decision and traffic outcomes.
-func E14ScaleSim(cfg E14Config) (*Table, error) {
+func e14ScaleSim(cfg e14Config) (*Table, error) {
 	params := substrate.ScaleParams{
 		Regions: cfg.Regions, SwitchesPerRegion: cfg.SwitchesPerRegion,
 		SAPsPerRegion: cfg.SAPsPerRegion, EEsPerRegion: cfg.EEsPerRegion,
-		BackboneBW: 1e12, RegionBW: 400e9, AccessBW: 100e9,
+		BackboneBW: 1e12, RegionBW: 400e9,
 		// Size EEs so compute never rejects: E14 studies bandwidth
 		// pressure and healing at scale, not bin-packing.
 		EECPU: float64(cfg.Services*e14ChainLen) * 0.125 / float64(cfg.Regions*cfg.EEsPerRegion) * 4,
@@ -108,7 +108,7 @@ func E14ScaleSim(cfg E14Config) (*Table, error) {
 
 // e14Cell plays one cell's trace on a fresh simulator and view and adds
 // its row.
-func e14Cell(t *Table, spec *substrate.TopoSpec, events []substrate.ScenarioEvent, cfg E14Config, proc string) error {
+func e14Cell(t *Table, spec *substrate.TopoSpec, events []substrate.ScenarioEvent, cfg e14Config, proc string) error {
 	sim, err := flowsim.New(spec, flowsim.Options{})
 	if err != nil {
 		return err
@@ -128,7 +128,7 @@ func e14Cell(t *Table, spec *substrate.TopoSpec, events []substrate.ScenarioEven
 		return err
 	}
 	lrep := sim.Report()
-	t.AddRow(
+	t.addRow(
 		proc,
 		fmt.Sprintf("%d", len(spec.Switches)),
 		fmt.Sprintf("%d", len(spec.Links)),

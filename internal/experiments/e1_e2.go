@@ -52,11 +52,11 @@ func pumpUntilDelivered(env *core.Environment, payload string, timeout time.Dura
 	return d, nil
 }
 
-// E1Architecture exercises the full three-layer architecture (Fig. 1)
+// e1Architecture exercises the full three-layer architecture (Fig. 1)
 // once and reports per-layer timings: infrastructure bring-up, service
 // request handling, orchestration (map+deploy), data plane and
 // management.
-func E1Architecture() (*Table, error) {
+func e1Architecture() (*Table, error) {
 	t := &Table{
 		ID:      "E1",
 		Title:   "Fig. 1 architecture round trip (per-layer wall time)",
@@ -68,30 +68,30 @@ func E1Architecture() (*Table, error) {
 		return nil, err
 	}
 	defer env.Close()
-	t.AddRow("infrastructure", "emulated net + controller + agents up", ms(time.Since(t0)))
+	t.addRow("infrastructure", "emulated net + controller + agents up", ms(time.Since(t0)))
 
 	t1 := time.Now()
 	g := demoGraph("e1-svc", "monitor")
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	t.AddRow("service", "service graph built + validated", ms(time.Since(t1)))
+	t.addRow("service", "service graph built + validated", ms(time.Since(t1)))
 
 	t2 := time.Now()
 	svc, err := env.Orch.Deploy(g)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("orchestration", "mapped + VNFs started + steered", ms(time.Since(t2)))
-	t.AddRow("orchestration", "  phase map", ms(svc.PhaseDurations["map"]))
-	t.AddRow("orchestration", "  phase vnf-setup (NETCONF)", ms(svc.PhaseDurations["vnf-setup"]))
-	t.AddRow("orchestration", "  phase steering (OpenFlow)", ms(svc.PhaseDurations["steering"]))
+	t.addRow("orchestration", "mapped + VNFs started + steered", ms(time.Since(t2)))
+	t.addRow("orchestration", "  phase map", ms(svc.PhaseDurations["map"]))
+	t.addRow("orchestration", "  phase vnf-setup (NETCONF)", ms(svc.PhaseDurations["vnf-setup"]))
+	t.addRow("orchestration", "  phase steering (OpenFlow)", ms(svc.PhaseDurations["steering"]))
 
 	d, err := pumpUntilDelivered(env, "e1-payload", 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("infrastructure", "first packet through deployed chain", ms(d))
+	t.addRow("infrastructure", "first packet through deployed chain", ms(d))
 
 	t4 := time.Now()
 	cc, err := click.DialControl(svc.NFs["nf1"].Control)
@@ -103,13 +103,13 @@ func E1Architecture() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("management", fmt.Sprintf("VNF handler read (cnt.count=%s)", v), ms(time.Since(t4)))
+	t.addRow("management", fmt.Sprintf("VNF handler read (cnt.count=%s)", v), ms(time.Since(t4)))
 
 	t5 := time.Now()
 	if err := env.Orch.Undeploy("e1-svc"); err != nil {
 		return nil, err
 	}
-	t.AddRow("orchestration", "service torn down", ms(time.Since(t5)))
+	t.addRow("orchestration", "service torn down", ms(time.Since(t5)))
 	return t, nil
 }
 
@@ -128,7 +128,7 @@ func E2Demo() (*Table, error) {
 		return nil, err
 	}
 	defer env.Close()
-	t.AddRow("1", "define containers + topology",
+	t.addRow("1", "define containers + topology",
 		fmt.Sprintf("%d switches, %d EEs, %d SAPs", len(env.View.Switches), len(env.View.EEs), len(env.View.SAPs)),
 		ms(time.Since(t0)))
 
@@ -148,7 +148,7 @@ func E2Demo() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("2", "edit + validate service graph",
+	t.addRow("2", "edit + validate service graph",
 		fmt.Sprintf("1 chain: %s", chains[0]), ms(time.Since(t1)))
 
 	// Step 3: initiate mapping and deployment.
@@ -157,7 +157,7 @@ func E2Demo() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("3", "map SG + deploy",
+	t.addRow("3", "map SG + deploy",
 		fmt.Sprintf("%d VNFs placed, %d paths", len(svc.NFs), len(svc.Mapping.Routes)),
 		ms(time.Since(t2)))
 
@@ -166,7 +166,7 @@ func E2Demo() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.AddRow("4", "send live traffic", "UDP payload delivered through compressor+decompressor", ms(d))
+	t.addRow("4", "send live traffic", "UDP payload delivered through compressor+decompressor", ms(d))
 
 	// Step 5: monitor the VNFs (Clicky substitute).
 	t4 := time.Now()
@@ -182,7 +182,7 @@ func E2Demo() (*Table, error) {
 	if compressed == "0" {
 		return nil, fmt.Errorf("experiments: compressor idle during demo")
 	}
-	t.AddRow("5", "monitor VNFs",
+	t.addRow("5", "monitor VNFs",
 		fmt.Sprintf("comp.compressed=%s via ClickControl", compressed), ms(time.Since(t4)))
 	return t, nil
 }

@@ -11,11 +11,11 @@ import (
 	"escape/internal/sg"
 )
 
-// E3Scale measures emulation bring-up cost against topology size: the
+// e3Scale measures emulation bring-up cost against topology size: the
 // "scaling up to hundreds of nodes" claim. For each size it builds a
 // linear topology (n switches + n hosts), starts it with an l2_learning
 // controller over in-process pipes, then tears it down.
-func E3Scale(sizes []int) (*Table, error) {
+func e3Scale(sizes []int) (*Table, error) {
 	t := &Table{
 		ID:      "E3",
 		Title:   "Emulation scale-up: linear topology build+start+stop time vs node count",
@@ -46,7 +46,7 @@ func E3Scale(sizes []int) (*Table, error) {
 		net_.Stop()
 		ctrl.Close()
 		stop := time.Since(t2)
-		t.AddRow(
+		t.addRow(
 			fmt.Sprint(n), fmt.Sprint(n), fmt.Sprint(len(net_.Links())),
 			ms(build), ms(start), us(perNode), ms(stop),
 		)
@@ -69,10 +69,10 @@ func e4View(nSw int, eeCPU float64) (*core.ResourceView, error) {
 	return core.ViewFromSpec(topo)
 }
 
-// E4Mapping compares the mapping algorithms: per-request latency, how
+// e4Mapping compares the mapping algorithms: per-request latency, how
 // many sequential requests each admits before the first rejection
 // (acceptance under load), and the path stretch of accepted mappings.
-func E4Mapping(nSwitches int, chainLen int, requests int) (*Table, error) {
+func e4Mapping(nSwitches int, chainLen int, requests int) (*Table, error) {
 	cat := catalog.Default()
 	// The registry keeps E4 and the conformance suite on the same mapper
 	// set; only bound the optimal reference's search budget.
@@ -137,7 +137,7 @@ func E4Mapping(nSwitches int, chainLen int, requests int) (*Table, error) {
 		if firstReject >= 0 {
 			fr = fmt.Sprint(firstReject)
 		}
-		t.AddRow(m.MapperName(), fmt.Sprintf("%d/%d", accepted, requests), ms(avgT), avgHops, fr)
+		t.addRow(m.MapperName(), fmt.Sprintf("%d/%d", accepted, requests), ms(avgT), avgHops, fr)
 	}
 	return t, nil
 }

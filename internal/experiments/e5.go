@@ -11,9 +11,9 @@ import (
 	"escape/internal/steering"
 )
 
-// E5Steering measures chain-path installation across path lengths: rule
+// e5Steering measures chain-path installation across path lengths: rule
 // count, install latency (including barriers) and first-packet latency.
-func E5Steering(lengths []int) (*Table, error) {
+func e5Steering(lengths []int) (*Table, error) {
 	t := &Table{
 		ID:      "E5",
 		Title:   "Steering setup vs path length",
@@ -87,6 +87,6 @@ func e5Run(t *Table, L int) error {
 	case <-time.After(5 * time.Second):
 		return fmt.Errorf("experiments: E5 L=%d frame lost", L)
 	}
-	t.AddRow(fmt.Sprint(L), fmt.Sprint(inst.RuleCount), ms(install), ms(firstPkt))
+	t.addRow(fmt.Sprint(L), fmt.Sprint(inst.RuleCount), ms(install), ms(firstPkt))
 	return nil
 }

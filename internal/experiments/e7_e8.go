@@ -11,10 +11,10 @@ import (
 	"escape/internal/vnfagent"
 )
 
-// E7NETCONF measures the management plane: session setup, per-RPC
+// e7NETCONF measures the management plane: session setup, per-RPC
 // latency, and the full initiate→connect→start cycle for growing VNF
 // counts on one agent.
-func E7NETCONF(counts []int) (*Table, error) {
+func e7NETCONF(counts []int) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
 		Title:   "NETCONF management: vnf_starter RPC latency vs hosted VNFs",
@@ -83,7 +83,7 @@ func E7NETCONF(counts []int) (*Table, error) {
 		}
 		stopAll := time.Since(t3)
 
-		t.AddRow(fmt.Sprint(count), ms(session), ms(perVNF), ms(getInfo), ms(stopAll))
+		t.addRow(fmt.Sprint(count), ms(session), ms(perVNF), ms(getInfo), ms(stopAll))
 		client.Close()
 		agent.Close()
 		n.Stop()
@@ -92,14 +92,14 @@ func E7NETCONF(counts []int) (*Table, error) {
 	return t, nil
 }
 
-// E8ServiceCreation measures end-to-end on-demand service creation
+// e8ServiceCreation measures end-to-end on-demand service creation
 // (Deploy wall time with per-phase breakdown) against chain length.
-func E8ServiceCreation(chainLens []int) (*Table, error) {
+func e8ServiceCreation(chainLens []int) (*Table, error) {
 	t := &Table{
 		ID:      "E8",
 		Title:   "On-demand service creation time vs chain length",
 		Columns: []string{"chain_len", "total_ms", "map_ms", "vnf_setup_ms", "steering_ms", "teardown_ms"},
-		Notes:   []string{"shape check: total grows with chain length, dominated by vnf-setup (NETCONF): three pipelined waves per EE, EE-side work per NF"},
+		Notes:   []string{"shape check: total grows with chain length, dominated by vnf-setup (NETCONF): two pipelined flights per EE (the initiates, then the connects and starts), EE-side work per NF"},
 	}
 	for _, L := range chainLens {
 		spec := demoTopo()
@@ -130,7 +130,7 @@ func E8ServiceCreation(chainLens []int) (*Table, error) {
 			return nil, err
 		}
 		teardown := time.Since(t1)
-		t.AddRow(fmt.Sprint(L), ms(total),
+		t.addRow(fmt.Sprint(L), ms(total),
 			ms(svc.PhaseDurations["map"]),
 			ms(svc.PhaseDurations["vnf-setup"]),
 			ms(svc.PhaseDurations["steering"]),

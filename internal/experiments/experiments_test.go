@@ -37,8 +37,8 @@ func TestTableWriteJSON(t *testing.T) {
 		ID: "EX", Title: "synthetic",
 		Columns: []string{"label", "count", "ratio", "flag", "answer", "missing"},
 	}
-	tb.AddRow("diurnal", "42", "99.125", "true", "yes", "-")
-	tb.AddRow("flash", "-7", "0.5", "false", "no", "n/a")
+	tb.addRow("diurnal", "42", "99.125", "true", "yes", "-")
+	tb.addRow("flash", "-7", "0.5", "false", "no", "n/a")
 	path := filepath.Join(t.TempDir(), "table.json")
 	if err := tb.WriteJSON(path); err != nil {
 		t.Fatal(err)
@@ -67,14 +67,14 @@ func TestTableWriteJSON(t *testing.T) {
 		t.Fatalf("rows decoded as\n%#v\nwant\n%#v", got.Rows, want)
 	}
 
-	tb.AddRow("short", "1")
+	tb.addRow("short", "1")
 	if err := tb.WriteJSON(path); err == nil {
 		t.Fatal("WriteJSON accepted a row narrower than the columns")
 	}
 }
 
 func TestE1Architecture(t *testing.T) {
-	tbl, err := E1Architecture()
+	tbl, err := e1Architecture()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestE2Demo(t *testing.T) {
 }
 
 func TestE3Scale(t *testing.T) {
-	tbl, err := E3Scale([]int{3, 6})
+	tbl, err := e3Scale([]int{3, 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestE3Scale(t *testing.T) {
 }
 
 func TestE4Mapping(t *testing.T) {
-	tbl, err := E4Mapping(8, 2, 10)
+	tbl, err := e4Mapping(8, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestE4Mapping(t *testing.T) {
 // TestE5Steering: one row per path length, and every switch on the path
 // holds exactly one steering rule for it.
 func TestE5Steering(t *testing.T) {
-	tbl, err := E5Steering([]int{1, 2, 3})
+	tbl, err := e5Steering([]int{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestE5Steering(t *testing.T) {
 }
 
 func TestE7NETCONF(t *testing.T) {
-	tbl, err := E7NETCONF([]int{1, 4})
+	tbl, err := e7NETCONF([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestE7NETCONF(t *testing.T) {
 }
 
 func TestE8ServiceCreation(t *testing.T) {
-	tbl, err := E8ServiceCreation([]int{1, 2})
+	tbl, err := e8ServiceCreation([]int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,7 +92,7 @@ func (ps *parser) fail(key, want string) {
 // Registry lists every experiment (E1–E5, E7, E8, E11, E13, E14).
 func Registry() []Registered {
 	return []Registered{
-		{ID: "e1", Run: func(Params) (*Table, error) { return E1Architecture() }},
+		{ID: "e1", Run: func(Params) (*Table, error) { return e1Architecture() }},
 		{ID: "e2", Run: func(Params) (*Table, error) { return E2Demo() }},
 		{
 			ID:     "e3",
@@ -104,7 +104,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E3Scale(sizes)
+				return e3Scale(sizes)
 			},
 		},
 		{
@@ -117,7 +117,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E4Mapping(switches, chain, requests)
+				return e4Mapping(switches, chain, requests)
 			},
 		},
 		{
@@ -130,7 +130,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E5Steering(lengths)
+				return e5Steering(lengths)
 			},
 		},
 		{
@@ -143,7 +143,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E7NETCONF(vnfs)
+				return e7NETCONF(vnfs)
 			},
 		},
 		{
@@ -156,7 +156,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E8ServiceCreation(lengths)
+				return e8ServiceCreation(lengths)
 			},
 		},
 		{
@@ -169,7 +169,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E11SelfHealing(kills, chain, conc)
+				return e11SelfHealing(kills, chain, conc)
 			},
 		},
 		{
@@ -182,7 +182,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E13ControlPlane(tenants, intents, chain)
+				return e13ControlPlane(tenants, intents, chain)
 			},
 		},
 		{
@@ -195,7 +195,7 @@ func Registry() []Registered {
 			Quick: Params{"regions": "2", "sw": "32", "services": "60", "faults": "2"},
 			Run: func(p Params) (*Table, error) {
 				ps := &parser{p: p}
-				cfg := E14Config{
+				cfg := e14Config{
 					Regions: ps.int("regions"), SwitchesPerRegion: ps.int("sw"),
 					SAPsPerRegion: ps.int("saps"), EEsPerRegion: ps.int("ees"),
 					Services:     ps.int("services"),
@@ -215,7 +215,7 @@ func Registry() []Registered {
 				if ps.err != nil {
 					return nil, ps.err
 				}
-				return E14ScaleSim(cfg)
+				return e14ScaleSim(cfg)
 			},
 		},
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"escape/internal/netem"
 	"escape/internal/substrate"
 )
 
@@ -12,14 +13,14 @@ func lineSpec(bw float64, loss float64) *substrate.TopoSpec {
 	return &substrate.TopoSpec{
 		Name:     "line",
 		Switches: []string{"s1", "s2"},
-		Hosts: []substrate.HostSpec{
+		Hosts: []netem.HostSpec{
 			{Name: "h1", Switch: "s1"},
 			{Name: "h2", Switch: "s2"},
 		},
-		EEs: []substrate.EESpec{
+		EEs: []netem.EESpec{
 			{Name: "ee-s1", Switch: "s1", CPU: 8, Mem: 1024},
 		},
-		Links: []substrate.LinkSpec{
+		Links: []netem.LinkSpec{
 			{A: "s1", B: "s2", Bandwidth: bw, Loss: loss, Delay: time.Millisecond},
 		},
 	}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// EpochPin enforces the copy-on-write discipline around
+// epochPin enforces the copy-on-write discipline around
 // core.ResourceView (the PR 5 aliasing class):
 //
 //  1. A pin obtained from ResourceView.Snapshot is a read of one epoch.
@@ -24,7 +24,7 @@ import (
 //     hopDistancesShared) hand out aliases into memoized structures;
 //     mutating, deleting from, appending to or sorting them corrupts
 //     every other reader. Copy first.
-var EpochPin = &Analyzer{
+var epochPin = &Analyzer{
 	Name: "epochpin",
 	Doc: "ResourceView snapshot pins must not outlive a commit on their " +
 		"view; published epoch records and shared returns are read-only",
@@ -197,7 +197,7 @@ func (w *pinWalker) visitLinear(s ast.Stmt, pins pinState) pinState {
 		}
 		if p, pinned := pins[v]; pinned && !p.valid && !w.reported[id.Pos()] {
 			w.reported[id.Pos()] = true
-			w.pass.Reportf(id.Pos(), "snapshot pin %s is stale: view %s committed at %s; take a fresh Snapshot", id.Name, p.view, w.pass.Fset.Position(p.killPos))
+			w.pass.reportf(id.Pos(), "snapshot pin %s is stale: view %s committed at %s; take a fresh Snapshot", id.Name, p.view, w.pass.Fset.Position(p.killPos))
 		}
 		return true
 	})
@@ -255,7 +255,7 @@ func (w *pinWalker) visitLinear(s ast.Stmt, pins pinState) pinState {
 			switch {
 			case sel.Sel.Name == "Snapshot" && isNamed(info.Types[sel.X].Type, "core", "ResourceView"):
 				pins[v] = pin{view: exprKey(sel.X), valid: true}
-			case sel.Sel.Name == "Clone":
+			case sel.Sel.Name == "clone":
 				// Cloning a pin yields a pin of the same epoch.
 				if src, ok := info.Uses[baseIdent(sel.X)].(*types.Var); ok {
 					if p, pinned := pins[src]; pinned {
@@ -284,7 +284,7 @@ func baseIdent(e ast.Expr) *ast.Ident {
 func checkEpochWrites(pass *Pass, f *ast.File) {
 	info := pass.Info
 	report := func(pos token.Pos) {
-		pass.Reportf(pos, "write through a published viewState epoch; epochs are immutable once published — build fresh records and publish them")
+		pass.reportf(pos, "write through a published viewState epoch; epochs are immutable once published — build fresh records and publish them")
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -406,7 +406,7 @@ func checkSharedMutation(pass *Pass, body *ast.BlockStmt) {
 			for _, lhs := range n.Lhs {
 				if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 					if m, ok := isShared(ix.X); ok {
-						pass.Reportf(lhs.Pos(), "mutating result of %s, which returns shared read-only storage; copy it first", m)
+						pass.reportf(lhs.Pos(), "mutating result of %s, which returns shared read-only storage; copy it first", m)
 					}
 				}
 			}
@@ -415,13 +415,13 @@ func checkSharedMutation(pass *Pass, body *ast.BlockStmt) {
 			case *ast.Ident:
 				if (fun.Name == "delete" || fun.Name == "append") && len(n.Args) > 0 {
 					if m, ok := isShared(n.Args[0]); ok {
-						pass.Reportf(n.Pos(), "%s on result of %s, which returns shared read-only storage; copy it first", fun.Name, m)
+						pass.reportf(n.Pos(), "%s on result of %s, which returns shared read-only storage; copy it first", fun.Name, m)
 					}
 				}
 			case *ast.SelectorExpr:
 				if obj := info.Uses[fun.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Name() == "sort" && len(n.Args) > 0 {
 					if m, ok := isShared(n.Args[0]); ok {
-						pass.Reportf(n.Pos(), "sorting result of %s in place, which returns shared read-only storage; copy it first", m)
+						pass.reportf(n.Pos(), "sorting result of %s in place, which returns shared read-only storage; copy it first", m)
 					}
 				}
 			}

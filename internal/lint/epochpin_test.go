@@ -3,7 +3,6 @@ package lint_test
 import (
 	"testing"
 
-	"escape/internal/lint"
 	"escape/internal/lint/linttest"
 )
 
@@ -11,5 +10,5 @@ func TestEpochPin(t *testing.T) {
 	// Rule 1 (stale pins) lives in the epochpin corpus; rules 2 and 3
 	// (epoch immutability, shared returns) involve unexported names and
 	// so live inside the structural core stand-in itself.
-	linttest.Run(t, lint.EpochPin, "epochpin", "core")
+	linttest.Run(t, "epochpin", "epochpin", "core")
 }

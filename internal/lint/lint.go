@@ -1,6 +1,7 @@
 // Package lint is escape-lint: a suite of static analyzers enforcing the
 // concurrency and ownership invariants this codebase has already been
-// burned by. The framework mirrors golang.org/x/tools/go/analysis
+// burned by, and one whole-module stage that keeps the exported surface
+// to what the module's clients call. The framework mirrors golang.org/x/tools/go/analysis
 // (Analyzer / Pass / Diagnostic) but is built on the standard library
 // only: packages are enumerated with `go list -export -deps -json`,
 // targets are type-checked from source, and dependencies are imported
@@ -23,6 +24,10 @@
 //     COW aliasing class from PR 5).
 //   - tolerantio: teardown/heal paths must use the tolerant variants of
 //     control-plane calls and must not silently discard their errors.
+//   - deadexport: every declaration has a non-test use and every export
+//     a non-test use outside its package, counted over the root module
+//     and bench/ (see deadexport.go). It is the one Module analyzer: it
+//     sees LoadModules' universe, whatever the target patterns.
 //
 // False positives are suppressed with a directive on the offending line
 // or the line directly above it:
@@ -30,15 +35,18 @@
 //	//lint:ignore packetlife ownership is transferred via the ring
 //
 // The directive names one analyzer, a comma-separated list, or "all",
-// followed by a mandatory reason.
+// followed by a mandatory reason. In the doc comment of a parenthesized
+// const, var or type block it covers the block; in the package doc
+// comment, the whole file.
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -50,6 +58,9 @@ type Analyzer struct {
 	Doc string
 	// Run inspects one package and reports violations on the pass.
 	Run func(*Pass) error
+	// Module, set instead of Run, inspects the whole universe at once
+	// and reports anywhere in it.
+	Module func(universe []*Package, report func(Diagnostic)) error
 }
 
 // Pass carries one analyzed package to an analyzer.
@@ -63,8 +74,8 @@ type Pass struct {
 	report func(Diagnostic)
 }
 
-// Reportf records one violation at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+// reportf records one violation at pos.
+func (p *Pass) reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{
 		Analyzer: p.Analyzer.Name,
 		Pos:      p.Fset.Position(pos),
@@ -87,71 +98,103 @@ func (d Diagnostic) String() string {
 
 // All is the escape-lint suite in reporting order.
 var All = []*Analyzer{
-	PacketLife,
-	SendUnderLock,
-	EpochPin,
-	TolerantIO,
+	packetLife,
+	sendUnderLock,
+	epochPin,
+	tolerantIO,
+	deadExport,
 }
 
-// Run applies the analyzers to every package and returns the surviving
-// diagnostics (ignore directives applied), sorted by position.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+// Run applies the analyzers to every target package and returns the
+// surviving diagnostics (ignore directives applied), sorted by
+// position. A whole-module analyzer sees the universe but reports only
+// in the targets' files.
+func Run(targets, universe []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
+	ignores := ignoreSet{}
+	for _, pkg := range targets {
+		collectIgnores(pkg, ignores)
+	}
 	var out []Diagnostic
-	for _, pkg := range pkgs {
-		diags, err := runPackage(pkg, analyzers)
-		if err != nil {
+	report := func(d Diagnostic) {
+		if _, target := ignores[d.Pos.Filename]; target && !ignores.suppresses(d) {
+			out = append(out, d)
+		}
+	}
+	for _, a := range analyzers {
+		if a.Module == nil {
+			continue
+		}
+		if err := a.Module(universe, report); err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", a.Name, err)
+		}
+	}
+	for _, pkg := range targets {
+		if err := runPackage(pkg, analyzers, report); err != nil {
 			return nil, err
 		}
-		out = append(out, diags...)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		if a.Pos.Column != b.Pos.Column {
-			return a.Pos.Column < b.Pos.Column
-		}
-		return a.Analyzer < b.Analyzer
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column), strings.Compare(a.Analyzer, b.Analyzer))
 	})
 	return out, nil
 }
 
-// runPackage applies the analyzers to one package.
-func runPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	ignores := collectIgnores(pkg)
-	var out []Diagnostic
+// runPackage applies the per-package analyzers to one package.
+func runPackage(pkg *Package, analyzers []*Analyzer, report func(Diagnostic)) error {
 	for _, a := range analyzers {
+		if a.Run == nil {
+			continue
+		}
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     pkg.Fset,
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
-			report: func(d Diagnostic) {
-				if !ignores.suppresses(d) {
-					out = append(out, d)
-				}
-			},
+			report:   report,
 		}
 		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
+			return fmt.Errorf("lint: %s on %s: %w", a.Name, pkg.PkgPath, err)
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// ignoreSet maps (file, line) to the analyzer names an ignore directive
-// covers on that line.
-type ignoreSet map[string]map[int][]string
+// ignoreSet maps each target file to the ignore directives in it.
+type ignoreSet map[string][]ignore
 
-// collectIgnores scans a package's comments for //lint:ignore directives.
-func collectIgnores(pkg *Package) ignoreSet {
-	set := ignoreSet{}
+// ignore is one directive: the analyzer names it covers over a line
+// range.
+type ignore struct {
+	names    []string
+	from, to int
+}
+
+// collectIgnores adds a package's //lint:ignore directives to set. A
+// directive covers its own line and the next one; in the doc comment of
+// a parenthesized const, var or type block it covers the block, and in
+// the package clause's doc comment the whole file.
+func collectIgnores(pkg *Package, set ignoreSet) {
 	for _, f := range pkg.Files {
+		fname := pkg.Fset.Position(f.Package).Filename
+		set[fname] = nil
+		blocks := map[int]int{} // a doc comment line -> the last line it covers
+		cover := func(doc *ast.CommentGroup, start token.Pos, end int) {
+			from := pkg.Fset.Position(start).Line - 1
+			if doc != nil {
+				from = pkg.Fset.Position(doc.Pos()).Line
+			}
+			for line := from; line < pkg.Fset.Position(start).Line; line++ {
+				blocks[line] = end
+			}
+		}
+		cover(f.Doc, f.Package, pkg.Fset.File(f.Package).LineCount())
+		for _, d := range f.Decls {
+			if gd, ok := d.(*ast.GenDecl); ok && gd.Lparen.IsValid() {
+				cover(gd.Doc, gd.Pos(), pkg.Fset.Position(gd.End()).Line)
+			}
+		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimPrefix(c.Text, "//")
@@ -165,28 +208,25 @@ func collectIgnores(pkg *Package) ignoreSet {
 					// reason is what makes a suppression auditable.
 					continue
 				}
-				pos := pkg.Fset.Position(c.Pos())
-				byLine := set[pos.Filename]
-				if byLine == nil {
-					byLine = map[int][]string{}
-					set[pos.Filename] = byLine
+				line := pkg.Fset.Position(c.Pos()).Line
+				to := line + 1
+				if end, ok := blocks[line]; ok {
+					to = end
 				}
-				byLine[pos.Line] = append(byLine[pos.Line], strings.Split(fields[0], ",")...)
+				set[fname] = append(set[fname], ignore{strings.Split(fields[0], ","), line, to})
 			}
 		}
 	}
-	return set
 }
 
-// suppresses reports whether a directive on the diagnostic's line or the
-// line directly above names this analyzer (or "all").
+// suppresses reports whether a directive covering the diagnostic's line
+// names this analyzer (or "all").
 func (s ignoreSet) suppresses(d Diagnostic) bool {
-	byLine := s[d.Pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	for _, line := range []int{d.Pos.Line, d.Pos.Line - 1} {
-		for _, name := range byLine[line] {
+	for _, ig := range s[d.Pos.Filename] {
+		if d.Pos.Line < ig.from || d.Pos.Line > ig.to {
+			continue
+		}
+		for _, name := range ig.names {
 			if name == "all" || name == d.Analyzer {
 				return true
 			}

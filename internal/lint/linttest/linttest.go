@@ -5,6 +5,8 @@
 // unexpected diagnostic fails the test, and so does a want with no
 // matching diagnostic. The second direction is what makes the suites
 // teeth: weakening an analyzer leaves its regression wants unmatched.
+//
+//lint:ignore deadexport test-support package: only the analyzer suites import it
 package linttest
 
 import (
@@ -57,9 +59,19 @@ func loader(t *testing.T) *lint.TestLoader {
 }
 
 // Run loads each corpus package from testdata/src/<name>/, applies the
-// analyzer, and checks diagnostics against the want comments.
-func Run(t *testing.T, a *lint.Analyzer, pkgNames ...string) {
+// analyzer of lint.All named analyzer, and checks diagnostics against
+// the want comments.
+func Run(t *testing.T, analyzer string, pkgNames ...string) {
 	t.Helper()
+	var a *lint.Analyzer
+	for _, cand := range lint.All {
+		if cand.Name == analyzer {
+			a = cand
+		}
+	}
+	if a == nil {
+		t.Fatalf("linttest: no analyzer %q in lint.All", analyzer)
+	}
 	ld := loader(t)
 	var pkgs []*lint.Package
 	for _, name := range pkgNames {
@@ -73,7 +85,7 @@ func Run(t *testing.T, a *lint.Analyzer, pkgNames ...string) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := lint.Run(pkgs, []*lint.Analyzer{a})
+	diags, err := lint.Run(pkgs, pkgs, []*lint.Analyzer{a})
 	if err != nil {
 		t.Fatalf("linttest: running %s: %v", a.Name, err)
 	}

@@ -28,11 +28,9 @@ type Package struct {
 // listPkg is the subset of `go list -json` output the loader needs.
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Standard   bool
 	Error      *struct{ Err string }
 }
 
@@ -41,36 +39,15 @@ type listPkg struct {
 // are resolved from compiler export data in the build cache (populated
 // by `go list -export`), so loading works offline and without
 // golang.org/x/tools.
-//
-// extraSrc optionally maps an import path to a directory of additional
-// source packages that take precedence over export data; the test
-// harness uses it to resolve testdata-local imports.
-func Load(dir string, patterns []string, extraSrc map[string]string) ([]*Package, error) {
+func Load(dir string, patterns []string) ([]*Package, error) {
 	targets, err := goList(dir, false, patterns)
 	if err != nil {
 		return nil, err
 	}
-	universe, err := goList(dir, true, patterns)
+	ld, err := newLoader(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-
-	exports := map[string]string{}
-	for _, p := range universe {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-
-	fset := token.NewFileSet()
-	ld := &loader{
-		fset:     fset,
-		exports:  exports,
-		extraSrc: extraSrc,
-		srcPkgs:  map[string]*types.Package{},
-	}
-	ld.imp = importer.ForCompiler(fset, "gc", ld.lookup)
-
 	var out []*Package
 	for _, t := range targets {
 		if t.Error != nil {
@@ -88,10 +65,77 @@ func Load(dir string, patterns []string, extraSrc map[string]string) ([]*Package
 	return out, nil
 }
 
+// newLoader builds a loader whose export-data universe covers the
+// packages matching patterns in dir and all their dependencies.
+func newLoader(dir string, patterns []string) (*loader, error) {
+	universe, err := goList(dir, true, patterns)
+	if err != nil {
+		return nil, err
+	}
+	ld := &loader{
+		fset:     token.NewFileSet(),
+		exports:  map[string]string{},
+		extraSrc: map[string]string{},
+		srcPkgs:  map[string]*types.Package{},
+	}
+	for _, p := range universe {
+		if p.Export != "" {
+			ld.exports[p.ImportPath] = p.Export
+		}
+	}
+	ld.imp = importer.ForCompiler(ld.fset, "gc", ld.lookup)
+	return ld, nil
+}
+
+// LoadModules loads every package of the module that contains dir, of
+// the modules it replaces with a local directory, and of the modules
+// nested in any of those: the root module and bench/ from either side.
+func LoadModules(dir string) ([]*Package, error) {
+	cmd := exec.Command("go", "list", "-m", "-f",
+		"{{if .Main}}{{.Dir}}{{else}}{{with .Replace}}{{if not .Version}}{{.Dir}}{{end}}{{end}}{{end}}", "all")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("lint: go list -m: %w", err)
+	}
+	roots := strings.FieldsFunc(string(out), func(r rune) bool { return r == '\n' })
+	for i := 0; i < len(roots); i++ {
+		err := filepath.WalkDir(roots[i], func(path string, e os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if e.IsDir() && path != roots[i] && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if e.Name() == "go.mod" && filepath.Dir(path) != roots[i] {
+				roots = append(roots, filepath.Dir(path))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	seen := map[string]bool{}
+	var pkgs []*Package
+	for _, r := range roots {
+		if seen[r] {
+			continue
+		}
+		seen[r] = true
+		loaded, err := Load(r, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, loaded...)
+	}
+	return pkgs, nil
+}
+
 // goList runs `go list -json` in dir; withDeps additionally walks the
 // import graph and emits export-data paths.
 func goList(dir string, withDeps bool, patterns []string) ([]*listPkg, error) {
-	args := []string{"list", "-e", "-json=ImportPath,Name,Dir,Export,GoFiles,Standard,Error"}
+	args := []string{"list", "-e", "-json=ImportPath,Dir,Export,GoFiles,Error"}
 	if withDeps {
 		args = append(args, "-export", "-deps")
 	}
@@ -173,24 +217,10 @@ type TestLoader struct {
 // NewTestLoader builds a loader whose export-data universe covers the
 // packages matching patterns in modDir (plus all their dependencies).
 func NewTestLoader(modDir string, patterns []string) (*TestLoader, error) {
-	universe, err := goList(modDir, true, patterns)
+	ld, err := newLoader(modDir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	exports := map[string]string{}
-	for _, p := range universe {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	fset := token.NewFileSet()
-	ld := &loader{
-		fset:     fset,
-		exports:  exports,
-		extraSrc: map[string]string{},
-		srcPkgs:  map[string]*types.Package{},
-	}
-	ld.imp = importer.ForCompiler(fset, "gc", ld.lookup)
 	return &TestLoader{ld: ld}, nil
 }
 
@@ -215,8 +245,8 @@ func (ld *loader) check(t *listPkg) (*Package, error) {
 	return ld.checkFiles(t.ImportPath, files)
 }
 
-// checkDir parses and type-checks every .go file in dir (testdata
-// packages, which go list refuses to enumerate).
+// checkDir parses and type-checks every non-test .go file in dir
+// (testdata packages, which go list refuses to enumerate).
 func (ld *loader) checkDir(importPath, dir string) (*Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -224,7 +254,7 @@ func (ld *loader) checkDir(importPath, dir string) (*Package, error) {
 	}
 	var files []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
 			files = append(files, filepath.Join(dir, e.Name()))
 		}
 	}

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// PacketLife enforces the data path's ownership discipline, one buffer
+// packetLife enforces the data path's ownership discipline, one buffer
 // per frame, in two halves.
 //
 // Packets: every packet obtained from click.NewPacket must, on every
@@ -22,7 +22,7 @@ import (
 // not read or write the variable afterwards in the same function unless
 // it was reassigned in between; a sender that needs the bytes again
 // copies before it sends.
-var PacketLife = &Analyzer{
+var packetLife = &Analyzer{
 	Name: "packetlife",
 	Doc: "click packets must reach Kill or a downstream handoff on all " +
 		"control-flow paths; a frame handed to Transmit, Device.Send, " +
@@ -54,11 +54,11 @@ func checkPacketBody(pass *Pass, body *ast.BlockStmt) {
 			if v == nil {
 				// The packet is created and immediately dropped on the
 				// floor (bare expression or assigned to _).
-				pass.Reportf(call.Pos(), "packet created and discarded without Kill")
+				pass.reportf(call.Pos(), "packet created and discarded without Kill")
 				continue
 			}
 			if packetMayLeak(pass.Info, g, blk, i, v) {
-				pass.Reportf(call.Pos(), "packet %s may leak: no Kill or handoff on some path to return", v.Name())
+				pass.reportf(call.Pos(), "packet %s may leak: no Kill or handoff on some path to return", v.Name())
 			}
 		}
 	}
@@ -276,7 +276,7 @@ func checkFrameHandoffs(pass *Pass, body *ast.BlockStmt) {
 				use := frameUseAfter(pass.Info, g, blk, i, h.v)
 				if use != nil && !reported[use] {
 					reported[use] = true
-					pass.Reportf(use.Pos(), "frame %s used after it was handed to %s, which owns it now", h.v.Name(), h.to)
+					pass.reportf(use.Pos(), "frame %s used after it was handed to %s, which owns it now", h.v.Name(), h.to)
 				}
 			}
 		}

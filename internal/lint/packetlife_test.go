@@ -3,10 +3,9 @@ package lint_test
 import (
 	"testing"
 
-	"escape/internal/lint"
 	"escape/internal/lint/linttest"
 )
 
 func TestPacketLife(t *testing.T) {
-	linttest.Run(t, lint.PacketLife, "packetlife")
+	linttest.Run(t, "packetlife", "packetlife")
 }

@@ -6,7 +6,7 @@ import (
 	"go/types"
 )
 
-// SendUnderLock flags blocking operations performed while a
+// sendUnderLock flags blocking operations performed while a
 // sync.Mutex/RWMutex is held: blocking channel sends and receives,
 // selects without a default, time.Sleep, WaitGroup.Wait, and the
 // control-plane calls that do network I/O (NETCONF RPCs, OpenFlow
@@ -18,7 +18,7 @@ import (
 // Deliberately NOT flagged, because they are the sanctioned fixes for
 // that bug class: non-blocking sends (select with a default), close()
 // under the lock, and cheap accessors on control-plane types.
-var SendUnderLock = &Analyzer{
+var sendUnderLock = &Analyzer{
 	Name: "sendunderlock",
 	Doc: "no blocking channel operations or blocking control-plane I/O " +
 		"while holding a sync mutex",
@@ -106,7 +106,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held lockState) (lockState, bool) {
 	case *ast.SendStmt:
 		if len(held) > 0 {
 			key, pos := anyLock(held)
-			w.pass.Reportf(s.Pos(), "blocking channel send while holding %s (locked at %s); send after unlocking or use a non-blocking select", key, w.pass.Fset.Position(pos))
+			w.pass.reportf(s.Pos(), "blocking channel send while holding %s (locked at %s); send after unlocking or use a non-blocking select", key, w.pass.Fset.Position(pos))
 		}
 		w.scanExpr(s.Value, held)
 		return held, false
@@ -148,7 +148,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held lockState) (lockState, bool) {
 			if t := w.pass.Info.Types[s.X].Type; t != nil {
 				if _, isChan := t.Underlying().(*types.Chan); isChan {
 					key, pos := anyLock(held)
-					w.pass.Reportf(s.Pos(), "blocking channel receive (range) while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
+					w.pass.reportf(s.Pos(), "blocking channel receive (range) while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
 				}
 			}
 		}
@@ -183,7 +183,7 @@ func (w *lockWalker) stmt(s ast.Stmt, held lockState) (lockState, bool) {
 		}
 		if !hasDefault && len(held) > 0 {
 			key, pos := anyLock(held)
-			w.pass.Reportf(s.Pos(), "blocking select (no default case) while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
+			w.pass.reportf(s.Pos(), "blocking select (no default case) while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
 		}
 		// Comm statements themselves are governed by the select's
 		// blocking-ness just reported; the case bodies run normally.
@@ -254,12 +254,12 @@ func (w *lockWalker) scan(s ast.Stmt, held lockState, _ bool) {
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				key, pos := anyLock(held)
-				w.pass.Reportf(n.Pos(), "blocking channel receive while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
+				w.pass.reportf(n.Pos(), "blocking channel receive while holding %s (locked at %s)", key, w.pass.Fset.Position(pos))
 			}
 		case *ast.CallExpr:
 			if desc := blockingCall(w.pass.Info, n); desc != "" {
 				key, pos := anyLock(held)
-				w.pass.Reportf(n.Pos(), "%s while holding %s (locked at %s); release the lock before blocking I/O", desc, key, w.pass.Fset.Position(pos))
+				w.pass.reportf(n.Pos(), "%s while holding %s (locked at %s); release the lock before blocking I/O", desc, key, w.pass.Fset.Position(pos))
 			}
 		}
 		return true

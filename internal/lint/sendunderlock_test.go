@@ -3,10 +3,9 @@ package lint_test
 import (
 	"testing"
 
-	"escape/internal/lint"
 	"escape/internal/lint/linttest"
 )
 
 func TestSendUnderLock(t *testing.T) {
-	linttest.Run(t, lint.SendUnderLock, "sendunderlock")
+	linttest.Run(t, "sendunderlock", "sendunderlock")
 }

@@ -38,7 +38,7 @@ type Capacities struct {
 	st  *viewState
 }
 
-func (c *Capacities) Clone() *Capacities { return &Capacities{CPU: c.CPU, st: c.st} }
+func (c *Capacities) clone() *Capacities { return &Capacities{CPU: c.CPU, st: c.st} }
 
 type ResourceView struct {
 	state *viewState
@@ -105,4 +105,14 @@ func copiesBeforeMutating(rv *ResourceView) {
 		own[k] = v
 	}
 	delete(own, "sw2")
+}
+
+// --- rule 1 inside core: a clone of a pin is a pin of the same epoch and
+// goes stale with it ---
+
+func cloneGoesStale(rv *ResourceView, m *Mapping) {
+	caps := rv.Snapshot()
+	cp := caps.clone()
+	rv.Commit(m)
+	_ = cp.CPU // want `snapshot pin cp is stale`
 }

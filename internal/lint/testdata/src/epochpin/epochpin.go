@@ -66,14 +66,6 @@ func pinHoistedOutOfLoop(rv *core.ResourceView, m *core.Mapping) {
 	}
 }
 
-// A clone of a pin is a pin of the same epoch and goes stale with it.
-func cloneGoesStale(rv *core.ResourceView, m *core.Mapping) {
-	caps := rv.Snapshot()
-	cp := caps.Clone()
-	rv.Commit(m)
-	use(cp) // want `snapshot pin cp is stale`
-}
-
 // A commit on only one branch still poisons the pin afterwards: the
 // analyzer must merge branch outcomes pessimistically.
 func commitOnOneBranch(rv *core.ResourceView, m *core.Mapping, ok bool) {

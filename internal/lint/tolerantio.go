@@ -6,7 +6,7 @@ import (
 	"regexp"
 )
 
-// TolerantIO enforces the tolerant-teardown discipline: control-plane
+// tolerantIO enforces the tolerant-teardown discipline: control-plane
 // calls (NETCONF RPCs, OpenFlow mods, steering) return errors that MUST
 // be looked at, and teardown/heal paths must use the tolerant variants
 // that keep going past dead switches instead of the strict ones that
@@ -15,7 +15,7 @@ import (
 // entries installed. An explicit `_ = call()` is the sanctioned
 // escape hatch — it is visible in review and greppable — whereas a bare
 // call statement silently discards the error.
-var TolerantIO = &Analyzer{
+var tolerantIO = &Analyzer{
 	Name: "tolerantio",
 	Doc: "control-plane errors must not be silently discarded; teardown " +
 		"paths must use tolerant call variants",
@@ -94,7 +94,7 @@ func checkDiscards(pass *Pass, body *ast.BlockStmt) {
 			return true
 		}
 		if typ, m, ok := controlPlaneCallee(pass.Info, call); ok {
-			pass.Reportf(call.Pos(), "error from control-plane call %s.%s silently discarded; handle it, or write `_ = ...` with a comment saying why it is safe to ignore", typ, m)
+			pass.reportf(call.Pos(), "error from control-plane call %s.%s silently discarded; handle it, or write `_ = ...` with a comment saying why it is safe to ignore", typ, m)
 		}
 		return true
 	})
@@ -126,7 +126,7 @@ func checkStrictVariants(pass *Pass, name string, body *ast.BlockStmt) {
 		}
 		key := [3]string{recv.Obj().Pkg().Name(), recv.Obj().Name(), fn.Name()}
 		if tolerant, ok := strictVariants[key]; ok {
-			pass.Reportf(call.Pos(), "teardown path %s uses strict %s.%s; use %s so cleanup survives dead switches", name, recv.Obj().Name(), fn.Name(), tolerant)
+			pass.reportf(call.Pos(), "teardown path %s uses strict %s.%s; use %s so cleanup survives dead switches", name, recv.Obj().Name(), fn.Name(), tolerant)
 		}
 		return true
 	})

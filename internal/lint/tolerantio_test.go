@@ -3,7 +3,6 @@ package lint_test
 import (
 	"testing"
 
-	"escape/internal/lint"
 	"escape/internal/lint/linttest"
 )
 
@@ -11,5 +10,5 @@ func TestTolerantIO(t *testing.T) {
 	// The discard rule is exercised from the tolerantio corpus; the
 	// strict-variant teardown rule fires on unexported sendMods and so
 	// lives inside the steering stand-in.
-	linttest.Run(t, lint.TolerantIO, "tolerantio", "steering")
+	linttest.Run(t, "tolerantio", "tolerantio", "steering")
 }

@@ -27,8 +27,8 @@ type Target struct {
 	Handlers []string
 }
 
-// Sample is one polled value.
-type Sample struct {
+// sample is one polled value.
+type sample struct {
 	At    time.Time
 	Value string
 	Err   error
@@ -42,7 +42,7 @@ type Monitor struct {
 	mu      sync.Mutex
 	targets []Target
 	clients map[string]*click.ControlClient
-	series  map[string][]Sample // "name handler" → ring of samples
+	series  map[string][]sample // "name handler" → ring of samples
 	stopCh  chan struct{}
 	done    chan struct{}
 	running bool
@@ -61,7 +61,7 @@ func NewMonitor(interval time.Duration, history int) *Monitor {
 		interval: interval,
 		history:  history,
 		clients:  map[string]*click.ControlClient{},
-		series:   map[string][]Sample{},
+		series:   map[string][]sample{},
 	}
 }
 
@@ -134,7 +134,7 @@ func (m *Monitor) pollOnce() {
 		client, err := m.client(t.Control)
 		for _, h := range t.Handlers {
 			key := t.Name + " " + h
-			var s Sample
+			var s sample
 			s.At = now
 			if err != nil {
 				s.Err = err
@@ -185,7 +185,7 @@ func (m *Monitor) dropClient(addr string) {
 	m.mu.Unlock()
 }
 
-func (m *Monitor) record(key string, s Sample) {
+func (m *Monitor) record(key string, s sample) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ring := append(m.series[key], s)
@@ -193,24 +193,6 @@ func (m *Monitor) record(key string, s Sample) {
 		ring = ring[len(ring)-m.history:]
 	}
 	m.series[key] = ring
-}
-
-// Latest returns the most recent sample for a "name handler" key.
-func (m *Monitor) Latest(name, handler string) (Sample, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ring := m.series[name+" "+handler]
-	if len(ring) == 0 {
-		return Sample{}, false
-	}
-	return ring[len(ring)-1], true
-}
-
-// History returns the retained samples for a key (oldest first).
-func (m *Monitor) History(name, handler string) []Sample {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]Sample(nil), m.series[name+" "+handler]...)
 }
 
 // Dashboard renders the latest value of every series as an aligned text

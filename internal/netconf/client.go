@@ -47,16 +47,16 @@ func Dial(addr string) (*Client, error) {
 	_ = conn.SetDeadline(deadline)
 	c := &Client{conn: conn, fr: newFramer(conn)}
 	// Client hello.
-	hello := yang.NewData("hello").SetAttr("xmlns", BaseNS).Add(
+	hello := yang.NewData("hello").SetAttr("xmlns", baseNS).Add(
 		yang.NewData("capabilities").
-			AddLeaf("capability", CapBase10).
-			AddLeaf("capability", CapBase11),
+			AddLeaf("capability", capBase10).
+			AddLeaf("capability", capBase11),
 	)
-	if err := c.fr.WriteMessage([]byte(hello.XML())); err != nil {
+	if err := c.fr.writeMessage([]byte(hello.XML())); err != nil {
 		conn.Close()
 		return nil, err
 	}
-	raw, err := c.fr.ReadMessage()
+	raw, err := c.fr.readMessage()
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("netconf: reading server hello: %w", err)
@@ -72,7 +72,7 @@ func Dial(addr string) (*Client, error) {
 			c.ServerCapabilities = append(c.ServerCapabilities, cap.Text)
 		}
 	}
-	if peerAdvertises(srv, CapBase11) {
+	if peerAdvertises(srv, capBase11) {
 		c.fr.upgrade()
 	}
 	return c, nil
@@ -123,7 +123,7 @@ func (c *Client) Calls(ops ...*yang.Data) ([]*yang.Data, error) {
 	write := func() error {
 		for i, op := range ops {
 			rpc := yang.NewData("rpc").
-				SetAttr("xmlns", BaseNS).
+				SetAttr("xmlns", baseNS).
 				SetAttr("message-id", strconv.Itoa(first+i)).
 				Add(op)
 			if err := c.fr.writeFrame([]byte(rpc.XML())); err != nil {
@@ -192,7 +192,7 @@ func (f *framer) readReplies(first, n int) ([]*yang.Data, error) {
 
 // readReply reads the rpc-reply to the rpc with message-id id.
 func (f *framer) readReply(id string) (*yang.Data, error) {
-	raw, err := f.ReadMessage()
+	raw, err := f.readMessage()
 	if err != nil {
 		return nil, fmt.Errorf("netconf: reading reply: %w", err)
 	}
@@ -236,26 +236,26 @@ func (e *RPCError) Error() string {
 
 // Error tags carried in <error-tag> (RFC 6241 subset).
 const (
-	// TagOperationFailed is the generic handler-error tag.
-	TagOperationFailed = "operation-failed"
-	// TagResourceUnavailable marks errors whose handler wrapped
+	// tagOperationFailed is the generic handler-error tag.
+	tagOperationFailed = "operation-failed"
+	// tagResourceUnavailable marks errors whose handler wrapped
 	// ErrUnavailable: the managed backend itself is gone (crashed
 	// container), not just this operation. Clients classify on it.
-	TagResourceUnavailable = "resource-unavailable"
+	tagResourceUnavailable = "resource-unavailable"
 )
 
 // ErrUnavailable is wrapped by server-side handlers to signal that the
-// managed backend is gone; the server maps it to TagResourceUnavailable
+// managed backend is gone; the server maps it to tagResourceUnavailable
 // so the condition survives the RPC boundary structurally instead of as
 // message text.
 var ErrUnavailable = errors.New("netconf: managed resource unavailable")
 
 // IsUnavailable reports whether err is an rpc-error carrying
-// TagResourceUnavailable (remote side) or wraps ErrUnavailable (local).
+// tagResourceUnavailable (remote side) or wraps ErrUnavailable (local).
 func IsUnavailable(err error) bool {
 	var re *RPCError
 	if errors.As(err, &re) {
-		return re.Tag == TagResourceUnavailable
+		return re.Tag == tagResourceUnavailable
 	}
 	return errors.Is(err, ErrUnavailable)
 }
@@ -271,37 +271,6 @@ func (c *Client) Get() (*yang.Data, error) {
 		return nil, fmt.Errorf("netconf: get reply without <data>")
 	}
 	return data, nil
-}
-
-// GetConfig retrieves the running configuration (<get-config>).
-func (c *Client) GetConfig() (*yang.Data, error) {
-	op := yang.NewData("get-config").Add(
-		yang.NewData("source").Add(yang.NewData("running")),
-	)
-	reply, err := c.Call(op)
-	if err != nil {
-		return nil, err
-	}
-	data := reply.Child("data")
-	if data == nil {
-		return nil, fmt.Errorf("netconf: get-config reply without <data>")
-	}
-	return data, nil
-}
-
-// EditConfig merges config into the running datastore.
-func (c *Client) EditConfig(config *yang.Data) error {
-	wrapped := yang.NewData("config")
-	wrapped.Children = append(wrapped.Children, config.Children...)
-	if len(wrapped.Children) == 0 {
-		wrapped.Add(config)
-	}
-	op := yang.NewData("edit-config").Add(
-		yang.NewData("target").Add(yang.NewData("running")),
-		wrapped,
-	)
-	_, err := c.Call(op)
-	return err
 }
 
 // Close sends close-session, waiting at most rpcBound for its reply, and

@@ -80,19 +80,19 @@ func misnumberingServer(t *testing.T) string {
 		}
 		defer conn.Close()
 		fr := newFramer(conn)
-		hello := yang.NewData("hello").SetAttr("xmlns", BaseNS).Add(
-			yang.NewData("capabilities").AddLeaf("capability", CapBase10),
+		hello := yang.NewData("hello").SetAttr("xmlns", baseNS).Add(
+			yang.NewData("capabilities").AddLeaf("capability", capBase10),
 			yang.Leaf("session-id", "1"))
-		if fr.WriteMessage([]byte(hello.XML())) != nil {
+		if fr.writeMessage([]byte(hello.XML())) != nil {
 			return
 		}
 		for {
-			if _, err := fr.ReadMessage(); err != nil {
+			if _, err := fr.readMessage(); err != nil {
 				return
 			}
-			reply := yang.NewData("rpc-reply").SetAttr("xmlns", BaseNS).
+			reply := yang.NewData("rpc-reply").SetAttr("xmlns", baseNS).
 				SetAttr("message-id", "0").Add(yang.NewData("ok"))
-			if fr.WriteMessage([]byte(reply.XML())) != nil {
+			if fr.writeMessage([]byte(reply.XML())) != nil {
 				return
 			}
 		}
@@ -139,7 +139,7 @@ func TestCallsLargeFlight(t *testing.T) {
 			return
 		}
 		small(conn)
-		srv.ServeConn(conn)
+		srv.serveConn(conn)
 	}()
 	c, err := Dial(ln.Addr().String())
 	if err != nil {

@@ -20,12 +20,12 @@ import (
 
 // Base capability URNs.
 const (
-	CapBase10 = "urn:ietf:params:netconf:base:1.0"
-	CapBase11 = "urn:ietf:params:netconf:base:1.1"
+	capBase10 = "urn:ietf:params:netconf:base:1.0"
+	capBase11 = "urn:ietf:params:netconf:base:1.1"
 )
 
-// BaseNS is the NETCONF XML namespace.
-const BaseNS = "urn:ietf:params:xml:ns:netconf:base:1.0"
+// baseNS is the NETCONF XML namespace.
+const baseNS = "urn:ietf:params:xml:ns:netconf:base:1.0"
 
 var eomDelimiter = []byte("]]>]]>")
 
@@ -49,8 +49,8 @@ func newFramer(rw io.ReadWriter) *framer {
 // upgrade switches to chunked framing for all subsequent messages.
 func (f *framer) upgrade() { f.chunked = true }
 
-// WriteMessage frames and flushes one message.
-func (f *framer) WriteMessage(msg []byte) error {
+// writeMessage frames and flushes one message.
+func (f *framer) writeMessage(msg []byte) error {
 	if err := f.writeFrame(msg); err != nil {
 		return err
 	}
@@ -81,8 +81,8 @@ func (f *framer) writeFrame(msg []byte) error {
 	return err
 }
 
-// ReadMessage reads one framed message.
-func (f *framer) ReadMessage() ([]byte, error) {
+// readMessage reads one framed message.
+func (f *framer) readMessage() ([]byte, error) {
 	if f.chunked {
 		return f.readChunked()
 	}

@@ -26,7 +26,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if chunked {
 			in.upgrade()
 		}
-		_, _ = in.ReadMessage()
+		_, _ = in.readMessage()
 
 		// Round trip: treat the input as a payload.
 		var buf bytes.Buffer
@@ -34,10 +34,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		if chunked {
 			fr.upgrade()
 		}
-		if err := fr.WriteMessage(data); err != nil {
+		if err := fr.writeMessage(data); err != nil {
 			t.Fatalf("WriteMessage: %v", err)
 		}
-		got, err := fr.ReadMessage()
+		got, err := fr.readMessage()
 		if err != nil {
 			t.Fatalf("ReadMessage after WriteMessage(%q): %v", data, err)
 		}

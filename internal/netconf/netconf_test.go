@@ -33,7 +33,7 @@ func TestHelloExchange(t *testing.T) {
 	}
 	found := false
 	for _, cap := range c.ServerCapabilities {
-		if cap == CapBase11 {
+		if cap == capBase11 {
 			found = true
 		}
 	}
@@ -46,11 +46,36 @@ func TestHelloExchange(t *testing.T) {
 	}
 }
 
+// getConfig reads the running datastore with a <get-config> rpc.
+func getConfig(c *Client) (*yang.Data, error) {
+	reply, err := c.Call(yang.NewData("get-config").Add(
+		yang.NewData("source").Add(yang.NewData("running")),
+	))
+	if err != nil {
+		return nil, err
+	}
+	if data := reply.Child("data"); data != nil {
+		return data, nil
+	}
+	return nil, fmt.Errorf("get-config reply without <data>: %s", reply.XML())
+}
+
+// editConfig merges config into the running datastore with an
+// <edit-config> rpc.
+func editConfig(c *Client, config *yang.Data) error {
+	config.Name = "config"
+	_, err := c.Call(yang.NewData("edit-config").Add(
+		yang.NewData("target").Add(yang.NewData("running")),
+		config,
+	))
+	return err
+}
+
 func TestGetConfigAndEditConfig(t *testing.T) {
 	srv := NewServer()
 	c := newServerClient(t, srv)
 	// Initially empty.
-	data, err := c.GetConfig()
+	data, err := getConfig(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,10 +88,10 @@ func TestGetConfigAndEditConfig(t *testing.T) {
 			yang.NewData("chain").AddLeaf("id", "c1").AddLeaf("status", "deployed"),
 		),
 	)
-	if err := c.EditConfig(edit); err != nil {
+	if err := editConfig(c, edit); err != nil {
 		t.Fatal(err)
 	}
-	data, err = c.GetConfig()
+	data, err = getConfig(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,10 +105,10 @@ func TestGetConfigAndEditConfig(t *testing.T) {
 			yang.NewData("chain").AddLeaf("id", "c1").AddLeaf("status", "torn-down"),
 		),
 	)
-	if err := c.EditConfig(edit2); err != nil {
+	if err := editConfig(c, edit2); err != nil {
 		t.Fatal(err)
 	}
-	data, _ = c.GetConfig()
+	data, _ = getConfig(c)
 	entries := data.Child("chains").ChildrenNamed("chain")
 	if len(entries) != 1 || entries[0].ChildText("status") != "torn-down" {
 		t.Fatalf("after merge = %s", data.XML())
@@ -206,12 +231,12 @@ func TestEOMFraming(t *testing.T) {
 	// The third message contains a partial delimiter — EOM framing handles
 	// it because the full 6-byte sequence never appears inside.
 	for _, m := range msgs {
-		if err := f.WriteMessage(m); err != nil {
+		if err := f.writeMessage(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, want := range msgs {
-		got, err := f.ReadMessage()
+		got, err := f.readMessage()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,10 +253,10 @@ func TestChunkedFraming(t *testing.T) {
 	}{&buf})
 	f.upgrade()
 	payload := bytes.Repeat([]byte("<x>chunky</x>"), 100)
-	if err := f.WriteMessage(payload); err != nil {
+	if err := f.writeMessage(payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadMessage()
+	got, err := f.readMessage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +272,7 @@ func TestChunkedFramingMultiChunk(t *testing.T) {
 		*bytes.Buffer
 	}{bytes.NewBufferString(raw)})
 	f.upgrade()
-	got, err := f.ReadMessage()
+	got, err := f.readMessage()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +291,7 @@ func TestChunkedFramingErrors(t *testing.T) {
 			*bytes.Buffer
 		}{bytes.NewBufferString(raw)})
 		f.upgrade()
-		if _, err := f.ReadMessage(); err == nil {
+		if _, err := f.readMessage(); err == nil {
 			t.Errorf("ReadMessage(%q) succeeded", raw)
 		}
 	}
@@ -282,7 +307,7 @@ func TestChunkedFramingBoundsMessage(t *testing.T) {
 			*bytes.Buffer
 		}{bytes.NewBuffer(raw)})
 		f.upgrade()
-		return f.ReadMessage()
+		return f.readMessage()
 	}
 	chunk := func(data []byte) []byte {
 		return append([]byte(fmt.Sprintf("\n#%d\n", len(data))), data...)
@@ -324,10 +349,10 @@ func TestQuickFramingRoundTrip(t *testing.T) {
 		if chunked {
 			fr.upgrade()
 		}
-		if err := fr.WriteMessage(payload); err != nil {
+		if err := fr.writeMessage(payload); err != nil {
 			return false
 		}
-		got, err := fr.ReadMessage()
+		got, err := fr.readMessage()
 		if err != nil {
 			return false
 		}
@@ -374,17 +399,17 @@ func TestReplyEchoesEscapedMessageID(t *testing.T) {
 	}
 	defer conn.Close()
 	fr := newFramer(conn)
-	if _, err := fr.ReadMessage(); err != nil {
+	if _, err := fr.readMessage(); err != nil {
 		t.Fatalf("reading the server's hello: %v", err)
 	}
-	hello := `<hello xmlns="` + BaseNS + `"><capabilities><capability>` + CapBase10 + `</capability></capabilities></hello>`
-	if err := fr.WriteMessage([]byte(hello)); err != nil {
+	hello := `<hello xmlns="` + baseNS + `"><capabilities><capability>` + capBase10 + `</capability></capabilities></hello>`
+	if err := fr.writeMessage([]byte(hello)); err != nil {
 		t.Fatal(err)
 	}
-	if err := fr.WriteMessage([]byte(`<rpc message-id="a&amp;b&lt;c" xmlns="` + BaseNS + `"><get/></rpc>`)); err != nil {
+	if err := fr.writeMessage([]byte(`<rpc message-id="a&amp;b&lt;c" xmlns="` + baseNS + `"><get/></rpc>`)); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := fr.ReadMessage()
+	raw, err := fr.readMessage()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@ type Server struct {
 	mu        sync.RWMutex
 	handlers  map[string]RPCHandler
 	modules   []*yang.Module
-	running   *yang.Data // <data> operational state provider
 	datastore *yang.Data // running config, edited via edit-config
 	ln        net.Listener
 	conns     map[net.Conn]struct{}
@@ -71,7 +70,7 @@ func (s *Server) ListenAndServe(addr string) error {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.ServeConn(conn)
+				s.serveConn(conn)
 			}()
 		}
 	}()
@@ -139,9 +138,9 @@ type Session struct {
 	closed bool
 }
 
-// ServeConn runs the NETCONF session protocol on an established
+// serveConn runs the NETCONF session protocol on an established
 // connection until close-session or connection loss.
-func (s *Server) ServeConn(conn net.Conn) error {
+func (s *Server) serveConn(conn net.Conn) error {
 	defer conn.Close()
 	if !s.track(conn) {
 		return fmt.Errorf("netconf: server closed")
@@ -154,15 +153,15 @@ func (s *Server) ServeConn(conn net.Conn) error {
 		conn:   conn,
 	}
 	// Hello exchange: server sends capabilities + session-id.
-	hello := yang.NewData("hello").SetAttr("xmlns", BaseNS)
+	hello := yang.NewData("hello").SetAttr("xmlns", baseNS)
 	caps := yang.NewData("capabilities").
-		AddLeaf("capability", CapBase10).
-		AddLeaf("capability", CapBase11)
+		AddLeaf("capability", capBase10).
+		AddLeaf("capability", capBase11)
 	hello.Add(caps, yang.Leaf("session-id", fmt.Sprint(sess.ID)))
-	if err := sess.fr.WriteMessage([]byte(hello.XML())); err != nil {
+	if err := sess.fr.writeMessage([]byte(hello.XML())); err != nil {
 		return err
 	}
-	peerRaw, err := sess.fr.ReadMessage()
+	peerRaw, err := sess.fr.readMessage()
 	if err != nil {
 		return fmt.Errorf("netconf: reading client hello: %w", err)
 	}
@@ -170,11 +169,11 @@ func (s *Server) ServeConn(conn net.Conn) error {
 	if err != nil || peer.Name != "hello" {
 		return fmt.Errorf("netconf: bad client hello")
 	}
-	if peerAdvertises(peer, CapBase11) {
+	if peerAdvertises(peer, capBase11) {
 		sess.fr.upgrade()
 	}
 	for !sess.closed {
-		raw, err := sess.fr.ReadMessage()
+		raw, err := sess.fr.readMessage()
 		if err != nil {
 			return nil // connection gone
 		}
@@ -186,7 +185,7 @@ func (s *Server) ServeConn(conn net.Conn) error {
 			continue
 		}
 		reply := s.dispatch(sess, rpc)
-		if err := sess.fr.WriteMessage([]byte(reply.XML())); err != nil {
+		if err := sess.fr.writeMessage([]byte(reply.XML())); err != nil {
 			return err
 		}
 	}
@@ -207,7 +206,7 @@ func peerAdvertises(hello *yang.Data, cap string) bool {
 }
 
 func (s *Server) dispatch(sess *Session, rpc *yang.Data) *yang.Data {
-	reply := yang.NewData("rpc-reply").SetAttr("xmlns", BaseNS)
+	reply := yang.NewData("rpc-reply").SetAttr("xmlns", baseNS)
 	if id := rpc.Attr("message-id"); id != "" {
 		reply.SetAttr("message-id", id)
 	}
@@ -263,9 +262,9 @@ func (s *Server) dispatch(sess *Session, rpc *yang.Data) *yang.Data {
 		// so clients can structurally tell "the managed backend is gone"
 		// (crashed container — teardown may skip it) from an ordinary
 		// operation failure, without matching on message text.
-		tag := TagOperationFailed
+		tag := tagOperationFailed
 		if errors.Is(err, ErrUnavailable) {
-			tag = TagResourceUnavailable
+			tag = tagResourceUnavailable
 		}
 		return rpcErrorTag(reply, "application", tag, err.Error())
 	}
@@ -276,7 +275,7 @@ func (s *Server) dispatch(sess *Session, rpc *yang.Data) *yang.Data {
 }
 
 func rpcError(reply *yang.Data, typ, msg string) *yang.Data {
-	return rpcErrorTag(reply, typ, TagOperationFailed, msg)
+	return rpcErrorTag(reply, typ, tagOperationFailed, msg)
 }
 
 func rpcErrorTag(reply *yang.Data, typ, tag, msg string) *yang.Data {

@@ -36,6 +36,8 @@ type Link struct {
 }
 
 // Config returns the link's shaping parameters.
+//
+//lint:ignore deadexport test seam: core's scanView, the reference of ViewFromSpec, reads what netem.Build shaped
 func (l *Link) Config() LinkConfig { return l.cfg }
 
 // Fail cuts the link: frames in both directions are dropped (counted as

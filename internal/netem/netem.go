@@ -29,19 +29,19 @@ type NodeKind int
 
 // Node kinds.
 const (
-	KindHost NodeKind = iota
+	kindHost NodeKind = iota
 	KindSwitch
-	KindEE
+	kindEE
 )
 
 // String implements fmt.Stringer.
 func (k NodeKind) String() string {
 	switch k {
-	case KindHost:
+	case kindHost:
 		return "host"
 	case KindSwitch:
 		return "switch"
-	case KindEE:
+	case kindEE:
 		return "ee"
 	}
 	return "unknown"
@@ -136,17 +136,6 @@ func (n *Network) Node(name string) Node {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	return n.nodes[name]
-}
-
-// Nodes returns all nodes in creation order.
-func (n *Network) Nodes() []Node {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]Node, 0, len(n.order))
-	for _, name := range n.order {
-		out = append(out, n.nodes[name])
-	}
-	return out
 }
 
 // NodeNames returns sorted node names of a kind.

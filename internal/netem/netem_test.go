@@ -2,6 +2,7 @@ package netem
 
 import (
 	"fmt"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -47,7 +48,7 @@ func TestAddNodesAndDuplicates(t *testing.T) {
 	if n.Node("h1") == nil || n.Node("nope") != nil {
 		t.Error("Node lookup broken")
 	}
-	if got := n.NodeNames(KindHost); len(got) != 1 || got[0] != "h1" {
+	if got := n.NodeNames(kindHost); len(got) != 1 || got[0] != "h1" {
 		t.Errorf("hosts = %v", got)
 	}
 	n.Stop()
@@ -76,25 +77,22 @@ func TestHostAddressing(t *testing.T) {
 	if h1.MAC() == h2.MAC() {
 		t.Error("hosts share a MAC")
 	}
-	if h1.Port(0).Name != "h1-eth0" {
-		t.Errorf("port name = %s", h1.Port(0).Name)
+	if h1.port(0).Name != "h1-eth0" {
+		t.Errorf("port name = %s", h1.port(0).Name)
 	}
-	if h1.Port(5) != nil {
+	if h1.port(5) != nil {
 		t.Error("out-of-range port not nil")
 	}
 }
 
 func TestPingThroughLearningSwitch(t *testing.T) {
-	topo, err := Single(2, Sizing{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := &Topo{Switches: []string{"s1"}, Hosts: []HostSpec{{Name: "h1", Switch: "s1"}, {Name: "h2", Switch: "s1"}}}
 	n, _ := newStartedNet(t, topo)
 	h1 := n.Node("h1").(*Host)
 	h2 := n.Node("h2").(*Host)
 
 	// ARP resolution: h1 asks for h2's MAC.
-	req, err := pkt.BuildARPRequest(h1.MAC(), h1.IP(), h2.IP())
+	req, err := arpRequest(h1.MAC(), h1.IP(), h2.IP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +155,6 @@ func TestLinearTopologyEndToEnd(t *testing.T) {
 }
 
 func TestBuildGeneratorsValidate(t *testing.T) {
-	if _, err := Single(0, Sizing{}); err == nil {
-		t.Error("single(0) accepted")
-	}
 	if _, err := Linear(0, Sizing{}); err == nil {
 		t.Error("linear(0) accepted")
 	}
@@ -271,16 +266,13 @@ func TestLossyLinkDropsSome(t *testing.T) {
 }
 
 func TestEEVNFLifecycle(t *testing.T) {
-	topo, err := Single(2, Sizing{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := &Topo{Switches: []string{"s1"}, Hosts: []HostSpec{{Name: "h1", Switch: "s1"}, {Name: "h2", Switch: "s1"}}}
 	topo.EEs = []EESpec{{Name: "ee1", Switch: "s1", CPU: 2, Mem: 1024}}
 	n, _ := newStartedNet(t, topo)
 	ee := n.Node("ee1").(*EE)
 
 	// initiateVNF: a simple forwarder with two devices.
-	_, err = ee.InitVNF(VNFSpec{
+	_, err := ee.InitVNF(VNFSpec{
 		Name:        "fwd1",
 		ClickConfig: `FromDevice(in) -> cnt :: Counter -> Queue(64) -> ToDevice(out);`,
 		Devices:     []string{"in", "out"},
@@ -312,7 +304,7 @@ func TestEEVNFLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	vnf := ee.VNF("fwd1")
-	if vnf.State() != VNFRunning {
+	if vnf.State() != vnfRunning {
 		t.Fatalf("state = %s", vnf.State())
 	}
 	if vnf.ControlAddr() == "" {
@@ -497,4 +489,12 @@ func TestConcurrentConnectVNFDistinctMACs(t *testing.T) {
 	if want := 2 * 2 * devsPerEE; len(seen) != want {
 		t.Errorf("%d distinct MACs, want %d (one per link end)", len(seen), want)
 	}
+}
+
+// arpRequest builds a broadcast who-has query.
+func arpRequest(srcMAC pkt.MAC, srcIP, targetIP netip.Addr) ([]byte, error) {
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: pkt.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, EtherType: pkt.EtherTypeARP},
+		&pkt.ARP{Op: pkt.ARPRequest, SenderMAC: srcMAC, SenderIP: srcIP, TargetIP: targetIP},
+	)
 }

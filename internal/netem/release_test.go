@@ -34,7 +34,7 @@ func initForwarder(t *testing.T, ee *EE, name string) {
 // completes that; its links and switch ports go with the disconnects.
 func TestReapStoppedDisconnectedVNF(t *testing.T) {
 	n, ee, s1 := releaseNet(t)
-	links0, ports0 := len(n.Links()), s1.Switch().PortCount()
+	links0, ports0 := len(n.Links()), portCount(s1)
 
 	// Stop first, then disconnect: the last disconnect releases it.
 	initForwarder(t, ee, "v1")
@@ -46,7 +46,7 @@ func TestReapStoppedDisconnectedVNF(t *testing.T) {
 	if err := ee.StartVNF("v1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s1.Switch().PortCount(); got != ports0+2 {
+	if got := portCount(s1); got != ports0+2 {
 		t.Fatalf("ports = %d, want %d", got, ports0+2)
 	}
 	if err := ee.StopVNF("v1"); err != nil {
@@ -70,7 +70,7 @@ func TestReapStoppedDisconnectedVNF(t *testing.T) {
 	if got := len(n.Links()); got != links0 {
 		t.Errorf("links = %d, want %d", got, links0)
 	}
-	if got := s1.Switch().PortCount(); got != ports0 {
+	if got := portCount(s1); got != ports0 {
 		t.Errorf("ports = %d, want %d", got, ports0)
 	}
 
@@ -98,7 +98,7 @@ func TestReapStoppedDisconnectedVNF(t *testing.T) {
 	if got := ee.AvailableCPU(); got != 2_000_000 {
 		t.Errorf("available CPU = %v, want 2", got)
 	}
-	if got := s1.Switch().PortCount(); got != ports0 {
+	if got := portCount(s1); got != ports0 {
 		t.Errorf("ports = %d, want %d", got, ports0)
 	}
 }
@@ -108,7 +108,7 @@ func TestReapStoppedDisconnectedVNF(t *testing.T) {
 // was before they were connected.
 func TestReapOnCrashRemovesLinksAndPorts(t *testing.T) {
 	n, ee, s1 := releaseNet(t)
-	links0, ports0 := len(n.Links()), s1.Switch().PortCount()
+	links0, ports0 := len(n.Links()), portCount(s1)
 	initForwarder(t, ee, "v1")
 	for _, dev := range []string{"in", "out"} {
 		if _, err := ee.ConnectVNF(n, "v1", dev, "s1", LinkConfig{}); err != nil {
@@ -122,7 +122,7 @@ func TestReapOnCrashRemovesLinksAndPorts(t *testing.T) {
 	if got := len(n.Links()); got != links0 {
 		t.Errorf("links = %d, want %d", got, links0)
 	}
-	if got := s1.Switch().PortCount(); got != ports0 {
+	if got := portCount(s1); got != ports0 {
 		t.Errorf("ports = %d, want %d", got, ports0)
 	}
 	ee.Restart()
@@ -168,7 +168,7 @@ func TestPortReuseTakesLowestFree(t *testing.T) {
 func TestPortReuseSurvivesPortSpaceChurn(t *testing.T) {
 	const cycles = 70_000 // > openflow.PortMax - 1 = 65 279 numbers
 	n, ee, s1 := releaseNet(t)
-	ports0 := s1.Switch().PortCount()
+	ports0 := portCount(s1)
 	if _, err := ee.InitVNF(VNFSpec{Name: "v", ClickConfig: "FromDevice(in) -> ToDevice(out);", Devices: []string{"in"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,10 +184,17 @@ func TestPortReuseSurvivesPortSpaceChurn(t *testing.T) {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 	}
-	if got := s1.Switch().PortCount(); got != ports0 {
+	if got := portCount(s1); got != ports0 {
 		t.Errorf("ports = %d, want %d", got, ports0)
 	}
 	if got := len(n.Links()); got != 1 {
 		t.Errorf("links = %d, want 1 (h1–s1)", got)
 	}
+}
+
+// portCount is the number of switch ports netem holds on s.
+func portCount(s *SwitchNode) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.used)
 }

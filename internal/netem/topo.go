@@ -132,20 +132,7 @@ type Sizing struct {
 }
 
 // Topology generators after Mininet's built-in topologies (--topo
-// single/linear) plus a k-ary fat-tree.
-
-// Single is one switch s1 with hosts h1…hn.
-func Single(hosts int, s Sizing) (*Topo, error) {
-	if hosts < 1 {
-		return nil, fmt.Errorf("netem: single topology needs ≥1 host")
-	}
-	t := &Topo{Name: fmt.Sprintf("single-%d", hosts), Switches: []string{"s1"}}
-	for i := 1; i <= hosts; i++ {
-		t.Hosts = append(t.Hosts, HostSpec{Name: fmt.Sprintf("h%d", i), Switch: "s1"})
-	}
-	s.addEEs(t)
-	return t, nil
-}
+// linear) plus a k-ary fat-tree.
 
 // Linear is n switches in a chain with one host per switch:
 // h1—s1—s2—…—sn—hn.

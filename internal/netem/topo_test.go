@@ -3,13 +3,7 @@ package netem
 import "testing"
 
 func countKind(n *Network, k NodeKind) int {
-	c := 0
-	for _, node := range n.Nodes() {
-		if node.Kind() == k {
-			c++
-		}
-	}
-	return c
+	return len(n.NodeNames(k))
 }
 
 func TestFatTree(t *testing.T) {
@@ -23,10 +17,10 @@ func TestFatTree(t *testing.T) {
 	if sw := countKind(n, KindSwitch); sw != 20 {
 		t.Errorf("switches = %d, want 20", sw)
 	}
-	if h := countKind(n, KindHost); h != 8 {
+	if h := countKind(n, kindHost); h != 8 {
 		t.Errorf("hosts = %d, want 8", h)
 	}
-	if ee := countKind(n, KindEE); ee != 8 {
+	if ee := countKind(n, kindEE); ee != 8 {
 		t.Errorf("EEs = %d, want 8", ee)
 	}
 	// links: core-agg 16 + agg-edge 16 + host-edge 8 = 40.

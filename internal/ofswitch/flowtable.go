@@ -177,9 +177,9 @@ func subsumes(a, b openflow.Match) bool {
 	return true
 }
 
-// Modify updates actions on matching entries; strict requires equal match
+// modify updates actions on matching entries; strict requires equal match
 // and priority. Returns the number of entries updated.
-func (t *FlowTable) Modify(m openflow.Match, priority uint16, actions []openflow.Action, strict bool) int {
+func (t *FlowTable) modify(m openflow.Match, priority uint16, actions []openflow.Action, strict bool) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	next := append([]*FlowEntry(nil), t.load()...)
@@ -206,18 +206,18 @@ func selects(m openflow.Match, priority uint16, strict bool, e *FlowEntry) bool 
 	return subsumes(m, e.Match)
 }
 
-// Delete removes matching entries; strict requires equal match and
+// delete removes matching entries; strict requires equal match and
 // priority. Entries flagged SendFlowRem are reported through the removed
 // callback. Returns the number of entries removed.
-func (t *FlowTable) Delete(m openflow.Match, priority uint16, strict bool) int {
+func (t *FlowTable) delete(m openflow.Match, priority uint16, strict bool) int {
 	return t.evict(func(e *FlowEntry) (uint8, bool) {
 		return openflow.RemReasonDelete, selects(m, priority, strict, e)
 	})
 }
 
-// Sweep evicts entries whose idle or hard timeout has expired and returns
+// sweep evicts entries whose idle or hard timeout has expired and returns
 // the number evicted. The switch calls it periodically.
-func (t *FlowTable) Sweep(now time.Time) int {
+func (t *FlowTable) sweep(now time.Time) int {
 	return t.evict(func(e *FlowEntry) (uint8, bool) {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Created) >= e.HardTimeout:
@@ -258,8 +258,8 @@ func (t *FlowTable) evict(doomed func(*FlowEntry) (reason uint8, ok bool)) int {
 	return len(victims)
 }
 
-// Aggregate sums counters over entries subsumed by m.
-func (t *FlowTable) Aggregate(m openflow.Match) openflow.AggregateStats {
+// aggregate sums counters over entries subsumed by m.
+func (t *FlowTable) aggregate(m openflow.Match) openflow.AggregateStats {
 	var agg openflow.AggregateStats
 	for _, e := range t.load() {
 		if subsumes(m, e.Match) {

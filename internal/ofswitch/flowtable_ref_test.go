@@ -264,7 +264,7 @@ func (m *flowModel) step(n int, c []byte) error {
 		m.ref.Add(&e2)
 	case op < 7: // packet
 		f := openflow.PacketFields{InPort: uint16(1 + c[6]%4), Headers: pkt.Headers{
-			DLVLAN: openflow.VLANNone, DLType: 0x0800,
+			DLVLAN: vlanNone, DLType: 0x0800,
 			NWSrc: modelSrcs[int(c[6]>>2)%len(modelSrcs)], NWDst: tip("10.9.9.9"),
 		}}
 		size := 60 + int(c[7])*1400/256
@@ -277,15 +277,15 @@ func (m *flowModel) step(n int, c []byte) error {
 		}
 	case op == 7: // MODIFY
 		acts := []openflow.Action{openflow.ActionOutput{Port: uint16(1000 + n)}}
-		if got, want := m.ft.Modify(match, prio, acts, strict), m.ref.Modify(match, prio, acts, strict); got != want {
+		if got, want := m.ft.modify(match, prio, acts, strict), m.ref.Modify(match, prio, acts, strict); got != want {
 			return fmt.Errorf("modify(strict=%v) touched %d, reference %d", strict, got, want)
 		}
 	case op == 8: // DELETE
-		if got, want := m.ft.Delete(match, prio, strict), m.ref.Delete(match, prio, strict); got != want {
+		if got, want := m.ft.delete(match, prio, strict), m.ref.Delete(match, prio, strict); got != want {
 			return fmt.Errorf("delete(strict=%v) removed %d, reference %d", strict, got, want)
 		}
 	default:
-		if got, want := m.ft.Sweep(m.clock), m.ref.Sweep(m.clock); got != want {
+		if got, want := m.ft.sweep(m.clock), m.ref.Sweep(m.clock); got != want {
 			return fmt.Errorf("sweep evicted %d, reference %d", got, want)
 		}
 	}
@@ -296,7 +296,7 @@ func (m *flowModel) step(n int, c []byte) error {
 	if !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("entries\n got %+v\nwant %+v", got, want)
 	}
-	if agg, refAgg := m.ft.Aggregate(match), m.ref.Aggregate(match); agg != refAgg {
+	if agg, refAgg := m.ft.aggregate(match), m.ref.Aggregate(match); agg != refAgg {
 		return fmt.Errorf("aggregate %+v, reference %+v", agg, refAgg)
 	}
 	if m.ft.Len() != len(want) {
@@ -396,16 +396,16 @@ func TestFlowTableConcurrentCounters(t *testing.T) {
 			other := matchInPort(uint16(10 + i%8))
 			switch i % 4 {
 			case 0:
-				ft.Modify(openflow.MatchAll(), 0, []openflow.Action{openflow.ActionOutput{Port: uint16(i)}}, false)
+				ft.modify(openflow.MatchAll(), 0, []openflow.Action{openflow.ActionOutput{Port: uint16(i)}}, false)
 			case 1:
 				ft.Add(&FlowEntry{Match: other, Priority: uint16(1 + i%9), Cookie: 100})
 			case 2:
-				ft.Modify(matchInPort(uint16(1+i%lookers)), 5, nil, true)
+				ft.modify(matchInPort(uint16(1+i%lookers)), 5, nil, true)
 			case 3:
-				ft.Delete(other, 0, false)
+				ft.delete(other, 0, false)
 			}
 			ft.Entries()
-			ft.Aggregate(openflow.MatchAll())
+			ft.aggregate(openflow.MatchAll())
 		}
 	}()
 	wg.Wait()
@@ -419,7 +419,7 @@ func TestFlowTableConcurrentCounters(t *testing.T) {
 	if want := hits.Load(); want != lookers*perLooker || packets != want || bytes != want*frameLen {
 		t.Errorf("entries count %d packets / %d bytes after %d hits (of %d lookups)", packets, bytes, want, lookers*perLooker)
 	}
-	if agg := ft.Aggregate(openflow.MatchAll()); agg.PacketCount != packets {
+	if agg := ft.aggregate(openflow.MatchAll()); agg.PacketCount != packets {
 		t.Errorf("aggregate counts %d packets, entries %d", agg.PacketCount, packets)
 	}
 }
@@ -434,19 +434,22 @@ func TestNonStrictFlowModsRespectPrefixLength(t *testing.T) {
 	ft.Add(&FlowEntry{Match: s24, Priority: 5, Cookie: 24})
 	f := fieldsOnPort(t, 1) // from 10.0.0.1: inside both
 	ft.Lookup(f, 100)
-	if agg := ft.Aggregate(s24); agg.FlowCount != 1 {
+	if agg := ft.aggregate(s24); agg.FlowCount != 1 {
 		t.Errorf("aggregate over the /24 counts %d flows, want the /24 alone", agg.FlowCount)
 	}
-	if n := ft.Modify(s24, 0, nil, false); n != 1 {
+	if n := ft.modify(s24, 0, nil, false); n != 1 {
 		t.Errorf("non-strict modify of the /24 touched %d entries, want 1", n)
 	}
-	if n := ft.Delete(s24, 0, false); n != 1 {
+	if n := ft.delete(s24, 0, false); n != 1 {
 		t.Errorf("non-strict delete of the /24 removed %d entries, want 1", n)
 	}
 	if es := ft.Entries(); len(es) != 1 || es[0].Cookie != 16 {
 		t.Fatalf("after deleting the /24: %+v, want the /16 entry to survive", es)
 	}
-	if n := ft.Delete(s16, 0, false); n != 1 || ft.Len() != 0 {
+	if n := ft.delete(s16, 0, false); n != 1 || ft.Len() != 0 {
 		t.Errorf("deleting the /16 removed %d, %d left", n, ft.Len())
 	}
 }
+
+// vlanNone in DLVLAN marks an untagged frame (OFP_VLAN_NONE).
+const vlanNone = 0xffff

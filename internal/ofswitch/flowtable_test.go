@@ -87,15 +87,15 @@ func TestFlowTableDeleteStrictVsNonStrict(t *testing.T) {
 	ft.Add(&FlowEntry{Match: matchInPort(2), Priority: 5})
 	ft.Add(&FlowEntry{Match: openflow.MatchAll(), Priority: 1})
 	// Strict delete of a non-existent (match, prio) combination: no-op.
-	if n := ft.Delete(matchInPort(1), 99, true); n != 0 {
+	if n := ft.delete(matchInPort(1), 99, true); n != 0 {
 		t.Errorf("strict delete removed %d", n)
 	}
 	// Strict delete of exactly one.
-	if n := ft.Delete(matchInPort(1), 5, true); n != 1 {
+	if n := ft.delete(matchInPort(1), 5, true); n != 1 {
 		t.Errorf("strict delete removed %d", n)
 	}
 	// Non-strict wildcard delete removes everything remaining.
-	if n := ft.Delete(openflow.MatchAll(), 0, false); n != 2 {
+	if n := ft.delete(openflow.MatchAll(), 0, false); n != 2 {
 		t.Errorf("non-strict delete removed %d", n)
 	}
 	if ft.Len() != 0 {
@@ -107,7 +107,7 @@ func TestFlowTableModify(t *testing.T) {
 	ft := NewFlowTable(nil)
 	ft.Add(&FlowEntry{Match: matchInPort(1), Priority: 5, Actions: []openflow.Action{openflow.ActionOutput{Port: 1}}})
 	ft.Add(&FlowEntry{Match: matchInPort(2), Priority: 5, Actions: []openflow.Action{openflow.ActionOutput{Port: 2}}})
-	n := ft.Modify(openflow.MatchAll(), 0, []openflow.Action{openflow.ActionOutput{Port: 9}}, false)
+	n := ft.modify(openflow.MatchAll(), 0, []openflow.Action{openflow.ActionOutput{Port: 9}}, false)
 	if n != 2 {
 		t.Fatalf("modified %d", n)
 	}
@@ -126,10 +126,10 @@ func TestFlowTableSweepTimeouts(t *testing.T) {
 	ft.Add(&FlowEntry{Match: matchInPort(2), Priority: 5,
 		HardTimeout: 20 * time.Millisecond, Flags: openflow.FlagSendFlowRem})
 	ft.Add(&FlowEntry{Match: matchInPort(3), Priority: 5}) // no timeout
-	if n := ft.Sweep(time.Now()); n != 0 {
+	if n := ft.sweep(time.Now()); n != 0 {
 		t.Fatalf("premature sweep removed %d", n)
 	}
-	n := ft.Sweep(time.Now().Add(50 * time.Millisecond))
+	n := ft.sweep(time.Now().Add(50 * time.Millisecond))
 	if n != 2 {
 		t.Fatalf("sweep removed %d, want 2", n)
 	}
@@ -155,7 +155,7 @@ func TestFlowTableIdleRefreshedByTraffic(t *testing.T) {
 	// Traffic at +40ms refreshes LastUsed.
 	time.Sleep(40 * time.Millisecond)
 	ft.Lookup(fieldsOnPort(t, 1), 60)
-	if n := ft.Sweep(base.Add(60 * time.Millisecond)); n != 0 {
+	if n := ft.sweep(base.Add(60 * time.Millisecond)); n != 0 {
 		t.Fatalf("active flow evicted")
 	}
 }
@@ -167,12 +167,12 @@ func TestAggregateStats(t *testing.T) {
 	ft.Lookup(fieldsOnPort(t, 1), 100)
 	ft.Lookup(fieldsOnPort(t, 2), 100)
 	ft.Lookup(fieldsOnPort(t, 2), 100)
-	agg := ft.Aggregate(openflow.MatchAll())
+	agg := ft.aggregate(openflow.MatchAll())
 	if agg.FlowCount != 2 || agg.PacketCount != 3 || agg.ByteCount != 300 {
 		t.Errorf("aggregate = %+v", agg)
 	}
 	// Aggregate over a specific in_port.
-	agg1 := ft.Aggregate(matchInPort(1))
+	agg1 := ft.aggregate(matchInPort(1))
 	if agg1.FlowCount != 1 || agg1.PacketCount != 1 {
 		t.Errorf("aggregate(port1) = %+v", agg1)
 	}

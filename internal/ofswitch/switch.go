@@ -33,9 +33,6 @@ type Port struct {
 	linkDown atomic.Bool
 }
 
-// LinkDown reports whether the port's carrier is down.
-func (p *Port) LinkDown() bool { return p.linkDown.Load() }
-
 // phyPort renders the port for the wire (features reply, port status).
 func (p *Port) phyPort() openflow.PhyPort {
 	pp := openflow.PhyPort{PortNo: p.No, HWAddr: p.HWAddr, Name: p.Name}
@@ -45,8 +42,8 @@ func (p *Port) phyPort() openflow.PhyPort {
 	return pp
 }
 
-// Stats snapshots the port counters.
-func (p *Port) Stats() openflow.PortStats {
+// stats snapshots the port counters.
+func (p *Port) stats() openflow.PortStats {
 	return openflow.PortStats{
 		PortNo:    p.No,
 		RxPackets: p.rxPackets.Load(),
@@ -201,23 +198,12 @@ func (s *Switch) SetPortLinkState(no uint16, down bool) {
 	})
 }
 
-// PortCount reports the number of ports.
-func (s *Switch) PortCount() int {
-	n := 0
-	for _, p := range s.portTable() {
-		if p != nil {
-			n++
-		}
-	}
-	return n
-}
-
-// PortStats snapshots all port counters ordered by port number.
-func (s *Switch) PortStats() []openflow.PortStats {
+// portStats snapshots all port counters ordered by port number.
+func (s *Switch) portStats() []openflow.PortStats {
 	var out []openflow.PortStats
 	for _, p := range s.portTable() {
 		if p != nil {
-			out = append(out, p.Stats())
+			out = append(out, p.stats())
 		}
 	}
 	return out
@@ -391,7 +377,7 @@ func (s *Switch) sweepLoop() {
 		case <-s.stopCh:
 			return
 		case now := <-ticker.C:
-			s.table.Sweep(now)
+			s.table.sweep(now)
 		}
 	}
 }
@@ -594,9 +580,9 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod, h openflow.Header) {
 			s.applyActions(m.Actions, bp.frame, bp.inPort)
 		}
 	case openflow.FCModify, openflow.FCModifyStrict:
-		s.table.Modify(m.Match, m.Priority, m.Actions, m.Command == openflow.FCModifyStrict)
+		s.table.modify(m.Match, m.Priority, m.Actions, m.Command == openflow.FCModifyStrict)
 	case openflow.FCDelete, openflow.FCDeleteStrict:
-		s.table.Delete(m.Match, m.Priority, m.Command == openflow.FCDeleteStrict)
+		s.table.delete(m.Match, m.Priority, m.Command == openflow.FCDeleteStrict)
 	default:
 		s.sendXID(&openflow.Error{ErrType: openflow.ErrTypeFlowModFailed, Code: 0}, h.XID)
 	}
@@ -623,13 +609,13 @@ func (s *Switch) handleStats(m *openflow.StatsRequest, h openflow.Header) {
 			})
 		}
 	case openflow.StatsAggregate:
-		reply.Aggregate = s.table.Aggregate(m.Match)
+		reply.Aggregate = s.table.aggregate(m.Match)
 	case openflow.StatsPort:
 		if m.PortNo == openflow.PortNone {
-			reply.Ports = s.PortStats()
+			reply.Ports = s.portStats()
 		} else {
 			if p := s.port(m.PortNo); p != nil {
-				reply.Ports = []openflow.PortStats{p.Stats()}
+				reply.Ports = []openflow.PortStats{p.stats()}
 			}
 		}
 	default:

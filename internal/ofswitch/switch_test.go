@@ -25,7 +25,7 @@ func testSwitch(t *testing.T, nPorts int) (*Switch, []chan []byte) {
 		chans[i] = ch
 		err := s.AddPort(&Port{
 			No:     uint16(i),
-			HWAddr: pkt.NthMAC(uint32(i)),
+			HWAddr: pkt.MAC{2, 0, 0, 0, 0, byte(i)},
 			Name:   "s1-eth",
 			Transmit: func(frame []byte) {
 				select {
@@ -248,7 +248,7 @@ func TestRewriteActionsKeepChecksumsValid(t *testing.T) {
 	openflow.WriteMessage(conn, &openflow.FlowMod{
 		Match: openflow.MatchAll(), Command: openflow.FCAdd, Priority: 1, BufferID: openflow.NoBuffer,
 		Actions: []openflow.Action{
-			openflow.ActionSetDL{Dst: true, MAC: pkt.NthMAC(99)},
+			openflow.ActionSetDL{Dst: true, MAC: pkt.MAC{2, 0, 0, 0, 0, 99}},
 			openflow.ActionSetNW{Dst: true, Addr: newDst},
 			openflow.ActionSetTP{Dst: true, Port: 8080},
 			openflow.ActionOutput{Port: 2},
@@ -266,7 +266,7 @@ func TestRewriteActionsKeepChecksumsValid(t *testing.T) {
 		}
 		// Header checksum must still be valid.
 		ihl := int(out[14]&0xf) * 4
-		if pkt.Checksum(out[14:14+ihl]) != 0 {
+		if headerChecksum(out[14:14+ihl]) != 0 {
 			t.Error("IP checksum invalid after rewrite")
 		}
 		u, ok := dec.Layer(pkt.LayerTypeUDP).(*pkt.UDP)
@@ -274,7 +274,7 @@ func TestRewriteActionsKeepChecksumsValid(t *testing.T) {
 			t.Fatalf("udp = %+v", u)
 		}
 		eth := dec.Ethernet()
-		if eth.Dst != pkt.NthMAC(99) {
+		if eth.Dst != (pkt.MAC{2, 0, 0, 0, 0, 99}) {
 			t.Errorf("dl dst = %s", eth.Dst)
 		}
 	case <-time.After(time.Second):
@@ -375,8 +375,8 @@ func TestRemovePortAnnouncesDelete(t *testing.T) {
 	if ps.Reason != openflow.PortReasonDelete || ps.Desc.PortNo != 2 {
 		t.Errorf("port status = %+v", ps)
 	}
-	if s.PortCount() != 1 {
-		t.Errorf("ports = %d, want 1", s.PortCount())
+	if portCount(s) != 1 {
+		t.Errorf("ports = %d, want 1", portCount(s))
 	}
 	s.RemovePort(2)  // already gone: no second announcement
 	s.RemovePort(99) // never existed
@@ -495,7 +495,7 @@ func TestForwardedFrameAllocatesNothing(t *testing.T) {
 	if !bytes.Equal(delivered, orig) || &delivered[0] != &frame[0] {
 		t.Errorf("delivered %x in a buffer of its own, want %x in the sent one", delivered, orig)
 	}
-	if st := s2.PortStats()[1]; st.TxPackets < 200 {
+	if st := s2.portStats()[1]; st.TxPackets < 200 {
 		t.Errorf("s2 port 2 transmitted %d frames", st.TxPackets)
 	}
 }
@@ -535,7 +535,31 @@ func TestFloodWhilePortsChurn(t *testing.T) {
 	}
 	close(done)
 	<-churned
-	if n := s.PortCount(); n != 2 {
+	if n := portCount(s); n != 2 {
 		t.Errorf("%d ports after the churn, want 2", n)
 	}
+}
+
+// portCount is the number of ports attached to s.
+func portCount(s *Switch) int {
+	n := 0
+	for _, p := range s.portTable() {
+		if p != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// headerChecksum is the RFC 1071 sum over an IPv4 header: zero when the
+// header's checksum field is right.
+func headerChecksum(hdr []byte) uint16 {
+	var sum uint32
+	for i := 0; i+1 < len(hdr); i += 2 {
+		sum += uint32(hdr[i])<<8 | uint32(hdr[i+1])
+	}
+	for sum > 0xffff {
+		sum = sum&0xffff + sum>>16
+	}
+	return ^uint16(sum)
 }

@@ -9,6 +9,8 @@ import (
 )
 
 // Action type codes (ofp_action_type).
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	ActTypeOutput     uint16 = 0
 	ActTypeSetVLANVID uint16 = 1

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -14,7 +15,7 @@ import (
 // allocation-free walk in pkt.Parse must agree with on every input.
 func extractFieldsRef(frame []byte, inPort uint16) (PacketFields, error) {
 	f := PacketFields{InPort: inPort}
-	f.DLVLAN = VLANNone
+	f.DLVLAN = vlanNone
 	dec := pkt.Decode(frame)
 	eth := dec.Ethernet()
 	if eth == nil {
@@ -24,10 +25,11 @@ func extractFieldsRef(frame []byte, inPort uint16) (PacketFields, error) {
 	f.DLDst = eth.Dst
 	f.DLType = uint16(eth.EtherType)
 	l3 := uint16(14)
-	if v, ok := dec.Layer(pkt.LayerTypeVLAN).(*pkt.VLAN); ok {
-		f.DLVLAN = v.ID
-		f.VLANPCP = v.Priority
-		f.DLType = uint16(v.EtherType)
+	if dec.Layer(pkt.LayerTypeVLAN) != nil { // the tag Decode accepted
+		tci := binary.BigEndian.Uint16(frame[14:16])
+		f.DLVLAN = tci & 0x0fff
+		f.VLANPCP = uint8(tci >> 13)
+		f.DLType = binary.BigEndian.Uint16(frame[16:18])
 		l3 = 18
 	}
 	if ip := dec.IPv4Layer(); ip != nil {
@@ -40,8 +42,9 @@ func extractFieldsRef(frame []byte, inPort uint16) (PacketFields, error) {
 		// The transport ports; ICMP echo ident and seq stand in for them.
 		if u, ok := dec.Layer(pkt.LayerTypeUDP).(*pkt.UDP); ok {
 			f.TPSrc, f.TPDst, f.L4 = u.SrcPort, u.DstPort, l4
-		} else if tc, ok := dec.Layer(pkt.LayerTypeTCP).(*pkt.TCP); ok {
-			f.TPSrc, f.TPDst, f.L4 = tc.SrcPort, tc.DstPort, l4
+		} else if dec.Layer(pkt.LayerTypeTCP) != nil { // the ports lead the header Decode accepted
+			tcp := ip.Payload()
+			f.TPSrc, f.TPDst, f.L4 = binary.BigEndian.Uint16(tcp[0:2]), binary.BigEndian.Uint16(tcp[2:4]), l4
 		} else if ic, ok := dec.Layer(pkt.LayerTypeICMP).(*pkt.ICMP); ok {
 			f.TPSrc, f.TPDst, f.L4 = ic.Ident, ic.Seq, l4
 		}
@@ -80,7 +83,7 @@ func extractSeeds(t testing.TB) map[string][]byte {
 		return f
 	}
 	udp := must(pkt.BuildUDP(src, dst, a, b, 5000, 53, []byte("payload")))
-	tcp := must(pkt.BuildTCP(src, dst, a, b, 4000, 80, pkt.TCPSyn, 7, nil))
+	tcp := must(buildTCP(src, dst, a, b, 4000, 80, pkt.TCPSyn, 7, nil))
 	ihl4 := append([]byte(nil), udp...)
 	ihl4[14] = 0x44
 	frag := append([]byte(nil), udp...)
@@ -91,7 +94,7 @@ func extractSeeds(t testing.TB) map[string][]byte {
 		"udp":      udp,
 		"tcp":      tcp,
 		"icmp":     must(pkt.BuildICMPEcho(src, dst, a, b, pkt.ICMPEchoRequest, 9, 3, []byte("ping"))),
-		"arp":      must(pkt.BuildARPRequest(src, a, b)),
+		"arp":      must(arpRequest(src, a, b)),
 		"vlan":     vlan,
 		"short13":  udp[:13],
 		"ihl4":     ihl4,
@@ -212,3 +215,23 @@ func TestExtractFieldsAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// buildTCP builds an Ethernet/IPv4/TCP frame; the TCP checksum is left
+// zero.
+func buildTCP(srcMAC, dstMAC pkt.MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
+	tcp := make([]byte, 20, 20+len(payload))
+	binary.BigEndian.PutUint16(tcp[0:], srcPort)
+	binary.BigEndian.PutUint16(tcp[2:], dstPort)
+	binary.BigEndian.PutUint32(tcp[4:], seq)
+	tcp[12] = 5 << 4 // data offset: five words
+	tcp[13] = flags
+	binary.BigEndian.PutUint16(tcp[14:], 65535)
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: pkt.EtherTypeIPv4},
+		&pkt.IPv4{TTL: 64, Protocol: pkt.IPProtoTCP, Src: src, Dst: dst},
+		pkt.Raw(append(tcp, payload...)),
+	)
+}
+
+// vlanNone in DLVLAN marks an untagged frame (OFP_VLAN_NONE).
+const vlanNone = 0xffff

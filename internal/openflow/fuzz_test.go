@@ -75,7 +75,7 @@ func FuzzParseMessage(f *testing.F) {
 	f.Add([]byte{0x01, 0xee, 0x00, 0x08, 0, 0, 0, 0})
 	f.Add([]byte{0x01, 0x0e, 0x00, 0x0c, 0, 0, 0, 0, 1, 2, 3, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, h, err := Decode(data)
+		msg, h, err := decode(data)
 		if err != nil {
 			// The stream reader must agree that this is not one clean
 			// message (it may consume a prefix, never panic).
@@ -83,7 +83,7 @@ func FuzzParseMessage(f *testing.F) {
 			return
 		}
 		re := Encode(msg, h.XID)
-		msg2, h2, err := Decode(re)
+		msg2, h2, err := decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded %s does not decode: %v", h.Type, err)
 		}

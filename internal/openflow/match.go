@@ -10,6 +10,8 @@ import (
 )
 
 // Wildcard bits for Match (ofp_flow_wildcards).
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	WildInPort  uint32 = 1 << 0
 	WildDLVLAN  uint32 = 1 << 1
@@ -29,9 +31,6 @@ const (
 	// WildAll matches every packet.
 	WildAll uint32 = 0x3fffff
 )
-
-// VLANNone in DLVLAN means "untagged" (OFP_VLAN_NONE).
-const VLANNone = pkt.VLANNone
 
 // Match is the OpenFlow 1.0 12-tuple match structure.
 type Match struct {
@@ -199,20 +198,6 @@ func cidrMatch(want, got netip.Addr, wildBits int) bool {
 	g := binary.BigEndian.Uint32(ga[:])
 	mask := ^uint32(0) << uint(wildBits)
 	return w&mask == g&mask
-}
-
-// Specificity counts the number of non-wildcarded fields; useful as a
-// default priority for overlapping entries.
-func (m Match) Specificity() int {
-	n := 0
-	for _, bit := range []uint32{WildInPort, WildDLVLAN, WildDLSrc, WildDLDst, WildDLType, WildNWProto, WildTPSrc, WildTPDst, WildDLVLANPCP, WildNWTOS} {
-		if m.Wildcards&bit == 0 {
-			n++
-		}
-	}
-	n += 32 - m.NWSrcBits()
-	n += 32 - m.NWDstBits()
-	return n
 }
 
 // String renders only the concrete (non-wildcard) fields.

@@ -16,13 +16,15 @@ import (
 	"io"
 )
 
-// Version is the OpenFlow protocol version implemented (1.0).
-const Version byte = 0x01
+// version is the OpenFlow protocol version implemented (1.0).
+const version byte = 0x01
 
 // MsgType identifies an OpenFlow message type.
 type MsgType uint8
 
 // OpenFlow 1.0 message types.
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	TypeHello           MsgType = 0
 	TypeError           MsgType = 1
@@ -64,6 +66,8 @@ func (t MsgType) String() string {
 }
 
 // Special port numbers (ofp_port).
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	PortMax        uint16 = 0xff00
 	PortInPort     uint16 = 0xfff8
@@ -86,6 +90,8 @@ const (
 )
 
 // Flow-mod flags.
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	FlagSendFlowRem  uint16 = 1 << 0
 	FlagCheckOverlap uint16 = 1 << 1
@@ -113,6 +119,8 @@ const (
 )
 
 // Port config flags (ofp_port_config subset).
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	PortConfigDown uint32 = 1 << 0
 )
@@ -123,6 +131,8 @@ const (
 )
 
 // Error types (subset).
+//
+//lint:ignore deadexport OpenFlow 1.0 wire constants: the block is the spec's table, unused codes included
 const (
 	ErrTypeHelloFailed   uint16 = 0
 	ErrTypeBadRequest    uint16 = 1
@@ -157,15 +167,15 @@ type Message interface {
 func Encode(msg Message, xid uint32) []byte {
 	body := msg.encodeBody(nil)
 	out := make([]byte, headerLen, headerLen+len(body))
-	out[0] = Version
+	out[0] = version
 	out[1] = byte(msg.MsgType())
 	binary.BigEndian.PutUint16(out[2:4], uint16(headerLen+len(body)))
 	binary.BigEndian.PutUint32(out[4:8], xid)
 	return append(out, body...)
 }
 
-// Decode parses one complete wire message (header + body).
-func Decode(data []byte) (Message, Header, error) {
+// decode parses one complete wire message (header + body).
+func decode(data []byte) (Message, Header, error) {
 	var h Header
 	if len(data) < headerLen {
 		return nil, h, fmt.Errorf("openflow: message shorter than header (%d bytes)", len(data))
@@ -174,7 +184,7 @@ func Decode(data []byte) (Message, Header, error) {
 	h.Type = MsgType(data[1])
 	h.Length = binary.BigEndian.Uint16(data[2:4])
 	h.XID = binary.BigEndian.Uint32(data[4:8])
-	if h.Version != Version {
+	if h.Version != version {
 		return nil, h, fmt.Errorf("openflow: unsupported version %#x", h.Version)
 	}
 	if int(h.Length) != len(data) {
@@ -236,7 +246,7 @@ func ReadMessage(r io.Reader) (Message, Header, error) {
 	if _, err := io.ReadFull(r, buf[headerLen:]); err != nil {
 		return nil, Header{}, err
 	}
-	return Decode(buf)
+	return decode(buf)
 }
 
 // WriteMessage writes msg to w with the given xid.

@@ -18,17 +18,6 @@ func BuildUDP(srcMAC, dstMAC MAC, src, dst netip.Addr, srcPort, dstPort uint16, 
 	)
 }
 
-// BuildTCP builds an Ethernet/IPv4/TCP frame carrying payload.
-func BuildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
-	ip := &IPv4{TTL: 64, Protocol: IPProtoTCP, Src: src, Dst: dst}
-	tcp := &TCP{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Seq: seq, Window: 65535}
-	tcp.SetNetworkLayer(ip)
-	return SerializeLayers(
-		&Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: EtherTypeIPv4},
-		ip, tcp, Raw(payload),
-	)
-}
-
 // BuildICMPEcho builds an Ethernet/IPv4/ICMP echo request or reply.
 func BuildICMPEcho(srcMAC, dstMAC MAC, src, dst netip.Addr, typ uint8, ident, seq uint16, payload []byte) ([]byte, error) {
 	ip := &IPv4{TTL: 64, Protocol: IPProtoICMP, Src: src, Dst: dst}
@@ -37,14 +26,6 @@ func BuildICMPEcho(srcMAC, dstMAC MAC, src, dst netip.Addr, typ uint8, ident, se
 		ip,
 		&ICMP{Type: typ, Ident: ident, Seq: seq},
 		Raw(payload),
-	)
-}
-
-// BuildARPRequest builds a broadcast who-has query.
-func BuildARPRequest(srcMAC MAC, srcIP, targetIP netip.Addr) ([]byte, error) {
-	return SerializeLayers(
-		&Ethernet{Src: srcMAC, Dst: BroadcastMAC, EtherType: EtherTypeARP},
-		&ARP{Op: ARPRequest, SenderMAC: srcMAC, SenderIP: srcIP, TargetIP: targetIP},
 	)
 }
 

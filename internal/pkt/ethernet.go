@@ -6,14 +6,16 @@ import (
 	"fmt"
 )
 
-// ErrTooShort reports that a buffer was shorter than the header it should
+// errTooShort reports that a buffer was shorter than the header it should
 // contain.
-var ErrTooShort = errors.New("pkt: data too short")
+var errTooShort = errors.New("pkt: data too short")
 
 // EtherType selects the protocol carried by an Ethernet frame.
 type EtherType uint16
 
 // EtherTypes used by ESCAPE.
+//
+//lint:ignore deadexport wire constants: the block is the protocol's table, unused codes included
 const (
 	EtherTypeIPv4 EtherType = 0x0800
 	EtherTypeARP  EtherType = 0x0806
@@ -24,39 +26,13 @@ const (
 // key (flow tables, MAC learning) without allocation.
 type MAC [6]byte
 
-// BroadcastMAC is ff:ff:ff:ff:ff:ff.
-var BroadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
 // String formats the address as colon-separated hex.
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
 }
 
-// IsBroadcast reports whether the address is the broadcast address.
-func (m MAC) IsBroadcast() bool { return m == BroadcastMAC }
-
 // IsMulticast reports whether the group bit is set.
 func (m MAC) IsMulticast() bool { return m[0]&1 == 1 }
-
-// ParseMAC parses colon-separated hex notation.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	n, err := fmt.Sscanf(s, "%02x:%02x:%02x:%02x:%02x:%02x", &m[0], &m[1], &m[2], &m[3], &m[4], &m[5])
-	if err != nil || n != 6 {
-		return MAC{}, fmt.Errorf("pkt: invalid MAC %q", s)
-	}
-	return m, nil
-}
-
-// NthMAC returns a deterministic locally-administered unicast MAC for index
-// n. netem uses it to assign stable addresses to emulated interfaces.
-func NthMAC(n uint32) MAC {
-	var m MAC
-	m[0] = 0x02 // locally administered, unicast
-	m[1] = 0x00
-	binary.BigEndian.PutUint32(m[2:], n)
-	return m
-}
 
 // Ethernet is an Ethernet II header.
 type Ethernet struct {
@@ -71,7 +47,7 @@ func (*Ethernet) LayerType() LayerType { return LayerTypeEthernet }
 // DecodeFromBytes implements Layer.
 func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	if len(data) < 14 {
-		return ErrTooShort
+		return errTooShort
 	}
 	copy(e.Dst[:], data[0:6])
 	copy(e.Src[:], data[6:12])
@@ -105,9 +81,9 @@ func (e *Ethernet) NextLayerType() LayerType {
 // Payload implements Layer.
 func (e *Ethernet) Payload() []byte { return e.payload }
 
-// VLAN is an 802.1Q tag. ESCAPE's steering module uses VLAN IDs to mark
+// vlan is an 802.1Q tag. ESCAPE's steering module uses VLAN IDs to mark
 // which service chain (and chain hop) a frame belongs to.
-type VLAN struct {
+type vlan struct {
 	Priority  uint8 // PCP, 3 bits
 	DropElig  bool  // DEI
 	ID        uint16
@@ -115,16 +91,16 @@ type VLAN struct {
 	payload   []byte
 }
 
-// MaxVLANID is the largest valid 802.1Q VLAN identifier.
-const MaxVLANID = 4094
+// maxVLANID is the largest valid 802.1Q VLAN identifier.
+const maxVLANID = 4094
 
 // LayerType implements Layer.
-func (*VLAN) LayerType() LayerType { return LayerTypeVLAN }
+func (*vlan) LayerType() LayerType { return LayerTypeVLAN }
 
 // DecodeFromBytes implements Layer.
-func (v *VLAN) DecodeFromBytes(data []byte) error {
+func (v *vlan) DecodeFromBytes(data []byte) error {
 	if len(data) < 4 {
-		return ErrTooShort
+		return errTooShort
 	}
 	tci := binary.BigEndian.Uint16(data[0:2])
 	v.Priority = uint8(tci >> 13)
@@ -136,8 +112,8 @@ func (v *VLAN) DecodeFromBytes(data []byte) error {
 }
 
 // SerializeTo implements Layer.
-func (v *VLAN) SerializeTo(payload []byte) ([]byte, error) {
-	if v.ID > MaxVLANID {
+func (v *vlan) SerializeTo(payload []byte) ([]byte, error) {
+	if v.ID > maxVLANID {
 		return nil, fmt.Errorf("vlan id %d out of range", v.ID)
 	}
 	hdr := make([]byte, 4)
@@ -151,7 +127,7 @@ func (v *VLAN) SerializeTo(payload []byte) ([]byte, error) {
 }
 
 // NextLayerType implements Layer.
-func (v *VLAN) NextLayerType() LayerType {
+func (v *vlan) NextLayerType() LayerType {
 	switch v.EtherType {
 	case EtherTypeIPv4:
 		return LayerTypeIPv4
@@ -162,4 +138,4 @@ func (v *VLAN) NextLayerType() LayerType {
 }
 
 // Payload implements Layer.
-func (v *VLAN) Payload() []byte { return v.payload }
+func (v *vlan) Payload() []byte { return v.payload }

@@ -21,16 +21,16 @@ func (ft FiveTuple) String() string {
 	return fmt.Sprintf("p%d %s:%d>%s:%d", ft.Proto, ft.Src, ft.SrcPort, ft.Dst, ft.DstPort)
 }
 
-// VLANNone in Headers.DLVLAN marks an untagged frame (OpenFlow 1.0's
+// vlanNone in Headers.DLVLAN marks an untagged frame (OpenFlow 1.0's
 // OFP_VLAN_NONE).
-const VLANNone uint16 = 0xffff
+const vlanNone uint16 = 0xffff
 
 // Headers is one frame's header fields as Parse reads them: the OpenFlow
 // 1.0 twelve-tuple less the ingress port, plus where the IPv4 and
 // transport headers start, so a rewriter need not walk the frame again.
 type Headers struct {
 	DLSrc, DLDst MAC
-	DLVLAN       uint16 // VLANNone when untagged
+	DLVLAN       uint16 // vlanNone when untagged
 	VLANPCP      uint8
 	DLType       uint16 // the EtherType after any VLAN tag
 	// NWTOS, NWProto, NWSrc and NWDst are the IPv4 header's fields, or,
@@ -66,7 +66,7 @@ func (h *Headers) FiveTuple() (ft FiveTuple, ok bool) {
 // fields of the headers before it stand. The only error is a frame too
 // short for an Ethernet header.
 func Parse(frame []byte) (Headers, error) {
-	h := Headers{DLVLAN: VLANNone}
+	h := Headers{DLVLAN: vlanNone}
 	var eth Ethernet
 	if err := eth.DecodeFromBytes(frame); err != nil {
 		return h, err
@@ -74,7 +74,7 @@ func Parse(frame []byte) (Headers, error) {
 	h.DLSrc, h.DLDst, h.DLType = eth.Src, eth.Dst, uint16(eth.EtherType)
 	next, rest := eth.NextLayerType(), eth.Payload()
 	if next == LayerTypeVLAN {
-		var v VLAN
+		var v vlan
 		if v.DecodeFromBytes(rest) != nil {
 			return h, nil
 		}
@@ -103,7 +103,7 @@ func Parse(frame []byte) (Headers, error) {
 				h.TPSrc, h.TPDst, h.L4 = u.SrcPort, u.DstPort, l4
 			}
 		case LayerTypeTCP:
-			var t TCP
+			var t tcp
 			if t.DecodeFromBytes(rest) == nil {
 				h.TPSrc, h.TPDst, h.L4 = t.SrcPort, t.DstPort, l4
 			}
@@ -125,11 +125,11 @@ func Parse(frame []byte) (Headers, error) {
 // (OpenFlow 1.0 SET_VLAN_VID semantics).
 func PushVLAN(frame []byte, id uint16) ([]byte, error) {
 	if len(frame) < 14 {
-		return nil, ErrTooShort
+		return nil, errTooShort
 	}
 	if EtherType(binary.BigEndian.Uint16(frame[12:14])) == EtherTypeVLAN {
 		if len(frame) < 16 {
-			return nil, ErrTooShort
+			return nil, errTooShort
 		}
 		frame[14] = frame[14]&0xf0 | byte(id>>8&0x0f)
 		frame[15] = byte(id)
@@ -149,13 +149,13 @@ func PushVLAN(frame []byte, id uint16) ([]byte, error) {
 // are returned as they are.
 func PopVLAN(frame []byte) ([]byte, error) {
 	if len(frame) < 14 {
-		return nil, ErrTooShort
+		return nil, errTooShort
 	}
 	if EtherType(binary.BigEndian.Uint16(frame[12:14])) != EtherTypeVLAN {
 		return frame, nil
 	}
 	if len(frame) < 18 {
-		return nil, ErrTooShort
+		return nil, errTooShort
 	}
 	copy(frame[12:], frame[16:])
 	return frame[:len(frame)-4], nil

@@ -33,6 +33,8 @@ type IPv4 struct {
 }
 
 // Flag bits within IPv4.Flags.
+//
+//lint:ignore deadexport wire constants: the block is the protocol's table, unused codes included
 const (
 	IPv4DontFragment uint8 = 0x2
 	IPv4MoreFrags    uint8 = 0x1
@@ -44,7 +46,7 @@ func (*IPv4) LayerType() LayerType { return LayerTypeIPv4 }
 // DecodeFromBytes implements Layer.
 func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if len(data) < 20 {
-		return ErrTooShort
+		return errTooShort
 	}
 	if v := data[0] >> 4; v != 4 {
 		return fmt.Errorf("pkt: IPv4 version %d", v)
@@ -54,7 +56,7 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 		return fmt.Errorf("pkt: IPv4 IHL %d too small", ihl)
 	}
 	if len(data) < ihl {
-		return ErrTooShort
+		return errTooShort
 	}
 	ip.TOS = data[1]
 	ip.totalLen = binary.BigEndian.Uint16(data[2:4])
@@ -72,7 +74,7 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	if end > len(data) || end < ihl {
 		// Tolerate padded frames (Ethernet minimum) but not truncation.
 		if end > len(data) {
-			return ErrTooShort
+			return errTooShort
 		}
 		end = len(data)
 	}
@@ -100,22 +102,10 @@ func (ip *IPv4) SerializeTo(payload []byte) ([]byte, error) {
 	copy(hdr[12:16], src[:])
 	copy(hdr[16:20], dst[:])
 	copy(hdr[20:], ip.Options)
-	cs := Checksum(hdr)
+	cs := checksum(hdr)
 	binary.BigEndian.PutUint16(hdr[10:12], cs)
 	ip.Checksum = cs
 	return hdr, nil
-}
-
-// VerifyChecksum recomputes the header checksum over the decoded header.
-func (ip *IPv4) VerifyChecksum() bool {
-	hdr, err := ip.SerializeTo(ip.payload)
-	if err != nil {
-		return false
-	}
-	// SerializeTo recomputed the checksum into ip.Checksum; compare against
-	// what was on the wire by recomputing with the wire checksum zeroed.
-	_ = hdr
-	return true
 }
 
 // NextLayerType implements Layer.
@@ -157,8 +147,8 @@ func addr4(b []byte) netip.Addr {
 	return netip.AddrFrom4(a)
 }
 
-// Checksum computes the Internet checksum (RFC 1071) of data.
-func Checksum(data []byte) uint16 {
+// checksum computes the Internet checksum (RFC 1071) of data.
+func checksum(data []byte) uint16 {
 	return finishChecksum(sumBytes(0, data))
 }
 

@@ -25,7 +25,7 @@ func updateChecksum16(cs, old, new_ uint16) uint16 {
 // SetDLAddr rewrites the destination (dst=true) or source MAC address.
 func SetDLAddr(frame []byte, dst bool, mac MAC) error {
 	if len(frame) < 14 {
-		return ErrTooShort
+		return errTooShort
 	}
 	if dst {
 		copy(frame[0:6], mac[:])
@@ -119,21 +119,5 @@ func SetTPPort(frame []byte, dst bool, port uint16) error {
 	old := binary.BigEndian.Uint16(frame[fieldOff : fieldOff+2])
 	updateTransportChecksum(frame, &h, old, port)
 	binary.BigEndian.PutUint16(frame[fieldOff:fieldOff+2], port)
-	return nil
-}
-
-// SetNWTOS rewrites the IPv4 TOS byte, fixing the header checksum.
-func SetNWTOS(frame []byte, tos uint8) error {
-	h, err := parseIPv4(frame)
-	if err != nil {
-		return err
-	}
-	ip := int(h.L3)
-	// TOS shares a 16-bit word with version/IHL.
-	old := binary.BigEndian.Uint16(frame[ip : ip+2])
-	frame[ip+1] = tos
-	new_ := binary.BigEndian.Uint16(frame[ip : ip+2])
-	ipcs := binary.BigEndian.Uint16(frame[ip+10 : ip+12])
-	binary.BigEndian.PutUint16(frame[ip+10:ip+12], updateChecksum16(ipcs, old, new_))
 	return nil
 }

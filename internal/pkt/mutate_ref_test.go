@@ -13,7 +13,7 @@ import (
 // hand-written offset walk (legacyLocate) feeding the Set* bodies. The
 // bodies are kept verbatim, parameterised on the walk, so one body runs on
 // two oracles: legacyLocate itself, and decodeLocate, the same offsets read
-// off Decode's layers. SetNWAddr, SetTPPort and SetNWTOS must match
+// off Decode's layers. SetNWAddr and SetTPPort must match
 // decodeLocate on every input, and legacyLocate on every input except the
 // malformed frames where the old walk saw a header Decode rejects (see
 // locateDisagreement).
@@ -30,13 +30,13 @@ type locator func(frame []byte) (legacyOffsets, error)
 func legacyLocate(frame []byte) (legacyOffsets, error) {
 	off := legacyOffsets{ip: -1, trans: -1}
 	if len(frame) < 14 {
-		return off, ErrTooShort
+		return off, errTooShort
 	}
 	et := EtherType(binary.BigEndian.Uint16(frame[12:14]))
 	l3 := 14
 	if et == EtherTypeVLAN {
 		if len(frame) < 18 {
-			return off, ErrTooShort
+			return off, errTooShort
 		}
 		et = EtherType(binary.BigEndian.Uint16(frame[16:18]))
 		l3 = 18
@@ -45,7 +45,7 @@ func legacyLocate(frame []byte) (legacyOffsets, error) {
 		return off, nil
 	}
 	if len(frame) < l3+20 {
-		return off, ErrTooShort
+		return off, errTooShort
 	}
 	off.ip = l3
 	off.ihl = int(frame[l3]&0xf) * 4
@@ -72,7 +72,7 @@ func decodeLocate(frame []byte) (legacyOffsets, error) {
 	off := legacyOffsets{ip: -1, trans: -1}
 	dec := Decode(frame)
 	if dec.Ethernet() == nil {
-		return off, ErrTooShort
+		return off, errTooShort
 	}
 	ip := dec.IPv4Layer()
 	if ip == nil {
@@ -161,23 +161,6 @@ func legacyTransportChecksumOffset(off legacyOffsets) int {
 	return -1
 }
 
-func legacySetNWTOS(locate locator, frame []byte, tos uint8) error {
-	off, err := locate(frame)
-	if err != nil {
-		return err
-	}
-	if off.ip < 0 {
-		return fmt.Errorf("pkt: frame is not IPv4")
-	}
-	// TOS shares a 16-bit word with version/IHL.
-	old := binary.BigEndian.Uint16(frame[off.ip : off.ip+2])
-	frame[off.ip+1] = tos
-	new_ := binary.BigEndian.Uint16(frame[off.ip : off.ip+2])
-	ipcs := binary.BigEndian.Uint16(frame[off.ip+10 : off.ip+12])
-	binary.BigEndian.PutUint16(frame[off.ip+10:off.ip+12], updateChecksum16(ipcs, old, new_))
-	return nil
-}
-
 var rewriteAddr = netip.MustParseAddr("192.0.2.77")
 
 // rewrites are the rewriter calls under test, each with its reference body.
@@ -198,9 +181,6 @@ var rewrites = []struct {
 	{"SetTPPort src",
 		func(f []byte) error { return SetTPPort(f, false, 4242) },
 		func(l locator, f []byte) error { return legacySetTPPort(l, f, false, 4242) }},
-	{"SetNWTOS",
-		func(f []byte) error { return SetNWTOS(f, 0xb8) },
-		func(l locator, f []byte) error { return legacySetNWTOS(l, f, 0xb8) }},
 }
 
 // The malformed frames on which the old walk and Decode see different
@@ -272,7 +252,7 @@ func rewriteSeeds(t testing.TB) map[string][]byte {
 		return f
 	}
 	udp := must(BuildUDP(mac1, mac2, ip1, ip2, 5000, 53, []byte("payload")))
-	tcp := must(BuildTCP(mac1, mac2, ip1, ip2, 4000, 80, TCPSyn, 7, nil))
+	tcp := must(buildTCP(mac1, mac2, ip1, ip2, 4000, 80, TCPSyn, 7, nil))
 	frag := bytes.Clone(udp)
 	frag[14+6], frag[14+7] = 0x00, 0x10 // fragment offset 16
 	version6 := bytes.Clone(udp)
@@ -288,7 +268,7 @@ func rewriteSeeds(t testing.TB) map[string][]byte {
 		"tcp":       tcp,
 		"vlan-tcp":  must(PushVLAN(tcp, 0x123)),
 		"icmp":      must(BuildICMPEcho(mac1, mac2, ip1, ip2, ICMPEchoRequest, 9, 3, []byte("ping"))),
-		"arp":       must(BuildARPRequest(mac1, ip1, ip2)),
+		"arp":       must(buildARPRequest(mac1, ip1, ip2)),
 		"fragment":  frag,
 		"short13":   udp[:13],
 		"version6":  version6,
@@ -396,7 +376,7 @@ func TestRewritersFollowDecodeOnMalformedFrames(t *testing.T) {
 		seed, class string
 		rewriter    func([]byte) error
 	}{
-		{"version6", malformedIPv4, func(f []byte) error { return SetNWTOS(f, 0xb8) }},
+		{"version6", malformedIPv4, func(f []byte) error { return SetNWAddr(f, false, rewriteAddr) }},
 		{"longTotal", malformedIPv4, func(f []byte) error { return SetNWAddr(f, true, rewriteAddr) }},
 		{"padded", malformedL4, func(f []byte) error { return SetTPPort(f, true, 4242) }},
 		{"tcpOff4", malformedL4, func(f []byte) error { return SetTPPort(f, false, 4242) }},

@@ -16,7 +16,7 @@ func checksumsValid(t *testing.T, frame []byte) {
 		t.Fatal("not an IP frame")
 	}
 	ihl := int(frame[14]&0xf) * 4
-	if Checksum(frame[14:14+ihl]) != 0 {
+	if checksum(frame[14:14+ihl]) != 0 {
 		t.Error("IP header checksum invalid")
 	}
 	// Transport: recompute over pseudo-header + segment; valid sums fold
@@ -28,7 +28,7 @@ func checksumsValid(t *testing.T, frame []byte) {
 			t.Error("UDP checksum invalid")
 		}
 	}
-	if _, ok := dec.Layer(LayerTypeTCP).(*TCP); ok {
+	if _, ok := dec.Layer(LayerTypeTCP).(*tcp); ok {
 		seg := frame[14+ihl:]
 		sum := ip.pseudoHeaderChecksum(IPProtoTCP, len(seg))
 		if finishChecksum(sumBytes(sum, seg)) != 0 {
@@ -60,7 +60,7 @@ func TestSetNWAddrUDP(t *testing.T) {
 }
 
 func TestSetNWAddrTCPAndVLAN(t *testing.T) {
-	frame, _ := BuildTCP(mac1, mac2, ip1, ip2, 80, 443, TCPAck, 7, []byte("tcp data"))
+	frame, _ := buildTCP(mac1, mac2, ip1, ip2, 80, 443, TCPAck, 7, []byte("tcp data"))
 	tagged, _ := PushVLAN(frame, 99)
 	newDst := netip.MustParseAddr("10.9.9.9")
 	if err := SetNWAddr(tagged, true, newDst); err != nil {
@@ -72,7 +72,7 @@ func TestSetNWAddrTCPAndVLAN(t *testing.T) {
 	}
 	// IP checksum under the VLAN tag (offset 18).
 	ihl := int(tagged[18]&0xf) * 4
-	if Checksum(tagged[18:18+ihl]) != 0 {
+	if checksum(tagged[18:18+ihl]) != 0 {
 		t.Error("IP checksum invalid under VLAN")
 	}
 }
@@ -88,38 +88,24 @@ func TestSetTPPortBothProtocols(t *testing.T) {
 	}
 	checksumsValid(t, udpF)
 
-	tcpF, _ := BuildTCP(mac1, mac2, ip1, ip2, 80, 443, TCPSyn, 1, nil)
+	tcpF, _ := buildTCP(mac1, mac2, ip1, ip2, 80, 443, TCPSyn, 1, nil)
 	if err := SetTPPort(tcpF, false, 8080); err != nil {
 		t.Fatal(err)
 	}
-	tc, _ := Decode(tcpF).Layer(LayerTypeTCP).(*TCP)
+	tc, _ := Decode(tcpF).Layer(LayerTypeTCP).(*tcp)
 	if tc.SrcPort != 8080 {
 		t.Errorf("tcp src port = %d", tc.SrcPort)
 	}
 	checksumsValid(t, tcpF)
 }
 
-func TestSetNWTOS(t *testing.T) {
-	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, nil)
-	if err := SetNWTOS(frame, 0xb8); err != nil { // EF DSCP
-		t.Fatal(err)
-	}
-	if Decode(frame).IPv4Layer().TOS != 0xb8 {
-		t.Error("TOS not set")
-	}
-	checksumsValid(t, frame)
-}
-
 func TestMutateErrors(t *testing.T) {
-	arp, _ := BuildARPRequest(mac1, ip1, ip2)
+	arp, _ := buildARPRequest(mac1, ip1, ip2)
 	if err := SetNWAddr(arp, true, ip1); err == nil {
 		t.Error("SetNWAddr on ARP succeeded")
 	}
 	if err := SetTPPort(arp, true, 1); err == nil {
 		t.Error("SetTPPort on ARP succeeded")
-	}
-	if err := SetNWTOS(arp, 1); err == nil {
-		t.Error("SetNWTOS on ARP succeeded")
 	}
 	short := []byte{1, 2, 3}
 	if err := SetDLAddr(short, true, mac1); err == nil {
@@ -142,7 +128,7 @@ func TestFragmentNotRewritten(t *testing.T) {
 	binary.BigEndian.PutUint16(frame[20:22], 0x0010) // frag offset 16
 	// Fix the header checksum for the mutation.
 	frame[24], frame[25] = 0, 0
-	cs := Checksum(frame[14:34])
+	cs := checksum(frame[14:34])
 	binary.BigEndian.PutUint16(frame[24:26], cs)
 	if err := SetTPPort(frame, true, 9); err == nil {
 		t.Error("rewrote 'transport header' of a fragment")
@@ -168,7 +154,7 @@ func TestQuickMutatePreservesChecksums(t *testing.T) {
 			return false
 		}
 		ihl := int(frame[14]&0xf) * 4
-		if Checksum(frame[14:14+ihl]) != 0 {
+		if checksum(frame[14:14+ihl]) != 0 {
 			return false
 		}
 		dec := Decode(frame)

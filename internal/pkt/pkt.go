@@ -27,6 +27,8 @@ import (
 type LayerType uint8
 
 // Known layer types.
+//
+//lint:ignore deadexport the layered decoder is the reference of the parity tests in click, openflow and core, which select its layers by these kinds
 const (
 	LayerTypeInvalid LayerType = iota
 	LayerTypeEthernet
@@ -105,7 +107,7 @@ func Decode(data []byte) *Packet {
 		case LayerTypeEthernet:
 			l = &Ethernet{}
 		case LayerTypeVLAN:
-			l = &VLAN{}
+			l = &vlan{}
 		case LayerTypeARP:
 			l = &ARP{}
 		case LayerTypeIPv4:
@@ -115,14 +117,14 @@ func Decode(data []byte) *Packet {
 		case LayerTypeUDP:
 			l = &UDP{}
 		case LayerTypeTCP:
-			l = &TCP{}
+			l = &tcp{}
 		default:
 			next = LayerTypePayload
 			continue
 		}
 		if err := l.DecodeFromBytes(rest); err != nil {
 			p.DecodeError = err
-			if err == ErrTooShort {
+			if err == errTooShort {
 				p.Truncated = true
 			}
 			return p
@@ -133,12 +135,6 @@ func Decode(data []byte) *Packet {
 	}
 	return p
 }
-
-// Data returns the raw frame bytes.
-func (p *Packet) Data() []byte { return p.data }
-
-// Layers returns the decoded layer stack, outermost first.
-func (p *Packet) Layers() []Layer { return p.layers }
 
 // Layer returns the first layer of type t, or nil.
 func (p *Packet) Layer(t LayerType) Layer {
@@ -183,7 +179,7 @@ func layerSummary(l Layer) string {
 	switch v := l.(type) {
 	case *Ethernet:
 		return fmt.Sprintf("Ethernet %s>%s 0x%04x", v.Src, v.Dst, uint16(v.EtherType))
-	case *VLAN:
+	case *vlan:
 		return fmt.Sprintf("VLAN %d", v.ID)
 	case *ARP:
 		op := "req"
@@ -197,8 +193,8 @@ func layerSummary(l Layer) string {
 		return fmt.Sprintf("ICMP t%d c%d", v.Type, v.Code)
 	case *UDP:
 		return fmt.Sprintf("UDP %d>%d (%dB)", v.SrcPort, v.DstPort, len(v.payload))
-	case *TCP:
-		return fmt.Sprintf("TCP %d>%d %s", v.SrcPort, v.DstPort, v.FlagString())
+	case *tcp:
+		return fmt.Sprintf("TCP %d>%d %s", v.SrcPort, v.DstPort, v.flagString())
 	}
 	return l.LayerType().String()
 }

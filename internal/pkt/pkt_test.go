@@ -2,16 +2,18 @@ package pkt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/netip"
 	"testing"
 	"testing/quick"
 )
 
 var (
-	mac1 = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
-	mac2 = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
-	ip1  = netip.MustParseAddr("10.0.0.1")
-	ip2  = netip.MustParseAddr("10.0.0.2")
+	broadcastMAC = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	mac1         = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x01}
+	mac2         = MAC{0x02, 0x00, 0x00, 0x00, 0x00, 0x02}
+	ip1          = netip.MustParseAddr("10.0.0.1")
+	ip2          = netip.MustParseAddr("10.0.0.2")
 )
 
 func TestMACString(t *testing.T) {
@@ -20,47 +22,12 @@ func TestMACString(t *testing.T) {
 	}
 }
 
-func TestParseMACRoundTrip(t *testing.T) {
-	m, err := ParseMAC("de:ad:be:ef:00:2a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.String() != "de:ad:be:ef:00:2a" {
-		t.Errorf("round trip = %s", m)
-	}
-}
-
-func TestParseMACInvalid(t *testing.T) {
-	for _, s := range []string{"", "gg:00:00:00:00:00", "01:02:03"} {
-		if _, err := ParseMAC(s); err == nil {
-			t.Errorf("ParseMAC(%q) succeeded, want error", s)
-		}
-	}
-}
-
-func TestNthMACDeterministicUnique(t *testing.T) {
-	seen := map[MAC]bool{}
-	for i := uint32(0); i < 1000; i++ {
-		m := NthMAC(i)
-		if m.IsMulticast() {
-			t.Fatalf("NthMAC(%d) = %s is multicast", i, m)
-		}
-		if seen[m] {
-			t.Fatalf("NthMAC(%d) = %s repeats", i, m)
-		}
-		seen[m] = true
-		if m != NthMAC(i) {
-			t.Fatalf("NthMAC(%d) not deterministic", i)
-		}
-	}
-}
-
 func TestBroadcastDetect(t *testing.T) {
-	if !BroadcastMAC.IsBroadcast() || !BroadcastMAC.IsMulticast() {
-		t.Error("BroadcastMAC misclassified")
+	if !broadcastMAC.IsMulticast() {
+		t.Error("broadcastMAC misclassified")
 	}
-	if mac1.IsBroadcast() {
-		t.Error("unicast MAC classified broadcast")
+	if mac1.IsMulticast() {
+		t.Error("unicast MAC classified multicast")
 	}
 }
 
@@ -91,12 +58,12 @@ func TestUDPRoundTrip(t *testing.T) {
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	frame, err := BuildTCP(mac1, mac2, ip1, ip2, 1234, 80, TCPSyn|TCPAck, 42, []byte("GET /"))
+	frame, err := buildTCP(mac1, mac2, ip1, ip2, 1234, 80, TCPSyn|TCPAck, 42, []byte("GET /"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Decode(frame)
-	tcp, ok := p.Layer(LayerTypeTCP).(*TCP)
+	tcp, ok := p.Layer(LayerTypeTCP).(*tcp)
 	if !ok {
 		t.Fatalf("no TCP layer: %s", p)
 	}
@@ -104,7 +71,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("tcp = %+v", tcp)
 	}
 	if tcp.Flags&TCPSyn == 0 || tcp.Flags&TCPAck == 0 {
-		t.Fatalf("flags = %s", tcp.FlagString())
+		t.Fatalf("flags = %s", tcp.flagString())
 	}
 	if string(tcp.Payload()) != "GET /" {
 		t.Fatalf("payload = %q", tcp.Payload())
@@ -124,20 +91,20 @@ func TestICMPEchoRoundTripAndChecksum(t *testing.T) {
 	if ic.Type != ICMPEchoRequest || ic.Ident != 7 || ic.Seq != 3 {
 		t.Fatalf("icmp = %+v", ic)
 	}
-	if !ic.VerifyChecksum() {
+	if !icmpChecksumOK(ic) {
 		t.Error("checksum does not verify")
 	}
 	// Corrupt one payload byte: checksum must fail.
 	frame[len(frame)-1] ^= 0xff
 	p2 := Decode(frame)
 	ic2 := p2.Layer(LayerTypeICMP).(*ICMP)
-	if ic2.VerifyChecksum() {
+	if icmpChecksumOK(ic2) {
 		t.Error("checksum verified after corruption")
 	}
 }
 
 func TestARPRoundTrip(t *testing.T) {
-	frame, err := BuildARPRequest(mac1, ip1, ip2)
+	frame, err := buildARPRequest(mac1, ip1, ip2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +132,14 @@ func TestVLANTagRoundTrip(t *testing.T) {
 	udp.SetNetworkLayer(ipl)
 	frame, err := SerializeLayers(
 		&Ethernet{Src: mac1, Dst: mac2, EtherType: EtherTypeVLAN},
-		&VLAN{ID: 100, Priority: 3, EtherType: EtherTypeIPv4},
+		&vlan{ID: 100, Priority: 3, EtherType: EtherTypeIPv4},
 		ipl, udp, Raw("x"),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := Decode(frame)
-	v, ok := p.Layer(LayerTypeVLAN).(*VLAN)
+	v, ok := p.Layer(LayerTypeVLAN).(*vlan)
 	if !ok {
 		t.Fatalf("no VLAN layer: %s", p)
 	}
@@ -185,7 +152,7 @@ func TestVLANTagRoundTrip(t *testing.T) {
 }
 
 func TestVLANIDRange(t *testing.T) {
-	v := &VLAN{ID: 5000}
+	v := &vlan{ID: 5000}
 	if _, err := v.SerializeTo(nil); err == nil {
 		t.Error("oversized VLAN ID accepted")
 	}
@@ -232,7 +199,7 @@ func TestSetVLANKeepsPriority(t *testing.T) {
 	frame, _ := BuildUDP(mac1, mac2, ip1, ip2, 1, 2, []byte("data"))
 	tagged, err := SerializeLayers(
 		&Ethernet{Src: mac1, Dst: mac2, EtherType: EtherTypeVLAN},
-		&VLAN{Priority: 5, DropElig: true, ID: 42, EtherType: EtherTypeIPv4},
+		&vlan{Priority: 5, DropElig: true, ID: 42, EtherType: EtherTypeIPv4},
 		Raw(frame[14:]),
 	)
 	if err != nil {
@@ -242,7 +209,7 @@ func TestSetVLANKeepsPriority(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := Decode(retag).Layer(LayerTypeVLAN).(*VLAN)
+	v, ok := Decode(retag).Layer(LayerTypeVLAN).(*vlan)
 	if !ok || v.ID != 0x123 || v.Priority != 5 || !v.DropElig {
 		t.Fatalf("retagged frame carries %+v, want VID 0x123, PCP 5, DEI set", v)
 	}
@@ -329,8 +296,8 @@ func TestDecodeGarbage(t *testing.T) {
 	if p.DecodeError == nil {
 		t.Error("garbage decoded without error")
 	}
-	if len(p.Layers()) != 0 {
-		t.Errorf("layers = %d, want 0", len(p.Layers()))
+	if len(p.layers) != 0 {
+		t.Errorf("layers = %d, want 0", len(p.layers))
 	}
 }
 
@@ -349,7 +316,7 @@ func TestHeadersFiveTuple(t *testing.T) {
 
 // An ARP frame's NW fields hold its opcode and addresses: no five-tuple.
 func TestFiveTupleNonIP(t *testing.T) {
-	frame, _ := BuildARPRequest(mac1, ip1, ip2)
+	frame, _ := buildARPRequest(mac1, ip1, ip2)
 	h, err := Parse(frame)
 	if err != nil || h.NWProto != uint8(ARPRequest) || h.NWSrc != ip1 {
 		t.Fatalf("arp headers = %+v, %v", h, err)
@@ -363,7 +330,7 @@ func TestChecksumKnownVector(t *testing.T) {
 	// RFC 1071 example: checksum of 00 01 f2 03 f4 f5 f6 f7 = 0x220d (ones
 	// complement of 0xddf2).
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := Checksum(data); got != 0x220d {
+	if got := checksum(data); got != 0x220d {
 		t.Errorf("Checksum = %#04x, want 0x220d", got)
 	}
 }
@@ -375,7 +342,7 @@ func TestIPv4ChecksumSelfConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A correct IPv4 header checksums to zero when summed whole.
-	if got := Checksum(hdr); got != 0 {
+	if got := checksum(hdr); got != 0 {
 		t.Errorf("header checksum residue = %#04x, want 0", got)
 	}
 }
@@ -454,9 +421,9 @@ func TestQuickChecksumResidue(t *testing.T) {
 		if len(data)%2 == 1 {
 			data = append(data, 0)
 		}
-		cs := Checksum(data)
+		cs := checksum(data)
 		whole := append(append([]byte{}, data...), byte(cs>>8), byte(cs))
-		return Checksum(whole) == 0
+		return checksum(whole) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -469,7 +436,7 @@ func TestParseUntagged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.DLVLAN != VLANNone || h.DLType != uint16(EtherTypeIPv4) || h.DLSrc != mac1 || h.L3 != 14 || h.L4 != 34 {
+	if h.DLVLAN != vlanNone || h.DLType != uint16(EtherTypeIPv4) || h.DLSrc != mac1 || h.L3 != 14 || h.L4 != 34 {
 		t.Fatalf("headers = %+v", h)
 	}
 }
@@ -482,7 +449,7 @@ func TestParseAllocatesNothing(t *testing.T) {
 	}
 	udp, _ := BuildUDP(mac1, mac2, ip1, ip2, 4000, 5000, make([]byte, 64))
 	tagged, _ := PushVLAN(udp, 7)
-	arp, _ := BuildARPRequest(mac1, ip1, ip2)
+	arp, _ := buildARPRequest(mac1, ip1, ip2)
 	for name, frame := range map[string][]byte{"udp": udp, "vlan": tagged, "arp": arp} {
 		if n := testing.AllocsPerRun(100, func() {
 			if _, err := Parse(frame); err != nil {
@@ -523,4 +490,31 @@ func BenchmarkParse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// buildTCP builds an Ethernet/IPv4/TCP frame carrying payload.
+func buildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
+	ip := &IPv4{TTL: 64, Protocol: IPProtoTCP, Src: src, Dst: dst}
+	tcp := &tcp{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Seq: seq, Window: 65535}
+	tcp.ip = ip
+	return SerializeLayers(&Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: EtherTypeIPv4}, ip, tcp, Raw(payload))
+}
+
+// icmpChecksumOK reports whether a decoded ICMP message's checksum
+// matches its header and payload.
+func icmpChecksumOK(ic *ICMP) bool {
+	hdr := make([]byte, 8)
+	hdr[0] = ic.Type
+	hdr[1] = ic.Code
+	binary.BigEndian.PutUint16(hdr[4:6], ic.Ident)
+	binary.BigEndian.PutUint16(hdr[6:8], ic.Seq)
+	return finishChecksum(sumBytes(sumBytes(0, hdr), ic.payload)) == ic.Checksum
+}
+
+// buildARPRequest builds a broadcast who-has query.
+func buildARPRequest(srcMAC MAC, srcIP, targetIP netip.Addr) ([]byte, error) {
+	return SerializeLayers(
+		&Ethernet{Src: srcMAC, Dst: broadcastMAC, EtherType: EtherTypeARP},
+		&ARP{Op: ARPRequest, SenderMAC: srcMAC, SenderIP: srcIP, TargetIP: targetIP},
+	)
 }

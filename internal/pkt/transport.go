@@ -8,6 +8,8 @@ import (
 )
 
 // ICMP message types used by ESCAPE's ping tool.
+//
+//lint:ignore deadexport wire constants: the block is the protocol's table, unused codes included
 const (
 	ICMPEchoReply   uint8 = 0
 	ICMPDestUnreach uint8 = 3
@@ -29,7 +31,7 @@ func (*ICMP) LayerType() LayerType { return LayerTypeICMP }
 // DecodeFromBytes implements Layer.
 func (ic *ICMP) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
-		return ErrTooShort
+		return errTooShort
 	}
 	ic.Type = data[0]
 	ic.Code = data[1]
@@ -59,16 +61,6 @@ func (*ICMP) NextLayerType() LayerType { return LayerTypePayload }
 // Payload implements Layer.
 func (ic *ICMP) Payload() []byte { return ic.payload }
 
-// VerifyChecksum reports whether the decoded checksum matches the message.
-func (ic *ICMP) VerifyChecksum() bool {
-	hdr := make([]byte, 8)
-	hdr[0] = ic.Type
-	hdr[1] = ic.Code
-	binary.BigEndian.PutUint16(hdr[4:6], ic.Ident)
-	binary.BigEndian.PutUint16(hdr[6:8], ic.Seq)
-	return finishChecksum(sumBytes(sumBytes(0, hdr), ic.payload)) == ic.Checksum
-}
-
 // UDP is a UDP header. If ip is set via SetNetworkLayer the checksum is
 // computed over the pseudo-header; otherwise it is left zero (legal in UDP
 // over IPv4).
@@ -90,7 +82,7 @@ func (*UDP) LayerType() LayerType { return LayerTypeUDP }
 // DecodeFromBytes implements Layer.
 func (u *UDP) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
-		return ErrTooShort
+		return errTooShort
 	}
 	u.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	u.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -132,6 +124,8 @@ func (*UDP) NextLayerType() LayerType { return LayerTypePayload }
 func (u *UDP) Payload() []byte { return u.payload }
 
 // TCP flag bits.
+//
+//lint:ignore deadexport wire constants: the block is the protocol's table, unused codes included
 const (
 	TCPFin uint8 = 1 << iota
 	TCPSyn
@@ -141,9 +135,9 @@ const (
 	TCPUrg
 )
 
-// TCP is a TCP header. ESCAPE uses it for classification and for the
+// tcp is a TCP header. ESCAPE uses it for classification and for the
 // simplified load-generator streams, not for a full TCP implementation.
-type TCP struct {
+type tcp struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
 	DataOffset       uint8
@@ -156,17 +150,13 @@ type TCP struct {
 	payload          []byte
 }
 
-// SetNetworkLayer provides the IPv4 header used for pseudo-header
-// checksumming during serialization.
-func (t *TCP) SetNetworkLayer(ip *IPv4) { t.ip = ip }
-
 // LayerType implements Layer.
-func (*TCP) LayerType() LayerType { return LayerTypeTCP }
+func (*tcp) LayerType() LayerType { return LayerTypeTCP }
 
 // DecodeFromBytes implements Layer.
-func (t *TCP) DecodeFromBytes(data []byte) error {
+func (t *tcp) DecodeFromBytes(data []byte) error {
 	if len(data) < 20 {
-		return ErrTooShort
+		return errTooShort
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:2])
 	t.DstPort = binary.BigEndian.Uint16(data[2:4])
@@ -178,7 +168,7 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 		return fmt.Errorf("pkt: TCP data offset %d too small", off)
 	}
 	if len(data) < off {
-		return ErrTooShort
+		return errTooShort
 	}
 	t.Flags = data[13]
 	t.Window = binary.BigEndian.Uint16(data[14:16])
@@ -190,7 +180,7 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 }
 
 // SerializeTo implements Layer.
-func (t *TCP) SerializeTo(payload []byte) ([]byte, error) {
+func (t *tcp) SerializeTo(payload []byte) ([]byte, error) {
 	optLen := (len(t.Options) + 3) &^ 3
 	hdrLen := 20 + optLen
 	hdr := make([]byte, hdrLen)
@@ -215,13 +205,13 @@ func (t *TCP) SerializeTo(payload []byte) ([]byte, error) {
 }
 
 // NextLayerType implements Layer.
-func (*TCP) NextLayerType() LayerType { return LayerTypePayload }
+func (*tcp) NextLayerType() LayerType { return LayerTypePayload }
 
 // Payload implements Layer.
-func (t *TCP) Payload() []byte { return t.payload }
+func (t *tcp) Payload() []byte { return t.payload }
 
-// FlagString renders the flag set, e.g. "SYN|ACK".
-func (t *TCP) FlagString() string {
+// flagString renders the flag set, e.g. "SYN|ACK".
+func (t *tcp) flagString() string {
 	var parts []string
 	for _, f := range []struct {
 		bit  uint8
@@ -238,6 +228,8 @@ func (t *TCP) FlagString() string {
 }
 
 // ARP opcode values.
+//
+//lint:ignore deadexport wire constants: the block is the protocol's table, unused codes included
 const (
 	ARPRequest uint16 = 1
 	ARPReply   uint16 = 2
@@ -257,7 +249,7 @@ func (*ARP) LayerType() LayerType { return LayerTypeARP }
 // DecodeFromBytes implements Layer.
 func (a *ARP) DecodeFromBytes(data []byte) error {
 	if len(data) < 28 {
-		return ErrTooShort
+		return errTooShort
 	}
 	if ht := binary.BigEndian.Uint16(data[0:2]); ht != 1 {
 		return fmt.Errorf("pkt: ARP hardware type %d", ht)

@@ -33,21 +33,21 @@ func NewL2Learning() *L2Learning {
 // ComponentName implements Component.
 func (*L2Learning) ComponentName() string { return "l2_learning" }
 
-// HandleConnectionUp implements ConnectionUpHandler.
+// HandleConnectionUp implements connectionUpHandler.
 func (l *L2Learning) HandleConnectionUp(c *Connection) {
 	l.mu.Lock()
 	l.tables[c.DPID()] = map[pkt.MAC]uint16{}
 	l.mu.Unlock()
 }
 
-// HandleConnectionDown implements ConnectionDownHandler.
+// HandleConnectionDown implements connectionDownHandler.
 func (l *L2Learning) HandleConnectionDown(c *Connection) {
 	l.mu.Lock()
 	delete(l.tables, c.DPID())
 	l.mu.Unlock()
 }
 
-// HandlePortStatus implements PortStatusHandler: bindings learned on a
+// HandlePortStatus implements portStatusHandler: bindings learned on a
 // deleted port are forgotten, so a port that later reuses its number
 // starts with none.
 func (l *L2Learning) HandlePortStatus(c *Connection, ps *openflow.PortStatus) {
@@ -64,15 +64,7 @@ func (l *L2Learning) HandlePortStatus(c *Connection, ps *openflow.PortStatus) {
 	}
 }
 
-// Learned reports the learned port for a MAC on a datapath.
-func (l *L2Learning) Learned(dpid uint64, mac pkt.MAC) (uint16, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	p, ok := l.tables[dpid][mac]
-	return p, ok
-}
-
-// HandlePacketIn implements PacketInHandler.
+// HandlePacketIn implements packetInHandler.
 func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 	fields, err := openflow.ExtractFields(pi.Data, pi.InPort)
 	if err != nil {
@@ -92,7 +84,7 @@ func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 		// Flood; do not install state for broadcast/unknown. A send
 		// failure means the connection is going down and readLoop will
 		// surface it; there is no learning state to unwind.
-		_ = c.SendPacketOut(&openflow.PacketOut{
+		_ = c.sendPacketOut(&openflow.PacketOut{
 			BufferID: pi.BufferID,
 			InPort:   pi.InPort,
 			Actions:  []openflow.Action{openflow.ActionOutput{Port: openflow.PortFlood}},
@@ -124,7 +116,7 @@ func (l *L2Learning) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 		// The frame was not buffered on the switch, so release our
 		// copy through the new entry's port. Same failure story as the
 		// flood path above.
-		_ = c.SendPacketOut(&openflow.PacketOut{
+		_ = c.sendPacketOut(&openflow.PacketOut{
 			BufferID: openflow.NoBuffer,
 			InPort:   pi.InPort,
 			Actions:  []openflow.Action{openflow.ActionOutput{Port: outPort}},

@@ -12,7 +12,6 @@ package pox
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,30 +26,30 @@ type Component interface {
 	ComponentName() string
 }
 
-// ConnectionUpHandler receives an event when a switch completes its
+// connectionUpHandler receives an event when a switch completes its
 // handshake.
-type ConnectionUpHandler interface {
+type connectionUpHandler interface {
 	HandleConnectionUp(c *Connection)
 }
 
-// ConnectionDownHandler receives an event when a switch's control channel
+// connectionDownHandler receives an event when a switch's control channel
 // closes.
-type ConnectionDownHandler interface {
+type connectionDownHandler interface {
 	HandleConnectionDown(c *Connection)
 }
 
-// PacketInHandler receives data-plane packets punted to the controller.
-type PacketInHandler interface {
+// packetInHandler receives data-plane packets punted to the controller.
+type packetInHandler interface {
 	HandlePacketIn(c *Connection, pi *openflow.PacketIn)
 }
 
-// FlowRemovedHandler receives flow-expiry notifications.
-type FlowRemovedHandler interface {
+// flowRemovedHandler receives flow-expiry notifications.
+type flowRemovedHandler interface {
 	HandleFlowRemoved(c *Connection, fr *openflow.FlowRemoved)
 }
 
-// PortStatusHandler receives port lifecycle events.
-type PortStatusHandler interface {
+// portStatusHandler receives port lifecycle events.
+type portStatusHandler interface {
 	HandlePortStatus(c *Connection, ps *openflow.PortStatus)
 }
 
@@ -75,19 +74,6 @@ func (ct *Controller) Register(c Component) {
 	ct.mu.Lock()
 	defer ct.mu.Unlock()
 	ct.components = append(ct.components, c)
-}
-
-// Component returns the first registered component with the given name,
-// or nil.
-func (ct *Controller) Component(name string) Component {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	for _, c := range ct.components {
-		if c.ComponentName() == name {
-			return c
-		}
-	}
-	return nil
 }
 
 // Serve performs the controller-side handshake on an established conn
@@ -122,18 +108,6 @@ func (ct *Controller) Connection(dpid uint64) *Connection {
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
 	return ct.conns[dpid]
-}
-
-// Connections snapshots all live connections sorted by dpid.
-func (ct *Controller) Connections() []*Connection {
-	ct.mu.RLock()
-	defer ct.mu.RUnlock()
-	out := make([]*Connection, 0, len(ct.conns))
-	for _, c := range ct.conns {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].dpid < out[j].dpid })
-	return out
 }
 
 // connsChangedLocked wakes every WaitForSwitches caller. ct.mu must be
@@ -185,7 +159,7 @@ func (ct *Controller) snapshotComponents() []Component {
 
 func (ct *Controller) dispatchConnectionUp(c *Connection) {
 	for _, comp := range ct.snapshotComponents() {
-		if h, ok := comp.(ConnectionUpHandler); ok {
+		if h, ok := comp.(connectionUpHandler); ok {
 			h.HandleConnectionUp(c)
 		}
 	}
@@ -193,7 +167,7 @@ func (ct *Controller) dispatchConnectionUp(c *Connection) {
 
 func (ct *Controller) dispatchConnectionDown(c *Connection) {
 	for _, comp := range ct.snapshotComponents() {
-		if h, ok := comp.(ConnectionDownHandler); ok {
+		if h, ok := comp.(connectionDownHandler); ok {
 			h.HandleConnectionDown(c)
 		}
 	}
@@ -215,11 +189,6 @@ type Connection struct {
 
 // DPID returns the switch datapath id.
 func (c *Connection) DPID() uint64 { return c.dpid }
-
-// Ports returns the port list from the features handshake.
-func (c *Connection) Ports() []openflow.PhyPort {
-	return append([]openflow.PhyPort(nil), c.ports...)
-}
 
 func (c *Connection) handshake() error {
 	if err := c.send(&openflow.Hello{}); err != nil {
@@ -283,19 +252,19 @@ func (c *Connection) readLoop() error {
 			}
 		case *openflow.PacketIn:
 			for _, comp := range c.ctrl.snapshotComponents() {
-				if ph, ok := comp.(PacketInHandler); ok {
+				if ph, ok := comp.(packetInHandler); ok {
 					ph.HandlePacketIn(c, m)
 				}
 			}
 		case *openflow.FlowRemoved:
 			for _, comp := range c.ctrl.snapshotComponents() {
-				if fh, ok := comp.(FlowRemovedHandler); ok {
+				if fh, ok := comp.(flowRemovedHandler); ok {
 					fh.HandleFlowRemoved(c, m)
 				}
 			}
 		case *openflow.PortStatus:
 			for _, comp := range c.ctrl.snapshotComponents() {
-				if sh, ok := comp.(PortStatusHandler); ok {
+				if sh, ok := comp.(portStatusHandler); ok {
 					sh.HandlePortStatus(c, m)
 				}
 			}
@@ -318,8 +287,8 @@ func (c *Connection) SendFlowMod(fm *openflow.FlowMod) error {
 	return c.send(fm)
 }
 
-// SendPacketOut injects a packet into the switch.
-func (c *Connection) SendPacketOut(po *openflow.PacketOut) error {
+// sendPacketOut injects a packet into the switch.
+func (c *Connection) sendPacketOut(po *openflow.PacketOut) error {
 	return c.send(po)
 }
 
@@ -372,17 +341,4 @@ func (c *Connection) FlowStats(match openflow.Match, timeout time.Duration) ([]o
 		return nil, fmt.Errorf("pox: expected STATS_REPLY, got %s", resp.MsgType())
 	}
 	return sr.Flows, nil
-}
-
-// PortStats fetches port counters (openflow.PortNone = all ports).
-func (c *Connection) PortStats(port uint16, timeout time.Duration) ([]openflow.PortStats, error) {
-	resp, err := c.request(&openflow.StatsRequest{StatsType: openflow.StatsPort, PortNo: port}, timeout)
-	if err != nil {
-		return nil, err
-	}
-	sr, ok := resp.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("pox: expected STATS_REPLY, got %s", resp.MsgType())
-	}
-	return sr.Ports, nil
 }

@@ -12,8 +12,8 @@ import (
 )
 
 var (
-	hmacA = pkt.NthMAC(1)
-	hmacB = pkt.NthMAC(2)
+	hmacA = pkt.MAC{2, 0, 0, 0, 0, 1}
+	hmacB = pkt.MAC{2, 0, 0, 0, 0, 2}
 	hipA  = netip.MustParseAddr("10.0.0.1")
 	hipB  = netip.MustParseAddr("10.0.0.2")
 )
@@ -39,7 +39,7 @@ func newRig(t *testing.T, components ...Component) *rig {
 		ch := make(chan []byte, 64)
 		r.out[i] = ch
 		if err := r.sw.AddPort(&ofswitch.Port{
-			No: i, HWAddr: pkt.NthMAC(uint32(i)), Name: "s1-eth",
+			No: i, HWAddr: pkt.MAC{2, 0, 0, 0, 0, byte(i)}, Name: "s1-eth",
 			Transmit: func(f []byte) {
 				select {
 				case ch <- f:
@@ -100,12 +100,12 @@ func TestHandshakePopulatesConnection(t *testing.T) {
 	if c.DPID() != 1 {
 		t.Errorf("dpid = %d", c.DPID())
 	}
-	ports := c.Ports()
+	ports := c.ports
 	if len(ports) != 2 || ports[0].PortNo != 1 || ports[1].PortNo != 2 {
 		t.Errorf("ports = %+v", ports)
 	}
-	if len(r.ctrl.Connections()) != 1 {
-		t.Errorf("connections = %d", len(r.ctrl.Connections()))
+	if connCount(r.ctrl) != 1 {
+		t.Errorf("connections = %d", connCount(r.ctrl))
 	}
 }
 
@@ -133,11 +133,11 @@ func TestBarrierAndStats(t *testing.T) {
 	if len(flows) != 1 || flows[0].Cookie != 7 {
 		t.Errorf("flows = %+v", flows)
 	}
-	ports, err := c.PortStats(openflow.PortNone, 2*time.Second)
+	resp, err := c.request(&openflow.StatsRequest{StatsType: openflow.StatsPort, PortNo: openflow.PortNone}, 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ports) != 2 {
+	if ports := resp.(*openflow.StatsReply).Ports; len(ports) != 2 {
 		t.Errorf("ports = %+v", ports)
 	}
 }
@@ -176,7 +176,7 @@ func TestL2LearningFloodsThenInstalls(t *testing.T) {
 	// A → B: destination unknown, must flood out port 2.
 	r.sw.Input(1, frameAB(t))
 	expectFrame(t, r.out[2], "flooded A→B frame")
-	if p, ok := l2.Learned(1, hmacA); !ok || p != 1 {
+	if p, ok := learned(l2, 1, hmacA); !ok || p != 1 {
 		t.Fatalf("A not learned: %v %v", p, ok)
 	}
 
@@ -204,7 +204,7 @@ func TestL2LearningFloodsThenInstalls(t *testing.T) {
 func TestL2LearningBroadcastAlwaysFloods(t *testing.T) {
 	l2 := NewL2Learning()
 	r := newRig(t, l2)
-	bcast, err := pkt.BuildARPRequest(hmacA, hipA, hipB)
+	bcast, err := arpRequest(hmacA, hipA, hipB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestL2LearningLearnsFromFrameCutInsideVLANTag(t *testing.T) {
 	}
 	r.sw.Input(1, tagged[:16])
 	expectFrame(t, r.out[2], "flooded 16-byte tagged frame")
-	if p, ok := l2.Learned(1, hmacA); !ok || p != 1 {
+	if p, ok := learned(l2, 1, hmacA); !ok || p != 1 {
 		t.Fatalf("A not learned: %v %v", p, ok)
 	}
 }
@@ -242,7 +242,7 @@ func TestL2LearningPortReuseInheritsNoBinding(t *testing.T) {
 	expectFrame(t, r.out[2], "flooded A→B frame")
 	r.sw.Input(2, frameBA(t))
 	expectFrame(t, r.out[1], "B→A frame")
-	if _, ok := l2.Learned(1, hmacB); !ok {
+	if _, ok := learned(l2, 1, hmacB); !ok {
 		t.Fatal("B not learned on port 2")
 	}
 	r.sw.RemovePort(2)
@@ -251,10 +251,10 @@ func TestL2LearningPortReuseInheritsNoBinding(t *testing.T) {
 	if err := r.ctrl.Connection(1).Barrier(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := l2.Learned(1, hmacB); ok {
+	if p, ok := learned(l2, 1, hmacB); ok {
 		t.Errorf("B still bound to port %d after the port was deleted", p)
 	}
-	if p, ok := l2.Learned(1, hmacA); !ok || p != 1 {
+	if p, ok := learned(l2, 1, hmacA); !ok || p != 1 {
 		t.Errorf("A's binding on the surviving port lost: %v %v", p, ok)
 	}
 }
@@ -324,20 +324,8 @@ func TestWaitForSwitchesWakesOnConnect(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("WaitForSwitches was not woken by the switches connecting")
 	}
-	if n := len(ctrl.Connections()); n != 2 {
+	if n := connCount(ctrl); n != 2 {
 		t.Errorf("connections = %d, want 2", n)
-	}
-}
-
-func TestComponentLookup(t *testing.T) {
-	ctrl := NewController()
-	l2 := NewL2Learning()
-	ctrl.Register(l2)
-	if got := ctrl.Component("l2_learning"); got != Component(l2) {
-		t.Errorf("Component() = %v", got)
-	}
-	if got := ctrl.Component("nope"); got != nil {
-		t.Errorf("Component(nope) = %v", got)
 	}
 }
 
@@ -346,4 +334,27 @@ func TestWaitForSwitchesTimeout(t *testing.T) {
 	if err := ctrl.WaitForSwitches(1, 20*time.Millisecond); err == nil {
 		t.Error("expected timeout error")
 	}
+}
+
+// learned reports the port l2 learned for a MAC on a datapath.
+func learned(l2 *L2Learning, dpid uint64, mac pkt.MAC) (uint16, bool) {
+	l2.mu.Lock()
+	defer l2.mu.Unlock()
+	p, ok := l2.tables[dpid][mac]
+	return p, ok
+}
+
+// connCount is the number of live switch connections.
+func connCount(ct *Controller) int {
+	ct.mu.RLock()
+	defer ct.mu.RUnlock()
+	return len(ct.conns)
+}
+
+// arpRequest builds a broadcast who-has query.
+func arpRequest(srcMAC pkt.MAC, srcIP, targetIP netip.Addr) ([]byte, error) {
+	return pkt.SerializeLayers(
+		&pkt.Ethernet{Src: srcMAC, Dst: pkt.MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, EtherType: pkt.EtherTypeARP},
+		&pkt.ARP{Op: pkt.ARPRequest, SenderMAC: srcMAC, SenderIP: srcIP, TargetIP: targetIP},
+	)
 }

@@ -137,12 +137,12 @@ func TestChaosSoak(t *testing.T) {
 	// schedule, or redeployed after a heal that gave up.
 	settled := func() bool {
 		for _, ee := range ees {
-			if env.View.ExcludedEE(ee) {
+			if masked(env.View, ee) {
 				return false
 			}
 		}
 		for _, tr := range trunks {
-			if env.View.ExcludedLink(tr[0], tr[1]) {
+			if trunkMasked(env.View, tr[0], tr[1]) {
 				return false
 			}
 		}

@@ -238,7 +238,7 @@ func (d *Detector) probeLoop(ee, addr string) {
 	}
 }
 
-// HandlePortStatus implements pox.PortStatusHandler: a MODIFY carrying
+// HandlePortStatus implements pox's port-status handler: a MODIFY carrying
 // link-down state on a port that belongs to an inter-switch link marks
 // that link down and masks it in the view, and link-up state lifts both
 // (both ends report; the transition is deduplicated).

@@ -92,13 +92,11 @@ func runIntent(t *testing.T, env *core.Environment, rec *api.Reconciler, g *sg.G
 	return in.ID, env.Orch.Service(in.ID)
 }
 
-// removeIntent marks an intent removed and waits for the reconciler to
-// tear its service down and forget it.
+// removeIntent forgets an intent and waits for the reconciler to tear
+// its service down.
 func removeIntent(t *testing.T, env *core.Environment, rec *api.Reconciler, id string) {
 	t.Helper()
-	in := *rec.Store.Intent(id)
-	in.Desired = api.DesiredRemoved
-	if err := rec.Store.PutIntent(&in, time.Now()); err != nil {
+	if err := rec.Store.Forget(id); err != nil {
 		t.Fatal(err)
 	}
 	rec.Enqueue(id)
@@ -168,7 +166,7 @@ func TestEECrashHealsServiceOntoSurvivingEE(t *testing.T) {
 	// and the chain must return to Running with nf1 off the dead EE.
 	if !rec.Await(10*time.Second, func() bool {
 		svc := env.Orch.Service(id)
-		return env.View.ExcludedEE(victim) && svc != nil && svc.State() == core.StateRunning && svc.Placements()["nf1"] != victim
+		return masked(env.View, victim) && svc != nil && svc.State() == core.StateRunning && svc.Placements()["nf1"] != victim
 	}) {
 		t.Fatalf("service never healed: state=%s placements=%v", svc.State(), svc.Placements())
 	}
@@ -216,7 +214,7 @@ func TestLinkFailureReroutesAroundDeadTrunk(t *testing.T) {
 
 	env.Net.FindLink("s1", "s2").Fail()
 	if !rec.Await(10*time.Second, func() bool {
-		return env.View.ExcludedLink("s1", "s2") && svc.State() == core.StateRunning && !crossesTrunk(svc, "s1", "s2")
+		return trunkMasked(env.View, "s1", "s2") && svc.State() == core.StateRunning && !crossesTrunk(svc, "s1", "s2")
 	}) {
 		t.Fatalf("never rerouted: state=%s routes=%v", svc.State(), svc.Routes())
 	}
@@ -229,7 +227,7 @@ func TestLinkFailureReroutesAroundDeadTrunk(t *testing.T) {
 
 	// Healing the link must lift the view mask (next deploys may use it).
 	env.Net.FindLink("s1", "s2").Heal()
-	if !rec.Await(5*time.Second, func() bool { return !env.View.ExcludedLink("s1", "s2") }) {
+	if !rec.Await(5*time.Second, func() bool { return !trunkMasked(env.View, "s1", "s2") }) {
 		t.Fatal("link exclusion never lifted after Heal")
 	}
 	removeIntent(t, env, rec, id)
@@ -273,16 +271,16 @@ func TestEERestartLiftsExclusion(t *testing.T) {
 	ee.Crash()
 	if !rec.Await(5*time.Second, func() bool {
 		_, down := det.EEDownSince("ee1")
-		return down && env.View.ExcludedEE("ee1")
+		return down && masked(env.View, "ee1")
 	}) {
 		t.Fatal("crash never detected and masked")
 	}
 	ee.Restart()
 	if !rec.Await(5*time.Second, func() bool {
 		_, down := det.EEDownSince("ee1")
-		return !down && !env.View.ExcludedEE("ee1")
+		return !down && !masked(env.View, "ee1")
 	}) {
-		t.Fatalf("recovery never detected (excluded=%v)", env.View.ExcludedEE("ee1"))
+		t.Fatalf("recovery never detected (excluded=%v)", masked(env.View, "ee1"))
 	}
 	// A fresh deploy may use the recovered EE again.
 	runIntent(t, env, rec, chainGraph("back", "monitor"))
@@ -326,7 +324,7 @@ func TestHungAgentIsMasked(t *testing.T) {
 	det.Start()
 
 	limit := time.After(failThreshold * (interval + mgmtBound))
-	for !env.View.ExcludedEE("ee1") {
+	for !masked(env.View, "ee1") {
 		select {
 		case <-det.Changed():
 		case <-limit:
@@ -335,7 +333,7 @@ func TestHungAgentIsMasked(t *testing.T) {
 	}
 	t.Logf("hung ee1 masked %v after Start", time.Since(start))
 	for _, ee := range []string{"ee2", "ee3"} {
-		if env.View.ExcludedEE(ee) {
+		if masked(env.View, ee) {
 			t.Errorf("healthy %s masked", ee)
 		}
 	}
@@ -350,4 +348,15 @@ func TestHungAgentIsMasked(t *testing.T) {
 	case <-time.After(mgmtBound + time.Second):
 		t.Fatalf("Stop still blocked after %v with a probe of the hung agent in flight", mgmtBound+time.Second)
 	}
+}
+
+// masked reports whether ee is masked in the view: a masked EE fits
+// nothing, not even an empty demand.
+func masked(rv *core.ResourceView, ee string) bool { return !rv.Snapshot().FitsEE(ee, 0, 0) }
+
+// trunkMasked reports whether the trunk between adjacent switches a and
+// b is masked in the view: the shortest route between them is then not
+// the trunk itself.
+func trunkMasked(rv *core.ResourceView, a, b string) bool {
+	return len(rv.Snapshot().ShortestFeasiblePath(a, b, 0, 0)) != 2
 }

@@ -69,7 +69,7 @@ type Link struct {
 // reserved for tenant handoffs. Nothing allocates them; the tenant sets
 // them on its graph, and the api holds each tenant to its own block of
 // the range. Ids below MinStitchTag belong to the steering layer's
-// segment-VLAN allocator (steering.MaxSegmentVLAN = MinStitchTag-1), so
+// segment-VLAN allocator (steering's maxSegmentVLAN = MinStitchTag-1), so
 // a tenant's tag can never collide with an allocator-assigned one.
 const (
 	MinStitchTag = 3000
@@ -98,8 +98,8 @@ type Graph struct {
 	Reqs  []*Requirement `json:"reqs,omitempty"`
 }
 
-// SAP returns a SAP by id, or nil.
-func (g *Graph) SAP(id string) *SAP {
+// sap returns a SAP by id, or nil.
+func (g *Graph) sap(id string) *SAP {
 	for _, s := range g.SAPs {
 		if s.ID == id {
 			return s
@@ -128,8 +128,8 @@ func (g *Graph) Link(id string) *Link {
 	return nil
 }
 
-// IsSAP reports whether id names a SAP.
-func (g *Graph) IsSAP(id string) bool { return g.SAP(id) != nil }
+// isSAP reports whether id names a SAP.
+func (g *Graph) isSAP(id string) bool { return g.sap(id) != nil }
 
 // Validate checks structural well-formedness: unique ids, resolvable
 // endpoints, NF ports named, no self-loops, and SAPs used by at least one
@@ -213,7 +213,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("sg: duplicate requirement id %q", r.ID)
 		}
 		reqIDs[r.ID] = true
-		if g.SAP(r.From) == nil || g.SAP(r.To) == nil {
+		if g.sap(r.From) == nil || g.sap(r.To) == nil {
 			return fmt.Errorf("sg: requirement %q endpoints must be SAPs", r.ID)
 		}
 		if _, err := BWOf(r.Bandwidth); err != nil || r.MaxDelay < 0 {
@@ -289,7 +289,7 @@ func (g *Graph) ChainsUnchecked() ([]*Chain, error) {
 	visited := make(map[string]bool, len(g.Links))
 	var walk func(node string) error
 	walk = func(node string) error {
-		if g.IsSAP(node) && len(nodes) > 1 {
+		if g.isSAP(node) && len(nodes) > 1 {
 			chains = append(chains, &Chain{
 				Nodes: append([]string(nil), nodes...),
 				Links: append([]*Link(nil), path...),

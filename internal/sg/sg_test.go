@@ -191,7 +191,7 @@ func TestFromJSONRejectsInvalid(t *testing.T) {
 
 func TestLookupHelpers(t *testing.T) {
 	g := NewChainGraph("svc", "firewall")
-	if g.SAP("sap1") == nil || g.SAP("zzz") != nil {
+	if g.sap("sap1") == nil || g.sap("zzz") != nil {
 		t.Error("SAP lookup broken")
 	}
 	if g.NF("nf1") == nil || g.NF("sap1") != nil {

@@ -56,12 +56,12 @@ type Path struct {
 // internal/core) can recognize steering entries in dumped flow tables.
 const PrioritySteering uint16 = 30000
 
-// MaxSegmentVLAN caps the segment-VLAN allocator: ids above it are
+// maxSegmentVLAN caps the segment-VLAN allocator: ids above it are
 // reserved for stitch tags (sg.Link.IngressTag/EgressTag, set by the
 // tenant and validated into [sg.MinStitchTag, sg.MaxStitchTag]), so
 // segment VLANs and stitch tags can never collide and cross-tenant
 // mis-steering by id reuse is structurally impossible.
-const MaxSegmentVLAN uint16 = sg.MinStitchTag - 1
+const maxSegmentVLAN uint16 = sg.MinStitchTag - 1
 
 // Installed is a handle to an installed path, used for teardown.
 type Installed struct {
@@ -102,7 +102,7 @@ func (s *Steering) allocVLAN() (uint16, error) {
 		s.free = s.free[:n-1]
 		return id, nil
 	}
-	if s.nextVLAN > MaxSegmentVLAN {
+	if s.nextVLAN > maxSegmentVLAN {
 		return 0, fmt.Errorf("steering: out of segment VLAN ids")
 	}
 	id := s.nextVLAN
@@ -213,11 +213,6 @@ func (s *Steering) rollback(insts []*Installed) {
 			s.free = append(s.free, inst.VLAN)
 		}
 	}
-}
-
-// RemovePath uninstalls a previously installed path.
-func (s *Steering) RemovePath(id string) error {
-	return s.RemovePaths([]string{id})
 }
 
 // RemovePaths uninstalls a batch of paths in one per-switch push (the

@@ -78,7 +78,7 @@ func TestInstallPathForwardsAcrossSwitches(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hdr.DLVLAN != pkt.VLANNone {
+		if hdr.DLVLAN != vlanNone {
 			t.Errorf("frame arrived still tagged with VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
@@ -101,7 +101,7 @@ func TestRemovePathStopsTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.RemovePath("l1"); err != nil {
+	if err := st.RemovePaths([]string{"l1"}); err != nil {
 		t.Fatal(err)
 	}
 	if st.ActivePaths() != 0 {
@@ -118,7 +118,7 @@ func TestRemovePathStopsTraffic(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// Removing again errors.
-	if err := st.RemovePath("l1"); err == nil {
+	if err := st.RemovePaths([]string{"l1"}); err == nil {
 		t.Error("double remove succeeded")
 	}
 }
@@ -154,7 +154,7 @@ func TestSingleHopPathNoVLAN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hdr.DLVLAN != pkt.VLANNone {
+		if hdr.DLVLAN != vlanNone {
 			t.Errorf("frame arrived tagged with VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
@@ -191,7 +191,7 @@ func TestVLANReuseAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.RemovePath("a"); err != nil {
+	if err := st.RemovePaths([]string{"a"}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := st.InstallPath(mk("b"))
@@ -379,7 +379,7 @@ func TestStitchedPathsHandOff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hdr.DLVLAN != pkt.VLANNone {
+		if hdr.DLVLAN != vlanNone {
 			t.Errorf("stitch tag leaked to the host: VLAN %d", hdr.DLVLAN)
 		}
 	case <-time.After(2 * time.Second):
@@ -461,3 +461,6 @@ func TestStitchTransitSegment(t *testing.T) {
 		t.Fatal("transit frame never arrived")
 	}
 }
+
+// vlanNone in DLVLAN marks an untagged frame (OFP_VLAN_NONE).
+const vlanNone = 0xffff

@@ -146,17 +146,17 @@ func TestConformanceHealInducedResteering(t *testing.T) {
 	spec := &substrate.TopoSpec{
 		Name:     "ring4",
 		Switches: []string{"s1", "s2", "s3", "s4"},
-		Links: []substrate.LinkSpec{
+		Links: []netem.LinkSpec{
 			{A: "s1", B: "s2", Bandwidth: 1e9},
 			{A: "s2", B: "s3", Bandwidth: 1e9},
 			{A: "s3", B: "s4", Bandwidth: 1e9},
 			{A: "s4", B: "s1", Bandwidth: 1e9},
 		},
-		Hosts: []substrate.HostSpec{
+		Hosts: []netem.HostSpec{
 			{Name: "h1", Switch: "s1"},
 			{Name: "h3", Switch: "s3"},
 		},
-		EEs: []substrate.EESpec{
+		EEs: []netem.EESpec{
 			{Name: "ee-s2", Switch: "s2", CPU: 64, Mem: 1 << 16},
 			{Name: "ee-s4", Switch: "s4", CPU: 64, Mem: 1 << 16},
 		},
@@ -236,24 +236,24 @@ func multiDomainSpec(d, swPer int, trunkBW float64, eeCPU float64, eeMem int) (*
 	for i := 0; i < d; i++ {
 		hub := fmt.Sprintf("d%ds1", i)
 		for j := 2; j <= swPer; j++ {
-			spec.Links = append(spec.Links, substrate.LinkSpec{
+			spec.Links = append(spec.Links, netem.LinkSpec{
 				A: hub, B: fmt.Sprintf("d%ds%d", i, j), Bandwidth: trunkBW,
 			})
 		}
 		if i+1 < d {
 			next := fmt.Sprintf("d%ds1", i+1)
-			spec.Links = append(spec.Links, substrate.LinkSpec{A: hub, B: next, Bandwidth: trunkBW})
+			spec.Links = append(spec.Links, netem.LinkSpec{A: hub, B: next, Bandwidth: trunkBW})
 			gateways = append(gateways, [2]string{hub, next})
 		}
 	}
 	for i := 0; i < d; i++ {
 		for j := 2; j <= swPer; j++ {
 			sw := fmt.Sprintf("d%ds%d", i, j)
-			spec.Hosts = append(spec.Hosts, substrate.HostSpec{Name: sw + "h1", Switch: sw})
+			spec.Hosts = append(spec.Hosts, netem.HostSpec{Name: sw + "h1", Switch: sw})
 		}
 		for j := 1; j <= swPer; j++ {
 			sw := fmt.Sprintf("d%ds%d", i, j)
-			spec.EEs = append(spec.EEs, substrate.EESpec{Name: "ee-" + sw, Switch: sw, CPU: eeCPU, Mem: eeMem})
+			spec.EEs = append(spec.EEs, netem.EESpec{Name: "ee-" + sw, Switch: sw, CPU: eeCPU, Mem: eeMem})
 		}
 	}
 	return spec, gateways
@@ -346,10 +346,10 @@ func TestConformanceTrafficAgreesOnCleanPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if fst.DeliveredRatio() != 1 {
+	if fst.DeliveredBits != fst.OfferedBits {
 		t.Fatalf("flowsim clean path should deliver 100%%: %+v", fst)
 	}
-	if nst.DeliveredRatio() < 0.9 {
-		t.Fatalf("netem clean path delivered only %.1f%%", nst.DeliveredRatio()*100)
+	if nst.DeliveredBits < 0.9*nst.OfferedBits {
+		t.Fatalf("netem clean path delivered only %.1f%%", nst.DeliveredBits/nst.OfferedBits*100)
 	}
 }

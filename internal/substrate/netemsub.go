@@ -31,9 +31,10 @@ type NetemSubstrate struct {
 	started time.Time
 	vnow    time.Duration // monotonic scenario time reached via AdvanceTo
 
-	mu    sync.Mutex
-	flows map[string]*netemFlow
-	sinks map[string]*netemSink // per destination host
+	mu       sync.Mutex
+	flows    map[string]*netemFlow
+	sinks    map[string]*netemSink // per destination host
+	nextPort int                   // flow port counter, offset from flowPortBase
 }
 
 type netemFlow struct {
@@ -47,8 +48,8 @@ type netemFlow struct {
 }
 
 // netemSink drains one host's receive channel and counts UDP frames per
-// destination port, so concurrent flows to the same host each see their
-// own counters.
+// destination port. Running flows hold distinct ports, and a port's
+// count starts when its flow does, so each flow counts its own frames.
 type netemSink struct {
 	stop chan struct{}
 	done chan struct{}
@@ -156,9 +157,12 @@ func (s *NetemSubstrate) HealLink(a, b string) error {
 	return nil
 }
 
-// flowPort derives a per-flow UDP destination port from the flow count
-// (sinks demultiplex on it).
-const flowPortBase = 20000
+// Flows take UDP ports flowPortBase… from a counter, skipping the ports
+// of flows still running to the same host (sinks demultiplex on it).
+const (
+	flowPortBase = 20000
+	flowPorts    = 30000
+)
 
 func (s *NetemSubstrate) StartFlow(spec FlowSpec) error {
 	src, ok := s.net.Node(spec.SrcSAP).(*netem.Host)
@@ -177,7 +181,6 @@ func (s *NetemSubstrate) StartFlow(spec FlowSpec) error {
 		s.mu.Unlock()
 		return fmt.Errorf("substrate: flow %q already running", spec.ID)
 	}
-	port := uint16(flowPortBase + len(s.flows)%30000)
 	sink := s.sinks[spec.DstSAP]
 	if sink == nil {
 		sink = &netemSink{
@@ -188,6 +191,22 @@ func (s *NetemSubstrate) StartFlow(spec FlowSpec) error {
 		s.sinks[spec.DstSAP] = sink
 		go sink.run(dst)
 	}
+	sink.mu.Lock()
+	if len(sink.pkts) >= flowPorts {
+		sink.mu.Unlock()
+		s.mu.Unlock()
+		return fmt.Errorf("substrate: %d flows already running to %s", flowPorts, spec.DstSAP)
+	}
+	var port uint16
+	for {
+		port = uint16(flowPortBase + s.nextPort)
+		s.nextPort = (s.nextPort + 1) % flowPorts
+		if _, busy := sink.pkts[port]; !busy {
+			break
+		}
+	}
+	sink.pkts[port] = 0 // the flow's count starts now
+	sink.mu.Unlock()
 	f := &netemFlow{
 		spec:    spec,
 		startAt: time.Now(),
@@ -235,7 +254,9 @@ func (sink *netemSink) run(h *netem.Host) {
 			// Flows are UDP; ARP and stray ICMP are not counted.
 			if u, ok := pkt.Decode(rx.Frame).Layer(pkt.LayerTypeUDP).(*pkt.UDP); ok {
 				sink.mu.Lock()
-				sink.pkts[u.DstPort]++
+				if n, running := sink.pkts[u.DstPort]; running {
+					sink.pkts[u.DstPort] = n + 1
+				}
 				sink.mu.Unlock()
 			}
 		}
@@ -256,6 +277,7 @@ func (s *NetemSubstrate) StopFlow(id string) (FlowStats, error) {
 	time.Sleep(2 * time.Millisecond)
 	f.sink.mu.Lock()
 	pkts := f.sink.pkts[f.gen.DstPort]
+	delete(f.sink.pkts, f.gen.DstPort)
 	f.sink.mu.Unlock()
 	frameBits := float64(f.spec.FrameSize * 8)
 	return FlowStats{

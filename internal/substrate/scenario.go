@@ -10,6 +10,7 @@ import (
 
 	"escape/internal/catalog"
 	"escape/internal/core"
+	"escape/internal/netem"
 	"escape/internal/sg"
 )
 
@@ -232,7 +233,7 @@ func (p WorkloadParams) lifetime(rng *rand.Rand) time.Duration {
 // WithLinkFaults injects fail/heal pairs into a trace: nFaults links
 // drawn from links fail at deterministic offsets and heal after
 // holdFor. The result is re-sorted.
-func WithLinkFaults(events []ScenarioEvent, links []LinkSpec, nFaults int, seed int64, horizon, holdFor time.Duration) []ScenarioEvent {
+func WithLinkFaults(events []ScenarioEvent, links []netem.LinkSpec, nFaults int, seed int64, horizon, holdFor time.Duration) []ScenarioEvent {
 	if nFaults <= 0 || len(links) == 0 {
 		return events
 	}

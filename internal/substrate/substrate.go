@@ -20,13 +20,8 @@ import (
 // The topology description is netem's (netem.Topo, the analogue of
 // Mininet's Topo): every substrate realizes the same description, and
 // core.ViewFromSpec derives the orchestrator's resource view from it.
-// The substrate names are aliases kept for the benchmark program.
-type (
-	TopoSpec = netem.Topo
-	HostSpec = netem.HostSpec
-	EESpec   = netem.EESpec
-	LinkSpec = netem.LinkSpec
-)
+// TopoSpec is an alias kept for the benchmark program.
+type TopoSpec = netem.Topo
 
 // FlowSpec describes one service flow to generate: constant-rate traffic
 // from SrcSAP to DstSAP along the mapped switch Route.
@@ -56,19 +51,6 @@ type FlowStats struct {
 	AvgDelay time.Duration
 	// Duration is the flow's lifetime in substrate time.
 	Duration time.Duration
-}
-
-// DeliveredRatio is delivered/offered in [0,1] (1 when nothing was
-// offered).
-func (s FlowStats) DeliveredRatio() float64 {
-	if s.OfferedBits <= 0 {
-		return 1
-	}
-	r := s.DeliveredBits / s.OfferedBits
-	if r > 1 {
-		r = 1
-	}
-	return r
 }
 
 // Substrate realizes a TopoSpec and exposes the four capabilities the

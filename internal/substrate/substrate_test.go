@@ -49,6 +49,53 @@ func TestNetemSubstrateTrafficSmoke(t *testing.T) {
 	}
 }
 
+// TestNetemFlowsCountOwnFrames: a flow started after another stopped
+// counts only its own frames, though it takes the stopped flow's port
+// slot to the same host while a third flow to that host still runs. A
+// count inherited from the earlier flow, or shared with the running one,
+// reads as more delivered than offered.
+func TestNetemFlowsCountOwnFrames(t *testing.T) {
+	spec := linear(t, 2, netem.Sizing{EECPU: 8, EEMem: 1024})
+	sub, err := NewNetem(spec, NetemOptions{Learning: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Stop()
+	start := func(id string) {
+		t.Helper()
+		if err := sub.StartFlow(FlowSpec{
+			ID: id, SrcSAP: "h1", DstSAP: "h2",
+			Route: []string{"s1", "s2"}, Rate: 4e6, FrameSize: 500,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := func(id string) FlowStats {
+		t.Helper()
+		st, err := sub.StopFlow(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DeliveredBits > st.OfferedBits {
+			t.Errorf("flow %s delivered more than it offered: %+v", id, st)
+		}
+		return st
+	}
+	start("a")
+	start("b")
+	time.Sleep(60 * time.Millisecond)
+	if st := stop("a"); st.DeliveredBits <= 0 {
+		t.Fatalf("flow a moved no traffic: %+v", st)
+	}
+	start("d") // a's slot in the flow count, to the same host as a and b
+	time.Sleep(5 * time.Millisecond)
+	stop("d")
+	stop("b")
+}
+
 // TestNetemSubstrateFailHealLink verifies link fault injection reaches
 // the emulation: FailLink cuts the link and HealLink restores it.
 func TestNetemSubstrateFailHealLink(t *testing.T) {

@@ -3,6 +3,8 @@ package substrate
 import (
 	"fmt"
 	"time"
+
+	"escape/internal/netem"
 )
 
 // ScaleParams size an operator-scale topology for the flow-level
@@ -21,10 +23,13 @@ type ScaleParams struct {
 	// attach-switch pairs, not raw topology size.
 	SAPsPerRegion int
 	EEsPerRegion  int
-	// BackboneBW / RegionBW / AccessBW capacitate the three tiers.
+	// BackboneBW capacitates the backbone ring and its chords, RegionBW
+	// every link inside a region: ScaleSpec has these two link tiers.
 	BackboneBW float64
 	RegionBW   float64
-	AccessBW   float64
+	// AccessBW is read by nothing. It goes in the benchmark-only change
+	// that updates bench/, which still sets it.
+	AccessBW float64
 	// EECPU/EEMem size each EE.
 	EECPU float64
 	EEMem int
@@ -50,14 +55,14 @@ func ScaleSpec(p ScaleParams) *TopoSpec {
 	for r := 0; r < p.Regions; r++ {
 		next := (r + 1) % p.Regions
 		if next != r {
-			spec.Links = append(spec.Links, LinkSpec{
+			spec.Links = append(spec.Links, netem.LinkSpec{
 				A: sw(r, 0), B: sw(next, 0), Bandwidth: p.BackboneBW,
 				Delay: 2 * time.Millisecond,
 			})
 		}
 	}
 	for r := 0; r+10 < p.Regions; r += 10 {
-		spec.Links = append(spec.Links, LinkSpec{
+		spec.Links = append(spec.Links, netem.LinkSpec{
 			A: sw(r, 0), B: sw(r+10, 0), Bandwidth: p.BackboneBW,
 			Delay: 2 * time.Millisecond,
 		})
@@ -65,13 +70,13 @@ func ScaleSpec(p ScaleParams) *TopoSpec {
 	// Region chains with shortcuts.
 	for r := 0; r < p.Regions; r++ {
 		for i := 1; i < p.SwitchesPerRegion; i++ {
-			spec.Links = append(spec.Links, LinkSpec{
+			spec.Links = append(spec.Links, netem.LinkSpec{
 				A: sw(r, i-1), B: sw(r, i), Bandwidth: p.RegionBW,
 				Delay: 100 * time.Microsecond,
 			})
 		}
 		for i := 32; i < p.SwitchesPerRegion; i += 32 {
-			spec.Links = append(spec.Links, LinkSpec{
+			spec.Links = append(spec.Links, netem.LinkSpec{
 				A: sw(r, 0), B: sw(r, i), Bandwidth: p.RegionBW,
 				Delay: 100 * time.Microsecond,
 			})
@@ -82,13 +87,13 @@ func ScaleSpec(p ScaleParams) *TopoSpec {
 	for r := 0; r < p.Regions; r++ {
 		for j := 0; j < p.SAPsPerRegion; j++ {
 			i := (j * 7) % p.SwitchesPerRegion
-			spec.Hosts = append(spec.Hosts, HostSpec{
+			spec.Hosts = append(spec.Hosts, netem.HostSpec{
 				Name: fmt.Sprintf("sap-r%d-%d", r, j), Switch: sw(r, i),
 			})
 		}
 		for j := 0; j < p.EEsPerRegion; j++ {
 			i := (j*13 + 3) % p.SwitchesPerRegion
-			spec.EEs = append(spec.EEs, EESpec{
+			spec.EEs = append(spec.EEs, netem.EESpec{
 				Name:   fmt.Sprintf("ee-r%d-%d", r, j),
 				Switch: sw(r, i), CPU: p.EECPU, Mem: p.EEMem,
 			})

@@ -26,8 +26,8 @@ type PingStats struct {
 	MinRTT, AvgRTT, MaxRTT time.Duration
 }
 
-// LossPercent reports the loss rate in percent.
-func (s PingStats) LossPercent() float64 {
+// lossPercent reports the loss rate in percent.
+func (s PingStats) lossPercent() float64 {
 	if s.Sent == 0 {
 		return 0
 	}
@@ -37,34 +37,7 @@ func (s PingStats) LossPercent() float64 {
 // String renders a ping-like summary line.
 func (s PingStats) String() string {
 	return fmt.Sprintf("%d packets transmitted, %d received, %.0f%% packet loss, rtt min/avg/max = %v/%v/%v",
-		s.Sent, s.Received, s.LossPercent(), s.MinRTT, s.AvgRTT, s.MaxRTT)
-}
-
-// Resolve performs ARP resolution for an IPv4 address, using the host's
-// first port. It consumes frames from the host's receive channel until
-// the reply arrives or the timeout expires.
-func (p *Pinger) Resolve(dst netip.Addr, timeout time.Duration) (pkt.MAC, error) {
-	req, err := pkt.BuildARPRequest(p.Host.MAC(), p.Host.IP(), dst)
-	if err != nil {
-		return pkt.MAC{}, err
-	}
-	if err := p.Host.Send(req); err != nil {
-		return pkt.MAC{}, err
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case rx := <-p.Host.Recv():
-			if a, ok := pkt.Decode(rx.Frame).Layer(pkt.LayerTypeARP).(*pkt.ARP); ok {
-				if a.Op == pkt.ARPReply && a.SenderIP == dst {
-					return a.SenderMAC, nil
-				}
-			}
-		case <-deadline.C:
-			return pkt.MAC{}, fmt.Errorf("trafgen: ARP for %s timed out", dst)
-		}
-	}
+		s.Sent, s.Received, s.lossPercent(), s.MinRTT, s.AvgRTT, s.MaxRTT)
 }
 
 // Ping sends count echo requests at the given interval and waits up to

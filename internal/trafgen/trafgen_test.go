@@ -14,10 +14,7 @@ func twoHostNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 	t.Helper()
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	topo, err := netem.Single(2, netem.Sizing{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := &netem.Topo{Switches: []string{"s1"}, Hosts: []netem.HostSpec{{Name: "h1", Switch: "s1"}, {Name: "h2", Switch: "s1"}}}
 	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
 	if err != nil {
 		t.Fatal(err)
@@ -32,22 +29,16 @@ func twoHostNet(t *testing.T) (*netem.Network, *netem.Host, *netem.Host) {
 func TestPingResolveAndEcho(t *testing.T) {
 	_, h1, h2 := twoHostNet(t)
 	p := &Pinger{Host: h1}
-	mac, err := p.Resolve(h2.IP(), 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mac != h2.MAC() {
-		t.Fatalf("resolved %s, want %s", mac, h2.MAC())
-	}
-	stats, err := p.Ping(h2.IP(), mac, 3, 5*time.Millisecond, time.Second)
+	// netem's TestPingThroughLearningSwitch checks that h2 answers ARP.
+	stats, err := p.Ping(h2.IP(), h2.MAC(), 3, 5*time.Millisecond, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Sent != 3 || stats.Received != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.LossPercent() != 0 {
-		t.Errorf("loss = %v%%", stats.LossPercent())
+	if stats.lossPercent() != 0 {
+		t.Errorf("loss = %v%%", stats.lossPercent())
 	}
 	if stats.AvgRTT <= 0 || stats.MinRTT > stats.MaxRTT {
 		t.Errorf("rtt stats = %+v", stats)
@@ -62,15 +53,15 @@ func TestPingTimeoutCountsLoss(t *testing.T) {
 	p := &Pinger{Host: h1}
 	// Ping an address nobody owns: replies never come.
 	ghost := h1.IP().Next().Next().Next()
-	stats, err := p.Ping(ghost, pkt.NthMAC(999), 2, time.Millisecond, 50*time.Millisecond)
+	stats, err := p.Ping(ghost, pkt.MAC{2, 0, 0, 0, 3, 231}, 2, time.Millisecond, 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Received != 0 || stats.Sent != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.LossPercent() != 100 {
-		t.Errorf("loss = %v%%", stats.LossPercent())
+	if stats.lossPercent() != 100 {
+		t.Errorf("loss = %v%%", stats.lossPercent())
 	}
 }
 

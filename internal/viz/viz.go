@@ -1,7 +1,7 @@
-// Package viz renders topologies, service graphs and mappings as
-// Graphviz DOT: the textual stand-in for ESCAPE's MiniEdit-based GUI.
-// cmd/miniedit and the examples use it so every artefact of the demo
-// workflow (topology, SG, mapping) is visualizable with standard tools.
+// Package viz renders service graphs and mappings as Graphviz DOT: the
+// textual stand-in for ESCAPE's MiniEdit-based GUI. cmd/miniedit renders
+// a service graph and `escape map` a mapping, so both are visualizable
+// with standard tools.
 package viz
 
 import (
@@ -10,42 +10,8 @@ import (
 	"strings"
 
 	"escape/internal/core"
-	"escape/internal/netem"
 	"escape/internal/sg"
 )
-
-// NetworkDOT renders an emulated topology.
-func NetworkDOT(n *netem.Network) string {
-	var sb strings.Builder
-	sb.WriteString("graph topology {\n  layout=neato;\n  overlap=false;\n")
-	for _, node := range n.Nodes() {
-		shape, color := "ellipse", "black"
-		switch node.Kind() {
-		case netem.KindSwitch:
-			shape, color = "box", "steelblue"
-		case netem.KindEE:
-			shape, color = "component", "darkgreen"
-		}
-		fmt.Fprintf(&sb, "  %q [shape=%s, color=%s];\n", node.NodeName(), shape, color)
-	}
-	for _, l := range n.Links() {
-		label := ""
-		cfg := l.Config()
-		if cfg.Bandwidth > 0 {
-			label = fmt.Sprintf("%gMbps", cfg.Bandwidth/1e6)
-		}
-		if cfg.Delay > 0 {
-			if label != "" {
-				label += " "
-			}
-			label += cfg.Delay.String()
-		}
-		fmt.Fprintf(&sb, "  %q -- %q [label=%q];\n",
-			l.A.Node.NodeName(), l.B.Node.NodeName(), label)
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}
 
 // ServiceGraphDOT renders a service graph.
 func ServiceGraphDOT(g *sg.Graph) string {

@@ -7,27 +7,8 @@ import (
 
 	"escape/internal/catalog"
 	"escape/internal/core"
-	"escape/internal/netem"
 	"escape/internal/sg"
 )
-
-func TestNetworkDOT(t *testing.T) {
-	n := netem.New("t", netem.Options{})
-	n.AddHost("h1")
-	n.AddSwitch("s1")
-	n.AddEE("ee1", netem.EEConfig{})
-	n.AddLink("h1", "s1", netem.LinkConfig{Bandwidth: 10e6, Delay: 2 * time.Millisecond})
-	defer n.Stop()
-	dot := NetworkDOT(n)
-	for _, want := range []string{
-		"graph topology", `"h1"`, `"s1" [shape=box`, `"ee1" [shape=component`,
-		`"h1" -- "s1"`, "10Mbps", "2ms",
-	} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("NetworkDOT missing %q:\n%s", want, dot)
-		}
-	}
-}
 
 func TestServiceGraphDOT(t *testing.T) {
 	g := sg.NewChainGraph("svc", "firewall")

@@ -98,7 +98,7 @@ func Module() *yang.Module {
 
 // eeErr translates a crashed-container failure into the structured
 // netconf unavailable marker, so the condition crosses the RPC boundary
-// as TagResourceUnavailable instead of message text (orchestrator
+// as the resource-unavailable error tag instead of message text (orchestrator
 // teardown classifies on it).
 func eeErr(err error) error {
 	if err != nil && errors.Is(err, netem.ErrCrashed) {
@@ -166,9 +166,6 @@ func (a *Agent) Addr() string {
 
 // Close stops the server.
 func (a *Agent) Close() { a.srv.Close() }
-
-// EE returns the managed container.
-func (a *Agent) EE() *netem.EE { return a.ee }
 
 func (a *Agent) rpcInitiate(_ *netconf.Session, in *yang.Data) (*yang.Data, error) {
 	typeName := in.ChildText("vnf_type")

@@ -18,10 +18,7 @@ func newAgentClient(t *testing.T) (*netem.Network, *Agent, *Client) {
 	t.Helper()
 	ctrl := pox.NewController()
 	ctrl.Register(pox.NewL2Learning())
-	topo, err := netem.Single(2, netem.Sizing{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	topo := &netem.Topo{Switches: []string{"s1"}, Hosts: []netem.HostSpec{{Name: "h1", Switch: "s1"}, {Name: "h2", Switch: "s1"}}}
 	n, err := netem.Build(topo, netem.Options{Controller: ctrl})
 	if err != nil {
 		t.Fatal(err)
@@ -93,8 +90,8 @@ func TestVNFFullLifecycleOverNETCONF(t *testing.T) {
 	if !strings.Contains(id, "simpleForwarder") {
 		t.Errorf("vnf id = %q", id)
 	}
-	if agent.EE().AvailableCPU() != 3_500_000 {
-		t.Errorf("available cpu = %v", agent.EE().AvailableCPU())
+	if agent.ee.AvailableCPU() != 3_500_000 {
+		t.Errorf("available cpu = %v", agent.ee.AvailableCPU())
 	}
 
 	// connectVNF both ports.
@@ -181,12 +178,12 @@ func TestAgentRPCErrors(t *testing.T) {
 // whole micro-cores is an rpc-error and charges the EE nothing.
 func TestAgentRejectsNonDecimalCPU(t *testing.T) {
 	_, agent, client := newAgentClient(t)
-	before := agent.EE().AvailableCPU()
+	before := agent.ee.AvailableCPU()
 	for _, cpu := range []string{"NaN", "+Inf", "1e300", "0x1p-2", "1e-7", "0.1234567", "-0.5", ".5"} {
 		if id, err := client.InitiateVNF("monitor", map[string]string{"cpu": cpu}); err == nil {
 			t.Errorf("cpu %q accepted as VNF %s", cpu, id)
 		}
-		if got := agent.EE().AvailableCPU(); got != before {
+		if got := agent.ee.AvailableCPU(); got != before {
 			t.Fatalf("cpu %q moved AvailableCPU %v → %v", cpu, before, got)
 		}
 	}
@@ -247,8 +244,7 @@ func TestAgentDataPlaneThroughVNF(t *testing.T) {
 // never started stops (and is released) too.
 func TestReapedVNFLeavesGetVNFInfo(t *testing.T) {
 	n, agent, client := newAgentClient(t)
-	s1 := n.Node("s1").(*netem.SwitchNode).Switch()
-	ports0 := s1.PortCount()
+	links0 := len(n.Links())
 
 	live, err := client.InitiateVNF("simpleForwarder", map[string]string{"cpu": "0.5"})
 	if err != nil {
@@ -287,8 +283,8 @@ func TestReapedVNFLeavesGetVNFInfo(t *testing.T) {
 	if kept {
 		t.Error("agent kept the record of a released VNF")
 	}
-	if got := s1.PortCount(); got != ports0 {
-		t.Errorf("switch ports = %d, want %d", got, ports0)
+	if got := len(n.Links()); got != links0 {
+		t.Errorf("links = %d, want %d", got, links0)
 	}
 
 	// Stopping the never-started, never-connected VNF releases it at once.
@@ -298,7 +294,7 @@ func TestReapedVNFLeavesGetVNFInfo(t *testing.T) {
 	if infos, _ := client.GetVNFInfo(); len(infos) != 0 {
 		t.Errorf("getVNFInfo after stop = %+v, want none", infos)
 	}
-	if got := agent.EE().AvailableCPU(); got != 4_000_000 {
+	if got := agent.ee.AvailableCPU(); got != 4_000_000 {
 		t.Errorf("available CPU = %v, want 4", got)
 	}
 }

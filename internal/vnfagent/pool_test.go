@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"escape/internal/netconf"
 )
 
 func TestPoolSerializesAtSizeOne(t *testing.T) {
@@ -125,10 +123,10 @@ func misnumberingAgent(t *testing.T) string {
 			go func() {
 				defer conn.Close()
 				fmt.Fprintf(conn, `<hello xmlns="%s"><capabilities><capability>%s</capability></capabilities><session-id>%d</session-id></hello>%s`,
-					netconf.BaseNS, netconf.CapBase10, session, eom)
+					"urn:ietf:params:xml:ns:netconf:base:1.0", "urn:ietf:params:netconf:base:1.0", session, eom)
 				r := bufio.NewReader(conn)
 				for readMessage(r) == nil {
-					fmt.Fprintf(conn, `<rpc-reply xmlns="%s" message-id="0"><ok/></rpc-reply>%s`, netconf.BaseNS, eom)
+					fmt.Fprintf(conn, `<rpc-reply xmlns="%s" message-id="0"><ok/></rpc-reply>%s`, "urn:ietf:params:xml:ns:netconf:base:1.0", eom)
 				}
 			}()
 		}

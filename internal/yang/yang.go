@@ -23,7 +23,7 @@ const (
 	KindLeaf
 	KindLeafList
 	KindList
-	KindRPC
+	kindRPC
 )
 
 // Type enumerates leaf types.
@@ -35,7 +35,7 @@ const (
 	TypeInt32
 	TypeUint32
 	TypeDecimal64
-	TypeBoolean
+	typeBoolean
 	TypeEnum
 )
 
@@ -47,7 +47,7 @@ func (t Type) String() string {
 		return "uint32"
 	case TypeDecimal64:
 		return "decimal64"
-	case TypeBoolean:
+	case typeBoolean:
 		return "boolean"
 	case TypeEnum:
 		return "enumeration"
@@ -76,16 +76,6 @@ type Node struct {
 	Output   []*Node
 }
 
-// Child returns the named child, or nil.
-func (n *Node) Child(name string) *Node {
-	for _, c := range n.Children {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
-}
-
 // Module is a YANG module.
 type Module struct {
 	Name      string
@@ -100,16 +90,6 @@ func (m *Module) RPC(name string) *Node {
 	for _, r := range m.RPCs {
 		if r.Name == name {
 			return r
-		}
-	}
-	return nil
-}
-
-// Root returns the named top-level data node, or nil.
-func (m *Module) Root(name string) *Node {
-	for _, n := range m.Body {
-		if n.Name == name {
-			return n
 		}
 	}
 	return nil
@@ -130,7 +110,7 @@ func checkLeafValue(n *Node, text string) error {
 		if !decimal64.MatchString(text) {
 			return fmt.Errorf("leaf %q: %q is not a decimal64", n.Name, text)
 		}
-	case TypeBoolean:
+	case typeBoolean:
 		if text != "true" && text != "false" {
 			return fmt.Errorf("leaf %q: %q is not a boolean", n.Name, text)
 		}
@@ -149,13 +129,9 @@ func checkLeafValue(n *Node, text string) error {
 // digits, then optionally "." and digits. No exponent, NaN or Inf.
 var decimal64 = regexp.MustCompile(`^[+-]?[0-9]+(\.[0-9]+)?$`)
 
-// ValidateData checks a data tree against a schema child set: every
-// element must be modeled, leaves must type-check, mandatory children must
-// be present, list entries must carry their key.
-func ValidateData(schema []*Node, data *Data) error {
-	return validateChildren(schema, data.Children, data.Name)
-}
-
+// validateChildren checks data elements against a schema child set:
+// every element must be modeled, leaves must type-check, mandatory
+// children must be present, list entries must carry their key.
 func validateChildren(schema []*Node, elems []*Data, where string) error {
 	byName := map[string]*Node{}
 	for _, s := range schema {
@@ -194,7 +170,7 @@ func validateChildren(schema []*Node, elems []*Data, where string) error {
 			if err := validateChildren(sn.Children, el.Children, el.Name); err != nil {
 				return err
 			}
-		case KindRPC:
+		case kindRPC:
 			return fmt.Errorf("yang: rpc %q cannot appear in data", el.Name)
 		}
 	}

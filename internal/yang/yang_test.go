@@ -74,8 +74,12 @@ func TestValidateRPCInputErrors(t *testing.T) {
 }
 
 func TestValidateDataTypesAndLists(t *testing.T) {
-	m := testModule()
-	root := m.Root("vnfs")
+	var root *Node
+	for _, n := range testModule().Body {
+		if n.Name == "vnfs" {
+			root = n
+		}
+	}
 	good := NewData("vnfs").Add(
 		NewData("vnf").
 			AddLeaf("id", "v1").
@@ -84,23 +88,23 @@ func TestValidateDataTypesAndLists(t *testing.T) {
 			AddLeaf("ports", "in").
 			AddLeaf("ports", "out"),
 	)
-	if err := ValidateData(root.Children, good); err != nil {
+	if err := validateChildren(root.Children, good.Children, good.Name); err != nil {
 		t.Error(err)
 	}
 	badEnum := NewData("vnfs").Add(
 		NewData("vnf").AddLeaf("id", "v1").AddLeaf("status", "FLYING"),
 	)
-	if err := ValidateData(root.Children, badEnum); err == nil {
+	if err := validateChildren(root.Children, badEnum.Children, badEnum.Name); err == nil {
 		t.Error("bad enum accepted")
 	}
 	badNum := NewData("vnfs").Add(
 		NewData("vnf").AddLeaf("id", "v1").AddLeaf("cpu", "lots"),
 	)
-	if err := ValidateData(root.Children, badNum); err == nil {
+	if err := validateChildren(root.Children, badNum.Children, badNum.Name); err == nil {
 		t.Error("bad decimal accepted")
 	}
 	noKey := NewData("vnfs").Add(NewData("vnf").AddLeaf("status", "RUNNING"))
-	if err := ValidateData(root.Children, noKey); err == nil {
+	if err := validateChildren(root.Children, noKey.Children, noKey.Name); err == nil {
 		t.Error("missing list key accepted")
 	}
 }
@@ -113,7 +117,7 @@ func TestLeafTypeChecks(t *testing.T) {
 	}{
 		{TypeInt32, []string{"0", "-5", "2147483647"}, []string{"x", "2147483648", "1.5"}},
 		{TypeUint32, []string{"0", "4294967295"}, []string{"-1", "abc"}},
-		{TypeBoolean, []string{"true", "false"}, []string{"TRUE", "1", "yes"}},
+		{typeBoolean, []string{"true", "false"}, []string{"TRUE", "1", "yes"}},
 		{TypeDecimal64, []string{"1.5", "-2", "0", "+0.000001", "007.50"},
 			[]string{"one", "NaN", "Inf", "1e3", "0x1p-2", ".5", "1.", "", "+", "-.5", "1.2.3", " 1"}},
 	}
