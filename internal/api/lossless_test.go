@@ -2,6 +2,7 @@ package api
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,5 +158,26 @@ func idle(r *Reconciler) func() bool {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		return len(r.queued) == 0 && len(r.inflight) == 0
+	}
+}
+
+// TestTakeLowestFirst: take hands out queued IDs lowest first, whatever
+// order they were queued in, and marks each one in flight.
+func TestTakeLowestFirst(t *testing.T) {
+	r := &Reconciler{queued: map[string]bool{}, inflight: map[string]bool{}}
+	ids := []string{"t/m", "t/b", "a/z", "t/a", "b/a", "t/mm"}
+	for _, id := range ids {
+		r.queued[id] = true
+	}
+	want := append([]string(nil), ids...)
+	sort.Strings(want)
+	for _, w := range want {
+		got, ok := r.take()
+		if !ok || got != w || !r.inflight[got] {
+			t.Fatalf("take = %q %v (in flight %v), want %q", got, ok, r.inflight[got], w)
+		}
+	}
+	if id, ok := r.take(); ok {
+		t.Fatalf("take on an empty queue = %q", id)
 	}
 }

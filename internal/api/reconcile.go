@@ -3,7 +3,6 @@ package api
 import (
 	"fmt"
 	"log/slog"
-	"sort"
 	"sync"
 	"time"
 
@@ -193,20 +192,22 @@ func (r *Reconciler) Await(timeout time.Duration, cond func() bool) bool {
 	}
 }
 
-// take claims the lowest queued ID (sorted order keeps single-worker
-// replay deterministic), or reports none.
+// take claims the lowest queued ID (lowest first keeps single-worker
+// replay deterministic), found in one pass over the queue, or reports
+// none.
 func (r *Reconciler) take() (string, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.queued) == 0 {
 		return "", false
 	}
-	ids := make([]string, 0, len(r.queued))
-	for id := range r.queued {
-		ids = append(ids, id)
+	first := true
+	var id string
+	for q := range r.queued {
+		if first || q < id {
+			id, first = q, false
+		}
 	}
-	sort.Strings(ids)
-	id := ids[0]
 	delete(r.queued, id)
 	r.inflight[id] = true
 	return id, true

@@ -285,8 +285,53 @@ func (s *Server) handleListTenants(w http.ResponseWriter, r *http.Request) {
 
 // --- intents -----------------------------------------------------------
 
-type postIntentReq struct {
-	Graph json.RawMessage `json:"graph"`
+// decodeIntentBody decodes a POST /v1/intents body, {"graph": …}, of
+// at most limit bytes, decoding the graph straight from the body: one
+// pass, no intermediate copy. It keeps what decoding the body into a
+// struct with a json.RawMessage graph field and then parsing that did:
+// the member name matches case-insensitively, other members are ignored,
+// the last "graph" member wins (each one is decoded into a fresh graph),
+// and only data after the object is refused. A graph that is absent
+// gives a nil graph, one that does not decode into sg.Graph gives a
+// graph error; a body that is not JSON gives a body error.
+func decodeIntentBody(body io.Reader, limit int64) (g *sg.Graph, graphErr, bodyErr error) {
+	dec := json.NewDecoder(io.LimitReader(body, limit))
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, nil, err
+	}
+	if tok != nil { // a null body decodes as an empty one
+		if tok != json.Delim('{') {
+			return nil, nil, fmt.Errorf("json: cannot unmarshal %v into the intent body object", tok)
+		}
+		for dec.More() {
+			if tok, err = dec.Token(); err != nil {
+				return nil, nil, err
+			}
+			if key, _ := tok.(string); !strings.EqualFold(key, "graph") {
+				var skip json.RawMessage
+				if err := dec.Decode(&skip); err != nil {
+					return nil, nil, err
+				}
+				continue
+			}
+			g, graphErr = new(sg.Graph), nil
+			if err := dec.Decode(g); err != nil {
+				var typeErr *json.UnmarshalTypeError
+				if !errors.As(err, &typeErr) {
+					return nil, nil, err
+				}
+				graphErr = fmt.Errorf("sg: parsing graph: %w", err)
+			}
+		}
+		if _, err := dec.Token(); err != nil { // the closing brace
+			return nil, nil, err
+		}
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, errors.New("data after the JSON value")
+	}
+	return g, graphErr, nil
 }
 
 // intentStatus is the wire form of an intent plus live state.
@@ -350,18 +395,20 @@ func (s *Server) checkParams(g *sg.Graph) error {
 }
 
 func (s *Server) handlePostIntent(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	var req postIntentReq
-	if err := decodeBody(r.Body, 4<<20, &req); err != nil {
+	g, graphErr, err := decodeIntentBody(r.Body, 4<<20)
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: "+err.Error())
 		return
 	}
-	if len(req.Graph) == 0 {
+	if g == nil {
 		writeErr(w, http.StatusBadRequest, "missing graph")
 		return
 	}
-	g, err := sg.FromJSON(req.Graph)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "invalid graph: "+err.Error())
+	if graphErr == nil {
+		graphErr = g.Validate()
+	}
+	if graphErr != nil {
+		writeErr(w, http.StatusBadRequest, "invalid graph: "+graphErr.Error())
 		return
 	}
 	if g.Name == "" || strings.ContainsRune(g.Name, '/') {

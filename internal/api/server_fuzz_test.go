@@ -92,7 +92,9 @@ func FuzzPostIntentBody(f *testing.F) {
 		if stored == nil {
 			t.Fatalf("%d for %q, but no intent %q is stored", code, body, id)
 		}
-		var req postIntentReq
+		var req struct {
+			Graph json.RawMessage `json:"graph"`
+		}
 		if err := json.Unmarshal(body, &req); err != nil {
 			t.Fatalf("%d for a body that does not decode: %v", code, err)
 		}

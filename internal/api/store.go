@@ -74,19 +74,18 @@ func CanonicalGraph(raw []byte) (*sg.Graph, json.RawMessage, string, error) {
 
 // NewIntent builds a tenant's intent to run g, renaming g to its
 // backend service name (ServiceName(tenant, g.Name)), which is the
-// intent's ID.
+// intent's ID. g must be valid (sg.FromJSON or Graph.Validate passed):
+// its canonical form is one compact encoding of it, the bytes
+// CanonicalGraph would give for any encoding of the same graph.
 func NewIntent(tenant string, g *sg.Graph) (*Intent, error) {
 	service := g.Name
 	g.Name = ServiceName(tenant, service)
-	raw, err := g.ToJSON()
+	canon, err := json.Marshal(g)
 	if err != nil {
 		return nil, err
 	}
-	_, canon, hash, err := CanonicalGraph(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &Intent{ID: g.Name, Tenant: tenant, Service: service, Graph: canon, Hash: hash, Desired: DesiredRun}, nil
+	sum := sha256.Sum256(canon)
+	return &Intent{ID: g.Name, Tenant: tenant, Service: service, Graph: canon, Hash: hex.EncodeToString(sum[:]), Desired: DesiredRun}, nil
 }
 
 // walRecord is one append-only log entry. Exactly one of the payload
@@ -118,8 +117,23 @@ const defaultSnapshotEvery = 256
 // kill -9 at any instant loses at most the request that had not yet
 // been acknowledged; a torn final WAL line (the crash landed mid
 // write) is detected and dropped during replay.
+//
+// Writers and readers take different locks, so a reader waits on no
+// other intent's fsync: wmu serializes every mutation end to end (check,
+// encode, write, fsync, apply) and snapshots, and mu guards the maps,
+// held for writing only while a record that is already durable is
+// applied. Only a wmu holder changes the maps, seq, appends or the WAL,
+// so writers read the maps under wmu alone. The one read that waits is
+// Intent(id) while a write of that same intent is queued or in flight:
+// it answers with the state the write leaves, as it did when readers
+// queued behind every write.
 type Store struct {
-	mu      sync.Mutex
+	wmu sync.Mutex
+	mu  sync.RWMutex
+	// writing counts the writes of each intent ID that are queued or in
+	// flight; written (on mu's read lock) is broadcast as each ends.
+	writing map[string]int
+	written *sync.Cond
 	dir     string
 	wal     *os.File
 	seq     uint64
@@ -147,7 +161,9 @@ func OpenStore(dir string) (*Store, error) {
 		every:   defaultSnapshotEvery,
 		tenants: map[string]*Tenant{},
 		intents: map[string]*Intent{},
+		writing: map[string]int{},
 	}
+	s.written = sync.NewCond(s.mu.RLocker())
 	if err := s.replay(); err != nil {
 		return nil, err
 	}
@@ -264,14 +280,14 @@ func (s *Store) apply(rec *walRecord) {
 // Replayed reports how many WAL records (beyond the snapshot) the
 // store applied at Open, and whether it dropped a torn tail.
 func (s *Store) Replayed() (records int, torn bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.replayed, s.torn
 }
 
 // append persists one record: encode, write, fsync — the record is
 // durable before the mutation is visible to any reader. Called with
-// s.mu held.
+// s.wmu held; it takes s.mu only to apply the durable record.
 func (s *Store) appendLocked(rec *walRecord) error {
 	s.seq++
 	rec.Seq = s.seq
@@ -286,7 +302,9 @@ func (s *Store) appendLocked(rec *walRecord) error {
 	if err := s.wal.Sync(); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.apply(rec)
+	s.mu.Unlock()
 	s.appends++
 	if s.appends >= s.every {
 		if err := s.snapshotLocked(); err != nil {
@@ -296,10 +314,26 @@ func (s *Store) appendLocked(rec *walRecord) error {
 	return nil
 }
 
+// writeIntent marks a write of intent id as queued until the returned
+// func ends it: Intent(id) waits for it.
+func (s *Store) writeIntent(id string) (end func()) {
+	s.mu.Lock()
+	s.writing[id]++
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		if s.writing[id]--; s.writing[id] == 0 {
+			delete(s.writing, id)
+		}
+		s.mu.Unlock()
+		s.written.Broadcast()
+	}
+}
+
 // snapshotLocked checkpoints the full state: write to a temp file,
 // fsync, atomically rename over the old snapshot, then truncate the
 // WAL. A crash between rename and truncate is safe — replay skips WAL
-// records at or below the snapshot seq.
+// records at or below the snapshot seq. Called with s.wmu held.
 func (s *Store) snapshotLocked() error {
 	snap := snapshotFile{Seq: s.seq}
 	for _, t := range s.tenants {
@@ -345,8 +379,8 @@ func (s *Store) snapshotLocked() error {
 
 // Tenants lists tenants sorted by name.
 func (s *Store) Tenants() []*Tenant {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]*Tenant, 0, len(s.tenants))
 	for _, t := range s.tenants {
 		out = append(out, t)
@@ -360,8 +394,8 @@ func (s *Store) Tenants() []*Tenant {
 // response timing leaks neither a prefix match nor which tenant (if
 // any) the token hit.
 func (s *Store) tenantByToken(token string) *Tenant {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	var found *Tenant
 	for _, t := range s.tenants {
 		if subtle.ConstantTimeCompare([]byte(t.Token), []byte(token)) == 1 && found == nil {
@@ -373,7 +407,7 @@ func (s *Store) tenantByToken(token string) *Tenant {
 
 // nextVLANBase carves the next free tenant tag block, or 0 when the
 // stitch range is exhausted (tenant still works, just without explicit
-// tag rights). Called with s.mu held.
+// tag rights). Called with s.wmu held.
 func (s *Store) nextVLANBaseLocked() int {
 	used := map[int]bool{}
 	for _, t := range s.tenants {
@@ -392,8 +426,8 @@ func (s *Store) nextVLANBaseLocked() int {
 // CreateTenant mints a tenant with a fresh token and VLAN block and
 // persists it. Fails if the name is taken.
 func (s *Store) CreateTenant(name string, q Quota) (*Tenant, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if _, dup := s.tenants[name]; dup {
 		return nil, fmt.Errorf("api: tenant %q already exists", name)
 	}
@@ -406,8 +440,9 @@ func (s *Store) CreateTenant(name string, q Quota) (*Tenant, error) {
 
 // putIntent durably upserts an intent (Seq/Updated are stamped here).
 func (s *Store) putIntent(in *Intent, now time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.writeIntent(in.ID)()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if prev := s.intents[in.ID]; prev != nil {
 		in.Created = prev.Created
 	} else if in.Created.IsZero() {
@@ -423,7 +458,7 @@ func (s *Store) putIntent(in *Intent, now time.Time) error {
 var errIntentConflict = errors.New("api: intent exists with a different graph")
 
 // UpsertIntent performs the duplicate/conflict check and the durable
-// upsert atomically under one lock, closing the check-then-put race
+// upsert atomically under the writer lock, closing the check-then-put race
 // where two concurrent POSTs of the same service name both observe no
 // prior intent and the last writer silently wins. It returns the
 // stored intent and whether the call was an idempotent no-op (an
@@ -431,8 +466,9 @@ var errIntentConflict = errors.New("api: intent exists with a different graph")
 // the ID with a different hash, the existing intent is returned
 // alongside errIntentConflict and nothing is written.
 func (s *Store) UpsertIntent(in *Intent, now time.Time) (*Intent, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.writeIntent(in.ID)()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if prev := s.intents[in.ID]; prev != nil {
 		if prev.Desired == DesiredRun {
 			if prev.Hash == in.Hash {
@@ -456,8 +492,9 @@ func (s *Store) UpsertIntent(in *Intent, now time.Time) (*Intent, bool, error) {
 // Forget durably removes an intent record entirely (after the
 // reconciler confirmed teardown).
 func (s *Store) Forget(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.writeIntent(id)()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	if _, ok := s.intents[id]; !ok {
 		return nil
 	}
@@ -466,17 +503,21 @@ func (s *Store) Forget(id string) error {
 
 // Intent returns a copy-safe pointer to an intent, or nil. Intents are
 // treated as immutable once stored: updates go through putIntent with
-// a fresh value.
+// a fresh value. A write of the same intent that is queued or in flight
+// is waited for; writes of other intents are not.
 func (s *Store) Intent(id string) *Intent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for s.writing[id] > 0 {
+		s.written.Wait()
+	}
 	return s.intents[id]
 }
 
 // Intents lists intents sorted by ID, optionally filtered by tenant.
 func (s *Store) Intents(tenant string) []*Intent {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]*Intent, 0, len(s.intents))
 	for _, in := range s.intents {
 		if tenant == "" || in.Tenant == tenant {
@@ -489,15 +530,15 @@ func (s *Store) Intents(tenant string) []*Intent {
 
 // Snapshot forces a checkpoint now (used at clean shutdown).
 func (s *Store) Snapshot() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	return s.snapshotLocked()
 }
 
 // Close releases the WAL handle (no implicit snapshot: closing must
 // stay crash-equivalent so recovery paths are the tested paths).
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	return s.wal.Close()
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"net/http"
 	"os"
 	"path/filepath"
 	"sync"
@@ -314,5 +316,155 @@ func TestVLANBlocksDisjoint(t *testing.T) {
 	t1, t2 := s.tenants["t1"], s.tenants["t2"]
 	if !t1.ownsTag(t1.VLANBase) || t1.ownsTag(t2.VLANBase) {
 		t.Error("ownsTag does not respect block boundaries")
+	}
+}
+
+// TestConcurrentPostDeleteGetSeesOnlyDurable runs POST, GET and DELETE
+// from several clients at once while a reader lists intents without
+// pause. Writers fsync under the store's writer lock and readers never
+// take it; whatever a reader sees must already be in the WAL on disk.
+func TestConcurrentPostDeleteGetSeesOnlyDurable(t *testing.T) {
+	srv, ts, rec, _ := testServer(t, ServerConfig{})
+	store := srv.cfg.Store
+	store.every = 1 << 30 // keep every record in the WAL for the check
+	tok := createTenant(t, ts.URL, "root", "acme", Quota{})
+
+	const clients, cycles = 3, 15
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			seen := store.Intents("acme")
+			if len(seen) == 0 || store.tenantByToken(tok) == nil {
+				continue
+			}
+			wal, err := os.ReadFile(store.walPath())
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, in := range seen {
+				if !bytes.Contains(wal, []byte(`"id":"`+in.ID+`"`)) {
+					t.Errorf("intent %s visible before its WAL record is on disk", in.ID)
+				}
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			name := fmt.Sprintf("svc%d", c)
+			for i := 0; i < cycles; i++ {
+				if resp, got := doJSON(t, "POST", ts.URL+"/v1/intents?wait=5s", tok, chainBody(t, name, "monitor")); resp.StatusCode != http.StatusOK {
+					t.Errorf("post %s: %d %v", name, resp.StatusCode, got)
+					return
+				}
+				if resp, _ := doJSON(t, "GET", ts.URL+"/v1/intents/"+name, tok, nil); resp.StatusCode != http.StatusOK {
+					t.Errorf("get %s: %d", name, resp.StatusCode)
+					return
+				}
+				if resp, _ := doJSON(t, "DELETE", ts.URL+"/v1/intents/"+name, tok, nil); resp.StatusCode != http.StatusAccepted {
+					t.Errorf("delete %s: %d", name, resp.StatusCode)
+					return
+				}
+				id := ServiceName("acme", name)
+				rec.Await(5*time.Second, func() bool { return store.Intent(id) == nil })
+				if store.Intent(id) != nil {
+					t.Errorf("%s not forgotten after delete", id)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+}
+
+// TestStoreReadsWaitOnlyForTheirIntent holds the writer lock, as an
+// fsync in flight does, with a Forget of one intent queued behind it.
+// Reads of other intents, the intent list and token lookups answer at
+// once; a read of the intent being forgotten waits and answers with the
+// state the Forget leaves.
+func TestStoreReadsWaitOnlyForTheirIntent(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ten, err := s.CreateTenant("acme", Quota{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, svc := range []string{"a", "b"} {
+		if err := s.putIntent(testIntent(t, "acme", svc), time.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.wmu.Lock()
+	forgot := make(chan error)
+	go func() { forgot <- s.Forget("acme/a") }()
+	for queued := false; !queued; {
+		s.mu.RLock()
+		queued = s.writing["acme/a"] > 0
+		s.mu.RUnlock()
+	}
+	others := make(chan bool)
+	go func() {
+		others <- s.Intent("acme/b") != nil && len(s.Intents("acme")) == 2 && s.tenantByToken(ten.Token) != nil
+	}()
+	read := make(chan *Intent, 1)
+	go func() { read <- s.Intent("acme/a") }()
+	var problems []string
+	select {
+	case ok := <-others:
+		if !ok {
+			problems = append(problems, "reads of other state answered wrongly")
+		}
+	case <-time.After(2 * time.Second):
+		problems = append(problems, "reads of other state waited on the write in flight")
+	}
+	select {
+	case in := <-read:
+		problems = append(problems, fmt.Sprintf("Intent of the intent being forgotten answered %s before the write ended", in.ID))
+		read <- nil
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.wmu.Unlock()
+	if err := <-forgot; err != nil {
+		t.Fatal(err)
+	}
+	if problems != nil {
+		t.Fatal(problems)
+	}
+	if in := <-read; in != nil {
+		t.Fatalf("Intent answered %v, want the forgotten state", in)
+	}
+}
+
+// TestStoreFailedAppendStaysInvisible: a mutation whose WAL write fails
+// is refused and never reaches a reader, so nothing is visible that a
+// restart would not replay.
+func TestStoreFailedAppendStaysInvisible(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.wal.Close() // every later write fails
+	in := testIntent(t, "acme", "web")
+	if _, _, err := s.UpsertIntent(in, time.Now()); err == nil {
+		t.Fatal("UpsertIntent succeeded on a closed WAL")
+	}
+	if got := s.Intent(in.ID); got != nil || len(s.Intents("")) != 0 {
+		t.Fatalf("a refused write is visible: Intent found %t, %d listed", got != nil, len(s.Intents("")))
 	}
 }

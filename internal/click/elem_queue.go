@@ -17,7 +17,10 @@ func init() {
 
 // queue stores packets in FIFO order: push input, pull output. Packets
 // pushed into a full queue are dropped (tail drop). Storage is a slice
-// ring; every access runs under the element lock acquired by the caller.
+// ring that starts empty and doubles when a push finds it full, up to the
+// capacity: a queue pays for the depth it reaches, not for the one it is
+// allowed. Every access runs under the element lock acquired by the
+// caller.
 //
 // Configuration: Queue([CAPACITY]), CAPACITY at most maxQueueCapacity.
 // Handlers: length, capacity (rw), drops, highwater (r), reset_counts (w).
@@ -32,7 +35,7 @@ type queue struct {
 
 // maxQueueCapacity bounds Queue(N) and the capacity write handler. Both
 // arrive from outside the program — a NETCONF-delivered config, the
-// ControlSocket TCP port — and the ring is allocated up front.
+// ControlSocket TCP port — and a full ring holds that many packets.
 const maxQueueCapacity = 1 << 20
 
 // checkQueueCapacity validates a capacity from a config or a handler write.
@@ -62,8 +65,26 @@ func (q *queue) Configure(r *Router, args []string) error {
 		return err
 	}
 	q.capacity = cap_
-	q.ring = make([]*Packet, cap_)
 	return nil
+}
+
+// minQueueRing is the ring a queue's first push allocates.
+const minQueueRing = 16
+
+// grow doubles the ring, within the capacity, keeping the queued packets
+// in order from index 0. Callers grow only a full ring below capacity.
+func (q *queue) grow() {
+	nr := make([]*Packet, min(max(2*len(q.ring), minQueueRing), q.capacity))
+	q.unwrap(nr)
+	q.ring = nr
+}
+
+// unwrap copies the queued packets, oldest first, into nr and rebases
+// head to 0; nr must hold them all.
+func (q *queue) unwrap(nr []*Packet) {
+	k := copy(nr, q.ring[q.head:min(q.head+q.n, len(q.ring))])
+	copy(nr[k:], q.ring[:q.n-k])
+	q.head = 0
 }
 
 // Len reports the number of queued packets.
@@ -76,7 +97,10 @@ func (q *queue) Push(port int, p *Packet) {
 		p.Kill()
 		return
 	}
-	q.ring[(q.head+q.n)%q.capacity] = p
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)%len(q.ring)] = p
 	q.n++
 	if n := int64(q.n); n > q.highwater.Load() {
 		q.highwater.Store(n)
@@ -98,7 +122,7 @@ func (q *queue) Pull(port int) *Packet {
 	}
 	p := q.ring[q.head]
 	q.ring[q.head] = nil
-	q.head = (q.head + 1) % q.capacity
+	q.head = (q.head + 1) % len(q.ring)
 	q.n--
 	return p
 }
@@ -124,20 +148,20 @@ func (q *queue) Handlers() []Handler {
 				if err := checkQueueCapacity(c); err != nil {
 					return err
 				}
-				// Rebuild ring preserving the oldest contents that fit; the
-				// rest are tail drops like any push into a full queue.
-				nr := make([]*Packet, c)
-				keep := min(q.n, c)
-				for i := 0; i < q.n; i++ {
-					p := q.ring[(q.head+i)%q.capacity]
-					if i < keep {
-						nr[i] = p
-					} else {
-						q.drops.Add(1)
-						p.Kill()
-					}
+				// Keep the oldest packets that fit; the rest are tail
+				// drops like any push into a full queue. The ring shrinks
+				// to what it keeps and grows again on demand.
+				for i := c; i < q.n; i++ {
+					j := (q.head + i) % len(q.ring)
+					q.drops.Add(1)
+					q.ring[j].Kill()
+					q.ring[j] = nil
 				}
-				q.ring, q.head, q.n, q.capacity = nr, 0, keep, c
+				keep := min(q.n, c)
+				q.n = keep
+				nr := make([]*Packet, keep)
+				q.unwrap(nr)
+				q.ring, q.capacity = nr, c
 				return nil
 			}},
 		{Name: "drops", Read: func() string { return strconv.FormatUint(q.drops.Load(), 10) }},

@@ -169,3 +169,54 @@ func TestNewPacketOwnsFrame(t *testing.T) {
 		t.Error("NewPacket did not take the frame it was given")
 	}
 }
+
+// TestQueueGrowsOnDemandInOrder: a Queue allocates no ring until its
+// first push, grows only as deep as it fills, wraps and grows in FIFO
+// order, drops at its capacity and not before, and shrinks in order.
+func TestQueueGrowsOnDemandInOrder(t *testing.T) {
+	r := mustRouter(t, `FromDevice(in) -> q :: Queue(40) -> ToDevice(out);`)
+	q := r.Element("q").(*queue)
+	if len(q.ring) != 0 {
+		t.Fatalf("ring of %d slots before any push", len(q.ring))
+	}
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			q.Push(0, NewPacket([]byte{byte(next)}))
+			next++
+		}
+	}
+	pull := func(n int) {
+		for i := 0; i < n; i++ {
+			p := q.Pull(0)
+			if p == nil || p.Data()[0] != byte(want) {
+				t.Fatalf("pull %d: got %v, want packet %d", want, p, want)
+			}
+			want++
+		}
+	}
+	push(10)
+	if len(q.ring) != minQueueRing {
+		t.Errorf("ring of %d slots after 10 pushes, want %d", len(q.ring), minQueueRing)
+	}
+	pull(5)
+	push(30) // wraps the 16-slot ring, then grows it twice
+	if q.Len() != 35 || q.drops.Load() != 0 {
+		t.Fatalf("len %d drops %d, want 35 and 0", q.Len(), q.drops.Load())
+	}
+	push(8) // 5 fit, 3 are tail drops
+	if q.Len() != 40 || q.drops.Load() != 3 || len(q.ring) != 40 {
+		t.Fatalf("len %d drops %d ring %d, want 40, 3 and 40", q.Len(), q.drops.Load(), len(q.ring))
+	}
+	pull(33)
+	push(20)
+	if err := r.writeHandler("q.capacity", "12"); err != nil {
+		t.Fatal(err)
+	}
+	pull(7) // 38..44, then the three that were dropped are skipped
+	want = 48
+	pull(5)
+	if q.Len() != 0 || q.Pull(0) != nil {
+		t.Fatalf("%d packets left after the shrink kept 12", q.Len())
+	}
+}

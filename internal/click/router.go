@@ -43,33 +43,89 @@ type taskEntry struct {
 
 // NewRouter parses, instantiates, configures, wires, validates and
 // initializes a configuration. The router does not process packets until
-// Run.
+// Run. The parse, the wiring checks and the push/pull negotiation run
+// once per configuration text (see plan); every router gets fresh
+// elements, each configured from its declaration's arguments.
 func NewRouter(name, config string, opts Options) (*Router, error) {
+	r := &Router{name: name, opts: opts, elems: map[string]Element{}, stopped: make(chan struct{})}
+	if p := plans.get(config); p != nil {
+		if err := r.build(p); err != nil {
+			return nil, err
+		}
+	} else {
+		p, err := r.compile(config)
+		if err != nil {
+			return nil, err
+		}
+		plans.put(config, p)
+	}
+
+	// Gather tasks and run initializers in declaration order.
+	for _, n := range r.order {
+		e := r.elems[n]
+		if t, ok := e.(tasker); ok {
+			r.tasks = append(r.tasks, taskEntry{name: n, t: t, eb: e.base()})
+		}
+	}
+	for _, n := range r.order {
+		if ini, ok := r.elems[n].(initializer); ok {
+			if err := ini.Init(); err != nil {
+				return nil, fmt.Errorf("click: initializing %s: %w", n, err)
+			}
+		}
+	}
+	var timed []Element
+	for _, n := range r.order {
+		if _, ok := r.elems[n].(deadliner); ok {
+			timed = append(timed, r.elems[n])
+		}
+	}
+	var err error
+	if r.idle, err = newParker(timed, r.tasks); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// configure instantiates and configures the element a declaration names.
+func (r *Router) configure(d configDecl) (Element, error) {
+	e, err := newElement(d.Class)
+	if err != nil {
+		return nil, err
+	}
+	b := e.base()
+	b.name = d.Name
+	b.router = r
+	b.self = e
+	b.config = d.Args
+	if err := e.Configure(r, d.Args); err != nil {
+		return nil, fmt.Errorf("click: %s :: %s: %w", d.Name, d.Class, err)
+	}
+	return e, nil
+}
+
+// compile builds r from configuration text the long way — parse,
+// configure, wire with every check, negotiate push/pull — and returns the
+// plan that builds the same graph again without the parse, the checks or
+// the negotiation.
+func (r *Router) compile(config string) (*plan, error) {
 	cfg, err := parse(config)
 	if err != nil {
 		return nil, err
 	}
-	r := &Router{name: name, opts: opts, elems: map[string]Element{}, stopped: make(chan struct{})}
-
-	// Instantiate and configure.
-	for _, d := range cfg.Decls {
+	p := &plan{decls: cfg.Decls}
+	index := make(map[string]int, len(cfg.Decls))
+	for i, d := range cfg.Decls {
 		if _, dup := r.elems[d.Name]; dup {
 			return nil, fmt.Errorf("click: element %q redeclared", d.Name)
 		}
-		e, err := newElement(d.Class)
+		e, err := r.configure(d)
 		if err != nil {
 			return nil, err
 		}
-		b := e.base()
-		b.name = d.Name
-		b.router = r
-		b.self = e
-		b.config = d.Args
-		if err := e.Configure(r, d.Args); err != nil {
-			return nil, fmt.Errorf("click: %s :: %s: %w", d.Name, d.Class, err)
-		}
 		r.elems[d.Name] = e
 		r.order = append(r.order, d.Name)
+		index[d.Name] = i
 	}
 
 	// Wire connections.
@@ -100,6 +156,7 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 		}
 		fb.outs[c.FromPort] = outPort{elem: to, port: c.ToPort}
 		tb.ins[c.ToPort] = inPort{elem: from, port: c.FromPort}
+		p.conns = append(p.conns, planConn{from: index[c.From], fromPort: c.FromPort, to: index[c.To], toPort: c.ToPort})
 	}
 
 	// Validate: outputs must be connected (a push into nowhere loses
@@ -120,31 +177,38 @@ func NewRouter(name, config string, opts Options) (*Router, error) {
 	if err := r.resolveProcessing(); err != nil {
 		return nil, err
 	}
+	p.order = r.order
+	for _, n := range r.order {
+		b := r.elems[n].base()
+		p.ports = append(p.ports, planPorts{nIn: len(b.ins), nOut: len(b.outs), inProc: b.inProc, outProc: b.outProc})
+	}
+	return p, nil
+}
 
-	// Gather tasks and run initializers in declaration order.
-	for _, n := range r.order {
-		e := r.elems[n]
-		if t, ok := e.(tasker); ok {
-			r.tasks = append(r.tasks, taskEntry{name: n, t: t, eb: e.base()})
+// build makes r from a compiled plan: fresh elements, configured from
+// the plan's arguments, wired as the plan says, with the plan's
+// negotiated processing.
+func (r *Router) build(p *plan) error {
+	elems := make([]Element, len(p.decls))
+	for i, d := range p.decls {
+		e, err := r.configure(d)
+		if err != nil {
+			return err
 		}
+		b := e.base()
+		pp := p.ports[i]
+		b.ins, b.outs = make([]inPort, pp.nIn), make([]outPort, pp.nOut)
+		b.inProc, b.outProc = pp.inProc, pp.outProc
+		r.elems[d.Name] = e
+		elems[i] = e
 	}
-	for _, n := range r.order {
-		if ini, ok := r.elems[n].(initializer); ok {
-			if err := ini.Init(); err != nil {
-				return nil, fmt.Errorf("click: initializing %s: %w", n, err)
-			}
-		}
+	for _, c := range p.conns {
+		from, to := elems[c.from], elems[c.to]
+		from.base().outs[c.fromPort] = outPort{elem: to, port: c.toPort}
+		to.base().ins[c.toPort] = inPort{elem: from, port: c.fromPort}
 	}
-	var timed []Element
-	for _, n := range r.order {
-		if _, ok := r.elems[n].(deadliner); ok {
-			timed = append(timed, r.elems[n])
-		}
-	}
-	if r.idle, err = newParker(timed, r.tasks); err != nil {
-		return nil, err
-	}
-	return r, nil
+	r.order = p.order
+	return nil
 }
 
 // resolveProcessing performs Click's push/pull negotiation: fixed port

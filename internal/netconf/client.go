@@ -18,6 +18,9 @@ type Client struct {
 	fr        *framer
 	mu        sync.Mutex
 	messageID int
+	// rpc is the <rpc> envelope every operation is rendered in, reused
+	// from rpc to rpc by the flight's writer, which holds mu.
+	rpc *yang.Data
 	// SessionID assigned by the server in its hello.
 	SessionID string
 	// ServerCapabilities from the hello exchange.
@@ -45,14 +48,14 @@ func Dial(addr string) (*Client, error) {
 	}
 	// Fails only on a closed connection, whose hello write fails next.
 	_ = conn.SetDeadline(deadline)
-	c := &Client{conn: conn, fr: newFramer(conn)}
+	c := &Client{conn: conn, fr: newFramer(conn), rpc: yang.NewData("rpc").SetAttr("xmlns", baseNS)}
 	// Client hello.
 	hello := yang.NewData("hello").SetAttr("xmlns", baseNS).Add(
 		yang.NewData("capabilities").
 			AddLeaf("capability", capBase10).
 			AddLeaf("capability", capBase11),
 	)
-	if err := c.fr.writeMessage([]byte(hello.XML())); err != nil {
+	if err := c.fr.writeData(hello, true); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -121,12 +124,11 @@ func (c *Client) Calls(ops ...*yang.Data) ([]*yang.Data, error) {
 	first := c.messageID + 1
 	c.messageID += len(ops)
 	write := func() error {
+		defer func() { clear(c.rpc.Children) }() // keep no operation alive
 		for i, op := range ops {
-			rpc := yang.NewData("rpc").
-				SetAttr("xmlns", baseNS).
-				SetAttr("message-id", strconv.Itoa(first+i)).
-				Add(op)
-			if err := c.fr.writeFrame([]byte(rpc.XML())); err != nil {
+			c.rpc.SetAttr("message-id", strconv.Itoa(first+i))
+			c.rpc.Children = append(c.rpc.Children[:0], op)
+			if err := c.fr.writeData(c.rpc, false); err != nil {
 				return err
 			}
 		}

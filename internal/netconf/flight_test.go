@@ -83,7 +83,7 @@ func misnumberingServer(t *testing.T) string {
 		hello := yang.NewData("hello").SetAttr("xmlns", baseNS).Add(
 			yang.NewData("capabilities").AddLeaf("capability", capBase10),
 			yang.Leaf("session-id", "1"))
-		if fr.writeMessage([]byte(hello.XML())) != nil {
+		if fr.writeMessage([]byte(hello.String())) != nil {
 			return
 		}
 		for {
@@ -92,7 +92,7 @@ func misnumberingServer(t *testing.T) string {
 			}
 			reply := yang.NewData("rpc-reply").SetAttr("xmlns", baseNS).
 				SetAttr("message-id", "0").Add(yang.NewData("ok"))
-			if fr.writeMessage([]byte(reply.XML())) != nil {
+			if fr.writeMessage([]byte(reply.String())) != nil {
 				return
 			}
 		}

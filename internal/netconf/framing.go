@@ -15,7 +15,10 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+
+	"escape/internal/yang"
 )
 
 // Base capability URNs.
@@ -40,6 +43,12 @@ type framer struct {
 	r       *bufio.Reader
 	w       *bufio.Writer
 	chunked bool
+	// msg is the buffer messages are read into, reused from message to
+	// message: what readMessage returns is valid until the next read.
+	msg []byte
+	// out is the buffer writeData renders into, reused the same way. A
+	// session's writer and reader may run at once; each has its buffer.
+	out []byte
 }
 
 func newFramer(rw io.ReadWriter) *framer {
@@ -57,6 +66,16 @@ func (f *framer) writeMessage(msg []byte) error {
 	return f.w.Flush()
 }
 
+// writeData renders d and frames it into the write buffer, flushing it
+// when flush is set: a pipelined flight flushes once, after its last rpc.
+func (f *framer) writeData(d *yang.Data, flush bool) error {
+	f.out = d.AppendXML(f.out[:0])
+	if flush {
+		return f.writeMessage(f.out)
+	}
+	return f.writeFrame(f.out)
+}
+
 // writeFrame frames one message into the write buffer without flushing
 // it, so a pipelined flight of messages leaves in one write.
 func (f *framer) writeFrame(msg []byte) error {
@@ -64,7 +83,9 @@ func (f *framer) writeFrame(msg []byte) error {
 		// ␊#<len>␊<data> … ␊##␊ — chunk-size must be ≥1 (RFC 6242 §4.2),
 		// so an empty message is just the end-of-chunks marker.
 		if len(msg) > 0 {
-			if _, err := fmt.Fprintf(f.w, "\n#%d\n", len(msg)); err != nil {
+			var hdr [24]byte
+			h := strconv.AppendInt(append(hdr[:0], '\n', '#'), int64(len(msg)), 10)
+			if _, err := f.w.Write(append(h, '\n')); err != nil {
 				return err
 			}
 			if _, err := f.w.Write(msg); err != nil {
@@ -81,7 +102,8 @@ func (f *framer) writeFrame(msg []byte) error {
 	return err
 }
 
-// readMessage reads one framed message.
+// readMessage reads one framed message into the framer's buffer: the
+// bytes are valid until the next readMessage.
 func (f *framer) readMessage() ([]byte, error) {
 	if f.chunked {
 		return f.readChunked()
@@ -90,25 +112,25 @@ func (f *framer) readMessage() ([]byte, error) {
 }
 
 func (f *framer) readEOM() ([]byte, error) {
-	var buf bytes.Buffer
+	buf := f.msg[:0]
 	for {
 		b, err := f.r.ReadByte()
 		if err != nil {
 			return nil, err
 		}
-		buf.WriteByte(b)
-		if b == '>' && bytes.HasSuffix(buf.Bytes(), eomDelimiter) {
-			msg := buf.Bytes()[:buf.Len()-len(eomDelimiter)]
-			return bytes.TrimSpace(append([]byte(nil), msg...)), nil
+		buf = append(buf, b)
+		if b == '>' && bytes.HasSuffix(buf, eomDelimiter) {
+			f.msg = buf
+			return bytes.TrimSpace(buf[:len(buf)-len(eomDelimiter)]), nil
 		}
-		if buf.Len() > maxMessage {
+		if len(buf) > maxMessage {
 			return nil, fmt.Errorf("netconf: message exceeds %d bytes without EOM", maxMessage)
 		}
 	}
 }
 
 func (f *framer) readChunked() ([]byte, error) {
-	var buf bytes.Buffer
+	buf := f.msg[:0]
 	for {
 		// Expect "\n#" then either a length or "#\n" (end of chunks).
 		if err := f.expect('\n'); err != nil {
@@ -125,7 +147,8 @@ func (f *framer) readChunked() ([]byte, error) {
 			if err := f.expect('\n'); err != nil {
 				return nil, err
 			}
-			return buf.Bytes(), nil
+			f.msg = buf
+			return buf, nil
 		}
 		// Parse the chunk length (first digit already consumed).
 		lenBuf := []byte{b}
@@ -146,16 +169,32 @@ func (f *framer) readChunked() ([]byte, error) {
 		if err != nil || n <= 0 {
 			return nil, fmt.Errorf("netconf: bad chunk length %q", lenBuf)
 		}
-		if buf.Len()+n > maxMessage {
+		if len(buf)+n > maxMessage {
 			return nil, fmt.Errorf("netconf: chunked message exceeds %d bytes", maxMessage)
 		}
-		if _, err := io.CopyN(&buf, f.r, int64(n)); err != nil {
+		if buf, err = f.readN(buf, n); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return nil, err
 		}
 	}
+}
+
+// readN appends exactly n bytes read from the peer to buf. The buffer
+// grows as the bytes arrive, a bounded step at a time, so a chunk length
+// the peer claims is not an allocation it can make without sending it.
+func (f *framer) readN(buf []byte, n int) ([]byte, error) {
+	for n > 0 {
+		k := min(n, 64<<10)
+		buf = slices.Grow(buf, k)
+		if _, err := io.ReadFull(f.r, buf[len(buf):len(buf)+k]); err != nil {
+			return buf, err
+		}
+		buf = buf[:len(buf)+k]
+		n -= k
+	}
+	return buf, nil
 }
 
 func (f *framer) expect(want byte) error {

@@ -57,7 +57,7 @@ func getConfig(c *Client) (*yang.Data, error) {
 	if data := reply.Child("data"); data != nil {
 		return data, nil
 	}
-	return nil, fmt.Errorf("get-config reply without <data>: %s", reply.XML())
+	return nil, fmt.Errorf("get-config reply without <data>: %s", reply.String())
 }
 
 // editConfig merges config into the running datastore with an
@@ -80,7 +80,7 @@ func TestGetConfigAndEditConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(data.Children) != 0 {
-		t.Errorf("initial config = %s", data.XML())
+		t.Errorf("initial config = %s", data.String())
 	}
 	// Edit, then read back.
 	edit := yang.NewData("config").Add(
@@ -97,7 +97,7 @@ func TestGetConfigAndEditConfig(t *testing.T) {
 	}
 	chain := data.Child("chains")
 	if chain == nil || chain.Child("chain").ChildText("id") != "c1" {
-		t.Fatalf("config after edit = %s", data.XML())
+		t.Fatalf("config after edit = %s", data.String())
 	}
 	// Merge semantics: update the same entry.
 	edit2 := yang.NewData("config").Add(
@@ -111,7 +111,7 @@ func TestGetConfigAndEditConfig(t *testing.T) {
 	data, _ = getConfig(c)
 	entries := data.Child("chains").ChildrenNamed("chain")
 	if len(entries) != 1 || entries[0].ChildText("status") != "torn-down" {
-		t.Fatalf("after merge = %s", data.XML())
+		t.Fatalf("after merge = %s", data.String())
 	}
 }
 
@@ -129,7 +129,7 @@ func TestGetIncludesOperationalState(t *testing.T) {
 	}
 	vnfs := data.Child("vnfs")
 	if vnfs == nil || vnfs.Child("vnf").ChildText("status") != "RUNNING" {
-		t.Fatalf("get = %s", data.XML())
+		t.Fatalf("get = %s", data.String())
 	}
 }
 
@@ -159,7 +159,7 @@ func TestCustomRPCDispatchAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if reply.Child("status").ChildText("state") != "RUNNING" {
-		t.Errorf("reply = %s", reply.XML())
+		t.Errorf("reply = %s", reply.String())
 	}
 	// Handler error → RPCError.
 	_, err = c.Call(yang.NewData("startVNF").AddLeaf("vnf_id", "boom"))

@@ -136,6 +136,9 @@ type Session struct {
 	fr     *framer
 	conn   net.Conn
 	closed bool
+	// reply is the <rpc-reply> envelope every reply is built in, reused
+	// from rpc to rpc: a reply is rendered before the next rpc is read.
+	reply *yang.Data
 }
 
 // serveConn runs the NETCONF session protocol on an established
@@ -151,6 +154,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 		server: s,
 		fr:     newFramer(conn),
 		conn:   conn,
+		reply:  yang.NewData("rpc-reply").SetAttr("xmlns", baseNS),
 	}
 	// Hello exchange: server sends capabilities + session-id.
 	hello := yang.NewData("hello").SetAttr("xmlns", baseNS)
@@ -158,7 +162,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 		AddLeaf("capability", capBase10).
 		AddLeaf("capability", capBase11)
 	hello.Add(caps, yang.Leaf("session-id", fmt.Sprint(sess.ID)))
-	if err := sess.fr.writeMessage([]byte(hello.XML())); err != nil {
+	if err := sess.fr.writeData(hello, true); err != nil {
 		return err
 	}
 	peerRaw, err := sess.fr.readMessage()
@@ -185,7 +189,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 			continue
 		}
 		reply := s.dispatch(sess, rpc)
-		if err := sess.fr.writeMessage([]byte(reply.XML())); err != nil {
+		if err := sess.fr.writeData(reply, true); err != nil {
 			return err
 		}
 	}
@@ -205,10 +209,16 @@ func peerAdvertises(hello *yang.Data, cap string) bool {
 	return false
 }
 
+// dispatch answers one rpc in the session's reply envelope, valid until
+// the next dispatch.
 func (s *Server) dispatch(sess *Session, rpc *yang.Data) *yang.Data {
-	reply := yang.NewData("rpc-reply").SetAttr("xmlns", baseNS)
+	reply := sess.reply
+	clear(reply.Children)
+	reply.Children = reply.Children[:0]
 	if id := rpc.Attr("message-id"); id != "" {
 		reply.SetAttr("message-id", id)
+	} else {
+		delete(reply.Attrs, "message-id")
 	}
 	if len(rpc.Children) == 0 {
 		return rpcError(reply, "protocol", "missing operation")

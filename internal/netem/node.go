@@ -298,6 +298,9 @@ type VNF struct {
 	control *click.ControlSocket
 	devices map[string]*eeDevice
 	cancel  context.CancelFunc
+	// released is set when the VNF leaves its EE (releaseLocked) and its
+	// devices' rings go back to the free list: it can never start again.
+	released bool
 }
 
 // State reports the VNF's lifecycle state.
@@ -357,6 +360,9 @@ func (v *VNF) ControlAddr() string {
 // eeDevice bridges a Click device to a netem port.
 type eeDevice struct {
 	name string
+	// in is the receive ring, taken from the free list at InitVNF and
+	// given back, nil here, when the VNF is released. It changes only
+	// under mu and while no router of the VNF runs.
 	in   chan []byte
 	mu   sync.Mutex
 	port *Port // nil until connected to a switch
@@ -367,6 +373,57 @@ func (d *eeDevice) DeviceName() string { return d.name }
 
 // Recv implements click.Device.
 func (d *eeDevice) Recv() <-chan []byte { return d.in }
+
+// deliver puts a frame from the switch on the receive ring. It drops the
+// frame when the ring is full (the VNF is not draining, like a full NIC
+// ring) or gone (a frame still in flight on the link of a released VNF).
+func (d *eeDevice) deliver(frame []byte) {
+	d.mu.Lock()
+	select {
+	case d.in <- frame: // a nil ring is never ready
+	default:
+	}
+	d.mu.Unlock()
+}
+
+// deviceRing is the depth of an EE device's receive ring.
+const deviceRing = 1024
+
+// maxFreeRings bounds the receive rings kept for reuse.
+const maxFreeRings = 64
+
+// freeRings holds the receive rings of released VNFs: a deploy takes the
+// rings an earlier undeploy gave back instead of allocating two rings of
+// deviceRing slots per VNF.
+var freeRings struct {
+	mu    sync.Mutex
+	rings []chan []byte
+}
+
+// takeRing returns an empty receive ring.
+func takeRing() chan []byte {
+	freeRings.mu.Lock()
+	defer freeRings.mu.Unlock()
+	if n := len(freeRings.rings); n > 0 {
+		ch := freeRings.rings[n-1]
+		freeRings.rings = freeRings.rings[:n-1]
+		return ch
+	}
+	return make(chan []byte, deviceRing)
+}
+
+// giveRing empties a ring nothing reads or writes any more and keeps it
+// for takeRing.
+func giveRing(ch chan []byte) {
+	for len(ch) > 0 {
+		<-ch
+	}
+	freeRings.mu.Lock()
+	defer freeRings.mu.Unlock()
+	if len(freeRings.rings) < maxFreeRings {
+		freeRings.rings = append(freeRings.rings, ch)
+	}
+}
 
 // Send implements click.Device.
 func (d *eeDevice) Send(frame []byte) error {
@@ -534,7 +591,7 @@ func (e *EE) InitVNF(spec VNFSpec) (*VNF, error) {
 	}
 	v := &VNF{Spec: spec, state: vnfInitialized, devices: map[string]*eeDevice{}}
 	for _, d := range spec.Devices {
-		v.devices[d] = &eeDevice{name: d, in: make(chan []byte, 1024)}
+		v.devices[d] = &eeDevice{name: d, in: takeRing()}
 	}
 	e.vnfs[spec.Name] = v
 	return v, nil
@@ -655,10 +712,23 @@ func (e *EE) DisconnectVNF(vnfName, devName string) error {
 // StopVNF and DisconnectVNF comes last. Nothing — admission, VNFNames,
 // getVNFInfo — pays for a released VNF any more. An initialized VNF
 // stays while disconnected: it may still be connected again and
-// started. Callers hold e.mu.
+// started. Its devices' receive rings go back to the free list: the
+// router is stopped and the links are gone, and a frame still in flight
+// on one finds no ring (see deliver). Callers hold e.mu.
 func (e *EE) releaseLocked(v *VNF) {
-	if v.State() == VNFStopped && !v.connected() && e.vnfs[v.Spec.Name] == v {
-		delete(e.vnfs, v.Spec.Name)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.state != VNFStopped || v.connected() || e.vnfs[v.Spec.Name] != v {
+		return
+	}
+	delete(e.vnfs, v.Spec.Name)
+	v.released = true
+	for _, d := range v.devices {
+		d.mu.Lock()
+		ring := d.in
+		d.in = nil
+		d.mu.Unlock()
+		giveRing(ring)
 	}
 }
 
@@ -677,12 +747,7 @@ func (e *EE) newPort(n *Network) (*Port, error) {
 		Node: e,
 		MAC:  n.allocMAC(),
 	}
-	p.recv = func(frame []byte) {
-		select {
-		case dev.in <- frame:
-		default: // VNF not draining: drop like a full NIC ring
-		}
-	}
+	p.recv = dev.deliver
 	return p, nil
 }
 
@@ -723,6 +788,9 @@ func (e *EE) startVNFLocked(v *VNF, name string) error {
 	defer v.mu.Unlock()
 	if v.state == vnfRunning {
 		return fmt.Errorf("netem: VNF %q already running", name)
+	}
+	if v.released { // released between StartVNF's lookup and here
+		return fmt.Errorf("netem: no VNF %q in %s", name, e.name)
 	}
 	devices := map[string]click.Device{}
 	for dn, d := range v.devices {

@@ -1,6 +1,7 @@
 package ofswitch
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"slices"
@@ -472,14 +473,15 @@ func (s *Switch) ConnectController(conn net.Conn) error {
 	if err := s.send(&openflow.Hello{}); err != nil {
 		return fmt.Errorf("ofswitch: sending hello: %w", err)
 	}
-	msg, _, err := openflow.ReadMessage(conn)
+	r := bufio.NewReader(conn) // the one reader of conn from here on
+	msg, _, err := openflow.ReadMessage(r)
 	if err != nil {
 		return fmt.Errorf("ofswitch: reading hello: %w", err)
 	}
 	if msg.MsgType() != openflow.TypeHello {
 		return fmt.Errorf("ofswitch: expected HELLO, got %s", msg.MsgType())
 	}
-	go s.controlLoop(conn)
+	go s.controlLoop(r)
 	return nil
 }
 
@@ -510,9 +512,9 @@ func (s *Switch) writeLoop(conn net.Conn, out *outbox) {
 	}
 }
 
-func (s *Switch) controlLoop(conn net.Conn) {
+func (s *Switch) controlLoop(r *bufio.Reader) {
 	for {
-		msg, h, err := openflow.ReadMessage(conn)
+		msg, h, err := openflow.ReadMessage(r)
 		if err != nil {
 			return
 		}

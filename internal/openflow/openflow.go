@@ -165,13 +165,18 @@ type Message interface {
 
 // Encode serializes msg with the given transaction id into wire format.
 func Encode(msg Message, xid uint32) []byte {
-	body := msg.encodeBody(nil)
-	out := make([]byte, headerLen, headerLen+len(body))
-	out[0] = version
-	out[1] = byte(msg.MsgType())
-	binary.BigEndian.PutUint16(out[2:4], uint16(headerLen+len(body)))
-	binary.BigEndian.PutUint32(out[4:8], xid)
-	return append(out, body...)
+	return AppendMessage(nil, msg, xid)
+}
+
+// AppendMessage appends the wire form of msg with the given transaction
+// id to b: messages appended to one buffer leave in one write.
+func AppendMessage(b []byte, msg Message, xid uint32) []byte {
+	start := len(b)
+	b = append(b, version, byte(msg.MsgType()), 0, 0, 0, 0, 0, 0)
+	binary.BigEndian.PutUint32(b[start+4:], xid)
+	b = msg.encodeBody(b)
+	binary.BigEndian.PutUint16(b[start+2:], uint16(len(b)-start))
+	return b
 }
 
 // decode parses one complete wire message (header + body).

@@ -10,6 +10,8 @@
 package pox
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -81,7 +83,7 @@ func (ct *Controller) Register(c Component) {
 // its event loop until the connection dies, returning the error that
 // ended it. It blocks: callers run it in a goroutine.
 func (ct *Controller) Serve(conn net.Conn) error {
-	c := &Connection{ctrl: ct, conn: conn, pending: map[uint32]chan openflow.Message{}}
+	c := &Connection{ctrl: ct, conn: conn, r: bufio.NewReader(conn), pending: map[uint32]chan openflow.Message{}}
 	if err := c.handshake(); err != nil {
 		conn.Close()
 		return err
@@ -177,6 +179,7 @@ func (ct *Controller) dispatchConnectionDown(c *Connection) {
 type Connection struct {
 	ctrl  *Controller
 	conn  net.Conn
+	r     *bufio.Reader // the one reader of conn: handshake, then readLoop
 	dpid  uint64
 	ports []openflow.PhyPort
 
@@ -194,7 +197,7 @@ func (c *Connection) handshake() error {
 	if err := c.send(&openflow.Hello{}); err != nil {
 		return fmt.Errorf("pox: sending hello: %w", err)
 	}
-	msg, _, err := openflow.ReadMessage(c.conn)
+	msg, _, err := openflow.ReadMessage(c.r)
 	if err != nil {
 		return fmt.Errorf("pox: reading hello: %w", err)
 	}
@@ -205,7 +208,7 @@ func (c *Connection) handshake() error {
 		return err
 	}
 	for {
-		msg, _, err := openflow.ReadMessage(c.conn)
+		msg, _, err := openflow.ReadMessage(c.r)
 		if err != nil {
 			return fmt.Errorf("pox: waiting for features: %w", err)
 		}
@@ -219,7 +222,7 @@ func (c *Connection) handshake() error {
 
 func (c *Connection) readLoop() error {
 	for {
-		msg, h, err := openflow.ReadMessage(c.conn)
+		msg, h, err := openflow.ReadMessage(c.r)
 		if err != nil {
 			return err
 		}
@@ -295,30 +298,60 @@ func (c *Connection) sendPacketOut(po *openflow.PacketOut) error {
 // request sends msg and waits for the same-xid response.
 func (c *Connection) request(msg openflow.Message, timeout time.Duration) (openflow.Message, error) {
 	xid := c.xid.Add(1)
+	return c.await(msg.MsgType(), xid, openflow.AppendMessage(nil, msg, xid), timeout)
+}
+
+// ErrNotSent wraps the error of a write that failed: what it carried may
+// not have reached the switch.
+var ErrNotSent = errors.New("pox: write failed")
+
+// await writes wire, whose last message is a request of type typ with
+// transaction id xid, in one write and waits for the same-xid response.
+func (c *Connection) await(typ openflow.MsgType, xid uint32, wire []byte, timeout time.Duration) (openflow.Message, error) {
 	ch := make(chan openflow.Message, 1)
 	c.pendMu.Lock()
 	c.pending[xid] = ch
 	c.pendMu.Unlock()
-	if err := c.sendXID(msg, xid); err != nil {
+	c.writeMu.Lock()
+	//lint:ignore sendunderlock writeMu keeps whole messages whole on the channel, as sendXID does; the switch drains it without ever blocking on its own writes (its outbox)
+	_, err := c.conn.Write(wire)
+	c.writeMu.Unlock()
+	if err != nil {
 		c.pendMu.Lock()
 		delete(c.pending, xid)
 		c.pendMu.Unlock()
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case resp := <-ch:
 		return resp, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		c.pendMu.Lock()
 		delete(c.pending, xid)
 		c.pendMu.Unlock()
-		return nil, fmt.Errorf("pox: request %s timed out", msg.MsgType())
+		return nil, fmt.Errorf("pox: request %s timed out", typ)
 	}
 }
 
 // Barrier blocks until the switch has processed all preceding messages.
 func (c *Connection) Barrier(timeout time.Duration) error {
-	resp, err := c.request(&openflow.BarrierRequest{}, timeout)
+	return c.FlowModsBarrier(nil, timeout)
+}
+
+// FlowModsBarrier writes fms and a barrier request behind them to the
+// switch as one buffer, then waits up to timeout for the barrier reply:
+// when it returns nil the switch has applied every flow-mod. An error
+// from the write wraps ErrNotSent.
+func (c *Connection) FlowModsBarrier(fms []*openflow.FlowMod, timeout time.Duration) error {
+	var wire []byte
+	for _, fm := range fms {
+		wire = openflow.AppendMessage(wire, fm, c.xid.Add(1))
+	}
+	xid := c.xid.Add(1)
+	wire = openflow.AppendMessage(wire, &openflow.BarrierRequest{}, xid)
+	resp, err := c.await(openflow.TypeBarrierRequest, xid, wire, timeout)
 	if err != nil {
 		return err
 	}

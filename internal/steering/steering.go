@@ -15,6 +15,7 @@
 package steering
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -404,15 +405,15 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 	return mods
 }
 
-// sendMods pushes flow-mods to their switches in order, then blocks on
-// one barrier per touched switch (run concurrently) so the rules are live
-// before traffic is admitted (demo step 4 depends on this).
+// sendMods hands each touched switch its flow-mods, in order, and a
+// barrier request in one write, and blocks on the barrier replies (the
+// switches in parallel) so the rules are live before traffic is admitted
+// (demo step 4 depends on this).
 func (s *Steering) sendMods(mods []switchMod) error {
 	_, err := s.sendModsTolerant(mods, false)
 	return err
 }
 
-// sendMods pushes strictly; no deletes are skipped and dead is nil.
 // sendModsTolerant is sendMods with an escape hatch for teardown and
 // healing: with skipDeadDeletes, delete commands aimed at a switch that
 // is no longer connected are silently dropped — the rules died with the
@@ -426,52 +427,59 @@ func (s *Steering) sendModsTolerant(mods []switchMod, skipDeadDeletes bool) (map
 	isDelete := func(fm *openflow.FlowMod) bool {
 		return fm.Command == openflow.FCDelete || fm.Command == openflow.FCDeleteStrict
 	}
-	touched := map[uint64]*pox.Connection{}
-	dead := map[uint64]bool{}
-	for _, m := range mods {
-		if dead[m.dpid] {
-			if isDelete(m.fm) {
-				continue
-			}
-			return dead, fmt.Errorf("steering: switch %#x not connected", m.dpid)
-		}
-		conn := touched[m.dpid]
-		if conn == nil {
-			if conn = s.ctrl.Connection(m.dpid); conn == nil {
-				if skipDeadDeletes && isDelete(m.fm) {
-					dead[m.dpid] = true
-					continue
-				}
-				return dead, fmt.Errorf("steering: switch %#x not connected", m.dpid)
-			}
-			touched[m.dpid] = conn
-		}
-		if err := conn.SendFlowMod(m.fm); err != nil {
-			// A send error on a delete means the datapath died under us
-			// (its connection may outlive the pipe by a beat): same
-			// treatment as not-connected.
-			if skipDeadDeletes && isDelete(m.fm) {
-				dead[m.dpid] = true
-				delete(touched, m.dpid)
-				continue
-			}
-			return dead, fmt.Errorf("steering: flow-mod on %#x: %w", m.dpid, err)
-		}
+	// Each switch's mods, in order, and whether they are all deletes.
+	type batch struct {
+		conn    *pox.Connection
+		fms     []*openflow.FlowMod
+		deletes bool
 	}
-	errs := make(chan error, len(touched))
-	for dpid, conn := range touched {
-		go func(dpid uint64, conn *pox.Connection) {
-			if err := conn.Barrier(5 * time.Second); err != nil {
-				errs <- fmt.Errorf("steering: barrier on %#x: %w", dpid, err)
-				return
-			}
-			errs <- nil
-		}(dpid, conn)
+	var order []uint64
+	batches := map[uint64]*batch{}
+	for _, m := range mods {
+		b := batches[m.dpid]
+		if b == nil {
+			b = &batch{deletes: true}
+			batches[m.dpid] = b
+			order = append(order, m.dpid)
+		}
+		b.fms = append(b.fms, m.fm)
+		b.deletes = b.deletes && isDelete(m.fm)
+	}
+	dead := map[uint64]bool{}
+	for _, dpid := range order {
+		b := batches[dpid]
+		if b.conn = s.ctrl.Connection(dpid); b.conn != nil {
+			continue
+		}
+		if !skipDeadDeletes || !b.deletes {
+			return dead, fmt.Errorf("steering: switch %#x not connected", dpid)
+		}
+		dead[dpid] = true
+		delete(batches, dpid)
+	}
+	// One write and one barrier per switch, the switches in parallel.
+	type result struct {
+		dpid uint64
+		err  error
+	}
+	results := make(chan result, len(batches))
+	for dpid, b := range batches {
+		go func() {
+			results <- result{dpid, b.conn.FlowModsBarrier(b.fms, 5*time.Second)}
+		}()
 	}
 	var firstErr error
-	for range touched {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
+	for range batches {
+		r := <-results
+		switch {
+		case r.err == nil:
+		case skipDeadDeletes && batches[r.dpid].deletes && errors.Is(r.err, pox.ErrNotSent):
+			// A failed write of deletes means the datapath died under us
+			// (its connection may outlive the pipe by a beat): same
+			// treatment as not-connected.
+			dead[r.dpid] = true
+		case firstErr == nil:
+			firstErr = fmt.Errorf("steering: flow-mods and barrier on %#x: %w", r.dpid, r.err)
 		}
 	}
 	return dead, firstErr

@@ -51,9 +51,9 @@ func newAgentClient(t *testing.T) (*netem.Network, *Agent, *Client) {
 // bytes on the wire, because the options go out in name order.
 func TestInitiateVNFOpRendersOneByteString(t *testing.T) {
 	options := map[string]string{"mem": "32", "cpu": "0.5", "pattern": "x", "rate": "10", "burst": "4"}
-	want := InitiateVNFOp("monitor", options).XML()
+	want := InitiateVNFOp("monitor", options).String()
 	for i := 0; i < 100; i++ {
-		if got := InitiateVNFOp("monitor", options).XML(); got != want {
+		if got := InitiateVNFOp("monitor", options).String(); got != want {
 			t.Fatalf("render %d:\n%s\nfirst render:\n%s", i, got, want)
 		}
 	}

@@ -16,58 +16,60 @@ import (
 // same tree (FuzzParseXML holds it to that), and the renderer writes the
 // same bytes, except attribute values, which the reference Go-quotes.
 
-// XML renders the tree as indented XML: two spaces per level, one
+// String renders the tree as indented XML: two spaces per level, one
 // element per line, attributes in key order. Text and attribute values
 // are escaped as encoding/xml's EscapeText escapes text, so ParseXML
 // reads every attribute value, and every text without surrounding
 // space, back unchanged.
-func (d *Data) XML() string {
-	var b strings.Builder
-	b.Grow(512)
-	d.writeXML(&b, 0)
-	return b.String()
+func (d *Data) String() string {
+	return string(d.AppendXML(make([]byte, 0, 512)))
 }
 
-func (d *Data) writeXML(b *strings.Builder, depth int) {
-	writePad(b, depth)
-	b.WriteByte('<')
-	b.WriteString(d.Name)
-	d.writeAttrs(b)
+// AppendXML appends the tree rendered as String renders it to b: a
+// caller that reuses b renders message after message without
+// allocating.
+func (d *Data) AppendXML(b []byte) []byte { return d.appendXML(b, 0) }
+
+func (d *Data) appendXML(b []byte, depth int) []byte {
+	b = appendPad(b, depth)
+	b = append(b, '<')
+	b = append(b, d.Name...)
+	b = d.appendAttrs(b)
 	switch {
 	case len(d.Children) == 0 && d.Text == "":
-		b.WriteString("/>\n")
-		return
+		return append(b, "/>\n"...)
 	case len(d.Children) == 0:
-		b.WriteByte('>')
-		writeEscaped(b, d.Text)
+		b = append(b, '>')
+		b = appendEscaped(b, d.Text)
 	default:
-		b.WriteString(">\n")
+		b = append(b, ">\n"...)
 		for _, c := range d.Children {
-			c.writeXML(b, depth+1)
+			b = c.appendXML(b, depth+1)
 		}
-		writePad(b, depth)
+		b = appendPad(b, depth)
 	}
-	b.WriteString("</")
-	b.WriteString(d.Name)
-	b.WriteString(">\n")
+	b = append(b, "</"...)
+	b = append(b, d.Name...)
+	return append(b, ">\n"...)
 }
 
 const padding = "                                "
 
-func writePad(b *strings.Builder, depth int) {
+func appendPad(b []byte, depth int) []byte {
 	for n := 2 * depth; n > 0; n -= len(padding) {
-		b.WriteString(padding[:min(n, len(padding))])
+		b = append(b, padding[:min(n, len(padding))]...)
 	}
+	return b
 }
 
-// writeAttrs writes the attributes in key order. An element carries one
-// or two (an rpc's xmlns and message-id), which need no sort.
-func (d *Data) writeAttrs(b *strings.Builder) {
+// appendAttrs appends the attributes in key order. An element carries
+// one or two (an rpc's xmlns and message-id), which need no sort.
+func (d *Data) appendAttrs(b []byte) []byte {
 	if len(d.Attrs) > 2 {
 		for _, k := range slices.Sorted(maps.Keys(d.Attrs)) {
-			writeAttr(b, k, d.Attrs[k])
+			b = appendAttr(b, k, d.Attrs[k])
 		}
-		return
+		return b
 	}
 	var kv [2][2]string
 	n := 0
@@ -79,23 +81,24 @@ func (d *Data) writeAttrs(b *strings.Builder) {
 		kv[0], kv[1] = kv[1], kv[0]
 	}
 	for _, a := range kv[:n] {
-		writeAttr(b, a[0], a[1])
+		b = appendAttr(b, a[0], a[1])
 	}
+	return b
 }
 
-func writeAttr(b *strings.Builder, key, val string) {
-	b.WriteByte(' ')
-	b.WriteString(key)
-	b.WriteString(`="`)
-	writeEscaped(b, val)
-	b.WriteByte('"')
+func appendAttr(b []byte, key, val string) []byte {
+	b = append(b, ' ')
+	b = append(b, key...)
+	b = append(b, `="`...)
+	b = appendEscaped(b, val)
+	return append(b, '"')
 }
 
-// writeEscaped writes s escaped as encoding/xml's EscapeText escapes it:
-// the five markup characters and tab, newline and carriage return as
+// appendEscaped appends s escaped as encoding/xml's EscapeText escapes
+// it: the five markup characters and tab, newline and carriage return as
 // references, and every byte or rune XML cannot carry as U+FFFD. A run
-// of plain bytes is written as one piece.
-func writeEscaped(b *strings.Builder, s string) {
+// of plain bytes is appended as one piece.
+func appendEscaped(b []byte, s string) []byte {
 	last := 0
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -136,12 +139,12 @@ func writeEscaped(b *strings.Builder, s string) {
 				continue
 			}
 		}
-		b.WriteString(s[last:i])
-		b.WriteString(esc)
+		b = append(b, s[last:i]...)
+		b = append(b, esc...)
 		i += width
 		last = i
 	}
-	b.WriteString(s[last:])
+	return append(b, s[last:]...)
 }
 
 // isXMLChar reports whether XML 1.0 can carry r (its Char production).

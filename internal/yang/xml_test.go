@@ -27,7 +27,7 @@ func initiateRPC() *Data {
 // rpc and reply, hellos, an rpc-error, prefixed names, entities, CDATA
 // and truncated messages.
 func FuzzParseXML(f *testing.F) {
-	f.Add(initiateRPC().XML())
+	f.Add(initiateRPC().String())
 	f.Fuzz(func(t *testing.T, src string) {
 		got, err := ParseXML(src)
 		want, refErr := refParseXML(src)
@@ -158,7 +158,7 @@ func TestNameTables(t *testing.T) {
 	}
 }
 
-// TestXMLMatchesReference: XML renders random trees byte for byte as
+// TestXMLMatchesReference: String renders random trees byte for byte as
 // refXML does. Attribute values that need escaping are left out: refXML
 // Go-quotes them (TestXMLEscapesAttributes).
 func TestXMLMatchesReference(t *testing.T) {
@@ -173,9 +173,7 @@ func TestXMLMatchesReference(t *testing.T) {
 		return b.String()
 	}
 	plain := func(v string) bool {
-		var b strings.Builder
-		writeEscaped(&b, v)
-		return b.String() == v && strconv.Quote(v) == `"`+v+`"`
+		return string(appendEscaped(nil, v)) == v && strconv.Quote(v) == `"`+v+`"`
 	}
 	names := []string{"rpc", "vnf_id", "a", "nc:rpc", "x-y.z"}
 	var tree func(depth int) *Data
@@ -197,15 +195,15 @@ func TestXMLMatchesReference(t *testing.T) {
 	}
 	for range 2000 {
 		d := tree(0)
-		if got, want := d.XML(), refXML(d); got != want {
-			t.Fatalf("XML() =\n%q\nthe reference renders\n%q", got, want)
+		if got, want := d.String(), refXML(d); got != want {
+			t.Fatalf("String() =\n%q\nthe reference renders\n%q", got, want)
 		}
 	}
 	deep := NewData("leaf").SetAttr("k", "v")
 	for range 40 {
 		deep = NewData("n").Add(deep)
 	}
-	if got, want := deep.XML(), refXML(deep); got != want {
+	if got, want := deep.String(), refXML(deep); got != want {
 		t.Fatalf("a 41-level tree renders\n%s\nthe reference renders\n%s", got, want)
 	}
 }
@@ -215,7 +213,7 @@ func TestXMLMatchesReference(t *testing.T) {
 // no parser accepts.
 func TestXMLEscapesAttributes(t *testing.T) {
 	for _, v := range []string{"1&2", `a"b`, "x<y", "p>q", "it's", `back\slash`, "tab\there", "two\nlines", "cr\rlf", "é "} {
-		src := NewData("rpc").SetAttr("message-id", v).SetAttr("z", v).XML()
+		src := NewData("rpc").SetAttr("message-id", v).SetAttr("z", v).String()
 		d, err := ParseXML(src)
 		if err != nil {
 			t.Errorf("attribute %q renders %q, which does not parse: %v", v, src, err)
@@ -235,7 +233,7 @@ func TestCodecAllocations(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	rpc := initiateRPC()
-	src := rpc.XML()
+	src := rpc.String()
 	if n := testing.AllocsPerRun(200, func() {
 		if _, err := ParseXML(src); err != nil {
 			t.Fatal(err)
@@ -243,8 +241,8 @@ func TestCodecAllocations(t *testing.T) {
 	}); n > 6 {
 		t.Errorf("ParseXML of an initiateVNF rpc allocates %v objects, want at most 6", n)
 	}
-	if n := testing.AllocsPerRun(200, func() { _ = rpc.XML() }); n > 2 {
-		t.Errorf("XML of an initiateVNF rpc allocates %v objects, want at most 2", n)
+	if n := testing.AllocsPerRun(200, func() { _ = rpc.String() }); n > 2 {
+		t.Errorf("String of an initiateVNF rpc allocates %v objects, want at most 2", n)
 	}
 }
 
@@ -252,14 +250,14 @@ func TestCodecAllocations(t *testing.T) {
 // the encoding/xml codec it replaced.
 func BenchmarkCodec(b *testing.B) {
 	rpc := initiateRPC()
-	src := rpc.XML()
+	src := rpc.String()
 	for _, bm := range []struct {
 		name string
 		fn   func()
 	}{
 		{"parse", func() { _, _ = ParseXML(src) }},
 		{"parse-reference", func() { _, _ = refParseXML(src) }},
-		{"render", func() { _ = rpc.XML() }},
+		{"render", func() { _ = rpc.String() }},
 		{"render-reference", func() { _ = refXML(rpc) }},
 	} {
 		b.Run(bm.name, func(b *testing.B) {

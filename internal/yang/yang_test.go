@@ -165,13 +165,13 @@ func TestDataXMLRoundTrip(t *testing.T) {
 			AddLeaf("id", "v2 <&>").
 			AddLeaf("status", "STOPPED"),
 	)
-	xmlStr := d.XML()
+	xmlStr := d.String()
 	back, err := ParseXML(xmlStr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Name != "vnfs" || len(back.ChildrenNamed("vnf")) != 2 {
-		t.Fatalf("round trip = %s", back.XML())
+		t.Fatalf("round trip = %s", back.String())
 	}
 	if back.Children[1].ChildText("id") != "v2 <&>" {
 		t.Errorf("escaped text = %q", back.Children[1].ChildText("id"))
@@ -184,7 +184,7 @@ func TestParseXMLStripsNamespacePrefixes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if d.Name != "rpc" || d.ChildText("foo") != "bar" {
-		t.Errorf("parsed = %s", d.XML())
+		t.Errorf("parsed = %s", d.String())
 	}
 	if d.Attr("message-id") != "5" {
 		t.Errorf("attr = %q", d.Attr("message-id"))
@@ -209,7 +209,7 @@ func TestMergeSemantics(t *testing.T) {
 	)
 	Merge(ds, edit)
 	if len(ds.ChildrenNamed("vnf")) != 1 {
-		t.Fatalf("merge duplicated list entry: %s", ds.XML())
+		t.Fatalf("merge duplicated list entry: %s", ds.String())
 	}
 	if ds.Children[0].ChildText("status") != "RUNNING" {
 		t.Errorf("status = %q", ds.Children[0].ChildText("status"))
@@ -220,7 +220,7 @@ func TestMergeSemantics(t *testing.T) {
 	)
 	Merge(ds, edit2)
 	if len(ds.ChildrenNamed("vnf")) != 2 {
-		t.Fatalf("new entry not appended: %s", ds.XML())
+		t.Fatalf("new entry not appended: %s", ds.String())
 	}
 	// New leaf appends.
 	Merge(ds, NewData("config").AddLeaf("version", "2"))
@@ -252,7 +252,7 @@ func TestQuickXMLRoundTrip(t *testing.T) {
 		}, text)
 		clean = strings.TrimSpace(clean)
 		d := NewData("root").AddLeaf("x", clean)
-		back, err := ParseXML(d.XML())
+		back, err := ParseXML(d.String())
 		if err != nil {
 			return false
 		}
