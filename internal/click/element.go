@@ -100,7 +100,7 @@ type Element interface {
 // work was done: after a round in which no task did any, the driver blocks
 // (idle.go) until something can have created work. A task whose work
 // appears without a frame or a handler write — because time passed — must
-// also implement deadliner, or it runs again only on the next tick.
+// also implement deadliner: nothing else wakes a parked driver for it.
 type tasker interface {
 	RunTask() bool
 }
@@ -133,10 +133,10 @@ type handlerProvider interface {
 // implementations. Embed it by value.
 //
 // Concurrency model: every element owns a small mutex. Element code
-// (Push/Pull/RunTask/Tick/handlers) always runs with its element's mutex
+// (Push/Pull/RunTask/handlers) always runs with its element's mutex
 // held — the caller acquires it: PushOut/PullIn lock the neighbour before
 // invoking it, the driver locks a task's element around RunTask, and the
-// router locks an element around handler reads/writes and ticks. Locks
+// router locks an element around handler reads/writes. Locks
 // nest along a push or pull chain in flow order, so loop-free
 // configurations (the only kind that terminate at all) cannot deadlock,
 // and two tasks traversing overlapping chains serialize only on the

@@ -5,19 +5,20 @@ package click
 // round of tasks reports nothing done, the Run goroutine parks in one
 // blocking select (Router.park) over
 //
-//   - ctx, so Stop returns at once;
-//   - the tick;
 //   - the receive channel of each ingress FromDevice: the frame that ends
 //     the wait is stashed on that FromDevice and is the first one its next
 //     run emits, so order and counts are exact;
 //   - its wake channel, kicked by a handler write from another goroutine
-//     (WriteHandler, the ControlSocket);
-//   - one timer armed to the earliest deadliner deadline.
+//     (WriteHandler, the ControlSocket) and by ctx's cancellation, so Stop
+//     returns at once;
+//   - one timer armed to the earliest deadliner deadline, in routers that
+//     have a deadliner only.
 //
-// Nothing here polls, and no mutex is held while blocked.
+// Nothing here polls, and a router without a deadliner reads no clock and
+// arms no timer: parked, it sleeps until a frame or a kick arrives. No
+// mutex is held while blocked.
 
 import (
-	"context"
 	"fmt"
 	"time"
 )
@@ -93,24 +94,20 @@ func (pk *parker) nextDeadline() (at time.Time, ok bool) {
 }
 
 // park blocks the driver goroutine until something may have created work
-// for it and reports false once ctx is done. Receive cases for absent
-// devices name nil channels, which never fire.
-func (r *Router) park(ctx context.Context, tick <-chan time.Time) bool {
+// for it. Receive cases for absent devices name nil channels, and so does
+// the deadline case when no deadline is pending: those never fire.
+func (r *Router) park() {
 	pk := r.idle
 	var deadline <-chan time.Time
 	if at, ok := pk.nextDeadline(); ok {
 		d := time.Until(at)
 		if d <= 0 {
-			return true
+			return
 		}
 		pk.timer.Reset(d)
 		deadline = pk.timer.C
 	}
 	select {
-	case <-ctx.Done():
-		return false
-	case now := <-tick:
-		r.tick(now)
 	case <-pk.wake:
 	case <-deadline:
 	case frame := <-pk.recv[0]:
@@ -122,5 +119,4 @@ func (r *Router) park(ctx context.Context, tick <-chan time.Time) bool {
 	case frame := <-pk.recv[3]:
 		pk.chans[3].stash(frame)
 	}
-	return true
 }

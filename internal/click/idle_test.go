@@ -16,15 +16,19 @@ import (
 // loaded machine, where any one wait can be stretched by tens of
 // milliseconds: they count rounds, count how many of many events were slow,
 // and read rates off the packets that were least late — they never time a
-// single event. A driver that polls, or that loses a wake-up and is rescued
-// by the 10 ms tick, fails them by a factor, not by a margin.
+// single event. A driver that polls fails them by a factor, not by a
+// margin; one that loses a wake-up hangs until recvFrame's timeout.
+
+// idleUnit is the scale the bounds below are drawn on: a driver that woke
+// on a 10 ms clock instead of on its events would miss them by a factor.
+const idleUnit = 10 * time.Millisecond
 
 // idleProbe is a task that never has work. It counts the rounds the driver
-// runs and the ticks it delivers, so a test can tell a blocked driver from
-// a polling one without timing anything.
+// runs, so a test can tell a blocked driver from a polling one without
+// timing anything.
 type idleProbe struct {
 	Base
-	runs, ticks atomic.Int64
+	runs atomic.Int64
 }
 
 func (*idleProbe) Class() string  { return "IdleProbe" }
@@ -33,7 +37,6 @@ func (p *idleProbe) RunTask() bool {
 	p.runs.Add(1)
 	return false
 }
-func (p *idleProbe) Tick(time.Time) { p.ticks.Add(1) }
 
 // writeSource is a test source that emits one packet per write to its
 // emit handler: work a handler write, and nothing else, creates.
@@ -94,11 +97,10 @@ func recvFrame(t *testing.T, ch <-chan []byte, what string) []byte {
 	}
 }
 
-// slowAfter is the line between an event a blocked driver delivered and one
-// that waited for the tick: a tick-rescue takes a whole tickInterval when
-// the previous event returned right after a tick, and three quarters of
-// them take longer than this wherever in the period they start.
-const slowAfter = tickInterval / 4
+// slowAfter is the line between an event a blocked driver delivered at once
+// and one that waited for something else: a periodic rescue of a lost
+// wake-up every idleUnit would take longer than this three times in four.
+const slowAfter = idleUnit / 4
 
 // promptly runs event n times, each of which must block until its effect is
 // visible, and fails if more than maxSlow of them were slow. Counting, not
@@ -114,12 +116,13 @@ func promptly(t *testing.T, n, maxSlow int, event func(i int)) {
 		}
 	}
 	if slow > maxSlow {
-		t.Errorf("%d of %d wake-ups took over %v, want at most %d: the driver is waiting for its tick", slow, n, slowAfter, maxSlow)
+		t.Errorf("%d of %d wake-ups took over %v, want at most %d: the driver is waiting for something else", slow, n, slowAfter, maxSlow)
 	}
 }
 
-// TestIdleDriverBlocks: with nothing arriving the driver runs about one
-// round per tick, and Stop from the parked state does not wait for one.
+// TestIdleDriverBlocks: with nothing arriving the driver runs one round and
+// parks until stopped, never woken, and Stop from the parked state returns
+// at once.
 func TestIdleDriverBlocks(t *testing.T) {
 	t.Run("single", func(t *testing.T) {
 		const routers = 5
@@ -134,8 +137,8 @@ func TestIdleDriverBlocks(t *testing.T) {
 		stops := make([]time.Duration, routers)
 		for i, r := range rs {
 			probe := r.Element("probe").(*idleProbe)
-			if runs, ticks := probe.runs.Load(), probe.ticks.Load(); runs > ticks+4 || ticks < 5 {
-				t.Errorf("idle driver ran %d rounds over %d ticks in 200 ms, want about one round per tick", runs, ticks)
+			if runs := probe.runs.Load(); runs > 1 {
+				t.Errorf("idle driver ran %d rounds in 200 ms, want at most 1: something woke it", runs)
 			}
 			start := time.Now()
 			r.Stop()
@@ -149,7 +152,7 @@ func TestIdleDriverBlocks(t *testing.T) {
 }
 
 // TestIdleWakeSources: everything that can hand a parked driver work wakes
-// it, without the tick.
+// it.
 func TestIdleWakeSources(t *testing.T) {
 	const n, maxSlow = 40, 4
 	frame := make([]byte, 60)
@@ -185,8 +188,9 @@ func spinFor(d time.Duration) {
 // round sends one frame, which the driver forwards and then finds nothing
 // more to do, and a second one a random few microseconds later, while the
 // driver is somewhere between its last empty round and its select. Nothing
-// follows until both came out, so a second frame whose wake-up was lost is
-// rescued by the tick alone. All frames must come out in order. One slow
+// follows until both came out, so a second frame whose wake-up was lost
+// hangs until recvFrame's timeout and fails the test. All frames must come
+// out in order. One slow
 // round in fifty is allowed for: a 2-vCPU machine shared with other test
 // binaries delays about one goroutine hand-off in a hundred that much.
 func TestIdleNoLostWakeup(t *testing.T) {
@@ -251,18 +255,19 @@ func TestIdleManyIngressDevices(t *testing.T) {
 	})
 }
 
-// collect receives n frames and returns the arrival time of each. The tick
-// bounds what any fault of the driver can add to a wait at tickInterval, so
-// a gap of five of them is the machine, stalled for longer than half the
-// 100 ms of burst the elements under test may hold: whatever the arrivals
-// then show is not their rate, and the test is skipped as inconclusive.
+// collect receives n frames and returns the arrival time of each. A driver
+// that loses a wake-up leaves the next frame to recvFrame's timeout, so a
+// gap of 5 idleUnits that did end is the machine, stalled for longer than
+// half the 100 ms of burst the elements under test may hold: whatever the
+// arrivals then show is not their rate, and the test is skipped as
+// inconclusive.
 func collect(t *testing.T, ch <-chan []byte, n int) []time.Time {
 	t.Helper()
 	at := make([]time.Time, n)
 	for i := range at {
 		recvFrame(t, ch, fmt.Sprintf("packet %d of %d", i, n))
 		at[i] = time.Now()
-		if i > 0 && at[i].Sub(at[i-1]) > 5*tickInterval {
+		if i > 0 && at[i].Sub(at[i-1]) > 5*idleUnit {
 			t.Skipf("machine stalled %v before packet %d: inconclusive", at[i].Sub(at[i-1]), i)
 		}
 	}
@@ -297,11 +302,11 @@ func assertOnSchedule(t *testing.T, at []time.Time, from int, period time.Durati
 	}
 }
 
-// assertNotOnTick fails if at[from:] left in per-tick bursts. Packets one
-// wake-up releases arrive microseconds apart; the longer gaps are the
-// waits between wake-ups, a tickInterval each when the tick drives them
-// and the element's own period when deadlines do. The median ignores the
-// gaps a stalled machine adds.
+// assertNotOnTick fails if at[from:] left in bursts on a periodic clock.
+// Packets one wake-up releases arrive microseconds apart; the longer gaps
+// are the waits between wake-ups, an idleUnit each when a 10 ms clock
+// drives them and the element's own period when deadlines do. The median
+// ignores the gaps a stalled machine adds.
 func assertNotOnTick(t *testing.T, at []time.Time, from int) {
 	t.Helper()
 	var waits []time.Duration
@@ -314,23 +319,23 @@ func assertNotOnTick(t *testing.T, at []time.Time, from int) {
 		t.Fatalf("packets %d–%d arrived in one burst", from, len(at)-1)
 	}
 	sort.Slice(waits, func(i, j int) bool { return waits[i] < waits[j] })
-	if med := waits[len(waits)/2]; med > tickInterval/2 {
+	if med := waits[len(waits)/2]; med > idleUnit/2 {
 		t.Errorf("median wait between releases is %v over %d wake-ups: packets leave on the tick, not on their deadlines", med, len(waits))
 	}
 }
 
 // assertNoSpin bounds the rounds a driver ran while it released packets on
 // deadlines: each wake-up is one round that works and one that finds
-// nothing and parks, plus a round per tick.
+// nothing and parks.
 func assertNoSpin(t *testing.T, probe *idleProbe, packets int64) {
 	t.Helper()
-	if runs, max := probe.runs.Load(), 2*packets+probe.ticks.Load()+8; runs > max {
+	if runs, max := probe.runs.Load(), 2*packets+8; runs > max {
 		t.Errorf("%d rounds for %d packets, want at most %d: the driver is spinning", runs, packets, max)
 	}
 }
 
 // TestDeadlineShapers: a backlog behind RatedUnqueue drains at the
-// configured rate, packet by packet rather than in per-tick bursts, and
+// configured rate, packet by packet rather than in periodic bursts, and
 // without spinning. The bucket may hold 100 ms of burst, so everything is
 // read over the packets after the first 200.
 func TestDeadlineShapers(t *testing.T) {

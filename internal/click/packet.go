@@ -20,7 +20,7 @@
 //
 // Concurrency: there is no global router lock. Each element carries its
 // own mutex (see Base), acquired by whoever invokes the element — the
-// neighbour on PushOut/PullIn, the driver around RunTask and ticks, the
+// neighbour on PushOut/PullIn, the driver around RunTask, the
 // router around handler access. Handler reads and writes therefore stay
 // race-free against a running driver.
 //

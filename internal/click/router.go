@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Options tune router construction.
@@ -14,9 +13,6 @@ type Options struct {
 	// implementations.
 	Devices map[string]Device
 }
-
-// tickInterval is the period of Ticker callbacks.
-const tickInterval = 10 * time.Millisecond
 
 // Router is an instantiated, wired Click element graph: one VNF instance.
 type Router struct {
@@ -327,7 +323,7 @@ func (r *Router) device(name string) (Device, bool) {
 
 // Run drives the router until ctx is cancelled. It blocks; use a goroutine.
 // The driver executes scheduler tasks (FromDevices, RatedUnqueues, pulling
-// ToDevices) and periodic ticks. Push processing happens synchronously inside task runs.
+// ToDevices); push processing happens synchronously inside task runs.
 // A router runs once: a second Run, concurrent or after Stop, returns at
 // once.
 func (r *Router) Run(ctx context.Context) {
@@ -366,22 +362,22 @@ func runLocked(te taskEntry, eb *Base) bool {
 	return worked
 }
 
-// runTasks is the one task loop: it delivers ticks and runs tasks
-// round-robin on the calling goroutine until ctx is cancelled. A round in
-// which no task did anything parks the goroutine (see idle.go) until a
-// frame, a kick, a deadline, the tick or ctx ends the wait.
+// runTasks is the one task loop: it runs tasks round-robin on the calling
+// goroutine until ctx is cancelled. A round in which no task did anything
+// parks the goroutine (see idle.go) until a frame, a kick or a deadline
+// ends the wait; a cancelled ctx arrives as a kick. The loop reads no
+// clock: time is the business of the elements that need it.
 func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
-	ticker := time.NewTicker(tickInterval)
-	defer ticker.Stop()
+	stopKick := context.AfterFunc(ctx, r.kick) // a parked driver learns of Stop as a kick
+	defer stopKick()
 	if r.idle.timer != nil {
 		defer r.idle.timer.Stop()
 	}
+	done := ctx.Done()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-done:
 			return
-		case now := <-ticker.C:
-			r.tick(now)
 		default:
 		}
 		worked := false
@@ -390,8 +386,8 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 				worked = true
 			}
 		}
-		if !worked && !r.park(ctx, ticker.C) {
-			return
+		if !worked {
+			r.park()
 		}
 	}
 }
@@ -399,22 +395,6 @@ func (r *Router) runTasks(ctx context.Context, tasks []taskEntry) {
 // kick makes the driver run another round. WriteHandler calls it: a write
 // can hand a task new work (a raised RatedUnqueue rate, for one).
 func (r *Router) kick() { r.idle.kick() }
-
-// ticker elements receive periodic time callbacks (rate estimators).
-type ticker interface {
-	Tick(now time.Time)
-}
-
-func (r *Router) tick(now time.Time) {
-	for _, n := range r.order {
-		if tk, ok := r.elems[n].(ticker); ok {
-			b := r.elems[n].base()
-			b.mu.Lock()
-			tk.Tick(now)
-			b.mu.Unlock()
-		}
-	}
-}
 
 // Stop cancels a running router and waits for the driver to exit.
 func (r *Router) Stop() {

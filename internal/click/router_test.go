@@ -2,7 +2,10 @@ package click
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -238,16 +241,63 @@ func TestBuiltinHandlers(t *testing.T) {
 	}
 }
 
-func TestCounterRateTick(t *testing.T) {
+// readRate reads a Counter rate handler as a number.
+func readRate(t *testing.T, r *Router, spec string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(readUint(t, r, spec), 64)
+	if err != nil {
+		t.Fatalf("%s: %v", spec, err)
+	}
+	return v
+}
+
+// TestCounterRate drives a Counter's period clock by hand: the rate is the
+// EWMA (α = 0.5 per 10 ms period) over each period's own count, folded when
+// a packet or a read finds the period moved on.
+func TestCounterRate(t *testing.T) {
 	r := mustRouter(t, `c :: Counter; c -> ToDevice(out);`)
-	pushN(t, r, "c", 100)
-	now := time.Now()
-	r.tick(now)
-	pushN(t, r, "c", 100)
-	r.tick(now.Add(100 * time.Millisecond)) // 100 pkts / 0.1s = 1000 pps inst
-	v := readUint(t, r, "c.rate")
-	if !strings.HasPrefix(v, "5") { // EWMA 0.5*0 + 0.5*1000 = 500
-		t.Errorf("rate = %s, want ≈500", v)
+	var clock atomic.Uint64
+	r.Element("c").(*counter).period = &clock
+	// busy runs periods at 1 000 pps: 10 packets in each.
+	busy := func(periods int) {
+		for i := 0; i < periods; i++ {
+			pushN(t, r, "c", 10)
+			clock.Add(1)
+		}
+	}
+	within := func(what string, got, want, tol float64) {
+		t.Helper()
+		if math.Abs(got-want) > tol*want {
+			t.Errorf("%s: rate = %.2f, want %.2f within %.0f%%", what, got, want, 100*tol)
+		}
+	}
+
+	busy(20)
+	within("steady 1 000 pps over 20 periods", readRate(t, r, "c.rate"), 1000, 0.01)
+	within("steady bit rate", readRate(t, r, "c.bit_rate"), 1000*64*8, 0.01)
+
+	// One idle second, then 10 busy periods: the first packet closes the
+	// idle periods, so the busy ones are not averaged over the whole gap.
+	clock.Add(100)
+	busy(10)
+	woke := readRate(t, r, "c.rate")
+	if woke < 990 {
+		t.Errorf("10 periods at 1 000 pps after an idle second: rate = %.2f, want ≥ 990", woke)
+	}
+
+	// Five idle periods halve it five times; a read alone folds them.
+	clock.Add(5)
+	within("5 idle periods later", readRate(t, r, "c.rate"), woke/32, 0.001)
+
+	if err := r.writeHandler("c.reset", ""); err != nil {
+		t.Fatal(err)
+	}
+	if v := readUint(t, r, "c.rate"); v != "0.00" {
+		t.Errorf("rate after reset = %s, want 0.00", v)
+	}
+	clock.Add(1)
+	if v := readUint(t, r, "c.rate"); v != "0.00" {
+		t.Errorf("rate a period after reset = %s, want 0.00", v)
 	}
 }
 

@@ -64,6 +64,9 @@ func (e *FlowEntry) snapshot() FlowEntry {
 // next snapshot under mu and publish it.
 type FlowTable struct {
 	mu sync.Mutex // serializes writers
+	// timed counts the installed entries with an idle or hard timeout,
+	// under mu; a sweep with none to look at returns at once.
+	timed int
 	// entries is sorted by priority desc, stable insertion order. The
 	// slice and the entries it points to are never written once stored.
 	entries atomic.Pointer[[]*FlowEntry]
@@ -125,6 +128,18 @@ func (t *FlowTable) Add(e *FlowEntry) {
 	next := make([]*FlowEntry, 0, len(cur)+1)
 	next = append(append(append(next, cur[:at]...), e), cur[at+replaced:]...)
 	t.entries.Store(&next)
+	t.timed += expires(e)
+	if replaced > 0 {
+		t.timed -= expires(cur[at])
+	}
+}
+
+// expires is 1 for an entry with an idle or hard timeout, else 0.
+func expires(e *FlowEntry) int {
+	if e.IdleTimeout > 0 || e.HardTimeout > 0 {
+		return 1
+	}
+	return 0
 }
 
 // Lookup returns the highest-priority entry matching fields and updates
@@ -186,7 +201,7 @@ func (t *FlowTable) modify(m openflow.Match, priority uint16, actions []openflow
 	n := 0
 	for i, e := range next {
 		if selects(m, priority, strict, e) {
-			mod := *e // shares e.live
+			mod := *e // shares e.live and keeps e's timeouts, so timed stands
 			mod.Actions = actions
 			next[i] = &mod
 			n++
@@ -216,8 +231,15 @@ func (t *FlowTable) delete(m openflow.Match, priority uint16, strict bool) int {
 }
 
 // sweep evicts entries whose idle or hard timeout has expired and returns
-// the number evicted. The switch calls it periodically.
+// the number evicted. The switch calls it periodically; on a table of
+// entries without timeouts, every steering rule's case, it costs a lock.
 func (t *FlowTable) sweep(now time.Time) int {
+	t.mu.Lock()
+	timed := t.timed
+	t.mu.Unlock()
+	if timed == 0 {
+		return 0
+	}
 	return t.evict(func(e *FlowEntry) (uint8, bool) {
 		switch {
 		case e.HardTimeout > 0 && now.Sub(e.Created) >= e.HardTimeout:
@@ -230,23 +252,30 @@ func (t *FlowTable) sweep(now time.Time) int {
 }
 
 // evict publishes the table without the entries doomed picks and reports
-// each, with the reason doomed gave, through the removed callback.
+// each, with the reason doomed gave, through the removed callback. Nothing
+// is allocated until doomed picks one.
 func (t *FlowTable) evict(doomed func(*FlowEntry) (reason uint8, ok bool)) int {
 	t.mu.Lock()
 	cur := t.load()
-	keep := make([]*FlowEntry, 0, len(cur))
-	var victims []*FlowEntry
+	var keep, victims []*FlowEntry
 	var reasons []uint8
-	for _, e := range cur {
-		if reason, ok := doomed(e); ok {
+	for i, e := range cur {
+		reason, ok := doomed(e)
+		switch {
+		case ok:
+			if victims == nil {
+				keep = append(make([]*FlowEntry, 0, len(cur)-1), cur[:i]...)
+			}
 			victims = append(victims, e)
 			reasons = append(reasons, reason)
-		} else {
+			t.timed -= expires(e)
+		case victims != nil:
 			keep = append(keep, e)
 		}
 	}
 	if len(victims) > 0 {
-		t.entries.Store(&keep)
+		next := keep // declared here, so only a table that changed escapes
+		t.entries.Store(&next)
 	}
 	t.mu.Unlock()
 	for i, e := range victims {

@@ -148,6 +148,30 @@ func TestFlowTableSweepTimeouts(t *testing.T) {
 	}
 }
 
+// TestSweepAllocatesNothing: a sweep that finds nothing to evict allocates
+// nothing — at once over a table of steering rules, which have no
+// timeouts, and after a scan over one whose timed entry has not expired.
+func TestSweepAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts mean nothing under -race")
+	}
+	ft := NewFlowTable(nil)
+	for p := uint16(1); p <= 64; p++ {
+		ft.Add(&FlowEntry{Match: matchInPort(p), Priority: 100, Actions: []openflow.Action{openflow.ActionOutput{Port: p + 1}}})
+	}
+	later := time.Now().Add(time.Hour)
+	if n := testing.AllocsPerRun(100, func() { ft.sweep(later) }); n != 0 {
+		t.Errorf("a sweep over steering rules costs %v allocations, want 0", n)
+	}
+	ft.Add(&FlowEntry{Match: matchInPort(100), Priority: 1, IdleTimeout: 2 * time.Hour})
+	if n := testing.AllocsPerRun(100, func() { ft.sweep(later) }); n != 0 {
+		t.Errorf("a sweep that evicts nothing costs %v allocations, want 0", n)
+	}
+	if n := ft.sweep(later.Add(2 * time.Hour)); n != 1 || ft.Len() != 64 {
+		t.Fatalf("sweep past the timeout evicted %d, left %d entries; want 1 and 64", n, ft.Len())
+	}
+}
+
 func TestFlowTableIdleRefreshedByTraffic(t *testing.T) {
 	ft := NewFlowTable(nil)
 	ft.Add(&FlowEntry{Match: openflow.MatchAll(), Priority: 1, IdleTimeout: 50 * time.Millisecond})

@@ -467,6 +467,14 @@ func TestSerializeLayersEmpty(t *testing.T) {
 	}
 }
 
+// TestTCPIsNotBuilt: the decoder's TCP layer refuses to serialize; only
+// buildTCP, below, writes TCP frames, for the tests.
+func TestTCPIsNotBuilt(t *testing.T) {
+	if _, err := SerializeLayers(&Ethernet{EtherType: EtherTypeIPv4}, &IPv4{Protocol: IPProtoTCP, Src: ip1, Dst: ip2}, &tcp{SrcPort: 1}); err == nil {
+		t.Error("a TCP layer serialized")
+	}
+}
+
 func TestIPv4RejectsNonV4(t *testing.T) {
 	ip := &IPv4{Src: netip.MustParseAddr("::1"), Dst: ip2}
 	if _, err := ip.SerializeTo(nil); err == nil {
@@ -492,12 +500,22 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
-// buildTCP builds an Ethernet/IPv4/TCP frame carrying payload.
+// buildTCP builds an Ethernet/IPv4/TCP frame carrying payload: a 20-byte
+// TCP header with its pseudo-header checksum, written here because the
+// package builds no TCP frames of its own.
 func buildTCP(srcMAC, dstMAC MAC, src, dst netip.Addr, srcPort, dstPort uint16, flags uint8, seq uint32, payload []byte) ([]byte, error) {
 	ip := &IPv4{TTL: 64, Protocol: IPProtoTCP, Src: src, Dst: dst}
-	tcp := &tcp{SrcPort: srcPort, DstPort: dstPort, Flags: flags, Seq: seq, Window: 65535}
-	tcp.ip = ip
-	return SerializeLayers(&Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: EtherTypeIPv4}, ip, tcp, Raw(payload))
+	seg := make([]byte, 20+len(payload))
+	binary.BigEndian.PutUint16(seg[0:2], srcPort)
+	binary.BigEndian.PutUint16(seg[2:4], dstPort)
+	binary.BigEndian.PutUint32(seg[4:8], seq)
+	seg[12] = 5 << 4 // data offset: 5 words, no options
+	seg[13] = flags
+	binary.BigEndian.PutUint16(seg[14:16], 65535) // window
+	copy(seg[20:], payload)
+	sum := sumBytes(ip.pseudoHeaderChecksum(IPProtoTCP, len(seg)), seg)
+	binary.BigEndian.PutUint16(seg[16:18], finishChecksum(sum))
+	return SerializeLayers(&Ethernet{Src: srcMAC, Dst: dstMAC, EtherType: EtherTypeIPv4}, ip, Raw(seg))
 }
 
 // icmpChecksumOK reports whether a decoded ICMP message's checksum

@@ -135,8 +135,8 @@ const (
 	TCPUrg
 )
 
-// tcp is a TCP header. ESCAPE uses it for classification and for the
-// simplified load-generator streams, not for a full TCP implementation.
+// tcp is a decoded TCP header. ESCAPE reads TCP for classification and
+// builds no TCP frames: SerializeTo refuses.
 type tcp struct {
 	SrcPort, DstPort uint16
 	Seq, Ack         uint32
@@ -146,7 +146,6 @@ type tcp struct {
 	Checksum         uint16
 	Urgent           uint16
 	Options          []byte
-	ip               *IPv4
 	payload          []byte
 }
 
@@ -180,28 +179,8 @@ func (t *tcp) DecodeFromBytes(data []byte) error {
 }
 
 // SerializeTo implements Layer.
-func (t *tcp) SerializeTo(payload []byte) ([]byte, error) {
-	optLen := (len(t.Options) + 3) &^ 3
-	hdrLen := 20 + optLen
-	hdr := make([]byte, hdrLen)
-	binary.BigEndian.PutUint16(hdr[0:2], t.SrcPort)
-	binary.BigEndian.PutUint16(hdr[2:4], t.DstPort)
-	binary.BigEndian.PutUint32(hdr[4:8], t.Seq)
-	binary.BigEndian.PutUint32(hdr[8:12], t.Ack)
-	t.DataOffset = uint8(hdrLen / 4)
-	hdr[12] = t.DataOffset << 4
-	hdr[13] = t.Flags
-	binary.BigEndian.PutUint16(hdr[14:16], t.Window)
-	binary.BigEndian.PutUint16(hdr[18:20], t.Urgent)
-	copy(hdr[20:], t.Options)
-	if t.ip != nil {
-		sum := t.ip.pseudoHeaderChecksum(IPProtoTCP, hdrLen+len(payload))
-		sum = sumBytes(sum, hdr)
-		sum = sumBytes(sum, payload)
-		t.Checksum = finishChecksum(sum)
-		binary.BigEndian.PutUint16(hdr[16:18], t.Checksum)
-	}
-	return hdr, nil
+func (*tcp) SerializeTo([]byte) ([]byte, error) {
+	return nil, fmt.Errorf("pkt: TCP frames are not built here")
 }
 
 // NextLayerType implements Layer.
