@@ -516,17 +516,15 @@ func (s *Server) handleGetIntent(w http.ResponseWriter, r *http.Request, t *Tena
 
 func (s *Server) handleDeleteIntent(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	id := ServiceName(t.Name, r.PathValue("service"))
-	in := s.cfg.Store.Intent(id)
-	if in == nil {
-		writeErr(w, http.StatusNotFound, "no such intent")
-		return
-	}
-	upd := *in
-	upd.Desired = desiredRemoved
-	if err := s.cfg.Store.putIntent(&upd, time.Now()); err != nil {
+	upd, err := s.cfg.Store.removeIntent(id, time.Now())
+	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "persist: "+err.Error())
 		return
 	}
+	if upd == nil {
+		writeErr(w, http.StatusNotFound, "no such intent")
+		return
+	}
 	s.cfg.Reconciler.Enqueue(id)
-	writeJSON(w, http.StatusAccepted, s.status(&upd))
+	writeJSON(w, http.StatusAccepted, s.status(upd))
 }

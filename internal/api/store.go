@@ -438,11 +438,9 @@ func (s *Store) CreateTenant(name string, q Quota) (*Tenant, error) {
 	return t, nil
 }
 
-// putIntent durably upserts an intent (Seq/Updated are stamped here).
-func (s *Store) putIntent(in *Intent, now time.Time) error {
-	defer s.writeIntent(in.ID)()
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+// putLocked durably upserts an intent: it keeps the stored record's
+// birth time and stamps Updated and Seq. Called with s.wmu held.
+func (s *Store) putLocked(in *Intent, now time.Time) error {
 	if prev := s.intents[in.ID]; prev != nil {
 		in.Created = prev.Created
 	} else if in.Created.IsZero() {
@@ -469,24 +467,32 @@ func (s *Store) UpsertIntent(in *Intent, now time.Time) (*Intent, bool, error) {
 	defer s.writeIntent(in.ID)()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if prev := s.intents[in.ID]; prev != nil {
-		if prev.Desired == DesiredRun {
-			if prev.Hash == in.Hash {
-				return prev, true, nil
-			}
-			return prev, false, errIntentConflict
+	if prev := s.intents[in.ID]; prev != nil && prev.Desired == DesiredRun {
+		if prev.Hash == in.Hash {
+			return prev, true, nil
 		}
-		in.Created = prev.Created // reviving keeps the original birth time
+		return prev, false, errIntentConflict
 	}
-	if in.Created.IsZero() {
-		in.Created = now
-	}
-	in.Updated = now
-	in.Seq = s.seq + 1 // the seq appendLocked will assign
-	if err := s.appendLocked(&walRecord{Op: "intent", Intent: in}); err != nil {
+	if err := s.putLocked(in, now); err != nil {
 		return nil, false, err
 	}
 	return in, false, nil
+}
+
+// removeIntent durably marks intent id removed and returns the stored
+// record, or nil when there is none. It reads and writes under one wmu
+// hold, so it never writes back a record another write replaced.
+func (s *Store) removeIntent(id string, now time.Time) (*Intent, error) {
+	defer s.writeIntent(id)()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	prev := s.intents[id]
+	if prev == nil {
+		return nil, nil
+	}
+	upd := *prev
+	upd.Desired = desiredRemoved
+	return &upd, s.putLocked(&upd, now)
 }
 
 // Forget durably removes an intent record entirely (after the
@@ -502,8 +508,8 @@ func (s *Store) Forget(id string) error {
 }
 
 // Intent returns a copy-safe pointer to an intent, or nil. Intents are
-// treated as immutable once stored: updates go through putIntent with
-// a fresh value. A write of the same intent that is queued or in flight
+// treated as immutable once stored: updates store a fresh value. A
+// write of the same intent that is queued or in flight
 // is waited for; writes of other intents are not.
 func (s *Store) Intent(id string) *Intent {
 	s.mu.RLock()

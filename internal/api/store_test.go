@@ -37,6 +37,14 @@ func testIntent(t *testing.T, tenant, service string) *Intent {
 	}
 }
 
+// putIntent durably upserts in, whatever the store holds under its ID.
+func (s *Store) putIntent(in *Intent, now time.Time) error {
+	defer s.writeIntent(in.ID)()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return s.putLocked(in, now)
+}
+
 func TestStoreReplayRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir)
@@ -466,5 +474,64 @@ func TestStoreFailedAppendStaysInvisible(t *testing.T) {
 	}
 	if got := s.Intent(in.ID); got != nil || len(s.Intents("")) != 0 {
 		t.Fatalf("a refused write is visible: Intent found %t, %d listed", got != nil, len(s.Intents("")))
+	}
+}
+
+// TestRemoveIntentRacesRevive: a DELETE's removal races a POST that
+// revives the removed intent with another graph. Either order of the
+// two calls stores the POST's graph (running, or removed after it), so
+// the stored record must carry it: a removal that read the record and
+// wrote it back in two steps could store the old graph again over the
+// acknowledged POST. The POST starts a little later each round, to sweep
+// its arrival across the removal.
+func TestRemoveIntentRacesRevive(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	old := testIntent(t, "acme", "web")
+	id := old.ID
+	g := sg.NewChainGraph("web", "monitor", "monitor")
+	g.Name = id
+	raw, err := g.ToJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, canon, hash, err := CanonicalGraph(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := range 1000 {
+		removed := *old
+		removed.Desired = desiredRemoved
+		if err := s.putIntent(&removed, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		revive := &Intent{ID: id, Tenant: old.Tenant, Service: old.Service, Graph: canon, Hash: hash, Desired: DesiredRun}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			<-start
+			if in, err := s.removeIntent(id, time.Now()); err != nil || in == nil {
+				t.Errorf("removal: %v, %v", in, err)
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			<-start
+			for deadline := time.Now().Add(time.Duration(round%20) * time.Microsecond); time.Now().Before(deadline); {
+			}
+			if _, dup, err := s.UpsertIntent(revive, time.Now()); err != nil || dup {
+				t.Errorf("revive: duplicate %v, %v", dup, err)
+			}
+		}()
+		close(start)
+		wg.Wait()
+		if got := s.Intent(id); got.Hash != hash {
+			t.Fatalf("round %d: the store holds the old graph (%s) over the acknowledged revival", round, got.Desired)
+		}
 	}
 }

@@ -311,41 +311,52 @@ func (o *Orchestrator) Deploy(g *sg.Graph) (*Service, error) {
 	return svc, nil
 }
 
-// realize runs realizeEE for every EE the mapping places NFs on: one
-// goroutine per touched EE, so EEs proceed in parallel while each sees
-// its NFs' flights in order on its one management session. The first
-// error cancels the others at their next flight, as does a shutdown, so
-// the service can never be left stuck in Realizing; NFs already
-// initiated stay recorded in svc.NFs for the caller's rollback.
+// realize runs realizeEE for every EE the mapping places NFs on (fanOut),
+// so EEs proceed in parallel while each sees its NFs' flights in order on
+// the session it borrowed. The first error cancels the others at their next
+// flight, as does a shutdown, so the service can never be left stuck in
+// Realizing; NFs already initiated stay recorded for the rollback.
 func (o *Orchestrator) realize(svc *Service, mapping *Mapping) error {
 	groups := map[string][]string{}
 	for nfID, ee := range mapping.Placements {
 		groups[ee] = append(groups[ee], nfID)
 	}
 	var (
-		wg       sync.WaitGroup
 		errMu    sync.Mutex
 		firstErr error
 		cancel   atomic.Bool
 	)
-	for ee, nfIDs := range groups {
+	run := func(ee string, nfIDs []string) {
+		err := o.realizeEE(svc, mapping, ee, nfIDs, &cancel)
+		if err == nil || errors.Is(err, errSiblingFailed) {
+			return
+		}
+		cancel.Store(true)
+		errMu.Lock()
+		firstErr = cmp.Or(firstErr, err)
+		errMu.Unlock()
+	}
+	fanOut(groups, run)
+	return firstErr
+}
+
+// fanOut runs f for every entry of m, the last on the calling goroutine
+// and each other on one of its own, and returns when all have returned.
+func fanOut[T any](m map[string]T, f func(string, T)) {
+	var wg sync.WaitGroup
+	left := len(m)
+	for k, v := range m {
+		if left--; left == 0 {
+			f(k, v)
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			err := o.realizeEE(svc, mapping, ee, nfIDs, &cancel)
-			if err == nil || errors.Is(err, errSiblingFailed) {
-				return
-			}
-			cancel.Store(true)
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
-			}
-			errMu.Unlock()
+			f(k, v)
 		}()
 	}
 	wg.Wait()
-	return firstErr
 }
 
 // errSiblingFailed cancels an EE's realization once another EE's failed;
@@ -679,9 +690,7 @@ func (o *Orchestrator) releaseNFs(service string, deps []*DeployedNF) error {
 			return
 		}
 		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
+		firstErr = cmp.Or(firstErr, err)
 		errMu.Unlock()
 	}
 
@@ -691,48 +700,43 @@ func (o *Orchestrator) releaseNFs(service string, deps []*DeployedNF) error {
 			byEE[dep.EE] = append(byEE[dep.EE], dep)
 		}
 	}
-	var wg sync.WaitGroup
-	for ee, deps := range byEE {
+	release := func(ee string, deps []*DeployedNF) {
 		sort.Slice(deps, func(i, j int) bool { return deps[i].VNFID < deps[j].VNFID })
-		wg.Add(1)
-		go func(ee string, deps []*DeployedNF) {
-			defer wg.Done()
-			pool, err := o.pool(ee)
-			if err != nil {
-				skip(err)
-				return
+		pool, err := o.pool(ee)
+		if err != nil {
+			skip(err)
+			return
+		}
+		// One flight carries every stop and disconnect; each reply is
+		// classified on its own. The closure returns the flight's
+		// error so Pool.Do can tell a broken transport (session
+		// discarded) from an rpc-error (session stays pooled); its
+		// return only matters here when the closure never ran (dial
+		// failure = unreachable agent).
+		ran := false
+		err = pool.Do(func(client *vnfagent.Client) error {
+			ran = true
+			var ops []*yang.Data
+			for _, dep := range deps {
+				ops = append(ops, vnfagent.StopVNFOp(dep.VNFID))
+				for _, dev := range slices.Sorted(maps.Keys(dep.SwPorts)) {
+					ops = append(ops, vnfagent.DisconnectVNFOp(dep.VNFID, dev))
+				}
 			}
-			// One flight carries every stop and disconnect; each reply is
-			// classified on its own. The closure returns the flight's
-			// error so Pool.Do can tell a broken transport (session
-			// discarded) from an rpc-error (session stays pooled); its
-			// return only matters here when the closure never ran (dial
-			// failure = unreachable agent).
-			ran := false
-			err = pool.Do(func(client *vnfagent.Client) error {
-				ran = true
-				var ops []*yang.Data
-				for _, dep := range deps {
-					ops = append(ops, vnfagent.StopVNFOp(dep.VNFID))
-					for _, dev := range slices.Sorted(maps.Keys(dep.SwPorts)) {
-						ops = append(ops, vnfagent.DisconnectVNFOp(dep.VNFID, dev))
-					}
-				}
-				replies, err := client.Calls(ops...)
-				for _, reply := range replies {
-					handleMgmt(netconf.ReplyError(reply))
-				}
-				if err != nil && !vnfagent.IsRPCError(err) {
-					skip(err)
-				}
-				return err
-			})
-			if err != nil && !ran {
+			replies, err := client.Calls(ops...)
+			for _, reply := range replies {
+				handleMgmt(netconf.ReplyError(reply))
+			}
+			if err != nil && !vnfagent.IsRPCError(err) {
 				skip(err)
 			}
-		}(ee, deps)
+			return err
+		})
+		if err != nil && !ran {
+			skip(err)
+		}
 	}
-	wg.Wait()
+	fanOut(byEE, release)
 	return firstErr
 }
 

@@ -181,10 +181,16 @@ func TestSiblingFailureKeepsSession(t *testing.T) {
 	before := takeInventory(t, env, clients)
 	var (
 		orch      *Orchestrator
+		ee2       string // the session ee2's realization borrows
 		refused   = make(chan struct{})
 		refuse    sync.Once
 		connects1 atomic.Int32
 	)
+	session := func(p *vnfagent.Pool) (string, error) {
+		var id string
+		err := p.Do(func(c *vnfagent.Client) error { id = c.SessionID; return nil })
+		return id, err
+	}
 	orch = proxiedAgents(t, env, func(ee, rpc string) error {
 		switch {
 		case ee == "ee2" && rpc == "initiateVNF":
@@ -193,13 +199,30 @@ func TestSiblingFailureKeepsSession(t *testing.T) {
 		case ee == "ee1" && rpc == "initiateVNF":
 			// Answer only after ee2's realization failed: a failing EE
 			// cancels its siblings before its borrow of its session
-			// ends, so ee1 must see that at its next wave.
+			// ends, so ee1 must see that at its next wave. The borrow
+			// has ended when ee2's session is lent again: every other
+			// session lent here is closed, not returned, so the pool
+			// holds nothing else to lend.
 			<-refused
 			p, err := orch.pool("ee2")
 			if err != nil {
 				return err
 			}
-			return p.Do(func(*vnfagent.Client) error { return nil })
+			notYet := errors.New("not ee2's realization session")
+			for deadline := time.Now().Add(mgmtBound / 2); ; time.Sleep(time.Millisecond) {
+				err := p.Do(func(c *vnfagent.Client) error {
+					if c.SessionID != ee2 {
+						return notYet
+					}
+					return nil
+				})
+				if err != notYet {
+					return err
+				}
+				if time.Now().After(deadline) {
+					return errors.New("ee2's borrow did not end")
+				}
+			}
 		case ee == "ee1" && rpc == "connectVNF":
 			connects1.Add(1)
 		}
@@ -209,14 +232,17 @@ func TestSiblingFailureKeepsSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session := func() string {
-		var id string
-		if err := p1.Do(func(c *vnfagent.Client) error { id = c.SessionID; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		return id
+	p2, err := orch.pool("ee2")
+	if err != nil {
+		t.Fatal(err)
 	}
-	first := session()
+	first, err := session(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ee2, err = session(p2); err != nil {
+		t.Fatal(err)
+	}
 
 	g := sapGraph("spans-two", "monitor", "monitor")
 	for _, nf := range g.NFs {
@@ -228,8 +254,8 @@ func TestSiblingFailureKeepsSession(t *testing.T) {
 	if n := connects1.Load(); n != 0 {
 		t.Errorf("ee1 was sent %d connectVNFs after its sibling failed, want 0", n)
 	}
-	if got := session(); got != first {
-		t.Errorf("ee1's session changed from %s to %s: the cancelled realization closed it", first, got)
+	if got, err := session(p1); err != nil || got != first {
+		t.Errorf("ee1's session changed from %s to %s (%v): the cancelled realization closed it", first, got, err)
 	}
 	if after := takeInventory(t, env, clients); !reflect.DeepEqual(after, before) {
 		t.Errorf("failed deploy left the infrastructure changed:\nbefore %+v\nafter  %+v", before, after)

@@ -19,7 +19,7 @@ type Client struct {
 	mu        sync.Mutex
 	messageID int
 	// rpc is the <rpc> envelope every operation is rendered in, reused
-	// from rpc to rpc by the flight's writer, which holds mu.
+	// from rpc to rpc by Calls, which holds mu.
 	rpc *yang.Data
 	// SessionID assigned by the server in its hello.
 	SessionID string
@@ -92,9 +92,8 @@ func (c *Client) Call(op *yang.Data) (*yang.Data, error) {
 }
 
 // Calls sends ops as one pipelined flight (RFC 6241 §4.5): every <rpc>
-// is framed into the session's write buffer, which is flushed once at
-// the end (a flight larger than the buffer also leaves as it fills),
-// and the server runs and answers them in order. A refused op does not
+// is rendered and framed first and the flight is written at once, and
+// the server runs and answers them in order. A refused op does not
 // stop the ops behind it: each runs after the one before it has been
 // answered, whatever that answer was, so a flight may carry an op that
 // depends on an earlier one's effect only where the caller undoes it
@@ -103,6 +102,11 @@ func (c *Client) Call(op *yang.Data) (*yang.Data, error) {
 // request's message-id, and returned one per op — all of them unless
 // the transport failed, then the ones read before the failure. Each
 // op's outcome stays in its reply (ReplyError).
+//
+// A flight that fits the session's write buffer is written by the
+// caller: every earlier flight was answered, so the socket takes it
+// without blocking. A larger one is written beside the reads, since the
+// server answers while it is still arriving.
 //
 // The flight is bounded where it is sent: its last reply must arrive
 // within len(ops) × rpcBound of the call, or the session's deadline
@@ -123,34 +127,32 @@ func (c *Client) Calls(ops ...*yang.Data) ([]*yang.Data, error) {
 	_ = c.conn.SetDeadline(time.Now().Add(rpcBound * time.Duration(len(ops))))
 	first := c.messageID + 1
 	c.messageID += len(ops)
-	write := func() error {
-		defer func() { clear(c.rpc.Children) }() // keep no operation alive
-		for i, op := range ops {
-			c.rpc.SetAttr("message-id", strconv.Itoa(first+i))
-			c.rpc.Children = append(c.rpc.Children[:0], op)
-			if err := c.fr.writeData(c.rpc, false); err != nil {
-				return err
-			}
-		}
-		return c.fr.w.Flush()
+	// Rendered into the write buffer's room (empty between flights).
+	wire := c.fr.w.AvailableBuffer()
+	for i, op := range ops {
+		c.rpc.SetAttr("message-id", strconv.Itoa(first+i))
+		c.rpc.Children = append(c.rpc.Children[:0], op)
+		c.fr.out = c.rpc.AppendXML(c.fr.out[:0])
+		wire = c.fr.appendFrame(wire, c.fr.out)
 	}
-	// The server writes replies while the flight is still arriving, so a
-	// flight of more than one rpc is written beside the reads: were both
-	// sides blocked writing into full socket buffers, neither would read.
+	clear(c.rpc.Children) // keep no operation alive
 	// A write failure closes the connection to fail the reads with it.
 	var wrote chan error
-	if len(ops) > 1 {
+	if len(wire) <= c.fr.w.Size() {
+		//lint:ignore sendunderlock no more than the write buffer, into a socket whose send queue every answered flight left empty: it cannot block; c.mu must cover it so flights never interleave
+		if _, err := c.conn.Write(wire); err != nil {
+			c.conn.Close()
+			return nil, fmt.Errorf("netconf: sending rpc: %w", err)
+		}
+	} else {
 		wrote = make(chan error, 1)
 		go func() {
-			err := write()
+			_, err := c.conn.Write(wire)
 			if err != nil {
 				c.conn.Close()
 			}
 			wrote <- err
 		}()
-	} else if err := write(); err != nil {
-		c.conn.Close()
-		return nil, fmt.Errorf("netconf: sending rpc: %w", err)
 	}
 	// A failed read closes the connection, which also unblocks a writer
 	// the peer has stopped reading.

@@ -198,3 +198,123 @@ func TestCallsConnectionClosedMidFlight(t *testing.T) {
 		t.Error("a call on the broken session succeeded")
 	}
 }
+
+// writeCounter counts the writes made on a connection.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *writeCounter) Write(p []byte) (int, error) {
+	c.writes.Add(1) // before the bytes can reach the peer
+	return c.Conn.Write(p)
+}
+
+// TestFlightRepliesInOneWrite: a flight that reaches the agent in one
+// read is answered in one write, not one write per reply.
+func TestFlightRepliesInOneWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srv := echoServer()
+	counted := make(chan *writeCounter, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		wc := &writeCounter{Conn: conn}
+		counted <- wc
+		srv.serveConn(wc)
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.conn.Close()
+	wc := <-counted
+	// The hello is written before Dial returns.
+	hello := wc.writes.Load()
+	ops := make([]*yang.Data, 9)
+	for i := range ops {
+		ops[i] = echoOp(fmt.Sprint(i))
+	}
+	replies, err := c.Calls(ops...)
+	if err != nil || len(replies) != len(ops) {
+		t.Fatalf("flight: %d replies, %v", len(replies), err)
+	}
+	if n := wc.writes.Load() - hello; n != 1 {
+		t.Errorf("the agent answered a %d-rpc flight in %d writes, want 1", len(ops), n)
+	}
+}
+
+// TestLockstepCallsAnswered: a client that waits for each reply before
+// it sends the next rpc gets every reply: the agent never holds a reply
+// back while it waits for the next request.
+func TestLockstepCallsAnswered(t *testing.T) {
+	c := newServerClient(t, echoServer())
+	for i := range 50 {
+		start := time.Now()
+		reply, err := c.Call(echoOp(fmt.Sprint(i)))
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if got := reply.Child("output").ChildText("value"); got != fmt.Sprint(i) {
+			t.Fatalf("call %d echoes %q", i, got)
+		}
+		if d := time.Since(start); d > rpcBound/2 {
+			t.Fatalf("call %d took %v: its reply waited for the next request", i, d)
+		}
+	}
+}
+
+// TestServerCloseMidFlight: an agent killed while a flight's replies are
+// still buffered fails the client's flight at once with a transport
+// error, not at its deadline.
+func TestServerCloseMidFlight(t *testing.T) {
+	srv := NewServer()
+	var (
+		calls   atomic.Int32
+		entered = make(chan struct{})
+		release = make(chan struct{})
+	)
+	srv.Handle("echo", func(*Session, *yang.Data) (*yang.Data, error) {
+		if calls.Add(1) == 3 {
+			close(entered)
+			<-release
+		}
+		return nil, nil
+	})
+	c := newServerClient(t, srv)
+	ops := make([]*yang.Data, 9)
+	for i := range ops {
+		ops[i] = echoOp(fmt.Sprint(i))
+	}
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Calls(ops...)
+		done <- err
+	}()
+	<-entered
+	closed := make(chan struct{})
+	go func() {
+		srv.Close() // returns once the held handler is released
+		close(closed)
+	}()
+	select {
+	case err := <-done:
+		if err == nil || errors.As(err, new(*RPCError)) {
+			t.Errorf("flight error = %v, want a transport error", err)
+		}
+		if d := time.Since(start); d >= rpcBound {
+			t.Errorf("the flight failed after %v, not before its %v bound", d, rpcBound)
+		}
+	case <-time.After(rpcBound + deadlineSlack):
+		t.Errorf("the flight still blocked %v after the agent closed", time.Since(start))
+	}
+	close(release)
+	<-closed
+}

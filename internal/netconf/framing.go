@@ -67,7 +67,7 @@ func (f *framer) writeMessage(msg []byte) error {
 }
 
 // writeData renders d and frames it into the write buffer, flushing it
-// when flush is set: a pipelined flight flushes once, after its last rpc.
+// when flush is set.
 func (f *framer) writeData(d *yang.Data, flush bool) error {
 	f.out = d.AppendXML(f.out[:0])
 	if flush {
@@ -77,29 +77,24 @@ func (f *framer) writeData(d *yang.Data, flush bool) error {
 }
 
 // writeFrame frames one message into the write buffer without flushing
-// it, so a pipelined flight of messages leaves in one write.
+// it, so a run of messages leaves in one write.
 func (f *framer) writeFrame(msg []byte) error {
-	if f.chunked {
-		// ␊#<len>␊<data> … ␊##␊ — chunk-size must be ≥1 (RFC 6242 §4.2),
-		// so an empty message is just the end-of-chunks marker.
-		if len(msg) > 0 {
-			var hdr [24]byte
-			h := strconv.AppendInt(append(hdr[:0], '\n', '#'), int64(len(msg)), 10)
-			if _, err := f.w.Write(append(h, '\n')); err != nil {
-				return err
-			}
-			if _, err := f.w.Write(msg); err != nil {
-				return err
-			}
-		}
-		_, err := f.w.WriteString("\n##\n")
-		return err
-	}
-	if _, err := f.w.Write(msg); err != nil {
-		return err
-	}
-	_, err := f.w.Write(eomDelimiter)
+	_, err := f.w.Write(f.appendFrame(f.w.AvailableBuffer(), msg))
 	return err
+}
+
+// appendFrame appends msg, framed, to dst.
+func (f *framer) appendFrame(dst, msg []byte) []byte {
+	if !f.chunked {
+		return append(append(dst, msg...), eomDelimiter...)
+	}
+	// ␊#<len>␊<data> … ␊##␊ — chunk-size must be ≥1 (RFC 6242 §4.2), so
+	// an empty message is just the end-of-chunks marker.
+	if len(msg) > 0 {
+		dst = strconv.AppendInt(append(dst, '\n', '#'), int64(len(msg)), 10)
+		dst = append(append(dst, '\n'), msg...)
+	}
+	return append(dst, "\n##\n"...)
 }
 
 // readMessage reads one framed message into the framer's buffer: the

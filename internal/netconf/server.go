@@ -1,6 +1,7 @@
 package netconf
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -89,7 +90,8 @@ func (s *Server) Addr() net.Addr {
 
 // Close stops the listener and force-closes every running session (a
 // killed agent must not leave clients holding half-open sessions — they
-// see EOF and discard the transport).
+// see EOF and discard the transport). Replies a session had not yet
+// written are lost, as a killed process's would be.
 func (s *Server) Close() {
 	s.closed.Store(true)
 	s.mu.Lock()
@@ -129,7 +131,9 @@ func (s *Server) untrack(conn net.Conn) {
 	delete(s.conns, conn)
 }
 
-// Session is one NETCONF session on the server side.
+// Session is one NETCONF session on the server side. Its replies wait
+// in a buffer until its conn (a sessionConn, used only on the session's
+// goroutine) next reads or closes: a flight read at once is answered so.
 type Session struct {
 	ID     uint32
 	server *Server
@@ -141,6 +145,25 @@ type Session struct {
 	reply *yang.Data
 }
 
+// sessionConn is a server session's connection: reads and Close flush
+// the replies written so far first.
+type sessionConn struct {
+	net.Conn
+	w *bufio.Writer
+}
+
+func (c *sessionConn) Read(p []byte) (int, error) {
+	if err := c.w.Flush(); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *sessionConn) Close() error {
+	c.w.Flush() // a failed flush leaves nothing to do but close
+	return c.Conn.Close()
+}
+
 // serveConn runs the NETCONF session protocol on an established
 // connection until close-session or connection loss.
 func (s *Server) serveConn(conn net.Conn) error {
@@ -149,11 +172,13 @@ func (s *Server) serveConn(conn net.Conn) error {
 		return fmt.Errorf("netconf: server closed")
 	}
 	defer s.untrack(conn)
+	sc := &sessionConn{Conn: conn, w: bufio.NewWriter(conn)}
+	defer sc.Close()
 	sess := &Session{
 		ID:     s.sessionID.Add(1),
 		server: s,
-		fr:     newFramer(conn),
-		conn:   conn,
+		fr:     &framer{r: bufio.NewReader(sc), w: sc.w},
+		conn:   sc,
 		reply:  yang.NewData("rpc-reply").SetAttr("xmlns", baseNS),
 	}
 	// Hello exchange: server sends capabilities + session-id.
@@ -189,7 +214,7 @@ func (s *Server) serveConn(conn net.Conn) error {
 			continue
 		}
 		reply := s.dispatch(sess, rpc)
-		if err := sess.fr.writeData(reply, true); err != nil {
+		if err := sess.fr.writeData(reply, false); err != nil {
 			return err
 		}
 	}

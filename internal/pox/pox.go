@@ -295,83 +295,103 @@ func (c *Connection) sendPacketOut(po *openflow.PacketOut) error {
 	return c.send(po)
 }
 
-// request sends msg and waits for the same-xid response.
-func (c *Connection) request(msg openflow.Message, timeout time.Duration) (openflow.Message, error) {
-	xid := c.xid.Add(1)
-	return c.await(msg.MsgType(), xid, openflow.AppendMessage(nil, msg, xid), timeout)
-}
-
 // ErrNotSent wraps the error of a write that failed: what it carried may
 // not have reached the switch.
 var ErrNotSent = errors.New("pox: write failed")
 
-// await writes wire, whose last message is a request of type typ with
-// transaction id xid, in one write and waits for the same-xid response.
-func (c *Connection) await(typ openflow.MsgType, xid uint32, wire []byte, timeout time.Duration) (openflow.Message, error) {
-	ch := make(chan openflow.Message, 1)
+// Pending is a request written to a switch whose reply is still to come.
+type Pending struct {
+	c    *Connection
+	want openflow.MsgType // the reply's type
+	xid  uint32
+	ch   chan openflow.Message
+}
+
+// sendRequest registers xid, then writes wire, whose last message is the
+// request with transaction id xid, in one write. An error from the write
+// wraps ErrNotSent, and nothing stays registered.
+func (c *Connection) sendRequest(want openflow.MsgType, xid uint32, wire []byte) (*Pending, error) {
+	p := &Pending{c: c, want: want, xid: xid, ch: make(chan openflow.Message, 1)}
 	c.pendMu.Lock()
-	c.pending[xid] = ch
+	c.pending[xid] = p.ch
 	c.pendMu.Unlock()
 	c.writeMu.Lock()
 	//lint:ignore sendunderlock writeMu keeps whole messages whole on the channel, as sendXID does; the switch drains it without ever blocking on its own writes (its outbox)
 	_, err := c.conn.Write(wire)
 	c.writeMu.Unlock()
 	if err != nil {
-		c.pendMu.Lock()
-		delete(c.pending, xid)
-		c.pendMu.Unlock()
+		p.drop()
 		return nil, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	return p, nil
+}
+
+// Await waits for the reply until deadline; a deadline already past
+// still takes a reply that has arrived. A reply that has not come by
+// then is given up: its xid is dropped, so a late one is read as
+// unsolicited.
+func (p *Pending) Await(deadline time.Time) (openflow.Message, error) {
+	var resp openflow.Message
 	select {
-	case resp := <-ch:
-		return resp, nil
-	case <-timer.C:
-		c.pendMu.Lock()
-		delete(c.pending, xid)
-		c.pendMu.Unlock()
-		return nil, fmt.Errorf("pox: request %s timed out", typ)
+	case resp = <-p.ch:
+	default:
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		select {
+		case resp = <-p.ch:
+		case <-timer.C:
+			p.drop()
+			return nil, fmt.Errorf("pox: waiting for %s timed out", p.want)
+		}
 	}
+	if resp.MsgType() != p.want {
+		return nil, fmt.Errorf("pox: expected %s, got %s", p.want, resp.MsgType())
+	}
+	return resp, nil
+}
+
+func (p *Pending) drop() {
+	p.c.pendMu.Lock()
+	delete(p.c.pending, p.xid)
+	p.c.pendMu.Unlock()
 }
 
 // Barrier blocks until the switch has processed all preceding messages.
 func (c *Connection) Barrier(timeout time.Duration) error {
-	return c.FlowModsBarrier(nil, timeout)
+	p, err := c.SendFlowModsBarrier(nil)
+	if err == nil {
+		_, err = p.Await(time.Now().Add(timeout))
+	}
+	return err
 }
 
-// FlowModsBarrier writes fms and a barrier request behind them to the
-// switch as one buffer, then waits up to timeout for the barrier reply:
-// when it returns nil the switch has applied every flow-mod. An error
-// from the write wraps ErrNotSent.
-func (c *Connection) FlowModsBarrier(fms []*openflow.FlowMod, timeout time.Duration) error {
+// SendFlowModsBarrier writes fms and a barrier request behind them to
+// the switch as one buffer and returns the barrier's pending reply: once
+// it has come, the switch has applied every flow-mod. It does not wait,
+// so a caller can write to every switch before it awaits any of them.
+// An error from the write wraps ErrNotSent.
+func (c *Connection) SendFlowModsBarrier(fms []*openflow.FlowMod) (*Pending, error) {
 	var wire []byte
 	for _, fm := range fms {
 		wire = openflow.AppendMessage(wire, fm, c.xid.Add(1))
 	}
 	xid := c.xid.Add(1)
 	wire = openflow.AppendMessage(wire, &openflow.BarrierRequest{}, xid)
-	resp, err := c.await(openflow.TypeBarrierRequest, xid, wire, timeout)
-	if err != nil {
-		return err
-	}
-	if resp.MsgType() != openflow.TypeBarrierReply {
-		return fmt.Errorf("pox: expected BARRIER_REPLY, got %s", resp.MsgType())
-	}
-	return nil
+	return c.sendRequest(openflow.TypeBarrierReply, xid, wire)
 }
 
 // FlowStats fetches flow statistics for entries subsumed by match.
 func (c *Connection) FlowStats(match openflow.Match, timeout time.Duration) ([]openflow.FlowStats, error) {
-	resp, err := c.request(&openflow.StatsRequest{
+	xid := c.xid.Add(1)
+	p, err := c.sendRequest(openflow.TypeStatsReply, xid, openflow.AppendMessage(nil, &openflow.StatsRequest{
 		StatsType: openflow.StatsFlow, Match: match, OutPort: openflow.PortNone,
-	}, timeout)
+	}, xid))
 	if err != nil {
 		return nil, err
 	}
-	sr, ok := resp.(*openflow.StatsReply)
-	if !ok {
-		return nil, fmt.Errorf("pox: expected STATS_REPLY, got %s", resp.MsgType())
+	resp, err := p.Await(time.Now().Add(timeout))
+	if err != nil {
+		return nil, err
 	}
-	return sr.Flows, nil
+	return resp.(*openflow.StatsReply).Flows, nil
 }

@@ -133,7 +133,12 @@ func TestBarrierAndStats(t *testing.T) {
 	if len(flows) != 1 || flows[0].Cookie != 7 {
 		t.Errorf("flows = %+v", flows)
 	}
-	resp, err := c.request(&openflow.StatsRequest{StatsType: openflow.StatsPort, PortNo: openflow.PortNone}, 2*time.Second)
+	xid := c.xid.Add(1)
+	p, err := c.sendRequest(openflow.TypeStatsReply, xid, openflow.AppendMessage(nil, &openflow.StatsRequest{StatsType: openflow.StatsPort, PortNo: openflow.PortNone}, xid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := p.Await(time.Now().Add(2 * time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -406,9 +406,9 @@ func flowMods(inst *Installed, command uint16) []switchMod {
 }
 
 // sendMods hands each touched switch its flow-mods, in order, and a
-// barrier request in one write, and blocks on the barrier replies (the
-// switches in parallel) so the rules are live before traffic is admitted
-// (demo step 4 depends on this).
+// barrier request in one write, and blocks on the barrier replies so the
+// rules are live before traffic is admitted (demo step 4 depends on
+// this).
 func (s *Steering) sendMods(mods []switchMod) error {
 	_, err := s.sendModsTolerant(mods, false)
 	return err
@@ -423,6 +423,9 @@ func (s *Steering) sendMods(mods []switchMod) error {
 // switch were in fact still forwarding, a reused VLAN could capture
 // another chain's traffic. Non-delete commands always require a live
 // switch.
+// Every switch's batch is written first and every barrier then awaited
+// under one 5 s deadline, so the switches work in parallel with no
+// goroutine each; the first failure in switch order is returned.
 func (s *Steering) sendModsTolerant(mods []switchMod, skipDeadDeletes bool) (map[uint64]bool, error) {
 	isDelete := func(fm *openflow.FlowMod) bool {
 		return fm.Command == openflow.FCDelete || fm.Command == openflow.FCDeleteStrict
@@ -432,6 +435,7 @@ func (s *Steering) sendModsTolerant(mods []switchMod, skipDeadDeletes bool) (map
 		conn    *pox.Connection
 		fms     []*openflow.FlowMod
 		deletes bool
+		barrier *pox.Pending
 	}
 	var order []uint64
 	batches := map[uint64]*batch{}
@@ -455,31 +459,35 @@ func (s *Steering) sendModsTolerant(mods []switchMod, skipDeadDeletes bool) (map
 			return dead, fmt.Errorf("steering: switch %#x not connected", dpid)
 		}
 		dead[dpid] = true
-		delete(batches, dpid)
-	}
-	// One write and one barrier per switch, the switches in parallel.
-	type result struct {
-		dpid uint64
-		err  error
-	}
-	results := make(chan result, len(batches))
-	for dpid, b := range batches {
-		go func() {
-			results <- result{dpid, b.conn.FlowModsBarrier(b.fms, 5*time.Second)}
-		}()
 	}
 	var firstErr error
-	for range batches {
-		r := <-results
+	failed := func(dpid uint64, err error) {
 		switch {
-		case r.err == nil:
-		case skipDeadDeletes && batches[r.dpid].deletes && errors.Is(r.err, pox.ErrNotSent):
+		case skipDeadDeletes && batches[dpid].deletes && errors.Is(err, pox.ErrNotSent):
 			// A failed write of deletes means the datapath died under us
 			// (its connection may outlive the pipe by a beat): same
 			// treatment as not-connected.
-			dead[r.dpid] = true
+			dead[dpid] = true
 		case firstErr == nil:
-			firstErr = fmt.Errorf("steering: flow-mods and barrier on %#x: %w", r.dpid, r.err)
+			firstErr = fmt.Errorf("steering: flow-mods and barrier on %#x: %w", dpid, err)
+		}
+	}
+	for _, dpid := range order {
+		if dead[dpid] {
+			continue
+		}
+		b := batches[dpid]
+		var err error
+		if b.barrier, err = b.conn.SendFlowModsBarrier(b.fms); err != nil {
+			failed(dpid, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for _, dpid := range order {
+		if b := batches[dpid]; b.barrier != nil {
+			if _, err := b.barrier.Await(deadline); err != nil {
+				failed(dpid, err)
+			}
 		}
 	}
 	return dead, firstErr

@@ -1,10 +1,15 @@
 package steering
 
 import (
+	"bufio"
+	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"escape/internal/netem"
+	"escape/internal/openflow"
 	"escape/internal/pkt"
 	"escape/internal/pox"
 )
@@ -464,3 +469,86 @@ func TestStitchTransitSegment(t *testing.T) {
 
 // vlanNone in DLVLAN marks an untagged frame (OFP_VLAN_NONE).
 const vlanNone = 0xffff
+
+// muteFirstBarrier connects a switch with datapath id dpid to ctrl over
+// an in-process pipe. It applies nothing, never answers the first
+// barrier request it is sent and answers every later one.
+func muteFirstBarrier(t *testing.T, ctrl *pox.Controller, dpid uint64) {
+	t.Helper()
+	ours, theirs := net.Pipe()
+	go ctrl.Serve(theirs)
+	go func() {
+		defer ours.Close()
+		r := bufio.NewReader(ours)
+		barriers := 0
+		for {
+			msg, h, err := openflow.ReadMessage(r)
+			if err != nil {
+				return
+			}
+			var reply openflow.Message
+			switch msg.MsgType() {
+			case openflow.TypeHello:
+				reply = &openflow.Hello{}
+			case openflow.TypeFeaturesRequest:
+				reply = &openflow.FeaturesReply{DatapathID: dpid}
+			case openflow.TypeBarrierRequest:
+				if barriers++; barriers > 1 {
+					reply = &openflow.BarrierReply{}
+				}
+			}
+			if reply != nil && openflow.WriteMessage(ours, reply, h.XID) != nil {
+				return
+			}
+		}
+	}()
+	if err := ctrl.WaitForSwitches(3, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// pendingXIDs counts the requests conn still awaits a reply to (pox
+// keeps the table unexported). Read it only when no reply is in flight.
+func pendingXIDs(conn *pox.Connection) int {
+	return reflect.ValueOf(conn).Elem().FieldByName("pending").Len()
+}
+
+// TestInstallPathsMuteBarrier: a batch over three switches, one of which
+// never answers its barrier, fails once the batch's one deadline has
+// passed, not later; the rollback then removes the batch, and the mute
+// switch's barrier is given up, not left pending.
+func TestInstallPathsMuteBarrier(t *testing.T) {
+	n, st := twoSwitchNet(t)
+	const mute = 0x33
+	muteFirstBarrier(t, st.ctrl, mute)
+	p := Path{ID: "three", Hops: []Hop{
+		{DPID: dpid(n, "s1"), InPort: 1, OutPort: 2},
+		{DPID: dpid(n, "s2"), InPort: 1, OutPort: 2},
+		{DPID: mute, InPort: 1, OutPort: 2},
+	}}
+	const deadline, slack = 5 * time.Second, 2 * time.Second
+	start := time.Now()
+	_, err := st.InstallPaths([]Path{p})
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("batch error = %v, want the mute switch's barrier timing out", err)
+	}
+	if elapsed < deadline || elapsed > deadline+slack {
+		t.Errorf("the batch failed after %v, want its one %v deadline", elapsed, deadline)
+	}
+	if st.ActivePaths() != 0 {
+		t.Errorf("the failed batch left %d active paths", st.ActivePaths())
+	}
+	if n := pendingXIDs(st.ctrl.Connection(mute)); n != 0 {
+		t.Errorf("%d requests still pending on the mute switch", n)
+	}
+	// The rollback's deletes were all confirmed, so the path's VLAN is
+	// free again.
+	inst, err := st.InstallPath(p)
+	if err != nil {
+		t.Fatalf("reinstall after the rollback: %v", err)
+	}
+	if inst.VLAN != 100 {
+		t.Errorf("reinstall got VLAN %d, want the rolled-back 100 reused", inst.VLAN)
+	}
+}

@@ -8,46 +8,46 @@ import (
 	"escape/internal/netconf"
 )
 
-// Pool is the one NETCONF session the orchestrator keeps to one agent.
-// Every management RPC against that EE serializes on it (the strict
-// per-EE ordering the realization fan-out relies on), while deploys
-// touching different EEs proceed in parallel on their own pools. The
-// session is dialed lazily on first use and reused across borrows; a
-// session whose call fails at the transport layer is discarded and the
-// next borrow dials a fresh one.
+// Pool keeps the orchestrator's NETCONF sessions to one agent: one per
+// concurrent borrower. A borrow takes the session returned last, or
+// dials one when none is idle, and gives it back when it ends, so the
+// pool holds as many sessions as the EE ever had borrowers at once and
+// a deploy never queues behind another service's flights on that EE.
+// A borrower keeps its session for the whole borrow: the flights it
+// sends arrive in its order. A session whose call fails at the transport
+// layer is closed instead of given back.
 type Pool struct {
-	addr  string
-	token chan struct{} // capacity 1: one borrower at a time
+	addr string
 
 	mu     sync.Mutex
-	idle   *Client // nil until dialed, while borrowed, or after a broken call
+	idle   []*Client // returned sessions, the last returned on top
 	closed bool
 }
 
 // NewPool creates the pool for the agent at addr.
 func NewPool(addr string) *Pool {
-	return &Pool{addr: addr, token: make(chan struct{}, 1)}
+	return &Pool{addr: addr}
 }
 
-// Do borrows the session (dialing it when there is none), runs f with it
-// and returns it to the pool. Concurrent callers block until the session
-// is free. f's error is passed through: an application-level rpc-error
-// keeps the session, any other error is treated as a broken transport
-// and closes it. That includes a flight that missed the NETCONF client's
-// per-RPC deadline on a hung agent, so a borrow holds the session for at
-// most the dial and the bounded flights f sends, and the next borrow
-// dials afresh.
+// Do borrows a session (the last one returned, or a fresh dial when none
+// is idle), runs f with it and returns it to the pool. f's error is
+// passed through: an application-level rpc-error keeps the session, any
+// other error is treated as a broken transport and closes it. That
+// includes a flight that missed the NETCONF client's per-RPC deadline on
+// a hung agent, so a borrow holds its session for at most the dial and
+// the bounded flights f sends.
 func (p *Pool) Do(f func(*Client) error) error {
-	p.token <- struct{}{}
-	defer func() { <-p.token }()
-
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return fmt.Errorf("vnfagent: pool for %s is closed", p.addr)
 	}
-	c := p.idle
-	p.idle = nil
+	var c *Client
+	if n := len(p.idle); n > 0 {
+		c = p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+	}
 	p.mu.Unlock()
 
 	if c == nil {
@@ -67,7 +67,7 @@ func (p *Pool) Do(f func(*Client) error) error {
 		c.Close()
 		return err
 	}
-	p.idle = c
+	p.idle = append(p.idle, c)
 	p.mu.Unlock()
 	return err
 }
@@ -82,15 +82,15 @@ func IsRPCError(err error) bool {
 	return errors.As(err, &re)
 }
 
-// Close closes the idle session and marks the pool closed; a borrowed
-// session is closed as it is returned.
+// Close closes every idle session and marks the pool closed; a
+// borrowed session is closed as it is returned.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	c := p.idle
+	idle := p.idle
 	p.idle = nil
 	p.closed = true
 	p.mu.Unlock()
-	if c != nil {
+	for _, c := range idle {
 		c.Close()
 	}
 }

@@ -2,30 +2,59 @@ package vnfagent
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
+	"time"
 )
 
-func TestPoolSerializesAtSizeOne(t *testing.T) {
+// TestPoolSessionPerBorrower: concurrent borrowers each hold a session
+// of their own, the pool dials no more sessions than were borrowed at
+// once, serial borrows reuse one session, and a session whose borrow
+// failed at the transport is not handed out again.
+func TestPoolSessionPerBorrower(t *testing.T) {
 	_, agent, _ := newAgentClient(t)
 	p := NewPool(agent.Addr())
 	defer p.Close()
-	var inFlight, maxInFlight atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	const borrowers = 6
+	var (
+		mu      sync.Mutex
+		inUse   = map[*Client]bool{}
+		dialed  = map[string]bool{}
+		holding int
+		peak    int
+		all     = make(chan struct{}) // closed once every borrower holds a session
+		wg      sync.WaitGroup
+	)
+	for range borrowers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			err := p.Do(func(c *Client) error {
-				if n := inFlight.Add(1); n > maxInFlight.Load() {
-					maxInFlight.Store(n)
+				mu.Lock()
+				if inUse[c] {
+					t.Errorf("session %s lent to two borrowers at once", c.SessionID)
 				}
-				defer inFlight.Add(-1)
+				inUse[c], dialed[c.SessionID] = true, true
+				holding++
+				peak = max(peak, holding)
+				if holding == borrowers {
+					close(all)
+				}
+				mu.Unlock()
+				select {
+				case <-all:
+				case <-time.After(5 * time.Second):
+					t.Error("borrowers never held sessions at once: the pool serializes them")
+				}
 				_, err := c.GetVNFInfo()
+				mu.Lock()
+				inUse[c] = false
+				holding--
+				mu.Unlock()
 				return err
 			})
 			if err != nil {
@@ -34,8 +63,28 @@ func TestPoolSerializesAtSizeOne(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := maxInFlight.Load(); got != 1 {
-		t.Errorf("max concurrent borrows = %d, want 1", got)
+	if len(dialed) > peak || peak != borrowers {
+		t.Errorf("%d sessions dialed for a peak of %d concurrent borrowers (%d started)", len(dialed), peak, borrowers)
+	}
+
+	session := func(fail error) string {
+		var id string
+		err := p.Do(func(c *Client) error { id = c.SessionID; return fail })
+		if err != fail {
+			t.Fatalf("borrow error = %v, want %v", err, fail)
+		}
+		return id
+	}
+	first := session(nil)
+	for range 3 {
+		if id := session(nil); id != first {
+			t.Fatalf("serial borrows got sessions %s and %s, want one reused", first, id)
+		}
+	}
+	// Returned, it would be the next one lent.
+	bad := session(errors.New("transport broke"))
+	if id := session(nil); id == bad {
+		t.Errorf("session %s was lent again after its transport broke", bad)
 	}
 }
 
