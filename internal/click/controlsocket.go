@@ -2,6 +2,7 @@ package click
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"net"
@@ -44,9 +45,13 @@ const (
 
 // NewControlSocket starts serving the router's handlers on addr
 // ("127.0.0.1:0" picks a free port). Close the returned ControlSocket to
-// stop.
+// stop. The listener is plain TCP: where the kernel allows it Go listens
+// with MPTCP by default, which a loopback control port gains nothing from
+// and which costs more to open, and a deploy opens one per monitored VNF.
 func NewControlSocket(r *Router, addr string) (*ControlSocket, error) {
-	ln, err := net.Listen("tcp", addr)
+	var lc net.ListenConfig
+	lc.SetMultipathTCP(false)
+	ln, err := lc.Listen(context.Background(), "tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("click: controlsocket listen: %w", err)
 	}

@@ -115,18 +115,23 @@ func (f *fromDevice) Handlers() []Handler {
 
 // toDevice transmits frames out of the graph via a Device. Its input is
 // agnostic: pushed frames go out immediately; when fed by a pull path
-// (Queue) it schedules a task that pulls.
+// (Queue) it schedules a task that pulls up to BURST at a time. A device
+// that takes bursts (BurstDevice) gets each pushed or pulled burst, a
+// lone packet included, in one SendBurst call; any other Device gets one
+// Send per frame, in order.
 //
 // Configuration: ToDevice(DEVNAME[, BURST n]). Handlers: count, drops (r).
 type toDevice struct {
 	Base
 	devName  string
 	dev      Device
+	bdev     BurstDevice // dev when it takes bursts, else nil
 	burst    int
 	pullMode bool
 	count    atomic.Uint64
 	drops    atomic.Uint64
 	batch    []*Packet // scratch for batched drain
+	frames   [][]byte  // scratch: the burst handed to bdev
 }
 
 // Class implements Element.
@@ -161,17 +166,22 @@ func (t *toDevice) Init() error {
 		return fmt.Errorf("device %q not attached to router", t.devName)
 	}
 	t.dev = dev
+	t.bdev, _ = dev.(BurstDevice)
 	// Pull mode when processing negotiation resolved our input to pull
 	// (a Queue somewhere upstream, possibly through agnostic elements).
 	t.pullMode = t.resolvedIn(0) == pull
 	return nil
 }
 
-// Push implements Element.
-func (t *toDevice) Push(port int, p *Packet) { t.send(p) }
+// Push implements Element: a lone packet is a burst of one.
+func (t *toDevice) Push(port int, p *Packet) { t.PushBatch(port, []*Packet{p}) }
 
 // PushBatch implements Element.
 func (t *toDevice) PushBatch(port int, ps []*Packet) {
+	if t.bdev != nil {
+		t.sendBurst(ps)
+		return
+	}
 	for _, p := range ps {
 		t.send(p)
 	}
@@ -189,6 +199,22 @@ func (t *toDevice) RunTask() bool {
 	}
 	t.PushBatch(0, t.batch)
 	return true
+}
+
+// sendBurst hands the packets' frames to the burst device in one call,
+// which owns them from then on, and recycles the packet structs.
+func (t *toDevice) sendBurst(ps []*Packet) {
+	for _, p := range ps {
+		t.frames = append(t.frames, p.Data())
+		p.Kill()
+	}
+	if err := t.bdev.SendBurst(t.frames); err != nil {
+		t.drops.Add(uint64(len(t.frames)))
+	} else {
+		t.count.Add(uint64(len(t.frames)))
+	}
+	clear(t.frames)
+	t.frames = t.frames[:0]
 }
 
 // send hands the packet's frame to the device, which owns it from then

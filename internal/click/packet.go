@@ -98,3 +98,16 @@ type Device interface {
 	// is never closed while the device is attached.
 	Recv() <-chan []byte
 }
+
+// BurstDevice is a Device that also takes a burst of frames in one call;
+// ToDevice checks for it once, at Init. internal/netem's EE devices
+// implement it.
+type BurstDevice interface {
+	Device
+	// SendBurst transmits frames out of the VNF in order and takes
+	// ownership of each, whether it succeeds or not. It takes the frames,
+	// never the slice: it may rewrite the slice's elements during the
+	// call and keeps none of it after, so ToDevice reuses the slice. An
+	// error means no frame of the burst left.
+	SendBurst(frames [][]byte) error
+}

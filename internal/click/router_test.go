@@ -331,3 +331,80 @@ func TestRouterStopIdempotent(t *testing.T) {
 	r.Stop()
 	r.Stop() // second stop must not hang or panic
 }
+
+// burstChanDevice is a ChanDevice that also takes bursts: each SendBurst
+// call lands on Bursts as a copy of the frames it was handed.
+type burstChanDevice struct {
+	*ChanDevice
+	Bursts chan [][]byte
+}
+
+// SendBurst implements BurstDevice.
+func (d *burstChanDevice) SendBurst(frames [][]byte) error {
+	d.Bursts <- append([][]byte(nil), frames...)
+	return nil
+}
+
+// TestToDeviceHandsBurstToBurstDevice: ToDevice hands a pulled burst to a
+// device that takes bursts in one call, and a plain Device still gets
+// every frame of it, one Send each, in order.
+func TestToDeviceHandsBurstToBurstDevice(t *testing.T) {
+	const n = 10
+	for _, burst := range []bool{true, false} {
+		in := NewChanDevice("eth0", 64)
+		plain := NewChanDevice("eth1", 64)
+		var out Device = plain
+		bdev := &burstChanDevice{ChanDevice: plain, Bursts: make(chan [][]byte, n)}
+		if burst {
+			out = bdev
+		}
+		r, err := NewRouter("vnf", `FromDevice(eth0) -> Queue -> ToDevice(eth1);`,
+			Options{Devices: map[string]Device{"eth0": in, "eth1": out}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every frame is waiting before the driver starts, so FromDevice
+		// queues them in one round and ToDevice pulls them as one burst.
+		for i := 0; i < n; i++ {
+			in.In <- []byte{byte(i)}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		go r.Run(ctx)
+		var got []byte
+		if burst {
+			select {
+			case frames := <-bdev.Bursts:
+				for _, f := range frames {
+					got = append(got, f[0])
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("no burst reached the burst device")
+			}
+		} else {
+			for len(got) < n {
+				select {
+				case f := <-plain.Out:
+					got = append(got, f[0])
+				case <-time.After(2 * time.Second):
+					t.Fatalf("the plain device got %d of %d frames", len(got), n)
+				}
+			}
+		}
+		cancel()
+		r.Stop()
+		for i, b := range got {
+			if int(b) != i {
+				t.Fatalf("burst device %v: frames arrived as %v, want 0..%d in order", burst, got, n-1)
+			}
+		}
+		if len(got) != n {
+			t.Errorf("burst device %v: one call carried %d frames, want %d", burst, len(got), n)
+		}
+		if burst && len(plain.Out) != 0 {
+			t.Errorf("ToDevice also sent %d frames one at a time to a burst device", len(plain.Out))
+		}
+		if v := readUint(t, r, "ToDevice@3.count"); v != strconv.Itoa(n) {
+			t.Errorf("burst device %v: ToDevice count = %s, want %d", burst, v, n)
+		}
+	}
+}

@@ -13,8 +13,9 @@
 //   - packetlife: every click.NewPacket must reach Kill or a
 //     downstream handoff on all control-flow paths (the pooled
 //     allocator leak class from the PR 1 drop paths), and a frame
-//     handed to Port.Transmit, Device.Send, netem Port.Send or
-//     Switch.Input is not read or written again by its sender.
+//     handed to Device.Send or netem Port.Send, or stored in a burst
+//     handed to Switch.Input, Port.Transmit or BurstDevice.SendBurst,
+//     is not read or written again by its sender.
 //   - sendunderlock: no blocking channel operation or blocking
 //     control-plane I/O while holding a sync.Mutex/RWMutex (the
 //     send-on-closed-channel and net.Pipe deadlock class from PR 4).

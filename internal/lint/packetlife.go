@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 )
 
 // packetLife enforces the data path's ownership discipline, one buffer
@@ -16,17 +17,22 @@ import (
 // strands a pool entry — the leak class the PR 1 drop paths hit, where an
 // early return on a filter miss skipped the Kill.
 //
-// Frames: a []byte frame passed to ofswitch.Port.Transmit,
-// click.Device.Send, netem.Port.Send or ofswitch.Switch.Input belongs to
-// the receiver, which may edit it in place or pass it on. The sender must
-// not read or write the variable afterwards in the same function unless
-// it was reassigned in between; a sender that needs the bytes again
-// copies before it sends.
+// Frames: a []byte frame passed to click.Device.Send or netem.Port.Send,
+// or stored in a burst passed to ofswitch.Switch.Input,
+// ofswitch.Port.Transmit or click.BurstDevice.SendBurst, belongs to the
+// receiver, which may edit it in place or pass it on. The sender must not
+// read or write the variable afterwards in the same function unless it
+// was reassigned in between; a sender that needs the bytes again copies
+// before it sends. A burst receiver takes the frames, not the slice, so
+// the burst variable itself may be reused. A frame counts as stored in a
+// burst variable when the function puts it there anywhere (an append, an
+// element assignment, a composite literal), whatever the order.
 var packetLife = &Analyzer{
 	Name: "packetlife",
 	Doc: "click packets must reach Kill or a downstream handoff on all " +
-		"control-flow paths; a frame handed to Transmit, Device.Send, " +
-		"Port.Send or Switch.Input is not used again",
+		"control-flow paths; a frame handed to Device.Send or Port.Send, " +
+		"or in a burst handed to Switch.Input, Transmit or SendBurst, is " +
+		"not used again",
 	Run: runPacketLife,
 }
 
@@ -270,9 +276,10 @@ func checkFrameHandoffs(pass *Pass, body *ast.BlockStmt) {
 		return
 	}
 	reported := map[*ast.Ident]bool{}
+	stored := burstStores(pass.Info, body)
 	for _, blk := range g.blocks {
 		for i, stmt := range blk.stmts {
-			for _, h := range frameHandoffs(pass.Info, stmt) {
+			for _, h := range frameHandoffs(pass.Info, stored, stmt) {
 				use := frameUseAfter(pass.Info, g, blk, i, h.v)
 				if use != nil && !reported[use] {
 					reported[use] = true
@@ -290,8 +297,10 @@ type frameHandoff struct {
 
 // frameHandoffs lists the frame variables stmt gives away: a plain
 // variable in the frame position of a call to one of the receivers that
-// take ownership. Function literals are left to their own pass.
-func frameHandoffs(info *types.Info, stmt ast.Stmt) []frameHandoff {
+// take ownership, or every frame variable in the burst of a call to a
+// burst receiver, be it a composite literal or a variable the frames were
+// stored in. Function literals are left to their own pass.
+func frameHandoffs(info *types.Info, stored map[*types.Var][]*types.Var, stmt ast.Stmt) []frameHandoff {
 	var out []frameHandoff
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -299,14 +308,18 @@ func frameHandoffs(info *types.Info, stmt ast.Stmt) []frameHandoff {
 			// A deferred send happens at exit, after every later use.
 			return false
 		case *ast.CallExpr:
-			arg, to := frameArg(info, n)
+			arg, to, burst := frameArg(info, n)
 			if arg < 0 || arg >= len(n.Args) {
 				return true
 			}
-			if id, ok := ast.Unparen(n.Args[arg]).(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*types.Var); ok {
+			if !burst {
+				if v := identVar(info, n.Args[arg]); v != nil {
 					out = append(out, frameHandoff{v: v, to: to})
 				}
+				return true
+			}
+			for _, v := range burstFrames(info, stored, n.Args[arg]) {
+				out = append(out, frameHandoff{v: v, to: to})
 			}
 		}
 		return true
@@ -314,26 +327,115 @@ func frameHandoffs(info *types.Info, stmt ast.Stmt) []frameHandoff {
 	return out
 }
 
-// frameArg returns the index of the frame argument of a call that hands a
-// frame to a new owner, and the receiver's name; -1 for any other call.
-func frameArg(info *types.Info, call *ast.CallExpr) (int, string) {
+// identVar is the variable e names, nil when e is not a plain variable.
+func identVar(info *types.Info, e ast.Expr) *types.Var {
+	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
+		v, _ := info.Uses[id].(*types.Var)
+		return v
+	}
+	return nil
+}
+
+// burstFrames lists the frame variables in a burst argument: those stored
+// in a burst variable (possibly resliced), or the plain variables a
+// composite literal or an append puts in it.
+func burstFrames(info *types.Info, stored map[*types.Var][]*types.Var, e ast.Expr) []*types.Var {
+	e = ast.Unparen(e)
+	if sl, ok := e.(*ast.SliceExpr); ok {
+		e = ast.Unparen(sl.X)
+	}
+	if v := identVar(info, e); v != nil {
+		return stored[v]
+	}
+	var out []*types.Var
+	for _, el := range burstElems(e) {
+		if v := identVar(info, el); v != nil {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// burstElems lists the values a burst expression puts in its slice: a
+// composite literal's elements or an append's added values.
+func burstElems(e ast.Expr) []ast.Expr {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.CompositeLit:
+		return e.Elts
+	case *ast.CallExpr:
+		if fn, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && fn.Name == "append" && !e.Ellipsis.IsValid() {
+			return e.Args[1:]
+		}
+	}
+	return nil
+}
+
+// burstStores maps each slice variable of body to the frame variables
+// stored in it: `b = append(b, f)`, `b[i] = f` and `b := [][]byte{f}`.
+func burstStores(info *types.Info, body *ast.BlockStmt) map[*types.Var][]*types.Var {
+	stored := map[*types.Var][]*types.Var{}
+	store := func(lhs, rhs ast.Expr) {
+		elems := burstElems(rhs)
+		if ix, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
+			lhs, elems = ix.X, []ast.Expr{rhs}
+		}
+		id, ok := ast.Unparen(lhs).(*ast.Ident)
+		if !ok {
+			return
+		}
+		b, _ := info.Defs[id].(*types.Var)
+		if b == nil {
+			b, _ = info.Uses[id].(*types.Var)
+		}
+		for _, el := range elems {
+			if v := identVar(info, el); b != nil && v != nil && !slices.Contains(stored[b], v) {
+				stored[b] = append(stored[b], v)
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if len(n.Lhs) == len(n.Rhs) {
+				for i := range n.Lhs {
+					store(n.Lhs[i], n.Rhs[i])
+				}
+			}
+		case *ast.ValueSpec:
+			if len(n.Names) == len(n.Values) {
+				for i := range n.Names {
+					store(n.Names[i], n.Values[i])
+				}
+			}
+		}
+		return true
+	})
+	return stored
+}
+
+// frameArg returns the index of the frame or burst argument of a call that
+// hands frames to a new owner, the receiver's name and whether the
+// argument is a burst; -1 for any other call.
+func frameArg(info *types.Info, call *ast.CallExpr) (int, string, bool) {
 	obj := calleeOf(info, call)
 	switch {
 	case isMethod(obj, "netem", "Port", "Send"):
-		return 0, "netem.Port.Send"
+		return 0, "netem.Port.Send", false
 	case isMethod(obj, "click", "Device", "Send"):
-		return 0, "click.Device.Send"
+		return 0, "click.Device.Send", false
+	case isMethod(obj, "click", "BurstDevice", "SendBurst"):
+		return 0, "click.BurstDevice.SendBurst", true
 	case isMethod(obj, "ofswitch", "Switch", "Input"):
-		return 1, "ofswitch.Switch.Input"
+		return 1, "ofswitch.Switch.Input", true
 	}
 	if v, ok := obj.(*types.Var); ok && v.IsField() && v.Name() == "Transmit" {
 		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if s := info.Selections[sel]; s != nil && isNamed(s.Recv(), "ofswitch", "Port") {
-				return 0, "ofswitch.Port.Transmit"
+				return 0, "ofswitch.Port.Transmit", true
 			}
 		}
 	}
-	return -1, ""
+	return -1, "", false
 }
 
 // frameUseAfter returns the first mention of v on some path from the

@@ -6,12 +6,13 @@ import (
 	"escape/internal/ofswitch"
 )
 
-// The frame half: a []byte handed to Port.Transmit, Device.Send,
-// netem.Port.Send or Switch.Input belongs to the receiver, which edits it
-// in place or passes it on. The sender must not touch it again.
+// The frame half: a []byte handed to Device.Send or netem.Port.Send, or
+// in a burst handed to Port.Transmit, Switch.Input or
+// BurstDevice.SendBurst, belongs to the receiver, which edits it in place
+// or passes it on. The sender must not touch it again.
 
 func useAfterTransmit(p *ofswitch.Port, frame []byte) int {
-	p.Transmit(frame)
+	p.Transmit([][]byte{frame})
 	return len(frame) // want `frame frame used after it was handed to ofswitch.Port.Transmit`
 }
 
@@ -28,8 +29,26 @@ func useAfterPortSend(p *netem.Port, frame []byte) {
 }
 
 func useAfterInput(s *ofswitch.Switch, frame []byte) {
-	s.Input(1, frame)
-	s.Input(2, frame) // want `frame frame used after it was handed to ofswitch.Switch.Input`
+	s.Input(1, [][]byte{frame})
+	s.Input(2, [][]byte{frame}) // want `frame frame used after it was handed to ofswitch.Switch.Input`
+}
+
+// A frame stored in a burst goes with the burst.
+func useAfterBurstSend(dev click.BurstDevice, frame, other []byte) {
+	burst := append(make([][]byte, 0, 2), frame, other)
+	_ = dev.SendBurst(burst)
+	burst = burst[:0]
+	use(other[0]) // want `frame other used after it was handed to click.BurstDevice.SendBurst`
+}
+
+// The receiver takes the frames, not the slice: the sender reuses it.
+func reuseBurstAfterInput(s *ofswitch.Switch, frame []byte, next func() []byte) int {
+	burst := make([][]byte, 1)
+	burst[0] = frame
+	s.Input(1, burst)
+	burst[0] = next()
+	s.Input(1, burst)
+	return len(burst)
 }
 
 // A send on one branch taints the join.
@@ -68,7 +87,7 @@ func copyThenSend(p *netem.Port, frame []byte) []byte {
 func cloneIntoVariableThenSend(s *ofswitch.Switch, frame []byte) int {
 	out := make([]byte, len(frame))
 	copy(out, frame)
-	s.Input(1, out)
+	s.Input(1, [][]byte{out})
 	return len(frame)
 }
 

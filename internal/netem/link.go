@@ -79,11 +79,15 @@ func (l *Link) Stats() LinkStats {
 }
 
 // pipe is one direction of a link: an egress queue, optional token-bucket
-// serialization and a delay line, delivering into the peer port.
+// serialization and a delay line, delivering into the peer port. It
+// carries runs of frames: an unshaped pipe counts and delivers a run
+// whole, a shaped one queues, serializes and delivers frame by frame.
 type pipe struct {
-	cfg     LinkConfig
-	queue   chan []byte
-	deliver func(frame []byte)
+	cfg   LinkConfig
+	queue chan []byte
+	// deliver hands a run to the peer port, which takes the frames and
+	// keeps no part of the slice after the call.
+	deliver func(frames [][]byte)
 	// lossState is the seeded per-pipe loss RNG (splitmix64 over an
 	// atomically advanced counter): concurrent senders on the unshaped
 	// inline fast path draw without a lock, and a single sender observes
@@ -102,7 +106,7 @@ type pipe struct {
 
 // newPipe makes one direction of a link. Only a shaped pipe gets an
 // egress queue: an unshaped one delivers inline and never queues.
-func newPipe(cfg LinkConfig, deliver func([]byte), seedSalt int64) *pipe {
+func newPipe(cfg LinkConfig, deliver func([][]byte), seedSalt int64) *pipe {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 512
 	}
@@ -118,27 +122,54 @@ func newPipe(cfg LinkConfig, deliver func([]byte), seedSalt int64) *pipe {
 	return p
 }
 
-// send enqueues a frame for transmission; a full queue drops (tail drop),
-// exactly like a real egress queue.
-func (p *pipe) send(frame []byte) {
-	if p.down.Load() || p.lose() {
-		p.drops.Add(1)
+// send transmits a run of frames and takes ownership of each; it may
+// rewrite the slice's elements during the call (a lossy pipe compacts the
+// frames it keeps) and keeps none of it after. A down pipe drops the run.
+// Loss is drawn per frame, in order. An unshaped pipe counts what it
+// keeps once and delivers it inline as one run, avoiding a goroutine hop:
+// this keeps large emulations (E3) cheap. A shaped pipe queues frame by
+// frame, and a full queue drops (tail drop), exactly like a real egress
+// queue.
+func (p *pipe) send(frames [][]byte) {
+	if p.down.Load() {
+		p.drops.Add(uint64(len(frames)))
 		return
 	}
-	// Fast path: unshaped link with empty queue delivers inline, avoiding
-	// a goroutine hop. This keeps large emulations (E3) cheap while
-	// shaped links still get full queue semantics.
-	if !p.cfg.shaped() {
-		p.packets.Add(1)
-		p.bytes.Add(uint64(len(frame)))
-		p.deliver(frame)
+	if p.cfg.shaped() {
+		for _, f := range frames {
+			if p.lose() {
+				p.drops.Add(1)
+				continue
+			}
+			select {
+			case p.queue <- f:
+			default:
+				p.drops.Add(1)
+			}
+		}
 		return
 	}
-	select {
-	case p.queue <- frame:
-	default:
-		p.drops.Add(1)
+	if p.cfg.Loss > 0 {
+		kept := frames[:0]
+		for _, f := range frames {
+			if !p.lose() {
+				kept = append(kept, f)
+			}
+		}
+		if lost := len(frames) - len(kept); lost > 0 {
+			p.drops.Add(uint64(lost))
+		}
+		if frames = kept; len(frames) == 0 {
+			return
+		}
 	}
+	p.packets.Add(uint64(len(frames)))
+	var n uint64
+	for _, f := range frames {
+		n += uint64(len(f))
+	}
+	p.bytes.Add(n)
+	p.deliver(frames)
 }
 
 // lose draws the per-packet loss decision lock-free: the counter advance
@@ -189,6 +220,15 @@ func (p *pipe) start() {
 	// Stage 1: serialization (token bucket at Bandwidth).
 	// Stage 2: propagation delay line preserving order.
 	var delayCh chan timedFrame
+	// deliverOne hands a frame to the peer as a run of one, through a
+	// slot per stage goroutine.
+	deliverOne := func(one [][]byte, frame []byte) {
+		p.packets.Add(1)
+		p.bytes.Add(uint64(len(frame)))
+		one[0] = frame
+		p.deliver(one)
+		one[0] = nil
+	}
 	if p.cfg.Delay > 0 {
 		delayCh = make(chan timedFrame, cap(p.queue))
 		p.wg.Add(1)
@@ -196,6 +236,7 @@ func (p *pipe) start() {
 			defer p.wg.Done()
 			t := newStoppedTimer()
 			defer t.Stop()
+			one := make([][]byte, 1)
 			for {
 				select {
 				case <-p.stop:
@@ -206,9 +247,7 @@ func (p *pipe) start() {
 							return
 						}
 					}
-					p.packets.Add(1)
-					p.bytes.Add(uint64(len(tf.frame)))
-					p.deliver(tf.frame)
+					deliverOne(one, tf.frame)
 				}
 			}
 		}()
@@ -218,6 +257,7 @@ func (p *pipe) start() {
 		defer p.wg.Done()
 		t := newStoppedTimer()
 		defer t.Stop()
+		one := make([][]byte, 1)
 		for {
 			select {
 			case <-p.stop:
@@ -239,9 +279,7 @@ func (p *pipe) start() {
 					}
 					continue
 				}
-				p.packets.Add(1)
-				p.bytes.Add(uint64(len(frame)))
-				p.deliver(frame)
+				deliverOne(one, frame)
 			}
 		}
 	}()

@@ -17,7 +17,7 @@ func benchPipe(delay time.Duration) (*pipe, *atomic.Uint64, func()) {
 		Bandwidth: 10e9, // 10 Gb/s: ~80ns tx time per 100B frame
 		Delay:     delay,
 		QueueLen:  4096,
-	}, func(frame []byte) { delivered.Add(1) }, 1)
+	}, func(frames [][]byte) { delivered.Add(uint64(len(frames))) }, 1)
 	p.start()
 	return p, &delivered, p.close
 }
@@ -39,11 +39,11 @@ func BenchmarkShapedPipeAllocsPerFrame(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			p, delivered, stop := benchPipe(tc.delay)
 			defer stop()
-			frame := make([]byte, 100)
+			one := [][]byte{make([]byte, 100)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				p.send(frame)
+				p.send(one)
 				// Keep the queue from overflowing into tail drops: pace
 				// the producer against deliveries.
 				for i-int(delivered.Load()+p.drops.Load()) > 2048 {
@@ -68,11 +68,11 @@ func TestShapedPipeTimerReuse(t *testing.T) {
 	const frames = 400
 	p, delivered, stop := benchPipe(20 * time.Microsecond)
 	defer stop()
-	frame := make([]byte, 100)
+	one := [][]byte{make([]byte, 100)}
 
 	// Warm up both goroutines and their timers.
 	for i := 0; i < 8; i++ {
-		p.send(frame)
+		p.send(one)
 	}
 	waitDelivered(t, delivered, 8)
 
@@ -80,7 +80,7 @@ func TestShapedPipeTimerReuse(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := 0; i < frames; i++ {
-		p.send(frame)
+		p.send(one)
 	}
 	waitDelivered(t, delivered, 8+frames)
 	runtime.ReadMemStats(&after)

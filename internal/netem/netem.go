@@ -69,15 +69,34 @@ type Port struct {
 	IP   netip.Addr // valid on host ports
 	link atomic.Pointer[Link]
 	pipe atomic.Pointer[pipe] // egress pipe (this port → peer)
-	recv func(frame []byte)
+	// recv takes a run of frames arriving from the link: the frames, never
+	// the slice (see pipe.send).
+	recv func(frames [][]byte)
+	// one is the one-slot run Send lends a lone frame; a Send claims it
+	// with a swap, so a concurrent Send on the port makes its own.
+	one atomic.Pointer[[1][]byte]
 }
 
-// Send transmits a frame out of this port (towards the link peer) and
-// takes ownership of it: the receiving node owns it next. Frames sent
-// before the link is wired are dropped, like a NIC with no cable.
+// Send transmits a frame out of this port (towards the link peer) as a
+// run of one and takes ownership of it: the receiving node owns it next.
 func (p *Port) Send(frame []byte) {
+	one := p.one.Swap(nil)
+	if one == nil {
+		one = new([1][]byte)
+	}
+	one[0] = frame
+	p.send(one[:])
+	one[0] = nil
+	p.one.Store(one)
+}
+
+// send transmits a run of frames out of this port, in order, and takes
+// ownership of each frame; it may rewrite the slice's elements during the
+// call and keeps none of it after. Frames sent before the link is wired
+// are dropped, like a NIC with no cable.
+func (p *Port) send(frames [][]byte) {
 	if pp := p.pipe.Load(); pp != nil {
-		pp.send(frame)
+		pp.send(frames)
 	}
 }
 
@@ -242,8 +261,8 @@ func (n *Network) AddLink(a, b string, cfg LinkConfig) (*Link, error) {
 		return nil, fmt.Errorf("netem: adding port on %s: %w", b, err)
 	}
 	l := &Link{A: pa, B: pb, cfg: cfg, net: n}
-	l.ab = newPipe(cfg, func(f []byte) { pb.recv(f) }, 1)
-	l.ba = newPipe(cfg, func(f []byte) { pa.recv(f) }, 2)
+	l.ab = newPipe(cfg, func(fs [][]byte) { pb.recv(fs) }, 1)
+	l.ba = newPipe(cfg, func(fs [][]byte) { pa.recv(fs) }, 2)
 	pa.link.Store(l)
 	pb.link.Store(l)
 	pa.pipe.Store(l.ab)

@@ -322,7 +322,7 @@ func TestEEVNFLifecycle(t *testing.T) {
 	// Inject into the VNF input directly (the device channel) to prove
 	// the data path: s1 port inPort → VNF.
 	s1 := n.Node("s1").(*SwitchNode)
-	s1.Switch().Input(outPort, append([]byte(nil), frame...)) // Input owns its frame: hand it a copy of ours
+	s1.Switch().Input(outPort, [][]byte{append([]byte(nil), frame...)}) // Input owns its frame: hand it a copy of ours
 
 	// The clean way: frames transmitted out of switch port inPort reach
 	// the VNF in device, traverse the Click graph and come back on

@@ -62,7 +62,11 @@ func (h *Host) newPort(n *Network) (*Port, error) {
 		MAC:  n.allocMAC(),
 		IP:   n.allocIP(),
 	}
-	p.recv = func(frame []byte) { h.input(p, frame) }
+	p.recv = func(frames [][]byte) {
+		for _, f := range frames {
+			h.input(p, f)
+		}
+	}
 	h.ports = append(h.ports, p)
 	return p, nil
 }
@@ -220,14 +224,14 @@ func (s *SwitchNode) newPort(n *Network) (*Port, error) {
 		No:       no,
 		HWAddr:   pkt.MAC(p.MAC),
 		Name:     p.Name,
-		Transmit: func(frame []byte) { p.Send(frame) },
+		Transmit: p.send,
 	})
 	if err != nil {
 		return nil, err
 	}
 	s.used[no] = true
 	// Link → datapath.
-	p.recv = func(frame []byte) { s.sw.Input(no, frame) }
+	p.recv = func(frames [][]byte) { s.sw.Input(no, frames) }
 	return p, nil
 }
 
@@ -357,7 +361,10 @@ func (v *VNF) ControlAddr() string {
 	return v.control.Addr().String()
 }
 
-// eeDevice bridges a Click device to a netem port.
+// eeDevice bridges a Click device to a netem port. It takes bursts both
+// ways: SendBurst hands ToDevice's burst to the port as one run, and
+// deliver puts a run from the switch on the receive ring, each under one
+// hold of mu.
 type eeDevice struct {
 	name string
 	// in is the receive ring, taken from the free list at InitVNF and
@@ -368,20 +375,25 @@ type eeDevice struct {
 	port *Port // nil until connected to a switch
 }
 
+var _ click.BurstDevice = (*eeDevice)(nil)
+
 // DeviceName implements click.Device.
 func (d *eeDevice) DeviceName() string { return d.name }
 
 // Recv implements click.Device.
 func (d *eeDevice) Recv() <-chan []byte { return d.in }
 
-// deliver puts a frame from the switch on the receive ring. It drops the
-// frame when the ring is full (the VNF is not draining, like a full NIC
-// ring) or gone (a frame still in flight on the link of a released VNF).
-func (d *eeDevice) deliver(frame []byte) {
+// deliver puts a run of frames from the switch on the receive ring, one
+// ring send per frame. It drops a frame when the ring is full (the VNF is
+// not draining, like a full NIC ring) or gone (frames still in flight on
+// the link of a released VNF).
+func (d *eeDevice) deliver(frames [][]byte) {
 	d.mu.Lock()
-	select {
-	case d.in <- frame: // a nil ring is never ready
-	default:
+	for _, f := range frames {
+		select {
+		case d.in <- f: // a nil ring is never ready
+		default:
+		}
 	}
 	d.mu.Unlock()
 }
@@ -427,14 +439,34 @@ func giveRing(ch chan []byte) {
 
 // Send implements click.Device.
 func (d *eeDevice) Send(frame []byte) error {
+	p, err := d.connected()
+	if err != nil {
+		return err
+	}
+	p.Send(frame)
+	return nil
+}
+
+// SendBurst implements click.BurstDevice: ToDevice's burst goes to the
+// port as one run. A device that is not connected drops it whole.
+func (d *eeDevice) SendBurst(frames [][]byte) error {
+	p, err := d.connected()
+	if err != nil {
+		return err
+	}
+	p.send(frames)
+	return nil
+}
+
+// connected returns the port the device is wired to.
+func (d *eeDevice) connected() (*Port, error) {
 	d.mu.Lock()
 	p := d.port
 	d.mu.Unlock()
 	if p == nil {
-		return fmt.Errorf("netem: device %s not connected", d.name)
+		return nil, fmt.Errorf("netem: device %s not connected", d.name)
 	}
-	p.Send(frame)
-	return nil
+	return p, nil
 }
 
 // unplug detaches the device and removes the link ConnectVNF made for it,

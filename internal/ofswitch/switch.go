@@ -19,10 +19,14 @@ type Port struct {
 	No     uint16
 	HWAddr pkt.MAC
 	Name   string
-	// Transmit sends a frame out of this port and takes ownership of it:
-	// the switch never touches a frame it has transmitted. Must be
-	// non-blocking or fast; netem link queues satisfy this.
-	Transmit func(frame []byte)
+	// Transmit sends a run of frames out of this port, in order, and takes
+	// ownership of each frame: the switch never touches a frame it has
+	// transmitted. It takes the frames, never the slice: it may rewrite
+	// the slice's elements during the call and keeps none of it after, so
+	// the switch reuses the slice. The port's tx counters already include
+	// the run when Transmit is called. Must be non-blocking or fast; netem
+	// link queues satisfy this.
+	Transmit func(frames [][]byte)
 
 	rxPackets, txPackets atomic.Uint64
 	rxBytes, txBytes     atomic.Uint64
@@ -210,44 +214,118 @@ func (s *Switch) portStats() []openflow.PortStats {
 	return out
 }
 
-// Input is the data-plane entry point: frame arrived on port no. Input
-// owns frame: it edits it in place and hands it on to the output port, so
-// the caller must not touch it afterwards. It is called by netem link
-// delivery goroutines.
-func (s *Switch) Input(no uint16, frame []byte) {
+// Input is the data-plane entry point: a burst of frames arrived on port
+// no. Input takes the frames, never the slice: it edits each frame in
+// place and hands it on to its output port, and it rewrites the slice's
+// elements as it goes, so the caller must touch neither the frames nor
+// the slice's contents afterwards, but may reuse the slice. It is called
+// by netem link delivery, a lone frame as a burst of one.
+//
+// The burst is counted on the ingress port once. Each frame is parsed,
+// looked up and acted on in arrival order; consecutive frames whose
+// action list ends in one output to the same port leave as one run,
+// counted on that port once, before Transmit. A table miss, FLOOD or ALL,
+// a controller output, an earlier output or a parse error first sends
+// the pending run, so each port sees its frames in arrival order.
+func (s *Switch) Input(no uint16, frames [][]byte) {
 	port := s.port(no)
-	if port == nil {
+	if port == nil || len(frames) == 0 {
 		return
 	}
 	if port.linkDown.Load() {
-		port.rxDropped.Add(1)
+		port.rxDropped.Add(uint64(len(frames)))
 		return
 	}
-	port.rxPackets.Add(1)
-	port.rxBytes.Add(uint64(len(frame)))
+	port.rxPackets.Add(uint64(len(frames)))
+	port.rxBytes.Add(runBytes(frames))
 
-	fields, err := openflow.ExtractFields(frame, no)
-	if err != nil {
-		port.rxDropped.Add(1)
-		return
+	r := egressRun{frames: frames}
+	for i, frame := range frames {
+		fields, err := openflow.ExtractFields(frame, no)
+		if err != nil {
+			r.flush()
+			port.rxDropped.Add(1)
+			continue
+		}
+		entry := s.table.lookup(&fields, len(frame))
+		if entry == nil {
+			r.flush()
+			s.TableMisses.Add(1)
+			s.packetToController(frame, no, openflow.ReasonNoMatch)
+			continue
+		}
+		s.applyActions(&r, i, entry.Actions, no)
 	}
-	entry := s.table.lookup(&fields, len(frame))
-	if entry == nil {
-		s.TableMisses.Add(1)
-		s.packetToController(frame, no, openflow.ReasonNoMatch)
-		return
-	}
-	s.applyActions(entry.Actions, frame, no)
+	r.flush()
 }
 
-// applyActions runs an action list on frame, which arrived on inPort. It
-// owns frame: set-field actions edit it in place, and the list's last
-// output hands it on.
-func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort uint16) {
-	for i, a := range actions {
+// egressRun is the pending output run of one burst: frames[start:end],
+// all leaving by out. The run is compacted into the burst's own slice,
+// whose slots below the frame being processed are free (their frames
+// have been read), so it needs no storage of its own.
+type egressRun struct {
+	frames     [][]byte
+	out        *Port
+	start, end int
+}
+
+// add appends frame to the run out of p, first sending a pending run to
+// another port.
+func (r *egressRun) add(p *Port, frame []byte) {
+	if r.out != p {
+		r.flush()
+		r.out = p
+	}
+	r.frames[r.end] = frame
+	r.end++
+}
+
+// flush sends the pending run, if any.
+func (r *egressRun) flush() {
+	if r.end > r.start {
+		transmit(r.out, r.frames[r.start:r.end:r.end])
+	}
+	r.start = r.end
+	r.out = nil
+}
+
+// sendCopy sends a copy of frame, burst element i, out of p as a run of
+// one. The copy borrows slot i: frame is held by the caller, and the
+// pending run, flushed first, lies below i.
+func (r *egressRun) sendCopy(i int, p *Port, frame []byte) {
+	if p == nil {
+		return
+	}
+	if p.linkDown.Load() {
+		p.txDropped.Add(1)
+		return
+	}
+	r.frames[i] = slices.Clone(frame)
+	transmit(p, r.frames[i:i+1:i+1])
+}
+
+// applyActions runs an action list on burst element i, which arrived on
+// inPort. It owns the frame: set-field actions edit it in place, an output
+// that ends the list adds it to the pending run, and an earlier output,
+// FLOOD, ALL or a controller output sends the pending run first and then
+// a copy.
+func (s *Switch) applyActions(r *egressRun, i int, actions []openflow.Action, inPort uint16) {
+	frame := r.frames[i]
+	for k, a := range actions {
 		switch act := a.(type) {
 		case openflow.ActionOutput:
-			s.output(act.Port, frame, inPort, act.MaxLen, i == len(actions)-1)
+			if k == len(actions)-1 && (act.Port < openflow.PortMax || act.Port == openflow.PortInPort) {
+				no := act.Port
+				if no == openflow.PortInPort {
+					no = inPort
+				}
+				if p := s.port(no); p != nil {
+					r.add(p, frame)
+				}
+				continue
+			}
+			r.flush()
+			s.output(r, i, frame, act.Port, inPort, act.MaxLen)
 		case openflow.ActionSetVLAN:
 			if out, err := pkt.PushVLAN(frame, act.VLAN); err == nil {
 				frame = out
@@ -266,12 +344,19 @@ func (s *Switch) applyActions(actions []openflow.Action, frame []byte, inPort ui
 	}
 }
 
-// output transmits frame out of an (possibly special) port. Port.Transmit
-// takes its frame, so the last action of a list naming a single port (how
-// every steering rule ends) hands over frame itself; an earlier output,
-// whose frame later actions go on editing, and every FLOOD or ALL target
-// get a copy.
-func (s *Switch) output(port uint16, frame []byte, inPort uint16, maxLen uint16, last bool) {
+// applyToFrame runs an action list on one frame from the control channel
+// (a PACKET_OUT or a released buffer) as a burst of one.
+func (s *Switch) applyToFrame(actions []openflow.Action, frame []byte, inPort uint16) {
+	r := egressRun{frames: [][]byte{frame}}
+	s.applyActions(&r, 0, actions, inPort)
+	r.flush()
+}
+
+// output sends copies of frame, burst element i, out of a special or
+// non-final output: the controller gets a PACKET_IN, and every FLOOD or
+// ALL target and an earlier output's port get a copy of their own, since
+// later actions go on editing frame.
+func (s *Switch) output(r *egressRun, i int, frame []byte, port uint16, inPort uint16, maxLen uint16) {
 	switch {
 	case port == openflow.PortController:
 		limit := int(maxLen)
@@ -282,34 +367,40 @@ func (s *Switch) output(port uint16, frame []byte, inPort uint16, maxLen uint16,
 	case port == openflow.PortFlood, port == openflow.PortAll:
 		for no, p := range s.portTable() {
 			if uint16(no) != inPort {
-				transmit(p, frame, true)
+				r.sendCopy(i, p, frame)
 			}
 		}
 	case port == openflow.PortInPort, port < openflow.PortMax:
 		if port == openflow.PortInPort {
 			port = inPort
 		}
-		transmit(s.port(port), frame, !last)
+		r.sendCopy(i, s.port(port), frame)
 	}
 }
 
-// transmit sends frame out of p, which takes it; with copyFrame p gets a
-// copy instead, for a caller that goes on using frame. A nil or down port
-// drops.
-func transmit(p *Port, frame []byte, copyFrame bool) {
+// transmit sends a run out of p, which takes its frames, after adding the
+// run to p's tx counters. A nil port drops; a down one counts the run as
+// dropped.
+func transmit(p *Port, run [][]byte) {
 	if p == nil {
 		return
 	}
 	if p.linkDown.Load() {
-		p.txDropped.Add(1)
+		p.txDropped.Add(uint64(len(run)))
 		return
 	}
-	if copyFrame {
-		frame = slices.Clone(frame)
+	p.txPackets.Add(uint64(len(run)))
+	p.txBytes.Add(runBytes(run))
+	p.Transmit(run)
+}
+
+// runBytes sums the lengths of a run's frames.
+func runBytes(run [][]byte) uint64 {
+	var n uint64
+	for _, f := range run {
+		n += uint64(len(f))
 	}
-	p.txPackets.Add(1)
-	p.txBytes.Add(uint64(len(frame)))
-	p.Transmit(frame)
+	return n
 }
 
 // packetToController buffers the frame and emits PACKET_IN carrying its
@@ -553,7 +644,7 @@ func (s *Switch) handleMessage(msg openflow.Message, h openflow.Header) {
 			}
 		}
 		if len(data) > 0 {
-			s.applyActions(m.Actions, data, inPort)
+			s.applyToFrame(m.Actions, data, inPort)
 		}
 	case *openflow.StatsRequest:
 		s.handleStats(m, h)
@@ -579,7 +670,7 @@ func (s *Switch) handleFlowMod(m *openflow.FlowMod, h openflow.Header) {
 		// ADD with a buffer id also releases the buffered packet through
 		// the new actions.
 		if bp, ok := s.takeBuffer(m.BufferID); ok {
-			s.applyActions(m.Actions, bp.frame, bp.inPort)
+			s.applyToFrame(m.Actions, bp.frame, bp.inPort)
 		}
 	case openflow.FCModify, openflow.FCModifyStrict:
 		s.table.modify(m.Match, m.Priority, m.Actions, m.Command == openflow.FCModifyStrict)

@@ -27,10 +27,12 @@ func testSwitch(t *testing.T, nPorts int) (*Switch, []chan []byte) {
 			No:     uint16(i),
 			HWAddr: pkt.MAC{2, 0, 0, 0, 0, byte(i)},
 			Name:   "s1-eth",
-			Transmit: func(frame []byte) {
-				select {
-				case ch <- frame:
-				default:
+			Transmit: func(frames [][]byte) {
+				for _, frame := range frames {
+					select {
+					case ch <- frame:
+					default:
+					}
 				}
 			},
 		})
@@ -108,7 +110,7 @@ func TestTableMissSendsPacketIn(t *testing.T) {
 	s, _ := testSwitch(t, 2)
 	conn := fakeController(t, s)
 	frame := testFrame(t, 80)
-	s.Input(1, frame)
+	s.Input(1, [][]byte{frame})
 	msg := mustRead(t, conn)
 	pi, ok := msg.(*openflow.PacketIn)
 	if !ok {
@@ -148,7 +150,7 @@ func TestFlowModThenForward(t *testing.T) {
 		t.Fatalf("expected barrier reply, got %s", msg.MsgType())
 	}
 	frame := testFrame(t, 80)
-	s.Input(1, frame)
+	s.Input(1, [][]byte{frame})
 	select {
 	case out := <-chans[2]:
 		if len(out) != len(frame) {
@@ -163,7 +165,7 @@ func TestFlowModBufferRelease(t *testing.T) {
 	s, chans := testSwitch(t, 2)
 	conn := fakeController(t, s)
 	frame := testFrame(t, 80)
-	s.Input(1, frame) // miss → buffered packet-in
+	s.Input(1, [][]byte{frame}) // miss → buffered packet-in
 	pi := mustRead(t, conn).(*openflow.PacketIn)
 	// FlowMod referencing the buffer must release the packet through the
 	// new actions.
@@ -226,7 +228,7 @@ func TestVLANActions(t *testing.T) {
 	}, 2)
 	openflow.WriteMessage(conn, &openflow.BarrierRequest{}, 3)
 	mustRead(t, conn)
-	s.Input(1, testFrame(t, 80))
+	s.Input(1, [][]byte{testFrame(t, 80)})
 	select {
 	case out := <-chans[2]:
 		h, err := pkt.Parse(out)
@@ -256,7 +258,7 @@ func TestRewriteActionsKeepChecksumsValid(t *testing.T) {
 	}, 2)
 	openflow.WriteMessage(conn, &openflow.BarrierRequest{}, 3)
 	mustRead(t, conn)
-	s.Input(1, testFrame(t, 80))
+	s.Input(1, [][]byte{testFrame(t, 80)})
 	select {
 	case out := <-chans[2]:
 		dec := pkt.Decode(out)
@@ -298,8 +300,8 @@ func TestEchoAndStats(t *testing.T) {
 	openflow.WriteMessage(conn, &openflow.BarrierRequest{}, 3)
 	mustRead(t, conn)
 	frame := testFrame(t, 80)
-	s.Input(1, frame)
-	s.Input(1, frame)
+	s.Input(1, [][]byte{frame})
+	s.Input(1, [][]byte{frame})
 	openflow.WriteMessage(conn, &openflow.StatsRequest{StatsType: openflow.StatsFlow, Match: openflow.MatchAll(), OutPort: openflow.PortNone}, 4)
 	sr := mustRead(t, conn).(*openflow.StatsReply)
 	if len(sr.Flows) != 1 || sr.Flows[0].PacketCount != 2 {
@@ -345,7 +347,7 @@ func TestAddPortValidation(t *testing.T) {
 	if err := s.AddPort(&Port{No: 1}); err == nil {
 		t.Error("port without transmit accepted")
 	}
-	tx := func([]byte) {}
+	tx := func([][]byte) {}
 	if err := s.AddPort(&Port{No: 0, Transmit: tx}); err == nil {
 		t.Error("port 0 accepted")
 	}
@@ -380,7 +382,7 @@ func TestRemovePortAnnouncesDelete(t *testing.T) {
 	}
 	s.RemovePort(2)  // already gone: no second announcement
 	s.RemovePort(99) // never existed
-	if err := s.AddPort(&Port{No: 2, Transmit: func([]byte) {}}); err != nil {
+	if err := s.AddPort(&Port{No: 2, Transmit: func([][]byte) {}}); err != nil {
 		t.Fatalf("re-adding a removed port number: %v", err)
 	}
 	msg = mustRead(t, conn)
@@ -391,7 +393,7 @@ func TestRemovePortAnnouncesDelete(t *testing.T) {
 
 func TestInputOnUnknownPortIgnored(t *testing.T) {
 	s, _ := testSwitch(t, 1)
-	s.Input(99, testFrame(t, 80)) // must not panic
+	s.Input(99, [][]byte{testFrame(t, 80)}) // must not panic
 }
 
 // installRule adds a steering-style entry for frames arriving on port 1.
@@ -422,7 +424,7 @@ func TestInputOwnsFrameReceiversOwnTheirs(t *testing.T) {
 			s, chans := testSwitch(t, 3)
 			installRule(s, tc.actions...)
 			frame := testFrame(t, 80)
-			s.Input(1, frame)
+			s.Input(1, [][]byte{frame})
 			got := map[int][]byte{}
 			for port, dst := range tc.out {
 				select {
@@ -459,8 +461,9 @@ func TestInputOwnsFrameReceiversOwnTheirs(t *testing.T) {
 
 // TestForwardedFrameAllocatesNothing: through a steered two-switch path —
 // match, tag push and output at the first switch, match, tag pop and
-// output at the second — a frame costs no allocation: it is edited in
-// place and handed on.
+// output at the second — neither a frame nor a 32-frame burst costs an
+// allocation: each frame is edited in place and handed on, and the burst
+// leaves each switch as one run in the burst's own slice.
 func TestForwardedFrameAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -468,16 +471,16 @@ func TestForwardedFrameAllocatesNothing(t *testing.T) {
 	s1, s2 := New("s1", 42), New("s2", 43)
 	t.Cleanup(s1.Stop)
 	t.Cleanup(s2.Stop)
-	var delivered []byte
+	var delivered [][]byte
 	for _, p := range []struct {
 		s        *Switch
 		no       uint16
-		transmit func([]byte)
+		transmit func([][]byte)
 	}{
-		{s1, 1, func([]byte) {}},
-		{s1, 2, func(f []byte) { s2.Input(1, f) }},
-		{s2, 1, func([]byte) {}},
-		{s2, 2, func(f []byte) { delivered = f }},
+		{s1, 1, func([][]byte) {}},
+		{s1, 2, func(fs [][]byte) { s2.Input(1, fs) }},
+		{s2, 1, func([][]byte) {}},
+		{s2, 2, func(fs [][]byte) { delivered = append(delivered[:0], fs...) }},
 	} {
 		if err := p.s.AddPort(&Port{No: p.no, Transmit: p.transmit}); err != nil {
 			t.Fatal(err)
@@ -485,17 +488,43 @@ func TestForwardedFrameAllocatesNothing(t *testing.T) {
 	}
 	installRule(s1, openflow.ActionSetVLAN{VLAN: 7}, openflow.ActionOutput{Port: 2})
 	installRule(s2, openflow.ActionStripVLAN{}, openflow.ActionOutput{Port: 2})
-	// The frame has the tag room netem.Host.Send gives it. It comes back
+	// Each frame has the tag room netem.Host.Send gives it. It comes back
 	// untagged in the same buffer, so the next run may send it again.
 	orig := testFrame(t, 80)
-	frame := append(make([]byte, 0, len(orig)+4), orig...)
-	if n := testing.AllocsPerRun(200, func() { s1.Input(1, frame) }); n != 0 {
+	tagRoom := func() []byte { return append(make([]byte, 0, len(orig)+4), orig...) }
+	frame := tagRoom()
+	one := make([][]byte, 1)
+	delivered = make([][]byte, 0, 32)
+	if n := testing.AllocsPerRun(200, func() {
+		one[0] = frame
+		s1.Input(1, one)
+	}); n != 0 {
 		t.Errorf("one forwarded frame costs %v allocations, want 0", n)
 	}
-	if !bytes.Equal(delivered, orig) || &delivered[0] != &frame[0] {
+	if len(delivered) != 1 || !bytes.Equal(delivered[0], orig) || &delivered[0][0] != &frame[0] {
 		t.Errorf("delivered %x in a buffer of its own, want %x in the sent one", delivered, orig)
 	}
-	if st := s2.portStats()[1]; st.TxPackets < 200 {
+	// The burst and its frames are built outside the measured closure.
+	frames := make([][]byte, 32)
+	for i := range frames {
+		frames[i] = tagRoom()
+	}
+	burst := make([][]byte, len(frames))
+	if n := testing.AllocsPerRun(200, func() {
+		copy(burst, frames)
+		s1.Input(1, burst)
+	}); n != 0 {
+		t.Errorf("a forwarded 32-frame burst costs %v allocations, want 0", n)
+	}
+	if len(delivered) != len(frames) {
+		t.Fatalf("the last burst delivered %d frames, want %d", len(delivered), len(frames))
+	}
+	for i, f := range delivered {
+		if !bytes.Equal(f, orig) || &f[0] != &frames[i][0] {
+			t.Errorf("burst frame %d delivered %x in a buffer of its own, want %x in the sent one", i, f, orig)
+		}
+	}
+	if st := s2.portStats()[1]; st.TxPackets < 200+200*32 {
 		t.Errorf("s2 port 2 transmitted %d frames", st.TxPackets)
 	}
 }
@@ -518,7 +547,7 @@ func TestFloodWhilePortsChurn(t *testing.T) {
 			default:
 			}
 			no := uint16(3 + i%8)
-			if err := s.AddPort(&Port{No: no, Transmit: func([]byte) {}}); err != nil {
+			if err := s.AddPort(&Port{No: no, Transmit: func([][]byte) {}}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -527,7 +556,7 @@ func TestFloodWhilePortsChurn(t *testing.T) {
 	}()
 	orig := testFrame(t, 80)
 	for i := 0; i < 2000; i++ {
-		s.Input(1, append([]byte(nil), orig...))
+		s.Input(1, [][]byte{append([]byte(nil), orig...)})
 		f := <-chans[2]
 		if !bytes.Equal(f, orig) {
 			t.Fatalf("flood %d delivered %x, want %x", i, f, orig)

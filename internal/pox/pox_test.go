@@ -40,10 +40,12 @@ func newRig(t *testing.T, components ...Component) *rig {
 		r.out[i] = ch
 		if err := r.sw.AddPort(&ofswitch.Port{
 			No: i, HWAddr: pkt.MAC{2, 0, 0, 0, 0, byte(i)}, Name: "s1-eth",
-			Transmit: func(f []byte) {
-				select {
-				case ch <- f:
-				default:
+			Transmit: func(frames [][]byte) {
+				for _, f := range frames {
+					select {
+					case ch <- f:
+					default:
+					}
 				}
 			},
 		}); err != nil {
@@ -163,7 +165,7 @@ func (p *pinReceiver) HandlePacketIn(c *Connection, pi *openflow.PacketIn) {
 func TestPacketInDispatch(t *testing.T) {
 	recv := &pinReceiver{ch: make(chan *openflow.PacketIn, 8)}
 	r := newRig(t, recv)
-	r.sw.Input(1, frameAB(t))
+	r.sw.Input(1, [][]byte{frameAB(t)})
 	select {
 	case pi := <-recv.ch:
 		if pi.InPort != 1 {
@@ -179,14 +181,14 @@ func TestL2LearningFloodsThenInstalls(t *testing.T) {
 	r := newRig(t, l2)
 
 	// A → B: destination unknown, must flood out port 2.
-	r.sw.Input(1, frameAB(t))
+	r.sw.Input(1, [][]byte{frameAB(t)})
 	expectFrame(t, r.out[2], "flooded A→B frame")
 	if p, ok := learned(l2, 1, hmacA); !ok || p != 1 {
 		t.Fatalf("A not learned: %v %v", p, ok)
 	}
 
 	// B → A: both ends now known → flow installed, frame delivered on 1.
-	r.sw.Input(2, frameBA(t))
+	r.sw.Input(2, [][]byte{frameBA(t)})
 	expectFrame(t, r.out[1], "B→A frame")
 
 	// Allow the flow-mod to land, then confirm the switch forwards B→A
@@ -196,7 +198,7 @@ func TestL2LearningFloodsThenInstalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	missesBefore := r.sw.TableMisses.Load()
-	r.sw.Input(2, frameBA(t))
+	r.sw.Input(2, [][]byte{frameBA(t)})
 	expectFrame(t, r.out[1], "hardware-forwarded B→A frame")
 	if r.sw.TableMisses.Load() != missesBefore {
 		t.Error("second B→A frame still went to the controller")
@@ -213,7 +215,7 @@ func TestL2LearningBroadcastAlwaysFloods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sw.Input(1, bcast)
+	r.sw.Input(1, [][]byte{bcast})
 	expectFrame(t, r.out[2], "broadcast ARP")
 	if r.sw.Table().Len() != 0 {
 		t.Error("flow installed for broadcast")
@@ -230,7 +232,7 @@ func TestL2LearningLearnsFromFrameCutInsideVLANTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.sw.Input(1, tagged[:16])
+	r.sw.Input(1, [][]byte{tagged[:16]})
 	expectFrame(t, r.out[2], "flooded 16-byte tagged frame")
 	if p, ok := learned(l2, 1, hmacA); !ok || p != 1 {
 		t.Fatalf("A not learned: %v %v", p, ok)
@@ -243,9 +245,9 @@ func TestL2LearningLearnsFromFrameCutInsideVLANTag(t *testing.T) {
 func TestL2LearningPortReuseInheritsNoBinding(t *testing.T) {
 	l2 := NewL2Learning()
 	r := newRig(t, l2)
-	r.sw.Input(1, frameAB(t))
+	r.sw.Input(1, [][]byte{frameAB(t)})
 	expectFrame(t, r.out[2], "flooded A→B frame")
-	r.sw.Input(2, frameBA(t))
+	r.sw.Input(2, [][]byte{frameBA(t)})
 	expectFrame(t, r.out[1], "B→A frame")
 	if _, ok := learned(l2, 1, hmacB); !ok {
 		t.Fatal("B not learned on port 2")
